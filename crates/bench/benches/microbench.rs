@@ -10,6 +10,7 @@
 
 use std::time::Instant;
 
+use precursor_crypto::aes::Aes128;
 use precursor_crypto::{cmac, gcm, salsa20, sha256, Key128, Key256, Nonce12, Nonce8};
 use precursor_shieldstore::merkle::MerkleTree;
 use precursor_storage::ring::{RingConsumer, RingProducer};
@@ -63,6 +64,18 @@ fn bench_robinhood() {
 
 fn bench_crypto() {
     println!("-- crypto --");
+    // The two kernels under GCM and CMAC on their own, so a change in the
+    // rows below is attributable to AES or to GHASH.
+    let cipher = Aes128::new(&Key128::from_bytes([1; 16]));
+    let mut block = [0u8; 16];
+    bench("aes_encrypt_block", 1_000_000, 16, || {
+        block = cipher.encrypt_block(std::hint::black_box(block));
+    });
+    let hash_key = cipher.encrypt_block([0; 16]);
+    let data = vec![0xA5u8; 4096];
+    bench("ghash_4k", 1_000, 4096, || {
+        std::hint::black_box(gcm::ghash(&hash_key, &[], std::hint::black_box(&data)));
+    });
     for len in [64usize, 1024, 16_384] {
         let data = vec![0xA5u8; len];
         let iters = (4_000_000 / len).max(100) as u64;

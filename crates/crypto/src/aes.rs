@@ -5,9 +5,19 @@
 //! than transcribed, which removes an entire class of table-typo bugs; the
 //! FIPS 197 appendix vectors in the tests pin the result.
 //!
-//! The implementation is table-light and byte-oriented: clear, allocation
-//! free, and fast enough for the simulation workloads (the *simulated* cost
-//! of AES comes from the cost model, not from this code's wall-clock speed).
+//! Encryption is the word-oriented T-table round of the Rijndael proposal
+//! (§5.2.1): SubBytes, ShiftRows and MixColumns of one state byte collapse
+//! into one lookup in a 256-entry `u32` table, itself derived at compile
+//! time from the algebraic S-box, and the other three rows use the same
+//! table rotated. A round is 16 lookups and 16 XORs on four column words;
+//! round keys are held as 44 words. Every GCM counter block and every CMAC
+//! block is one such encryption, which makes it most of the store's
+//! host-time cost (the *simulated* cost of AES comes from the cost model,
+//! not from this code's wall-clock speed). Decryption, which no mode in
+//! this crate uses, stays byte-oriented.
+//!
+//! Table lookups indexed by key-dependent bytes are **not constant-time**;
+//! see the crate-level security note.
 
 use crate::keys::Key128;
 
@@ -80,6 +90,26 @@ pub const INV_SBOX: [u8; 256] = build_inv_sbox(&SBOX);
 
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
+const fn build_te0() -> [u32; 256] {
+    let mut t = [0u32; 256];
+    let mut i = 0usize;
+    while i < 256 {
+        let s = SBOX[i];
+        t[i] = u32::from_be_bytes([xtime(s), s, s, xtime(s) ^ s]);
+        i += 1;
+    }
+    t
+}
+
+/// `TE0[a]` is MixColumns applied to the column `(S[a], 0, 0, 0)`, packed
+/// big-endian: `(2·S[a], S[a], S[a], 3·S[a])`. A byte in row `r` contributes
+/// the same column rotated down by `r` bytes, i.e. `TE0[a].rotate_right(8r)`.
+static TE0: [u32; 256] = build_te0();
+
+fn sub_word(w: u32) -> u32 {
+    u32::from_be_bytes(w.to_be_bytes().map(|b| SBOX[b as usize]))
+}
+
 /// An expanded AES-128 key ready to encrypt or decrypt 16-byte blocks.
 ///
 /// # Example
@@ -95,7 +125,9 @@ const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x
 /// ```
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; 11],
+    /// The key schedule `w[0..44]`; round `r` uses words `4r..4r + 4`, each
+    /// a big-endian state column.
+    round_keys: [u32; 44],
 }
 
 impl std::fmt::Debug for Aes128 {
@@ -108,75 +140,83 @@ impl std::fmt::Debug for Aes128 {
 impl Aes128 {
     /// Expands `key` into the 11 round keys (FIPS 197 §5.2).
     pub fn new(key: &Key128) -> Aes128 {
-        let kb = key.as_bytes();
-        let mut w = [[0u8; 4]; 44];
-        for (i, word) in w.iter_mut().take(4).enumerate() {
-            word.copy_from_slice(&kb[i * 4..i * 4 + 4]);
+        let mut w = [0u32; 44];
+        for (word, bytes) in w.iter_mut().zip(key.as_bytes().chunks_exact(4)) {
+            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         }
         for i in 4..44 {
             let mut temp = w[i - 1];
             if i % 4 == 0 {
-                temp.rotate_left(1);
-                for b in &mut temp {
-                    *b = SBOX[*b as usize];
-                }
-                temp[0] ^= RCON[i / 4 - 1];
+                temp = sub_word(temp.rotate_left(8)) ^ (u32::from(RCON[i / 4 - 1]) << 24);
             }
-            for j in 0..4 {
-                w[i][j] = w[i - 4][j] ^ temp[j];
-            }
+            w[i] = w[i - 4] ^ temp;
         }
-        let mut round_keys = [[0u8; 16]; 11];
-        for (r, rk) in round_keys.iter_mut().enumerate() {
-            for c in 0..4 {
-                rk[c * 4..c * 4 + 4].copy_from_slice(&w[r * 4 + c]);
-            }
-        }
-        Aes128 { round_keys }
+        Aes128 { round_keys: w }
     }
 
     /// Encrypts one 16-byte block.
     pub fn encrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
-        let mut s = block;
-        add_round_key(&mut s, &self.round_keys[0]);
-        for round in 1..10 {
-            sub_bytes(&mut s);
-            shift_rows(&mut s);
-            mix_columns(&mut s);
-            add_round_key(&mut s, &self.round_keys[round]);
+        let rk = &self.round_keys;
+        // s[c] is state column c, row 0 in the most significant byte.
+        let mut s = [0u32; 4];
+        for c in 0..4 {
+            let col = [
+                block[4 * c],
+                block[4 * c + 1],
+                block[4 * c + 2],
+                block[4 * c + 3],
+            ];
+            s[c] = u32::from_be_bytes(col) ^ rk[c];
         }
-        sub_bytes(&mut s);
-        shift_rows(&mut s);
-        add_round_key(&mut s, &self.round_keys[10]);
-        s
+        for round in 1..10 {
+            // ShiftRows: output column c takes row r from input column c + r.
+            let mut t = [0u32; 4];
+            for c in 0..4 {
+                t[c] = TE0[(s[c] >> 24) as usize]
+                    ^ TE0[((s[(c + 1) % 4] >> 16) & 0xff) as usize].rotate_right(8)
+                    ^ TE0[((s[(c + 2) % 4] >> 8) & 0xff) as usize].rotate_right(16)
+                    ^ TE0[(s[(c + 3) % 4] & 0xff) as usize].rotate_right(24)
+                    ^ rk[4 * round + c];
+            }
+            s = t;
+        }
+        // The last round has no MixColumns: plain S-box bytes.
+        let mut out = [0u8; 16];
+        for c in 0..4 {
+            let col = u32::from_be_bytes([
+                SBOX[(s[c] >> 24) as usize],
+                SBOX[((s[(c + 1) % 4] >> 16) & 0xff) as usize],
+                SBOX[((s[(c + 2) % 4] >> 8) & 0xff) as usize],
+                SBOX[(s[(c + 3) % 4] & 0xff) as usize],
+            ]) ^ rk[40 + c];
+            out[4 * c..4 * c + 4].copy_from_slice(&col.to_be_bytes());
+        }
+        out
     }
 
     /// Decrypts one 16-byte block.
     pub fn decrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
         let mut s = block;
-        add_round_key(&mut s, &self.round_keys[10]);
+        self.add_round_key(&mut s, 10);
         for round in (1..10).rev() {
             inv_shift_rows(&mut s);
             inv_sub_bytes(&mut s);
-            add_round_key(&mut s, &self.round_keys[round]);
+            self.add_round_key(&mut s, round);
             inv_mix_columns(&mut s);
         }
         inv_shift_rows(&mut s);
         inv_sub_bytes(&mut s);
-        add_round_key(&mut s, &self.round_keys[0]);
+        self.add_round_key(&mut s, 0);
         s
     }
-}
 
-fn add_round_key(s: &mut [u8; 16], rk: &[u8; 16]) {
-    for i in 0..16 {
-        s[i] ^= rk[i];
-    }
-}
-
-fn sub_bytes(s: &mut [u8; 16]) {
-    for b in s.iter_mut() {
-        *b = SBOX[*b as usize];
+    fn add_round_key(&self, s: &mut [u8; 16], round: usize) {
+        let words = &self.round_keys[4 * round..4 * round + 4];
+        for (col, word) in s.chunks_exact_mut(4).zip(words) {
+            for (b, k) in col.iter_mut().zip(word.to_be_bytes()) {
+                *b ^= k;
+            }
+        }
     }
 }
 
@@ -187,31 +227,12 @@ fn inv_sub_bytes(s: &mut [u8; 16]) {
 }
 
 // State layout: s[r + 4c] is row r, column c (FIPS 197 §3.4).
-fn shift_rows(s: &mut [u8; 16]) {
-    let orig = *s;
-    for r in 1..4 {
-        for c in 0..4 {
-            s[r + 4 * c] = orig[r + 4 * ((c + r) % 4)];
-        }
-    }
-}
-
 fn inv_shift_rows(s: &mut [u8; 16]) {
     let orig = *s;
     for r in 1..4 {
         for c in 0..4 {
             s[r + 4 * ((c + r) % 4)] = orig[r + 4 * c];
         }
-    }
-}
-
-fn mix_columns(s: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
-        s[4 * c] = gf_mul(col[0], 2) ^ gf_mul(col[1], 3) ^ col[2] ^ col[3];
-        s[4 * c + 1] = col[0] ^ gf_mul(col[1], 2) ^ gf_mul(col[2], 3) ^ col[3];
-        s[4 * c + 2] = col[0] ^ col[1] ^ gf_mul(col[2], 2) ^ gf_mul(col[3], 3);
-        s[4 * c + 3] = gf_mul(col[0], 3) ^ col[1] ^ col[2] ^ gf_mul(col[3], 2);
     }
 }
 
@@ -240,6 +261,7 @@ fn inv_mix_columns(s: &mut [u8; 16]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
 
     fn hex16(s: &str) -> [u8; 16] {
         let mut out = [0u8; 16];
@@ -283,6 +305,7 @@ mod tests {
         let c = Aes128::new(&key);
         assert_eq!(c.encrypt_block(pt), expected);
         assert_eq!(c.decrypt_block(expected), pt);
+        assert_eq!(reference::encrypt_block(key.as_bytes(), pt), expected);
     }
 
     #[test]
@@ -294,6 +317,18 @@ mod tests {
         let c = Aes128::new(&key);
         assert_eq!(c.encrypt_block(pt), expected);
         assert_eq!(c.decrypt_block(expected), pt);
+        assert_eq!(reference::encrypt_block(key.as_bytes(), pt), expected);
+    }
+
+    #[test]
+    fn te0_is_mix_columns_of_the_sbox() {
+        for a in 0..256usize {
+            let s = SBOX[a];
+            let [two, one, one_again, three] = TE0[a].to_be_bytes();
+            assert_eq!((one, one_again), (s, s));
+            assert_eq!(two, gf_mul(s, 2));
+            assert_eq!(three, gf_mul(s, 3));
+        }
     }
 
     #[test]

@@ -3,6 +3,14 @@
 //! This is the paper's transport ("session") encryption: control data is
 //! sealed under the per-client `K_session` with the request's AAD, giving
 //! confidentiality, integrity and client authenticity in one pass (§3.4, §4).
+//! The same construction seals journal records and enclave snapshots.
+//!
+//! GHASH multiplies by the hash key `H` with Shoup's 4-bit tables: the 16
+//! nibble multiples of `H` and of `H·x⁴` are built from `H` on every call,
+//! and a block is then 16 byte steps of two lookups, a byte shift and one
+//! reduction lookup — instead of 128 conditional shift-and-XOR steps. The
+//! lookups are indexed by secret-dependent bytes, so like the AES tables
+//! this is **not constant-time**; tag comparison still is ([`ct_eq`]).
 
 use crate::aes::Aes128;
 use crate::ct::ct_eq;
@@ -12,51 +20,109 @@ use crate::keys::{Key128, Nonce12, Tag};
 /// GCM tag length in bytes.
 pub const TAG_LEN: usize = 16;
 
-fn gf_mult(x: u128, y: u128) -> u128 {
-    // Bit 0 is the most significant bit per the GCM spec.
-    let mut z = 0u128;
-    let mut v = y;
-    for i in 0..128 {
-        if (x >> (127 - i)) & 1 == 1 {
-            z ^= v;
+const fn build_rem8() -> [u16; 256] {
+    let mut t = [0u16; 256];
+    let mut r = 0usize;
+    while r < 256 {
+        // Bit 7 of the byte shifted out is the coefficient that becomes
+        // x¹²⁸ = 1 + x + x² + x⁷, i.e. 0xE1 in the top byte; bit 0 is x¹³⁵.
+        let mut k = 0;
+        while k < 8 {
+            if (r >> k) & 1 == 1 {
+                t[r] ^= 0xE100u16 >> (7 - k);
+            }
+            k += 1;
         }
-        let lsb = v & 1;
-        v >>= 1;
-        if lsb == 1 {
-            v ^= 0xE1u128 << 120;
-        }
+        r += 1;
     }
-    z
+    t
 }
 
-fn block_to_u128(b: &[u8]) -> u128 {
-    let mut arr = [0u8; 16];
-    arr[..b.len()].copy_from_slice(b);
-    u128::from_be_bytes(arr)
+/// `REM8[r] << 112` is what `z >> 8` (multiplication by x⁸) must fold back
+/// in when `r` was the byte shifted out.
+static REM8: [u16; 256] = build_rem8();
+
+/// Multiplication by `x` in GF(2¹²⁸). Bit 0 is the most significant bit per
+/// the GCM spec, so this is a right shift.
+fn mul_x(v: u128) -> u128 {
+    (v >> 1) ^ ((v & 1) * (0xE1u128 << 120))
 }
 
-fn ghash(h: u128, aad: &[u8], ct: &[u8]) -> u128 {
-    let mut y = 0u128;
-    for chunk in aad.chunks(16) {
-        y = gf_mult(y ^ block_to_u128(chunk), h);
+/// Shoup's 4-bit tables for one hash key: `hi[n] = n · H` and
+/// `lo[n] = n · H · x⁴` for every nibble `n`, so a byte of the multiplicand
+/// costs two lookups and one `REM8` step. Built per call (512 B of stack).
+struct HTable {
+    hi: [u128; 16],
+    lo: [u128; 16],
+}
+
+impl HTable {
+    fn new(h: u128) -> HTable {
+        // A nibble's most significant bit is its lowest power of x.
+        let mut t = [[0u128; 16]; 2];
+        let mut v = h;
+        for half in &mut t {
+            for bit in [8, 4, 2, 1] {
+                half[bit] = v;
+                v = mul_x(v);
+            }
+            for bit in [2, 4, 8] {
+                for j in 1..bit {
+                    half[bit + j] = half[bit] ^ half[j];
+                }
+            }
+        }
+        let [hi, lo] = t;
+        HTable { hi, lo }
     }
-    for chunk in ct.chunks(16) {
-        y = gf_mult(y ^ block_to_u128(chunk), h);
+
+    /// `x · H`: Horner's rule over the bytes of `x`, highest powers first.
+    fn mul(&self, x: u128) -> u128 {
+        let mut z = 0u128;
+        for byte in x.to_le_bytes() {
+            let product = self.hi[usize::from(byte >> 4)] ^ self.lo[usize::from(byte & 0xf)];
+            let folded = u128::from(REM8[(z & 0xff) as usize]) << 112;
+            z = (z >> 8) ^ (product ^ folded);
+        }
+        z
     }
+
+    /// Folds `data`, zero-padded to whole blocks, into `y`.
+    fn update(&self, mut y: u128, data: &[u8]) -> u128 {
+        let mut blocks = data.chunks_exact(16);
+        for block in &mut blocks {
+            let block = block.try_into().expect("chunks_exact yields 16 bytes");
+            y = self.mul(y ^ u128::from_be_bytes(block));
+        }
+        let rest = blocks.remainder();
+        if !rest.is_empty() {
+            let mut block = [0u8; 16];
+            block[..rest.len()].copy_from_slice(rest);
+            y = self.mul(y ^ u128::from_be_bytes(block));
+        }
+        y
+    }
+}
+
+fn ghash_u128(h: u128, aad: &[u8], ct: &[u8]) -> u128 {
+    let table = HTable::new(h);
+    let y = table.update(table.update(0, aad), ct);
     let lens = ((aad.len() as u128 * 8) << 64) | (ct.len() as u128 * 8);
-    gf_mult(y ^ lens, h)
+    table.mul(y ^ lens)
 }
 
-fn inc32(counter: &mut [u8; 16]) {
-    let mut c = u32::from_be_bytes([counter[12], counter[13], counter[14], counter[15]]);
-    c = c.wrapping_add(1);
-    counter[12..].copy_from_slice(&c.to_be_bytes());
+/// GHASH under hash key `h` (SP 800-38D §6.4) of `aad` and `ct`, each
+/// zero-padded to whole blocks, followed by their lengths in bits.
+pub fn ghash(h: &[u8; 16], aad: &[u8], ct: &[u8]) -> [u8; 16] {
+    ghash_u128(u128::from_be_bytes(*h), aad, ct).to_be_bytes()
 }
 
 fn ctr_xor(cipher: &Aes128, j0: &[u8; 16], data: &mut [u8]) {
     let mut counter = *j0;
+    let mut ctr = u32::from_be_bytes([j0[12], j0[13], j0[14], j0[15]]);
     for chunk in data.chunks_mut(16) {
-        inc32(&mut counter);
+        ctr = ctr.wrapping_add(1);
+        counter[12..].copy_from_slice(&ctr.to_be_bytes());
         let ks = cipher.encrypt_block(counter);
         for (b, k) in chunk.iter_mut().zip(ks.iter()) {
             *b ^= k;
@@ -65,14 +131,14 @@ fn ctr_xor(cipher: &Aes128, j0: &[u8; 16], data: &mut [u8]) {
 }
 
 fn compute_tag(cipher: &Aes128, h: u128, j0: &[u8; 16], aad: &[u8], ct: &[u8]) -> Tag {
-    let s = ghash(h, aad, ct);
-    let ekj0 = block_to_u128(&cipher.encrypt_block(*j0));
+    let s = ghash_u128(h, aad, ct);
+    let ekj0 = u128::from_be_bytes(cipher.encrypt_block(*j0));
     Tag::from_bytes((s ^ ekj0).to_be_bytes())
 }
 
 fn setup(key: &Key128, nonce: &Nonce12) -> (Aes128, u128, [u8; 16]) {
     let cipher = Aes128::new(key);
-    let h = block_to_u128(&cipher.encrypt_block([0u8; 16]));
+    let h = u128::from_be_bytes(cipher.encrypt_block([0u8; 16]));
     let mut j0 = [0u8; 16];
     j0[..12].copy_from_slice(nonce.as_bytes());
     j0[15] = 1;
@@ -94,13 +160,22 @@ fn setup(key: &Key128, nonce: &Nonce12) -> (Aes128, u128, [u8; 16]) {
 /// assert_eq!(sealed.len(), 5 + gcm::TAG_LEN);
 /// ```
 pub fn seal(key: &Key128, nonce: &Nonce12, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-    let (cipher, h, j0) = setup(key, nonce);
-    let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
-    out.extend_from_slice(plaintext);
-    ctr_xor(&cipher, &j0, &mut out);
-    let tag = compute_tag(&cipher, h, &j0, aad, &out);
-    out.extend_from_slice(tag.as_bytes());
+    let mut out = Vec::new();
+    seal_into(&mut out, key, nonce, aad, plaintext);
     out
+}
+
+/// [`seal`], appending `ciphertext ‖ tag` to `out` instead of allocating:
+/// for callers that frame the sealed bytes (a nonce in front, a record
+/// header around) and would otherwise copy the whole message to do so.
+pub fn seal_into(out: &mut Vec<u8>, key: &Key128, nonce: &Nonce12, aad: &[u8], plaintext: &[u8]) {
+    let (cipher, h, j0) = setup(key, nonce);
+    let start = out.len();
+    out.reserve(plaintext.len() + TAG_LEN);
+    out.extend_from_slice(plaintext);
+    ctr_xor(&cipher, &j0, &mut out[start..]);
+    let tag = compute_tag(&cipher, h, &j0, aad, &out[start..]);
+    out.extend_from_slice(tag.as_bytes());
 }
 
 /// Decrypts `sealed` (`ciphertext ‖ tag`) and verifies the tag over the
@@ -134,6 +209,7 @@ pub fn open(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
 
     fn h2b(s: &str) -> Vec<u8> {
         (0..s.len() / 2)
@@ -149,10 +225,29 @@ mod tests {
         Nonce12::try_from(h2b(s).as_slice()).unwrap()
     }
 
+    /// [`seal`], after checking that the bit-serial oracle produces the
+    /// same bytes: the published answers below pin both.
+    fn seal_both(k: &Key128, n: &Nonce12, aad: &[u8], pt: &[u8]) -> Vec<u8> {
+        let sealed = seal(k, n, aad, pt);
+        assert_eq!(
+            reference::gcm_seal(k.as_bytes(), n.as_bytes(), aad, pt),
+            sealed
+        );
+        sealed
+    }
+
+    #[test]
+    fn rem8_is_the_reduction_of_the_shifted_out_byte() {
+        for r in 0..256u128 {
+            let times_x8 = (0..8).fold(r, |v, _| mul_x(v));
+            assert_eq!(times_x8, u128::from(REM8[r as usize]) << 112, "r {r:#x}");
+        }
+    }
+
     #[test]
     fn nist_test_case_1_empty() {
         // GCM spec test case 1: zero key/IV, empty everything.
-        let sealed = seal(
+        let sealed = seal_both(
             &key("00000000000000000000000000000000"),
             &nonce("000000000000000000000000"),
             b"",
@@ -166,7 +261,7 @@ mod tests {
         let k = key("00000000000000000000000000000000");
         let n = nonce("000000000000000000000000");
         let pt = h2b("00000000000000000000000000000000");
-        let sealed = seal(&k, &n, b"", &pt);
+        let sealed = seal_both(&k, &n, b"", &pt);
         assert_eq!(
             sealed,
             h2b("0388dace60b6a392f328c2b971b2fe78ab6e47d42cec13bdf53a67b21257bddf")
@@ -182,13 +277,71 @@ mod tests {
             "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
              1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255",
         );
-        let sealed = seal(&k, &n, b"", &pt);
+        let sealed = seal_both(&k, &n, b"", &pt);
         let expected_ct = h2b(
             "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
              21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985",
         );
         assert_eq!(&sealed[..64], &expected_ct[..]);
         assert_eq!(&sealed[64..], &h2b("4d5c2af327cd64a62cf35abd2ba6fab4")[..]);
+    }
+
+    #[test]
+    fn nist_test_case_4_aad_and_partial_block() {
+        // GCM spec test case 4: 20-byte AAD (padded to two blocks) and a
+        // 60-byte plaintext whose last block is 12 bytes.
+        let k = key("feffe9928665731c6d6a8f9467308308");
+        let n = nonce("cafebabefacedbaddecaf888");
+        let aad = h2b("feedfacedeadbeeffeedfacedeadbeefabaddad2");
+        let pt = h2b(
+            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
+             1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39",
+        );
+        let expected = h2b(
+            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
+             21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091\
+             5bc94fbc3221a5db94fae95ae7121a47",
+        );
+        let sealed = seal_both(&k, &n, &aad, &pt);
+        assert_eq!(sealed, expected);
+        assert_eq!(open(&k, &n, &aad, &expected).unwrap(), pt);
+    }
+
+    #[test]
+    fn nist_cavp_aad_only() {
+        // NIST CAVP gcmEncryptExtIV128, PTlen = 0: the tag covers nothing
+        // but AAD and the lengths block. One whole AAD block, then 20 bytes.
+        for (k, n, aad, tag) in [
+            (
+                "77be63708971c4e240d1cb79e8d77feb",
+                "e0e00f19fed7ba0136a797f3",
+                "7a43ec1d9c0a5a78a0b16533a6213cab",
+                "209fcc8d3675ed938e9c7166709dd946",
+            ),
+            (
+                "2fb45e5b8f993a2bfebc4b15b533e0b4",
+                "5b05755f984d2b90f94b8027",
+                "e85491b2202caf1d7dce03b97e09331c32473941",
+                "c75b7832b2a2d9bd827412b6ef5769db",
+            ),
+        ] {
+            let (k, n, aad, tag) = (key(k), nonce(n), h2b(aad), h2b(tag));
+            assert_eq!(seal_both(&k, &n, &aad, b""), tag);
+            assert_eq!(open(&k, &n, &aad, &tag).unwrap(), b"");
+        }
+    }
+
+    #[test]
+    fn seal_into_appends_what_seal_returns() {
+        let k = Key128::from_bytes([4; 16]);
+        let n = Nonce12::from_counter(9);
+        let mut framed = b"header".to_vec();
+        seal_into(&mut framed, &k, &n, b"aad", b"seventeen bytes!!");
+        assert_eq!(&framed[..6], b"header");
+        assert_eq!(
+            &framed[6..],
+            &seal(&k, &n, b"aad", b"seventeen bytes!!")[..]
+        );
     }
 
     #[test]

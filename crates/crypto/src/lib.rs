@@ -10,8 +10,10 @@
 //! primitives are implemented here from their specifications and validated
 //! against published test vectors:
 //!
-//! * AES-128 — FIPS 197 (S-box derived algebraically at compile time);
-//! * AES-128-GCM — NIST SP 800-38D / GCM spec test cases 1–3;
+//! * AES-128 — FIPS 197 appendices B and C.1 (S-box and encryption T-table
+//!   derived algebraically at compile time);
+//! * AES-128-GCM — NIST SP 800-38D: GCM spec test cases 1–4 and two NIST
+//!   CAVP AAD-only vectors (GHASH by Shoup's 4-bit tables);
 //! * AES-CMAC — RFC 4493 examples 1–4;
 //! * Salsa20 — Bernstein's specification (quarter-round vectors, expansion);
 //! * SHA-256 — FIPS 180-4 ("abc", empty, two-block message);
@@ -19,10 +21,19 @@
 //!
 //! # Security note
 //!
-//! These implementations are **not constant-time** and are intended for the
-//! simulation-based reproduction only — exactly as the paper itself excludes
+//! These implementations are **not constant-time** — the AES S-box and
+//! T-table and the GHASH tables are indexed by secret-dependent bytes; only
+//! tag comparison ([`ct::ct_eq`]) is — and are intended for the
+//! simulation-based reproduction only, exactly as the paper itself excludes
 //! side channels from its threat model (§2.3). Do not reuse them to protect
 //! real data.
+//!
+//! # Test oracle
+//!
+//! The byte-oriented AES round and bit-serial GF(2¹²⁸) multiplication that
+//! the table-driven kernels replaced are kept as a `#[cfg(test)]` oracle
+//! (`src/reference.rs`); `tests/proptests.rs` checks the kernels and the
+//! modes built on them against it on seeded random input.
 //!
 //! # Example
 //!
@@ -47,6 +58,8 @@ pub mod error;
 pub mod gcm;
 pub mod hmac;
 pub mod keys;
+#[cfg(test)]
+mod reference;
 pub mod salsa20;
 pub mod sha256;
 

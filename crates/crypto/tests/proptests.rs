@@ -1,9 +1,15 @@
 //! Property-based tests over the crypto primitives, driven by the in-repo
 //! deterministic RNG (seeded loops instead of an external proptest engine).
 
+use precursor_crypto::aes::{self, Aes128};
 use precursor_crypto::keys::{Key128, Key256, Nonce12, Nonce8, Tag};
-use precursor_crypto::{aes::Aes128, cmac, ct::ct_eq, gcm, hmac::hmac_sha256, salsa20, sha256};
+use precursor_crypto::{cmac, ct::ct_eq, gcm, hmac::hmac_sha256, salsa20, sha256};
 use precursor_sim::rng::SimRng;
+
+/// The byte-oriented AES round and bit-serial GF(2¹²⁸) multiplication the
+/// table-driven kernels replaced; the crate compiles it under `cfg(test)`.
+#[path = "../src/reference.rs"]
+mod reference;
 
 const CASES: usize = 64;
 
@@ -38,6 +44,76 @@ fn aes_is_a_permutation() {
         let a: [u8; 16] = rand_array(&mut rng);
         let b: [u8; 16] = rand_array(&mut rng);
         assert_eq!(a == b, c.encrypt_block(a) == c.encrypt_block(b));
+    }
+}
+
+#[test]
+fn table_aes_matches_byte_oriented_reference() {
+    let mut rng = SimRng::seed_from(0xa00c);
+    for _ in 0..CASES * 8 {
+        let key: [u8; 16] = rand_array(&mut rng);
+        let block: [u8; 16] = rand_array(&mut rng);
+        assert_eq!(
+            Aes128::new(&Key128::from_bytes(key)).encrypt_block(block),
+            reference::encrypt_block(&key, block)
+        );
+    }
+}
+
+#[test]
+fn table_ghash_matches_bit_serial_reference() {
+    let check = |h: u128, aad: &[u8], x: &[u8]| {
+        assert_eq!(
+            u128::from_be_bytes(gcm::ghash(&h.to_be_bytes(), aad, x)),
+            reference::ghash(h, aad, x),
+            "h {h:#034x} aad {} x {}",
+            aad.len(),
+            x.len()
+        );
+    };
+    let mut rng = SimRng::seed_from(0xa00d);
+    // One block, so the answer is ((X·H) ^ len)·H: every single-bit X and
+    // every single-bit H walks each table entry and each shift position.
+    for bit in 0..128 {
+        let random = u128::from_be_bytes(rand_array(&mut rng));
+        check(random, &[], &(1u128 << bit).to_be_bytes());
+        check(1u128 << bit, &[], &random.to_be_bytes());
+    }
+    check(u128::MAX, &[], &u128::MAX.to_be_bytes());
+    for _ in 0..CASES * 4 {
+        let h = u128::from_be_bytes(rand_array(&mut rng));
+        check(h, &rand_vec(&mut rng, 40), &rand_vec(&mut rng, 100));
+    }
+}
+
+#[test]
+fn gcm_and_cmac_match_reference_at_every_length() {
+    // 0..=1100 covers every partial-block residue many times over, the
+    // empty message, and lengths past 1 KiB; the AAD length cycles through
+    // its own residues (0..=36) independently of the message's.
+    let mut rng = SimRng::seed_from(0xa00e);
+    let mut data = vec![0u8; 1100];
+    rng.fill_bytes(&mut data);
+    for len in 0..=1100usize {
+        let key: [u8; 16] = rand_array(&mut rng);
+        let nonce: [u8; 12] = rand_array(&mut rng);
+        let aad = &data[1100 - len % 37..];
+        let msg = &data[..len];
+        assert_eq!(
+            gcm::seal(
+                &Key128::from_bytes(key),
+                &Nonce12::from_bytes(nonce),
+                aad,
+                msg
+            ),
+            reference::gcm_seal(&key, &nonce, aad, msg),
+            "gcm len {len}"
+        );
+        assert_eq!(
+            cmac::mac(&Key128::from_bytes(key), msg).as_bytes(),
+            &reference::cmac(&key, msg),
+            "cmac len {len}"
+        );
     }
 }
 

@@ -178,12 +178,12 @@ fn record_aad(chain: &[u8; 16], kind: u8, seq: u64) -> Vec<u8> {
 
 // Chain advance: `state' = sha256(state ‖ seq ‖ kind ‖ ct)[..16]`.
 fn advance_chain(chain: &[u8; 16], seq: u64, kind: u8, ct: &[u8]) -> [u8; 16] {
-    let mut msg = Vec::with_capacity(16 + 8 + 1 + ct.len());
-    msg.extend_from_slice(chain);
-    msg.extend_from_slice(&seq.to_le_bytes());
-    msg.push(kind);
-    msg.extend_from_slice(ct);
-    let d = sha256::digest(&msg);
+    let mut hasher = sha256::Sha256::new();
+    hasher.update(chain);
+    hasher.update(&seq.to_le_bytes());
+    hasher.update(&[kind]);
+    hasher.update(ct);
+    let d = hasher.finish();
     let mut c = [0u8; 16];
     c.copy_from_slice(&d[..16]);
     c
@@ -223,16 +223,19 @@ impl Journal {
         let seq = self.next_seq;
         self.next_seq += 1;
         let aad = record_aad(&self.chain, kind, seq);
-        let ct = gcm::seal(&self.key, &Nonce12::from_counter(seq), &aad, body);
-        self.chain = advance_chain(&self.chain, seq, kind, &ct);
         if self.pending_records == 0 {
             self.pending_since = now;
         }
+        let ct_len = body.len() + gcm::TAG_LEN;
         self.pending.extend_from_slice(&seq.to_le_bytes());
         self.pending.push(kind);
         self.pending
-            .extend_from_slice(&(ct.len() as u32).to_le_bytes());
-        self.pending.extend_from_slice(&ct);
+            .extend_from_slice(&(ct_len as u32).to_le_bytes());
+        // Sealed in place after its header: no per-record ciphertext Vec.
+        let ct_at = self.pending.len();
+        let nonce = Nonce12::from_counter(seq);
+        gcm::seal_into(&mut self.pending, &self.key, &nonce, &aad, body);
+        self.chain = advance_chain(&self.chain, seq, kind, &self.pending[ct_at..]);
         self.pending.extend_from_slice(&self.chain);
         self.pending_records += 1;
         self.stats.records += 1;

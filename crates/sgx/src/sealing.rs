@@ -35,10 +35,9 @@ impl AttestationService {
 /// counter value at sealing time). Layout: `nonce ‖ GCM(ciphertext ‖ tag)`.
 pub fn seal(key: &Key128, version: u64, plaintext: &[u8], rng: &mut SimRng) -> Vec<u8> {
     let nonce = Nonce12::generate(rng);
-    let sealed = gcm::seal(key, &nonce, &version.to_le_bytes(), plaintext);
-    let mut out = Vec::with_capacity(12 + sealed.len());
+    let mut out = Vec::with_capacity(12 + plaintext.len() + gcm::TAG_LEN);
     out.extend_from_slice(nonce.as_bytes());
-    out.extend_from_slice(&sealed);
+    gcm::seal_into(&mut out, key, &nonce, &version.to_le_bytes(), plaintext);
     out
 }
 

@@ -15,4 +15,9 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test --workspace -q
 
+# benchmark/ is a workspace of its own, so nothing above compiles it: build
+# and run it at smoke scale so a crate API change cannot break it unnoticed.
+echo "== benchmark smoke (--quick) =="
+cargo run --release --manifest-path benchmark/Cargo.toml -- --quick
+
 echo "ci: all green"
