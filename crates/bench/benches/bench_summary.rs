@@ -64,6 +64,13 @@ fn main() {
     }
 
     match baseline {
+        // A named baseline that cannot be read is a broken gate, not a first run.
+        None if std::env::var_os("PRECURSOR_BENCH_BASELINE").is_some() => {
+            panic!(
+                "trajectory gate: no baseline at {}",
+                baseline_path.display()
+            )
+        }
         None => println!("no baseline at {} — diff skipped", baseline_path.display()),
         Some(base) => {
             let failures = summary::compare(&base, &json);

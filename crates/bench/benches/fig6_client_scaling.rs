@@ -113,6 +113,7 @@ fn main() {
             .max_clients(SHARD_CLIENTS)
             .seed(0xF16B)
             .shards(s)
+            .paper_poller(true)
             .build(&cost);
         let (mean, _) = repeat(scale.repetitions, |_| {
             session

@@ -1,5 +1,5 @@
 //! **Figure 6 (scale)** — closed-loop client scaling from 1k to 100k
-//! clients over dirty-ring sweeps (shards 4 and 8, 32 B values).
+//! clients (shards 4 and 8, 32 B values).
 //!
 //! There is no paper figure at this scale: the testbed tops out at 100
 //! clients. This sweep pins the *simulator's* scaling claim instead — the
@@ -8,7 +8,7 @@
 //! per simulated operation flat while the fleet grows 100×:
 //!
 //! * steady-state per-op wall-clock at 100k clients must stay within
-//!   1.5× of the 1k-client point (same shard count) — a full-scan sweep
+//!   1.5× of the 1k-client point (same shard count) — a scan-all sweep
 //!   or an eager per-client allocation pass would blow this by orders of
 //!   magnitude;
 //! * every 100k-client measurement must finish inside a hard in-run
@@ -21,7 +21,7 @@
 //! clients absorbs one-time noise (first-touch page faults on 200k rings,
 //! frequency ramp) that is not scheduler cost, and virtualized CI hosts
 //! jitter individual runs by 2-3×. The minimum still pays every per-op
-//! cost — state activation, wheel churn, dirty sweeps — every window
+//! cost — state activation, wheel churn, doorbell sweeps — every window
 //! re-activates its client states from scratch.
 //!
 //! Runs at a fixed scale (ignores `PRECURSOR_FULL`): the wall-clock
@@ -49,7 +49,7 @@ const MAX_PER_OP_GROWTH: f64 = 1.5;
 fn main() {
     println!("================================================================");
     println!("Figure 6 (scale): 1k -> 10k -> 100k closed-loop clients");
-    println!("dirty-ring sweeps, 1 KiB rings, lazy driver state; 32 B values");
+    println!("doorbell sweeps, 1 KiB rings, lazy driver state; 32 B values");
     println!("fixed scale (PRECURSOR_FULL ignored): wall-clock asserts");
     println!("================================================================");
     let cost = CostModel::default();
@@ -65,7 +65,6 @@ fn main() {
                 .keys(KEYS, KEYS)
                 .max_clients(clients)
                 .ring_bytes(1 << 10)
-                .dirty_sweep(true)
                 .seed(0xF16C)
                 .shards(shards)
                 .build(&cost);

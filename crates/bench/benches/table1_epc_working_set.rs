@@ -45,8 +45,11 @@ fn main() {
                     .expect("put");
                 inserted += 1;
                 if inserted.is_multiple_of(512) || inserted == target {
-                    server.poll();
-                    client.poll_replies();
+                    // The fairness budget caps records per sweep: sweep
+                    // until the ring drains.
+                    while server.poll() > 0 {
+                        client.poll_replies();
+                    }
                     client.take_all_completed();
                 }
             }

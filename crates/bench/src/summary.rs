@@ -249,7 +249,7 @@ pub fn collect(seed: u64) -> Vec<SummaryPoint> {
         ));
     }
 
-    // fig6, scale extension: dirty-ring sweeps, 1 KiB rings and lazy
+    // fig6, scale extension: doorbell sweeps, 1 KiB rings and lazy
     // driver state at fleet sizes far beyond the testbed's 100 clients.
     // One warmed 10k-client session per shard count; the 1k-client point
     // measures a subset of the same fleet. The full 1k→10k→100k decade
@@ -262,7 +262,6 @@ pub fn collect(seed: u64) -> Vec<SummaryPoint> {
             .keys(WARMUP_KEYS, WARMUP_KEYS)
             .max_clients(10_000)
             .ring_bytes(1 << 10)
-            .dirty_sweep(true)
             .seed(seed)
             .shards(shards)
             .build(&cost);

@@ -193,11 +193,10 @@ pub trait TrustedKv {
     fn warmup_batch(&self, frame_bytes: usize) -> usize;
 
     /// Cumulative ring visits performed by the backend's poll sweeps, for
-    /// backends whose poller scans per-client rings. The closed-loop
+    /// backends whose poller visits per-client rings. The closed-loop
     /// driver charges the per-ring scan cost against the *delta* of this
-    /// counter when dirty-ring sweeps are on, instead of assuming every
-    /// sweep touches every connected client. Backends without a ring
-    /// scanner return 0 (the driver then keeps its analytic estimate).
+    /// counter instead of assuming every sweep touches every connected
+    /// client. Backends without a ring poller return 0.
     fn rings_swept(&self) -> u64 {
         0
     }

@@ -605,7 +605,7 @@ impl PrecursorClient {
         self.charge_client(cost.memcpy(bytes.len()));
 
         // Learn the server's consumed counter (credits it wrote back).
-        let credits = u64::from_le_bytes(self.credit_word.read(0, 8).try_into().expect("8 bytes"));
+        let credits = self.credit_word.read_u64(0);
         self.request_producer.update_credits(credits);
 
         // One (or two, on wrap) one-sided WRITEs into the server-side ring.
@@ -690,8 +690,7 @@ impl PrecursorClient {
                 self.fail_op(p, StoreError::RetriesExhausted);
                 continue;
             };
-            let credits =
-                u64::from_le_bytes(self.credit_word.read(0, 8).try_into().expect("8 bytes"));
+            let credits = self.credit_word.read_u64(0);
             let result = if credits >= p.end_written {
                 // The server consumed the request, so the *reply* was lost.
                 // Push a fresh copy of the same request: the server's
@@ -1247,7 +1246,7 @@ impl PrecursorClient {
             payload: Vec::new(),
         };
         let bytes = frame.encode();
-        let credits = u64::from_le_bytes(self.credit_word.read(0, 8).try_into().expect("8 bytes"));
+        let credits = self.credit_word.read_u64(0);
         self.request_producer.update_credits(credits);
         let qp = &mut self.qp;
         let rkey = self.request_rkey;

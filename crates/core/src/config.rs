@@ -106,16 +106,6 @@ pub struct Config {
     /// state allocates nothing per op. Purely an allocation-path knob: the
     /// emitted bytes are identical. Off by default.
     pub reply_arena: bool,
-    /// Drive poll sweeps from the dirty-ring set instead of scanning every
-    /// connected ring: request rings are registered with a write-watch, a
-    /// delivered client WRITE marks the ring dirty, and a sweep visits only
-    /// dirty rings (plus rings with an elided credit still pending, so the
-    /// lazy-credit flush rule keeps its one-sweep liveness bound). A ring
-    /// left non-empty by the fairness budget re-marks itself. Idle rings
-    /// cost nothing, making a sweep O(dirty) instead of O(clients) — the
-    /// 100k-client scale mode (DESIGN.md §17). Off by default so the
-    /// shards=1 golden digest reproduces through the scan path untouched.
-    pub dirty_ring_sweep: bool,
 }
 
 impl Default for Config {
@@ -141,7 +131,6 @@ impl Default for Config {
             poll_budget_max: 128,
             lazy_credit_bytes: 0,
             reply_arena: false,
-            dirty_ring_sweep: false,
         }
     }
 }
@@ -293,19 +282,6 @@ mod tests {
         // the flooding cap (`max per-sweep consumption ≤ budget`) is
         // unchanged with adaptation on.
         assert!(c.poll_budget_max <= Config::default().poll_budget_per_client);
-    }
-
-    #[test]
-    fn dirty_ring_sweep_is_off_by_default_and_orthogonal_to_fast() {
-        let c = Config::default();
-        assert!(!c.dirty_ring_sweep);
-        // A scheduling knob, not a cost-amortisation knob: it must not
-        // flip the fast-path cost attribution.
-        let d = Config {
-            dirty_ring_sweep: true,
-            ..Config::default()
-        };
-        assert!(!d.fast_path_enabled());
     }
 
     #[test]

@@ -90,20 +90,18 @@ pub(super) struct Ingress {
     // buffers that carried a non-remembered reply come back here instead
     // of being dropped, so the steady state encodes into reused capacity.
     pub(super) arena: Vec<Vec<u8>>,
-    // Doorbell board for dirty-ring sweeps (`Config::dirty_ring_sweep`):
-    // request rings are registered with a write-watch that marks the
-    // owning client's index here on every *delivered* WRITE, so sweeps can
-    // drain the board instead of scanning every idle ring.
+    // Doorbell board: every request ring is registered with a write-watch
+    // that marks the owning client's index here on each *delivered* WRITE.
+    // Sweeps drain the board instead of scanning rings, so an idle ring
+    // costs nothing. Untrusted host state (DESIGN.md §8).
     pub(super) dirty_board: WriteBoard,
-    // Clients owed a deferred (elided) credit write-back. Dirty-mode
-    // sweeps must keep visiting them until the flush — the first visit
-    // that pops nothing posts the deferred WRITE — or a producer parked
-    // on `RingFull` would never unblock (the `tests/fastpath.rs` liveness
-    // rule).
+    // Clients owed a deferred (elided) credit write-back. Sweeps keep
+    // visiting them until the flush — the first visit that pops nothing
+    // posts the deferred WRITE — or a producer parked on `RingFull` would
+    // never unblock (the `tests/fastpath.rs` liveness rule).
     pub(super) credit_pending: BTreeSet<usize>,
-    // Ring visits performed by poll sweeps (all modes): what the driver's
-    // cost model charges `poll_scan_per_client` against in dirty mode,
-    // instead of assuming `clients × polls`.
+    // Ring visits performed by poll sweeps: what the driver's cost model
+    // charges `poll_scan_per_client` against.
     pub(super) rings_swept: u64,
 }
 
@@ -124,21 +122,17 @@ impl PrecursorServer {
             None => connect_pair(self.cost.rdma_inline_max),
         };
 
-        // Server-side request ring, remotely writable by the client. With
-        // dirty-ring sweeps on, the registration carries a write-watch:
-        // every delivered client WRITE rings the doorbell board, which is
-        // what lets sweeps skip idle rings entirely.
+        // Server-side request ring, remotely writable by the client. The
+        // registration carries a write-watch: every delivered client WRITE
+        // rings the doorbell board, which is how sweeps find work without
+        // touching idle rings.
         let request_ring = Memory::zeroed(self.config.ring_bytes);
-        let request_ring_rkey = if self.config.dirty_ring_sweep {
-            server_end.register_watched(
-                request_ring.clone(),
-                true,
-                self.ingress.dirty_board.clone(),
-                u64::from(client_id),
-            )
-        } else {
-            server_end.register(request_ring.clone(), true)
-        };
+        let request_ring_rkey = server_end.register_watched(
+            request_ring.clone(),
+            true,
+            self.ingress.dirty_board.clone(),
+            u64::from(client_id),
+        );
         // Server-side reply-credit word, remotely writable by the client.
         let reply_credit = Memory::zeroed(8);
         let reply_credit_rkey = server_end.register(reply_credit.clone(), true);
@@ -196,26 +190,19 @@ impl PrecursorServer {
             let port = self.ingress.ports[idx].as_ref().expect("live port");
             (port.request_consumer.consumed(), port.last_credit)
         };
-        if consumed == last {
-            if self.config.dirty_ring_sweep {
-                self.ingress.credit_pending.remove(&idx);
-            }
-            return;
-        }
-        if lazy > 0 && took_any && consumed - last < lazy {
+        if consumed != last && lazy > 0 && took_any && consumed - last < lazy {
             self.ingress.credits_elided += 1;
             self.obs.inc("server.credits_elided", 1);
             self.trace("ingress", "credit_elided", idx as u64, consumed);
-            if self.config.dirty_ring_sweep {
-                // Dirty-mode sweeps would otherwise never return to a
-                // quiet ring: remember the deferred write-back so the
-                // client keeps getting (idle) visits until it flushes.
-                self.ingress.credit_pending.insert(idx);
-            }
+            // Sweeps would otherwise never return to a quiet ring:
+            // remember the deferred write-back so the client keeps getting
+            // (idle) visits until it flushes.
+            self.ingress.credit_pending.insert(idx);
             return;
         }
-        if self.config.dirty_ring_sweep {
-            self.ingress.credit_pending.remove(&idx);
+        self.ingress.credit_pending.remove(&idx);
+        if consumed == last {
+            return;
         }
         let port = self.ingress.ports[idx].as_mut().expect("live port");
         port.last_credit = consumed;
@@ -450,8 +437,7 @@ impl PrecursorServer {
         let cost = self.cost.clone();
         let writes = {
             let port = self.ingress.ports[idx].as_mut().expect("live port");
-            let consumed =
-                u64::from_le_bytes(port.reply_credit.read(0, 8).try_into().expect("8 bytes"));
+            let consumed = port.reply_credit.read_u64(0);
             if consumed >= port.last_reply_end && !port.last_reply_bytes.is_empty() {
                 // The client already consumed past the remembered
                 // record (it saw an adversary-substituted record there

@@ -383,18 +383,17 @@ impl PrecursorServer {
         self.ingress.handoffs
     }
 
-    /// Ring visits performed by poll sweeps so far (all modes). With
-    /// [`Config::dirty_ring_sweep`] on this stays proportional to the
-    /// *dirty* rings, not the connected clients — it is what the
-    /// closed-loop driver's cost model charges the per-ring scan cost
-    /// against.
+    /// Ring visits performed by poll sweeps so far. Sweeps are
+    /// doorbell-driven, so this stays proportional to the *written* rings,
+    /// not the connected clients — it is what the closed-loop driver's
+    /// cost model charges the per-ring scan cost against.
     pub fn rings_swept(&self) -> u64 {
         self.ingress.rings_swept
     }
 
     /// Clients currently owed a deferred credit write-back — the set
-    /// dirty-mode sweeps keep visiting until the flush (diagnostic
-    /// surface for the [`Config::dirty_ring_sweep`] liveness rule).
+    /// sweeps keep visiting until the flush (diagnostic surface for the
+    /// [`Config::lazy_credit_bytes`] liveness rule).
     pub fn credit_pending(&self) -> usize {
         self.ingress.credit_pending.len()
     }

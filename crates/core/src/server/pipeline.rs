@@ -93,10 +93,14 @@ enum ActionKind {
 }
 
 impl PrecursorServer {
-    /// One polling sweep of a trusted thread over all client rings (§3.8):
-    /// consumes available requests, processes them, writes replies into the
-    /// clients' reply rings with one-sided WRITEs, and periodically updates
-    /// credits. Returns the number of requests processed.
+    /// One polling sweep of a trusted thread (§3.8): consumes available
+    /// requests, processes them, writes replies into the clients' reply
+    /// rings with one-sided WRITEs, and periodically updates credits.
+    /// Returns the number of requests processed.
+    ///
+    /// The sweep is doorbell-driven (DESIGN.md §17): it visits the rings a
+    /// delivered client WRITE marked since the last sweep, plus clients
+    /// owed a deferred credit write-back — never an idle ring.
     ///
     /// Each sweep starts from a rotating client (round-robin) and consumes
     /// at most [`Config::poll_budget_per_client`](crate::Config::poll_budget_per_client)
@@ -133,111 +137,81 @@ impl PrecursorServer {
     }
 
     // The single trusted polling thread (the pre-sharding code path, kept
-    // operation-for-operation identical so seeded runs reproduce).
+    // operation-for-operation identical so seeded runs reproduce): visits
+    // the due rings in index order starting from the rotating cursor.
     fn poll_single(&mut self) -> usize {
-        if self.config.dirty_ring_sweep {
-            return self.poll_single_dirty();
-        }
-        let n = self.ingress.ports.len();
-        let start = self.ingress.rr_cursor % n;
-        self.ingress.rr_cursor = (start + 1) % n;
-        let mut processed = 0;
-        for step in 0..n {
-            let idx = (start + step) % n;
-            if self.ingress.ports[idx].is_none() || !self.sessions.list[idx].active {
-                continue;
-            }
-            let (taken, _) = self.sweep_ring_once(idx);
-            processed += taken;
-        }
-        processed
-    }
-
-    // Dirty-set variant of the single-shard sweep (`Config::
-    // dirty_ring_sweep`): instead of scanning every connected ring, the
-    // sweep visits only rings marked by a delivered client WRITE since the
-    // last drain, plus clients owed a deferred credit write-back. The
-    // per-client drain is the exact same body as the full scan.
-    fn poll_single_dirty(&mut self) -> usize {
         let n = self.ingress.ports.len();
         let start = self.ingress.rr_cursor % n;
         self.ingress.rr_cursor = (start + 1) % n;
         let mut due = self.dirty_due();
-        // Visit in index order starting from the rotating cursor — the
-        // same fairness rotation as the full scan.
-        due.sort_unstable_by_key(|&idx| (idx < start, idx));
+        let split = due.partition_point(|&idx| idx < start);
+        due.rotate_left(split);
         let mut processed = 0;
         for idx in due {
-            if self.ingress.ports[idx].is_none() || !self.sessions.list[idx].active {
-                continue;
-            }
-            let (taken, budget) = self.sweep_ring_once(idx);
-            if budget != 0 && taken >= budget {
-                // Budget-capped run: records may remain — re-mark so the
-                // next sweep returns without waiting for another WRITE.
-                self.ingress.dirty_board.mark(idx as u64);
-            }
+            // Whether the client's run already sealed a fresh reply — later
+            // replies in the run ride the same batched crypto pass
+            // (`Config::batched_sealing`).
+            let mut run_sealed = false;
+            let taken = self.drain_ring(idx, |server, record| {
+                run_sealed = server.process_record(idx, record, run_sealed);
+            });
+            self.post_credit_update(idx, taken > 0);
             processed += taken;
         }
         processed
     }
 
-    // The rings due a dirty-mode visit: the drained doorbell board (rings
+    // The rings due a visit this sweep: the drained doorbell board (rings
     // remotely written since the last sweep) unioned with the clients owed
-    // a deferred credit write-back, deduplicated, ascending. Also prunes
-    // revoked/inactive clients from the pending set — their rings are
-    // gone, there is nothing left to flush.
+    // a deferred credit write-back — live clients only, deduplicated,
+    // ascending. Revoked clients are dropped here and pruned from the
+    // pending set: their rings are gone, there is nothing left to flush.
     fn dirty_due(&mut self) -> Vec<usize> {
-        let n = self.ingress.ports.len();
-        let mut pending = std::mem::take(&mut self.ingress.credit_pending);
-        pending.retain(|&idx| {
-            self.ingress.ports.get(idx).is_some_and(Option::is_some)
-                && self.sessions.list[idx].active
-        });
-        let mut due: Vec<usize> = pending.iter().copied().collect();
-        for tag in self.ingress.dirty_board.drain() {
-            let idx = tag as usize;
-            if idx < n && !pending.contains(&idx) {
-                due.push(idx);
-            }
-        }
-        self.ingress.credit_pending = pending;
+        let ports = &self.ingress.ports;
+        let sessions = &self.sessions.list;
+        let live = |idx: usize| ports.get(idx).is_some_and(Option::is_some) && sessions[idx].active;
+        self.ingress.credit_pending.retain(|&idx| live(idx));
+        let mut due: Vec<usize> = self
+            .ingress
+            .dirty_board
+            .drain()
+            .into_iter()
+            .map(|tag| tag as usize)
+            .filter(|&idx| live(idx))
+            .collect();
+        due.extend(&self.ingress.credit_pending);
         due.sort_unstable();
+        due.dedup();
         due
     }
 
-    // One budgeted drain of client `idx`'s request ring — the per-client
-    // body of the single-shard sweep, shared verbatim by the full-scan and
-    // dirty-set paths. Returns `(taken, budget)`.
-    fn sweep_ring_once(&mut self, idx: usize) -> (usize, usize) {
+    // One budgeted drain of client `idx`'s request ring, shared by both
+    // sweep drivers: pops up to the sweep budget, handing each record to
+    // `each` in pop order, then feeds the budget controller. A
+    // budget-capped run may leave records behind, so it re-marks the ring
+    // and the next sweep returns without waiting for another WRITE.
+    // Returns the records popped.
+    fn drain_ring(&mut self, idx: usize, mut each: impl FnMut(&mut Self, Vec<u8>)) -> usize {
         self.ingress.rings_swept += 1;
         let budget = self.sweep_budget(idx);
         let mut taken = 0usize;
-        // Whether the current per-client run already sealed a fresh
-        // reply — later replies in the run ride the same batched
-        // crypto pass (`Config::batched_sealing`).
-        let mut run_sealed = false;
-        loop {
-            if budget != 0 && taken >= budget {
-                break;
-            }
+        while budget == 0 || taken < budget {
             // Update reply credits from the client-written word.
             let port = self.ingress.ports[idx].as_mut().expect("live port");
-            let consumed =
-                u64::from_le_bytes(port.reply_credit.read(0, 8).try_into().expect("8 bytes"));
+            let consumed = port.reply_credit.read_u64(0);
             port.reply_producer.update_credits(consumed);
-
-            let record = {
-                let ring = port.request_ring.clone();
-                ring.with_mut(|buf| port.request_consumer.pop(buf))
+            let ring = port.request_ring.clone();
+            let Some(record) = ring.with_mut(|buf| port.request_consumer.pop(buf)) else {
+                break;
             };
-            let Some(record) = record else { break };
-            run_sealed = self.process_record(idx, record, run_sealed);
+            each(self, record);
             taken += 1;
         }
         self.adapt_budget(idx, taken, budget);
-        self.post_credit_update(idx, taken > 0);
-        (taken, budget)
+        if budget != 0 && taken >= budget {
+            self.ingress.dirty_board.mark(idx as u64);
+        }
+        taken
     }
 
     // N trusted polling workers (§3.8: "multiple trusted polling
@@ -256,23 +230,20 @@ impl PrecursorServer {
     //      the sweep's reply WRITEs coalesced into batched posts and one
     //      credit write-back per client.
     fn poll_sharded(&mut self) -> usize {
-        let n = self.ingress.ports.len();
         let shards = self.config.shards;
         let cost = self.cost.clone();
         if self.ingress.rr_cursors.len() < shards {
             self.ingress.rr_cursors.resize(shards, 0);
         }
-        // Dirty-set mode: phase A visits only rings marked since the last
-        // drain (plus deferred-credit clients) instead of every owned
-        // ring. Phases B and C are untouched — they already operate only
-        // on what phase A swept.
-        let dirty: Option<Vec<usize>> = self.config.dirty_ring_sweep.then(|| self.dirty_due());
+        // Phase A visits only the rings marked since the last drain (plus
+        // deferred-credit clients); phases B and C operate on what phase A
+        // swept.
+        let due = self.dirty_due();
 
         // Pending actions are stored per dense *visit slot* (assigned in
         // phase-A visit order), not per client id: a sweep's bookkeeping
         // then costs memory proportional to the clients it visited, never
-        // the connected fleet — what makes dirty-set sweeps O(dirty) at
-        // 100k clients.
+        // the connected fleet — what keeps sweeps O(dirty) at 100k clients.
         let mut actions: Vec<Vec<Option<PendingAction>>> = Vec::new();
         let mut exec_queues: Vec<VecDeque<(usize, usize, usize)>> =
             (0..shards).map(|_| VecDeque::new()).collect();
@@ -284,18 +255,7 @@ impl PrecursorServer {
 
         // Phase A — worker sweeps: pop + validate, route to owning shard.
         for w in 0..shards {
-            let owned: Vec<usize> = match &dirty {
-                Some(due) => due
-                    .iter()
-                    .copied()
-                    .filter(|&i| i % shards == w)
-                    .filter(|&i| self.ingress.ports[i].is_some() && self.sessions.list[i].active)
-                    .collect(),
-                None => (w..n)
-                    .step_by(shards)
-                    .filter(|&i| self.ingress.ports[i].is_some() && self.sessions.list[i].active)
-                    .collect(),
-            };
+            let owned: Vec<usize> = due.iter().copied().filter(|&i| i % shards == w).collect();
             if owned.is_empty() {
                 continue;
             }
@@ -303,29 +263,11 @@ impl PrecursorServer {
             self.ingress.rr_cursors[w] = (start + 1) % owned.len();
             for step in 0..owned.len() {
                 let idx = owned[(start + step) % owned.len()];
-                self.ingress.rings_swept += 1;
                 let slot = actions.len();
                 actions.push(Vec::new());
-                let budget = self.sweep_budget(idx);
-                let mut taken = 0usize;
-                loop {
-                    if budget != 0 && taken >= budget {
-                        break;
-                    }
-                    let port = self.ingress.ports[idx].as_mut().expect("live port");
-                    let consumed = u64::from_le_bytes(
-                        port.reply_credit.read(0, 8).try_into().expect("8 bytes"),
-                    );
-                    port.reply_producer.update_credits(consumed);
-                    let record = {
-                        let ring = port.request_ring.clone();
-                        ring.with_mut(|buf| port.request_consumer.pop(buf))
-                    };
-                    let Some(record) = record else { break };
-                    processed += 1;
-                    taken += 1;
+                let taken = self.drain_ring(idx, |server, record| {
                     let mut meter = Meter::new();
-                    let kind = match self.validate_record(idx, &record, &mut meter) {
+                    let kind = match server.validate_record(idx, &record, &mut meter) {
                         Validated::Reject {
                             status,
                             opcode,
@@ -348,13 +290,13 @@ impl PrecursorServer {
                             control,
                             frame,
                         } => {
-                            let target = self.store.table.shard_of(&control.key);
+                            let target = server.store.table.shard_of(&control.key);
                             if target != w {
                                 // Shard-crossing handoff: the popping
                                 // worker copies the validated control into
                                 // the owning shard's queue.
-                                self.ingress.handoffs += 1;
-                                self.obs.inc("server.handoffs", 1);
+                                server.ingress.handoffs += 1;
+                                server.obs.inc("server.handoffs", 1);
                                 meter.charge(
                                     Stage::Enclave,
                                     cost.server_time(cost.memcpy(frame.sealed_control.len())),
@@ -373,13 +315,8 @@ impl PrecursorServer {
                         }
                     };
                     actions[slot].push(Some(PendingAction { meter, kind }));
-                }
-                self.adapt_budget(idx, taken, budget);
-                if dirty.is_some() && budget != 0 && taken >= budget {
-                    // Budget-capped run: records may remain — re-mark so
-                    // the next sweep returns without another WRITE.
-                    self.ingress.dirty_board.mark(idx as u64);
-                }
+                });
+                processed += taken;
                 swept.push((idx, slot, taken));
             }
         }

@@ -59,6 +59,17 @@ impl Memory {
         buf[offset..offset + len].to_vec()
     }
 
+    /// Reads the little-endian `u64` at `offset` — a credit word — without
+    /// allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is out of bounds.
+    pub fn read_u64(&self, offset: usize) -> u64 {
+        let buf = plock(&self.buf);
+        u64::from_le_bytes(buf[offset..offset + 8].try_into().expect("8 bytes"))
+    }
+
     /// Runs `f` with mutable access to the raw bytes (local CPU access —
     /// rings and pools operate through this).
     pub fn with_mut<R>(&self, f: impl FnOnce(&mut Vec<u8>) -> R) -> R {
@@ -97,7 +108,7 @@ pub(crate) struct Registration {
     /// read-only windows.
     pub remote_write: bool,
     /// Optional write-watch: every remote WRITE *delivered* into this
-    /// region marks `(board, tag)` — the doorbell feeding dirty-ring poll
+    /// region marks `(board, tag)` — the doorbell feeding the server's poll
     /// sweeps. Dropped WRITEs (fault injection) do not mark, exactly as a
     /// lost packet leaves no trace in host memory.
     pub watch: Option<(WriteBoard, u64)>,
@@ -166,11 +177,6 @@ impl WriteBoard {
     pub fn is_empty(&self) -> bool {
         plock(&self.inner).order.is_empty()
     }
-
-    /// Number of distinct tags currently marked.
-    pub fn len(&self) -> usize {
-        plock(&self.inner).order.len()
-    }
 }
 
 #[cfg(test)]
@@ -183,6 +189,8 @@ mod tests {
         m.write(10, b"abc");
         assert_eq!(m.read(10, 3), b"abc");
         assert_eq!(m.read(0, 1), [0]);
+        m.write(8, &0x0102_0304_0506_0708u64.to_le_bytes());
+        assert_eq!(m.read_u64(8), 0x0102_0304_0506_0708);
     }
 
     #[test]

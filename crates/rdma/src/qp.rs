@@ -183,7 +183,7 @@ impl QueuePair {
 
     /// Like [`register`](Self::register), with a write-watch attached:
     /// every remote WRITE delivered into the region marks `tag` on `board`
-    /// (the doorbell feeding dirty-ring poll sweeps). WRITEs dropped by
+    /// (the doorbell feeding the server's poll sweeps). WRITEs dropped by
     /// fault injection leave no mark — exactly like a lost packet.
     pub fn register_watched(
         &self,
@@ -857,10 +857,10 @@ mod tests {
         let key = b.register(mem.clone(), true);
         // mismatch: no swap, returns found value
         assert_eq!(a.post_compare_swap(key, 0, 7, 99, false).unwrap(), 0);
-        assert_eq!(u64::from_le_bytes(mem.read(0, 8).try_into().unwrap()), 0);
+        assert_eq!(mem.read_u64(0), 0);
         // match: swap happens
         assert_eq!(a.post_compare_swap(key, 0, 0, 99, false).unwrap(), 0);
-        assert_eq!(u64::from_le_bytes(mem.read(0, 8).try_into().unwrap()), 99);
+        assert_eq!(mem.read_u64(0), 99);
     }
 
     #[test]

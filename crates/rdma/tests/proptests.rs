@@ -77,10 +77,7 @@ fn fetch_add_sums_like_a_counter() {
             assert_eq!(old, expected);
             expected = expected.wrapping_add(a);
         }
-        assert_eq!(
-            u64::from_le_bytes(mem.read(0, 8).try_into().unwrap()),
-            expected
-        );
+        assert_eq!(mem.read_u64(0), expected);
     }
 }
 

@@ -81,8 +81,7 @@ impl ClusterSession {
     /// node 0; other sessions attach lazily on first route), and loads the
     /// keyspace through cluster routing — so each record lives only on its
     /// owning node. Rings are shrunk to 1 KiB (a closed-loop client keeps
-    /// one op in flight) and dirty-ring sweeps are on, as in the fig6
-    /// scale sweeps.
+    /// one op in flight), as in the fig6 scale sweeps.
     ///
     /// # Panics
     ///
@@ -95,7 +94,6 @@ impl ClusterSession {
             max_clients: params.clients + 1,
             pool_bytes: ((params.key_count as usize + 1024) * per_entry).max(16 << 20),
             ring_bytes: 1 << 10,
-            dirty_ring_sweep: true,
             ..Config::default()
         };
         let mut cluster = PrecursorCluster::new(params.nodes, config, cost);

@@ -81,7 +81,8 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// Executes the run with the default (paper-testbed) cost model.
+    /// Executes the run with the default (paper-testbed) cost model, on
+    /// the [`paper_poller`](SessionParams::paper_poller) scan-cost basis.
     ///
     /// # Panics
     ///
@@ -208,8 +209,8 @@ struct OpCosts {
     server_occupancy: Nanos,
     // Trusted polling shard that executed the op (0 outside sharded mode).
     shard: usize,
-    // Ring visits the op's poll sweep performed (dirty-sweep cost basis;
-    // 0 for backends without a ring scanner).
+    // Ring visits the op's poll sweep performed (the default scan-cost
+    // basis; 0 for backends without a ring poller).
     rings_swept: u64,
     // Combined (client pre + post + server report) meter charge per stage,
     // in `Stage::ALL` order — feeds the exact `StageBreakdown`.
@@ -240,7 +241,7 @@ pub struct SessionParams {
     compacted: bool,
     fast: bool,
     ring_bytes: Option<usize>,
-    dirty_sweep: bool,
+    paper_poller: bool,
 }
 
 impl SessionParams {
@@ -259,7 +260,7 @@ impl SessionParams {
             compacted: false,
             fast: false,
             ring_bytes: None,
-            dirty_sweep: false,
+            paper_poller: false,
         }
     }
 
@@ -325,14 +326,15 @@ impl SessionParams {
         self
     }
 
-    /// Drives poll sweeps from the dirty-ring doorbell board
-    /// ([`Config::dirty_ring_sweep`]): sweeps visit only rings a delivered
-    /// client WRITE marked since the last drain, so an idle ring costs
-    /// nothing and the driver charges scan occupancy against the rings
-    /// *actually* swept instead of all connected clients. Precursor
-    /// family only.
-    pub fn dirty_sweep(mut self, dirty: bool) -> SessionParams {
-        self.dirty_sweep = dirty;
+    /// Charges scan occupancy as the paper's poller incurs it — every
+    /// sweep scans all `clients` rings (§5.2) — instead of the rings the
+    /// doorbell-driven sweep actually visited. A cost basis only: the
+    /// server runs the same sweep either way. The fixed occupancies in
+    /// [`CostModel`] were fitted *including* a scan of
+    /// `poll_scan_baseline` rings, so the paper-figure reproductions opt
+    /// in; [`BenchSession::new`] and [`RunConfig::run`] carry it.
+    pub fn paper_poller(mut self, on: bool) -> SessionParams {
+        self.paper_poller = on;
         self
     }
 
@@ -384,7 +386,6 @@ impl SessionParams {
                     pool_bytes: pool_size_for(self.value_size, self.warmup_keys),
                     shards: self.shards.unwrap_or(1),
                     ring_bytes: self.ring_bytes.unwrap_or(base.ring_bytes),
-                    dirty_ring_sweep: self.dirty_sweep,
                     ..base
                 };
                 let mut backend = PrecursorBackend::new(config, cost);
@@ -400,10 +401,7 @@ impl SessionParams {
             SystemKind::ShieldStore => {
                 assert!(!self.journaled, "ShieldStore has no durability journal");
                 assert!(!self.fast, "ShieldStore has no Precursor fast path");
-                assert!(
-                    !self.dirty_sweep && self.ring_bytes.is_none(),
-                    "ShieldStore has no client rings"
-                );
+                assert!(self.ring_bytes.is_none(), "ShieldStore has no client rings");
                 Box::new(ShieldBackend::new(ShieldConfig::default(), cost))
             }
         };
@@ -418,7 +416,7 @@ impl SessionParams {
             seed: self.seed,
             measurements: 0,
             shards: self.shards,
-            dirty_sweep: self.dirty_sweep,
+            paper_poller: self.paper_poller,
         };
         if self.warmup_keys > 0 {
             session.load_more(0, self.warmup_keys);
@@ -439,16 +437,17 @@ pub struct BenchSession {
     // pins each op to its shard's dedicated poller core instead of the
     // legacy any-of-12-threads pool (fig6 shard-scaling mode).
     shards: Option<usize>,
-    // Dirty-ring sweeps are on: scan occupancy is charged against the
-    // rings each op's sweep actually visited (measured through
-    // `TrustedKv::rings_swept`) instead of the connected-client count.
-    dirty_sweep: bool,
+    // Scan occupancy is charged for the paper's scan-all poller (`clients`
+    // rings per sweep) instead of the rings each op's sweep actually
+    // visited (`TrustedKv::rings_swept`).
+    paper_poller: bool,
 }
 
 impl BenchSession {
     /// Builds the system with `max_clients` connected clients and loads
-    /// `warmup_keys` records of `value_size` bytes — shorthand for the
-    /// common [`SessionParams`] chain.
+    /// `warmup_keys` records of `value_size` bytes — the paper-testbed
+    /// shorthand: the common [`SessionParams`] chain on the
+    /// [`paper_poller`](SessionParams::paper_poller) cost basis.
     ///
     /// # Panics
     ///
@@ -467,6 +466,7 @@ impl BenchSession {
             .keys(key_count, warmup_keys)
             .max_clients(max_clients)
             .seed(seed)
+            .paper_poller(true)
             .build(cost)
     }
 
@@ -572,36 +572,15 @@ impl BenchSession {
         };
         let mut rnic = RnicCache::new(cost.rnic_cache_qps);
         let is_tcp = self.sut.transport() == Transport::Tcp;
-        // Enclave polling sweeps every connected ring: occupancy per op
-        // scales with the client count relative to the calibration baseline
+        // Enclave polling costs `poll_scan_per_client` per ring visited
         // (§5.2: "the necessary polling in the enclave ... might incur much
-        // CPU overhead"). ShieldStore's socket loop is epoll-driven and not
-        // affected. With dirty-ring sweeps on, the static estimate is
-        // replaced per op by the rings the sweep *actually* visited.
+        // CPU overhead"). The rings charged per op are the ones its sweep
+        // visited, or — on the paper-poller basis — every measured client's.
+        // ShieldStore's socket loop is epoll-driven and not affected.
         // Saturating i64 arithmetic throughout: a million-client fleet must
         // degrade into clamped costs, never wrap.
         let per_ring_cycles = i64::try_from(cost.poll_scan_per_client).unwrap_or(i64::MAX);
         let baseline_rings = i64::try_from(cost.poll_scan_baseline).unwrap_or(i64::MAX);
-        let measured_scan = self.dirty_sweep && !is_tcp;
-        let scan_adjust_cycles: i64 = if is_tcp {
-            0
-        } else {
-            let extra_rings = i64::try_from(clients)
-                .unwrap_or(i64::MAX)
-                .saturating_sub(baseline_rings);
-            per_ring_cycles.saturating_mul(extra_rings)
-        };
-        // Sharded mode: each poller core sweeps only the rings it owns —
-        // ceil(clients / shards) of them — so per-op scan occupancy shrinks
-        // with the shard count (the fig6 scaling effect). Charged in full
-        // (no calibration-baseline subtraction: the dedicated poller has no
-        // other work to hide the sweep behind).
-        let shard_scan: Option<Nanos> = self.shards.map(|s| {
-            let owned_rings = clients.div_ceil(s) as u64;
-            cost.server_time(precursor_sim::time::Cycles(
-                cost.poll_scan_per_client.saturating_mul(owned_rings),
-            ))
-        });
 
         // Per-client driver state is allocated on a client's first
         // scheduled op, so a measurement that touches only part of a wide
@@ -663,18 +642,23 @@ impl BenchSession {
             // poller pickup delay (OS/poll-loop noise)
             t_arrive += Nanos((250.0 * rng.lognormal(0.0, 0.8)) as u64);
 
-            let (t_depart, _busy_until) = match (self.shards, shard_scan) {
-                (Some(s), Some(scan)) => {
-                    let scan = if measured_scan {
-                        // Measured basis: the sweep's ring visits, spread
-                        // over the `s` parallel poller cores.
-                        cost.server_time(precursor_sim::time::Cycles(
-                            cost.poll_scan_per_client
-                                .saturating_mul(costs.rings_swept.div_ceil(s as u64)),
-                        ))
-                    } else {
-                        scan
-                    };
+            let scan_rings = if self.paper_poller {
+                clients as u64
+            } else {
+                costs.rings_swept
+            };
+            let (t_depart, _busy_until) = match self.shards {
+                Some(s) => {
+                    // Sharded mode: the `s` poller cores sweep their owned
+                    // rings in parallel, so per-op scan occupancy shrinks
+                    // with the shard count (the fig6 scaling effect).
+                    // Charged in full (no calibration-baseline subtraction:
+                    // the dedicated poller has no other work to hide the
+                    // sweep behind).
+                    let scan = cost.server_time(precursor_sim::time::Cycles(
+                        cost.poll_scan_per_client
+                            .saturating_mul(scan_rings.div_ceil(s as u64)),
+                    ));
                     let occupancy = costs.server_occupancy + scan;
                     // The op is served by the poller core owning its shard
                     // — a hot shard queues on its own core while the others
@@ -686,21 +670,19 @@ impl BenchSession {
                         occupancy,
                     )
                 }
-                _ => {
-                    let adjust_cycles = if measured_scan {
-                        // Measured basis: rings this op's sweep actually
-                        // visited, relative to the calibration baseline.
-                        let extra = i64::try_from(costs.rings_swept)
+                None => {
+                    // The fixed occupancies already contain a scan of the
+                    // calibration baseline's rings: charge the difference.
+                    let adjust_cycles = if is_tcp {
+                        0
+                    } else {
+                        let extra = i64::try_from(scan_rings)
                             .unwrap_or(i64::MAX)
                             .saturating_sub(baseline_rings);
                         per_ring_cycles.saturating_mul(extra)
-                    } else {
-                        scan_adjust_cycles
                     };
-                    let adjust = Nanos(
-                        cost.server_time(precursor_sim::time::Cycles(adjust_cycles.unsigned_abs()))
-                            .0,
-                    );
+                    let adjust =
+                        cost.server_time(precursor_sim::time::Cycles(adjust_cycles.unsigned_abs()));
                     let occupancy = if adjust_cycles >= 0 {
                         costs.server_occupancy + adjust
                     } else {
@@ -1030,28 +1012,32 @@ mod tests {
     }
 
     #[test]
-    fn dirty_sweep_is_deterministic_and_equivalent() {
+    fn paper_poller_basis_differs_only_in_scan_occupancy() {
+        // One saturated poller core, 16 clients: the paper basis charges a
+        // 16-ring scan per op, the default the one ring the sweep visited.
         let cost = CostModel::default();
         let spec = WorkloadSpec::workload_c(32, 500);
         let params = SessionParams::new(SystemKind::Precursor)
             .value_size(32)
             .keys(500, 500)
-            .max_clients(4)
+            .max_clients(16)
+            .shards(1)
             .seed(13);
-        let run = |p: SessionParams| p.build(&cost).measure(&spec, 4, 1_000);
-        let plain = run(params.clone());
-        let dirty_a = run(params.clone().dirty_sweep(true));
-        let dirty_b = run(params.dirty_sweep(true));
-        // Deterministic replay under the doorbell-driven sweep.
-        assert_eq!(dirty_a.throughput_ops, dirty_b.throughput_ops);
-        assert_eq!(
-            dirty_a.latency.percentile(99.0),
-            dirty_b.latency.percentile(99.0)
+        let run = |p: SessionParams| p.build(&cost).measure(&spec, 16, 2_000);
+        let default = run(params.clone());
+        let paper = run(params.paper_poller(true));
+        // Same functional work: every meter charge, report and enclave
+        // page is identical — the server cannot tell the bases apart.
+        assert_eq!(default.stages, paper.stages);
+        assert_eq!(default.latency.count(), paper.latency.count());
+        assert_eq!(default.epc.working_set_pages, paper.epc.working_set_pages);
+        // Only the replayed occupancy differs, and only downwards.
+        assert!(
+            default.throughput_ops > paper.throughput_ops,
+            "default {} vs paper {}",
+            default.throughput_ops,
+            paper.throughput_ops
         );
-        // Same functional work, only the scan-cost basis differs: the two
-        // modes must stay in the same performance regime.
-        let ratio = dirty_a.throughput_ops / plain.throughput_ops;
-        assert!(ratio > 0.5 && ratio < 2.0, "ratio {ratio}");
     }
 
     #[test]
@@ -1065,7 +1051,6 @@ mod tests {
             .keys(200, 200)
             .max_clients(4)
             .ring_bytes(1 << 10)
-            .dirty_sweep(true)
             .seed(3)
             .build(&cost);
         let r = session.measure(&spec, 4, 600);

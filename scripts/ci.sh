@@ -20,4 +20,11 @@ cargo test --workspace -q
 echo "== benchmark smoke (--quick) =="
 cargo run --release --manifest-path benchmark/Cargo.toml -- --quick
 
+# The two paper figures whose shape depends on the poll-scan cost basis
+# carry in-run asserts (Fig 6a's ~55-client peak, Fig 4's anchors): run
+# them so a drifted reproduction fails here, not in a reader's plot.
+echo "== paper-shape benches (fig6_client_scaling, fig4_workloads) =="
+cargo bench -p precursor-bench --bench fig6_client_scaling
+cargo bench -p precursor-bench --bench fig4_workloads
+
 echo "ci: all green"

@@ -134,10 +134,14 @@ fn sharded_one_is_the_default_code_path() {
 #[test]
 fn single_shard_chaos_run_matches_golden_digest() {
     // Golden value of the shards=1 run at seed 7, recorded when the
-    // sharding refactor landed. A change here means seeded single-shard
-    // runs no longer reproduce the pre-sharding polling loop — either an
-    // intended behaviour change (re-record the constant and say so in the
-    // commit) or an accidental break of the legacy path (fix it).
+    // sharding refactor landed (under a poller that scanned every ring).
+    // A change here means seeded single-shard runs no longer reproduce —
+    // either an intended behaviour change (re-record the constant and say
+    // so in the commit) or an accidental break (fix it). Doorbell-driven
+    // sweeps kept it: they change which rings a poll *visits*, never what
+    // happens to a visited ring — records pop in the same order, credits
+    // flush at the same polls, and a fault-dropped doorbell is covered by
+    // the client's retransmission.
     const GOLDEN: u64 = 12_986_051_342_204_127_709;
     assert_eq!(run_digest(Config::default(), 7), GOLDEN);
 }
@@ -204,41 +208,6 @@ fn journal_replay_reproduces_the_golden_run_state() {
     assert_eq!(recovered.mutation_seq(), server.mutation_seq());
     assert_eq!(recovered.state_digest(), server.state_digest());
     assert_eq!(recovered.len(), server.len());
-}
-
-#[test]
-fn dirty_sweep_single_shard_matches_golden_digest() {
-    // Doorbell-driven sweeps (`dirty_ring_sweep`) change which rings a
-    // poll *visits*, never what happens to a visited ring: records pop in
-    // the same order, credits flush at the same polls (an elided client
-    // sits in `credit_pending` and gets exactly the idle visit the full
-    // scan would have given it), and fault-dropped doorbells are covered
-    // by the client's retransmission. The whole chaos run must therefore
-    // stay bit-identical to the full-scan golden digest.
-    const GOLDEN: u64 = 12_986_051_342_204_127_709;
-    let config = Config {
-        dirty_ring_sweep: true,
-        ..Config::default()
-    };
-    assert_eq!(run_digest(config, 7), GOLDEN);
-}
-
-#[test]
-fn dirty_sweep_sharded_runs_reproduce_per_seed() {
-    for shards in [2usize, 4] {
-        let config = || Config {
-            dirty_ring_sweep: true,
-            ..Config::sharded(shards)
-        };
-        let a = run_digest(config(), 21);
-        let b = run_digest(config(), 21);
-        assert_eq!(a, b, "dirty sweeps at shards={shards} must replay");
-        assert_eq!(
-            run_digest(config(), 22),
-            run_digest(config(), 22),
-            "dirty sweeps at shards={shards} must replay (seed 22)"
-        );
-    }
 }
 
 // The cluster flavour of `run_digest`: the identical seeded workload
@@ -350,8 +319,12 @@ fn multi_shard_chaos_runs_reproduce_per_seed() {
     // Sharded mode makes no bit-identity promise *across* shard counts,
     // but any fixed (shards, seed) pair must still replay exactly.
     for shards in [2usize, 4] {
-        let a = run_digest(Config::sharded(shards), 21);
-        let b = run_digest(Config::sharded(shards), 21);
-        assert_eq!(a, b, "shards={shards} must replay bit-identically");
+        for seed in [21u64, 22] {
+            assert_eq!(
+                run_digest(Config::sharded(shards), seed),
+                run_digest(Config::sharded(shards), seed),
+                "shards={shards} seed {seed} must replay bit-identically"
+            );
+        }
     }
 }

@@ -16,8 +16,9 @@
 //!    history over shards {1, 2, 4} × seeded sweeps, same harness as the
 //!    knobs-off suite in `tests/linearizability.rs`.
 //! 3. **Controller properties**: the adaptive budget stays inside
-//!    `[poll_budget_min, poll_budget_max]`, converges (adjustments stop)
-//!    under static load at both extremes, and cannot starve an honest
+//!    `[poll_budget_min, poll_budget_max]`, is left alone by idle polls
+//!    (which visit no ring), halves on a visit that pops nothing,
+//!    converges to the ceiling under saturation, and cannot starve an honest
 //!    client behind a flooder (the PR-2 2x fairness bound re-asserted with
 //!    every knob on). Credit elision never livelocks a producer: the first
 //!    empty sweep flushes the deferred write-back.
@@ -382,14 +383,24 @@ fn parked_producer_is_unblocked_within_one_idle_sweep() {
     // A tiny request ring makes the client live off credit write-backs.
     // With lazy credits on, a full ring plus an idle server would deadlock
     // if elision could defer forever — the rule "the first sweep that pops
-    // nothing flushes" must unpark the producer.
-    let cost = CostModel::default();
-    let config = Config {
+    // nothing flushes" must unpark the producer. Checked with every knob
+    // on and with elision alone on the default configuration.
+    let tiny = Config {
         ring_bytes: 2048,
         max_clients: 2,
         ..Config::default()
+    };
+    let lazy_only = Config {
+        lazy_credit_bytes: 4096,
+        ..tiny.clone()
+    };
+    for config in [tiny.with_fast_path(), lazy_only] {
+        parked_producer_unblocks(config);
     }
-    .with_fast_path();
+}
+
+fn parked_producer_unblocks(config: Config) {
+    let cost = CostModel::default();
     let mut server = PrecursorServer::new(config, &cost);
     let mut client = PrecursorClient::connect(&mut server, 0xFA57).expect("connect");
     let mut sent = 0usize;
@@ -436,28 +447,46 @@ fn adaptive_budget_stays_inside_bounds_and_converges() {
     let mut client = PrecursorClient::connect(&mut server, 0xB0D6).expect("connect");
     let id = client.client_id();
 
-    // Phase 1 — idle: empty sweeps halve the budget toward `min`, then
-    // hold. Every observation stays inside [min, max].
-    let mut last_adjustments = 0;
-    for _ in 0..32 {
-        server.poll();
+    let in_bounds = |server: &PrecursorServer| {
         let b = server.poll_budget_of(id);
         assert!((min..=max).contains(&b), "budget {b} left [{min}, {max}]");
-    }
-    assert_eq!(
-        server.poll_budget_of(id),
-        min,
-        "idle load must converge to the floor"
-    );
-    let settled = server.budget_adjustments();
-    for _ in 0..16 {
+        b
+    };
+
+    // Phase 1 — idle: sweeps are doorbell-driven, so a poll with nothing
+    // written visits no ring and never consults the controller.
+    let mut last_adjustments = 0;
+    let (swept, adjusted) = (server.rings_swept(), server.budget_adjustments());
+    for _ in 0..32 {
         server.poll();
+        in_bounds(&server);
     }
+    assert_eq!(server.rings_swept(), swept, "idle poll visited a ring");
     assert_eq!(
         server.budget_adjustments(),
-        settled,
-        "controller must stop adjusting once idle load converged"
+        adjusted,
+        "idle poll adjusted a budget"
     );
+
+    // A visit that pops nothing still backs off. One small put is consumed
+    // under the lazy-credit threshold (partial run: budget holds, credit
+    // deferred); the next sweep's flush visit finds the ring empty and
+    // halves.
+    client.put(b"b:one", b"load").expect("put send");
+    assert_eq!(server.poll(), 1);
+    let held = in_bounds(&server);
+    assert_eq!(server.credit_pending(), 1, "credit WRITE was not deferred");
+    assert_eq!(server.poll(), 0);
+    assert_eq!(server.credit_pending(), 0, "flush visit did not happen");
+    assert_eq!(server.rings_swept(), swept + 2);
+    assert_eq!(
+        in_bounds(&server),
+        (held / 2).max(min),
+        "empty visit halves"
+    );
+    client.poll_replies();
+    client.take_all_completed();
+    server.take_reports();
 
     // Phase 2 — saturation: a ring refilled past the budget every sweep
     // doubles toward `max`, then holds.
@@ -473,9 +502,7 @@ fn adaptive_budget_stays_inside_bounds_and_converges() {
         client.take_all_completed();
         server.take_reports();
         let _ = client.pump_timeouts();
-        let b = server.poll_budget_of(id);
-        assert!((min..=max).contains(&b), "budget {b} left [{min}, {max}]");
-        if server.poll_budget_of(id) == max {
+        if in_bounds(&server) == max {
             last_adjustments = server.budget_adjustments();
         }
     }

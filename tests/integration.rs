@@ -3,7 +3,10 @@
 //! payload pool and both encryption modes.
 
 use precursor::wire::Status;
-use precursor::{Config, EncryptionMode, PrecursorClient, PrecursorServer, StoreError};
+use precursor::{
+    Config, EncryptionMode, FaultAction, FaultDir, FaultPlan, FaultSite, PrecursorClient,
+    PrecursorServer, StoreError,
+};
 use precursor_sim::CostModel;
 
 fn setup(mode: EncryptionMode) -> (PrecursorServer, PrecursorClient) {
@@ -314,6 +317,95 @@ fn server_audit_confirms_intact_storage() {
     client.put_sync(&mut server, b"k", b"v").unwrap();
     assert_eq!(server.audit_key(b"k"), Some(true));
     assert_eq!(server.audit_key(b"missing"), None);
+}
+
+// ---------------------------------------------------------------------------
+// Doorbell-driven sweeps: a poll visits exactly the rings a delivered
+// WRITE marked (plus deferred-credit and budget-capped rings), under both
+// sweep drivers.
+// ---------------------------------------------------------------------------
+
+fn on_both_sweep_drivers(test: impl Fn(Config)) {
+    for shards in [1, 4] {
+        test(Config::sharded(shards));
+    }
+}
+
+#[test]
+fn idle_and_unmarked_rings_are_never_visited() {
+    on_both_sweep_drivers(|config| {
+        let mut server = PrecursorServer::new(config, &CostModel::default());
+        // The very first client request WRITE vanishes silently.
+        server.set_fault_plan(
+            FaultPlan::none().rule(FaultSite::Write, FaultDir::AtoB, FaultAction::Drop, 1),
+            7,
+        );
+        let mut fleet: Vec<_> = (0..32)
+            .map(|i| PrecursorClient::connect(&mut server, i).unwrap())
+            .collect();
+        let oid = fleet[0].put(b"k", b"v").unwrap();
+        for _ in 0..100 {
+            assert_eq!(server.poll(), 0);
+        }
+        assert_eq!(server.rings_swept(), 0, "idle ring or lost WRITE visited");
+        // The retransmission is a delivered WRITE: one mark, one visit.
+        fleet[0].complete_sync(&mut server, oid).unwrap();
+        assert_eq!(fleet[0].retransmits(), 1);
+        assert_eq!(server.rings_swept(), 1);
+    });
+}
+
+#[test]
+fn budget_capped_ring_drains_by_remark_beside_an_honest_neighbour() {
+    on_both_sweep_drivers(|config| {
+        let config = Config {
+            poll_budget_per_client: 16,
+            ..config
+        };
+        let mut server = PrecursorServer::new(config, &CostModel::default());
+        let mut honest = PrecursorClient::connect(&mut server, 1).unwrap();
+        let mut flooder = PrecursorClient::connect(&mut server, 2).unwrap();
+        for i in 0..64u8 {
+            flooder.put(&[i], b"flood").unwrap();
+        }
+        // One burst, no further flooder WRITE: four budget-capped visits
+        // drain it (each re-marks the ring), a fifth finds it empty, and
+        // then the mark is gone. The honest client is served every sweep —
+        // well inside the PR-2 2x fairness bound.
+        for (flood_taken, visits) in [(16, 2), (16, 2), (16, 2), (16, 2), (0, 2), (0, 1)] {
+            let swept = server.rings_swept();
+            let oid = honest.put(b"h", b"steady").unwrap();
+            assert_eq!(server.poll(), flood_taken + 1);
+            assert_eq!(server.rings_swept() - swept, visits, "one visit per ring");
+            honest.poll_replies();
+            assert!(honest.take_completed(oid).is_some(), "honest op starved");
+        }
+    });
+}
+
+#[test]
+fn revoked_clients_are_skipped_and_pruned() {
+    on_both_sweep_drivers(|config| {
+        let config = Config {
+            lazy_credit_bytes: 4096,
+            ..config
+        };
+        let mut server = PrecursorServer::new(config, &CostModel::default());
+        let mut owed = PrecursorClient::connect(&mut server, 1).unwrap();
+        let mut marked = PrecursorClient::connect(&mut server, 2).unwrap();
+        // `owed` is consumed under the lazy threshold: a deferred credit.
+        owed.put(b"a", b"v").unwrap();
+        assert_eq!(server.poll(), 1);
+        assert_eq!(server.credit_pending(), 1);
+        // `marked` has a delivered, unswept WRITE: a pending doorbell.
+        marked.put(b"b", b"v").unwrap();
+        server.revoke_client(owed.client_id());
+        server.revoke_client(marked.client_id());
+        let swept = server.rings_swept();
+        assert_eq!(server.poll(), 0);
+        assert_eq!(server.rings_swept(), swept, "revoked ring was visited");
+        assert_eq!(server.credit_pending(), 0, "revoked client not pruned");
+    });
 }
 
 // ---------------------------------------------------------------------------
