@@ -166,49 +166,6 @@ pub fn collect(seed: u64) -> Vec<SummaryPoint> {
         ));
     }
 
-    // fig4, `+fast` configuration: every hot-path knob on (adaptive poll
-    // budgets, batched seal/MAC passes, lazy credit write-back, reply
-    // arena reuse) over four trusted polling shards at a saturating
-    // client count — the headline of the server_overhead campaign. The
-    // in-run asserts pin the campaign's two acceptance criteria: ≥2x the
-    // fig4/A Precursor baseline end-to-end, and a mean per-op
-    // ServerOverhead charge ≤ 3 µs.
-    let fig4_a_baseline = points
-        .iter()
-        .find(|p| p.fig == "fig4" && p.label == "A" && p.system == SystemKind::Precursor.name())
-        .map(|p| p.throughput_ops)
-        .expect("fig4/A Precursor point measured above");
-    {
-        let fast_clients = 32;
-        let mut session = SessionParams::new(SystemKind::Precursor)
-            .value_size(VALUE_BYTES)
-            .keys(WARMUP_KEYS, WARMUP_KEYS)
-            .max_clients(fast_clients)
-            .seed(seed)
-            .shards(4)
-            .fast(true)
-            .build(&cost);
-        for (label, spec) in [
-            ("A+fast", WorkloadSpec::workload_a(VALUE_BYTES, WARMUP_KEYS)),
-            ("B+fast", WorkloadSpec::workload_b(VALUE_BYTES, WARMUP_KEYS)),
-            ("C+fast", WorkloadSpec::workload_c(VALUE_BYTES, WARMUP_KEYS)),
-        ] {
-            let r = session.measure(&spec, fast_clients, MEASURE_OPS);
-            assert!(
-                r.throughput_ops >= 2.0 * fig4_a_baseline,
-                "{label}: {:.0} ops/s misses 2x the fig4/A baseline ({:.0})",
-                r.throughput_ops,
-                fig4_a_baseline
-            );
-            let overhead = r.stages.mean(Stage::ServerOverhead).0;
-            assert!(
-                overhead <= 3_000,
-                "{label}: mean server_overhead {overhead} ns/op exceeds 3 µs"
-            );
-            points.push(point("fig4", label.to_string(), SystemKind::Precursor, &r));
-        }
-    }
-
     // failover: staged-promotion catch-up trajectory. A 3-node cluster
     // absorbs a write burst, the primary dies, and the promoted survivor
     // serves reads while background catch-up drains. Virtual time does

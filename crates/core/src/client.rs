@@ -192,11 +192,6 @@ pub struct PrecursorClient {
     /// Recent `(store_seq, state_digest)` pairs for fork audits (bounded).
     observations: VecDeque<(u64, [u8; 16])>,
     audit: SecurityAudit,
-    /// Running FxHash fold over every raw reply record popped from the
-    /// reply ring, in pop order — a byte-level witness of the wire. The
-    /// fast-path equivalence suite compares it between batched and
-    /// unbatched runs: hot-path batching must never change a reply byte.
-    frames_digest: u64,
     /// `Some` once Byzantine behaviour was detected: the session is
     /// quarantined and every operation fails with this error until
     /// [`reconnect`](Self::reconnect).
@@ -281,7 +276,6 @@ impl PrecursorClient {
             max_store_seq: 0,
             observations: VecDeque::new(),
             audit: SecurityAudit::default(),
-            frames_digest: 0,
             poisoned: None,
             obs: MetricsRegistry::default(),
             tracer: Tracer::disabled(),
@@ -369,14 +363,6 @@ impl PrecursorClient {
     /// RDMA post accounting).
     pub fn take_meter(&mut self) -> Meter {
         self.meter.take()
-    }
-
-    /// Running digest over every raw reply record this client has popped,
-    /// in pop order. Two runs whose clients end with equal digests received
-    /// byte-identical reply streams — the equivalence witness pinning that
-    /// batched sealing changes cost attribution, never wire bytes.
-    pub fn reply_frames_digest(&self) -> u64 {
-        self.frames_digest
     }
 
     /// Byzantine-behaviour counters accumulated by the reply pipeline.
@@ -876,7 +862,6 @@ impl PrecursorClient {
     }
 
     fn handle_reply(&mut self, record: &[u8]) {
-        self.frames_digest = precursor_storage::stable_key_hash(&(self.frames_digest, record));
         let cost = self.cost.clone();
         self.charge_client(cost.memcpy(record.len()));
         let Ok(frame) = ReplyFrame::decode(record) else {

@@ -73,39 +73,6 @@ pub struct Config {
     /// memory... We consider this as a future extension"). `0` disables it
     /// (the paper's evaluated configuration).
     pub inline_value_max: usize,
-    /// Seal all replies of one client's sweep run through a single batched
-    /// crypto pass instead of per-record calls (DESIGN.md §15). Reply bytes
-    /// and MAC chains are bit-identical to the unbatched path — only the
-    /// fixed crypto setup cost is amortised across the batch. Off by
-    /// default so the shards=1 golden digest and stage pins reproduce.
-    pub batched_sealing: bool,
-    /// Adapt the per-client poll budget between sweeps: a ring that polled
-    /// empty backs off (budget halves toward
-    /// [`poll_budget_min`](Config::poll_budget_min)), a ring that consumed
-    /// its whole budget bursts (budget doubles toward
-    /// [`poll_budget_max`](Config::poll_budget_max)), anything in between
-    /// holds steady. The
-    /// round-robin visit order is unchanged, so PR-2 fairness (≤2×) is
-    /// preserved: the budget only caps per-sweep consumption. Off by
-    /// default.
-    pub adaptive_poll_budget: bool,
-    /// Lower bound of the adaptive per-client poll budget.
-    pub poll_budget_min: usize,
-    /// Upper bound of the adaptive per-client poll budget. Kept at the
-    /// static [`poll_budget_per_client`](Config::poll_budget_per_client)
-    /// default so the PR-2 flooding cap still holds with adaptation on.
-    pub poll_budget_max: usize,
-    /// Elide the per-sweep credit WRITE while the newly freed ring bytes
-    /// stay below this threshold; the deferred update is flushed by the
-    /// first sweep that pops nothing from that client, so a producer
-    /// blocked on `RingFull` is unblocked within one sweep (liveness — see
-    /// DESIGN.md §15). `0` disables elision (a credit WRITE per consuming
-    /// sweep, the pre-fast-path behaviour).
-    pub lazy_credit_bytes: usize,
-    /// Reuse a per-server arena for reply-frame encoding so the steady
-    /// state allocates nothing per op. Purely an allocation-path knob: the
-    /// emitted bytes are identical. Off by default.
-    pub reply_arena: bool,
 }
 
 impl Default for Config {
@@ -125,12 +92,6 @@ impl Default for Config {
             pool_quota_bytes: 0,
             max_buffered_reports: 1 << 16,
             busy_retry_ns: 100_000,
-            batched_sealing: false,
-            adaptive_poll_budget: false,
-            poll_budget_min: 16,
-            poll_budget_max: 128,
-            lazy_credit_bytes: 0,
-            reply_arena: false,
         }
     }
 }
@@ -161,29 +122,6 @@ impl Config {
             shards: shards.max(1),
             ..Config::default()
         }
-    }
-
-    /// Turns on every fast-path knob (adaptive sweeps, batched sealing,
-    /// credit elision, reply arena) on top of `self`. The observable
-    /// protocol — reply bytes, MAC chains, at-most-once window — is
-    /// unchanged; see DESIGN.md §15 for the invariants.
-    pub fn with_fast_path(mut self) -> Config {
-        self.batched_sealing = true;
-        self.adaptive_poll_budget = true;
-        self.lazy_credit_bytes = 4096;
-        self.reply_arena = true;
-        self
-    }
-
-    /// The all-knobs-on fast-path configuration.
-    pub fn fast() -> Config {
-        Config::default().with_fast_path()
-    }
-
-    /// Whether any fast-path knob is enabled (used to gate the amortised
-    /// cost attribution in the sweep).
-    pub fn fast_path_enabled(&self) -> bool {
-        self.batched_sealing || self.adaptive_poll_budget || self.lazy_credit_bytes > 0
     }
 }
 
@@ -258,30 +196,6 @@ mod tests {
         assert_eq!(Config::default().shards, 1);
         assert_eq!(Config::sharded(0).shards, 1);
         assert_eq!(Config::sharded(4).shards, 4);
-    }
-
-    #[test]
-    fn fast_path_is_off_by_default() {
-        let c = Config::default();
-        assert!(!c.batched_sealing);
-        assert!(!c.adaptive_poll_budget);
-        assert_eq!(c.lazy_credit_bytes, 0);
-        assert!(!c.reply_arena);
-        assert!(!c.fast_path_enabled());
-    }
-
-    #[test]
-    fn fast_enables_every_knob_within_budget_bounds() {
-        let c = Config::fast();
-        assert!(c.fast_path_enabled());
-        assert!(c.batched_sealing && c.adaptive_poll_budget && c.reply_arena);
-        assert!(c.lazy_credit_bytes > 0);
-        assert!(c.poll_budget_min >= 1);
-        assert!(c.poll_budget_min <= c.poll_budget_max);
-        // The adaptive ceiling must not exceed the static PR-2 budget, so
-        // the flooding cap (`max per-sweep consumption ≤ budget`) is
-        // unchanged with adaptation on.
-        assert!(c.poll_budget_max <= Config::default().poll_budget_per_client);
     }
 
     #[test]

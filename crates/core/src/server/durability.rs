@@ -549,15 +549,8 @@ impl PrecursorServer {
         }
         let port = self.ingress.ports[idx].as_mut().expect("live port");
         let rkey = port.reply_ring_rkey;
-        if self.config.fast_path_enabled() && writes.len() > 1 {
-            // Fast path: chain the sweep's WRITEs behind one doorbell.
-            // Delivery, fault injection, and per-WRITE accounting are
-            // identical to the unrolled loop below.
-            let _ = port.qp.post_write_coalesced(rkey, &writes, false);
-        } else {
-            for (off, chunk) in &writes {
-                let _ = port.qp.post_write(rkey, *off, chunk, false);
-            }
+        for (off, chunk) in &writes {
+            let _ = port.qp.post_write(rkey, *off, chunk, false);
         }
     }
 

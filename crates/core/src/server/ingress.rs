@@ -7,7 +7,7 @@
 //! (per-record or coalesced into per-sweep [`ReplyBatch`]es), re-issuing
 //! remembered replies on retransmission, and the credit write-backs.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use precursor_crypto::keys::Key128;
@@ -79,35 +79,15 @@ pub(super) struct Ingress {
     // Requests popped by a worker whose shard did not own the key, handed
     // across the shard-crossing queue.
     pub(super) handoffs: u64,
-    // Adaptive per-client poll budgets (fast path; `Config::
-    // adaptive_poll_budget`). Indexed like `ports`; grown lazily. Always
-    // within `[poll_budget_min, poll_budget_max]`.
-    pub(super) budgets: Vec<usize>,
-    pub(super) budget_adjustments: u64,
-    // Credit WRITEs deferred below the `lazy_credit_bytes` threshold.
-    pub(super) credits_elided: u64,
-    // Spare reply-frame buffers (fast path; `Config::reply_arena`):
-    // buffers that carried a non-remembered reply come back here instead
-    // of being dropped, so the steady state encodes into reused capacity.
-    pub(super) arena: Vec<Vec<u8>>,
     // Doorbell board: every request ring is registered with a write-watch
     // that marks the owning client's index here on each *delivered* WRITE.
     // Sweeps drain the board instead of scanning rings, so an idle ring
     // costs nothing. Untrusted host state (DESIGN.md §8).
     pub(super) dirty_board: WriteBoard,
-    // Clients owed a deferred (elided) credit write-back. Sweeps keep
-    // visiting them until the flush — the first visit that pops nothing
-    // posts the deferred WRITE — or a producer parked on `RingFull` would
-    // never unblock (the `tests/fastpath.rs` liveness rule).
-    pub(super) credit_pending: BTreeSet<usize>,
     // Ring visits performed by poll sweeps: what the driver's cost model
     // charges `poll_scan_per_client` against.
     pub(super) rings_swept: u64,
 }
-
-// Bound on pooled arena buffers — enough for every client of a wide sweep
-// without letting a burst pin memory forever.
-const ARENA_MAX_BUFS: usize = 256;
 
 impl PrecursorServer {
     // The untrusted half of client admission: a fresh QP pair (through the
@@ -177,34 +157,12 @@ impl PrecursorServer {
     // available buffer slots using one-sided writes") — skipped when the
     // sweep consumed nothing, so idle clients' credit words are not
     // redundantly rewritten.
-    //
-    // With `Config::lazy_credit_bytes > 0` the WRITE is also elided while
-    // the bytes freed since the last write-back stay under the threshold
-    // *and* this sweep popped something from the client (`took_any`). The
-    // first sweep that pops nothing flushes the deferred update, so a
-    // producer parked on `RingFull` is unblocked within one sweep of going
-    // idle — the liveness rule `tests/fastpath.rs` pins.
-    pub(super) fn post_credit_update(&mut self, idx: usize, took_any: bool) {
-        let lazy = self.config.lazy_credit_bytes as u64;
-        let (consumed, last) = {
-            let port = self.ingress.ports[idx].as_ref().expect("live port");
-            (port.request_consumer.consumed(), port.last_credit)
-        };
-        if consumed != last && lazy > 0 && took_any && consumed - last < lazy {
-            self.ingress.credits_elided += 1;
-            self.obs.inc("server.credits_elided", 1);
-            self.trace("ingress", "credit_elided", idx as u64, consumed);
-            // Sweeps would otherwise never return to a quiet ring:
-            // remember the deferred write-back so the client keeps getting
-            // (idle) visits until it flushes.
-            self.ingress.credit_pending.insert(idx);
-            return;
-        }
-        self.ingress.credit_pending.remove(&idx);
-        if consumed == last {
-            return;
-        }
+    pub(super) fn post_credit_update(&mut self, idx: usize) {
         let port = self.ingress.ports[idx].as_mut().expect("live port");
+        let consumed = port.request_consumer.consumed();
+        if consumed == port.last_credit {
+            return;
+        }
         port.last_credit = consumed;
         let credit_rkey = port.credit_rkey;
         let _ = port
@@ -213,84 +171,6 @@ impl PrecursorServer {
         self.ingress.credit_writes += 1;
         self.obs.inc("server.credit_writes", 1);
         self.trace("ingress", "credit_write", idx as u64, consumed);
-    }
-
-    // Adaptive poll-budget controller (fast path): the budget a sweep
-    // grants client `idx`. With the knob off this is the static PR-2
-    // budget, bit-for-bit.
-    pub(super) fn sweep_budget(&mut self, idx: usize) -> usize {
-        if !self.config.adaptive_poll_budget {
-            return self.config.poll_budget_per_client;
-        }
-        let min = self.config.poll_budget_min.max(1);
-        let max = self.config.poll_budget_max.max(min);
-        if self.ingress.budgets.len() <= idx {
-            // New clients start from the static budget, clamped into the
-            // adaptive band (`0` = unbounded starts at the ceiling).
-            let initial = if self.config.poll_budget_per_client == 0 {
-                max
-            } else {
-                self.config.poll_budget_per_client.clamp(min, max)
-            };
-            self.ingress.budgets.resize(idx + 1, initial);
-        }
-        self.ingress.budgets[idx]
-    }
-
-    // Controller update after a sweep granted `budget` and popped `taken`
-    // records: an empty ring backs off (halve toward the floor), a ring
-    // that ate its whole budget bursts (double toward the ceiling), and a
-    // partially filled ring holds steady — so the controller converges
-    // under static load and never leaves `[min, max]`.
-    pub(super) fn adapt_budget(&mut self, idx: usize, taken: usize, budget: usize) {
-        if !self.config.adaptive_poll_budget {
-            return;
-        }
-        let min = self.config.poll_budget_min.max(1);
-        let max = self.config.poll_budget_max.max(min);
-        let cur = self.ingress.budgets[idx];
-        let next = if taken == 0 {
-            (cur / 2).clamp(min, max)
-        } else if taken >= budget {
-            cur.saturating_mul(2).clamp(min, max)
-        } else {
-            cur
-        };
-        if next != cur {
-            self.ingress.budgets[idx] = next;
-            self.ingress.budget_adjustments += 1;
-            self.obs.inc("server.budget_adjustments", 1);
-            self.trace("ingress", "budget_adjust", idx as u64, next as u64);
-        }
-    }
-
-    // Encodes a reply frame, reusing a pooled buffer when the arena knob
-    // is on. The produced bytes are identical either way.
-    pub(super) fn encode_reply(&mut self, reply: &ReplyFrame) -> Vec<u8> {
-        if !self.config.reply_arena {
-            return reply.encode();
-        }
-        let mut buf = match self.ingress.arena.pop() {
-            Some(mut b) => {
-                b.clear();
-                self.obs.inc("server.arena_reuses", 1);
-                b
-            }
-            None => Vec::new(),
-        };
-        reply.encode_into(&mut buf);
-        buf
-    }
-
-    // Returns a reply-frame buffer to the arena once nothing references
-    // its bytes any more.
-    pub(super) fn recycle_reply_buf(&mut self, buf: Vec<u8>) {
-        if self.config.reply_arena
-            && buf.capacity() > 0
-            && self.ingress.arena.len() < ARENA_MAX_BUFS
-        {
-            self.ingress.arena.push(buf);
-        }
     }
 
     /// Takes the per-operation reports accumulated by [`poll`](Self::poll).
@@ -308,7 +188,7 @@ impl PrecursorServer {
         meter: &mut Meter,
     ) {
         let cost = self.cost.clone();
-        let bytes = self.encode_reply(&reply);
+        let bytes = reply.encode();
         let bytes_len = bytes.len();
         // Push into the producer first, collecting the ring WRITEs
         // the honest host would post ...
@@ -331,17 +211,14 @@ impl PrecursorServer {
         // are held until the operation's journal group commits.
         self.post_or_gate(idx, posted);
         let port = self.ingress.ports[idx].as_mut().expect("live port");
-        let spare = if remember {
+        if remember {
             // Remember the *honest* record for retransmissions —
             // retransmits bypass the adversary by design, so a
             // wronged client can always recover the real reply.
             port.last_reply = writes;
             port.last_reply_end = end;
-            std::mem::replace(&mut port.last_reply_bytes, bytes)
-        } else {
-            bytes
-        };
-        self.recycle_reply_buf(spare);
+            port.last_reply_bytes = bytes;
+        }
         // Metering stays that of the honest single post, so cost
         // accounting is identical with and without an adversary.
         meter.counters_mut().rdma_posts += 1;
@@ -378,7 +255,7 @@ impl PrecursorServer {
             return;
         }
         let cost = self.cost.clone();
-        let bytes = self.encode_reply(&reply);
+        let bytes = reply.encode();
         let bytes_len = bytes.len();
         let (writes, end, pushed) = {
             let port = self.ingress.ports[idx].as_mut().expect("live port");
@@ -409,14 +286,11 @@ impl PrecursorServer {
         }
         meter.counters_mut().tx_bytes += bytes_len as u64;
         let port = self.ingress.ports[idx].as_mut().expect("live port");
-        let spare = if remember {
+        if remember {
             port.last_reply = writes;
             port.last_reply_end = end;
-            std::mem::replace(&mut port.last_reply_bytes, bytes)
-        } else {
-            bytes
-        };
-        self.recycle_reply_buf(spare);
+            port.last_reply_bytes = bytes;
+        }
         if !pushed {
             debug_assert!(false, "reply ring full");
         }

@@ -238,12 +238,7 @@ impl PrecursorServer {
                 polls: 0,
                 credit_writes: 0,
                 handoffs: 0,
-                budgets: Vec::new(),
-                budget_adjustments: 0,
-                credits_elided: 0,
-                arena: Vec::new(),
                 dirty_board: precursor_rdma::WriteBoard::new(),
-                credit_pending: std::collections::BTreeSet::new(),
                 rings_swept: 0,
             },
             durability: None,
@@ -389,48 +384,6 @@ impl PrecursorServer {
     /// cost model charges the per-ring scan cost against.
     pub fn rings_swept(&self) -> u64 {
         self.ingress.rings_swept
-    }
-
-    /// Clients currently owed a deferred credit write-back — the set
-    /// sweeps keep visiting until the flush (diagnostic surface for the
-    /// [`Config::lazy_credit_bytes`] liveness rule).
-    pub fn credit_pending(&self) -> usize {
-        self.ingress.credit_pending.len()
-    }
-
-    /// Credit WRITEs elided so far under the
-    /// [`Config::lazy_credit_bytes`] threshold (fast path).
-    pub fn credits_elided(&self) -> u64 {
-        self.ingress.credits_elided
-    }
-
-    /// Adaptive poll-budget changes applied so far (fast path;
-    /// [`Config::adaptive_poll_budget`]).
-    pub fn budget_adjustments(&self) -> u64 {
-        self.ingress.budget_adjustments
-    }
-
-    /// The current adaptive poll budget of `client_id`, or the static
-    /// budget when adaptation is off (test/diagnostic surface for the
-    /// controller's `[min, max]` bound).
-    pub fn poll_budget_of(&self, client_id: u32) -> usize {
-        if !self.config.adaptive_poll_budget {
-            return self.config.poll_budget_per_client;
-        }
-        self.ingress
-            .budgets
-            .get(client_id as usize)
-            .copied()
-            .unwrap_or_else(|| {
-                if self.config.poll_budget_per_client == 0 {
-                    self.config.poll_budget_max
-                } else {
-                    self.config.poll_budget_per_client.clamp(
-                        self.config.poll_budget_min.max(1),
-                        self.config.poll_budget_max,
-                    )
-                }
-            })
     }
 
     /// An sgx-perf style report of the enclave (Table 1).

@@ -99,8 +99,8 @@ impl PrecursorServer {
     /// Returns the number of requests processed.
     ///
     /// The sweep is doorbell-driven (DESIGN.md §17): it visits the rings a
-    /// delivered client WRITE marked since the last sweep, plus clients
-    /// owed a deferred credit write-back — never an idle ring.
+    /// delivered client WRITE marked since the last sweep — never an idle
+    /// ring.
     ///
     /// Each sweep starts from a rotating client (round-robin) and consumes
     /// at most [`Config::poll_budget_per_client`](crate::Config::poll_budget_per_client)
@@ -148,29 +148,22 @@ impl PrecursorServer {
         due.rotate_left(split);
         let mut processed = 0;
         for idx in due {
-            // Whether the client's run already sealed a fresh reply — later
-            // replies in the run ride the same batched crypto pass
-            // (`Config::batched_sealing`).
-            let mut run_sealed = false;
-            let taken = self.drain_ring(idx, |server, record| {
-                run_sealed = server.process_record(idx, record, run_sealed);
+            processed += self.drain_ring(idx, |server, record| {
+                server.process_record(idx, record);
             });
-            self.post_credit_update(idx, taken > 0);
-            processed += taken;
+            self.post_credit_update(idx);
         }
         processed
     }
 
     // The rings due a visit this sweep: the drained doorbell board (rings
-    // remotely written since the last sweep) unioned with the clients owed
-    // a deferred credit write-back — live clients only, deduplicated,
-    // ascending. Revoked clients are dropped here and pruned from the
-    // pending set: their rings are gone, there is nothing left to flush.
+    // remotely written since the last sweep) — live clients only,
+    // deduplicated, ascending. Revoked clients are dropped here: their
+    // rings are gone.
     fn dirty_due(&mut self) -> Vec<usize> {
         let ports = &self.ingress.ports;
         let sessions = &self.sessions.list;
         let live = |idx: usize| ports.get(idx).is_some_and(Option::is_some) && sessions[idx].active;
-        self.ingress.credit_pending.retain(|&idx| live(idx));
         let mut due: Vec<usize> = self
             .ingress
             .dirty_board
@@ -179,21 +172,19 @@ impl PrecursorServer {
             .map(|tag| tag as usize)
             .filter(|&idx| live(idx))
             .collect();
-        due.extend(&self.ingress.credit_pending);
         due.sort_unstable();
         due.dedup();
         due
     }
 
     // One budgeted drain of client `idx`'s request ring, shared by both
-    // sweep drivers: pops up to the sweep budget, handing each record to
-    // `each` in pop order, then feeds the budget controller. A
-    // budget-capped run may leave records behind, so it re-marks the ring
-    // and the next sweep returns without waiting for another WRITE.
-    // Returns the records popped.
+    // sweep drivers: pops up to the per-client budget, handing each record
+    // to `each` in pop order. A budget-capped run may leave records behind,
+    // so it re-marks the ring and the next sweep returns without waiting
+    // for another WRITE. Returns the records popped.
     fn drain_ring(&mut self, idx: usize, mut each: impl FnMut(&mut Self, Vec<u8>)) -> usize {
         self.ingress.rings_swept += 1;
-        let budget = self.sweep_budget(idx);
+        let budget = self.config.poll_budget_per_client;
         let mut taken = 0usize;
         while budget == 0 || taken < budget {
             // Update reply credits from the client-written word.
@@ -207,7 +198,6 @@ impl PrecursorServer {
             each(self, record);
             taken += 1;
         }
-        self.adapt_budget(idx, taken, budget);
         if budget != 0 && taken >= budget {
             self.ingress.dirty_board.mark(idx as u64);
         }
@@ -235,9 +225,8 @@ impl PrecursorServer {
         if self.ingress.rr_cursors.len() < shards {
             self.ingress.rr_cursors.resize(shards, 0);
         }
-        // Phase A visits only the rings marked since the last drain (plus
-        // deferred-credit clients); phases B and C operate on what phase A
-        // swept.
+        // Phase A visits only the rings marked since the last drain;
+        // phases B and C operate on what phase A swept.
         let due = self.dirty_due();
 
         // Pending actions are stored per dense *visit slot* (assigned in
@@ -247,10 +236,8 @@ impl PrecursorServer {
         let mut actions: Vec<Vec<Option<PendingAction>>> = Vec::new();
         let mut exec_queues: Vec<VecDeque<(usize, usize, usize)>> =
             (0..shards).map(|_| VecDeque::new()).collect();
-        // Swept clients in visit order: (client idx, action slot, records
-        // popped). The count feeds the budget controller and the
-        // credit-elision flush rule in phase C.
-        let mut swept: Vec<(usize, usize, usize)> = Vec::new();
+        // Swept clients in visit order: (client idx, action slot).
+        let mut swept: Vec<(usize, usize)> = Vec::new();
         let mut processed = 0usize;
 
         // Phase A — worker sweeps: pop + validate, route to owning shard.
@@ -265,7 +252,7 @@ impl PrecursorServer {
                 let idx = owned[(start + step) % owned.len()];
                 let slot = actions.len();
                 actions.push(Vec::new());
-                let taken = self.drain_ring(idx, |server, record| {
+                processed += self.drain_ring(idx, |server, record| {
                     let mut meter = Meter::new();
                     let kind = match server.validate_record(idx, &record, &mut meter) {
                         Validated::Reject {
@@ -316,8 +303,7 @@ impl PrecursorServer {
                     };
                     actions[slot].push(Some(PendingAction { meter, kind }));
                 });
-                processed += taken;
-                swept.push((idx, slot, taken));
+                swept.push((idx, slot));
             }
         }
 
@@ -397,13 +383,8 @@ impl PrecursorServer {
 
         // Phase C — per-client in-order sealing + batched reply WRITEs +
         // one credit write-back per swept client.
-        for &(idx, slot, taken) in &swept {
+        for &(idx, slot) in &swept {
             let mut batch = ReplyBatch::default();
-            // The client's run so far has sealed a fresh reply: later
-            // seals ride the same batched crypto pass. A retransmit
-            // interrupts the run (its WRITEs flush first), so the pass
-            // restarts after it.
-            let mut run_sealed = false;
             for ai in 0..actions[slot].len() {
                 let mut act = actions[slot][ai].take().expect("sealed once");
                 let (status, opcode, value_len, shard) = match act.kind {
@@ -419,8 +400,7 @@ impl PrecursorServer {
                         if set_last {
                             self.sessions.list[idx].last_status = status;
                         }
-                        let reply = self.seal_for(idx, opcode, plan, run_sealed, &mut act.meter);
-                        run_sealed = true;
+                        let reply = self.seal_for(idx, opcode, plan, &mut act.meter);
                         self.charge_fixed_occupancy(opcode, &mut act.meter);
                         self.emit_fresh_batched(idx, reply, remember, &mut batch, &mut act.meter);
                         (status, opcode, value_len, shard)
@@ -429,7 +409,6 @@ impl PrecursorServer {
                         // Preserve WRITE ordering: everything batched so
                         // far lands before the retransmitted bytes.
                         self.flush_reply_batch(idx, &mut batch);
-                        run_sealed = false;
                         self.charge_fixed_occupancy(opcode, &mut act.meter);
                         self.emit_retransmit(idx, &mut act.meter);
                         (status, opcode, 0, (idx % shards) as u32)
@@ -446,18 +425,14 @@ impl PrecursorServer {
                 });
             }
             self.flush_reply_batch(idx, &mut batch);
-            self.post_credit_update(idx, taken > 0);
+            self.post_credit_update(idx);
         }
         processed
     }
 
     // The single-shard path's per-record processing: validate → execute →
-    // seal → emit, all in the client's pop order. `run_sealed` says the
-    // client's current sweep run already sealed a fresh reply, so this
-    // record's seal (if any) rides the same batched crypto pass; returns
-    // whether the run has an open pass after this record (retransmits
-    // interrupt it).
-    fn process_record(&mut self, idx: usize, record: Vec<u8>, run_sealed: bool) -> bool {
+    // seal → emit, all in the client's pop order.
+    fn process_record(&mut self, idx: usize, record: Vec<u8>) {
         let mut meter = Meter::new();
 
         let (status, opcode, value_len, shard, out) =
@@ -468,13 +443,8 @@ impl PrecursorServer {
                     oid,
                     remember,
                 } => {
-                    let reply = self.seal_for(
-                        idx,
-                        opcode,
-                        ReplyPlan::Control { status, oid },
-                        run_sealed,
-                        &mut meter,
-                    );
+                    let reply =
+                        self.seal_for(idx, opcode, ReplyPlan::Control { status, oid }, &mut meter);
                     (status, opcode, 0, 0u32, ReplyOut::Fresh { reply, remember })
                 }
                 Validated::Retransmit { status, opcode } => {
@@ -522,7 +492,7 @@ impl PrecursorServer {
                                 self.journal_mutation(idx, opcode, status, key, *oid, &mut meter);
                             }
                             self.sessions.list[idx].last_status = status;
-                            let reply = self.seal_for(idx, opcode, plan, run_sealed, &mut meter);
+                            let reply = self.seal_for(idx, opcode, plan, &mut meter);
                             (
                                 status,
                                 opcode,
@@ -546,7 +516,6 @@ impl PrecursorServer {
                                     status: Status::Error,
                                     oid: 0,
                                 },
-                                run_sealed,
                                 &mut meter,
                             );
                             (
@@ -568,7 +537,6 @@ impl PrecursorServer {
 
         // Write the reply into the client's reply ring (one-sided WRITE by
         // the untrusted worker, §3.8).
-        let sealed_fresh = matches!(out, ReplyOut::Fresh { .. });
         match out {
             ReplyOut::Fresh { reply, remember } => {
                 self.emit_fresh(idx, reply, remember, &mut meter)
@@ -584,34 +552,22 @@ impl PrecursorServer {
             shard,
             meter,
         });
-        sealed_fresh
     }
 
     // Seals one [`ReplyPlan`] for client `idx` by assembling the narrow
-    // [`SealCtx`] out of disjoint borrows of the stage states. With
-    // `Config::batched_sealing` on and `in_run` set (a fresh reply was
-    // already sealed this run), the seal joins the run's batched crypto
-    // pass: the fixed AES-GCM setup is paid once by the run's first reply
-    // and this op's meter only carries the per-byte work — the amortised
-    // cycles are attributed to the batch's ops, never dropped.
+    // [`SealCtx`] out of disjoint borrows of the stage states.
     fn seal_for(
         &mut self,
         idx: usize,
         opcode: Opcode,
         plan: ReplyPlan,
-        in_run: bool,
         meter: &mut Meter,
     ) -> crate::wire::ReplyFrame {
-        let batched = in_run && self.config.batched_sealing;
-        if batched {
-            self.obs.inc("seal.batched_ops", 1);
-        }
         let mut ctx = SealCtx {
             enclave: &mut self.enclave,
             cost: &self.cost,
             busy_retry_ns: self.config.busy_retry_ns,
             evidence: self.store.evidence(),
-            batched,
         };
         let reply = seal::seal_plan(&mut ctx, &mut self.sessions.list[idx], opcode, plan, meter);
         self.trace(
@@ -625,11 +581,6 @@ impl PrecursorServer {
 
     // Fixed per-op occupancy (fitted constants; DESIGN.md §4): part of it
     // is on the request's critical path, the rest is polling overhead.
-    // With any fast-path knob on, the overhead share shrinks by the
-    // calibrated `fast_overhead_factor` — the polling/bookkeeping that
-    // adaptive sweeps, elided credit WRITEs, coalesced doorbells, and the
-    // reply arena no longer spend per op. The critical share is never
-    // scaled: the request still waits for the same work.
     fn charge_fixed_occupancy(&mut self, opcode: Opcode, meter: &mut Meter) {
         let cost = self.cost.clone();
         let mut fixed = cost.precursor_get_fixed;
@@ -640,10 +591,7 @@ impl PrecursorServer {
             fixed += cost.server_enc_extra;
         }
         let critical = cost.critical_part(Cycles(fixed));
-        let mut overhead = fixed - critical.0;
-        if self.config.fast_path_enabled() {
-            overhead = (overhead as f64 * cost.fast_overhead_factor).round() as u64;
-        }
+        let overhead = fixed - critical.0;
         meter.charge(Stage::ServerCritical, cost.server_time(critical));
         meter.charge(Stage::ServerOverhead, cost.server_time(Cycles(overhead)));
     }

@@ -36,12 +36,6 @@ pub(super) struct SealCtx<'a> {
     pub(super) cost: &'a CostModel,
     pub(super) busy_retry_ns: u64,
     pub(super) evidence: StoreEvidence,
-    /// This seal rides an already-open batched crypto pass of the
-    /// client's sweep run (`Config::batched_sealing`): the fixed AES-GCM
-    /// setup cycles were paid by the run's first reply, so only the
-    /// per-byte work is charged here. The sealed bytes are identical
-    /// either way — batching changes cost attribution, never ciphertext.
-    pub(super) batched: bool,
 }
 
 // Seals one [`ReplyPlan`] into a [`ReplyFrame`], consuming the client's
@@ -119,7 +113,7 @@ pub(super) fn seal_plan(
             let seq = session.reply_seq;
             meter.charge(
                 Stage::Enclave,
-                ctx.cost.server_time(gcm_cycles(ctx, plain.len())),
+                ctx.cost.server_time(ctx.cost.aes_gcm(plain.len())),
             );
             let transport = gcm::seal(&session_key, &payload_reply_nonce(seq), &[], &plain);
             ctx.enclave
@@ -134,18 +128,6 @@ pub(super) fn seal_plan(
                 meter,
             )
         }
-    }
-}
-
-// AES-GCM cycles for a pass over `len` bytes under the context's batching
-// mode: a seal riding an open batched pass pays only the per-byte work —
-// the fixed setup was charged to the run's first reply.
-fn gcm_cycles(ctx: &SealCtx<'_>, len: usize) -> precursor_sim::time::Cycles {
-    let full = ctx.cost.aes_gcm(len);
-    if ctx.batched {
-        precursor_sim::time::Cycles(full.0 - ctx.cost.aes_gcm_fixed.min(full.0))
-    } else {
-        full
     }
 }
 
@@ -173,7 +155,7 @@ fn finish_reply(
     let control_bytes = control.encode();
     meter.charge(
         Stage::Enclave,
-        ctx.cost.server_time(gcm_cycles(ctx, control_bytes.len())),
+        ctx.cost.server_time(ctx.cost.aes_gcm(control_bytes.len())),
     );
     ctx.enclave
         .copy_across_boundary(control_bytes.len(), meter, ctx.cost);

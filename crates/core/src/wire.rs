@@ -206,16 +206,6 @@ impl ReplyFrame {
     /// Serializes the reply into ring-record bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + self.sealed_control.len() + self.payload.len());
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Serializes the reply into a caller-provided buffer (appended), so a
-    /// reply arena can reuse allocations across ops instead of allocating
-    /// one fresh `Vec` per reply. Produces exactly the bytes of
-    /// [`encode`](Self::encode).
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.reserve(16 + self.sealed_control.len() + self.payload.len());
         out.push(self.status as u8);
         out.push(self.opcode as u8);
         out.extend_from_slice(&self.reply_seq.to_le_bytes());
@@ -223,6 +213,7 @@ impl ReplyFrame {
         out.extend_from_slice(&self.sealed_control);
         out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.payload);
+        out
     }
 
     /// Parses a reply frame.

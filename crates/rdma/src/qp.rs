@@ -98,10 +98,6 @@ pub struct QpStats {
     pub bytes: u64,
     /// Posts that qualified for inline transmission.
     pub inline_posts: u64,
-    /// Doorbell rings for one-sided WRITE posts. Normally one per WRITE;
-    /// a [`post_write_coalesced`](QueuePair::post_write_coalesced) batch
-    /// chains its WQEs and rings once.
-    pub write_doorbells: u64,
 }
 
 #[derive(Debug, Default)]
@@ -293,41 +289,6 @@ impl QueuePair {
         data: &[u8],
         signaled: bool,
     ) -> Result<usize, RdmaError> {
-        self.post_write_inner(key, offset, data, signaled, true)
-    }
-
-    /// Posts a run of one-sided WRITEs as one chained WQE batch with a
-    /// single doorbell ring — the per-sweep doorbell coalescing of the
-    /// reply path. Each WRITE is still validated, fault-injected, and
-    /// accounted individually (so fault schedules and byte counts are
-    /// identical to posting them one by one); only the doorbell count
-    /// differs. Stops at the first error, returning the total bytes of the
-    /// WRITEs that were posted before it.
-    ///
-    /// # Errors
-    ///
-    /// Same classes as [`post_write`](Self::post_write).
-    pub fn post_write_coalesced(
-        &mut self,
-        key: RemoteKey,
-        writes: &[(usize, Vec<u8>)],
-        signaled: bool,
-    ) -> Result<usize, RdmaError> {
-        let mut total = 0;
-        for (i, (offset, data)) in writes.iter().enumerate() {
-            total += self.post_write_inner(key, *offset, data, signaled, i == 0)?;
-        }
-        Ok(total)
-    }
-
-    fn post_write_inner(
-        &mut self,
-        key: RemoteKey,
-        offset: usize,
-        data: &[u8],
-        signaled: bool,
-        ring_doorbell: bool,
-    ) -> Result<usize, RdmaError> {
         let reg = self.peer_registration(key)?;
         if !reg.remote_write {
             return Err(RdmaError::AccessDenied);
@@ -364,9 +325,6 @@ impl QueuePair {
         }
         let inline = data.len() <= self.inline_max;
         self.account(data.len(), inline, signaled, WrKind::Write);
-        if ring_doorbell {
-            plock(&self.stats).write_doorbells += 1;
-        }
         Ok(data.len())
     }
 
@@ -667,47 +625,6 @@ mod tests {
         let key = b.register(mem.clone(), true);
         assert_eq!(a.post_write(key, 8, b"payload", false).unwrap(), 7);
         assert_eq!(mem.read(8, 7), b"payload");
-    }
-
-    #[test]
-    fn coalesced_writes_land_with_one_doorbell() {
-        let (mut a, b) = connect_pair(912);
-        let mem = Memory::zeroed(128);
-        let key = b.register(mem.clone(), true);
-        let writes = vec![
-            (0usize, b"ab".to_vec()),
-            (2, b"cd".to_vec()),
-            (64, b"ef".to_vec()),
-        ];
-        assert_eq!(a.post_write_coalesced(key, &writes, false).unwrap(), 6);
-        assert_eq!(mem.read(0, 4), b"abcd");
-        assert_eq!(mem.read(64, 2), b"ef");
-        let st = a.stats();
-        assert_eq!(st.writes, 3, "every WRITE is accounted");
-        assert_eq!(st.write_doorbells, 1, "the batch rings once");
-        assert_eq!(a.post_write(key, 8, b"g", false).unwrap(), 1);
-        assert_eq!(a.stats().write_doorbells, 2);
-    }
-
-    #[test]
-    fn coalesced_writes_traverse_the_fault_injector_per_write() {
-        // The second WRITE of the batch is dropped by the injector; the
-        // first and third still land, and all three are accounted.
-        let plan = FaultPlan::none().rule(FaultSite::Write, FaultDir::AtoB, FaultAction::Drop, 2);
-        let (mut a, b) = connect_pair_faulty(912, FaultInjector::shared(plan, 7));
-        let mem = Memory::zeroed(64);
-        let key = b.register(mem.clone(), true);
-        let writes = vec![
-            (0usize, b"xx".to_vec()),
-            (8, b"yy".to_vec()),
-            (16, b"zz".to_vec()),
-        ];
-        assert_eq!(a.post_write_coalesced(key, &writes, false).unwrap(), 6);
-        assert_eq!(mem.read(0, 2), b"xx");
-        assert_eq!(mem.read(8, 2), [0, 0], "dropped in flight");
-        assert_eq!(mem.read(16, 2), b"zz");
-        assert_eq!(a.stats().writes, 3);
-        assert_eq!(a.stats().write_doorbells, 1);
     }
 
     #[test]

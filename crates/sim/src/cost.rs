@@ -151,13 +151,6 @@ pub struct CostModel {
     /// enqueue/dequeue plus the cross-core cache-line transfer of the
     /// control data \[arch; only charged with `Config::shards > 1`\].
     pub shard_handoff_cycles: u64,
-    /// Fraction of the fitted non-critical server occupancy that survives
-    /// the fast-path sweep (adaptive poll budgets skip cold rings, credit
-    /// WRITEs are elided, reply doorbells coalesce, reply plans come from
-    /// an arena) \[fitted: the fig4 `+fast` trajectory points land at
-    /// `server_overhead ≤ 3 µs/op`\]. Only applied when a fast-path knob
-    /// is on; the critical-path share is never scaled.
-    pub fast_overhead_factor: f64,
     /// Probability multiplier for EPC faults on the critical path when the
     /// working set exceeds the EPC (SGX paging keeps some residency locality;
     /// fitted so Fig. 7's paging CDF diverges from ≈p95).
@@ -233,7 +226,6 @@ impl Default for CostModel {
             poll_scan_per_client: 260,
             poll_scan_baseline: 50,
             shard_handoff_cycles: 600,
-            fast_overhead_factor: 0.22,
             epc_fault_locality: 0.12,
             journal_seal_fixed: 350,
             durable_write_fixed: 4_200,
@@ -380,23 +372,6 @@ mod tests {
         let m = CostModel::default();
         let c = m.critical_part(Cycles(10_000));
         assert_eq!(c, Cycles(1_200));
-    }
-
-    #[test]
-    fn fast_factor_brings_put_overhead_under_three_micros() {
-        // The put path carries the largest fitted occupancy; its
-        // non-critical share scaled by the fast factor must stay ≤ 3 µs so
-        // the fig4 `+fast` trajectory points can assert that bound.
-        let m = CostModel::default();
-        assert!(m.fast_overhead_factor > 0.0 && m.fast_overhead_factor < 1.0);
-        let occupancy = Cycles(m.precursor_get_fixed + m.precursor_put_extra);
-        let overhead = Cycles(occupancy.0 - m.critical_part(occupancy).0);
-        let fast = Cycles((overhead.0 as f64 * m.fast_overhead_factor).round() as u64);
-        assert!(
-            m.server_time(fast) <= Nanos(3_000),
-            "{:?}",
-            m.server_time(fast)
-        );
     }
 
     #[test]

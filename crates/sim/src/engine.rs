@@ -8,13 +8,9 @@
 //! broken deterministically by insertion sequence, so identical seeds always
 //! produce identical schedules.
 //!
-//! [`HeapQueue`] is the original `BinaryHeap`-backed implementation, kept as
-//! the executable ordering specification: the equivalence suite replays
-//! random schedules through both and requires identical `(time, token)` pop
-//! sequences.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! The ordering specification is the `BinaryHeap`-backed reference queue in
+//! `tests/wheel_equivalence.rs`: the suite replays random schedules through
+//! both and requires identical `(time, token)` pop sequences.
 
 use crate::time::Nanos;
 use crate::wheel::TimingWheel;
@@ -80,82 +76,6 @@ impl<T> Default for EventQueue<T> {
     }
 }
 
-/// The heap-backed reference queue: O(log n) per operation, trivially
-/// correct ordering by `(time, insertion sequence)`. Kept as the oracle the
-/// timing wheel is proptested against.
-#[derive(Debug, Clone)]
-pub struct HeapQueue<T> {
-    heap: BinaryHeap<Reverse<Entry<T>>>,
-    seq: u64,
-}
-
-#[derive(Debug, Clone)]
-struct Entry<T> {
-    at: Nanos,
-    seq: u64,
-    token: T,
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-impl<T> HeapQueue<T> {
-    /// Creates an empty queue.
-    pub fn new() -> HeapQueue<T> {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    /// Schedules `token` at virtual time `at`.
-    pub fn push(&mut self, at: Nanos, token: T) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Entry { at, seq, token }));
-    }
-
-    /// Removes and returns the earliest token (FIFO among equal times).
-    pub fn pop(&mut self) -> Option<(Nanos, T)> {
-        self.heap.pop().map(|Reverse(e)| (e.at, e.token))
-    }
-
-    /// The time of the earliest token without removing it.
-    pub fn peek_time(&self) -> Option<Nanos> {
-        self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
-    /// Number of pending tokens.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no tokens are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<T> Default for HeapQueue<T> {
-    fn default() -> Self {
-        HeapQueue::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,24 +122,5 @@ mod tests {
         q.push(Nanos(5), "mid");
         assert_eq!(q.pop().unwrap().1, "mid");
         assert_eq!(q.pop().unwrap().1, "late");
-    }
-
-    #[test]
-    fn heap_reference_matches_wheel_on_a_closed_loop() {
-        // The shape the drivers produce: pop one, reschedule it later.
-        let mut wheel = EventQueue::new();
-        let mut heap = HeapQueue::new();
-        for c in 0..32u64 {
-            wheel.push(Nanos(c * 120), c);
-            heap.push(Nanos(c * 120), c);
-        }
-        for step in 0..10_000u64 {
-            let a = wheel.pop().unwrap();
-            let b = heap.pop().unwrap();
-            assert_eq!(a, b, "diverged at step {step}");
-            let next = a.0 + Nanos(1 + (a.1 * 7 + step * 13) % 40_000);
-            wheel.push(next, a.1);
-            heap.push(next, a.1);
-        }
     }
 }

@@ -70,9 +70,9 @@ impl<T> Ord for Entry<T> {
 
 /// A time-ordered token queue backed by a hierarchical timing wheel.
 ///
-/// Same surface and same pop sequence as the heap-backed reference
-/// ([`engine::HeapQueue`](crate::engine::HeapQueue)); see the module docs
-/// for the determinism contract.
+/// Same pop sequence as the heap-backed reference queue in
+/// `tests/wheel_equivalence.rs`; see the module docs for the determinism
+/// contract.
 ///
 /// # Example
 ///

@@ -4,10 +4,83 @@
 //! from the far-future overflow heap. Driven by seeded loops over the
 //! in-repo deterministic RNG, mirroring `tests/proptest_store.rs`.
 
-use precursor_sim::engine::HeapQueue;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use precursor_sim::engine::EventQueue;
 use precursor_sim::rng::SimRng;
 use precursor_sim::time::Nanos;
 use precursor_sim::wheel::TimingWheel;
+
+/// The heap-backed reference queue: O(log n) per operation, trivially
+/// correct ordering by `(time, insertion sequence)`. Kept as the oracle the
+/// timing wheel is proptested against.
+#[derive(Debug, Clone)]
+struct HeapQueue<T> {
+    heap: BinaryHeap<Reverse<Entry<T>>>,
+    seq: u64,
+}
+
+#[derive(Debug, Clone)]
+struct Entry<T> {
+    at: Nanos,
+    seq: u64,
+    token: T,
+}
+
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
+    }
+}
+impl<T> Eq for Entry<T> {}
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.at, self.seq).cmp(&(other.at, other.seq))
+    }
+}
+
+impl<T> HeapQueue<T> {
+    /// Creates an empty queue.
+    fn new() -> HeapQueue<T> {
+        HeapQueue {
+            heap: BinaryHeap::new(),
+            seq: 0,
+        }
+    }
+
+    /// Schedules `token` at virtual time `at`.
+    fn push(&mut self, at: Nanos, token: T) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Reverse(Entry { at, seq, token }));
+    }
+
+    /// Removes and returns the earliest token (FIFO among equal times).
+    fn pop(&mut self) -> Option<(Nanos, T)> {
+        self.heap.pop().map(|Reverse(e)| (e.at, e.token))
+    }
+
+    /// The time of the earliest token without removing it.
+    fn peek_time(&self) -> Option<Nanos> {
+        self.heap.peek().map(|Reverse(e)| e.at)
+    }
+
+    /// Number of pending tokens.
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Whether no tokens are pending.
+    fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+}
 
 /// Wheel horizon: 7 levels of 64 slots cover 2^42 ns; anything beyond
 /// lands in the overflow heap and must cascade back in order.
@@ -153,5 +226,25 @@ fn past_due_pushes_fire_in_heap_order() {
             token += 1;
         }
         drain_both(&mut wheel, &mut heap);
+    }
+}
+
+/// The shape the drivers produce — pop one, reschedule it later — through
+/// the [`EventQueue`] adapter they all use.
+#[test]
+fn heap_reference_matches_wheel_on_a_closed_loop() {
+    let mut wheel = EventQueue::new();
+    let mut heap = HeapQueue::new();
+    for c in 0..32u64 {
+        wheel.push(Nanos(c * 120), c);
+        heap.push(Nanos(c * 120), c);
+    }
+    for step in 0..10_000u64 {
+        let a = wheel.pop().unwrap();
+        let b = heap.pop().unwrap();
+        assert_eq!(a, b, "diverged at step {step}");
+        let next = a.0 + Nanos(1 + (a.1 * 7 + step * 13) % 40_000);
+        wheel.push(next, a.1);
+        heap.push(next, a.1);
     }
 }

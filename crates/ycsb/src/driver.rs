@@ -239,7 +239,6 @@ pub struct SessionParams {
     shards: Option<usize>,
     journaled: bool,
     compacted: bool,
-    fast: bool,
     ring_bytes: Option<usize>,
     paper_poller: bool,
 }
@@ -258,7 +257,6 @@ impl SessionParams {
             shards: None,
             journaled: false,
             compacted: false,
-            fast: false,
             ring_bytes: None,
             paper_poller: false,
         }
@@ -338,15 +336,6 @@ impl SessionParams {
         self
     }
 
-    /// Turns on every hot-path knob ([`Config::with_fast_path`]): adaptive
-    /// per-client poll budgets, batched seal/MAC passes, lazy credit
-    /// write-back, and reply-frame arena reuse — the fig4 `+fast`
-    /// configuration. Precursor family only.
-    pub fn fast(mut self, fast: bool) -> SessionParams {
-        self.fast = fast;
-        self
-    }
-
     /// Builds the system, connects `max_clients` clients, and loads the
     /// warmup records.
     ///
@@ -375,11 +364,7 @@ impl SessionParams {
                 } else {
                     EncryptionMode::ServerSide
                 };
-                let base = if self.fast {
-                    Config::fast()
-                } else {
-                    Config::default()
-                };
+                let base = Config::default();
                 let config = Config {
                     mode,
                     max_clients: self.max_clients + 1,
@@ -400,7 +385,6 @@ impl SessionParams {
             }
             SystemKind::ShieldStore => {
                 assert!(!self.journaled, "ShieldStore has no durability journal");
-                assert!(!self.fast, "ShieldStore has no Precursor fast path");
                 assert!(self.ring_bytes.is_none(), "ShieldStore has no client rings");
                 Box::new(ShieldBackend::new(ShieldConfig::default(), cost))
             }
@@ -941,31 +925,23 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_lowers_server_overhead_and_conserves_stages() {
+    fn server_overhead_is_fixed_constants_times_counted_ops() {
+        use precursor_sim::time::Cycles;
         let cost = CostModel::default();
         let spec = WorkloadSpec::workload_c(32, 500);
-        let params = SessionParams::new(SystemKind::Precursor)
+        let mut session = SessionParams::new(SystemKind::Precursor)
             .value_size(32)
             .keys(500, 500)
             .max_clients(4)
-            .seed(9);
-        let mut plain = params.clone().build(&cost);
-        let mut fast = params.fast(true).build(&cost);
-        let rp = plain.measure(&spec, 4, 1_000);
-        let rf = fast.measure(&spec, 4, 1_000);
-        let over_plain = rp.stages.mean(Stage::ServerOverhead);
-        let over_fast = rf.stages.mean(Stage::ServerOverhead);
-        assert!(
-            over_fast < over_plain / 3,
-            "plain {over_plain:?} fast {over_fast:?}"
+            .seed(9)
+            .build(&cost);
+        let r = session.measure(&spec, 4, 1_000);
+        let fixed = Cycles(cost.precursor_get_fixed);
+        let overhead = Cycles(fixed.0 - cost.critical_part(fixed).0);
+        assert_eq!(
+            r.stages.mean(Stage::ServerOverhead),
+            cost.server_time(overhead)
         );
-        // ≤ 3 µs/op server overhead — the fig4 `+fast` target.
-        assert!(over_fast <= Nanos(3_000), "fast overhead {over_fast:?}");
-        // Exact conservation survives batched sealing: the per-stage sums
-        // still add up to the total with no residual.
-        let sum: Nanos = Stage::ALL.iter().map(|&s| rf.stages.get(s)).sum();
-        assert_eq!(sum, rf.stages.total());
-        assert!(rf.throughput_ops > 0.0);
     }
 
     #[test]

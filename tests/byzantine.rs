@@ -27,26 +27,12 @@ fn connect(server: &mut PrecursorServer, seed: u64) -> PrecursorClient {
     PrecursorClient::connect(server, seed).expect("client connects")
 }
 
-// `PRECURSOR_FAST=1` re-runs the whole suite with every hot-path knob on
-// (adaptive poll budgets, batched sealing, lazy credit write-back, reply
-// arena reuse) — the CI matrix leg that keeps the fast path honest against
-// an actively malicious host. Knobs change cost attribution and WRITE
-// timing, never wire bytes, so every detector must fire unchanged.
-fn base_config() -> Config {
-    let config = Config::default();
-    if std::env::var("PRECURSOR_FAST").as_deref() == Ok("1") {
-        config.with_fast_path()
-    } else {
-        config
-    }
-}
-
 // --- scripted single-class scenarios ------------------------------------
 
 #[test]
 fn tampered_untrusted_payload_is_detected_on_read() {
     let cost = CostModel::default();
-    let mut server = PrecursorServer::new(base_config(), &cost);
+    let mut server = PrecursorServer::new(Config::default(), &cost);
     // The Tamper rule counts *poll sweeps*: sweep 1 services the put (and
     // registers its payload range with the injector); the attack fires at
     // the start of sweep 2, before the get executes.
@@ -74,7 +60,7 @@ fn tampered_untrusted_payload_is_detected_on_read() {
 #[test]
 fn replayed_stale_control_reply_is_dropped_and_the_op_recovers() {
     let cost = CostModel::default();
-    let mut server = PrecursorServer::new(base_config(), &cost);
+    let mut server = PrecursorServer::new(Config::default(), &cost);
     // Substitute the 3rd reply record written for client 0 with a stale
     // captured one (the 1st — the oldest same-length capture).
     server.set_adversary_plan(
@@ -104,7 +90,7 @@ fn replayed_stale_control_reply_is_dropped_and_the_op_recovers() {
 #[test]
 fn reordered_replies_are_reconciled_without_poisoning() {
     let cost = CostModel::default();
-    let mut server = PrecursorServer::new(base_config(), &cost);
+    let mut server = PrecursorServer::new(Config::default(), &cost);
     server.set_adversary_plan(
         AdversaryPlan::none().rule_for(AttackClass::Reorder, 0, 1),
         13,
@@ -141,7 +127,7 @@ fn reordered_replies_are_reconciled_without_poisoning() {
 #[test]
 fn duplicated_reply_record_completes_the_op_exactly_once() {
     let cost = CostModel::default();
-    let mut server = PrecursorServer::new(base_config(), &cost);
+    let mut server = PrecursorServer::new(Config::default(), &cost);
     server.set_adversary_plan(
         AdversaryPlan::none().rule_for(AttackClass::Duplicate, 0, 1),
         17,
@@ -165,7 +151,7 @@ fn duplicated_reply_record_completes_the_op_exactly_once() {
 #[test]
 fn forged_reply_header_breaks_the_mac_chain_and_quarantines() {
     let cost = CostModel::default();
-    let mut server = PrecursorServer::new(base_config(), &cost);
+    let mut server = PrecursorServer::new(Config::default(), &cost);
     let bundle = server.add_client([7; 16]).expect("connects");
     // Keep a handle on the reply ring *before* the client consumes it: the
     // host owns this memory and can write anything into it.
@@ -207,7 +193,7 @@ fn forged_reply_header_breaks_the_mac_chain_and_quarantines() {
 #[test]
 fn rolled_back_host_is_rejected_by_counter_and_detected_by_client() {
     let cost = CostModel::default();
-    let mut server = PrecursorServer::new(base_config(), &cost);
+    let mut server = PrecursorServer::new(Config::default(), &cost);
     let mut client = connect(&mut server, 5);
     client.put_sync(&mut server, b"k1", b"v1").unwrap();
 
@@ -222,7 +208,7 @@ fn rolled_back_host_is_rejected_by_counter_and_detected_by_client() {
     // Layer 1: an honest restore of the stale snapshot fails the monotonic
     // counter check outright.
     assert!(matches!(
-        PrecursorServer::restore(base_config(), &cost, &stale, &counter),
+        PrecursorServer::restore(Config::default(), &cost, &stale, &counter),
         Err(StoreError::SnapshotRejected)
     ));
 
@@ -230,7 +216,7 @@ fn rolled_back_host_is_rejected_by_counter_and_detected_by_client() {
     // counter copy — the enclave-side check passes, so only the *client*
     // can catch it, via the store-mutation sequence in every reply.
     let mut rolled =
-        PrecursorServer::restore(base_config(), &cost, &stale, &forked_counter).unwrap();
+        PrecursorServer::restore(Config::default(), &cost, &stale, &forked_counter).unwrap();
     rolled.set_adversary_plan(AdversaryPlan::none(), 1);
     rolled.note_attack(AttackClass::Rollback, Some(client.client_id()));
     client.reconnect(&mut rolled).expect("session resumes");
@@ -247,7 +233,7 @@ fn rolled_back_host_is_rejected_by_counter_and_detected_by_client() {
 
     // Recovery: the operator restores the *fresh* snapshot under the true
     // counter; re-attestation clears the quarantine and state lines up.
-    let mut good = PrecursorServer::restore(base_config(), &cost, &fresh, &counter).unwrap();
+    let mut good = PrecursorServer::restore(Config::default(), &cost, &fresh, &counter).unwrap();
     client.reconnect(&mut good).expect("re-attests");
     assert!(client.poisoned().is_none());
     assert_eq!(client.get_sync(&mut good, b"k2").unwrap(), b"v2");
@@ -257,7 +243,7 @@ fn rolled_back_host_is_rejected_by_counter_and_detected_by_client() {
 #[test]
 fn forked_views_are_detected_by_cross_client_audit() {
     let cost = CostModel::default();
-    let mut server = PrecursorServer::new(base_config(), &cost);
+    let mut server = PrecursorServer::new(Config::default(), &cost);
     let mut a = connect(&mut server, 6); // client 0
     let mut b = connect(&mut server, 7); // client 1
     a.put_sync(&mut server, b"a:seed", b"1").unwrap();
@@ -269,8 +255,8 @@ fn forked_views_are_detected_by_cross_client_audit() {
     // each client to a different one (a classic fork/split-brain attack).
     let mut counter = MonotonicCounter::new();
     let snap = server.snapshot(&mut counter);
-    let mut s1 = PrecursorServer::restore(base_config(), &cost, &snap, &counter).unwrap();
-    let mut s2 = PrecursorServer::restore(base_config(), &cost, &snap, &counter).unwrap();
+    let mut s1 = PrecursorServer::restore(Config::default(), &cost, &snap, &counter).unwrap();
+    let mut s2 = PrecursorServer::restore(Config::default(), &cost, &snap, &counter).unwrap();
     s1.set_adversary_plan(AdversaryPlan::none(), 1);
     s1.note_attack(AttackClass::Fork, Some(a.client_id()));
     s2.set_adversary_plan(AdversaryPlan::none(), 1);
@@ -310,7 +296,7 @@ fn pool_quota_yields_busy_backpressure_not_starvation() {
     let cost = CostModel::default();
     let config = Config {
         pool_quota_bytes: 2048,
-        ..base_config()
+        ..Config::default()
     };
     let mut server = PrecursorServer::new(config, &cost);
     let mut client = connect(&mut server, 8);
@@ -350,7 +336,7 @@ fn flooding_client_cannot_starve_an_honest_neighbor() {
     // client's throughput within 2x of its flood-free baseline.
     fn honest_ops(rounds: usize, with_flooder: bool) -> (usize, usize) {
         let cost = CostModel::default();
-        let mut server = PrecursorServer::new(base_config(), &cost);
+        let mut server = PrecursorServer::new(Config::default(), &cost);
         let mut honest = connect(&mut server, 11);
         let mut flooder = with_flooder.then(|| connect(&mut server, 12));
         let budget = server.config().poll_budget_per_client;
@@ -402,7 +388,7 @@ fn flooding_client_cannot_starve_an_honest_neighbor() {
         flooded * 2 >= baseline,
         "flooding reduced honest throughput more than 2x: {flooded} vs {baseline}"
     );
-    let budget = base_config().poll_budget_per_client;
+    let budget = Config::default().poll_budget_per_client;
     assert!(
         max_flood > 0 && max_flood <= budget,
         "per-sweep budget must cap the flooder: saw {max_flood}, budget {budget}"
@@ -414,7 +400,7 @@ fn thousand_client_churn_returns_all_memory() {
     let cost = CostModel::default();
     let config = Config {
         max_clients: 1100,
-        ..base_config()
+        ..Config::default()
     };
     let mut server = PrecursorServer::new(config, &cost);
 
@@ -465,7 +451,7 @@ fn report_buffer_is_bounded_and_counts_drops() {
     let cost = CostModel::default();
     let config = Config {
         max_buffered_reports: 8,
-        ..base_config()
+        ..Config::default()
     };
     let mut server = PrecursorServer::new(config, &cost);
     let mut client = connect(&mut server, 13);
@@ -538,7 +524,7 @@ fn value_for(seed: u64, op: usize, key: u8) -> Vec<u8> {
 
 fn byzantine_run(seed: u64, ops: usize) -> SweepReport {
     let cost = CostModel::default();
-    let mut server = PrecursorServer::new(base_config(), &cost);
+    let mut server = PrecursorServer::new(Config::default(), &cost);
     server.set_adversary_plan(
         AdversaryPlan::none()
             .rate(AttackClass::Tamper, 0.04)
@@ -766,7 +752,7 @@ fn adversary_free_run_triggers_no_detections() {
 fn byzantine_run_no_adversary(seed: u64, ops: usize) -> SweepReport {
     // Same harness, no plan installed: exercises the oracle itself.
     let cost = CostModel::default();
-    let mut server = PrecursorServer::new(base_config(), &cost);
+    let mut server = PrecursorServer::new(Config::default(), &cost);
     let mut client = connect(&mut server, seed);
     let mut rng = SimRng::seed_from(seed ^ 0x5eed);
     let mut model: HashMap<u8, KeyState> = HashMap::new();

@@ -27,20 +27,6 @@ use precursor_sgx::counters::MonotonicCounter;
 use precursor_sim::rng::SimRng;
 use precursor_sim::CostModel;
 
-// `PRECURSOR_FAST=1` re-runs the whole suite with every hot-path knob on
-// (adaptive poll budgets, batched sealing, lazy credit write-back, reply
-// arena reuse) — the CI matrix leg that keeps the fast path honest under
-// faults. Knobs change cost attribution and WRITE timing, never outcomes,
-// so every oracle below must hold unchanged.
-fn base_config() -> Config {
-    let config = Config::default();
-    if std::env::var("PRECURSOR_FAST").as_deref() == Ok("1") {
-        config.with_fast_path()
-    } else {
-        config
-    }
-}
-
 // --- workload -----------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -129,7 +115,7 @@ struct Chaos {
 impl Chaos {
     fn new(plan: FaultPlan, seed: u64) -> Chaos {
         let cost = CostModel::default();
-        let config = base_config();
+        let config = Config::default();
         let mut server = PrecursorServer::new(config.clone(), &cost);
         server.set_fault_plan(plan.clone(), seed);
         let client = PrecursorClient::connect(&mut server, seed ^ 0xc11e).expect("connect");
@@ -359,7 +345,7 @@ fn chaos_run(seed: u64, ops: usize, plan: FaultPlan, crash_every: usize) -> RunR
 #[test]
 fn dropped_request_is_retransmitted_and_applied() {
     let cost = CostModel::default();
-    let mut server = PrecursorServer::new(base_config(), &cost);
+    let mut server = PrecursorServer::new(Config::default(), &cost);
     // The very first client request WRITE vanishes silently.
     server.set_fault_plan(
         FaultPlan::none().rule(FaultSite::Write, FaultDir::AtoB, FaultAction::Drop, 1),
@@ -381,7 +367,7 @@ fn dropped_request_is_retransmitted_and_applied() {
 #[test]
 fn dropped_reply_put_is_reacked_same_oid_applied_exactly_once() {
     let cost = CostModel::default();
-    let mut server = PrecursorServer::new(base_config(), &cost);
+    let mut server = PrecursorServer::new(Config::default(), &cost);
     // B→A write #1 is the first put's reply record: the put executes but
     // its acknowledgement never reaches the client.
     server.set_fault_plan(
@@ -413,14 +399,7 @@ fn dropped_reply_put_is_reacked_same_oid_applied_exactly_once() {
 #[test]
 fn dropped_reply_delete_is_acked_from_cache_not_reexecuted() {
     let cost = CostModel::default();
-    // The scripted drop below counts B→A WRITEs, so the schedule must be
-    // pinned: keep credit write-backs eager (lazy elision removes WRITE #2
-    // and shifts the numbering) while the other fast-path knobs rotate.
-    let config = Config {
-        lazy_credit_bytes: 0,
-        ..base_config()
-    };
-    let mut server = PrecursorServer::new(config, &cost);
+    let mut server = PrecursorServer::new(Config::default(), &cost);
     // B→A writes: #1 put reply, #2 credit update, #3 delete reply (dropped).
     server.set_fault_plan(
         FaultPlan::none().rule(FaultSite::Write, FaultDir::BtoA, FaultAction::Drop, 3),
@@ -441,7 +420,7 @@ fn dropped_reply_delete_is_acked_from_cache_not_reexecuted() {
 #[test]
 fn corrupted_reply_payload_is_detected_by_mac() {
     let cost = CostModel::default();
-    let mut server = PrecursorServer::new(base_config(), &cost);
+    let mut server = PrecursorServer::new(Config::default(), &cost);
     // B→A write #3 is the get's reply; with a 4 KiB value the flipped bit
     // lands in the payload, which only the client-side MAC covers.
     server.set_fault_plan(
@@ -464,7 +443,7 @@ fn corrupted_reply_payload_is_detected_by_mac() {
 #[test]
 fn qp_error_surfaces_session_lost_and_reconnect_preserves_state() {
     let cost = CostModel::default();
-    let mut server = PrecursorServer::new(base_config(), &cost);
+    let mut server = PrecursorServer::new(Config::default(), &cost);
     // A→B writes: #1 first put's record, #2 reply-credit update, #3 the
     // second put's record — which errors the QP instead of landing.
     server.set_fault_plan(
@@ -492,7 +471,7 @@ fn qp_error_surfaces_session_lost_and_reconnect_preserves_state() {
 #[test]
 fn crash_restart_recovers_acked_state_and_inflight_op() {
     let cost = CostModel::default();
-    let config = base_config();
+    let config = Config::default();
     let mut server = PrecursorServer::new(config.clone(), &cost);
     let mut client = PrecursorClient::connect(&mut server, 23).unwrap();
     let mut counter = MonotonicCounter::new();
@@ -638,7 +617,7 @@ fn compaction_crash_run(seed: u64) -> u64 {
     use std::fmt::Write as _;
 
     let cost = CostModel::default();
-    let config = base_config();
+    let config = Config::default();
     let mut epoch_counter = MonotonicCounter::new();
     let mut snap_counter = MonotonicCounter::new();
     let mut server = PrecursorServer::new(config.clone(), &cost);
@@ -774,7 +753,7 @@ fn compaction_crash_runs_are_deterministic() {
 #[test]
 fn torn_journal_flush_wedges_and_recovery_truncates_the_tail() {
     let cost = CostModel::default();
-    let config = base_config();
+    let config = Config::default();
     let mut server = PrecursorServer::new(config.clone(), &cost);
     let mut epoch_counter = MonotonicCounter::new();
     server.attach_journal(
@@ -830,7 +809,7 @@ fn torn_journal_flush_wedges_and_recovery_truncates_the_tail() {
 #[test]
 fn corrupted_journal_flush_is_rejected_at_replay() {
     let cost = CostModel::default();
-    let config = base_config();
+    let config = Config::default();
     let mut server = PrecursorServer::new(config.clone(), &cost);
     let mut epoch_counter = MonotonicCounter::new();
     server.attach_journal(
@@ -870,7 +849,7 @@ fn corrupted_journal_flush_is_rejected_at_replay() {
 #[test]
 fn crashed_snapshot_seal_is_rejected_and_journal_covers_recovery() {
     let cost = CostModel::default();
-    let config = base_config();
+    let config = Config::default();
     let mut server = PrecursorServer::new(config.clone(), &cost);
     let mut epoch_counter = MonotonicCounter::new();
     server.attach_journal(
@@ -945,7 +924,7 @@ fn migration_crash_run(seed: u64) -> u64 {
     let nodes = 2 + (seed % 2) as usize;
     let config = Config {
         max_clients: 3,
-        ..base_config()
+        ..Config::default()
     };
     let mut cluster = PrecursorCluster::new(nodes, config.clone(), &cost);
     let mut epoch_counters: Vec<MonotonicCounter> =

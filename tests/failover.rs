@@ -25,18 +25,8 @@ use precursor_sim::rng::SimRng;
 use precursor_sim::CostModel;
 use precursor_storage::stable_key_hash;
 
-// `PRECURSOR_FAST=1` re-runs the whole suite with every hot-path knob on
-// (adaptive poll budgets, batched sealing, lazy credit write-back, reply
-// arena reuse) — the CI matrix leg that keeps the fast path honest across
-// replication and failover. Knobs change cost attribution and WRITE
-// timing, never outcomes, so every oracle below must hold unchanged.
 fn base_config() -> Config {
-    let config = Config::default();
-    if std::env::var("PRECURSOR_FAST").as_deref() == Ok("1") {
-        config.with_fast_path()
-    } else {
-        config
-    }
+    Config::default()
 }
 
 const PUMP_BOUND: usize = 400;

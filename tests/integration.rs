@@ -321,8 +321,7 @@ fn server_audit_confirms_intact_storage() {
 
 // ---------------------------------------------------------------------------
 // Doorbell-driven sweeps: a poll visits exactly the rings a delivered
-// WRITE marked (plus deferred-credit and budget-capped rings), under both
-// sweep drivers.
+// WRITE marked (plus budget-capped rings), under both sweep drivers.
 // ---------------------------------------------------------------------------
 
 fn on_both_sweep_drivers(test: impl Fn(Config)) {
@@ -386,25 +385,50 @@ fn budget_capped_ring_drains_by_remark_beside_an_honest_neighbour() {
 #[test]
 fn revoked_clients_are_skipped_and_pruned() {
     on_both_sweep_drivers(|config| {
+        let mut server = PrecursorServer::new(config, &CostModel::default());
+        let mut marked = PrecursorClient::connect(&mut server, 2).unwrap();
+        // `marked` has a delivered, unswept WRITE: a pending doorbell.
+        marked.put(b"b", b"v").unwrap();
+        server.revoke_client(marked.client_id());
+        // The sweep drops the revoked client's mark without a visit.
+        assert_eq!(server.poll(), 0);
+        assert_eq!(server.rings_swept(), 0, "revoked ring was visited");
+    });
+}
+
+#[test]
+fn parked_producer_is_unblocked_by_the_consuming_sweeps_credit_write() {
+    on_both_sweep_drivers(|config| {
+        // A tiny request ring makes the producer live off credit
+        // write-backs: the sweep that consumes the backlog posts the one
+        // credit WRITE that frees the producer's view of the ring.
         let config = Config {
-            lazy_credit_bytes: 4096,
+            ring_bytes: 2048,
             ..config
         };
         let mut server = PrecursorServer::new(config, &CostModel::default());
-        let mut owed = PrecursorClient::connect(&mut server, 1).unwrap();
-        let mut marked = PrecursorClient::connect(&mut server, 2).unwrap();
-        // `owed` is consumed under the lazy threshold: a deferred credit.
-        owed.put(b"a", b"v").unwrap();
-        assert_eq!(server.poll(), 1);
-        assert_eq!(server.credit_pending(), 1);
-        // `marked` has a delivered, unswept WRITE: a pending doorbell.
-        marked.put(b"b", b"v").unwrap();
-        server.revoke_client(owed.client_id());
-        server.revoke_client(marked.client_id());
-        let swept = server.rings_swept();
-        assert_eq!(server.poll(), 0);
-        assert_eq!(server.rings_swept(), swept, "revoked ring was visited");
-        assert_eq!(server.credit_pending(), 0, "revoked client not pruned");
+        let mut client = PrecursorClient::connect(&mut server, 0xFA57).unwrap();
+        let mut consuming_visits = 0;
+        for sent in 0..200 {
+            let key = format!("k:{:02}", sent % 32);
+            match client.put(key.as_bytes(), &[7u8; 64]) {
+                Ok(_) => {}
+                Err(StoreError::RingFull) => {
+                    let swept = server.rings_swept();
+                    assert!(server.poll() > 0, "backlog not consumed");
+                    consuming_visits += server.rings_swept() - swept;
+                    client.poll_replies();
+                    client.take_all_completed();
+                    server.take_reports();
+                    client
+                        .put(key.as_bytes(), &[7u8; 64])
+                        .expect("producer stayed parked after the consuming sweep");
+                }
+                Err(e) => panic!("unexpected send error: {e:?}"),
+            }
+        }
+        assert!(consuming_visits > 0, "ring never filled");
+        assert_eq!(server.credit_writes(), consuming_visits);
     });
 }
 
