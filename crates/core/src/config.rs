@@ -62,9 +62,9 @@ pub struct Config {
     /// threads"). Each shard owns the clients whose `client_id % shards`
     /// equals its index plus a partition of the enclave hash table keyed by
     /// a stable hash of the key; requests that hash to a foreign shard
-    /// cross a handoff queue. `1` (the default) is the single sequential
-    /// polling loop — the pre-sharding code path, kept bit-identical so
-    /// deterministic sim runs and seeded suites reproduce.
+    /// cross a handoff queue. `1` (the default) is the N = 1 instance of
+    /// the same sweep: one worker owning every client and the whole table,
+    /// so nothing is ever handed off.
     pub shards: usize,
     /// Values of at most this many bytes are stored directly *inside* the
     /// enclave instead of the untrusted pool — the paper's proposed future

@@ -397,8 +397,8 @@ impl PrecursorServer {
         }
     }
 
-    // Journal tap for executed operations (both sweep paths call it right
-    // after `execute_plan`, in execution order). Reads and non-applied
+    // Journal tap for executed operations (the sweep calls it right after
+    // `execute_plan`, in execution order). Reads and non-applied
     // mutations leave no record.
     pub(super) fn journal_mutation(
         &mut self,

@@ -4,7 +4,7 @@
 //! payload pool, the storage key/sequence of the server-encryption mode,
 //! and the store-mutation evidence (sequence + digest). Execution turns a
 //! validated request into a [`ReplyPlan`]; sealing the plan is the `seal`
-//! stage's job, so that in sharded mode execution can run in shard order
+//! stage's job, so that with several shards execution can run in shard order
 //! while reply sequence numbers are still consumed in pop order.
 
 use precursor_crypto::keys::{Key128, Key256, Nonce8, Tag};
@@ -49,8 +49,8 @@ pub(super) struct EntryMeta {
 
 // What execution produced, before the reply is sealed. Sealing consumes
 // the per-session `reply_seq` and advances the reply MAC chain, so it must
-// happen in per-client pop order; execution may happen earlier — and, in
-// sharded mode, on a different shard than the one that popped the record.
+// happen in per-client pop order; execution may happen earlier — and, with
+// several shards, on a different shard than the one that popped the record.
 pub(super) enum ReplyPlan {
     /// A control-only reply (ok / error / cached ack) with `status`.
     Control { status: Status, oid: u64 },

@@ -4,8 +4,8 @@
 //! consumers, reply-ring producers, credit words), the bounded
 //! [`OpReport`] buffer, and the sweep counters. The stage's job is the
 //! host-side I/O: provisioning rings on admission, posting reply WRITEs
-//! (per-record or coalesced into per-sweep [`ReplyBatch`]es), re-issuing
-//! remembered replies on retransmission, and the credit write-backs.
+//! (one post per ring chunk of each sealed record), re-issuing remembered
+//! replies on retransmission, and the credit write-backs.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -50,13 +50,6 @@ pub(super) struct ClientPort {
     pub(super) last_credit: u64,
 }
 
-// Per-client reply WRITEs coalesced over one sharded sweep: contiguous
-// ring chunks merge into one one-sided WRITE, posted at flush.
-#[derive(Default)]
-pub(super) struct ReplyBatch {
-    pub(super) writes: Vec<(usize, Vec<u8>)>,
-}
-
 // Ingress-stage state: every untrusted per-client port plus the report
 // buffer and the sweep counters.
 #[derive(Debug)]
@@ -67,10 +60,7 @@ pub(super) struct Ingress {
     pub(super) ports: Vec<Option<ClientPort>>,
     pub(super) reports: VecDeque<OpReport>,
     pub(super) reports_dropped: u64,
-    // Round-robin start of the next poll sweep (single-shard mode).
-    pub(super) rr_cursor: usize,
-    // Per-worker round-robin cursors over each worker's owned clients
-    // (sharded mode).
+    // Per-worker round-robin cursors over each worker's due rings.
     pub(super) rr_cursors: Vec<usize>,
     pub(super) polls: u64,
     // Credit write-backs actually posted (sweeps that consumed nothing
@@ -178,8 +168,8 @@ impl PrecursorServer {
         self.ingress.reports.drain(..).collect()
     }
 
-    // Posts a freshly sealed reply's ring WRITEs immediately (the
-    // single-shard path's per-record posting).
+    // Posts a freshly sealed reply's ring WRITEs — the one reply-emit
+    // path: every record is posted as it is sealed.
     pub(super) fn emit_fresh(
         &mut self,
         idx: usize,
@@ -187,9 +177,7 @@ impl PrecursorServer {
         remember: bool,
         meter: &mut Meter,
     ) {
-        let cost = self.cost.clone();
         let bytes = reply.encode();
-        let bytes_len = bytes.len();
         // Push into the producer first, collecting the ring WRITEs
         // the honest host would post ...
         let (writes, end, pushed) = {
@@ -210,6 +198,10 @@ impl PrecursorServer {
         // an up-to-date commit point) they post immediately, otherwise they
         // are held until the operation's journal group commits.
         self.post_or_gate(idx, posted);
+        // Metered on the honest `writes`, so cost accounting is identical
+        // with and without an adversary.
+        self.charge_posts(&writes, meter);
+        meter.counters_mut().tx_bytes += bytes.len() as u64;
         let port = self.ingress.ports[idx].as_mut().expect("live port");
         if remember {
             // Remember the *honest* record for retransmissions —
@@ -219,14 +211,6 @@ impl PrecursorServer {
             port.last_reply_end = end;
             port.last_reply_bytes = bytes;
         }
-        // Metering stays that of the honest single post, so cost
-        // accounting is identical with and without an adversary.
-        meter.counters_mut().rdma_posts += 1;
-        meter.counters_mut().tx_bytes += bytes_len as u64;
-        meter.charge(
-            Stage::ServerCritical,
-            cost.server_time(Cycles(cost.rdma_post_cycles)),
-        );
         if !pushed {
             // Reply ring full: in the real system the worker would
             // retry after the next credit update; the simulation's
@@ -236,79 +220,18 @@ impl PrecursorServer {
         }
     }
 
-    // Sharded-path variant of [`emit_fresh`]: instead of posting each
-    // record's WRITEs immediately, ring-contiguous chunks from one sweep
-    // are coalesced into the per-client [`ReplyBatch`] and posted together
-    // at the end of the sweep — the per-sweep reply batching of §3.8. With
-    // an adversary installed the per-record path is kept (batching would
-    // shrink its attack surface and change what the harness exercises).
-    pub(super) fn emit_fresh_batched(
-        &mut self,
-        idx: usize,
-        reply: ReplyFrame,
-        remember: bool,
-        batch: &mut ReplyBatch,
-        meter: &mut Meter,
-    ) {
-        if self.adversary.is_some() {
-            self.emit_fresh(idx, reply, remember, meter);
-            return;
+    // The one post-accounting rule: every reply WRITE handed to the QP is
+    // one post (a record that wraps the ring is two).
+    fn charge_posts(&self, writes: &[(usize, Vec<u8>)], meter: &mut Meter) {
+        let post = self.cost.server_time(Cycles(self.cost.rdma_post_cycles));
+        for _ in writes {
+            meter.counters_mut().rdma_posts += 1;
+            meter.charge(Stage::ServerCritical, post);
         }
-        let cost = self.cost.clone();
-        let bytes = reply.encode();
-        let bytes_len = bytes.len();
-        let (writes, end, pushed) = {
-            let port = self.ingress.ports[idx].as_mut().expect("live port");
-            let mut writes = Vec::with_capacity(2);
-            let pushed = port.reply_producer.push_with(&bytes, |off, chunk| {
-                writes.push((off, chunk.to_vec()));
-            });
-            (writes, port.reply_producer.written(), pushed.is_some())
-        };
-        for (off, chunk) in &writes {
-            let mergeable = matches!(
-                batch.writes.last(),
-                Some((last_off, last_bytes)) if last_off + last_bytes.len() == *off
-            );
-            if mergeable {
-                let (_, last_bytes) = batch.writes.last_mut().expect("non-empty batch");
-                last_bytes.extend_from_slice(chunk);
-            } else {
-                batch.writes.push((*off, chunk.clone()));
-                // Only a chunk that opens a new coalesced WRITE pays the
-                // post; merged chunks ride along for free.
-                meter.counters_mut().rdma_posts += 1;
-                meter.charge(
-                    Stage::ServerCritical,
-                    cost.server_time(Cycles(cost.rdma_post_cycles)),
-                );
-            }
-        }
-        meter.counters_mut().tx_bytes += bytes_len as u64;
-        let port = self.ingress.ports[idx].as_mut().expect("live port");
-        if remember {
-            port.last_reply = writes;
-            port.last_reply_end = end;
-            port.last_reply_bytes = bytes;
-        }
-        if !pushed {
-            debug_assert!(false, "reply ring full");
-        }
-    }
-
-    // Posts every coalesced WRITE accumulated for `idx` this sweep
-    // (through the group-commit gate, like every reply WRITE).
-    pub(super) fn flush_reply_batch(&mut self, idx: usize, batch: &mut ReplyBatch) {
-        if batch.writes.is_empty() {
-            return;
-        }
-        let writes: Vec<_> = batch.writes.drain(..).collect();
-        self.post_or_gate(idx, writes);
     }
 
     // Re-issues the remembered last reply of `idx` (retransmission path).
     pub(super) fn emit_retransmit(&mut self, idx: usize, meter: &mut Meter) {
-        let cost = self.cost.clone();
         let writes = {
             let port = self.ingress.ports[idx].as_mut().expect("live port");
             let consumed = port.reply_credit.read_u64(0);
@@ -325,10 +248,6 @@ impl PrecursorServer {
                 let _ = port.reply_producer.push_with(&bytes, |off, chunk| {
                     writes.push((off, chunk.to_vec()));
                 });
-                for (_, chunk) in &writes {
-                    meter.counters_mut().rdma_posts += 1;
-                    meter.counters_mut().tx_bytes += chunk.len() as u64;
-                }
                 port.last_reply = writes.clone();
                 port.last_reply_end = port.reply_producer.written();
                 writes
@@ -336,18 +255,12 @@ impl PrecursorServer {
                 // Re-issue the last reply's WRITEs verbatim: fills any
                 // hole a dropped reply WRITE left in the client's reply
                 // ring, without consuming a new reply sequence number.
-                for (_, bytes) in &port.last_reply {
-                    meter.counters_mut().rdma_posts += 1;
-                    meter.counters_mut().tx_bytes += bytes.len() as u64;
-                }
                 port.last_reply.clone()
             }
         };
+        self.charge_posts(&writes, meter);
+        meter.counters_mut().tx_bytes += writes.iter().map(|(_, c)| c.len() as u64).sum::<u64>();
         self.post_or_gate(idx, writes);
-        meter.charge(
-            Stage::ServerCritical,
-            cost.server_time(Cycles(cost.rdma_post_cycles)),
-        );
     }
 
     // Bounded report buffer: a caller that never drains take_reports()

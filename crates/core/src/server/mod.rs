@@ -20,11 +20,10 @@
 //!
 //! * `session` — add/reconnect/revoke, quotas, attack accounting
 //!   (owns `SessionStage`);
-//! * `ingress` — ring polling plumbing, credit and batched reply
+//! * `ingress` — ring polling plumbing, credit and per-record reply
 //!   WRITEs (owns `Ingress`);
-//! * `pipeline` — the sweep drivers gluing the stages together
-//!   (single-shard and sharded three-phase sweeps, shard routing +
-//!   handoff);
+//! * `pipeline` — the one three-phase sweep gluing the stages together
+//!   (`shards = 1` is its N = 1 instance; shard routing + handoff);
 //! * `exec` — per-opcode enclave execution against the Robin Hood
 //!   shards (owns `StoreExec`);
 //! * `seal` — reply_seq / MAC-chain / last_status sealing in
@@ -83,7 +82,7 @@ pub struct OpReport {
     pub value_len: usize,
     /// Trusted shard that executed the operation — for replies produced
     /// without execution (errors, replays, retransmits), the popping
-    /// worker's shard. Always `0` in single-shard mode.
+    /// worker's shard. Always `0` with `shards = 1`.
     pub shard: u32,
     /// Cost charges accumulated while processing this request server-side.
     pub meter: Meter,
@@ -233,7 +232,6 @@ impl PrecursorServer {
                 ports: Vec::new(),
                 reports: std::collections::VecDeque::new(),
                 reports_dropped: 0,
-                rr_cursor: 0,
                 rr_cursors: vec![0; shards],
                 polls: 0,
                 credit_writes: 0,
@@ -373,7 +371,7 @@ impl PrecursorServer {
     }
 
     /// Requests handed across shards so far: popped by a polling worker
-    /// whose shard did not own the key (sharded mode only).
+    /// whose shard did not own the key (never with `shards = 1`).
     pub fn handoffs(&self) -> u64 {
         self.ingress.handoffs
     }
@@ -561,6 +559,36 @@ mod tests {
             server.poll();
         }
         assert_eq!(server.credit_writes(), after_op);
+    }
+
+    #[test]
+    fn every_reply_write_handed_to_the_qp_is_one_metered_post() {
+        let cost = CostModel::default();
+        let config = Config {
+            ring_bytes: 1024,
+            ..Config::default()
+        };
+        let mut server = PrecursorServer::new(config, &cost);
+        let mut client = crate::PrecursorClient::connect(&mut server, 5).unwrap();
+        client.put_sync(&mut server, b"k", &[7u8; 150]).unwrap();
+        server.take_reports();
+        let qp_writes =
+            |s: &PrecursorServer| s.ingress.ports[0].as_ref().unwrap().qp.stats().writes;
+        let (writes_before, credits_before) = (qp_writes(&server), server.credit_writes());
+
+        // 64 replies of ~300 B through a 1 KiB ring wrap it several times;
+        // a record that wraps is two WRITEs, metered as two posts.
+        for _ in 0..64 {
+            assert_eq!(client.get_sync(&mut server, b"k").unwrap(), [7u8; 150]);
+        }
+        let metered: u64 = server
+            .take_reports()
+            .iter()
+            .map(|r| r.meter.counters().rdma_posts)
+            .sum();
+        let handed = qp_writes(&server) - writes_before - (server.credit_writes() - credits_before);
+        assert!(handed >= 64 + 8, "the reply ring wrapped: {handed}");
+        assert_eq!(metered, handed);
     }
 
     #[test]

@@ -1,14 +1,11 @@
-//! Pipeline stage: the sweep drivers gluing the stages together.
+//! Pipeline stage: the sweep gluing the stages together.
 //!
-//! [`PrecursorServer::poll`] dispatches to the single-shard sweep (the
-//! pre-sharding code path, kept operation-for-operation identical so
-//! seeded runs reproduce) or the sharded three-phase sweep (§3.8:
-//! validate/route → per-shard execute → per-client in-order seal).
-//! Validation — control decrypt plus the at-most-once window check — also
-//! lives here: it is what decides a popped record's path through the
-//! later stages ([`Validated`]).
-
-use std::collections::VecDeque;
+//! [`PrecursorServer::poll`] runs the one three-phase sweep (§3.8: pop +
+//! validate + route → per-shard FIFO execute → per-client in-order seal);
+//! `shards = 1` is its N = 1 instance, not a separate loop. Validation —
+//! control decrypt plus the at-most-once window check — also lives here:
+//! it is what decides a popped record's path through the later stages
+//! ([`Validated`]).
 
 use precursor_sim::meter::{Meter, Stage};
 use precursor_sim::time::Cycles;
@@ -19,40 +16,25 @@ use crate::wire::{request_aad, Opcode, RequestControl, RequestFrame, Status};
 use precursor_crypto::gcm;
 
 use super::exec::{ExecCtx, ExecRequest, ReplyPlan};
-use super::ingress::ReplyBatch;
 use super::seal::{self, SealCtx};
 use super::{OpReport, PrecursorServer};
 
-// How a processed record is answered.
-enum ReplyOut {
-    /// Push a new reply record into the client's reply ring. `remember`
-    /// marks replies of *executed* operations, which the at-most-once
-    /// window may need to re-send.
-    Fresh {
-        reply: crate::wire::ReplyFrame,
-        remember: bool,
-    },
-    /// Re-issue the stored last-reply WRITEs byte-for-byte.
-    Retransmit,
-}
-
 // Outcome of validating one popped record — control decrypt plus the
 // at-most-once window check — before anything executes or any reply is
-// sealed. Splitting validation from execution and sealing lets the sharded
-// poll execute foreign-shard requests on the shard owning their key while
-// still sealing each client's replies in pop order (the `reply_seq` /
-// MAC-chain contract requires per-client in-order sealing).
+// sealed. Splitting validation from execution and sealing lets the sweep
+// execute foreign-shard requests on the shard owning their key while still
+// sealing each client's replies in pop order (the `reply_seq` / MAC-chain
+// contract requires per-client in-order sealing).
 enum Validated {
-    /// Answered without executing: malformed frame, off-window oid, or a
-    /// cached acknowledgement from the at-most-once window.
+    /// Answered without executing: malformed frame or off-window oid.
     Reject {
         status: Status,
         opcode: Opcode,
         oid: u64,
-        remember: bool,
     },
-    /// Same-session retransmit: re-issue the stored reply WRITEs.
-    Retransmit { status: Status, opcode: Opcode },
+    /// Retransmission of the previous oid: answered from the at-most-once
+    /// window at seal time.
+    Retransmit { opcode: Opcode, oid: u64 },
     /// In-window (or an idempotently re-executable read): run against the
     /// table partition owning the key.
     Execute {
@@ -62,38 +44,43 @@ enum Validated {
     },
 }
 
-// One popped record's deferred work in a sharded sweep: the meter its
-// charges accumulate into, plus what remains to be done with it.
+// One popped record's seal-time work (phase C): the meter its charges
+// accumulate into, plus how it is answered.
 struct PendingAction {
     meter: Meter,
     kind: ActionKind,
 }
 
 enum ActionKind {
-    /// Parked in its owning shard's execution queue (phase B).
-    AwaitExec {
-        opcode: Opcode,
-        control: RequestControl,
-        frame: RequestFrame,
-    },
     /// Executed (or answered without execution): seal + post in pop order.
     Seal {
         status: Status,
         opcode: Opcode,
         value_len: usize,
         plan: ReplyPlan,
-        remember: bool,
-        /// Whether sealing updates the session's cached `last_status` —
-        /// only *executed* operations refresh the at-most-once window.
-        set_last: bool,
+        /// Only *executed* operations refresh the at-most-once window: the
+        /// session's cached `last_status` and the remembered reply WRITEs.
+        executed: bool,
         shard: u32,
     },
-    /// Same-session retransmit: re-issue the stored WRITEs.
-    Retransmit { status: Status, opcode: Opcode },
+    /// Retransmission of the previous oid, resolved against the window as
+    /// it stands once the client's earlier records of this sweep are sealed.
+    Retransmit { opcode: Opcode, oid: u64 },
+}
+
+// A validated request parked in its owning shard's execution queue
+// (phase B), with the visit slot and pop position its outcome goes to.
+struct ExecItem {
+    slot: usize,
+    pos: usize,
+    meter: Meter,
+    opcode: Opcode,
+    control: RequestControl,
+    frame: RequestFrame,
 }
 
 impl PrecursorServer {
-    /// One polling sweep of a trusted thread (§3.8): consumes available
+    /// One polling sweep of the trusted threads (§3.8): consumes available
     /// requests, processes them, writes replies into the clients' reply
     /// rings with one-sided WRITEs, and periodically updates credits.
     /// Returns the number of requests processed.
@@ -102,7 +89,7 @@ impl PrecursorServer {
     /// delivered client WRITE marked since the last sweep — never an idle
     /// ring.
     ///
-    /// Each sweep starts from a rotating client (round-robin) and consumes
+    /// Each worker starts from a rotating client (round-robin) and consumes
     /// at most [`Config::poll_budget_per_client`](crate::Config::poll_budget_per_client)
     /// records per client, so a flooding client cannot monopolize the
     /// trusted thread: its surplus requests simply wait in its own ring for
@@ -125,34 +112,10 @@ impl PrecursorServer {
             self.durability_sweep();
             return 0;
         }
-        let processed = if self.config.shards <= 1 {
-            self.poll_single()
-        } else {
-            self.poll_sharded()
-        };
+        let processed = self.sweep();
         self.durability_sweep();
         self.obs.inc("server.polls", 1);
         self.trace("pipeline", "sweep", self.ingress.polls, processed as u64);
-        processed
-    }
-
-    // The single trusted polling thread (the pre-sharding code path, kept
-    // operation-for-operation identical so seeded runs reproduce): visits
-    // the due rings in index order starting from the rotating cursor.
-    fn poll_single(&mut self) -> usize {
-        let n = self.ingress.ports.len();
-        let start = self.ingress.rr_cursor % n;
-        self.ingress.rr_cursor = (start + 1) % n;
-        let mut due = self.dirty_due();
-        let split = due.partition_point(|&idx| idx < start);
-        due.rotate_left(split);
-        let mut processed = 0;
-        for idx in due {
-            processed += self.drain_ring(idx, |server, record| {
-                server.process_record(idx, record);
-            });
-            self.post_credit_update(idx);
-        }
         processed
     }
 
@@ -177,11 +140,11 @@ impl PrecursorServer {
         due
     }
 
-    // One budgeted drain of client `idx`'s request ring, shared by both
-    // sweep drivers: pops up to the per-client budget, handing each record
-    // to `each` in pop order. A budget-capped run may leave records behind,
-    // so it re-marks the ring and the next sweep returns without waiting
-    // for another WRITE. Returns the records popped.
+    // One budgeted drain of client `idx`'s request ring: pops up to the
+    // per-client budget, handing each record to `each` in pop order. A
+    // budget-capped run may leave records behind, so it re-marks the ring
+    // and the next sweep returns without waiting for another WRITE.
+    // Returns the records popped.
     fn drain_ring(&mut self, idx: usize, mut each: impl FnMut(&mut Self, Vec<u8>)) -> usize {
         self.ingress.rings_swept += 1;
         let budget = self.config.poll_budget_per_client;
@@ -204,10 +167,10 @@ impl PrecursorServer {
         taken
     }
 
-    // N trusted polling workers (§3.8: "multiple trusted polling
-    // threads"), simulated in deterministic order. Worker `w` owns the
-    // clients with `client_id % shards == w`. Each sweep runs in three
-    // phases:
+    // N trusted polling workers (§3.8: "one or multiple trusted polling
+    // threads"), simulated in deterministic order; `shards = 1` is the
+    // N = 1 instance. Worker `w` owns the clients with
+    // `client_id % shards == w`. Each sweep runs in three phases:
     //
     //   A. every worker pops + validates its owned rings in pop order and
     //      routes in-window requests to the shard owning the key — its
@@ -216,28 +179,22 @@ impl PrecursorServer {
     //   B. every shard drains its execution queue FIFO against its own
     //      table partition;
     //   C. every worker seals its clients' replies in per-client pop
-    //      order (preserving the reply_seq / MAC-chain contract), with
-    //      the sweep's reply WRITEs coalesced into batched posts and one
-    //      credit write-back per client.
-    fn poll_sharded(&mut self) -> usize {
-        let shards = self.config.shards;
-        let cost = self.cost.clone();
-        if self.ingress.rr_cursors.len() < shards {
-            self.ingress.rr_cursors.resize(shards, 0);
-        }
+    //      order (preserving the reply_seq / MAC-chain contract), posting
+    //      each reply's WRITEs as it is sealed, then one credit
+    //      write-back per client.
+    fn sweep(&mut self) -> usize {
+        let shards = self.shards();
         // Phase A visits only the rings marked since the last drain;
         // phases B and C operate on what phase A swept.
         let due = self.dirty_due();
 
-        // Pending actions are stored per dense *visit slot* (assigned in
-        // phase-A visit order), not per client id: a sweep's bookkeeping
-        // then costs memory proportional to the clients it visited, never
-        // the connected fleet — what keeps sweeps O(dirty) at 100k clients.
-        let mut actions: Vec<Vec<Option<PendingAction>>> = Vec::new();
-        let mut exec_queues: Vec<VecDeque<(usize, usize, usize)>> =
-            (0..shards).map(|_| VecDeque::new()).collect();
-        // Swept clients in visit order: (client idx, action slot).
-        let mut swept: Vec<(usize, usize)> = Vec::new();
+        // Pending actions are stored per *visit* (in phase-A visit order),
+        // not per client id: a sweep's bookkeeping then costs memory
+        // proportional to the clients it visited, never the connected
+        // fleet — what keeps sweeps O(dirty) at 100k clients. `None` marks
+        // a record still parked in an execution queue.
+        let mut visits: Vec<(usize, Vec<Option<PendingAction>>)> = Vec::new();
+        let mut exec_queues: Vec<Vec<ExecItem>> = (0..shards).map(|_| Vec::new()).collect();
         let mut processed = 0usize;
 
         // Phase A — worker sweeps: pop + validate, route to owning shard.
@@ -250,27 +207,29 @@ impl PrecursorServer {
             self.ingress.rr_cursors[w] = (start + 1) % owned.len();
             for step in 0..owned.len() {
                 let idx = owned[(start + step) % owned.len()];
-                let slot = actions.len();
-                actions.push(Vec::new());
+                let slot = visits.len();
+                visits.push((idx, Vec::new()));
+                // Whether an earlier record of this visit will execute: its
+                // reply is as good as stored for a retransmission behind it.
+                let mut reply_pending = false;
                 processed += self.drain_ring(idx, |server, record| {
                     let mut meter = Meter::new();
-                    let kind = match server.validate_record(idx, &record, &mut meter) {
+                    let kind = match server.validate_record(idx, &record, reply_pending, &mut meter)
+                    {
                         Validated::Reject {
                             status,
                             opcode,
                             oid,
-                            remember,
                         } => ActionKind::Seal {
                             status,
                             opcode,
                             value_len: 0,
                             plan: ReplyPlan::Control { status, oid },
-                            remember,
-                            set_last: false,
+                            executed: false,
                             shard: w as u32,
                         },
-                        Validated::Retransmit { status, opcode } => {
-                            ActionKind::Retransmit { status, opcode }
+                        Validated::Retransmit { opcode, oid } => {
+                            ActionKind::Retransmit { opcode, oid }
                         }
                         Validated::Execute {
                             opcode,
@@ -284,6 +243,7 @@ impl PrecursorServer {
                                 // the owning shard's queue.
                                 server.ingress.handoffs += 1;
                                 server.obs.inc("server.handoffs", 1);
+                                let cost = &server.cost;
                                 meter.charge(
                                     Stage::Enclave,
                                     cost.server_time(cost.memcpy(frame.sealed_control.len())),
@@ -293,32 +253,36 @@ impl PrecursorServer {
                                     cost.server_time(Cycles(cost.shard_handoff_cycles)),
                                 );
                             }
-                            exec_queues[target].push_back((idx, slot, actions[slot].len()));
-                            ActionKind::AwaitExec {
+                            reply_pending = true;
+                            exec_queues[target].push(ExecItem {
+                                slot,
+                                pos: visits[slot].1.len(),
+                                meter,
                                 opcode,
                                 control,
                                 frame,
-                            }
+                            });
+                            visits[slot].1.push(None);
+                            return;
                         }
                     };
-                    actions[slot].push(Some(PendingAction { meter, kind }));
+                    visits[slot].1.push(Some(PendingAction { meter, kind }));
                 });
-                swept.push((idx, slot));
             }
         }
 
         // Phase B — per-shard FIFO execution against the owned partition.
-        for (s, queue) in exec_queues.iter_mut().enumerate() {
-            while let Some((idx, slot, ai)) = queue.pop_front() {
-                let mut act = actions[slot][ai].take().expect("pending action");
-                let ActionKind::AwaitExec {
+        for (s, queue) in exec_queues.into_iter().enumerate() {
+            for item in queue {
+                let ExecItem {
+                    slot,
+                    pos,
+                    mut meter,
                     opcode,
                     control,
                     frame,
-                } = act.kind
-                else {
-                    unreachable!("execution queues hold AwaitExec entries");
-                };
+                } = item;
+                let idx = visits[slot].0;
                 let session_key = self.sessions.list[idx].session_key.clone();
                 let journal_tap = self
                     .durability
@@ -345,25 +309,27 @@ impl PrecursorServer {
                             frame: &frame,
                             session_key: &session_key,
                         },
-                        &mut act.meter,
+                        &mut meter,
                     )
                 };
-                act.kind = match exec_result {
+                let kind = match exec_result {
                     Ok((status, value_len, plan)) => {
                         self.trace("exec", super::op_metric(opcode), idx as u64, status as u64);
                         if let Some((key, oid)) = &journal_tap {
-                            self.journal_mutation(idx, opcode, status, key, *oid, &mut act.meter);
+                            self.journal_mutation(idx, opcode, status, key, *oid, &mut meter);
                         }
                         ActionKind::Seal {
                             status,
                             opcode,
                             value_len,
                             plan,
-                            remember: true,
-                            set_last: true,
+                            executed: true,
                             shard: s as u32,
                         }
                     }
+                    // Store-level failure: an error reply that at least
+                    // unblocks the client (chain-linked like any other, so
+                    // the client's verification stream stays contiguous).
                     Err(_) => ActionKind::Seal {
                         status: Status::Error,
                         opcode: Opcode::Get,
@@ -372,186 +338,73 @@ impl PrecursorServer {
                             status: Status::Error,
                             oid: 0,
                         },
-                        remember: false,
-                        set_last: false,
+                        executed: false,
                         shard: s as u32,
                     },
                 };
-                actions[slot][ai] = Some(act);
+                visits[slot].1[pos] = Some(PendingAction { meter, kind });
             }
         }
 
-        // Phase C — per-client in-order sealing + batched reply WRITEs +
-        // one credit write-back per swept client.
-        for &(idx, slot) in &swept {
-            let mut batch = ReplyBatch::default();
-            for ai in 0..actions[slot].len() {
-                let mut act = actions[slot][ai].take().expect("sealed once");
-                let (status, opcode, value_len, shard) = match act.kind {
+        // Phase C — per-client in-order sealing, each reply posted as it is
+        // sealed (one-sided WRITEs by the untrusted worker, §3.8), then one
+        // credit write-back per swept client.
+        for (idx, actions) in visits {
+            for act in actions {
+                let PendingAction { mut meter, kind } = act.expect("executed in phase B");
+                let (status, opcode, value_len, shard) = match kind {
                     ActionKind::Seal {
                         status,
                         opcode,
                         value_len,
                         plan,
-                        remember,
-                        set_last,
+                        executed,
                         shard,
                     } => {
-                        if set_last {
+                        if executed {
                             self.sessions.list[idx].last_status = status;
                         }
-                        let reply = self.seal_for(idx, opcode, plan, &mut act.meter);
-                        self.charge_fixed_occupancy(opcode, &mut act.meter);
-                        self.emit_fresh_batched(idx, reply, remember, &mut batch, &mut act.meter);
+                        let reply = self.seal_for(idx, opcode, plan, &mut meter);
+                        self.emit_fresh(idx, reply, executed, &mut meter);
                         (status, opcode, value_len, shard)
                     }
-                    ActionKind::Retransmit { status, opcode } => {
-                        // Preserve WRITE ordering: everything batched so
-                        // far lands before the retransmitted bytes.
-                        self.flush_reply_batch(idx, &mut batch);
-                        self.charge_fixed_occupancy(opcode, &mut act.meter);
-                        self.emit_retransmit(idx, &mut act.meter);
+                    ActionKind::Retransmit { opcode, oid } => {
+                        // Read here, not in phase A: the original may have
+                        // been sealed a moment ago, earlier in this sweep.
+                        let status = self.sessions.list[idx].last_status;
+                        let port = self.ingress.ports[idx].as_ref().expect("live port");
+                        if port.last_reply.is_empty() {
+                            // The session was re-established since the
+                            // operation ran (QP reconnect or crash-restart),
+                            // so the original reply bytes — sealed under
+                            // the old session key — are gone. Mutations
+                            // must not run twice: acknowledge from the
+                            // cached status.
+                            let plan = ReplyPlan::Control { status, oid };
+                            let reply = self.seal_for(idx, opcode, plan, &mut meter);
+                            self.emit_fresh(idx, reply, true, &mut meter);
+                        } else {
+                            // Same session: re-issue the stored reply WRITEs
+                            // verbatim (fills a reply-ring hole; the client
+                            // dedups by reply_seq).
+                            self.emit_retransmit(idx, &mut meter);
+                        }
                         (status, opcode, 0, (idx % shards) as u32)
                     }
-                    ActionKind::AwaitExec { .. } => unreachable!("executed in phase B"),
                 };
+                self.charge_fixed_occupancy(opcode, &mut meter);
                 self.push_report(OpReport {
                     client_id: idx as u32,
                     opcode,
                     status,
                     value_len,
                     shard,
-                    meter: act.meter,
+                    meter,
                 });
             }
-            self.flush_reply_batch(idx, &mut batch);
             self.post_credit_update(idx);
         }
         processed
-    }
-
-    // The single-shard path's per-record processing: validate → execute →
-    // seal → emit, all in the client's pop order.
-    fn process_record(&mut self, idx: usize, record: Vec<u8>) {
-        let mut meter = Meter::new();
-
-        let (status, opcode, value_len, shard, out) =
-            match self.validate_record(idx, &record, &mut meter) {
-                Validated::Reject {
-                    status,
-                    opcode,
-                    oid,
-                    remember,
-                } => {
-                    let reply =
-                        self.seal_for(idx, opcode, ReplyPlan::Control { status, oid }, &mut meter);
-                    (status, opcode, 0, 0u32, ReplyOut::Fresh { reply, remember })
-                }
-                Validated::Retransmit { status, opcode } => {
-                    (status, opcode, 0, 0u32, ReplyOut::Retransmit)
-                }
-                Validated::Execute {
-                    opcode,
-                    control,
-                    frame,
-                } => {
-                    let shard = self.store.table.shard_of(&control.key) as u32;
-                    let session_key = self.sessions.list[idx].session_key.clone();
-                    let journal_tap = self
-                        .durability
-                        .is_some()
-                        .then(|| (control.key.clone(), control.oid));
-                    let op_oid = control.oid;
-                    let exec_result = if let Some(busy) = self.catchup_gate(opcode, op_oid) {
-                        Ok(busy)
-                    } else if let Some(redirect) = self.routing_gate(&control.key, op_oid) {
-                        Ok(redirect)
-                    } else {
-                        let mut ctx = ExecCtx {
-                            enclave: &mut self.enclave,
-                            config: &self.config,
-                            cost: &self.cost,
-                            adversary: &mut self.adversary,
-                        };
-                        self.store.execute_plan(
-                            &mut ctx,
-                            ExecRequest {
-                                idx,
-                                opcode,
-                                control,
-                                frame: &frame,
-                                session_key: &session_key,
-                            },
-                            &mut meter,
-                        )
-                    };
-                    match exec_result {
-                        Ok((status, value_len, plan)) => {
-                            self.trace("exec", super::op_metric(opcode), idx as u64, status as u64);
-                            if let Some((key, oid)) = &journal_tap {
-                                self.journal_mutation(idx, opcode, status, key, *oid, &mut meter);
-                            }
-                            self.sessions.list[idx].last_status = status;
-                            let reply = self.seal_for(idx, opcode, plan, &mut meter);
-                            (
-                                status,
-                                opcode,
-                                value_len,
-                                shard,
-                                ReplyOut::Fresh {
-                                    reply,
-                                    remember: true,
-                                },
-                            )
-                        }
-                        Err(_) => {
-                            // Store-level failure: emit an error reply that at
-                            // least unblocks the client (chain-linked like any
-                            // other, so the client's verification stream stays
-                            // contiguous).
-                            let reply = self.seal_for(
-                                idx,
-                                Opcode::Get,
-                                ReplyPlan::Control {
-                                    status: Status::Error,
-                                    oid: 0,
-                                },
-                                &mut meter,
-                            );
-                            (
-                                Status::Error,
-                                Opcode::Get,
-                                0,
-                                shard,
-                                ReplyOut::Fresh {
-                                    reply,
-                                    remember: false,
-                                },
-                            )
-                        }
-                    }
-                }
-            };
-
-        self.charge_fixed_occupancy(opcode, &mut meter);
-
-        // Write the reply into the client's reply ring (one-sided WRITE by
-        // the untrusted worker, §3.8).
-        match out {
-            ReplyOut::Fresh { reply, remember } => {
-                self.emit_fresh(idx, reply, remember, &mut meter)
-            }
-            ReplyOut::Retransmit => self.emit_retransmit(idx, &mut meter),
-        }
-
-        self.push_report(OpReport {
-            client_id: idx as u32,
-            opcode,
-            status,
-            value_len,
-            shard,
-            meter,
-        });
     }
 
     // Seals one [`ReplyPlan`] for client `idx` by assembling the narrow
@@ -598,8 +451,14 @@ impl PrecursorServer {
 
     // Observability wrapper around validation: counts each outcome class
     // and emits the ingress-stage trace event.
-    fn validate_record(&mut self, idx: usize, record: &[u8], meter: &mut Meter) -> Validated {
-        let v = self.validate_record_inner(idx, record, meter);
+    fn validate_record(
+        &mut self,
+        idx: usize,
+        record: &[u8],
+        reply_pending: bool,
+        meter: &mut Meter,
+    ) -> Validated {
+        let v = self.validate_record_inner(idx, record, reply_pending, meter);
         let (counter, event) = match &v {
             Validated::Reject { .. } => ("server.validate.reject", "reject"),
             Validated::Retransmit { .. } => ("server.validate.retransmit", "retransmit"),
@@ -616,7 +475,13 @@ impl PrecursorServer {
     // to reply straight away ([`Validated::Reject`]), re-issue the stored
     // reply ([`Validated::Retransmit`]), or route the request to the shard
     // owning its key ([`Validated::Execute`]).
-    fn validate_record_inner(&mut self, idx: usize, record: &[u8], meter: &mut Meter) -> Validated {
+    fn validate_record_inner(
+        &mut self,
+        idx: usize,
+        record: &[u8],
+        reply_pending: bool,
+        meter: &mut Meter,
+    ) -> Validated {
         let cost = self.cost.clone();
 
         // Untrusted: the record was copied out of the ring by the poller.
@@ -637,7 +502,6 @@ impl PrecursorServer {
                 status: Status::Error,
                 opcode: Opcode::Get,
                 oid: 0,
-                remember: false,
             };
         };
         if frame.client_id as usize != idx {
@@ -645,7 +509,6 @@ impl PrecursorServer {
                 status: Status::Error,
                 opcode: Opcode::Get,
                 oid: 0,
-                remember: false,
             };
         }
         let opcode = frame.opcode;
@@ -668,7 +531,6 @@ impl PrecursorServer {
                 status: Status::Error,
                 opcode,
                 oid: 0,
-                remember: false,
             };
         };
         let Ok(control) = RequestControl::decode(&control_plain) else {
@@ -676,7 +538,6 @@ impl PrecursorServer {
                 status: Status::Error,
                 opcode,
                 oid: 0,
-                remember: false,
             };
         };
 
@@ -700,41 +561,31 @@ impl PrecursorServer {
                 status: Status::Replay,
                 opcode,
                 oid: control.oid,
-                remember: false,
             };
         }
         if retransmit {
-            let no_stored_reply = self.ingress.ports[idx]
-                .as_ref()
-                .is_none_or(|p| p.last_reply.is_empty());
-            if no_stored_reply {
-                // The session was re-established since the operation ran
-                // (QP reconnect or crash-restart), so the original reply
-                // bytes — sealed under the old session key — are gone.
-                // Reads are idempotent: re-execute them for a full reply.
-                // Mutations must not run twice: acknowledge from the cached
-                // status.
-                if opcode == Opcode::Get {
-                    return Validated::Execute {
-                        opcode,
-                        control,
-                        frame,
-                    };
-                }
-                let cached = self.sessions.list[idx].last_status;
-                return Validated::Reject {
-                    status: cached,
+            // A stored reply is re-issued (or, for a mutation whose reply
+            // bytes are gone, re-acknowledged from the cached status) at
+            // seal time. `reply_pending` counts as stored: the original is
+            // an earlier record of this very ring visit, so the duplicate
+            // is answered exactly as if it had arrived one sweep later.
+            // Only a read with nothing stored — the session was
+            // re-established since it ran — is re-executed for a full
+            // reply: reads are idempotent.
+            let nothing_stored = !reply_pending
+                && self.ingress.ports[idx]
+                    .as_ref()
+                    .is_none_or(|p| p.last_reply.is_empty());
+            if opcode == Opcode::Get && nothing_stored {
+                return Validated::Execute {
                     opcode,
-                    oid: control.oid,
-                    remember: true,
+                    control,
+                    frame,
                 };
             }
-            // Same session: re-issue the stored reply WRITEs verbatim
-            // (fills a reply-ring hole; the client dedups by reply_seq).
-            let cached = self.sessions.list[idx].last_status;
             return Validated::Retransmit {
-                status: cached,
                 opcode,
+                oid: control.oid,
             };
         }
         self.sessions.list[idx].expected_oid += 1;

@@ -523,8 +523,12 @@ fn value_for(seed: u64, op: usize, key: u8) -> Vec<u8> {
 }
 
 fn byzantine_run(seed: u64, ops: usize) -> SweepReport {
+    byzantine_run_on(Config::default(), seed, ops)
+}
+
+fn byzantine_run_on(config: Config, seed: u64, ops: usize) -> SweepReport {
     let cost = CostModel::default();
-    let mut server = PrecursorServer::new(Config::default(), &cost);
+    let mut server = PrecursorServer::new(config, &cost);
     server.set_adversary_plan(
         AdversaryPlan::none()
             .rate(AttackClass::Tamper, 0.04)
@@ -710,7 +714,10 @@ fn seeded_byzantine_sweep_has_zero_undetected_violations() {
     let mut total_detections = 0u64;
     for i in 0..seeds {
         let seed = i.wrapping_mul(2654435761).wrapping_add(1);
-        let report = byzantine_run(seed, 100);
+        // The shard count rides the seed: attacks land on replies sealed
+        // behind handoff queues too.
+        let config = Config::sharded([1, 2, 4][(seed % 3) as usize]);
+        let report = byzantine_run_on(config, seed, 100);
         write_audit_log(&report);
         assert!(
             report.violations.is_empty(),

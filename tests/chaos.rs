@@ -113,9 +113,8 @@ struct Chaos {
 }
 
 impl Chaos {
-    fn new(plan: FaultPlan, seed: u64) -> Chaos {
+    fn new(config: Config, plan: FaultPlan, seed: u64) -> Chaos {
         let cost = CostModel::default();
-        let config = Config::default();
         let mut server = PrecursorServer::new(config.clone(), &cost);
         server.set_fault_plan(plan.clone(), seed);
         let client = PrecursorClient::connect(&mut server, seed ^ 0xc11e).expect("connect");
@@ -326,7 +325,17 @@ impl Chaos {
 }
 
 fn chaos_run(seed: u64, ops: usize, plan: FaultPlan, crash_every: usize) -> RunReport {
-    let mut h = Chaos::new(plan, seed);
+    chaos_run_on(Config::default(), seed, ops, plan, crash_every)
+}
+
+fn chaos_run_on(
+    config: Config,
+    seed: u64,
+    ops: usize,
+    plan: FaultPlan,
+    crash_every: usize,
+) -> RunReport {
+    let mut h = Chaos::new(config, plan, seed);
     let mut workload = SimRng::seed_from(seed ^ 0x00d1ce);
     for i in 0..ops {
         let op = random_op(&mut workload);
@@ -531,15 +540,17 @@ fn crash_restart_recovers_acked_state_and_inflight_op() {
 fn seeded_chaos_sweep() {
     // ≥20 distinct seeds; every run must satisfy the safety oracles
     // (asserted inside the harness) under a mixed fault schedule with
-    // periodic crash-restarts. The nightly job widens the sweep through
-    // PRECURSOR_SWEEP_SEEDS (e.g. 100 seeds).
+    // periodic crash-restarts. The shard count rides the seed, so every
+    // run also drives the faults across handoff queues. The nightly job
+    // widens the sweep through PRECURSOR_SWEEP_SEEDS (e.g. 100 seeds).
     let seeds = std::env::var("PRECURSOR_SWEEP_SEEDS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(20u64);
     for i in 0..seeds {
         let seed = i.wrapping_mul(2654435761).wrapping_add(1);
-        let report = chaos_run(seed, 160, chaos_plan(), 67);
+        let config = Config::sharded([1, 2, 4][(seed % 3) as usize]);
+        let report = chaos_run_on(config, seed, 160, chaos_plan(), 67);
         assert!(
             !report.faults.is_empty(),
             "seed {seed}: the plan injected nothing"

@@ -1,8 +1,8 @@
-//! Determinism regression suite for the sharding refactor.
+//! Determinism regression suite.
 //!
-//! `Config::shards == 1` must remain the pre-sharding sequential polling
-//! loop: same seed → bit-identical fault log, adversary log, per-op report
-//! stream and operation outcomes. The whole observable run is folded into
+//! There is one sweep and `Config::shards == 1` is its N = 1 instance: same
+//! seed → bit-identical fault log, adversary log, per-op report stream and
+//! operation outcomes. The whole observable run is folded into
 //! one FxHash digest (stable across platforms and compiler versions,
 //! unlike `DefaultHasher`), compared between repeated runs, between
 //! `Config::default()` and `Config::sharded(1)`, and against a golden
@@ -133,15 +133,15 @@ fn sharded_one_is_the_default_code_path() {
 
 #[test]
 fn single_shard_chaos_run_matches_golden_digest() {
-    // Golden value of the shards=1 run at seed 7, recorded when the
-    // sharding refactor landed (under a poller that scanned every ring).
-    // A change here means seeded single-shard runs no longer reproduce —
-    // either an intended behaviour change (re-record the constant and say
-    // so in the commit) or an accidental break (fix it). Doorbell-driven
-    // sweeps kept it: they change which rings a poll *visits*, never what
-    // happens to a visited ring — records pop in the same order, credits
-    // flush at the same polls, and a fault-dropped doorbell is covered by
-    // the client's retransmission.
+    // Golden value of the shards=1 run at seed 7, recorded when sharding
+    // landed. A change here means seeded shards=1 runs no longer reproduce
+    // — either an intended behaviour change (re-record the constant and
+    // say so in the commit) or an accidental break (fix it). It has
+    // survived doorbell-driven sweeps (they change which rings a poll
+    // *visits*, never what happens to a visited ring) and the fold of the
+    // sequential loop into the three-phase sweep (with one worker and one
+    // shard the phases pop, execute, seal and post a ring's records in
+    // the same order).
     const GOLDEN: u64 = 12_986_051_342_204_127_709;
     assert_eq!(run_digest(Config::default(), 7), GOLDEN);
 }

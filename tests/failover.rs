@@ -406,11 +406,13 @@ fn journal_replay_recovery_reproduces_live_state_without_snapshot() {
 // One seeded end-to-end run: mixed workload under a scenario chosen by the
 // seed (plain primary crash / lagging replica / staged rollback / mid-run
 // log compaction), then failover, reconnect, and full model verification.
-// Folds every observable into a stable digest so runs can be compared
-// bit-for-bit.
+// The shard count rides the seed too, so failover is driven across handoff
+// queues. Folds every observable into a stable digest so runs can be
+// compared bit-for-bit.
 fn sweep_run(seed: u64) -> u64 {
     let cost = CostModel::default();
-    let mut cluster = Cluster::new(base_config(), &cost, 3, GroupCommitPolicy::batched(4, 2));
+    let config = Config::sharded([1, 2, 4][(seed % 3) as usize]);
+    let mut cluster = Cluster::new(config, &cost, 3, GroupCommitPolicy::batched(4, 2));
     let mut client =
         PrecursorClient::connect(cluster.primary_mut(), seed ^ 0xc11e).expect("connect");
     let mut rng = SimRng::seed_from(seed ^ 0x5eed);

@@ -321,10 +321,11 @@ fn server_audit_confirms_intact_storage() {
 
 // ---------------------------------------------------------------------------
 // Doorbell-driven sweeps: a poll visits exactly the rings a delivered
-// WRITE marked (plus budget-capped rings), under both sweep drivers.
+// WRITE marked (plus budget-capped rings), on the N = 1 and N = 4
+// instances of the sweep.
 // ---------------------------------------------------------------------------
 
-fn on_both_sweep_drivers(test: impl Fn(Config)) {
+fn on_one_and_four_shards(test: impl Fn(Config)) {
     for shards in [1, 4] {
         test(Config::sharded(shards));
     }
@@ -332,7 +333,7 @@ fn on_both_sweep_drivers(test: impl Fn(Config)) {
 
 #[test]
 fn idle_and_unmarked_rings_are_never_visited() {
-    on_both_sweep_drivers(|config| {
+    on_one_and_four_shards(|config| {
         let mut server = PrecursorServer::new(config, &CostModel::default());
         // The very first client request WRITE vanishes silently.
         server.set_fault_plan(
@@ -356,7 +357,7 @@ fn idle_and_unmarked_rings_are_never_visited() {
 
 #[test]
 fn budget_capped_ring_drains_by_remark_beside_an_honest_neighbour() {
-    on_both_sweep_drivers(|config| {
+    on_one_and_four_shards(|config| {
         let config = Config {
             poll_budget_per_client: 16,
             ..config
@@ -384,7 +385,7 @@ fn budget_capped_ring_drains_by_remark_beside_an_honest_neighbour() {
 
 #[test]
 fn revoked_clients_are_skipped_and_pruned() {
-    on_both_sweep_drivers(|config| {
+    on_one_and_four_shards(|config| {
         let mut server = PrecursorServer::new(config, &CostModel::default());
         let mut marked = PrecursorClient::connect(&mut server, 2).unwrap();
         // `marked` has a delivered, unswept WRITE: a pending doorbell.
@@ -398,7 +399,7 @@ fn revoked_clients_are_skipped_and_pruned() {
 
 #[test]
 fn parked_producer_is_unblocked_by_the_consuming_sweeps_credit_write() {
-    on_both_sweep_drivers(|config| {
+    on_one_and_four_shards(|config| {
         // A tiny request ring makes the producer live off credit
         // write-backs: the sweep that consumes the backlog posts the one
         // credit WRITE that frees the producer's view of the ring.

@@ -80,6 +80,56 @@ fn replayed_last_request_is_reacked_without_reexecution() {
 }
 
 #[test]
+fn request_and_its_replay_in_one_sweep_execute_once() {
+    // The duplicate sits right behind its original in the ring, so one
+    // sweep pops both before either is sealed. It must be answered exactly
+    // as if it had arrived a sweep later: the original's reply WRITEs
+    // re-issued verbatim, no second execution, no extra reply_seq — on
+    // every shard count, also as the very first op of a session (nothing
+    // stored yet, cached status still the initial one).
+    let cost = CostModel::default();
+    for shards in [1usize, 4] {
+        for first_op in [true, false] {
+            for opcode in [Opcode::Delete, Opcode::Put, Opcode::Get] {
+                let case = format!("shards={shards} first_op={first_op} {opcode:?}");
+                let mut server = PrecursorServer::new(Config::sharded(shards), &cost);
+                let mut client = PrecursorClient::connect(&mut server, 99).unwrap();
+                if !first_op {
+                    client.put_sync(&mut server, b"warm", b"up").unwrap();
+                }
+                server.take_reports();
+                let seq_before = server.mutation_seq();
+
+                let (oid, executed) = match opcode {
+                    Opcode::Delete => (client.delete(b"missing"), Status::NotFound),
+                    Opcode::Put => (client.put(b"k", b"v"), Status::Ok),
+                    Opcode::Get if first_op => (client.get(b"warm"), Status::NotFound),
+                    Opcode::Get => (client.get(b"warm"), Status::Ok),
+                };
+                let oid = oid.unwrap();
+                client.replay_last_frame().unwrap();
+                assert_eq!(server.poll(), 2, "{case}");
+
+                let statuses: Vec<Status> =
+                    server.take_reports().iter().map(|r| r.status).collect();
+                assert_eq!(statuses, [executed, executed], "{case}");
+                let mutations = u64::from(opcode == Opcode::Put);
+                assert_eq!(server.mutation_seq() - seq_before, mutations, "{case}");
+                assert_eq!(client.poll_replies(), 1, "{case}");
+                let done = client.take_all_completed();
+                assert_eq!(done.len(), 1, "{case}");
+                assert_eq!((done[0].oid, done[0].status), (oid, executed), "{case}");
+                assert_eq!(client.security_audit().stale_replies, 0, "{case}");
+
+                // The session survives intact.
+                client.put_sync(&mut server, b"after", b"wards").unwrap();
+                assert_eq!(client.get_sync(&mut server, b"after").unwrap(), b"wards");
+            }
+        }
+    }
+}
+
+#[test]
 fn genuinely_stale_oid_is_rejected() {
     // Anything older than the at-most-once window is still a replay:
     // "if an attacker tries to send a message with the same number, the
