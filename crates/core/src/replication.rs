@@ -24,8 +24,9 @@
 //! acknowledged coverage is behind the cut can no longer be caught up by
 //! segments alone; the primary ships it the compacted **(snapshot, tail)**
 //! pair instead: a `FRAME_SNAPSHOT` frame carrying the sealed blob, which the
-//! replica validates (unseal at the trusted counter version, decode, check
-//! the embedded watermark) before adopting its `journal_chain` as the
+//! replica validates (`snapshot::open` at the trusted counter version —
+//! the manifest, then every segment against it — and the embedded
+//! watermark) before adopting its `journal_chain` as the
 //! MAC-chain anchor for the tail that follows. A tampered blob is
 //! rejected; the replica then falls back to *full-journal catch-up* from a
 //! peer replica that still holds the uncompacted stream.
@@ -62,13 +63,12 @@
 use precursor_obs::MetricsRegistry;
 use precursor_rdma::replica::ReplicaLink;
 use precursor_sgx::counters::MonotonicCounter;
-use precursor_sgx::sealing;
 use precursor_sim::CostModel;
 
 use crate::config::Config;
 use crate::error::StoreError;
 use crate::server::{CompactOutcome, PrecursorServer, RecoveryReport};
-use crate::snapshot::SnapshotBody;
+use crate::snapshot;
 use precursor_journal::GroupCommitPolicy;
 
 // Replication frame tags (primary → replica segments and compacted
@@ -378,11 +378,21 @@ impl Cluster {
     /// the damaged pair and fall back to full-journal catch-up from a
     /// peer.
     pub fn tamper_compacted_snapshot(&mut self, byte: usize) {
-        if let Some(ship) = self.compact_ship.as_mut() {
-            if !ship.blob.is_empty() {
-                let b = byte % ship.blob.len();
-                ship.blob[b] ^= 0x40;
+        self.rewrite_compacted_snapshot(|blob| {
+            if !blob.is_empty() {
+                let b = byte % blob.len();
+                blob[b] ^= 0x40;
             }
+        });
+    }
+
+    /// Adversarial hook: lets the host rewrite the *shipped* compacted
+    /// snapshot at will — splice in a segment of an older cut, swap two
+    /// segments, truncate — again without touching the primary's own
+    /// recovery root. No-op before the first compaction.
+    pub fn rewrite_compacted_snapshot(&mut self, rewrite: impl FnOnce(&mut Vec<u8>)) {
+        if let Some(ship) = self.compact_ship.as_mut() {
+            rewrite(&mut ship.blob);
         }
     }
 
@@ -565,22 +575,23 @@ impl Cluster {
                         let base_seq =
                             u64::from_le_bytes(frame[9..17].try_into().expect("8 bytes"));
                         let blob = &frame[17..];
-                        // Validate before adopting: unseal at the trusted
-                        // counter version, decode, and check the embedded
-                        // watermark matches the cut the primary claims.
-                        // The MAC-chain anchor comes from the *sealed*
-                        // body, never from the untrusted frame header.
-                        let body = sealing::unseal(&skey, snap_version, blob)
+                        // Validate before adopting: open at the trusted
+                        // counter version (manifest, then every segment
+                        // against it) and check the embedded watermark
+                        // matches the cut the primary claims. The
+                        // MAC-chain anchor comes from the *sealed*
+                        // manifest, never from the untrusted frame header.
+                        let header = snapshot::open(&skey, snap_version, blob)
                             .ok()
-                            .and_then(|b| SnapshotBody::decode(&b).ok())
-                            .filter(|b| b.journal_epoch == epoch && b.journal_seq == base_seq);
-                        match body {
-                            Some(body) => {
+                            .map(|body| body.header)
+                            .filter(|h| h.journal_epoch == epoch && h.journal_seq == base_seq);
+                        match header {
+                            Some(header) => {
                                 r.snapshot = Some(blob.to_vec());
                                 r.journal.clear();
                                 r.base = base_off;
                                 r.base_seq = base_seq;
-                                r.base_chain = body.journal_chain;
+                                r.base_chain = header.journal_chain;
                                 r.last_seq = base_seq;
                                 acked_any = true;
                                 self.metrics.inc("replica.compact_ships", 1);

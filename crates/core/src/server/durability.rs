@@ -39,10 +39,10 @@ use precursor_sim::{CostModel, Cycles, Meter, Stage};
 
 use crate::config::Config;
 use crate::error::StoreError;
-use crate::snapshot::{take, SnapshotBody, SnapshotEntry};
+use crate::snapshot::{self, take, SnapshotEntry};
 use crate::wire::{Opcode, Status};
 
-use super::exec::{ReplyPlan, ValueStorage};
+use super::exec::ReplyPlan;
 use super::seal::StoreEvidence;
 use super::{lock_faults, PrecursorServer};
 
@@ -307,11 +307,13 @@ impl PrecursorServer {
     /// the journal prefix behind the committed watermark. Two-phase:
     ///
     /// 1. **Tentative seal** at `counter.read() + 1` — the counter is NOT
-    ///    advanced yet. The host may damage the blob (`SnapshotSeal`
-    ///    fault); the enclave validates what was persisted and, on damage,
-    ///    aborts with the previous snapshot still authoritative and the
-    ///    journal whole ([`CompactOutcome::Aborted`]). Recovery state is
-    ///    unchanged.
+    ///    advanced yet. Only the segments mutated since the last committed
+    ///    snapshot are re-sealed. The host may damage what it persists
+    ///    (`SnapshotSeal` fault); the enclave validates exactly the bytes
+    ///    this cut wrote — manifest and re-sealed segments — and, on
+    ///    damage, aborts with the previous snapshot still authoritative,
+    ///    the journal whole and the dirty set intact
+    ///    ([`CompactOutcome::Aborted`]). Recovery state is unchanged.
     /// 2. **Commit** — `counter.increment()` makes the new blob the only
     ///    unsealable snapshot.
     /// 3. **Truncate** through the [`FaultSite::CompactTruncate`] crash
@@ -337,18 +339,15 @@ impl PrecursorServer {
         }
         let upto = d.committed_seq;
         let version = counter.read() + 1;
-        let blob = self.snapshot_at(version);
+        let cut = self.snapshot_at(version);
         let key = self.sealing_key();
-        let valid = sealing::unseal(&key, version, &blob)
-            .ok()
-            .and_then(|b| SnapshotBody::decode(&b).ok())
-            .is_some();
-        if !valid {
+        if snapshot::open_segments(&key, version, &cut.persisted, &cut.resealed).is_err() {
             self.obs.inc("journal.compaction_aborts", 1);
             self.trace("journal", "compact_abort", upto, 0);
             return CompactOutcome::Aborted;
         }
         let _ = counter.increment();
+        let blob = self.commit_snapshot(version, cut);
         let durable_len = self
             .durability
             .as_ref()
@@ -581,20 +580,39 @@ impl PrecursorServer {
         }
     }
 
-    // Routes a sealed durable blob (snapshot seal) through the
-    // fault-injection layer: a crash mid-write tears it, a corrupting
-    // host flips a bit. Used by `crate::snapshot`.
-    pub(crate) fn apply_durable_fault(&mut self, site: FaultSite, blob: &mut Vec<u8>) {
+    // Routes a snapshot seal through the fault-injection layer. The
+    // durable write is the `written` ranges of `blob` in order (what this
+    // cut sealed; the rest was already on disk): a crash mid-write tears
+    // the blob at the byte the write had reached, a corrupting host flips
+    // one of the written bits.
+    pub(super) fn apply_durable_fault(
+        &mut self,
+        site: FaultSite,
+        blob: &mut Vec<u8>,
+        written: &[std::ops::Range<usize>],
+    ) {
         let Some(f) = &self.faults else {
             return;
         };
-        match lock_faults(f).on_durable_write(site, blob.len()) {
+        let total: usize = written.iter().map(|r| r.len()).sum();
+        // Blob offset of the `nth` written byte.
+        let end = blob.len();
+        let locate = |mut nth: usize| {
+            for r in written {
+                if nth < r.len() {
+                    return r.start + nth;
+                }
+                nth -= r.len();
+            }
+            end
+        };
+        match lock_faults(f).on_durable_write(site, total) {
             DurableVerdict::Complete => {}
-            DurableVerdict::Torn(keep) => blob.truncate(keep),
+            DurableVerdict::Torn(keep) => blob.truncate(locate(keep)),
             DurableVerdict::Corrupt(bit) => {
-                if !blob.is_empty() {
-                    let b = bit % (blob.len() * 8);
-                    blob[b / 8] ^= 1 << (b % 8);
+                if total > 0 {
+                    let b = bit % (total * 8);
+                    blob[locate(b / 8)] ^= 1 << (b % 8);
                 }
             }
         }
@@ -718,18 +736,12 @@ impl PrecursorServer {
         let mut snapshot_restored = false;
         let mut watermark = 0u64;
         if let Some(sealed) = snapshot {
-            let key = server.sealing_key();
-            let body_bytes = sealing::unseal(&key, snap_counter.read(), sealed)
-                .map_err(|_| StoreError::SnapshotRejected)?;
-            let body = SnapshotBody::decode(&body_bytes)?;
-            if body.mode != server.config().mode {
-                return Err(StoreError::MalformedFrame);
-            }
+            let body = snapshot::open(&server.sealing_key(), snap_counter.read(), sealed)?;
             // The watermark only applies when the snapshot was sealed
             // under this journal epoch; a snapshot from before the epoch
             // opened covers none of its records.
-            if body.journal_epoch == epoch {
-                watermark = body.journal_seq;
+            if body.header.journal_epoch == epoch {
+                watermark = body.header.journal_seq;
             }
             server.restore_body(body)?;
             snapshot_restored = true;
@@ -929,16 +941,11 @@ impl PrecursorServer {
     // absence means the journal diverged from the state it claims to
     // extend.
     fn replay_remove(&mut self, key: &[u8]) -> Result<(), StoreError> {
-        let (removed, _stats) = self.store.table.remove_tracked(&key.to_vec());
-        let Some(entry) = removed else {
-            return Err(StoreError::ForkDetected);
-        };
-        if let ValueStorage::Untrusted(range) = entry.storage {
-            self.store
-                .release_range(&mut self.adversary, entry.client_id, range);
+        if self.store.table_remove(&mut self.adversary, key).0 {
+            Ok(())
+        } else {
+            Err(StoreError::ForkDetected)
         }
-        self.store.bump_mutation(Opcode::Delete, key);
-        Ok(())
     }
 
     fn check_evidence(&self, ev: &StoreEvidence) -> Result<(), StoreError> {

@@ -7,18 +7,23 @@
 //! stage's job, so that with several shards execution can run in shard order
 //! while reply sequence numbers are still consumed in pop order.
 
-use precursor_crypto::keys::{Key128, Key256, Nonce8, Tag};
+use precursor_crypto::keys::{Key128, Key256, Nonce12, Nonce8, Tag};
 use precursor_crypto::{cmac, gcm, sha256};
 use precursor_rdma::adversary::AdversaryInjector;
+use precursor_rdma::faults::FaultSite;
 use precursor_rdma::mr::Memory;
 use precursor_sgx::enclave::{Enclave, RegionId};
 use precursor_sim::meter::{Meter, Stage};
 use precursor_sim::CostModel;
 use precursor_storage::pool::{PoolRange, SlabPool};
-use precursor_storage::robinhood::ShardedRobinHoodMap;
+use precursor_storage::robinhood::{shard_of_hash, stable_key_hash, OpStats, ShardedRobinHoodMap};
 
 use crate::config::{Config, EncryptionMode};
 use crate::error::StoreError;
+use crate::snapshot::{
+    self, segment_of, EntryRef, SegmentSet, SnapshotBody, SnapshotEntry, SnapshotHeader,
+    TentativeCut, SEGMENTS,
+};
 use crate::wire::{payload_request_nonce, Opcode, RequestControl, RequestFrame, Status};
 
 use super::seal::StoreEvidence;
@@ -110,6 +115,10 @@ pub(super) struct StoreExec {
     // carried in every reply control): bumped on every applied mutation.
     pub(super) mutation_seq: u64,
     pub(super) state_digest: [u8; 16],
+    // Snapshot segments whose entries changed since the last committed
+    // snapshot: set by `table_insert`/`table_remove` (the only two ways an
+    // entry changes), cleared at a snapshot's commit point.
+    pub(super) dirty: SegmentSet,
 
     // modelled enclave regions (one table region per shard, so each
     // shard's EPC footprint grows independently with its own resizes)
@@ -402,32 +411,21 @@ impl StoreExec {
             }
             (Opcode::Delete, _) => {
                 let shard = self.table.shard_of(&control.key);
-                let (removed, stats) = self.table.remove_tracked(&control.key);
+                let (removed, stats) = self.table_remove(ctx.adversary, &control.key);
                 self.charge_table_op(ctx, shard, &stats, meter);
-                match removed {
-                    None => Ok((
-                        Status::NotFound,
-                        0,
-                        ReplyPlan::Control {
-                            status: Status::NotFound,
-                            oid: control.oid,
-                        },
-                    )),
-                    Some(entry) => {
-                        if let ValueStorage::Untrusted(range) = entry.storage {
-                            self.release_range(ctx.adversary, entry.client_id, range);
-                        }
-                        self.bump_mutation(Opcode::Delete, &control.key);
-                        Ok((
-                            Status::Ok,
-                            0,
-                            ReplyPlan::Control {
-                                status: Status::Ok,
-                                oid: control.oid,
-                            },
-                        ))
-                    }
-                }
+                let status = if removed {
+                    Status::Ok
+                } else {
+                    Status::NotFound
+                };
+                Ok((
+                    status,
+                    0,
+                    ReplyPlan::Control {
+                        status,
+                        oid: control.oid,
+                    },
+                ))
             }
         }
     }
@@ -445,6 +443,22 @@ impl StoreExec {
             Some(cap) => used + cap > quota,
             None => true,
         }
+    }
+
+    // Encodes the entries of every segment in `which`, straight from the
+    // table in one walk: `out[i]` is the plaintext of segment `i` (empty
+    // for segments outside `which` and for segments holding no key).
+    fn encode_segments(&self, mode: EncryptionMode, which: &SegmentSet) -> Vec<Vec<u8>> {
+        let mut out = vec![Vec::new(); SEGMENTS];
+        self.payload_mem.with(|pool| {
+            for (hash, key, meta) in self.table.iter_hashed() {
+                let segment = segment_of(hash);
+                if which.contains(segment) {
+                    entry_ref(mode, key, meta, pool).encode_into(&mut out[segment]);
+                }
+            }
+        });
+        out
     }
 
     // Charges a freshly allocated slot to the client's quota and registers
@@ -509,7 +523,9 @@ impl StoreExec {
             let cost = ctx.cost.clone();
             ctx.enclave.touch_all(self.misc_region, meter, &cost);
         }
-        let shard = self.table.shard_of(&key);
+        let hash = stable_key_hash(&key);
+        let shard = shard_of_hash(hash, self.table.shard_count());
+        self.dirty.insert(segment_of(hash));
         let (old, stats) = self.table.insert_tracked(key, meta);
         if let Some(old) = old {
             // Overwrite: the old payload slot is released (and un-charged
@@ -526,13 +542,35 @@ impl StoreExec {
         self.charge_table_op(ctx, shard, &stats, meter);
     }
 
+    // The one removal path — client delete, journal replay of a delete or
+    // eviction, revocation eviction: takes `key` out of the table, frees
+    // its pool slot, counts the mutation and marks its snapshot segment
+    // dirty. Returns whether the key existed, and the probe statistics for
+    // callers that meter the table operation.
+    pub(super) fn table_remove(
+        &mut self,
+        adversary: &mut Option<AdversaryInjector>,
+        key: &[u8],
+    ) -> (bool, OpStats) {
+        let (removed, stats) = self.table.remove_tracked(key);
+        let Some(entry) = removed else {
+            return (false, stats);
+        };
+        if let ValueStorage::Untrusted(range) = entry.storage {
+            self.release_range(adversary, entry.client_id, range);
+        }
+        self.bump_mutation(Opcode::Delete, key);
+        self.dirty.insert(segment_of(stable_key_hash(key)));
+        (true, stats)
+    }
+
     // Charges probes + shard-local slot touches of one table operation
     // against the shard's modelled EPC region.
     pub(super) fn charge_table_op(
         &mut self,
         ctx: &mut ExecCtx<'_>,
         shard: usize,
-        stats: &precursor_storage::robinhood::OpStats,
+        stats: &OpStats,
         meter: &mut Meter,
     ) {
         let cost = ctx.cost.clone();
@@ -557,6 +595,36 @@ impl StoreExec {
             ctx.enclave.resize_region(region, bytes);
             ctx.enclave.touch_all(region, meter, &cost);
         }
+    }
+}
+
+// One table entry as the snapshot/journal codec sees it, borrowing the
+// stored bytes from the enclave (`InEnclave`) or from `pool`, the untrusted
+// payload memory.
+fn entry_ref<'a>(
+    mode: EncryptionMode,
+    key: &'a [u8],
+    meta: &'a EntryMeta,
+    pool: &'a [u8],
+) -> EntryRef<'a> {
+    let stored_bytes = match &meta.storage {
+        ValueStorage::Untrusted(range) => {
+            let len = match mode {
+                EncryptionMode::ClientSide => meta.payload_len + Tag::LEN,
+                EncryptionMode::ServerSide => meta.payload_len,
+            };
+            &pool[range.offset..range.offset + len]
+        }
+        ValueStorage::InEnclave(data) => data,
+    };
+    EntryRef {
+        key,
+        k_op: &meta.k_op,
+        payload_nonce: meta.payload_nonce,
+        storage_seq: meta.storage_seq,
+        client_id: meta.client_id,
+        payload_len: meta.payload_len,
+        stored_bytes,
     }
 }
 
@@ -600,36 +668,13 @@ impl PrecursorServer {
 
     // --- snapshot/restore plumbing (see crate::snapshot) ---
 
-    pub(crate) fn snapshot_body(&self) -> crate::snapshot::SnapshotBody {
-        let mut entries = Vec::with_capacity(self.store.table.len());
-        for (key, meta) in self.store.table.iter() {
-            let stored_bytes = match &meta.storage {
-                ValueStorage::Untrusted(range) => {
-                    let len = match self.config.mode {
-                        EncryptionMode::ClientSide => meta.payload_len + Tag::LEN,
-                        EncryptionMode::ServerSide => meta.payload_len,
-                    };
-                    self.store.payload_mem.read(range.offset, len)
-                }
-                ValueStorage::InEnclave(data) => data.clone(),
-            };
-            entries.push(crate::snapshot::SnapshotEntry {
-                key: key.clone(),
-                k_op: meta.k_op.clone(),
-                payload_nonce: meta.payload_nonce,
-                storage_seq: meta.storage_seq,
-                client_id: meta.client_id,
-                payload_len: meta.payload_len,
-                stored_bytes,
-            });
-        }
-        crate::snapshot::SnapshotBody {
+    fn snapshot_header(&self) -> SnapshotHeader {
+        SnapshotHeader {
             mode: self.config.mode,
             storage_key: self.store.storage_key.clone(),
             storage_seq: self.store.storage_seq,
             mutation_seq: self.store.mutation_seq,
             state_digest: self.store.state_digest,
-            entries,
             // Per-client at-most-once windows (and connection epochs) ride
             // along in the sealed blob, so a restarted server
             // re-acknowledges (rather than re-executes or rejects) requests
@@ -650,15 +695,73 @@ impl PrecursorServer {
         }
     }
 
-    pub(crate) fn restore_body(
-        &mut self,
-        body: crate::snapshot::SnapshotBody,
-    ) -> Result<(), StoreError> {
-        self.store.storage_key = body.storage_key;
-        self.store.storage_seq = body.storage_seq;
-        self.store.mutation_seq = body.mutation_seq;
-        self.store.state_digest = body.state_digest;
-        self.sessions.saved = body.sessions;
+    // Seals at an explicit `version` without touching any counter — the
+    // tentative first phase of journal compaction, which advances the
+    // trusted counter only after the persisted bytes validate (so a
+    // host-damaged seal aborts with the previous snapshot still
+    // authoritative). The one seal path: dirty segments are encoded
+    // straight from the table and sealed, clean ones copied from the last
+    // committed blob. The dirty set is left alone — `commit_snapshot`
+    // clears it — so a cut that is never committed is simply retried.
+    pub(crate) fn snapshot_at(&mut self, version: u64) -> TentativeCut {
+        let key = self.sealing_key();
+        let header = self.snapshot_header();
+        let drawn = Nonce12::generate(&mut self.rng);
+        // The last committed blob sits in host memory: its manifest is
+        // authenticated again before any row is trusted, and a blob that no
+        // longer opens just makes this a full seal.
+        let previous = self.last_snapshot.as_ref().and_then(|(at, blob)| {
+            let manifest = snapshot::open_manifest(&key, *at, blob).ok()?;
+            Some((manifest, blob.as_slice()))
+        });
+        let dirty = if previous.is_some() {
+            self.store.dirty.clone()
+        } else {
+            SegmentSet::all()
+        };
+        let plain = self.store.encode_segments(self.config.mode, &dirty);
+        let cut = snapshot::seal(
+            &key,
+            version,
+            &drawn,
+            &header,
+            &plain,
+            &dirty,
+            previous.as_ref().map(|(m, blob)| (m, *blob)),
+        );
+        self.obs
+            .inc("snapshot.segments_sealed", cut.segments_sealed);
+        self.obs
+            .inc("snapshot.segments_reused", cut.segments_reused);
+        self.obs.inc("snapshot.bytes_sealed", cut.bytes_sealed);
+        let mut persisted = cut.blob.clone();
+        self.apply_durable_fault(FaultSite::SnapshotSeal, &mut persisted, &cut.written);
+        TentativeCut {
+            sealed: cut.blob,
+            persisted,
+            resealed: dirty,
+        }
+    }
+
+    // The commit point of a cut (the caller has advanced the counter to
+    // `version`): it becomes the source of clean segments for the next
+    // one, and only now is the dirty set cleared.
+    pub(crate) fn commit_snapshot(&mut self, version: u64, cut: TentativeCut) -> Vec<u8> {
+        self.last_snapshot = Some((version, cut.sealed));
+        self.store.dirty.clear();
+        cut.persisted
+    }
+
+    pub(crate) fn restore_body(&mut self, body: SnapshotBody) -> Result<(), StoreError> {
+        let header = body.header;
+        if header.mode != self.config.mode {
+            return Err(StoreError::MalformedFrame);
+        }
+        self.store.storage_key = header.storage_key;
+        self.store.storage_seq = header.storage_seq;
+        self.store.mutation_seq = header.mutation_seq;
+        self.store.state_digest = header.state_digest;
+        self.sessions.saved = header.sessions;
         for e in body.entries {
             self.install_entry(e)?;
         }
@@ -669,10 +772,7 @@ impl PrecursorServer {
     // mutation evidence — the entry reproduces already-counted state.
     // Shared by snapshot restore and journal replay (which bumps the
     // evidence itself, in record order).
-    pub(crate) fn install_entry(
-        &mut self,
-        e: crate::snapshot::SnapshotEntry,
-    ) -> Result<(), StoreError> {
+    pub(crate) fn install_entry(&mut self, e: SnapshotEntry) -> Result<(), StoreError> {
         let mut meter = Meter::new();
         let mut ctx = ExecCtx {
             enclave: &mut self.enclave,
@@ -721,27 +821,14 @@ impl PrecursorServer {
     // Serializes the current stored state of `key` (enclave metadata plus
     // the untrusted bytes) — the payload of a journal `Put` record, read
     // right after the put applied.
-    pub(crate) fn export_entry(&self, key: &[u8]) -> Option<crate::snapshot::SnapshotEntry> {
-        let meta = self.store.table.get(&key.to_vec())?;
-        let stored_bytes = match &meta.storage {
-            ValueStorage::Untrusted(range) => {
-                let len = match self.config.mode {
-                    EncryptionMode::ClientSide => meta.payload_len + Tag::LEN,
-                    EncryptionMode::ServerSide => meta.payload_len,
-                };
-                self.store.payload_mem.read(range.offset, len)
-            }
-            ValueStorage::InEnclave(data) => data.clone(),
-        };
-        Some(crate::snapshot::SnapshotEntry {
-            key: key.to_vec(),
-            k_op: meta.k_op.clone(),
-            payload_nonce: meta.payload_nonce,
-            storage_seq: meta.storage_seq,
-            client_id: meta.client_id,
-            payload_len: meta.payload_len,
-            stored_bytes,
-        })
+    pub(crate) fn export_entry(&self, key: &[u8]) -> Option<SnapshotEntry> {
+        let meta = self.store.table.get(key)?;
+        let mode = self.config.mode;
+        Some(
+            self.store
+                .payload_mem
+                .with(|pool| entry_ref(mode, key, meta, pool).to_entry()),
+        )
     }
 
     /// Every key currently stored, sorted. Used by cluster migration to

@@ -61,6 +61,7 @@ use precursor_storage::pool::SlabPool;
 use precursor_storage::robinhood::ShardedRobinHoodMap;
 
 use crate::config::{Config, EncryptionMode};
+use crate::snapshot::SegmentSet;
 use crate::wire::{Opcode, Status};
 
 use exec::StoreExec;
@@ -146,6 +147,11 @@ pub struct PrecursorServer {
     // durability stage (sealed journal + group-commit reply gate); None
     // until a journal is attached
     durability: Option<durability::Durability>,
+    // The last committed snapshot, `(version, blob as sealed)`: where the
+    // next cut copies its clean segments from. It sits in host memory like
+    // any sealed blob and is trusted no further — every cut re-opens its
+    // manifest before using a row of it. None until the first snapshot.
+    last_snapshot: Option<(u64, Vec<u8>)>,
     // staged-recovery catch-up queue: Some while a promoted replica still
     // has journal records to apply in the background (reads served from
     // the applied prefix, mutations answered Busy); None otherwise
@@ -220,6 +226,7 @@ impl PrecursorServer {
                 storage_seq: 0,
                 mutation_seq: 0,
                 state_digest: [0u8; 16],
+                dirty: SegmentSet::default(),
                 table_regions,
                 misc_region,
                 misc_touched: false,
@@ -240,6 +247,7 @@ impl PrecursorServer {
                 rings_swept: 0,
             },
             durability: None,
+            last_snapshot: None,
             catchup: None,
             routing: None,
             faults: None,
@@ -441,10 +449,6 @@ impl PrecursorServer {
 
     pub(crate) fn sealing_key(&self) -> Key128 {
         self.sessions.attestation.sealing_key(&self.enclave)
-    }
-
-    pub(crate) fn seal_with_rng(&mut self, key: &Key128, version: u64, body: &[u8]) -> Vec<u8> {
-        precursor_sgx::sealing::seal(key, version, body, &mut self.rng)
     }
 }
 

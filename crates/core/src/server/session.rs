@@ -15,9 +15,8 @@ use precursor_sgx::enclave::RegionId;
 use precursor_sim::meter::Meter;
 
 use crate::error::StoreError;
-use crate::wire::{chain_context, Opcode, Status};
+use crate::wire::{chain_context, Status};
 
-use super::exec::ValueStorage;
 use super::{lock_faults, ClientBundle, PrecursorServer};
 
 // Trusted per-client session state (expected oid per Algorithm 2, plus the
@@ -277,13 +276,7 @@ impl PrecursorServer {
             .map(|(key, _)| key.clone())
             .collect();
         for key in keys {
-            let (removed, _stats) = self.store.table.remove_tracked(&key);
-            if let Some(entry) = removed {
-                if let ValueStorage::Untrusted(range) = entry.storage {
-                    self.store
-                        .release_range(&mut self.adversary, entry.client_id, range);
-                }
-                self.store.bump_mutation(Opcode::Delete, &key);
+            if self.store.table_remove(&mut self.adversary, &key).0 {
                 self.journal_evict(&key);
             }
         }

@@ -30,7 +30,7 @@
 //! assert_eq!(receiver.advance(b"reply two"), t2);
 //! ```
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacSha256;
 use crate::keys::{Key128, Tag};
 
 /// A rolling MAC chain: `tag_i = HMAC(key, state_{i-1} ‖ msg_i)[..16]`,
@@ -39,7 +39,9 @@ use crate::keys::{Key128, Tag};
 /// advance it once per message in stream order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MacChain {
-    key: Key128,
+    // The key's two HMAC pad blocks, hashed once: every reply advances the
+    // chain, so re-deriving them per tag was 2 of its 5 compressions.
+    hmac: HmacSha256,
     state: [u8; 16],
 }
 
@@ -48,21 +50,16 @@ impl MacChain {
     /// `context` (bind the session id and epoch here so chains from
     /// different sessions or epochs never collide).
     pub fn new(key: &Key128, context: &[u8]) -> MacChain {
-        let seed = hmac_sha256(key.as_bytes(), context);
+        let hmac = HmacSha256::new(key.as_bytes());
+        let seed = hmac.mac(&[context]);
         let mut state = [0u8; 16];
         state.copy_from_slice(&seed[..16]);
-        MacChain {
-            key: key.clone(),
-            state,
-        }
+        MacChain { hmac, state }
     }
 
     /// Absorbs the next message and returns its chained tag.
     pub fn advance(&mut self, msg: &[u8]) -> Tag {
-        let mut input = Vec::with_capacity(16 + msg.len());
-        input.extend_from_slice(&self.state);
-        input.extend_from_slice(msg);
-        let mac = hmac_sha256(self.key.as_bytes(), &input);
+        let mac = self.hmac.mac(&[&self.state, msg]);
         self.state.copy_from_slice(&mac[..16]);
         Tag::from_bytes(self.state)
     }
@@ -94,6 +91,21 @@ mod tests {
         let mut b = MacChain::new(&key(), b"ctx");
         for i in 0..10u8 {
             assert_eq!(a.advance(&[i]), b.advance(&[i]));
+        }
+    }
+
+    #[test]
+    fn tags_are_the_plain_hmac_of_state_and_message() {
+        use crate::hmac::hmac_sha256;
+        let k = key();
+        let mut chain = MacChain::new(&k, b"ctx");
+        let mut state = hmac_sha256(k.as_bytes(), b"ctx")[..16].to_vec();
+        for msg in [&b"short"[..], &[0xa5u8; 70], &[7u8; 200]] {
+            let mut input = state.clone();
+            input.extend_from_slice(msg);
+            let expected = &hmac_sha256(k.as_bytes(), &input)[..16];
+            assert_eq!(chain.advance(msg).as_bytes(), expected);
+            state = expected.to_vec();
         }
     }
 

@@ -196,6 +196,22 @@ pub fn open(
         return Err(CryptoError::InvalidLength);
     }
     let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
+    open_detached(key, nonce, aad, ct, tag)
+}
+
+/// [`open`] for a tag stored apart from its ciphertext (a manifest that
+/// lists the tags of the segments it authenticates).
+///
+/// # Errors
+///
+/// [`CryptoError::InvalidTag`] if authentication fails.
+pub fn open_detached(
+    key: &Key128,
+    nonce: &Nonce12,
+    aad: &[u8],
+    ct: &[u8],
+    tag: &[u8],
+) -> Result<Vec<u8>, CryptoError> {
     let (cipher, h, j0) = setup(key, nonce);
     let expected = compute_tag(&cipher, h, &j0, aad, ct);
     if !ct_eq(expected.as_bytes(), tag) {
@@ -373,6 +389,24 @@ mod tests {
         let last = sealed.len() - 1;
         sealed[last] ^= 0x80;
         assert_eq!(open(&k, &n, b"", &sealed), Err(CryptoError::InvalidTag));
+    }
+
+    #[test]
+    fn detached_tag_opens_like_the_trailing_one() {
+        let k = Key128::from_bytes([1; 16]);
+        let n = Nonce12::from_counter(1);
+        let sealed = seal(&k, &n, b"a", b"payload");
+        let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
+        assert_eq!(open_detached(&k, &n, b"a", ct, tag).unwrap(), b"payload");
+        // a tag of the wrong length or value never verifies
+        assert_eq!(
+            open_detached(&k, &n, b"a", ct, &tag[..15]),
+            Err(CryptoError::InvalidTag)
+        );
+        assert_eq!(
+            open_detached(&k, &n, b"a", ct, &[0u8; TAG_LEN]),
+            Err(CryptoError::InvalidTag)
+        );
     }
 
     #[test]

@@ -34,7 +34,7 @@ const H0: [u32; 8] = [
 /// h.update(b"c");
 /// assert_eq!(h.finish(), precursor_crypto::sha256::digest(b"abc"));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sha256 {
     state: [u32; 8],
     buf: [u8; BLOCK_LEN],

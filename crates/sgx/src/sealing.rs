@@ -7,6 +7,17 @@
 //! monotonic counters to "detect state rollback attacks and forking" —
 //! [`seal`]/[`unseal`] bind a version number into the sealed blob so the
 //! counter check composes (see [`crate::counters`]).
+//!
+//! **Nonce discipline.** Everything sealed under one sealing key shares one
+//! AES-GCM nonce space, and a `(key, nonce)` pair must never cover two
+//! different plaintexts. The rule: one RNG draw per sealed object — the
+//! 96-bit nonce [`seal`] draws — and every further nonce that object needs
+//! (the independently sealed segments of a snapshot) is *derived* from
+//! that draw with [`segment_nonce`], which never returns the draw itself
+//! and never returns the same nonce for two indices. A seal that is
+//! retried after the host damaged the first attempt draws again: the
+//! retry covers different bytes (or the same bytes at a later state) and
+//! must not share any nonce with the attempt it replaces.
 
 use precursor_crypto::keys::{Key128, Nonce12};
 use precursor_crypto::{gcm, CryptoError};
@@ -34,11 +45,28 @@ impl AttestationService {
 /// Seals `plaintext` under `key`, authenticating `version` (the monotonic
 /// counter value at sealing time). Layout: `nonce ‖ GCM(ciphertext ‖ tag)`.
 pub fn seal(key: &Key128, version: u64, plaintext: &[u8], rng: &mut SimRng) -> Vec<u8> {
-    let nonce = Nonce12::generate(rng);
+    seal_at(key, &Nonce12::generate(rng), version, plaintext)
+}
+
+/// [`seal`] under a nonce the caller already drew — for an object whose
+/// parts are sealed under nonces derived from it ([`segment_nonce`]) before
+/// the object itself is.
+pub fn seal_at(key: &Key128, nonce: &Nonce12, version: u64, plaintext: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + plaintext.len() + gcm::TAG_LEN);
     out.extend_from_slice(nonce.as_bytes());
-    gcm::seal_into(&mut out, key, &nonce, &version.to_le_bytes(), plaintext);
+    gcm::seal_into(&mut out, key, nonce, &version.to_le_bytes(), plaintext);
     out
+}
+
+/// The nonce of part `index` of an object sealed under `drawn`: the draw
+/// with `index + 1` folded into its last four bytes. Distinct per index and
+/// never `drawn` itself, so the object and all its parts can share one key.
+pub fn segment_nonce(drawn: &Nonce12, index: u32) -> Nonce12 {
+    let mut b = *drawn.as_bytes();
+    for (b, x) in b[8..].iter_mut().zip((index + 1).to_be_bytes()) {
+        *b ^= x;
+    }
+    Nonce12::from_bytes(b)
 }
 
 /// Derives the sealing sub-key for a journal epoch from the enclave's
@@ -92,6 +120,24 @@ mod tests {
         let key = svc.sealing_key(&enclave);
         let blob = seal(&key, 3, b"enclave state", &mut rng);
         assert_eq!(unseal(&key, 3, &blob).unwrap(), b"enclave state");
+    }
+
+    #[test]
+    fn segment_nonces_are_distinct_and_never_the_draw() {
+        let drawn = Nonce12::generate(&mut SimRng::seed_from(3));
+        let mut seen = std::collections::HashSet::from([drawn]);
+        for index in 0..4096 {
+            assert!(seen.insert(segment_nonce(&drawn, index)), "index {index}");
+        }
+    }
+
+    #[test]
+    fn seal_at_is_seal_with_the_nonce_drawn_first() {
+        let (svc, enclave, _) = setup();
+        let key = svc.sealing_key(&enclave);
+        let nonce = Nonce12::generate(&mut SimRng::seed_from(5));
+        let blob = seal(&key, 9, b"state", &mut SimRng::seed_from(5));
+        assert_eq!(seal_at(&key, &nonce, 9, b"state"), blob);
     }
 
     #[test]

@@ -378,9 +378,16 @@ impl<K: Hash + Eq, V> RobinHoodMap<K, V> {
 
     /// Iterates over `(key, value)` pairs in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.iter_hashed().map(|(_, k, v)| (k, v))
+    }
+
+    /// [`iter`](Self::iter) with each entry's stored [`stable_key_hash`] —
+    /// for callers that partition entries by hash (snapshot segments)
+    /// without rehashing every key.
+    pub fn iter_hashed(&self) -> impl Iterator<Item = (u64, &K, &V)> {
         self.slots
             .iter()
-            .filter_map(|s| s.as_ref().map(|s| (&s.key, &s.value)))
+            .filter_map(|s| s.as_ref().map(|s| (s.hash, &s.key, &s.value)))
     }
 
     /// Removes all entries, keeping the allocated capacity.
@@ -587,6 +594,11 @@ impl<K: Hash + Eq, V> ShardedRobinHoodMap<K, V> {
         self.shards.iter().flat_map(RobinHoodMap::iter)
     }
 
+    /// [`iter`](Self::iter) with each entry's stored [`stable_key_hash`].
+    pub fn iter_hashed(&self) -> impl Iterator<Item = (u64, &K, &V)> {
+        self.shards.iter().flat_map(RobinHoodMap::iter_hashed)
+    }
+
     /// The merged order-independent digest: the wrapping sum of the
     /// per-shard [`RobinHoodMap::state_digest`]s, which by construction
     /// equals the digest of an unsharded map holding the same entries.
@@ -730,6 +742,7 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, (0..64).collect::<Vec<_>>());
         assert!(m.iter().all(|(k, v)| *v == k * k));
+        assert!(m.iter_hashed().all(|(h, k, _)| h == stable_key_hash(k)));
     }
 
     #[test]

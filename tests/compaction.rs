@@ -12,14 +12,27 @@
 //!   recovery digest is unchanged: an unreadable seal aborts the cut with
 //!   the counter untouched; a death between seal-commit and truncate
 //!   leaves the committed snapshot plus the whole journal.
-//! * **No stale pairs** — a replica offered a bit-flipped compacted
-//!   snapshot rejects it (seal + embedded watermark check) and falls back
-//!   to copying the full journal from a peer; it never serves from an
-//!   unverifiable base.
+//! * **No stale pairs** — a replica offered a doctored compacted snapshot
+//!   (a flipped bit in the manifest or in a reused segment, a segment of
+//!   an older cut spliced in, two segments swapped, the tail truncated)
+//!   rejects it and falls back to copying the full journal from a peer; it
+//!   never serves from an unverifiable base. Restore and recovery reject
+//!   the same blobs.
+//! * **Incremental ≡ cold** — a snapshot that re-sealed only the segments
+//!   dirtied since the previous cut restores to exactly what a full seal
+//!   of the same state restores to, across puts, overwrites, deletes,
+//!   revocation evictions and torn-seal retries.
+//! * **O(dirty)** — a cut after *k* distinct-key mutations seals at most
+//!   *k* segments, and an aborted seal leaves them dirty for the retry.
+//!
+//! `PRECURSOR_SWEEP_SEEDS` widens the incremental ≡ cold sweep (default 20
+//! seeds; nightly runs 100).
 //! * **Bounded growth** — after a 10k-op compacting run the journal holds
 //!   exactly the tail appended since the last cut.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
+use std::ops::Range;
 
 use precursor::{
     Cluster, CompactOutcome, Config, FaultAction, FaultDir, FaultPlan, FaultSite,
@@ -329,56 +342,157 @@ fn lagging_replica_adopts_compacted_pair_and_failover_recovers_from_it() {
     assert_eq!(c.value.as_deref(), Some(&[20u8; 24][..]));
 }
 
+// What a host can do to a segment-sealed blob without the sealing key,
+// given the previous cut's blob: each entry is one doctored copy of `new`.
+// Layouts are `(segment index, byte range)` per sealed segment.
+type Layout = Vec<(usize, Range<usize>)>;
+
+fn segment_attacks(
+    old: &[u8],
+    old_layout: &Layout,
+    new: &[u8],
+    new_layout: &Layout,
+) -> Vec<(&'static str, Vec<u8>)> {
+    let range_in = |layout: &Layout, index: usize| {
+        let found = layout.iter().find(|(i, _)| *i == index);
+        found.map(|(_, r)| r.clone())
+    };
+    // A segment re-sealed by the new cut (same length, different bytes)
+    // and one carried over from the old cut byte for byte.
+    let mut resealed = None;
+    let mut reused = None;
+    for (index, r) in new_layout {
+        let Some(o) = range_in(old_layout, *index) else {
+            continue;
+        };
+        if old[o.clone()] == new[r.clone()] {
+            reused.get_or_insert((r.clone(), o));
+        } else if o.len() == r.len() {
+            resealed.get_or_insert((r.clone(), o));
+        }
+    }
+    let (resealed, resealed_old) = resealed.expect("an overwritten key re-sealed its segment");
+    let (reused, _) = reused.expect("untouched keys keep their sealed segment");
+
+    let mut splice = new.to_vec();
+    splice[resealed.clone()].copy_from_slice(&old[resealed_old]);
+
+    let (a, b) = (&new_layout[0].1, &new_layout[1].1);
+    let mut swap = new[..a.start].to_vec();
+    swap.extend_from_slice(&new[b.clone()]);
+    swap.extend_from_slice(&new[a.end..b.start]);
+    swap.extend_from_slice(&new[a.clone()]);
+    swap.extend_from_slice(&new[b.end..]);
+    assert_eq!(swap.len(), new.len());
+
+    let mut manifest_bit = new.to_vec();
+    manifest_bit[4 + 12 + 5] ^= 0x10;
+    let mut reused_bit = new.to_vec();
+    reused_bit[reused.start] ^= 0x01;
+
+    vec![
+        ("previous cut's segment spliced in", splice),
+        ("two segments swapped", swap),
+        ("last segment truncated", new[..new.len() - 1].to_vec()),
+        ("bit flipped in the manifest", manifest_bit),
+        ("bit flipped in a reused segment", reused_bit),
+    ]
+}
+
 #[test]
 fn bit_flipped_compacted_snapshot_is_rejected_and_replica_falls_back_to_full_journal() {
     let cost = CostModel::default();
-    let mut cluster = Cluster::new(Config::default(), &cost, 3, GroupCommitPolicy::immediate());
-    let mut client = PrecursorClient::connect(cluster.primary_mut(), 61).expect("connect");
-    for i in 0u8..8 {
-        put(&mut cluster, &mut client, &[i], &[i; 24]).expect("put");
-    }
-    cluster.partition_replica(0);
-    for i in 8u8..24 {
-        put(&mut cluster, &mut client, &[i], &[i; 24]).expect("put past partition");
-    }
-    for _ in 0..8 {
-        cluster.pump();
-    }
-    let CompactOutcome::Compacted { .. } = cluster.compact() else {
-        panic!("drained journal must compact");
-    };
-    // The untrusted host flips one bit in the copy it ships — the sealed
-    // blob held by the enclave is untouched.
-    cluster.tamper_compacted_snapshot(9);
+    for attack in 0..5 {
+        let mut cluster = Cluster::new(Config::default(), &cost, 3, GroupCommitPolicy::immediate());
+        let mut client = PrecursorClient::connect(cluster.primary_mut(), 61).expect("connect");
+        for i in 0u8..8 {
+            put(&mut cluster, &mut client, &[i], &[i; 24]).expect("put");
+        }
+        cluster.partition_replica(0);
+        for i in 8u8..24 {
+            put(&mut cluster, &mut client, &[i], &[i; 24]).expect("put past partition");
+        }
+        for _ in 0..8 {
+            cluster.pump();
+        }
+        let CompactOutcome::Compacted { snapshot: old, .. } = cluster.compact() else {
+            panic!("drained journal must compact");
+        };
+        // A second cut that re-seals one segment and reuses the others.
+        put(&mut cluster, &mut client, &[3], &[0xee; 24]).expect("overwrite");
+        for _ in 0..8 {
+            cluster.pump();
+        }
+        let CompactOutcome::Compacted { snapshot: new, .. } = cluster.compact() else {
+            panic!("second cut must compact");
+        };
+        let layout = |version, blob: &[u8]| {
+            let segments = cluster.primary().snapshot_segments(version, blob);
+            segments.expect("own snapshot opens")
+        };
+        let attacks = segment_attacks(&old, &layout(1, &old), &new, &layout(2, &new));
+        let (what, doctored) = attacks.into_iter().nth(attack).expect("five attacks");
 
-    cluster.heal_replica(0);
-    for _ in 0..PUMP_BOUND {
-        cluster.pump();
-    }
-    assert!(
-        cluster.metrics().counter("replica.snapshot_rejected") >= 1,
-        "tampered pair rejected at the seal"
-    );
-    assert!(
-        cluster.metrics().counter("replica.full_catchup_fallbacks") >= 1,
-        "peer repair copied the uncompacted stream"
-    );
-    assert!(
-        !cluster.replica_compacted(0),
-        "replica never adopted the tampered pair"
-    );
-    assert!(!cluster.replica_needs_full(0), "fallback completed");
-    assert_eq!(cluster.metrics().gauge("replica.lag_records"), 0);
-    assert_eq!(
-        cluster.replica_coverage(0),
-        cluster.primary().journal_durable_end()
-    );
+        // Restore and recovery refuse the doctored blob at the current
+        // counter value (and accept the honest one).
+        let mut snap_counter = MonotonicCounter::new();
+        snap_counter.increment();
+        snap_counter.increment();
+        let epoch_counter = MonotonicCounter::new();
+        assert!(PrecursorServer::restore(Config::default(), &cost, &new, &snap_counter).is_ok());
+        assert_eq!(
+            PrecursorServer::restore(Config::default(), &cost, &doctored, &snap_counter)
+                .unwrap_err(),
+            StoreError::SnapshotRejected,
+            "{what}: restore"
+        );
+        assert_eq!(
+            PrecursorServer::recover(
+                Config::default(),
+                &cost,
+                Some(&doctored),
+                &snap_counter,
+                &[],
+                &epoch_counter
+            )
+            .unwrap_err(),
+            StoreError::SnapshotRejected,
+            "{what}: recover"
+        );
 
-    // The fallen-back replica is a fully valid promotion target.
-    let pre_digest = cluster.primary().state_digest();
-    let report = cluster.fail_primary().expect("failover succeeds");
-    assert!(!report.stale);
-    assert_eq!(cluster.primary().state_digest(), pre_digest);
+        // The untrusted host ships the doctored copy — the sealed blob
+        // held by the enclave is untouched.
+        cluster.rewrite_compacted_snapshot(|blob| *blob = doctored);
+        cluster.heal_replica(0);
+        for _ in 0..PUMP_BOUND {
+            cluster.pump();
+        }
+        assert!(
+            cluster.metrics().counter("replica.snapshot_rejected") >= 1,
+            "{what}: doctored pair rejected at the adoption gate"
+        );
+        // Only a replica flagged `needs_full` is repaired from a peer.
+        assert!(
+            cluster.metrics().counter("replica.full_catchup_fallbacks") >= 1,
+            "{what}: peer repair copied the uncompacted stream"
+        );
+        assert!(
+            !cluster.replica_compacted(0),
+            "{what}: replica never adopted the doctored pair"
+        );
+        assert!(!cluster.replica_needs_full(0), "{what}: fallback completed");
+        assert_eq!(cluster.metrics().gauge("replica.lag_records"), 0);
+        assert_eq!(
+            cluster.replica_coverage(0),
+            cluster.primary().journal_durable_end()
+        );
+
+        // The fallen-back replica is a fully valid promotion target.
+        let pre_digest = cluster.primary().state_digest();
+        let report = cluster.fail_primary().expect("failover succeeds");
+        assert!(!report.stale);
+        assert_eq!(cluster.primary().state_digest(), pre_digest);
+    }
 }
 
 // --- bounded growth ------------------------------------------------------
@@ -440,4 +554,272 @@ fn ten_thousand_op_compacting_run_bounds_journal_to_tail_since_last_cut() {
         &cost,
     );
     assert_eq!(digest, server.state_digest());
+}
+
+// --- incremental seals -----------------------------------------------------
+
+// One seeded interleaving of puts, overwrites, deletes, tenant revocations,
+// compactions and torn-seal retries. After every committed cut, the
+// incremental blob and a cold full seal of the same state (taken by a
+// fresh server restored from that blob, which has nothing cached) must
+// restore to the same keys, values and digest — and both to the live
+// state. The action trace rides in every assertion so a red seed is
+// replayable from the log alone.
+fn incremental_vs_cold_run(seed: u64) {
+    let cost = CostModel::default();
+    let config = Config::sharded([1, 2, 4][(seed % 3) as usize]);
+    let mut epoch_counter = MonotonicCounter::new();
+    let mut snap_counter = MonotonicCounter::new();
+    let mut server = PrecursorServer::new(config.clone(), &cost);
+    server.attach_journal(GroupCommitPolicy::immediate(), &mut epoch_counter);
+    let mut owner = PrecursorClient::connect(&mut server, seed ^ 0x0ddc).expect("connect");
+    let mut tenants: Vec<Option<PrecursorClient>> = (0..3)
+        .map(|t| Some(PrecursorClient::connect(&mut server, seed ^ (0x7e0 + t)).expect("tenant")))
+        .collect();
+
+    let mut rng = SimRng::seed_from(seed ^ 0x5e6);
+    // key → (value, last writer's client id)
+    let mut model: BTreeMap<Vec<u8>, (Vec<u8>, u32)> = BTreeMap::new();
+    let mut trace = format!("seed {seed} shards {};", config.shards);
+    let mut cuts = 0u32;
+    for step in 0..160u32 {
+        let key = vec![b'k', (rng.next_u32() % 48) as u8];
+        let mut value = vec![0u8; 1 + rng.gen_range(120) as usize];
+        rng.fill_bytes(&mut value);
+        let mut compacted = None;
+        match rng.gen_range(20) {
+            0..=8 => {
+                let _ = write!(trace, "{step}:put:{};", key[1]);
+                owner.put_sync(&mut server, &key, &value).expect("put");
+                model.insert(key, (value, owner.client_id()));
+            }
+            9..=11 => {
+                let _ = write!(trace, "{step}:del:{};", key[1]);
+                let _ = owner.delete_sync(&mut server, &key);
+                model.remove(&key);
+            }
+            12..=13 => {
+                let t = rng.gen_range(3) as usize;
+                if let Some(tenant) = tenants[t].as_mut() {
+                    let _ = write!(trace, "{step}:tput{t}:{};", key[1]);
+                    tenant
+                        .put_sync(&mut server, &key, &value)
+                        .expect("tenant put");
+                    model.insert(key, (value, tenant.client_id()));
+                }
+            }
+            14 => {
+                let t = rng.gen_range(3) as usize;
+                if let Some(tenant) = tenants[t].take() {
+                    let _ = write!(trace, "{step}:revoke{t};");
+                    server.revoke_client(tenant.client_id());
+                    model.retain(|_, (_, writer)| *writer != tenant.client_id());
+                }
+            }
+            15 => {
+                let _ = write!(trace, "{step}:get:{};", key[1]);
+                let _ = owner.get_sync(&mut server, &key);
+            }
+            16..=18 => {
+                let _ = write!(trace, "{step}:compact;");
+                match server.compact_journal(&mut snap_counter) {
+                    CompactOutcome::Compacted { snapshot, .. } => compacted = Some(snapshot),
+                    CompactOutcome::Skipped => {}
+                    other => panic!("{trace} unexpected {other:?}"),
+                }
+            }
+            _ => {
+                // The host tears the seal; the cut aborts and is retried.
+                let _ = write!(trace, "{step}:torn-retry;");
+                let version = snap_counter.read();
+                server.set_fault_plan(
+                    FaultPlan::none().rule(
+                        FaultSite::SnapshotSeal,
+                        FaultDir::Any,
+                        FaultAction::Drop,
+                        1,
+                    ),
+                    seed,
+                );
+                let torn = server.compact_journal(&mut snap_counter);
+                server.set_fault_plan(FaultPlan::none(), seed);
+                match torn {
+                    CompactOutcome::Aborted => {
+                        assert_eq!(snap_counter.read(), version, "{trace}");
+                        let CompactOutcome::Compacted { snapshot, .. } =
+                            server.compact_journal(&mut snap_counter)
+                        else {
+                            panic!("{trace} retry of an aborted cut must commit");
+                        };
+                        compacted = Some(snapshot);
+                    }
+                    CompactOutcome::Skipped => {}
+                    other => panic!("{trace} unexpected {other:?}"),
+                }
+            }
+        }
+        let Some(incremental) = compacted else {
+            continue;
+        };
+        cuts += 1;
+
+        let warm = PrecursorServer::restore(config.clone(), &cost, &incremental, &snap_counter)
+            .unwrap_or_else(|e| panic!("{trace} incremental blob restores: {e:?}"));
+        let mut cold_counter = MonotonicCounter::new();
+        let mut cold_source =
+            PrecursorServer::restore(config.clone(), &cost, &incremental, &snap_counter)
+                .expect("restores twice");
+        let cold_blob = cold_source.snapshot(&mut cold_counter);
+        let (mut cold, _) = PrecursorServer::recover(
+            config.clone(),
+            &cost,
+            Some(&cold_blob),
+            &cold_counter,
+            &[],
+            &MonotonicCounter::new(),
+        )
+        .unwrap_or_else(|e| panic!("{trace} cold full seal recovers: {e:?}"));
+
+        let recovered = recovered_digest(
+            &server,
+            Some(&incremental),
+            &snap_counter,
+            &epoch_counter,
+            &cost,
+        );
+        assert_eq!(recovered, server.state_digest(), "{trace} live digest");
+        assert_eq!(recovered, warm.state_digest(), "{trace} restored digest");
+        assert_eq!(recovered, cold.state_digest(), "{trace} cold digest");
+        let keys: Vec<Vec<u8>> = model.keys().cloned().collect();
+        assert_eq!(server.live_keys(), keys, "{trace} live keys");
+        assert_eq!(warm.live_keys(), keys, "{trace} incremental keys");
+        assert_eq!(cold.live_keys(), keys, "{trace} cold keys");
+        let mut reader = PrecursorClient::connect(&mut cold, seed ^ 0xc01d).expect("reader");
+        for (key, (value, _)) in &model {
+            let got = reader.get_sync(&mut cold, key);
+            assert_eq!(got.as_ref(), Ok(value), "{trace} value of {key:?}");
+        }
+    }
+    assert!(cuts >= 5, "{trace} only {cuts} cuts");
+    let reused = server.metrics().counter("snapshot.segments_reused");
+    assert!(reused > 0, "{trace} no cut ever reused a segment");
+}
+
+#[test]
+fn incremental_snapshots_match_a_cold_full_seal_across_seeds() {
+    let seeds = std::env::var("PRECURSOR_SWEEP_SEEDS")
+        .ok()
+        .and_then(|v| v.parse::<u64>().ok())
+        .unwrap_or(20);
+    for seed in 0..seeds {
+        incremental_vs_cold_run(seed);
+    }
+}
+
+#[test]
+fn cut_after_k_mutations_seals_at_most_k_segments_and_an_abort_keeps_them_dirty() {
+    let cost = CostModel::default();
+    let mut epoch_counter = MonotonicCounter::new();
+    let mut snap_counter = MonotonicCounter::new();
+    let mut server = PrecursorServer::new(Config::default(), &cost);
+    server.attach_journal(GroupCommitPolicy::immediate(), &mut epoch_counter);
+    let mut client = PrecursorClient::connect(&mut server, 71).expect("connect");
+    let key = |i: u32| format!("user{i:08}").into_bytes();
+    for i in 0..10_000u32 {
+        client
+            .put_sync(&mut server, &key(i), &[i as u8; 32])
+            .expect("load");
+    }
+    let sealed = |s: &PrecursorServer| s.metrics().counter("snapshot.segments_sealed");
+    let reused = |s: &PrecursorServer| s.metrics().counter("snapshot.segments_reused");
+
+    // The first cut has nothing to reuse: every segment is sealed.
+    let CompactOutcome::Compacted { .. } = server.compact_journal(&mut snap_counter) else {
+        panic!("loaded store compacts");
+    };
+    let all = sealed(&server);
+    assert!(all > 61, "a 10k-key store fills far more than 61 segments");
+    assert_eq!(reused(&server), 0);
+    let bytes_cold = server.metrics().counter("snapshot.bytes_sealed");
+
+    // k = 61 distinct keys: overwrites, deletes and fresh inserts.
+    const K: u64 = 61;
+    for i in 0..K as u32 {
+        let k = key(i * 163);
+        match i % 3 {
+            0 => client.put_sync(&mut server, &k, &[0xab; 32]).expect("put"),
+            1 => client.delete_sync(&mut server, &k).expect("delete"),
+            _ => client
+                .put_sync(&mut server, &key(20_000 + i), &[0xcd; 32])
+                .expect("put"),
+        };
+    }
+
+    // Torn seal: the work was done (≤ k segments), nothing committed, and
+    // the dirty set survives for the retry.
+    server.set_fault_plan(
+        FaultPlan::none().rule(FaultSite::SnapshotSeal, FaultDir::Any, FaultAction::Drop, 1),
+        71,
+    );
+    assert_eq!(
+        server.compact_journal(&mut snap_counter),
+        CompactOutcome::Aborted
+    );
+    let torn = sealed(&server) - all;
+    assert!(
+        (1..=K).contains(&torn),
+        "aborted cut sealed {torn} segments"
+    );
+    server.set_fault_plan(FaultPlan::none(), 71);
+
+    let CompactOutcome::Compacted { snapshot, .. } = server.compact_journal(&mut snap_counter)
+    else {
+        panic!("retry commits");
+    };
+    assert_eq!(
+        sealed(&server) - all - torn,
+        torn,
+        "the retry re-seals the same segments"
+    );
+    assert_eq!(
+        reused(&server),
+        2 * (all - torn),
+        "everything else is carried over"
+    );
+    let bytes_warm = server.metrics().counter("snapshot.bytes_sealed") - bytes_cold;
+    assert!(
+        bytes_warm * 5 < bytes_cold,
+        "{bytes_warm} of {bytes_cold} bytes re-sealed"
+    );
+
+    // The retried blob carries every one of the k mutations.
+    let mut restored = PrecursorServer::restore(Config::default(), &cost, &snapshot, &snap_counter)
+        .expect("retried blob restores");
+    assert_eq!(restored.state_digest(), server.state_digest());
+    assert_eq!(restored.live_keys(), server.live_keys());
+    let mut reader = PrecursorClient::connect(&mut restored, 72).expect("reader");
+    assert_eq!(reader.get_sync(&mut restored, &key(0)).unwrap(), [0xab; 32]);
+    assert_eq!(
+        reader.get_sync(&mut restored, &key(163)),
+        Err(StoreError::NotFound)
+    );
+    assert_eq!(
+        reader.get_sync(&mut restored, &key(20_002)).unwrap(),
+        [0xcd; 32]
+    );
+    assert_eq!(
+        reader.get_sync(&mut restored, &key(9_999)).unwrap(),
+        [15; 32]
+    );
+
+    // A cut with nothing new past the journal watermark is skipped; a lone
+    // write dirties exactly one segment.
+    client
+        .put_sync(&mut server, &key(5), &[1; 32])
+        .expect("put");
+    let before = sealed(&server);
+    let CompactOutcome::Compacted { .. } = server.compact_journal(&mut snap_counter) else {
+        panic!("one new record compacts");
+    };
+    assert_eq!(sealed(&server) - before, 1);
 }
