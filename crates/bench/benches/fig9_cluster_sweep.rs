@@ -4,39 +4,33 @@
 //! There is no paper figure for this: Precursor's testbed is a single
 //! server machine. This sweep pins the repo's cluster extension instead —
 //! consistent-hash placement, client location caches, sealed `NotMine`
-//! redirects, and fenced push-model migration — under the virtual-time
-//! model of `precursor_ycsb::cluster`: every node is an independent
-//! trusted poller, so cluster throughput is total ops over the **busiest
-//! node's** accumulated server-side meter charge.
+//! redirects, and fenced push-model migration — through the one YCSB
+//! driver: every node has its own CPU pool and NIC, each op is replayed
+//! on the node that served it, and a redirected op pays a full round trip
+//! at the stale node first (DESIGN.md §18).
 //!
 //! Acceptance bounds, enforced in-run:
 //!
 //! * 4 nodes must deliver ≥ 1.7× the 1-node throughput at every fleet
 //!   size — the placement ring's worst-case node share (32 vnodes) caps
 //!   perfect 4× scaling well above that floor;
-//! * on multi-node points a migration starts two thirds into the window
-//!   and must fence before the window ends, with the stale-routing
-//!   overhead (sealed redirects / ops) **< 1 %** after warmup;
-//! * every redirect is accounted: multi-node windows must observe at
-//!   least one redirect and one cache refresh, or the migration measured
-//!   nothing.
+//! * on multi-node points exactly one migration fences inside the window
+//!   (the session starts one every 5000 sweeps), with the stale-routing
+//!   overhead (sealed redirects / ops) **< 1 %**;
+//! * every fence is observed: multi-node windows must count at least one
+//!   redirect and one cache refresh, or the migration measured nothing
+//!   (`summary::fig9_window` checks both from the `cluster.*` counters).
 //!
 //! Runs at a fixed scale (ignores `PRECURSOR_FULL`): the scaling ratios
 //! only mean something if every run does the same work.
 
+use precursor_bench::summary::{fig9_window, FIG9_MAX_REDIRECT_RATE, FIG9_OPS as OPS};
 use precursor_bench::{kops, print_table, write_csv};
 use precursor_sim::CostModel;
-use precursor_ycsb::cluster::{ClusterParams, ClusterSession};
-use precursor_ycsb::workload::WorkloadSpec;
 
-const VALUE: usize = 32;
-const KEYS: u64 = 4_000;
-const OPS: u64 = 6_000;
 const NODES: [usize; 3] = [1, 2, 4];
 const CLIENTS: [usize; 2] = [1_000, 10_000];
-// Acceptance bounds.
 const MIN_SPEEDUP_4N: f64 = 1.7;
-const MAX_REDIRECT_RATE: f64 = 0.01;
 
 fn main() {
     println!("================================================================");
@@ -45,107 +39,55 @@ fn main() {
     println!("fixed scale (PRECURSOR_FULL ignored): scaling-ratio asserts");
     println!("================================================================");
     let cost = CostModel::default();
-    let spec = WorkloadSpec::workload_b(VALUE, KEYS);
 
     let mut rows = Vec::new();
     let mut speedups: Vec<(usize, f64)> = Vec::new();
     for &clients in &CLIENTS {
-        let mut base_tput: Option<f64> = None;
+        let mut base_tput = 0.0;
         for &nodes in &NODES {
-            let mut session = ClusterSession::build(
-                &ClusterParams {
-                    nodes,
-                    clients,
-                    value_size: VALUE,
-                    key_count: KEYS,
-                    seed: 0xF19C,
-                },
-                &cost,
-            );
-            let migrate = nodes > 1;
-            let r = session.measure(&spec, OPS, migrate);
-
-            assert_eq!(r.ops, OPS);
-            if migrate {
-                assert_eq!(
-                    r.migrations_fenced, 1,
-                    "migration must fence inside the window (nodes={nodes})"
-                );
-                assert!(
-                    r.redirects > 0 && r.refreshes > 0,
-                    "a fenced migration must produce redirects and refreshes \
-                     (nodes={nodes}, clients={clients})"
-                );
-                assert!(
-                    r.redirect_rate < MAX_REDIRECT_RATE,
-                    "redirect rate {:.3}% breaches the {:.0}% bound \
-                     (nodes={nodes}, clients={clients})",
-                    r.redirect_rate * 100.0,
-                    MAX_REDIRECT_RATE * 100.0
-                );
-            } else {
-                assert_eq!(r.redirects, 0, "single node never redirects");
-            }
-
+            let (r, redirects, keys_moved) = fig9_window(nodes, clients, 0xF19C, &cost);
             match nodes {
-                1 => base_tput = Some(r.throughput_ops),
-                4 => {
-                    let base = base_tput.expect("1-node point runs first");
-                    speedups.push((clients, r.throughput_ops / base));
-                }
+                1 => base_tput = r.throughput_ops,
+                4 => speedups.push((clients, r.throughput_ops / base_tput)),
                 _ => {}
             }
-            let busiest = r.node_busy.iter().map(|b| b.0).max().unwrap_or_default();
+            let redirect_pct = redirects as f64 / OPS as f64 * 100.0;
             println!(
-                "  nodes={nodes} clients={clients}: {} virtual Kops, \
-                 {} redirects ({:.3}%), {} keys moved",
+                "  nodes={nodes} clients={clients}: {} virtual Kops, p50 {}, \
+                 {redirects} redirects ({redirect_pct:.3}%), {keys_moved} keys moved",
                 kops(r.throughput_ops),
-                r.redirects,
-                r.redirect_rate * 100.0,
-                r.keys_moved
+                r.latency.percentile(50.0),
             );
             rows.push(vec![
                 format!("{nodes}"),
                 format!("{clients}"),
                 format!("{OPS}"),
                 kops(r.throughput_ops),
+                format!("{}", r.latency.percentile(50.0).0),
+                format!("{}", r.latency.percentile(99.0).0),
+                format!("{:.3}", r.server_utilization),
                 format!("{}", r.clients_active),
-                format!("{}", r.redirects),
-                format!("{:.3}", r.redirect_rate * 100.0),
-                format!("{}", r.keys_moved),
-                format!("{busiest}"),
+                format!("{redirects}"),
+                format!("{redirect_pct:.3}"),
+                format!("{keys_moved}"),
             ]);
         }
     }
-    print_table(
-        &[
-            "nodes",
-            "clients",
-            "ops",
-            "virtual Kops",
-            "active",
-            "redirects",
-            "redirect %",
-            "keys moved",
-            "busiest ns",
-        ],
-        &rows,
-    );
-    write_csv(
-        "fig9_cluster_sweep",
-        &[
-            "nodes",
-            "clients",
-            "ops",
-            "virtual_kops",
-            "active_clients",
-            "redirects",
-            "redirect_pct",
-            "keys_moved",
-            "busiest_node_ns",
-        ],
-        &rows,
-    );
+    let columns = [
+        "nodes",
+        "clients",
+        "ops",
+        "virtual_kops",
+        "p50_ns",
+        "p99_ns",
+        "mean_node_util",
+        "active_clients",
+        "redirects",
+        "redirect_pct",
+        "keys_moved",
+    ];
+    print_table(&columns, &rows);
+    write_csv("fig9_cluster_sweep", &columns, &rows);
     println!();
     for &(clients, speedup) in &speedups {
         assert!(
@@ -158,6 +100,6 @@ fn main() {
     println!(
         "cluster sweep OK: >= {MIN_SPEEDUP_4N}x at 4 nodes, \
          redirect rate < {:.0}% with a migration fenced in-window",
-        MAX_REDIRECT_RATE * 100.0
+        FIG9_MAX_REDIRECT_RATE * 100.0
     );
 }

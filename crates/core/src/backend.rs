@@ -20,11 +20,12 @@
 //! `precursor_shieldstore::backend` next to the types it adapts.
 
 use precursor_obs::MetricsRegistry;
+use precursor_sgx::counters::MonotonicCounter;
 use precursor_sgx::SgxPerfReport;
 use precursor_sim::meter::Meter;
 use precursor_sim::CostModel;
 
-use crate::client::PrecursorClient;
+use crate::cluster::{ClusterClient, PrecursorCluster, MAX_REDIRECTS};
 use crate::config::Config;
 use crate::error::StoreError;
 use crate::server::PrecursorServer;
@@ -64,8 +65,10 @@ pub enum KvStatus {
     Error,
     /// The server is shedding load; retry later.
     Busy,
-    /// The addressed node does not own the key; refresh routing and retry
-    /// at the hinted owner.
+    /// The addressed node does not own the key and did not execute the
+    /// op. The backend has refreshed the client's routing by the time the
+    /// completion is taken: submit the op again (at most
+    /// [`MAX_REDIRECTS`] times) and it reaches the hinted owner.
     NotMine,
 }
 
@@ -106,6 +109,9 @@ pub struct KvOpReport {
     pub status: KvStatus,
     /// Plaintext value bytes involved.
     pub value_len: usize,
+    /// Cluster node that executed the op — `0` for single-server
+    /// backends.
+    pub node: u32,
     /// Trusted polling shard that executed the op — `0` for backends
     /// without sharded trusted polling.
     pub shard: u32,
@@ -210,8 +216,9 @@ pub trait TrustedKv {
         MetricsRegistry::default()
     }
 
-    /// Submits one op and drives server + client until it completes —
-    /// convenience for tests and short sequences, not the measured path.
+    /// Submits one op and drives server + client until it completes,
+    /// re-submitting after a [`KvStatus::NotMine`] redirect — convenience
+    /// for tests and short sequences, not the measured path.
     fn op_sync(
         &mut self,
         client: usize,
@@ -219,57 +226,93 @@ pub trait TrustedKv {
         key: &[u8],
         value: &[u8],
     ) -> Result<KvCompleted, StoreError> {
-        let oid = self.submit(client, op, key, value)?;
-        // A few sweeps cover backends that stage replies across polls.
-        for _ in 0..16 {
-            self.poll();
-            self.poll_replies(client);
-            if let Some(done) = self
-                .take_completed(client)
-                .into_iter()
-                .rev()
-                .find(|c| c.oid == oid)
-            {
-                return Ok(done);
+        'hop: for _ in 0..MAX_REDIRECTS {
+            let oid = self.submit(client, op, key, value)?;
+            // A few sweeps cover backends that stage replies across polls.
+            for _ in 0..16 {
+                self.poll();
+                self.poll_replies(client);
+                match self
+                    .take_completed(client)
+                    .into_iter()
+                    .rev()
+                    .find(|c| c.oid == oid)
+                {
+                    Some(done) if done.status == KvStatus::NotMine => continue 'hop,
+                    Some(done) => return Ok(done),
+                    None => {}
+                }
             }
+            return Err(StoreError::Timeout);
         }
-        Err(StoreError::Timeout)
+        Err(StoreError::NotMine)
     }
 }
 
+// While a scheduled migration is in flight it streams this many keys
+// every this many sweeps, underneath the workload.
+const MIGRATE_PUMP_KEYS: usize = 8;
+const MIGRATE_PUMP_SWEEPS: usize = 16;
+
 /// [`TrustedKv`] over the Precursor data path — both the paper's
 /// client-side encryption design and the conventional server-encryption
-/// scheme, selected by [`Config::mode`].
+/// scheme, selected by [`Config::mode`] — as a [`PrecursorCluster`] of N
+/// nodes with one [`ClusterClient`] per connected client. A single server
+/// is the N = 1 case: the one node owns the whole ring, nothing ever
+/// redirects, and every observable is the standalone server's.
 pub struct PrecursorBackend {
-    server: PrecursorServer,
-    clients: Vec<PrecursorClient>,
-    epoch_counter: precursor_sgx::counters::MonotonicCounter,
-    snap_counter: precursor_sgx::counters::MonotonicCounter,
-    // Compact the journal every N polls (0 = never).
+    cluster: PrecursorCluster,
+    clients: Vec<ClusterClient>,
+    // Per-node trusted counters: journal epoch and snapshot version.
+    counters: Vec<(MonotonicCounter, MonotonicCounter)>,
+    // Compact the journals every N polls (0 = never).
     compact_every: usize,
     polls_since_compact: usize,
+    // Start moving this key's ring segment to the next node every N polls
+    // (`None` = never).
+    migrate: Option<(Vec<u8>, usize)>,
+    polls_since_migration: usize,
 }
 
 impl PrecursorBackend {
-    /// Builds the server with `config`; connect clients afterwards.
+    /// Builds one server with `config`; connect clients afterwards.
     pub fn new(config: Config, cost: &CostModel) -> PrecursorBackend {
+        PrecursorBackend::with_nodes(1, config, cost)
+    }
+
+    /// Builds `nodes` servers sharing `config` behind one placement ring;
+    /// clients attest to node 0 on connect and to the others on first
+    /// route.
+    ///
+    /// # Panics
+    ///
+    /// If `nodes` is 0 or exceeds `u16::MAX`.
+    pub fn with_nodes(nodes: usize, config: Config, cost: &CostModel) -> PrecursorBackend {
         PrecursorBackend {
-            server: PrecursorServer::new(config, cost),
+            cluster: PrecursorCluster::new(nodes, config, cost),
             clients: Vec::new(),
-            epoch_counter: precursor_sgx::counters::MonotonicCounter::new(),
-            snap_counter: precursor_sgx::counters::MonotonicCounter::new(),
+            counters: (0..nodes)
+                .map(|_| (MonotonicCounter::new(), MonotonicCounter::new()))
+                .collect(),
             compact_every: 0,
             polls_since_compact: 0,
+            migrate: None,
+            polls_since_migration: 0,
         }
     }
 
     /// Attaches a locally-durable sealed journal with the given
-    /// group-commit policy (see
+    /// group-commit policy to every node (see
     /// [`PrecursorServer::attach_journal`]). Call before connecting
-    /// clients so their sessions and mutations are journaled. Returns the
-    /// journal epoch.
+    /// clients so their sessions and mutations are journaled. Returns
+    /// node 0's journal epoch.
     pub fn enable_durability(&mut self, policy: precursor_journal::GroupCommitPolicy) -> u64 {
-        self.server.attach_journal(policy, &mut self.epoch_counter)
+        // Node 0 last: its epoch is the one returned.
+        let mut epoch = 0;
+        for (i, (counter, _)) in self.counters.iter_mut().enumerate().rev() {
+            epoch = self.cluster.node_mut(i).attach_journal(policy, counter);
+        }
+        epoch
     }
 
     /// Compacts the journal behind the committed watermark every
@@ -284,25 +327,63 @@ impl PrecursorBackend {
         self.polls_since_compact = 0;
     }
 
-    /// Compacts the journal now (if eligible) and returns the outcome.
+    /// Every `every_sweeps` poll sweeps, starts migrating the ring segment
+    /// owning `key` from its current owner to the next node, then streams
+    /// it underneath the workload until the fence flips ownership — so
+    /// every client location cache that routed into the segment goes stale
+    /// and pays one sealed redirect. A no-op on one node.
+    pub fn enable_migration(&mut self, key: &[u8], every_sweeps: usize) {
+        self.migrate = Some((key.to_vec(), every_sweeps));
+        self.polls_since_migration = 0;
+    }
+
+    /// Compacts every node's journal now (if eligible) and returns node
+    /// 0's outcome.
     pub fn compact_now(&mut self) -> crate::server::CompactOutcome {
-        self.server.compact_journal(&mut self.snap_counter)
+        let mut outcome = None;
+        for (i, (_, snap)) in self.counters.iter_mut().enumerate().rev() {
+            outcome = Some(self.cluster.node_mut(i).compact_journal(snap));
+        }
+        outcome.expect("at least one node")
     }
 
-    /// The underlying server (for assertions beyond the trait surface).
+    /// Node 0 (for assertions beyond the trait surface).
     pub fn server(&self) -> &PrecursorServer {
-        &self.server
+        self.cluster.node(0)
     }
 
-    /// Mutable access to the underlying server.
+    /// Mutable access to node 0.
     pub fn server_mut(&mut self) -> &mut PrecursorServer {
-        &mut self.server
+        self.cluster.node_mut(0)
+    }
+
+    // One tick of the migration schedule, run after every sweep.
+    fn drive_migration(&mut self) {
+        let Some((key, every)) = &self.migrate else {
+            return;
+        };
+        self.polls_since_migration += 1;
+        if self.cluster.migration_in_flight() {
+            if self
+                .polls_since_migration
+                .is_multiple_of(MIGRATE_PUMP_SWEEPS)
+            {
+                self.cluster.pump_migration(MIGRATE_PUMP_KEYS);
+            }
+        } else if self.polls_since_migration >= *every {
+            self.polls_since_migration = 0;
+            let from = self.cluster.meta().lookup(key).0;
+            let to = (from + 1) % self.cluster.node_count() as u16;
+            self.cluster
+                .start_migration(key, to)
+                .expect("no migration in flight and `to` is a node");
+        }
     }
 }
 
 impl TrustedKv for PrecursorBackend {
     fn name(&self) -> &'static str {
-        match self.server.config().mode {
+        match self.server().config().mode {
             crate::config::EncryptionMode::ClientSide => "Precursor",
             crate::config::EncryptionMode::ServerSide => "Precursor server-encryption",
         }
@@ -313,7 +394,7 @@ impl TrustedKv for PrecursorBackend {
     }
 
     fn connect(&mut self, seed: u64) -> Result<usize, StoreError> {
-        let client = PrecursorClient::connect(&mut self.server, seed)?;
+        let client = ClusterClient::connect(&mut self.cluster, seed)?;
         self.clients.push(client);
         Ok(self.clients.len() - 1)
     }
@@ -329,41 +410,47 @@ impl TrustedKv for PrecursorBackend {
         key: &[u8],
         value: &[u8],
     ) -> Result<u64, StoreError> {
-        let c = &mut self.clients[client];
-        match op {
-            KvOp::Put => c.put(key, value),
-            KvOp::Get => c.get(key),
-            KvOp::Delete => c.delete(key),
-        }
+        let op = match op {
+            KvOp::Put => Opcode::Put,
+            KvOp::Get => Opcode::Get,
+            KvOp::Delete => Opcode::Delete,
+        };
+        let (_node, oid) = self.clients[client].submit(&mut self.cluster, op, key, value)?;
+        Ok(oid)
     }
 
     fn poll(&mut self) -> usize {
-        let swept = self.server.poll();
+        let swept = self.cluster.poll_all();
         if self.compact_every > 0 {
             self.polls_since_compact += 1;
             if self.polls_since_compact >= self.compact_every {
                 self.polls_since_compact = 0;
-                self.server.compact_journal(&mut self.snap_counter);
+                self.compact_now();
             }
         }
+        self.drive_migration();
         swept
     }
 
     fn poll_replies(&mut self, client: usize) -> usize {
-        self.clients[client].poll_replies()
+        self.clients[client].poll_all_replies()
     }
 
     fn take_completed(&mut self, client: usize) -> Vec<KvCompleted> {
-        self.clients[client]
-            .take_all_completed()
-            .into_iter()
-            .map(|c| KvCompleted {
+        let session = &mut self.clients[client];
+        let mut done = Vec::new();
+        for (_node, c) in session.take_all_completed() {
+            // A sealed redirect refreshes the location cache here, so the
+            // caller's re-submit routes to the hinted owner.
+            session.note_redirect(&self.cluster, &c);
+            done.push(KvCompleted {
                 oid: c.oid,
                 op: c.opcode.into(),
                 status: c.status.into(),
                 value: c.value,
-            })
-            .collect()
+            });
+        }
+        done
     }
 
     fn take_client_meter(&mut self, client: usize) -> Meter {
@@ -371,53 +458,65 @@ impl TrustedKv for PrecursorBackend {
     }
 
     fn take_reports(&mut self) -> Vec<KvOpReport> {
-        self.server
-            .take_reports()
-            .into_iter()
-            .map(|r| KvOpReport {
-                client_id: r.client_id,
-                op: r.opcode.into(),
-                status: r.status.into(),
-                value_len: r.value_len,
-                shard: r.shard,
-                meter: r.meter,
-            })
-            .collect()
+        let mut reports = Vec::new();
+        for node in 0..self.cluster.node_count() {
+            for r in self.cluster.node_mut(node).take_reports() {
+                reports.push(KvOpReport {
+                    client_id: r.client_id,
+                    op: r.opcode.into(),
+                    status: r.status.into(),
+                    value_len: r.value_len,
+                    node: node as u32,
+                    shard: r.shard,
+                    meter: r.meter,
+                });
+            }
+        }
+        reports
     }
 
     fn sgx_report(&self) -> SgxPerfReport {
-        self.server.sgx_report()
+        self.server().sgx_report()
     }
 
     fn store_len(&self) -> usize {
-        self.server.len()
+        self.cluster.nodes().iter().map(PrecursorServer::len).sum()
     }
 
     fn warmup_batch(&self, frame_bytes: usize) -> usize {
         // Half the request ring: the in-flight window the credit protocol
         // sustains without a drain.
-        (self.server.config().ring_bytes / (2 * frame_bytes)).max(1)
+        (self.server().config().ring_bytes / (2 * frame_bytes)).max(1)
     }
 
     fn rings_swept(&self) -> u64 {
-        self.server.rings_swept()
+        self.cluster
+            .nodes()
+            .iter()
+            .map(PrecursorServer::rings_swept)
+            .sum()
     }
 
     fn metrics(&self) -> MetricsRegistry {
-        let mut m = self.server.metrics().clone();
+        let mut m = self.cluster.metrics();
+        let (mut redirects, mut refreshes) = (0, 0);
         for c in &self.clients {
             m.merge(&c.metrics());
+            redirects += c.stats().redirects;
+            refreshes += c.stats().refreshes;
         }
+        m.inc("cluster.redirects", redirects);
+        m.inc("cluster.refreshes", refreshes);
         // Fold the RDMA fault/adversary layers in, so retries, reconnects
         // and detections are visible next to the op counters they explain.
-        m.inc("rdma.faults.injected", self.server.injected_faults() as u64);
-        m.inc(
-            "rdma.adversary.mounted",
-            self.server.mounted_attacks() as u64,
-        );
+        let nodes = self.cluster.nodes().iter();
+        let injected = nodes.clone().map(|n| n.injected_faults() as u64).sum();
+        let mounted = nodes.clone().map(|n| n.mounted_attacks() as u64).sum();
+        m.inc("rdma.faults.injected", injected);
+        m.inc("rdma.adversary.mounted", mounted);
         m.gauge_set(
             "server.reports_dropped_total",
-            self.server.reports_dropped(),
+            nodes.map(PrecursorServer::reports_dropped).sum(),
         );
         m
     }

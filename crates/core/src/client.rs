@@ -116,6 +116,37 @@ pub struct CompletedOp {
     pub redirect: Option<u64>,
 }
 
+impl CompletedOp {
+    // The `Result` the `*_sync` conveniences hand back for a put or delete.
+    pub(crate) fn ack(self) -> Result<(), StoreError> {
+        match self.status {
+            Status::Ok => Ok(()),
+            Status::Replay if self.opcode == Opcode::Put => {
+                Err(self.error.unwrap_or(StoreError::ReplayDetected))
+            }
+            Status::NotFound => Err(self.error.unwrap_or(StoreError::NotFound)),
+            Status::Busy => Err(StoreError::Busy),
+            Status::NotMine => Err(StoreError::NotMine),
+            _ => Err(self.error.unwrap_or(StoreError::MalformedFrame)),
+        }
+    }
+
+    // The same for a get: the verified value.
+    pub(crate) fn into_value(self) -> Result<Vec<u8>, StoreError> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        match self.status {
+            Status::Ok => Ok(self.value.expect("ok get carries a value")),
+            Status::NotFound => Err(StoreError::NotFound),
+            Status::Replay => Err(StoreError::ReplayDetected),
+            Status::Busy => Err(StoreError::Busy),
+            Status::NotMine => Err(StoreError::NotMine),
+            Status::Error => Err(StoreError::MalformedFrame),
+        }
+    }
+}
+
 // What one transmission put on the wire: the exact ring WRITEs issued and
 // the producer position after them. Kept per pending op as the
 // retransmission log.
@@ -1115,15 +1146,7 @@ impl PrecursorClient {
         value: &[u8],
     ) -> Result<(), StoreError> {
         let oid = self.put(key, value)?;
-        let c = self.complete_sync(server, oid)?;
-        match c.status {
-            Status::Ok => Ok(()),
-            Status::Replay => Err(c.error.unwrap_or(StoreError::ReplayDetected)),
-            Status::NotFound => Err(c.error.unwrap_or(StoreError::NotFound)),
-            Status::Busy => Err(StoreError::Busy),
-            Status::NotMine => Err(StoreError::NotMine),
-            _ => Err(c.error.unwrap_or(StoreError::MalformedFrame)),
-        }
+        self.complete_sync(server, oid)?.ack()
     }
 
     /// Convenience: get and wait for the verified value by pumping `server`.
@@ -1138,18 +1161,7 @@ impl PrecursorClient {
         key: &[u8],
     ) -> Result<Vec<u8>, StoreError> {
         let oid = self.get(key)?;
-        let c = self.complete_sync(server, oid)?;
-        if let Some(e) = c.error {
-            return Err(e);
-        }
-        match c.status {
-            Status::Ok => Ok(c.value.expect("ok get carries a value")),
-            Status::NotFound => Err(StoreError::NotFound),
-            Status::Replay => Err(StoreError::ReplayDetected),
-            Status::Busy => Err(StoreError::Busy),
-            Status::NotMine => Err(StoreError::NotMine),
-            Status::Error => Err(StoreError::MalformedFrame),
-        }
+        self.complete_sync(server, oid)?.into_value()
     }
 
     /// Convenience: delete and wait for the ack by pumping `server`.
@@ -1163,14 +1175,7 @@ impl PrecursorClient {
         key: &[u8],
     ) -> Result<(), StoreError> {
         let oid = self.delete(key)?;
-        let c = self.complete_sync(server, oid)?;
-        match c.status {
-            Status::Ok => Ok(()),
-            Status::NotFound => Err(StoreError::NotFound),
-            Status::Busy => Err(StoreError::Busy),
-            Status::NotMine => Err(StoreError::NotMine),
-            _ => Err(c.error.unwrap_or(StoreError::MalformedFrame)),
-        }
+        self.complete_sync(server, oid)?.ack()
     }
 
     fn charge_client(&mut self, c: Cycles) {

@@ -2,7 +2,7 @@
 //! node (created lazily), routed through a [`LocationCache`].
 //!
 //! Redirect handling is the at-most-once-safe retry: a sealed
-//! [`Status::NotMine`] completion consumed its `oid` on the stale node
+//! [`NotMine`](crate::wire::Status::NotMine) completion consumed its `oid` on the stale node
 //! without executing, and the retry is a *fresh* `oid` on the owner's
 //! independent session — so no per-node window is ever violated, and an
 //! operation executes at most once cluster-wide.
@@ -10,19 +10,22 @@
 use crate::client::PrecursorClient;
 use crate::config::RetryPolicy;
 use crate::error::StoreError;
-use crate::wire::Status;
+use crate::wire::Opcode;
 use crate::CompletedOp;
+use precursor_obs::MetricsRegistry;
+use precursor_sim::meter::Meter;
 
 use super::{decode_owner_hint, LocationCache, PrecursorCluster};
 
-// A redirect chain longer than this means routing is livelocked (every
-// hop disagrees); surface it instead of spinning.
-const MAX_REDIRECTS: usize = 4;
+/// A redirect chain longer than this means routing is livelocked (every
+/// hop disagrees); callers surface it instead of spinning.
+pub const MAX_REDIRECTS: usize = 4;
 
 /// Routing counters for one [`ClusterClient`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouteStats {
-    /// Operations routed (sync ops and async submissions).
+    /// Requests routed, one per node visited: a redirected operation
+    /// counts once at the stale node and once at the owner.
     pub ops: u64,
     /// Sealed `NotMine` redirects received (stale-cache hits).
     pub redirects: u64,
@@ -95,21 +98,6 @@ impl ClusterClient {
         self.stats
     }
 
-    /// The location cache.
-    pub fn cache(&self) -> &LocationCache {
-        &self.cache
-    }
-
-    /// Routes `key` through the location cache (learning the ring from the
-    /// metadata service if the cache is empty).
-    pub fn route(&mut self, cluster: &PrecursorCluster, key: &[u8]) -> u16 {
-        if let Some(node) = self.cache.route(key) {
-            return node;
-        }
-        self.cache.learn(cluster.meta().snapshot());
-        self.cache.route(key).expect("fresh ring routes every key")
-    }
-
     /// Ensures a session to `node` exists (lazy attestation).
     ///
     /// # Errors
@@ -155,26 +143,60 @@ impl ClusterClient {
         Ok(())
     }
 
-    // Processes a sealed NotMine hint: count it, and refresh the ring
-    // snapshot iff the hint's epoch proves the cache stale (an older or
-    // equal epoch is a replayed pre-migration redirect — ignored).
-    fn apply_redirect(&mut self, cluster: &PrecursorCluster, hint: u64) {
+    /// Handles a `NotMine` completion: counts it, refreshes the ring
+    /// snapshot iff the sealed hint's epoch proves the cache stale (an
+    /// older or equal epoch is a replayed pre-migration redirect —
+    /// ignored), and returns the node the operation should be re-issued to
+    /// (with a fresh oid). `None` for any other completion.
+    pub fn note_redirect(&mut self, cluster: &PrecursorCluster, c: &CompletedOp) -> Option<u16> {
+        let hint = c.redirect?;
         self.stats.redirects += 1;
         if self.cache.is_stale_for(hint) {
             self.cache.learn(cluster.meta().snapshot());
             self.stats.refreshes += 1;
         }
+        Some(decode_owner_hint(hint).1)
     }
 
-    /// Handles an asynchronously-observed `NotMine` completion: applies the
-    /// hint to the cache and returns the node the operation should be
-    /// re-issued to (with a fresh oid). Used by pipelined harnesses that
-    /// drive sessions directly.
-    pub fn note_redirect(&mut self, cluster: &PrecursorCluster, c: &CompletedOp) -> Option<u16> {
-        let hint = c.redirect?;
-        self.apply_redirect(cluster, hint);
-        let (_, owner) = decode_owner_hint(hint);
-        Some(owner)
+    // Routes `key`, attaches the owner's session if needed and posts the
+    // request there: the one submit path under every public op.
+    pub(crate) fn submit(
+        &mut self,
+        cluster: &mut PrecursorCluster,
+        op: Opcode,
+        key: &[u8],
+        value: &[u8],
+    ) -> Result<(u16, u64), StoreError> {
+        self.stats.ops += 1;
+        let node = self.cache.route(key).expect("connect learned a ring");
+        self.ensure_session(cluster, node)?;
+        let session = self.sessions[node as usize].as_mut().expect("ensured");
+        let oid = match op {
+            Opcode::Put => session.put(key, value),
+            Opcode::Get => session.get(key),
+            Opcode::Delete => session.delete(key),
+        }?;
+        Ok((node, oid))
+    }
+
+    // Executes one op at the owner, following sealed redirects with fresh
+    // oids; returns the first completion that is not a redirect.
+    fn op_sync(
+        &mut self,
+        cluster: &mut PrecursorCluster,
+        op: Opcode,
+        key: &[u8],
+        value: &[u8],
+    ) -> Result<CompletedOp, StoreError> {
+        for _ in 0..MAX_REDIRECTS {
+            let (node, oid) = self.submit(cluster, op, key, value)?;
+            let session = self.sessions[node as usize].as_mut().expect("ensured");
+            let c = session.complete_sync(cluster.node_mut(node as usize), oid)?;
+            if self.note_redirect(cluster, &c).is_none() {
+                return Ok(c);
+            }
+        }
+        Err(StoreError::NotMine)
     }
 
     /// Cluster-routed put: route, execute at the owner, follow sealed
@@ -190,26 +212,7 @@ impl ClusterClient {
         key: &[u8],
         value: &[u8],
     ) -> Result<(), StoreError> {
-        self.stats.ops += 1;
-        for _ in 0..MAX_REDIRECTS {
-            let node = self.route(cluster, key);
-            self.ensure_session(cluster, node)?;
-            let session = self.sessions[node as usize].as_mut().expect("ensured");
-            let oid = session.put(key, value)?;
-            let c = session.complete_sync(cluster.node_mut(node as usize), oid)?;
-            if c.status == Status::NotMine {
-                self.apply_redirect(cluster, c.redirect.unwrap_or_default());
-                continue;
-            }
-            return match c.status {
-                Status::Ok => Ok(()),
-                Status::Replay => Err(c.error.unwrap_or(StoreError::ReplayDetected)),
-                Status::NotFound => Err(c.error.unwrap_or(StoreError::NotFound)),
-                Status::Busy => Err(StoreError::Busy),
-                _ => Err(c.error.unwrap_or(StoreError::MalformedFrame)),
-            };
-        }
-        Err(StoreError::NotMine)
+        self.op_sync(cluster, Opcode::Put, key, value)?.ack()
     }
 
     /// Cluster-routed get (verified value), following sealed redirects.
@@ -223,30 +226,7 @@ impl ClusterClient {
         cluster: &mut PrecursorCluster,
         key: &[u8],
     ) -> Result<Vec<u8>, StoreError> {
-        self.stats.ops += 1;
-        for _ in 0..MAX_REDIRECTS {
-            let node = self.route(cluster, key);
-            self.ensure_session(cluster, node)?;
-            let session = self.sessions[node as usize].as_mut().expect("ensured");
-            let oid = session.get(key)?;
-            let c = session.complete_sync(cluster.node_mut(node as usize), oid)?;
-            if c.status == Status::NotMine {
-                self.apply_redirect(cluster, c.redirect.unwrap_or_default());
-                continue;
-            }
-            if let Some(e) = c.error {
-                return Err(e);
-            }
-            return match c.status {
-                Status::Ok => Ok(c.value.expect("ok get carries a value")),
-                Status::NotFound => Err(StoreError::NotFound),
-                Status::Replay => Err(StoreError::ReplayDetected),
-                Status::Busy => Err(StoreError::Busy),
-                Status::NotMine => Err(StoreError::NotMine),
-                Status::Error => Err(StoreError::MalformedFrame),
-            };
-        }
-        Err(StoreError::NotMine)
+        self.op_sync(cluster, Opcode::Get, key, &[])?.into_value()
     }
 
     /// Cluster-routed delete, following sealed redirects.
@@ -260,25 +240,7 @@ impl ClusterClient {
         cluster: &mut PrecursorCluster,
         key: &[u8],
     ) -> Result<(), StoreError> {
-        self.stats.ops += 1;
-        for _ in 0..MAX_REDIRECTS {
-            let node = self.route(cluster, key);
-            self.ensure_session(cluster, node)?;
-            let session = self.sessions[node as usize].as_mut().expect("ensured");
-            let oid = session.delete(key)?;
-            let c = session.complete_sync(cluster.node_mut(node as usize), oid)?;
-            if c.status == Status::NotMine {
-                self.apply_redirect(cluster, c.redirect.unwrap_or_default());
-                continue;
-            }
-            return match c.status {
-                Status::Ok => Ok(()),
-                Status::NotFound => Err(StoreError::NotFound),
-                Status::Busy => Err(StoreError::Busy),
-                _ => Err(c.error.unwrap_or(StoreError::MalformedFrame)),
-            };
-        }
-        Err(StoreError::NotMine)
+        self.op_sync(cluster, Opcode::Delete, key, &[])?.ack()
     }
 
     /// Submits a put without waiting: returns `(node, oid)` for pipelined
@@ -294,11 +256,7 @@ impl ClusterClient {
         key: &[u8],
         value: &[u8],
     ) -> Result<(u16, u64), StoreError> {
-        self.stats.ops += 1;
-        let node = self.route(cluster, key);
-        self.ensure_session(cluster, node)?;
-        let session = self.sessions[node as usize].as_mut().expect("ensured");
-        Ok((node, session.put(key, value)?))
+        self.submit(cluster, Opcode::Put, key, value)
     }
 
     /// Submits a get without waiting: returns `(node, oid)`.
@@ -311,11 +269,7 @@ impl ClusterClient {
         cluster: &mut PrecursorCluster,
         key: &[u8],
     ) -> Result<(u16, u64), StoreError> {
-        self.stats.ops += 1;
-        let node = self.route(cluster, key);
-        self.ensure_session(cluster, node)?;
-        let session = self.sessions[node as usize].as_mut().expect("ensured");
-        Ok((node, session.get(key)?))
+        self.submit(cluster, Opcode::Get, key, &[])
     }
 
     /// Submits a delete without waiting: returns `(node, oid)`.
@@ -328,18 +282,35 @@ impl ClusterClient {
         cluster: &mut PrecursorCluster,
         key: &[u8],
     ) -> Result<(u16, u64), StoreError> {
-        self.stats.ops += 1;
-        let node = self.route(cluster, key);
-        self.ensure_session(cluster, node)?;
-        let session = self.sessions[node as usize].as_mut().expect("ensured");
-        Ok((node, session.delete(key)?))
+        self.submit(cluster, Opcode::Delete, key, &[])
     }
 
-    /// Polls replies on every attested session, in node order.
-    pub fn poll_all_replies(&mut self) {
+    /// Polls replies on every attested session, in node order; returns
+    /// how many arrived.
+    pub fn poll_all_replies(&mut self) -> usize {
+        self.sessions
+            .iter_mut()
+            .flatten()
+            .map(PrecursorClient::poll_replies)
+            .sum()
+    }
+
+    /// Takes and resets the cost meters of every session, merged.
+    pub fn take_meter(&mut self) -> Meter {
+        let mut total = Meter::new();
         for s in self.sessions.iter_mut().flatten() {
-            s.poll_replies();
+            total.merge(&s.take_meter());
         }
+        total
+    }
+
+    /// Every session's [`PrecursorClient::metrics`], merged.
+    pub fn metrics(&self) -> MetricsRegistry {
+        let mut m = MetricsRegistry::default();
+        for s in self.sessions.iter().flatten() {
+            m.merge(&s.metrics());
+        }
+        m
     }
 
     /// Drains completed operations from every session as

@@ -25,8 +25,9 @@
 //! assigns the range to the source). The **fence** is the single commit
 //! point: the source re-ships the delta (keys mutated since their segment
 //! shipped), the authoritative fence key-list drops deletions, the staged
-//! entries install at the destination, and the reassigned ring (epoch+1)
-//! is applied to the metadata service and every node view in one step.
+//! entries install at the destination, the reassigned ring (epoch+1) is
+//! applied to the metadata service and every node view in one step, and
+//! the source evicts its now-unreachable copies.
 //! A source crash mid-transfer ([`FaultSite::MigrateShip`]) aborts before
 //! the fence: the destination discards its staging and the source remains
 //! the sole owner, so no key is ever unowned or dual-owned.
@@ -34,7 +35,7 @@
 mod client;
 mod ring;
 
-pub use client::{ClusterClient, RouteStats};
+pub use client::{ClusterClient, RouteStats, MAX_REDIRECTS};
 pub use ring::PlacementRing;
 
 use std::collections::BTreeMap;
@@ -42,6 +43,7 @@ use std::sync::{Arc, Mutex};
 
 use precursor_crypto::keys::Key128;
 use precursor_crypto::{gcm, Nonce12};
+use precursor_obs::MetricsRegistry;
 use precursor_rdma::faults::{DurableVerdict, FaultInjector, FaultPlan, FaultSite};
 use precursor_rdma::replica::ReplicaLink;
 use precursor_sim::rng::SimRng;
@@ -241,6 +243,7 @@ pub struct PrecursorCluster {
     migrate_faults: Option<Arc<Mutex<FaultInjector>>>,
     migrations_completed: u64,
     migrations_aborted: u64,
+    keys_moved: u64,
 }
 
 // Poison-tolerant lock (mirrors the server's helper).
@@ -290,12 +293,18 @@ impl PrecursorCluster {
             migrate_faults: None,
             migrations_completed: 0,
             migrations_aborted: 0,
+            keys_moved: 0,
         }
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// Every node, in node order.
+    pub fn nodes(&self) -> &[PrecursorServer] {
+        &self.nodes
     }
 
     /// Shared reference to node `i`.
@@ -340,6 +349,20 @@ impl PrecursorCluster {
     /// Aborted migrations so far.
     pub fn migrations_aborted(&self) -> u64 {
         self.migrations_aborted
+    }
+
+    /// Every node's registry merged (the backend-neutral `ops.*` /
+    /// `status.*` / `stage.*_ns` namespace sums over nodes), plus the
+    /// migration plane's own `cluster.*` counters.
+    pub fn metrics(&self) -> MetricsRegistry {
+        let mut m = MetricsRegistry::default();
+        for node in &self.nodes {
+            m.merge(node.metrics());
+        }
+        m.inc("cluster.migrations_fenced", self.migrations_completed);
+        m.inc("cluster.migrations_aborted", self.migrations_aborted);
+        m.inc("cluster.keys_moved", self.keys_moved);
+        m
     }
 
     /// Whether a migration is currently streaming.
@@ -432,6 +455,7 @@ impl PrecursorCluster {
         match self.fence(m) {
             Ok(report) => {
                 self.migrations_completed += 1;
+                self.keys_moved += report.keys_moved as u64;
                 MigrationOutcome::Fenced(report)
             }
             Err(report) => {
@@ -557,6 +581,12 @@ impl PrecursorCluster {
         for (i, node) in self.nodes.iter_mut().enumerate() {
             node.install_routing(i as u16, ring.clone());
         }
+        // The source's copies are unreachable from here on; left in place
+        // they would come back to life — deleted keys included — the next
+        // time the segment migrates to this node.
+        for key in &current {
+            self.nodes[m.from as usize].evict_entry(key);
+        }
         Ok(MigrationReport {
             from: m.from,
             to: m.to,
@@ -601,5 +631,26 @@ mod tests {
         assert_eq!(cache.epoch(), 2);
         cache.learn(PlacementRing::new(2, 8));
         assert_eq!(cache.epoch(), 2);
+    }
+
+    #[test]
+    fn fence_leaves_no_copy_behind_to_resurrect() {
+        let mut cluster = PrecursorCluster::new(2, Config::default(), &CostModel::default());
+        let mut client = ClusterClient::connect(&mut cluster, 1).expect("connect");
+        client.put_sync(&mut cluster, b"k", b"v").expect("put");
+        let home = cluster.meta().lookup(b"k").0;
+        let migrate = |cluster: &mut PrecursorCluster, to: u16| {
+            assert!(cluster.start_migration(b"k", to).expect("start"));
+            while !matches!(cluster.pump_migration(8), MigrationOutcome::Fenced(_)) {}
+        };
+        migrate(&mut cluster, 1 - home);
+        assert_eq!(cluster.node(home as usize).len(), 0, "source evicts");
+        client.delete_sync(&mut cluster, b"k").expect("delete");
+        // Back home: the key was deleted at its owner and must stay so.
+        migrate(&mut cluster, home);
+        assert_eq!(
+            client.get_sync(&mut cluster, b"k"),
+            Err(StoreError::NotFound)
+        );
     }
 }

@@ -413,11 +413,6 @@ impl PrecursorServer {
         self.routing = Some(crate::cluster::NodeRouting { node, ring });
     }
 
-    /// This node's installed routing view as `(node, ring_epoch)`, if any.
-    pub fn routing_view(&self) -> Option<(u16, u64)> {
-        self.routing.as_ref().map(|r| (r.node, r.ring.epoch()))
-    }
-
     /// Whether this node's installed routing view claims ownership of
     /// `key`. Standalone servers own everything.
     pub fn owns_key(&self, key: &[u8]) -> bool {

@@ -252,6 +252,15 @@ impl PrecursorServer {
             .map_err(|_| StoreError::AttestationFailed)
     }
 
+    // Evicts `key` (journalled, pool slot freed) if it is stored: a revoked
+    // client's entry, or the source's copy of a key whose ring segment a
+    // migration fence just handed to another node.
+    pub(crate) fn evict_entry(&mut self, key: &[u8]) {
+        if self.store.table_remove(&mut self.adversary, key).0 {
+            self.journal_evict(key);
+        }
+    }
+
     /// Revokes a client: its QP transitions to the error state (§3.9), its
     /// requests are no longer processed, and every resource it held is
     /// reclaimed — its stored entries are evicted (pool slots freed), its
@@ -276,9 +285,7 @@ impl PrecursorServer {
             .map(|(key, _)| key.clone())
             .collect();
         for key in keys {
-            if self.store.table_remove(&mut self.adversary, &key).0 {
-                self.journal_evict(&key);
-            }
+            self.evict_entry(&key);
         }
         if let Some(adv) = &mut self.adversary {
             adv.release_held(client_id);

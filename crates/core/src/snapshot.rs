@@ -14,7 +14,7 @@
 //! protected by their one-time keys); the sealed layer protects the enclave
 //! metadata (`K_operation`s, the storage key) and the snapshot's integrity.
 //!
-//! **Blob layout** (this file owns it; [`seal`] writes it, [`open`] is the
+//! **Blob layout** (this file owns it; `seal` writes it, `open` is the
 //! only reader):
 //!
 //! ```text
@@ -24,15 +24,15 @@
 //!          | rows u16 | (index u16, len u32, nonce 12, tag 16) per non-empty segment
 //! ```
 //!
-//! The store is cut into [`SEGMENTS`] segments by key hash
-//! ([`segment_of`]), each sealed on its own under a nonce derived from the
+//! The store is cut into `SEGMENTS` segments by key hash
+//! (`segment_of`), each sealed on its own under a nonce derived from the
 //! manifest's and an AAD naming its index; its tag lives in the manifest
 //! row, not beside the ciphertext. Only the manifest is bound to the
 //! counter: a rolled-back manifest fails the version check as a whole blob
 //! used to, and a segment that is stale, swapped or spliced in from
 //! another cut fails against the row that names it. A cut therefore
 //! re-seals only the segments the store touched since the last one
-//! ([`SegmentSet`]) and carries the others over byte for byte — see
+//! (`SegmentSet`) and carries the others over byte for byte — see
 //! DESIGN §14 "Log compaction".
 
 use std::ops::Range;

@@ -129,6 +129,7 @@ impl TrustedKv for ShieldBackend {
                 op: op_of(r.op),
                 status: status_of(r.status),
                 value_len: r.value_len,
+                node: 0,
                 shard: 0,
                 meter: r.meter,
             })

@@ -15,7 +15,11 @@
 //!   + scheduling jitter ([`Transport::Tcp`] backends),
 //!
 //! yielding deterministic virtual-time throughput and latency
-//! distributions.
+//! distributions. A cluster ([`SessionParams::nodes`]) has one set of
+//! server-side resources per node: each op is replayed on the node that
+//! executed it, and an op a stale location cache sent to the wrong node is
+//! replayed as two visits — the sealed `NotMine` redirect at the stale
+//! node, then the re-submitted op at the owner (DESIGN.md §18).
 //!
 //! The driver holds the system under test as one `Box<dyn TrustedKv>`: the
 //! warmup, measurement, and per-op hot loop are written once against the
@@ -29,6 +33,7 @@
 //! warmup repeatedly.
 
 use precursor::backend::{KvOp, KvStatus, PrecursorBackend, Transport, TrustedKv};
+use precursor::cluster::MAX_REDIRECTS;
 use precursor::{Config, EncryptionMode};
 use precursor_obs::MetricsRegistry;
 use precursor_rdma::nic::RnicCache;
@@ -199,8 +204,26 @@ pub struct RunResult {
     pub clients_connected: u64,
 }
 
-// Per-op functional costs extracted from the meters.
+// How often a migrating session starts moving the first warmup key's ring
+// segment to the next node, in poll sweeps (one per visit).
+const MIGRATE_EVERY_SWEEPS: usize = 5000;
+
+// One node's contended server-side resources.
+struct NodeResources {
+    cpu: Pool,
+    rx: Link,
+    tx: Link,
+    rnic: RnicCache,
+}
+
+// Per-visit functional costs extracted from the meters: one op is one
+// visit, plus one per sealed redirect it had to follow.
 struct OpCosts {
+    // Cluster node that served the visit.
+    node: usize,
+    // The node answered with a sealed `NotMine` redirect: the op did not
+    // execute and must be re-submitted.
+    redirected: bool,
     client_pre: Nanos,
     client_post: Nanos,
     req_bytes: usize,
@@ -241,6 +264,8 @@ pub struct SessionParams {
     compacted: bool,
     ring_bytes: Option<usize>,
     paper_poller: bool,
+    nodes: usize,
+    migrating: bool,
 }
 
 impl SessionParams {
@@ -259,6 +284,8 @@ impl SessionParams {
             compacted: false,
             ring_bytes: None,
             paper_poller: false,
+            nodes: 1,
+            migrating: false,
         }
     }
 
@@ -336,13 +363,44 @@ impl SessionParams {
         self
     }
 
+    /// Runs `nodes` servers behind one consistent-hash placement ring:
+    /// clients route through location caches, each node has its own CPU
+    /// pool and NIC in the replay, and warmup places every record on its
+    /// owner. One node (the default) is a single server. Precursor family
+    /// only.
+    pub fn nodes(mut self, nodes: usize) -> SessionParams {
+        self.nodes = nodes;
+        self
+    }
+
+    /// Migrates the first warmup key's ring segment to the next node every
+    /// 5000 sweeps of the run, streamed underneath the workload, so
+    /// measured windows that long include a fence and the sealed redirects
+    /// of every location cache it made stale. Precursor family only.
+    pub fn migrating(mut self, migrating: bool) -> SessionParams {
+        self.migrating = migrating;
+        self
+    }
+
+    // Connects `max_clients` clients and loads the warmup records.
+    fn connect_and_load<B: TrustedKv>(&self, mut sut: B) -> B {
+        for i in 0..self.max_clients {
+            sut.connect(self.seed ^ ((i as u64) << 8)).expect("connect");
+        }
+        if self.warmup_keys > 0 {
+            bulk_load(&mut sut, self.value_size, 0, self.warmup_keys);
+        }
+        sut
+    }
+
     /// Builds the system, connects `max_clients` clients, and loads the
     /// warmup records.
     ///
     /// # Panics
     ///
-    /// Panics if `max_clients == 0`, or `shards` was set to zero or
-    /// combined with a backend that has no trusted polling shards.
+    /// Panics if `max_clients == 0` or `nodes == 0`, or `shards` was set
+    /// to zero or combined with a backend that has no trusted polling
+    /// shards.
     pub fn build(self, cost: &CostModel) -> BenchSession {
         assert!(self.max_clients > 0, "need at least one client");
         // The keyspace size lives in the WorkloadSpec at measure time; it
@@ -357,7 +415,7 @@ impl SessionParams {
         }
         // The only per-system dispatch in the driver: constructing the
         // backend. Everything after runs through `dyn TrustedKv`.
-        let mut sut: Box<dyn TrustedKv> = match self.system {
+        let sut: Box<dyn TrustedKv> = match self.system {
             SystemKind::Precursor | SystemKind::PrecursorServerEnc => {
                 let mode = if self.system == SystemKind::Precursor {
                     EncryptionMode::ClientSide
@@ -373,7 +431,7 @@ impl SessionParams {
                     ring_bytes: self.ring_bytes.unwrap_or(base.ring_bytes),
                     ..base
                 };
-                let mut backend = PrecursorBackend::new(config, cost);
+                let mut backend = PrecursorBackend::with_nodes(self.nodes, config, cost);
                 if self.journaled {
                     backend.enable_durability(precursor::GroupCommitPolicy::batched(32, 0));
                 }
@@ -381,18 +439,25 @@ impl SessionParams {
                     assert!(self.journaled, "compaction requires the journal");
                     backend.enable_compaction(64);
                 }
+                let mut backend = self.connect_and_load(backend);
+                // Armed after the bulk load, which does not follow
+                // redirects.
+                if self.migrating {
+                    backend.enable_migration(&key_bytes(0), MIGRATE_EVERY_SWEEPS);
+                }
                 Box::new(backend)
             }
             SystemKind::ShieldStore => {
                 assert!(!self.journaled, "ShieldStore has no durability journal");
                 assert!(self.ring_bytes.is_none(), "ShieldStore has no client rings");
-                Box::new(ShieldBackend::new(ShieldConfig::default(), cost))
+                assert!(
+                    self.nodes == 1 && !self.migrating,
+                    "ShieldStore is one server"
+                );
+                Box::new(self.connect_and_load(ShieldBackend::new(ShieldConfig::default(), cost)))
             }
         };
-        for i in 0..self.max_clients {
-            sut.connect(self.seed ^ ((i as u64) << 8)).expect("connect");
-        }
-        let mut session = BenchSession {
+        BenchSession {
             system: self.system,
             sut,
             cost: cost.clone(),
@@ -401,12 +466,38 @@ impl SessionParams {
             measurements: 0,
             shards: self.shards,
             paper_poller: self.paper_poller,
-        };
-        if self.warmup_keys > 0 {
-            session.load_more(0, self.warmup_keys);
+            nodes: self.nodes,
         }
-        session
     }
+}
+
+// Inserts records `start_id..start_id + extra` through client 0, draining
+// whenever the backend's in-flight window fills.
+fn bulk_load(sut: &mut dyn TrustedKv, size: usize, start_id: u64, extra: u64) {
+    let frame = 160 + size + KEY_LEN;
+    let batch = sut.warmup_batch(frame);
+    let mut pending = 0;
+    for id in start_id..start_id + extra {
+        sut.submit(0, KvOp::Put, &key_bytes(id), &value_bytes(id, 0, size))
+            .expect("warmup put");
+        pending += 1;
+        if pending == batch {
+            // The fairness budget caps records per client per sweep; a
+            // bulk load must sweep until the ring drains.
+            while sut.poll() > 0 {
+                sut.poll_replies(0);
+            }
+            sut.poll_replies(0);
+            pending = 0;
+        }
+    }
+    while sut.poll() > 0 {
+        sut.poll_replies(0);
+    }
+    sut.poll_replies(0);
+    sut.take_completed(0);
+    sut.take_client_meter(0);
+    sut.take_reports();
 }
 
 /// A warmed-up system instance reusable across measurement points.
@@ -425,6 +516,8 @@ pub struct BenchSession {
     // rings per sweep) instead of the rings each op's sweep actually
     // visited (`TrustedKv::rings_swept`).
     paper_poller: bool,
+    // Cluster nodes, each replayed on its own `NodeResources`.
+    nodes: usize,
 }
 
 impl BenchSession {
@@ -462,32 +555,7 @@ impl BenchSession {
     /// Inserts `extra` additional records beyond those already loaded (used
     /// by the EPC-paging experiment, which grows the keyspace to 3 M).
     pub fn load_more(&mut self, start_id: u64, extra: u64) {
-        let size = self.value_size;
-        let frame = 160 + size + KEY_LEN;
-        let batch = self.sut.warmup_batch(frame);
-        let mut pending = 0;
-        for id in start_id..start_id + extra {
-            self.sut
-                .submit(0, KvOp::Put, &key_bytes(id), &value_bytes(id, 0, size))
-                .expect("warmup put");
-            pending += 1;
-            if pending == batch {
-                // The fairness budget caps records per client per sweep; a
-                // bulk load must sweep until the ring drains.
-                while self.sut.poll() > 0 {
-                    self.sut.poll_replies(0);
-                }
-                self.sut.poll_replies(0);
-                pending = 0;
-            }
-        }
-        while self.sut.poll() > 0 {
-            self.sut.poll_replies(0);
-        }
-        self.sut.poll_replies(0);
-        self.sut.take_completed(0);
-        self.sut.take_client_meter(0);
-        self.sut.take_reports();
+        bulk_load(self.sut.as_mut(), self.value_size, start_id, extra);
     }
 
     /// The enclave report of the underlying server.
@@ -525,28 +593,32 @@ impl BenchSession {
         let mut rng = SimRng::seed_from(self.seed ^ (self.measurements << 32));
 
         // --- resources ---
-        // Sharded mode dedicates one core per trusted polling shard; the
-        // legacy model uses the paper testbed's 12-thread worker pool.
-        let mut server_cpu = match self.shards {
-            Some(s) => Pool::new("trusted-pollers", s),
-            None => Pool::new("server-threads", cost.server_threads),
-        };
-        let mut server_rx = Link::new("server-nic-rx", cost.rdma_one_way, cost.server_nic_gbps);
-        let mut server_tx = Link::new("server-nic-tx", cost.rdma_one_way, cost.server_nic_gbps);
+        // Every node is the paper's server machine. Sharded mode dedicates
+        // one core per trusted polling shard; the legacy model uses the
+        // paper testbed's 12-thread worker pool.
+        let mut servers: Vec<NodeResources> = (0..self.nodes)
+            .map(|_| NodeResources {
+                cpu: match self.shards {
+                    Some(s) => Pool::new("trusted-pollers", s),
+                    None => Pool::new("server-threads", cost.server_threads),
+                },
+                rx: Link::new("server-nic-rx", cost.rdma_one_way, cost.server_nic_gbps),
+                tx: Link::new("server-nic-tx", cost.rdma_one_way, cost.server_nic_gbps),
+                rnic: RnicCache::new(cost.rnic_cache_qps),
+            })
+            .collect();
         // Six client machines; the sixth has a 40 Gb NIC and runs half the
         // clients (§5.1).
-        let mut machine_tx: Vec<Link> = (0..6)
-            .map(|m| {
-                let bw = if m == 5 { 40.0 } else { cost.client_nic_gbps };
-                Link::new("client-machine-tx", Nanos::ZERO, bw)
-            })
-            .collect();
-        let mut machine_rx: Vec<Link> = (0..6)
-            .map(|m| {
-                let bw = if m == 5 { 40.0 } else { cost.client_nic_gbps };
-                Link::new("client-machine-rx", Nanos::ZERO, bw)
-            })
-            .collect();
+        let machine_links = |name| -> Vec<Link> {
+            (0..6)
+                .map(|m| {
+                    let bw = if m == 5 { 40.0 } else { cost.client_nic_gbps };
+                    Link::new(name, Nanos::ZERO, bw)
+                })
+                .collect()
+        };
+        let mut machine_tx = machine_links("client-machine-tx");
+        let mut machine_rx = machine_links("client-machine-rx");
         let machine_of = |c: usize| -> usize {
             if c % 2 == 1 {
                 5
@@ -554,7 +626,6 @@ impl BenchSession {
                 (c / 2) % 5
             }
         };
-        let mut rnic = RnicCache::new(cost.rnic_cache_qps);
         let is_tcp = self.sut.transport() == Transport::Tcp;
         // Enclave polling costs `poll_scan_per_client` per ring visited
         // (§5.2: "the necessary polling in the enclave ... might incur much
@@ -608,87 +679,110 @@ impl BenchSession {
             let (kind, key_id) = state.gen.next_op();
             state.version += 1;
             let version = state.version;
-            let costs = self.execute_op(workload, c, kind, key_id, version);
-
             // --- compose the timeline through the contended resources ---
+            // One visit per node the op reached: a sealed redirect costs a
+            // full round trip at the stale node before the re-submitted op
+            // starts at the owner.
             let m = machine_of(c);
-            let t_sent = t0 + costs.client_pre;
-            // request: client machine NIC → server NIC
-            let t_at_server_nic = machine_tx[m].transfer(t_sent, costs.req_bytes);
-            let mut t_arrive = server_rx.transfer(t_at_server_nic, costs.req_bytes);
-            if is_tcp {
-                // kernel + interrupt latency with scheduling jitter (§5.3)
-                let jitter = rng.lognormal(0.0, cost.tcp_jitter_sigma);
-                t_arrive += Nanos((cost.tcp_msg_latency.0 as f64 * jitter) as u64);
-            } else if !rnic.access(c as u64) {
-                t_arrive += cost.rnic_cache_miss;
-            }
-            // poller pickup delay (OS/poll-loop noise)
-            t_arrive += Nanos((250.0 * rng.lognormal(0.0, 0.8)) as u64);
-
-            let scan_rings = if self.paper_poller {
-                clients as u64
-            } else {
-                costs.rings_swept
-            };
-            let (t_depart, _busy_until) = match self.shards {
-                Some(s) => {
-                    // Sharded mode: the `s` poller cores sweep their owned
-                    // rings in parallel, so per-op scan occupancy shrinks
-                    // with the shard count (the fig6 scaling effect).
-                    // Charged in full (no calibration-baseline subtraction:
-                    // the dedicated poller has no other work to hide the
-                    // sweep behind).
-                    let scan = cost.server_time(precursor_sim::time::Cycles(
-                        cost.poll_scan_per_client
-                            .saturating_mul(scan_rings.div_ceil(s as u64)),
-                    ));
-                    let occupancy = costs.server_occupancy + scan;
-                    // The op is served by the poller core owning its shard
-                    // — a hot shard queues on its own core while the others
-                    // idle, which is exactly the skew fig6 measures.
-                    server_cpu.acquire_partial_on(
-                        costs.shard % s,
-                        t_arrive,
-                        costs.server_critical,
-                        occupancy,
-                    )
+            let mut t_done = t0;
+            let mut client_cpu = Nanos::ZERO;
+            let mut server_critical = Nanos::ZERO;
+            let mut op_stages = [Nanos::ZERO; 5];
+            for visit in 1.. {
+                let costs = self.execute_op(workload, c, kind, key_id, version);
+                let server = &mut servers[costs.node];
+                let t_sent = t_done + costs.client_pre;
+                // request: client machine NIC → server NIC
+                let t_at_server_nic = machine_tx[m].transfer(t_sent, costs.req_bytes);
+                let mut t_arrive = server.rx.transfer(t_at_server_nic, costs.req_bytes);
+                if is_tcp {
+                    // kernel + interrupt latency with scheduling jitter (§5.3)
+                    let jitter = rng.lognormal(0.0, cost.tcp_jitter_sigma);
+                    t_arrive += Nanos((cost.tcp_msg_latency.0 as f64 * jitter) as u64);
+                } else if !server.rnic.access(c as u64) {
+                    t_arrive += cost.rnic_cache_miss;
                 }
-                None => {
-                    // The fixed occupancies already contain a scan of the
-                    // calibration baseline's rings: charge the difference.
-                    let adjust_cycles = if is_tcp {
-                        0
-                    } else {
-                        let extra = i64::try_from(scan_rings)
-                            .unwrap_or(i64::MAX)
-                            .saturating_sub(baseline_rings);
-                        per_ring_cycles.saturating_mul(extra)
-                    };
-                    let adjust =
-                        cost.server_time(precursor_sim::time::Cycles(adjust_cycles.unsigned_abs()));
-                    let occupancy = if adjust_cycles >= 0 {
-                        costs.server_occupancy + adjust
-                    } else {
-                        costs
-                            .server_occupancy
-                            .saturating_sub(adjust)
-                            .max(costs.server_critical)
-                    };
-                    server_cpu.acquire_partial(t_arrive, costs.server_critical, occupancy)
-                }
-            };
+                // poller pickup delay (OS/poll-loop noise)
+                t_arrive += Nanos((250.0 * rng.lognormal(0.0, 0.8)) as u64);
 
-            // reply: server NIC → client machine NIC
-            let t_reply_at_machine = server_tx.transfer(t_depart, costs.reply_bytes);
-            let mut t_back = machine_rx[m].transfer(t_reply_at_machine, costs.reply_bytes);
-            if is_tcp {
-                let jitter = rng.lognormal(0.0, cost.tcp_jitter_sigma);
-                t_back += Nanos((cost.tcp_msg_latency.0 as f64 * jitter) as u64);
-            } else if !rnic.access(c as u64) {
-                t_back += cost.rnic_cache_miss;
+                let scan_rings = if self.paper_poller {
+                    clients as u64
+                } else {
+                    costs.rings_swept
+                };
+                let (t_depart, _busy_until) = match self.shards {
+                    Some(s) => {
+                        // Sharded mode: the `s` poller cores sweep their
+                        // owned rings in parallel, so per-op scan occupancy
+                        // shrinks with the shard count (the fig6 scaling
+                        // effect). Charged in full (no calibration-baseline
+                        // subtraction: the dedicated poller has no other
+                        // work to hide the sweep behind).
+                        let scan = cost.server_time(precursor_sim::time::Cycles(
+                            cost.poll_scan_per_client
+                                .saturating_mul(scan_rings.div_ceil(s as u64)),
+                        ));
+                        let occupancy = costs.server_occupancy + scan;
+                        // The op is served by the poller core owning its
+                        // shard — a hot shard queues on its own core while
+                        // the others idle, which is exactly the skew fig6
+                        // measures.
+                        server.cpu.acquire_partial_on(
+                            costs.shard % s,
+                            t_arrive,
+                            costs.server_critical,
+                            occupancy,
+                        )
+                    }
+                    None => {
+                        // The fixed occupancies already contain a scan of
+                        // the calibration baseline's rings: charge the
+                        // difference.
+                        let adjust_cycles = if is_tcp {
+                            0
+                        } else {
+                            let extra = i64::try_from(scan_rings)
+                                .unwrap_or(i64::MAX)
+                                .saturating_sub(baseline_rings);
+                            per_ring_cycles.saturating_mul(extra)
+                        };
+                        let adjust = cost
+                            .server_time(precursor_sim::time::Cycles(adjust_cycles.unsigned_abs()));
+                        let occupancy = if adjust_cycles >= 0 {
+                            costs.server_occupancy + adjust
+                        } else {
+                            costs
+                                .server_occupancy
+                                .saturating_sub(adjust)
+                                .max(costs.server_critical)
+                        };
+                        server
+                            .cpu
+                            .acquire_partial(t_arrive, costs.server_critical, occupancy)
+                    }
+                };
+
+                // reply: server NIC → client machine NIC
+                let t_reply_at_machine = server.tx.transfer(t_depart, costs.reply_bytes);
+                let mut t_back = machine_rx[m].transfer(t_reply_at_machine, costs.reply_bytes);
+                if is_tcp {
+                    let jitter = rng.lognormal(0.0, cost.tcp_jitter_sigma);
+                    t_back += Nanos((cost.tcp_msg_latency.0 as f64 * jitter) as u64);
+                } else if !server.rnic.access(c as u64) {
+                    t_back += cost.rnic_cache_miss;
+                }
+                t_done = t_back + costs.client_post;
+
+                client_cpu += costs.client_pre + costs.client_post;
+                server_critical += costs.server_critical;
+                for (slot, add) in op_stages.iter_mut().zip(costs.stages) {
+                    *slot += add;
+                }
+                if !costs.redirected {
+                    break;
+                }
+                assert!(visit < MAX_REDIRECTS, "redirect chain exceeds its bound");
             }
-            let t_done = t_back + costs.client_post;
 
             let op_latency = t_done - t0;
             completed += 1;
@@ -699,14 +793,14 @@ impl BenchSession {
                 // Figure-8 style attribution: "server" is the request's
                 // processing time proper (what the paper instruments);
                 // queueing and transport fall under "networking".
-                let server_part = costs.server_critical.min(op_latency);
+                let server_part = server_critical.min(op_latency);
                 let net = op_latency
-                    .saturating_sub(costs.client_pre + costs.client_post)
+                    .saturating_sub(client_cpu)
                     .saturating_sub(server_part);
                 net_sum += net;
                 server_sum += server_part;
-                client_sum += costs.client_pre + costs.client_post;
-                stages.record(&costs.stages);
+                client_sum += client_cpu;
+                stages.record(&op_stages);
             }
             last_completion = last_completion.max(t_done);
             // Closed loop with per-client think/issue time (Fig. 6 rise).
@@ -726,7 +820,12 @@ impl BenchSession {
             avg_network: net_sum / measured,
             avg_server: server_sum / measured,
             avg_client: client_sum / measured,
-            server_utilization: server_cpu.utilization(duration),
+            // Mean over the nodes.
+            server_utilization: servers
+                .iter()
+                .map(|n| n.cpu.utilization(duration))
+                .sum::<f64>()
+                / servers.len() as f64,
             stages,
             epc: self.sut.sgx_report(),
             ops: measure_ops,
@@ -736,8 +835,10 @@ impl BenchSession {
         }
     }
 
-    // The hot loop: one functional op through the backend-neutral trait —
-    // no per-system dispatch.
+    // The hot loop: one functional visit through the backend-neutral trait
+    // — no per-system dispatch. Taking the completion of a redirected visit
+    // refreshes the client's routing, so calling this again with the same
+    // arguments reaches the owner.
     fn execute_op(
         &mut self,
         workload: &WorkloadSpec,
@@ -772,6 +873,8 @@ impl BenchSession {
             *slot = pre.get(stage) + post.get(stage) + report.meter.get(stage);
         }
         OpCosts {
+            node: report.node as usize,
+            redirected: report.status == KvStatus::NotMine,
             client_pre: pre.get(Stage::ClientCpu),
             client_post: post.get(Stage::ClientCpu),
             req_bytes: pre.counters().tx_bytes as usize,
@@ -1032,6 +1135,99 @@ mod tests {
         let r = session.measure(&spec, 4, 600);
         assert!(r.throughput_ops > 0.0);
         assert!(r.latency.count() > 0);
+    }
+
+    // The cluster tests' session: 8 clients over 400 keys, workload B.
+    fn cluster_params(nodes: usize, migrating: bool) -> SessionParams {
+        SessionParams::new(SystemKind::Precursor)
+            .value_size(32)
+            .keys(400, 400)
+            .max_clients(8)
+            .seed(0xF19)
+            .nodes(nodes)
+            .migrating(migrating)
+    }
+
+    // One window of `ops` operations plus the registry counters it moved.
+    fn cluster_window(
+        nodes: usize,
+        migrating: bool,
+        ops: u64,
+    ) -> (RunResult, impl Fn(&str) -> u64) {
+        let mut session = cluster_params(nodes, migrating).build(&CostModel::default());
+        let before = session.metrics();
+        let r = session.measure(&WorkloadSpec::workload_b(32, 400), 8, ops);
+        let after = session.metrics();
+        (r, move |name: &str| {
+            after.counter(name) - before.counter(name)
+        })
+    }
+
+    #[test]
+    fn one_node_is_the_single_server_even_with_migration_armed() {
+        let (plain, _) = cluster_window(1, false, 600);
+        let (r, window) = cluster_window(1, true, 600);
+        assert!(r.throughput_ops > 10_000.0, "tput {}", r.throughput_ops);
+        assert_eq!(r.throughput_ops, plain.throughput_ops);
+        assert_eq!(r.stages, plain.stages);
+        assert_eq!(r.latency.percentile(99.0), plain.latency.percentile(99.0));
+        assert_eq!(window("cluster.redirects"), 0, "one node never redirects");
+        assert_eq!(window("cluster.migrations_fenced"), 0);
+    }
+
+    #[test]
+    fn a_redirected_op_is_two_visits_and_completes_once() {
+        // 6000 ops cross the 5000-sweep schedule once: the segment streams
+        // (8 keys / 16 sweeps) and fences well inside the window.
+        const OPS: u64 = 6_000;
+        let (r, window) = cluster_window(2, true, OPS);
+        assert_eq!(window("cluster.migrations_fenced"), 1);
+        assert!(window("cluster.keys_moved") > 0);
+        let redirects = window("cluster.redirects");
+        assert!(redirects > 0, "stale caches must redirect after a fence");
+        assert!(window("cluster.refreshes") > 0);
+        assert!(
+            (redirects as f64) < 0.05 * OPS as f64,
+            "{redirects} redirects"
+        );
+        // Each redirect is one extra server visit that executed nothing;
+        // every op still completed at its owner exactly once.
+        assert_eq!(window("status.not_mine"), redirects);
+        assert_eq!(window("ops.get") + window("ops.put"), OPS + redirects);
+        assert_eq!(window("status.ok"), OPS, "warmed keys: every op is Ok");
+        // Both visits' charges are the op's: the breakdown still conserves.
+        assert_eq!(r.stages.ops, r.latency.count());
+        let sum: Nanos = Stage::ALL.iter().map(|&s| r.stages.get(s)).sum();
+        assert_eq!(sum, r.stages.total());
+        assert!(r.latency.percentile(50.0) < r.latency.percentile(99.0));
+    }
+
+    #[test]
+    fn cluster_windows_are_deterministic() {
+        let (a, wa) = cluster_window(2, true, 6_000);
+        let (b, wb) = cluster_window(2, true, 6_000);
+        assert_eq!(a.throughput_ops, b.throughput_ops);
+        assert_eq!(a.stages, b.stages);
+        assert_eq!(a.latency.percentile(99.0), b.latency.percentile(99.0));
+        assert_eq!(wa("cluster.redirects"), wb("cluster.redirects"));
+    }
+
+    #[test]
+    fn nodes_spread_the_load() {
+        // 16 clients saturate one node's single poller core; four nodes
+        // serve the same offered load on four cores.
+        let spec = WorkloadSpec::workload_b(32, 400);
+        let run = |nodes: usize| {
+            cluster_params(nodes, false)
+                .max_clients(16)
+                .shards(1)
+                .build(&CostModel::default())
+                .measure(&spec, 16, 3_000)
+        };
+        let (one, four) = (run(1), run(4));
+        let speedup = four.throughput_ops / one.throughput_ops;
+        assert!(speedup > 1.5, "4-node speedup {speedup:.2}");
+        assert!(four.server_utilization < one.server_utilization);
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //!   rings, real enclave accounting), then replays the measured per-stage
 //!   costs through contended resources (server CPU pool, NIC links, RNIC
 //!   cache, TCP jitter) to produce throughput and latency distributions.
+//!   A multi-node cluster is the same driver with one set of server-side
+//!   resources per node.
 //!
 //! # Example
 //!
@@ -37,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cluster;
 pub mod driver;
 pub mod workload;
 pub mod zipfian;

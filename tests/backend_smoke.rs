@@ -1,6 +1,7 @@
 //! Cross-backend smoke test: every [`TrustedKv`] implementor — Precursor
-//! client-encryption, Precursor server-encryption, and ShieldStore — is
-//! instantiated through the trait and driven through one mixed
+//! client-encryption (one node and two), Precursor server-encryption, and
+//! ShieldStore — is instantiated through the trait and driven through one
+//! mixed
 //! GET/SET/DELETE sequence. The observable results (per-op status and
 //! value, final store size, per-op report stream) must be identical across
 //! backends: the trait contract, not any particular implementation, defines
@@ -23,9 +24,10 @@ fn backends() -> Vec<Box<dyn TrustedKv>> {
         ..Config::default()
     };
     vec![
-        Box::new(PrecursorBackend::new(client_enc, &cost)),
+        Box::new(PrecursorBackend::new(client_enc.clone(), &cost)),
         Box::new(PrecursorBackend::new(server_enc, &cost)),
         Box::new(ShieldBackend::new(ShieldConfig::default(), &cost)),
+        Box::new(PrecursorBackend::with_nodes(2, client_enc, &cost)),
     ]
 }
 
@@ -198,6 +200,7 @@ fn transports_are_declared_correctly() {
             ("Precursor".to_string(), Transport::Rdma),
             ("Precursor server-encryption".to_string(), Transport::Rdma),
             ("ShieldStore".to_string(), Transport::Tcp),
+            ("Precursor".to_string(), Transport::Rdma),
         ]
     );
 }
@@ -218,7 +221,34 @@ fn meters_flow_through_the_trait() {
         let reports = kv.take_reports();
         assert_eq!(reports.len(), 1, "{}", kv.name());
         assert_eq!(reports[0].shard, 0, "single-shard/shardless backends");
+        assert!(reports[0].node < 2, "{}", kv.name());
     }
+}
+
+#[test]
+fn migrating_two_node_backend_matches_one_node_through_redirects() {
+    // `alpha`'s ring segment changes owner every ~18 sweeps, so clients
+    // keep meeting fences that postdate their location caches: `op_sync`
+    // follows the sealed redirects and the script cannot tell.
+    let cost = CostModel::default();
+    let mut one = PrecursorBackend::new(Config::default(), &cost);
+    let mut two = PrecursorBackend::with_nodes(2, Config::default(), &cost);
+    two.enable_migration(b"alpha", 2);
+    for round in 0..6 {
+        assert_eq!(run_script(&mut one), run_script(&mut two), "round {round}");
+    }
+    let m = two.metrics();
+    assert!(m.counter("cluster.migrations_fenced") > 1);
+    assert!(
+        m.counter("cluster.redirects") > 0,
+        "no fence was ever observed"
+    );
+    assert_eq!(
+        m.counter("status.not_mine"),
+        m.counter("cluster.redirects"),
+        "every redirect is one sealed NotMine visit"
+    );
+    assert_eq!(one.metrics().counter("cluster.redirects"), 0);
 }
 
 #[test]
