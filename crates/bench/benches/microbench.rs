@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the substrate data structures and primitives
 //! (wall-clock, not simulated time): the Robin Hood table the enclave
 //! hosts, the ring buffers on the RDMA path, the Merkle tree of the
-//! baseline, and the software crypto. Plain timing loops — no external
+//! baseline, the EPC residency tracker, and the software crypto. Plain
+//! timing loops — no external
 //! benchmark harness.
 //!
 //! ```sh
@@ -11,7 +12,9 @@
 use std::time::Instant;
 
 use precursor_crypto::aes::Aes128;
+use precursor_crypto::gcm::GcmKey;
 use precursor_crypto::{cmac, gcm, salsa20, sha256, Key128, Key256, Nonce12, Nonce8};
+use precursor_sgx::epc::EpcTracker;
 use precursor_shieldstore::merkle::MerkleTree;
 use precursor_storage::ring::{RingConsumer, RingProducer};
 use precursor_storage::robinhood::RobinHoodMap;
@@ -76,6 +79,23 @@ fn bench_crypto() {
     bench("ghash_4k", 1_000, 4096, || {
         std::hint::black_box(gcm::ghash(&hash_key, &[], std::hint::black_box(&data)));
     });
+    // A long-lived key's context, built once: `gcm_seal_64_keyed` against
+    // `aes_gcm_seal_64` below is the set-up share of a small message, and
+    // `gcm_verify_4k` against `aes_gcm_seal`'s rate is authentication
+    // without the CTR pass.
+    let keyed = GcmKey::new(&Key128::from_bytes([1; 16]));
+    let small = [0xA5u8; 64];
+    let mut ctr = 0u64;
+    bench("gcm_seal_64_keyed", 62_500, 64, || {
+        ctr += 1;
+        std::hint::black_box(keyed.seal(&Nonce12::from_counter(ctr), &[], &small));
+    });
+    let nonce = Nonce12::from_counter(0);
+    let sealed = keyed.seal(&nonce, &[], &data);
+    let (ct, tag) = sealed.split_at(data.len());
+    bench("gcm_verify_4k", 1_000, 4096, || {
+        assert!(keyed.verify_detached(&nonce, &[], std::hint::black_box(ct), tag));
+    });
     for len in [64usize, 1024, 16_384] {
         let data = vec![0xA5u8; len];
         let iters = (4_000_000 / len).max(100) as u64;
@@ -127,9 +147,27 @@ fn bench_merkle() {
     }
 }
 
+fn bench_epc() {
+    println!("-- epc --");
+    // A 1 MiB region that fits the EPC, walked in 88-byte entries (the
+    // benchmark's `sgx.touch_ns` stream: most touches land on the page
+    // touched last) and then a page at a time (every touch looks its page
+    // up and moves it to the front of the LRU list).
+    for (name, stride) in [("epc_touch", 88), ("epc_touch_page_stride", 4096)] {
+        let mut epc = EpcTracker::new(23_000, 4096);
+        let mut i = 0u64;
+        bench(name, 1_000_000, 0, || {
+            i += 1;
+            let offset = (i * stride) % ((1 << 20) - 88);
+            std::hint::black_box(epc.touch_range(0, offset, 88));
+        });
+    }
+}
+
 fn main() {
     bench_robinhood();
     bench_crypto();
     bench_ring();
     bench_merkle();
+    bench_epc();
 }

@@ -28,8 +28,9 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use precursor_crypto::chain::MacChain;
-use precursor_crypto::keys::{Key128, Key256, Nonce8, Tag};
-use precursor_crypto::{cmac, gcm, salsa20};
+use precursor_crypto::gcm::GcmKey;
+use precursor_crypto::keys::{Key256, Nonce8, Tag};
+use precursor_crypto::{cmac, salsa20};
 use precursor_obs::{MetricsRegistry, Tracer};
 use precursor_rdma::mr::{Memory, RemoteKey};
 use precursor_rdma::qp::QueuePair;
@@ -185,7 +186,9 @@ struct Pending {
 #[derive(Debug)]
 pub struct PrecursorClient {
     client_id: u32,
-    session_key: Key128,
+    // `K_session`, expanded once per attestation: client memory, not
+    // enclave state.
+    session_key: GcmKey,
     mode: EncryptionMode,
     cost: CostModel,
 
@@ -277,7 +280,7 @@ impl PrecursorClient {
         );
         PrecursorClient {
             client_id,
-            session_key,
+            session_key: GcmKey::new(&session_key),
             mode,
             cost,
             qp,
@@ -481,7 +484,9 @@ impl PrecursorClient {
             EncryptionMode::ServerSide => {
                 // Conventional scheme: the whole value is transport-encrypted
                 // to the enclave; no client-side one-time key.
-                let payload = gcm::seal(&self.session_key, &payload_request_nonce(oid), &[], value);
+                let payload = self
+                    .session_key
+                    .seal(&payload_request_nonce(oid), &[], value);
                 self.charge_client(cost.aes_gcm(value.len()));
                 self.meter.counters_mut().crypto_bytes += value.len() as u64;
                 (
@@ -604,12 +609,9 @@ impl PrecursorClient {
         let iv = request_nonce(control.oid);
         let control_bytes = control.encode();
         self.charge_client(cost.aes_gcm(control_bytes.len()));
-        let sealed = gcm::seal(
-            &self.session_key,
-            &iv,
-            &request_aad(opcode, self.client_id),
-            &control_bytes,
-        );
+        let sealed =
+            self.session_key
+                .seal(&iv, &request_aad(opcode, self.client_id), &control_bytes);
         let frame = RequestFrame {
             opcode,
             client_id: self.client_id,
@@ -798,7 +800,7 @@ impl PrecursorClient {
         let bundle = server.reconnect_client(self.client_id, nonce)?;
         self.obs.inc("client.reconnects", 1);
         self.trace("reconnect", "attest", u64::from(bundle.epoch), 0);
-        self.session_key = bundle.session_key;
+        self.session_key = GcmKey::new(&bundle.session_key);
         self.mode = bundle.mode;
         self.qp = bundle.qp;
         self.request_rkey = bundle.request_ring_rkey;
@@ -818,7 +820,7 @@ impl PrecursorClient {
         self.poisoned = None;
         self.epoch = bundle.epoch;
         self.chain = MacChain::new(
-            &derive_chain_key(&self.session_key, bundle.epoch),
+            &derive_chain_key(&bundle.session_key, bundle.epoch),
             &chain_context(self.client_id, bundle.epoch),
         );
         self.gap_seqs.clear();
@@ -925,12 +927,10 @@ impl PrecursorClient {
         }
 
         self.charge_client(cost.aes_gcm(frame.sealed_control.len()));
-        let Ok(control_bytes) = gcm::open(
-            &self.session_key,
-            &reply_nonce(seq),
-            &[],
-            &frame.sealed_control,
-        ) else {
+        let Ok(control_bytes) =
+            self.session_key
+                .open(&reply_nonce(seq), &[], &frame.sealed_control)
+        else {
             return;
         };
         let Ok(control) = ReplyControl::decode(&control_bytes) else {
@@ -1068,12 +1068,10 @@ impl PrecursorClient {
                 }
                 EncryptionMode::ServerSide => {
                     self.charge_client(cost.aes_gcm(frame.payload.len()));
-                    match gcm::open(
-                        &self.session_key,
-                        &payload_reply_nonce(seq),
-                        &[],
-                        &frame.payload,
-                    ) {
+                    match self
+                        .session_key
+                        .open(&payload_reply_nonce(seq), &[], &frame.payload)
+                    {
                         Ok(value) => {
                             self.meter.counters_mut().crypto_bytes += value.len() as u64;
                             self.obs.inc("client.verify_ok", 1);
@@ -1221,12 +1219,9 @@ impl PrecursorClient {
         };
         let iv = request_nonce(oid);
         let control_bytes = control.encode();
-        let sealed = gcm::seal(
-            &self.session_key,
-            &iv,
-            &request_aad(opcode, self.client_id),
-            &control_bytes,
-        );
+        let sealed =
+            self.session_key
+                .seal(&iv, &request_aad(opcode, self.client_id), &control_bytes);
         let frame = RequestFrame {
             opcode,
             client_id: self.client_id,

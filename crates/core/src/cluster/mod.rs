@@ -41,8 +41,9 @@ pub use ring::PlacementRing;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use precursor_crypto::gcm::GcmKey;
 use precursor_crypto::keys::Key128;
-use precursor_crypto::{gcm, Nonce12};
+use precursor_crypto::Nonce12;
 use precursor_obs::MetricsRegistry;
 use precursor_rdma::faults::{DurableVerdict, FaultInjector, FaultPlan, FaultSite};
 use precursor_rdma::replica::ReplicaLink;
@@ -238,7 +239,7 @@ pub struct PrecursorCluster {
     // Attested node-to-node session key sealing migration segments
     // (modelled: in the real system it comes out of mutual enclave
     // attestation between source and destination).
-    transfer_key: Key128,
+    transfer_key: GcmKey,
     transfer_seq: u64,
     migrate_faults: Option<Arc<Mutex<FaultInjector>>>,
     migrations_completed: u64,
@@ -288,7 +289,7 @@ impl PrecursorCluster {
             nodes: servers,
             meta: MetaService::new(ring),
             migration: None,
-            transfer_key: Key128::generate(&mut rng),
+            transfer_key: GcmKey::new(&Key128::generate(&mut rng)),
             transfer_seq: 0,
             migrate_faults: None,
             migrations_completed: 0,
@@ -481,12 +482,9 @@ impl PrecursorCluster {
         let seq = self.transfer_seq;
         self.transfer_seq += 1;
         let aad = segment_aad(m.from, m.to, self.meta.ring().epoch());
-        let mut sealed = gcm::seal(
-            &self.transfer_key,
-            &Nonce12::from_counter(seq),
-            &aad,
-            &plain,
-        );
+        let mut sealed = self
+            .transfer_key
+            .seal(&Nonce12::from_counter(seq), &aad, &plain);
         if let Some(f) = &self.migrate_faults {
             match lock_faults(f).on_durable_write(FaultSite::MigrateShip, sealed.len()) {
                 DurableVerdict::Complete => {}
@@ -510,12 +508,9 @@ impl PrecursorCluster {
                 return ShipResult::Tampered;
             }
             let rx_seq = u64::from_le_bytes(rx[..8].try_into().expect("8 bytes"));
-            let opened = gcm::open(
-                &self.transfer_key,
-                &Nonce12::from_counter(rx_seq),
-                &aad,
-                &rx[8..],
-            );
+            let opened = self
+                .transfer_key
+                .open(&Nonce12::from_counter(rx_seq), &aad, &rx[8..]);
             let Ok(bytes) = opened else {
                 // Authentication failure: a tampered segment never
                 // installs; the migration aborts and can be retried.

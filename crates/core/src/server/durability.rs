@@ -31,6 +31,7 @@
 
 use std::collections::VecDeque;
 
+use precursor_crypto::gcm::GcmKey;
 use precursor_journal::{FlushDamage, GroupCommitPolicy, Journal, JournalRecord, JournalStats};
 use precursor_rdma::faults::{DurableVerdict, FaultSite};
 use precursor_sgx::counters::MonotonicCounter;
@@ -309,11 +310,12 @@ impl PrecursorServer {
     /// 1. **Tentative seal** at `counter.read() + 1` — the counter is NOT
     ///    advanced yet. Only the segments mutated since the last committed
     ///    snapshot are re-sealed. The host may damage what it persists
-    ///    (`SnapshotSeal` fault); the enclave validates exactly the bytes
-    ///    this cut wrote — manifest and re-sealed segments — and, on
-    ///    damage, aborts with the previous snapshot still authoritative,
-    ///    the journal whole and the dirty set intact
-    ///    ([`CompactOutcome::Aborted`]). Recovery state is unchanged.
+    ///    (`SnapshotSeal` fault); the enclave authenticates exactly the
+    ///    bytes this cut wrote — manifest and re-sealed segments, by tag,
+    ///    without decrypting them — and, on damage, aborts with the
+    ///    previous snapshot still authoritative, the journal whole and the
+    ///    dirty set intact ([`CompactOutcome::Aborted`]). Recovery state
+    ///    is unchanged.
     /// 2. **Commit** — `counter.increment()` makes the new blob the only
     ///    unsealable snapshot.
     /// 3. **Truncate** through the [`FaultSite::CompactTruncate`] crash
@@ -327,6 +329,19 @@ impl PrecursorServer {
     /// committed (locally or by quorum), and at least one record past the
     /// previous cut. Anything else is [`CompactOutcome::Skipped`].
     pub fn compact_journal(&mut self, counter: &mut MonotonicCounter) -> CompactOutcome {
+        self.compact_journal_via(counter, |_, _| {})
+    }
+
+    /// Adversarial hook: [`compact_journal`](Self::compact_journal) with
+    /// the untrusted host's write of the tentative cut in the caller's
+    /// hands. `host_write` gets the blob about to be persisted (after any
+    /// `SnapshotSeal` fault) and the byte ranges this cut wrote — layout,
+    /// never content — and may damage, truncate or extend it at will.
+    pub fn compact_journal_via(
+        &mut self,
+        counter: &mut MonotonicCounter,
+        host_write: impl FnOnce(&mut Vec<u8>, &[std::ops::Range<usize>]),
+    ) -> CompactOutcome {
         let Some(d) = self.durability.as_ref() else {
             return CompactOutcome::Skipped;
         };
@@ -339,9 +354,10 @@ impl PrecursorServer {
         }
         let upto = d.committed_seq;
         let version = counter.read() + 1;
-        let cut = self.snapshot_at(version);
-        let key = self.sealing_key();
-        if snapshot::open_segments(&key, version, &cut.persisted, &cut.resealed).is_err() {
+        let key = GcmKey::new(&self.sealing_key());
+        let mut cut = self.snapshot_at(&key, version);
+        host_write(&mut cut.persisted, &cut.sealed.written());
+        if !cut.sealed.persisted_intact(&key, version, &cut.persisted) {
             self.obs.inc("journal.compaction_aborts", 1);
             self.trace("journal", "compact_abort", upto, 0);
             return CompactOutcome::Aborted;
@@ -532,7 +548,7 @@ impl PrecursorServer {
     // gate when the journal has uncommitted records (or earlier replies
     // are already held — per-client WRITE order must be preserved). With
     // no journal attached this is exactly the ungated post loop.
-    pub(super) fn post_or_gate(&mut self, idx: usize, writes: Vec<(usize, Vec<u8>)>) {
+    pub(super) fn post_or_gate(&mut self, idx: usize, writes: &[(usize, Vec<u8>)]) {
         if writes.is_empty() {
             return;
         }
@@ -543,12 +559,13 @@ impl PrecursorServer {
         if gate {
             let d = self.durability.as_mut().expect("gate implies durability");
             let seq = d.journal.last_seq();
+            let writes = writes.to_vec();
             d.gated.push_back(GatedReply { idx, seq, writes });
             return;
         }
         let port = self.ingress.ports[idx].as_mut().expect("live port");
         let rkey = port.reply_ring_rkey;
-        for (off, chunk) in &writes {
+        for (off, chunk) in writes {
             let _ = port.qp.post_write(rkey, *off, chunk, false);
         }
     }

@@ -7,6 +7,7 @@
 //! stage's job, so that with several shards execution can run in shard order
 //! while reply sequence numbers are still consumed in pop order.
 
+use precursor_crypto::gcm::GcmKey;
 use precursor_crypto::keys::{Key128, Key256, Nonce12, Nonce8, Tag};
 use precursor_crypto::{cmac, gcm, sha256};
 use precursor_rdma::adversary::AdversaryInjector;
@@ -703,15 +704,14 @@ impl PrecursorServer {
     // straight from the table and sealed, clean ones copied from the last
     // committed blob. The dirty set is left alone — `commit_snapshot`
     // clears it — so a cut that is never committed is simply retried.
-    pub(crate) fn snapshot_at(&mut self, version: u64) -> TentativeCut {
-        let key = self.sealing_key();
+    pub(crate) fn snapshot_at(&mut self, key: &GcmKey, version: u64) -> TentativeCut {
         let header = self.snapshot_header();
         let drawn = Nonce12::generate(&mut self.rng);
         // The last committed blob sits in host memory: its manifest is
         // authenticated again before any row is trusted, and a blob that no
         // longer opens just makes this a full seal.
         let previous = self.last_snapshot.as_ref().and_then(|(at, blob)| {
-            let manifest = snapshot::open_manifest(&key, *at, blob).ok()?;
+            let manifest = snapshot::open_manifest(key, *at, blob).ok()?;
             Some((manifest, blob.as_slice()))
         });
         let dirty = if previous.is_some() {
@@ -721,7 +721,7 @@ impl PrecursorServer {
         };
         let plain = self.store.encode_segments(self.config.mode, &dirty);
         let cut = snapshot::seal(
-            &key,
+            key,
             version,
             &drawn,
             &header,
@@ -730,16 +730,15 @@ impl PrecursorServer {
             previous.as_ref().map(|(m, blob)| (m, *blob)),
         );
         self.obs
-            .inc("snapshot.segments_sealed", cut.segments_sealed);
+            .inc("snapshot.segments_sealed", cut.segments_sealed());
         self.obs
             .inc("snapshot.segments_reused", cut.segments_reused);
         self.obs.inc("snapshot.bytes_sealed", cut.bytes_sealed);
         let mut persisted = cut.blob.clone();
-        self.apply_durable_fault(FaultSite::SnapshotSeal, &mut persisted, &cut.written);
+        self.apply_durable_fault(FaultSite::SnapshotSeal, &mut persisted, &cut.written());
         TentativeCut {
-            sealed: cut.blob,
+            sealed: cut,
             persisted,
-            resealed: dirty,
         }
     }
 
@@ -747,7 +746,7 @@ impl PrecursorServer {
     // `version`): it becomes the source of clean segments for the next
     // one, and only now is the dirty set cleared.
     pub(crate) fn commit_snapshot(&mut self, version: u64, cut: TentativeCut) -> Vec<u8> {
-        self.last_snapshot = Some((version, cut.sealed));
+        self.last_snapshot = Some((version, cut.sealed.blob));
         self.store.dirty.clear();
         cut.persisted
     }

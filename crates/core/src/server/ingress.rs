@@ -15,7 +15,7 @@ use precursor_rdma::mr::{Memory, RemoteKey, WriteBoard};
 use precursor_rdma::qp::{connect_pair, connect_pair_faulty, QueuePair};
 use precursor_sim::meter::{Meter, Stage};
 use precursor_sim::time::Cycles;
-use precursor_storage::ring::{RingConsumer, RingProducer};
+use precursor_storage::ring::{framed_payload, RingConsumer, RingProducer};
 
 use crate::wire::ReplyFrame;
 
@@ -32,18 +32,17 @@ pub(super) struct ClientPort {
     pub(super) credit_rkey: RemoteKey,
     pub(super) reply_credit: Memory,
     /// `(offset, bytes)` of the WRITEs that carried the last executed
-    /// operation's reply — re-issued verbatim when that operation is
-    /// retransmitted, so a reply lost in flight (a hole the client's ring
-    /// consumer is parked on) gets filled idempotently.
+    /// operation's reply — the one remembered copy of it: an optional wrap
+    /// marker, then the framed record. Re-issued verbatim when that
+    /// operation is retransmitted, so a reply lost in flight (a hole the
+    /// client's ring consumer is parked on) gets filled idempotently.
     pub(super) last_reply: Vec<(usize, Vec<u8>)>,
-    /// The last remembered reply as one encoded ring record, plus the
-    /// producer's absolute position after it was pushed. When the client has
-    /// already consumed past that position (a Byzantine host substituted the
-    /// record, which the consumer then zeroed), a verbatim rewrite would
-    /// deposit garbage into consumed ring space — instead the record is
-    /// re-pushed as a *fresh* ring record (same `reply_seq`; the client
-    /// dedups or late-accepts it).
-    pub(super) last_reply_bytes: Vec<u8>,
+    /// The producer's absolute position after the remembered reply was
+    /// pushed. When the client has already consumed past that position (a
+    /// Byzantine host substituted the record, which the consumer then
+    /// zeroed), a verbatim rewrite would deposit garbage into consumed ring
+    /// space — instead the record is re-pushed as a *fresh* ring record
+    /// (same `reply_seq`; the client dedups or late-accepts it).
     pub(super) last_reply_end: u64,
     /// The last `consumed` value written back to the client's credit word
     /// — a sweep that consumed nothing skips the (redundant) WRITE.
@@ -122,7 +121,6 @@ impl PrecursorServer {
             credit_rkey,
             reply_credit,
             last_reply: Vec::new(),
-            last_reply_bytes: Vec::new(),
             last_reply_end: 0,
             last_credit: 0,
         };
@@ -188,28 +186,29 @@ impl PrecursorServer {
             });
             (writes, port.reply_producer.written(), pushed.is_some())
         };
-        // ... then let the adversary (when installed) substitute,
-        // hold, or duplicate them before they hit the wire.
-        let posted = match &mut self.adversary {
-            Some(adv) => adv.on_reply_record(idx as u32, writes.clone()),
-            None => writes.clone(),
-        };
-        // The WRITEs go through the group-commit gate: with no journal (or
-        // an up-to-date commit point) they post immediately, otherwise they
+        // ... then let the adversary (when installed) substitute, hold, or
+        // duplicate them before they hit the wire. Either way the WRITEs
+        // go through the group-commit gate: with no journal (or an
+        // up-to-date commit point) they post immediately, otherwise they
         // are held until the operation's journal group commits.
-        self.post_or_gate(idx, posted);
+        match &mut self.adversary {
+            Some(adv) => {
+                let posted = adv.on_reply_record(idx as u32, writes.clone());
+                self.post_or_gate(idx, &posted);
+            }
+            None => self.post_or_gate(idx, &writes),
+        }
         // Metered on the honest `writes`, so cost accounting is identical
         // with and without an adversary.
-        self.charge_posts(&writes, meter);
+        self.charge_posts(writes.len(), meter);
         meter.counters_mut().tx_bytes += bytes.len() as u64;
-        let port = self.ingress.ports[idx].as_mut().expect("live port");
         if remember {
             // Remember the *honest* record for retransmissions —
             // retransmits bypass the adversary by design, so a
             // wronged client can always recover the real reply.
+            let port = self.ingress.ports[idx].as_mut().expect("live port");
             port.last_reply = writes;
             port.last_reply_end = end;
-            port.last_reply_bytes = bytes;
         }
         if !pushed {
             // Reply ring full: in the real system the worker would
@@ -222,9 +221,9 @@ impl PrecursorServer {
 
     // The one post-accounting rule: every reply WRITE handed to the QP is
     // one post (a record that wraps the ring is two).
-    fn charge_posts(&self, writes: &[(usize, Vec<u8>)], meter: &mut Meter) {
+    fn charge_posts(&self, writes: usize, meter: &mut Meter) {
         let post = self.cost.server_time(Cycles(self.cost.rdma_post_cycles));
-        for _ in writes {
+        for _ in 0..writes {
             meter.counters_mut().rdma_posts += 1;
             meter.charge(Stage::ServerCritical, post);
         }
@@ -232,35 +231,35 @@ impl PrecursorServer {
 
     // Re-issues the remembered last reply of `idx` (retransmission path).
     pub(super) fn emit_retransmit(&mut self, idx: usize, meter: &mut Meter) {
-        let writes = {
-            let port = self.ingress.ports[idx].as_mut().expect("live port");
-            let consumed = port.reply_credit.read_u64(0);
-            if consumed >= port.last_reply_end && !port.last_reply_bytes.is_empty() {
-                // The client already consumed past the remembered
-                // record (it saw an adversary-substituted record there
-                // and zeroed the slot): rewriting the old offsets would
-                // deposit bytes into consumed ring space. Re-push the
-                // remembered record as a fresh one instead — same
-                // `reply_seq`, so the client dedups or late-accepts it.
-                port.reply_producer.update_credits(consumed);
-                let bytes = port.last_reply_bytes.clone();
-                let mut writes = Vec::with_capacity(2);
-                let _ = port.reply_producer.push_with(&bytes, |off, chunk| {
+        let port = self.ingress.ports[idx].as_mut().expect("live port");
+        // Taken out for the post below and put back: the one copy.
+        let mut writes = std::mem::take(&mut port.last_reply);
+        let consumed = port.reply_credit.read_u64(0);
+        if consumed >= port.last_reply_end {
+            // The client already consumed past the remembered record (it
+            // saw an adversary-substituted record there and zeroed the
+            // slot): rewriting the old offsets would deposit bytes into
+            // consumed ring space. Re-push the remembered record as a
+            // fresh one instead — same `reply_seq`, so the client dedups
+            // or late-accepts it.
+            port.reply_producer.update_credits(consumed);
+            let (_, framed) = writes.pop().expect("a remembered reply ends in its record");
+            writes.clear();
+            let _ = port
+                .reply_producer
+                .push_with(framed_payload(&framed), |off, chunk| {
                     writes.push((off, chunk.to_vec()));
                 });
-                port.last_reply = writes.clone();
-                port.last_reply_end = port.reply_producer.written();
-                writes
-            } else {
-                // Re-issue the last reply's WRITEs verbatim: fills any
-                // hole a dropped reply WRITE left in the client's reply
-                // ring, without consuming a new reply sequence number.
-                port.last_reply.clone()
-            }
-        };
-        self.charge_posts(&writes, meter);
+            port.last_reply_end = port.reply_producer.written();
+        }
+        // Otherwise the last reply's WRITEs are re-issued verbatim: that
+        // fills any hole a dropped reply WRITE left in the client's reply
+        // ring, without consuming a new reply sequence number.
+        self.charge_posts(writes.len(), meter);
         meter.counters_mut().tx_bytes += writes.iter().map(|(_, c)| c.len() as u64).sum::<u64>();
-        self.post_or_gate(idx, writes);
+        self.post_or_gate(idx, &writes);
+        let port = self.ingress.ports[idx].as_mut().expect("live port");
+        port.last_reply = writes;
     }
 
     // Bounded report buffer: a caller that never drains take_reports()

@@ -15,7 +15,8 @@
 //! metadata (`K_operation`s, the storage key) and the snapshot's integrity.
 //!
 //! **Blob layout** (this file owns it; `seal` writes it, `open` is the
-//! only reader):
+//! only reader, and `Cut::persisted_intact` authenticates a written copy
+//! without reading it):
 //!
 //! ```text
 //! sealed_len u32 | nonce 12 | GCM(manifest, aad = version) | segment ciphertexts, index order
@@ -37,7 +38,7 @@
 
 use std::ops::Range;
 
-use precursor_crypto::gcm;
+use precursor_crypto::gcm::{self, GcmKey};
 use precursor_crypto::keys::{Key128, Key256, Nonce12, Nonce8};
 use precursor_sgx::counters::MonotonicCounter;
 use precursor_sgx::sealing;
@@ -217,8 +218,7 @@ pub(crate) struct SnapshotHeader {
     pub journal_chain: [u8; 16],
 }
 
-/// An opened snapshot: the header plus the entries of every segment the
-/// opener was asked for.
+/// An opened snapshot: the header plus the entries of every segment.
 pub(crate) struct SnapshotBody {
     pub header: SnapshotHeader,
     pub entries: Vec<SnapshotEntry>,
@@ -355,17 +355,67 @@ fn segment_aad(index: usize) -> [u8; 20] {
     aad
 }
 
+// One segment a cut sealed: where its ciphertext starts in the blob and
+// the manifest row that authenticates it.
+struct SealedSegment {
+    index: usize,
+    start: usize,
+    row: SegmentRow,
+}
+
+impl SealedSegment {
+    fn range(&self) -> Range<usize> {
+        self.start..self.start + self.row.len
+    }
+}
+
 /// One sealed cut, as [`seal`] produced it.
 pub(crate) struct Cut {
     pub blob: Vec<u8>,
-    /// The byte ranges of `blob` this cut wrote (manifest first, then each
-    /// re-sealed segment); everything else was carried over.
-    pub written: Vec<Range<usize>>,
-    /// Segments sealed / carried over, and plaintext bytes sealed
-    /// (manifest included).
-    pub segments_sealed: u64,
+    // What the enclave keeps of the bytes this cut wrote — the manifest's
+    // nonce and extent, and one row per re-sealed segment — to authenticate
+    // the copy the host persisted; everything else was carried over.
+    drawn: Nonce12,
+    segments_at: usize,
+    resealed: Vec<SealedSegment>,
+    /// Segments carried over, and plaintext bytes sealed (manifest
+    /// included).
     pub segments_reused: u64,
     pub bytes_sealed: u64,
+}
+
+impl Cut {
+    /// Segments this cut sealed.
+    pub(crate) fn segments_sealed(&self) -> u64 {
+        self.resealed.len() as u64
+    }
+
+    /// The byte ranges of `blob` this cut wrote: the manifest first, then
+    /// each re-sealed segment.
+    pub(crate) fn written(&self) -> Vec<Range<usize>> {
+        let segments = self.resealed.iter().map(SealedSegment::range);
+        std::iter::once(0..self.segments_at)
+            .chain(segments)
+            .collect()
+    }
+
+    /// Whether `persisted` — the host's copy of `blob` — still holds, bit
+    /// for bit, every byte this cut wrote: the blob's length, the
+    /// manifest's framing and its tag at `version`, and each re-sealed
+    /// segment against the row and index AAD it was sealed under.
+    /// Authenticate-only: one GHASH pass per written range, nothing is
+    /// decrypted or decoded.
+    pub(crate) fn persisted_intact(&self, key: &GcmKey, version: u64, persisted: &[u8]) -> bool {
+        let at = self.segments_at;
+        persisted.len() == self.blob.len()
+            && persisted[..4] == ((at - 4) as u32).to_le_bytes()
+            && persisted[4..4 + Nonce12::LEN] == *self.drawn.as_bytes()
+            && sealing::verify_keyed(key, version, &persisted[4..at])
+            && self.resealed.iter().all(|s| {
+                let ct = &persisted[s.range()];
+                key.verify_detached(&s.row.nonce, &segment_aad(s.index), ct, &s.row.tag)
+            })
+    }
 }
 
 /// Seals one cut at `version`. Segments in `dirty` are sealed from
@@ -374,7 +424,7 @@ pub(crate) struct Cut {
 /// `previous`, the manifest and blob of the last committed cut, which must
 /// therefore exist whenever `dirty` is not every segment.
 pub(crate) fn seal(
-    key: &Key128,
+    key: &GcmKey,
     version: u64,
     drawn: &Nonce12,
     header: &SnapshotHeader,
@@ -421,9 +471,8 @@ pub(crate) fn seal(
     blob.extend_from_slice(&(sealed_len as u32).to_le_bytes());
     blob.resize(segments_at, 0);
 
-    let mut written = Vec::new();
-    written.push(0..segments_at);
-    let (mut segments_sealed, mut segments_reused, mut bytes_sealed) = (0, 0, 0);
+    let mut resealed = Vec::new();
+    let (mut segments_reused, mut bytes_sealed) = (0, 0);
     for (index, plain) in plain.iter().enumerate() {
         let row = if !dirty.contains(index) {
             let (row, bytes) = clean(index);
@@ -435,18 +484,22 @@ pub(crate) fn seal(
         } else {
             let nonce = sealing::segment_nonce(drawn, index as u32);
             let start = blob.len();
-            gcm::seal_into(&mut blob, key, &nonce, &segment_aad(index), plain);
+            key.seal_into(&mut blob, &nonce, &segment_aad(index), plain);
             let tag_at = blob.len() - gcm::TAG_LEN;
             let tag = blob[tag_at..].try_into().expect("seal appends the tag");
             blob.truncate(tag_at);
-            written.push(start..tag_at);
-            segments_sealed += 1;
             bytes_sealed += plain.len() as u64;
-            SegmentRow {
+            let row = SegmentRow {
                 len: plain.len(),
                 nonce,
                 tag,
-            }
+            };
+            resealed.push(SealedSegment {
+                index,
+                start,
+                row: row.clone(),
+            });
+            row
         };
         if row.len > 0 {
             manifest.extend_from_slice(&(index as u16).to_le_bytes());
@@ -456,11 +509,12 @@ pub(crate) fn seal(
         }
     }
     bytes_sealed += manifest.len() as u64;
-    blob[4..segments_at].copy_from_slice(&sealing::seal_at(key, drawn, version, &manifest));
+    blob[4..segments_at].copy_from_slice(&sealing::seal_at_keyed(key, drawn, version, &manifest));
     Cut {
         blob,
-        written,
-        segments_sealed,
+        drawn: *drawn,
+        segments_at,
+        resealed,
         segments_reused,
         bytes_sealed,
     }
@@ -476,7 +530,7 @@ pub(crate) fn seal(
 /// [`StoreError::MalformedFrame`] when the authentic manifest does not
 /// parse.
 pub(crate) fn open_manifest(
-    key: &Key128,
+    key: &GcmKey,
     version: u64,
     blob: &[u8],
 ) -> Result<Manifest, StoreError> {
@@ -485,7 +539,7 @@ pub(crate) fn open_manifest(
     let sealed_len = u32::from_le_bytes(sealed_len.try_into().expect("4")) as usize;
     let segments_at = 4 + sealed_len;
     let sealed = blob.get(4..segments_at).ok_or(rejected)?;
-    let plain = sealing::unseal(key, version, sealed).map_err(|_| rejected)?;
+    let plain = sealing::unseal_keyed(key, version, sealed).map_err(|_| rejected)?;
     let mut pos = 0usize;
     let header = SnapshotHeader::decode(&plain, &mut pos)?;
     let rows = decode_rows(&plain, &mut pos)?;
@@ -514,28 +568,14 @@ pub(crate) fn open_manifest(
 /// another platform); [`StoreError::MalformedFrame`] when authentic bytes
 /// do not parse.
 pub(crate) fn open(key: &Key128, version: u64, blob: &[u8]) -> Result<SnapshotBody, StoreError> {
-    open_segments(key, version, blob, &SegmentSet::all())
-}
-
-/// [`open`] restricted to the segments in `which` — compaction's
-/// validate-before-commit, which authenticates exactly what the tentative
-/// cut wrote: the manifest and the segments it re-sealed.
-pub(crate) fn open_segments(
-    key: &Key128,
-    version: u64,
-    blob: &[u8],
-    which: &SegmentSet,
-) -> Result<SnapshotBody, StoreError> {
-    let manifest = open_manifest(key, version, blob)?;
+    let key = GcmKey::new(key);
+    let manifest = open_manifest(&key, version, blob)?;
     let mut entries = Vec::new();
     for (index, range) in manifest.segment_ranges() {
-        if !which.contains(index) {
-            continue;
-        }
         let row = &manifest.rows[index];
-        let plain =
-            gcm::open_detached(key, &row.nonce, &segment_aad(index), &blob[range], &row.tag)
-                .map_err(|_| StoreError::SnapshotRejected)?;
+        let plain = key
+            .open_detached(&row.nonce, &segment_aad(index), &blob[range], &row.tag)
+            .map_err(|_| StoreError::SnapshotRejected)?;
         let mut pos = 0usize;
         while pos < plain.len() {
             entries.push(SnapshotEntry::decode_from(&plain, &mut pos)?);
@@ -547,13 +587,12 @@ pub(crate) fn open_segments(
     })
 }
 
-// A tentative cut between seal and commit: the blob as sealed, the blob as
-// the host persisted it (the same bytes unless a `SnapshotSeal` fault
-// damaged the write), and the segments the cut re-sealed.
+// A tentative cut between seal and commit: the cut as sealed, and its blob
+// as the host persisted it (the same bytes unless a `SnapshotSeal` fault
+// damaged the write).
 pub(crate) struct TentativeCut {
-    pub(crate) sealed: Vec<u8>,
+    pub(crate) sealed: Cut,
     pub(crate) persisted: Vec<u8>,
-    pub(crate) resealed: SegmentSet,
 }
 
 impl PrecursorServer {
@@ -569,7 +608,8 @@ impl PrecursorServer {
     /// fail, so recovery falls back to an older snapshot plus the journal.
     pub fn snapshot(&mut self, counter: &mut MonotonicCounter) -> Vec<u8> {
         let version = counter.increment();
-        let cut = self.snapshot_at(version);
+        let key = GcmKey::new(&self.sealing_key());
+        let cut = self.snapshot_at(&key, version);
         self.commit_snapshot(version, cut)
     }
 
@@ -605,7 +645,8 @@ impl PrecursorServer {
         version: u64,
         blob: &[u8],
     ) -> Option<Vec<(usize, Range<usize>)>> {
-        let manifest = open_manifest(&self.sealing_key(), version, blob).ok()?;
+        let key = GcmKey::new(&self.sealing_key());
+        let manifest = open_manifest(&key, version, blob).ok()?;
         Some(manifest.segment_ranges())
     }
 }

@@ -6,11 +6,18 @@
 //! The same construction seals journal records and enclave snapshots.
 //!
 //! GHASH multiplies by the hash key `H` with Shoup's 4-bit tables: the 16
-//! nibble multiples of `H` and of `H·x⁴` are built from `H` on every call,
-//! and a block is then 16 byte steps of two lookups, a byte shift and one
-//! reduction lookup — instead of 128 conditional shift-and-XOR steps. The
-//! lookups are indexed by secret-dependent bytes, so like the AES tables
-//! this is **not constant-time**; tag comparison still is ([`ct_eq`]).
+//! nibble multiples of `H` and of `H·x⁴` are built from `H` once per
+//! [`GcmKey`], and a block is then 16 byte steps of two lookups, a byte
+//! shift and one reduction lookup — instead of 128 conditional
+//! shift-and-XOR steps. The lookups are indexed by secret-dependent bytes,
+//! so like the AES tables this is **not constant-time**; tag comparison
+//! still is ([`ct_eq`]).
+//!
+//! [`GcmKey`] is the one implementation. A holder of a long-lived key (a
+//! client's `K_session`, a journal, a snapshot cut) builds it once and pays
+//! the AES key schedule, `H = E(0)` and the tables once; the free functions
+//! [`seal`], [`seal_into`], [`open`] and [`open_detached`] run the same
+//! code on a context built for the one call.
 
 use crate::aes::Aes128;
 use crate::ct::ct_eq;
@@ -50,7 +57,9 @@ fn mul_x(v: u128) -> u128 {
 
 /// Shoup's 4-bit tables for one hash key: `hi[n] = n · H` and
 /// `lo[n] = n · H · x⁴` for every nibble `n`, so a byte of the multiplicand
-/// costs two lookups and one `REM8` step. Built per call (512 B of stack).
+/// costs two lookups and one `REM8` step. 512 B, built once per
+/// [`GcmKey`].
+#[derive(Clone)]
 struct HTable {
     hi: [u128; 16],
     lo: [u128; 16],
@@ -102,47 +111,160 @@ impl HTable {
         }
         y
     }
-}
 
-fn ghash_u128(h: u128, aad: &[u8], ct: &[u8]) -> u128 {
-    let table = HTable::new(h);
-    let y = table.update(table.update(0, aad), ct);
-    let lens = ((aad.len() as u128 * 8) << 64) | (ct.len() as u128 * 8);
-    table.mul(y ^ lens)
+    /// GHASH of `aad` and `ct` (SP 800-38D §6.4): each zero-padded to whole
+    /// blocks, followed by their lengths in bits.
+    fn ghash(&self, aad: &[u8], ct: &[u8]) -> u128 {
+        let y = self.update(self.update(0, aad), ct);
+        let lens = ((aad.len() as u128 * 8) << 64) | (ct.len() as u128 * 8);
+        self.mul(y ^ lens)
+    }
 }
 
 /// GHASH under hash key `h` (SP 800-38D §6.4) of `aad` and `ct`, each
 /// zero-padded to whole blocks, followed by their lengths in bits.
 pub fn ghash(h: &[u8; 16], aad: &[u8], ct: &[u8]) -> [u8; 16] {
-    ghash_u128(u128::from_be_bytes(*h), aad, ct).to_be_bytes()
+    HTable::new(u128::from_be_bytes(*h))
+        .ghash(aad, ct)
+        .to_be_bytes()
 }
 
-fn ctr_xor(cipher: &Aes128, j0: &[u8; 16], data: &mut [u8]) {
-    let mut counter = *j0;
-    let mut ctr = u32::from_be_bytes([j0[12], j0[13], j0[14], j0[15]]);
-    for chunk in data.chunks_mut(16) {
-        ctr = ctr.wrapping_add(1);
-        counter[12..].copy_from_slice(&ctr.to_be_bytes());
-        let ks = cipher.encrypt_block(counter);
-        for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-            *b ^= k;
-        }
-    }
-}
-
-fn compute_tag(cipher: &Aes128, h: u128, j0: &[u8; 16], aad: &[u8], ct: &[u8]) -> Tag {
-    let s = ghash_u128(h, aad, ct);
-    let ekj0 = u128::from_be_bytes(cipher.encrypt_block(*j0));
-    Tag::from_bytes((s ^ ekj0).to_be_bytes())
-}
-
-fn setup(key: &Key128, nonce: &Nonce12) -> (Aes128, u128, [u8; 16]) {
-    let cipher = Aes128::new(key);
-    let h = u128::from_be_bytes(cipher.encrypt_block([0u8; 16]));
+fn j0(nonce: &Nonce12) -> [u8; 16] {
     let mut j0 = [0u8; 16];
     j0[..12].copy_from_slice(nonce.as_bytes());
     j0[15] = 1;
-    (cipher, h, j0)
+    j0
+}
+
+/// An AES-128-GCM key with its set-up already paid: the AES round keys and
+/// the GHASH tables of `H = E(0)`, about 700 bytes. Build one per
+/// long-lived key and reuse it for every message; the bytes produced are
+/// those of the free functions of this module, which build one per call.
+///
+/// # Example
+///
+/// ```
+/// use precursor_crypto::gcm::{self, GcmKey};
+/// use precursor_crypto::keys::{Key128, Nonce12};
+/// let key = Key128::from_bytes([7; 16]);
+/// let keyed = GcmKey::new(&key);
+/// let nonce = Nonce12::from_counter(1);
+/// let sealed = keyed.seal(&nonce, b"header", b"secret");
+/// assert_eq!(sealed, gcm::seal(&key, &nonce, b"header", b"secret"));
+/// let (ct, tag) = sealed.split_at(sealed.len() - gcm::TAG_LEN);
+/// assert!(keyed.verify_detached(&nonce, b"header", ct, tag));
+/// ```
+#[derive(Clone)]
+pub struct GcmKey {
+    cipher: Aes128,
+    table: HTable,
+}
+
+impl std::fmt::Debug for GcmKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Round keys and the multiples of H are all key material.
+        f.write_str("GcmKey(<redacted>)")
+    }
+}
+
+impl GcmKey {
+    /// Expands `key`: the AES key schedule, `H = E(0)` and its tables.
+    pub fn new(key: &Key128) -> GcmKey {
+        let cipher = Aes128::new(key);
+        let h = u128::from_be_bytes(cipher.encrypt_block([0u8; 16]));
+        GcmKey {
+            cipher,
+            table: HTable::new(h),
+        }
+    }
+
+    fn ctr_xor(&self, j0: &[u8; 16], data: &mut [u8]) {
+        let mut counter = *j0;
+        let mut ctr = u32::from_be_bytes([j0[12], j0[13], j0[14], j0[15]]);
+        for chunk in data.chunks_mut(16) {
+            ctr = ctr.wrapping_add(1);
+            counter[12..].copy_from_slice(&ctr.to_be_bytes());
+            let ks = self.cipher.encrypt_block(counter);
+            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
+                *b ^= k;
+            }
+        }
+    }
+
+    fn tag(&self, j0: &[u8; 16], aad: &[u8], ct: &[u8]) -> Tag {
+        let s = self.table.ghash(aad, ct);
+        let ekj0 = u128::from_be_bytes(self.cipher.encrypt_block(*j0));
+        Tag::from_bytes((s ^ ekj0).to_be_bytes())
+    }
+
+    /// Encrypts `plaintext` and authenticates it together with `aad`.
+    /// Returns `ciphertext ‖ tag` (tag is the trailing [`TAG_LEN`] bytes).
+    pub fn seal(&self, nonce: &Nonce12, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.seal_into(&mut out, nonce, aad, plaintext);
+        out
+    }
+
+    /// [`seal`](Self::seal), appending `ciphertext ‖ tag` to `out` instead
+    /// of allocating: for callers that frame the sealed bytes (a nonce in
+    /// front, a record header around) and would otherwise copy the whole
+    /// message to do so.
+    pub fn seal_into(&self, out: &mut Vec<u8>, nonce: &Nonce12, aad: &[u8], plaintext: &[u8]) {
+        let j0 = j0(nonce);
+        let start = out.len();
+        out.reserve(plaintext.len() + TAG_LEN);
+        out.extend_from_slice(plaintext);
+        self.ctr_xor(&j0, &mut out[start..]);
+        let tag = self.tag(&j0, aad, &out[start..]);
+        out.extend_from_slice(tag.as_bytes());
+    }
+
+    /// Decrypts `sealed` (`ciphertext ‖ tag`) and verifies the tag over the
+    /// ciphertext and `aad`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CryptoError::InvalidLength`] if `sealed` is shorter than a
+    /// tag and [`CryptoError::InvalidTag`] if authentication fails (wrong
+    /// key, wrong nonce, tampered ciphertext or tampered AAD).
+    pub fn open(&self, nonce: &Nonce12, aad: &[u8], sealed: &[u8]) -> Result<Vec<u8>, CryptoError> {
+        if sealed.len() < TAG_LEN {
+            return Err(CryptoError::InvalidLength);
+        }
+        let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
+        self.open_detached(nonce, aad, ct, tag)
+    }
+
+    /// [`open`](Self::open) for a tag stored apart from its ciphertext (a
+    /// manifest that lists the tags of the segments it authenticates).
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::InvalidTag`] if authentication fails.
+    pub fn open_detached(
+        &self,
+        nonce: &Nonce12,
+        aad: &[u8],
+        ct: &[u8],
+        tag: &[u8],
+    ) -> Result<Vec<u8>, CryptoError> {
+        let j0 = j0(nonce);
+        if !ct_eq(self.tag(&j0, aad, ct).as_bytes(), tag) {
+            return Err(CryptoError::InvalidTag);
+        }
+        let mut pt = ct.to_vec();
+        self.ctr_xor(&j0, &mut pt);
+        Ok(pt)
+    }
+
+    /// Whether `tag` authenticates `ct` and `aad` under `nonce` — exactly
+    /// when [`open_detached`](Self::open_detached) would return `Ok`, but
+    /// without decrypting: one GHASH pass and a constant-time compare. For
+    /// a holder that needs to know sealed bytes are intact and has no use
+    /// for the plaintext.
+    pub fn verify_detached(&self, nonce: &Nonce12, aad: &[u8], ct: &[u8], tag: &[u8]) -> bool {
+        ct_eq(self.tag(&j0(nonce), aad, ct).as_bytes(), tag)
+    }
 }
 
 /// Encrypts `plaintext` and authenticates it together with `aad`.
@@ -160,22 +282,12 @@ fn setup(key: &Key128, nonce: &Nonce12) -> (Aes128, u128, [u8; 16]) {
 /// assert_eq!(sealed.len(), 5 + gcm::TAG_LEN);
 /// ```
 pub fn seal(key: &Key128, nonce: &Nonce12, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    seal_into(&mut out, key, nonce, aad, plaintext);
-    out
+    GcmKey::new(key).seal(nonce, aad, plaintext)
 }
 
-/// [`seal`], appending `ciphertext ‖ tag` to `out` instead of allocating:
-/// for callers that frame the sealed bytes (a nonce in front, a record
-/// header around) and would otherwise copy the whole message to do so.
+/// [`seal`], appending `ciphertext ‖ tag` to `out` instead of allocating.
 pub fn seal_into(out: &mut Vec<u8>, key: &Key128, nonce: &Nonce12, aad: &[u8], plaintext: &[u8]) {
-    let (cipher, h, j0) = setup(key, nonce);
-    let start = out.len();
-    out.reserve(plaintext.len() + TAG_LEN);
-    out.extend_from_slice(plaintext);
-    ctr_xor(&cipher, &j0, &mut out[start..]);
-    let tag = compute_tag(&cipher, h, &j0, aad, &out[start..]);
-    out.extend_from_slice(tag.as_bytes());
+    GcmKey::new(key).seal_into(out, nonce, aad, plaintext);
 }
 
 /// Decrypts `sealed` (`ciphertext ‖ tag`) and verifies the tag over the
@@ -192,15 +304,10 @@ pub fn open(
     aad: &[u8],
     sealed: &[u8],
 ) -> Result<Vec<u8>, CryptoError> {
-    if sealed.len() < TAG_LEN {
-        return Err(CryptoError::InvalidLength);
-    }
-    let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-    open_detached(key, nonce, aad, ct, tag)
+    GcmKey::new(key).open(nonce, aad, sealed)
 }
 
-/// [`open`] for a tag stored apart from its ciphertext (a manifest that
-/// lists the tags of the segments it authenticates).
+/// [`open`] for a tag stored apart from its ciphertext.
 ///
 /// # Errors
 ///
@@ -212,14 +319,7 @@ pub fn open_detached(
     ct: &[u8],
     tag: &[u8],
 ) -> Result<Vec<u8>, CryptoError> {
-    let (cipher, h, j0) = setup(key, nonce);
-    let expected = compute_tag(&cipher, h, &j0, aad, ct);
-    if !ct_eq(expected.as_bytes(), tag) {
-        return Err(CryptoError::InvalidTag);
-    }
-    let mut pt = ct.to_vec();
-    ctr_xor(&cipher, &j0, &mut pt);
-    Ok(pt)
+    GcmKey::new(key).open_detached(nonce, aad, ct, tag)
 }
 
 #[cfg(test)]
@@ -260,91 +360,172 @@ mod tests {
         }
     }
 
+    // GCM spec test cases 1–4, then NIST CAVP gcmEncryptExtIV128 with
+    // PTlen = 0 (one whole AAD block; 20 AAD bytes):
+    // `(key, nonce, aad, plaintext, ciphertext ‖ tag)`.
+    const VECTORS: [[&str; 5]; 6] = [
+        [
+            "00000000000000000000000000000000",
+            "000000000000000000000000",
+            "",
+            "",
+            "58e2fccefa7e3061367f1d57a4e7455a",
+        ],
+        [
+            "00000000000000000000000000000000",
+            "000000000000000000000000",
+            "",
+            "00000000000000000000000000000000",
+            "0388dace60b6a392f328c2b971b2fe78ab6e47d42cec13bdf53a67b21257bddf",
+        ],
+        [
+            "feffe9928665731c6d6a8f9467308308",
+            "cafebabefacedbaddecaf888",
+            "",
+            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
+             1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255",
+            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
+             21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985\
+             4d5c2af327cd64a62cf35abd2ba6fab4",
+        ],
+        [
+            "feffe9928665731c6d6a8f9467308308",
+            "cafebabefacedbaddecaf888",
+            "feedfacedeadbeeffeedfacedeadbeefabaddad2",
+            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
+             1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39",
+            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
+             21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091\
+             5bc94fbc3221a5db94fae95ae7121a47",
+        ],
+        [
+            "77be63708971c4e240d1cb79e8d77feb",
+            "e0e00f19fed7ba0136a797f3",
+            "7a43ec1d9c0a5a78a0b16533a6213cab",
+            "",
+            "209fcc8d3675ed938e9c7166709dd946",
+        ],
+        [
+            "2fb45e5b8f993a2bfebc4b15b533e0b4",
+            "5b05755f984d2b90f94b8027",
+            "e85491b2202caf1d7dce03b97e09331c32473941",
+            "",
+            "c75b7832b2a2d9bd827412b6ef5769db",
+        ],
+    ];
+
+    // Vector `i`, sealed by the free function (checked against the oracle)
+    // and opened again: `(plaintext, sealed, expected)`.
+    fn run_vector(i: usize) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+        let [k, n, aad, pt, expected] = VECTORS[i];
+        let (k, n, aad, pt) = (key(k), nonce(n), h2b(aad), h2b(pt));
+        let sealed = seal_both(&k, &n, &aad, &pt);
+        assert_eq!(open(&k, &n, &aad, &sealed).unwrap(), pt);
+        (pt, sealed, h2b(expected))
+    }
+
     #[test]
     fn nist_test_case_1_empty() {
         // GCM spec test case 1: zero key/IV, empty everything.
-        let sealed = seal_both(
-            &key("00000000000000000000000000000000"),
-            &nonce("000000000000000000000000"),
-            b"",
-            b"",
-        );
-        assert_eq!(sealed, h2b("58e2fccefa7e3061367f1d57a4e7455a"));
+        let (_, sealed, expected) = run_vector(0);
+        assert_eq!(sealed, expected);
     }
 
     #[test]
     fn nist_test_case_2_one_block() {
-        let k = key("00000000000000000000000000000000");
-        let n = nonce("000000000000000000000000");
-        let pt = h2b("00000000000000000000000000000000");
-        let sealed = seal_both(&k, &n, b"", &pt);
-        assert_eq!(
-            sealed,
-            h2b("0388dace60b6a392f328c2b971b2fe78ab6e47d42cec13bdf53a67b21257bddf")
-        );
-        assert_eq!(open(&k, &n, b"", &sealed).unwrap(), pt);
+        let (_, sealed, expected) = run_vector(1);
+        assert_eq!(sealed, expected);
     }
 
     #[test]
     fn nist_test_case_3_four_blocks() {
-        let k = key("feffe9928665731c6d6a8f9467308308");
-        let n = nonce("cafebabefacedbaddecaf888");
-        let pt = h2b(
-            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
-             1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255",
-        );
-        let sealed = seal_both(&k, &n, b"", &pt);
-        let expected_ct = h2b(
-            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
-             21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985",
-        );
-        assert_eq!(&sealed[..64], &expected_ct[..]);
-        assert_eq!(&sealed[64..], &h2b("4d5c2af327cd64a62cf35abd2ba6fab4")[..]);
+        let (pt, sealed, expected) = run_vector(2);
+        assert_eq!(pt.len(), 64);
+        assert_eq!(sealed, expected);
     }
 
     #[test]
     fn nist_test_case_4_aad_and_partial_block() {
         // GCM spec test case 4: 20-byte AAD (padded to two blocks) and a
         // 60-byte plaintext whose last block is 12 bytes.
-        let k = key("feffe9928665731c6d6a8f9467308308");
-        let n = nonce("cafebabefacedbaddecaf888");
-        let aad = h2b("feedfacedeadbeeffeedfacedeadbeefabaddad2");
-        let pt = h2b(
-            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
-             1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39",
-        );
-        let expected = h2b(
-            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
-             21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091\
-             5bc94fbc3221a5db94fae95ae7121a47",
-        );
-        let sealed = seal_both(&k, &n, &aad, &pt);
+        let (pt, sealed, expected) = run_vector(3);
+        assert_eq!(pt.len(), 60);
         assert_eq!(sealed, expected);
-        assert_eq!(open(&k, &n, &aad, &expected).unwrap(), pt);
     }
 
     #[test]
     fn nist_cavp_aad_only() {
-        // NIST CAVP gcmEncryptExtIV128, PTlen = 0: the tag covers nothing
-        // but AAD and the lengths block. One whole AAD block, then 20 bytes.
-        for (k, n, aad, tag) in [
-            (
-                "77be63708971c4e240d1cb79e8d77feb",
-                "e0e00f19fed7ba0136a797f3",
-                "7a43ec1d9c0a5a78a0b16533a6213cab",
-                "209fcc8d3675ed938e9c7166709dd946",
-            ),
-            (
-                "2fb45e5b8f993a2bfebc4b15b533e0b4",
-                "5b05755f984d2b90f94b8027",
-                "e85491b2202caf1d7dce03b97e09331c32473941",
-                "c75b7832b2a2d9bd827412b6ef5769db",
-            ),
-        ] {
-            let (k, n, aad, tag) = (key(k), nonce(n), h2b(aad), h2b(tag));
-            assert_eq!(seal_both(&k, &n, &aad, b""), tag);
-            assert_eq!(open(&k, &n, &aad, &tag).unwrap(), b"");
+        // The tag covers nothing but AAD and the lengths block.
+        for i in [4, 5] {
+            let (pt, sealed, expected) = run_vector(i);
+            assert!(pt.is_empty());
+            assert_eq!(sealed, expected);
         }
+    }
+
+    #[test]
+    fn published_vectors_through_reused_keys() {
+        // One context per distinct key, each answering its vectors twice
+        // and interleaved with the others': nothing a call leaves behind
+        // (counter block, GHASH accumulator) may reach the next.
+        let mut keys: Vec<(&str, GcmKey)> = Vec::new();
+        for round in 0..2 {
+            for [k, n, aad, pt, expected] in VECTORS {
+                if !keys.iter().any(|(seen, _)| *seen == k) {
+                    keys.push((k, GcmKey::new(&key(k))));
+                }
+                let keyed = &keys.iter().find(|(seen, _)| *seen == k).unwrap().1;
+                let (n, aad, pt, expected) = (nonce(n), h2b(aad), h2b(pt), h2b(expected));
+                assert_eq!(keyed.seal(&n, &aad, &pt), expected, "round {round}");
+                assert_eq!(keyed.open(&n, &aad, &expected).unwrap(), pt);
+                let (ct, tag) = expected.split_at(pt.len());
+                assert!(keyed.verify_detached(&n, &aad, ct, tag));
+                assert_eq!(keyed.open_detached(&n, &aad, ct, tag).unwrap(), pt);
+            }
+        }
+        assert_eq!(keys.len(), 4);
+    }
+
+    #[test]
+    fn verify_detached_is_true_exactly_when_open_detached_is_ok() {
+        let k = Key128::from_bytes([0x3c; 16]);
+        let keyed = GcmKey::new(&k);
+        let n = Nonce12::from_counter(5);
+        for pt in [&b"thirty-seven bytes of sealed plaintext"[..37], b""] {
+            let sealed = keyed.seal(&n, b"aad", pt);
+            let (ct, tag) = sealed.split_at(pt.len());
+            let agree = |key: &GcmKey, n: &Nonce12, aad: &[u8], ct: &[u8], tag: &[u8]| {
+                let verified = key.verify_detached(n, aad, ct, tag);
+                assert_eq!(verified, key.open_detached(n, aad, ct, tag).is_ok());
+                verified
+            };
+            assert!(agree(&keyed, &n, b"aad", ct, tag));
+            for bit in 0..ct.len() * 8 {
+                let mut ct = ct.to_vec();
+                ct[bit / 8] ^= 1 << (bit % 8);
+                assert!(!agree(&keyed, &n, b"aad", &ct, tag), "ciphertext bit {bit}");
+            }
+            for bit in 0..TAG_LEN * 8 {
+                let mut tag = tag.to_vec();
+                tag[bit / 8] ^= 1 << (bit % 8);
+                assert!(!agree(&keyed, &n, b"aad", ct, &tag), "tag bit {bit}");
+            }
+            assert!(!agree(&keyed, &n, b"aae", ct, tag), "wrong AAD");
+            assert!(!agree(&keyed, &n, b"", ct, tag), "no AAD");
+            assert!(!agree(&keyed, &Nonce12::from_counter(6), b"aad", ct, tag));
+            let other = GcmKey::new(&Key128::from_bytes([0x3d; 16]));
+            assert!(!agree(&other, &n, b"aad", ct, tag), "wrong key");
+            assert!(!agree(&keyed, &n, b"aad", ct, &tag[..15]), "15-byte tag");
+            assert!(!agree(&keyed, &n, b"aad", ct, &[]), "no tag");
+        }
+    }
+
+    #[test]
+    fn debug_prints_no_key_byte() {
+        let k = Key128::from_bytes([0xa7; 16]);
+        let keyed = GcmKey::new(&k);
+        let shown = format!("{keyed:?} {:#?}", keyed.clone());
+        assert_eq!(shown, "GcmKey(<redacted>) GcmKey(<redacted>)");
     }
 
     #[test]

@@ -88,16 +88,17 @@ impl Sha256 {
 
     /// Finalizes and returns the digest.
     pub fn finish(mut self) -> [u8; DIGEST_LEN] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        // `update` adjusted total_len for the padding byte; restore below by
-        // using the saved value when writing the length field.
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        self.total_len = 0; // avoid double counting; padding already buffered
+        // Padding written in place: 0x80, zeros to 56 mod 64, the message
+        // length in bits. `update` never leaves the buffer full.
         let mut block = self.buf;
-        block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            // No room left for the length: it goes in a block of its own.
+            compress(&mut self.state, &block);
+            block = [0u8; BLOCK_LEN];
+        }
+        block[56..].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
         compress(&mut self.state, &block);
         let mut out = [0u8; DIGEST_LEN];
         for (i, w) in self.state.iter().enumerate() {
@@ -220,15 +221,22 @@ mod tests {
 
     #[test]
     fn length_boundary_padding() {
-        // 55, 56 and 64-byte messages exercise all padding branches.
-        for len in [55usize, 56, 63, 64, 65] {
-            let msg = vec![7u8; len];
-            let mut h = Sha256::new();
-            h.update(&msg);
-            // no assertion other than determinism + distinctness from empty
-            let d = h.finish();
-            assert_ne!(d, digest(b""), "len {len}");
-            assert_eq!(d, digest(&msg));
+        // Every buffer fill around the 55/56 and 63/64 boundaries, against
+        // the padding of FIPS 180-4 §5.1.1 spelled out byte by byte.
+        for len in 0..=130usize {
+            let msg: Vec<u8> = (0..len).map(|i| i as u8 ^ 0x5a).collect();
+            let mut padded = msg.clone();
+            padded.push(0x80);
+            while padded.len() % BLOCK_LEN != 56 {
+                padded.push(0);
+            }
+            padded.extend_from_slice(&(len as u64 * 8).to_be_bytes());
+            let mut state = Sha256::new().state;
+            for block in padded.chunks_exact(BLOCK_LEN) {
+                compress(&mut state, block.try_into().unwrap());
+            }
+            let expected: Vec<u8> = state.iter().flat_map(|w| w.to_be_bytes()).collect();
+            assert_eq!(digest(&msg)[..], expected[..], "len {len}");
         }
     }
 }

@@ -2,6 +2,7 @@
 //! deterministic RNG (seeded loops instead of an external proptest engine).
 
 use precursor_crypto::aes::{self, Aes128};
+use precursor_crypto::gcm::GcmKey;
 use precursor_crypto::keys::{Key128, Key256, Nonce12, Nonce8, Tag};
 use precursor_crypto::{cmac, ct::ct_eq, gcm, hmac::hmac_sha256, salsa20, sha256};
 use precursor_sim::rng::SimRng;
@@ -90,27 +91,50 @@ fn table_ghash_matches_bit_serial_reference() {
 fn gcm_and_cmac_match_reference_at_every_length() {
     // 0..=1100 covers every partial-block residue many times over, the
     // empty message, and lengths past 1 KiB; the AAD length cycles through
-    // its own residues (0..=36) independently of the message's.
+    // its own residues (0..=36) independently of the message's. Three
+    // routes to the same bytes: the bit-serial oracle, the free function,
+    // and a `GcmKey` — one built for the length's own key, and one
+    // long-lived key that answers every length in turn.
     let mut rng = SimRng::seed_from(0xa00e);
     let mut data = vec![0u8; 1100];
     rng.fill_bytes(&mut data);
+    let long_lived = Key128::from_bytes(rand_array(&mut rng));
+    let reused = GcmKey::new(&long_lived);
     for len in 0..=1100usize {
         let key: [u8; 16] = rand_array(&mut rng);
         let nonce: [u8; 12] = rand_array(&mut rng);
         let aad = &data[1100 - len % 37..];
         let msg = &data[..len];
+        let (k, n) = (Key128::from_bytes(key), Nonce12::from_bytes(nonce));
+        let sealed = gcm::seal(&k, &n, aad, msg);
         assert_eq!(
-            gcm::seal(
-                &Key128::from_bytes(key),
-                &Nonce12::from_bytes(nonce),
-                aad,
-                msg
-            ),
+            sealed,
             reference::gcm_seal(&key, &nonce, aad, msg),
             "gcm len {len}"
         );
+        let keyed = GcmKey::new(&k);
+        assert_eq!(keyed.seal(&n, aad, msg), sealed, "keyed len {len}");
+        let mut framed = vec![0xfe];
+        keyed.seal_into(&mut framed, &n, aad, msg);
+        assert_eq!(framed[1..], sealed[..], "keyed seal_into len {len}");
+        assert_eq!(keyed.open(&n, aad, &sealed).unwrap(), msg, "len {len}");
+        let (ct, tag) = sealed.split_at(len);
+        assert_eq!(keyed.open_detached(&n, aad, ct, tag).unwrap(), msg);
+        assert!(keyed.verify_detached(&n, aad, ct, tag), "len {len}");
+
+        let by_reused = reused.seal(&n, aad, msg);
         assert_eq!(
-            cmac::mac(&Key128::from_bytes(key), msg).as_bytes(),
+            by_reused,
+            gcm::seal(&long_lived, &n, aad, msg),
+            "reused len {len}"
+        );
+        assert_eq!(
+            gcm::open(&long_lived, &n, aad, &by_reused).unwrap(),
+            reused.open(&n, aad, &by_reused).unwrap()
+        );
+
+        assert_eq!(
+            cmac::mac(&k, msg).as_bytes(),
             &reference::cmac(&key, msg),
             "cmac len {len}"
         );

@@ -29,8 +29,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use precursor_crypto::gcm::{self, GcmKey};
 use precursor_crypto::keys::{Key128, Nonce12};
-use precursor_crypto::{gcm, sha256};
+use precursor_crypto::sha256;
 
 /// Record header: `seq u64 ‖ kind u8 ‖ ct_len u32`, little-endian.
 const HEADER_LEN: usize = 8 + 1 + 4;
@@ -130,7 +131,8 @@ pub struct Recovered {
 /// `pending` is the in-memory group-commit buffer that a crash loses.
 #[derive(Debug, Clone)]
 pub struct Journal {
-    key: Key128,
+    // The epoch's journal key, expanded once for every record sealed.
+    key: GcmKey,
     epoch: u64,
     chain: [u8; 16],
     next_seq: u64,
@@ -195,7 +197,7 @@ impl Journal {
     /// MAC chain so no two epochs produce splicable byte streams.
     pub fn new(key: Key128, epoch: u64, policy: GroupCommitPolicy) -> Journal {
         Journal {
-            key,
+            key: GcmKey::new(&key),
             chain: genesis_chain(epoch),
             epoch,
             next_seq: 1,
@@ -234,7 +236,7 @@ impl Journal {
         // Sealed in place after its header: no per-record ciphertext Vec.
         let ct_at = self.pending.len();
         let nonce = Nonce12::from_counter(seq);
-        gcm::seal_into(&mut self.pending, &self.key, &nonce, &aad, body);
+        self.key.seal_into(&mut self.pending, &nonce, &aad, body);
         self.chain = advance_chain(&self.chain, seq, kind, &self.pending[ct_at..]);
         self.pending.extend_from_slice(&self.chain);
         self.pending_records += 1;
@@ -434,6 +436,8 @@ pub fn recover(key: &Key128, epoch: u64, bytes: &[u8]) -> Recovered {
 /// walk can only authenticate bytes *relative to* it. `base_seq == 0` with
 /// the epoch genesis chain is exactly [`recover`].
 pub fn recover_from(key: &Key128, base_seq: u64, base_chain: [u8; 16], bytes: &[u8]) -> Recovered {
+    // One key set-up for the whole replay, not one per record.
+    let key = GcmKey::new(key);
     let mut records = Vec::new();
     let mut chain = base_chain;
     let mut expected_seq = base_seq + 1;
@@ -455,7 +459,7 @@ pub fn recover_from(key: &Key128, base_seq: u64, base_chain: [u8; 16], bytes: &[
         let ct = &rest[HEADER_LEN..HEADER_LEN + ct_len];
         let tag = &rest[HEADER_LEN + ct_len..HEADER_LEN + ct_len + CHAIN_TAG_LEN];
         let aad = record_aad(&chain, kind, seq);
-        let body = match gcm::open(key, &Nonce12::from_counter(seq), &aad, ct) {
+        let body = match key.open(&Nonce12::from_counter(seq), &aad, ct) {
             Ok(b) => b,
             Err(_) => break,
         };

@@ -6,7 +6,7 @@
 //! page is an EPC fault; the paper estimates ≈20,000 cycles per fault until
 //! execution continues (§2.1).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// A page identifier: region id in the high bits, page index in the low.
 pub type PageId = u64;
@@ -14,6 +14,17 @@ pub type PageId = u64;
 /// Builds a [`PageId`] from a region number and page index within it.
 pub fn page_id(region: u32, page_index: u64) -> PageId {
     ((region as u64) << 40) | (page_index & ((1 << 40) - 1))
+}
+
+// "No slot": an evicted page in `pages`, or the end of the LRU list.
+const NIL: u32 = u32::MAX;
+
+// One resident page and its neighbours in the LRU list.
+#[derive(Debug, Clone)]
+struct Slot {
+    page: PageId,
+    prev: u32,
+    next: u32,
 }
 
 /// EPC residency and working-set tracker.
@@ -35,10 +46,15 @@ pub fn page_id(region: u32, page_index: u64) -> PageId {
 pub struct EpcTracker {
     capacity_pages: u64,
     page_bytes: u64,
-    resident: HashMap<PageId, u64>, // page -> last-use stamp
-    lru: BTreeMap<u64, PageId>,     // stamp -> page
-    stamp: u64,
-    touched: HashMap<PageId, u64>, // page -> touch count (working set)
+    // Every page ever touched (the working set) -> its slot, `NIL` once
+    // evicted.
+    pages: HashMap<PageId, u32>,
+    // The resident pages, linked from most (`head`) to least (`tail`)
+    // recently used. A slot is only ever handed from an evicted page to
+    // the page that displaced it, so every slot is always on the list.
+    slots: Vec<Slot>,
+    head: u32,
+    tail: u32,
     faults: u64,
     evictions: u64,
 }
@@ -55,41 +71,81 @@ impl EpcTracker {
         EpcTracker {
             capacity_pages,
             page_bytes,
-            resident: HashMap::new(),
-            lru: BTreeMap::new(),
-            stamp: 0,
-            touched: HashMap::new(),
+            pages: HashMap::new(),
+            slots: Vec::new(),
+            head: NIL,
+            tail: NIL,
             faults: 0,
             evictions: 0,
         }
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let Slot { prev, next, .. } = self.slots[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, slot: u32) {
+        let old = self.head;
+        self.slots[slot as usize].prev = NIL;
+        self.slots[slot as usize].next = old;
+        match old {
+            NIL => self.tail = slot,
+            h => self.slots[h as usize].prev = slot,
+        }
+        self.head = slot;
     }
 
     /// Touches `count` consecutive pages starting at `first`; returns the
     /// number of EPC faults incurred (pages that were not resident).
     pub fn touch_pages(&mut self, first: PageId, count: u64) -> u64 {
         let mut faults = 0;
-        for i in 0..count {
-            let page = first + i;
-            *self.touched.entry(page).or_insert(0) += 1;
-            self.stamp += 1;
-            let stamp = self.stamp;
-            if let Some(old) = self.resident.insert(page, stamp) {
-                self.lru.remove(&old);
-            } else {
-                faults += 1;
-                if self.resident.len() as u64 > self.capacity_pages {
-                    // Evict the least-recently-used page.
-                    let (&old_stamp, &victim) = self
-                        .lru
-                        .iter()
-                        .next()
-                        .expect("lru nonempty when over capacity");
-                    self.lru.remove(&old_stamp);
-                    self.resident.remove(&victim);
-                    self.evictions += 1;
-                }
+        for page in first..first + count {
+            // Already the most recently used page: nothing moves.
+            if self.head != NIL && self.slots[self.head as usize].page == page {
+                continue;
             }
-            self.lru.insert(stamp, page);
+            let slot = match self.pages.get(&page) {
+                Some(&slot) if slot != NIL => {
+                    self.unlink(slot);
+                    slot
+                }
+                _ => {
+                    faults += 1;
+                    let slot = if self.slots.len() as u64 == self.capacity_pages {
+                        // Evict the least-recently-used page; the new page
+                        // takes over its slot.
+                        let victim = self.tail;
+                        self.unlink(victim);
+                        self.pages.insert(self.slots[victim as usize].page, NIL);
+                        self.evictions += 1;
+                        self.slots[victim as usize].page = page;
+                        victim
+                    } else {
+                        assert!(
+                            self.slots.len() < NIL as usize,
+                            "fewer than 2^32 resident pages"
+                        );
+                        let slot = self.slots.len() as u32;
+                        self.slots.push(Slot {
+                            page,
+                            prev: NIL,
+                            next: NIL,
+                        });
+                        slot
+                    };
+                    self.pages.insert(page, slot);
+                    slot
+                }
+            };
+            self.push_front(slot);
         }
         self.faults += faults;
         faults
@@ -108,7 +164,7 @@ impl EpcTracker {
 
     /// Distinct pages touched since creation — sgx-perf's working-set metric.
     pub fn working_set_pages(&self) -> u64 {
-        self.touched.len() as u64
+        self.pages.len() as u64
     }
 
     /// Working set in bytes.
@@ -118,7 +174,7 @@ impl EpcTracker {
 
     /// Pages currently resident in the EPC.
     pub fn resident_pages(&self) -> u64 {
-        self.resident.len() as u64
+        self.slots.len() as u64
     }
 
     /// Total faults so far.
@@ -149,7 +205,106 @@ impl EpcTracker {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use precursor_sim::rng::SimRng;
+
     use super::*;
+
+    // The tracker this one replaced — a stamp per resident page, an ordered
+    // map of stamps, a second map for the working set — kept as the model
+    // the linked list is checked against, touch for touch.
+    struct ReferenceEpc {
+        capacity_pages: u64,
+        resident: HashMap<PageId, u64>, // page -> last-use stamp
+        lru: BTreeMap<u64, PageId>,     // stamp -> page
+        stamp: u64,
+        touched: HashMap<PageId, u64>, // page -> touch count (working set)
+        evictions: u64,
+    }
+
+    impl ReferenceEpc {
+        fn new(capacity_pages: u64) -> ReferenceEpc {
+            ReferenceEpc {
+                capacity_pages,
+                resident: HashMap::new(),
+                lru: BTreeMap::new(),
+                stamp: 0,
+                touched: HashMap::new(),
+                evictions: 0,
+            }
+        }
+
+        fn touch_pages(&mut self, first: PageId, count: u64) -> u64 {
+            let mut faults = 0;
+            for i in 0..count {
+                let page = first + i;
+                *self.touched.entry(page).or_insert(0) += 1;
+                self.stamp += 1;
+                let stamp = self.stamp;
+                if let Some(old) = self.resident.insert(page, stamp) {
+                    self.lru.remove(&old);
+                } else {
+                    faults += 1;
+                    if self.resident.len() as u64 > self.capacity_pages {
+                        let (&old_stamp, &victim) = self
+                            .lru
+                            .iter()
+                            .next()
+                            .expect("lru nonempty when over capacity");
+                        self.lru.remove(&old_stamp);
+                        self.resident.remove(&victim);
+                        self.evictions += 1;
+                    }
+                }
+                self.lru.insert(stamp, page);
+            }
+            faults
+        }
+    }
+
+    #[test]
+    fn linked_list_matches_the_stamped_reference_touch_for_touch() {
+        for capacity in [1u64, 2, 16, 4096] {
+            for seed in 0..8u64 {
+                let mut rng = SimRng::seed_from(seed ^ (capacity << 8));
+                let mut epc = EpcTracker::new(capacity, 4096);
+                let mut model = ReferenceEpc::new(capacity);
+                // Universes below, at and well above capacity; bursts of
+                // repeats and multi-page runs that wrap past the universe.
+                let universe = 1 + rng.gen_range(capacity * 3 + 2);
+                let mut faults = 0;
+                for step in 0..6_000 {
+                    let region = rng.gen_range(3) as u32;
+                    let first = page_id(region, rng.gen_range(universe));
+                    let count = match rng.gen_range(8) {
+                        0 => 1 + rng.gen_range(12),
+                        _ => 1,
+                    };
+                    for _ in 0..1 + rng.gen_range(3) / 2 {
+                        let got = epc.touch_pages(first, count);
+                        let want = model.touch_pages(first, count);
+                        let at = format!("capacity {capacity} seed {seed} step {step}");
+                        assert_eq!(got, want, "{at}: faults of this touch");
+                        faults += want;
+                        assert_eq!(epc.faults(), faults, "{at}");
+                        assert_eq!(epc.evictions(), model.evictions, "{at}");
+                        assert_eq!(epc.resident_pages(), model.resident.len() as u64, "{at}");
+                        assert_eq!(epc.working_set_pages(), model.touched.len() as u64, "{at}");
+                    }
+                }
+                // The same pages resident, in the same LRU order.
+                let mut order = Vec::new();
+                let mut at = epc.head;
+                while at != NIL {
+                    order.push(epc.slots[at as usize].page);
+                    at = epc.slots[at as usize].next;
+                }
+                let want: Vec<PageId> = model.lru.values().rev().copied().collect();
+                assert_eq!(order, want, "capacity {capacity} seed {seed}: LRU order");
+            }
+        }
+    }
 
     #[test]
     fn cold_touches_fault_once() {

@@ -19,8 +19,9 @@
 //! retry covers different bytes (or the same bytes at a later state) and
 //! must not share any nonce with the attempt it replaces.
 
+use precursor_crypto::gcm::{self, GcmKey};
 use precursor_crypto::keys::{Key128, Nonce12};
-use precursor_crypto::{gcm, CryptoError};
+use precursor_crypto::CryptoError;
 use precursor_sim::rng::SimRng;
 
 use crate::attest::AttestationService;
@@ -52,9 +53,15 @@ pub fn seal(key: &Key128, version: u64, plaintext: &[u8], rng: &mut SimRng) -> V
 /// parts are sealed under nonces derived from it ([`segment_nonce`]) before
 /// the object itself is.
 pub fn seal_at(key: &Key128, nonce: &Nonce12, version: u64, plaintext: &[u8]) -> Vec<u8> {
+    seal_at_keyed(&GcmKey::new(key), nonce, version, plaintext)
+}
+
+/// [`seal_at`] under a sealing key whose [`GcmKey`] the caller already
+/// built — a snapshot cut seals its manifest and every segment under one.
+pub fn seal_at_keyed(key: &GcmKey, nonce: &Nonce12, version: u64, plaintext: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + plaintext.len() + gcm::TAG_LEN);
     out.extend_from_slice(nonce.as_bytes());
-    gcm::seal_into(&mut out, key, nonce, &version.to_le_bytes(), plaintext);
+    key.seal_into(&mut out, nonce, &version.to_le_bytes(), plaintext);
     out
 }
 
@@ -95,11 +102,33 @@ pub fn journal_key(seal_key: &Key128, epoch: u64) -> Key128 {
 /// do not match (e.g. a rolled-back snapshot presented with a newer
 /// counter value).
 pub fn unseal(key: &Key128, version: u64, blob: &[u8]) -> Result<Vec<u8>, CryptoError> {
+    unseal_keyed(&GcmKey::new(key), version, blob)
+}
+
+/// [`unseal`] under an already built [`GcmKey`].
+///
+/// # Errors
+///
+/// As [`unseal`].
+pub fn unseal_keyed(key: &GcmKey, version: u64, blob: &[u8]) -> Result<Vec<u8>, CryptoError> {
     if blob.len() < 12 + gcm::TAG_LEN {
         return Err(CryptoError::InvalidLength);
     }
     let nonce = Nonce12::try_from(&blob[..12])?;
-    gcm::open(key, &nonce, &version.to_le_bytes(), &blob[12..])
+    key.open(&nonce, &version.to_le_bytes(), &blob[12..])
+}
+
+/// Whether `blob` would [`unseal`] at `version` — authenticated, not
+/// decrypted. What an enclave needs of bytes it sealed itself and the host
+/// wrote out: that they are still the bytes it sealed.
+pub fn verify_keyed(key: &GcmKey, version: u64, blob: &[u8]) -> bool {
+    if blob.len() < 12 + gcm::TAG_LEN {
+        return false;
+    }
+    let (nonce, sealed) = blob.split_at(12);
+    let (ct, tag) = sealed.split_at(sealed.len() - gcm::TAG_LEN);
+    let nonce = Nonce12::try_from(nonce).expect("12 bytes");
+    key.verify_detached(&nonce, &version.to_le_bytes(), ct, tag)
 }
 
 #[cfg(test)]
@@ -174,6 +203,24 @@ mod tests {
             unseal(&key, 1, &blob[..10]),
             Err(CryptoError::InvalidLength)
         );
+    }
+
+    #[test]
+    fn verify_agrees_with_unseal_without_decrypting() {
+        let (svc, enclave, mut rng) = setup();
+        let root = svc.sealing_key(&enclave);
+        let key = GcmKey::new(&root);
+        let blob = seal(&root, 4, b"manifest", &mut rng);
+        assert_eq!(unseal_keyed(&key, 4, &blob).unwrap(), b"manifest");
+        assert!(verify_keyed(&key, 4, &blob));
+        assert!(!verify_keyed(&key, 5, &blob), "another version");
+        assert!(!verify_keyed(&key, 4, &blob[..27]), "shorter than a seal");
+        for at in 0..blob.len() {
+            let mut damaged = blob.clone();
+            damaged[at] ^= 0x20;
+            assert!(!verify_keyed(&key, 4, &damaged), "byte {at}");
+            assert!(unseal_keyed(&key, 4, &damaged).is_err(), "byte {at}");
+        }
     }
 
     #[test]

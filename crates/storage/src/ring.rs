@@ -34,6 +34,19 @@ fn record_span(len: usize) -> usize {
     (HEADER + len + ALIGN - 1) & !(ALIGN - 1)
 }
 
+/// The payload of one framed record — header, payload, padding — exactly as
+/// [`RingProducer::push_with`] handed it to its `write` callback: for a
+/// producer that kept the WRITE it posted and needs the record back.
+///
+/// # Panics
+///
+/// Panics if `record` is not one whole framed record.
+pub fn framed_payload(record: &[u8]) -> &[u8] {
+    let len = u32::from_le_bytes(record[..HEADER].try_into().expect("4 bytes")) as usize;
+    assert_eq!(record.len(), record_span(len), "not one framed record");
+    &record[HEADER..HEADER + len]
+}
+
 /// Producer half: runs on the **client**, computing where in the remote ring
 /// the next record goes and how much space remains.
 ///
@@ -364,6 +377,21 @@ mod tests {
         let free_after = tx.free_space();
         tx.update_credits(0); // stale
         assert_eq!(tx.free_space(), free_after);
+    }
+
+    #[test]
+    fn framed_payload_is_what_was_pushed() {
+        let mut producer = RingProducer::new(64);
+        for len in [1usize, 3, 4, 5, 12, 20] {
+            let payload = vec![len as u8; len];
+            let mut framed = Vec::new();
+            producer.update_credits(producer.written());
+            producer
+                .push_with(&payload, |_, bytes| framed = bytes.to_vec())
+                .expect("fits");
+            // the last write of a push is the record (a wrap marker precedes it)
+            assert_eq!(framed_payload(&framed), &payload[..], "len {len}");
+        }
     }
 
     #[test]

@@ -25,8 +25,14 @@
 //! * **O(dirty)** — a cut after *k* distinct-key mutations seals at most
 //!   *k* segments, and an aborted seal leaves them dirty for the retry.
 //!
-//! `PRECURSOR_SWEEP_SEEDS` widens the incremental ≡ cold sweep (default 20
-//! seeds; nightly runs 100).
+//! * **Authentic or aborted** — compaction commits a cut only when the
+//!   bytes the host persisted are, bit for bit, the bytes the enclave
+//!   sealed. It checks that by tag, without decrypting: one damaged byte
+//!   anywhere in a range the cut wrote, or a blob one byte short or long,
+//!   aborts it with the counter, the journal and the dirty set untouched.
+//!
+//! `PRECURSOR_SWEEP_SEEDS` widens the incremental ≡ cold and the damage
+//! sweeps (default 20 seeds; nightly runs 100).
 //! * **Bounded growth** — after a 10k-op compacting run the journal holds
 //!   exactly the tail appended since the last cut.
 
@@ -705,14 +711,131 @@ fn incremental_vs_cold_run(seed: u64) {
     assert!(reused > 0, "{trace} no cut ever reused a segment");
 }
 
-#[test]
-fn incremental_snapshots_match_a_cold_full_seal_across_seeds() {
-    let seeds = std::env::var("PRECURSOR_SWEEP_SEEDS")
+fn sweep_seeds() -> u64 {
+    std::env::var("PRECURSOR_SWEEP_SEEDS")
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(20);
-    for seed in 0..seeds {
+        .unwrap_or(20)
+}
+
+#[test]
+fn incremental_snapshots_match_a_cold_full_seal_across_seeds() {
+    for seed in 0..sweep_seeds() {
         incremental_vs_cold_run(seed);
+    }
+}
+
+// --- authenticate-only validation: what the host persisted ----------------
+
+// Two servers absorb one seeded stream of puts and deletes; `b` never
+// compacts. Every round, before `a`'s cut is allowed to commit, the host
+// persists it damaged three ways — one byte at a random offset of a random
+// range the cut wrote, the blob one byte short, the blob one byte long —
+// and each must abort with nothing moved. The clean retry then has to carry
+// every mutation of the round (the aborts left the dirty set alone) and
+// recover to the digest of the journal that was never cut.
+fn damaged_cut_run(seed: u64) {
+    let cost = CostModel::default();
+    let config = Config::sharded([1, 2, 4][(seed % 3) as usize]);
+    let mut epoch_a = MonotonicCounter::new();
+    let mut snap_a = MonotonicCounter::new();
+    let mut a = PrecursorServer::new(config.clone(), &cost);
+    a.attach_journal(GroupCommitPolicy::immediate(), &mut epoch_a);
+    let mut ca = PrecursorClient::connect(&mut a, seed ^ 0xda3a).expect("connect a");
+    let mut epoch_b = MonotonicCounter::new();
+    let snap_b = MonotonicCounter::new();
+    let mut b = PrecursorServer::new(config.clone(), &cost);
+    b.attach_journal(GroupCommitPolicy::immediate(), &mut epoch_b);
+    let mut cb = PrecursorClient::connect(&mut b, seed ^ 0xda3a).expect("connect b");
+
+    let mut rng = SimRng::seed_from(seed ^ 0xd0c7);
+    let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    let mut trace = format!("seed {seed} shards {};", config.shards);
+    let mut aborts = 0u64;
+    for round in 0..5u32 {
+        // The first cut seals every segment; later ones a handful.
+        for _ in 0..if round == 0 {
+            60
+        } else {
+            1 + rng.gen_range(12)
+        } {
+            let key = vec![b'k', (rng.next_u32() % 80) as u8];
+            if rng.gen_range(4) == 0 && model.remove(&key).is_some() {
+                let _ = write!(trace, "del:{};", key[1]);
+                ca.delete_sync(&mut a, &key).expect("delete a");
+                cb.delete_sync(&mut b, &key).expect("delete b");
+            } else {
+                let mut value = vec![0u8; 1 + rng.gen_range(150) as usize];
+                rng.fill_bytes(&mut value);
+                let _ = write!(trace, "put:{};", key[1]);
+                ca.put_sync(&mut a, &key, &value).expect("put a");
+                cb.put_sync(&mut b, &key, &value).expect("put b");
+                model.insert(key, value);
+            }
+        }
+
+        let version = snap_a.read();
+        let trimmed = a.journal_trimmed_bytes();
+        for damage in ["byte", "short", "long"] {
+            let pick = rng.next_u64();
+            let mask = 1 + rng.gen_range(255) as u8;
+            let mut at = String::new();
+            let outcome = a.compact_journal_via(&mut snap_a, |blob, written| match damage {
+                "byte" => {
+                    let range = &written[pick as usize % written.len()];
+                    let offset = range.start + (pick >> 32) as usize % range.len();
+                    blob[offset] ^= mask;
+                    at = format!("{offset}^{mask:#x} in {range:?} of {}", written.len());
+                }
+                "short" => {
+                    blob.pop();
+                }
+                _ => blob.push(mask),
+            });
+            let _ = write!(trace, "{round}:{damage}:{at};");
+            assert_eq!(outcome, CompactOutcome::Aborted, "{trace}");
+            aborts += 1;
+            assert_eq!(snap_a.read(), version, "{trace} counter moved");
+            assert_eq!(a.journal_trimmed_bytes(), trimmed, "{trace} journal cut");
+            assert!(!a.journal_wedged(), "{trace}");
+        }
+        assert_eq!(a.metrics().counter("journal.compaction_aborts"), aborts);
+
+        let _ = write!(trace, "{round}:clean;");
+        let CompactOutcome::Compacted { snapshot, .. } = a.compact_journal(&mut snap_a) else {
+            panic!("{trace} clean retry must commit");
+        };
+        assert_eq!(snap_a.read(), version + 1, "{trace}");
+        let mut restored = PrecursorServer::restore(config.clone(), &cost, &snapshot, &snap_a)
+            .unwrap_or_else(|e| panic!("{trace} retried blob restores: {e:?}"));
+        let keys: Vec<Vec<u8>> = model.keys().cloned().collect();
+        assert_eq!(restored.live_keys(), keys, "{trace} restored keys");
+        let mut reader = PrecursorClient::connect(&mut restored, seed ^ 0x4ead).expect("reader");
+        for (key, value) in &model {
+            let got = reader.get_sync(&mut restored, key);
+            assert_eq!(got.as_ref(), Ok(value), "{trace} value of {key:?}");
+        }
+        let (never_cut, _) = PrecursorServer::recover(
+            config.clone(),
+            &cost,
+            None,
+            &snap_b,
+            b.journal_durable().expect("journal b"),
+            &epoch_b,
+        )
+        .expect("uncompacted reference recovery");
+        assert_eq!(
+            recovered_digest(&a, Some(&snapshot), &snap_a, &epoch_a, &cost),
+            never_cut.state_digest(),
+            "{trace} compacted pair diverged from the journal never cut"
+        );
+    }
+}
+
+#[test]
+fn damaged_persisted_cut_aborts_and_the_clean_retry_carries_every_mutation() {
+    for seed in 0..sweep_seeds() {
+        damaged_cut_run(seed);
     }
 }
 
