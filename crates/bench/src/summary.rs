@@ -339,9 +339,10 @@ pub fn fig9_window(
 // virtual clock), so throughput = records/tick and the latency
 // percentiles all report ticks-to-drain.
 fn failover_catchup_point(seed: u64) -> SummaryPoint {
-    use precursor::{Cluster, Config, GroupCommitPolicy, PrecursorClient};
+    use precursor::{Config, GroupCommitPolicy, PrecursorClient, ReplicaGroup};
     let cost = CostModel::default();
-    let mut cluster = Cluster::new(Config::default(), &cost, 3, GroupCommitPolicy::immediate());
+    let mut cluster =
+        ReplicaGroup::with_replicas(Config::default(), &cost, 3, GroupCommitPolicy::immediate());
     let mut client = PrecursorClient::connect(cluster.primary_mut(), seed).expect("connect");
     for i in 0..256u16 {
         let oid = client
@@ -355,7 +356,7 @@ fn failover_catchup_point(seed: u64) -> SummaryPoint {
             }
         }
     }
-    let report = cluster.fail_primary_staged(8).expect("staged promotion");
+    let report = cluster.fail_primary(8).expect("staged promotion");
     let pending = report.recovery.catchup_pending as u64;
     let mut ticks = 0u64;
     while cluster.primary().in_catchup() && ticks < 100_000 {

@@ -20,7 +20,6 @@
 //! `precursor_shieldstore::backend` next to the types it adapts.
 
 use precursor_obs::MetricsRegistry;
-use precursor_sgx::counters::MonotonicCounter;
 use precursor_sgx::SgxPerfReport;
 use precursor_sim::meter::Meter;
 use precursor_sim::CostModel;
@@ -263,8 +262,6 @@ const MIGRATE_PUMP_SWEEPS: usize = 16;
 pub struct PrecursorBackend {
     cluster: PrecursorCluster,
     clients: Vec<ClusterClient>,
-    // Per-node trusted counters: journal epoch and snapshot version.
-    counters: Vec<(MonotonicCounter, MonotonicCounter)>,
     // Compact the journals every N polls (0 = never).
     compact_every: usize,
     polls_since_compact: usize,
@@ -291,9 +288,6 @@ impl PrecursorBackend {
         PrecursorBackend {
             cluster: PrecursorCluster::new(nodes, config, cost),
             clients: Vec::new(),
-            counters: (0..nodes)
-                .map(|_| (MonotonicCounter::new(), MonotonicCounter::new()))
-                .collect(),
             compact_every: 0,
             polls_since_compact: 0,
             migrate: None,
@@ -303,14 +297,14 @@ impl PrecursorBackend {
 
     /// Attaches a locally-durable sealed journal with the given
     /// group-commit policy to every node (see
-    /// [`PrecursorServer::attach_journal`]). Call before connecting
-    /// clients so their sessions and mutations are journaled. Returns
-    /// node 0's journal epoch.
+    /// [`ReplicaGroup::enable_durability`](crate::ReplicaGroup::enable_durability)).
+    /// Call before connecting clients so their sessions and mutations are
+    /// journaled. Returns node 0's journal epoch.
     pub fn enable_durability(&mut self, policy: precursor_journal::GroupCommitPolicy) -> u64 {
         // Node 0 last: its epoch is the one returned.
         let mut epoch = 0;
-        for (i, (counter, _)) in self.counters.iter_mut().enumerate().rev() {
-            epoch = self.cluster.node_mut(i).attach_journal(policy, counter);
+        for i in (0..self.cluster.node_count()).rev() {
+            epoch = self.cluster.group_mut(i).enable_durability(policy);
         }
         epoch
     }
@@ -340,11 +334,11 @@ impl PrecursorBackend {
     /// Compacts every node's journal now (if eligible) and returns node
     /// 0's outcome.
     pub fn compact_now(&mut self) -> crate::server::CompactOutcome {
-        let mut outcome = None;
-        for (i, (_, snap)) in self.counters.iter_mut().enumerate().rev() {
-            outcome = Some(self.cluster.node_mut(i).compact_journal(snap));
+        let mut outcome = crate::server::CompactOutcome::Skipped;
+        for i in (0..self.cluster.node_count()).rev() {
+            outcome = self.cluster.group_mut(i).compact();
         }
-        outcome.expect("at least one node")
+        outcome
     }
 
     /// Node 0 (for assertions beyond the trait surface).
@@ -480,7 +474,7 @@ impl TrustedKv for PrecursorBackend {
     }
 
     fn store_len(&self) -> usize {
-        self.cluster.nodes().iter().map(PrecursorServer::len).sum()
+        self.cluster.nodes().map(PrecursorServer::len).sum()
     }
 
     fn warmup_batch(&self, frame_bytes: usize) -> usize {
@@ -490,11 +484,7 @@ impl TrustedKv for PrecursorBackend {
     }
 
     fn rings_swept(&self) -> u64 {
-        self.cluster
-            .nodes()
-            .iter()
-            .map(PrecursorServer::rings_swept)
-            .sum()
+        self.cluster.nodes().map(PrecursorServer::rings_swept).sum()
     }
 
     fn metrics(&self) -> MetricsRegistry {
@@ -509,7 +499,7 @@ impl TrustedKv for PrecursorBackend {
         m.inc("cluster.refreshes", refreshes);
         // Fold the RDMA fault/adversary layers in, so retries, reconnects
         // and detections are visible next to the op counters they explain.
-        let nodes = self.cluster.nodes().iter();
+        let nodes = self.cluster.nodes();
         let injected = nodes.clone().map(|n| n.injected_faults() as u64).sum();
         let mounted = nodes.clone().map(|n| n.mounted_attacks() as u64).sum();
         m.inc("rdma.faults.injected", injected);

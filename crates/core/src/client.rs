@@ -1115,8 +1115,24 @@ impl PrecursorClient {
         server: &mut PrecursorServer,
         oid: u64,
     ) -> Result<CompletedOp, StoreError> {
+        self.complete_with(|| server.poll(), oid)
+    }
+
+    /// [`complete_sync`](Self::complete_sync) with the server side driven
+    /// by `pump` — a replica group's
+    /// [`pump`](crate::ReplicaGroup::pump), whose quorum commit is what
+    /// releases the reply.
+    ///
+    /// # Errors
+    ///
+    /// As [`complete_sync`](Self::complete_sync).
+    pub fn complete_with(
+        &mut self,
+        mut pump: impl FnMut() -> usize,
+        oid: u64,
+    ) -> Result<CompletedOp, StoreError> {
         loop {
-            server.poll();
+            pump();
             self.poll_replies();
             if let Some(c) = self.completed.remove(&oid) {
                 if let Some(e @ (StoreError::Timeout | StoreError::RetriesExhausted)) = c.error {

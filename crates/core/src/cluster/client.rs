@@ -191,7 +191,8 @@ impl ClusterClient {
         for _ in 0..MAX_REDIRECTS {
             let (node, oid) = self.submit(cluster, op, key, value)?;
             let session = self.sessions[node as usize].as_mut().expect("ensured");
-            let c = session.complete_sync(cluster.node_mut(node as usize), oid)?;
+            let group = cluster.group_mut(node as usize);
+            let c = session.complete_with(|| group.pump(), oid)?;
             if self.note_redirect(cluster, &c).is_none() {
                 return Ok(c);
             }

@@ -1,8 +1,10 @@
 //! Multi-node Precursor: placement metadata, client-side location caching,
 //! and live key-range migration (DESIGN.md §18).
 //!
-//! The cluster is a set of full [`PrecursorServer`] nodes — each with its
-//! own shards, rings, and (optionally) journal — plus a metadata plane:
+//! The cluster is a set of [`ReplicaGroup`] nodes — each a full
+//! [`PrecursorServer`] primary with its own shards and rings, the trusted
+//! counters and (optionally) journal and replicas that outlive it — plus a
+//! metadata plane:
 //!
 //! * [`PlacementRing`] — weighted consistent-hash placement; each mutation
 //!   bumps a ring **epoch**.
@@ -25,12 +27,21 @@
 //! assigns the range to the source). The **fence** is the single commit
 //! point: the source re-ships the delta (keys mutated since their segment
 //! shipped), the authoritative fence key-list drops deletions, the staged
-//! entries install at the destination, the reassigned ring (epoch+1) is
-//! applied to the metadata service and every node view in one step, and
-//! the source evicts its now-unreachable copies.
-//! A source crash mid-transfer ([`FaultSite::MigrateShip`]) aborts before
-//! the fence: the destination discards its staging and the source remains
-//! the sole owner, so no key is ever unowned or dual-owned.
+//! entries install at the destination — each install journaled there and
+//! the journal committed (flushed; with replicas, held by a quorum) — the
+//! reassigned ring (epoch+1) is applied to the metadata service and every
+//! node view in one step, and the source evicts its now-unreachable
+//! copies. A source crash mid-transfer ([`FaultSite::MigrateShip`]) or a
+//! destination whose installs do not commit aborts before the flip: the
+//! destination discards its staging and the source remains the sole owner,
+//! so no key is ever unowned or dual-owned.
+//!
+//! A node fails in one of two ways, and the cluster follows either with
+//! the authoritative routing view: [`PrecursorCluster::restart_node`]
+//! (process crash, disk survives — the group recovers its primary from its
+//! own root) and [`PrecursorCluster::fail_node`] (machine lost — a replica
+//! is promoted inside the group). Clients re-attest through
+//! [`ClusterClient::reconnect_node`].
 
 mod client;
 mod ring;
@@ -52,12 +63,14 @@ use precursor_sim::CostModel;
 
 use crate::config::Config;
 use crate::error::StoreError;
-use crate::server::PrecursorServer;
+use crate::replication::{FailoverReport, ReplicaGroup};
+use crate::server::{PrecursorServer, RecoveryReport};
 use crate::snapshot::SnapshotEntry;
 #[allow(unused_imports)] // doc links
 use crate::wire::Status;
 #[allow(unused_imports)] // doc links
 use crate::PrecursorClient;
+use precursor_journal::GroupCommitPolicy;
 
 // A node's installed routing view: its id plus the ring it believes
 // authoritative. Owned by PrecursorServer (see `install_routing`).
@@ -176,8 +189,9 @@ pub enum MigrationOutcome {
     },
     /// The fence committed: the destination is now authoritative.
     Fenced(MigrationReport),
-    /// The migration aborted before its fence (source crash or tampered
-    /// segment); the source remains the sole owner.
+    /// The migration aborted before its ring flip (source crash, tampered
+    /// segment, or installs that did not commit at the destination); the
+    /// source remains the sole owner.
     Aborted(MigrationReport),
 }
 
@@ -229,11 +243,12 @@ impl Migration {
     }
 }
 
-/// N simulated Precursor nodes behind one placement/metadata plane, with
-/// live key-range migration between them. See the [module docs](self).
+/// N simulated Precursor nodes — replica groups — behind one
+/// placement/metadata plane, with live key-range migration between them.
+/// See the [module docs](self).
 #[derive(Debug)]
 pub struct PrecursorCluster {
-    nodes: Vec<PrecursorServer>,
+    groups: Vec<ReplicaGroup>,
     meta: MetaService,
     migration: Option<Migration>,
     // Attested node-to-node session key sealing migration segments
@@ -264,29 +279,54 @@ impl PrecursorCluster {
     /// Default virtual points per node on the placement ring.
     pub const DEFAULT_VNODES: u32 = 32;
 
-    /// Builds a cluster of `nodes` servers sharing `config` (cloned per
-    /// node) over an equally-weighted ring. With `nodes == 1` the single
-    /// node owns the whole ring, the `NotMine` gate never fires, and every
-    /// observable is bit-identical to a standalone [`PrecursorServer`]
-    /// (pinned by the golden digest in `tests/determinism.rs`).
+    /// Builds a cluster of `nodes` bare servers (no journal, no replicas)
+    /// sharing `config` (cloned per node) over an equally-weighted ring.
+    /// With `nodes == 1` the single node owns the whole ring, the
+    /// `NotMine` gate never fires, and every observable is bit-identical
+    /// to a standalone [`PrecursorServer`] (pinned by the golden digest in
+    /// `tests/determinism.rs`).
     ///
     /// # Panics
     ///
     /// If `nodes` is 0 or exceeds `u16::MAX`.
     pub fn new(nodes: usize, config: Config, cost: &CostModel) -> PrecursorCluster {
+        Self::of(nodes, || ReplicaGroup::new(config.clone(), cost))
+    }
+
+    /// As [`new`](Self::new), every node a journaled primary with
+    /// `replicas` replicas behind it (see [`ReplicaGroup::with_replicas`]):
+    /// a node that dies ([`fail_node`](Self::fail_node)) keeps its ranges.
+    ///
+    /// # Panics
+    ///
+    /// If `nodes` is 0 or exceeds `u16::MAX`.
+    pub fn replicated(
+        nodes: usize,
+        config: Config,
+        cost: &CostModel,
+        replicas: usize,
+        policy: GroupCommitPolicy,
+    ) -> PrecursorCluster {
+        Self::of(nodes, || {
+            ReplicaGroup::with_replicas(config.clone(), cost, replicas, policy)
+        })
+    }
+
+    fn of(nodes: usize, group: impl Fn() -> ReplicaGroup) -> PrecursorCluster {
         assert!(nodes > 0 && nodes <= u16::MAX as usize);
         let ring = PlacementRing::new(nodes as u16, Self::DEFAULT_VNODES);
-        let mut servers = Vec::with_capacity(nodes);
-        for i in 0..nodes {
-            let mut s = PrecursorServer::new(config.clone(), cost);
-            s.install_routing(i as u16, ring.clone());
-            servers.push(s);
-        }
+        let groups = (0..nodes)
+            .map(|i| {
+                let mut g = group();
+                g.primary_mut().install_routing(i as u16, ring.clone());
+                g
+            })
+            .collect();
         // Deterministic attested transfer key: seeded independently of
         // every other RNG stream in the simulation.
         let mut rng = SimRng::seed_from(0x7472_616e_7366_6572);
         PrecursorCluster {
-            nodes: servers,
+            groups,
             meta: MetaService::new(ring),
             migration: None,
             transfer_key: GcmKey::new(&Key128::generate(&mut rng)),
@@ -300,22 +340,32 @@ impl PrecursorCluster {
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.groups.len()
     }
 
-    /// Every node, in node order.
-    pub fn nodes(&self) -> &[PrecursorServer] {
-        &self.nodes
+    /// Every node's primary, in node order.
+    pub fn nodes(&self) -> impl Iterator<Item = &PrecursorServer> + Clone {
+        self.groups.iter().map(ReplicaGroup::primary)
     }
 
-    /// Shared reference to node `i`.
+    /// Shared reference to node `i`'s primary.
     pub fn node(&self, i: usize) -> &PrecursorServer {
-        &self.nodes[i]
+        self.groups[i].primary()
     }
 
-    /// Mutable reference to node `i` (clients pump their own node).
+    /// Mutable reference to node `i`'s primary (clients connect to it).
     pub fn node_mut(&mut self, i: usize) -> &mut PrecursorServer {
-        &mut self.nodes[i]
+        self.groups[i].primary_mut()
+    }
+
+    /// Node `i` as a replica group: its counters, journal and replicas.
+    pub fn group(&self, i: usize) -> &ReplicaGroup {
+        &self.groups[i]
+    }
+
+    /// Mutable reference to node `i`'s replica group.
+    pub fn group_mut(&mut self, i: usize) -> &mut ReplicaGroup {
+        &mut self.groups[i]
     }
 
     /// The metadata service.
@@ -323,16 +373,50 @@ impl PrecursorCluster {
         &self.meta
     }
 
-    /// Polls every node once, in node order; returns records processed.
+    /// Pumps every node once, in node order; returns records processed.
     pub fn poll_all(&mut self) -> usize {
-        self.nodes.iter_mut().map(PrecursorServer::poll).sum()
+        self.groups.iter_mut().map(ReplicaGroup::pump).sum()
     }
 
-    /// Replaces node `i` (e.g. with a journal-recovered server after a
-    /// crash) and installs the current authoritative routing view on it.
-    pub fn replace_node(&mut self, i: usize, mut server: PrecursorServer) {
-        server.install_routing(i as u16, self.meta.snapshot());
-        self.nodes[i] = server;
+    /// Process crash at node `i`, disk survives: the group recovers its
+    /// primary from its own root and durable journal
+    /// ([`ReplicaGroup::restart`]) and the authoritative routing view is
+    /// installed on it.
+    ///
+    /// # Errors
+    ///
+    /// As [`ReplicaGroup::restart`].
+    pub fn restart_node(&mut self, i: usize) -> Result<RecoveryReport, StoreError> {
+        let report = self.groups[i].restart()?;
+        self.rejoin(i);
+        Ok(report)
+    }
+
+    /// Node `i`'s machine is lost: a replica is promoted inside the group
+    /// ([`ReplicaGroup::fail_primary`], fully replayed before it serves)
+    /// and the authoritative routing view is installed on it, so the
+    /// node's ranges stay where the ring says they are.
+    ///
+    /// # Errors
+    ///
+    /// As [`ReplicaGroup::fail_primary`] — [`StoreError::SessionLost`] for
+    /// a node without replicas.
+    pub fn fail_node(&mut self, i: usize) -> Result<FailoverReport, StoreError> {
+        let report = self.groups[i].fail_primary(usize::MAX)?;
+        self.rejoin(i);
+        Ok(report)
+    }
+
+    // A new primary at node `i` joins the cluster under the authoritative
+    // ring. A migration it was a party to loses its stream with the dead
+    // process and aborts — the source stays the sole owner.
+    fn rejoin(&mut self, i: usize) {
+        let ring = self.meta.snapshot();
+        self.groups[i].primary_mut().install_routing(i as u16, ring);
+        let party = |m: &Migration| m.from as usize == i || m.to as usize == i;
+        if self.migration.as_ref().is_some_and(party) {
+            self.abort_migration();
+        }
     }
 
     /// Installs a fault plan driving [`FaultSite::MigrateShip`] — the
@@ -357,7 +441,7 @@ impl PrecursorCluster {
     /// migration plane's own `cluster.*` counters.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut m = MetricsRegistry::default();
-        for node in &self.nodes {
+        for node in self.nodes() {
             m.merge(node.metrics());
         }
         m.inc("cluster.migrations_fenced", self.migrations_completed);
@@ -383,7 +467,7 @@ impl PrecursorCluster {
         if self.migration.is_some() {
             return Err(StoreError::Busy);
         }
-        if to as usize >= self.nodes.len() {
+        if to as usize >= self.groups.len() {
             return Err(StoreError::MalformedFrame);
         }
         let point = self.meta.ring().point_of(key);
@@ -394,11 +478,7 @@ impl PrecursorCluster {
         // Range snapshot: the segment's keys as they exist at the source
         // right now. Keys created later are picked up by the fence delta;
         // keys deleted later are dropped by the fence list.
-        let keys: Vec<Vec<u8>> = self.nodes[from as usize]
-            .live_keys()
-            .into_iter()
-            .filter(|k| self.meta.ring().point_of(k) == point)
-            .collect();
+        let keys = self.keys_in(from, point);
         let link = match &self.migrate_faults {
             Some(f) => ReplicaLink::new_faulty(Arc::clone(f)),
             None => ReplicaLink::new(),
@@ -429,7 +509,7 @@ impl PrecursorCluster {
         while shipped_now < batch && m.next < m.keys.len() {
             let key = m.keys[m.next].clone();
             m.next += 1;
-            let Some(entry) = self.nodes[m.from as usize].export_entry(&key) else {
+            let Some(entry) = self.node(m.from as usize).export_entry(&key) else {
                 continue; // deleted since the range snapshot
             };
             match self.ship_segment(&mut m, &entry) {
@@ -525,21 +605,26 @@ impl PrecursorCluster {
         ShipResult::Delivered
     }
 
+    // The keys of ring segment `point` node `node` holds right now, sorted.
+    fn keys_in(&self, node: u16, point: usize) -> Vec<Vec<u8>> {
+        let mut keys = self.node(node as usize).live_keys();
+        keys.retain(|k| self.meta.ring().point_of(k) == point);
+        keys
+    }
+
     // The fence: re-ship the mutation delta, reconcile deletions against
     // the authoritative fence key-list, install the staged entries at the
-    // destination, and flip ownership everywhere in one step.
+    // destination, commit them there, and flip ownership everywhere in one
+    // step.
     fn fence(&mut self, mut m: Migration) -> Result<MigrationReport, MigrationReport> {
-        let current: Vec<Vec<u8>> = self.nodes[m.from as usize]
-            .live_keys()
-            .into_iter()
-            .filter(|k| self.meta.ring().point_of(k) == m.point)
-            .collect();
+        let current = self.keys_in(m.from, m.point);
         // Delta: keys that mutated (or appeared) after their bulk segment
         // shipped go through the same sealed-segment path, so the fault
         // site also covers the fence window.
         let mut delta = 0usize;
         for key in &current {
-            let entry = self.nodes[m.from as usize]
+            let entry = self
+                .node(m.from as usize)
                 .export_entry(key)
                 .expect("live key exports");
             let changed = match m.staged.get(key) {
@@ -563,33 +648,44 @@ impl PrecursorCluster {
         // authoritative, staged leftovers are dropped.
         m.staged.retain(|k, _| current.binary_search(k).is_ok());
 
-        // Install at the destination (sorted order: BTreeMap), then flip.
+        // Install at the destination (sorted order: BTreeMap) over a clean
+        // range: whatever it still holds there was left by a fence that
+        // journaled installs and never flipped the ring, or by evictions
+        // that never reached its disk before a restart — keys deleted
+        // since would come back to life under this install.
+        let report = m.report(true);
         let moved = m.staged.len();
-        for (_, entry) in std::mem::take(&mut m.staged) {
-            self.nodes[m.to as usize]
-                .install_entry(entry)
+        for key in self.keys_in(m.to, m.point) {
+            self.node_mut(m.to as usize).evict_entry(&key);
+        }
+        for (_, entry) in m.staged {
+            self.node_mut(m.to as usize)
+                .install_migrated(entry)
                 .expect("staged entry installs");
+        }
+        // The installs are journaled; the ring flips only once they are
+        // committed, so a destination rebuilt from its journal — all a
+        // promoted replica ever holds — has the range it is about to own.
+        if !self.groups[m.to as usize].commit_journal() {
+            return Err(report);
         }
         let mut ring = self.meta.snapshot();
         ring.reassign_point(m.point, m.to);
         self.meta.apply(ring.clone());
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            node.install_routing(i as u16, ring.clone());
+        for (i, group) in self.groups.iter_mut().enumerate() {
+            group.primary_mut().install_routing(i as u16, ring.clone());
         }
         // The source's copies are unreachable from here on; left in place
         // they would come back to life — deleted keys included — the next
         // time the segment migrates to this node.
         for key in &current {
-            self.nodes[m.from as usize].evict_entry(key);
+            self.node_mut(m.from as usize).evict_entry(key);
         }
         Ok(MigrationReport {
-            from: m.from,
-            to: m.to,
-            point: m.point,
             keys_moved: moved,
-            segments: m.segments,
             delta_reshipped: delta,
             aborted: false,
+            ..report
         })
     }
 }

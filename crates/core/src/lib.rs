@@ -86,7 +86,7 @@ pub use cluster::{
 };
 pub use config::{Config, EncryptionMode, RetryPolicy};
 pub use error::StoreError;
-pub use replication::{Cluster, FailoverReport, ProtocolBug};
+pub use replication::{FailoverReport, ProtocolBug, ReplicaGroup};
 pub use server::{CompactOutcome, OpReport, PrecursorServer, RecoveryReport};
 
 // Fault-injection and adversary vocabulary, re-exported so chaos and

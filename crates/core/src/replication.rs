@@ -1,22 +1,35 @@
-//! Journal replication: quorum group commit, failover, compaction
-//! shipping, and cross-replica rollback/fork detection.
+//! The replica group: one primary, the two trusted counters and the sealed
+//! root that survive its crash, and R ≥ 0 replicas behind it — the node
+//! type of a [`PrecursorCluster`](crate::cluster::PrecursorCluster) and,
+//! with R = 0 and no journal, exactly the bare [`PrecursorServer`].
 //!
-//! A [`Cluster`] runs one [`PrecursorServer`] primary whose sealed journal
-//! (see `crate::server`'s durability stage) is shipped record-group by
-//! record-group to 2–3 simulated replicas over
-//! [`precursor_rdma::replica::ReplicaLink`]s. The primary's journal is
-//! attached in *external-commit* mode: a flushed group stays uncommitted —
-//! every reply WRITE it covers held by the group-commit gate — until a
-//! **quorum** of cluster nodes (the primary plus acknowledging replicas)
-//! holds its bytes. Only then does
-//! [`PrecursorServer::commit_journal_bytes`] release the replies. A client
-//! therefore never observes a state that a crash-failover could roll back:
-//! the at-most-once window the client resynchronises against after
-//! failover ([`PrecursorServer::reconnect_client`]) is reconstructed from
-//! journal bytes that, by quorum, survive any minority of node failures.
+//! **The root** is the pair the untrusted host holds for the primary: its
+//! last committed snapshot ([`PrecursorServer::committed_snapshot`],
+//! versioned by the *snapshot counter*) and its durable journal suffix
+//! (keyed by the *epoch counter*, which every new primary increments). The
+//! group keeps no copy of either: a [`restart`](ReplicaGroup::restart)
+//! (process crash, disk survives) reads them off the dead primary, a
+//! [`fail_primary`](ReplicaGroup::fail_primary) (machine lost) salvages
+//! the snapshot and takes the journal from a replica.
 //!
-//! **Compaction** ([`Cluster::compact`]) seals a snapshot at the
-//! quorum-committed watermark and truncates the journal prefix behind it
+//! **Replication (R > 0).** The primary's sealed journal (see
+//! `crate::server`'s durability stage) is shipped record-group by
+//! record-group to the replicas over
+//! [`precursor_rdma::replica::ReplicaLink`]s. With a fan-out the journal
+//! leaves commit to the group: a flushed group stays uncommitted — every
+//! reply WRITE it covers held by the group-commit gate — until a **quorum**
+//! of group members (the primary plus acknowledging replicas) holds its
+//! bytes. Only then does [`PrecursorServer::commit_journal_bytes`] release
+//! the replies. A client therefore never observes a state that a
+//! crash-failover could roll back: the at-most-once window the client
+//! resynchronises against after failover
+//! ([`PrecursorServer::reconnect_client`]) is reconstructed from journal
+//! bytes that, by quorum, survive any minority of node failures. With R = 0
+//! the journal commits at its own flush and [`pump`](ReplicaGroup::pump) is
+//! [`PrecursorServer::poll`] and nothing else.
+//!
+//! **Compaction** ([`ReplicaGroup::compact`]) seals a snapshot at the
+//! committed watermark and truncates the journal prefix behind it
 //! (two-phase, see [`PrecursorServer::compact_journal`]). Byte offsets in
 //! every frame stay *logical* — they address the epoch's whole record
 //! stream, not the surviving suffix — so acknowledgements, flush marks and
@@ -31,22 +44,21 @@
 //! rejected; the replica then falls back to *full-journal catch-up* from a
 //! peer replica that still holds the uncompacted stream.
 //!
-//! **Failover** ([`Cluster::fail_primary`]) is deterministic: among alive,
-//! non-quarantined replicas the one holding the longest journal coverage
-//! is promoted — its bytes are replayed through
-//! [`PrecursorServer::recover_with_base`], which re-derives the store
-//! evidence (mutation sequence + running state digest) record by record
-//! and rejects any journal that diverges from the history it claims
+//! **Failover** ([`ReplicaGroup::fail_primary`]) is deterministic: among
+//! alive, non-quarantined replicas the one holding the longest journal
+//! coverage is promoted — its bytes are replayed through
+//! [`PrecursorServer::recover`], which re-derives the store evidence
+//! (mutation sequence + running state digest) record by record and rejects
+//! any journal that diverges from the history it claims
 //! ([`StoreError::ForkDetected`]). The promoted node opens a fresh journal
 //! epoch (sealed under a new epoch key drawn from the trusted monotonic
 //! counter), so bytes from the dead primary's epoch can never be replayed
-//! into the new one. The *staged* variant
-//! ([`Cluster::fail_primary_staged`]) promotes through
-//! [`PrecursorServer::recover_staged`]: the survivor answers reads
+//! into the new one. `fail_primary(batch)` drains `batch` queued records
+//! per [`pump`](ReplicaGroup::pump): the survivor answers reads
 //! immediately from its applied prefix (never beyond its verified
-//! watermark — mutations answer `Busy`) while [`Cluster::pump`] drains the
-//! catch-up queue in the background; `replica.lag_records` converges to 0
-//! as it drains.
+//! watermark — mutations answer `Busy`) while the catch-up queue drains in
+//! the background and `replica.lag_records` converges to 0;
+//! `usize::MAX` drains before returning.
 //!
 //! **Rollback & fork detection.** Every acknowledgement a replica sends is
 //! remembered as its *claimed* durability. A replica later presenting a
@@ -54,7 +66,7 @@
 //! quarantined at failover ([`StoreError::RollbackDetected`]) and never
 //! promoted. Divergent journal prefixes across replicas (a forked primary
 //! shipping different histories to different replicas) are caught by
-//! [`Cluster::audit_replicas`]; a stale-but-honest promotion (a true
+//! [`ReplicaGroup::audit_replicas`]; a stale-but-honest promotion (a true
 //! minority-loss rollback, possible only when quorum was already lost) is
 //! reported as `stale` in the [`FailoverReport`] and is exactly what the
 //! clients' own `max_store_seq` rollback check (PR-2) detects after
@@ -77,7 +89,7 @@ const FRAME_SEGMENT: u8 = 0x01;
 const FRAME_ACK: u8 = 0x02;
 const FRAME_SNAPSHOT: u8 = 0x03;
 
-// One replica's state as tracked by the cluster: the link to it, its
+// One replica's state as tracked by the group: the link to it, its
 // journal copy, and the durability it has acknowledged/claimed.
 #[derive(Debug)]
 struct Replica {
@@ -140,10 +152,9 @@ impl Replica {
 }
 
 // The compacted (snapshot, cut) pair the primary ships to replicas whose
-// coverage is behind the truncation point. Kept separate from the
-// cluster's own `base_snapshot` so a host tampering with the *shipped*
-// copy (`tamper_compacted_snapshot`) does not also damage the local
-// recovery root.
+// coverage is behind the truncation point (R > 0 only). A copy of the
+// primary's committed blob, so a host tampering with the *shipped* bytes
+// (`rewrite_compacted_snapshot`) does not also damage the recovery root.
 #[derive(Debug)]
 struct CompactShip {
     blob: Vec<u8>,
@@ -166,7 +177,7 @@ pub enum ProtocolBug {
     SkipRollbackQuarantine,
 }
 
-/// Outcome of a [`Cluster::fail_primary`] failover.
+/// Outcome of a [`ReplicaGroup::fail_primary`] failover.
 #[derive(Debug)]
 pub struct FailoverReport {
     /// Index (pre-failover) of the replica that was promoted.
@@ -182,30 +193,31 @@ pub struct FailoverReport {
     pub stale: bool,
 }
 
-/// A replicated Precursor deployment: one primary journaling to N
-/// replicas with quorum group commit.
+// Group pumps the migration fence waits for its installs to reach quorum.
+const COMMIT_PUMPS: usize = 64;
+
+/// One primary, its two trusted counters, an optional journal and R ≥ 0
+/// replicas with quorum group commit. See the [module docs](self).
 #[derive(Debug)]
-pub struct Cluster {
+pub struct ReplicaGroup {
     cost: CostModel,
     primary: PrecursorServer,
     replicas: Vec<Replica>,
     // Trusted monotonic counters: snapshot rollback protection and the
-    // journal epoch designation (recovery reads, promotion increments).
+    // journal epoch designation (recovery reads, every new primary
+    // increments).
     snap_counter: MonotonicCounter,
     epoch_counter: MonotonicCounter,
-    // Sealed base snapshot of the epoch's recovery root: `None` for the
-    // first epoch (the journal starts at the empty store), refreshed at
-    // every promotion and every compaction commit.
-    base_snapshot: Option<Vec<u8>>,
+    // The journal's group-commit policy once durability is on: a promoted
+    // or restarted primary re-attaches under it.
+    policy: Option<GroupCommitPolicy>,
     // The (snapshot, cut) pair shipped to replicas behind the compaction
     // point, if the journal was ever compacted this epoch.
     compact_ship: Option<CompactShip>,
-    policy: GroupCommitPolicy,
-    quorum: usize,
     committed_bytes: u64,
-    // Staged promotion: records per pump to drain from the catch-up
-    // queue, and whether the new epoch's base snapshot is still owed
-    // (sealed once catch-up drains, so it captures the complete state).
+    // Catching-up primary: records per pump to drain from its queue, and
+    // whether the new epoch's base snapshot is still owed (sealed once
+    // catch-up drains, so it captures the complete state).
     catchup_batch: usize,
     pending_base_snapshot: bool,
     catchup_error: Option<StoreError>,
@@ -213,36 +225,18 @@ pub struct Cluster {
     metrics: MetricsRegistry,
 }
 
-impl Cluster {
-    /// Builds a primary with `replicas` healthy replicas behind it. The
-    /// quorum is a majority of the `replicas + 1` cluster nodes (the
-    /// primary votes for its own durable bytes). Connect clients against
-    /// [`primary_mut`](Self::primary_mut) *after* construction so their
-    /// sessions and mutations are journaled.
-    pub fn new(
-        config: Config,
-        cost: &CostModel,
-        replicas: usize,
-        policy: GroupCommitPolicy,
-    ) -> Cluster {
-        let mut primary = PrecursorServer::new(config, cost);
-        let mut epoch_counter = MonotonicCounter::new();
-        primary.attach_replicated_journal(policy, &mut epoch_counter);
-        primary.set_replication_fanout(replicas);
-        let replicas = (0..replicas)
-            .map(|_| Replica::fresh(false))
-            .collect::<Vec<_>>();
-        let nodes = replicas.len() + 1;
-        Cluster {
+impl ReplicaGroup {
+    /// The bare server: no journal, no replicas. Every observable of its
+    /// primary is a standalone [`PrecursorServer`]'s.
+    pub fn new(config: Config, cost: &CostModel) -> ReplicaGroup {
+        ReplicaGroup {
             cost: cost.clone(),
-            primary,
-            replicas,
+            primary: PrecursorServer::new(config, cost),
+            replicas: Vec::new(),
             snap_counter: MonotonicCounter::new(),
-            epoch_counter,
-            base_snapshot: None,
+            epoch_counter: MonotonicCounter::new(),
+            policy: None,
             compact_ship: None,
-            policy,
-            quorum: nodes / 2 + 1,
             committed_bytes: 0,
             catchup_batch: 0,
             pending_base_snapshot: false,
@@ -250,6 +244,41 @@ impl Cluster {
             bug: None,
             metrics: MetricsRegistry::default(),
         }
+    }
+
+    /// A journaled primary with `replicas` healthy replicas behind it. The
+    /// quorum is a majority of the `replicas + 1` group members (the
+    /// primary votes for its own durable bytes). Connect clients against
+    /// [`primary_mut`](Self::primary_mut) *after* construction so their
+    /// sessions and mutations are journaled.
+    pub fn with_replicas(
+        config: Config,
+        cost: &CostModel,
+        replicas: usize,
+        policy: GroupCommitPolicy,
+    ) -> ReplicaGroup {
+        let mut group = ReplicaGroup::new(config, cost);
+        group.replicas = (0..replicas).map(|_| Replica::fresh(false)).collect();
+        group.enable_durability(policy);
+        group
+    }
+
+    /// Attaches a sealed journal to the primary under a fresh epoch of the
+    /// group's own counter (see [`PrecursorServer::attach_journal`]) and
+    /// returns that epoch. Call before connecting clients.
+    pub fn enable_durability(&mut self, policy: GroupCommitPolicy) -> u64 {
+        self.policy = Some(policy);
+        self.open_epoch().expect("policy just set")
+    }
+
+    // Opens a fresh journal epoch on the current primary, fan-out over the
+    // current replicas; `None` while the group keeps no journal.
+    fn open_epoch(&mut self) -> Option<u64> {
+        let epoch = self
+            .primary
+            .attach_journal(self.policy?, &mut self.epoch_counter);
+        self.primary.set_replication_fanout(self.replicas.len());
+        Some(epoch)
     }
 
     /// The current primary.
@@ -268,14 +297,24 @@ impl Cluster {
         self.replicas.len()
     }
 
-    /// The commit quorum (number of nodes, primary included, that must
-    /// hold a journal byte before its replies release).
+    /// The commit quorum (number of group members, primary included, that
+    /// must hold a journal byte before its replies release): a majority of
+    /// the members the current epoch started with.
     pub fn quorum(&self) -> usize {
-        self.quorum
+        let members = self.replicas.len() + 1;
+        members / 2 + 1
+    }
+
+    /// The trusted snapshot counter: its value is the version of the last
+    /// committed snapshot, the only one [`PrecursorServer::restore`]
+    /// accepts.
+    pub fn snapshot_counter(&self) -> &MonotonicCounter {
+        &self.snap_counter
     }
 
     /// Journal bytes committed by quorum so far this epoch (logical
-    /// offsets — compaction does not move them).
+    /// offsets — compaction does not move them). Stays 0 without
+    /// replicas: the journal then commits at its own flush.
     pub fn committed_bytes(&self) -> u64 {
         self.committed_bytes
     }
@@ -318,7 +357,7 @@ impl Cluster {
         self.replicas[i].coverage() < self.replicas[i].claimed
     }
 
-    /// Cluster-level metrics: `failover.count`,
+    /// Group-level metrics: `failover.count`,
     /// `replica.rollback_detected`, `replica.compact_ships`,
     /// `replica.snapshot_rejected`, `replica.full_catchup_fallbacks`, and
     /// the `replica.lag_records` gauge (journal records the slowest live
@@ -372,23 +411,9 @@ impl Cluster {
         }
     }
 
-    /// Adversarial hook: flips one bit of the *shipped* compacted
-    /// snapshot (the copy [`pump`](Self::pump) sends to lagging replicas)
-    /// without touching the primary's own recovery root. Replicas reject
-    /// the damaged pair and fall back to full-journal catch-up from a
-    /// peer.
-    pub fn tamper_compacted_snapshot(&mut self, byte: usize) {
-        self.rewrite_compacted_snapshot(|blob| {
-            if !blob.is_empty() {
-                let b = byte % blob.len();
-                blob[b] ^= 0x40;
-            }
-        });
-    }
-
     /// Adversarial hook: lets the host rewrite the *shipped* compacted
     /// snapshot at will — splice in a segment of an older cut, swap two
-    /// segments, truncate — again without touching the primary's own
+    /// segments, truncate — without touching the primary's own
     /// recovery root. No-op before the first compaction.
     pub fn rewrite_compacted_snapshot(&mut self, rewrite: impl FnOnce(&mut Vec<u8>)) {
         if let Some(ship) = self.compact_ship.as_mut() {
@@ -401,64 +426,109 @@ impl Cluster {
         self.bug = Some(bug);
     }
 
-    /// Compacts the primary's journal behind the quorum-committed
-    /// watermark (see [`PrecursorServer::compact_journal`] for the
-    /// two-phase seal/commit/truncate and its crash points). On commit the
-    /// sealed snapshot becomes both the cluster's recovery root and the
-    /// pair shipped to replicas behind the cut.
+    /// Seals the primary's current state as the new recovery root (see
+    /// [`PrecursorServer::snapshot`]) — the only durability of a group
+    /// without a journal, and the base of every new journal epoch.
+    pub fn checkpoint(&mut self) {
+        let _ = self.primary.snapshot(&mut self.snap_counter);
+    }
+
+    /// Compacts the primary's journal behind the committed watermark (see
+    /// [`PrecursorServer::compact_journal`] for the two-phase
+    /// seal/commit/truncate and its crash points). A committed cut is the
+    /// recovery root from then on — also when the truncate never happened
+    /// ([`CompactOutcome::Wedged`]) — and, with replicas, the pair shipped
+    /// to those behind the cut.
     pub fn compact(&mut self) -> CompactOutcome {
-        let outcome = self.primary.compact_journal(&mut self.snap_counter);
-        match &outcome {
-            CompactOutcome::Compacted {
-                snapshot, base_seq, ..
-            } => {
-                self.base_snapshot = Some(snapshot.clone());
-                self.compact_ship = Some(CompactShip {
-                    blob: snapshot.clone(),
-                    trimmed: self.primary.journal_trimmed_bytes(),
-                    base_seq: *base_seq,
-                });
-            }
-            CompactOutcome::Wedged { snapshot, .. } => {
-                // The snapshot committed (counter advanced) even though
-                // the truncate never happened: it must become the
-                // recovery root, or the next unseal fails the version
-                // check. The journal is whole, so recovery digests are
-                // unchanged either way.
-                self.base_snapshot = Some(snapshot.clone());
-            }
-            CompactOutcome::Skipped | CompactOutcome::Aborted => {}
+        self.compact_via(|_, _| {})
+    }
+
+    /// Adversarial hook: [`compact`](Self::compact) with the untrusted
+    /// host's write of the tentative cut in the caller's hands (see
+    /// [`PrecursorServer::compact_journal_via`]).
+    pub fn compact_via(
+        &mut self,
+        host_write: impl FnOnce(&mut Vec<u8>, &[std::ops::Range<usize>]),
+    ) -> CompactOutcome {
+        let outcome = self
+            .primary
+            .compact_journal_via(&mut self.snap_counter, host_write);
+        if let (CompactOutcome::Compacted { base_seq, .. }, false) =
+            (&outcome, self.replicas.is_empty())
+        {
+            let root = self.primary.committed_snapshot();
+            self.compact_ship = Some(CompactShip {
+                blob: root.expect("a cut just committed").to_vec(),
+                trimmed: self.primary.journal_trimmed_bytes(),
+                base_seq: *base_seq,
+            });
         }
         outcome
     }
 
-    /// Recovers a throwaway server from the cluster's current recovery
-    /// root (base snapshot + the primary's durable journal suffix) and
+    // A server recovered from the root as the host holds it right now: the
+    // primary's committed snapshot plus its durable journal suffix, fully
+    // replayed.
+    fn recover_primary(&self) -> Result<(PrecursorServer, RecoveryReport), StoreError> {
+        let p = &self.primary;
+        let (mut server, report) = PrecursorServer::recover(
+            p.config().clone(),
+            &self.cost,
+            p.committed_snapshot(),
+            &self.snap_counter,
+            p.journal_durable().unwrap_or(&[]),
+            p.journal_cut(),
+            &self.epoch_counter,
+        )?;
+        server.catchup_step(usize::MAX)?;
+        Ok((server, report))
+    }
+
+    /// Recovers a throwaway server from the group's current root and
     /// returns its state digest — lets tests and the model checker assert
     /// that compaction (including a crash between snapshot-seal and
     /// truncate) never changes what recovery reconstructs.
     ///
     /// # Errors
     ///
-    /// Propagates [`PrecursorServer::recover_with_base`] failures.
+    /// Propagates [`PrecursorServer::recover`] and replay failures.
     pub fn probe_recovery(&self) -> Result<[u8; 16], StoreError> {
-        let journal = self.primary.journal_durable().unwrap_or(&[]);
-        let base_seq = self.primary.journal_base_seq();
-        let base_chain = self
-            .primary
-            .journal_base_chain()
-            .unwrap_or_else(|| precursor_journal::genesis_chain(self.epoch_counter.read()));
-        let (server, _report) = PrecursorServer::recover_with_base(
-            self.primary.config().clone(),
-            &self.cost,
-            self.base_snapshot.as_deref(),
-            &self.snap_counter,
-            journal,
-            base_seq,
-            base_chain,
-            &self.epoch_counter,
-        )?;
-        Ok(server.state_digest())
+        Ok(self.recover_primary()?.0.state_digest())
+    }
+
+    /// Process crash, disk survives: the primary is rebuilt from the
+    /// group's own root — a torn journal tail truncated, never replayed —
+    /// and takes over under a fresh journal epoch with a freshly sealed
+    /// base snapshot. Clients must
+    /// [`reconnect`](crate::PrecursorClient::reconnect) (in ascending id
+    /// order); fault and adversary plans are not carried over.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`PrecursorServer::recover`] and replay failures; the
+    /// group is unchanged then.
+    pub fn restart(&mut self) -> Result<RecoveryReport, StoreError> {
+        let (server, report) = self.recover_primary()?;
+        self.adopt(server, None);
+        Ok(report)
+    }
+
+    // Makes everything the primary has journaled durable and committed —
+    // flushed at R = 0, pumped to quorum at R > 0 — and says whether it
+    // is. A migration fence calls it between installing a range at this
+    // group and flipping the ring. Trivially true without a journal.
+    pub(crate) fn commit_journal(&mut self) -> bool {
+        let settled = |p: &PrecursorServer| {
+            p.journal_wedged() || p.journal_committed_seq() >= p.journal_last_seq()
+        };
+        self.primary.flush_journal();
+        for _ in 0..COMMIT_PUMPS {
+            if settled(&self.primary) {
+                break;
+            }
+            self.pump();
+        }
+        settled(&self.primary) && !self.primary.journal_wedged()
     }
 
     /// Quorum-durable logical byte count computed from the nodes' *actual*
@@ -469,22 +539,27 @@ impl Cluster {
         let mut lens: Vec<u64> = self.replicas.iter().map(Replica::coverage).collect();
         lens.push(self.primary.journal_durable_end());
         lens.sort_unstable_by(|a, b| b.cmp(a));
-        lens.get(self.quorum - 1).copied().unwrap_or(0)
+        lens.get(self.quorum() - 1).copied().unwrap_or(0)
     }
 
-    /// The first catch-up replay error, if the staged promotion's
-    /// background drain hit one (fork evidence divergence).
+    /// The first catch-up replay error, if a promotion's background drain
+    /// hit one (fork evidence divergence).
     pub fn catchup_error(&self) -> Option<StoreError> {
         self.catchup_error
     }
 
-    /// One cluster tick: a staged-promotion catch-up step (if draining), a
-    /// primary sweep, segment/snapshot shipping, link pumps in both
-    /// directions, replica acknowledgement processing, and the quorum
+    /// One group tick: a catch-up step (if a promoted primary is still
+    /// draining), a primary sweep, segment/snapshot shipping, link pumps in
+    /// both directions, replica acknowledgement processing, and the quorum
     /// commit that releases gated replies. Returns the number of requests
-    /// the primary sweep processed.
+    /// the primary sweep processed. Without replicas and outside catch-up
+    /// it is the primary's [`poll`](PrecursorServer::poll) and nothing
+    /// else.
     pub fn pump(&mut self) -> usize {
-        // Background catch-up on a staged promotion: drain a batch before
+        if self.replicas.is_empty() && !self.pending_base_snapshot {
+            return self.primary.poll();
+        }
+        // Background catch-up after a promotion: drain a batch before
         // serving, then seal the deferred epoch-base snapshot once the
         // queue is empty (it must capture the fully caught-up state).
         if self.primary.in_catchup() {
@@ -495,7 +570,7 @@ impl Cluster {
             }
         }
         if self.pending_base_snapshot && !self.primary.in_catchup() {
-            self.base_snapshot = Some(self.primary.snapshot(&mut self.snap_counter));
+            self.checkpoint();
             self.pending_base_snapshot = false;
         }
 
@@ -508,11 +583,7 @@ impl Cluster {
         // replica acknowledged behind the compaction cut gets the
         // (snapshot, tail) pair instead — segments alone can no longer
         // reach it.
-        let durable = self
-            .primary
-            .journal_durable()
-            .map(<[u8]>::to_vec)
-            .unwrap_or_default();
+        let durable = self.primary.journal_durable().unwrap_or(&[]);
         let trimmed = self.primary.journal_trimmed_bytes();
         let durable_end = trimmed + durable.len() as u64;
         let last_seq = self.primary.journal_last_seq();
@@ -656,20 +727,14 @@ impl Cluster {
 
         // Quorum commit: the primary holds all durable bytes; a logical
         // byte is committed once `quorum - 1` replicas acknowledged it.
-        let watermark = if self.quorum <= 1 {
-            durable_end
-        } else {
+        // (A primary promoted with no survivor commits at its own flush.)
+        if !self.replicas.is_empty() {
             let mut acks: Vec<u64> = self.replicas.iter().map(|r| r.acked).collect();
             acks.sort_unstable_by(|a, b| b.cmp(a));
-            acks.get(self.quorum - 2)
-                .copied()
-                .unwrap_or(0)
-                .min(durable_end)
-        };
-        if watermark > self.committed_bytes {
-            self.committed_bytes = watermark;
+            let watermark = acks[self.quorum() - 2].min(durable_end);
+            self.committed_bytes = self.committed_bytes.max(watermark);
+            self.primary.commit_journal_bytes(self.committed_bytes);
         }
-        self.primary.commit_journal_bytes(self.committed_bytes);
 
         let ship_lag = self
             .replicas
@@ -710,42 +775,31 @@ impl Cluster {
         Ok(())
     }
 
-    /// Deterministic failover after a primary crash: quarantines replicas
-    /// whose journal rolled back behind their own acknowledgements,
-    /// promotes the longest-coverage survivor through
-    /// [`PrecursorServer::recover_with_base`], opens a fresh journal epoch
-    /// on it, and rebuilds the replication fan-out over the remaining
-    /// survivors (their journals reset — the new epoch starts from the
-    /// promoted state's snapshot). Clients must
+    /// Deterministic failover after the primary's machine is lost:
+    /// quarantines replicas whose journal rolled back behind their own
+    /// acknowledgements, promotes the longest-coverage survivor through
+    /// [`PrecursorServer::recover`], opens a fresh journal epoch on it,
+    /// and rebuilds the replication fan-out over the remaining survivors
+    /// (their journals reset — the new epoch starts from the promoted
+    /// state's snapshot). Clients must
     /// [`reconnect`](crate::PrecursorClient::reconnect) (in ascending id
     /// order) and resynchronise their `oid` from the bundle.
+    ///
+    /// The survivor serves reads at once from its applied prefix
+    /// (mutations answer `Busy`) while every [`pump`](Self::pump) applies
+    /// up to `batch` queued records until the tail drains; the new epoch's
+    /// base snapshot is sealed only then, so it captures the full state,
+    /// and the `replica.lag_records` gauge tracks the remaining queue.
+    /// `usize::MAX` drains before returning.
     ///
     /// # Errors
     ///
     /// [`StoreError::RollbackDetected`] when every surviving replica is
     /// quarantined; [`StoreError::SessionLost`] when no replica survives at
-    /// all; [`StoreError::ForkDetected`] when the promoted journal's replay
-    /// evidence diverges from what its records sealed.
-    pub fn fail_primary(&mut self) -> Result<FailoverReport, StoreError> {
-        self.fail_primary_inner(None)
-    }
-
-    /// Failover with *catch-up reads*: the survivor is promoted through
-    /// [`PrecursorServer::recover_staged`] and serves reads immediately
-    /// from its applied prefix (mutations answer `Busy`), while every
-    /// [`pump`](Self::pump) applies up to `batch` queued records until the
-    /// tail drains. The new epoch's base snapshot is sealed only once
-    /// catch-up completes, so it captures the full state. The
-    /// `replica.lag_records` gauge tracks the remaining queue.
-    ///
-    /// # Errors
-    ///
-    /// As [`fail_primary`](Self::fail_primary).
-    pub fn fail_primary_staged(&mut self, batch: usize) -> Result<FailoverReport, StoreError> {
-        self.fail_primary_inner(Some(batch))
-    }
-
-    fn fail_primary_inner(&mut self, staged: Option<usize>) -> Result<FailoverReport, StoreError> {
+    /// all (always, at R = 0); [`StoreError::ForkDetected`] when the
+    /// promoted journal's replay evidence diverges from what its records
+    /// sealed.
+    pub fn fail_primary(&mut self, batch: usize) -> Result<FailoverReport, StoreError> {
         self.metrics.inc("failover.count", 1);
 
         // Staged-rollback quarantine: a replica presenting fewer bytes
@@ -795,84 +849,38 @@ impl Cluster {
             });
         };
 
-        let mut stale = self.replicas[promoted].coverage() < self.committed_bytes;
-        let journal = std::mem::take(&mut self.replicas[promoted].journal);
-        let base_seq = self.replicas[promoted].base_seq;
-        // A full-epoch copy (no compacted base) authenticates its journal
-        // from the epoch's genesis chain, not the zeroed placeholder.
-        let base_chain = if self.replicas[promoted].base > 0 {
-            self.replicas[promoted].base_chain
-        } else {
-            precursor_journal::genesis_chain(self.epoch_counter.read())
-        };
-        let replica_snapshot = self.replicas[promoted].snapshot.take();
-        // A replica holding a compacted pair recovers from its own
-        // validated snapshot; a full-epoch copy uses the cluster root.
-        let snapshot = if self.replicas[promoted].base > 0 {
-            replica_snapshot
-        } else {
-            self.base_snapshot.clone()
-        };
+        let replica = &mut self.replicas[promoted];
+        let mut stale = replica.coverage() < self.committed_bytes;
         if self.bug == Some(ProtocolBug::PromoteWithoutQuorum) {
             // The seeded bug also lies about staleness — exactly what the
             // model checker must catch.
             stale = false;
         }
-        let (mut server, recovery) = if let Some(batch) = staged {
-            self.catchup_batch = batch;
-            PrecursorServer::recover_staged(
-                self.primary.config().clone(),
-                &self.cost,
-                snapshot.as_deref(),
-                &self.snap_counter,
-                &journal,
-                base_seq,
-                base_chain,
-                &self.epoch_counter,
-            )?
+        // A replica holding a compacted pair recovers from its own
+        // validated snapshot and cut; a full-epoch copy from the dead
+        // primary's root, salvaged off its host, and the epoch's genesis
+        // chain.
+        let journal = std::mem::take(&mut replica.journal);
+        let own = replica.snapshot.take();
+        let (snapshot, cut) = if replica.base > 0 {
+            (own.as_deref(), Some((replica.base_seq, replica.base_chain)))
         } else {
-            PrecursorServer::recover_with_base(
-                self.primary.config().clone(),
-                &self.cost,
-                snapshot.as_deref(),
-                &self.snap_counter,
-                &journal,
-                base_seq,
-                base_chain,
-                &self.epoch_counter,
-            )?
+            (self.primary.committed_snapshot(), None)
         };
-
-        // Fresh epoch on the promoted node; the new epoch's base state is
-        // sealed as a snapshot so later recoveries need not replay across
-        // the epoch boundary. A staged promotion defers the seal until
-        // catch-up drains — the snapshot must capture the complete state.
-        server.attach_replicated_journal(self.policy, &mut self.epoch_counter);
-        self.primary = server;
-        self.committed_bytes = 0;
-        self.compact_ship = None;
-        if self.primary.in_catchup() {
-            self.pending_base_snapshot = true;
-        } else {
-            self.catchup_batch = 0;
-            self.base_snapshot = Some(self.primary.snapshot(&mut self.snap_counter));
-            self.pending_base_snapshot = false;
+        let (mut server, recovery) = PrecursorServer::recover(
+            self.primary.config().clone(),
+            &self.cost,
+            snapshot,
+            &self.snap_counter,
+            &journal,
+            cut,
+            &self.epoch_counter,
+        )?;
+        if batch == usize::MAX {
+            server.catchup_step(batch)?;
         }
-
-        // Rebuild the fan-out over the survivors: fresh links (the old
-        // ones terminated at the dead primary), journals reset to the new
-        // epoch's empty stream. Quarantined replicas stay quarantined.
-        let mut survivors = Vec::new();
-        for (i, r) in self.replicas.drain(..).enumerate() {
-            if i == promoted || !r.link.is_alive() {
-                continue;
-            }
-            survivors.push(Replica::fresh(r.quarantined));
-        }
-        self.replicas = survivors;
-        self.primary.set_replication_fanout(self.replicas.len());
-        let nodes = self.replicas.len() + 1;
-        self.quorum = nodes / 2 + 1;
+        self.catchup_batch = batch;
+        self.adopt(server, Some(promoted));
 
         Ok(FailoverReport {
             promoted,
@@ -880,5 +888,29 @@ impl Cluster {
             recovery,
             stale,
         })
+    }
+
+    // Makes `server` — recovered from this group's root — the primary. The
+    // replicas still alive (minus the one it was promoted from) become its
+    // fan-out behind fresh links (the old ones ended at the dead process)
+    // with empty journals and their quarantine intact; a fresh journal
+    // epoch opens; and the epoch's base state is sealed, so later
+    // recoveries need not replay across the epoch boundary — once
+    // catch-up drains, if the server is still replaying.
+    fn adopt(&mut self, server: PrecursorServer, promoted: Option<usize>) {
+        self.replicas = std::mem::take(&mut self.replicas)
+            .into_iter()
+            .enumerate()
+            .filter(|(i, r)| Some(*i) != promoted && r.link.is_alive())
+            .map(|(_, r)| Replica::fresh(r.quarantined))
+            .collect();
+        self.primary = server;
+        self.open_epoch();
+        self.committed_bytes = 0;
+        self.compact_ship = None;
+        self.pending_base_snapshot = self.primary.in_catchup();
+        if !self.pending_base_snapshot {
+            self.checkpoint();
+        }
     }
 }

@@ -23,11 +23,11 @@
 //! emitted WRITE stream is byte-identical to an unjournaled server — which
 //! is what keeps the seeded golden digest unchanged.
 //!
-//! **Commit authority.** Locally-durable mode (`attach_journal`) commits a
-//! group the moment its flush succeeds. Replicated mode
-//! (`attach_replicated_journal`) leaves commit to the replication layer,
-//! which calls [`PrecursorServer::commit_journal_bytes`] once a quorum of
-//! replicas acknowledged the flushed byte range (see `crate::replication`).
+//! **Commit authority.** A journal with no replication fan-out commits a
+//! group the moment its flush succeeds. With a fan-out
+//! ([`PrecursorServer::set_replication_fanout`]) commit is the replica
+//! group's: it calls [`PrecursorServer::commit_journal_bytes`] once a quorum
+//! of replicas acknowledged the flushed byte range (see `crate::replication`).
 
 use std::collections::VecDeque;
 
@@ -52,6 +52,7 @@ const KIND_PUT: u8 = 1;
 const KIND_DELETE: u8 = 2;
 const KIND_EVICT: u8 = 3;
 const KIND_SESSION: u8 = 4;
+const KIND_INSTALL: u8 = 5;
 
 // One reply held back by the group-commit gate: the ring WRITEs of a
 // sealed reply, tagged with the journal sequence that must commit before
@@ -67,13 +68,10 @@ struct GatedReply {
 #[derive(Debug)]
 pub(super) struct Durability {
     journal: Journal,
-    // Replicated mode: commit authority lies with the replication layer
-    // (commit_journal_bytes); local mode commits at flush.
-    external_commit: bool,
     committed_seq: u64,
     // (durable-bytes end, last record seq) per flushed group — lets the
-    // replication layer's byte-level acknowledgements map back to commit
-    // sequence numbers. Pruned as commits advance.
+    // replica group's byte-level acknowledgements map back to commit
+    // sequence numbers. Pruned as commits advance; empty with no fan-out.
     flush_marks: VecDeque<(u64, u64)>,
     gated: VecDeque<GatedReply>,
     // A damaged flush wedged the journal: the modelled process died
@@ -81,10 +79,11 @@ pub(super) struct Durability {
     // clients time out), and nothing further is appended — recovery is the
     // only way forward.
     failed: bool,
-    // Replication fan-out (number of replicas each flushed byte is
-    // shipped to) — purely a cost-model input: the networking stage of
-    // the per-op meter charges `fanout × segment-ship` cycles per sealed
-    // byte. 0 for a locally-durable journal.
+    // Replication fan-out: the number of replicas each flushed byte is
+    // shipped to. 0 commits a group locally at its flush; above 0 commit
+    // waits for the replica group's `commit_journal_bytes`, and the
+    // networking stage of the per-op meter charges `fanout × segment-ship`
+    // cycles per sealed byte.
     fanout: usize,
 }
 
@@ -104,10 +103,8 @@ pub struct RecoveryReport {
     pub valid_len: usize,
     /// Sequence number of the last authentic journal record (0 if none).
     pub journal_seq: u64,
-    /// Mutation records queued for background catch-up instead of being
-    /// replayed inline (0 for non-staged recovery). The server answers
-    /// reads from its applied prefix while [`PrecursorServer::catchup_step`]
-    /// drains them.
+    /// Mutation records queued for [`PrecursorServer::catchup_step`]; the
+    /// server answers reads from its applied prefix until they drain.
     pub catchup_pending: usize,
 }
 
@@ -142,53 +139,35 @@ pub enum CompactOutcome {
     },
 }
 
-// Mutation records queued by a staged recovery: the promoted replica
-// serves reads from its applied prefix while `catchup_step` drains these
-// in order. At-most-once windows and session records were applied eagerly,
-// so retransmissions of pre-crash operations re-acknowledge from the
-// cached window instead of re-executing against not-yet-replayed state.
+// Mutation records queued by `recover`: a promoted replica may serve reads
+// from its applied prefix while `catchup_step` drains these in order.
+// At-most-once windows and session records were applied at recovery, so
+// retransmissions of pre-crash operations re-acknowledge from the cached
+// window instead of re-executing against not-yet-replayed state.
 #[derive(Debug, Default)]
 pub(super) struct CatchupState {
     records: VecDeque<JournalRecord>,
 }
 
 impl PrecursorServer {
-    /// Attaches a locally-durable sealed journal: every applied mutation is
-    /// journaled, groups flush per `policy`, and a group commits the moment
-    /// its flush succeeds. The journal key is derived for a fresh epoch
-    /// drawn from the trusted monotonic `counter`, so an older epoch's byte
+    /// Attaches a sealed journal: every applied mutation is journaled and
+    /// groups flush per `policy`. With no replication fan-out a group
+    /// commits the moment its flush succeeds; with one
+    /// ([`set_replication_fanout`](Self::set_replication_fanout)) flushed
+    /// groups stay uncommitted (replies gated) until
+    /// [`commit_journal_bytes`](Self::commit_journal_bytes) acknowledges
+    /// the byte range. The journal key is derived for a fresh epoch drawn
+    /// from the trusted monotonic `counter`, so an older epoch's byte
     /// stream can never be replayed into this one. Returns the epoch.
     pub fn attach_journal(
         &mut self,
         policy: GroupCommitPolicy,
         counter: &mut MonotonicCounter,
     ) -> u64 {
-        self.attach(policy, counter, false)
-    }
-
-    /// Attaches a journal whose commit authority is the replication layer:
-    /// flushed groups stay uncommitted (replies gated) until
-    /// [`commit_journal_bytes`](Self::commit_journal_bytes) acknowledges
-    /// the byte range — quorum acknowledgement in `crate::replication`.
-    pub fn attach_replicated_journal(
-        &mut self,
-        policy: GroupCommitPolicy,
-        counter: &mut MonotonicCounter,
-    ) -> u64 {
-        self.attach(policy, counter, true)
-    }
-
-    fn attach(
-        &mut self,
-        policy: GroupCommitPolicy,
-        counter: &mut MonotonicCounter,
-        external_commit: bool,
-    ) -> u64 {
         let epoch = counter.increment();
         let key = sealing::journal_key(&self.sealing_key(), epoch);
         self.durability = Some(Durability {
             journal: Journal::new(key, epoch, policy),
-            external_commit,
             committed_seq: 0,
             flush_marks: VecDeque::new(),
             gated: VecDeque::new(),
@@ -198,11 +177,11 @@ impl PrecursorServer {
         epoch
     }
 
-    /// Sets the replication fan-out the cost model charges for: each
-    /// sealed journal byte is shipped to this many replicas (networking
-    /// stage of the op meter). The replication layer calls this at
-    /// cluster construction and after every failover; a locally-durable
-    /// journal keeps 0.
+    /// Sets the replication fan-out: each sealed journal byte is shipped to
+    /// this many replicas (charged to the networking stage of the op
+    /// meter), and above 0 the replica group is the commit authority. The
+    /// group calls this right after attaching the journal and after every
+    /// failover; a journal nobody replicates keeps 0 and commits locally.
     pub fn set_replication_fanout(&mut self, fanout: usize) {
         if let Some(d) = self.durability.as_mut() {
             d.fanout = fanout;
@@ -249,9 +228,12 @@ impl PrecursorServer {
         self.durability.as_ref().map_or(0, |d| d.journal.base_seq())
     }
 
-    /// MAC-chain anchor at the compaction cut (genesis when uncompacted).
-    pub fn journal_base_chain(&self) -> Option<[u8; 16]> {
-        self.durability.as_ref().map(|d| d.journal.base_chain())
+    // The compaction cut `(base_seq, base_chain)` as `recover` takes it,
+    // when a journal is attached (`base_chain` is the epoch's genesis chain
+    // while uncompacted).
+    pub(crate) fn journal_cut(&self) -> Option<(u64, [u8; 16])> {
+        let journal = &self.durability.as_ref()?.journal;
+        Some((journal.base_seq(), journal.base_chain()))
     }
 
     /// Bytes removed from the durable stream by compaction. Byte offsets
@@ -284,9 +266,9 @@ impl PrecursorServer {
 
     /// Acknowledges that the first `acked` durable journal bytes are
     /// replicated to a quorum: commits every flushed group inside that
-    /// range and releases its gated replies. The replication layer's
-    /// commit callback (no-op for locally-committed journals with nothing
-    /// externally gated).
+    /// range and releases its gated replies. The replica group's commit
+    /// callback (a no-op for a journal with no fan-out, which has no flush
+    /// marks).
     pub fn commit_journal_bytes(&mut self, acked: u64) {
         if let Some(d) = self.durability.as_mut() {
             if d.failed {
@@ -394,8 +376,9 @@ impl PrecursorServer {
         }
     }
 
-    // Appends one sealed record; in immediate local mode the flush (and
-    // therefore the commit) happens inline, keeping the reply gate open.
+    // Appends one sealed record; with the immediate policy and no fan-out
+    // the flush (and therefore the commit) happens inline, keeping the
+    // reply gate open.
     fn journal_append(&mut self, kind: u8, body: &[u8]) {
         let now = self.ingress.polls;
         let Some(d) = self.durability.as_mut() else {
@@ -407,7 +390,7 @@ impl PrecursorServer {
         let seq = d.journal.append(kind, body, now);
         self.trace("journal", "append", seq, kind as u64);
         let d = self.durability.as_ref().expect("just appended");
-        if !d.external_commit && d.journal.policy().max_records <= 1 {
+        if d.fanout == 0 && d.journal.policy().max_records <= 1 {
             self.flush_journal();
         }
     }
@@ -498,11 +481,26 @@ impl PrecursorServer {
         self.journal_append(KIND_EVICT, &body);
     }
 
+    // Installs an entry a migration fence hands this node, journaled so a
+    // node rebuilt from its journal — a restart, or a promoted replica,
+    // which holds nothing else — has the range the ring says it owns.
+    pub(crate) fn install_migrated(&mut self, entry: SnapshotEntry) -> Result<(), StoreError> {
+        let body = self
+            .durability
+            .is_some()
+            .then(|| encode_install(self.store.evidence(), &entry));
+        self.install_entry(entry)?;
+        if let Some(body) = body {
+            self.journal_append(KIND_INSTALL, &body);
+        }
+        Ok(())
+    }
+
     // Flushes the pending group through the durable-write fault site. A
     // torn or corrupted flush wedges the journal and fails the server's
     // durability (replies gated at that point are never released — the
     // modelled process is dead).
-    pub(super) fn flush_journal(&mut self) {
+    pub(crate) fn flush_journal(&mut self) {
         let pending = match self.durability.as_ref() {
             Some(d) if !d.failed && d.journal.pending_bytes() > 0 => d.journal.pending_bytes(),
             _ => return,
@@ -522,7 +520,7 @@ impl PrecursorServer {
         let last_seq = d.journal.last_seq();
         if d.journal.is_wedged() {
             d.failed = true;
-        } else if d.external_commit {
+        } else if d.fanout > 0 {
             d.flush_marks.push_back((offset + written as u64, last_seq));
         } else {
             d.committed_seq = last_seq;
@@ -640,21 +638,33 @@ impl PrecursorServer {
     /// designates. The snapshot is unsealed at `snap_counter`'s current
     /// value (rollback detection, as in [`restore`](Self::restore)); the
     /// journal's authentic prefix is established by its MAC chain — a torn
-    /// tail is truncated, never replayed — and records past the snapshot's
-    /// watermark are replayed in order, re-deriving the store evidence and
-    /// checking it against each record's sealed evidence.
+    /// tail is truncated, never replayed.
     ///
-    /// The recovered server has no journal attached; a promoted node opens
-    /// a fresh epoch with [`attach_journal`](Self::attach_journal) /
-    /// [`attach_replicated_journal`](Self::attach_replicated_journal).
+    /// `cut` is `None` for a whole-epoch stream and the compaction cut
+    /// `(base_seq, base_chain)` for a mid-stream suffix. With `base_seq >
+    /// 0` the snapshot is mandatory and must cover at least the cut under
+    /// this epoch — otherwise the truncated records are unrecoverable.
+    ///
+    /// Replay is staged: session records and at-most-once windows past the
+    /// snapshot's watermark are applied here (so retransmissions of
+    /// pre-crash operations re-acknowledge instead of re-executing), data
+    /// mutations are queued in record order
+    /// ([`RecoveryReport::catchup_pending`]). The caller either drains the
+    /// queue before serving — `catchup_step(usize::MAX)` — or serves reads
+    /// from the applied prefix meanwhile (the pipeline answers mutations
+    /// with `Status::Busy` while [`in_catchup`](Self::in_catchup)) and
+    /// drains in the background. [`catchup_step`](Self::catchup_step)
+    /// re-derives the store evidence record by record and checks it
+    /// against each record's sealed evidence.
+    ///
+    /// The recovered server has no journal attached; its owner opens a
+    /// fresh epoch with [`attach_journal`](Self::attach_journal).
     ///
     /// # Errors
     ///
     /// [`StoreError::SnapshotRejected`] for a rolled-back or damaged
-    /// snapshot (retry without it to recover from the journal alone);
-    /// [`StoreError::ForkDetected`] when replay derives different evidence
-    /// than a record sealed — the journal came from a forked or
-    /// rolled-back history; [`StoreError::MalformedFrame`] for records
+    /// snapshot (retry without it to recover from the journal alone) or a
+    /// cut no snapshot covers; [`StoreError::MalformedFrame`] for records
     /// that do not parse.
     pub fn recover(
         config: Config,
@@ -662,94 +672,13 @@ impl PrecursorServer {
         snapshot: Option<&[u8]>,
         snap_counter: &MonotonicCounter,
         journal_bytes: &[u8],
+        cut: Option<(u64, [u8; 16])>,
         epoch_counter: &MonotonicCounter,
-    ) -> Result<(PrecursorServer, RecoveryReport), StoreError> {
-        Self::recover_inner(
-            config,
-            cost,
-            snapshot,
-            snap_counter,
-            journal_bytes,
-            None,
-            epoch_counter,
-            false,
-        )
-    }
-
-    /// Like [`recover`](Self::recover) but for a compacted journal: the
-    /// durable bytes are a mid-stream suffix starting at the compaction
-    /// cut `base_seq`/`base_chain`. When `base_seq > 0` the snapshot is
-    /// mandatory and must cover at least the cut under this epoch —
-    /// otherwise the truncated records are unrecoverable and the pair is
-    /// rejected with [`StoreError::SnapshotRejected`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn recover_with_base(
-        config: Config,
-        cost: &CostModel,
-        snapshot: Option<&[u8]>,
-        snap_counter: &MonotonicCounter,
-        journal_bytes: &[u8],
-        base_seq: u64,
-        base_chain: [u8; 16],
-        epoch_counter: &MonotonicCounter,
-    ) -> Result<(PrecursorServer, RecoveryReport), StoreError> {
-        Self::recover_inner(
-            config,
-            cost,
-            snapshot,
-            snap_counter,
-            journal_bytes,
-            Some((base_seq, base_chain)),
-            epoch_counter,
-            false,
-        )
-    }
-
-    /// Staged variant of [`recover_with_base`](Self::recover_with_base):
-    /// session records and at-most-once windows are applied eagerly (so
-    /// retransmissions of pre-crash operations re-acknowledge instead of
-    /// re-executing), but data mutations are queued. The caller serves
-    /// reads immediately from the applied prefix — the pipeline answers
-    /// mutations with `Status::Busy` while [`in_catchup`](Self::in_catchup)
-    /// — and drains the queue with [`catchup_step`](Self::catchup_step).
-    #[allow(clippy::too_many_arguments)]
-    pub fn recover_staged(
-        config: Config,
-        cost: &CostModel,
-        snapshot: Option<&[u8]>,
-        snap_counter: &MonotonicCounter,
-        journal_bytes: &[u8],
-        base_seq: u64,
-        base_chain: [u8; 16],
-        epoch_counter: &MonotonicCounter,
-    ) -> Result<(PrecursorServer, RecoveryReport), StoreError> {
-        Self::recover_inner(
-            config,
-            cost,
-            snapshot,
-            snap_counter,
-            journal_bytes,
-            Some((base_seq, base_chain)),
-            epoch_counter,
-            true,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn recover_inner(
-        config: Config,
-        cost: &CostModel,
-        snapshot: Option<&[u8]>,
-        snap_counter: &MonotonicCounter,
-        journal_bytes: &[u8],
-        base: Option<(u64, [u8; 16])>,
-        epoch_counter: &MonotonicCounter,
-        staged: bool,
     ) -> Result<(PrecursorServer, RecoveryReport), StoreError> {
         let mut server = PrecursorServer::new(config, cost);
         let epoch = epoch_counter.read();
         let (base_seq, base_chain) =
-            base.unwrap_or_else(|| (0, precursor_journal::genesis_chain(epoch)));
+            cut.unwrap_or_else(|| (0, precursor_journal::genesis_chain(epoch)));
         let mut snapshot_restored = false;
         let mut watermark = 0u64;
         if let Some(sealed) = snapshot {
@@ -770,19 +699,16 @@ impl PrecursorServer {
         }
         let jkey = sealing::journal_key(&server.sealing_key(), epoch);
         let recovered = precursor_journal::recover_from(&jkey, base_seq, base_chain, journal_bytes);
+        let journal_seq = recovered.records.last().map_or(0, |r| r.seq);
         let mut replayed = 0usize;
         let mut skipped = 0usize;
         let mut queue = VecDeque::new();
-        for record in &recovered.records {
+        for record in recovered.records {
             if record.seq <= watermark {
                 skipped += 1;
                 continue;
             }
-            if staged {
-                server.stage_record(record, &mut queue)?;
-            } else {
-                server.replay_record(record)?;
-            }
+            server.stage_record(record, &mut queue)?;
             replayed += 1;
         }
         let catchup_pending = queue.len();
@@ -797,13 +723,13 @@ impl PrecursorServer {
                 skipped,
                 truncated: recovered.truncated,
                 valid_len: recovered.valid_len,
-                journal_seq: recovered.records.last().map_or(0, |r| r.seq),
+                journal_seq,
                 catchup_pending,
             },
         ))
     }
 
-    /// Whether a staged recovery still has queued mutation records: reads
+    /// Whether recovery's queued mutation records are still draining: reads
     /// are served from the applied prefix, mutations answer `Busy`.
     pub fn in_catchup(&self) -> bool {
         self.catchup.is_some()
@@ -815,15 +741,15 @@ impl PrecursorServer {
     }
 
     /// Applies up to `budget` queued catch-up records in order, verifying
-    /// each record's sealed evidence exactly as inline replay would. When
-    /// the queue drains the server leaves catch-up and mutations flow
-    /// again.
+    /// each record's sealed evidence. When the queue drains the server
+    /// leaves catch-up and mutations flow again.
     ///
     /// # Errors
     ///
-    /// Same as [`recover`](Self::recover) replay:
-    /// [`StoreError::ForkDetected`] on evidence divergence,
-    /// [`StoreError::MalformedFrame`] on undecodable records.
+    /// [`StoreError::ForkDetected`] when replay derives different evidence
+    /// than a record sealed — the journal came from a forked or
+    /// rolled-back history; [`StoreError::MalformedFrame`] on undecodable
+    /// records.
     pub fn catchup_step(&mut self, budget: usize) -> Result<usize, StoreError> {
         let mut applied = 0usize;
         while applied < budget {
@@ -839,12 +765,12 @@ impl PrecursorServer {
         Ok(applied)
     }
 
-    // Catch-up reply gate: while a staged recovery is still draining its
-    // queue, only reads execute (served from the verified applied prefix —
+    // Catch-up reply gate: while recovery's queue is still draining, only
+    // reads execute (served from the verified applied prefix —
     // never beyond it); mutations answer `Busy` exactly like quota
     // backpressure, so the client retries once catch-up finishes.
     // Retransmissions of pre-crash operations never reach this gate: their
-    // at-most-once windows were restored eagerly, so validation
+    // at-most-once windows were restored at recovery, so validation
     // re-acknowledges them from the cached status. Returns the substitute
     // execution result for intercepted operations.
     pub(super) fn catchup_gate(
@@ -863,34 +789,41 @@ impl PrecursorServer {
         Some((Status::Busy, 0, ReplyPlan::Busy { oid }))
     }
 
-    // Staged recovery: apply the at-most-once window / session effects of
-    // one record eagerly, queueing its data mutation for catchup_step.
+    // Stages one authenticated journal record: its at-most-once window /
+    // session effects apply now, its data mutation queues for catchup_step.
     fn stage_record(
         &mut self,
-        record: &JournalRecord,
+        record: JournalRecord,
         queue: &mut VecDeque<JournalRecord>,
     ) -> Result<(), StoreError> {
         match record.kind {
-            KIND_PUT => {
-                let (client_id, oid, _storage_seq, _ev, _entry) = decode_put(&record.body)?;
-                self.replay_window(client_id, oid);
-                queue.push_back(record.clone());
+            KIND_PUT | KIND_DELETE => {
+                // Both bodies open with the issuing client and its oid.
+                let mut pos = 0usize;
+                let client = take(&record.body, &mut pos, 4)?.try_into().expect("4");
+                let oid = take(&record.body, &mut pos, 8)?.try_into().expect("8");
+                self.replay_window(u32::from_le_bytes(client), u64::from_le_bytes(oid));
             }
-            KIND_DELETE => {
-                let (client_id, oid, _ev, _key) = decode_delete(&record.body)?;
-                self.replay_window(client_id, oid);
-                queue.push_back(record.clone());
+            KIND_EVICT | KIND_INSTALL => {}
+            KIND_SESSION => {
+                let (client_id, expected_oid, last_status, epoch) = decode_session(&record.body)?;
+                let idx = client_id as usize;
+                if self.sessions.saved.len() <= idx {
+                    self.sessions.saved.resize(idx + 1, (1, Status::Ok, 1));
+                }
+                self.sessions.saved[idx] = (expected_oid, last_status, epoch);
+                return Ok(());
             }
-            KIND_EVICT => queue.push_back(record.clone()),
-            KIND_SESSION => self.replay_record(record)?,
             _ => return Err(StoreError::MalformedFrame),
         }
+        queue.push_back(record);
         Ok(())
     }
 
-    // Data-only replay for catch-up: identical to `replay_record` except
-    // the at-most-once window was already re-established eagerly at
-    // staged recovery, so it is not touched again.
+    // Applies one queued data mutation. It re-derives the store evidence
+    // exactly as the original execution did and compares it to the
+    // record's sealed post-apply evidence — any divergence means the
+    // journal belongs to a different history (fork or rollback).
     fn apply_catchup_record(&mut self, record: &JournalRecord) -> Result<(), StoreError> {
         match record.kind {
             KIND_PUT => {
@@ -910,44 +843,13 @@ impl PrecursorServer {
                 self.replay_remove(&key)?;
                 self.check_evidence(&ev)?;
             }
-            KIND_SESSION => {}
-            _ => return Err(StoreError::MalformedFrame),
-        }
-        Ok(())
-    }
-
-    // Applies one authenticated journal record. Mutations re-derive the
-    // store evidence exactly as the original execution did and compare it
-    // to the record's sealed post-apply evidence — any divergence means
-    // the journal belongs to a different history (fork or rollback).
-    fn replay_record(&mut self, record: &JournalRecord) -> Result<(), StoreError> {
-        match record.kind {
-            KIND_PUT => {
-                let (client_id, oid, storage_seq, ev, entry) = decode_put(&record.body)?;
-                self.store.bump_mutation(Opcode::Put, &entry.key);
+            KIND_INSTALL => {
+                // A fence install reproduces state counted at its source:
+                // the evidence it was journaled under must be the evidence
+                // replay has reached, and the install leaves it alone.
+                let (ev, entry) = decode_install(&record.body)?;
                 self.check_evidence(&ev)?;
                 self.install_entry(entry)?;
-                self.store.storage_seq = storage_seq;
-                self.replay_window(client_id, oid);
-            }
-            KIND_DELETE => {
-                let (client_id, oid, ev, key) = decode_delete(&record.body)?;
-                self.replay_remove(&key)?;
-                self.check_evidence(&ev)?;
-                self.replay_window(client_id, oid);
-            }
-            KIND_EVICT => {
-                let (ev, key) = decode_evict(&record.body)?;
-                self.replay_remove(&key)?;
-                self.check_evidence(&ev)?;
-            }
-            KIND_SESSION => {
-                let (client_id, expected_oid, last_status, epoch) = decode_session(&record.body)?;
-                let idx = client_id as usize;
-                if self.sessions.saved.len() <= idx {
-                    self.sessions.saved.resize(idx + 1, (1, Status::Ok, 1));
-                }
-                self.sessions.saved[idx] = (expected_oid, last_status, epoch);
             }
             _ => return Err(StoreError::MalformedFrame),
         }
@@ -1074,6 +976,23 @@ fn decode_evict(body: &[u8]) -> Result<(StoreEvidence, Vec<u8>), StoreError> {
         return Err(StoreError::MalformedFrame);
     }
     Ok((ev, key))
+}
+
+fn encode_install(ev: StoreEvidence, entry: &SnapshotEntry) -> Vec<u8> {
+    let mut out = Vec::with_capacity(24 + entry.key.len() + entry.stored_bytes.len() + 64);
+    encode_evidence(&mut out, &ev);
+    entry.encode_into(&mut out);
+    out
+}
+
+fn decode_install(body: &[u8]) -> Result<(StoreEvidence, SnapshotEntry), StoreError> {
+    let mut pos = 0usize;
+    let ev = decode_evidence(body, &mut pos)?;
+    let entry = SnapshotEntry::decode_from(body, &mut pos)?;
+    if pos != body.len() {
+        return Err(StoreError::MalformedFrame);
+    }
+    Ok((ev, entry))
 }
 
 fn encode_session(client_id: u32, expected_oid: u64, last_status: Status, epoch: u32) -> Vec<u8> {

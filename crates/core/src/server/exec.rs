@@ -751,6 +751,13 @@ impl PrecursorServer {
         cut.persisted
     }
 
+    /// The last committed snapshot as the host holds it — what a restart
+    /// recovers from, together with the durable journal — or `None` before
+    /// the first [`snapshot`](Self::snapshot) or compaction.
+    pub fn committed_snapshot(&self) -> Option<&[u8]> {
+        self.last_snapshot.as_ref().map(|(_, blob)| blob.as_slice())
+    }
+
     pub(crate) fn restore_body(&mut self, body: SnapshotBody) -> Result<(), StoreError> {
         let header = body.header;
         if header.mode != self.config.mode {

@@ -3,6 +3,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# One cluster, one node type, one replay path, one journal attach: the names
+# PR 23 deleted must not grow back.
+echo "== deleted names stay deleted =="
+if grep -rnE "attach_replicated_journal|external_commit|replace_node|recover_staged|recover_with_base|fail_primary_staged" \
+    crates tests examples; then
+    echo "ci: a deleted name reappeared (see CHANGES.md, PR 23)" >&2
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 

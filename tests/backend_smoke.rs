@@ -272,3 +272,38 @@ fn journaled_backend_seals_mutations_and_matches_plain_outcomes() {
     assert_eq!(m.counter("server.reports_dropped"), 0);
     assert!(plain.metrics().counter("journal.group_commit_flushes") == 0);
 }
+
+#[test]
+fn three_node_backend_journals_and_compacts_every_node_and_reports_node_zero() {
+    let cost = CostModel::default();
+    let mut kv = PrecursorBackend::with_nodes(3, Config::default(), &cost);
+    // Every node opens the first epoch of its own counter; node 0's is
+    // the one returned.
+    let epoch = kv.enable_durability(precursor::GroupCommitPolicy::immediate());
+    assert_eq!(epoch, 1);
+    assert_eq!(kv.server().journal_epoch(), Some(1));
+    let (_, len) = run_script(&mut kv);
+
+    let records = kv.server().journal_last_seq();
+    let outcome = kv.compact_now();
+    let precursor::CompactOutcome::Compacted {
+        truncated_records,
+        base_seq,
+        ..
+    } = outcome
+    else {
+        panic!("node 0 journaled the connects, so its cut commits: {outcome:?}");
+    };
+    assert_eq!((truncated_records, base_seq), (records, records));
+    assert_eq!(kv.server().journal_base_seq(), records);
+    // The script's keys spread over the ring: more than one node had
+    // something to cut, and every node cut all of it (one flush a record
+    // under the immediate policy).
+    let m = kv.metrics();
+    assert!(m.counter("journal.compactions") > 1);
+    assert_eq!(
+        m.counter("journal.truncated_records"),
+        m.counter("journal.group_commit_flushes")
+    );
+    assert_eq!(kv.store_len(), len);
+}

@@ -17,10 +17,12 @@
 
 use std::collections::HashMap;
 
+use precursor::cluster::MigrationOutcome;
 use precursor::wire::Status;
 use precursor::{
-    CompletedOp, Config, FaultAction, FaultDir, FaultPlan, FaultSite, PrecursorClient,
-    PrecursorServer, StoreError,
+    ClusterClient, CompletedOp, Config, FaultAction, FaultDir, FaultPlan, FaultSite,
+    GroupCommitPolicy, PrecursorClient, PrecursorCluster, PrecursorServer, ReplicaGroup,
+    StoreError,
 };
 use precursor_rdma::faults::InjectedFault;
 use precursor_sgx::counters::MonotonicCounter;
@@ -94,13 +96,10 @@ struct RunReport {
 }
 
 struct Chaos {
-    config: Config,
-    cost: CostModel,
-    server: PrecursorServer,
+    // A bare node: its only durability is the checkpoint after every op.
+    group: ReplicaGroup,
     client: PrecursorClient,
     model: HashMap<u8, Vec<u8>>,
-    counter: MonotonicCounter,
-    snapshot: Vec<u8>,
     plan: FaultPlan,
     fault_seed: u64,
     reconnects: u64,
@@ -114,20 +113,14 @@ struct Chaos {
 
 impl Chaos {
     fn new(config: Config, plan: FaultPlan, seed: u64) -> Chaos {
-        let cost = CostModel::default();
-        let mut server = PrecursorServer::new(config.clone(), &cost);
-        server.set_fault_plan(plan.clone(), seed);
-        let client = PrecursorClient::connect(&mut server, seed ^ 0xc11e).expect("connect");
-        let mut counter = MonotonicCounter::new();
-        let snapshot = server.snapshot(&mut counter);
+        let mut group = ReplicaGroup::new(config, &CostModel::default());
+        group.primary_mut().set_fault_plan(plan.clone(), seed);
+        let client = PrecursorClient::connect(group.primary_mut(), seed ^ 0xc11e).expect("connect");
+        group.checkpoint();
         Chaos {
-            config,
-            cost,
-            server,
+            group,
             client,
             model: HashMap::new(),
-            counter,
-            snapshot,
             plan,
             fault_seed: seed,
             reconnects: 0,
@@ -142,7 +135,7 @@ impl Chaos {
     // through the same fault injector and can itself fail.
     fn reconnect(&mut self) {
         for _ in 0..64 {
-            match self.client.reconnect(&mut self.server) {
+            match self.client.reconnect(self.group.primary_mut()) {
                 Ok(_) => {
                     self.reconnects += 1;
                     return;
@@ -157,22 +150,20 @@ impl Chaos {
     // from the latest sealed snapshot; the client reconnects and recovers
     // its session window out of the snapshot's per-session state.
     fn crash_restart(&mut self) {
-        self.faults.extend(self.server.fault_log());
-        self.reports_dropped += self.server.metrics().counter("server.reports_dropped");
+        let server = self.group.primary();
+        self.faults.extend(server.fault_log());
+        self.reports_dropped += server.metrics().counter("server.reports_dropped");
         self.crash_restarts += 1;
         // Derived deterministically so restarted injectors replay too.
         self.fault_seed = self
             .fault_seed
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        self.server = PrecursorServer::restore(
-            self.config.clone(),
-            &self.cost,
-            &self.snapshot,
-            &self.counter,
-        )
-        .expect("current snapshot is accepted by the freshness check");
-        self.server
+        self.group
+            .restart()
+            .expect("current snapshot is accepted by the freshness check");
+        self.group
+            .primary_mut()
             .set_fault_plan(self.plan.clone(), self.fault_seed);
         self.reconnect();
     }
@@ -187,7 +178,7 @@ impl Chaos {
 
     fn complete(&mut self, oid: u64) -> Result<CompletedOp, StoreError> {
         loop {
-            match self.client.complete_sync(&mut self.server, oid) {
+            match self.client.complete_sync(self.group.primary_mut(), oid) {
                 Err(StoreError::SessionLost) => self.reconnect(),
                 other => return other,
             }
@@ -224,7 +215,7 @@ impl Chaos {
             if self.settle(op, completed) {
                 // A live consumer drains the report stream each op, so a
                 // non-overload run must never hit the drop path.
-                self.server.take_reports();
+                self.group.primary_mut().take_reports();
                 return;
             }
         }
@@ -286,7 +277,7 @@ impl Chaos {
     // Seals a snapshot of the settled state — the recovery point for the
     // next crash.
     fn checkpoint(&mut self) {
-        self.snapshot = self.server.snapshot(&mut self.counter);
+        self.group.checkpoint();
     }
 
     // Reads back every live key through the full fault path and checks the
@@ -298,15 +289,16 @@ impl Chaos {
             self.run_op(&Op::Get(k));
         }
         assert_eq!(
-            self.server.len(),
+            self.group.primary().len(),
             self.model.len(),
             "store and model diverged in size"
         );
     }
 
     fn report(mut self) -> RunReport {
-        self.faults.extend(self.server.fault_log());
-        self.reports_dropped += self.server.metrics().counter("server.reports_dropped");
+        let server = self.group.primary();
+        self.faults.extend(server.fault_log());
+        self.reports_dropped += server.metrics().counter("server.reports_dropped");
         let mut final_store: Vec<(u8, Vec<u8>)> =
             self.model.iter().map(|(k, v)| (*k, v.clone())).collect();
         final_store.sort();
@@ -318,7 +310,7 @@ impl Chaos {
             reports_dropped: self.reports_dropped,
             clock_ns: self.client.now().0,
             faults: self.faults,
-            store_len: self.server.len(),
+            store_len: server.len(),
             final_store,
         }
     }
@@ -624,28 +616,29 @@ fn chaos_acceptance_10k_mixed_workload() {
 // pre-compaction state exactly; the fold of all observables is returned
 // for run-twice determinism checks.
 fn compaction_crash_run(seed: u64) -> u64 {
-    use precursor::{CompactOutcome, GroupCommitPolicy};
+    use precursor::CompactOutcome;
     use std::fmt::Write as _;
 
-    let cost = CostModel::default();
-    let config = Config::default();
-    let mut epoch_counter = MonotonicCounter::new();
-    let mut snap_counter = MonotonicCounter::new();
-    let mut server = PrecursorServer::new(config.clone(), &cost);
-    server.attach_journal(GroupCommitPolicy::immediate(), &mut epoch_counter);
-    let mut client = PrecursorClient::connect(&mut server, seed ^ 0xfade).expect("connect");
+    let mut group = ReplicaGroup::with_replicas(
+        Config::default(),
+        &CostModel::default(),
+        0,
+        GroupCommitPolicy::immediate(),
+    );
+    let server = group.primary_mut();
+    let mut client = PrecursorClient::connect(server, seed ^ 0xfade).expect("connect");
 
     let mut rng = SimRng::seed_from(seed ^ 0xbeef);
     let mut trace = String::new();
     for i in 0..40u32 {
         let k = (rng.next_u32() % 16) as u8;
         if rng.gen_range(4) == 0 {
-            let r = client.delete_sync(&mut server, &[k]);
+            let r = client.delete_sync(server, &[k]);
             let _ = write!(trace, "op{i}:del:{};", r.is_ok());
         } else {
             let mut v = vec![0u8; 1 + rng.gen_range(80) as usize];
             rng.fill_bytes(&mut v);
-            client.put_sync(&mut server, &[k], &v).expect("put");
+            client.put_sync(server, &[k], &v).expect("put");
             let _ = write!(trace, "op{i}:put;");
         }
     }
@@ -666,67 +659,52 @@ fn compaction_crash_run(seed: u64) -> u64 {
 
     // The recovery root after the (possibly crashed) compaction: the
     // snapshot that survives, plus the journal bytes left on disk.
-    let (snapshot, counter_after) = match server.compact_journal(&mut snap_counter) {
+    let outcome = group.compact();
+    let server = group.primary();
+    let counter_after = match outcome {
         CompactOutcome::Compacted {
-            snapshot,
             truncated_records,
             base_seq,
+            ..
         } => {
             assert_eq!(scenario, 0, "seed {seed}: clean run only");
             assert!(truncated_records > 0 && base_seq > 0);
             let _ = write!(trace, "compacted:{truncated_records}:{base_seq};");
-            (Some(snapshot), 1)
+            1
         }
         CompactOutcome::Aborted => {
             assert_eq!(scenario, 1, "seed {seed}: torn seal aborts");
             assert!(!server.journal_wedged(), "abort keeps the journal live");
             let _ = write!(trace, "aborted;");
-            (None, 0)
+            0
         }
-        CompactOutcome::Wedged { snapshot, base_seq } => {
+        CompactOutcome::Wedged { base_seq, .. } => {
             assert_eq!(scenario, 2, "seed {seed}: torn truncate wedges");
             assert!(server.journal_wedged());
             assert_eq!(server.journal_trimmed_bytes(), 0, "prefix never cut");
             let _ = write!(trace, "wedged:{base_seq};");
-            (Some(snapshot), 1)
+            1
         }
         CompactOutcome::Skipped => panic!("seed {seed}: quiescent journal must not skip"),
     };
     assert_eq!(
-        snap_counter.read(),
+        group.snapshot_counter().read(),
         counter_after,
         "seed {seed}: counter advances exactly at the commit point"
     );
 
     // Restart from what survived: the digest must match the pre-crash
     // state no matter which scenario hit.
-    let journal = server.journal_durable().expect("journal").to_vec();
-    let base_chain = server
-        .journal_base_chain()
-        .unwrap_or_else(|| precursor_journal::genesis_chain(epoch_counter.read()));
-    let (recovered, report) = PrecursorServer::recover_with_base(
-        config,
-        &cost,
-        snapshot.as_deref(),
-        &snap_counter,
-        &journal,
-        server.journal_base_seq(),
-        base_chain,
-        &epoch_counter,
-    )
-    .expect("surviving root recovers");
+    let report = group.restart().expect("surviving root recovers");
+    let digest = group.primary().state_digest();
     assert_eq!(
-        recovered.state_digest(),
-        live,
+        digest, live,
         "seed {seed}: crash point changed what recovery reconstructs"
     );
     let _ = write!(
         trace,
-        "recover:{}:{}:{};digest:{:?}",
-        report.replayed,
-        report.skipped,
-        report.snapshot_restored,
-        recovered.state_digest()
+        "recover:{}:{}:{};digest:{digest:?}",
+        report.replayed, report.skipped, report.snapshot_restored,
     );
     precursor_storage::stable_key_hash(&trace)
 }
@@ -763,14 +741,13 @@ fn compaction_crash_runs_are_deterministic() {
 
 #[test]
 fn torn_journal_flush_wedges_and_recovery_truncates_the_tail() {
-    let cost = CostModel::default();
-    let config = Config::default();
-    let mut server = PrecursorServer::new(config.clone(), &cost);
-    let mut epoch_counter = MonotonicCounter::new();
-    server.attach_journal(
-        precursor::GroupCommitPolicy::immediate(),
-        &mut epoch_counter,
+    let mut group = ReplicaGroup::with_replicas(
+        Config::default(),
+        &CostModel::default(),
+        0,
+        GroupCommitPolicy::immediate(),
     );
+    let server = group.primary_mut();
     // JournalFlush events with the immediate policy: #1 the connect's
     // session record, #2/#3 the first two puts, #4 the third put — whose
     // flush the host tears mid-write (the modelled process dies).
@@ -778,9 +755,9 @@ fn torn_journal_flush_wedges_and_recovery_truncates_the_tail() {
         FaultPlan::none().rule(FaultSite::JournalFlush, FaultDir::Any, FaultAction::Drop, 4),
         29,
     );
-    let mut client = PrecursorClient::connect(&mut server, 29).unwrap();
-    client.put_sync(&mut server, b"a", b"1").unwrap();
-    client.put_sync(&mut server, b"b", b"2").unwrap();
+    let mut client = PrecursorClient::connect(server, 29).unwrap();
+    client.put_sync(server, b"a", b"1").unwrap();
+    client.put_sync(server, b"b", b"2").unwrap();
 
     // The third put executes, but its journal flush is torn: the journal
     // wedges and the reply stays gated — the client never sees an ack.
@@ -798,35 +775,33 @@ fn torn_journal_flush_wedges_and_recovery_truncates_the_tail() {
 
     // Recover from the damaged journal alone: the torn tail is detected
     // (chain tag cannot verify) and truncated, never replayed.
-    let journal = server.journal_durable().unwrap().to_vec();
-    let snap_counter = MonotonicCounter::new();
-    let (mut server, report) =
-        PrecursorServer::recover(config, &cost, None, &snap_counter, &journal, &epoch_counter)
-            .expect("truncated journal still replays its valid prefix");
+    let report = group
+        .restart()
+        .expect("truncated journal still replays its valid prefix");
+    let server = group.primary_mut();
     assert!(report.truncated, "torn tail must be detected");
     assert!(report.replayed >= 2, "acked puts replayed");
     assert_eq!(server.len(), 2, "unacked torn write is gone");
 
     // The unacked put is fresh for the recovered at-most-once window: the
     // client's retransmission executes it exactly once.
-    client.reconnect(&mut server).unwrap();
-    let done = client.complete_sync(&mut server, oid).unwrap();
+    client.reconnect(server).unwrap();
+    let done = client.complete_sync(server, oid).unwrap();
     assert_eq!(done.status, Status::Ok);
-    assert_eq!(client.get_sync(&mut server, b"a").unwrap(), b"1");
-    assert_eq!(client.get_sync(&mut server, b"b").unwrap(), b"2");
-    assert_eq!(client.get_sync(&mut server, b"c").unwrap(), b"3");
+    assert_eq!(client.get_sync(server, b"a").unwrap(), b"1");
+    assert_eq!(client.get_sync(server, b"b").unwrap(), b"2");
+    assert_eq!(client.get_sync(server, b"c").unwrap(), b"3");
 }
 
 #[test]
 fn corrupted_journal_flush_is_rejected_at_replay() {
-    let cost = CostModel::default();
-    let config = Config::default();
-    let mut server = PrecursorServer::new(config.clone(), &cost);
-    let mut epoch_counter = MonotonicCounter::new();
-    server.attach_journal(
-        precursor::GroupCommitPolicy::immediate(),
-        &mut epoch_counter,
+    let mut group = ReplicaGroup::with_replicas(
+        Config::default(),
+        &CostModel::default(),
+        0,
+        GroupCommitPolicy::immediate(),
     );
+    let server = group.primary_mut();
     // Flush #3 (the second put) lands all its bytes but with one bit
     // flipped — a silent media error rather than a torn write.
     server.set_fault_plan(
@@ -838,8 +813,8 @@ fn corrupted_journal_flush_is_rejected_at_replay() {
         ),
         31,
     );
-    let mut client = PrecursorClient::connect(&mut server, 31).unwrap();
-    client.put_sync(&mut server, b"a", b"1").unwrap();
+    let mut client = PrecursorClient::connect(server, 31).unwrap();
+    client.put_sync(server, b"a", b"1").unwrap();
     let oid = client.put(b"b", b"2").unwrap();
     for _ in 0..4 {
         server.poll();
@@ -848,13 +823,11 @@ fn corrupted_journal_flush_is_rejected_at_replay() {
     assert!(client.take_completed(oid).is_none(), "reply gated");
     assert!(server.journal_wedged());
 
-    let journal = server.journal_durable().unwrap().to_vec();
-    let snap_counter = MonotonicCounter::new();
-    let (server, report) =
-        PrecursorServer::recover(config, &cost, None, &snap_counter, &journal, &epoch_counter)
-            .expect("replay stops cleanly at the damaged record");
+    let report = group
+        .restart()
+        .expect("replay stops cleanly at the damaged record");
     assert!(report.truncated, "flipped bit fails the seal, tail dropped");
-    assert_eq!(server.len(), 1, "only the intact put survives");
+    assert_eq!(group.primary().len(), 1, "only the intact put survives");
 }
 
 #[test]
@@ -863,10 +836,7 @@ fn crashed_snapshot_seal_is_rejected_and_journal_covers_recovery() {
     let config = Config::default();
     let mut server = PrecursorServer::new(config.clone(), &cost);
     let mut epoch_counter = MonotonicCounter::new();
-    server.attach_journal(
-        precursor::GroupCommitPolicy::immediate(),
-        &mut epoch_counter,
-    );
+    server.attach_journal(GroupCommitPolicy::immediate(), &mut epoch_counter);
     // The first snapshot seal is torn mid-write.
     server.set_fault_plan(
         FaultPlan::none().rule(FaultSite::SnapshotSeal, FaultDir::Any, FaultAction::Drop, 1),
@@ -894,6 +864,7 @@ fn crashed_snapshot_seal_is_rejected_and_journal_covers_recovery() {
             Some(&torn_snapshot),
             &snap_counter,
             &journal,
+            None,
             &epoch_counter,
         )
         .unwrap_err(),
@@ -902,9 +873,17 @@ fn crashed_snapshot_seal_is_rejected_and_journal_covers_recovery() {
 
     // Fallback: full journal replay reconstructs everything the snapshot
     // would have covered, plus the post-snapshot write.
-    let (recovered, report) =
-        PrecursorServer::recover(config, &cost, None, &snap_counter, &journal, &epoch_counter)
-            .expect("journal alone recovers");
+    let (mut recovered, report) = PrecursorServer::recover(
+        config,
+        &cost,
+        None,
+        &snap_counter,
+        &journal,
+        None,
+        &epoch_counter,
+    )
+    .expect("journal alone recovers");
+    recovered.catchup_step(usize::MAX).expect("journal replays");
     assert!(!report.snapshot_restored);
     assert!(!report.truncated);
     assert_eq!(recovered.len(), server.len());
@@ -927,8 +906,6 @@ fn crashed_snapshot_seal_is_rejected_and_journal_covers_recovery() {
 // 1 = host tampering (Corrupt → GCM reject at the destination), 2 = clean
 // control (the fence commits on the first attempt).
 fn migration_crash_run(seed: u64) -> u64 {
-    use precursor::cluster::MigrationOutcome;
-    use precursor::{ClusterClient, GroupCommitPolicy, PrecursorCluster};
     use std::fmt::Write as _;
 
     let cost = CostModel::default();
@@ -937,14 +914,8 @@ fn migration_crash_run(seed: u64) -> u64 {
         max_clients: 3,
         ..Config::default()
     };
-    let mut cluster = PrecursorCluster::new(nodes, config.clone(), &cost);
-    let mut epoch_counters: Vec<MonotonicCounter> =
-        (0..nodes).map(|_| MonotonicCounter::new()).collect();
-    for (i, counter) in epoch_counters.iter_mut().enumerate() {
-        cluster
-            .node_mut(i)
-            .attach_journal(GroupCommitPolicy::immediate(), counter);
-    }
+    let mut cluster =
+        PrecursorCluster::replicated(nodes, config, &cost, 0, GroupCommitPolicy::immediate());
     let mut client = ClusterClient::connect(&mut cluster, seed ^ 0x919).expect("connect");
     let mut rng = SimRng::seed_from(seed ^ 0x6a7e);
     let mut model: HashMap<u8, Vec<u8>> = HashMap::new();
@@ -1059,26 +1030,12 @@ fn migration_crash_run(seed: u64) -> u64 {
     settle(&cluster, &model);
 
     if scenario == 0 {
-        // The torn transfer was a source crash: rebuild the source from
-        // its journal and drop it back into the cluster. Every acked
-        // write it held must survive.
-        let journal = cluster
-            .node(from as usize)
-            .journal_durable()
-            .expect("journaled")
-            .to_vec();
-        let snap_counter = MonotonicCounter::new();
-        let (recovered, report) = PrecursorServer::recover(
-            config,
-            &cost,
-            None,
-            &snap_counter,
-            &journal,
-            &epoch_counters[from as usize],
-        )
-        .expect("source recovers from its journal");
+        // The torn transfer was a source crash: the source restarts from
+        // its journal. Every acked write it held must survive.
+        let report = cluster
+            .restart_node(from as usize)
+            .expect("source recovers from its journal");
         let _ = write!(trace, "recover:{}:{};", report.replayed, report.skipped);
-        cluster.replace_node(from as usize, recovered);
         client
             .reconnect_node(&mut cluster, from)
             .expect("reattest source");
@@ -1169,4 +1126,185 @@ fn migration_crash_runs_are_deterministic() {
             "seed {seed} must replay bit-identically"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Fence × durability: the fence's installs are journaled at the destination
+// and committed before the ring flips, so a destination rebuilt from its
+// journal — restarted, or a replica promoted after the machine is lost —
+// holds the range the ring says it owns, and no crash on either side brings
+// a moved or deleted key back to life.
+// ---------------------------------------------------------------------------
+
+// Two journaled nodes with `replicas` replicas each, 120 acked keys, and the
+// fullest ring segment — `range`, its keys in install order — started on
+// its way from `from` to `to`, not yet pumped.
+struct Fence {
+    cluster: PrecursorCluster,
+    client: ClusterClient,
+    model: HashMap<u8, Vec<u8>>,
+    from: u16,
+    to: u16,
+    range: Vec<u8>,
+}
+
+fn fence_ready(seed: u64, replicas: usize) -> Fence {
+    let policy = GroupCommitPolicy::immediate();
+    let mut cluster = PrecursorCluster::replicated(
+        2,
+        Config::default(),
+        &CostModel::default(),
+        replicas,
+        policy,
+    );
+    let mut client = ClusterClient::connect(&mut cluster, seed).expect("connect");
+    let mut model = HashMap::new();
+    for k in 0..120u8 {
+        let v = vec![k ^ seed as u8; 40];
+        client.put_sync(&mut cluster, &[k], &v).expect("put");
+        model.insert(k, v);
+    }
+    let ring = cluster.meta().ring();
+    let in_point = |p: usize| (0..120u8).filter(move |k| ring.point_of(&[*k]) == p);
+    let point = (0..ring.point_count())
+        .max_by_key(|&p| (in_point(p).count(), std::cmp::Reverse(p)))
+        .expect("ring has points");
+    let range: Vec<u8> = in_point(point).collect();
+    assert!(range.len() >= 2, "fullest segment holds {range:?}");
+    let from = ring.point_owner(point);
+    let to = 1 - from;
+    assert!(cluster.start_migration(&[range[0]], to).expect("start"));
+    Fence {
+        cluster,
+        client,
+        model,
+        from,
+        to,
+        range,
+    }
+}
+
+impl Fence {
+    fn pump_to_end(&mut self) -> MigrationOutcome {
+        loop {
+            match self.cluster.pump_migration(8) {
+                MigrationOutcome::Shipping { .. } => {}
+                end => return end,
+            }
+        }
+    }
+
+    // Every acked key reads back, every deleted one is NotFound, and every
+    // key has exactly one owner.
+    fn settle(&mut self) {
+        for k in 0..120u8 {
+            let got = self.client.get_sync(&mut self.cluster, &[k]);
+            match self.model.get(&k) {
+                Some(v) => assert_eq!(&got.expect("acked write survived"), v, "key {k}"),
+                None => assert_eq!(got, Err(StoreError::NotFound), "key {k}"),
+            }
+            let owners = (0..2).filter(|&n| self.cluster.node(n).owns_key(&[k]));
+            assert_eq!(owners.count(), 1, "key {k}");
+        }
+    }
+
+    fn delete(&mut self, k: u8) {
+        self.client
+            .delete_sync(&mut self.cluster, &[k])
+            .expect("delete");
+        self.model.remove(&k);
+    }
+}
+
+#[test]
+fn fenced_range_survives_restart_and_failover_of_either_party() {
+    // (replicas per node, the victim is the destination, its machine is lost)
+    for (replicas, at_destination, lost) in [
+        (0, true, false),
+        (0, false, false),
+        (2, true, false),
+        (2, true, true),
+        (2, false, true),
+    ] {
+        let what = format!("replicas={replicas} destination={at_destination} lost={lost}");
+        let mut f = fence_ready(0x5afe, replicas);
+        let MigrationOutcome::Fenced(report) = f.pump_to_end() else {
+            panic!("{what}: fault-free migration must fence");
+        };
+        assert_eq!(report.keys_moved, f.range.len(), "{what}");
+
+        let victim = if at_destination { f.to } else { f.from };
+        if lost {
+            let report = f.cluster.fail_node(victim as usize).expect("promotion");
+            assert!(!report.stale, "{what}");
+        } else {
+            f.cluster.restart_node(victim as usize).expect("restart");
+        }
+        f.client
+            .reconnect_node(&mut f.cluster, victim)
+            .expect("reattest");
+        f.settle();
+
+        // No resurrection: a moved key deleted at its new owner stays
+        // deleted when the range moves back over whatever the source's
+        // recovery left behind.
+        f.delete(f.range[0]);
+        assert!(f
+            .cluster
+            .start_migration(&[f.range[1]], f.from)
+            .expect("back"));
+        let MigrationOutcome::Fenced(report) = f.pump_to_end() else {
+            panic!("{what}: the range must fence back");
+        };
+        assert_eq!(report.keys_moved, f.range.len() - 1, "{what}");
+        f.settle();
+    }
+}
+
+#[test]
+fn torn_install_flush_aborts_the_fence_and_the_retry_installs_over_a_clean_range() {
+    let mut f = fence_ready(0x7e4, 0);
+    let epoch = f.cluster.meta().ring().epoch();
+    // The destination journals one record per install and flushes each:
+    // the host tears the second flush (the modelled process dies).
+    f.cluster.node_mut(f.to as usize).set_fault_plan(
+        FaultPlan::none().rule(FaultSite::JournalFlush, FaultDir::Any, FaultAction::Drop, 2),
+        0x7e4,
+    );
+    let MigrationOutcome::Aborted(report) = f.pump_to_end() else {
+        panic!("installs that never became durable must not flip the ring");
+    };
+    assert!(report.aborted && report.keys_moved == 0);
+    assert!(!f.cluster.migration_in_flight(), "staging discarded");
+    assert_eq!(f.cluster.meta().ring().epoch(), epoch, "ring unflipped");
+    assert!(f.cluster.node(f.to as usize).journal_wedged());
+    for &k in &f.range {
+        assert_eq!(f.cluster.meta().lookup(&[k]).0, f.from, "source still owns");
+        let got = f.client.get_sync(&mut f.cluster, &[k]);
+        assert_eq!(got.as_ref(), Ok(&f.model[&k]), "source still serves {k}");
+    }
+
+    // The destination restarts from its journal, which holds the one
+    // install that did reach the disk — of a range it does not own.
+    f.cluster.restart_node(f.to as usize).expect("restart");
+    f.client
+        .reconnect_node(&mut f.cluster, f.to)
+        .expect("reattest");
+    let leftover = f.range[0];
+    let held = f.cluster.node(f.to as usize).live_keys();
+    assert!(held.contains(&vec![leftover]), "first install was durable");
+    f.settle();
+
+    // The key is deleted at its owner, then a clean retry fences: the
+    // destination installs over a clean range, so the delete holds.
+    f.delete(leftover);
+    assert!(f
+        .cluster
+        .start_migration(&[f.range[1]], f.to)
+        .expect("retry"));
+    let MigrationOutcome::Fenced(report) = f.pump_to_end() else {
+        panic!("clean retry must fence");
+    };
+    assert_eq!(report.keys_moved, f.range.len() - 1);
+    f.settle();
 }

@@ -18,6 +18,13 @@
 //! owns; the checker must reject that history, proving the harness can
 //! see real violations.
 //!
+//! The kill-a-node sweep runs the same workload over nodes that are
+//! replica groups (R = 2) and loses a seed-derived node's machine between
+//! two rounds: a replica is promoted inside the group, the clients
+//! re-attest, and the histories — closed by a read-back of every key —
+//! must still admit a witness, so a dead node keeps its ranges and no acked
+//! write is lost.
+//!
 //! Environment knobs: `PRECURSOR_SWEEP_SEEDS` — seeds per node count
 //! (default 20).
 
@@ -25,7 +32,7 @@ use std::collections::HashMap;
 
 use precursor::cluster::MigrationOutcome;
 use precursor::wire::Status;
-use precursor::{ClusterClient, Config, PrecursorClient, PrecursorCluster};
+use precursor::{ClusterClient, Config, GroupCommitPolicy, PrecursorClient, PrecursorCluster};
 use precursor_sim::rng::SimRng;
 use precursor_sim::CostModel;
 
@@ -53,15 +60,23 @@ struct RunOut {
 // Runs one seeded multi-client workload against an `nodes`-node cluster.
 // When `migrate` is set, the hottest key's ring segment starts migrating
 // to the next node at the midpoint round and is pumped inside the drain
-// loop, so completions race the fence.
-fn run_history(nodes: usize, seed: u64, migrate: bool) -> RunOut {
+// loop, so completions race the fence. When `kill` is set, every node is a
+// replica group of R = 2 and a seed-derived node's machine is lost before a
+// seed-derived round. Every run ends with a read-back of every key.
+fn run_history(nodes: usize, seed: u64, migrate: bool, kill: bool) -> RunOut {
     let cost = CostModel::default();
     let config = Config {
         shards: 2,
         max_clients: CLIENTS + 1,
         ..Config::default()
     };
-    let mut cluster = PrecursorCluster::new(nodes, config, &cost);
+    let mut cluster = if kill {
+        PrecursorCluster::replicated(nodes, config, &cost, 2, GroupCommitPolicy::immediate())
+    } else {
+        PrecursorCluster::new(nodes, config, &cost)
+    };
+    let kill_round = 1 + (seed >> 8) as usize % (ROUNDS - 1);
+    let victim = (seed >> 16) as usize % nodes;
     let mut clients: Vec<ClusterClient> = (0..CLIENTS)
         .map(|i| {
             ClusterClient::connect(&mut cluster, seed ^ ((i as u64 + 1) << 16)).expect("connect")
@@ -76,6 +91,26 @@ fn run_history(nodes: usize, seed: u64, migrate: bool) -> RunOut {
     let mut aborted = 0u64;
 
     for round in 0..ROUNDS {
+        if kill && round == kill_round {
+            let report = cluster.fail_node(victim).expect("a replica is promoted");
+            assert!(
+                !report.stale,
+                "rounds drain, so the quorum holds everything"
+            );
+            // Sessions re-attest in the order the dead primary admitted them.
+            let mut admitted: Vec<(u32, usize)> = Vec::new();
+            for (c, client) in clients.iter_mut().enumerate() {
+                if let Some(session) = client.session_mut(victim as u16) {
+                    admitted.push((session.client_id(), c));
+                }
+            }
+            admitted.sort_unstable();
+            for (_, c) in admitted {
+                clients[c]
+                    .reconnect_node(&mut cluster, victim as u16)
+                    .expect("reattest");
+            }
+        }
         // Midpoint: migrate the hottest key's segment to the next node.
         // The heat tally is deterministic, so the migrated range is too.
         if migrate && nodes > 1 && round == ROUNDS / 2 {
@@ -200,6 +235,21 @@ fn run_history(nodes: usize, seed: u64, migrate: bool) -> RunOut {
             MigrationOutcome::Idle | MigrationOutcome::Shipping { .. } => {}
         }
     }
+    // Read-back: whatever was acked must be what a fresh read observes.
+    for key in 0..KEYS as u8 {
+        let kind = match clients[0].get_sync(&mut cluster, &[key]) {
+            Ok(value) => Kind::Get(Some(value)),
+            Err(precursor::StoreError::NotFound) => Kind::Get(None),
+            Err(e) => panic!("read-back of key {key} failed: {e:?}"),
+        };
+        history.push(HistOp {
+            key,
+            kind,
+            invoke: step,
+            response: step + 1,
+        });
+        step += 2;
+    }
     let (mut redirects, mut refreshes) = (0u64, 0u64);
     for client in &clients {
         redirects += client.stats().redirects;
@@ -256,7 +306,7 @@ fn cluster_histories_are_linearizable_with_migration_in_flight() {
     let mut fenced = 0u64;
     for nodes in [1usize, 2, 4] {
         for seed in 0..seeds {
-            let out = run_history(nodes, mix(seed, nodes), true);
+            let out = run_history(nodes, mix(seed, nodes), true, false);
             ops_checked += out.history.len();
             if nodes > 1 {
                 redirects += out.redirects;
@@ -284,7 +334,7 @@ fn cluster_histories_are_linearizable_with_migration_in_flight() {
 fn cluster_histories_exercise_real_concurrency() {
     // Sanity: overlapping ops exist even with redirect re-issues keeping
     // entries open (otherwise the checker never faces a choice).
-    let out = run_history(4, 0xC0, true);
+    let out = run_history(4, 0xC0, true, false);
     let overlapping = out.history.iter().enumerate().any(|(i, a)| {
         out.history[i + 1..]
             .iter()
@@ -296,10 +346,32 @@ fn cluster_histories_exercise_real_concurrency() {
 #[test]
 fn cluster_runs_replay_bit_identically() {
     for (nodes, seed) in [(2usize, 3u64), (4, 11)] {
-        let a = run_digest(&run_history(nodes, mix(seed, nodes), true));
-        let b = run_digest(&run_history(nodes, mix(seed, nodes), true));
+        let a = run_digest(&run_history(nodes, mix(seed, nodes), true, false));
+        let b = run_digest(&run_history(nodes, mix(seed, nodes), true, false));
         assert_eq!(a, b, "nodes={nodes} seed={seed} run must replay");
     }
+}
+
+#[test]
+fn killing_a_node_between_rounds_loses_no_acked_write() {
+    let mut violations = Vec::new();
+    for seed in 0..sweep_seeds() {
+        let out = run_history(3, mix(seed, 3), false, true);
+        if let Err(e) = check_history(&out.history) {
+            violations.push(format!("seed={seed}: {e}"));
+        }
+        let digest = run_digest(&out);
+        println!("kill-a-node seed={seed} digest={digest:#018x}");
+        if seed < 3 {
+            let again = run_digest(&run_history(3, mix(seed, 3), false, true));
+            assert_eq!(digest, again, "seed={seed} run must replay");
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "linearizability violations:\n{}",
+        violations.join("\n")
+    );
 }
 
 #[test]

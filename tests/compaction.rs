@@ -41,8 +41,8 @@ use std::fmt::Write as _;
 use std::ops::Range;
 
 use precursor::{
-    Cluster, CompactOutcome, Config, FaultAction, FaultDir, FaultPlan, FaultSite,
-    GroupCommitPolicy, PrecursorClient, PrecursorServer, StoreError,
+    CompactOutcome, Config, FaultAction, FaultDir, FaultPlan, FaultSite, GroupCommitPolicy,
+    PrecursorClient, PrecursorServer, ReplicaGroup, StoreError,
 };
 use precursor_sgx::counters::MonotonicCounter;
 use precursor_sim::rng::SimRng;
@@ -51,7 +51,7 @@ use precursor_sim::CostModel;
 const PUMP_BOUND: usize = 400;
 
 fn complete(
-    cluster: &mut Cluster,
+    cluster: &mut ReplicaGroup,
     client: &mut PrecursorClient,
     oid: u64,
 ) -> Result<precursor::CompletedOp, StoreError> {
@@ -69,7 +69,7 @@ fn complete(
 }
 
 fn put(
-    cluster: &mut Cluster,
+    cluster: &mut ReplicaGroup,
     client: &mut PrecursorClient,
     key: &[u8],
     value: &[u8],
@@ -78,31 +78,9 @@ fn put(
     complete(cluster, client, oid)
 }
 
-// Digest of a throwaway recovery from a server's current recovery root
-// (snapshot + durable journal suffix + compaction base).
-fn recovered_digest(
-    server: &PrecursorServer,
-    snapshot: Option<&[u8]>,
-    snap_counter: &MonotonicCounter,
-    epoch_counter: &MonotonicCounter,
-    cost: &CostModel,
-) -> [u8; 16] {
-    let journal = server.journal_durable().expect("journal attached");
-    let base_chain = server
-        .journal_base_chain()
-        .unwrap_or_else(|| precursor_journal::genesis_chain(epoch_counter.read()));
-    let (recovered, _report) = PrecursorServer::recover_with_base(
-        server.config().clone(),
-        cost,
-        snapshot,
-        snap_counter,
-        journal,
-        server.journal_base_seq(),
-        base_chain,
-        epoch_counter,
-    )
-    .expect("recovery from current root");
-    recovered.state_digest()
+// A journaled node without replicas, immediate group commit.
+fn journaled(config: Config, cost: &CostModel) -> ReplicaGroup {
+    ReplicaGroup::with_replicas(config, cost, 0, GroupCommitPolicy::immediate())
 }
 
 // --- cut-invariance: random watermarks -----------------------------------
@@ -114,54 +92,43 @@ fn recovered_digest(
 fn compaction_at_random_watermarks_reproduces_uncompacted_recovery_digest() {
     let cost = CostModel::default();
     for seed in 0..10u64 {
-        let config = Config::default();
-        let mut epoch_a = MonotonicCounter::new();
-        let mut snap_a = MonotonicCounter::new();
-        let mut a = PrecursorServer::new(config.clone(), &cost);
-        a.attach_journal(GroupCommitPolicy::immediate(), &mut epoch_a);
-        let mut ca = PrecursorClient::connect(&mut a, seed ^ 0xaaaa).expect("connect a");
-
-        let mut epoch_b = MonotonicCounter::new();
-        let snap_b = MonotonicCounter::new();
-        let mut b = PrecursorServer::new(config.clone(), &cost);
-        b.attach_journal(GroupCommitPolicy::immediate(), &mut epoch_b);
-        let mut cb = PrecursorClient::connect(&mut b, seed ^ 0xaaaa).expect("connect b");
+        let mut a = journaled(Config::default(), &cost);
+        let mut ca = PrecursorClient::connect(a.primary_mut(), seed ^ 0xaaaa).expect("connect a");
+        let mut b = journaled(Config::default(), &cost);
+        let mut cb = PrecursorClient::connect(b.primary_mut(), seed ^ 0xaaaa).expect("connect b");
 
         let mut rng = SimRng::seed_from(seed ^ 0xc0ffee);
         let mut model: HashMap<u8, Vec<u8>> = HashMap::new();
-        let mut snapshot: Option<Vec<u8>> = None;
         let mut compactions = 0u64;
         for _ in 0..120 {
             let k = (rng.next_u32() % 16) as u8;
+            let (sa, sb) = (a.primary_mut(), b.primary_mut());
             match rng.gen_range(4) {
                 0 | 1 => {
                     let mut v = vec![0u8; 1 + rng.gen_range(96) as usize];
                     rng.fill_bytes(&mut v);
-                    ca.put_sync(&mut a, &[k], &v).expect("put a");
-                    cb.put_sync(&mut b, &[k], &v).expect("put b");
+                    ca.put_sync(sa, &[k], &v).expect("put a");
+                    cb.put_sync(sb, &[k], &v).expect("put b");
                     model.insert(k, v);
                 }
                 2 => {
-                    let _ = ca.get_sync(&mut a, &[k]);
-                    let _ = cb.get_sync(&mut b, &[k]);
+                    let _ = ca.get_sync(sa, &[k]);
+                    let _ = cb.get_sync(sb, &[k]);
                 }
                 _ => {
-                    let _ = ca.delete_sync(&mut a, &[k]);
-                    let _ = cb.delete_sync(&mut b, &[k]);
+                    let _ = ca.delete_sync(sa, &[k]);
+                    let _ = cb.delete_sync(sb, &[k]);
                     model.remove(&k);
                 }
             }
             // Random watermark: with the immediate policy every applied op
             // is committed, so compaction cuts wherever this lands.
             if rng.gen_range(8) == 0 {
-                match a.compact_journal(&mut snap_a) {
+                match a.compact() {
                     CompactOutcome::Compacted {
-                        snapshot: blob,
-                        truncated_records,
-                        ..
+                        truncated_records, ..
                     } => {
                         assert!(truncated_records > 0, "seed {seed}");
-                        snapshot = Some(blob);
                         compactions += 1;
                     }
                     CompactOutcome::Skipped => {}
@@ -170,16 +137,13 @@ fn compaction_at_random_watermarks_reproduces_uncompacted_recovery_digest() {
             }
         }
 
-        let digest_a = recovered_digest(&a, snapshot.as_deref(), &snap_a, &epoch_a, &cost);
-        let journal_b = b.journal_durable().expect("journal b");
-        let (reference, _) =
-            PrecursorServer::recover(config, &cost, None, &snap_b, journal_b, &epoch_b)
-                .expect("uncompacted reference recovery");
+        let digest_a = a.probe_recovery().expect("compacted pair recovers");
         assert_eq!(
             digest_a,
-            reference.state_digest(),
+            b.probe_recovery().expect("uncompacted reference recovery"),
             "seed {seed}: compacted pair diverged from uncompacted replay"
         );
+        let a = a.primary();
         assert_eq!(digest_a, a.state_digest(), "seed {seed}: live state");
         assert_eq!(a.len(), model.len(), "seed {seed}");
         assert_eq!(a.metrics().counter("journal.compactions"), compactions);
@@ -195,68 +159,58 @@ fn compaction_at_random_watermarks_reproduces_uncompacted_recovery_digest() {
 #[test]
 fn torn_seal_aborts_compaction_with_counter_and_recovery_unchanged() {
     let cost = CostModel::default();
-    let mut epoch_counter = MonotonicCounter::new();
-    let mut snap_counter = MonotonicCounter::new();
-    let mut server = PrecursorServer::new(Config::default(), &cost);
-    server.attach_journal(GroupCommitPolicy::immediate(), &mut epoch_counter);
-    let mut client = PrecursorClient::connect(&mut server, 47).expect("connect");
+    let mut group = journaled(Config::default(), &cost);
+    let mut client = PrecursorClient::connect(group.primary_mut(), 47).expect("connect");
     for i in 0u8..8 {
-        client.put_sync(&mut server, &[i], &[i; 32]).expect("put");
+        client
+            .put_sync(group.primary_mut(), &[i], &[i; 32])
+            .expect("put");
     }
-    let before = recovered_digest(&server, None, &snap_counter, &epoch_counter, &cost);
+    let before = group.probe_recovery().expect("recovery from current root");
 
     // The compaction's snapshot seal is torn mid-write: the enclave
     // cannot read back what it wrote and aborts before the commit point.
-    server.set_fault_plan(
+    group.primary_mut().set_fault_plan(
         FaultPlan::none().rule(FaultSite::SnapshotSeal, FaultDir::Any, FaultAction::Drop, 1),
         47,
     );
-    assert!(matches!(
-        server.compact_journal(&mut snap_counter),
-        CompactOutcome::Aborted
-    ));
-    assert_eq!(snap_counter.read(), 0, "abort never advances the counter");
+    assert!(matches!(group.compact(), CompactOutcome::Aborted));
+    let server = group.primary();
+    assert_eq!(
+        group.snapshot_counter().read(),
+        0,
+        "abort never advances the counter"
+    );
     assert_eq!(server.journal_trimmed_bytes(), 0, "journal untouched");
     assert!(!server.journal_wedged(), "abort is recoverable in place");
     assert_eq!(server.metrics().counter("journal.compaction_aborts"), 1);
-    let after = recovered_digest(&server, None, &snap_counter, &epoch_counter, &cost);
+    let after = group.probe_recovery().expect("recovery from current root");
     assert_eq!(before, after, "aborted compaction changed recovery");
 
     // With the fault gone the same cut commits cleanly.
-    server.set_fault_plan(FaultPlan::none(), 47);
-    let CompactOutcome::Compacted { snapshot, .. } = server.compact_journal(&mut snap_counter)
-    else {
+    group.primary_mut().set_fault_plan(FaultPlan::none(), 47);
+    let CompactOutcome::Compacted { .. } = group.compact() else {
         panic!("clean retry must compact");
     };
-    let compacted = recovered_digest(
-        &server,
-        Some(&snapshot),
-        &snap_counter,
-        &epoch_counter,
-        &cost,
-    );
-    assert_eq!(before, compacted);
+    assert_eq!(before, group.probe_recovery().expect("compacted root"));
 }
 
 #[test]
 fn crash_between_seal_commit_and_truncate_recovers_to_same_digest() {
     let cost = CostModel::default();
-    let mut epoch_counter = MonotonicCounter::new();
-    let mut snap_counter = MonotonicCounter::new();
-    let mut server = PrecursorServer::new(Config::default(), &cost);
-    server.attach_journal(GroupCommitPolicy::immediate(), &mut epoch_counter);
-    let mut client = PrecursorClient::connect(&mut server, 53).expect("connect");
+    let mut group = journaled(Config::default(), &cost);
+    let mut client = PrecursorClient::connect(group.primary_mut(), 53).expect("connect");
     for i in 0u8..8 {
         client
-            .put_sync(&mut server, &[i], &[i ^ 0x11; 32])
+            .put_sync(group.primary_mut(), &[i], &[i ^ 0x11; 32])
             .expect("put");
     }
-    let before = recovered_digest(&server, None, &snap_counter, &epoch_counter, &cost);
+    let before = group.probe_recovery().expect("recovery from current root");
 
     // The process dies after the counter advanced but before (or while)
     // the prefix cut hit disk: the journal wedges untruncated and the
     // committed snapshot is now the only unsealable one.
-    server.set_fault_plan(
+    group.primary_mut().set_fault_plan(
         FaultPlan::none().rule(
             FaultSite::CompactTruncate,
             FaultDir::Any,
@@ -265,33 +219,29 @@ fn crash_between_seal_commit_and_truncate_recovers_to_same_digest() {
         ),
         53,
     );
-    let CompactOutcome::Wedged { snapshot, base_seq } = server.compact_journal(&mut snap_counter)
-    else {
+    let CompactOutcome::Wedged { base_seq, .. } = group.compact() else {
         panic!("truncate crash must wedge");
     };
-    assert_eq!(snap_counter.read(), 1, "seal committed before the crash");
+    let server = group.primary();
+    assert_eq!(
+        group.snapshot_counter().read(),
+        1,
+        "seal committed before the crash"
+    );
     assert!(server.journal_wedged(), "no appends after a torn truncate");
     assert_eq!(server.journal_trimmed_bytes(), 0, "prefix never cut");
     assert!(base_seq > 0);
     assert_eq!(server.metrics().counter("journal.compaction_wedges"), 1);
+    let live = server.state_digest();
 
     // Recovery from the committed snapshot plus the *whole* journal —
     // exactly what the restarting host finds — reaches the pre-crash
     // digest: records at or below the snapshot watermark are skipped.
-    let journal = server.journal_durable().expect("journal").to_vec();
-    let (recovered, report) = PrecursorServer::recover(
-        server.config().clone(),
-        &cost,
-        Some(&snapshot),
-        &snap_counter,
-        &journal,
-        &epoch_counter,
-    )
-    .expect("snapshot + whole journal recovers");
+    let report = group.restart().expect("snapshot + whole journal recovers");
     assert!(report.snapshot_restored);
     assert!(report.skipped > 0, "pre-watermark records skipped");
-    assert_eq!(recovered.state_digest(), before);
-    assert_eq!(recovered.state_digest(), server.state_digest());
+    assert_eq!(group.primary().state_digest(), before);
+    assert_eq!(group.primary().state_digest(), live);
 }
 
 // --- shipped compacted pairs ---------------------------------------------
@@ -302,7 +252,8 @@ fn crash_between_seal_commit_and_truncate_recovers_to_same_digest() {
 #[test]
 fn lagging_replica_adopts_compacted_pair_and_failover_recovers_from_it() {
     let cost = CostModel::default();
-    let mut cluster = Cluster::new(Config::default(), &cost, 3, GroupCommitPolicy::immediate());
+    let mut cluster =
+        ReplicaGroup::with_replicas(Config::default(), &cost, 3, GroupCommitPolicy::immediate());
     let mut client = PrecursorClient::connect(cluster.primary_mut(), 59).expect("connect");
     for i in 0u8..8 {
         put(&mut cluster, &mut client, &[i], &[i; 24]).expect("put");
@@ -336,7 +287,7 @@ fn lagging_replica_adopts_compacted_pair_and_failover_recovers_from_it() {
     );
 
     let pre_digest = cluster.primary().state_digest();
-    let report = cluster.fail_primary().expect("failover succeeds");
+    let report = cluster.fail_primary(usize::MAX).expect("failover succeeds");
     assert_eq!(report.promoted, 0, "equal coverage, first candidate wins");
     assert!(report.recovery.snapshot_restored, "recovered from own base");
     assert!(!report.stale);
@@ -409,7 +360,12 @@ fn segment_attacks(
 fn bit_flipped_compacted_snapshot_is_rejected_and_replica_falls_back_to_full_journal() {
     let cost = CostModel::default();
     for attack in 0..5 {
-        let mut cluster = Cluster::new(Config::default(), &cost, 3, GroupCommitPolicy::immediate());
+        let mut cluster = ReplicaGroup::with_replicas(
+            Config::default(),
+            &cost,
+            3,
+            GroupCommitPolicy::immediate(),
+        );
         let mut client = PrecursorClient::connect(cluster.primary_mut(), 61).expect("connect");
         for i in 0u8..8 {
             put(&mut cluster, &mut client, &[i], &[i; 24]).expect("put");
@@ -459,6 +415,7 @@ fn bit_flipped_compacted_snapshot_is_rejected_and_replica_falls_back_to_full_jou
                 Some(&doctored),
                 &snap_counter,
                 &[],
+                None,
                 &epoch_counter
             )
             .unwrap_err(),
@@ -495,7 +452,7 @@ fn bit_flipped_compacted_snapshot_is_rejected_and_replica_falls_back_to_full_jou
 
         // The fallen-back replica is a fully valid promotion target.
         let pre_digest = cluster.primary().state_digest();
-        let report = cluster.fail_primary().expect("failover succeeds");
+        let report = cluster.fail_primary(usize::MAX).expect("failover succeeds");
         assert!(!report.stale);
         assert_eq!(cluster.primary().state_digest(), pre_digest);
     }
@@ -506,11 +463,8 @@ fn bit_flipped_compacted_snapshot_is_rejected_and_replica_falls_back_to_full_jou
 #[test]
 fn ten_thousand_op_compacting_run_bounds_journal_to_tail_since_last_cut() {
     let cost = CostModel::default();
-    let mut epoch_counter = MonotonicCounter::new();
-    let mut snap_counter = MonotonicCounter::new();
-    let mut server = PrecursorServer::new(Config::default(), &cost);
-    server.attach_journal(GroupCommitPolicy::immediate(), &mut epoch_counter);
-    let mut client = PrecursorClient::connect(&mut server, 67).expect("connect");
+    let mut group = journaled(Config::default(), &cost);
+    let mut client = PrecursorClient::connect(group.primary_mut(), 67).expect("connect");
 
     let mut rng = SimRng::seed_from(0x7777);
     let mut compactions = 0u64;
@@ -519,18 +473,19 @@ fn ten_thousand_op_compacting_run_bounds_journal_to_tail_since_last_cut() {
         let k = [(i % 64) as u8, (i / 64 % 64) as u8];
         let mut v = vec![0u8; 16 + (rng.next_u32() % 48) as usize];
         rng.fill_bytes(&mut v);
-        client.put_sync(&mut server, &k, &v).expect("put");
+        client.put_sync(group.primary_mut(), &k, &v).expect("put");
         if (i + 1) % 512 == 0 {
-            match server.compact_journal(&mut snap_counter) {
+            match group.compact() {
                 CompactOutcome::Compacted { .. } => {
                     compactions += 1;
-                    end_at_last_cut = server.journal_durable_end();
+                    end_at_last_cut = group.primary().journal_durable_end();
                 }
                 other => panic!("op {i}: unexpected {other:?}"),
             }
         }
     }
 
+    let server = group.primary();
     let physical = server.journal_durable().expect("journal").len() as u64;
     let logical_end = server.journal_durable_end();
     assert_eq!(compactions, 10_000 / 512);
@@ -548,18 +503,11 @@ fn ten_thousand_op_compacting_run_bounds_journal_to_tail_since_last_cut() {
     assert!(server.metrics().counter("journal.truncated_records") >= 9_000);
 
     // The bounded journal still recovers the full state.
-    let snapshot = match server.compact_journal(&mut snap_counter) {
-        CompactOutcome::Compacted { snapshot, .. } => snapshot,
-        other => panic!("final cut: unexpected {other:?}"),
+    let CompactOutcome::Compacted { .. } = group.compact() else {
+        panic!("final cut must compact");
     };
-    let digest = recovered_digest(
-        &server,
-        Some(&snapshot),
-        &snap_counter,
-        &epoch_counter,
-        &cost,
-    );
-    assert_eq!(digest, server.state_digest());
+    let digest = group.probe_recovery().expect("bounded journal recovers");
+    assert_eq!(digest, group.primary().state_digest());
 }
 
 // --- incremental seals -----------------------------------------------------
@@ -574,13 +522,11 @@ fn ten_thousand_op_compacting_run_bounds_journal_to_tail_since_last_cut() {
 fn incremental_vs_cold_run(seed: u64) {
     let cost = CostModel::default();
     let config = Config::sharded([1, 2, 4][(seed % 3) as usize]);
-    let mut epoch_counter = MonotonicCounter::new();
-    let mut snap_counter = MonotonicCounter::new();
-    let mut server = PrecursorServer::new(config.clone(), &cost);
-    server.attach_journal(GroupCommitPolicy::immediate(), &mut epoch_counter);
-    let mut owner = PrecursorClient::connect(&mut server, seed ^ 0x0ddc).expect("connect");
+    let mut group = journaled(config.clone(), &cost);
+    let server = group.primary_mut();
+    let mut owner = PrecursorClient::connect(server, seed ^ 0x0ddc).expect("connect");
     let mut tenants: Vec<Option<PrecursorClient>> = (0..3)
-        .map(|t| Some(PrecursorClient::connect(&mut server, seed ^ (0x7e0 + t)).expect("tenant")))
+        .map(|t| Some(PrecursorClient::connect(server, seed ^ (0x7e0 + t)).expect("tenant")))
         .collect();
 
     let mut rng = SimRng::seed_from(seed ^ 0x5e6);
@@ -593,24 +539,23 @@ fn incremental_vs_cold_run(seed: u64) {
         let mut value = vec![0u8; 1 + rng.gen_range(120) as usize];
         rng.fill_bytes(&mut value);
         let mut compacted = None;
+        let server = group.primary_mut();
         match rng.gen_range(20) {
             0..=8 => {
                 let _ = write!(trace, "{step}:put:{};", key[1]);
-                owner.put_sync(&mut server, &key, &value).expect("put");
+                owner.put_sync(server, &key, &value).expect("put");
                 model.insert(key, (value, owner.client_id()));
             }
             9..=11 => {
                 let _ = write!(trace, "{step}:del:{};", key[1]);
-                let _ = owner.delete_sync(&mut server, &key);
+                let _ = owner.delete_sync(server, &key);
                 model.remove(&key);
             }
             12..=13 => {
                 let t = rng.gen_range(3) as usize;
                 if let Some(tenant) = tenants[t].as_mut() {
                     let _ = write!(trace, "{step}:tput{t}:{};", key[1]);
-                    tenant
-                        .put_sync(&mut server, &key, &value)
-                        .expect("tenant put");
+                    tenant.put_sync(server, &key, &value).expect("tenant put");
                     model.insert(key, (value, tenant.client_id()));
                 }
             }
@@ -624,11 +569,11 @@ fn incremental_vs_cold_run(seed: u64) {
             }
             15 => {
                 let _ = write!(trace, "{step}:get:{};", key[1]);
-                let _ = owner.get_sync(&mut server, &key);
+                let _ = owner.get_sync(server, &key);
             }
             16..=18 => {
                 let _ = write!(trace, "{step}:compact;");
-                match server.compact_journal(&mut snap_counter) {
+                match group.compact() {
                     CompactOutcome::Compacted { snapshot, .. } => compacted = Some(snapshot),
                     CompactOutcome::Skipped => {}
                     other => panic!("{trace} unexpected {other:?}"),
@@ -637,7 +582,6 @@ fn incremental_vs_cold_run(seed: u64) {
             _ => {
                 // The host tears the seal; the cut aborts and is retried.
                 let _ = write!(trace, "{step}:torn-retry;");
-                let version = snap_counter.read();
                 server.set_fault_plan(
                     FaultPlan::none().rule(
                         FaultSite::SnapshotSeal,
@@ -647,14 +591,13 @@ fn incremental_vs_cold_run(seed: u64) {
                     ),
                     seed,
                 );
-                let torn = server.compact_journal(&mut snap_counter);
-                server.set_fault_plan(FaultPlan::none(), seed);
+                let version = group.snapshot_counter().read();
+                let torn = group.compact();
+                group.primary_mut().set_fault_plan(FaultPlan::none(), seed);
                 match torn {
                     CompactOutcome::Aborted => {
-                        assert_eq!(snap_counter.read(), version, "{trace}");
-                        let CompactOutcome::Compacted { snapshot, .. } =
-                            server.compact_journal(&mut snap_counter)
-                        else {
+                        assert_eq!(group.snapshot_counter().read(), version, "{trace}");
+                        let CompactOutcome::Compacted { snapshot, .. } = group.compact() else {
                             panic!("{trace} retry of an aborted cut must commit");
                         };
                         compacted = Some(snapshot);
@@ -669,11 +612,12 @@ fn incremental_vs_cold_run(seed: u64) {
         };
         cuts += 1;
 
-        let warm = PrecursorServer::restore(config.clone(), &cost, &incremental, &snap_counter)
+        let snap_counter = group.snapshot_counter();
+        let warm = PrecursorServer::restore(config.clone(), &cost, &incremental, snap_counter)
             .unwrap_or_else(|e| panic!("{trace} incremental blob restores: {e:?}"));
         let mut cold_counter = MonotonicCounter::new();
         let mut cold_source =
-            PrecursorServer::restore(config.clone(), &cost, &incremental, &snap_counter)
+            PrecursorServer::restore(config.clone(), &cost, &incremental, snap_counter)
                 .expect("restores twice");
         let cold_blob = cold_source.snapshot(&mut cold_counter);
         let (mut cold, _) = PrecursorServer::recover(
@@ -682,17 +626,13 @@ fn incremental_vs_cold_run(seed: u64) {
             Some(&cold_blob),
             &cold_counter,
             &[],
+            None,
             &MonotonicCounter::new(),
         )
         .unwrap_or_else(|e| panic!("{trace} cold full seal recovers: {e:?}"));
 
-        let recovered = recovered_digest(
-            &server,
-            Some(&incremental),
-            &snap_counter,
-            &epoch_counter,
-            &cost,
-        );
+        let recovered = group.probe_recovery().expect("recovery from current root");
+        let server = group.primary();
         assert_eq!(recovered, server.state_digest(), "{trace} live digest");
         assert_eq!(recovered, warm.state_digest(), "{trace} restored digest");
         assert_eq!(recovered, cold.state_digest(), "{trace} cold digest");
@@ -707,7 +647,10 @@ fn incremental_vs_cold_run(seed: u64) {
         }
     }
     assert!(cuts >= 5, "{trace} only {cuts} cuts");
-    let reused = server.metrics().counter("snapshot.segments_reused");
+    let reused = group
+        .primary()
+        .metrics()
+        .counter("snapshot.segments_reused");
     assert!(reused > 0, "{trace} no cut ever reused a segment");
 }
 
@@ -737,16 +680,10 @@ fn incremental_snapshots_match_a_cold_full_seal_across_seeds() {
 fn damaged_cut_run(seed: u64) {
     let cost = CostModel::default();
     let config = Config::sharded([1, 2, 4][(seed % 3) as usize]);
-    let mut epoch_a = MonotonicCounter::new();
-    let mut snap_a = MonotonicCounter::new();
-    let mut a = PrecursorServer::new(config.clone(), &cost);
-    a.attach_journal(GroupCommitPolicy::immediate(), &mut epoch_a);
-    let mut ca = PrecursorClient::connect(&mut a, seed ^ 0xda3a).expect("connect a");
-    let mut epoch_b = MonotonicCounter::new();
-    let snap_b = MonotonicCounter::new();
-    let mut b = PrecursorServer::new(config.clone(), &cost);
-    b.attach_journal(GroupCommitPolicy::immediate(), &mut epoch_b);
-    let mut cb = PrecursorClient::connect(&mut b, seed ^ 0xda3a).expect("connect b");
+    let mut a = journaled(config.clone(), &cost);
+    let mut ca = PrecursorClient::connect(a.primary_mut(), seed ^ 0xda3a).expect("connect a");
+    let mut b = journaled(config.clone(), &cost);
+    let mut cb = PrecursorClient::connect(b.primary_mut(), seed ^ 0xda3a).expect("connect b");
 
     let mut rng = SimRng::seed_from(seed ^ 0xd0c7);
     let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
@@ -762,25 +699,25 @@ fn damaged_cut_run(seed: u64) {
             let key = vec![b'k', (rng.next_u32() % 80) as u8];
             if rng.gen_range(4) == 0 && model.remove(&key).is_some() {
                 let _ = write!(trace, "del:{};", key[1]);
-                ca.delete_sync(&mut a, &key).expect("delete a");
-                cb.delete_sync(&mut b, &key).expect("delete b");
+                ca.delete_sync(a.primary_mut(), &key).expect("delete a");
+                cb.delete_sync(b.primary_mut(), &key).expect("delete b");
             } else {
                 let mut value = vec![0u8; 1 + rng.gen_range(150) as usize];
                 rng.fill_bytes(&mut value);
                 let _ = write!(trace, "put:{};", key[1]);
-                ca.put_sync(&mut a, &key, &value).expect("put a");
-                cb.put_sync(&mut b, &key, &value).expect("put b");
+                ca.put_sync(a.primary_mut(), &key, &value).expect("put a");
+                cb.put_sync(b.primary_mut(), &key, &value).expect("put b");
                 model.insert(key, value);
             }
         }
 
-        let version = snap_a.read();
-        let trimmed = a.journal_trimmed_bytes();
+        let version = a.snapshot_counter().read();
+        let trimmed = a.primary().journal_trimmed_bytes();
         for damage in ["byte", "short", "long"] {
             let pick = rng.next_u64();
             let mask = 1 + rng.gen_range(255) as u8;
             let mut at = String::new();
-            let outcome = a.compact_journal_via(&mut snap_a, |blob, written| match damage {
+            let outcome = a.compact_via(|blob, written| match damage {
                 "byte" => {
                     let range = &written[pick as usize % written.len()];
                     let offset = range.start + (pick >> 32) as usize % range.len();
@@ -795,18 +732,29 @@ fn damaged_cut_run(seed: u64) {
             let _ = write!(trace, "{round}:{damage}:{at};");
             assert_eq!(outcome, CompactOutcome::Aborted, "{trace}");
             aborts += 1;
-            assert_eq!(snap_a.read(), version, "{trace} counter moved");
-            assert_eq!(a.journal_trimmed_bytes(), trimmed, "{trace} journal cut");
-            assert!(!a.journal_wedged(), "{trace}");
+            assert_eq!(
+                a.snapshot_counter().read(),
+                version,
+                "{trace} counter moved"
+            );
+            let server = a.primary();
+            assert_eq!(
+                server.journal_trimmed_bytes(),
+                trimmed,
+                "{trace} journal cut"
+            );
+            assert!(!server.journal_wedged(), "{trace}");
         }
-        assert_eq!(a.metrics().counter("journal.compaction_aborts"), aborts);
+        let aborted = a.primary().metrics().counter("journal.compaction_aborts");
+        assert_eq!(aborted, aborts);
 
         let _ = write!(trace, "{round}:clean;");
-        let CompactOutcome::Compacted { snapshot, .. } = a.compact_journal(&mut snap_a) else {
+        let CompactOutcome::Compacted { snapshot, .. } = a.compact() else {
             panic!("{trace} clean retry must commit");
         };
+        let snap_a = a.snapshot_counter();
         assert_eq!(snap_a.read(), version + 1, "{trace}");
-        let mut restored = PrecursorServer::restore(config.clone(), &cost, &snapshot, &snap_a)
+        let mut restored = PrecursorServer::restore(config.clone(), &cost, &snapshot, snap_a)
             .unwrap_or_else(|e| panic!("{trace} retried blob restores: {e:?}"));
         let keys: Vec<Vec<u8>> = model.keys().cloned().collect();
         assert_eq!(restored.live_keys(), keys, "{trace} restored keys");
@@ -815,18 +763,9 @@ fn damaged_cut_run(seed: u64) {
             let got = reader.get_sync(&mut restored, key);
             assert_eq!(got.as_ref(), Ok(value), "{trace} value of {key:?}");
         }
-        let (never_cut, _) = PrecursorServer::recover(
-            config.clone(),
-            &cost,
-            None,
-            &snap_b,
-            b.journal_durable().expect("journal b"),
-            &epoch_b,
-        )
-        .expect("uncompacted reference recovery");
         assert_eq!(
-            recovered_digest(&a, Some(&snapshot), &snap_a, &epoch_a, &cost),
-            never_cut.state_digest(),
+            a.probe_recovery().expect("compacted pair recovers"),
+            b.probe_recovery().expect("uncompacted reference recovery"),
             "{trace} compacted pair diverged from the journal never cut"
         );
     }

@@ -12,7 +12,8 @@ use std::fmt::Write as _;
 
 use precursor::{
     AdversaryPlan, AttackClass, ClusterClient, Config, FaultAction, FaultDir, FaultPlan, FaultSite,
-    PrecursorClient, PrecursorCluster, PrecursorServer, RetryPolicy,
+    GroupCommitPolicy, PrecursorClient, PrecursorCluster, PrecursorServer, ReplicaGroup,
+    RetryPolicy,
 };
 use precursor_sim::rng::SimRng;
 use precursor_sim::CostModel;
@@ -49,6 +50,20 @@ fn run_digest(config: Config, seed: u64) -> u64 {
 }
 
 fn run_digest_with(config: Config, seed: u64, journaled: bool) -> u64 {
+    stable_key_hash(&run_observed(config, seed, journaled).0)
+}
+
+// What the server's own taps saw of a run: its metrics and its event trace.
+fn taps(server: &PrecursorServer) -> String {
+    format!(
+        "{}|{}",
+        server.metrics().to_json(),
+        server.tracer().digest()
+    )
+}
+
+// The run as `(everything the digest folds, what the server's taps saw)`.
+fn run_observed(config: Config, seed: u64, journaled: bool) -> (String, String) {
     let cost = CostModel::default();
     let mut server = PrecursorServer::new(config, &cost);
     if journaled {
@@ -56,10 +71,7 @@ fn run_digest_with(config: Config, seed: u64, journaled: bool) -> u64 {
         // inline, so the group-commit gate never closes and the journal
         // layer draws no RNG — the run must stay bit-identical.
         let mut epoch_counter = precursor_sgx::counters::MonotonicCounter::new();
-        server.attach_journal(
-            precursor::GroupCommitPolicy::immediate(),
-            &mut epoch_counter,
-        );
+        server.attach_journal(GroupCommitPolicy::immediate(), &mut epoch_counter);
     }
     server.set_fault_plan(fault_plan(), seed);
     server.set_adversary_plan(adversary_plan(), seed ^ 0xad);
@@ -108,7 +120,7 @@ fn run_digest_with(config: Config, seed: u64, journaled: bool) -> u64 {
         server.handoffs(),
         server.len()
     );
-    stable_key_hash(&trace)
+    (trace, taps(&server))
 }
 
 #[test]
@@ -161,16 +173,16 @@ fn journal_replay_reproduces_the_golden_run_state() {
     // Re-run the golden workload journaled, then rebuild a server from the
     // journal bytes alone: replay must reconstruct the store bit-identically
     // (mutation sequence, state digest, live keys).
-    let cost = CostModel::default();
-    let mut server = PrecursorServer::new(Config::default(), &cost);
-    let mut epoch_counter = precursor_sgx::counters::MonotonicCounter::new();
-    server.attach_journal(
-        precursor::GroupCommitPolicy::immediate(),
-        &mut epoch_counter,
+    let mut group = ReplicaGroup::with_replicas(
+        Config::default(),
+        &CostModel::default(),
+        0,
+        GroupCommitPolicy::immediate(),
     );
+    let server = group.primary_mut();
     server.set_fault_plan(fault_plan(), 7);
     server.set_adversary_plan(adversary_plan(), 7 ^ 0xad);
-    let mut client = PrecursorClient::connect(&mut server, 7 ^ 0xc11e).expect("connect");
+    let mut client = PrecursorClient::connect(server, 7 ^ 0xc11e).expect("connect");
     client.set_retry_policy(RetryPolicy {
         jitter: 0.0,
         ..RetryPolicy::default()
@@ -182,32 +194,30 @@ fn journal_replay_reproduces_the_golden_run_state() {
             0 => {
                 let mut v = vec![0u8; 1 + rng.gen_range(96) as usize];
                 rng.fill_bytes(&mut v);
-                let _ = client.put_sync(&mut server, &key, &v);
+                let _ = client.put_sync(server, &key, &v);
             }
             1 => {
-                let _ = client.get_sync(&mut server, &key);
+                let _ = client.get_sync(server, &key);
             }
             _ => {
-                let _ = client.delete_sync(&mut server, &key);
+                let _ = client.delete_sync(server, &key);
             }
         }
     }
 
-    let journal = server.journal_durable().expect("journal attached").to_vec();
-    let snap_counter = precursor_sgx::counters::MonotonicCounter::new();
-    let (recovered, report) = PrecursorServer::recover(
-        Config::default(),
-        &cost,
-        None,
-        &snap_counter,
-        &journal,
-        &epoch_counter,
-    )
-    .expect("golden journal replays");
+    let live = (server.mutation_seq(), server.state_digest(), server.len());
+
+    let report = group.restart().expect("golden journal replays");
     assert!(!report.truncated, "healthy journal has no torn tail");
-    assert_eq!(recovered.mutation_seq(), server.mutation_seq());
-    assert_eq!(recovered.state_digest(), server.state_digest());
-    assert_eq!(recovered.len(), server.len());
+    let recovered = group.primary();
+    assert_eq!(
+        (
+            recovered.mutation_seq(),
+            recovered.state_digest(),
+            recovered.len()
+        ),
+        live
+    );
 }
 
 // The cluster flavour of `run_digest`: the identical seeded workload
@@ -215,8 +225,24 @@ fn journal_replay_reproduces_the_golden_run_state() {
 // migration when `migrate` is set (nodes ≥ 2), exercising the NotMine
 // redirect path inside the digested run.
 fn cluster_run_digest(nodes: usize, seed: u64, migrate: bool) -> u64 {
+    stable_key_hash(&cluster_run_observed(nodes, seed, migrate, false).0)
+}
+
+fn cluster_run_observed(
+    nodes: usize,
+    seed: u64,
+    migrate: bool,
+    journaled: bool,
+) -> (String, String) {
     let cost = CostModel::default();
     let mut cluster = PrecursorCluster::new(nodes, Config::default(), &cost);
+    if journaled {
+        for i in 0..nodes {
+            cluster
+                .group_mut(i)
+                .enable_durability(GroupCommitPolicy::immediate());
+        }
+    }
     cluster.node_mut(0).set_fault_plan(fault_plan(), seed);
     cluster
         .node_mut(0)
@@ -285,7 +311,7 @@ fn cluster_run_digest(nodes: usize, seed: u64, migrate: bool) -> u64 {
             cluster.meta().ring().epoch()
         );
     }
-    stable_key_hash(&trace)
+    (trace, taps(cluster.node(0)))
 }
 
 #[test]
@@ -296,6 +322,21 @@ fn single_node_cluster_matches_the_single_server_golden_digest() {
     // digest recorded before the cluster existed.
     const GOLDEN: u64 = 12_986_051_342_204_127_709;
     assert_eq!(cluster_run_digest(1, 7, false), GOLDEN);
+}
+
+#[test]
+fn replica_group_without_replicas_is_the_bare_server() {
+    // A cluster node is a replica group; with R = 0 its pump is the
+    // primary's poll and its journal the locally committing one, so the
+    // run, the server's metrics and its event trace are the bare server's,
+    // journaled and not.
+    for journaled in [false, true] {
+        assert_eq!(
+            cluster_run_observed(1, 7, false, journaled),
+            run_observed(Config::default(), 7, journaled),
+            "journaled={journaled}"
+        );
+    }
 }
 
 #[test]

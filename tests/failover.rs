@@ -19,8 +19,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use precursor::{Cluster, Config, GroupCommitPolicy, PrecursorClient, PrecursorServer, StoreError};
-use precursor_sgx::counters::MonotonicCounter;
+use precursor::{Config, GroupCommitPolicy, PrecursorClient, ReplicaGroup, StoreError};
 use precursor_sim::rng::SimRng;
 use precursor_sim::CostModel;
 use precursor_storage::stable_key_hash;
@@ -33,7 +32,7 @@ const PUMP_BOUND: usize = 400;
 
 // Drives one issued operation to completion through cluster pumps.
 fn complete(
-    cluster: &mut Cluster,
+    cluster: &mut ReplicaGroup,
     client: &mut PrecursorClient,
     oid: u64,
 ) -> Result<precursor::CompletedOp, StoreError> {
@@ -51,7 +50,7 @@ fn complete(
 }
 
 fn put(
-    cluster: &mut Cluster,
+    cluster: &mut ReplicaGroup,
     client: &mut PrecursorClient,
     key: &[u8],
     value: &[u8],
@@ -61,7 +60,7 @@ fn put(
 }
 
 fn get(
-    cluster: &mut Cluster,
+    cluster: &mut ReplicaGroup,
     client: &mut PrecursorClient,
     key: &[u8],
 ) -> Result<precursor::CompletedOp, StoreError> {
@@ -72,7 +71,8 @@ fn get(
 #[test]
 fn quorum_commit_releases_replies_and_replicas_converge() {
     let cost = CostModel::default();
-    let mut cluster = Cluster::new(base_config(), &cost, 3, GroupCommitPolicy::batched(4, 2));
+    let mut cluster =
+        ReplicaGroup::with_replicas(base_config(), &cost, 3, GroupCommitPolicy::batched(4, 2));
     assert_eq!(cluster.quorum(), 3, "majority of 4 nodes (primary + 3)");
     let mut client = PrecursorClient::connect(cluster.primary_mut(), 7).expect("connect");
 
@@ -119,7 +119,8 @@ fn quorum_commit_releases_replies_and_replicas_converge() {
 #[test]
 fn replies_stay_gated_without_quorum_and_release_on_heal() {
     let cost = CostModel::default();
-    let mut cluster = Cluster::new(base_config(), &cost, 2, GroupCommitPolicy::batched(1, 0));
+    let mut cluster =
+        ReplicaGroup::with_replicas(base_config(), &cost, 2, GroupCommitPolicy::batched(1, 0));
     assert_eq!(cluster.quorum(), 2, "2 replicas + primary → quorum 2");
     let mut client = PrecursorClient::connect(cluster.primary_mut(), 11).expect("connect");
     put(&mut cluster, &mut client, b"warm", b"up").expect("healthy put");
@@ -145,7 +146,8 @@ fn replies_stay_gated_without_quorum_and_release_on_heal() {
 #[test]
 fn lagging_replica_does_not_stall_quorum() {
     let cost = CostModel::default();
-    let mut cluster = Cluster::new(base_config(), &cost, 3, GroupCommitPolicy::batched(2, 1));
+    let mut cluster =
+        ReplicaGroup::with_replicas(base_config(), &cost, 3, GroupCommitPolicy::batched(2, 1));
     let mut client = PrecursorClient::connect(cluster.primary_mut(), 13).expect("connect");
     cluster.lag_replica(0, 50);
     for i in 0u8..10 {
@@ -161,7 +163,8 @@ fn lagging_replica_does_not_stall_quorum() {
 #[test]
 fn failover_preserves_state_at_most_once_and_client_checks_pass() {
     let cost = CostModel::default();
-    let mut cluster = Cluster::new(base_config(), &cost, 3, GroupCommitPolicy::batched(4, 2));
+    let mut cluster =
+        ReplicaGroup::with_replicas(base_config(), &cost, 3, GroupCommitPolicy::batched(4, 2));
     let mut client = PrecursorClient::connect(cluster.primary_mut(), 17).expect("connect");
     let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
     for i in 0u8..16 {
@@ -177,7 +180,7 @@ fn failover_preserves_state_at_most_once_and_client_checks_pass() {
 
     let pre_seq = cluster.primary().mutation_seq();
     let pre_digest = cluster.primary().state_digest();
-    let report = cluster.fail_primary().expect("failover succeeds");
+    let report = cluster.fail_primary(usize::MAX).expect("failover succeeds");
     assert!(!report.stale, "no majority loss → nothing rolled back");
     assert!(report.quarantined.is_empty());
     assert!(report.recovery.replayed > 0);
@@ -206,7 +209,8 @@ fn failover_preserves_state_at_most_once_and_client_checks_pass() {
 #[test]
 fn staged_rollback_replica_is_quarantined_and_never_promoted() {
     let cost = CostModel::default();
-    let mut cluster = Cluster::new(base_config(), &cost, 3, GroupCommitPolicy::batched(2, 1));
+    let mut cluster =
+        ReplicaGroup::with_replicas(base_config(), &cost, 3, GroupCommitPolicy::batched(2, 1));
     let mut client = PrecursorClient::connect(cluster.primary_mut(), 19).expect("connect");
     for i in 0u8..12 {
         put(&mut cluster, &mut client, &[i], &[i; 40]).expect("put");
@@ -216,7 +220,9 @@ fn staged_rollback_replica_is_quarantined_and_never_promoted() {
     let keep = cluster.replica_journal_len(0) / 2;
     cluster.rollback_replica(0, keep);
 
-    let report = cluster.fail_primary().expect("failover still succeeds");
+    let report = cluster
+        .fail_primary(usize::MAX)
+        .expect("failover still succeeds");
     assert_eq!(report.quarantined, vec![0], "rollback detected");
     assert_ne!(report.promoted, 0, "rolled-back replica never promoted");
     assert!(!report.stale);
@@ -226,7 +232,8 @@ fn staged_rollback_replica_is_quarantined_and_never_promoted() {
 #[test]
 fn all_rolled_back_survivors_fail_failover_with_rollback_detected() {
     let cost = CostModel::default();
-    let mut cluster = Cluster::new(base_config(), &cost, 2, GroupCommitPolicy::batched(1, 0));
+    let mut cluster =
+        ReplicaGroup::with_replicas(base_config(), &cost, 2, GroupCommitPolicy::batched(1, 0));
     let mut client = PrecursorClient::connect(cluster.primary_mut(), 23).expect("connect");
     for i in 0u8..6 {
         put(&mut cluster, &mut client, &[i], &[i; 16]).expect("put");
@@ -234,7 +241,7 @@ fn all_rolled_back_survivors_fail_failover_with_rollback_detected() {
     cluster.rollback_replica(0, 0);
     cluster.rollback_replica(1, 0);
     assert_eq!(
-        cluster.fail_primary().unwrap_err(),
+        cluster.fail_primary(usize::MAX).unwrap_err(),
         StoreError::RollbackDetected
     );
     assert!(cluster.replica_quarantined(0) && cluster.replica_quarantined(1));
@@ -243,7 +250,8 @@ fn all_rolled_back_survivors_fail_failover_with_rollback_detected() {
 #[test]
 fn tampered_replica_journal_fails_cross_replica_audit() {
     let cost = CostModel::default();
-    let mut cluster = Cluster::new(base_config(), &cost, 3, GroupCommitPolicy::batched(2, 1));
+    let mut cluster =
+        ReplicaGroup::with_replicas(base_config(), &cost, 3, GroupCommitPolicy::batched(2, 1));
     let mut client = PrecursorClient::connect(cluster.primary_mut(), 29).expect("connect");
     for i in 0u8..8 {
         put(&mut cluster, &mut client, &[i], &[i; 32]).expect("put");
@@ -260,7 +268,8 @@ fn tampered_replica_journal_fails_cross_replica_audit() {
 #[test]
 fn stale_promotion_after_majority_loss_is_flagged_and_caught_by_client() {
     let cost = CostModel::default();
-    let mut cluster = Cluster::new(base_config(), &cost, 3, GroupCommitPolicy::batched(1, 0));
+    let mut cluster =
+        ReplicaGroup::with_replicas(base_config(), &cost, 3, GroupCommitPolicy::batched(1, 0));
     let mut client = PrecursorClient::connect(cluster.primary_mut(), 31).expect("connect");
     for i in 0u8..6 {
         put(&mut cluster, &mut client, &[i], &[i; 24]).expect("put");
@@ -274,7 +283,9 @@ fn stale_promotion_after_majority_loss_is_flagged_and_caught_by_client() {
     cluster.crash_replica(1);
     cluster.crash_replica(2);
 
-    let report = cluster.fail_primary().expect("minority survivor promoted");
+    let report = cluster
+        .fail_primary(usize::MAX)
+        .expect("minority survivor promoted");
     assert_eq!(report.promoted, 0);
     assert!(
         report.stale,
@@ -291,7 +302,8 @@ fn stale_promotion_after_majority_loss_is_flagged_and_caught_by_client() {
 #[test]
 fn staged_promotion_serves_reads_during_catchup_and_mutations_get_busy() {
     let cost = CostModel::default();
-    let mut cluster = Cluster::new(base_config(), &cost, 3, GroupCommitPolicy::immediate());
+    let mut cluster =
+        ReplicaGroup::with_replicas(base_config(), &cost, 3, GroupCommitPolicy::immediate());
     let mut client = PrecursorClient::connect(cluster.primary_mut(), 41).expect("connect");
     for i in 0u8..24 {
         put(&mut cluster, &mut client, &[i], &[i ^ 0x33; 40]).expect("put");
@@ -300,7 +312,7 @@ fn staged_promotion_serves_reads_during_catchup_and_mutations_get_busy() {
 
     // Staged promotion: one catch-up record per pump tick, so the window
     // where the survivor serves while still draining is wide.
-    let report = cluster.fail_primary_staged(1).expect("staged promotion");
+    let report = cluster.fail_primary(1).expect("staged promotion");
     assert!(
         report.recovery.catchup_pending > 0,
         "tail queued for background replay"
@@ -374,29 +386,28 @@ fn staged_promotion_serves_reads_during_catchup_and_mutations_get_busy() {
 #[test]
 fn journal_replay_recovery_reproduces_live_state_without_snapshot() {
     let cost = CostModel::default();
-    let config = base_config();
-    let mut server = PrecursorServer::new(config.clone(), &cost);
-    let mut epoch_counter = MonotonicCounter::new();
-    server.attach_journal(GroupCommitPolicy::immediate(), &mut epoch_counter);
-    let mut client = PrecursorClient::connect(&mut server, 37).expect("connect");
+    let mut group =
+        ReplicaGroup::with_replicas(base_config(), &cost, 0, GroupCommitPolicy::immediate());
+    let server = group.primary_mut();
+    let mut client = PrecursorClient::connect(server, 37).expect("connect");
     for i in 0u8..20 {
-        client.put_sync(&mut server, &[i], &[i; 33]).expect("put");
+        client.put_sync(server, &[i], &[i; 33]).expect("put");
     }
-    client.delete_sync(&mut server, &[4]).expect("delete");
+    client.delete_sync(server, &[4]).expect("delete");
+    let live = (server.len(), server.mutation_seq(), server.state_digest());
 
-    let journal = server.journal_durable().expect("journal").to_vec();
-    let snap_counter = MonotonicCounter::new();
-    let (recovered, report) =
-        PrecursorServer::recover(config, &cost, None, &snap_counter, &journal, &epoch_counter)
-            .expect("replay succeeds");
+    let report = group.restart().expect("replay succeeds");
     assert!(!report.snapshot_restored);
     assert!(!report.truncated);
     assert_eq!(report.skipped, 0);
-    assert_eq!(recovered.len(), server.len());
-    assert_eq!(recovered.mutation_seq(), server.mutation_seq());
+    let recovered = group.primary();
     assert_eq!(
-        recovered.state_digest(),
-        server.state_digest(),
+        (
+            recovered.len(),
+            recovered.mutation_seq(),
+            recovered.state_digest()
+        ),
+        live,
         "replay reconstructs the state digest bit-identically"
     );
 }
@@ -412,7 +423,8 @@ fn journal_replay_recovery_reproduces_live_state_without_snapshot() {
 fn sweep_run(seed: u64) -> u64 {
     let cost = CostModel::default();
     let config = Config::sharded([1, 2, 4][(seed % 3) as usize]);
-    let mut cluster = Cluster::new(config, &cost, 3, GroupCommitPolicy::batched(4, 2));
+    let mut cluster =
+        ReplicaGroup::with_replicas(config, &cost, 3, GroupCommitPolicy::batched(4, 2));
     let mut client =
         PrecursorClient::connect(cluster.primary_mut(), seed ^ 0xc11e).expect("connect");
     let mut rng = SimRng::seed_from(seed ^ 0x5eed);
@@ -489,7 +501,7 @@ fn sweep_run(seed: u64) -> u64 {
         .counter("server.reports_dropped");
     assert_eq!(pre_dropped, 0, "seed {seed}: no reports dropped pre-crash");
 
-    let report = cluster.fail_primary().expect("failover succeeds");
+    let report = cluster.fail_primary(usize::MAX).expect("failover succeeds");
     if scenario == 2 {
         assert_eq!(report.quarantined, vec![0], "seed {seed}: rollback caught");
         assert_ne!(report.promoted, 0);

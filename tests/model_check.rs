@@ -1,6 +1,6 @@
 //! Explicit-state model checker for the failover lifecycle.
 //!
-//! A small-scope exhaustive explorer drives a 3-replica [`Cluster`]
+//! A small-scope exhaustive explorer drives a 3-replica [`ReplicaGroup`]
 //! through every interleaving of a bounded action alphabet — client
 //! submits, journal-commit/replication pumps, a replica partition/heal
 //! cycle, a staged host rollback, log compaction, and one primary crash
@@ -14,13 +14,13 @@
 //!   so a rolled-back copy can never be promoted alongside the honest
 //!   history.
 //! * **No committed-prefix divergence** — honest replicas never disagree
-//!   on overlapping journal prefixes ([`Cluster::audit_replicas`]), and
+//!   on overlapping journal prefixes ([`ReplicaGroup::audit_replicas`]), and
 //!   after the trace drains, every acked write with no concurrent
 //!   in-flight op reads back exactly; any staleness must either be
 //!   flagged in the `FailoverReport` or caught by the client's own
 //!   `max_store_seq` rollback check.
 //! * **Compaction never changes the recovery digest** —
-//!   [`Cluster::probe_recovery`] is identical before and after every
+//!   [`ReplicaGroup::probe_recovery`] is identical before and after every
 //!   compaction cut.
 //!
 //! Each explored trace additionally replays its completed-operation
@@ -47,7 +47,9 @@
 use std::collections::{HashMap, HashSet};
 
 use precursor::wire::Status;
-use precursor::{Cluster, Config, GroupCommitPolicy, PrecursorClient, ProtocolBug, StoreError};
+use precursor::{
+    Config, GroupCommitPolicy, PrecursorClient, ProtocolBug, ReplicaGroup, StoreError,
+};
 use precursor_sim::CostModel;
 use precursor_storage::stable_key_hash;
 
@@ -170,7 +172,7 @@ fn parse_trace(s: &str) -> Vec<Action> {
 // prefix — no cloning, so replay is the single source of truth and every
 // counterexample is replayable by construction.
 struct World {
-    cluster: Cluster,
+    cluster: ReplicaGroup,
     client: PrecursorClient,
     // Acked puts: key -> value whose reply the client consumed.
     model: HashMap<u8, Vec<u8>>,
@@ -206,7 +208,7 @@ struct World {
 
 impl World {
     fn new(cost: &CostModel, bug: Option<ProtocolBug>) -> World {
-        let mut cluster = Cluster::new(
+        let mut cluster = ReplicaGroup::with_replicas(
             Config::default(),
             cost,
             REPLICAS,
@@ -386,9 +388,9 @@ impl World {
                     .filter(|&i| self.cluster.replica_rolled_back(i))
                     .collect();
                 let res = if action == Action::CrashStaged {
-                    self.cluster.fail_primary_staged(2)
+                    self.cluster.fail_primary(2)
                 } else {
-                    self.cluster.fail_primary()
+                    self.cluster.fail_primary(usize::MAX)
                 };
                 self.crashed = true;
                 self.partitioned = false;
