@@ -3,6 +3,39 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every `cargo test … --test <bin> [-- <filter>…]` the workflows run must
+# select at least one test: libtest exits 0 with "0 passed" when a filter
+# matches nothing, so a renamed or merged test would silently drop out of
+# its job. Lists each binary's tests and fails on an empty binary or a
+# filter no test name contains.
+check_filters() {
+    local status=0 bin filters names f
+    while read -r bin filters; do
+        names=$(cargo test -q -p precursor --test "$bin" -- --list 2>/dev/null \
+            | sed -n 's/: test$//p')
+        if [ -z "$names" ]; then
+            echo "ci: --test $bin lists no tests" >&2
+            status=1
+        fi
+        for f in $filters; do
+            if ! grep -qF -- "$f" <<<"$names"; then
+                echo "ci: filter '$f' matches no test of --test $bin" >&2
+                status=1
+            fi
+        done
+    done < <(sed -e ':a' -e '/\\$/{N;s/\\\n//;ba' -e '}' .github/workflows/*.yml \
+        | grep -o 'cargo test[^|]*--test [a-z_]*[^|]*' \
+        | sed -E 's/.*--test ([a-z_]+)( -- (.*))?/\1 \3/; s/[0-9]>&[0-9]//g' \
+        | awk '{ printf "%s", $1; for (i = 2; i <= NF; i++) if ($i !~ /^-/) printf " %s", $i; print "" }')
+    return $status
+}
+
+if [ "${1:-}" = filters ]; then
+    echo "== workflow test filters select tests =="
+    check_filters
+    exit
+fi
+
 # One cluster, one node type, one replay path, one journal attach: the names
 # PR 23 deleted must not grow back.
 echo "== deleted names stay deleted =="
@@ -23,6 +56,9 @@ cargo build --release --workspace
 
 echo "== cargo test =="
 cargo test --workspace -q
+
+echo "== workflow test filters select tests =="
+check_filters
 
 # benchmark/ is a workspace of its own, so nothing above compiles it: build
 # and run it at smoke scale so a crate API change cannot break it unnoticed.

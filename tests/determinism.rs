@@ -11,45 +11,19 @@
 use std::fmt::Write as _;
 
 use precursor::{
-    AdversaryPlan, AttackClass, ClusterClient, Config, FaultAction, FaultDir, FaultPlan, FaultSite,
-    GroupCommitPolicy, PrecursorClient, PrecursorCluster, PrecursorServer, ReplicaGroup,
-    RetryPolicy,
+    ClusterClient, Config, GroupCommitPolicy, OpReport, PrecursorCluster, PrecursorServer,
+    ReplicaGroup,
 };
-use precursor_sim::rng::SimRng;
 use precursor_sim::CostModel;
 use precursor_storage::stable_key_hash;
 
-const OPS: u64 = 120;
+#[path = "scenario/mod.rs"]
+mod scenario;
+use scenario::{golden_ops, golden_retry, golden_run, golden_server, Op};
 
-// Scripted one-shot faults only (no probabilistic rates), so the schedule
-// itself is trivially deterministic and the digest checks the *store's*
-// event alignment: drops exercise the retransmission path, corrupt + the
-// adversary exercise detection, delays exercise reordering tolerance.
-fn fault_plan() -> FaultPlan {
-    FaultPlan::none()
-        .rule(FaultSite::Write, FaultDir::AtoB, FaultAction::Drop, 5)
-        .rule(FaultSite::Write, FaultDir::BtoA, FaultAction::Drop, 11)
-        .rule(FaultSite::Write, FaultDir::BtoA, FaultAction::Corrupt, 23)
-        .rule(FaultSite::Write, FaultDir::AtoB, FaultAction::Drop, 41)
-        .rule(FaultSite::Write, FaultDir::BtoA, FaultAction::Drop, 57)
-}
-
-// Tamper and Duplicate are the two attack classes a session survives
-// without being poisoned (tampering is detected per read; duplicates are
-// deduplicated by reply_seq), so the run still completes all OPS.
-fn adversary_plan() -> AdversaryPlan {
-    AdversaryPlan::none()
-        .rule(AttackClass::Tamper, 9)
-        .rule(AttackClass::Duplicate, 30)
-}
-
-// Runs the seeded single-client chaos workload and folds every observable
-// output into one stable digest.
-fn run_digest(config: Config, seed: u64) -> u64 {
-    run_digest_with(config, seed, false)
-}
-
-fn run_digest_with(config: Config, seed: u64, journaled: bool) -> u64 {
+// Runs the golden workload (`scenario::golden_run`) and folds every
+// observable output into one stable digest.
+fn run_digest(config: Config, seed: u64, journaled: bool) -> u64 {
     stable_key_hash(&run_observed(config, seed, journaled).0)
 }
 
@@ -63,6 +37,9 @@ fn taps(server: &PrecursorServer) -> String {
 }
 
 // The run as `(everything the digest folds, what the server's taps saw)`.
+// Tracing is on: the observability taps must be invisible to the run's
+// observable behaviour (no RNG draws, no meter charges) — the golden
+// digest below holds with the tracer recording every event.
 fn run_observed(config: Config, seed: u64, journaled: bool) -> (String, String) {
     let cost = CostModel::default();
     let mut server = PrecursorServer::new(config, &cost);
@@ -73,40 +50,18 @@ fn run_observed(config: Config, seed: u64, journaled: bool) -> (String, String) 
         let mut epoch_counter = precursor_sgx::counters::MonotonicCounter::new();
         server.attach_journal(GroupCommitPolicy::immediate(), &mut epoch_counter);
     }
-    server.set_fault_plan(fault_plan(), seed);
-    server.set_adversary_plan(adversary_plan(), seed ^ 0xad);
-    // Tracing on: the observability taps must be invisible to the run's
-    // observable behaviour (no RNG draws, no meter charges) — the golden
-    // digest below holds with the tracer recording every event.
-    server.enable_tracing(256);
-    let mut client = PrecursorClient::connect(&mut server, seed ^ 0xc11e).expect("connect");
-    client.enable_tracing(256);
-    // Jitter multiplies retry backoff through floating point; zero keeps
-    // the virtual timeline free of platform-variant libm rounding.
-    client.set_retry_policy(RetryPolicy {
-        jitter: 0.0,
-        ..RetryPolicy::default()
-    });
+    let (_client, mut trace) = golden_run(&mut server, seed, 256);
+    let reports = server.take_reports();
+    fold(&mut trace, &server, &reports);
+    (trace, taps(&server))
+}
 
-    let mut rng = SimRng::seed_from(seed ^ 0x5eed);
-    let mut trace = String::new();
-    for i in 0..OPS {
-        let key = [(rng.gen_range(24)) as u8];
-        let outcome = match rng.gen_range(3) {
-            0 => {
-                let mut v = vec![0u8; 1 + rng.gen_range(96) as usize];
-                rng.fill_bytes(&mut v);
-                format!("{:?}", client.put_sync(&mut server, &key, &v))
-            }
-            1 => format!("{:?}", client.get_sync(&mut server, &key)),
-            _ => format!("{:?}", client.delete_sync(&mut server, &key)),
-        };
-        let _ = write!(trace, "op{i}:{outcome};");
-    }
-
+// Folds what the (first) server saw after the ops: its fault and attack
+// logs, the report stream of every node, its counters.
+fn fold(trace: &mut String, server: &PrecursorServer, reports: &[OpReport]) {
     let _ = write!(trace, "faults:{:?};", server.fault_log());
     let _ = write!(trace, "attacks:{:?};", server.adversary_log());
-    for r in server.take_reports() {
+    for r in reports {
         let _ = write!(
             trace,
             "report:{}:{:?}:{:?}:{}:{};",
@@ -120,14 +75,13 @@ fn run_observed(config: Config, seed: u64, journaled: bool) -> (String, String) 
         server.handoffs(),
         server.len()
     );
-    (trace, taps(&server))
 }
 
 #[test]
 fn same_seed_reproduces_bit_identically() {
     for seed in [3u64, 7, 1337] {
-        let a = run_digest(Config::default(), seed);
-        let b = run_digest(Config::default(), seed);
+        let a = run_digest(Config::default(), seed, false);
+        let b = run_digest(Config::default(), seed, false);
         assert_eq!(a, b, "seed {seed} must replay bit-identically");
     }
 }
@@ -136,8 +90,8 @@ fn same_seed_reproduces_bit_identically() {
 fn sharded_one_is_the_default_code_path() {
     for seed in [3u64, 7, 1337] {
         assert_eq!(
-            run_digest(Config::default(), seed),
-            run_digest(Config::sharded(1), seed),
+            run_digest(Config::default(), seed, false),
+            run_digest(Config::sharded(1), seed, false),
             "Config::sharded(1) must be indistinguishable from the default"
         );
     }
@@ -155,7 +109,7 @@ fn single_shard_chaos_run_matches_golden_digest() {
     // shard the phases pop, execute, seal and post a ring's records in
     // the same order).
     const GOLDEN: u64 = 12_986_051_342_204_127_709;
-    assert_eq!(run_digest(Config::default(), 7), GOLDEN);
+    assert_eq!(run_digest(Config::default(), 7, false), GOLDEN);
 }
 
 #[test]
@@ -165,7 +119,7 @@ fn journaled_run_matches_golden_digest() {
     // (gate never closes), and durable-fault sites filter rates by site
     // before touching the fault RNG stream.
     const GOLDEN: u64 = 12_986_051_342_204_127_709;
-    assert_eq!(run_digest_with(Config::default(), 7, true), GOLDEN);
+    assert_eq!(run_digest(Config::default(), 7, true), GOLDEN);
 }
 
 #[test]
@@ -179,32 +133,8 @@ fn journal_replay_reproduces_the_golden_run_state() {
         0,
         GroupCommitPolicy::immediate(),
     );
-    let server = group.primary_mut();
-    server.set_fault_plan(fault_plan(), 7);
-    server.set_adversary_plan(adversary_plan(), 7 ^ 0xad);
-    let mut client = PrecursorClient::connect(server, 7 ^ 0xc11e).expect("connect");
-    client.set_retry_policy(RetryPolicy {
-        jitter: 0.0,
-        ..RetryPolicy::default()
-    });
-    let mut rng = SimRng::seed_from(7 ^ 0x5eed);
-    for _ in 0..OPS {
-        let key = [(rng.gen_range(24)) as u8];
-        match rng.gen_range(3) {
-            0 => {
-                let mut v = vec![0u8; 1 + rng.gen_range(96) as usize];
-                rng.fill_bytes(&mut v);
-                let _ = client.put_sync(server, &key, &v);
-            }
-            1 => {
-                let _ = client.get_sync(server, &key);
-            }
-            _ => {
-                let _ = client.delete_sync(server, &key);
-            }
-        }
-    }
-
+    golden_run(group.primary_mut(), 7, 256);
+    let server = group.primary();
     let live = (server.mutation_seq(), server.state_digest(), server.len());
 
     let report = group.restart().expect("golden journal replays");
@@ -243,22 +173,14 @@ fn cluster_run_observed(
                 .enable_durability(GroupCommitPolicy::immediate());
         }
     }
-    cluster.node_mut(0).set_fault_plan(fault_plan(), seed);
-    cluster
-        .node_mut(0)
-        .set_adversary_plan(adversary_plan(), seed ^ 0xad);
-    cluster.node_mut(0).enable_tracing(256);
+    golden_server(cluster.node_mut(0), seed, 256);
     let mut client = ClusterClient::connect(&mut cluster, seed ^ 0xc11e).expect("connect");
     client.enable_tracing(256);
-    client.set_retry_policy(RetryPolicy {
-        jitter: 0.0,
-        ..RetryPolicy::default()
-    });
+    client.set_retry_policy(golden_retry());
 
-    let mut rng = SimRng::seed_from(seed ^ 0x5eed);
     let mut trace = String::new();
-    for i in 0..OPS {
-        if migrate && i == OPS / 3 {
+    for (i, op) in golden_ops(seed).into_iter().enumerate() {
+        if migrate && i as u64 == scenario::GOLDEN_OPS / 3 {
             let hot = [0u8];
             let from = cluster.meta().lookup(&hot).0;
             let to = (from + 1) % nodes as u16;
@@ -268,37 +190,18 @@ fn cluster_run_observed(
             let outcome = cluster.pump_migration(3);
             let _ = write!(trace, "mig{i}:{outcome:?};");
         }
-        let key = [(rng.gen_range(24)) as u8];
-        let outcome = match rng.gen_range(3) {
-            0 => {
-                let mut v = vec![0u8; 1 + rng.gen_range(96) as usize];
-                rng.fill_bytes(&mut v);
-                format!("{:?}", client.put_sync(&mut cluster, &key, &v))
-            }
-            1 => format!("{:?}", client.get_sync(&mut cluster, &key)),
-            _ => format!("{:?}", client.delete_sync(&mut cluster, &key)),
+        let outcome = match op {
+            Op::Put(k, v) => format!("{:?}", client.put_sync(&mut cluster, &[k], &v)),
+            Op::Get(k) => format!("{:?}", client.get_sync(&mut cluster, &[k])),
+            Op::Delete(k) => format!("{:?}", client.delete_sync(&mut cluster, &[k])),
         };
         let _ = write!(trace, "op{i}:{outcome};");
     }
 
-    let _ = write!(trace, "faults:{:?};", cluster.node(0).fault_log());
-    let _ = write!(trace, "attacks:{:?};", cluster.node(0).adversary_log());
-    for n in 0..nodes {
-        for r in cluster.node_mut(n).take_reports() {
-            let _ = write!(
-                trace,
-                "report:{}:{:?}:{:?}:{}:{};",
-                r.client_id, r.opcode, r.status, r.value_len, r.shard
-            );
-        }
-    }
-    let _ = write!(
-        trace,
-        "credits:{};handoffs:{};len:{}",
-        cluster.node(0).credit_writes(),
-        cluster.node(0).handoffs(),
-        cluster.node(0).len()
-    );
+    let reports: Vec<OpReport> = (0..nodes)
+        .flat_map(|n| cluster.node_mut(n).take_reports())
+        .collect();
+    fold(&mut trace, cluster.node(0), &reports);
     if nodes > 1 {
         // Cluster-only observables (absent from the nodes=1 trace, which
         // must stay byte-identical to the single-server golden trace).
@@ -362,8 +265,8 @@ fn multi_shard_chaos_runs_reproduce_per_seed() {
     for shards in [2usize, 4] {
         for seed in [21u64, 22] {
             assert_eq!(
-                run_digest(Config::sharded(shards), seed),
-                run_digest(Config::sharded(shards), seed),
+                run_digest(Config::sharded(shards), seed, false),
+                run_digest(Config::sharded(shards), seed, false),
                 "shards={shards} seed {seed} must replay bit-identically"
             );
         }

@@ -1,249 +1,273 @@
-//! Linearizability harness for multi-shard trusted polling.
+//! Linearizability: the Wing–Gong checker over multi-client histories, on
+//! one server across shard counts and across cluster nodes.
 //!
-//! Four closed-loop clients pipeline batches of 2–3 operations each over a
-//! deliberately tiny keyspace, so operations on the same key constantly
-//! overlap in real time and cross shard boundaries (client ownership and
-//! key partition are independent hashes). Each client records an
-//! invoke/response history stamped from a global step counter; a
-//! Wing–Gong style checker then searches for a legal sequential witness of
-//! every per-key subhistory against a simple KV model.
+//! Both sweeps are rows of the scenario harness (`tests/scenario/mod.rs`):
+//! four closed-loop clients pipeline 2–3 ops per round over six keys, so
+//! ops on one key constantly overlap in real time and cross shard and node
+//! boundaries. The migrate row moves the hottest key's ring segment at
+//! mid-run over 1, 2 or 4 nodes: in-flight ops straddle the fence, complete
+//! with a sealed `NotMine` redirect and are re-issued with a fresh oid at
+//! the owner while their history entry stays open. The kill row loses a
+//! seed-derived node's machine (R = 2) between two rounds: a dead node
+//! keeps its ranges and no acked write is lost. Every history, closed by a
+//! read-back of every key, must admit a sequential witness.
 //!
-//! Environment knobs (same conventions as the chaos/byzantine suites):
-//!
-//! * `PRECURSOR_SWEEP_SEEDS` — seeds per shard count (default 20).
-//! * `PRECURSOR_SHARDS` — an extra shard count to sweep beyond {1, 2, 4}.
+//! The checker and the harness are shown to see real violations: scripted
+//! non-linearizable histories, a source acking a write for a range it
+//! fenced away, and a bare node restarted from a stale checkpoint.
 
-use std::collections::HashMap;
-
+use precursor::cluster::MigrationOutcome;
 use precursor::wire::Status;
-use precursor::{Config, PrecursorClient, PrecursorServer};
-use precursor_sim::rng::SimRng;
-use precursor_sim::CostModel;
 
-// The Wing–Gong checker, shared with the failover model checker.
-#[path = "wing_gong/mod.rs"]
-mod wing_gong;
-use wing_gong::{check_history, HistOp, Kind};
+#[path = "scenario/mod.rs"]
+mod scenario;
+use scenario::wing_gong::{check_history, HistOp, Kind};
+use scenario::{sweep, Event, Pick, Run, Scenario};
 
-const CLIENTS: usize = 4;
-const ROUNDS: usize = 10;
-const KEYS: u64 = 6;
-
-// --- execution ----------------------------------------------------------
-
-// Runs one seeded multi-client workload against a `shards`-shard server,
-// returning the recorded invoke/response history. Each round pipelines
-// 2–3 ops per client before any polling, so the ops of a round are
-// mutually concurrent (and, in sharded mode, execute across shards); the
-// round is then fully drained.
-fn run_history(shards: usize, seed: u64) -> Vec<HistOp> {
-    let cost = CostModel::default();
-    let config = Config {
-        shards,
-        max_clients: CLIENTS + 1,
-        ..Config::default()
+// Four pipelining clients over six keys; on more than one node the hot
+// range migrates at mid-run.
+fn migrating(seed: u64, nodes: usize) -> Scenario {
+    let migrate = Event::Migrate {
+        key: Pick::Hot,
+        fault: None,
     };
-    let mut server = PrecursorServer::new(config, &cost);
-    let mut clients: Vec<PrecursorClient> = (0..CLIENTS)
-        .map(|i| {
-            PrecursorClient::connect(&mut server, seed ^ ((i as u64 + 1) << 16)).expect("connect")
-        })
-        .collect();
-    let mut rng = SimRng::seed_from(seed ^ 0x11ea);
-    let mut history: Vec<HistOp> = Vec::new();
-    let mut step = 0u64;
-    let mut put_counter = 0u64;
-
-    for _round in 0..ROUNDS {
-        let mut pending: Vec<HashMap<u64, usize>> = vec![HashMap::new(); CLIENTS];
-        for (c, client) in clients.iter_mut().enumerate() {
-            let depth = 2 + rng.gen_range(2) as usize;
-            for _ in 0..depth {
-                let key = rng.gen_range(KEYS) as u8;
-                let (oid, kind) = match rng.gen_range(4) {
-                    0 | 1 => {
-                        put_counter += 1;
-                        let mut val = put_counter.to_le_bytes().to_vec();
-                        val.push(c as u8);
-                        let oid = client.put(&[key], &val).expect("put send");
-                        (oid, Kind::Put(val))
-                    }
-                    2 => (client.get(&[key]).expect("get send"), Kind::Get(None)),
-                    _ => (
-                        client.delete(&[key]).expect("delete send"),
-                        Kind::Delete(false),
-                    ),
-                };
-                history.push(HistOp {
-                    key,
-                    kind,
-                    invoke: step,
-                    response: u64::MAX,
-                });
-                step += 1;
-                pending[c].insert(oid, history.len() - 1);
-            }
-        }
-        // Drain the round: sweep until the server finds nothing, letting
-        // clients consume replies (and free credits) between sweeps.
-        loop {
-            let n = server.poll();
-            for client in clients.iter_mut() {
-                client.poll_replies();
-            }
-            if n == 0 {
-                break;
-            }
-        }
-        for (c, client) in clients.iter_mut().enumerate() {
-            for comp in client.take_all_completed() {
-                let i = pending[c].remove(&comp.oid).expect("completion known");
-                assert!(
-                    comp.error.is_none(),
-                    "fault-free run must not error: {:?}",
-                    comp.error
-                );
-                match &mut history[i].kind {
-                    Kind::Put(_) => assert_eq!(comp.status, Status::Ok),
-                    Kind::Get(obs) => match comp.status {
-                        Status::Ok => *obs = Some(comp.value.clone().expect("get value")),
-                        Status::NotFound => *obs = None,
-                        s => panic!("unexpected get status {s:?}"),
-                    },
-                    Kind::Delete(existed) => match comp.status {
-                        Status::Ok => *existed = true,
-                        Status::NotFound => *existed = false,
-                        s => panic!("unexpected delete status {s:?}"),
-                    },
-                }
-                history[i].response = step;
-                step += 1;
-            }
-            assert!(pending[c].is_empty(), "round must drain fully");
-        }
+    Scenario {
+        nodes,
+        clients: 4,
+        keys: 6,
+        events: vec![(50, migrate)],
+        ..Scenario::new(seed)
     }
-    history
 }
 
-fn sweep_seeds() -> u64 {
-    std::env::var("PRECURSOR_SWEEP_SEEDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20)
-}
-
-fn shard_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, 4];
-    if let Some(extra) = std::env::var("PRECURSOR_SHARDS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        if extra > 0 && !counts.contains(&extra) {
-            counts.push(extra);
-        }
+// The same workload on three nodes of R = 2; a seed-derived node's machine
+// is lost at a seed-derived op.
+fn killing(seed: u64) -> Scenario {
+    let at = 10 + (seed * 37 % 80) as usize;
+    Scenario {
+        nodes: 3,
+        replicas: 2,
+        clients: 4,
+        keys: 6,
+        events: vec![(at, Event::FailNode((seed % 3) as usize))],
+        ..Scenario::journaled(seed)
     }
-    counts
 }
 
-// --- tests --------------------------------------------------------------
+fn overlapping(run: &Run) -> bool {
+    let h = &run.history;
+    h.iter().enumerate().any(|(i, a)| {
+        h[i + 1..]
+            .iter()
+            .any(|b| a.invoke < b.response && b.invoke < a.response)
+    })
+}
+
+// --- sweeps -------------------------------------------------------------
 
 #[test]
 fn multi_shard_histories_are_linearizable() {
-    let seeds = sweep_seeds();
-    let mut violations = Vec::new();
-    let mut ops_checked = 0usize;
-    for shards in shard_counts() {
-        for seed in 0..seeds {
-            let history = run_history(
-                shards,
-                seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (shards as u64) << 48,
-            );
-            ops_checked += history.len();
-            if let Err(e) = check_history(&history) {
-                violations.push(format!("shards={shards} seed={seed}: {e}"));
-            }
+    sweep("wing-gong-n1", |seed| migrating(seed, 1), |_| {});
+}
+
+#[test]
+fn cluster_histories_are_linearizable_with_migration_in_flight() {
+    let (mut fenced, mut redirects) = (0, 0);
+    for nodes in [2, 4] {
+        let kind = format!("wing-gong-n{nodes}");
+        let check = |run: &Run| assert!(run.aborts.is_empty(), "fault-free migrations never abort");
+        for run in sweep(&kind, |seed| migrating(seed, nodes), check) {
+            fenced += run.fences.len();
+            redirects += run.redirects;
         }
     }
-    assert!(
-        violations.is_empty(),
-        "linearizability violations:\n{}",
-        violations.join("\n")
-    );
-    assert!(ops_checked > 0);
+    // The sweep must exercise what it claims to test: fences commit
+    // mid-run and stale caches are redirected.
+    assert!(fenced > 0, "no migration fenced across the sweep");
+    assert!(redirects > 0, "no sealed redirect fired across the sweep");
+}
+
+#[test]
+fn killing_a_node_between_rounds_loses_no_acked_write() {
+    let runs = sweep("wing-gong-kill", killing, |run| {
+        assert_eq!(run.failovers.len(), 1);
+        assert!(
+            !run.failovers[0].stale,
+            "rounds drain: the quorum holds all"
+        );
+    });
+    for run in runs.iter().take(3) {
+        assert_eq!(*run, killing(run.seed).run_ok(), "seed {}", run.seed);
+    }
 }
 
 #[test]
 fn histories_exercise_real_concurrency() {
     // Sanity: the harness records overlapping ops (otherwise the checker
     // never faces a choice and the suite proves nothing).
-    let history = run_history(4, 0xC0);
-    let overlapping = history.iter().enumerate().any(|(i, a)| {
-        history[i + 1..]
-            .iter()
-            .any(|b| a.invoke < b.response && b.invoke < a.response)
-    });
-    assert!(overlapping, "workload must contain concurrent ops");
+    assert!(overlapping(&migrating(0xC0, 1).run_ok()));
+}
+
+#[test]
+fn cluster_histories_exercise_real_concurrency() {
+    // Overlapping ops exist even with redirect re-issues keeping entries
+    // open.
+    assert!(overlapping(&migrating(0xC0, 4).run_ok()));
+}
+
+#[test]
+fn cluster_runs_replay_bit_identically() {
+    for (nodes, seed) in [(1, 5), (2, 3), (4, 11)] {
+        let run = migrating(seed, nodes).run_ok();
+        assert_eq!(run, migrating(seed, nodes).run_ok(), "nodes={nodes}");
+    }
+}
+
+// --- the checker and the harness see real violations --------------------
+
+fn put_at(key: u8, val: &[u8], invoke: u64, response: u64) -> HistOp {
+    HistOp {
+        key,
+        kind: Kind::Put(val.to_vec()),
+        invoke,
+        response,
+    }
+}
+
+fn get_at(key: u8, obs: Option<&[u8]>, invoke: u64, response: u64) -> HistOp {
+    HistOp {
+        key,
+        kind: Kind::Get(obs.map(<[u8]>::to_vec)),
+        invoke,
+        response,
+    }
 }
 
 #[test]
 fn checker_accepts_sequential_and_concurrent_witnesses() {
-    let put = |key, val: &[u8], invoke, response| HistOp {
-        key,
-        kind: Kind::Put(val.to_vec()),
-        invoke,
-        response,
-    };
-    let get = |key, obs: Option<&[u8]>, invoke, response| HistOp {
-        key,
-        kind: Kind::Get(obs.map(<[u8]>::to_vec)),
-        invoke,
-        response,
-    };
     // Sequential: put then read-back.
-    assert!(check_history(&[put(1, b"a", 0, 1), get(1, Some(b"a"), 2, 3)]).is_ok());
+    assert!(check_history(&[put_at(1, b"a", 0, 1), get_at(1, Some(b"a"), 2, 3)]).is_ok());
     // Concurrent get may linearize before OR after the overlapping put.
-    assert!(check_history(&[put(1, b"a", 0, 3), get(1, None, 1, 2)]).is_ok());
-    assert!(check_history(&[put(1, b"a", 0, 3), get(1, Some(b"a"), 1, 2)]).is_ok());
+    assert!(check_history(&[put_at(1, b"a", 0, 3), get_at(1, None, 1, 2)]).is_ok());
+    assert!(check_history(&[put_at(1, b"a", 0, 3), get_at(1, Some(b"a"), 1, 2)]).is_ok());
 }
 
 #[test]
 fn checker_rejects_non_linearizable_histories() {
-    let put = |key, val: &[u8], invoke, response| HistOp {
-        key,
-        kind: Kind::Put(val.to_vec()),
-        invoke,
-        response,
-    };
-    let get = |key, obs: Option<&[u8]>, invoke, response| HistOp {
-        key,
-        kind: Kind::Get(obs.map(<[u8]>::to_vec)),
-        invoke,
-        response,
-    };
     // Lost update: a completed put must be visible to a later get.
-    assert!(check_history(&[put(1, b"a", 0, 1), get(1, None, 2, 3)]).is_err());
+    assert!(check_history(&[put_at(1, b"a", 0, 1), get_at(1, None, 2, 3)]).is_err());
     // Phantom value: a get may never observe a value nobody wrote.
-    assert!(check_history(&[put(1, b"a", 0, 1), get(1, Some(b"b"), 2, 3)]).is_err());
+    assert!(check_history(&[put_at(1, b"a", 0, 1), get_at(1, Some(b"b"), 2, 3)]).is_err());
     // Stale rewind: once a newer value is observed, an older one may not
     // reappear for a strictly later read.
     assert!(check_history(&[
-        put(1, b"a", 0, 1),
-        put(1, b"b", 2, 3),
-        get(1, Some(b"b"), 4, 5),
-        get(1, Some(b"a"), 6, 7),
+        put_at(1, b"a", 0, 1),
+        put_at(1, b"b", 2, 3),
+        get_at(1, Some(b"b"), 4, 5),
+        get_at(1, Some(b"a"), 6, 7),
     ])
     .is_err());
     // Delete visibility: a completed delete hides the value from later
     // reads.
     assert!(check_history(&[
-        put(1, b"a", 0, 1),
+        put_at(1, b"a", 0, 1),
         HistOp {
             key: 1,
             kind: Kind::Delete(true),
             invoke: 2,
             response: 3
         },
-        get(1, Some(b"a"), 4, 5),
+        get_at(1, Some(b"a"), 4, 5),
     ])
     .is_err());
+}
+
+#[test]
+fn checker_catches_a_write_acked_on_the_source_after_the_fence() {
+    // After the fence the source is (adversarially) rolled back to the
+    // pre-migration ring, so it acks a put for a range it no longer owns.
+    // The value is stranded on the source — cluster-routed reads go to
+    // the real owner and never see it — and the checker must reject the
+    // merged history.
+    let mut h = Scenario {
+        nodes: 2,
+        ..Scenario::new(0xBAD_5EED)
+    }
+    .build();
+    let old_ring = h.cluster.meta().snapshot();
+    let stale = h.connect(0x51a1e).expect("connect"); // routes by epoch 1
+    let key = [3u8];
+    let from = h.cluster.meta().lookup(&key).0;
+    h.put(0, &key, b"old").expect("put old");
+    assert!(h.cluster.start_migration(&key, 1 - from).expect("start"));
+    while !matches!(h.cluster.pump_migration(8), MigrationOutcome::Fenced(_)) {}
+
+    // The stale cache routes to the source, whose sealed hint refreshes
+    // it; the new owner serves the value.
+    let read = h.clients[0].get_sync(&mut h.cluster, &key);
+    assert_eq!(read.expect("get"), b"old");
+    assert!(h.clients[0].stats().redirects >= 1, "fence redirected");
+
+    // Adversarial rollback of the source's routing view: a client whose
+    // cache predates the fence reaches the source, which acks.
+    h.cluster
+        .node_mut(from as usize)
+        .install_routing(from, old_ring);
+    assert_eq!(h.put(stale, &key, b"new").expect("put").status, Status::Ok);
+
+    // The real owner never saw the stranded write.
+    let read = h.clients[0].get_sync(&mut h.cluster, &key);
+    assert_eq!(read.expect("get"), b"old");
+    let history = [
+        put_at(3, b"old", 0, 1),
+        get_at(3, Some(b"old"), 2, 3),
+        put_at(3, b"new", 4, 5),
+        get_at(3, Some(b"old"), 6, 7),
+    ];
+    let err = check_history(&history).expect_err("stale ack must be flagged");
+    assert!(err.contains("no linearization"), "unexpected error: {err}");
+}
+
+#[test]
+fn scenario_rejects_a_source_that_still_owns_a_fenced_range() {
+    // The same host attack as a seeded row: once the range has fenced
+    // away, the source's view is rolled back and the one-owner oracle
+    // fails the run before the stale view can ack anything.
+    let mut s = Scenario {
+        nodes: 2,
+        keys: 4,
+        ops: 40,
+        ..Scenario::new(0x57a1e)
+    };
+    let key = s.live_key_at(10);
+    s.events = vec![
+        (
+            10,
+            Event::Migrate {
+                key: Pick::Key(key),
+                fault: None,
+            },
+        ),
+        (20, Event::StaleRouting(s.owner(key))),
+    ];
+    let v = s
+        .run()
+        .expect_err("a rolled-back routing view is a violation");
+    assert_eq!(v.run.fences.len(), 1, "the range fenced first");
+    assert!(v.what.contains("2 owners"), "{}", v.what);
+}
+
+#[test]
+fn scenario_rejects_a_read_of_an_overwritten_value() {
+    // A bare node restarted from a checkpoint that predates an overwrite:
+    // the fresh client's read-back returns the older value.
+    let s = Scenario {
+        keys: 1,
+        ops: 12,
+        events: vec![(4, Event::Checkpoint), (12, Event::Restart(0))],
+        // Seed 1's op stream overwrites the key between op 4 and op 12.
+        ..Scenario::new(1)
+    };
+    let v = s.run().expect_err("a lost overwrite is a violation");
+    assert!(v.what.contains("read an overwritten value"), "{}", v.what);
 }

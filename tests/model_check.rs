@@ -53,8 +53,8 @@ use precursor::{
 use precursor_sim::CostModel;
 use precursor_storage::stable_key_hash;
 
-// The Wing–Gong checker, shared with the linearizability suite.
-#[path = "wing_gong/mod.rs"]
+// The Wing–Gong checker, shared with the scenario harness.
+#[path = "scenario/wing_gong.rs"]
 mod wing_gong;
 use wing_gong::{check_history, HistOp, Kind};
 

@@ -12,65 +12,20 @@
 //! tolerance-free — any drift means either the cost model changed (update
 //! the pins and say so) or a tap started perturbing the run (fix it).
 
-use precursor::{
-    AdversaryPlan, AttackClass, Config, FaultAction, FaultDir, FaultPlan, FaultSite,
-    PrecursorClient, PrecursorServer, RetryPolicy,
-};
+use precursor::{Config, PrecursorClient, PrecursorServer};
 use precursor_obs::{FixedHistogram, MetricsRegistry, DEFAULT_LATENCY_BOUNDS_NS};
 use precursor_sim::rng::SimRng;
 use precursor_sim::CostModel;
 
-const OPS: u64 = 120;
+#[path = "scenario/mod.rs"]
+mod scenario;
 
-// Same scripted plans as tests/determinism.rs: this file pins *stage
-// sums* of the identical golden workload, that one pins the digest.
-fn fault_plan() -> FaultPlan {
-    FaultPlan::none()
-        .rule(FaultSite::Write, FaultDir::AtoB, FaultAction::Drop, 5)
-        .rule(FaultSite::Write, FaultDir::BtoA, FaultAction::Drop, 11)
-        .rule(FaultSite::Write, FaultDir::BtoA, FaultAction::Corrupt, 23)
-        .rule(FaultSite::Write, FaultDir::AtoB, FaultAction::Drop, 41)
-        .rule(FaultSite::Write, FaultDir::BtoA, FaultAction::Drop, 57)
-}
-
-fn adversary_plan() -> AdversaryPlan {
-    AdversaryPlan::none()
-        .rule(AttackClass::Tamper, 9)
-        .rule(AttackClass::Duplicate, 30)
-}
-
-// The golden-digest chaos workload with tracing enabled at `trace_cap`;
-// returns the finished server and client for inspection.
-fn chaos_run(seed: u64, trace_cap: usize) -> (PrecursorServer, PrecursorClient) {
-    let cost = CostModel::default();
-    let mut server = PrecursorServer::new(Config::default(), &cost);
-    server.set_fault_plan(fault_plan(), seed);
-    server.set_adversary_plan(adversary_plan(), seed ^ 0xad);
-    server.enable_tracing(trace_cap);
-    let mut client = PrecursorClient::connect(&mut server, seed ^ 0xc11e).expect("connect");
-    client.enable_tracing(trace_cap);
-    client.set_retry_policy(RetryPolicy {
-        jitter: 0.0,
-        ..RetryPolicy::default()
-    });
-
-    let mut rng = SimRng::seed_from(seed ^ 0x5eed);
-    for _ in 0..OPS {
-        let key = [(rng.gen_range(24)) as u8];
-        match rng.gen_range(3) {
-            0 => {
-                let mut v = vec![0u8; 1 + rng.gen_range(96) as usize];
-                rng.fill_bytes(&mut v);
-                let _ = client.put_sync(&mut server, &key, &v);
-            }
-            1 => {
-                let _ = client.get_sync(&mut server, &key);
-            }
-            _ => {
-                let _ = client.delete_sync(&mut server, &key);
-            }
-        }
-    }
+// The golden workload `tests/determinism.rs` pins by digest, with tracing
+// at `trace_cap`: this file pins its *stage sums*. Returns the finished
+// server and client for inspection.
+fn golden(seed: u64, trace_cap: usize) -> (PrecursorServer, PrecursorClient) {
+    let mut server = PrecursorServer::new(Config::default(), &CostModel::default());
+    let (client, _) = scenario::golden_run(&mut server, seed, trace_cap);
     (server, client)
 }
 
@@ -154,8 +109,8 @@ fn counters_saturate_instead_of_wrapping() {
 fn trace_digest_is_a_pure_function_of_the_seed() {
     // Tiny ring: the digest must survive eviction, so determinism holds
     // over *all* recorded events, not just the retained window.
-    let (s1, c1) = chaos_run(7, 8);
-    let (s2, c2) = chaos_run(7, 8);
+    let (s1, c1) = golden(7, 8);
+    let (s2, c2) = golden(7, 8);
     assert!(s1.tracer().recorded() > 8, "ring must have evicted");
     assert_eq!(s1.tracer().digest(), s2.tracer().digest());
     assert_eq!(s1.tracer().recorded(), s2.tracer().recorded());
@@ -163,18 +118,18 @@ fn trace_digest_is_a_pure_function_of_the_seed() {
     assert_eq!(c1.tracer().recorded(), c2.tracer().recorded());
 
     // A different seed must shuffle the event stream.
-    let (s3, _c3) = chaos_run(8, 8);
+    let (s3, _c3) = golden(8, 8);
     assert_ne!(s1.tracer().digest(), s3.tracer().digest());
 
     // Ring capacity must not feed back into the digest.
-    let (s4, _c4) = chaos_run(7, 4096);
+    let (s4, _c4) = golden(7, 4096);
     assert_eq!(s1.tracer().digest(), s4.tracer().digest());
 }
 
 #[test]
 fn metrics_snapshot_replays_bit_identically() {
-    let (s1, c1) = chaos_run(7, 8);
-    let (s2, c2) = chaos_run(7, 8);
+    let (s1, c1) = golden(7, 8);
+    let (s2, c2) = golden(7, 8);
     assert_eq!(s1.metrics().to_json(), s2.metrics().to_json());
     assert_eq!(c1.metrics().to_json(), c2.metrics().to_json());
 }
@@ -185,7 +140,7 @@ fn fig8_stage_sums_match_golden_workload_exactly() {
     // accumulate over the shards=1 golden-digest workload (seed 7) — the
     // same run tests/determinism.rs pins by digest. These feed the fig8
     // breakdown, so any drift here shifts the published figure.
-    let (server, _client) = chaos_run(7, 8);
+    let (server, _client) = golden(7, 8);
     let m = server.metrics();
     let sum = |name: &str| m.histogram(name).expect(name).sum();
     let pins = [
