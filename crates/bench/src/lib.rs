@@ -11,6 +11,8 @@
 //! Set `PRECURSOR_FULL=1` for the paper's full parameters (600 k warmup
 //! records, 8 repetitions, 1 M-request latency runs, 3 M-key paging run).
 
+#![forbid(unsafe_code)]
+
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;

@@ -1,25 +1,34 @@
-//! AES-128 block cipher (FIPS 197).
+//! AES-128 block cipher (FIPS 197), encryption only.
 //!
-//! The S-box and its inverse are derived *algebraically* at compile time —
+//! Two kernels, one key schedule. [`Aes128::new`] takes the AES-NI kernel
+//! (`crate::x86`) when the CPU has it and the portable one otherwise; the
+//! choice is made once per key and every output byte is the same either
+//! way. Both hold the 11 round keys as 44 little-endian column words, which
+//! is the byte order AES-NI loads, so the two expansions can be compared
+//! word for word.
+//!
+//! The portable kernel derives the S-box *algebraically* at compile time —
 //! multiplicative inverse in GF(2⁸) followed by the affine transform — rather
-//! than transcribed, which removes an entire class of table-typo bugs; the
-//! FIPS 197 appendix vectors in the tests pin the result.
+//! than transcribing it, which removes an entire class of table-typo bugs;
+//! the FIPS 197 appendix vectors in the tests pin the result. Its round is
+//! the word-oriented T-table round of the Rijndael proposal (§5.2.1):
+//! SubBytes, ShiftRows and MixColumns of one state byte collapse into one
+//! lookup in a 256-entry `u32` table, and the other three rows use the same
+//! table rotated. A round is 16 lookups and 16 XORs on four column words.
 //!
-//! Encryption is the word-oriented T-table round of the Rijndael proposal
-//! (§5.2.1): SubBytes, ShiftRows and MixColumns of one state byte collapse
-//! into one lookup in a 256-entry `u32` table, itself derived at compile
-//! time from the algebraic S-box, and the other three rows use the same
-//! table rotated. A round is 16 lookups and 16 XORs on four column words;
-//! round keys are held as 44 words. Every GCM counter block and every CMAC
-//! block is one such encryption, which makes it most of the store's
-//! host-time cost (the *simulated* cost of AES comes from the cost model,
-//! not from this code's wall-clock speed). Decryption, which no mode in
-//! this crate uses, stays byte-oriented.
+//! Every GCM counter block and every CMAC block is one encryption, so the
+//! modes' inner loops live here too: `Aes128::ctr32_xor` (GCM's CTR, four
+//! blocks per AES-NI pass) and `Aes128::cbc_mac` (CMAC's serial chain).
+//! The *simulated* cost of AES comes from the cost model, not from this
+//! code's wall-clock speed. No mode in this crate decrypts a block, so there
+//! is no decryption.
 //!
-//! Table lookups indexed by key-dependent bytes are **not constant-time**;
-//! see the crate-level security note.
+//! The portable kernel's table lookups are indexed by key-dependent bytes
+//! and are **not constant-time**; see the crate-level security note.
 
 use crate::keys::Key128;
+#[cfg(target_arch = "x86_64")]
+use crate::x86::AesNi;
 
 const fn xtime(a: u8) -> u8 {
     (a << 1) ^ (((a >> 7) & 1) * 0x1b)
@@ -73,20 +82,8 @@ const fn build_sbox() -> [u8; 256] {
     t
 }
 
-const fn build_inv_sbox(sbox: &[u8; 256]) -> [u8; 256] {
-    let mut t = [0u8; 256];
-    let mut i = 0usize;
-    while i < 256 {
-        t[sbox[i] as usize] = i as u8;
-        i += 1;
-    }
-    t
-}
-
 /// The AES S-box, derived at compile time.
 pub const SBOX: [u8; 256] = build_sbox();
-/// The inverse AES S-box.
-pub const INV_SBOX: [u8; 256] = build_inv_sbox(&SBOX);
 
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
@@ -95,22 +92,93 @@ const fn build_te0() -> [u32; 256] {
     let mut i = 0usize;
     while i < 256 {
         let s = SBOX[i];
-        t[i] = u32::from_be_bytes([xtime(s), s, s, xtime(s) ^ s]);
+        t[i] = u32::from_le_bytes([xtime(s), s, s, xtime(s) ^ s]);
         i += 1;
     }
     t
 }
 
 /// `TE0[a]` is MixColumns applied to the column `(S[a], 0, 0, 0)`, packed
-/// big-endian: `(2·S[a], S[a], S[a], 3·S[a])`. A byte in row `r` contributes
-/// the same column rotated down by `r` bytes, i.e. `TE0[a].rotate_right(8r)`.
+/// little-endian: `(2·S[a], S[a], S[a], 3·S[a])`. A byte in row `r`
+/// contributes the same column rotated down by `r` bytes, i.e.
+/// `TE0[a].rotate_left(8r)`.
 static TE0: [u32; 256] = build_te0();
 
 fn sub_word(w: u32) -> u32 {
-    u32::from_be_bytes(w.to_be_bytes().map(|b| SBOX[b as usize]))
+    u32::from_le_bytes(w.to_le_bytes().map(|b| SBOX[b as usize]))
 }
 
-/// An expanded AES-128 key ready to encrypt or decrypt 16-byte blocks.
+/// Row `r` of column word `w` (row 0 in the least significant byte).
+fn row(w: u32, r: u32) -> usize {
+    ((w >> (8 * r)) & 0xff) as usize
+}
+
+/// The portable key expansion (FIPS 197 §5.2).
+pub(crate) fn expand_key(key: &[u8; 16]) -> [u32; 44] {
+    let mut w = [0u32; 44];
+    for (word, bytes) in w.iter_mut().zip(key.chunks_exact(4)) {
+        *word = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    }
+    for i in 4..44 {
+        let mut temp = w[i - 1];
+        if i % 4 == 0 {
+            // RotWord moves byte 1 to byte 0: a right rotation of a
+            // little-endian word.
+            temp = sub_word(temp.rotate_right(8)) ^ u32::from(RCON[i / 4 - 1]);
+        }
+        w[i] = w[i - 4] ^ temp;
+    }
+    w
+}
+
+/// The portable block encryption: nine T-table rounds and a last round of
+/// plain S-box bytes.
+pub(crate) fn encrypt_block(rk: &[u32; 44], block: [u8; 16]) -> [u8; 16] {
+    // s[c] is state column c, row 0 in the least significant byte.
+    let mut s = [0u32; 4];
+    for c in 0..4 {
+        let col = [
+            block[4 * c],
+            block[4 * c + 1],
+            block[4 * c + 2],
+            block[4 * c + 3],
+        ];
+        s[c] = u32::from_le_bytes(col) ^ rk[c];
+    }
+    for round in 1..10 {
+        // ShiftRows: output column c takes row r from input column c + r.
+        let mut t = [0u32; 4];
+        for c in 0..4 {
+            t[c] = TE0[row(s[c], 0)]
+                ^ TE0[row(s[(c + 1) % 4], 1)].rotate_left(8)
+                ^ TE0[row(s[(c + 2) % 4], 2)].rotate_left(16)
+                ^ TE0[row(s[(c + 3) % 4], 3)].rotate_left(24)
+                ^ rk[4 * round + c];
+        }
+        s = t;
+    }
+    let mut out = [0u8; 16];
+    for c in 0..4 {
+        let col = u32::from_le_bytes([
+            SBOX[row(s[c], 0)],
+            SBOX[row(s[(c + 1) % 4], 1)],
+            SBOX[row(s[(c + 2) % 4], 2)],
+            SBOX[row(s[(c + 3) % 4], 3)],
+        ]) ^ rk[40 + c];
+        out[4 * c..4 * c + 4].copy_from_slice(&col.to_le_bytes());
+    }
+    out
+}
+
+fn xor_block(a: [u8; 16], b: &[u8]) -> [u8; 16] {
+    let mut out = a;
+    for (x, y) in out.iter_mut().zip(b) {
+        *x ^= y;
+    }
+    out
+}
+
+/// An expanded AES-128 key ready to encrypt 16-byte blocks.
 ///
 /// # Example
 ///
@@ -119,15 +187,17 @@ fn sub_word(w: u32) -> u32 {
 /// use precursor_crypto::keys::Key128;
 ///
 /// let cipher = Aes128::new(&Key128::from_bytes([0u8; 16]));
-/// let block = [0u8; 16];
-/// let ct = cipher.encrypt_block(block);
-/// assert_eq!(cipher.decrypt_block(ct), block);
+/// let ct = cipher.encrypt_block([0u8; 16]);
+/// assert_eq!(ct[..4], [0x66, 0xe9, 0x4b, 0xd4]);
 /// ```
 #[derive(Clone)]
 pub struct Aes128 {
     /// The key schedule `w[0..44]`; round `r` uses words `4r..4r + 4`, each
-    /// a big-endian state column.
+    /// a little-endian state column.
     round_keys: [u32; 44],
+    /// Present when the schedule was expanded for, and runs on, AES-NI.
+    #[cfg(target_arch = "x86_64")]
+    aesni: Option<AesNi>,
 }
 
 impl std::fmt::Debug for Aes128 {
@@ -138,126 +208,75 @@ impl std::fmt::Debug for Aes128 {
 }
 
 impl Aes128 {
-    /// Expands `key` into the 11 round keys (FIPS 197 §5.2).
+    /// Expands `key` into the 11 round keys (FIPS 197 §5.2), with AES-NI
+    /// when the CPU has it.
     pub fn new(key: &Key128) -> Aes128 {
-        let mut w = [0u32; 44];
-        for (word, bytes) in w.iter_mut().zip(key.as_bytes().chunks_exact(4)) {
-            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(aesni) = AesNi::detect() {
+            return Aes128 {
+                round_keys: aesni.expand(key.as_bytes()),
+                aesni: Some(aesni),
+            };
         }
-        for i in 4..44 {
-            let mut temp = w[i - 1];
-            if i % 4 == 0 {
-                temp = sub_word(temp.rotate_left(8)) ^ (u32::from(RCON[i / 4 - 1]) << 24);
-            }
-            w[i] = w[i - 4] ^ temp;
+        Aes128::portable(key)
+    }
+
+    /// The portable kernel, whatever the CPU: the only path off x86-64, and
+    /// what the hardware kernel is tested against.
+    pub(crate) fn portable(key: &Key128) -> Aes128 {
+        Aes128 {
+            round_keys: expand_key(key.as_bytes()),
+            #[cfg(target_arch = "x86_64")]
+            aesni: None,
         }
-        Aes128 { round_keys: w }
     }
 
     /// Encrypts one 16-byte block.
     pub fn encrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
-        let rk = &self.round_keys;
-        // s[c] is state column c, row 0 in the most significant byte.
-        let mut s = [0u32; 4];
-        for c in 0..4 {
-            let col = [
-                block[4 * c],
-                block[4 * c + 1],
-                block[4 * c + 2],
-                block[4 * c + 3],
-            ];
-            s[c] = u32::from_be_bytes(col) ^ rk[c];
+        #[cfg(target_arch = "x86_64")]
+        if let Some(aesni) = self.aesni {
+            return aesni.encrypt_block(&self.round_keys, block);
         }
-        for round in 1..10 {
-            // ShiftRows: output column c takes row r from input column c + r.
-            let mut t = [0u32; 4];
-            for c in 0..4 {
-                t[c] = TE0[(s[c] >> 24) as usize]
-                    ^ TE0[((s[(c + 1) % 4] >> 16) & 0xff) as usize].rotate_right(8)
-                    ^ TE0[((s[(c + 2) % 4] >> 8) & 0xff) as usize].rotate_right(16)
-                    ^ TE0[(s[(c + 3) % 4] & 0xff) as usize].rotate_right(24)
-                    ^ rk[4 * round + c];
-            }
-            s = t;
-        }
-        // The last round has no MixColumns: plain S-box bytes.
-        let mut out = [0u8; 16];
-        for c in 0..4 {
-            let col = u32::from_be_bytes([
-                SBOX[(s[c] >> 24) as usize],
-                SBOX[((s[(c + 1) % 4] >> 16) & 0xff) as usize],
-                SBOX[((s[(c + 2) % 4] >> 8) & 0xff) as usize],
-                SBOX[(s[(c + 3) % 4] & 0xff) as usize],
-            ]) ^ rk[40 + c];
-            out[4 * c..4 * c + 4].copy_from_slice(&col.to_be_bytes());
-        }
-        out
+        encrypt_block(&self.round_keys, block)
     }
 
-    /// Decrypts one 16-byte block.
-    pub fn decrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
-        let mut s = block;
-        self.add_round_key(&mut s, 10);
-        for round in (1..10).rev() {
-            inv_shift_rows(&mut s);
-            inv_sub_bytes(&mut s);
-            self.add_round_key(&mut s, round);
-            inv_mix_columns(&mut s);
+    /// CBC-MAC with a zero IV over `blocks` (whole 16-byte blocks) followed
+    /// by `last`: CMAC's chain, one block at a time because each block
+    /// needs the previous one's output.
+    pub(crate) fn cbc_mac(&self, blocks: &[u8], last: [u8; 16]) -> [u8; 16] {
+        debug_assert_eq!(blocks.len() % 16, 0);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(aesni) = self.aesni {
+            return aesni.cbc_mac(&self.round_keys, blocks, last);
         }
-        inv_shift_rows(&mut s);
-        inv_sub_bytes(&mut s);
-        self.add_round_key(&mut s, 0);
-        s
+        let mut x = [0u8; 16];
+        for block in blocks.chunks_exact(16) {
+            x = encrypt_block(&self.round_keys, xor_block(x, block));
+        }
+        encrypt_block(&self.round_keys, xor_block(x, &last))
     }
 
-    fn add_round_key(&self, s: &mut [u8; 16], round: usize) {
-        let words = &self.round_keys[4 * round..4 * round + 4];
-        for (col, word) in s.chunks_exact_mut(4).zip(words) {
-            for (b, k) in col.iter_mut().zip(word.to_be_bytes()) {
+    /// XORs the CTR keystream of counter block `j0` into `data`: block `i`
+    /// (from 1) is `E(j0 + i)`, where `+` is `inc32` — it wraps the last
+    /// four bytes, big-endian, and leaves the first twelve alone (SP 800-38D
+    /// §6.2).
+    pub(crate) fn ctr32_xor(&self, j0: &[u8; 16], data: &mut [u8]) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(aesni) = self.aesni {
+            return aesni.ctr32_xor(&self.round_keys, j0, data);
+        }
+        let mut counter = *j0;
+        let mut ctr = u32::from_be_bytes([j0[12], j0[13], j0[14], j0[15]]);
+        for chunk in data.chunks_mut(16) {
+            ctr = ctr.wrapping_add(1);
+            counter[12..].copy_from_slice(&ctr.to_be_bytes());
+            let ks = encrypt_block(&self.round_keys, counter);
+            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
                 *b ^= k;
             }
         }
     }
 }
-
-fn inv_sub_bytes(s: &mut [u8; 16]) {
-    for b in s.iter_mut() {
-        *b = INV_SBOX[*b as usize];
-    }
-}
-
-// State layout: s[r + 4c] is row r, column c (FIPS 197 §3.4).
-fn inv_shift_rows(s: &mut [u8; 16]) {
-    let orig = *s;
-    for r in 1..4 {
-        for c in 0..4 {
-            s[r + 4 * ((c + r) % 4)] = orig[r + 4 * c];
-        }
-    }
-}
-
-fn inv_mix_columns(s: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
-        s[4 * c] = gf_mul(col[0], 0x0e)
-            ^ gf_mul(col[1], 0x0b)
-            ^ gf_mul(col[2], 0x0d)
-            ^ gf_mul(col[3], 0x09);
-        s[4 * c + 1] = gf_mul(col[0], 0x09)
-            ^ gf_mul(col[1], 0x0e)
-            ^ gf_mul(col[2], 0x0b)
-            ^ gf_mul(col[3], 0x0d);
-        s[4 * c + 2] = gf_mul(col[0], 0x0d)
-            ^ gf_mul(col[1], 0x09)
-            ^ gf_mul(col[2], 0x0e)
-            ^ gf_mul(col[3], 0x0b);
-        s[4 * c + 3] = gf_mul(col[0], 0x0b)
-            ^ gf_mul(col[1], 0x0d)
-            ^ gf_mul(col[2], 0x09)
-            ^ gf_mul(col[3], 0x0e);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,13 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn inv_sbox_inverts() {
-        for i in 0..=255u8 {
-            assert_eq!(INV_SBOX[SBOX[i as usize] as usize], i);
-        }
-    }
-
-    #[test]
     fn sbox_is_permutation() {
         let mut seen = [false; 256];
         for &v in SBOX.iter() {
@@ -304,7 +316,6 @@ mod tests {
         let expected = hex16("3925841d02dc09fbdc118597196a0b32");
         let c = Aes128::new(&key);
         assert_eq!(c.encrypt_block(pt), expected);
-        assert_eq!(c.decrypt_block(expected), pt);
         assert_eq!(reference::encrypt_block(key.as_bytes(), pt), expected);
     }
 
@@ -316,7 +327,6 @@ mod tests {
         let expected = hex16("69c4e0d86a7b0430d8cdb78070b4c55a");
         let c = Aes128::new(&key);
         assert_eq!(c.encrypt_block(pt), expected);
-        assert_eq!(c.decrypt_block(expected), pt);
         assert_eq!(reference::encrypt_block(key.as_bytes(), pt), expected);
     }
 
@@ -324,22 +334,10 @@ mod tests {
     fn te0_is_mix_columns_of_the_sbox() {
         for a in 0..256usize {
             let s = SBOX[a];
-            let [two, one, one_again, three] = TE0[a].to_be_bytes();
+            let [two, one, one_again, three] = TE0[a].to_le_bytes();
             assert_eq!((one, one_again), (s, s));
             assert_eq!(two, gf_mul(s, 2));
             assert_eq!(three, gf_mul(s, 3));
-        }
-    }
-
-    #[test]
-    fn encrypt_decrypt_roundtrip_random() {
-        let c = Aes128::new(&Key128::from_bytes([0xA5; 16]));
-        let mut block = [0u8; 16];
-        for round in 0..100u32 {
-            for (i, b) in block.iter_mut().enumerate() {
-                *b = (round as u8).wrapping_mul(31).wrapping_add(i as u8);
-            }
-            assert_eq!(c.decrypt_block(c.encrypt_block(block)), block);
         }
     }
 

@@ -3,6 +3,10 @@
 //! The paper's clients MAC the Salsa20-encrypted payload with
 //! `sgx_rijndael128_cmac_msg`, i.e. AES-128-CMAC, so integrity can be
 //! verified by whoever holds the one-time key `K_operation` (§4).
+//!
+//! The chain runs on the kernel [`Aes128::new`] picks for the key (AES-NI
+//! where the CPU has it), one block at a time, since each block encrypts
+//! the previous one's output.
 
 use crate::aes::Aes128;
 use crate::keys::{Key128, Tag};
@@ -33,40 +37,29 @@ fn dbl(block: [u8; 16]) -> [u8; 16] {
 /// assert_eq!(t1, t2);
 /// ```
 pub fn mac(key: &Key128, msg: &[u8]) -> Tag {
-    let cipher = Aes128::new(key);
+    mac_with(&Aes128::new(key), msg)
+}
+
+/// [`mac`] on an expanded key.
+pub(crate) fn mac_with(cipher: &Aes128, msg: &[u8]) -> Tag {
     let k1 = dbl(cipher.encrypt_block([0u8; 16]));
     let k2 = dbl(k1);
-
+    // Every block but the last is chained as it is; the last is XORed with
+    // K1 when complete, padded and XORed with K2 otherwise.
     let n_blocks = msg.len().div_ceil(16).max(1);
-    let mut x = [0u8; 16];
-    for i in 0..n_blocks - 1 {
-        let mut block = [0u8; 16];
-        block.copy_from_slice(&msg[i * 16..i * 16 + 16]);
-        for j in 0..16 {
-            x[j] ^= block[j];
-        }
-        x = cipher.encrypt_block(x);
-    }
-
-    // Last block: XOR with K1 when complete, pad + K2 otherwise.
-    let rest = &msg[(n_blocks - 1) * 16..];
+    let (head, rest) = msg.split_at((n_blocks - 1) * 16);
     let mut last = [0u8; 16];
-    if rest.len() == 16 {
-        last.copy_from_slice(rest);
-        for j in 0..16 {
-            last[j] ^= k1[j];
-        }
+    last[..rest.len()].copy_from_slice(rest);
+    let subkey = if rest.len() == 16 {
+        k1
     } else {
-        last[..rest.len()].copy_from_slice(rest);
         last[rest.len()] = 0x80;
-        for j in 0..16 {
-            last[j] ^= k2[j];
-        }
+        k2
+    };
+    for (b, k) in last.iter_mut().zip(subkey) {
+        *b ^= k;
     }
-    for j in 0..16 {
-        x[j] ^= last[j];
-    }
-    Tag::from_bytes(cipher.encrypt_block(x))
+    Tag::from_bytes(cipher.cbc_mac(head, last))
 }
 
 /// Verifies a CMAC tag (no early exit in the comparison).

@@ -5,17 +5,20 @@
 //! confidentiality, integrity and client authenticity in one pass (§3.4, §4).
 //! The same construction seals journal records and enclave snapshots.
 //!
-//! GHASH multiplies by the hash key `H` with Shoup's 4-bit tables: the 16
-//! nibble multiples of `H` and of `H·x⁴` are built from `H` once per
-//! [`GcmKey`], and a block is then 16 byte steps of two lookups, a byte
-//! shift and one reduction lookup — instead of 128 conditional
-//! shift-and-XOR steps. The lookups are indexed by secret-dependent bytes,
-//! so like the AES tables this is **not constant-time**; tag comparison
-//! still is ([`ct_eq`]).
+//! Two GHASH kernels, chosen once per [`GcmKey`] like its AES kernel. Where
+//! the CPU has PCLMULQDQ, the multiplication by the hash key `H` is a
+//! carry-less multiply and a reduction (`crate::x86`), and the key holds
+//! `H` and nothing else. Elsewhere it uses Shoup's 4-bit tables: the 16
+//! nibble multiples of `H` and of `H·x⁴` are built from `H` once per key,
+//! and a block is then 16 byte steps of two lookups, a byte shift and one
+//! reduction lookup — instead of 128 conditional shift-and-XOR steps. The
+//! table lookups are indexed by secret-dependent bytes, so like the AES
+//! tables they are **not constant-time**; the carry-less path has no such
+//! lookups, and tag comparison is constant-time on both ([`ct_eq`]).
 //!
 //! [`GcmKey`] is the one implementation. A holder of a long-lived key (a
 //! client's `K_session`, a journal, a snapshot cut) builds it once and pays
-//! the AES key schedule, `H = E(0)` and the tables once; the free functions
+//! the AES key schedule, `H = E(0)` and any tables once; the free functions
 //! [`seal`], [`seal_into`], [`open`] and [`open_detached`] run the same
 //! code on a context built for the one call.
 
@@ -23,6 +26,8 @@ use crate::aes::Aes128;
 use crate::ct::ct_eq;
 use crate::error::CryptoError;
 use crate::keys::{Key128, Nonce12, Tag};
+#[cfg(target_arch = "x86_64")]
+use crate::x86::Clmul;
 
 /// GCM tag length in bytes.
 pub const TAG_LEN: usize = 16;
@@ -60,7 +65,7 @@ fn mul_x(v: u128) -> u128 {
 /// costs two lookups and one `REM8` step. 512 B, built once per
 /// [`GcmKey`].
 #[derive(Clone)]
-struct HTable {
+pub(crate) struct HTable {
     hi: [u128; 16],
     lo: [u128; 16],
 }
@@ -121,10 +126,42 @@ impl HTable {
     }
 }
 
+/// GHASH under one hash key, on the kernel chosen when it was built.
+#[derive(Clone)]
+pub(crate) enum Ghash {
+    /// Shoup's tables, boxed so that a [`GcmKey`] stays small on both paths.
+    Shoup(Box<HTable>),
+    #[cfg(target_arch = "x86_64")]
+    Clmul(Clmul, u128),
+}
+
+impl Ghash {
+    /// The carry-less kernel when the CPU has it, Shoup's tables otherwise.
+    fn new(h: u128) -> Ghash {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(clmul) = Clmul::detect() {
+            return Ghash::Clmul(clmul, h);
+        }
+        Ghash::portable(h)
+    }
+
+    pub(crate) fn portable(h: u128) -> Ghash {
+        Ghash::Shoup(Box::new(HTable::new(h)))
+    }
+
+    pub(crate) fn ghash(&self, aad: &[u8], ct: &[u8]) -> u128 {
+        match self {
+            Ghash::Shoup(table) => table.ghash(aad, ct),
+            #[cfg(target_arch = "x86_64")]
+            Ghash::Clmul(clmul, h) => clmul.ghash(*h, aad, ct),
+        }
+    }
+}
+
 /// GHASH under hash key `h` (SP 800-38D §6.4) of `aad` and `ct`, each
 /// zero-padded to whole blocks, followed by their lengths in bits.
 pub fn ghash(h: &[u8; 16], aad: &[u8], ct: &[u8]) -> [u8; 16] {
-    HTable::new(u128::from_be_bytes(*h))
+    Ghash::new(u128::from_be_bytes(*h))
         .ghash(aad, ct)
         .to_be_bytes()
 }
@@ -137,9 +174,10 @@ fn j0(nonce: &Nonce12) -> [u8; 16] {
 }
 
 /// An AES-128-GCM key with its set-up already paid: the AES round keys and
-/// the GHASH tables of `H = E(0)`, about 700 bytes. Build one per
-/// long-lived key and reuse it for every message; the bytes produced are
-/// those of the free functions of this module, which build one per call.
+/// `H = E(0)` (plus, on the portable path, the GHASH tables of `H`). Build
+/// one per long-lived key and reuse it for every message; the bytes
+/// produced are those of the free functions of this module, which build
+/// one per call.
 ///
 /// # Example
 ///
@@ -157,7 +195,7 @@ fn j0(nonce: &Nonce12) -> [u8; 16] {
 #[derive(Clone)]
 pub struct GcmKey {
     cipher: Aes128,
-    table: HTable,
+    hash: Ghash,
 }
 
 impl std::fmt::Debug for GcmKey {
@@ -168,31 +206,31 @@ impl std::fmt::Debug for GcmKey {
 }
 
 impl GcmKey {
-    /// Expands `key`: the AES key schedule, `H = E(0)` and its tables.
+    /// Expands `key`: the AES key schedule and `H = E(0)`, on AES-NI and
+    /// PCLMULQDQ when the CPU has them.
     pub fn new(key: &Key128) -> GcmKey {
         let cipher = Aes128::new(key);
         let h = u128::from_be_bytes(cipher.encrypt_block([0u8; 16]));
         GcmKey {
             cipher,
-            table: HTable::new(h),
+            hash: Ghash::new(h),
         }
     }
 
-    fn ctr_xor(&self, j0: &[u8; 16], data: &mut [u8]) {
-        let mut counter = *j0;
-        let mut ctr = u32::from_be_bytes([j0[12], j0[13], j0[14], j0[15]]);
-        for chunk in data.chunks_mut(16) {
-            ctr = ctr.wrapping_add(1);
-            counter[12..].copy_from_slice(&ctr.to_be_bytes());
-            let ks = self.cipher.encrypt_block(counter);
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-                *b ^= k;
-            }
+    /// The portable kernels, whatever the CPU: what the hardware ones are
+    /// tested against.
+    #[cfg(test)]
+    pub(crate) fn portable(key: &Key128) -> GcmKey {
+        let cipher = Aes128::portable(key);
+        let h = u128::from_be_bytes(cipher.encrypt_block([0u8; 16]));
+        GcmKey {
+            cipher,
+            hash: Ghash::portable(h),
         }
     }
 
     fn tag(&self, j0: &[u8; 16], aad: &[u8], ct: &[u8]) -> Tag {
-        let s = self.table.ghash(aad, ct);
+        let s = self.hash.ghash(aad, ct);
         let ekj0 = u128::from_be_bytes(self.cipher.encrypt_block(*j0));
         Tag::from_bytes((s ^ ekj0).to_be_bytes())
     }
@@ -214,7 +252,7 @@ impl GcmKey {
         let start = out.len();
         out.reserve(plaintext.len() + TAG_LEN);
         out.extend_from_slice(plaintext);
-        self.ctr_xor(&j0, &mut out[start..]);
+        self.cipher.ctr32_xor(&j0, &mut out[start..]);
         let tag = self.tag(&j0, aad, &out[start..]);
         out.extend_from_slice(tag.as_bytes());
     }
@@ -253,7 +291,7 @@ impl GcmKey {
             return Err(CryptoError::InvalidTag);
         }
         let mut pt = ct.to_vec();
-        self.ctr_xor(&j0, &mut pt);
+        self.cipher.ctr32_xor(&j0, &mut pt);
         Ok(pt)
     }
 
@@ -518,6 +556,13 @@ mod tests {
             assert!(!agree(&keyed, &n, b"aad", ct, &tag[..15]), "15-byte tag");
             assert!(!agree(&keyed, &n, b"aad", ct, &[]), "no tag");
         }
+    }
+
+    #[test]
+    fn a_key_is_no_larger_than_a_schedule_and_shoup_tables() {
+        // The parent's inline layout: 176 B of round keys and 512 B of
+        // tables. Either kernel's key now fits well inside it.
+        assert!(std::mem::size_of::<GcmKey>() <= 176 + 512);
     }
 
     #[test]

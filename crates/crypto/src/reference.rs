@@ -4,9 +4,10 @@
 //! of the specifications.
 //!
 //! Compiled under `#[cfg(test)]` only: the unit tests check these against
-//! the published vectors, and `tests/proptests.rs` includes this file by
-//! path to check the table-driven kernels against these on seeded random
-//! input. Byte arrays in and out, so it depends on nothing but the S-box.
+//! the published vectors and, in `kernel_pairs.rs`, check both the portable
+//! and the x86-64 kernels against these; `tests/proptests.rs` includes this
+//! file by path to check the public API on seeded random input. Byte arrays
+//! in and out, so it depends on nothing but the S-box.
 
 use super::aes::SBOX;
 

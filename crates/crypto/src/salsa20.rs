@@ -3,8 +3,18 @@
 //! This is the paper's client-side payload cipher: Libsodium's secretbox
 //! construction encrypts with (X)Salsa20 under the 256-bit one-time
 //! `K_operation` (§4). Encryption and decryption are the same keystream XOR.
+//!
+//! Two kernels share one double-round schedule. On x86-64 the SSE2 kernel
+//! (`crate::x86`) runs four blocks at once, one block per register lane,
+//! over every whole 256-byte group of a message, like libsodium's
+//! vectorised Salsa20; the portable kernel runs one block at a time on
+//! `u32`s for the rest, and for the whole message elsewhere.
+//! [`xor_keystream`] makes that split on each call; the bytes are those of
+//! the one-block kernel either way.
 
 use crate::keys::{Key256, Nonce8};
+#[cfg(target_arch = "x86_64")]
+use crate::x86::Sse2;
 
 const SIGMA: [u32; 4] = [
     u32::from_le_bytes(*b"expa"),
@@ -13,7 +23,6 @@ const SIGMA: [u32; 4] = [
     u32::from_le_bytes(*b"te k"),
 ];
 
-#[inline]
 fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
     state[b] ^= state[a].wrapping_add(state[d]).rotate_left(7);
     state[c] ^= state[b].wrapping_add(state[a]).rotate_left(9);
@@ -21,20 +30,28 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
     state[a] ^= state[d].wrapping_add(state[c]).rotate_left(18);
 }
 
-fn double_round(s: &mut [u32; 16]) {
-    // column round
-    quarter_round(s, 0, 4, 8, 12);
-    quarter_round(s, 5, 9, 13, 1);
-    quarter_round(s, 10, 14, 2, 6);
-    quarter_round(s, 15, 3, 7, 11);
-    // row round
-    quarter_round(s, 0, 1, 2, 3);
-    quarter_round(s, 5, 6, 7, 4);
-    quarter_round(s, 10, 11, 8, 9);
-    quarter_round(s, 15, 12, 13, 14);
+/// One double round of `quarter_round` over the 16-word state `s`: the
+/// column round, then the row round. Both kernels expand it, each with its
+/// own quarter round, so the index schedule is written once.
+macro_rules! double_round {
+    ($quarter_round:ident, $s:expr) => {
+        // column round
+        $quarter_round($s, 0, 4, 8, 12);
+        $quarter_round($s, 5, 9, 13, 1);
+        $quarter_round($s, 10, 14, 2, 6);
+        $quarter_round($s, 15, 3, 7, 11);
+        // row round
+        $quarter_round($s, 0, 1, 2, 3);
+        $quarter_round($s, 5, 6, 7, 4);
+        $quarter_round($s, 10, 11, 8, 9);
+        $quarter_round($s, 15, 12, 13, 14);
+    };
 }
+pub(crate) use double_round;
 
-fn keystream_block(key: &Key256, nonce: &Nonce8, counter: u64) -> [u8; 64] {
+/// The input words of block `counter`: constants, key, nonce and the
+/// counter as words 8 (low) and 9 (high).
+pub(crate) fn initial_state(key: &Key256, nonce: &Nonce8, counter: u64) -> [u32; 16] {
     let kb = key.as_bytes();
     let nb = nonce.as_bytes();
     let word = |bytes: &[u8], i: usize| {
@@ -60,10 +77,14 @@ fn keystream_block(key: &Key256, nonce: &Nonce8, counter: u64) -> [u8; 64] {
         s[11 + i] = word(kb, 4 + i);
     }
     s[15] = SIGMA[3];
+    s
+}
 
-    let input = s;
+fn keystream_block(key: &Key256, nonce: &Nonce8, counter: u64) -> [u8; 64] {
+    let input = initial_state(key, nonce, counter);
+    let mut s = input;
     for _ in 0..10 {
-        double_round(&mut s);
+        double_round!(quarter_round, &mut s);
     }
     let mut out = [0u8; 64];
     for i in 0..16 {
@@ -71,6 +92,23 @@ fn keystream_block(key: &Key256, nonce: &Nonce8, counter: u64) -> [u8; 64] {
         out[4 * i..4 * i + 4].copy_from_slice(&v.to_le_bytes());
     }
     out
+}
+
+/// The portable kernel: one block per pass.
+pub(crate) fn xor_keystream_portable(
+    key: &Key256,
+    nonce: &Nonce8,
+    counter_start: u64,
+    data: &mut [u8],
+) {
+    let mut counter = counter_start;
+    for chunk in data.chunks_mut(64) {
+        let ks = keystream_block(key, nonce, counter);
+        for (b, k) in chunk.iter_mut().zip(ks.iter()) {
+            *b ^= k;
+        }
+        counter = counter.wrapping_add(1);
+    }
 }
 
 /// XORs the Salsa20 keystream into `data` in place, starting at block
@@ -91,14 +129,15 @@ fn keystream_block(key: &Key256, nonce: &Nonce8, counter: u64) -> [u8; 64] {
 /// assert_eq!(&data, b"attack at dawn");
 /// ```
 pub fn xor_keystream(key: &Key256, nonce: &Nonce8, counter_start: u64, data: &mut [u8]) {
-    let mut counter = counter_start;
-    for chunk in data.chunks_mut(64) {
-        let ks = keystream_block(key, nonce, counter);
-        for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-            *b ^= k;
-        }
-        counter = counter.wrapping_add(1);
-    }
+    #[cfg(target_arch = "x86_64")]
+    let (counter_start, data) = {
+        let done = Sse2::detect().salsa20_xor(key, nonce, counter_start, data);
+        (
+            counter_start.wrapping_add(done as u64 / 64),
+            &mut data[done..],
+        )
+    };
+    xor_keystream_portable(key, nonce, counter_start, data);
 }
 
 /// Encrypts `plaintext` (allocating) — a convenience over [`xor_keystream`].
@@ -134,6 +173,36 @@ mod tests {
         let mut s = [0u32; 16];
         quarter_round(&mut s, 0, 1, 2, 3);
         assert_eq!(&s[..4], &[0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn spec_expansion_example() {
+        // The worked example of the Salsa20 specification's §10 (the
+        // 32-byte-key expansion): key bytes 1..=16 and 201..=216, nonce
+        // bytes 101..=108, block counter bytes 109..=116.
+        let key = Key256::from_bytes(std::array::from_fn(|i| {
+            if i < 16 {
+                1 + i as u8
+            } else {
+                185 + i as u8
+            }
+        }));
+        let nonce = Nonce8::from_bytes(std::array::from_fn(|i| 101 + i as u8));
+        let counter = u64::from_le_bytes(std::array::from_fn(|i| 109 + i as u8));
+        let expected: [u8; 64] = [
+            69, 37, 68, 39, 41, 15, 107, 193, 255, 139, 122, 6, 170, 233, 217, 98, 89, 144, 182,
+            106, 21, 51, 200, 65, 239, 49, 222, 34, 215, 114, 40, 126, 104, 197, 7, 225, 197, 153,
+            31, 2, 102, 78, 76, 176, 84, 245, 246, 184, 177, 160, 133, 130, 6, 72, 149, 119, 192,
+            195, 132, 236, 234, 103, 246, 74,
+        ];
+        // Four blocks, so that on x86-64 the public function runs the whole
+        // buffer through the four-block kernel.
+        let mut portable = [0u8; 256];
+        xor_keystream_portable(&key, &nonce, counter, &mut portable);
+        assert_eq!(portable[..64], expected);
+        let mut public = [0u8; 256];
+        xor_keystream(&key, &nonce, counter, &mut public);
+        assert_eq!(public, portable);
     }
 
     #[test]

@@ -1,14 +1,24 @@
 //! SHA-256 (FIPS 180-4).
 //!
-//! Used by the ShieldStore baseline's Merkle tree of bucket MACs and by the
-//! attestation model's key derivation ([`crate::hmac`]).
+//! Used by the ShieldStore baseline's Merkle tree of bucket MACs, the
+//! server's mutation digest, the journal and the attestation model's key
+//! derivation ([`crate::hmac`]).
+//!
+//! Two compression kernels: the SHA extensions (`crate::x86`) where the CPU
+//! has them, and the portable one below everywhere else. [`Sha256`] holds
+//! only the FIPS state, so it chooses on each call that has whole blocks to
+//! compress; the digest is the same either way.
+
+#[cfg(target_arch = "x86_64")]
+use crate::x86::ShaNi;
 
 /// Digest length in bytes.
 pub const DIGEST_LEN: usize = 32;
 /// Internal block length in bytes.
 pub const BLOCK_LEN: usize = 64;
 
-const K: [u32; 64] = [
+/// The round constants (FIPS 180-4 §4.2.2).
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -19,7 +29,7 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
-const H0: [u32; 8] = [
+pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
@@ -74,11 +84,10 @@ impl Sha256 {
                 self.buf_len = 0;
             }
         }
-        while data.len() >= BLOCK_LEN {
-            let mut block = [0u8; BLOCK_LEN];
-            block.copy_from_slice(&data[..BLOCK_LEN]);
-            compress(&mut self.state, &block);
-            data = &data[BLOCK_LEN..];
+        let whole = data.len() / BLOCK_LEN * BLOCK_LEN;
+        if whole > 0 {
+            compress(&mut self.state, &data[..whole]);
+            data = &data[whole..];
         }
         if !data.is_empty() {
             self.buf[..data.len()].copy_from_slice(data);
@@ -108,7 +117,27 @@ impl Sha256 {
     }
 }
 
-fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+/// Compresses `blocks` (whole blocks) into `state`, on the SHA extensions
+/// when the CPU has them.
+fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(sha) = ShaNi::detect() {
+        return sha.compress(state, blocks);
+    }
+    compress_portable(state, blocks);
+}
+
+/// The portable kernel: FIPS 180-4 §6.2.2, one block at a time.
+pub(crate) fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(BLOCK_LEN) {
+        compress_block(
+            state,
+            block.try_into().expect("chunks_exact yields a block"),
+        );
+    }
+}
+
+fn compress_block(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
     let mut w = [0u32; 64];
     for (i, wi) in w.iter_mut().take(16).enumerate() {
         *wi = u32::from_be_bytes([
@@ -232,9 +261,7 @@ mod tests {
             }
             padded.extend_from_slice(&(len as u64 * 8).to_be_bytes());
             let mut state = Sha256::new().state;
-            for block in padded.chunks_exact(BLOCK_LEN) {
-                compress(&mut state, block.try_into().unwrap());
-            }
+            compress_portable(&mut state, &padded);
             let expected: Vec<u8> = state.iter().flat_map(|w| w.to_be_bytes()).collect();
             assert_eq!(digest(&msg)[..], expected[..], "len {len}");
         }

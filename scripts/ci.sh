@@ -45,6 +45,26 @@ if grep -rnE "attach_replicated_journal|external_commit|replace_node|recover_sta
     exit 1
 fi
 
+# The crypto crate's x86 kernel module is the one place that may opt out of
+# the safe subset; every other crate forbids it outright.
+echo "== unsafe stays fenced =="
+fence_ok=1
+if grep -rn unsafe crates \
+    | grep -v '^crates/crypto/src/x86\.rs:' \
+    | grep -vE '^crates/[a-z]+/src/lib\.rs:[0-9]+:#!\[forbid\(unsafe_code\)\]$' \
+    | grep -vE '^crates/crypto/src/lib\.rs:[0-9]+:#!\[deny\((unsafe_code|clippy::undocumented_unsafe_blocks)\)\]$'; then
+    echo "ci: unsafe outside crates/crypto/src/x86.rs (lines above)" >&2
+    fence_ok=0
+fi
+for lib in crates/*/src/lib.rs; do
+    [ "$lib" = crates/crypto/src/lib.rs ] && continue
+    if ! grep -qx '#!\[forbid(unsafe_code)\]' "$lib"; then
+        echo "ci: $lib lost #![forbid(unsafe_code)]" >&2
+        fence_ok=0
+    fi
+done
+[ "$fence_ok" = 1 ] || exit 1
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
@@ -56,6 +76,11 @@ cargo build --release --workspace
 
 echo "== cargo test =="
 cargo test --workspace -q
+
+# Release codegen of the intrinsics kernels differs from debug: the rust
+# guide asks for a release test run whenever that code changes.
+echo "== cargo test --release -p precursor-crypto =="
+cargo test --release -q -p precursor-crypto
 
 echo "== workflow test filters select tests =="
 check_filters
