@@ -6,7 +6,9 @@
 //!
 //! The chain runs on the kernel [`Aes128::new`] picks for the key (AES-NI
 //! where the CPU has it), one block at a time, since each block encrypts
-//! the previous one's output.
+//! the previous one's output. So unlike GCM's CTR and GHASH or Salsa20 it
+//! does not widen: a call MACs one message, and no two of its blocks can
+//! be in the AES unit at once.
 
 use crate::aes::Aes128;
 use crate::keys::{Key128, Tag};

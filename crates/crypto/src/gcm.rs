@@ -7,12 +7,13 @@
 //!
 //! Two GHASH kernels, chosen once per [`GcmKey`] like its AES kernel. Where
 //! the CPU has PCLMULQDQ, the multiplication by the hash key `H` is a
-//! carry-less multiply and a reduction (`crate::x86`), and the key holds
-//! `H` and nothing else. Elsewhere it uses Shoup's 4-bit tables: the 16
-//! nibble multiples of `H` and of `H·x⁴` are built from `H` once per key,
-//! and a block is then 16 byte steps of two lookups, a byte shift and one
-//! reduction lookup — instead of 128 conditional shift-and-XOR steps. The
-//! table lookups are indexed by secret-dependent bytes, so like the AES
+//! carry-less multiply and a reduction (`crate::x86`; a message longer than
+//! 64 bytes takes four multiplies, by `H⁴` to `H`, per reduction), and the
+//! key holds `H` and nothing else. Elsewhere it uses Shoup's 4-bit tables:
+//! the 16 nibble multiples of `H` and of `H·x⁴` are built from `H` once per
+//! key, and a block is then 16 byte steps of two lookups, a byte shift and
+//! one reduction lookup — instead of 128 conditional shift-and-XOR steps.
+//! The table lookups are indexed by secret-dependent bytes, so like the AES
 //! tables they are **not constant-time**; the carry-less path has no such
 //! lookups, and tag comparison is constant-time on both ([`ct_eq`]).
 //!

@@ -18,7 +18,7 @@ use crate::reference;
 use crate::salsa20;
 use crate::sha256::{self, BLOCK_LEN, DIGEST_LEN};
 #[cfg(target_arch = "x86_64")]
-use crate::x86::{AesNi, Clmul, ShaNi, Sse2};
+use crate::x86::{AesNi, Avx512, Clmul, ShaNi, Sse2};
 
 fn rand_array<const N: usize>(rng: &mut SimRng) -> [u8; N] {
     let mut b = [0u8; N];
@@ -157,6 +157,17 @@ fn ghash_against_reference(ghash: impl Fn(u128, &[u8], &[u8]) -> u128) {
         let h = u128::from_be_bytes(rand_array(&mut rng));
         check(h, &rand_vec(&mut rng, 70), &rand_vec(&mut rng, 300));
     }
+    // Every AAD length and every text length 0..=300, the other one
+    // cycling, so each stream ends on every count of whole blocks past a
+    // four-block group and on every partial block; then one long text.
+    let mut data = vec![0u8; 35_000];
+    rng.fill_bytes(&mut data);
+    let h = u128::from_be_bytes(rand_array(&mut rng));
+    for len in 0..=300 {
+        check(h, &data[..len], &data[1000..1000 + len * 7 % 301]);
+        check(h, &data[..len * 11 % 301], &data[1000..1000 + len]);
+    }
+    check(h, &data[..13], &data);
 }
 
 #[test]
@@ -213,16 +224,17 @@ fn gcm_and_cmac_kernels_agree_at_every_length() {
     }
 }
 
-/// The keystream XORed into zeros at every length 0..=1100, from block
-/// counters 0, 2³² − 2 (the carry into word 9 lands inside a four-block
-/// group) and u64::MAX − 2 (the counter wraps inside one).
+/// The keystream XORed into zeros at every length 0..=2100, from block
+/// counters 0, 2³² − 7 (the carry into word 9 lands inside a sixteen-block
+/// group and inside a four-block one) and u64::MAX − 9 (the counter wraps
+/// inside each).
 fn salsa20_outputs(xor: impl Fn(&Key256, &Nonce8, u64, &mut [u8])) -> Vec<Vec<u8>> {
     let mut rng = SimRng::seed_from(0xb005);
     let mut out = Vec::new();
-    for counter in [0, (1u64 << 32) - 2, u64::MAX - 2] {
+    for counter in [0, (1u64 << 32) - 7, u64::MAX - 9] {
         let key = Key256::from_bytes(rand_array(&mut rng));
         let nonce = Nonce8::from_bytes(rand_array(&mut rng));
-        for len in 0..=1100usize {
+        for len in 0..=2100usize {
             let mut data = vec![0u8; len];
             xor(&key, &nonce, counter, &mut data);
             out.push(data);
@@ -231,21 +243,38 @@ fn salsa20_outputs(xor: impl Fn(&Key256, &Nonce8, u64, &mut [u8])) -> Vec<Vec<u8
     out
 }
 
+/// [`salsa20_outputs`] of a wide kernel, which does the whole `group`-byte
+/// groups and hands back the rest, finished here on the portable kernel.
+#[cfg(target_arch = "x86_64")]
+fn wide_salsa20_outputs(
+    group: usize,
+    kernel: impl Fn(&Key256, &Nonce8, u64, &mut [u8]) -> usize,
+) -> Vec<Vec<u8>> {
+    salsa20_outputs(|key, nonce, counter, data| {
+        let done = kernel(key, nonce, counter, data);
+        assert_eq!(done, data.len() / group * group);
+        let rest = counter.wrapping_add(done as u64 / 64);
+        salsa20::xor_keystream_portable(key, nonce, rest, &mut data[done..]);
+    })
+}
+
 #[test]
 fn salsa20_kernels_agree_at_every_length_and_counter_wrap() {
     let portable = salsa20_outputs(salsa20::xor_keystream_portable);
+    assert!(
+        salsa20_outputs(salsa20::xor_keystream) == portable,
+        "public and portable keystreams differ"
+    );
     #[cfg(target_arch = "x86_64")]
     {
-        // SSE2 is in the x86-64 baseline: this half never skips. The
-        // four-block kernel does the whole groups and hands back the rest,
-        // which the public function finishes on the portable kernel.
-        let sse2 = salsa20_outputs(|key, nonce, counter, data| {
-            let done = Sse2::detect().salsa20_xor(key, nonce, counter, data);
-            assert_eq!(done, data.len() / 256 * 256);
-            let rest = counter.wrapping_add(done as u64 / 64);
-            salsa20::xor_keystream_portable(key, nonce, rest, &mut data[done..]);
-        });
-        assert!(portable == sse2, "sse2 and portable keystreams differ");
+        // SSE2 is in the x86-64 baseline: this tier never skips.
+        let sse2 = wide_salsa20_outputs(256, |k, n, c, d| Sse2::detect().salsa20_xor(k, n, c, d));
+        assert!(sse2 == portable, "sse2 and portable keystreams differ");
+        let Some(avx512) = hardware(Avx512::detect(), "avx512f") else {
+            return;
+        };
+        let avx512 = wide_salsa20_outputs(1024, |k, n, c, d| avx512.salsa20_xor(k, n, c, d));
+        assert!(avx512 == portable, "avx512f and portable keystreams differ");
     }
 }
 

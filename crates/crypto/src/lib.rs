@@ -27,9 +27,9 @@
 //! | primitive | portable | x86-64 |
 //! |---|---|---|
 //! | AES-128 | T-table round, algebraic S-box | AES-NI, four CTR blocks per pass |
-//! | GHASH | Shoup's 4-bit tables | PCLMULQDQ |
+//! | GHASH | Shoup's 4-bit tables | PCLMULQDQ, four blocks per reduction |
 //! | SHA-256 | FIPS 180-4 rounds | SHA extensions |
-//! | Salsa20 | one block per pass | SSE2, four blocks per pass |
+//! | Salsa20 | one block per pass | AVX-512F, sixteen blocks per pass; SSE2, four |
 //!
 //! The CPU picks the kernel: an `is_x86_feature_detected!` probe, never a
 //! knob. [`aes::Aes128::new`], [`gcm::GcmKey::new`] and [`cmac::mac`] probe

@@ -4,17 +4,19 @@
 //! construction encrypts with (X)Salsa20 under the 256-bit one-time
 //! `K_operation` (§4). Encryption and decryption are the same keystream XOR.
 //!
-//! Two kernels share one double-round schedule. On x86-64 the SSE2 kernel
-//! (`crate::x86`) runs four blocks at once, one block per register lane,
-//! over every whole 256-byte group of a message, like libsodium's
-//! vectorised Salsa20; the portable kernel runs one block at a time on
-//! `u32`s for the rest, and for the whole message elsewhere.
-//! [`xor_keystream`] makes that split on each call; the bytes are those of
-//! the one-block kernel either way.
+//! Three kernels share one double-round schedule, one block per register
+//! lane in the wide ones, like libsodium's vectorised Salsa20. On x86-64
+//! (`crate::x86`) the AVX-512F kernel, where the CPU has it, runs sixteen
+//! blocks at once over every whole 1 KiB group of a message; the SSE2
+//! kernel runs four at once over every whole 256-byte group of what is
+//! left; the portable kernel runs one block at a time on `u32`s for the
+//! rest, and for the whole message elsewhere. [`xor_keystream`] makes that
+//! split on each call; the bytes are those of the one-block kernel either
+//! way.
 
 use crate::keys::{Key256, Nonce8};
 #[cfg(target_arch = "x86_64")]
-use crate::x86::Sse2;
+use crate::x86::{Avx512, Sse2};
 
 const SIGMA: [u32; 4] = [
     u32::from_le_bytes(*b"expa"),
@@ -31,7 +33,7 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
 }
 
 /// One double round of `quarter_round` over the 16-word state `s`: the
-/// column round, then the row round. Both kernels expand it, each with its
+/// column round, then the row round. Every kernel expands it, each with its
 /// own quarter round, so the index schedule is written once.
 macro_rules! double_round {
     ($quarter_round:ident, $s:expr) => {
@@ -131,7 +133,9 @@ pub(crate) fn xor_keystream_portable(
 pub fn xor_keystream(key: &Key256, nonce: &Nonce8, counter_start: u64, data: &mut [u8]) {
     #[cfg(target_arch = "x86_64")]
     let (counter_start, data) = {
-        let done = Sse2::detect().salsa20_xor(key, nonce, counter_start, data);
+        let wide = Avx512::detect().map_or(0, |k| k.salsa20_xor(key, nonce, counter_start, data));
+        let counter = counter_start.wrapping_add(wide as u64 / 64);
+        let done = wide + Sse2::detect().salsa20_xor(key, nonce, counter, &mut data[wide..]);
         (
             counter_start.wrapping_add(done as u64 / 64),
             &mut data[done..],
@@ -195,12 +199,13 @@ mod tests {
             31, 2, 102, 78, 76, 176, 84, 245, 246, 184, 177, 160, 133, 130, 6, 72, 149, 119, 192,
             195, 132, 236, 234, 103, 246, 74,
         ];
-        // Four blocks, so that on x86-64 the public function runs the whole
-        // buffer through the four-block kernel.
-        let mut portable = [0u8; 256];
+        // Sixteen blocks, so that on x86-64 the public function runs the
+        // whole buffer through the sixteen-block kernel where the CPU has
+        // AVX-512F and through the four-block kernel elsewhere.
+        let mut portable = [0u8; 1024];
         xor_keystream_portable(&key, &nonce, counter, &mut portable);
         assert_eq!(portable[..64], expected);
-        let mut public = [0u8; 256];
+        let mut public = [0u8; 1024];
         xor_keystream(&key, &nonce, counter, &mut public);
         assert_eq!(public, portable);
     }

@@ -1,17 +1,31 @@
 //! The x86-64 kernels: AES-NI, carry-less GHASH, SHA-256 on the SHA
-//! extensions and four-block Salsa20 in SSE2 — the instructions the
-//! paper's SGX SDK and libsodium run on its Xeon.
+//! extensions and Salsa20 four blocks per SSE2 pass or sixteen per AVX-512F
+//! pass — the instructions the paper's SGX SDK and libsodium run on its
+//! Xeon.
 //!
 //! Each kernel is a `#[target_feature]` function reached only through a
 //! method of a zero-sized token ([`AesNi`], [`Clmul`], [`ShaNi`],
-//! [`Sse2`]). A token's field is private to this module and its one
-//! constructor is the `is_x86_feature_detected!` probe for every feature the
-//! kernels behind it enable; SSE2 is in the x86-64 baseline, so [`Sse2`]
-//! needs no probe. Holding a token therefore proves the CPU runs its
-//! kernels, which is what makes the calls below sound for any safe caller.
-//! Inside a kernel the intrinsics are safe to call; what remains are those
-//! calls and the unaligned 16-byte loads and stores of [`load`] and
-//! [`store`].
+//! [`Sse2`], [`Avx512`]). A token's field is private to this module and its
+//! one constructor is the `is_x86_feature_detected!` probe for every
+//! feature the kernels behind it enable; SSE2 is in the x86-64 baseline, so
+//! [`Sse2`] needs no probe. Holding a token therefore proves the CPU runs
+//! its kernels, which is what makes the calls below sound for any safe
+//! caller. Inside a kernel the intrinsics are safe to call; what remains
+//! are those calls and the unaligned loads and stores of [`load`],
+//! [`store`] and [`xor_into64`].
+//!
+//! GHASH folds four blocks per reduction: `(y ⊕ X₁)·H⁴ ⊕ X₂·H³ ⊕ X₃·H² ⊕
+//! X₄·H` is four steps of `y ← (y ⊕ X)·H`, and the reduction is linear, so
+//! the four 256-bit products are XORed and reduced once (Gueron and
+//! Kounavis, Intel white paper 323640, the aggregated reduction). `H²` to
+//! `H⁴` are computed per message, and only for one longer than 64 bytes:
+//! for a shorter one their latency outweighs the reductions saved.
+//!
+//! Salsa20 has three tiers, picked per call by `salsa20::xor_keystream`:
+//! [`Avx512`] over the whole 1 KiB groups of a message (one block per lane
+//! of sixteen-lane registers, with the native lane rotate), [`Sse2`] over
+//! the whole 256-byte groups of what is left, and the portable one-block
+//! kernel over the rest. All three expand `salsa20::double_round!`.
 //!
 //! Every kernel produces the bytes of its portable counterpart; the tests in
 //! `kernel_pairs.rs` hold the two, and the `reference` oracle, to that.
@@ -231,18 +245,28 @@ fn load_be(block: &[u8; 16]) -> __m128i {
     _mm_shuffle_epi8(load(block), reverse)
 }
 
-/// `a · b` in GF(2¹²⁸): Karatsuba-free schoolbook product, a one-bit left
-/// shift for the bit-reflected convention, and the shift-and-XOR reduction
-/// by x¹²⁸ + x⁷ + x² + x + 1 (Gueron and Kounavis, Intel white paper
-/// 323640, Algorithm 5).
+/// The 256-bit carry-less product `a · b` as `[lo, hi]`: Karatsuba-free
+/// schoolbook, before [`reduce`].
 #[target_feature(enable = "pclmulqdq")]
-fn gf_mul(a: __m128i, b: __m128i) -> __m128i {
+#[inline]
+fn clmul(a: __m128i, b: __m128i) -> [__m128i; 2] {
     let mid = _mm_xor_si128(
         _mm_clmulepi64_si128::<0x10>(a, b),
         _mm_clmulepi64_si128::<0x01>(a, b),
     );
-    let lo = _mm_xor_si128(_mm_clmulepi64_si128::<0x00>(a, b), _mm_slli_si128::<8>(mid));
-    let hi = _mm_xor_si128(_mm_clmulepi64_si128::<0x11>(a, b), _mm_srli_si128::<8>(mid));
+    [
+        _mm_xor_si128(_mm_clmulepi64_si128::<0x00>(a, b), _mm_slli_si128::<8>(mid)),
+        _mm_xor_si128(_mm_clmulepi64_si128::<0x11>(a, b), _mm_srli_si128::<8>(mid)),
+    ]
+}
+
+/// A 256-bit carry-less product, or the XOR of several, as an element of
+/// GF(2¹²⁸): a one-bit left shift for the bit-reflected convention and the
+/// shift-and-XOR reduction by x¹²⁸ + x⁷ + x² + x + 1 (Gueron and Kounavis,
+/// Intel white paper 323640, Algorithm 5). Both steps are linear.
+#[target_feature(enable = "sse2")]
+#[inline]
+fn reduce([lo, hi]: [__m128i; 2]) -> __m128i {
     // [hi:lo] <<= 1, carrying across the 32-bit lanes and the two halves.
     let lo_carry = _mm_srli_epi32::<31>(lo);
     let hi_carry = _mm_srli_epi32::<31>(hi);
@@ -264,10 +288,35 @@ fn gf_mul(a: __m128i, b: __m128i) -> __m128i {
     _mm_xor_si128(hi, _mm_xor_si128(lo, u))
 }
 
-/// Folds `data`, zero-padded to whole blocks, into `y`.
+/// `a · b` in GF(2¹²⁸).
+#[target_feature(enable = "pclmulqdq")]
+#[inline]
+fn gf_mul(a: __m128i, b: __m128i) -> __m128i {
+    reduce(clmul(a, b))
+}
+
+/// Folds `data`, zero-padded to whole blocks, into `y`. With `powers`
+/// (`H` to `H⁴`), each whole four-block group is `(y ⊕ X₁)·H⁴ ⊕ X₂·H³ ⊕
+/// X₃·H² ⊕ X₄·H` with one reduction; the blocks after the last group, or
+/// all of them without `powers`, are one step `y ← (y ⊕ X)·H` each.
 #[target_feature(enable = "pclmulqdq,ssse3")]
-fn ghash_update(h: __m128i, mut y: __m128i, data: &[u8]) -> __m128i {
+fn ghash_update(h: __m128i, powers: Option<&[__m128i; 4]>, mut y: __m128i, data: &[u8]) -> __m128i {
     let mut blocks = data.chunks_exact(16);
+    if let Some(p) = powers {
+        let mut groups = data.chunks_exact(64);
+        for group in &mut groups {
+            let x: [__m128i; 4] = std::array::from_fn(|i| {
+                load_be(group[16 * i..16 * i + 16].try_into().expect("16 bytes"))
+            });
+            let mut acc = clmul(_mm_xor_si128(y, x[0]), p[3]);
+            for i in 1..4 {
+                let [lo, hi] = clmul(x[i], p[3 - i]);
+                acc = [_mm_xor_si128(acc[0], lo), _mm_xor_si128(acc[1], hi)];
+            }
+            y = reduce(acc);
+        }
+        blocks = groups.remainder().chunks_exact(16);
+    }
     for block in &mut blocks {
         let block = block.try_into().expect("chunks_exact yields 16 bytes");
         y = gf_mul(_mm_xor_si128(y, load_be(block)), h);
@@ -284,7 +333,15 @@ fn ghash_update(h: __m128i, mut y: __m128i, data: &[u8]) -> __m128i {
 #[target_feature(enable = "pclmulqdq,ssse3")]
 fn ghash(h: u128, aad: &[u8], ct: &[u8]) -> u128 {
     let h = from_u128(h);
-    let y = ghash_update(h, ghash_update(h, _mm_setzero_si128(), aad), ct);
+    // H² to H⁴ cost two products of latency, which one four-block group
+    // does not win back: a message of 64 bytes or less takes a reduction
+    // per block.
+    let powers = (aad.len() + ct.len() > 64).then(|| {
+        let h2 = gf_mul(h, h);
+        [h, h2, gf_mul(h2, h), gf_mul(h2, h2)]
+    });
+    let y = ghash_update(h, powers.as_ref(), _mm_setzero_si128(), aad);
+    let y = ghash_update(h, powers.as_ref(), y, ct);
     let lens = ((aad.len() as u128 * 8) << 64) | (ct.len() as u128 * 8);
     u128::from_le_bytes(store(gf_mul(_mm_xor_si128(y, from_u128(lens)), h)))
 }
@@ -448,6 +505,138 @@ fn salsa20_xor4(key: &Key256, nonce: &Nonce8, mut counter: u64, data: &mut [u8])
             }
         }
         counter = counter.wrapping_add(4);
+    }
+    whole
+}
+
+/// The CPU has AVX-512F: Salsa20 sixteen blocks per pass.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Avx512(());
+
+impl Avx512 {
+    /// `Some` exactly when the CPU has AVX-512F.
+    pub(crate) fn detect() -> Option<Avx512> {
+        is_x86_feature_detected!("avx512f").then_some(Avx512(()))
+    }
+
+    /// XORs the keystream from block `counter` into the leading whole
+    /// 1 KiB groups of `data`, and returns how many bytes that was.
+    pub(crate) fn salsa20_xor(
+        self,
+        key: &Key256,
+        nonce: &Nonce8,
+        counter: u64,
+        data: &mut [u8],
+    ) -> usize {
+        // SAFETY: an `Avx512` exists only where the probe found AVX-512F.
+        unsafe { salsa20_xor16(key, nonce, counter, data) }
+    }
+}
+
+/// `dst ^= v` for a 64-byte `dst`.
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn xor_into64(dst: &mut [u8], v: __m512i) {
+    let dst: &mut [u8; 64] = dst.try_into().expect("a 64-byte block");
+    // SAFETY: `dst` is 64 readable and writable bytes and `loadu`/`storeu`
+    // take any alignment; their one feature, AVX-512F, is enabled here, and
+    // only an `Avx512` token reaches the kernel that calls this.
+    unsafe {
+        let d = _mm512_loadu_si512(dst.as_ptr().cast());
+        _mm512_storeu_si512(dst.as_mut_ptr().cast(), _mm512_xor_si512(d, v));
+    }
+}
+
+/// The Salsa20 quarter round on sixteen blocks, one per lane.
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn quarter_round16(x: &mut [__m512i; 16], a: usize, b: usize, c: usize, d: usize) {
+    x[b] = _mm512_xor_si512(x[b], _mm512_rol_epi32::<7>(_mm512_add_epi32(x[a], x[d])));
+    x[c] = _mm512_xor_si512(x[c], _mm512_rol_epi32::<9>(_mm512_add_epi32(x[b], x[a])));
+    x[d] = _mm512_xor_si512(x[d], _mm512_rol_epi32::<13>(_mm512_add_epi32(x[c], x[b])));
+    x[a] = _mm512_xor_si512(x[a], _mm512_rol_epi32::<18>(_mm512_add_epi32(x[d], x[c])));
+}
+
+/// [`transpose`] within each 128-bit lane of four registers.
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn transpose_lanes(r: [__m512i; 4]) -> [__m512i; 4] {
+    let t0 = _mm512_unpacklo_epi32(r[0], r[1]);
+    let t1 = _mm512_unpacklo_epi32(r[2], r[3]);
+    let t2 = _mm512_unpackhi_epi32(r[0], r[1]);
+    let t3 = _mm512_unpackhi_epi32(r[2], r[3]);
+    [
+        _mm512_unpacklo_epi64(t0, t1),
+        _mm512_unpackhi_epi64(t0, t1),
+        _mm512_unpacklo_epi64(t2, t3),
+        _mm512_unpackhi_epi64(t2, t3),
+    ]
+}
+
+/// Transposes four registers of four 128-bit lanes: lane `l` of output `i`
+/// is lane `i` of input `l`.
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn transpose_quads(r: [__m512i; 4]) -> [__m512i; 4] {
+    let r01_lo = _mm512_shuffle_i32x4::<0x44>(r[0], r[1]); // r0.0 r0.1 r1.0 r1.1
+    let r01_hi = _mm512_shuffle_i32x4::<0xee>(r[0], r[1]); // r0.2 r0.3 r1.2 r1.3
+    let r23_lo = _mm512_shuffle_i32x4::<0x44>(r[2], r[3]);
+    let r23_hi = _mm512_shuffle_i32x4::<0xee>(r[2], r[3]);
+    [
+        _mm512_shuffle_i32x4::<0x88>(r01_lo, r23_lo), // r0.0 r1.0 r2.0 r3.0
+        _mm512_shuffle_i32x4::<0xdd>(r01_lo, r23_lo),
+        _mm512_shuffle_i32x4::<0x88>(r01_hi, r23_hi),
+        _mm512_shuffle_i32x4::<0xdd>(r01_hi, r23_hi),
+    ]
+}
+
+/// Words 8 and 9, the block counter low then high, of blocks `counter` to
+/// `counter + 15`, one block per lane.
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn counter_words(counter: u64) -> [__m512i; 2] {
+    let first = _mm512_set1_epi32(counter as i32);
+    let lane = _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
+    let low = _mm512_add_epi32(first, lane);
+    let high = _mm512_set1_epi32((counter >> 32) as i32);
+    // A lane whose low word is below the first lane's has wrapped and
+    // carries into word 9, which wraps past u64::MAX on its own.
+    let carry = _mm512_cmplt_epu32_mask(low, first);
+    [
+        low,
+        _mm512_mask_add_epi32(high, carry, high, _mm512_set1_epi32(1)),
+    ]
+}
+
+#[target_feature(enable = "avx512f")]
+fn salsa20_xor16(key: &Key256, nonce: &Nonce8, mut counter: u64, data: &mut [u8]) -> usize {
+    let whole = data.len() / 1024 * 1024;
+    let state = salsa20::initial_state(key, nonce, 0);
+    for group in data.chunks_exact_mut(1024) {
+        let mut x: [__m512i; 16] = state.map(|w| _mm512_set1_epi32(w as i32));
+        [x[8], x[9]] = counter_words(counter);
+        let input = x;
+        for _ in 0..10 {
+            salsa20::double_round!(quarter_round16, &mut x);
+        }
+        for (w, i) in x.iter_mut().zip(input) {
+            *w = _mm512_add_epi32(*w, i);
+        }
+        // x[w] holds word w of the sixteen blocks, block b in lane b. After
+        // transposing each 128-bit lane, lane l of y[q][j] is words
+        // 4q..4q + 4 of block 4l + j; transposing those lanes across q
+        // gathers blocks j, 4 + j, 8 + j and 12 + j whole.
+        let y: [[__m512i; 4]; 4] = std::array::from_fn(|q| {
+            transpose_lanes([x[4 * q], x[4 * q + 1], x[4 * q + 2], x[4 * q + 3]])
+        });
+        for j in 0..4 {
+            let blocks = transpose_quads(y.map(|quads| quads[j]));
+            for (l, ks) in blocks.into_iter().enumerate() {
+                let b = 4 * l + j;
+                xor_into64(&mut group[64 * b..64 * b + 64], ks);
+            }
+        }
+        counter = counter.wrapping_add(16);
     }
     whole
 }

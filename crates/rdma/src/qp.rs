@@ -296,10 +296,12 @@ impl QueuePair {
         if offset + data.len() > reg.mem.len() {
             return Err(RdmaError::OutOfBounds);
         }
+        // Only a fault injector rewrites the bytes in flight, so only then
+        // are they staged.
         let mut deliver = true;
-        let mut buf;
-        if let Some(f) = self.faults.clone() {
-            buf = data.to_vec();
+        let staged;
+        let payload = if let Some(f) = self.faults.clone() {
+            let mut buf = data.to_vec();
             let verdict = {
                 let mut inj = plock(&f);
                 let v = inj.on_write(self.is_a, &mut buf);
@@ -314,11 +316,13 @@ impl QueuePair {
                     return Err(RdmaError::QpError);
                 }
             }
+            staged = buf;
+            &staged[..]
         } else {
-            buf = data.to_vec();
-        }
+            data
+        };
         if deliver {
-            reg.mem.write(offset, &buf);
+            reg.mem.write(offset, payload);
             if let Some((board, tag)) = &reg.watch {
                 board.mark(*tag);
             }

@@ -644,6 +644,9 @@ impl BenchSession {
         // not forked sequentially from the driver RNG — so streams do not
         // depend on activation order.
         let base_seed = self.seed ^ (self.measurements << 32);
+        // The popularity constants are built once per window; each client
+        // draws from a copy on its own stream.
+        let generator = OpGenerator::new(workload.clone(), SimRng::seed_from(base_seed));
         let mut states: Vec<Option<Box<ClientState>>> = (0..clients).map(|_| None).collect();
         let mut activated = 0u64;
 
@@ -672,7 +675,7 @@ impl BenchSession {
                     base_seed.wrapping_add((c as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
                 );
                 Box::new(ClientState {
-                    gen: OpGenerator::new(workload.clone(), stream),
+                    gen: generator.with_rng(stream),
                     version: 1,
                 })
             });

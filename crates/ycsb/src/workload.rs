@@ -98,22 +98,28 @@ impl WorkloadSpec {
 /// The fixed key length (YCSB-style 16-byte keys).
 pub const KEY_LEN: usize = 16;
 
-/// Deterministic 16-byte key for record `id` ("userXXXXXXXXXXXX").
+/// Deterministic 16-byte key for record `id` ("userXXXXXXXXXXXX": the last
+/// twelve decimal digits of `id`).
 pub fn key_bytes(id: u64) -> [u8; KEY_LEN] {
     let mut key = *b"user000000000000";
-    let digits = format!("{id:012}");
-    key[4..].copy_from_slice(&digits.as_bytes()[digits.len() - 12..]);
+    let mut rest = id;
+    for digit in key[4..].iter_mut().rev() {
+        *digit = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
     key
 }
 
-/// Deterministic value bytes for record `id` at a given size and version.
+/// Deterministic value bytes for record `id` at a given size and version:
+/// byte `i` is the low byte of `(s + i) · 31`, where
+/// `s = id · 0x9E37_79B9_7F4A_7C15 ⊕ version`.
 pub fn value_bytes(id: u64, version: u64, size: usize) -> Vec<u8> {
-    let mut v = Vec::with_capacity(size);
-    let seed = id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ version;
-    for i in 0..size {
-        v.push((seed.wrapping_add(i as u64).wrapping_mul(31)) as u8);
-    }
-    v
+    // The low byte of a sum or product depends only on the operands' low
+    // bytes, so the sequence is computed in `u8`.
+    let seed = (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ version) as u8;
+    (0..size)
+        .map(|i| seed.wrapping_add(i as u8).wrapping_mul(31))
+        .collect()
 }
 
 /// Generates the operation stream for one client.
@@ -142,6 +148,18 @@ impl OpGenerator {
             rng,
             zipf,
             latest,
+        }
+    }
+
+    /// The generator [`new`](Self::new) would build from this one's spec on
+    /// `rng`, without computing its popularity constants again (a Zipfian
+    /// over `n` keys costs `n` `powf` calls to build).
+    pub fn with_rng(&self, rng: SimRng) -> OpGenerator {
+        OpGenerator {
+            spec: self.spec.clone(),
+            rng,
+            zipf: self.zipf.clone(),
+            latest: self.latest.clone(),
         }
     }
 
@@ -182,6 +200,44 @@ mod tests {
         assert_eq!(a.len(), 16);
         assert!(a.starts_with(b"user"));
         assert_eq!(&key_bytes(599_999)[..], b"user000000599999");
+    }
+
+    #[test]
+    fn key_and_value_bytes_keep_their_formulas() {
+        let key = |id: u64| {
+            let mut key = *b"user000000000000";
+            let digits = format!("{id:012}");
+            key[4..].copy_from_slice(&digits.as_bytes()[digits.len() - 12..]);
+            key
+        };
+        let value = |id: u64, version: u64, size: usize| {
+            let seed = id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ version;
+            (0..size)
+                .map(|i| seed.wrapping_add(i as u64).wrapping_mul(31) as u8)
+                .collect::<Vec<u8>>()
+        };
+        for id in [0, 7, 599_999, 999_999_999_999, 1_000_000_000_007, u64::MAX] {
+            assert_eq!(key_bytes(id), key(id), "id {id}");
+            for size in 0..=4097 {
+                assert_eq!(value_bytes(id, 3, size), value(id, 3, size), "id {id}");
+            }
+        }
+    }
+
+    #[test]
+    fn with_rng_draws_what_new_draws_on_that_stream() {
+        for distribution in [Distribution::Zipfian, Distribution::Latest] {
+            let spec = WorkloadSpec {
+                distribution,
+                ..WorkloadSpec::workload_a(32, 20_000)
+            };
+            let template = OpGenerator::new(spec.clone(), SimRng::seed_from(1));
+            let mut cloned = template.with_rng(SimRng::seed_from(11));
+            let mut fresh = OpGenerator::new(spec, SimRng::seed_from(11));
+            for _ in 0..10_000 {
+                assert_eq!(cloned.next_op(), fresh.next_op(), "{distribution:?}");
+            }
+        }
     }
 
     #[test]
