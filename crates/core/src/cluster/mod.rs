@@ -393,16 +393,17 @@ impl PrecursorCluster {
     }
 
     /// Node `i`'s machine is lost: a replica is promoted inside the group
-    /// ([`ReplicaGroup::fail_primary`], fully replayed before it serves)
-    /// and the authoritative routing view is installed on it, so the
-    /// node's ranges stay where the ring says they are.
+    /// ([`ReplicaGroup::fail_primary`], draining `batch` catch-up records
+    /// per pump; `usize::MAX` replays fully before it serves) and the
+    /// authoritative routing view is installed on it, so the node's ranges
+    /// stay where the ring says they are.
     ///
     /// # Errors
     ///
     /// As [`ReplicaGroup::fail_primary`] — [`StoreError::SessionLost`] for
     /// a node without replicas.
-    pub fn fail_node(&mut self, i: usize) -> Result<FailoverReport, StoreError> {
-        let report = self.groups[i].fail_primary(usize::MAX)?;
+    pub fn fail_node(&mut self, i: usize, batch: usize) -> Result<FailoverReport, StoreError> {
+        let report = self.groups[i].fail_primary(batch)?;
         self.rejoin(i);
         Ok(report)
     }

@@ -308,8 +308,11 @@ impl PrecursorServer {
     ///    truncated pair would.
     ///
     /// Only a quiescent journal compacts: nothing pending, every record
-    /// committed (locally or by quorum), and at least one record past the
-    /// previous cut. Anything else is [`CompactOutcome::Skipped`].
+    /// committed (locally or by quorum), at least one record past the
+    /// previous cut, and no staged catch-up still draining — until it
+    /// drains, the epoch's base snapshot is unsealed and a cut would seal
+    /// only the applied prefix. Anything else is
+    /// [`CompactOutcome::Skipped`].
     pub fn compact_journal(&mut self, counter: &mut MonotonicCounter) -> CompactOutcome {
         self.compact_journal_via(counter, |_, _| {})
     }
@@ -328,6 +331,7 @@ impl PrecursorServer {
             return CompactOutcome::Skipped;
         };
         if d.failed
+            || self.in_catchup()
             || d.journal.pending_records() > 0
             || d.journal.last_seq() == d.journal.base_seq()
             || d.committed_seq < d.journal.last_seq()

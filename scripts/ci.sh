@@ -30,9 +30,25 @@ check_filters() {
     return $status
 }
 
+# Every PRECURSOR_* variable a workflow sets must be read by some .rs file
+# under crates/, tests/ or benchmark/: a knob renamed or folded away would
+# otherwise leave its job configuring nothing.
+check_knobs() {
+    local status=0 var
+    for var in $(grep -hvE '^\s*#' .github/workflows/*.yml \
+        | grep -oE '\bPRECURSOR_[A-Z0-9_]+\s*[:=]' | grep -oE 'PRECURSOR_[A-Z0-9_]+' | sort -u); do
+        if ! grep -rqF --include='*.rs' --exclude-dir=target "\"$var\"" crates tests benchmark; then
+            echo "ci: a workflow sets $var, which no .rs file reads" >&2
+            status=1
+        fi
+    done
+    return $status
+}
+
 if [ "${1:-}" = filters ]; then
-    echo "== workflow test filters select tests =="
+    echo "== workflow test filters select tests, workflow knobs are read =="
     check_filters
+    check_knobs
     exit
 fi
 
@@ -82,8 +98,9 @@ cargo test --workspace -q
 echo "== cargo test --release -p precursor-crypto =="
 cargo test --release -q -p precursor-crypto
 
-echo "== workflow test filters select tests =="
+echo "== workflow test filters select tests, workflow knobs are read =="
 check_filters
+check_knobs
 
 # benchmark/ is a workspace of its own, so nothing above compiles it: build
 # and run it at smoke scale so a crate API change cannot break it unnoticed.

@@ -654,7 +654,8 @@ fn fenced_range_survives_restart_and_failover_of_either_party() {
 
         let victim = if at_destination { f.to } else { f.from };
         if lost {
-            let report = f.h.cluster.fail_node(victim as usize).expect("promotion");
+            let report = f.h.cluster.fail_node(victim as usize, usize::MAX);
+            let report = report.expect("promotion");
             assert!(!report.stale, "{what}");
         } else {
             f.h.cluster.restart_node(victim as usize).expect("restart");

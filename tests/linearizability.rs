@@ -44,12 +44,13 @@ fn migrating(seed: u64, nodes: usize) -> Scenario {
 // is lost at a seed-derived op.
 fn killing(seed: u64) -> Scenario {
     let at = 10 + (seed * 37 % 80) as usize;
+    let (node, batch) = ((seed % 3) as usize, usize::MAX);
     Scenario {
         nodes: 3,
         replicas: 2,
         clients: 4,
         keys: 6,
-        events: vec![(at, Event::FailNode((seed % 3) as usize))],
+        events: vec![(at, Event::FailNode { node, batch })],
         ..Scenario::journaled(seed)
     }
 }
@@ -260,7 +261,8 @@ fn scenario_rejects_a_source_that_still_owns_a_fenced_range() {
 #[test]
 fn scenario_rejects_a_read_of_an_overwritten_value() {
     // A bare node restarted from a checkpoint that predates an overwrite:
-    // the fresh client's read-back returns the older value.
+    // the client that wrote it reads the key back first, and its rollback
+    // check rejects the reply of the older state.
     let s = Scenario {
         keys: 1,
         ops: 12,
@@ -269,5 +271,6 @@ fn scenario_rejects_a_read_of_an_overwritten_value() {
         ..Scenario::new(1)
     };
     let v = s.run().expect_err("a lost overwrite is a violation");
-    assert!(v.what.contains("read an overwritten value"), "{}", v.what);
+    let rejected = "c0 get 0 at node 0: unflagged stale promotion or restart";
+    assert!(v.what.contains(rejected), "{}", v.what);
 }

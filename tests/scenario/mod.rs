@@ -14,19 +14,36 @@
 //!    hold exactly the live keys after every op, and (without an
 //!    adversary) every stored value must pass the enclave's integrity
 //!    audit at the end.
-//! 2. **Wing–Gong** over the recorded history whenever `clients > 1`.
+//! 2. **Wing–Gong** over the recorded history of every fault-free row
+//!    (neither a fault plan nor an adversary) — the rows whose ops overlap:
+//!    `clients > 1`, or `Submit` events left puts in flight.
 //! 3. **One owner** — exactly one node's routing gate owns each key after
 //!    every event, every fence or abort, and at the end.
 //! 4. **No dropped reports** — `server.reports_dropped == 0` per node,
 //!    summed across restarts and failovers.
 //! 5. **Nothing undetected** — no op fails to converge, and every
 //!    `Compact` event leaves `probe_recovery()` unchanged.
+//! 6. **Acked implies quorum-durable** — per node after every op and
+//!    event: `committed_bytes ≤ quorum_durable_bytes`, and the replicas
+//!    agree on every overlapping journal prefix (`audit_replicas`).
+//! 7. **Rolled back implies quarantined** — every replica that presented
+//!    less than it acknowledged before a `FailNode` is quarantined by it.
+//!
+//! A fault-free row stays on the happy path except as the **catch-up
+//! rule** allows: while a node drains a staged promotion it answers
+//! mutations `Busy` and its applied prefix trips a client's rollback check,
+//! which a promotion flagged stale trips too. A rollback anywhere else is
+//! an unflagged stale promotion (or restart). A run closes under a fair
+//! schedule: the network heals, no node is left in catch-up, no replica
+//! lags unless one was rolled back, and every client reads once more, so
+//! one that saw acked state its node lost trips its rollback check.
 //!
 //! The row table is DESIGN §7. Shards ride the seed over {1, 2, 4, 8};
 //! `PRECURSOR_SWEEP_SEEDS` widens every sweep (default 20; nightly 100) and
 //! `PRECURSOR_AUDIT_DIR` receives the failing [`Run`] of any sweep kind.
 //! Scripted tests build their cluster and clients here too
-//! ([`Scenario::build`]), and the golden workload pinned by
+//! ([`Scenario::build`]), the model checker (`model_check.rs`) enumerates
+//! event schedules of one row, and the golden workload pinned by
 //! `determinism.rs` and `obs.rs` lives at the end.
 
 #![allow(dead_code)]
@@ -43,7 +60,7 @@ use precursor::wire::Status;
 use precursor::{
     AdversaryPlan, AttackClass, ClusterClient, CompactOutcome, CompletedOp, Config, FaultAction,
     FaultDir, FaultPlan, FaultSite, GroupCommitPolicy, MigrationOutcome, MigrationReport,
-    MountedAttack, PlacementRing, PrecursorClient, PrecursorCluster, PrecursorServer,
+    MountedAttack, PlacementRing, PrecursorClient, PrecursorCluster, PrecursorServer, ProtocolBug,
     RecoveryReport, ReplicaGroup, RetryPolicy, SecurityAudit, StoreError,
 };
 use precursor_rdma::faults::InjectedFault;
@@ -59,10 +76,14 @@ const SHARDS: [usize; 4] = [1, 2, 4, 8];
 // Attempts an op gets before the run is declared stuck.
 const ATTEMPTS: usize = 64;
 
+// Pumps a closing run gets to settle before it is declared stuck.
+const DRAIN: usize = 600;
+
 // Salts of the one seed-mixing scheme, one per independent stream.
 const OPS: u64 = 0x0b5;
 const PUMPS: u64 = 0x9a3;
 const CLIENT: u64 = 0xc11e_0000;
+const AFRESH: u64 = 0xaf2e_0000;
 const READER: u64 = 0x4ead;
 const PLANS: u64 = 0x91a4_0000_0000;
 const ADVERSARY: u64 = 0xadd5_ec0d;
@@ -109,7 +130,8 @@ pub fn sweep(kind: &str, row: impl Fn(u64) -> Scenario, check: impl Fn(&Run)) ->
     runs
 }
 
-fn dump(kind: &str, run: &Run, what: &str) {
+/// Writes a failing run to `PRECURSOR_AUDIT_DIR`, when set.
+pub fn dump(kind: &str, run: &Run, what: &str) {
     let Ok(dir) = std::env::var("PRECURSOR_AUDIT_DIR") else {
         return;
     };
@@ -160,8 +182,9 @@ pub enum Event {
     Checkpoint,
     /// Process crash at a node; it recovers from its own root.
     Restart(usize),
-    /// A node's machine is lost; a replica is promoted.
-    FailNode(usize),
+    /// A node's machine is lost; a replica is promoted and drains `batch`
+    /// catch-up records per pump (`usize::MAX`: all before it serves).
+    FailNode { node: usize, batch: usize },
     /// Compact a node's journal; with `crash` (`SnapshotSeal` aborts,
     /// `CompactTruncate` wedges) the host tears that durable write.
     Compact {
@@ -174,8 +197,14 @@ pub enum Event {
         key: Pick,
         fault: Option<FaultAction>,
     },
+    /// Client 0 puts a value new to key `k` and does not wait.
+    Submit(u8),
+    /// One `poll_all` plus a poll of client 0: its submits settle.
+    Pump,
     /// Node 0's replica 0 falls 6 link pumps behind.
     LagReplica,
+    /// Node 0's replica 0 drops every frame until healed.
+    PartitionReplica,
     /// Node 0's replica 0 is healed.
     HealReplica,
     /// Node 0's replica 0 discards two thirds of its journal while its
@@ -210,6 +239,8 @@ pub struct Scenario {
     // `(op index, event)`: fires before that op (rounds: before the first
     // round reaching it; at or past `ops`: before the read-back).
     pub events: Vec<(usize, Event)>,
+    // Seeded into every group (the model checker's self-test).
+    pub bug: Option<ProtocolBug>,
 }
 
 impl Scenario {
@@ -232,6 +263,7 @@ impl Scenario {
             faults: FaultPlan::none(),
             adversary: AdversaryPlan::none(),
             events: Vec::new(),
+            bug: None,
         }
     }
 
@@ -269,7 +301,9 @@ impl Scenario {
 
     /// Drives the scenario and checks the oracles.
     pub fn run(self) -> Result<Run, Violation> {
-        self.build().drive()
+        let mut h = self.build();
+        h.play()?;
+        h.close()
     }
 
     /// [`run`](Self::run), panicking with the violation.
@@ -287,7 +321,7 @@ impl Scenario {
         );
         let cost = CostModel::default();
         let config = self.config.clone();
-        let cluster = match self.journal {
+        let mut cluster = match self.journal {
             Some(policy) => {
                 PrecursorCluster::replicated(self.nodes, config, &cost, self.replicas, policy)
             }
@@ -296,6 +330,9 @@ impl Scenario {
                 PrecursorCluster::new(self.nodes, config, &cost)
             }
         };
+        if let Some(bug) = self.bug {
+            (0..self.nodes).for_each(|n| cluster.group_mut(n).seed_protocol_bug(bug));
+        }
         self.events.sort_by_key(|(at, _)| *at);
         let keys = self.keys as usize;
         let mut h = Harness {
@@ -315,6 +352,8 @@ impl Scenario {
             next_event: 0,
             incarnations: vec![0; self.nodes],
             dropped: vec![0; self.nodes],
+            stale: vec![false; self.nodes],
+            submits: Vec::new(),
             s: self,
         };
         for n in 0..h.s.nodes {
@@ -376,12 +415,10 @@ impl Run {
     }
 }
 
-/// What a `FailNode` event observed: the replica audit before it, the
-/// `(mutation_seq, state_digest)` of the lost and the promoted primary,
-/// and the failover report.
+/// What a `FailNode` event observed: the `(mutation_seq, state_digest)` of
+/// the lost and the promoted primary, and the failover report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Failover {
-    pub audit_ok: bool,
     pub before: (u64, [u8; 16]),
     pub after: (u64, [u8; 16]),
     pub promoted: usize,
@@ -450,7 +487,7 @@ impl OpGen {
 
 // --- the reference model ------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 enum Presence {
     Yes,
     #[default]
@@ -458,7 +495,7 @@ enum Presence {
     Maybe,
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Hash)]
 struct KeyState {
     presence: Presence,
     // What a read may return while present.
@@ -529,6 +566,23 @@ impl Model {
         Ok(())
     }
 
+    // A submitted put settled on its own: acked (`Some(true)`), never
+    // executed (`Some(false)`) or cut off by a failover (`None`: it may or
+    // may not have applied).
+    fn settle(&mut self, k: u8, v: &[u8], applied: Option<bool>) {
+        let s = &mut self.0[k as usize];
+        s.puts.retain(|p| p != v);
+        match applied {
+            Some(true) => {
+                s.overwritten.append(&mut s.acceptable);
+                (s.presence, s.tainted) = (Presence::Yes, false);
+            }
+            Some(false) => return,
+            None => s.presence = Presence::Maybe,
+        }
+        s.acceptable.push(v.to_vec());
+    }
+
     // Every op of the round completed: puts alone leave one of them,
     // deletes alone leave nothing, both leave either.
     fn end_round(&mut self) {
@@ -585,7 +639,20 @@ pub struct Harness {
     next_event: usize,
     incarnations: Vec<u64>,
     dropped: Vec<u64>,
+    // Whether node n's last failover was flagged stale.
+    stale: Vec<bool>,
+    // Client 0's submits that have not settled.
+    submits: Vec<Submit>,
     initial_ring: PlacementRing,
+}
+
+// A put `Event::Submit` posted at `node`, with its history entry.
+struct Submit {
+    node: u16,
+    oid: u64,
+    entry: usize,
+    key: u8,
+    value: Vec<u8>,
 }
 
 impl Harness {
@@ -664,9 +731,55 @@ impl Harness {
         Err(self.violation(format!("client {c} cannot re-attest to node {node}")))
     }
 
+    /// A hash of everything that constrains the rest of a schedule: each
+    /// node's store, journal watermarks, quorum and catch-up state and each
+    /// replica's coverage and flags; every session's rollback watermark and
+    /// quarantine; the model (its open puts are the outstanding submits)
+    /// and the submits' order. The model checker deduplicates states by it.
+    pub fn fingerprint(&mut self) -> u64 {
+        let (mut digests, mut words) = (Vec::new(), Vec::new());
+        for n in 0..self.s.nodes {
+            let (g, p) = (self.cluster.group(n), self.cluster.node(n));
+            digests.push(p.state_digest());
+            words.extend([
+                p.journal_durable_end(),
+                p.journal_trimmed_bytes(),
+                p.journal_base_seq(),
+                p.journal_last_seq(),
+                p.journal_committed_seq(),
+                g.committed_bytes(),
+                g.quorum_durable_bytes(),
+                p.catchup_remaining() as u64,
+                u64::from(p.in_catchup()),
+                u64::from(self.stale[n]),
+            ]);
+            for i in 0..g.replica_count() {
+                words.push(g.replica_coverage(i));
+                let flags = [
+                    g.replica_quarantined(i),
+                    g.replica_rolled_back(i),
+                    g.replica_compacted(i),
+                    g.replica_needs_full(i),
+                ];
+                words.extend(flags.map(u64::from));
+            }
+        }
+        for client in &mut self.clients {
+            for n in 0..self.s.nodes as u16 {
+                if let Some(s) = client.session_mut(n) {
+                    words.extend([s.max_store_seq(), u64::from(s.poisoned().is_some())]);
+                }
+            }
+        }
+        let submits: Vec<_> = self.submits.iter().map(|s| (s.node, s.key)).collect();
+        stable_key_hash(&(digests, words, &self.model.0, submits))
+    }
+
     // --- the run --------------------------------------------------------
 
-    fn drive(mut self) -> Result<Run, Violation> {
+    /// Drives every op and event of the scenario, checking the oracles as
+    /// it goes; [`close`](Self::close) ends the run.
+    pub fn play(&mut self) -> Result<(), Violation> {
         let mut i = 0;
         while i < self.s.ops {
             self.fire_until(i)?;
@@ -685,10 +798,53 @@ impl Harness {
                 self.cluster.node_mut(n).take_reports();
             }
             self.check_size()?;
+            self.check_nodes()?;
         }
         self.fire_until(usize::MAX)?;
         while self.cluster.migration_in_flight() {
             self.pump_migration(8)?;
+        }
+        Ok(())
+    }
+
+    /// Ends a played run under a fair schedule: node 0's replica 0 heals,
+    /// the groups pump until every submit has settled, no node is catching
+    /// up and no replica lags (one rolled back always may), and sessions a
+    /// catch-up poisoned re-attest. Then every client reads key 0 — one
+    /// that saw acked state its node no longer holds trips its rollback
+    /// check — and a fresh client reads every key.
+    pub fn close(mut self) -> Result<Run, Violation> {
+        if self.group().replica_count() > 0 {
+            self.group_mut().heal_replica(0);
+        }
+        let busy = |g: &ReplicaGroup| {
+            let rolled_back = (0..g.replica_count()).any(|i| g.replica_rolled_back(i));
+            let lags = g.metrics().gauge("replica.lag_records") > 0 && !rolled_back;
+            g.primary().in_catchup() || lags
+        };
+        let settled =
+            |h: &Self| h.submits.is_empty() && !(0..h.s.nodes).any(|n| busy(h.cluster.group(n)));
+        for _ in 0..DRAIN {
+            if settled(&self) {
+                break;
+            }
+            self.pump()?;
+        }
+        if let Some(e) = (0..self.s.nodes).find_map(|n| self.cluster.group(n).catchup_error()) {
+            return Err(self.violation(format!("catch-up failed: {e:?}")));
+        }
+        if !settled(&self) {
+            let what = "submits, catch-up or replica lag never settle";
+            return Err(self.violation(what.into()));
+        }
+        let poisoned = |s: &mut PrecursorClient| s.poisoned().is_some();
+        for c in 0..self.clients.len() {
+            for n in 0..self.s.nodes as u16 {
+                if self.clients[c].session_mut(n).is_some_and(poisoned) {
+                    self.reconnect(c, n)?;
+                }
+            }
+            self.run_op(c, Op::Get(0))?;
         }
         self.read_back()?;
         self.finish()
@@ -746,7 +902,8 @@ impl Harness {
                 None => match self.issue(c, &op, &[key]) {
                     Ok(sub) => sub,
                     Err(e) => {
-                        self.hiccup(c, &op, &e)?;
+                        let home = self.cluster.meta().lookup(&[key]).0;
+                        self.hiccup(c, home, &op.label(), Err(e))?;
                         self.recover(c)?;
                         continue;
                     }
@@ -760,7 +917,7 @@ impl Harness {
                     let outcome = self.observe(&op, &done, attempt > 0);
                     let outcome = outcome.map_err(|what| self.violation(what))?;
                     if !matches!(outcome, Outcome::Seen(_)) {
-                        self.hiccup(c, &op, &done)?;
+                        self.hiccup(c, node, &op.label(), Ok(&done))?;
                     }
                     self.run
                         .log
@@ -775,7 +932,7 @@ impl Harness {
                     return Ok(());
                 }
                 Err(e) => {
-                    self.hiccup(c, &op, &e)?;
+                    self.hiccup(c, node, &op.label(), Err(e))?;
                     match e {
                         StoreError::SessionLost => {
                             self.reconnect(c, node)?;
@@ -796,15 +953,33 @@ impl Harness {
         Err(self.violation(format!("c{c} {} did not converge", op.label())))
     }
 
-    // A row with neither a fault plan nor an adversary never leaves the
-    // happy path: a detection, a Busy, a failed send or a lost session
-    // there is a violation, not something to retry.
-    fn hiccup(&self, c: usize, op: &Op, saw: &dyn std::fmt::Debug) -> Result<(), Violation> {
-        if self.s.faults.is_empty() && self.s.adversary.is_empty() {
-            let what = format!("c{c} {}: fault-free op saw {saw:?}", op.label());
-            return Err(self.violation(what));
+    fn fault_free(&self) -> bool {
+        self.s.faults.is_empty() && self.s.adversary.is_empty()
+    }
+
+    // A fault-free row never leaves the happy path: a detection, a Busy, a
+    // failed send or a lost session there is a violation, not something to
+    // retry — except as the catch-up rule allows at node `n`.
+    fn hiccup(
+        &self,
+        c: usize,
+        n: u16,
+        label: &str,
+        saw: Result<&CompletedOp, StoreError>,
+    ) -> Result<(), Violation> {
+        if !self.fault_free() {
+            return Ok(());
         }
-        Ok(())
+        let catchup = self.cluster.node(n as usize).in_catchup();
+        let what = match saw.map_or_else(Some, |done| done.error) {
+            Some(StoreError::Busy) if catchup => return Ok(()),
+            Some(StoreError::RollbackDetected) if catchup || self.stale[n as usize] => {
+                return Ok(())
+            }
+            Some(StoreError::RollbackDetected) => "unflagged stale promotion or restart",
+            _ => "fault-free op saw",
+        };
+        Err(self.violation(format!("c{c} {label} at node {n}: {what} {saw:?}")))
     }
 
     // A send failed (a lost QP, a quarantine, a ring stalled by lost
@@ -923,7 +1098,44 @@ impl Harness {
             }
             MigrationOutcome::Idle | MigrationOutcome::Shipping { .. } => return Ok(()),
         }
-        self.check_owners()
+        self.check_nodes()
+    }
+
+    // One `poll_all` and one poll of client 0. Its submits settle in the
+    // model and the history (a Busy one never executed and stays open); a
+    // session the poll poisons is judged by the catch-up rule.
+    fn pump(&mut self) -> Result<(), Violation> {
+        self.cluster.poll_all();
+        let nodes = 0..self.s.nodes as u16;
+        let poison = |h: &mut Self, n| h.clients[0].session_mut(n).and_then(|s| s.poisoned());
+        let was: Vec<_> = nodes.clone().map(|n| poison(self, n)).collect();
+        self.clients[0].poll_all_replies();
+        for n in nodes {
+            if let (None, Some(e)) = (was[n as usize], poison(self, n)) {
+                self.run.detections.push(e);
+                self.hiccup(0, n, "poll", Err(e))?;
+            }
+        }
+        for (node, done) in self.clients[0].take_all_completed() {
+            let at = |s: &Submit| (s.node, s.oid) == (node, done.oid);
+            // A submit cut off by a failover no longer settles.
+            let Some(i) = self.submits.iter().position(at) else {
+                continue;
+            };
+            let s = self.submits.remove(i);
+            let label = Op::Put(s.key, s.value.clone()).label();
+            self.run
+                .log
+                .push(format!("c0 {label} -> {:?}", done.status));
+            if done.status == Status::Ok {
+                self.model.settle(s.key, &s.value, Some(true));
+                self.settle(s.entry, Kind::Put(s.value));
+            } else {
+                self.hiccup(0, node, &label, Ok(&done))?;
+                self.model.settle(s.key, &s.value, Some(false));
+            }
+        }
+        Ok(())
     }
 
     // --- events ---------------------------------------------------------
@@ -936,7 +1148,7 @@ impl Harness {
             self.next_event += 1;
             self.run.log.push(format!("@{at} {event:?}"));
             self.fire(event)?;
-            self.check_owners()?;
+            self.check_nodes()?;
         }
         Ok(())
     }
@@ -956,20 +1168,40 @@ impl Harness {
                 self.install_plans(n);
                 self.rejoin(n)?;
             }
-            Event::FailNode(n) => {
-                let audit_ok = self.cluster.group(n).audit_replicas().is_ok();
+            Event::FailNode { node: n, batch } => {
+                let g = self.cluster.group(n);
+                let rolled_back: Vec<_> = (0..g.replica_count())
+                    .filter(|&i| g.replica_rolled_back(i))
+                    .collect();
                 let state = |p: &PrecursorServer| (p.mutation_seq(), p.state_digest());
                 let before = state(self.cluster.node(n));
+                // Submits the lost machine held may or may not have applied;
+                // their history entries stay open (free to linearise last).
+                let (cut, kept) = std::mem::take(&mut self.submits)
+                    .into_iter()
+                    .partition::<Vec<_>, _>(|s| s.node as usize == n);
+                self.submits = kept;
+                for s in cut {
+                    self.model.settle(s.key, &s.value, None);
+                }
                 self.retire(n);
-                let report = self.cluster.fail_node(n).map_err(|e| failed(self, e))?;
+                let report = self.cluster.fail_node(n, batch);
+                let report = report.map_err(|e| failed(self, e))?;
+                self.stale[n] = report.stale;
                 self.run.failovers.push(Failover {
-                    audit_ok,
                     before,
                     after: state(self.cluster.node(n)),
                     promoted: report.promoted,
-                    quarantined: report.quarantined,
+                    quarantined: report.quarantined.clone(),
                     stale: report.stale,
                 });
+                if let Some(i) = rolled_back.iter().find(|i| !report.quarantined.contains(i)) {
+                    let what = format!(
+                        "rolled-back replica not quarantined: node {n}'s replica {i} holds \
+                         less than it acknowledged and stays promotable"
+                    );
+                    return Err(self.violation(what));
+                }
                 self.install_plans(n);
                 self.rejoin(n)?;
             }
@@ -994,7 +1226,31 @@ impl Harness {
                 let line = format!("migrate {key}: {from} -> {to} {started}");
                 self.run.log.push(line);
             }
+            Event::Submit(key) => {
+                // Unique on its key (values are compared per key): the
+                // key's op count so far.
+                let value = self.heat[key as usize].to_le_bytes().to_vec();
+                let op = Op::Put(key, value.clone());
+                match self.issue(0, &op, &[key]) {
+                    Ok((node, oid)) => {
+                        let entry = self.begin(&op);
+                        self.submits.push(Submit {
+                            node,
+                            oid,
+                            entry,
+                            key,
+                            value,
+                        });
+                    }
+                    // A poisoned session refuses ops; the poll that
+                    // poisoned it was judged.
+                    Err(StoreError::SessionPoisoned | StoreError::RollbackDetected) => {}
+                    Err(e) => return Err(failed(self, e)),
+                }
+            }
+            Event::Pump => self.pump()?,
             Event::LagReplica => self.group_mut().lag_replica(0, 6),
+            Event::PartitionReplica => self.group_mut().partition_replica(0),
             Event::HealReplica => self.group_mut().heal_replica(0),
             Event::RollbackReplica => {
                 let keep = self.group().replica_journal_len(0) / 3;
@@ -1008,11 +1264,16 @@ impl Harness {
         Ok(())
     }
 
-    // Drains the node's commit pipeline, then cuts its journal — the host
-    // tearing `crash` — and checks recovery reconstructs what it did.
+    // Drains the node's commit pipeline (at most 8 pumps, none when it is
+    // already committed), then cuts its journal — the host tearing `crash`
+    // — and checks recovery reconstructs what it did.
     fn compact(&mut self, node: usize, crash: Option<FaultSite>) -> Result<(), Violation> {
         let group = self.cluster.group_mut(node);
         for _ in 0..8 {
+            let p = group.primary();
+            if p.journal_committed_seq() >= p.journal_last_seq() {
+                break;
+            }
             group.pump();
         }
         let before = group.probe_recovery();
@@ -1098,6 +1359,9 @@ impl Harness {
     }
 
     // Sessions at node `n` re-attest in the order its primary admitted them.
+    // In a fault-free row a lost session means the node lost its record: a
+    // session that saw no ack, or one at a node flagged stale, starts
+    // afresh; any other is an unflagged stale promotion.
     fn rejoin(&mut self, n: usize) -> Result<(), Violation> {
         let mut admitted: Vec<(u32, usize)> = Vec::new();
         for (c, client) in self.clients.iter_mut().enumerate() {
@@ -1107,18 +1371,50 @@ impl Harness {
         }
         admitted.sort_unstable();
         for (_, c) in admitted {
-            self.reconnect(c, n as u16)?;
+            match self.clients[c].reconnect_node(&mut self.cluster, n as u16) {
+                Ok(()) => self.run.reconnects += 1,
+                Err(StoreError::SessionLost) if self.fault_free() => {
+                    let session = self.clients[c].session_mut(n as u16).expect("admitted");
+                    let seen = session.max_store_seq();
+                    if seen > 0 && !self.stale[n] {
+                        let what = format!(
+                            "unflagged stale promotion: node {n} lost the session of \
+                             client {c}, which saw acks up to store seq {seen}"
+                        );
+                        return Err(self.violation(what));
+                    }
+                    let seed = mix(self.s.seed, AFRESH + c as u64);
+                    let fresh = ClusterClient::connect(&mut self.cluster, seed);
+                    self.clients[c] =
+                        fresh.map_err(|e| self.violation(format!("afresh: {e:?}")))?;
+                }
+                Err(_) => self.reconnect(c, n as u16)?,
+            }
         }
         Ok(())
     }
 
     // --- oracles --------------------------------------------------------
 
-    fn check_owners(&self) -> Result<(), Violation> {
+    // Oracles 3 and 6: one owner per key; per node, no reply released for
+    // bytes a quorum does not hold and no divergent replica prefixes.
+    fn check_nodes(&self) -> Result<(), Violation> {
         for k in 0..self.s.keys {
             let owners = self.cluster.nodes().filter(|n| n.owns_key(&[k])).count();
             if owners != 1 {
                 return Err(self.violation(format!("key {k} has {owners} owners")));
+            }
+        }
+        for n in 0..self.s.nodes {
+            let g = self.cluster.group(n);
+            let (committed, durable) = (g.committed_bytes(), g.quorum_durable_bytes());
+            if committed > durable {
+                let what =
+                    format!("node {n} acked {committed} journal bytes, a quorum holds {durable}");
+                return Err(self.violation(what));
+            }
+            if let Err(e) = g.audit_replicas() {
+                return Err(self.violation(format!("node {n}'s replicas diverge: {e:?}")));
             }
         }
         Ok(())
@@ -1158,7 +1454,7 @@ impl Harness {
     }
 
     fn finish(mut self) -> Result<Run, Violation> {
-        self.check_owners()?;
+        self.check_nodes()?;
         for n in 0..self.s.nodes {
             self.retire(n);
             if self.dropped[n] != 0 {
@@ -1166,7 +1462,7 @@ impl Harness {
                 return Err(self.violation(what));
             }
         }
-        if self.s.clients > 1 {
+        if self.fault_free() {
             check_history(&self.run.history).map_err(|e| self.violation(e))?;
         }
         let run = &mut self.run;
