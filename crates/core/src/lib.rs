@@ -88,6 +88,7 @@ pub use config::{Config, EncryptionMode, RetryPolicy};
 pub use error::StoreError;
 pub use replication::{FailoverReport, ProtocolBug, ReplicaGroup};
 pub use server::{CompactOutcome, OpReport, PrecursorServer, RecoveryReport};
+pub use snapshot::SnapshotBlob;
 
 // Fault-injection and adversary vocabulary, re-exported so chaos and
 // byzantine tests and demos need only this crate.

@@ -80,7 +80,7 @@ use precursor_sim::CostModel;
 use crate::config::Config;
 use crate::error::StoreError;
 use crate::server::{CompactOutcome, PrecursorServer, RecoveryReport};
-use crate::snapshot;
+use crate::snapshot::{self, SnapshotBlob};
 use precursor_journal::GroupCommitPolicy;
 
 // Replication frame tags (primary → replica segments and compacted
@@ -152,12 +152,13 @@ impl Replica {
 }
 
 // The compacted (snapshot, cut) pair the primary ships to replicas whose
-// coverage is behind the truncation point (R > 0 only). A copy of the
-// primary's committed blob, so a host tampering with the *shipped* bytes
-// (`rewrite_compacted_snapshot`) does not also damage the recovery root.
+// coverage is behind the truncation point (R > 0 only). It shares the
+// primary's committed blob part for part; a host tampering with the
+// *shipped* bytes (`rewrite_compacted_snapshot`) writes to its own copy
+// and leaves the recovery root alone.
 #[derive(Debug)]
 struct CompactShip {
-    blob: Vec<u8>,
+    blob: SnapshotBlob,
     trimmed: u64,
     base_seq: u64,
 }
@@ -417,7 +418,9 @@ impl ReplicaGroup {
     /// recovery root. No-op before the first compaction.
     pub fn rewrite_compacted_snapshot(&mut self, rewrite: impl FnOnce(&mut Vec<u8>)) {
         if let Some(ship) = self.compact_ship.as_mut() {
-            rewrite(&mut ship.blob);
+            let mut blob = ship.blob.to_vec();
+            rewrite(&mut blob);
+            ship.blob = SnapshotBlob::from(blob);
         }
     }
 
@@ -448,7 +451,7 @@ impl ReplicaGroup {
     /// [`PrecursorServer::compact_journal_via`]).
     pub fn compact_via(
         &mut self,
-        host_write: impl FnOnce(&mut Vec<u8>, &[std::ops::Range<usize>]),
+        host_write: impl FnOnce(&mut SnapshotBlob, &[std::ops::Range<usize>]),
     ) -> CompactOutcome {
         let outcome = self
             .primary
@@ -458,7 +461,7 @@ impl ReplicaGroup {
         {
             let root = self.primary.committed_snapshot();
             self.compact_ship = Some(CompactShip {
-                blob: root.expect("a cut just committed").to_vec(),
+                blob: root.expect("a cut just committed").clone(),
                 trimmed: self.primary.journal_trimmed_bytes(),
                 base_seq: *base_seq,
             });
@@ -471,10 +474,11 @@ impl ReplicaGroup {
     // replayed.
     fn recover_primary(&self) -> Result<(PrecursorServer, RecoveryReport), StoreError> {
         let p = &self.primary;
+        let root = p.committed_snapshot().map(SnapshotBlob::to_vec);
         let (mut server, report) = PrecursorServer::recover(
             p.config().clone(),
             &self.cost,
-            p.committed_snapshot(),
+            root.as_deref(),
             &self.snap_counter,
             p.journal_durable().unwrap_or(&[]),
             p.journal_cut(),
@@ -597,7 +601,7 @@ impl ReplicaGroup {
                     frame.push(FRAME_SNAPSHOT);
                     frame.extend_from_slice(&ship.trimmed.to_le_bytes());
                     frame.extend_from_slice(&ship.base_seq.to_le_bytes());
-                    frame.extend_from_slice(&ship.blob);
+                    ship.blob.append_to(&mut frame);
                     r.link.send_to_replica(&frame);
                 }
                 continue;
@@ -861,16 +865,17 @@ impl ReplicaGroup {
         // primary's root, salvaged off its host, and the epoch's genesis
         // chain.
         let journal = std::mem::take(&mut replica.journal);
-        let own = replica.snapshot.take();
         let (snapshot, cut) = if replica.base > 0 {
-            (own.as_deref(), Some((replica.base_seq, replica.base_chain)))
+            let cut = (replica.base_seq, replica.base_chain);
+            (replica.snapshot.take(), Some(cut))
         } else {
-            (self.primary.committed_snapshot(), None)
+            let salvaged = self.primary.committed_snapshot();
+            (salvaged.map(SnapshotBlob::to_vec), None)
         };
         let (mut server, recovery) = PrecursorServer::recover(
             self.primary.config().clone(),
             &self.cost,
-            snapshot,
+            snapshot.as_deref(),
             &self.snap_counter,
             &journal,
             cut,

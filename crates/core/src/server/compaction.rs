@@ -1,0 +1,468 @@
+//! Compaction stage: cutting the store into a sealed snapshot, and the
+//! two-phase commit that lets the cut replace the journal prefix behind it.
+//!
+//! A cut costs what it seals. The last committed cut is kept as a
+//! [`SnapshotBlob`] whose segment buffers are shared: the next cut carries
+//! every clean segment by reference, re-seals each dirty one from the
+//! previous cut's plaintext of it plus the current table entries of the
+//! keys written since, and hands the host a copy that shares every part.
+//! Only the first cut, or one whose previous cut no longer authenticates,
+//! walks the table. DESIGN §14 "Log compaction" has the rule and the
+//! measurements.
+
+use std::ops::Range;
+
+use precursor_crypto::gcm::GcmKey;
+use precursor_crypto::keys::Nonce12;
+use precursor_rdma::faults::{DurableVerdict, FaultSite};
+use precursor_sgx::counters::MonotonicCounter;
+
+use crate::snapshot::{self, Cut, DirtyKeys, PreviousCut, SnapshotBlob, SnapshotHeader};
+
+use super::{lock_faults, PrecursorServer};
+
+/// Result of [`PrecursorServer::compact_journal`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CompactOutcome {
+    /// Nothing to compact: no journal, wedged, uncommitted or pending
+    /// records, or no records past the previous cut.
+    Skipped,
+    /// The host damaged the tentative snapshot seal. The trusted counter
+    /// was not advanced, the previous snapshot is still authoritative, and
+    /// the journal is whole — recovery state is unchanged.
+    Aborted,
+    /// Snapshot committed and prefix truncated.
+    Compacted {
+        /// The sealed snapshot now anchoring recovery, as the host
+        /// persisted it (store it where the old base snapshot lived).
+        snapshot: SnapshotBlob,
+        /// Records removed from the durable stream.
+        truncated_records: u64,
+        /// The cut: first surviving record is `base_seq + 1`.
+        base_seq: u64,
+    },
+    /// Snapshot committed but the process died before the truncate: the
+    /// journal wedged whole. Recovery from (snapshot, full journal)
+    /// reaches the same digest the truncated pair would.
+    Wedged {
+        /// The committed sealed snapshot, as the host persisted it.
+        snapshot: SnapshotBlob,
+        /// Watermark the snapshot covers.
+        base_seq: u64,
+    },
+}
+
+impl PrecursorServer {
+    /// Compacts the journal: seals a snapshot covering the whole applied
+    /// state, advances the trusted `counter` to commit it, and truncates
+    /// the journal prefix behind the committed watermark. Two-phase:
+    ///
+    /// 1. **Tentative seal** at `counter.read() + 1` — the counter is NOT
+    ///    advanced yet. Only the segments holding a key written since the
+    ///    last committed snapshot are re-sealed. The host may damage what
+    ///    it persists (`SnapshotSeal` fault); the enclave authenticates
+    ///    exactly the bytes this cut wrote — manifest and re-sealed
+    ///    segments, by tag, without decrypting them — and, on damage,
+    ///    aborts with the previous snapshot still authoritative, the
+    ///    journal whole and the dirty set intact
+    ///    ([`CompactOutcome::Aborted`]). Recovery state is unchanged.
+    /// 2. **Commit** — `counter.increment()` makes the new blob the only
+    ///    unsealable snapshot.
+    /// 3. **Truncate** through the [`FaultSite::CompactTruncate`] crash
+    ///    point. A damage verdict there models the process dying between
+    ///    seal and truncate: the journal wedges untruncated
+    ///    ([`CompactOutcome::Wedged`]), and recovery from the committed
+    ///    snapshot plus the *whole* journal reaches the same digest the
+    ///    truncated pair would.
+    ///
+    /// Only a quiescent journal compacts: nothing pending, every record
+    /// committed (locally or by quorum), at least one record past the
+    /// previous cut, and no staged catch-up still draining — until it
+    /// drains, the epoch's base snapshot is unsealed and a cut would seal
+    /// only the applied prefix. Anything else is
+    /// [`CompactOutcome::Skipped`].
+    pub fn compact_journal(&mut self, counter: &mut MonotonicCounter) -> CompactOutcome {
+        self.compact_journal_via(counter, |_, _| {})
+    }
+
+    /// Adversarial hook: [`compact_journal`](Self::compact_journal) with
+    /// the untrusted host's write of the tentative cut in the caller's
+    /// hands. `host_write` gets the blob about to be persisted (after any
+    /// `SnapshotSeal` fault) and the byte ranges this cut wrote — layout,
+    /// never content — and may damage, truncate or extend it at will; a
+    /// write copies only the part it lands in.
+    pub fn compact_journal_via(
+        &mut self,
+        counter: &mut MonotonicCounter,
+        host_write: impl FnOnce(&mut SnapshotBlob, &[Range<usize>]),
+    ) -> CompactOutcome {
+        let Some(d) = self.durability.as_ref() else {
+            return CompactOutcome::Skipped;
+        };
+        if d.failed
+            || self.in_catchup()
+            || d.journal.pending_records() > 0
+            || d.journal.last_seq() == d.journal.base_seq()
+            || d.committed_seq < d.journal.last_seq()
+        {
+            return CompactOutcome::Skipped;
+        }
+        let upto = d.committed_seq;
+        let version = counter.read() + 1;
+        let key = GcmKey::new(&self.sealing_key());
+        let cut = self.snapshot_at(&key, version);
+        let persisted = self.persist(&cut, host_write);
+        if !cut.persisted_intact(&key, version, &persisted) {
+            self.obs.inc("journal.compaction_aborts", 1);
+            self.trace("journal", "compact_abort", upto, 0);
+            return CompactOutcome::Aborted;
+        }
+        let _ = counter.increment();
+        self.commit_snapshot(version, cut);
+        let durable_len = self
+            .durability
+            .as_ref()
+            .map_or(0, |d| d.journal.durable().len());
+        let verdict = match &self.faults {
+            Some(f) => lock_faults(f).on_durable_write(FaultSite::CompactTruncate, durable_len),
+            None => DurableVerdict::Complete,
+        };
+        let d = self.durability.as_mut().expect("checked above");
+        if !matches!(verdict, DurableVerdict::Complete) {
+            d.failed = true;
+            self.obs.inc("journal.compaction_wedges", 1);
+            self.trace("journal", "compact_wedge", upto, 0);
+            return CompactOutcome::Wedged {
+                snapshot: persisted,
+                base_seq: upto,
+            };
+        }
+        let truncated_records = d.journal.truncate_prefix(upto);
+        let base_seq = d.journal.base_seq();
+        self.obs.inc("journal.compactions", 1);
+        self.obs.inc("journal.truncated_records", truncated_records);
+        self.trace("journal", "compact", upto, truncated_records);
+        CompactOutcome::Compacted {
+            snapshot: persisted,
+            truncated_records,
+            base_seq,
+        }
+    }
+
+    fn snapshot_header(&self) -> SnapshotHeader {
+        SnapshotHeader {
+            mode: self.config.mode,
+            storage_key: self.store.storage_key.clone(),
+            storage_seq: self.store.storage_seq,
+            mutation_seq: self.store.mutation_seq,
+            state_digest: self.store.state_digest,
+            // Per-client at-most-once windows (and connection epochs) ride
+            // along in the sealed blob, so a restarted server
+            // re-acknowledges (rather than re-executes or rejects) requests
+            // that were in flight at the crash, and reconnecting clients
+            // get a strictly increasing epoch.
+            sessions: self
+                .sessions
+                .list
+                .iter()
+                .map(|s| (s.expected_oid, s.last_status, s.epoch))
+                .collect(),
+            // Journal watermark: recovery replays only records past it.
+            journal_epoch: self.journal_epoch().unwrap_or(0),
+            journal_seq: self.journal_last_seq(),
+            journal_chain: self
+                .journal_chain()
+                .unwrap_or_else(|| precursor_journal::genesis_chain(0)),
+        }
+    }
+
+    // Seals at an explicit `version` without touching any counter — the
+    // tentative first phase of journal compaction, which advances the
+    // trusted counter only after the persisted bytes validate (so a
+    // host-damaged seal aborts with the previous snapshot still
+    // authoritative). The one seal path. With a committed cut to carry
+    // from, only the segments holding a dirty key are re-sealed, from that
+    // cut's plaintext (`StoreExec::reseal_segments`); with none — the
+    // first cut, or a previous cut whose manifest or a dirty segment no
+    // longer authenticates — the table is walked and every segment sealed.
+    // The dirty set is left alone — `commit_snapshot` empties it — so a
+    // cut that is never committed is simply retried.
+    pub(crate) fn snapshot_at(&mut self, key: &GcmKey, version: u64) -> Cut {
+        let header = self.snapshot_header();
+        let drawn = Nonce12::generate(&mut self.rng);
+        let mode = self.config.mode;
+        // The last committed blob sits in host memory like any sealed
+        // bytes: its manifest, and every segment a re-seal reads, is
+        // authenticated again before use.
+        let previous = self
+            .last_snapshot
+            .as_ref()
+            .and_then(|(at, blob)| PreviousCut::open(key, *at, blob).ok());
+        let incremental = match (&previous, &self.store.dirty) {
+            (Some(previous), Some(dirty)) => {
+                self.store.reseal_segments(mode, key, previous, dirty).ok()
+            }
+            _ => None,
+        };
+        let fresh = incremental.unwrap_or_else(|| {
+            let plain = self.store.encode_segments(mode);
+            plain.into_iter().map(Some).collect()
+        });
+        let cut = snapshot::seal(key, version, &drawn, &header, &fresh, previous.as_ref());
+        self.obs
+            .inc("snapshot.segments_sealed", cut.segments_sealed());
+        self.obs
+            .inc("snapshot.segments_reused", cut.segments_reused);
+        self.obs.inc("snapshot.bytes_sealed", cut.bytes_sealed);
+        cut
+    }
+
+    // The untrusted host's write of `cut`. Its copy shares every part of
+    // the sealed blob; a `SnapshotSeal` fault, then `host_write` (handed
+    // the byte ranges this cut wrote), may damage it, and a write copies
+    // only the part it lands in — counted in `snapshot.bytes_copied`.
+    pub(crate) fn persist(
+        &mut self,
+        cut: &Cut,
+        host_write: impl FnOnce(&mut SnapshotBlob, &[Range<usize>]),
+    ) -> SnapshotBlob {
+        let written = cut.written();
+        let mut persisted = cut.blob.clone();
+        self.apply_seal_fault(&mut persisted, &written);
+        host_write(&mut persisted, &written);
+        let copied = persisted.unshared_bytes(&cut.blob);
+        self.obs.inc("snapshot.bytes_copied", copied);
+        persisted
+    }
+
+    // The commit point of a cut (the caller has advanced the counter to
+    // `version`): it becomes the cut the next one carries from, and only
+    // now is the dirty set emptied.
+    pub(crate) fn commit_snapshot(&mut self, version: u64, cut: Cut) {
+        self.last_snapshot = Some((version, cut.blob));
+        self.store.dirty = Some(DirtyKeys::default());
+    }
+
+    /// The last committed snapshot as the enclave sealed it — with the
+    /// durable journal, what a restart recovers from — or `None` before
+    /// the first [`snapshot`](Self::snapshot) or compaction. The host's
+    /// persisted copy that compaction returns shares every part of it the
+    /// host did not write to.
+    pub fn committed_snapshot(&self) -> Option<&SnapshotBlob> {
+        self.last_snapshot.as_ref().map(|(_, blob)| blob)
+    }
+
+    // Routes a snapshot seal through the fault-injection layer. The durable
+    // write is the `written` ranges of `blob` in order (what this cut
+    // sealed; the rest was already on disk): a crash mid-write tears the
+    // blob at the byte the write had reached, a corrupting host flips one
+    // of the written bits.
+    fn apply_seal_fault(&self, blob: &mut SnapshotBlob, written: &[Range<usize>]) {
+        let Some(f) = &self.faults else {
+            return;
+        };
+        let total: usize = written.iter().map(|r| r.len()).sum();
+        // Blob offset of the `nth` written byte.
+        let end = blob.len();
+        let locate = |mut nth: usize| {
+            for r in written {
+                if nth < r.len() {
+                    return r.start + nth;
+                }
+                nth -= r.len();
+            }
+            end
+        };
+        match lock_faults(f).on_durable_write(FaultSite::SnapshotSeal, total) {
+            DurableVerdict::Complete => {}
+            DurableVerdict::Torn(keep) => blob.truncate(locate(keep)),
+            DurableVerdict::Corrupt(bit) => {
+                if total > 0 {
+                    let b = bit % (total * 8);
+                    blob[locate(b / 8)] ^= 1 << (b % 8);
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use precursor_journal::GroupCommitPolicy;
+    use precursor_rdma::faults::{FaultAction, FaultDir, FaultPlan};
+    use precursor_sim::CostModel;
+    use precursor_storage::robinhood::stable_key_hash;
+
+    use super::*;
+    use crate::client::PrecursorClient;
+    use crate::config::Config;
+    use crate::snapshot::segment_of;
+
+    const KEYS: u32 = 2_000;
+
+    fn key(i: u32) -> Vec<u8> {
+        format!("key{i:06}").into_bytes()
+    }
+
+    fn segment(i: u32) -> usize {
+        segment_of(stable_key_hash(&key(i)))
+    }
+
+    // A journaled server holding `KEYS` keys, its client, and the snapshot
+    // counter after one committed (full) cut.
+    fn cut_once() -> (PrecursorServer, PrecursorClient, MonotonicCounter) {
+        let mut server = PrecursorServer::new(Config::default(), &CostModel::default());
+        server.attach_journal(GroupCommitPolicy::immediate(), &mut MonotonicCounter::new());
+        let mut client = PrecursorClient::connect(&mut server, 29).expect("connect");
+        for i in 0..KEYS {
+            client
+                .put_sync(&mut server, &key(i), &[i as u8; 32])
+                .expect("load");
+        }
+        let mut counter = MonotonicCounter::new();
+        compact(&mut server, &mut counter);
+        (server, client, counter)
+    }
+
+    fn compact(server: &mut PrecursorServer, counter: &mut MonotonicCounter) -> SnapshotBlob {
+        match server.compact_journal(counter) {
+            CompactOutcome::Compacted { snapshot, .. } => snapshot,
+            other => panic!("cut must commit: {other:?}"),
+        }
+    }
+
+    fn metric(server: &PrecursorServer, name: &str) -> u64 {
+        server.metrics().counter(name)
+    }
+
+    fn shared(a: &SnapshotBlob, b: &SnapshotBlob) -> bool {
+        let parts = a.parts().iter().zip(b.parts());
+        a.parts().len() == b.parts().len() && parts.into_iter().all(|(a, b)| Arc::ptr_eq(a, b))
+    }
+
+    #[test]
+    fn consecutive_cuts_share_clean_segments_and_the_host_copy_shares_every_part() {
+        let (mut server, mut client, mut counter) = cut_once();
+        let first = server.committed_snapshot().expect("committed").clone();
+        for i in 0..20 {
+            client
+                .put_sync(&mut server, &key(i * 97), &[0xee; 32])
+                .expect("put");
+        }
+        let (sealed, reused) = (
+            metric(&server, "snapshot.segments_sealed"),
+            metric(&server, "snapshot.segments_reused"),
+        );
+        let host = compact(&mut server, &mut counter);
+        let second = server.committed_snapshot().expect("committed");
+        assert!(
+            shared(&host, second),
+            "the honest host copy is the sealed parts"
+        );
+
+        let sealed = metric(&server, "snapshot.segments_sealed") - sealed;
+        let reused = metric(&server, "snapshot.segments_reused") - reused;
+        let carried = second.parts()[1..]
+            .iter()
+            .filter(|p| first.parts().iter().any(|q| Arc::ptr_eq(p, q)))
+            .count() as u64;
+        assert!((1..=20).contains(&sealed) && reused > 0);
+        assert_eq!(
+            carried, reused,
+            "every clean segment is the first cut's buffer"
+        );
+        assert_eq!(carried + sealed, second.parts().len() as u64 - 1);
+        assert_eq!(metric(&server, "snapshot.bytes_copied"), 0);
+    }
+
+    #[test]
+    fn a_corrupting_seal_fault_copies_the_one_part_it_damages() {
+        let (mut server, mut client, counter) = cut_once();
+        client
+            .put_sync(&mut server, &key(7), &[1; 32])
+            .expect("put");
+        let plan = FaultPlan::none().rule(
+            FaultSite::SnapshotSeal,
+            FaultDir::Any,
+            FaultAction::Corrupt,
+            1,
+        );
+        server.set_fault_plan(plan, 29);
+        let key = GcmKey::new(&server.sealing_key());
+        let version = counter.read() + 1;
+        let cut = server.snapshot_at(&key, version);
+        let persisted = server.persist(&cut, |_, _| {});
+
+        let copied: Vec<u64> = (cut.blob.parts().iter().zip(persisted.parts()))
+            .filter(|(s, p)| !Arc::ptr_eq(s, p))
+            .map(|(s, _)| s.len() as u64)
+            .collect();
+        assert_eq!(copied.len(), 1, "one part copied, every other shared");
+        assert_eq!(metric(&server, "snapshot.bytes_copied"), copied[0]);
+        assert!(!cut.persisted_intact(&key, version, &persisted));
+    }
+
+    // The carried-entry rule: a key not written since the last committed cut
+    // is sealed as that cut sealed it, even when its segment is re-sealed
+    // and the host flipped a bit of its stored payload in between.
+    #[test]
+    fn a_cut_seals_a_clean_keys_entry_as_the_previous_cut_sealed_it() {
+        let (mut server, mut client, mut counter) = cut_once();
+        let clean = (1..KEYS)
+            .find(|&i| segment(i) == segment(0))
+            .expect("some key shares key 0's segment");
+        client
+            .put_sync(&mut server, &key(0), &[0xaa; 32])
+            .expect("put");
+        assert!(server.corrupt_stored_payload(&key(clean)));
+        let blob = compact(&mut server, &mut counter).to_vec();
+
+        let cost = CostModel::default();
+        let mut restored =
+            PrecursorServer::restore(Config::default(), &cost, &blob, &counter).expect("restores");
+        assert_eq!(restored.audit_key(&key(clean)), Some(true));
+        let mut reader = PrecursorClient::connect(&mut restored, 31).expect("reader");
+        let got = reader.get_sync(&mut restored, &key(clean));
+        assert_eq!(got.expect("the sealed value"), [clean as u8; 32]);
+        let got = reader.get_sync(&mut restored, &key(0));
+        assert_eq!(got.expect("the written value"), [0xaa; 32]);
+        assert_eq!(reader.metrics().counter("client.verify_fail"), 0);
+    }
+
+    // A previous cut whose dirty segment no longer authenticates cannot be
+    // carried from: the cut walks the table and seals everything, commits,
+    // and restores.
+    #[test]
+    fn a_previous_segment_that_fails_to_authenticate_makes_the_cut_a_full_seal() {
+        let (mut server, mut client, mut counter) = cut_once();
+        let full = metric(&server, "snapshot.segments_sealed");
+        client
+            .put_sync(&mut server, &key(0), &[0xbb; 32])
+            .expect("put");
+        let sealing = GcmKey::new(&server.sealing_key());
+        let (version, root) = server.last_snapshot.as_mut().expect("committed");
+        let ranges = snapshot::open_manifest(&sealing, *version, &root.to_vec())
+            .expect("opens")
+            .segment_ranges();
+        let (_, range) = ranges
+            .into_iter()
+            .find(|(index, _)| *index == segment(0))
+            .expect("key 0's segment");
+        root[range.start] ^= 1;
+
+        let reused = metric(&server, "snapshot.segments_reused");
+        let blob = compact(&mut server, &mut counter).to_vec();
+        assert_eq!(metric(&server, "snapshot.segments_reused"), reused);
+        assert_eq!(metric(&server, "snapshot.segments_sealed"), 2 * full);
+
+        let cost = CostModel::default();
+        let mut restored =
+            PrecursorServer::restore(Config::default(), &cost, &blob, &counter).expect("restores");
+        assert_eq!(restored.len(), KEYS as usize);
+        let mut reader = PrecursorClient::connect(&mut restored, 33).expect("reader");
+        let got = reader.get_sync(&mut restored, &key(0));
+        assert_eq!(got.expect("the written value"), [0xbb; 32]);
+    }
+}

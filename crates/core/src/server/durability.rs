@@ -31,7 +31,6 @@
 
 use std::collections::VecDeque;
 
-use precursor_crypto::gcm::GcmKey;
 use precursor_journal::{FlushDamage, GroupCommitPolicy, Journal, JournalRecord, JournalStats};
 use precursor_rdma::faults::{DurableVerdict, FaultSite};
 use precursor_sgx::counters::MonotonicCounter;
@@ -67,8 +66,8 @@ struct GatedReply {
 // Durability-stage state: the journal plus the commit/gate bookkeeping.
 #[derive(Debug)]
 pub(super) struct Durability {
-    journal: Journal,
-    committed_seq: u64,
+    pub(super) journal: Journal,
+    pub(super) committed_seq: u64,
     // (durable-bytes end, last record seq) per flushed group — lets the
     // replica group's byte-level acknowledgements map back to commit
     // sequence numbers. Pruned as commits advance; empty with no fan-out.
@@ -78,7 +77,7 @@ pub(super) struct Durability {
     // mid-write. Replies gated at that point are never released (their
     // clients time out), and nothing further is appended — recovery is the
     // only way forward.
-    failed: bool,
+    pub(super) failed: bool,
     // Replication fan-out: the number of replicas each flushed byte is
     // shipped to. 0 commits a group locally at its flush; above 0 commit
     // waits for the replica group's `commit_journal_bytes`, and the
@@ -106,37 +105,6 @@ pub struct RecoveryReport {
     /// Mutation records queued for [`PrecursorServer::catchup_step`]; the
     /// server answers reads from its applied prefix until they drain.
     pub catchup_pending: usize,
-}
-
-/// Result of [`PrecursorServer::compact_journal`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CompactOutcome {
-    /// Nothing to compact: no journal, wedged, uncommitted or pending
-    /// records, or no records past the previous cut.
-    Skipped,
-    /// The host damaged the tentative snapshot seal. The trusted counter
-    /// was not advanced, the previous snapshot is still authoritative, and
-    /// the journal is whole — recovery state is unchanged.
-    Aborted,
-    /// Snapshot committed and prefix truncated.
-    Compacted {
-        /// The sealed snapshot now anchoring recovery (store it where the
-        /// old base snapshot lived).
-        snapshot: Vec<u8>,
-        /// Records removed from the durable stream.
-        truncated_records: u64,
-        /// The cut: first surviving record is `base_seq + 1`.
-        base_seq: u64,
-    },
-    /// Snapshot committed but the process died before the truncate: the
-    /// journal wedged whole. Recovery from (snapshot, full journal)
-    /// reaches the same digest the truncated pair would.
-    Wedged {
-        /// The committed sealed snapshot.
-        snapshot: Vec<u8>,
-        /// Watermark the snapshot covers.
-        base_seq: u64,
-    },
 }
 
 // Mutation records queued by `recover`: a promoted replica may serve reads
@@ -283,101 +251,6 @@ impl PrecursorServer {
             }
         }
         self.release_gated();
-    }
-
-    /// Compacts the journal: seals a snapshot covering the whole applied
-    /// state, advances the trusted `counter` to commit it, and truncates
-    /// the journal prefix behind the committed watermark. Two-phase:
-    ///
-    /// 1. **Tentative seal** at `counter.read() + 1` — the counter is NOT
-    ///    advanced yet. Only the segments mutated since the last committed
-    ///    snapshot are re-sealed. The host may damage what it persists
-    ///    (`SnapshotSeal` fault); the enclave authenticates exactly the
-    ///    bytes this cut wrote — manifest and re-sealed segments, by tag,
-    ///    without decrypting them — and, on damage, aborts with the
-    ///    previous snapshot still authoritative, the journal whole and the
-    ///    dirty set intact ([`CompactOutcome::Aborted`]). Recovery state
-    ///    is unchanged.
-    /// 2. **Commit** — `counter.increment()` makes the new blob the only
-    ///    unsealable snapshot.
-    /// 3. **Truncate** through the [`FaultSite::CompactTruncate`] crash
-    ///    point. A damage verdict there models the process dying between
-    ///    seal and truncate: the journal wedges untruncated
-    ///    ([`CompactOutcome::Wedged`]), and recovery from the committed
-    ///    snapshot plus the *whole* journal reaches the same digest the
-    ///    truncated pair would.
-    ///
-    /// Only a quiescent journal compacts: nothing pending, every record
-    /// committed (locally or by quorum), at least one record past the
-    /// previous cut, and no staged catch-up still draining — until it
-    /// drains, the epoch's base snapshot is unsealed and a cut would seal
-    /// only the applied prefix. Anything else is
-    /// [`CompactOutcome::Skipped`].
-    pub fn compact_journal(&mut self, counter: &mut MonotonicCounter) -> CompactOutcome {
-        self.compact_journal_via(counter, |_, _| {})
-    }
-
-    /// Adversarial hook: [`compact_journal`](Self::compact_journal) with
-    /// the untrusted host's write of the tentative cut in the caller's
-    /// hands. `host_write` gets the blob about to be persisted (after any
-    /// `SnapshotSeal` fault) and the byte ranges this cut wrote — layout,
-    /// never content — and may damage, truncate or extend it at will.
-    pub fn compact_journal_via(
-        &mut self,
-        counter: &mut MonotonicCounter,
-        host_write: impl FnOnce(&mut Vec<u8>, &[std::ops::Range<usize>]),
-    ) -> CompactOutcome {
-        let Some(d) = self.durability.as_ref() else {
-            return CompactOutcome::Skipped;
-        };
-        if d.failed
-            || self.in_catchup()
-            || d.journal.pending_records() > 0
-            || d.journal.last_seq() == d.journal.base_seq()
-            || d.committed_seq < d.journal.last_seq()
-        {
-            return CompactOutcome::Skipped;
-        }
-        let upto = d.committed_seq;
-        let version = counter.read() + 1;
-        let key = GcmKey::new(&self.sealing_key());
-        let mut cut = self.snapshot_at(&key, version);
-        host_write(&mut cut.persisted, &cut.sealed.written());
-        if !cut.sealed.persisted_intact(&key, version, &cut.persisted) {
-            self.obs.inc("journal.compaction_aborts", 1);
-            self.trace("journal", "compact_abort", upto, 0);
-            return CompactOutcome::Aborted;
-        }
-        let _ = counter.increment();
-        let blob = self.commit_snapshot(version, cut);
-        let durable_len = self
-            .durability
-            .as_ref()
-            .map_or(0, |d| d.journal.durable().len());
-        let verdict = match &self.faults {
-            Some(f) => lock_faults(f).on_durable_write(FaultSite::CompactTruncate, durable_len),
-            None => DurableVerdict::Complete,
-        };
-        let d = self.durability.as_mut().expect("checked above");
-        if !matches!(verdict, DurableVerdict::Complete) {
-            d.failed = true;
-            self.obs.inc("journal.compaction_wedges", 1);
-            self.trace("journal", "compact_wedge", upto, 0);
-            return CompactOutcome::Wedged {
-                snapshot: blob,
-                base_seq: upto,
-            };
-        }
-        let truncated_records = d.journal.truncate_prefix(upto);
-        let base_seq = d.journal.base_seq();
-        self.obs.inc("journal.compactions", 1);
-        self.obs.inc("journal.truncated_records", truncated_records);
-        self.trace("journal", "compact", upto, truncated_records);
-        CompactOutcome::Compacted {
-            snapshot: blob,
-            truncated_records,
-            base_seq,
-        }
     }
 
     // Appends one sealed record; with the immediate policy and no fan-out
@@ -594,44 +467,6 @@ impl PrecursorServer {
                 let rkey = port.reply_ring_rkey;
                 for (off, chunk) in &g.writes {
                     let _ = port.qp.post_write(rkey, *off, chunk, false);
-                }
-            }
-        }
-    }
-
-    // Routes a snapshot seal through the fault-injection layer. The
-    // durable write is the `written` ranges of `blob` in order (what this
-    // cut sealed; the rest was already on disk): a crash mid-write tears
-    // the blob at the byte the write had reached, a corrupting host flips
-    // one of the written bits.
-    pub(super) fn apply_durable_fault(
-        &mut self,
-        site: FaultSite,
-        blob: &mut Vec<u8>,
-        written: &[std::ops::Range<usize>],
-    ) {
-        let Some(f) = &self.faults else {
-            return;
-        };
-        let total: usize = written.iter().map(|r| r.len()).sum();
-        // Blob offset of the `nth` written byte.
-        let end = blob.len();
-        let locate = |mut nth: usize| {
-            for r in written {
-                if nth < r.len() {
-                    return r.start + nth;
-                }
-                nth -= r.len();
-            }
-            end
-        };
-        match lock_faults(f).on_durable_write(site, total) {
-            DurableVerdict::Complete => {}
-            DurableVerdict::Torn(keep) => blob.truncate(locate(keep)),
-            DurableVerdict::Corrupt(bit) => {
-                if total > 0 {
-                    let b = bit % (total * 8);
-                    blob[locate(b / 8)] ^= 1 << (b % 8);
                 }
             }
         }

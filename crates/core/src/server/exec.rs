@@ -8,10 +8,9 @@
 //! while reply sequence numbers are still consumed in pop order.
 
 use precursor_crypto::gcm::GcmKey;
-use precursor_crypto::keys::{Key128, Key256, Nonce12, Nonce8, Tag};
+use precursor_crypto::keys::{Key128, Key256, Nonce8, Tag};
 use precursor_crypto::{cmac, gcm, sha256};
 use precursor_rdma::adversary::AdversaryInjector;
-use precursor_rdma::faults::FaultSite;
 use precursor_rdma::mr::Memory;
 use precursor_sgx::enclave::{Enclave, RegionId};
 use precursor_sim::meter::{Meter, Stage};
@@ -22,8 +21,7 @@ use precursor_storage::robinhood::{shard_of_hash, stable_key_hash, OpStats, Shar
 use crate::config::{Config, EncryptionMode};
 use crate::error::StoreError;
 use crate::snapshot::{
-    self, segment_of, EntryRef, SegmentSet, SnapshotBody, SnapshotEntry, SnapshotHeader,
-    TentativeCut, SEGMENTS,
+    segment_of, DirtyKeys, EntryRef, PreviousCut, SnapshotBody, SnapshotEntry, SEGMENTS,
 };
 use crate::wire::{payload_request_nonce, Opcode, RequestControl, RequestFrame, Status};
 
@@ -116,10 +114,12 @@ pub(super) struct StoreExec {
     // carried in every reply control): bumped on every applied mutation.
     pub(super) mutation_seq: u64,
     pub(super) state_digest: [u8; 16],
-    // Snapshot segments whose entries changed since the last committed
-    // snapshot: set by `table_insert`/`table_remove` (the only two ways an
-    // entry changes), cleared at a snapshot's commit point.
-    pub(super) dirty: SegmentSet,
+    // Keys whose entries changed since the last committed snapshot: noted
+    // by `table_insert`/`table_remove` (the only two ways an entry
+    // changes), emptied at a snapshot's commit point. `None` until a
+    // snapshot commits: with no previous cut to carry from, the next one
+    // seals everything anyway.
+    pub(super) dirty: Option<DirtyKeys>,
 
     // modelled enclave regions (one table region per shard, so each
     // shard's EPC footprint grows independently with its own resizes)
@@ -446,20 +446,44 @@ impl StoreExec {
         }
     }
 
-    // Encodes the entries of every segment in `which`, straight from the
-    // table in one walk: `out[i]` is the plaintext of segment `i` (empty
-    // for segments outside `which` and for segments holding no key).
-    fn encode_segments(&self, mode: EncryptionMode, which: &SegmentSet) -> Vec<Vec<u8>> {
+    // A full seal's plaintexts: the entries of every segment, straight
+    // from the table in one walk (`out[i]` is empty for a segment holding
+    // no key).
+    pub(super) fn encode_segments(&self, mode: EncryptionMode) -> Vec<Vec<u8>> {
         let mut out = vec![Vec::new(); SEGMENTS];
         self.payload_mem.with(|pool| {
             for (hash, key, meta) in self.table.iter_hashed() {
-                let segment = segment_of(hash);
-                if which.contains(segment) {
-                    entry_ref(mode, key, meta, pool).encode_into(&mut out[segment]);
-                }
+                entry_ref(mode, key, meta, pool).encode_into(&mut out[segment_of(hash)]);
             }
         });
         out
+    }
+
+    // An incremental cut's plaintexts, by the carried-entry rule: each
+    // segment holding a key in `dirty` is the previous cut's plaintext of
+    // it minus those keys, plus their current table entries; every other
+    // segment is `None`, carried over. No key outside `dirty` is read
+    // from the table.
+    pub(super) fn reseal_segments(
+        &self,
+        mode: EncryptionMode,
+        key: &GcmKey,
+        previous: &PreviousCut<'_>,
+        dirty: &DirtyKeys,
+    ) -> Result<Vec<Option<Vec<u8>>>, StoreError> {
+        let mut out = vec![None; SEGMENTS];
+        self.payload_mem.with(|pool| {
+            for (segment, keys) in dirty.segments() {
+                let mut plain = previous.carried_entries(key, segment, keys)?;
+                for k in keys {
+                    if let Some(meta) = self.table.get(k) {
+                        entry_ref(mode, k, meta, pool).encode_into(&mut plain);
+                    }
+                }
+                out[segment] = Some(plain);
+            }
+            Ok(out)
+        })
     }
 
     // Charges a freshly allocated slot to the client's quota and registers
@@ -526,7 +550,9 @@ impl StoreExec {
         }
         let hash = stable_key_hash(&key);
         let shard = shard_of_hash(hash, self.table.shard_count());
-        self.dirty.insert(segment_of(hash));
+        if let Some(dirty) = &mut self.dirty {
+            dirty.insert(hash, &key);
+        }
         let (old, stats) = self.table.insert_tracked(key, meta);
         if let Some(old) = old {
             // Overwrite: the old payload slot is released (and un-charged
@@ -545,9 +571,9 @@ impl StoreExec {
 
     // The one removal path — client delete, journal replay of a delete or
     // eviction, revocation eviction: takes `key` out of the table, frees
-    // its pool slot, counts the mutation and marks its snapshot segment
-    // dirty. Returns whether the key existed, and the probe statistics for
-    // callers that meter the table operation.
+    // its pool slot, counts the mutation and marks the key dirty. Returns
+    // whether the key existed, and the probe statistics for callers that
+    // meter the table operation.
     pub(super) fn table_remove(
         &mut self,
         adversary: &mut Option<AdversaryInjector>,
@@ -561,7 +587,9 @@ impl StoreExec {
             self.release_range(adversary, entry.client_id, range);
         }
         self.bump_mutation(Opcode::Delete, key);
-        self.dirty.insert(segment_of(stable_key_hash(key)));
+        if let Some(dirty) = &mut self.dirty {
+            dirty.insert(stable_key_hash(key), key);
+        }
         (true, stats)
     }
 
@@ -668,95 +696,6 @@ impl PrecursorServer {
     }
 
     // --- snapshot/restore plumbing (see crate::snapshot) ---
-
-    fn snapshot_header(&self) -> SnapshotHeader {
-        SnapshotHeader {
-            mode: self.config.mode,
-            storage_key: self.store.storage_key.clone(),
-            storage_seq: self.store.storage_seq,
-            mutation_seq: self.store.mutation_seq,
-            state_digest: self.store.state_digest,
-            // Per-client at-most-once windows (and connection epochs) ride
-            // along in the sealed blob, so a restarted server
-            // re-acknowledges (rather than re-executes or rejects) requests
-            // that were in flight at the crash, and reconnecting clients
-            // get a strictly increasing epoch.
-            sessions: self
-                .sessions
-                .list
-                .iter()
-                .map(|s| (s.expected_oid, s.last_status, s.epoch))
-                .collect(),
-            // Journal watermark: recovery replays only records past it.
-            journal_epoch: self.journal_epoch().unwrap_or(0),
-            journal_seq: self.journal_last_seq(),
-            journal_chain: self
-                .journal_chain()
-                .unwrap_or_else(|| precursor_journal::genesis_chain(0)),
-        }
-    }
-
-    // Seals at an explicit `version` without touching any counter — the
-    // tentative first phase of journal compaction, which advances the
-    // trusted counter only after the persisted bytes validate (so a
-    // host-damaged seal aborts with the previous snapshot still
-    // authoritative). The one seal path: dirty segments are encoded
-    // straight from the table and sealed, clean ones copied from the last
-    // committed blob. The dirty set is left alone — `commit_snapshot`
-    // clears it — so a cut that is never committed is simply retried.
-    pub(crate) fn snapshot_at(&mut self, key: &GcmKey, version: u64) -> TentativeCut {
-        let header = self.snapshot_header();
-        let drawn = Nonce12::generate(&mut self.rng);
-        // The last committed blob sits in host memory: its manifest is
-        // authenticated again before any row is trusted, and a blob that no
-        // longer opens just makes this a full seal.
-        let previous = self.last_snapshot.as_ref().and_then(|(at, blob)| {
-            let manifest = snapshot::open_manifest(key, *at, blob).ok()?;
-            Some((manifest, blob.as_slice()))
-        });
-        let dirty = if previous.is_some() {
-            self.store.dirty.clone()
-        } else {
-            SegmentSet::all()
-        };
-        let plain = self.store.encode_segments(self.config.mode, &dirty);
-        let cut = snapshot::seal(
-            key,
-            version,
-            &drawn,
-            &header,
-            &plain,
-            &dirty,
-            previous.as_ref().map(|(m, blob)| (m, *blob)),
-        );
-        self.obs
-            .inc("snapshot.segments_sealed", cut.segments_sealed());
-        self.obs
-            .inc("snapshot.segments_reused", cut.segments_reused);
-        self.obs.inc("snapshot.bytes_sealed", cut.bytes_sealed);
-        let mut persisted = cut.blob.clone();
-        self.apply_durable_fault(FaultSite::SnapshotSeal, &mut persisted, &cut.written());
-        TentativeCut {
-            sealed: cut,
-            persisted,
-        }
-    }
-
-    // The commit point of a cut (the caller has advanced the counter to
-    // `version`): it becomes the source of clean segments for the next
-    // one, and only now is the dirty set cleared.
-    pub(crate) fn commit_snapshot(&mut self, version: u64, cut: TentativeCut) -> Vec<u8> {
-        self.last_snapshot = Some((version, cut.sealed.blob));
-        self.store.dirty.clear();
-        cut.persisted
-    }
-
-    /// The last committed snapshot as the host holds it — what a restart
-    /// recovers from, together with the durable journal — or `None` before
-    /// the first [`snapshot`](Self::snapshot) or compaction.
-    pub fn committed_snapshot(&self) -> Option<&[u8]> {
-        self.last_snapshot.as_ref().map(|(_, blob)| blob.as_slice())
-    }
 
     pub(crate) fn restore_body(&mut self, body: SnapshotBody) -> Result<(), StoreError> {
         let header = body.header;

@@ -27,13 +27,17 @@
 //! * `exec` — per-opcode enclave execution against the Robin Hood
 //!   shards (owns `StoreExec`);
 //! * `seal` — reply_seq / MAC-chain / last_status sealing in
-//!   per-client pop order.
+//!   per-client pop order;
+//! * `durability` — the sealed journal, group commit and the reply gate,
+//!   recovery and catch-up;
+//! * `compaction` — snapshot cuts and the two-phase journal compaction.
 //!
 //! Stages communicate through narrow structs (`Validated`, `ReplyPlan`,
 //! `PendingAction`, `StoreEvidence`, `ExecCtx`) rather than through one
 //! shared mega-`&mut self` surface; `PrecursorServer` itself is a thin
 //! facade that owns the stage states and re-exports the public API.
 
+mod compaction;
 mod durability;
 mod exec;
 mod ingress;
@@ -41,7 +45,8 @@ mod pipeline;
 mod seal;
 mod session;
 
-pub use durability::{CompactOutcome, RecoveryReport};
+pub use compaction::CompactOutcome;
+pub use durability::RecoveryReport;
 
 use std::sync::{Arc, Mutex};
 
@@ -61,7 +66,7 @@ use precursor_storage::pool::SlabPool;
 use precursor_storage::robinhood::ShardedRobinHoodMap;
 
 use crate::config::{Config, EncryptionMode};
-use crate::snapshot::SegmentSet;
+use crate::snapshot::SnapshotBlob;
 use crate::wire::{Opcode, Status};
 
 use exec::StoreExec;
@@ -148,10 +153,11 @@ pub struct PrecursorServer {
     // until a journal is attached
     durability: Option<durability::Durability>,
     // The last committed snapshot, `(version, blob as sealed)`: where the
-    // next cut copies its clean segments from. It sits in host memory like
+    // next cut carries its clean segments from. It sits in host memory like
     // any sealed blob and is trusted no further — every cut re-opens its
-    // manifest before using a row of it. None until the first snapshot.
-    last_snapshot: Option<(u64, Vec<u8>)>,
+    // manifest, and each segment it re-seals from, before use. None until
+    // the first snapshot.
+    last_snapshot: Option<(u64, SnapshotBlob)>,
     // staged-recovery catch-up queue: Some while a promoted replica still
     // has journal records to apply in the background (reads served from
     // the applied prefix, mutations answered Busy); None otherwise
@@ -226,7 +232,7 @@ impl PrecursorServer {
                 storage_seq: 0,
                 mutation_seq: 0,
                 state_digest: [0u8; 16],
-                dirty: SegmentSet::default(),
+                dirty: None,
                 table_regions,
                 misc_region,
                 misc_touched: false,

@@ -32,11 +32,14 @@
 //! counter: a rolled-back manifest fails the version check as a whole blob
 //! used to, and a segment that is stale, swapped or spliced in from
 //! another cut fails against the row that names it. A cut therefore
-//! re-seals only the segments the store touched since the last one
-//! (`SegmentSet`) and carries the others over byte for byte — see
-//! DESIGN §14 "Log compaction".
+//! re-seals only the segments holding a key written since the last one
+//! (`DirtyKeys`) and carries the others over by reference
+//! ([`SnapshotBlob`]) — see DESIGN §14 "Log compaction".
 
-use std::ops::Range;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
+use std::ops::{Index, IndexMut, Range};
+use std::sync::Arc;
 
 use precursor_crypto::gcm::{self, GcmKey};
 use precursor_crypto::keys::{Key128, Key256, Nonce12, Nonce8};
@@ -54,9 +57,8 @@ use crate::wire::Status;
 /// the format, not a tunable: DESIGN §14 has the measured table behind it.
 pub(crate) const SEGMENTS: usize = 1024;
 
-// `SegmentSet` packs 64 segments to a word; manifest rows index them in 16
-// bits.
-const _: () = assert!(SEGMENTS.is_multiple_of(64) && SEGMENTS <= 1 << 16);
+// Manifest rows index segments in 16 bits.
+const _: () = assert!(SEGMENTS <= 1 << 16);
 
 /// The segment holding a key with this
 /// [`stable_key_hash`](precursor_storage::robinhood::stable_key_hash) — a
@@ -66,26 +68,166 @@ pub(crate) fn segment_of(hash: u64) -> usize {
     shard_of_hash(hash, SEGMENTS)
 }
 
-/// A set of segment indices: the store's dirty set, and the set of
-/// segments one cut wrote.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SegmentSet([u64; SEGMENTS / 64]);
+/// The store's dirty set: every key written (inserted, overwritten or
+/// removed) since the last committed cut, grouped by segment. The next cut
+/// re-seals exactly these segments, and inside each one takes only these
+/// keys from the table. Bounded by the distinct keys written between two
+/// cuts.
+#[derive(Debug, Default)]
+pub(crate) struct DirtyKeys(BTreeMap<usize, BTreeSet<Vec<u8>>>);
 
-impl SegmentSet {
-    pub(crate) fn all() -> SegmentSet {
-        SegmentSet([u64::MAX; SEGMENTS / 64])
+impl DirtyKeys {
+    pub(crate) fn insert(&mut self, hash: u64, key: &[u8]) {
+        let keys = self.0.entry(segment_of(hash)).or_default();
+        if !keys.contains(key) {
+            keys.insert(key.to_vec());
+        }
     }
 
-    pub(crate) fn insert(&mut self, segment: usize) {
-        self.0[segment / 64] |= 1 << (segment % 64);
+    /// The dirty segments in index order, each with its written keys.
+    pub(crate) fn segments(&self) -> impl Iterator<Item = (usize, &BTreeSet<Vec<u8>>)> {
+        self.0.iter().map(|(&segment, keys)| (segment, keys))
+    }
+}
+
+/// A sealed snapshot in the blob format above, held in parts: the framed
+/// manifest (`sealed_len | nonce | GCM(manifest)`), then one buffer per
+/// non-empty segment in index order. Parts are shared: a cut carries every
+/// clean segment of the previous cut by reference, and a clone — the
+/// host's persisted copy, the replica group's shipped pair — shares every
+/// part until a write lands in one, which copies that part alone.
+/// [`to_vec`](Self::to_vec) builds the flat bytes
+/// [`PrecursorServer::restore`] and [`PrecursorServer::recover`] take.
+#[derive(Clone, PartialEq, Eq)]
+pub struct SnapshotBlob {
+    parts: Vec<Arc<Vec<u8>>>,
+}
+
+impl SnapshotBlob {
+    /// Length of the flat blob in bytes.
+    pub fn len(&self) -> usize {
+        self.parts.iter().map(|p| p.len()).sum()
     }
 
-    pub(crate) fn contains(&self, segment: usize) -> bool {
-        self.0[segment / 64] & (1 << (segment % 64)) != 0
+    /// Whether the blob holds no byte at all.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    pub(crate) fn clear(&mut self) {
-        self.0 = [0; SEGMENTS / 64];
+    /// The flat blob.
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.len());
+        self.append_to(&mut out);
+        out
+    }
+
+    /// Cuts the blob to its first `len` bytes, copying only the part the
+    /// cut falls inside.
+    pub fn truncate(&mut self, len: usize) {
+        let mut end = 0;
+        let Some(last) = self.parts.iter().position(|p| {
+            end += p.len();
+            end >= len
+        }) else {
+            return;
+        };
+        self.parts.truncate(last + 1);
+        if end > len {
+            let part = &mut self.parts[last];
+            let keep = part.len() - (end - len);
+            Arc::make_mut(part).truncate(keep);
+        }
+    }
+
+    /// Appends one byte to the last part (copying it).
+    pub fn push(&mut self, byte: u8) {
+        match self.parts.last_mut() {
+            Some(last) => Arc::make_mut(last).push(byte),
+            None => self.parts.push(Arc::new(vec![byte])),
+        }
+    }
+
+    /// Removes the last byte (copying the part it sat in).
+    pub fn pop(&mut self) -> Option<u8> {
+        let len = self.len().checked_sub(1)?;
+        let byte = self[len];
+        self.truncate(len);
+        Some(byte)
+    }
+
+    /// Drops every part.
+    pub fn clear(&mut self) {
+        self.parts.clear();
+    }
+
+    pub(crate) fn append_to(&self, out: &mut Vec<u8>) {
+        for part in &self.parts {
+            out.extend_from_slice(part);
+        }
+    }
+
+    /// Bytes of `self` not held in the buffer `sealed` holds at the same
+    /// position: what writes to a clone of `sealed` copied.
+    pub(crate) fn unshared_bytes(&self, sealed: &SnapshotBlob) -> u64 {
+        let shared = |i: usize, part: &Arc<Vec<u8>>| {
+            sealed.parts.get(i).is_some_and(|s| Arc::ptr_eq(s, part))
+        };
+        let parts = self.parts.iter().enumerate();
+        parts
+            .filter(|&(i, part)| !shared(i, part))
+            .map(|(_, part)| part.len() as u64)
+            .sum()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn parts(&self) -> &[Arc<Vec<u8>>] {
+        &self.parts
+    }
+
+    // The part holding byte `offset` of the flat blob, and where in it.
+    fn locate(&self, mut offset: usize) -> (usize, usize) {
+        for (i, part) in self.parts.iter().enumerate() {
+            if offset < part.len() {
+                return (i, offset);
+            }
+            offset -= part.len();
+        }
+        panic!("offset out of range of a {}-byte snapshot blob", self.len());
+    }
+}
+
+impl From<Vec<u8>> for SnapshotBlob {
+    /// A blob of one part: flat bytes, e.g. as read back from storage.
+    fn from(bytes: Vec<u8>) -> SnapshotBlob {
+        SnapshotBlob {
+            parts: vec![Arc::new(bytes)],
+        }
+    }
+}
+
+impl Index<usize> for SnapshotBlob {
+    type Output = u8;
+
+    fn index(&self, offset: usize) -> &u8 {
+        let (part, at) = self.locate(offset);
+        &self.parts[part][at]
+    }
+}
+
+impl IndexMut<usize> for SnapshotBlob {
+    /// Copies the part holding `offset` first, unless no one shares it.
+    fn index_mut(&mut self, offset: usize) -> &mut u8 {
+        let (part, at) = self.locate(offset);
+        &mut Arc::make_mut(&mut self.parts[part])[at]
+    }
+}
+
+impl fmt::Debug for SnapshotBlob {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SnapshotBlob")
+            .field("len", &self.len())
+            .field("parts", &self.parts.len())
+            .finish()
     }
 }
 
@@ -188,6 +330,18 @@ impl SnapshotEntry {
     }
 }
 
+// Steps `pos` over one encoded entry of `buf` and returns its key: all a
+// re-seal needs of an entry it carries over verbatim.
+fn skip_entry<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8], StoreError> {
+    let key_len = u16::from_le_bytes(take(buf, pos, 2)?.try_into().expect("2")) as usize;
+    let key = take(buf, pos, key_len)?;
+    // k_op 32, payload nonce 8, storage seq 8, client id 4, payload len 4
+    take(buf, pos, 56)?;
+    let stored_len = u32::from_le_bytes(take(buf, pos, 4)?.try_into().expect("4")) as usize;
+    take(buf, pos, stored_len)?;
+    Ok(key)
+}
+
 /// Everything a snapshot seals besides the entries: the manifest's
 /// payload, re-sealed whole at every cut.
 pub(crate) struct SnapshotHeader {
@@ -241,9 +395,6 @@ fn empty_row() -> SegmentRow {
     }
 }
 
-// Encoded size of one row: index u16, len u32, nonce, tag.
-const ROW_LEN: usize = 2 + 4 + Nonce12::LEN + gcm::TAG_LEN;
-
 /// An authenticated manifest: the header, one row per segment, and where
 /// in its blob the segment ciphertexts start.
 pub(crate) struct Manifest {
@@ -264,6 +415,14 @@ impl Manifest {
             }
         }
         out
+    }
+
+    // Authenticates segment `index`'s ciphertext against its row and index
+    // AAD, and decrypts it.
+    fn open_segment(&self, key: &GcmKey, index: usize, ct: &[u8]) -> Result<Vec<u8>, StoreError> {
+        let row = &self.rows[index];
+        key.open_detached(&row.nonce, &segment_aad(index), ct, &row.tag)
+            .map_err(|_| StoreError::SnapshotRejected)
     }
 }
 
@@ -355,28 +514,21 @@ fn segment_aad(index: usize) -> [u8; 20] {
     aad
 }
 
-// One segment a cut sealed: where its ciphertext starts in the blob and
-// the manifest row that authenticates it.
+// One segment a cut sealed: the blob part holding its ciphertext and the
+// manifest row that authenticates it.
 struct SealedSegment {
     index: usize,
-    start: usize,
+    part: usize,
     row: SegmentRow,
-}
-
-impl SealedSegment {
-    fn range(&self) -> Range<usize> {
-        self.start..self.start + self.row.len
-    }
 }
 
 /// One sealed cut, as [`seal`] produced it.
 pub(crate) struct Cut {
-    pub blob: Vec<u8>,
+    pub blob: SnapshotBlob,
     // What the enclave keeps of the bytes this cut wrote — the manifest's
-    // nonce and extent, and one row per re-sealed segment — to authenticate
-    // the copy the host persisted; everything else was carried over.
+    // nonce, and one row per re-sealed segment — to authenticate the copy
+    // the host persisted; every other part was carried over.
     drawn: Nonce12,
-    segments_at: usize,
     resealed: Vec<SealedSegment>,
     /// Segments carried over, and plaintext bytes sealed (manifest
     /// included).
@@ -390,150 +542,205 @@ impl Cut {
         self.resealed.len() as u64
     }
 
-    /// The byte ranges of `blob` this cut wrote: the manifest first, then
-    /// each re-sealed segment.
+    /// The byte ranges of the flat blob this cut wrote: the manifest
+    /// first, then each re-sealed segment.
     pub(crate) fn written(&self) -> Vec<Range<usize>> {
-        let segments = self.resealed.iter().map(SealedSegment::range);
-        std::iter::once(0..self.segments_at)
-            .chain(segments)
-            .collect()
+        let mut ranges = Vec::with_capacity(self.blob.parts.len());
+        let mut at = 0;
+        for part in &self.blob.parts {
+            ranges.push(at..at + part.len());
+            at += part.len();
+        }
+        let segments = self.resealed.iter().map(|s| ranges[s.part].clone());
+        std::iter::once(ranges[0].clone()).chain(segments).collect()
     }
 
     /// Whether `persisted` — the host's copy of `blob` — still holds, bit
-    /// for bit, every byte this cut wrote: the blob's length, the
+    /// for bit, every byte this cut wrote: every part's length, the
     /// manifest's framing and its tag at `version`, and each re-sealed
     /// segment against the row and index AAD it was sealed under.
-    /// Authenticate-only: one GHASH pass per written range, nothing is
+    /// Authenticate-only: one GHASH pass per written part, nothing is
     /// decrypted or decoded.
-    pub(crate) fn persisted_intact(&self, key: &GcmKey, version: u64, persisted: &[u8]) -> bool {
-        let at = self.segments_at;
-        persisted.len() == self.blob.len()
-            && persisted[..4] == ((at - 4) as u32).to_le_bytes()
-            && persisted[4..4 + Nonce12::LEN] == *self.drawn.as_bytes()
-            && sealing::verify_keyed(key, version, &persisted[4..at])
+    pub(crate) fn persisted_intact(
+        &self,
+        key: &GcmKey,
+        version: u64,
+        persisted: &SnapshotBlob,
+    ) -> bool {
+        let (sealed, host) = (&self.blob.parts, &persisted.parts);
+        if sealed.len() != host.len() || sealed.iter().zip(host).any(|(s, h)| s.len() != h.len()) {
+            return false;
+        }
+        let frame = &host[0];
+        frame[..4] == ((frame.len() - 4) as u32).to_le_bytes()
+            && frame[4..4 + Nonce12::LEN] == *self.drawn.as_bytes()
+            && sealing::verify_keyed(key, version, &frame[4..])
             && self.resealed.iter().all(|s| {
-                let ct = &persisted[s.range()];
+                let ct = &host[s.part];
                 key.verify_detached(&s.row.nonce, &segment_aad(s.index), ct, &s.row.tag)
             })
     }
 }
 
-/// Seals one cut at `version`. Segments in `dirty` are sealed from
-/// `plain[index]` (their encoded entries) under nonces derived from
-/// `drawn`; every other segment's ciphertext and row are carried over from
-/// `previous`, the manifest and blob of the last committed cut, which must
-/// therefore exist whenever `dirty` is not every segment.
+/// The last committed cut as the next one reads it: its manifest,
+/// authenticated again, and the part holding each of its segments.
+pub(crate) struct PreviousCut<'a> {
+    manifest: Manifest,
+    parts: Vec<Option<&'a Arc<Vec<u8>>>>,
+}
+
+impl<'a> PreviousCut<'a> {
+    /// Opens the manifest of `blob` at `version` and files the blob's
+    /// parts by segment index.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::SnapshotRejected`] when the manifest does not unseal
+    /// at `version` or a part is not as long as the row naming it;
+    /// [`StoreError::MalformedFrame`] when the authentic manifest does not
+    /// parse.
+    pub(crate) fn open(
+        key: &GcmKey,
+        version: u64,
+        blob: &'a SnapshotBlob,
+    ) -> Result<PreviousCut<'a>, StoreError> {
+        let rejected = StoreError::SnapshotRejected;
+        let (frame, mut segments) = match blob.parts.split_first() {
+            Some((frame, segments)) => (frame, segments.iter()),
+            None => return Err(rejected),
+        };
+        let manifest = open_frame(key, version, frame)?;
+        if manifest.segments_at != frame.len() {
+            return Err(rejected);
+        }
+        let mut parts = vec![None; SEGMENTS];
+        for (index, row) in manifest.rows.iter().enumerate() {
+            if row.len > 0 {
+                let part = segments.next().filter(|p| p.len() == row.len);
+                parts[index] = Some(part.ok_or(rejected)?);
+            }
+        }
+        if segments.next().is_some() {
+            return Err(rejected);
+        }
+        Ok(PreviousCut { manifest, parts })
+    }
+
+    // Row and ciphertext of segment `index`, when it holds any key.
+    fn segment(&self, index: usize) -> Option<(&SegmentRow, &'a Arc<Vec<u8>>)> {
+        Some((&self.manifest.rows[index], self.parts[index]?))
+    }
+
+    /// The plaintext this cut sealed for segment `index` (empty when it
+    /// held no key) minus the entries of the keys in `written`: the
+    /// carried half of a re-sealed segment, entries kept verbatim. The
+    /// segment is authenticated against its row before a byte of it is
+    /// used.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::SnapshotRejected`] when the segment does not
+    /// authenticate; [`StoreError::MalformedFrame`] when it does not parse.
+    pub(crate) fn carried_entries(
+        &self,
+        key: &GcmKey,
+        index: usize,
+        written: &BTreeSet<Vec<u8>>,
+    ) -> Result<Vec<u8>, StoreError> {
+        let Some((_, ct)) = self.segment(index) else {
+            return Ok(Vec::new());
+        };
+        let mut plain = self.manifest.open_segment(key, index, ct)?;
+        let (mut pos, mut kept) = (0usize, 0usize);
+        while pos < plain.len() {
+            let start = pos;
+            if !written.contains(skip_entry(&plain, &mut pos)?) {
+                plain.copy_within(start..pos, kept);
+                kept += pos - start;
+            }
+        }
+        plain.truncate(kept);
+        Ok(plain)
+    }
+}
+
+/// Seals one cut at `version`. `fresh[index]` is `Some` for every segment
+/// this cut seals — its encoded entries, sealed under a nonce derived from
+/// `drawn` (an empty one leaves no row) — and `None` for a segment carried
+/// over, row and ciphertext part, from `previous`: by reference, never
+/// copied. Without a previous cut a `None` segment is empty.
 pub(crate) fn seal(
     key: &GcmKey,
     version: u64,
     drawn: &Nonce12,
     header: &SnapshotHeader,
-    plain: &[Vec<u8>],
-    dirty: &SegmentSet,
-    previous: Option<(&Manifest, &[u8])>,
+    fresh: &[Option<Vec<u8>>],
+    previous: Option<&PreviousCut<'_>>,
 ) -> Cut {
-    // Row and ciphertext of every segment of the previous cut.
-    let old: Vec<(&SegmentRow, &[u8])> = previous.map_or_else(Vec::new, |(manifest, blob)| {
-        let mut at = manifest.segments_at;
-        let rows = manifest.rows.iter();
-        rows.map(|row| {
-            let bytes = &blob[at..at + row.len];
-            at += row.len;
-            (row, bytes)
-        })
-        .collect()
-    });
-    let clean = |index: usize| {
-        *old.get(index)
-            .expect("a clean segment was sealed by a previous cut")
-    };
-
-    // The manifest goes in front of the segments but lists their tags:
-    // its sealed length is fixed up front (it depends only on the row
-    // count), the segments are appended behind a gap of that size, and the
-    // sealed manifest is copied into the gap last.
     let mut manifest = header.encode();
-    let row_count = (0..SEGMENTS)
-        .filter(|&i| match dirty.contains(i) {
-            true => !plain[i].is_empty(),
-            false => clean(i).0.len > 0,
-        })
-        .count();
-    let sealed_len = Nonce12::LEN + manifest.len() + 2 + row_count * ROW_LEN + gcm::TAG_LEN;
-    let segments_at = 4 + sealed_len;
-    manifest.extend_from_slice(&(row_count as u16).to_le_bytes());
-
-    let mut blob = Vec::with_capacity(
-        segments_at
-            + previous.map_or(0, |(_, old)| old.len())
-            + plain.iter().map(Vec::len).sum::<usize>(),
-    );
-    blob.extend_from_slice(&(sealed_len as u32).to_le_bytes());
-    blob.resize(segments_at, 0);
-
+    let count_at = manifest.len();
+    manifest.extend_from_slice(&[0, 0]);
+    // Part 0, the manifest, is sealed last: it lists every segment's tag.
+    let mut parts = vec![Arc::default()];
     let mut resealed = Vec::new();
-    let (mut segments_reused, mut bytes_sealed) = (0, 0);
-    for (index, plain) in plain.iter().enumerate() {
-        let row = if !dirty.contains(index) {
-            let (row, bytes) = clean(index);
-            blob.extend_from_slice(bytes);
-            segments_reused += (row.len > 0) as u64;
-            row.clone()
-        } else if plain.is_empty() {
-            empty_row()
-        } else {
-            let nonce = sealing::segment_nonce(drawn, index as u32);
-            let start = blob.len();
-            key.seal_into(&mut blob, &nonce, &segment_aad(index), plain);
-            let tag_at = blob.len() - gcm::TAG_LEN;
-            let tag = blob[tag_at..].try_into().expect("seal appends the tag");
-            blob.truncate(tag_at);
-            bytes_sealed += plain.len() as u64;
-            let row = SegmentRow {
-                len: plain.len(),
-                nonce,
-                tag,
-            };
-            resealed.push(SealedSegment {
-                index,
-                start,
-                row: row.clone(),
-            });
-            row
+    let (mut rows, mut segments_reused, mut bytes_sealed) = (0u16, 0, 0);
+    for (index, plain) in fresh.iter().enumerate() {
+        let (row, part) = match plain {
+            None => match previous.and_then(|p| p.segment(index)) {
+                Some((row, part)) => {
+                    segments_reused += 1;
+                    (row.clone(), Arc::clone(part))
+                }
+                None => continue,
+            },
+            Some(plain) if plain.is_empty() => continue,
+            Some(plain) => {
+                let nonce = sealing::segment_nonce(drawn, index as u32);
+                let mut ct = Vec::with_capacity(plain.len() + gcm::TAG_LEN);
+                key.seal_into(&mut ct, &nonce, &segment_aad(index), plain);
+                let tag = ct[plain.len()..].try_into().expect("seal appends the tag");
+                ct.truncate(plain.len());
+                bytes_sealed += plain.len() as u64;
+                let row = SegmentRow {
+                    len: plain.len(),
+                    nonce,
+                    tag,
+                };
+                let part = parts.len();
+                resealed.push(SealedSegment {
+                    index,
+                    part,
+                    row: row.clone(),
+                });
+                (row, Arc::new(ct))
+            }
         };
-        if row.len > 0 {
-            manifest.extend_from_slice(&(index as u16).to_le_bytes());
-            manifest.extend_from_slice(&(row.len as u32).to_le_bytes());
-            manifest.extend_from_slice(row.nonce.as_bytes());
-            manifest.extend_from_slice(&row.tag);
-        }
+        rows += 1;
+        manifest.extend_from_slice(&(index as u16).to_le_bytes());
+        manifest.extend_from_slice(&(row.len as u32).to_le_bytes());
+        manifest.extend_from_slice(row.nonce.as_bytes());
+        manifest.extend_from_slice(&row.tag);
+        parts.push(part);
     }
+    manifest[count_at..count_at + 2].copy_from_slice(&rows.to_le_bytes());
     bytes_sealed += manifest.len() as u64;
-    blob[4..segments_at].copy_from_slice(&sealing::seal_at_keyed(key, drawn, version, &manifest));
+    let sealed = sealing::seal_at_keyed(key, drawn, version, &manifest);
+    let mut frame = Vec::with_capacity(4 + sealed.len());
+    frame.extend_from_slice(&(sealed.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&sealed);
+    parts[0] = Arc::new(frame);
     Cut {
-        blob,
+        blob: SnapshotBlob { parts },
         drawn: *drawn,
-        segments_at,
         resealed,
         segments_reused,
         bytes_sealed,
     }
 }
 
-/// Authenticates the manifest of `blob` at `version` and checks that the
-/// blob is exactly as long as its rows say.
-///
-/// # Errors
-///
-/// [`StoreError::SnapshotRejected`] when the manifest does not unseal at
-/// `version` under `key` or the blob's length disagrees with it;
-/// [`StoreError::MalformedFrame`] when the authentic manifest does not
-/// parse.
-pub(crate) fn open_manifest(
-    key: &GcmKey,
-    version: u64,
-    blob: &[u8],
-) -> Result<Manifest, StoreError> {
+// Authenticates the manifest framed at the front of `blob` at `version`
+// and parses it; the segments behind it are not looked at.
+fn open_frame(key: &GcmKey, version: u64, blob: &[u8]) -> Result<Manifest, StoreError> {
     let rejected = StoreError::SnapshotRejected;
     let sealed_len = blob.get(..4).ok_or(rejected)?;
     let sealed_len = u32::from_le_bytes(sealed_len.try_into().expect("4")) as usize;
@@ -546,14 +753,33 @@ pub(crate) fn open_manifest(
     if pos != plain.len() {
         return Err(StoreError::MalformedFrame);
     }
-    if segments_at + rows.iter().map(|r| r.len).sum::<usize>() != blob.len() {
-        return Err(rejected);
-    }
     Ok(Manifest {
         header,
         rows,
         segments_at,
     })
+}
+
+/// Authenticates the manifest of the flat `blob` at `version` and checks
+/// that the blob is exactly as long as its rows say.
+///
+/// # Errors
+///
+/// [`StoreError::SnapshotRejected`] when the manifest does not unseal at
+/// `version` under `key` or the blob's length disagrees with it;
+/// [`StoreError::MalformedFrame`] when the authentic manifest does not
+/// parse.
+pub(crate) fn open_manifest(
+    key: &GcmKey,
+    version: u64,
+    blob: &[u8],
+) -> Result<Manifest, StoreError> {
+    let manifest = open_frame(key, version, blob)?;
+    let rows = manifest.rows.iter().map(|r| r.len).sum::<usize>();
+    if manifest.segments_at + rows != blob.len() {
+        return Err(StoreError::SnapshotRejected);
+    }
+    Ok(manifest)
 }
 
 /// The one snapshot opener: authenticates the manifest at `version`, then
@@ -572,10 +798,7 @@ pub(crate) fn open(key: &Key128, version: u64, blob: &[u8]) -> Result<SnapshotBo
     let manifest = open_manifest(&key, version, blob)?;
     let mut entries = Vec::new();
     for (index, range) in manifest.segment_ranges() {
-        let row = &manifest.rows[index];
-        let plain = key
-            .open_detached(&row.nonce, &segment_aad(index), &blob[range], &row.tag)
-            .map_err(|_| StoreError::SnapshotRejected)?;
+        let plain = manifest.open_segment(&key, index, &blob[range])?;
         let mut pos = 0usize;
         while pos < plain.len() {
             entries.push(SnapshotEntry::decode_from(&plain, &mut pos)?);
@@ -587,19 +810,12 @@ pub(crate) fn open(key: &Key128, version: u64, blob: &[u8]) -> Result<SnapshotBo
     })
 }
 
-// A tentative cut between seal and commit: the cut as sealed, and its blob
-// as the host persisted it (the same bytes unless a `SnapshotSeal` fault
-// damaged the write).
-pub(crate) struct TentativeCut {
-    pub(crate) sealed: Cut,
-    pub(crate) persisted: Vec<u8>,
-}
-
 impl PrecursorServer {
     /// Seals the current key-value state into a snapshot blob, incrementing
     /// the trusted monotonic `counter` so the new version supersedes every
-    /// older snapshot. Only the segments mutated since this server's
-    /// previous snapshot are re-sealed; the rest are carried over from it.
+    /// older snapshot. Only the segments holding a key written since this
+    /// server's previous snapshot are re-sealed; the rest are carried over
+    /// from it.
     ///
     /// When a [`FaultPlan`](precursor_rdma::faults::FaultPlan) with a
     /// `SnapshotSeal` rule is installed, the returned blob models what the
@@ -610,7 +826,9 @@ impl PrecursorServer {
         let version = counter.increment();
         let key = GcmKey::new(&self.sealing_key());
         let cut = self.snapshot_at(&key, version);
-        self.commit_snapshot(version, cut)
+        let persisted = self.persist(&cut, |_, _| {});
+        self.commit_snapshot(version, cut);
+        persisted.to_vec()
     }
 
     /// Restores a server from a sealed snapshot, verifying it matches the

@@ -317,6 +317,7 @@ fn bit_flipped_compacted_snapshot_is_rejected_and_replica_falls_back_to_full_jou
         let CompactOutcome::Compacted { snapshot: old, .. } = h.group_mut().compact() else {
             panic!("drained journal must compact");
         };
+        let old = old.to_vec();
         // A second cut that re-seals one segment and reuses the others.
         h.put(0, &[3], &[0xee; 24]).expect("overwrite");
         let cluster = h.group_mut();
@@ -326,6 +327,7 @@ fn bit_flipped_compacted_snapshot_is_rejected_and_replica_falls_back_to_full_jou
         let CompactOutcome::Compacted { snapshot: new, .. } = cluster.compact() else {
             panic!("second cut must compact");
         };
+        let new = new.to_vec();
         let layout = |version, blob: &[u8]| {
             let segments = cluster.primary().snapshot_segments(version, blob);
             segments.expect("own snapshot opens")
@@ -438,6 +440,11 @@ fn ten_thousand_op_compacting_run_bounds_journal_to_tail_since_last_cut() {
     );
     assert_eq!(server.metrics().counter("journal.compactions"), compactions);
     assert!(server.metrics().counter("journal.truncated_records") >= 9_000);
+    // Every cut after the first carried its clean segments by reference,
+    // and the honest host's copy of each shared every part: nothing was
+    // duplicated.
+    assert!(server.metrics().counter("snapshot.segments_reused") > 0);
+    assert_eq!(server.metrics().counter("snapshot.bytes_copied"), 0);
 
     // The bounded journal still recovers the full state.
     let CompactOutcome::Compacted { .. } = group.compact() else {
@@ -513,7 +520,9 @@ fn incremental_vs_cold_run(seed: u64) {
             16..=18 => {
                 let _ = write!(trace, "{step}:compact;");
                 match h.group_mut().compact() {
-                    CompactOutcome::Compacted { snapshot, .. } => compacted = Some(snapshot),
+                    CompactOutcome::Compacted { snapshot, .. } => {
+                        compacted = Some(snapshot.to_vec());
+                    }
                     CompactOutcome::Skipped => {}
                     other => panic!("{trace} unexpected {other:?}"),
                 }
@@ -540,7 +549,7 @@ fn incremental_vs_cold_run(seed: u64) {
                         let CompactOutcome::Compacted { snapshot, .. } = group.compact() else {
                             panic!("{trace} retry of an aborted cut must commit");
                         };
-                        compacted = Some(snapshot);
+                        compacted = Some(snapshot.to_vec());
                     }
                     CompactOutcome::Skipped => {}
                     other => panic!("{trace} unexpected {other:?}"),
@@ -688,8 +697,9 @@ fn damaged_cut_run(seed: u64) {
         };
         let snap_a = group.snapshot_counter();
         assert_eq!(snap_a.read(), version + 1, "{trace}");
-        let mut restored = PrecursorServer::restore(config.clone(), &cost, &snapshot, snap_a)
-            .unwrap_or_else(|e| panic!("{trace} retried blob restores: {e:?}"));
+        let mut restored =
+            PrecursorServer::restore(config.clone(), &cost, &snapshot.to_vec(), snap_a)
+                .unwrap_or_else(|e| panic!("{trace} retried blob restores: {e:?}"));
         let keys: Vec<Vec<u8>> = model.keys().cloned().collect();
         assert_eq!(restored.live_keys(), keys, "{trace} restored keys");
         let mut reader = PrecursorClient::connect(&mut restored, seed ^ 0x4ead).expect("reader");
@@ -714,6 +724,17 @@ fn damaged_persisted_cut_aborts_and_the_clean_retry_carries_every_mutation() {
     }
 }
 
+// Length and FNV-1a digest of the first, full cut of the seeded 10k-key
+// store below, pinned when cuts started carrying segments by reference:
+// the table walk, the seal and the blob format are unchanged by it.
+const FULL_CUT_LEN: usize = 1_254_948;
+const FULL_CUT_FNV: u64 = 0xaaa6_895f_7e57_6f79;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let fold = |h: u64, b: &u8| (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, fold)
+}
+
 #[test]
 fn cut_after_k_mutations_seals_at_most_k_segments_and_an_abort_keeps_them_dirty() {
     let cost = CostModel::default();
@@ -731,10 +752,19 @@ fn cut_after_k_mutations_seals_at_most_k_segments_and_an_abort_keeps_them_dirty(
     let sealed = |s: &PrecursorServer| s.metrics().counter("snapshot.segments_sealed");
     let reused = |s: &PrecursorServer| s.metrics().counter("snapshot.segments_reused");
 
-    // The first cut has nothing to reuse: every segment is sealed.
-    let CompactOutcome::Compacted { .. } = server.compact_journal(&mut snap_counter) else {
+    // The first cut has nothing to reuse: every segment is sealed, by the
+    // table walk, into the same bytes the walk has always produced.
+    let CompactOutcome::Compacted { snapshot: full, .. } =
+        server.compact_journal(&mut snap_counter)
+    else {
         panic!("loaded store compacts");
     };
+    let full = full.to_vec();
+    assert_eq!(
+        (full.len(), fnv1a(&full)),
+        (FULL_CUT_LEN, FULL_CUT_FNV),
+        "a full cut's flat blob changed"
+    );
     let all = sealed(&server);
     assert!(all > 61, "a 10k-key store fills far more than 61 segments");
     assert_eq!(reused(&server), 0);
@@ -791,8 +821,9 @@ fn cut_after_k_mutations_seals_at_most_k_segments_and_an_abort_keeps_them_dirty(
     );
 
     // The retried blob carries every one of the k mutations.
-    let mut restored = PrecursorServer::restore(Config::default(), &cost, &snapshot, &snap_counter)
-        .expect("retried blob restores");
+    let mut restored =
+        PrecursorServer::restore(Config::default(), &cost, &snapshot.to_vec(), &snap_counter)
+            .expect("retried blob restores");
     assert_eq!(restored.state_digest(), server.state_digest());
     assert_eq!(restored.live_keys(), server.live_keys());
     let mut reader = PrecursorClient::connect(&mut restored, 72).expect("reader");
