@@ -1,9 +1,9 @@
 //! Micro-benchmarks of the substrate data structures and primitives
 //! (wall-clock, not simulated time): the Robin Hood table the enclave
-//! hosts, the ring buffers on the RDMA path, the Merkle tree of the
-//! baseline, the EPC residency tracker, and the software crypto. Plain
-//! timing loops — no external
-//! benchmark harness.
+//! hosts, the ring buffers on the RDMA path, the verbs model's WRITE post,
+//! the untrusted payload pool, the Merkle tree of the baseline, the EPC
+//! residency tracker, and the software crypto. Plain timing loops — no
+//! external benchmark harness.
 //!
 //! ```sh
 //! cargo bench --bench microbench
@@ -14,8 +14,10 @@ use std::time::Instant;
 use precursor_crypto::aes::Aes128;
 use precursor_crypto::gcm::GcmKey;
 use precursor_crypto::{cmac, gcm, salsa20, sha256, Key128, Key256, Nonce12, Nonce8};
+use precursor_rdma::{connect_pair, Memory, WriteBoard};
 use precursor_sgx::epc::EpcTracker;
 use precursor_shieldstore::merkle::MerkleTree;
+use precursor_storage::pool::SlabPool;
 use precursor_storage::ring::{RingConsumer, RingProducer};
 use precursor_storage::robinhood::RobinHoodMap;
 
@@ -135,6 +137,56 @@ fn bench_ring() {
     });
 }
 
+fn bench_rdma() {
+    println!("-- rdma --");
+    let data = [7u8; 64];
+    // One connection posting back to back, unsignaled (the server's reply
+    // and credit WRITEs).
+    let (mut hot, peer) = connect_pair(912);
+    let key = peer.register(Memory::zeroed(1 << 16), true);
+    let mut offset = 0;
+    bench("post_write_64_hot", 1_000_000, 64, || {
+        offset = (offset + 64) % (1 << 16);
+        hot.post_write(key, offset, &data, false)
+            .expect("in bounds");
+    });
+    // The cold fleet: one WRITE per connection in turn over 1 000 pairs
+    // with 1 KiB watched rings, the doorbell board drained once a round.
+    let board = WriteBoard::new();
+    let mut fleet: Vec<_> = (0..1000u64)
+        .map(|tag| {
+            let (client, server) = connect_pair(912);
+            let key = server.register_watched(Memory::zeroed(1024), true, board.clone(), tag);
+            (client, key)
+        })
+        .collect();
+    let mut marked = Vec::new();
+    let mut i = 0usize;
+    bench("post_write_64_fleet_1000", 1_000_000, 64, || {
+        let (client, key) = &mut fleet[i % 1000];
+        let offset = (i / 1000 * 64) % 1024;
+        client
+            .post_write(*key, offset, &data, false)
+            .expect("in bounds");
+        i += 1;
+        if i.is_multiple_of(1000) {
+            board.drain(&mut marked);
+        }
+    });
+}
+
+fn bench_pool() {
+    println!("-- pool --");
+    // Records of 32 B, 128 B and 4 KiB values: ciphertext ‖ 16-byte tag.
+    let mut pool = SlabPool::new(1 << 20);
+    for len in [48usize, 144, 4112] {
+        bench(&format!("alloc_free_{len}"), 1_000_000, 0, || {
+            let range = pool.alloc(std::hint::black_box(len)).expect("space");
+            pool.free(range);
+        });
+    }
+}
+
 fn bench_merkle() {
     println!("-- merkle --");
     for leaves in [1usize << 10, 1 << 16] {
@@ -168,6 +220,8 @@ fn main() {
     bench_robinhood();
     bench_crypto();
     bench_ring();
+    bench_rdma();
+    bench_pool();
     bench_merkle();
     bench_epc();
 }

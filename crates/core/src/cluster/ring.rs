@@ -13,6 +13,13 @@
 //! `NotMine` redirect hints and stamps client location caches, so a stale
 //! cache is detected (and refreshed) on first contact with any node that
 //! has seen a newer ring.
+//!
+//! A ring's points are shared, copy-on-write: cloning a ring (a client
+//! learning a snapshot, a node installing one) copies a pointer, and only a
+//! mutation copies the points. Every location cache of one epoch holds the
+//! same point array.
+
+use std::sync::Arc;
 
 use precursor_storage::stable_key_hash;
 
@@ -38,7 +45,7 @@ fn point_hash(node: u16, vnode: u32) -> u64 {
 /// Weighted consistent-hash ring mapping `key → node`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlacementRing {
-    points: Vec<RingPoint>,
+    points: Arc<[RingPoint]>,
     epoch: u64,
 }
 
@@ -77,7 +84,10 @@ impl PlacementRing {
             "placement ring needs at least one point"
         );
         points.sort_unstable_by_key(|p| (p.hash, p.node, p.vnode));
-        PlacementRing { points, epoch: 1 }
+        PlacementRing {
+            points: points.into(),
+            epoch: 1,
+        }
     }
 
     /// The ring epoch: bumped by every mutation (join, leave, reassign).
@@ -122,16 +132,15 @@ impl PlacementRing {
     /// can only move *to* the new node (arcs its points split), so the
     /// expected movement is `K·weight / total_points`.
     pub fn join(&mut self, node: u16, weight: u32) {
-        for vnode in 0..weight {
-            self.points.push(RingPoint {
-                hash: point_hash(node, vnode),
-                owner: node,
-                node,
-                vnode,
-            });
-        }
-        self.points
-            .sort_unstable_by_key(|p| (p.hash, p.node, p.vnode));
+        let mut points = self.points.to_vec();
+        points.extend((0..weight).map(|vnode| RingPoint {
+            hash: point_hash(node, vnode),
+            owner: node,
+            node,
+            vnode,
+        }));
+        points.sort_unstable_by_key(|p| (p.hash, p.node, p.vnode));
+        self.points = points.into();
         self.epoch += 1;
     }
 
@@ -143,8 +152,14 @@ impl PlacementRing {
     ///
     /// If removing the node would empty the ring.
     pub fn leave(&mut self, node: u16) {
-        self.points.retain(|p| p.owner != node);
-        assert!(!self.points.is_empty(), "cannot remove the last node");
+        let points: Vec<RingPoint> = self
+            .points
+            .iter()
+            .copied()
+            .filter(|p| p.owner != node)
+            .collect();
+        assert!(!points.is_empty(), "cannot remove the last node");
+        self.points = points.into();
         self.epoch += 1;
     }
 
@@ -156,7 +171,7 @@ impl PlacementRing {
     ///
     /// If `idx` is out of range.
     pub fn reassign_point(&mut self, idx: usize, to: u16) {
-        self.points[idx].owner = to;
+        Arc::make_mut(&mut self.points)[idx].owner = to;
         self.epoch += 1;
     }
 

@@ -73,6 +73,9 @@ pub(super) struct Ingress {
     // Sweeps drain the board instead of scanning rings, so an idle ring
     // costs nothing. Untrusted host state (DESIGN.md §8).
     pub(super) dirty_board: WriteBoard,
+    // The buffer each sweep drains the board into, kept only for its
+    // allocation.
+    pub(super) due: Vec<u64>,
     // Ring visits performed by poll sweeps: what the driver's cost model
     // charges `poll_scan_per_client` against.
     pub(super) rings_swept: u64,

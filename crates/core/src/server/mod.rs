@@ -250,6 +250,7 @@ impl PrecursorServer {
                 credit_writes: 0,
                 handoffs: 0,
                 dirty_board: precursor_rdma::WriteBoard::new(),
+                due: Vec::new(),
                 rings_swept: 0,
             },
             durability: None,

@@ -119,25 +119,19 @@ impl PrecursorServer {
         processed
     }
 
-    // The rings due a visit this sweep: the drained doorbell board (rings
-    // remotely written since the last sweep) — live clients only,
-    // deduplicated, ascending. Revoked clients are dropped here: their
-    // rings are gone.
-    fn dirty_due(&mut self) -> Vec<usize> {
+    // The rings due a visit this sweep, drained from the doorbell board
+    // (rings remotely written since the last sweep; the board marks each
+    // once) into `due` — live clients only, ascending. Revoked clients are
+    // dropped here: their rings are gone.
+    fn dirty_due(&mut self, due: &mut Vec<u64>) {
+        self.ingress.dirty_board.drain(due);
         let ports = &self.ingress.ports;
         let sessions = &self.sessions.list;
-        let live = |idx: usize| ports.get(idx).is_some_and(Option::is_some) && sessions[idx].active;
-        let mut due: Vec<usize> = self
-            .ingress
-            .dirty_board
-            .drain()
-            .into_iter()
-            .map(|tag| tag as usize)
-            .filter(|&idx| live(idx))
-            .collect();
+        due.retain(|&tag| {
+            let idx = tag as usize;
+            ports.get(idx).is_some_and(Option::is_some) && sessions[idx].active
+        });
         due.sort_unstable();
-        due.dedup();
-        due
     }
 
     // One budgeted drain of client `idx`'s request ring: pops up to the
@@ -185,8 +179,10 @@ impl PrecursorServer {
     fn sweep(&mut self) -> usize {
         let shards = self.shards();
         // Phase A visits only the rings marked since the last drain;
-        // phases B and C operate on what phase A swept.
-        let due = self.dirty_due();
+        // phases B and C operate on what phase A swept. The buffer is the
+        // ingress stage's, reused every sweep.
+        let mut due = std::mem::take(&mut self.ingress.due);
+        self.dirty_due(&mut due);
 
         // Pending actions are stored per *visit* (in phase-A visit order),
         // not per client id: a sweep's bookkeeping then costs memory
@@ -199,7 +195,11 @@ impl PrecursorServer {
 
         // Phase A — worker sweeps: pop + validate, route to owning shard.
         for w in 0..shards {
-            let owned: Vec<usize> = due.iter().copied().filter(|&i| i % shards == w).collect();
+            let owned: Vec<usize> = due
+                .iter()
+                .map(|&tag| tag as usize)
+                .filter(|&i| i % shards == w)
+                .collect();
             if owned.is_empty() {
                 continue;
             }
@@ -270,6 +270,7 @@ impl PrecursorServer {
                 });
             }
         }
+        self.ingress.due = due;
 
         // Phase B — per-shard FIFO execution against the owned partition.
         for (s, queue) in exec_queues.into_iter().enumerate() {

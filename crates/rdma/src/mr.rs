@@ -8,7 +8,6 @@
 //! (simulated) NIC refuses to touch it, which is why Precursor must place
 //! payload data in *untrusted* memory (§1).
 
-use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 use crate::plock;
@@ -101,7 +100,7 @@ pub struct RemoteKey(pub(crate) u64);
 
 /// A registered region: buffer + permissions, kept in the registering QP's
 /// table.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Registration {
     pub mem: Memory,
     /// Remote peers may WRITE (and READ). False models registration of
@@ -127,6 +126,10 @@ pub(crate) struct Registration {
 /// delivery order, which is itself deterministic under the seeded
 /// simulation.
 ///
+/// Tags are small dense indices (the server uses client ids): the board
+/// keeps one bit per tag, so a mark and a drain cost O(1) per marked tag,
+/// never a hash or a pass over the idle ones.
+///
 /// # Example
 ///
 /// ```
@@ -136,7 +139,9 @@ pub(crate) struct Registration {
 /// board.mark(7);
 /// board.mark(3);
 /// board.mark(7); // deduplicated until drained
-/// assert_eq!(board.drain(), vec![7, 3]);
+/// let mut marked = Vec::new();
+/// board.drain(&mut marked);
+/// assert_eq!(marked, vec![7, 3]);
 /// assert!(board.is_empty());
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -146,8 +151,14 @@ pub struct WriteBoard {
 
 #[derive(Debug, Default)]
 struct BoardInner {
+    // Marked tags in first-mark order, and one bit per tag (set while the
+    // tag is in `order`).
     order: Vec<u64>,
-    queued: HashSet<u64>,
+    queued: Vec<u64>,
+}
+
+fn tag_bit(tag: u64) -> (usize, u64) {
+    ((tag / 64) as usize, 1 << (tag % 64))
 }
 
 impl WriteBoard {
@@ -159,18 +170,31 @@ impl WriteBoard {
     /// Records that the region tagged `tag` was written. Idempotent until
     /// the next [`drain`](Self::drain).
     pub fn mark(&self, tag: u64) {
-        let mut b = plock(&self.inner);
-        if b.queued.insert(tag) {
+        let mut guard = plock(&self.inner);
+        let b = &mut *guard;
+        let (word, bit) = tag_bit(tag);
+        if word >= b.queued.len() {
+            b.queued.resize(word + 1, 0);
+        }
+        if b.queued[word] & bit == 0 {
+            b.queued[word] |= bit;
             b.order.push(tag);
         }
     }
 
-    /// Takes all marks accumulated since the last drain, in first-mark
-    /// order.
-    pub fn drain(&self) -> Vec<u64> {
-        let mut b = plock(&self.inner);
-        b.queued.clear();
-        std::mem::take(&mut b.order)
+    /// Replaces the contents of `out` with every mark accumulated since the
+    /// last drain, in first-mark order. The board keeps `out`'s old
+    /// allocation for the next marks, so a caller that drains into the same
+    /// buffer every sweep allocates nothing in steady state.
+    pub fn drain(&self, out: &mut Vec<u64>) {
+        let mut guard = plock(&self.inner);
+        let b = &mut *guard;
+        out.clear();
+        std::mem::swap(&mut b.order, out);
+        for &tag in out.iter() {
+            let (word, bit) = tag_bit(tag);
+            b.queued[word] &= !bit;
+        }
     }
 
     /// Whether no marks are pending.
@@ -217,6 +241,23 @@ mod tests {
     #[should_panic]
     fn out_of_bounds_write_panics() {
         Memory::zeroed(4).write(2, &[0; 4]);
+    }
+
+    #[test]
+    fn board_marks_again_after_a_drain() {
+        let board = WriteBoard::new();
+        let mut marked = Vec::new();
+        for tag in [1000, 0, 63, 64, 1000] {
+            board.mark(tag);
+        }
+        board.drain(&mut marked);
+        assert_eq!(marked, vec![1000, 0, 63, 64]);
+        board.drain(&mut marked);
+        assert!(marked.is_empty());
+        board.mark(63);
+        board.mark(1000);
+        board.drain(&mut marked);
+        assert_eq!(marked, vec![63, 1000]);
     }
 
     #[test]

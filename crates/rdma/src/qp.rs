@@ -19,7 +19,7 @@
 //! which the connection must be re-established at the protocol layer
 //! (re-attestation in Precursor).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use crate::faults::{FaultInjector, FaultSite, WriteVerdict};
@@ -100,32 +100,56 @@ pub struct QpStats {
     pub inline_posts: u64,
 }
 
+// Index of endpoint *A* in `Shared::ends`; *B* is `1 - A`. *A* originates
+// `AtoB` fault events.
+const A: usize = 0;
+
+// One endpoint's half of the connection state.
+#[derive(Debug, Default)]
+struct Endpoint {
+    // SENDs queued for this endpoint, and the RECVs it has posted.
+    inbox: VecDeque<Vec<u8>>,
+    recvs: usize,
+    cq: VecDeque<WorkCompletion>,
+    stats: QpStats,
+    // Work-request ids are the post count, so the WRs not yet retired by a
+    // signaled completion are exactly `retired + 1..=stats.posts`; they
+    // flush as FlushErr when the QP errors.
+    retired: u64,
+}
+
+// Everything both endpoints touch, under one lock: a post validates,
+// delivers and accounts in a single acquisition.
 #[derive(Debug, Default)]
 struct Shared {
-    // Registered regions of each side, keyed by rkey.
-    regs_a: HashMap<u64, Registration>,
-    regs_b: HashMap<u64, Registration>,
-    // SEND queues (a→b and b→a) and posted RECV buffers.
-    msgs_to_a: VecDeque<Vec<u8>>,
-    msgs_to_b: VecDeque<Vec<u8>>,
-    recvs_a: usize,
-    recvs_b: usize,
-    // Work requests posted but not yet retired by a signaled completion;
-    // flushed as FlushErr when the QP errors.
-    pending_a: Vec<u64>,
-    pending_b: Vec<u64>,
-    next_rkey: u64,
+    // Registered regions of both endpoints, indexed by `rkey - 1` and
+    // tagged with the registering endpoint; `None` once deregistered.
+    regs: Vec<Option<(usize, Registration)>>,
+    ends: [Endpoint; 2],
     error: bool,
+}
+
+impl Shared {
+    // The region `key` names at endpoint `owner`, if the connection is up.
+    fn region(&self, owner: usize, key: RemoteKey) -> Result<&Registration, RdmaError> {
+        if self.error {
+            return Err(RdmaError::QpError);
+        }
+        let slot = key.0.checked_sub(1).and_then(|i| self.regs.get(i as usize));
+        match slot {
+            Some(Some((at, reg))) if *at == owner => Ok(reg),
+            _ => Err(RdmaError::InvalidRkey),
+        }
+    }
 }
 
 /// One endpoint of a reliable connection.
 #[derive(Debug, Clone)]
 pub struct QueuePair {
     shared: Arc<Mutex<Shared>>,
-    is_a: bool,
+    // This endpoint's index into `Shared::ends`.
+    me: usize,
     inline_max: usize,
-    cq: Arc<Mutex<VecDeque<WorkCompletion>>>,
-    stats: Arc<Mutex<QpStats>>,
     faults: Option<Arc<Mutex<FaultInjector>>>,
 }
 
@@ -149,22 +173,15 @@ fn make_pair(
     inline_max: usize,
     faults: Option<Arc<Mutex<FaultInjector>>>,
 ) -> (QueuePair, QueuePair) {
-    let shared = Arc::new(Mutex::new(Shared::default()));
     let a = QueuePair {
-        shared: shared.clone(),
-        is_a: true,
+        shared: Arc::new(Mutex::new(Shared::default())),
+        me: A,
         inline_max,
-        cq: Arc::new(Mutex::new(VecDeque::new())),
-        stats: Arc::new(Mutex::new(QpStats::default())),
-        faults: faults.clone(),
+        faults,
     };
     let b = QueuePair {
-        shared,
-        is_a: false,
-        inline_max,
-        cq: Arc::new(Mutex::new(VecDeque::new())),
-        stats: Arc::new(Mutex::new(QpStats::default())),
-        faults,
+        me: 1 - A,
+        ..a.clone()
     };
     (a, b)
 }
@@ -198,33 +215,27 @@ impl QueuePair {
         watch: Option<(WriteBoard, u64)>,
     ) -> RemoteKey {
         let mut s = plock(&self.shared);
-        s.next_rkey += 1;
-        let key = s.next_rkey;
-        let regs = if self.is_a {
-            &mut s.regs_a
-        } else {
-            &mut s.regs_b
+        let reg = Registration {
+            mem,
+            remote_write,
+            watch,
         };
-        regs.insert(
-            key,
-            Registration {
-                mem,
-                remote_write,
-                watch,
-            },
-        );
-        RemoteKey(key)
+        s.regs.push(Some((self.me, reg)));
+        RemoteKey(s.regs.len() as u64)
     }
 
     /// Deregisters a region (subsequent accesses fail with `InvalidRkey`).
     pub fn deregister(&self, key: RemoteKey) {
         let mut s = plock(&self.shared);
-        let regs = if self.is_a {
-            &mut s.regs_a
-        } else {
-            &mut s.regs_b
-        };
-        regs.remove(&key.0);
+        let slot = key
+            .0
+            .checked_sub(1)
+            .and_then(|i| s.regs.get_mut(i as usize));
+        if let Some(slot) = slot {
+            if slot.as_ref().is_some_and(|(at, _)| *at == self.me) {
+                *slot = None;
+            }
+        }
     }
 
     /// Transitions the connection to the error state — the paper's client
@@ -246,29 +257,30 @@ impl QueuePair {
     /// Registrations survive (memory regions outlive QP state transitions).
     /// Call on both endpoints; the second call is idempotent.
     pub fn reset(&mut self) {
-        {
-            let mut s = plock(&self.shared);
-            s.error = false;
-            if self.is_a {
-                s.pending_a.clear();
-                s.msgs_to_a.clear();
-                s.recvs_a = 0;
-            } else {
-                s.pending_b.clear();
-                s.msgs_to_b.clear();
-                s.recvs_b = 0;
-            }
-        }
-        plock(&self.cq).clear();
+        let mut s = plock(&self.shared);
+        s.error = false;
+        let end = &mut s.ends[self.me];
+        end.retired = end.stats.posts;
+        end.inbox.clear();
+        end.recvs = 0;
+        end.cq.clear();
     }
 
-    fn peer_registration(&self, key: RemoteKey) -> Result<Registration, RdmaError> {
+    /// Work requests this endpoint posted that no signaled completion,
+    /// flush or [`reset`](Self::reset) has retired yet — what the next
+    /// flush would report.
+    pub fn unretired(&self) -> u64 {
         let s = plock(&self.shared);
-        if s.error {
-            return Err(RdmaError::QpError);
-        }
-        let regs = if self.is_a { &s.regs_b } else { &s.regs_a };
-        regs.get(&key.0).cloned().ok_or(RdmaError::InvalidRkey)
+        let end = &s.ends[self.me];
+        end.stats.posts - end.retired
+    }
+
+    fn is_a(&self) -> bool {
+        self.me == A
+    }
+
+    fn peer(&self) -> usize {
+        1 - self.me
     }
 
     /// Posts a one-sided WRITE of `data` into the peer region `key` at
@@ -289,46 +301,49 @@ impl QueuePair {
         data: &[u8],
         signaled: bool,
     ) -> Result<usize, RdmaError> {
-        let reg = self.peer_registration(key)?;
+        let mut guard = plock(&self.shared);
+        let s = &mut *guard;
+        let reg = s.region(self.peer(), key)?;
         if !reg.remote_write {
             return Err(RdmaError::AccessDenied);
         }
-        if offset + data.len() > reg.mem.len() {
-            return Err(RdmaError::OutOfBounds);
-        }
-        // Only a fault injector rewrites the bytes in flight, so only then
-        // are they staged.
-        let mut deliver = true;
-        let staged;
-        let payload = if let Some(f) = self.faults.clone() {
-            let mut buf = data.to_vec();
+        // Validate, then inject, then deliver, under the region's lock.
+        let verdict = reg.mem.with_mut(|buf| {
+            let dst = buf
+                .get_mut(offset..offset + data.len())
+                .ok_or(RdmaError::OutOfBounds)?;
+            let Some(faults) = &self.faults else {
+                dst.copy_from_slice(data);
+                return Ok(WriteVerdict::Deliver);
+            };
+            // Only a fault injector rewrites the bytes in flight, so only
+            // then are they staged.
+            let mut staged = data.to_vec();
             let verdict = {
-                let mut inj = plock(&f);
-                let v = inj.on_write(self.is_a, &mut buf);
+                let mut inj = plock(faults);
+                let v = inj.on_write(self.is_a(), &mut staged);
                 inj.take_forced_error();
                 v
             };
-            match verdict {
-                WriteVerdict::Deliver => {}
-                WriteVerdict::Drop => deliver = false,
-                WriteVerdict::Error => {
-                    plock(&self.shared).error = true;
-                    return Err(RdmaError::QpError);
+            if verdict == WriteVerdict::Deliver {
+                dst.copy_from_slice(&staged);
+            }
+            Ok(verdict)
+        })?;
+        match verdict {
+            WriteVerdict::Deliver => {
+                if let Some((board, tag)) = &reg.watch {
+                    board.mark(*tag);
                 }
             }
-            staged = buf;
-            &staged[..]
-        } else {
-            data
-        };
-        if deliver {
-            reg.mem.write(offset, payload);
-            if let Some((board, tag)) = &reg.watch {
-                board.mark(*tag);
+            WriteVerdict::Drop => {}
+            WriteVerdict::Error => {
+                s.error = true;
+                return Err(RdmaError::QpError);
             }
         }
         let inline = data.len() <= self.inline_max;
-        self.account(data.len(), inline, signaled, WrKind::Write);
+        self.account(s, data.len(), inline, signaled, WrKind::Write);
         Ok(data.len())
     }
 
@@ -345,12 +360,14 @@ impl QueuePair {
         len: usize,
         signaled: bool,
     ) -> Result<Vec<u8>, RdmaError> {
-        let reg = self.peer_registration(key)?;
-        if offset + len > reg.mem.len() {
-            return Err(RdmaError::OutOfBounds);
-        }
-        let data = reg.mem.read(offset, len);
-        self.account(len, false, signaled, WrKind::Read);
+        let mut guard = plock(&self.shared);
+        let s = &mut *guard;
+        let data = s
+            .region(self.peer(), key)?
+            .mem
+            .with(|buf| buf.get(offset..offset + len).map(<[u8]>::to_vec))
+            .ok_or(RdmaError::OutOfBounds)?;
+        self.account(s, len, false, signaled, WrKind::Read);
         Ok(data)
     }
 
@@ -370,20 +387,7 @@ impl QueuePair {
         add: u64,
         signaled: bool,
     ) -> Result<u64, RdmaError> {
-        let reg = self.peer_registration(key)?;
-        if !reg.remote_write {
-            return Err(RdmaError::AccessDenied);
-        }
-        if !offset.is_multiple_of(8) || offset + 8 > reg.mem.len() {
-            return Err(RdmaError::OutOfBounds);
-        }
-        let old = reg.mem.with_mut(|buf| {
-            let old = u64::from_le_bytes(buf[offset..offset + 8].try_into().expect("8 bytes"));
-            buf[offset..offset + 8].copy_from_slice(&old.wrapping_add(add).to_le_bytes());
-            old
-        });
-        self.account(8, false, signaled, WrKind::Atomic);
-        Ok(old)
+        self.post_atomic(key, offset, signaled, |old| old.wrapping_add(add))
     }
 
     /// Posts a one-sided ATOMIC compare-and-swap on an 8-byte remote word,
@@ -401,33 +405,50 @@ impl QueuePair {
         desired: u64,
         signaled: bool,
     ) -> Result<u64, RdmaError> {
-        let reg = self.peer_registration(key)?;
+        self.post_atomic(key, offset, signaled, |found| {
+            if found == expected {
+                desired
+            } else {
+                found
+            }
+        })
+    }
+
+    // Replaces the aligned remote word at `offset` with `update(old)` and
+    // returns `old`.
+    fn post_atomic(
+        &mut self,
+        key: RemoteKey,
+        offset: usize,
+        signaled: bool,
+        update: impl FnOnce(u64) -> u64,
+    ) -> Result<u64, RdmaError> {
+        let mut guard = plock(&self.shared);
+        let s = &mut *guard;
+        let reg = s.region(self.peer(), key)?;
         if !reg.remote_write {
             return Err(RdmaError::AccessDenied);
         }
-        if !offset.is_multiple_of(8) || offset + 8 > reg.mem.len() {
+        if !offset.is_multiple_of(8) {
             return Err(RdmaError::OutOfBounds);
         }
-        let found = reg.mem.with_mut(|buf| {
-            let found = u64::from_le_bytes(buf[offset..offset + 8].try_into().expect("8 bytes"));
-            if found == expected {
-                buf[offset..offset + 8].copy_from_slice(&desired.to_le_bytes());
-            }
-            found
-        });
-        self.account(8, false, signaled, WrKind::Atomic);
-        Ok(found)
+        let old = reg
+            .mem
+            .with_mut(|buf| {
+                let word: &mut [u8; 8] = buf.get_mut(offset..offset + 8)?.try_into().ok()?;
+                let old = u64::from_le_bytes(*word);
+                *word = update(old).to_le_bytes();
+                Some(old)
+            })
+            .ok_or(RdmaError::OutOfBounds)?;
+        self.account(s, 8, false, signaled, WrKind::Atomic);
+        Ok(old)
     }
 
     /// Posts a RECV buffer (capacity bookkeeping only — the model stores
     /// message bytes directly).
     pub fn post_recv(&mut self) {
-        let mut s = plock(&self.shared);
-        if self.is_a {
-            s.recvs_a += 1;
-        } else {
-            s.recvs_b += 1;
-        }
+        plock(&self.shared).ends[self.me].recvs += 1;
     }
 
     /// Posts a two-sided SEND. Fails with RNR if the peer posted no RECV.
@@ -436,9 +457,9 @@ impl QueuePair {
     ///
     /// [`RdmaError::ReceiverNotReady`] or [`RdmaError::QpError`].
     pub fn post_send(&mut self, data: &[u8], signaled: bool) -> Result<(), RdmaError> {
-        let frames = if let Some(f) = self.faults.clone() {
-            let mut inj = plock(&f);
-            let frames = inj.on_message(FaultSite::Send, self.is_a, data);
+        let frames = if let Some(f) = &self.faults {
+            let mut inj = plock(f);
+            let frames = inj.on_message(FaultSite::Send, self.is_a(), data);
             if inj.take_forced_error() {
                 drop(inj);
                 plock(&self.shared).error = true;
@@ -448,101 +469,63 @@ impl QueuePair {
         } else {
             None
         };
-        {
-            let mut s = plock(&self.shared);
-            if s.error {
-                return Err(RdmaError::QpError);
+        let mut guard = plock(&self.shared);
+        let s = &mut *guard;
+        if s.error {
+            return Err(RdmaError::QpError);
+        }
+        let peer = &mut s.ends[self.peer()];
+        if peer.recvs == 0 {
+            return Err(RdmaError::ReceiverNotReady);
+        }
+        match frames {
+            None => {
+                peer.recvs -= 1;
+                peer.inbox.push_back(data.to_vec());
             }
-            let recvs = if self.is_a {
-                &mut s.recvs_b
-            } else {
-                &mut s.recvs_a
-            };
-            if *recvs == 0 {
-                return Err(RdmaError::ReceiverNotReady);
-            }
-            match frames {
-                None => {
-                    *recvs -= 1;
-                    let q = if self.is_a {
-                        &mut s.msgs_to_b
-                    } else {
-                        &mut s.msgs_to_a
-                    };
-                    q.push_back(data.to_vec());
-                }
-                Some(frames) => {
-                    // Each delivered frame consumes one RECV; extras beyond
-                    // the posted buffers are lost (RNR at the receiver).
-                    for frame in frames {
-                        let recvs = if self.is_a {
-                            &mut s.recvs_b
-                        } else {
-                            &mut s.recvs_a
-                        };
-                        if *recvs == 0 {
-                            break;
-                        }
-                        *recvs -= 1;
-                        let q = if self.is_a {
-                            &mut s.msgs_to_b
-                        } else {
-                            &mut s.msgs_to_a
-                        };
-                        q.push_back(frame);
-                    }
-                }
+            Some(frames) => {
+                // Each delivered frame consumes one RECV; extras beyond the
+                // posted buffers are lost (RNR at the receiver).
+                let delivered = frames.len().min(peer.recvs);
+                peer.recvs -= delivered;
+                peer.inbox.extend(frames.into_iter().take(delivered));
             }
         }
         let inline = data.len() <= self.inline_max;
-        self.account(data.len(), inline, signaled, WrKind::Send);
+        self.account(s, data.len(), inline, signaled, WrKind::Send);
         Ok(())
     }
 
     /// Receives the next SEND from the peer, if any.
     pub fn recv(&mut self) -> Option<Vec<u8>> {
-        let mut s = plock(&self.shared);
-        let q = if self.is_a {
-            &mut s.msgs_to_a
-        } else {
-            &mut s.msgs_to_b
-        };
-        q.pop_front()
+        plock(&self.shared).ends[self.me].inbox.pop_front()
     }
 
     /// Polls up to `max` completions from this endpoint's CQ. If the QP is
     /// in the error state, every unretired work request is first flushed
     /// into the CQ as a [`WcStatus::FlushErr`] completion.
     pub fn poll_cq(&mut self, max: usize) -> Vec<WorkCompletion> {
-        {
-            let mut s = plock(&self.shared);
-            if s.error {
-                let pending = if self.is_a {
-                    &mut s.pending_a
-                } else {
-                    &mut s.pending_b
-                };
-                let flushed: Vec<u64> = std::mem::take(pending);
-                drop(s);
-                let mut cq = plock(&self.cq);
-                for wr_id in flushed {
-                    cq.push_back(WorkCompletion {
-                        wr_id,
-                        bytes: 0,
-                        inline: false,
-                        status: WcStatus::FlushErr,
-                    });
-                }
-            }
+        let mut guard = plock(&self.shared);
+        let s = &mut *guard;
+        let end = &mut s.ends[self.me];
+        if s.error {
+            end.cq.extend(
+                (end.retired + 1..=end.stats.posts).map(|wr_id| WorkCompletion {
+                    wr_id,
+                    bytes: 0,
+                    inline: false,
+                    status: WcStatus::FlushErr,
+                }),
+            );
+            end.retired = end.stats.posts;
         }
-        let mut cq = plock(&self.cq);
-        let n = max.min(cq.len());
-        cq.drain(..n).collect()
+        let n = max.min(end.cq.len());
+        end.cq.drain(..n).collect()
     }
 
     /// Endpoint statistics.
     pub fn stats(&self) -> QpStats {
-        *plock(&self.stats)
+        plock(&self.shared).ends[self.me].stats
     }
 
     /// The inline cutoff configured at connection time.
@@ -550,61 +533,47 @@ impl QueuePair {
         self.inline_max
     }
 
-    fn account(&mut self, bytes: usize, inline: bool, signaled: bool, kind: WrKind) {
-        let wr_id = {
-            let mut st = plock(&self.stats);
-            st.posts += 1;
-            st.bytes += bytes as u64;
-            match kind {
-                WrKind::Write => st.writes += 1,
-                WrKind::Read => st.reads += 1,
-                WrKind::Send => st.sends += 1,
-                WrKind::Atomic => st.atomics += 1,
-            }
-            if inline {
-                st.inline_posts += 1;
-            }
-            st.posts
-        };
-        {
-            let mut s = plock(&self.shared);
-            let pending = if self.is_a {
-                &mut s.pending_a
-            } else {
-                &mut s.pending_b
-            };
-            pending.push(wr_id);
+    // Counts one successful post at this endpoint; its work-request id is
+    // the new post count. A signaled post completes unless a fault loses
+    // the completion, and a delivered completion retires this WR and every
+    // unsignaled one posted before it.
+    fn account(&self, s: &mut Shared, bytes: usize, inline: bool, signaled: bool, kind: WrKind) {
+        let end = &mut s.ends[self.me];
+        let st = &mut end.stats;
+        st.posts += 1;
+        st.bytes += bytes as u64;
+        match kind {
+            WrKind::Write => st.writes += 1,
+            WrKind::Read => st.reads += 1,
+            WrKind::Send => st.sends += 1,
+            WrKind::Atomic => st.atomics += 1,
         }
-        if signaled {
-            let deliver = if let Some(f) = self.faults.clone() {
-                let mut inj = plock(&f);
-                let deliver = inj.on_completion(self.is_a);
+        if inline {
+            st.inline_posts += 1;
+        }
+        let wr_id = st.posts;
+        if !signaled {
+            return;
+        }
+        let deliver = match &self.faults {
+            None => true,
+            Some(f) => {
+                let mut inj = plock(f);
+                let deliver = inj.on_completion(self.is_a());
                 if inj.take_forced_error() {
-                    drop(inj);
-                    plock(&self.shared).error = true;
+                    s.error = true;
                 }
                 deliver
-            } else {
-                true
-            };
-            if deliver {
-                // A delivered signaled completion retires this WR and every
-                // unsignaled WR posted before it.
-                let mut s = plock(&self.shared);
-                let pending = if self.is_a {
-                    &mut s.pending_a
-                } else {
-                    &mut s.pending_b
-                };
-                pending.clear();
-                drop(s);
-                plock(&self.cq).push_back(WorkCompletion {
-                    wr_id,
-                    bytes,
-                    inline,
-                    status: WcStatus::Success,
-                });
             }
+        };
+        if deliver {
+            end.retired = wr_id;
+            end.cq.push_back(WorkCompletion {
+                wr_id,
+                bytes,
+                inline,
+                status: WcStatus::Success,
+            });
         }
     }
 }
@@ -740,6 +709,61 @@ mod tests {
         assert_eq!(a.poll_cq(16).len(), 1);
         a.set_error();
         assert!(a.poll_cq(16).is_empty(), "retired WRs do not flush");
+    }
+
+    #[test]
+    fn unsignaled_posts_flush_once_and_hold_no_ledger() {
+        const POSTS: u64 = 100_000;
+        let (mut a, b) = connect_pair(912);
+        let key = b.register(Memory::zeroed(64), true);
+        for _ in 0..POSTS {
+            a.post_write(key, 0, b"x", false).unwrap();
+        }
+        assert_eq!(a.unretired(), POSTS);
+        assert_eq!(b.unretired(), 0, "the peer posted nothing");
+        assert!(a.poll_cq(16).is_empty());
+        a.set_error();
+        let flushed = a.poll_cq(usize::MAX);
+        assert!(flushed.iter().all(|c| c.status == WcStatus::FlushErr));
+        let ids: Vec<u64> = flushed.iter().map(|c| c.wr_id).collect();
+        assert_eq!(ids, (1..=POSTS).collect::<Vec<_>>());
+        assert_eq!(a.unretired(), 0);
+        assert!(a.poll_cq(usize::MAX).is_empty(), "flush happens once");
+    }
+
+    #[test]
+    fn signaled_completion_sets_the_retire_watermark() {
+        let (mut a, b) = connect_pair(912);
+        let key = b.register(Memory::zeroed(64), true);
+        for i in 1..=6u64 {
+            a.post_write(key, 0, b"x", i == 4).unwrap();
+        }
+        let done = a.poll_cq(16);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].wr_id, 4);
+        assert_eq!(a.unretired(), 2, "posts 5 and 6 follow the completion");
+        a.set_error();
+        let flushed: Vec<u64> = a.poll_cq(16).iter().map(|c| c.wr_id).collect();
+        assert_eq!(flushed, vec![5, 6]);
+    }
+
+    #[test]
+    fn reset_retires_everything_posted_before_it() {
+        let (mut a, mut b) = connect_pair(912);
+        let key = b.register(Memory::zeroed(64), true);
+        for _ in 0..3 {
+            a.post_write(key, 0, b"x", false).unwrap();
+        }
+        a.set_error();
+        a.reset();
+        b.reset();
+        assert_eq!(a.unretired(), 0);
+        assert!(a.poll_cq(16).is_empty());
+        a.post_write(key, 0, b"y", false).unwrap();
+        a.set_error();
+        let flushed = a.poll_cq(16);
+        assert_eq!(flushed.len(), 1, "only the post after the reset flushes");
+        assert_eq!(flushed[0].wr_id, 4, "ids keep counting across a reset");
     }
 
     #[test]

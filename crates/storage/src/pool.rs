@@ -7,6 +7,15 @@
 //! §4). [`SlabPool`] reproduces that: it manages offsets within an
 //! externally-owned buffer using size-class free lists plus a bump pointer,
 //! and reports when the caller has to grow the buffer (the modelled ocall).
+//!
+//! A stored record is client ciphertext ‖ a 16-byte CMAC tag, so a
+//! power-of-two value — every size the paper measures — lands just *past* a
+//! power of two. Size classes are therefore geometric with eight steps per
+//! doubling rather than powers of two: 16, 32, 48 and 64 B, then 72, 80, …,
+//! 128, 144, 160, … up to 512 KiB. Above 64 B a slot wastes less than an
+//! eighth of itself (a 4 KiB value's 4 112-byte record takes a 4 608-byte
+//! slot, not an 8 KiB one), so the pool's resident pages follow the live
+//! records.
 
 /// A byte range handed out by the pool. This is the paper's `ptr` stored in
 /// the enclave hash table, pointing at untrusted payload memory.
@@ -54,22 +63,35 @@ pub struct PoolStats {
     pub bytes_in_use: usize,
 }
 
-const MIN_CLASS_SHIFT: u32 = 4; // 16-byte smallest slot
-const NUM_CLASSES: usize = 16; // 16 B … 512 KiB
+// 16, 32, 48, 64 B, then eight classes per doubling up to 2^19 = 512 KiB.
+const LINEAR_CLASSES: usize = 4; // 16-byte steps up to 2^LINEAR_SHIFT
+const LINEAR_SHIFT: usize = 6;
+const STEP_SHIFT: usize = 3; // 2^STEP_SHIFT classes per doubling
+const MAX_CLASS_SHIFT: usize = 19;
+const NUM_CLASSES: usize = LINEAR_CLASSES + ((MAX_CLASS_SHIFT - LINEAR_SHIFT) << STEP_SHIFT);
 
 fn class_of(len: usize) -> Option<u8> {
-    let len = len.max(1);
-    let bits = usize::BITS - (len - 1).leading_zeros();
-    let class = bits.saturating_sub(MIN_CLASS_SHIFT);
-    if (class as usize) < NUM_CLASSES {
-        Some(class as u8)
+    let n = len.max(1) - 1;
+    let class = if n >> LINEAR_SHIFT == 0 {
+        n / 16
     } else {
-        None
-    }
+        // `n` lies in the doubling [2^top, 2^(top+1)); its top four bits
+        // (8..=15) say which eighth of it.
+        let top = (usize::BITS - 1 - n.leading_zeros()) as usize;
+        let eighth = (n >> (top - STEP_SHIFT)) - (1 << STEP_SHIFT);
+        LINEAR_CLASSES + ((top - LINEAR_SHIFT) << STEP_SHIFT) + eighth
+    };
+    (class < NUM_CLASSES).then_some(class as u8)
 }
 
 fn class_size(class: u8) -> usize {
-    1usize << (class as u32 + MIN_CLASS_SHIFT)
+    let class = class as usize;
+    if class < LINEAR_CLASSES {
+        return 16 * (class + 1);
+    }
+    let k = class - LINEAR_CLASSES;
+    let (doubling, eighth) = (k >> STEP_SHIFT, k % (1 << STEP_SHIFT));
+    ((1 << STEP_SHIFT) + 1 + eighth) << (LINEAR_SHIFT - STEP_SHIFT + doubling)
 }
 
 /// Offset allocator over an external buffer.
@@ -166,16 +188,104 @@ impl SlabPool {
 mod tests {
     use super::*;
 
+    const MAX_LEN: usize = 1 << MAX_CLASS_SHIFT;
+
+    #[test]
+    fn size_classes_are_tight_disjoint_and_reused() {
+        // A record of ciphertext ‖ 16-byte tag for the paper's value sizes.
+        for (len, slot) in [
+            (1, 16),
+            (17, 32),
+            (32 + 16, 48),
+            (65, 72),
+            (100, 104),
+            (128, 128),
+            (128 + 16, 144),
+            (4096, 4096),
+            (4096 + 16, 4608),
+            (MAX_LEN, MAX_LEN),
+        ] {
+            assert_eq!(slot_capacity(len), Some(slot), "len {len}");
+        }
+        assert_eq!(class_of(0), Some(0));
+        assert_eq!(class_of(MAX_LEN + 1), None);
+        for class in 1..NUM_CLASSES as u8 {
+            assert!(class_size(class) > class_size(class - 1), "class {class}");
+        }
+        assert_eq!(class_size(NUM_CLASSES as u8 - 1), MAX_LEN);
+        // Every length maps to the smallest class that holds it, and above
+        // 64 B that class wastes less than an eighth of the slot.
+        for len in 1..=MAX_LEN {
+            let class = class_of(len).expect("within the cap");
+            let slot = class_size(class);
+            assert!(slot >= len, "len {len} in a {slot}-byte slot");
+            assert!(class == 0 || class_size(class - 1) < len, "len {len}");
+            if len > 64 {
+                assert!((slot - len) * 8 < slot, "len {len}: {slot}-byte slot");
+            }
+        }
+        // Whole slots, not just the requested lengths, are disjoint.
+        let mut pool = SlabPool::new(1 << 20);
+        let mut ranges = Vec::new();
+        for len in [10usize, 100, 1000, 16, 48, 64, 64, 65, 144, 4096, 4112] {
+            ranges.push(pool.alloc(len).unwrap());
+        }
+        let end = |r: &PoolRange| r.offset + r.capacity();
+        for (i, a) in ranges.iter().enumerate() {
+            for b in &ranges[i + 1..] {
+                assert!(
+                    end(a) <= b.offset || end(b) <= a.offset,
+                    "overlap: {a:?} vs {b:?}"
+                );
+            }
+        }
+        // A freed slot goes back to its class: the next request of that
+        // class takes it, one of another class does not.
+        let freed = ranges.pop().unwrap();
+        let in_use = pool.stats().bytes_in_use;
+        pool.free(freed);
+        assert_eq!(pool.stats().bytes_in_use, in_use - 4608);
+        assert_eq!(pool.stats().frees, 1);
+        assert_ne!(pool.alloc(4609).unwrap().offset, freed.offset);
+        assert_eq!(pool.alloc(4200).unwrap().offset, freed.offset);
+    }
+
     #[test]
     fn size_classes_round_up_to_power_of_two() {
+        // Every power of two from the smallest slot to the cap is a class of
+        // its own, and no request rounds up past the next power of two.
+        for shift in 4..=MAX_CLASS_SHIFT {
+            let pow = 1usize << shift;
+            assert_eq!(slot_capacity(pow), Some(pow), "2^{shift}");
+        }
+        for len in 1..=MAX_LEN {
+            let slot = slot_capacity(len).expect("within the cap");
+            assert!(slot <= len.next_power_of_two().max(16), "len {len}");
+        }
         assert_eq!(class_of(1), Some(0));
         assert_eq!(class_of(16), Some(0));
         assert_eq!(class_of(17), Some(1));
-        assert_eq!(class_of(32), Some(1));
-        assert_eq!(class_of(100), Some(3)); // 128-byte class
-        assert_eq!(class_size(3), 128);
-        assert_eq!(class_of(512 * 1024), Some(15));
-        assert_eq!(class_of(512 * 1024 + 1), None);
+        assert_eq!(class_of(MAX_LEN + 1), None);
+    }
+
+    #[test]
+    fn free_recycles_same_class() {
+        let mut pool = SlabPool::new(4096);
+        let a = pool.alloc(100).unwrap();
+        let a_off = a.offset;
+        pool.free(a);
+        let b = pool.alloc(104).unwrap(); // same 104-byte class
+        assert_eq!(b.offset, a_off);
+    }
+
+    #[test]
+    fn bytes_in_use_tracks_capacity_of_slots() {
+        let mut pool = SlabPool::new(1 << 16);
+        let r = pool.alloc(100).unwrap(); // 104-byte class
+        assert_eq!(pool.stats().bytes_in_use, 104);
+        pool.free(r);
+        assert_eq!(pool.stats().bytes_in_use, 0);
+        assert_eq!(pool.stats().frees, 1);
     }
 
     #[test]
@@ -209,16 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn free_recycles_same_class() {
-        let mut pool = SlabPool::new(4096);
-        let a = pool.alloc(100).unwrap();
-        let a_off = a.offset;
-        pool.free(a);
-        let b = pool.alloc(120).unwrap(); // same 128-byte class
-        assert_eq!(b.offset, a_off);
-    }
-
-    #[test]
     fn exhaustion_reports_grow_event_and_grow_restores() {
         let mut pool = SlabPool::new(64);
         assert!(pool.alloc(64).is_some());
@@ -226,16 +326,6 @@ mod tests {
         assert_eq!(pool.stats().grow_events, 1);
         pool.grow(64);
         assert!(pool.alloc(64).is_some());
-    }
-
-    #[test]
-    fn bytes_in_use_tracks_capacity_of_slots() {
-        let mut pool = SlabPool::new(1 << 16);
-        let r = pool.alloc(100).unwrap(); // 128-byte class
-        assert_eq!(pool.stats().bytes_in_use, 128);
-        pool.free(r);
-        assert_eq!(pool.stats().bytes_in_use, 0);
-        assert_eq!(pool.stats().frees, 1);
     }
 
     #[test]
@@ -252,6 +342,6 @@ mod tests {
             pool.free(r);
         }
         // bump should have advanced only once for the single live slot
-        assert_eq!(pool.remaining(), (1 << 16) - 1024);
+        assert_eq!(pool.remaining(), (1 << 16) - slot_capacity(1000).unwrap());
     }
 }

@@ -236,6 +236,32 @@ fn pool_grows_via_ocall_under_load() {
 }
 
 #[test]
+fn pool_slots_fit_ciphertext_and_tag_of_power_of_two_values() {
+    // A 4 KiB value is stored as 4 096 B of ciphertext ‖ a 16-byte CMAC
+    // tag: it takes a 4 608-byte slot, not the 8 KiB a power-of-two class
+    // would round it up to.
+    let cost = CostModel::default();
+    let mut server = PrecursorServer::new(Config::default(), &cost);
+    let mut client = PrecursorClient::connect(&mut server, 1).unwrap();
+    for i in 0..1000u32 {
+        client
+            .put_sync(&mut server, format!("k{i}").as_bytes(), &[i as u8; 4096])
+            .unwrap();
+    }
+    let stats = server.pool_stats();
+    assert_eq!(stats.allocations, 1000);
+    assert!(
+        stats.bytes_in_use <= 1000 * 4608,
+        "{} bytes in use",
+        stats.bytes_in_use
+    );
+    assert_eq!(
+        client.get_sync(&mut server, b"k999").unwrap(),
+        [999u32 as u8; 4096]
+    );
+}
+
+#[test]
 fn table_growth_preserves_all_entries() {
     let cost = CostModel::default();
     let config = Config {
