@@ -17,7 +17,7 @@ use precursor_bench::{print_table, results_dir};
 fn main() {
     println!("================================================================");
     println!("Bench trajectory: seeded evaluation sweep -> BENCH_summary.json");
-    println!("seed: {SUMMARY_SEED:#x} (fixed scale; PRECURSOR_FULL is ignored)");
+    println!("seed: {SUMMARY_SEED:#x} (fixed scale)");
     println!("================================================================");
 
     let out_path = results_dir().join("BENCH_summary.json");

@@ -8,9 +8,8 @@
 //! sim virtual time and the per-op meter taps, so for a fixed seed the
 //! document is byte-identical across runs and machines.
 //!
-//! The scale is deliberately small and **fixed** (it ignores
-//! `PRECURSOR_FULL`): the committed baseline and a fresh run must be
-//! comparable point-for-point.
+//! The scale is deliberately small and **fixed**: the committed baseline
+//! and a fresh run must be comparable point-for-point.
 
 use precursor_obs::JsonWriter;
 use precursor_sim::meter::Stage;
@@ -18,10 +17,12 @@ use precursor_sim::CostModel;
 use precursor_ycsb::driver::{RunResult, SessionParams, SystemKind};
 use precursor_ycsb::workload::WorkloadSpec;
 
+use crate::figures::fig9_window;
+
 /// Seed of the committed trajectory baseline.
 pub const SUMMARY_SEED: u64 = 0xB5EED;
 
-/// Fixed trajectory scale (independent of `PRECURSOR_FULL`).
+/// Fixed trajectory scale.
 const WARMUP_KEYS: u64 = 20_000;
 const MEASURE_OPS: u64 = 8_000;
 const CLIENTS: usize = 8;
@@ -211,8 +212,8 @@ pub fn collect(seed: u64) -> Vec<SummaryPoint> {
     // driver state at fleet sizes far beyond the testbed's 100 clients.
     // One warmed 10k-client session per shard count; the 1k-client point
     // measures a subset of the same fleet. The full 1k→10k→100k decade
-    // sweep with wall-clock asserts lives in the `fig6_scale_sweep`
-    // bench (CI `scale-smoke`); these two decades are the points the >5%
+    // sweep with wall-clock asserts is the `fig6-scale` figure
+    // (CI `scale-smoke`); these two decades are the points the >5%
     // trajectory gate pins.
     for shards in [4usize, 8] {
         let mut session = SessionParams::new(SystemKind::Precursor)
@@ -257,8 +258,8 @@ pub fn collect(seed: u64) -> Vec<SummaryPoint> {
     // NIC per node, ops replayed on the node that served them. Multi-node
     // points fence a live key-range migration in the window; the gate
     // pins both the scaling and the stale-routing overhead staying under
-    // 1 %. These are the 1000-client rows of the `fig9_cluster_sweep`
-    // bench (CI `cluster-chaos`, which also holds the ≥1.7× 4-node floor)
+    // 1 %. These are the 1000-client rows of the `fig9` figure
+    // (CI `cluster-chaos`, which also holds the ≥1.7× 4-node floor)
     // at its scale, not the trajectory's: enough clients to saturate one
     // node, so the points measure capacity.
     for nodes in [1usize, 2, 4] {
@@ -272,64 +273,6 @@ pub fn collect(seed: u64) -> Vec<SummaryPoint> {
     }
 
     points
-}
-
-/// A fig9 window's sealed-redirect share of its ops must stay below this.
-pub const FIG9_MAX_REDIRECT_RATE: f64 = 0.01;
-
-/// Operations in a fig9 window: one start of the 5000-sweep migration
-/// schedule, and room for its fence.
-pub const FIG9_OPS: u64 = 6_000;
-
-/// One fig9 window: `clients` closed-loop clients on 1 KiB rings run
-/// workload B (32 B values, 4000 keys) for [`FIG9_OPS`] operations over
-/// `nodes` nodes, a key range migrating underneath when there is more
-/// than one. Returns the run with the window's redirects and keys moved.
-///
-/// # Panics
-///
-/// Unless the registry's `cluster.*` counters show exactly one fence in a
-/// multi-node window, observed by ≥ 1 sealed redirect and cache refresh,
-/// with redirects under [`FIG9_MAX_REDIRECT_RATE`] of the ops.
-pub fn fig9_window(
-    nodes: usize,
-    clients: usize,
-    seed: u64,
-    cost: &CostModel,
-) -> (RunResult, u64, u64) {
-    const KEYS: u64 = 4_000;
-    let mut session = SessionParams::new(SystemKind::Precursor)
-        .keys(KEYS, KEYS)
-        .max_clients(clients)
-        .ring_bytes(1 << 10)
-        .seed(seed)
-        .nodes(nodes)
-        .migrating(nodes > 1)
-        .build(cost);
-    let before = session.metrics();
-    let r = session.measure(&WorkloadSpec::workload_b(32, KEYS), clients, FIG9_OPS);
-    let after = session.metrics();
-    let window = |name: &str| after.counter(name) - before.counter(name);
-    let redirects = window("cluster.redirects");
-    let fenced = if nodes > 1 { 1 } else { 0 };
-    assert_eq!(
-        window("cluster.migrations_fenced"),
-        fenced,
-        "fig9 migration fences in-window (nodes={nodes}, clients={clients})"
-    );
-    assert!(
-        redirects >= fenced && window("cluster.refreshes") >= fenced,
-        "a fence must be observed by a redirect and a refresh \
-         (nodes={nodes}, clients={clients})"
-    );
-    let rate = redirects as f64 / FIG9_OPS as f64;
-    assert!(
-        rate < FIG9_MAX_REDIRECT_RATE,
-        "fig9 redirect rate {:.3}% breaches {:.0}% (nodes={nodes}, clients={clients})",
-        rate * 100.0,
-        FIG9_MAX_REDIRECT_RATE * 100.0
-    );
-    (r, redirects, window("cluster.keys_moved"))
 }
 
 // The staged-promotion catch-up measurement behind the `failover/catchup`

@@ -107,11 +107,11 @@ check_knobs
 echo "== benchmark smoke (--quick) =="
 cargo run --release --manifest-path benchmark/Cargo.toml -- --quick
 
-# The two paper figures whose shape depends on the poll-scan cost basis
-# carry in-run asserts (Fig 6a's ~55-client peak, Fig 4's anchors): run
-# them so a drifted reproduction fails here, not in a reader's plot.
-echo "== paper-shape benches (fig6_client_scaling, fig4_workloads) =="
-cargo bench -p precursor-bench --bench fig6_client_scaling
-cargo bench -p precursor-bench --bench fig4_workloads
+# The paper figures whose shape depends on the poll-scan cost basis carry
+# checks (Fig 4's anchors, Fig 6a's ~55-client peak, Fig 6b's shard
+# speedup): run them so a drifted reproduction fails here, not in a
+# reader's plot.
+echo "== paper-shape figures (fig4, fig6a, fig6b) =="
+cargo bench -p precursor-bench --bench figures -- fig4 fig6a fig6b
 
 echo "ci: all green"
