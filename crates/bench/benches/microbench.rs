@@ -1,25 +1,33 @@
 //! Micro-benchmarks of the substrate data structures and primitives
 //! (wall-clock, not simulated time): the Robin Hood table the enclave
 //! hosts, the ring buffers on the RDMA path, the verbs model's WRITE post,
-//! the untrusted payload pool, the Merkle tree of the baseline, the EPC
-//! residency tracker, and the software crypto. Plain timing loops — no
-//! external benchmark harness.
+//! the RNIC queue-pair cache, the untrusted payload pool, the metric taps,
+//! the Merkle tree of the baseline, the EPC residency tracker, and the
+//! software crypto. Plain timing loops — no external benchmark harness.
 //!
 //! ```sh
-//! cargo bench --bench microbench
+//! cargo bench -p precursor-bench --bench microbench [-- <section>…]
 //! ```
+//!
+//! A section argument selects every section whose name starts with it;
+//! none selects all, and an unknown one exits non-zero listing the names.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
+use precursor::backend::{KvOp, PrecursorBackend, TrustedKv};
+use precursor::{Config, GroupCommitPolicy};
 use precursor_crypto::aes::Aes128;
 use precursor_crypto::gcm::GcmKey;
 use precursor_crypto::{cmac, gcm, salsa20, sha256, Key128, Key256, Nonce12, Nonce8};
-use precursor_rdma::{connect_pair, Memory, WriteBoard};
+use precursor_obs::observe_meter;
+use precursor_rdma::{connect_pair, Memory, RnicCache, WriteBoard};
 use precursor_sgx::epc::EpcTracker;
 use precursor_shieldstore::merkle::MerkleTree;
 use precursor_storage::pool::SlabPool;
 use precursor_storage::ring::{RingConsumer, RingProducer};
 use precursor_storage::robinhood::RobinHoodMap;
+use precursor_ycsb::workload::key_bytes;
 
 /// Run `f` for `iters` iterations and report mean ns/iter (plus total MB/s
 /// when `bytes_per_iter` is non-zero).
@@ -64,6 +72,25 @@ fn bench_robinhood() {
     bench("get_miss", 1_000_000, 0, || {
         k += 1;
         std::hint::black_box(filled.get(&k));
+    });
+    // Shaped like the server's table: 16-byte `user…` keys, 100 k entries,
+    // looked up the way a request is (hash, probe, probe statistics), in a
+    // scattered order.
+    const ENTRIES: u64 = 100_000;
+    let mut table: RobinHoodMap<Vec<u8>, u64> = RobinHoodMap::new();
+    for id in 0..ENTRIES {
+        table.insert(key_bytes(id).to_vec(), id);
+    }
+    let mut i = 0u64;
+    bench("get_hit_16B_keys_100k", 1_000_000, 0, || {
+        i += 1;
+        let key = key_bytes(i.wrapping_mul(7_919) % ENTRIES);
+        std::hint::black_box(table.get_tracked(&key[..]));
+    });
+    bench("get_miss_16B_keys_100k", 1_000_000, 0, || {
+        i += 1;
+        let key = key_bytes(ENTRIES + i % ENTRIES);
+        std::hint::black_box(table.get_tracked(&key[..]));
     });
 }
 
@@ -175,6 +202,53 @@ fn bench_rdma() {
     });
 }
 
+fn bench_nic() {
+    println!("-- nic --");
+    // 1 000 QPs over a 256-entry cache: round-robin misses every access
+    // (each one evicts), a hot set inside the capacity hits every one.
+    let mut cache = RnicCache::new(256);
+    let mut qp = 0u64;
+    bench("rnic_cyclic_1000_qps_256", 1_000_000, 0, || {
+        qp = (qp + 1) % 1000;
+        std::hint::black_box(cache.access(qp));
+    });
+    bench("rnic_hot_200_qps_256", 1_000_000, 0, || {
+        qp = (qp + 7) % 200;
+        std::hint::black_box(cache.access(qp));
+    });
+}
+
+fn bench_obs() {
+    println!("-- obs --");
+    // The taps a sweep makes, on a registry holding the names a journaled
+    // server and its client register while serving puts, gets and deletes
+    // (~40): a counter, a histogram, and one finished op's whole meter.
+    let cost = precursor_sim::CostModel::default();
+    let mut backend = PrecursorBackend::new(Config::default(), &cost);
+    backend.enable_durability(GroupCommitPolicy::batched(4, 0));
+    backend.connect(1).expect("connect");
+    for op in [KvOp::Put, KvOp::Get, KvOp::Delete, KvOp::Get] {
+        backend.op_sync(0, op, b"key", b"value").expect("op");
+    }
+    let meter = backend.take_reports().pop().expect("a report").meter;
+    let mut registry = backend.metrics();
+    let names =
+        registry.counters().count() + registry.gauges().count() + registry.histograms().count();
+    println!("{:<28} {names:>12} names", "server_registry");
+    bench("inc_server_registry", 1_000_000, 0, || {
+        registry.inc(std::hint::black_box("server.polls"), 1);
+    });
+    let mut v = 0u64;
+    bench("observe_server_registry", 1_000_000, 0, || {
+        v = (v + 977) % 20_000;
+        registry.observe(std::hint::black_box("stage.total_ns"), v);
+    });
+    bench("observe_meter_server_registry", 1_000_000, 0, || {
+        observe_meter(&mut registry, std::hint::black_box(&meter));
+    });
+    std::hint::black_box(&registry);
+}
+
 fn bench_pool() {
     println!("-- pool --");
     // Records of 32 B, 128 B and 4 KiB values: ciphertext ‖ 16-byte tag.
@@ -216,12 +290,37 @@ fn bench_epc() {
     }
 }
 
-fn main() {
-    bench_robinhood();
-    bench_crypto();
-    bench_ring();
-    bench_rdma();
-    bench_pool();
-    bench_merkle();
-    bench_epc();
+const SECTIONS: [(&str, fn()); 9] = [
+    ("robinhood", bench_robinhood),
+    ("crypto", bench_crypto),
+    ("ring", bench_ring),
+    ("rdma", bench_rdma),
+    ("nic", bench_nic),
+    ("pool", bench_pool),
+    ("obs", bench_obs),
+    ("merkle", bench_merkle),
+    ("epc", bench_epc),
+];
+
+fn main() -> ExitCode {
+    // `--bench`, which cargo appends, is not a section.
+    let args: Vec<String> = std::env::args()
+        .skip(1)
+        .filter(|a| a != "--bench")
+        .collect();
+    let picks = |name: &str, arg: &str| name.starts_with(arg);
+    if let Some(arg) = args
+        .iter()
+        .find(|a| !SECTIONS.iter().any(|(name, _)| picks(name, a)))
+    {
+        let known: Vec<&str> = SECTIONS.iter().map(|(name, _)| *name).collect();
+        eprintln!("unknown section `{arg}`; known: {}", known.join(" "));
+        return ExitCode::FAILURE;
+    }
+    for (name, run) in SECTIONS {
+        if args.is_empty() || args.iter().any(|a| picks(name, a)) {
+            run();
+        }
+    }
+    ExitCode::SUCCESS
 }

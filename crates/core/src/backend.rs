@@ -432,17 +432,23 @@ impl TrustedKv for PrecursorBackend {
 
     fn take_completed(&mut self, client: usize) -> Vec<KvCompleted> {
         let session = &mut self.clients[client];
-        let mut done = Vec::new();
-        for (_node, c) in session.take_all_completed() {
-            // A sealed redirect refreshes the location cache here, so the
-            // caller's re-submit routes to the hinted owner.
-            session.note_redirect(&self.cluster, &c);
-            done.push(KvCompleted {
-                oid: c.oid,
-                op: c.opcode.into(),
-                status: c.status.into(),
-                value: c.value,
-            });
+        let mut hints = Vec::new();
+        let done = session
+            .drain_completed()
+            .map(|(_node, c)| {
+                hints.extend(c.redirect);
+                KvCompleted {
+                    oid: c.oid,
+                    op: c.opcode.into(),
+                    status: c.status.into(),
+                    value: c.value,
+                }
+            })
+            .collect();
+        // A sealed redirect refreshes the location cache here, so the
+        // caller's re-submit routes to the hinted owner.
+        for hint in hints {
+            session.follow_hint(&self.cluster, hint);
         }
         done
     }
@@ -454,17 +460,20 @@ impl TrustedKv for PrecursorBackend {
     fn take_reports(&mut self) -> Vec<KvOpReport> {
         let mut reports = Vec::new();
         for node in 0..self.cluster.node_count() {
-            for r in self.cluster.node_mut(node).take_reports() {
-                reports.push(KvOpReport {
-                    client_id: r.client_id,
-                    op: r.opcode.into(),
-                    status: r.status.into(),
-                    value_len: r.value_len,
-                    node: node as u32,
-                    shard: r.shard,
-                    meter: r.meter,
-                });
-            }
+            reports.extend(
+                self.cluster
+                    .node_mut(node)
+                    .drain_reports()
+                    .map(|r| KvOpReport {
+                        client_id: r.client_id,
+                        op: r.opcode.into(),
+                        status: r.status.into(),
+                        value_len: r.value_len,
+                        node: node as u32,
+                        shard: r.shard,
+                        meter: r.meter,
+                    }),
+            );
         }
         reports
     }

@@ -48,8 +48,7 @@ use crate::error::StoreError;
 use crate::server::{cmac_key_of, ClientBundle, PrecursorServer};
 use crate::wire::{
     chain_context, chain_input, payload_reply_nonce, payload_request_nonce, reply_nonce,
-    request_aad, request_nonce, Opcode, ReplyControl, ReplyFrame, RequestControl, RequestFrame,
-    Status,
+    request_aad, request_nonce, Opcode, ReplyControl, ReplyRef, RequestControl, RequestRef, Status,
 };
 
 /// Most reply sequence numbers remembered as "skipped by a gap" and still
@@ -164,7 +163,6 @@ struct TransmitLog {
 #[derive(Debug, Clone)]
 struct Pending {
     opcode: Opcode,
-    key: Vec<u8>,
     control: RequestControl,
     mac: Tag,
     payload: Vec<u8>,
@@ -178,6 +176,17 @@ struct Pending {
     deadline: Deadline,
     expires: Deadline,
     backoff: Backoff,
+}
+
+// The buffers a request is built in — control plaintext, sealed control,
+// framed record — and the reply record popped for verification: kept by
+// the client and reused, so the op path allocates only what it keeps.
+#[derive(Debug, Default)]
+struct Buffers {
+    control: Vec<u8>,
+    sealed: Vec<u8>,
+    frame: Vec<u8>,
+    record: Vec<u8>,
 }
 
 /// A connected Precursor client.
@@ -208,10 +217,14 @@ pub struct PrecursorClient {
     retry: RetryPolicy,
     retransmits: u64,
     pending: HashMap<u64, Pending>,
-    completed: HashMap<u64, CompletedOp>,
+    // Finished operations not yet taken, in `oid` order.
+    completed: Vec<CompletedOp>,
     last_sent: Option<(Opcode, Vec<u8>)>,
     posts_since_signal: u32,
     signal_interval: u32,
+    // Reused by every transmission and reply: what a request is framed in,
+    // and the reply record being verified.
+    buffers: Buffers,
 
     // --- Byzantine-host detection state -------------------------------
     /// Reply epoch of the current attestation; replies must echo it.
@@ -298,8 +311,9 @@ impl PrecursorClient {
             retry: RetryPolicy::default(),
             retransmits: 0,
             pending: HashMap::new(),
-            completed: HashMap::new(),
+            completed: Vec::new(),
             last_sent: None,
+            buffers: Buffers::default(),
             posts_since_signal: 0,
             // Selective signaling (§4, "RDMA optimizations"): push a single
             // completion after a batch of requests instead of one per WRITE.
@@ -453,7 +467,6 @@ impl PrecursorClient {
     /// [`StoreError::Rdma`] if the connection was revoked.
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<u64, StoreError> {
         self.ensure_healthy()?;
-        let cost = self.cost.clone();
         self.oid += 1;
         let oid = self.oid;
 
@@ -463,12 +476,12 @@ impl PrecursorClient {
                 // mac ← MAC(K_operation, *v)                  (lines 2-4)
                 let k_op = Key256::generate(&mut self.rng);
                 let payload_nonce = Nonce8::generate(&mut self.rng);
-                self.charge_client(Cycles(cost.keygen_cycles));
+                self.charge_client(Cycles(self.cost.keygen_cycles));
                 let mut payload = value.to_vec();
                 salsa20::xor_keystream(&k_op, &payload_nonce, 0, &mut payload);
-                self.charge_client(cost.salsa20(value.len()));
+                self.charge_client(self.cost.salsa20(value.len()));
                 let mac = cmac::mac(&cmac_key_of(&k_op), &payload);
-                self.charge_client(cost.cmac(payload.len()));
+                self.charge_client(self.cost.cmac(payload.len()));
                 self.meter.counters_mut().crypto_bytes += value.len() as u64;
                 (
                     payload,
@@ -487,7 +500,7 @@ impl PrecursorClient {
                 let payload = self
                     .session_key
                     .seal(&payload_request_nonce(oid), &[], value);
-                self.charge_client(cost.aes_gcm(value.len()));
+                self.charge_client(self.cost.aes_gcm(value.len()));
                 self.meter.counters_mut().crypto_bytes += value.len() as u64;
                 (
                     payload,
@@ -504,7 +517,7 @@ impl PrecursorClient {
         self.obs.inc("client.encrypts", 1);
         self.trace("encrypt", "ops.put", oid, payload.len() as u64);
 
-        self.send_op(Opcode::Put, control, mac, payload, key)
+        self.send_op(Opcode::Put, control, mac, payload)
     }
 
     /// Issues a get. Returns the operation's `oid`; the decrypted, verified
@@ -524,7 +537,7 @@ impl PrecursorClient {
             k_op: None,
             payload_nonce: None,
         };
-        self.send_op(Opcode::Get, control, Tag::default(), Vec::new(), key)
+        self.send_op(Opcode::Get, control, Tag::default(), Vec::new())
     }
 
     /// Issues a delete. Returns the operation's `oid`.
@@ -542,7 +555,7 @@ impl PrecursorClient {
             k_op: None,
             payload_nonce: None,
         };
-        self.send_op(Opcode::Delete, control, Tag::default(), Vec::new(), key)
+        self.send_op(Opcode::Delete, control, Tag::default(), Vec::new())
     }
 
     // First transmission of a new operation: send, then arm the retry state.
@@ -552,7 +565,6 @@ impl PrecursorClient {
         control: RequestControl,
         mac: Tag,
         payload: Vec<u8>,
-        key: &[u8],
     ) -> Result<u64, StoreError> {
         let oid = control.oid;
         let TransmitLog {
@@ -570,12 +582,16 @@ impl PrecursorClient {
                 return Err(e);
             }
         };
-        self.last_sent = Some((opcode, key.to_vec()));
+        // The last sent key, for replaying a frame whose op is done: its
+        // buffer is reused from op to op.
+        let (last_op, last_key) = self.last_sent.get_or_insert_with(|| (opcode, Vec::new()));
+        *last_op = opcode;
+        last_key.clear();
+        last_key.extend_from_slice(&control.key);
         self.pending.insert(
             oid,
             Pending {
                 opcode,
-                key: key.to_vec(),
                 control,
                 mac,
                 payload,
@@ -605,23 +621,29 @@ impl PrecursorClient {
         mac: &Tag,
         payload: &[u8],
     ) -> Result<TransmitLog, StoreError> {
-        let cost = self.cost.clone();
         let iv = request_nonce(control.oid);
-        let control_bytes = control.encode();
-        self.charge_client(cost.aes_gcm(control_bytes.len()));
-        let sealed =
-            self.session_key
-                .seal(&iv, &request_aad(opcode, self.client_id), &control_bytes);
-        let frame = RequestFrame {
+        let Buffers {
+            control: plain,
+            sealed,
+            frame,
+            ..
+        } = &mut self.buffers;
+        control.encode_into(plain);
+        sealed.clear();
+        self.session_key
+            .seal_into(sealed, &iv, &request_aad(opcode, self.client_id), plain);
+        RequestRef {
             opcode,
             client_id: self.client_id,
             iv,
             sealed_control: sealed,
             mac: *mac,
-            payload: payload.to_vec(),
-        };
-        let bytes = frame.encode();
-        self.charge_client(cost.memcpy(bytes.len()));
+            payload,
+        }
+        .encode_into(frame);
+        let (control_len, frame_len) = (plain.len(), frame.len());
+        self.charge_client(self.cost.aes_gcm(control_len));
+        self.charge_client(self.cost.memcpy(frame_len));
 
         // Learn the server's consumed counter (credits it wrote back).
         let credits = self.credit_word.read_u64(0);
@@ -639,16 +661,18 @@ impl PrecursorClient {
         let rkey = self.request_rkey;
         let mut rdma_err = None;
         let mut writes = Vec::with_capacity(2);
-        let pushed = self.request_producer.push_with(&bytes, |off, chunk| {
-            writes.push((off, chunk.to_vec()));
-            if let Err(e) = qp.post_write(rkey, off, chunk, signaled) {
-                rdma_err = Some(e);
-            }
-        });
+        let pushed = self
+            .request_producer
+            .push_with(&self.buffers.frame, |off, chunk| {
+                if let Err(e) = qp.post_write(rkey, off, &chunk, signaled) {
+                    rdma_err = Some(e);
+                }
+                writes.push((off, chunk));
+            });
         if signaled {
             // Reap the batch's single completion (amortized cost).
             let _ = qp.poll_cq(1);
-            self.charge_client(Cycles(cost.rdma_poll_cycles));
+            self.charge_client(Cycles(self.cost.rdma_poll_cycles));
         }
         if let Some(e) = rdma_err {
             return Err(StoreError::Rdma(e));
@@ -657,10 +681,10 @@ impl PrecursorClient {
             return Err(StoreError::RingFull);
         }
         self.meter.counters_mut().rdma_posts += 1;
-        self.meter.counters_mut().tx_bytes += bytes.len() as u64;
-        self.charge_client(Cycles(cost.rdma_post_cycles));
+        self.meter.counters_mut().tx_bytes += frame_len as u64;
+        self.charge_client(Cycles(self.cost.rdma_post_cycles));
         self.obs.inc("client.rdma_writes", 1);
-        self.trace("rdma", "write", control.oid, bytes.len() as u64);
+        self.trace("rdma", "write", control.oid, frame_len as u64);
         Ok(TransmitLog {
             writes,
             end_written: self.request_producer.written(),
@@ -772,17 +796,30 @@ impl PrecursorClient {
     fn fail_op(&mut self, p: Pending, error: StoreError) {
         let oid = p.control.oid;
         self.obs.inc("client.op_failures", 1);
-        self.completed.insert(
+        self.complete(CompletedOp {
             oid,
-            CompletedOp {
-                oid,
-                opcode: p.opcode,
-                status: Status::Error,
-                value: None,
-                error: Some(error),
-                redirect: None,
-            },
-        );
+            opcode: p.opcode,
+            status: Status::Error,
+            value: None,
+            error: Some(error),
+            redirect: None,
+        });
+    }
+
+    // Files a finished operation in `oid` order (replies arrive in order,
+    // so this is almost always a push). A reused oid — the counter
+    // resynchronised below an op abandoned with a timeout — replaces the
+    // abandoned op's entry.
+    fn complete(&mut self, done: CompletedOp) {
+        match self.completed.last() {
+            Some(last) if last.oid >= done.oid => {
+                match self.completed.binary_search_by_key(&done.oid, |c| c.oid) {
+                    Ok(i) => self.completed[i] = done,
+                    Err(i) => self.completed.insert(i, done),
+                }
+            }
+            _ => self.completed.push(done),
+        }
     }
 
     /// Re-establishes the session after a queue-pair failure or a server
@@ -873,13 +910,13 @@ impl PrecursorClient {
     /// [`take_completed`](Self::take_completed).
     pub fn poll_replies(&mut self) -> usize {
         let mut n = 0;
-        loop {
-            let reply_ring = self.reply_ring.clone();
-            let record = reply_ring.with_mut(|buf| self.reply_consumer.pop(buf));
-            let Some(record) = record else { break };
+        let reply_ring = self.reply_ring.clone();
+        let mut record = std::mem::take(&mut self.buffers.record);
+        while reply_ring.with_mut(|buf| self.reply_consumer.pop_into(buf, &mut record)) {
             self.handle_reply(&record);
             n += 1;
         }
+        self.buffers.record = record;
         self.obs.inc("client.polls", 1);
         if n > 0 {
             // Report reply-ring consumption back to the server so its
@@ -895,9 +932,8 @@ impl PrecursorClient {
     }
 
     fn handle_reply(&mut self, record: &[u8]) {
-        let cost = self.cost.clone();
-        self.charge_client(cost.memcpy(record.len()));
-        let Ok(frame) = ReplyFrame::decode(record) else {
+        self.charge_client(self.cost.memcpy(record.len()));
+        let Ok(frame) = ReplyRef::parse(record) else {
             // Malformed reply: drop — a real client would tear the session.
             return;
         };
@@ -926,10 +962,10 @@ impl PrecursorClient {
             self.next_reply_seq = seq + 1;
         }
 
-        self.charge_client(cost.aes_gcm(frame.sealed_control.len()));
-        let Ok(control_bytes) =
-            self.session_key
-                .open(&reply_nonce(seq), &[], &frame.sealed_control)
+        self.charge_client(self.cost.aes_gcm(frame.sealed_control.len()));
+        let Ok(control_bytes) = self
+            .session_key
+            .open(&reply_nonce(seq), &[], frame.sealed_control)
         else {
             return;
         };
@@ -1050,14 +1086,14 @@ impl PrecursorClient {
                         (Some(k_op), Some(pn), Some(mac)) => {
                             // Verify integrity: recompute the MAC over the
                             // encrypted value with K_operation (§3.7).
-                            self.charge_client(cost.cmac(frame.payload.len()));
-                            if !cmac::verify(&cmac_key_of(k_op), &frame.payload, mac) {
+                            self.charge_client(self.cost.cmac(frame.payload.len()));
+                            if !cmac::verify(&cmac_key_of(k_op), frame.payload, mac) {
                                 self.obs.inc("client.verify_fail", 1);
                                 completed.error = Some(StoreError::IntegrityViolation);
                             } else {
-                                let mut value = frame.payload.clone();
+                                let mut value = frame.payload.to_vec();
                                 salsa20::xor_keystream(k_op, pn, 0, &mut value);
-                                self.charge_client(cost.salsa20(value.len()));
+                                self.charge_client(self.cost.salsa20(value.len()));
                                 self.meter.counters_mut().crypto_bytes += value.len() as u64;
                                 self.obs.inc("client.verify_ok", 1);
                                 completed.value = Some(value);
@@ -1067,10 +1103,10 @@ impl PrecursorClient {
                     }
                 }
                 EncryptionMode::ServerSide => {
-                    self.charge_client(cost.aes_gcm(frame.payload.len()));
+                    self.charge_client(self.cost.aes_gcm(frame.payload.len()));
                     match self
                         .session_key
-                        .open(&payload_reply_nonce(seq), &[], &frame.payload)
+                        .open(&payload_reply_nonce(seq), &[], frame.payload)
                     {
                         Ok(value) => {
                             self.meter.counters_mut().crypto_bytes += value.len() as u64;
@@ -1087,19 +1123,25 @@ impl PrecursorClient {
         }
 
         self.trace("verify", "complete", oid, completed.status as u64);
-        self.completed.insert(oid, completed);
+        self.complete(completed);
     }
 
     /// Takes the completed result for `oid`, if its reply has arrived.
     pub fn take_completed(&mut self, oid: u64) -> Option<CompletedOp> {
-        self.completed.remove(&oid)
+        let i = self.completed.binary_search_by_key(&oid, |c| c.oid).ok()?;
+        Some(self.completed.remove(i))
     }
 
     /// Takes all completed results, in `oid` order.
     pub fn take_all_completed(&mut self) -> Vec<CompletedOp> {
-        let mut all: Vec<CompletedOp> = self.completed.drain().map(|(_, v)| v).collect();
-        all.sort_by_key(|c| c.oid);
-        all
+        std::mem::take(&mut self.completed)
+    }
+
+    /// [`take_all_completed`](Self::take_all_completed) without handing
+    /// over a collection: the completed results in `oid` order, for a
+    /// caller that converts them into its own.
+    pub fn drain_completed(&mut self) -> impl Iterator<Item = CompletedOp> + '_ {
+        self.completed.drain(..)
     }
 
     /// Pumps `server` until the operation `oid` completes, advancing
@@ -1134,7 +1176,7 @@ impl PrecursorClient {
         loop {
             pump();
             self.poll_replies();
-            if let Some(c) = self.completed.remove(&oid) {
+            if let Some(c) = self.take_completed(oid) {
                 if let Some(e @ (StoreError::Timeout | StoreError::RetriesExhausted)) = c.error {
                     return Err(e);
                 }
@@ -1224,7 +1266,7 @@ impl PrecursorClient {
         // Rebuild a frame for the requested oid: byte-exact for an op still
         // pending; otherwise a control-only frame with the last opcode/key.
         let (opcode, key) = match self.pending.get(&oid) {
-            Some(p) => (p.opcode, p.key.clone()),
+            Some(p) => (p.opcode, p.control.key.clone()),
             None => self.last_sent.clone().unwrap_or((Opcode::Get, Vec::new())),
         };
         let control = RequestControl {
@@ -1234,26 +1276,26 @@ impl PrecursorClient {
             payload_nonce: None,
         };
         let iv = request_nonce(oid);
-        let control_bytes = control.encode();
         let sealed =
             self.session_key
-                .seal(&iv, &request_aad(opcode, self.client_id), &control_bytes);
-        let frame = RequestFrame {
+                .seal(&iv, &request_aad(opcode, self.client_id), &control.encode());
+        let mut bytes = Vec::new();
+        RequestRef {
             opcode,
             client_id: self.client_id,
             iv,
-            sealed_control: sealed,
+            sealed_control: &sealed,
             mac: Tag::default(),
-            payload: Vec::new(),
-        };
-        let bytes = frame.encode();
+            payload: &[],
+        }
+        .encode_into(&mut bytes);
         let credits = self.credit_word.read_u64(0);
         self.request_producer.update_credits(credits);
         let qp = &mut self.qp;
         let rkey = self.request_rkey;
         self.request_producer
             .push_with(&bytes, |off, chunk| {
-                let _ = qp.post_write(rkey, off, chunk, false);
+                let _ = qp.post_write(rkey, off, &chunk, false);
             })
             .ok_or(StoreError::RingFull)?;
         Ok(())

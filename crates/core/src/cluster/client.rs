@@ -149,13 +149,17 @@ impl ClusterClient {
     /// ignored), and returns the node the operation should be re-issued to
     /// (with a fresh oid). `None` for any other completion.
     pub fn note_redirect(&mut self, cluster: &PrecursorCluster, c: &CompletedOp) -> Option<u16> {
-        let hint = c.redirect?;
+        Some(self.follow_hint(cluster, c.redirect?))
+    }
+
+    // `note_redirect` for the sealed owner hint of a redirect completion.
+    pub(crate) fn follow_hint(&mut self, cluster: &PrecursorCluster, hint: u64) -> u16 {
         self.stats.redirects += 1;
         if self.cache.is_stale_for(hint) {
             self.cache.learn(cluster.meta().snapshot());
             self.stats.refreshes += 1;
         }
-        Some(decode_owner_hint(hint).1)
+        decode_owner_hint(hint).1
     }
 
     // Routes `key`, attaches the owner's session if needed and posts the
@@ -317,14 +321,16 @@ impl ClusterClient {
     /// Drains completed operations from every session as
     /// `(node, completion)`, in node order.
     pub fn take_all_completed(&mut self) -> Vec<(u16, CompletedOp)> {
-        let mut out = Vec::new();
-        for (i, s) in self.sessions.iter_mut().enumerate() {
-            if let Some(s) = s {
-                for c in s.take_all_completed() {
-                    out.push((i as u16, c));
-                }
-            }
-        }
-        out
+        self.drain_completed().collect()
+    }
+
+    /// [`take_all_completed`](Self::take_all_completed) without collecting,
+    /// for a caller that converts the completions into its own collection.
+    pub fn drain_completed(&mut self) -> impl Iterator<Item = (u16, CompletedOp)> + '_ {
+        self.sessions
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(node, s)| Some((node as u16, s.as_mut()?)))
+            .flat_map(|(node, s)| s.drain_completed().map(move |c| (node, c)))
     }
 }

@@ -115,7 +115,11 @@ impl PlacementRing {
     /// key; that is what lets a migration reason about "the keys of point
     /// `i`" across the fence.
     pub fn point_of(&self, key: &[u8]) -> usize {
-        let h = stable_key_hash(key);
+        self.point_of_hash(stable_key_hash(key))
+    }
+
+    // `point_of` for a key whose stable hash is `h`.
+    fn point_of_hash(&self, h: u64) -> usize {
         match self.points.binary_search_by(|p| p.hash.cmp(&h)) {
             Ok(i) => i,
             Err(i) if i == self.points.len() => 0, // wrap
@@ -125,7 +129,14 @@ impl PlacementRing {
 
     /// The node owning `key`.
     pub fn owner_of(&self, key: &[u8]) -> u16 {
-        self.points[self.point_of(key)].owner
+        self.owner_of_hash(stable_key_hash(key))
+    }
+
+    /// The node owning the key whose stable hash
+    /// ([`stable_key_hash`]) is `hash` — for a caller that already hashed
+    /// the key to route it.
+    pub fn owner_of_hash(&self, hash: u64) -> u16 {
+        self.points[self.point_of_hash(hash)].owner
     }
 
     /// Adds `node` with `weight` virtual points and bumps the epoch. Keys

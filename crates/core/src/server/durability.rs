@@ -36,6 +36,7 @@ use precursor_rdma::faults::{DurableVerdict, FaultSite};
 use precursor_sgx::counters::MonotonicCounter;
 use precursor_sgx::sealing;
 use precursor_sim::{CostModel, Cycles, Meter, Stage};
+use precursor_storage::robinhood::stable_key_hash;
 
 use crate::config::Config;
 use crate::error::StoreError;
@@ -699,7 +700,11 @@ impl PrecursorServer {
     // absence means the journal diverged from the state it claims to
     // extend.
     fn replay_remove(&mut self, key: &[u8]) -> Result<(), StoreError> {
-        if self.store.table_remove(&mut self.adversary, key).0 {
+        if self
+            .store
+            .table_remove(&mut self.adversary, stable_key_hash(key), key)
+            .0
+        {
             Ok(())
         } else {
             Err(StoreError::ForkDetected)

@@ -23,7 +23,7 @@ use crate::error::StoreError;
 use crate::snapshot::{
     segment_of, DirtyKeys, EntryRef, PreviousCut, SnapshotBody, SnapshotEntry, SEGMENTS,
 };
-use crate::wire::{payload_request_nonce, Opcode, RequestControl, RequestFrame, Status};
+use crate::wire::{payload_request_nonce, Opcode, RequestControl, Status};
 
 use super::seal::StoreEvidence;
 use super::{cmac_key_of, PrecursorServer};
@@ -67,7 +67,8 @@ pub(super) enum ReplyPlan {
     NotMine { oid: u64, hint: u64 },
     /// A client-side-encryption get hit: key material + payload + MAC.
     GetHit {
-        entry: EntryMeta,
+        k_op: Key256,
+        payload_nonce: Nonce8,
         payload: Vec<u8>,
         mac: Tag,
         oid: u64,
@@ -90,14 +91,17 @@ pub(super) struct ExecCtx<'a> {
 }
 
 // One validated, in-window request as the exec stage consumes it: the
-// session slot it came from, the decrypted control segment, the raw frame
-// (payload + MAC), and the session key for server-side decryption.
+// session slot it came from, the decrypted control segment and its key's
+// stable hash (computed once, when the request was routed), the frame's
+// payload and MAC, and the session key for server-side decryption.
 pub(super) struct ExecRequest<'a> {
     pub(super) idx: usize,
     pub(super) opcode: Opcode,
     pub(super) control: RequestControl,
-    pub(super) frame: &'a RequestFrame,
-    pub(super) session_key: &'a Key128,
+    pub(super) hash: u64,
+    pub(super) payload: &'a [u8],
+    pub(super) mac: Tag,
+    pub(super) session_key: &'a GcmKey,
 }
 
 // Exec-stage state: the enclave index, the untrusted payload pool, and
@@ -187,12 +191,14 @@ impl StoreExec {
             idx,
             opcode,
             control,
-            frame,
+            hash,
+            payload,
+            mac,
             session_key,
         } = req;
-        let cost = ctx.cost.clone();
+        let cost = ctx.cost;
         if control.key.len() > ctx.config.max_key_bytes
-            || frame.payload.len() > ctx.config.max_value_bytes + gcm::TAG_LEN
+            || payload.len() > ctx.config.max_value_bytes + gcm::TAG_LEN
         {
             return Ok((
                 Status::Error,
@@ -216,7 +222,7 @@ impl StoreExec {
                         },
                     ));
                 };
-                let value_len = frame.payload.len();
+                let value_len = payload.len();
                 let inline = value_len <= ctx.config.inline_value_max;
                 if !inline && self.over_quota(ctx.config, idx, value_len + Tag::LEN) {
                     return Ok((Status::Busy, 0, ReplyPlan::Busy { oid: control.oid }));
@@ -225,18 +231,20 @@ impl StoreExec {
                     // Small-value extension: the encrypted value (and its
                     // MAC) stay inside the enclave — no pool slot, no
                     // untrusted read on get (§5.2).
-                    let mut data = frame.payload.clone();
-                    data.extend_from_slice(frame.mac.as_bytes());
-                    ctx.enclave.copy_across_boundary(data.len(), meter, &cost);
+                    let mut data = Vec::with_capacity(value_len + Tag::LEN);
+                    data.extend_from_slice(payload);
+                    data.extend_from_slice(mac.as_bytes());
+                    ctx.enclave.copy_across_boundary(data.len(), meter, cost);
                     ValueStorage::InEnclave(data)
                 } else {
-                    let range = self.store_payload(ctx, &frame.payload, Some(&frame.mac), meter)?;
+                    let range = self.store_payload(ctx, payload, Some(&mac), meter)?;
                     self.charge_range(ctx.adversary, idx, &range);
                     ValueStorage::Untrusted(range)
                 };
                 self.bump_mutation(Opcode::Put, &control.key);
                 self.table_insert(
                     ctx,
+                    hash,
                     control.key,
                     EntryMeta {
                         k_op,
@@ -262,33 +270,28 @@ impl StoreExec {
                 // enclave, is decrypted, verified, re-encrypted for storage.
                 // (Stored ciphertext has the same length as the transport
                 // ciphertext: plaintext + one GCM tag.)
-                if self.over_quota(ctx.config, idx, frame.payload.len()) {
+                if self.over_quota(ctx.config, idx, payload.len()) {
                     return Ok((Status::Busy, 0, ReplyPlan::Busy { oid: control.oid }));
                 }
-                ctx.enclave
-                    .copy_across_boundary(frame.payload.len(), meter, &cost);
+                ctx.enclave.copy_across_boundary(payload.len(), meter, cost);
                 meter.charge(
                     Stage::Enclave,
-                    cost.server_time(cost.aes_gcm(frame.payload.len())),
+                    cost.server_time(cost.aes_gcm(payload.len())),
                 );
-                let plain = match gcm::open(
-                    session_key,
-                    &payload_request_nonce(control.oid),
-                    &[],
-                    &frame.payload,
-                ) {
-                    Ok(p) => p,
-                    Err(_) => {
-                        return Ok((
-                            Status::Error,
-                            0,
-                            ReplyPlan::Control {
-                                status: Status::Error,
-                                oid: 0,
-                            },
-                        ))
-                    }
-                };
+                let plain =
+                    match session_key.open(&payload_request_nonce(control.oid), &[], payload) {
+                        Ok(p) => p,
+                        Err(_) => {
+                            return Ok((
+                                Status::Error,
+                                0,
+                                ReplyPlan::Control {
+                                    status: Status::Error,
+                                    oid: 0,
+                                },
+                            ))
+                        }
+                    };
                 let value_len = plain.len();
                 self.storage_seq += 1;
                 let seq = self.storage_seq;
@@ -299,12 +302,13 @@ impl StoreExec {
                     &[],
                     &plain,
                 );
-                ctx.enclave.copy_across_boundary(stored.len(), meter, &cost);
+                ctx.enclave.copy_across_boundary(stored.len(), meter, cost);
                 let range = self.store_payload(ctx, &stored, None, meter)?;
                 self.charge_range(ctx.adversary, idx, &range);
                 self.bump_mutation(Opcode::Put, &control.key);
                 self.table_insert(
                     ctx,
+                    hash,
                     control.key,
                     EntryMeta {
                         k_op: Key256::from_bytes([0; 32]),
@@ -326,8 +330,8 @@ impl StoreExec {
                 ))
             }
             (Opcode::Get, mode) => {
-                let shard = self.table.shard_of(&control.key);
-                let (found, stats) = self.table.get_tracked(&control.key);
+                let shard = shard_of_hash(hash, self.table.shard_count());
+                let (found, stats) = self.table.get_hashed(hash, &control.key[..]);
                 let found = found.cloned();
                 self.charge_table_op(ctx, shard, &stats, meter);
                 match found {
@@ -339,17 +343,23 @@ impl StoreExec {
                             oid: control.oid,
                         },
                     )),
-                    Some(entry) => match mode {
+                    Some(EntryMeta {
+                        k_op,
+                        payload_nonce,
+                        storage_seq,
+                        storage,
+                        payload_len,
+                        ..
+                    }) => match mode {
                         EncryptionMode::ClientSide => {
                             // Payload + its stored MAC leave untrusted memory
                             // as-is; only the tiny control reply is sealed in
                             // the enclave (§3.7 "Query data"). Inlined small
                             // values come out of the enclave instead.
-                            let stored = match &entry.storage {
+                            let mut payload = match storage {
                                 ValueStorage::Untrusted(range) => {
-                                    let stored = self
-                                        .payload_mem
-                                        .read(range.offset, entry.payload_len + Tag::LEN);
+                                    let stored =
+                                        self.payload_mem.read(range.offset, payload_len + Tag::LEN);
                                     meter.charge(
                                         Stage::ServerCritical,
                                         cost.server_time(cost.memcpy(stored.len())),
@@ -357,20 +367,20 @@ impl StoreExec {
                                     stored
                                 }
                                 ValueStorage::InEnclave(data) => {
-                                    let data = data.clone();
-                                    ctx.enclave.copy_across_boundary(data.len(), meter, &cost);
+                                    ctx.enclave.copy_across_boundary(data.len(), meter, cost);
                                     data
                                 }
                             };
-                            let (payload, mac_bytes) = stored.split_at(entry.payload_len);
-                            let mac = Tag::try_from(mac_bytes).expect("stored MAC is 16 bytes");
-                            let value_len = entry.payload_len;
+                            let mac = Tag::try_from(&payload[payload_len..])
+                                .expect("stored MAC is 16 bytes");
+                            payload.truncate(payload_len);
                             Ok((
                                 Status::Ok,
-                                value_len,
+                                payload_len,
                                 ReplyPlan::GetHit {
-                                    entry,
-                                    payload: payload.to_vec(),
+                                    k_op,
+                                    payload_nonce,
+                                    payload,
                                     mac,
                                     oid: control.oid,
                                 },
@@ -381,18 +391,18 @@ impl StoreExec {
                             // is decrypted here; re-encryption for transport
                             // waits until seal time (it consumes the reply
                             // sequence number).
-                            let ValueStorage::Untrusted(range) = &entry.storage else {
+                            let ValueStorage::Untrusted(range) = storage else {
                                 unreachable!("server-encryption mode never inlines");
                             };
-                            let stored = self.payload_mem.read(range.offset, entry.payload_len);
-                            ctx.enclave.copy_across_boundary(stored.len(), meter, &cost);
+                            let stored = self.payload_mem.read(range.offset, payload_len);
+                            ctx.enclave.copy_across_boundary(stored.len(), meter, cost);
                             meter.charge(
                                 Stage::Enclave,
                                 cost.server_time(cost.aes_gcm(stored.len())),
                             );
                             let plain = gcm::open(
                                 &self.storage_key,
-                                &precursor_crypto::Nonce12::from_counter(entry.storage_seq),
+                                &precursor_crypto::Nonce12::from_counter(storage_seq),
                                 &[],
                                 &stored,
                             )
@@ -411,8 +421,8 @@ impl StoreExec {
                 }
             }
             (Opcode::Delete, _) => {
-                let shard = self.table.shard_of(&control.key);
-                let (removed, stats) = self.table_remove(ctx.adversary, &control.key);
+                let shard = shard_of_hash(hash, self.table.shard_count());
+                let (removed, stats) = self.table_remove(ctx.adversary, hash, &control.key);
                 self.charge_table_op(ctx, shard, &stats, meter);
                 let status = if removed {
                     Status::Ok
@@ -513,12 +523,12 @@ impl StoreExec {
         meter: &mut Meter,
     ) -> Result<PoolRange, StoreError> {
         let total = payload.len() + mac.map_or(0, |_| Tag::LEN);
-        let cost = ctx.cost.clone();
+        let cost = ctx.cost;
         let range = match self.pool.alloc(total) {
             Some(r) => r,
             None => {
                 // Single batched ocall to enlarge the pre-allocated list (§4).
-                ctx.enclave.ocall(meter, &cost);
+                ctx.enclave.ocall(meter, cost);
                 self.payload_mem.grow(ctx.config.pool_bytes);
                 self.pool.grow(ctx.config.pool_bytes);
                 self.pool.alloc(total).ok_or(StoreError::OversizedItem)?
@@ -533,9 +543,12 @@ impl StoreExec {
         Ok(range)
     }
 
+    // Inserts `key`, whose stable hash is `hash`, routing and placing it by
+    // that hash.
     pub(super) fn table_insert(
         &mut self,
         ctx: &mut ExecCtx<'_>,
+        hash: u64,
         key: Vec<u8>,
         meta: EntryMeta,
         meter: &mut Meter,
@@ -545,15 +558,14 @@ impl StoreExec {
         // Table 1).
         if !self.misc_touched {
             self.misc_touched = true;
-            let cost = ctx.cost.clone();
-            ctx.enclave.touch_all(self.misc_region, meter, &cost);
+            let cost = ctx.cost;
+            ctx.enclave.touch_all(self.misc_region, meter, cost);
         }
-        let hash = stable_key_hash(&key);
         let shard = shard_of_hash(hash, self.table.shard_count());
         if let Some(dirty) = &mut self.dirty {
             dirty.insert(hash, &key);
         }
-        let (old, stats) = self.table.insert_tracked(key, meta);
+        let (old, stats) = self.table.insert_hashed(hash, key, meta);
         if let Some(old) = old {
             // Overwrite: the old payload slot is released (and un-charged
             // from its owner's quota); the fresh K_operation in the new
@@ -570,16 +582,17 @@ impl StoreExec {
     }
 
     // The one removal path — client delete, journal replay of a delete or
-    // eviction, revocation eviction: takes `key` out of the table, frees
-    // its pool slot, counts the mutation and marks the key dirty. Returns
-    // whether the key existed, and the probe statistics for callers that
-    // meter the table operation.
+    // eviction, revocation eviction: takes `key` (whose stable hash is
+    // `hash`) out of the table, frees its pool slot, counts the mutation
+    // and marks the key dirty. Returns whether the key existed, and the
+    // probe statistics for callers that meter the table operation.
     pub(super) fn table_remove(
         &mut self,
         adversary: &mut Option<AdversaryInjector>,
+        hash: u64,
         key: &[u8],
     ) -> (bool, OpStats) {
-        let (removed, stats) = self.table.remove_tracked(key);
+        let (removed, stats) = self.table.remove_hashed(hash, key);
         let Some(entry) = removed else {
             return (false, stats);
         };
@@ -588,7 +601,7 @@ impl StoreExec {
         }
         self.bump_mutation(Opcode::Delete, key);
         if let Some(dirty) = &mut self.dirty {
-            dirty.insert(stable_key_hash(key), key);
+            dirty.insert(hash, key);
         }
         (true, stats)
     }
@@ -602,13 +615,13 @@ impl StoreExec {
         stats: &OpStats,
         meter: &mut Meter,
     ) {
-        let cost = ctx.cost.clone();
+        let cost = ctx.cost;
         meter.charge(Stage::Enclave, cost.server_time(cost.ht_op(stats.probes)));
         let slot_bytes = ctx.config.model_slot_bytes as u64;
         let region = self.table_regions[shard];
-        for &slot in &stats.slots {
+        for slot in stats.slots() {
             ctx.enclave
-                .touch(region, slot as u64 * slot_bytes, slot_bytes, meter, &cost);
+                .touch(region, slot as u64 * slot_bytes, slot_bytes, meter, cost);
         }
     }
 
@@ -618,11 +631,11 @@ impl StoreExec {
         let resizes = self.table.shard(shard).resizes();
         if resizes != self.table_resizes_seen[shard] {
             self.table_resizes_seen[shard] = resizes;
-            let cost = ctx.cost.clone();
+            let cost = ctx.cost;
             let bytes = (self.table.shard(shard).capacity() * ctx.config.model_slot_bytes) as u64;
             let region = self.table_regions[shard];
             ctx.enclave.resize_region(region, bytes);
-            ctx.enclave.touch_all(region, meter, &cost);
+            ctx.enclave.touch_all(region, meter, cost);
         }
     }
 }
@@ -733,7 +746,7 @@ impl PrecursorServer {
             let range = match self.store.pool.alloc(e.stored_bytes.len()) {
                 Some(r) => r,
                 None => {
-                    ctx.enclave.ocall(&mut meter, &ctx.cost.clone());
+                    ctx.enclave.ocall(&mut meter, ctx.cost);
                     self.store.payload_mem.grow(ctx.config.pool_bytes);
                     self.store.pool.grow(ctx.config.pool_bytes);
                     self.store
@@ -749,6 +762,7 @@ impl PrecursorServer {
         };
         self.store.table_insert(
             &mut ctx,
+            stable_key_hash(&e.key),
             e.key,
             EntryMeta {
                 k_op: e.k_op,

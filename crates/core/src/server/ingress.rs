@@ -17,8 +17,7 @@ use precursor_sim::meter::{Meter, Stage};
 use precursor_sim::time::Cycles;
 use precursor_storage::ring::{framed_payload, RingConsumer, RingProducer};
 
-use crate::wire::ReplyFrame;
-
+use super::pipeline::SweepScratch;
 use super::{ClientBundle, OpReport, PrecursorServer};
 
 // Untrusted per-client plumbing.
@@ -73,9 +72,9 @@ pub(super) struct Ingress {
     // Sweeps drain the board instead of scanning rings, so an idle ring
     // costs nothing. Untrusted host state (DESIGN.md §8).
     pub(super) dirty_board: WriteBoard,
-    // The buffer each sweep drains the board into, kept only for its
-    // allocation.
-    pub(super) due: Vec<u64>,
+    // The sweep's working memory (due rings, visits, queues, record and
+    // reply buffers), kept only for its allocations.
+    pub(super) scratch: SweepScratch,
     // Ring visits performed by poll sweeps: what the driver's cost model
     // charges `poll_scan_per_client` against.
     pub(super) rings_swept: u64,
@@ -166,27 +165,34 @@ impl PrecursorServer {
 
     /// Takes the per-operation reports accumulated by [`poll`](Self::poll).
     pub fn take_reports(&mut self) -> Vec<OpReport> {
-        self.ingress.reports.drain(..).collect()
+        self.drain_reports().collect()
+    }
+
+    /// [`take_reports`](Self::take_reports) without collecting: the
+    /// reports in processing order, for a caller that converts them into
+    /// its own collection.
+    pub fn drain_reports(&mut self) -> impl Iterator<Item = OpReport> + '_ {
+        self.ingress.reports.drain(..)
     }
 
     // Posts a freshly sealed reply's ring WRITEs — the one reply-emit
-    // path: every record is posted as it is sealed.
+    // path: every record is posted as it is sealed. `bytes` is the encoded
+    // reply frame.
     pub(super) fn emit_fresh(
         &mut self,
         idx: usize,
-        reply: ReplyFrame,
+        bytes: &[u8],
         remember: bool,
         meter: &mut Meter,
     ) {
-        let bytes = reply.encode();
         // Push into the producer first, collecting the ring WRITEs
         // the honest host would post ...
         let (writes, end, pushed) = {
             let port = self.ingress.ports[idx].as_mut().expect("live port");
             let mut writes = Vec::with_capacity(2);
-            let pushed = port.reply_producer.push_with(&bytes, |off, chunk| {
-                writes.push((off, chunk.to_vec()));
-            });
+            let pushed = port
+                .reply_producer
+                .push_with(bytes, |off, chunk| writes.push((off, chunk)));
             (writes, port.reply_producer.written(), pushed.is_some())
         };
         // ... then let the adversary (when installed) substitute, hold, or
@@ -251,7 +257,7 @@ impl PrecursorServer {
             let _ = port
                 .reply_producer
                 .push_with(framed_payload(&framed), |off, chunk| {
-                    writes.push((off, chunk.to_vec()));
+                    writes.push((off, chunk))
                 });
             port.last_reply_end = port.reply_producer.written();
         }

@@ -250,7 +250,7 @@ impl PrecursorServer {
                 credit_writes: 0,
                 handoffs: 0,
                 dirty_board: precursor_rdma::WriteBoard::new(),
-                due: Vec::new(),
+                scratch: Default::default(),
                 rings_swept: 0,
             },
             durability: None,
@@ -436,9 +436,10 @@ impl PrecursorServer {
     // window advances; the client's retry at the real owner is a fresh oid
     // on an independent per-node session) and is never journalled
     // (journal_mutation requires Status::Ok).
-    fn routing_gate(&mut self, key: &[u8], oid: u64) -> Option<(Status, usize, exec::ReplyPlan)> {
+    // `hash` is the key's stable hash, which the placement ring routes on.
+    fn routing_gate(&mut self, hash: u64, oid: u64) -> Option<(Status, usize, exec::ReplyPlan)> {
         let routing = self.routing.as_ref()?;
-        let owner = routing.ring.owner_of(key);
+        let owner = routing.ring.owner_of_hash(hash);
         if owner == routing.node {
             return None;
         }

@@ -9,14 +9,15 @@
 
 use precursor_sim::meter::{Meter, Stage};
 use precursor_sim::time::Cycles;
+use precursor_storage::robinhood::{shard_of_hash, stable_key_hash};
 
 use crate::config::EncryptionMode;
-use crate::wire::{request_aad, Opcode, RequestControl, RequestFrame, Status};
+use crate::wire::{request_aad, Opcode, RequestControl, RequestRef, Status};
 
-use precursor_crypto::gcm;
+use precursor_crypto::keys::Tag;
 
 use super::exec::{ExecCtx, ExecRequest, ReplyPlan};
-use super::seal::{self, SealCtx};
+use super::seal::{self, SealBuffers, SealCtx};
 use super::{OpReport, PrecursorServer};
 
 // Outcome of validating one popped record — control decrypt plus the
@@ -25,7 +26,7 @@ use super::{OpReport, PrecursorServer};
 // execute foreign-shard requests on the shard owning their key while still
 // sealing each client's replies in pop order (the `reply_seq` / MAC-chain
 // contract requires per-client in-order sealing).
-enum Validated {
+enum Validated<'a> {
     /// Answered without executing: malformed frame or off-window oid.
     Reject {
         status: Status,
@@ -40,7 +41,7 @@ enum Validated {
     Execute {
         opcode: Opcode,
         control: RequestControl,
-        frame: RequestFrame,
+        frame: RequestRef<'a>,
     },
 }
 
@@ -69,14 +70,49 @@ enum ActionKind {
 }
 
 // A validated request parked in its owning shard's execution queue
-// (phase B), with the visit slot and pop position its outcome goes to.
+// (phase B), with the position in the sweep's action list its outcome goes
+// to. The record it came from is gone by then, so the payload is copied
+// out (empty, and never allocated, for a get or delete).
 struct ExecItem {
-    slot: usize,
+    idx: usize,
     pos: usize,
     meter: Meter,
     opcode: Opcode,
     control: RequestControl,
-    frame: RequestFrame,
+    hash: u64,
+    mac: Tag,
+    payload: Vec<u8>,
+}
+
+// A sweep's working memory, kept between sweeps only for its allocations:
+// once the buffers have grown to a sweep's size, sweeping allocates
+// nothing for its own bookkeeping.
+#[derive(Default)]
+pub(super) struct SweepScratch {
+    // The rings due a visit this sweep (drained from the doorbell board).
+    due: Vec<u64>,
+    // The due rings one worker owns.
+    owned: Vec<usize>,
+    // One entry per ring visit, in phase-A order: the client and the end
+    // of its records in `actions`. Stored per *visit*, never per connected
+    // client, so a sweep's bookkeeping stays O(dirty) at 100k clients.
+    visits: Vec<(usize, usize)>,
+    // Every popped record's seal-time work, in pop order; `None` while it
+    // is parked in an execution queue.
+    actions: Vec<Option<PendingAction>>,
+    // Per-shard execution queues.
+    exec_queues: Vec<Vec<ExecItem>>,
+    // The record being validated, popped into the same buffer each time.
+    record: Vec<u8>,
+    // The reply being emitted, and what it is sealed in.
+    reply: Vec<u8>,
+    seal: SealBuffers,
+}
+
+impl std::fmt::Debug for SweepScratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SweepScratch").finish_non_exhaustive()
+    }
 }
 
 impl PrecursorServer {
@@ -112,7 +148,9 @@ impl PrecursorServer {
             self.durability_sweep();
             return 0;
         }
-        let processed = self.sweep();
+        let mut scratch = std::mem::take(&mut self.ingress.scratch);
+        let processed = self.sweep(&mut scratch);
+        self.ingress.scratch = scratch;
         self.durability_sweep();
         self.obs.inc("server.polls", 1);
         self.trace("pipeline", "sweep", self.ingress.polls, processed as u64);
@@ -135,23 +173,31 @@ impl PrecursorServer {
     }
 
     // One budgeted drain of client `idx`'s request ring: pops up to the
-    // per-client budget, handing each record to `each` in pop order. A
-    // budget-capped run may leave records behind, so it re-marks the ring
-    // and the next sweep returns without waiting for another WRITE.
-    // Returns the records popped.
-    fn drain_ring(&mut self, idx: usize, mut each: impl FnMut(&mut Self, Vec<u8>)) -> usize {
+    // per-client budget into `record`, handing each record to `each` in pop
+    // order. A budget-capped run may leave records behind, so it re-marks
+    // the ring and the next sweep returns without waiting for another
+    // WRITE. Returns the records popped.
+    fn drain_ring(
+        &mut self,
+        idx: usize,
+        record: &mut Vec<u8>,
+        mut each: impl FnMut(&mut Self, &[u8]),
+    ) -> usize {
         self.ingress.rings_swept += 1;
         let budget = self.config.poll_budget_per_client;
+        // Update reply credits from the client-written word, once per
+        // visit: phase A posts nothing, so no record of the visit could
+        // read a newer value.
+        let port = self.ingress.ports[idx].as_mut().expect("live port");
+        let consumed = port.reply_credit.read_u64(0);
+        port.reply_producer.update_credits(consumed);
+        let ring = port.request_ring.clone();
         let mut taken = 0usize;
         while budget == 0 || taken < budget {
-            // Update reply credits from the client-written word.
             let port = self.ingress.ports[idx].as_mut().expect("live port");
-            let consumed = port.reply_credit.read_u64(0);
-            port.reply_producer.update_credits(consumed);
-            let ring = port.request_ring.clone();
-            let Some(record) = ring.with_mut(|buf| port.request_consumer.pop(buf)) else {
+            if !ring.with_mut(|buf| port.request_consumer.pop_into(buf, record)) {
                 break;
-            };
+            }
             each(self, record);
             taken += 1;
         }
@@ -176,30 +222,34 @@ impl PrecursorServer {
     //      order (preserving the reply_seq / MAC-chain contract), posting
     //      each reply's WRITEs as it is sealed, then one credit
     //      write-back per client.
-    fn sweep(&mut self) -> usize {
+    fn sweep(&mut self, scratch: &mut SweepScratch) -> usize {
         let shards = self.shards();
         // Phase A visits only the rings marked since the last drain;
-        // phases B and C operate on what phase A swept. The buffer is the
-        // ingress stage's, reused every sweep.
-        let mut due = std::mem::take(&mut self.ingress.due);
-        self.dirty_due(&mut due);
-
-        // Pending actions are stored per *visit* (in phase-A visit order),
-        // not per client id: a sweep's bookkeeping then costs memory
-        // proportional to the clients it visited, never the connected
-        // fleet — what keeps sweeps O(dirty) at 100k clients. `None` marks
-        // a record still parked in an execution queue.
-        let mut visits: Vec<(usize, Vec<Option<PendingAction>>)> = Vec::new();
-        let mut exec_queues: Vec<Vec<ExecItem>> = (0..shards).map(|_| Vec::new()).collect();
+        // phases B and C operate on what phase A swept.
+        self.dirty_due(&mut scratch.due);
+        let SweepScratch {
+            due,
+            owned,
+            visits,
+            actions,
+            exec_queues,
+            record,
+            reply,
+            seal: seal_buffers,
+        } = scratch;
+        visits.clear();
+        actions.clear();
+        exec_queues.resize_with(shards, Vec::new);
         let mut processed = 0usize;
 
         // Phase A — worker sweeps: pop + validate, route to owning shard.
         for w in 0..shards {
-            let owned: Vec<usize> = due
-                .iter()
-                .map(|&tag| tag as usize)
-                .filter(|&i| i % shards == w)
-                .collect();
+            owned.clear();
+            owned.extend(
+                due.iter()
+                    .map(|&tag| tag as usize)
+                    .filter(|&i| i % shards == w),
+            );
             if owned.is_empty() {
                 continue;
             }
@@ -207,14 +257,12 @@ impl PrecursorServer {
             self.ingress.rr_cursors[w] = (start + 1) % owned.len();
             for step in 0..owned.len() {
                 let idx = owned[(start + step) % owned.len()];
-                let slot = visits.len();
-                visits.push((idx, Vec::new()));
                 // Whether an earlier record of this visit will execute: its
                 // reply is as good as stored for a retransmission behind it.
                 let mut reply_pending = false;
-                processed += self.drain_ring(idx, |server, record| {
+                processed += self.drain_ring(idx, record, |server, record| {
                     let mut meter = Meter::new();
-                    let kind = match server.validate_record(idx, &record, reply_pending, &mut meter)
+                    let kind = match server.validate_record(idx, record, reply_pending, &mut meter)
                     {
                         Validated::Reject {
                             status,
@@ -236,7 +284,10 @@ impl PrecursorServer {
                             control,
                             frame,
                         } => {
-                            let target = server.store.table.shard_of(&control.key);
+                            // The key's one hash: it routes the request
+                            // here and places it in the shard's table.
+                            let hash = stable_key_hash(&control.key[..]);
+                            let target = shard_of_hash(hash, shards);
                             if target != w {
                                 // Shard-crossing handoff: the popping
                                 // worker copies the validated control into
@@ -255,36 +306,38 @@ impl PrecursorServer {
                             }
                             reply_pending = true;
                             exec_queues[target].push(ExecItem {
-                                slot,
-                                pos: visits[slot].1.len(),
+                                idx,
+                                pos: actions.len(),
                                 meter,
                                 opcode,
                                 control,
-                                frame,
+                                hash,
+                                mac: frame.mac,
+                                payload: frame.payload.to_vec(),
                             });
-                            visits[slot].1.push(None);
+                            actions.push(None);
                             return;
                         }
                     };
-                    visits[slot].1.push(Some(PendingAction { meter, kind }));
+                    actions.push(Some(PendingAction { meter, kind }));
                 });
+                visits.push((idx, actions.len()));
             }
         }
-        self.ingress.due = due;
 
         // Phase B — per-shard FIFO execution against the owned partition.
-        for (s, queue) in exec_queues.into_iter().enumerate() {
-            for item in queue {
+        for (s, queue) in exec_queues.iter_mut().enumerate() {
+            for item in queue.drain(..) {
                 let ExecItem {
-                    slot,
+                    idx,
                     pos,
                     mut meter,
                     opcode,
                     control,
-                    frame,
+                    hash,
+                    mac,
+                    payload,
                 } = item;
-                let idx = visits[slot].0;
-                let session_key = self.sessions.list[idx].session_key.clone();
                 let journal_tap = self
                     .durability
                     .is_some()
@@ -292,7 +345,7 @@ impl PrecursorServer {
                 let op_oid = control.oid;
                 let exec_result = if let Some(busy) = self.catchup_gate(opcode, op_oid) {
                     Ok(busy)
-                } else if let Some(redirect) = self.routing_gate(&control.key, op_oid) {
+                } else if let Some(redirect) = self.routing_gate(hash, op_oid) {
                     Ok(redirect)
                 } else {
                     let mut ctx = ExecCtx {
@@ -307,8 +360,10 @@ impl PrecursorServer {
                             idx,
                             opcode,
                             control,
-                            frame: &frame,
-                            session_key: &session_key,
+                            hash,
+                            payload: &payload,
+                            mac,
+                            session_key: &self.sessions.list[idx].session_key,
                         },
                         &mut meter,
                     )
@@ -343,16 +398,17 @@ impl PrecursorServer {
                         shard: s as u32,
                     },
                 };
-                visits[slot].1[pos] = Some(PendingAction { meter, kind });
+                actions[pos] = Some(PendingAction { meter, kind });
             }
         }
 
         // Phase C — per-client in-order sealing, each reply posted as it is
         // sealed (one-sided WRITEs by the untrusted worker, §3.8), then one
         // credit write-back per swept client.
-        for (idx, actions) in visits {
-            for act in actions {
-                let PendingAction { mut meter, kind } = act.expect("executed in phase B");
+        let mut first = 0;
+        for &(idx, end) in visits.iter() {
+            for act in &mut actions[first..end] {
+                let PendingAction { mut meter, kind } = act.take().expect("executed in phase B");
                 let (status, opcode, value_len, shard) = match kind {
                     ActionKind::Seal {
                         status,
@@ -365,7 +421,7 @@ impl PrecursorServer {
                         if executed {
                             self.sessions.list[idx].last_status = status;
                         }
-                        let reply = self.seal_for(idx, opcode, plan, &mut meter);
+                        self.seal_for(idx, opcode, plan, &mut meter, seal_buffers, reply);
                         self.emit_fresh(idx, reply, executed, &mut meter);
                         (status, opcode, value_len, shard)
                     }
@@ -382,7 +438,7 @@ impl PrecursorServer {
                             // must not run twice: acknowledge from the
                             // cached status.
                             let plan = ReplyPlan::Control { status, oid };
-                            let reply = self.seal_for(idx, opcode, plan, &mut meter);
+                            self.seal_for(idx, opcode, plan, &mut meter, seal_buffers, reply);
                             self.emit_fresh(idx, reply, true, &mut meter);
                         } else {
                             // Same session: re-issue the stored reply WRITEs
@@ -403,40 +459,39 @@ impl PrecursorServer {
                     meter,
                 });
             }
+            first = end;
             self.post_credit_update(idx);
         }
         processed
     }
 
-    // Seals one [`ReplyPlan`] for client `idx` by assembling the narrow
-    // [`SealCtx`] out of disjoint borrows of the stage states.
+    // Seals one [`ReplyPlan`] for client `idx` into `frame` by assembling
+    // the narrow [`SealCtx`] out of disjoint borrows of the stage states.
     fn seal_for(
         &mut self,
         idx: usize,
         opcode: Opcode,
         plan: ReplyPlan,
         meter: &mut Meter,
-    ) -> crate::wire::ReplyFrame {
+        buffers: &mut SealBuffers,
+        frame: &mut Vec<u8>,
+    ) {
         let mut ctx = SealCtx {
             enclave: &mut self.enclave,
             cost: &self.cost,
             busy_retry_ns: self.config.busy_retry_ns,
             evidence: self.store.evidence(),
+            buffers,
         };
-        let reply = seal::seal_plan(&mut ctx, &mut self.sessions.list[idx], opcode, plan, meter);
-        self.trace(
-            "seal",
-            super::op_metric(opcode),
-            idx as u64,
-            reply.reply_seq,
-        );
-        reply
+        let session = &mut self.sessions.list[idx];
+        let reply_seq = seal::seal_plan(&mut ctx, session, opcode, plan, meter, frame);
+        self.trace("seal", super::op_metric(opcode), idx as u64, reply_seq);
     }
 
     // Fixed per-op occupancy (fitted constants; DESIGN.md §4): part of it
     // is on the request's critical path, the rest is polling overhead.
-    fn charge_fixed_occupancy(&mut self, opcode: Opcode, meter: &mut Meter) {
-        let cost = self.cost.clone();
+    fn charge_fixed_occupancy(&self, opcode: Opcode, meter: &mut Meter) {
+        let cost = &self.cost;
         let mut fixed = cost.precursor_get_fixed;
         if opcode == Opcode::Put {
             fixed += cost.precursor_put_extra;
@@ -452,13 +507,13 @@ impl PrecursorServer {
 
     // Observability wrapper around validation: counts each outcome class
     // and emits the ingress-stage trace event.
-    fn validate_record(
+    fn validate_record<'r>(
         &mut self,
         idx: usize,
-        record: &[u8],
+        record: &'r [u8],
         reply_pending: bool,
         meter: &mut Meter,
-    ) -> Validated {
+    ) -> Validated<'r> {
         let v = self.validate_record_inner(idx, record, reply_pending, meter);
         let (counter, event) = match &v {
             Validated::Reject { .. } => ("server.validate.reject", "reject"),
@@ -476,14 +531,14 @@ impl PrecursorServer {
     // to reply straight away ([`Validated::Reject`]), re-issue the stored
     // reply ([`Validated::Retransmit`]), or route the request to the shard
     // owning its key ([`Validated::Execute`]).
-    fn validate_record_inner(
+    fn validate_record_inner<'r>(
         &mut self,
         idx: usize,
-        record: &[u8],
+        record: &'r [u8],
         reply_pending: bool,
         meter: &mut Meter,
-    ) -> Validated {
-        let cost = self.cost.clone();
+    ) -> Validated<'r> {
+        let cost = &self.cost;
 
         // Untrusted: the record was copied out of the ring by the poller.
         meter.charge(
@@ -498,7 +553,7 @@ impl PrecursorServer {
         // Structurally invalid records still earn an error reply that at
         // least unblocks the client (chain-linked like any other, so the
         // client's verification stream stays contiguous).
-        let Ok(frame) = RequestFrame::decode(record) else {
+        let Ok(frame) = RequestRef::parse(record) else {
             return Validated::Reject {
                 status: Status::Error,
                 opcode: Opcode::Get,
@@ -516,18 +571,17 @@ impl PrecursorServer {
 
         // Only the control segment crosses into the enclave (§3.7 step 3).
         self.enclave
-            .copy_across_boundary(frame.sealed_control.len(), meter, &cost);
+            .copy_across_boundary(frame.sealed_control.len(), meter, cost);
 
         // Trusted: decrypt + authenticate the control data (Algorithm 2,
         // lines 2-3).
-        let session_key = self.sessions.list[idx].session_key.clone();
         let aad = request_aad(opcode, frame.client_id);
         meter.charge(
             Stage::Enclave,
             cost.server_time(cost.aes_gcm(frame.sealed_control.len())),
         );
-        let Ok(control_plain) = gcm::open(&session_key, &frame.iv, &aad, &frame.sealed_control)
-        else {
+        let session_key = &self.sessions.list[idx].session_key;
+        let Ok(control_plain) = session_key.open(&frame.iv, &aad, frame.sealed_control) else {
             return Validated::Reject {
                 status: Status::Error,
                 opcode,
@@ -553,7 +607,7 @@ impl PrecursorServer {
             idx as u64 * 64,
             64,
             meter,
-            &cost,
+            cost,
         );
         let expected = self.sessions.list[idx].expected_oid;
         let retransmit = control.oid != 0 && control.oid + 1 == expected;

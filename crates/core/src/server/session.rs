@@ -7,12 +7,14 @@
 //! holding per-client trusted state.
 
 use precursor_crypto::chain::MacChain;
+use precursor_crypto::gcm::GcmKey;
 use precursor_crypto::keys::Key128;
 use precursor_rdma::adversary::{AdversaryInjector, AdversaryPlan, AttackClass, MountedAttack};
 use precursor_rdma::faults::{FaultInjector, FaultPlan, InjectedFault};
 use precursor_sgx::attest::{derive_chain_key, AttestationService};
 use precursor_sgx::enclave::RegionId;
 use precursor_sim::meter::Meter;
+use precursor_storage::robinhood::stable_key_hash;
 
 use crate::error::StoreError;
 use crate::wire::{chain_context, Status};
@@ -24,7 +26,9 @@ use super::{lock_faults, ClientBundle, PrecursorServer};
 // retransmission of it can be re-acknowledged without re-execution).
 #[derive(Debug)]
 pub(super) struct Session {
-    pub(super) session_key: Key128,
+    // `K_session`, expanded once per attestation: every control open and
+    // reply seal of the session uses it.
+    pub(super) session_key: GcmKey,
     pub(super) expected_oid: u64,
     pub(super) reply_seq: u64,
     pub(super) active: bool,
@@ -127,7 +131,7 @@ impl PrecursorServer {
             &chain_context(client_id, epoch),
         );
         self.sessions.list.push(Session {
-            session_key,
+            session_key: GcmKey::new(&session_key),
             expected_oid: 1,
             reply_seq: 1,
             active: true,
@@ -198,7 +202,7 @@ impl PrecursorServer {
             &chain_context(client_id, epoch),
         );
         let session = Session {
-            session_key,
+            session_key: GcmKey::new(&session_key),
             expected_oid: resumed.0,
             reply_seq: 1,
             active: true,
@@ -256,7 +260,11 @@ impl PrecursorServer {
     // client's entry, or the source's copy of a key whose ring segment a
     // migration fence just handed to another node.
     pub(crate) fn evict_entry(&mut self, key: &[u8]) {
-        if self.store.table_remove(&mut self.adversary, key).0 {
+        if self
+            .store
+            .table_remove(&mut self.adversary, stable_key_hash(key), key)
+            .0
+        {
             self.journal_evict(key);
         }
     }

@@ -120,20 +120,88 @@ pub struct RequestFrame {
     pub payload: Vec<u8>,
 }
 
-impl RequestFrame {
-    /// Serializes the frame into ring-record bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(43 + self.sealed_control.len() + self.payload.len());
+/// A request frame over borrowed bytes — the one request codec:
+/// [`RequestFrame`]'s `encode`/`decode` go through it. The sender encodes
+/// from the buffers it already holds and the server parses a popped record
+/// in place, neither copying the sealed control or the payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestRef<'a> {
+    /// Operation requested.
+    pub opcode: Opcode,
+    /// Issuing client.
+    pub client_id: u32,
+    /// GCM IV of the control segment.
+    pub iv: Nonce12,
+    /// AES-GCM-sealed control segment.
+    pub sealed_control: &'a [u8],
+    /// CMAC over the encrypted payload.
+    pub mac: Tag,
+    /// Encrypted payload.
+    pub payload: &'a [u8],
+}
+
+impl<'a> RequestRef<'a> {
+    /// Replaces the contents of `out` with the frame's ring-record bytes.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.clear();
+        out.reserve(43 + self.sealed_control.len() + self.payload.len());
         out.push(self.opcode as u8);
         out.extend_from_slice(&START_SIGN.to_le_bytes());
         out.extend_from_slice(&self.client_id.to_le_bytes());
         out.extend_from_slice(self.iv.as_bytes());
         out.extend_from_slice(&(self.sealed_control.len() as u16).to_le_bytes());
-        out.extend_from_slice(&self.sealed_control);
+        out.extend_from_slice(self.sealed_control);
         out.extend_from_slice(self.mac.as_bytes());
         out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.payload);
+        out.extend_from_slice(self.payload);
         out.extend_from_slice(&END_SIGN.to_le_bytes());
+    }
+
+    /// Parses a frame, validating signs, opcode and lengths.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::MalformedFrame`] on any structural violation.
+    pub fn parse(buf: &'a [u8]) -> Result<RequestRef<'a>, StoreError> {
+        let mut r = Reader::new(buf);
+        let opcode = Opcode::from_u8(r.u8()?).ok_or(StoreError::MalformedFrame)?;
+        if r.u16()? != START_SIGN {
+            return Err(StoreError::MalformedFrame);
+        }
+        let client_id = r.u32()?;
+        let iv = Nonce12::try_from(r.bytes(12)?).map_err(|_| StoreError::MalformedFrame)?;
+        let control_len = r.u16()? as usize;
+        let sealed_control = r.bytes(control_len)?;
+        let mac = Tag::try_from(r.bytes(16)?).map_err(|_| StoreError::MalformedFrame)?;
+        let payload_len = r.u32()? as usize;
+        let payload = r.bytes(payload_len)?;
+        if r.u16()? != END_SIGN || !r.is_empty() {
+            return Err(StoreError::MalformedFrame);
+        }
+        Ok(RequestRef {
+            opcode,
+            client_id,
+            iv,
+            sealed_control,
+            mac,
+            payload,
+        })
+    }
+}
+
+impl RequestFrame {
+    /// Serializes the frame into ring-record bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        RequestRef {
+            opcode: self.opcode,
+            client_id: self.client_id,
+            iv: self.iv,
+            sealed_control: &self.sealed_control,
+            mac: self.mac,
+            payload: &self.payload,
+        }
+        .encode_into(&mut out);
         out
     }
 
@@ -143,28 +211,14 @@ impl RequestFrame {
     ///
     /// [`StoreError::MalformedFrame`] on any structural violation.
     pub fn decode(buf: &[u8]) -> Result<RequestFrame, StoreError> {
-        let mut r = Reader::new(buf);
-        let opcode = Opcode::from_u8(r.u8()?).ok_or(StoreError::MalformedFrame)?;
-        if r.u16()? != START_SIGN {
-            return Err(StoreError::MalformedFrame);
-        }
-        let client_id = r.u32()?;
-        let iv = Nonce12::try_from(r.bytes(12)?).map_err(|_| StoreError::MalformedFrame)?;
-        let control_len = r.u16()? as usize;
-        let sealed_control = r.bytes(control_len)?.to_vec();
-        let mac = Tag::try_from(r.bytes(16)?).map_err(|_| StoreError::MalformedFrame)?;
-        let payload_len = r.u32()? as usize;
-        let payload = r.bytes(payload_len)?.to_vec();
-        if r.u16()? != END_SIGN || !r.is_empty() {
-            return Err(StoreError::MalformedFrame);
-        }
+        let r = RequestRef::parse(buf)?;
         Ok(RequestFrame {
-            opcode,
-            client_id,
-            iv,
-            sealed_control,
-            mac,
-            payload,
+            opcode: r.opcode,
+            client_id: r.client_id,
+            iv: r.iv,
+            sealed_control: r.sealed_control.to_vec(),
+            mac: r.mac,
+            payload: r.payload.to_vec(),
         })
     }
 }
@@ -202,17 +256,75 @@ pub struct ReplyFrame {
     pub payload: Vec<u8>,
 }
 
-impl ReplyFrame {
-    /// Serializes the reply into ring-record bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.sealed_control.len() + self.payload.len());
+/// A reply frame over borrowed bytes — the one reply codec, as
+/// [`RequestRef`] is for requests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReplyRef<'a> {
+    /// Outcome of the operation.
+    pub status: Status,
+    /// Echo of the request opcode.
+    pub opcode: Opcode,
+    /// Server→client sequence number.
+    pub reply_seq: u64,
+    /// AES-GCM-sealed control reply.
+    pub sealed_control: &'a [u8],
+    /// Stored encrypted payload.
+    pub payload: &'a [u8],
+}
+
+impl<'a> ReplyRef<'a> {
+    /// Replaces the contents of `out` with the reply's ring-record bytes.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.clear();
+        out.reserve(16 + self.sealed_control.len() + self.payload.len());
         out.push(self.status as u8);
         out.push(self.opcode as u8);
         out.extend_from_slice(&self.reply_seq.to_le_bytes());
         out.extend_from_slice(&(self.sealed_control.len() as u16).to_le_bytes());
-        out.extend_from_slice(&self.sealed_control);
+        out.extend_from_slice(self.sealed_control);
         out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.payload);
+        out.extend_from_slice(self.payload);
+    }
+
+    /// Parses a reply frame.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::MalformedFrame`] on any structural violation.
+    pub fn parse(buf: &'a [u8]) -> Result<ReplyRef<'a>, StoreError> {
+        let mut r = Reader::new(buf);
+        let status = Status::from_u8(r.u8()?).ok_or(StoreError::MalformedFrame)?;
+        let opcode = Opcode::from_u8(r.u8()?).ok_or(StoreError::MalformedFrame)?;
+        let reply_seq = r.u64()?;
+        let control_len = r.u16()? as usize;
+        let sealed_control = r.bytes(control_len)?;
+        let payload_len = r.u32()? as usize;
+        let payload = r.bytes(payload_len)?;
+        if !r.is_empty() {
+            return Err(StoreError::MalformedFrame);
+        }
+        Ok(ReplyRef {
+            status,
+            opcode,
+            reply_seq,
+            sealed_control,
+            payload,
+        })
+    }
+}
+
+impl ReplyFrame {
+    /// Serializes the reply into ring-record bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        ReplyRef {
+            status: self.status,
+            opcode: self.opcode,
+            reply_seq: self.reply_seq,
+            sealed_control: &self.sealed_control,
+            payload: &self.payload,
+        }
+        .encode_into(&mut out);
         out
     }
 
@@ -222,23 +334,13 @@ impl ReplyFrame {
     ///
     /// [`StoreError::MalformedFrame`] on any structural violation.
     pub fn decode(buf: &[u8]) -> Result<ReplyFrame, StoreError> {
-        let mut r = Reader::new(buf);
-        let status = Status::from_u8(r.u8()?).ok_or(StoreError::MalformedFrame)?;
-        let opcode = Opcode::from_u8(r.u8()?).ok_or(StoreError::MalformedFrame)?;
-        let reply_seq = r.u64()?;
-        let control_len = r.u16()? as usize;
-        let sealed_control = r.bytes(control_len)?.to_vec();
-        let payload_len = r.u32()? as usize;
-        let payload = r.bytes(payload_len)?.to_vec();
-        if !r.is_empty() {
-            return Err(StoreError::MalformedFrame);
-        }
+        let r = ReplyRef::parse(buf)?;
         Ok(ReplyFrame {
-            status,
-            opcode,
-            reply_seq,
-            sealed_control,
-            payload,
+            status: r.status,
+            opcode: r.opcode,
+            reply_seq: r.reply_seq,
+            sealed_control: r.sealed_control.to_vec(),
+            payload: r.payload.to_vec(),
         })
     }
 }
@@ -259,7 +361,15 @@ pub struct RequestControl {
 impl RequestControl {
     /// Serializes the control plaintext.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(11 + self.key.len() + 40);
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Replaces the contents of `out` with the control plaintext.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.clear();
+        out.reserve(11 + self.key.len() + 40);
         out.extend_from_slice(&self.oid.to_le_bytes());
         out.extend_from_slice(&(self.key.len() as u16).to_le_bytes());
         out.extend_from_slice(&self.key);
@@ -271,7 +381,6 @@ impl RequestControl {
             }
             _ => out.push(0),
         }
-        out
     }
 
     /// Parses a control plaintext.
@@ -365,7 +474,15 @@ impl ReplyControl {
 
     /// Serializes the reply control plaintext.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(9 + 56 + 52);
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Replaces the contents of `out` with the reply control plaintext.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.clear();
+        out.reserve(9 + 56 + 52);
         out.extend_from_slice(&self.oid.to_le_bytes());
         match (&self.k_op, &self.payload_nonce, &self.mac) {
             (Some(k), Some(n), Some(m)) => {
@@ -381,7 +498,6 @@ impl ReplyControl {
         out.extend_from_slice(&self.store_digest);
         out.extend_from_slice(self.chain.as_bytes());
         out.extend_from_slice(&self.retry_after_ns.to_le_bytes());
-        out
     }
 
     /// Parses a reply control plaintext.
@@ -437,6 +553,9 @@ pub fn chain_context(client_id: u32, epoch: u32) -> Vec<u8> {
     out
 }
 
+/// Length of [`chain_input`]'s canonical bytes.
+pub const CHAIN_INPUT_LEN: usize = 2 + 8 + 8 + 4 + 8 + 16 + 8;
+
 /// Canonical byte string a reply's MAC-chain tag is computed over: the
 /// clear reply header (status, opcode, `reply_seq`) plus every
 /// Byzantine-relevant control field *except* the chain tag itself. Both the
@@ -447,16 +566,16 @@ pub fn chain_input(
     opcode: Opcode,
     reply_seq: u64,
     control: &ReplyControl,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(2 + 8 + 8 + 4 + 8 + 16 + 8);
-    out.push(status as u8);
-    out.push(opcode as u8);
-    out.extend_from_slice(&reply_seq.to_le_bytes());
-    out.extend_from_slice(&control.oid.to_le_bytes());
-    out.extend_from_slice(&control.epoch.to_le_bytes());
-    out.extend_from_slice(&control.store_seq.to_le_bytes());
-    out.extend_from_slice(&control.store_digest);
-    out.extend_from_slice(&control.retry_after_ns.to_le_bytes());
+) -> [u8; CHAIN_INPUT_LEN] {
+    let mut out = [0u8; CHAIN_INPUT_LEN];
+    out[0] = status as u8;
+    out[1] = opcode as u8;
+    out[2..10].copy_from_slice(&reply_seq.to_le_bytes());
+    out[10..18].copy_from_slice(&control.oid.to_le_bytes());
+    out[18..22].copy_from_slice(&control.epoch.to_le_bytes());
+    out[22..30].copy_from_slice(&control.store_seq.to_le_bytes());
+    out[30..46].copy_from_slice(&control.store_digest);
+    out[46..54].copy_from_slice(&control.retry_after_ns.to_le_bytes());
     out
 }
 

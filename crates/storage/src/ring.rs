@@ -129,18 +129,20 @@ impl RingProducer {
     pub fn push(&mut self, ring: &mut [u8], payload: &[u8]) -> Option<usize> {
         assert_eq!(ring.len(), self.capacity, "ring size mismatch");
         self.push_with(payload, |off, bytes| {
-            ring[off..off + bytes.len()].copy_from_slice(bytes);
+            ring[off..off + bytes.len()].copy_from_slice(&bytes);
         })
     }
 
-    /// Like [`push`](Self::push), but emits the bytes through `write(offset,
+    /// Like [`push`](Self::push), but hands the bytes to `write(offset,
     /// bytes)` instead of a local slice — over RDMA, each call is one
-    /// one-sided WRITE into the remote ring. At most two writes are issued
-    /// per record (an optional wrap marker plus the record itself).
+    /// one-sided WRITE into the remote ring, and the caller owns the bytes
+    /// it posted (a retransmission log keeps them without a copy). At most
+    /// two writes are issued per record (an optional wrap marker plus the
+    /// record itself).
     pub fn push_with(
         &mut self,
         payload: &[u8],
-        mut write: impl FnMut(usize, &[u8]),
+        mut write: impl FnMut(usize, Vec<u8>),
     ) -> Option<usize> {
         if !self.fits(payload.len()) {
             return None;
@@ -149,7 +151,10 @@ impl RingProducer {
         if self.write + span > self.capacity {
             // Not enough contiguous room: emit a wrap marker and restart.
             let wasted = self.capacity - self.write;
-            write(self.write, &WRAP.to_le_bytes()[..HEADER.min(wasted)]);
+            write(
+                self.write,
+                WRAP.to_le_bytes()[..HEADER.min(wasted)].to_vec(),
+            );
             self.written += wasted as u64;
             self.write = 0;
         }
@@ -159,7 +164,7 @@ impl RingProducer {
         record.extend_from_slice(payload);
         // zero padding so stale bytes never masquerade as headers
         record.resize(span, 0);
-        write(off, &record);
+        write(off, record);
         self.write = (off + span) % self.capacity;
         self.written += span as u64;
         Some(off)
@@ -214,50 +219,57 @@ impl RingConsumer {
     ///
     /// Panics if `ring.len()` differs from the configured capacity.
     pub fn pop(&mut self, ring: &mut [u8]) -> Option<Vec<u8>> {
+        let mut record = Vec::new();
+        self.pop_into(ring, &mut record).then_some(record)
+    }
+
+    /// [`pop`](Self::pop) into a buffer the caller reuses: on `true`,
+    /// `record` holds exactly the next record's payload; on `false` (the
+    /// ring is empty at the current position) it is left unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ring.len()` differs from the configured capacity.
+    pub fn pop_into(&mut self, ring: &mut [u8], record: &mut Vec<u8>) -> bool {
         assert_eq!(ring.len(), self.capacity, "ring size mismatch");
         let mut off = self.read;
         let avail = self.capacity - off;
         if avail >= HEADER {
             let len = u32::from_le_bytes([ring[off], ring[off + 1], ring[off + 2], ring[off + 3]]);
             if len == WRAP {
-                for b in &mut ring[off..] {
-                    *b = 0;
-                }
+                ring[off..].fill(0);
                 self.consumed += avail as u64;
                 self.read = 0;
                 off = 0;
             } else if len == 0 {
-                return None;
+                return false;
             }
         } else if avail > 0 {
             // Trailing sliver too small for a header: implicit wrap.
             if ring[off] == 0xff {
-                for b in &mut ring[off..] {
-                    *b = 0;
-                }
+                ring[off..].fill(0);
                 self.consumed += avail as u64;
                 self.read = 0;
                 off = 0;
             } else {
-                return None;
+                return false;
             }
         }
         let len =
             u32::from_le_bytes([ring[off], ring[off + 1], ring[off + 2], ring[off + 3]]) as usize;
         if len == 0 || len == WRAP as usize {
-            return None;
+            return false;
         }
         if off + HEADER + len > self.capacity {
-            return None; // torn write; wait
+            return false; // torn write; wait
         }
-        let payload = ring[off + HEADER..off + HEADER + len].to_vec();
+        record.clear();
+        record.extend_from_slice(&ring[off + HEADER..off + HEADER + len]);
         let span = record_span(len);
-        for b in &mut ring[off..off + span] {
-            *b = 0;
-        }
+        ring[off..off + span].fill(0);
         self.read = (off + span) % self.capacity;
         self.consumed += span as u64;
-        Some(payload)
+        true
     }
 
     /// Total bytes consumed (monotonic) — the credit value written back to
@@ -369,6 +381,24 @@ mod tests {
     }
 
     #[test]
+    fn pop_into_refills_one_buffer() {
+        let (mut buf, mut tx, mut rx) = pair(128);
+        let mut record = b"left over from an earlier, longer record".to_vec();
+        for (i, len) in [3usize, 40, 1, 17].into_iter().enumerate() {
+            let payload = vec![i as u8 + 1; len];
+            tx.push(&mut buf, &payload).unwrap();
+            assert!(rx.pop_into(&mut buf, &mut record));
+            assert_eq!(record, payload);
+            tx.update_credits(rx.consumed());
+        }
+        assert!(!rx.pop_into(&mut buf, &mut record));
+        assert_eq!(
+            record, [4u8; 17],
+            "an empty ring leaves the buffer as it was"
+        );
+    }
+
+    #[test]
     fn stale_credit_updates_are_ignored() {
         let (mut buf, mut tx, mut rx) = pair(128);
         tx.push(&mut buf, &[1u8; 40]).unwrap();
@@ -387,7 +417,7 @@ mod tests {
             let mut framed = Vec::new();
             producer.update_credits(producer.written());
             producer
-                .push_with(&payload, |_, bytes| framed = bytes.to_vec())
+                .push_with(&payload, |_, bytes| framed = bytes)
                 .expect("fits");
             // the last write of a push is the record (a wrap marker precedes it)
             assert_eq!(framed_payload(&framed), &payload[..], "len {len}");

@@ -60,13 +60,42 @@ pub fn shard_of_hash(hash: u64, shards: usize) -> usize {
 }
 
 /// Probe statistics for one table operation, used for cost accounting.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Linear probing never skips a slot, so the slots an operation inspects
+/// are one run: `len` slots from `start`, wrapping past the table's end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpStats {
     /// Number of slots inspected (≥1 for any operation on a nonempty table).
     pub probes: usize,
+    /// The first slot of the run.
+    pub start: usize,
+    /// Slots in the run (a removal that finds nothing touches none).
+    pub len: usize,
+    // The table's slot mask when the operation ran: where the run wraps.
+    mask: usize,
+}
+
+impl OpStats {
+    fn run(start: usize, mask: usize) -> OpStats {
+        OpStats {
+            probes: 0,
+            start,
+            len: 0,
+            mask,
+        }
+    }
+
+    // One more slot inspected, at the end of the run.
+    fn step(&mut self) {
+        self.probes += 1;
+        self.len += 1;
+    }
+
     /// Indices of the slots inspected, in order (for EPC page-touch
     /// modelling).
-    pub slots: Vec<usize>,
+    pub fn slots(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len).map(move |i| (self.start + i) & self.mask)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -175,15 +204,18 @@ impl<K: Hash + Eq, V> RobinHoodMap<K, V> {
 
     /// Like [`insert`](Self::insert) but also reports probe statistics.
     pub fn insert_tracked(&mut self, key: K, value: V) -> (Option<V>, OpStats) {
+        self.insert_hashed(Self::hash_of(&key), key, value)
+    }
+
+    /// [`insert_tracked`](Self::insert_tracked) for a caller that already
+    /// holds the key's [`stable_key_hash`] — which `hash` must be.
+    pub fn insert_hashed(&mut self, hash: u64, key: K, value: V) -> (Option<V>, OpStats) {
+        debug_assert_eq!(hash, Self::hash_of(&key), "insert_hashed: wrong hash");
         if (self.len + 1) * 100 > self.slots.len() * MAX_LOAD_PERCENT {
             self.grow();
         }
-        let hash = Self::hash_of(&key);
         let mut idx = (hash as usize) & self.mask();
-        let mut stats = OpStats {
-            probes: 0,
-            slots: Vec::new(),
-        };
+        let mut stats = OpStats::run(idx, self.mask());
         let mut entry = Slot { hash, key, value };
         let mut entry_dib = 0usize;
         enum Action {
@@ -193,8 +225,7 @@ impl<K: Hash + Eq, V> RobinHoodMap<K, V> {
             Continue,
         }
         loop {
-            stats.probes += 1;
-            stats.slots.push(idx);
+            stats.step();
             let action = match &self.slots[idx] {
                 None => Action::Place,
                 Some(occ) if occ.hash == entry.hash && occ.key == entry.key => Action::Replace,
@@ -247,23 +278,49 @@ impl<K: Hash + Eq, V> RobinHoodMap<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let hash = Self::hash_of(key);
+        self.get_hashed(Self::hash_of(key), key)
+    }
+
+    /// [`get_tracked`](Self::get_tracked) for a caller that already holds
+    /// the key's [`stable_key_hash`] — which `hash` must be.
+    pub fn get_hashed<Q>(&self, hash: u64, key: &Q) -> (Option<&V>, OpStats)
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let (found, stats) = self.probe(hash, key);
+        let value = found.and_then(|idx| self.slots[idx].as_ref().map(|s| &s.value));
+        (value, stats)
+    }
+
+    /// Mutable lookup.
+    pub fn get_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let idx = self.probe(Self::hash_of(key), key).0?;
+        self.slots[idx].as_mut().map(|s| &mut s.value)
+    }
+
+    // The slot holding `key`, whose hash is `hash`, and the run of slots
+    // the search inspected.
+    fn probe<Q>(&self, hash: u64, key: &Q) -> (Option<usize>, OpStats)
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        debug_assert_eq!(hash, Self::hash_of(key), "wrong hash for the key");
         let mut idx = (hash as usize) & self.mask();
+        let mut stats = OpStats::run(idx, self.mask());
         let mut dist = 0usize;
-        let mut stats = OpStats {
-            probes: 0,
-            slots: Vec::new(),
-        };
         loop {
-            stats.probes += 1;
-            stats.slots.push(idx);
+            stats.step();
             match &self.slots[idx] {
                 None => return (None, stats),
                 Some(occ) => {
                     if occ.hash == hash && occ.key.borrow() == key {
-                        // Borrow gymnastics: re-borrow immutably for return.
-                        let v = self.slots[idx].as_ref().map(|s| &s.value);
-                        return (v, stats);
+                        return (Some(idx), stats);
                     }
                     if self.dib(idx, occ.hash) < dist {
                         // Robin Hood invariant: the key cannot be further on.
@@ -279,44 +336,6 @@ impl<K: Hash + Eq, V> RobinHoodMap<K, V> {
         }
     }
 
-    /// Mutable lookup.
-    pub fn get_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let idx = self.find_index(key)?;
-        self.slots[idx].as_mut().map(|s| &mut s.value)
-    }
-
-    fn find_index<Q>(&self, key: &Q) -> Option<usize>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let hash = Self::hash_of(key);
-        let mut idx = (hash as usize) & self.mask();
-        let mut dist = 0usize;
-        loop {
-            match &self.slots[idx] {
-                None => return None,
-                Some(occ) => {
-                    if occ.hash == hash && occ.key.borrow() == key {
-                        return Some(idx);
-                    }
-                    if self.dib(idx, occ.hash) < dist {
-                        return None;
-                    }
-                }
-            }
-            idx = (idx + 1) & self.mask();
-            dist += 1;
-            if dist > self.slots.len() {
-                return None;
-            }
-        }
-    }
-
     /// Removes a key, returning its value. Uses backward-shift deletion.
     pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
     where
@@ -326,27 +345,34 @@ impl<K: Hash + Eq, V> RobinHoodMap<K, V> {
         self.remove_tracked(key).0
     }
 
-    /// Like [`remove`](Self::remove) but also reports probe statistics.
+    /// Like [`remove`](Self::remove) but also reports probe statistics: the
+    /// run from the removed slot through the backward shift. A key that is
+    /// not stored reports one probe and no slot.
     pub fn remove_tracked<Q>(&mut self, key: &Q) -> (Option<V>, OpStats)
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let mut stats = OpStats {
-            probes: 0,
-            slots: Vec::new(),
-        };
-        let idx = match self.find_index(key) {
-            Some(i) => i,
-            None => {
-                stats.probes = 1;
-                return (None, stats);
-            }
+        self.remove_hashed(Self::hash_of(key), key)
+    }
+
+    /// [`remove_tracked`](Self::remove_tracked) for a caller that already
+    /// holds the key's [`stable_key_hash`] — which `hash` must be.
+    pub fn remove_hashed<Q>(&mut self, hash: u64, key: &Q) -> (Option<V>, OpStats)
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let (found, mut stats) = self.probe(hash, key);
+        let Some(idx) = found else {
+            stats.probes = 1;
+            stats.len = 0;
+            return (None, stats);
         };
         let removed = self.slots[idx].take().expect("found index is occupied");
         self.len -= 1;
-        stats.probes += 1;
-        stats.slots.push(idx);
+        stats = OpStats::run(idx, self.mask());
+        stats.step();
         // Backward shift: pull subsequent displaced entries one slot closer.
         let mut hole = idx;
         loop {
@@ -355,8 +381,7 @@ impl<K: Hash + Eq, V> RobinHoodMap<K, V> {
                 Some(occ) => self.dib(next, occ.hash) > 0,
                 None => false,
             };
-            stats.probes += 1;
-            stats.slots.push(next);
+            stats.step();
             if !shift {
                 break;
             }
@@ -437,7 +462,7 @@ impl<K: Hash + Eq, V> RobinHoodMap<K, V> {
         self.len = 0;
         self.resizes += 1;
         for slot in old.into_iter().flatten() {
-            self.insert(slot.key, slot.value);
+            self.insert_hashed(slot.hash, slot.key, slot.value);
         }
     }
 }
@@ -496,8 +521,12 @@ impl<K: Hash + Eq, V> ShardedRobinHoodMap<K, V> {
         self.shards.len()
     }
 
-    /// The shard index `key` routes to.
+    /// The shard index `key` routes to (0, without hashing, for one
+    /// shard).
     pub fn shard_of<Q: Hash + ?Sized>(&self, key: &Q) -> usize {
+        if self.shards.len() == 1 {
+            return 0;
+        }
         shard_of_hash(stable_key_hash(key), self.shards.len())
     }
 
@@ -529,8 +558,15 @@ impl<K: Hash + Eq, V> ShardedRobinHoodMap<K, V> {
     /// Like [`insert`](Self::insert) but also reports probe statistics
     /// (slot indices are local to the owning shard).
     pub fn insert_tracked(&mut self, key: K, value: V) -> (Option<V>, OpStats) {
-        let s = self.shard_of(&key);
-        self.shards[s].insert_tracked(key, value)
+        self.insert_hashed(stable_key_hash(&key), key, value)
+    }
+
+    /// [`insert_tracked`](Self::insert_tracked) for a caller that already
+    /// holds the key's [`stable_key_hash`] — which `hash` must be: it
+    /// routes the key and places it, so the key is never hashed again.
+    pub fn insert_hashed(&mut self, hash: u64, key: K, value: V) -> (Option<V>, OpStats) {
+        let s = shard_of_hash(hash, self.shards.len());
+        self.shards[s].insert_hashed(hash, key, value)
     }
 
     /// Looks up a key in its owning shard.
@@ -548,7 +584,17 @@ impl<K: Hash + Eq, V> ShardedRobinHoodMap<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.shards[self.shard_of(key)].get_tracked(key)
+        self.get_hashed(stable_key_hash(key), key)
+    }
+
+    /// [`get_tracked`](Self::get_tracked) for a caller that already holds
+    /// the key's [`stable_key_hash`] — which `hash` must be.
+    pub fn get_hashed<Q>(&self, hash: u64, key: &Q) -> (Option<&V>, OpStats)
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.shards[shard_of_hash(hash, self.shards.len())].get_hashed(hash, key)
     }
 
     /// Mutable lookup.
@@ -576,8 +622,18 @@ impl<K: Hash + Eq, V> ShardedRobinHoodMap<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let s = self.shard_of(key);
-        self.shards[s].remove_tracked(key)
+        self.remove_hashed(stable_key_hash(key), key)
+    }
+
+    /// [`remove_tracked`](Self::remove_tracked) for a caller that already
+    /// holds the key's [`stable_key_hash`] — which `hash` must be.
+    pub fn remove_hashed<Q>(&mut self, hash: u64, key: &Q) -> (Option<V>, OpStats)
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let s = shard_of_hash(hash, self.shards.len());
+        self.shards[s].remove_hashed(hash, key)
     }
 
     /// Whether any shard contains `key`.
@@ -694,11 +750,58 @@ mod tests {
     fn tracked_ops_report_slots() {
         let mut m = RobinHoodMap::new();
         let (_, ins) = m.insert_tracked(42u64, "v");
-        assert_eq!(ins.probes, ins.slots.len());
+        assert_eq!(ins.probes, ins.slots().count());
         assert!(ins.probes >= 1);
         let (v, get) = m.get_tracked(&42u64);
         assert_eq!(v, Some(&"v"));
-        assert_eq!(get.slots[0], ins.slots[ins.slots.len() - 1]);
+        assert_eq!(get.slots().next(), ins.slots().last());
+
+        // A run that wraps past the last slot: keys whose home is the last
+        // slot of an 8-slot table fill it and spill into slot 0 onwards.
+        let mut small: RobinHoodMap<u64, u64> = RobinHoodMap::with_capacity(8);
+        let last_home: Vec<u64> = (0u64..)
+            .filter(|k| stable_key_hash(k) & 7 == 7)
+            .take(3)
+            .collect();
+        for &k in &last_home {
+            small.insert(k, k);
+        }
+        let (v, run) = small.get_tracked(&last_home[2]);
+        assert_eq!(v, Some(&last_home[2]));
+        assert_eq!(run.slots().collect::<Vec<_>>(), vec![7, 0, 1]);
+        assert_eq!(run.probes, 3);
+        let (_, shift) = small.remove_tracked(&last_home[0]);
+        assert_eq!(shift.slots().collect::<Vec<_>>(), vec![7, 0, 1, 2]);
+        assert_eq!(shift.probes, 4);
+
+        // Removing a key that is not stored: one probe, no slot touched.
+        let (gone, miss) = m.remove_tracked(&7u64);
+        assert_eq!(gone, None);
+        assert_eq!(miss.probes, 1);
+        assert_eq!(miss.slots().count(), 0);
+    }
+
+    #[test]
+    fn hashed_ops_match_the_keyed_ones() {
+        let mut keyed: ShardedRobinHoodMap<Vec<u8>, u32> =
+            ShardedRobinHoodMap::with_capacity(4, 64);
+        let mut hashed = keyed.clone();
+        for i in 0..500u32 {
+            let key = format!("user{i}").into_bytes();
+            let h = stable_key_hash(&key);
+            assert_eq!(
+                keyed.insert_tracked(key.clone(), i),
+                hashed.insert_hashed(h, key.clone(), i)
+            );
+            assert_eq!(keyed.get_tracked(&key[..]), hashed.get_hashed(h, &key[..]));
+            if i % 3 == 0 {
+                assert_eq!(
+                    keyed.remove_tracked(&key[..]),
+                    hashed.remove_hashed(h, &key[..])
+                );
+            }
+        }
+        assert_eq!(keyed.state_digest(), hashed.state_digest());
     }
 
     #[test]

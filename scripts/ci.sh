@@ -90,6 +90,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release =="
 cargo build --release --workspace
 
+# The microbench sections the op path's O(1) structures are timed by (the
+# metric taps' slot cache, the RNIC LRU): seconds, and they keep compiling
+# and running.
+echo "== microbench smoke (obs, nic) =="
+cargo bench -p precursor-bench --bench microbench -- obs nic
+
 echo "== cargo test =="
 cargo test --workspace -q
 
