@@ -25,7 +25,7 @@ use precursor_rdma::{connect_pair, Memory, RnicCache, WriteBoard};
 use precursor_sgx::epc::EpcTracker;
 use precursor_shieldstore::merkle::MerkleTree;
 use precursor_storage::pool::SlabPool;
-use precursor_storage::ring::{RingConsumer, RingProducer};
+use precursor_storage::ring::{RingConsumer, RingProducer, RingStore};
 use precursor_storage::robinhood::RobinHoodMap;
 use precursor_ycsb::workload::key_bytes;
 
@@ -162,6 +162,24 @@ fn bench_ring() {
         std::hint::black_box(rx.pop(&mut buf).expect("present"));
         tx.update_credits(rx.consumed());
     });
+    // A server ring region: 1 MiB, page-sparse, behind its `Memory` lock.
+    // 140 B is a small request record; 4 112 B a 4 KiB value's record,
+    // which straddles a page boundary on almost every push.
+    for (name, len, iters) in [
+        ("sparse_1MiB_push_pop_140B", 140, 1_000_000),
+        ("sparse_1MiB_push_pop_4112B", 4112, 200_000),
+    ] {
+        let cap = 1 << 20;
+        let ring = Memory::new(RingStore::new(cap));
+        let (mut tx, mut rx) = (RingProducer::new(cap), RingConsumer::new(cap));
+        let (payload, mut record) = (vec![7u8; len], Vec::new());
+        bench(name, iters, len as u64, || {
+            ring.with_mut(|buf| tx.push(buf, &payload)).expect("fits");
+            std::hint::black_box(ring.with_mut(|buf| rx.pop_from(buf, &mut record)));
+            tx.update_credits(rx.consumed());
+        });
+        println!("{:<28} {:>12} B resident", "", ring.resident_bytes());
+    }
 }
 
 fn bench_rdma() {

@@ -39,7 +39,7 @@ use precursor_sim::rng::SimRng;
 use precursor_sim::time::{Cycles, Nanos};
 use precursor_sim::timer::{Backoff, Deadline, VirtualClock};
 use precursor_sim::CostModel;
-use precursor_storage::ring::{RingConsumer, RingProducer};
+use precursor_storage::ring::{RingConsumer, RingProducer, RingStore};
 
 use precursor_sgx::attest::derive_chain_key;
 
@@ -205,7 +205,7 @@ pub struct PrecursorClient {
     request_rkey: RemoteKey,
     request_producer: RingProducer,
     credit_word: Memory,
-    reply_ring: Memory,
+    reply_ring: Memory<RingStore>,
     reply_consumer: RingConsumer,
     reply_credit_rkey: RemoteKey,
 
@@ -912,7 +912,7 @@ impl PrecursorClient {
         let mut n = 0;
         let reply_ring = self.reply_ring.clone();
         let mut record = std::mem::take(&mut self.buffers.record);
-        while reply_ring.with_mut(|buf| self.reply_consumer.pop_into(buf, &mut record)) {
+        while reply_ring.with_mut(|buf| self.reply_consumer.pop_from(buf, &mut record)) {
             self.handle_reply(&record);
             n += 1;
         }

@@ -21,7 +21,10 @@ pub enum EncryptionMode {
 pub struct Config {
     /// Payload encryption scheme.
     pub mode: EncryptionMode,
-    /// Capacity of each per-client request and reply ring, in bytes.
+    /// Capacity of each per-client request and reply ring, in bytes: a
+    /// bound on what may be in flight, not on what is resident. A ring
+    /// larger than one page holds only the pages that may hold a non-zero
+    /// byte; one of at most a page is a contiguous buffer.
     pub ring_bytes: usize,
     /// Initial size of the untrusted payload pool, in bytes; the pool grows
     /// by the same amount per modelled ocall when exhausted (§3.8).

@@ -15,7 +15,7 @@ use precursor_rdma::mr::{Memory, RemoteKey, WriteBoard};
 use precursor_rdma::qp::{connect_pair, connect_pair_faulty, QueuePair};
 use precursor_sim::meter::{Meter, Stage};
 use precursor_sim::time::Cycles;
-use precursor_storage::ring::{framed_payload, RingConsumer, RingProducer};
+use precursor_storage::ring::{framed_payload, RingConsumer, RingProducer, RingStore};
 
 use super::pipeline::SweepScratch;
 use super::{ClientBundle, OpReport, PrecursorServer};
@@ -24,7 +24,7 @@ use super::{ClientBundle, OpReport, PrecursorServer};
 #[derive(Debug)]
 pub(super) struct ClientPort {
     pub(super) qp: QueuePair, // server end
-    pub(super) request_ring: Memory,
+    pub(super) request_ring: Memory<RingStore>,
     pub(super) request_consumer: RingConsumer,
     pub(super) reply_producer: RingProducer,
     pub(super) reply_ring_rkey: RemoteKey,
@@ -96,8 +96,9 @@ impl PrecursorServer {
         // Server-side request ring, remotely writable by the client. The
         // registration carries a write-watch: every delivered client WRITE
         // rings the doorbell board, which is how sweeps find work without
-        // touching idle rings.
-        let request_ring = Memory::zeroed(self.config.ring_bytes);
+        // touching idle rings. Both rings are page-sparse beyond one page:
+        // they hold what is in flight, not their capacity.
+        let request_ring = Memory::new(RingStore::new(self.config.ring_bytes));
         let request_ring_rkey = server_end.register_watched(
             request_ring.clone(),
             true,
@@ -109,7 +110,7 @@ impl PrecursorServer {
         let reply_credit_rkey = server_end.register(reply_credit.clone(), true);
         // Client-side reply ring + credit word, remotely writable by the
         // server.
-        let reply_ring = Memory::zeroed(self.config.ring_bytes);
+        let reply_ring = Memory::new(RingStore::new(self.config.ring_bytes));
         let reply_ring_rkey = client_end.register(reply_ring.clone(), true);
         let credit_word = Memory::zeroed(8);
         let credit_rkey = client_end.register(credit_word.clone(), true);

@@ -63,6 +63,7 @@ use precursor_sim::rng::SimRng;
 use precursor_sim::time::Nanos;
 use precursor_sim::CostModel;
 use precursor_storage::pool::SlabPool;
+use precursor_storage::ring::RingStore;
 use precursor_storage::robinhood::ShardedRobinHoodMap;
 
 use crate::config::{Config, EncryptionMode};
@@ -107,7 +108,7 @@ pub struct ClientBundle {
     /// rkey of the server-side request ring (client WRITEs requests here).
     pub request_ring_rkey: RemoteKey,
     /// Client-local reply ring memory (server WRITEs replies here).
-    pub reply_ring: Memory,
+    pub reply_ring: Memory<RingStore>,
     /// Client-local credit word (server WRITEs its consumed counter here).
     pub credit_word: Memory,
     /// rkey of the server-side reply-credit word (client WRITEs its reply
@@ -397,6 +398,14 @@ impl PrecursorServer {
     /// cost model charges the per-ring scan cost against.
     pub fn rings_swept(&self) -> u64 {
         self.ingress.rings_swept
+    }
+
+    /// The host's handle on client `client_id`'s request ring — untrusted
+    /// memory, e.g. for measuring what it holds resident. `None` for an
+    /// unknown or revoked client.
+    pub fn request_ring(&self, client_id: u32) -> Option<&Memory<RingStore>> {
+        let port = self.ingress.ports.get(client_id as usize)?.as_ref()?;
+        Some(&port.request_ring)
     }
 
     /// An sgx-perf style report of the enclave (Table 1).

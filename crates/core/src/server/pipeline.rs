@@ -195,7 +195,7 @@ impl PrecursorServer {
         let mut taken = 0usize;
         while budget == 0 || taken < budget {
             let port = self.ingress.ports[idx].as_mut().expect("live port");
-            if !ring.with_mut(|buf| port.request_consumer.pop_into(buf, record)) {
+            if !ring.with_mut(|buf| port.request_consumer.pop_from(buf, record)) {
                 break;
             }
             each(self, record);

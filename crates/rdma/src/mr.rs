@@ -10,21 +10,48 @@
 
 use std::sync::{Arc, Mutex};
 
+use precursor_storage::sparse::ByteStore;
+
 use crate::plock;
 
-/// A shared, growable byte buffer.
+/// A shared byte region over store `S`: a dense, contiguous `Vec<u8>` by
+/// default, or any other [`ByteStore`] — a ring region is a
+/// [`RingStore`](precursor_storage::ring::RingStore), page-sparse when it
+/// is larger than one page.
 ///
 /// Cloning shares the underlying storage (like two views of the same DRAM).
-#[derive(Debug, Clone)]
-pub struct Memory {
-    buf: Arc<Mutex<Vec<u8>>>,
+#[derive(Debug)]
+pub struct Memory<S = Vec<u8>> {
+    buf: Arc<Mutex<S>>,
+}
+
+impl<S> Clone for Memory<S> {
+    fn clone(&self) -> Memory<S> {
+        Memory {
+            buf: Arc::clone(&self.buf),
+        }
+    }
 }
 
 impl Memory {
-    /// Allocates `len` zeroed bytes.
+    /// Allocates `len` zeroed bytes in one contiguous buffer.
     pub fn zeroed(len: usize) -> Memory {
+        Memory::new(vec![0u8; len])
+    }
+
+    /// Extends the buffer by `extra` zero bytes (the grown payload pool).
+    pub fn grow(&self, extra: usize) {
+        let mut buf = plock(&self.buf);
+        let new_len = buf.len() + extra;
+        buf.resize(new_len, 0);
+    }
+}
+
+impl<S: ByteStore> Memory<S> {
+    /// Shares `store` as a region.
+    pub fn new(store: S) -> Memory<S> {
         Memory {
-            buf: Arc::new(Mutex::new(vec![0u8; len])),
+            buf: Arc::new(Mutex::new(store)),
         }
     }
 
@@ -38,14 +65,19 @@ impl Memory {
         self.len() == 0
     }
 
+    /// Host memory the region holds for its bytes: its length when dense,
+    /// its resident pages when sparse.
+    pub fn resident_bytes(&self) -> usize {
+        plock(&self.buf).resident_bytes()
+    }
+
     /// Copies `data` into the buffer at `offset`.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
     pub fn write(&self, offset: usize, data: &[u8]) {
-        let mut buf = plock(&self.buf);
-        buf[offset..offset + data.len()].copy_from_slice(data);
+        plock(&self.buf).write_at(offset, data);
     }
 
     /// Reads `len` bytes at `offset`.
@@ -54,8 +86,9 @@ impl Memory {
     ///
     /// Panics if the range is out of bounds.
     pub fn read(&self, offset: usize, len: usize) -> Vec<u8> {
-        let buf = plock(&self.buf);
-        buf[offset..offset + len].to_vec()
+        let mut out = Vec::with_capacity(len);
+        plock(&self.buf).extend_into(offset..offset + len, &mut out);
+        out
     }
 
     /// Reads the little-endian `u64` at `offset` — a credit word — without
@@ -65,44 +98,47 @@ impl Memory {
     ///
     /// Panics if the range is out of bounds.
     pub fn read_u64(&self, offset: usize) -> u64 {
-        let buf = plock(&self.buf);
-        u64::from_le_bytes(buf[offset..offset + 8].try_into().expect("8 bytes"))
+        let mut word = [0u8; 8];
+        plock(&self.buf).read_at(offset, &mut word);
+        u64::from_le_bytes(word)
     }
 
-    /// Runs `f` with mutable access to the raw bytes (local CPU access —
+    /// Runs `f` with mutable access to the store (local CPU access —
     /// rings and pools operate through this).
-    pub fn with_mut<R>(&self, f: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+    pub fn with_mut<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
         f(&mut plock(&self.buf))
     }
 
-    /// Runs `f` with shared access to the raw bytes.
-    pub fn with<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
+    /// Runs `f` with shared access to the store.
+    pub fn with<R>(&self, f: impl FnOnce(&S) -> R) -> R {
         f(&plock(&self.buf))
     }
 
-    /// Extends the buffer by `extra` zero bytes (the grown payload pool).
-    pub fn grow(&self, extra: usize) {
-        let mut buf = plock(&self.buf);
-        let new_len = buf.len() + extra;
-        buf.resize(new_len, 0);
-    }
-
     /// Whether two handles share storage.
-    pub fn same_as(&self, other: &Memory) -> bool {
+    pub fn same_as(&self, other: &Memory<S>) -> bool {
         Arc::ptr_eq(&self.buf, &other.buf)
     }
 }
+
+impl<S: ByteStore + Send + 'static> Memory<S> {
+    // The store behind a type-erased handle, as the verbs keep it.
+    pub(crate) fn region(&self) -> Region {
+        self.buf.clone()
+    }
+}
+
+/// A registered region's store, whatever its layout.
+pub(crate) type Region = Arc<Mutex<dyn ByteStore + Send>>;
 
 /// The remote key of a registered memory region, presented by a peer with
 /// one-sided operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RemoteKey(pub(crate) u64);
 
-/// A registered region: buffer + permissions, kept in the registering QP's
+/// A registered region: store + permissions, kept in the registering QP's
 /// table.
-#[derive(Debug)]
 pub(crate) struct Registration {
-    pub mem: Memory,
+    pub mem: Region,
     /// Remote peers may WRITE (and READ). False models registration of
     /// read-only windows.
     pub remote_write: bool,
@@ -111,6 +147,15 @@ pub(crate) struct Registration {
     /// sweeps. Dropped WRITEs (fault injection) do not mark, exactly as a
     /// lost packet leaves no trace in host memory.
     pub watch: Option<(WriteBoard, u64)>,
+}
+
+impl std::fmt::Debug for Registration {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Registration")
+            .field("remote_write", &self.remote_write)
+            .field("watch", &self.watch)
+            .finish_non_exhaustive()
+    }
 }
 
 /// A shared set of "this region was remotely written" marks, deduplicated

@@ -22,8 +22,10 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
+use precursor_storage::sparse::ByteStore;
+
 use crate::faults::{FaultInjector, FaultSite, WriteVerdict};
-use crate::mr::{Memory, Registration, RemoteKey, WriteBoard};
+use crate::mr::{Memory, Region, Registration, RemoteKey, WriteBoard};
 use crate::plock;
 
 /// Errors from posting verbs.
@@ -56,6 +58,15 @@ impl std::fmt::Display for RdmaError {
 }
 
 impl std::error::Error for RdmaError {}
+
+// A verb's one bounds check: `offset..offset + len` lies inside a region of
+// `region_len` bytes, its end computed without overflow.
+fn check_bounds(region_len: usize, offset: usize, len: usize) -> Result<(), RdmaError> {
+    match offset.checked_add(len) {
+        Some(end) if end <= region_len => Ok(()),
+        _ => Err(RdmaError::OutOfBounds),
+    }
+}
 
 /// Completion status of a polled work request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -189,28 +200,33 @@ fn make_pair(
 impl QueuePair {
     /// Registers `mem` at this endpoint, permitting remote writes when
     /// `remote_write` (remote reads are always allowed in the model). The
-    /// returned key is what the peer presents with one-sided ops.
-    pub fn register(&self, mem: Memory, remote_write: bool) -> RemoteKey {
-        self.register_inner(mem, remote_write, None)
+    /// returned key is what the peer presents with one-sided ops. The
+    /// region may be dense or sparse: the verbs see only its bytes.
+    pub fn register<S: ByteStore + Send + 'static>(
+        &self,
+        mem: Memory<S>,
+        remote_write: bool,
+    ) -> RemoteKey {
+        self.register_inner(mem.region(), remote_write, None)
     }
 
     /// Like [`register`](Self::register), with a write-watch attached:
     /// every remote WRITE delivered into the region marks `tag` on `board`
     /// (the doorbell feeding the server's poll sweeps). WRITEs dropped by
     /// fault injection leave no mark — exactly like a lost packet.
-    pub fn register_watched(
+    pub fn register_watched<S: ByteStore + Send + 'static>(
         &self,
-        mem: Memory,
+        mem: Memory<S>,
         remote_write: bool,
         board: WriteBoard,
         tag: u64,
     ) -> RemoteKey {
-        self.register_inner(mem, remote_write, Some((board, tag)))
+        self.register_inner(mem.region(), remote_write, Some((board, tag)))
     }
 
     fn register_inner(
         &self,
-        mem: Memory,
+        mem: Region,
         remote_write: bool,
         watch: Option<(WriteBoard, u64)>,
     ) -> RemoteKey {
@@ -308,28 +324,31 @@ impl QueuePair {
             return Err(RdmaError::AccessDenied);
         }
         // Validate, then inject, then deliver, under the region's lock.
-        let verdict = reg.mem.with_mut(|buf| {
-            let dst = buf
-                .get_mut(offset..offset + data.len())
-                .ok_or(RdmaError::OutOfBounds)?;
-            let Some(faults) = &self.faults else {
-                dst.copy_from_slice(data);
-                return Ok(WriteVerdict::Deliver);
-            };
-            // Only a fault injector rewrites the bytes in flight, so only
-            // then are they staged.
-            let mut staged = data.to_vec();
-            let verdict = {
-                let mut inj = plock(faults);
-                let v = inj.on_write(self.is_a(), &mut staged);
-                inj.take_forced_error();
-                v
-            };
-            if verdict == WriteVerdict::Deliver {
-                dst.copy_from_slice(&staged);
+        let verdict = {
+            let mut mem = plock(&reg.mem);
+            check_bounds(mem.len(), offset, data.len())?;
+            match &self.faults {
+                None => {
+                    mem.write_at(offset, data);
+                    WriteVerdict::Deliver
+                }
+                Some(faults) => {
+                    // Only a fault injector rewrites the bytes in flight, so
+                    // only then are they staged.
+                    let mut staged = data.to_vec();
+                    let verdict = {
+                        let mut inj = plock(faults);
+                        let v = inj.on_write(self.is_a(), &mut staged);
+                        inj.take_forced_error();
+                        v
+                    };
+                    if verdict == WriteVerdict::Deliver {
+                        mem.write_at(offset, &staged);
+                    }
+                    verdict
+                }
             }
-            Ok(verdict)
-        })?;
+        };
         match verdict {
             WriteVerdict::Deliver => {
                 if let Some((board, tag)) = &reg.watch {
@@ -362,11 +381,13 @@ impl QueuePair {
     ) -> Result<Vec<u8>, RdmaError> {
         let mut guard = plock(&self.shared);
         let s = &mut *guard;
-        let data = s
-            .region(self.peer(), key)?
-            .mem
-            .with(|buf| buf.get(offset..offset + len).map(<[u8]>::to_vec))
-            .ok_or(RdmaError::OutOfBounds)?;
+        let data = {
+            let mem = plock(&s.region(self.peer(), key)?.mem);
+            check_bounds(mem.len(), offset, len)?;
+            let mut data = Vec::with_capacity(len);
+            mem.extend_into(offset..offset + len, &mut data);
+            data
+        };
         self.account(s, len, false, signaled, WrKind::Read);
         Ok(data)
     }
@@ -432,15 +453,15 @@ impl QueuePair {
         if !offset.is_multiple_of(8) {
             return Err(RdmaError::OutOfBounds);
         }
-        let old = reg
-            .mem
-            .with_mut(|buf| {
-                let word: &mut [u8; 8] = buf.get_mut(offset..offset + 8)?.try_into().ok()?;
-                let old = u64::from_le_bytes(*word);
-                *word = update(old).to_le_bytes();
-                Some(old)
-            })
-            .ok_or(RdmaError::OutOfBounds)?;
+        let old = {
+            let mut mem = plock(&reg.mem);
+            check_bounds(mem.len(), offset, 8)?;
+            let mut word = [0u8; 8];
+            mem.read_at(offset, &mut word);
+            let old = u64::from_le_bytes(word);
+            mem.write_at(offset, &update(old).to_le_bytes());
+            old
+        };
         self.account(s, 8, false, signaled, WrKind::Atomic);
         Ok(old)
     }

@@ -1,11 +1,13 @@
 //! Property tests of the verbs layer: one-sided operations against a model
-//! buffer, permission/bounds invariants, atomic semantics, and TCP ordering.
-//! Driven by seeded loops over the in-repo deterministic RNG.
+//! buffer (dense and page-sparse regions), permission/bounds invariants,
+//! atomic semantics, and TCP ordering. Driven by seeded loops over the
+//! in-repo deterministic RNG.
 
-use precursor_rdma::mr::Memory;
-use precursor_rdma::qp::{connect_pair, RdmaError};
+use precursor_rdma::mr::{Memory, RemoteKey};
+use precursor_rdma::qp::{connect_pair, QueuePair, RdmaError};
 use precursor_rdma::tcp::SimTcp;
 use precursor_sim::rng::SimRng;
+use precursor_storage::sparse::SparseBytes;
 
 const CASES: usize = 48;
 
@@ -19,15 +21,24 @@ fn rand_vec(rng: &mut SimRng, lo: usize, hi: usize) -> Vec<u8> {
 #[test]
 fn writes_and_reads_match_a_model_buffer() {
     let mut rng = SimRng::seed_from(0xd001);
-    for _ in 0..CASES {
+    for case in 0..CASES {
         let cap = 4096usize;
         let (mut client, server) = connect_pair(912);
-        let mem = Memory::zeroed(cap);
-        let key = server.register(mem, true);
+        // Odd cases run over a page-sparse region of three pages and a bit:
+        // the verbs must not tell the layouts apart.
+        let (key, cap) = if case % 2 == 0 {
+            (server.register(Memory::zeroed(cap), true), cap)
+        } else {
+            let cap = 3 * cap + 200;
+            (
+                server.register(Memory::new(SparseBytes::new(cap)), true),
+                cap,
+            )
+        };
         let mut model = vec![0u8; cap];
         let ops = 1 + rng.gen_range(99) as usize;
         for _ in 0..ops {
-            let data = rand_vec(&mut rng, 1, 63);
+            let data = rand_vec(&mut rng, 1, 263);
             let off = rng.gen_range((cap - data.len()) as u64) as usize;
             client.post_write(key, off, &data, false).unwrap();
             model[off..off + data.len()].copy_from_slice(&data);
@@ -60,6 +71,33 @@ fn out_of_bounds_never_corrupts() {
             Err(e) => panic!("unexpected error {e}"),
         }
     }
+    // Offsets whose `offset + len` overflows: refused, never a panic
+    // (debug) or a sum wrapped back into range (release) — on a dense and
+    // on a page-sparse region.
+    let (mut client, server) = connect_pair(912);
+    let dense = Memory::zeroed(1024);
+    let sparse = Memory::new(SparseBytes::new(3 * 4096));
+    let keys = [
+        server.register(dense.clone(), true),
+        server.register(sparse.clone(), true),
+    ];
+    for key in keys {
+        for offset in usize::MAX - 64..=usize::MAX {
+            refused_everywhere(&mut client, key, offset);
+        }
+    }
+    assert!(dense.read(0, 1024).iter().all(|&b| b == 0));
+    assert_eq!(sparse.resident_bytes(), 0, "nothing was written");
+    assert_eq!(client.stats().posts, 0, "a refused verb posts nothing");
+}
+
+// Every one-sided verb at `offset` is refused as out of bounds.
+fn refused_everywhere(client: &mut QueuePair, key: RemoteKey, offset: usize) {
+    let oob = RdmaError::OutOfBounds;
+    assert_eq!(client.post_write(key, offset, &[1; 4], false), Err(oob));
+    assert_eq!(client.post_read(key, offset, 4, false), Err(oob));
+    assert_eq!(client.post_fetch_add(key, offset, 1, false), Err(oob));
+    assert_eq!(client.post_compare_swap(key, offset, 0, 1, false), Err(oob));
 }
 
 #[test]

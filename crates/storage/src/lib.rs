@@ -10,6 +10,9 @@
 //!   outgoing replies, written remotely with one-sided RDMA WRITEs; the
 //!   producer tracks credits so clients never overwrite unprocessed data
 //!   (§3.5, §3.7).
+//! * [`sparse`] — the byte stores rings and registered regions run over:
+//!   dense `Vec<u8>`, and page-sparse [`SparseBytes`] whose resident pages
+//!   are the ones that may hold a non-zero byte.
 //!
 //! # Example
 //!
@@ -27,7 +30,9 @@
 pub mod pool;
 pub mod ring;
 pub mod robinhood;
+pub mod sparse;
 
 pub use pool::{PoolRange, SlabPool};
-pub use ring::{RingConsumer, RingProducer};
+pub use ring::{RingConsumer, RingProducer, RingStore};
 pub use robinhood::{shard_of_hash, stable_key_hash, RobinHoodMap, ShardedRobinHoodMap};
+pub use sparse::{ByteStore, SparseBytes, PAGE_BYTES};

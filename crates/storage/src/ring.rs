@@ -12,7 +12,10 @@
 //! *layout*: length-prefixed records, wrap markers, and the credit protocol.
 //! Producer and consumer therefore work on the two ends of a connection
 //! without sharing anything but the buffer bytes, exactly like real RDMA
-//! peers.
+//! peers. Both run over any [`ByteStore`]; a transport's ring region is a
+//! [`RingStore`] — one contiguous buffer for a ring of at most one page,
+//! page-sparse beyond, so a ring holds what is in flight rather than its
+//! capacity.
 //!
 //! ## Record format
 //!
@@ -23,12 +26,119 @@
 //! A length of `u32::MAX` is a wrap marker: the next record starts at offset
 //! zero. A length of `0` means "not yet written" (the consumer waits).
 
+use std::ops::{Index, IndexMut, Range};
+
+use crate::sparse::{ByteStore, SparseBytes, PAGE_BYTES};
+
 /// Record header size in bytes.
 const HEADER: usize = 4;
 /// Record alignment.
 const ALIGN: usize = 8;
 /// Wrap marker value.
 const WRAP: u32 = u32::MAX;
+
+/// The storage of one ring region, its layout chosen by its size: a ring
+/// that fits in one page is one contiguous buffer (a page table would only
+/// add a lookup to every access), a larger one is [`SparseBytes`]. Either
+/// way every reader observes the same bytes.
+#[derive(Debug)]
+pub enum RingStore {
+    /// One contiguous, wholly resident buffer.
+    Dense(Vec<u8>),
+    /// Page-sparse: resident pages are the ones that may hold a non-zero
+    /// byte.
+    Sparse(SparseBytes),
+}
+
+impl RingStore {
+    /// A zeroed ring region of `capacity` bytes.
+    pub fn new(capacity: usize) -> RingStore {
+        if capacity <= PAGE_BYTES {
+            RingStore::Dense(vec![0; capacity])
+        } else {
+            RingStore::Sparse(SparseBytes::new(capacity))
+        }
+    }
+}
+
+impl ByteStore for RingStore {
+    #[inline]
+    fn len(&self) -> usize {
+        match self {
+            RingStore::Dense(b) => b.len(),
+            RingStore::Sparse(b) => b.len(),
+        }
+    }
+
+    #[inline]
+    fn read_at(&self, offset: usize, out: &mut [u8]) {
+        match self {
+            RingStore::Dense(b) => b.read_at(offset, out),
+            RingStore::Sparse(b) => b.read_at(offset, out),
+        }
+    }
+
+    #[inline]
+    fn extend_into(&self, range: Range<usize>, out: &mut Vec<u8>) {
+        match self {
+            RingStore::Dense(b) => b.extend_into(range, out),
+            RingStore::Sparse(b) => b.extend_into(range, out),
+        }
+    }
+
+    #[inline]
+    fn write_at(&mut self, offset: usize, data: &[u8]) {
+        match self {
+            RingStore::Dense(b) => b.write_at(offset, data),
+            RingStore::Sparse(b) => b.write_at(offset, data),
+        }
+    }
+
+    #[inline]
+    fn zero(&mut self, range: Range<usize>) {
+        match self {
+            RingStore::Dense(b) => b.zero(range),
+            RingStore::Sparse(b) => b.zero(range),
+        }
+    }
+
+    #[inline]
+    fn resident_bytes(&self) -> usize {
+        match self {
+            RingStore::Dense(b) => b.len(),
+            RingStore::Sparse(b) => b.resident_bytes(),
+        }
+    }
+}
+
+impl Index<usize> for RingStore {
+    type Output = u8;
+
+    #[inline]
+    fn index(&self, i: usize) -> &u8 {
+        match self {
+            RingStore::Dense(b) => &b[i],
+            RingStore::Sparse(b) => &b[i],
+        }
+    }
+}
+
+impl IndexMut<usize> for RingStore {
+    #[inline]
+    fn index_mut(&mut self, i: usize) -> &mut u8 {
+        match self {
+            RingStore::Dense(b) => &mut b[i],
+            RingStore::Sparse(b) => &mut b[i],
+        }
+    }
+}
+
+// The record header at `off`.
+fn header<R: ByteStore + ?Sized>(ring: &R, off: usize) -> u32 {
+    let mut word = [0u8; HEADER];
+    ring.read_at(off, &mut word);
+    u32::from_le_bytes(word)
+}
 
 fn record_span(len: usize) -> usize {
     (HEADER + len + ALIGN - 1) & !(ALIGN - 1)
@@ -126,11 +236,9 @@ impl RingProducer {
     /// # Panics
     ///
     /// Panics if `ring.len()` differs from the configured capacity.
-    pub fn push(&mut self, ring: &mut [u8], payload: &[u8]) -> Option<usize> {
+    pub fn push<R: ByteStore + ?Sized>(&mut self, ring: &mut R, payload: &[u8]) -> Option<usize> {
         assert_eq!(ring.len(), self.capacity, "ring size mismatch");
-        self.push_with(payload, |off, bytes| {
-            ring[off..off + bytes.len()].copy_from_slice(&bytes);
-        })
+        self.push_with(payload, |off, bytes| ring.write_at(off, &bytes))
     }
 
     /// Like [`push`](Self::push), but hands the bytes to `write(offset,
@@ -218,7 +326,7 @@ impl RingConsumer {
     /// # Panics
     ///
     /// Panics if `ring.len()` differs from the configured capacity.
-    pub fn pop(&mut self, ring: &mut [u8]) -> Option<Vec<u8>> {
+    pub fn pop<R: ByteStore + ?Sized>(&mut self, ring: &mut R) -> Option<Vec<u8>> {
         let mut record = Vec::new();
         self.pop_into(ring, &mut record).then_some(record)
     }
@@ -230,14 +338,14 @@ impl RingConsumer {
     /// # Panics
     ///
     /// Panics if `ring.len()` differs from the configured capacity.
-    pub fn pop_into(&mut self, ring: &mut [u8], record: &mut Vec<u8>) -> bool {
+    pub fn pop_into<R: ByteStore + ?Sized>(&mut self, ring: &mut R, record: &mut Vec<u8>) -> bool {
         assert_eq!(ring.len(), self.capacity, "ring size mismatch");
         let mut off = self.read;
         let avail = self.capacity - off;
         if avail >= HEADER {
-            let len = u32::from_le_bytes([ring[off], ring[off + 1], ring[off + 2], ring[off + 3]]);
+            let len = header(ring, off);
             if len == WRAP {
-                ring[off..].fill(0);
+                ring.zero(off..self.capacity);
                 self.consumed += avail as u64;
                 self.read = 0;
                 off = 0;
@@ -246,8 +354,10 @@ impl RingConsumer {
             }
         } else if avail > 0 {
             // Trailing sliver too small for a header: implicit wrap.
-            if ring[off] == 0xff {
-                ring[off..].fill(0);
+            let mut first = [0u8];
+            ring.read_at(off, &mut first);
+            if first[0] == 0xff {
+                ring.zero(off..self.capacity);
                 self.consumed += avail as u64;
                 self.read = 0;
                 off = 0;
@@ -255,8 +365,7 @@ impl RingConsumer {
                 return false;
             }
         }
-        let len =
-            u32::from_le_bytes([ring[off], ring[off + 1], ring[off + 2], ring[off + 3]]) as usize;
+        let len = header(ring, off) as usize;
         if len == 0 || len == WRAP as usize {
             return false;
         }
@@ -264,12 +373,25 @@ impl RingConsumer {
             return false; // torn write; wait
         }
         record.clear();
-        record.extend_from_slice(&ring[off + HEADER..off + HEADER + len]);
+        ring.extend_into(off + HEADER..off + HEADER + len, record);
         let span = record_span(len);
-        ring[off..off + span].fill(0);
+        ring.zero(off..off + span);
         self.read = (off + span) % self.capacity;
         self.consumed += span as u64;
         true
+    }
+
+    /// [`pop_into`](Self::pop_into) from a ring region, dispatching on its
+    /// layout once per record rather than once per access.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ring.len()` differs from the configured capacity.
+    pub fn pop_from(&mut self, ring: &mut RingStore, record: &mut Vec<u8>) -> bool {
+        match ring {
+            RingStore::Dense(bytes) => self.pop_into(bytes, record),
+            RingStore::Sparse(bytes) => self.pop_into(bytes, record),
+        }
     }
 
     /// Total bytes consumed (monotonic) — the credit value written back to

@@ -1,6 +1,7 @@
 //! Property-based tests: the Robin Hood map against a `HashMap` model, the
-//! ring buffer's FIFO contract, and the pool's non-overlap invariant.
-//! Driven by seeded loops over the in-repo deterministic RNG.
+//! ring buffer's FIFO contract, the page-sparse store against a dense model
+//! (alone and under a ring), and the pool's non-overlap invariant. Driven
+//! by seeded loops over the in-repo deterministic RNG.
 
 use std::collections::HashMap;
 use std::collections::HashSet;
@@ -8,8 +9,9 @@ use std::collections::VecDeque;
 
 use precursor_sim::rng::SimRng;
 use precursor_storage::pool::SlabPool;
-use precursor_storage::ring::{RingConsumer, RingProducer};
+use precursor_storage::ring::{RingConsumer, RingProducer, RingStore};
 use precursor_storage::robinhood::RobinHoodMap;
+use precursor_storage::sparse::{ByteStore, SparseBytes, PAGE_BYTES};
 
 const CASES: usize = 32;
 
@@ -125,5 +127,182 @@ fn pool_allocations_never_overlap() {
                 }
             }
         }
+    }
+}
+
+// A random range of `store_len` bytes: half of them straddle a page
+// boundary, the rest lie anywhere.
+fn rand_range(rng: &mut SimRng, store_len: usize) -> std::ops::Range<usize> {
+    let len = 1 + rng.gen_range(2 * PAGE_BYTES as u64) as usize;
+    let len = len.min(store_len);
+    let start = if rng.gen_bool(0.5) && store_len > PAGE_BYTES + len {
+        let boundary =
+            PAGE_BYTES * (1 + rng.gen_range((store_len / PAGE_BYTES - 1) as u64) as usize);
+        boundary.saturating_sub(1 + rng.gen_range(len as u64) as usize)
+    } else {
+        rng.gen_range((store_len - len + 1) as u64) as usize
+    };
+    let start = start.min(store_len - len);
+    start..start + len
+}
+
+// Pages of `model` holding a non-zero byte: a sparse store that dropped one
+// of them lost data.
+fn nonzero_pages(model: &[u8]) -> usize {
+    model
+        .chunks(PAGE_BYTES)
+        .filter(|page| page.iter().any(|&b| b != 0))
+        .count()
+}
+
+#[test]
+fn sparse_store_matches_a_dense_model() {
+    let mut rng = SimRng::seed_from(0xe005);
+    for _ in 0..CASES {
+        // Not a page multiple: the last page is partial.
+        let len =
+            PAGE_BYTES * (2 + rng.gen_range(6) as usize) + 8 * rng.gen_range(500) as usize + 4;
+        let mut sut = SparseBytes::new(len);
+        let mut model = vec![0u8; len];
+        let ops = 1 + rng.gen_range(400) as usize;
+        for _ in 0..ops {
+            match rng.gen_range(10) {
+                0..=2 => {
+                    let r = rand_range(&mut rng, model.len());
+                    let mut data = vec![0u8; r.len()];
+                    rng.fill_bytes(&mut data);
+                    sut.write_at(r.start, &data);
+                    model[r].copy_from_slice(&data);
+                }
+                3..=5 => {
+                    let r = rand_range(&mut rng, model.len());
+                    sut.zero(r.clone());
+                    model[r].fill(0);
+                }
+                6 => {
+                    // a host tampering one byte in place
+                    let i = rng.gen_range(model.len() as u64) as usize;
+                    let bit = 1 << rng.gen_range(8);
+                    sut[i] ^= bit;
+                    model[i] ^= bit;
+                }
+                7 => {
+                    let extra = rng.gen_range(PAGE_BYTES as u64 + 300) as usize;
+                    sut.grow(extra);
+                    model.resize(model.len() + extra, 0);
+                }
+                _ => {
+                    let r = rand_range(&mut rng, model.len());
+                    let mut out = vec![0xA5; r.len()];
+                    sut.read_at(r.start, &mut out);
+                    assert_eq!(out, model[r.clone()]);
+                    let mut appended = vec![1, 2];
+                    sut.extend_into(r.clone(), &mut appended);
+                    assert_eq!(appended[2..], model[r]);
+                }
+            }
+            assert_eq!(sut.len(), model.len());
+            // No page that still holds a byte was released; at most one
+            // released page is kept besides the live ones.
+            let pages = sut.resident_pages();
+            assert!(
+                pages >= nonzero_pages(&model),
+                "a page holding data was released"
+            );
+            assert!(pages <= model.len().div_ceil(PAGE_BYTES) + 1);
+        }
+        let mut all = vec![0xA5; model.len()];
+        sut.read_at(0, &mut all);
+        assert_eq!(all, model);
+        // Zeroing everything releases every page; one is kept as the spare.
+        sut.zero(0..model.len());
+        assert!(sut.resident_pages() <= 1);
+    }
+}
+
+// The `(offset, bytes)` WRITEs one push issued.
+type Writes = Vec<(usize, Vec<u8>)>;
+
+#[test]
+fn a_ring_over_a_sparse_store_matches_one_over_a_dense_buffer() {
+    let mut rng = SimRng::seed_from(0xe006);
+    for case in 0..6 {
+        let cap = 16 * PAGE_BYTES + 8 * case; // not always a page multiple
+        let mut dense = vec![0u8; cap];
+        let mut sparse = RingStore::new(cap);
+        assert!(matches!(sparse, RingStore::Sparse(_)), "larger than a page");
+        let mut tx = RingProducer::new(cap);
+        let (mut rx, mut sparse_rx) = (RingConsumer::new(cap), RingConsumer::new(cap));
+        // Recent records' WRITEs with the absolute span they cover, kept
+        // for re-issue as a retransmitting host keeps them.
+        let mut recent: VecDeque<(u64, u64, Writes)> = VecDeque::new();
+        let mut queued: VecDeque<Vec<u8>> = VecDeque::new();
+        let (mut pops, mut reissued) = (0usize, 0usize);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for step in 0..6_000 {
+            if rng.gen_bool(0.5) {
+                let len = 1 + rng.gen_range(5 * 1024) as usize;
+                let mut payload = vec![0u8; len];
+                rng.fill_bytes(&mut payload);
+                let mut writes = Vec::new();
+                let start = tx.written();
+                if tx
+                    .push_with(&payload, |off, bytes| writes.push((off, bytes)))
+                    .is_some()
+                {
+                    for (off, bytes) in &writes {
+                        dense.write_at(*off, bytes);
+                        sparse.write_at(*off, bytes);
+                    }
+                    recent.push_back((start, tx.written(), writes));
+                    queued.push_back(payload);
+                    if recent.len() > 8 {
+                        recent.pop_front();
+                    }
+                }
+            } else if rx.consumed() < tx.written() {
+                // The consumer reads only where the producer wrote (a poll
+                // of an empty ring could meet the stale bytes a verbatim
+                // re-issue leaves — in either layout alike).
+                assert!(rx.pop_into(&mut dense, &mut a));
+                assert!(sparse_rx.pop_from(&mut sparse, &mut b));
+                assert_eq!(rx.consumed(), sparse_rx.consumed());
+                assert_eq!(a, b);
+                assert_eq!(a, queued.pop_front().expect("pushed"));
+                pops += 1;
+                tx.update_credits(rx.consumed());
+            }
+            let behind = recent.iter().find(|(start, end, _)| {
+                rx.consumed() >= *end && tx.written() <= start + cap as u64
+            });
+            if let Some((_, _, writes)) = behind.filter(|_| rng.gen_bool(0.2)) {
+                // A consumed record's WRITEs re-issued verbatim (a
+                // retransmission whose credit word lagged): stale bytes
+                // behind the consumer, which the next lap's records and
+                // zeroings must meet alike in both rings.
+                for (off, bytes) in writes {
+                    dense.write_at(*off, bytes);
+                    sparse.write_at(*off, bytes);
+                }
+                reissued += 1;
+            }
+            if step % 101 == 0 {
+                let mut whole = vec![0xA5; cap];
+                sparse.read_at(0, &mut whole);
+                assert_eq!(whole, dense, "every byte agrees");
+            }
+        }
+        assert!(
+            tx.written() > 20 * cap as u64,
+            "the ring wrapped many times"
+        );
+        assert!(
+            pops > 1_000 && reissued > 10,
+            "{pops} pops, {reissued} re-issues"
+        );
+        let RingStore::Sparse(pages) = &sparse else {
+            unreachable!()
+        };
+        assert!(pages.resident_pages() >= nonzero_pages(&dense));
     }
 }

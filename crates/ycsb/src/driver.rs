@@ -342,10 +342,13 @@ impl SessionParams {
     }
 
     /// Overrides the per-client request/reply ring size. The default
-    /// (1 MiB each way) is sized for bulk loads; a 100k-client scale sweep
-    /// would pin ~200 GB of rings, so wide fleets shrink them to a few
-    /// frames — a closed-loop client keeps at most one op in flight.
-    /// Precursor family only.
+    /// (1 MiB each way) is sized for bulk loads. Capacity bounds what may be
+    /// in flight, not what is resident: a ring larger than one page holds
+    /// only the pages its in-flight records touch (a closed-loop client's
+    /// rings hold one or two pages each), while a ring of at most one page
+    /// is one contiguous buffer. Wide fleets shrink rings to a few frames
+    /// — a closed-loop client keeps at most one op in flight. Precursor
+    /// family only.
     pub fn ring_bytes(mut self, bytes: usize) -> SessionParams {
         self.ring_bytes = Some(bytes);
         self

@@ -90,11 +90,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release =="
 cargo build --release --workspace
 
-# The microbench sections the op path's O(1) structures are timed by (the
-# metric taps' slot cache, the RNIC LRU): seconds, and they keep compiling
-# and running.
-echo "== microbench smoke (obs, nic) =="
-cargo bench -p precursor-bench --bench microbench -- obs nic
+# The microbench sections the op path's O(1) structures and the rings are
+# timed by (the metric taps' slot cache, the RNIC LRU, dense and page-sparse
+# ring push + pop): seconds, and they keep compiling and running.
+echo "== microbench smoke (obs, nic, ring) =="
+cargo bench -p precursor-bench --bench microbench -- obs nic ring
 
 echo "== cargo test =="
 cargo test --workspace -q

@@ -7,6 +7,7 @@ use precursor::{
     Config, EncryptionMode, FaultAction, FaultDir, FaultPlan, FaultSite, PrecursorClient,
     PrecursorServer, StoreError,
 };
+use precursor_sim::rng::SimRng;
 use precursor_sim::CostModel;
 
 fn setup(mode: EncryptionMode) -> (PrecursorServer, PrecursorClient) {
@@ -259,6 +260,86 @@ fn pool_slots_fit_ciphertext_and_tag_of_power_of_two_values() {
         client.get_sync(&mut server, b"k999").unwrap(),
         [999u32 as u8; 4096]
     );
+}
+
+#[test]
+fn rings_hold_what_is_in_flight_not_their_capacity() {
+    // 50 clients on 1 MiB rings: a 10 k-key bulk load through client 0,
+    // then 20 k closed-loop ops across the fleet. A ring page is resident
+    // only while it may hold a non-zero byte (plus one spare per ring).
+    const CLIENTS: usize = 50;
+    const PAGE: usize = 4096;
+    let cost = CostModel::default();
+    let config = Config {
+        max_clients: CLIENTS + 1,
+        ..Config::default()
+    };
+    assert_eq!(config.ring_bytes, 1 << 20);
+    let mut server = PrecursorServer::new(config.clone(), &cost);
+    let mut reply_rings = Vec::new();
+    let mut clients: Vec<PrecursorClient> = (0..CLIENTS)
+        .map(|i| {
+            let bundle = server.add_client([i as u8 + 1; 16]).expect("connects");
+            reply_rings.push(bundle.reply_ring.clone());
+            PrecursorClient::from_bundle(bundle, cost.clone(), SimRng::seed_from(i as u64))
+        })
+        .collect();
+    let key = |i: u32| format!("key-{i:05}");
+
+    // The bulk load pushes a warm-up batch — half the request ring, the
+    // window the credit protocol sustains — then drains it.
+    clients[0].put(key(0).as_bytes(), &[0; 32]).unwrap();
+    let frame = clients[0].take_meter().counters().tx_bytes as usize;
+    let span = (4 + frame).next_multiple_of(8);
+    let batch = config.ring_bytes / (2 * span);
+    let bound = (batch * span).div_ceil(PAGE) * PAGE + PAGE;
+    let request_ring = server.request_ring(0).expect("client 0").clone();
+    let mut most = 0;
+    for i in 1..10_000u32 {
+        if (i as usize).is_multiple_of(batch) {
+            while server.poll() > 0 {
+                clients[0].poll_replies();
+            }
+            clients[0].poll_replies();
+            assert!(clients[0]
+                .take_all_completed()
+                .iter()
+                .all(|c| c.status == Status::Ok));
+        }
+        clients[0].put(key(i).as_bytes(), &[i as u8; 32]).unwrap();
+        most = most.max(request_ring.resident_bytes());
+    }
+    assert!(most <= bound, "{most} B resident, bound {bound} B");
+    while server.poll() > 0 {
+        clients[0].poll_replies();
+    }
+    clients[0].poll_replies();
+    clients[0].take_all_completed();
+    assert_eq!(server.len(), 10_000);
+
+    // Closed loop: every client keeps one op in flight, 400 rounds.
+    for round in 0..400u32 {
+        for (c, client) in clients.iter_mut().enumerate() {
+            let k = key((round * 131 + c as u32 * 197) % 10_000);
+            if c % 10 == 0 {
+                client.put(k.as_bytes(), &[round as u8; 32]).unwrap();
+            } else {
+                client.get(k.as_bytes()).unwrap();
+            }
+        }
+        while server.poll() > 0 {}
+        for client in &mut clients {
+            assert_eq!(client.poll_replies(), 1);
+            let done = client.take_all_completed();
+            assert_eq!(done[0].status, Status::Ok);
+        }
+    }
+    for (i, reply_ring) in reply_rings.iter().enumerate() {
+        let request = server.request_ring(i as u32).unwrap().resident_bytes();
+        assert!(request <= 2 * PAGE, "request ring {i}: {request} B");
+        let reply = reply_ring.resident_bytes();
+        assert!(reply <= 2 * PAGE, "reply ring {i}: {reply} B");
+    }
 }
 
 #[test]
