@@ -1,8 +1,9 @@
-//! The figure table: Fig 1, Figs 4–9, Table 1 and the ablations as
-//! [`Figure`] values.
+//! The figure table: Fig 1, Figs 4–9, Table 1, the ablations and the
+//! regression trajectory as [`Figure`] values.
 //!
 //! One fixed scale: 120 k warmup records and 20 k operations per point (the
-//! paper: 600 k and 8 repetitions). A window's RNG is seeded by its
+//! paper: 600 k and 8 repetitions); the trajectory runs smaller, so that
+//! its 22 points take seconds. A window's RNG is seeded by its
 //! session's measurement count, so which rows share a session, and their
 //! order, is part of the data. A driver row's label is its CSV key cells.
 
@@ -33,8 +34,8 @@ macro_rules! ensure {
 
 /// Every figure, in the order the `figures` bench runs them.
 pub fn all() -> Vec<Figure> {
-    let table: [fn() -> Figure; 11] = [
-        fig1, fig4, fig5, fig6a, fig6b, scale, fig7, fig8, fig9, table1, ablation,
+    let table: [fn() -> Figure; 12] = [
+        fig1, fig4, fig5, fig6a, fig6b, scale, fig7, fig8, fig9, table1, ablation, trajectory,
     ];
     table.iter().map(|figure| figure()).collect()
 }
@@ -473,27 +474,6 @@ fn fig9_fenced(nodes: usize, w: &Window) -> Result<(), String> {
     Ok(())
 }
 
-/// One fig9 window on a fresh session: the run, its redirects and its keys
-/// moved.
-///
-/// # Panics
-///
-/// Unless a multi-node window fences exactly one migration, observed by a
-/// sealed redirect and a cache refresh, with redirects under 1 % of ops.
-pub(crate) fn fig9_window(
-    nodes: usize,
-    clients: usize,
-    seed: u64,
-    c: &CostModel,
-) -> (RunResult, u64, u64) {
-    let mut session = fig9_session(nodes, clients, seed).build(c);
-    let spec = WorkloadSpec::workload_b(32, FIG9_KEYS);
-    let w = Window::measure(&mut session, &spec, clients, FIG9_OPS);
-    fig9_fenced(nodes, &w).unwrap_or_else(|e| panic!("fig9 window: {e}"));
-    let (redirects, moved) = (w.delta("cluster.redirects"), w.delta("cluster.keys_moved"));
-    (w.run, redirects, moved)
-}
-
 fn fig9() -> Figure {
     let cost = CostModel::default();
     let mut rows = Vec::new();
@@ -752,6 +732,161 @@ fn ablation_line(m: &Measured) -> String {
     format!("{},{},{latency}", m.label, kops(m.value))
 }
 
+// The trajectory's scale: small enough that 22 points take seconds.
+const TRAJECTORY_KEYS: u64 = 20_000;
+const TRAJECTORY_OPS: u64 = 8_000;
+const TRAJECTORY_SEED: u64 = 0xB5EED;
+
+fn trajectory() -> Figure {
+    let cost = CostModel::default();
+    // The measured default poller, not the paper's scan-all cost basis.
+    let params = |system, value, clients| {
+        let params = SessionParams::new(system).value_size(value);
+        let params = params.keys(TRAJECTORY_KEYS, TRAJECTORY_KEYS);
+        params.max_clients(clients).seed(TRAJECTORY_SEED)
+    };
+    let point = |fig: &str, label: &str, system: SystemKind, spec, clients| {
+        let label = format!("{fig},{label},{}", system.name());
+        Row::window(label, spec, clients, TRAJECTORY_OPS)
+    };
+    let a = WorkloadSpec::workload_a(128, TRAJECTORY_KEYS);
+    let b = WorkloadSpec::workload_b(128, TRAJECTORY_KEYS);
+    let c = WorkloadSpec::workload_c(128, TRAJECTORY_KEYS);
+    let mut rows = Vec::new();
+    for system in [Precursor, ShieldStore] {
+        let mixes = [("A", &a), ("B", &b), ("C", &c)];
+        let mixes = mixes.map(|(mix, spec)| point("fig4", mix, system, spec.clone(), 8));
+        rows.extend(shared(params(system, 128, 8), &cost, mixes));
+    }
+    // The journal on the update-heavy mix; compacting it every 64 sweeps
+    // runs off the per-op path, so both rows read the same.
+    let journaled = params(Precursor, 128, 8).journaled(true);
+    let journal = point("fig4", "A+journal", Precursor, a.clone(), 8);
+    rows.push(journal.on(journaled.clone(), &cost));
+    let compacting = point("fig4", "A+journal+compact", Precursor, a, 8);
+    rows.push(compacting.on(journaled.compacted(true), &cost));
+    rows.push(Row::direct("failover,catchup,Precursor", catchup));
+    for size in [64, 1024] {
+        let spec = WorkloadSpec::workload_c(size, TRAJECTORY_KEYS);
+        let row = point("fig5", &format!("{size}B"), Precursor, spec, 8);
+        rows.push(row.on(params(Precursor, size, 8), &cost));
+    }
+    for shards in [1, 4] {
+        let label = format!("shards={shards}");
+        let row = point("fig6", &label, Precursor, c.clone(), 16);
+        rows.push(row.on(params(Precursor, 128, 16).shards(shards), &cost));
+    }
+    for shards in [4, 8] {
+        // One 10 k-client fleet per shard count; 1 k clients run first.
+        let fleet = params(Precursor, 128, 10_000).ring_bytes(1 << 10);
+        let decades = [1_000, 10_000].map(|clients| {
+            let label = format!("clients={clients}/shards={shards}");
+            point("fig6", &label, Precursor, c.clone(), clients)
+        });
+        rows.extend(shared(fleet.shards(shards), &cost, decades));
+    }
+    for system in [Precursor, ShieldStore] {
+        let row = point("fig8", "128B", system, c.clone(), 8);
+        rows.push(row.on(params(system, 128, 8), &cost));
+    }
+    for nodes in [1, 2, 4] {
+        let spec = WorkloadSpec::workload_b(32, FIG9_KEYS);
+        let label = format!("fig9,nodes={nodes},{}", Precursor.name());
+        let row = Row::window(label, spec, 1_000, FIG9_OPS);
+        rows.push(row.on(fig9_session(nodes, 1_000, TRAJECTORY_SEED), &cost));
+    }
+    Figure {
+        id: "trajectory",
+        paper_claim: "22 seeded points across Figs 4–9 and failover at 20 k keys, 8 k ops: \
+                      the regression gate, committed CSV byte for byte",
+        csv: "trajectory",
+        header: "fig,label,system,throughput_ops,p50_ns,p95_ns,p99_ns,client_cpu_ns,\
+                 server_critical_ns,server_overhead_ns,enclave_ns,network_ns,total_ns,\
+                 epc_pages,epc_faults,ops",
+        reps: Reps::Mean(1),
+        rows,
+        lines: |ms| ms.iter().map(trajectory_line).collect(),
+        check: |ms| {
+            let compacting = &labelled(ms, "fig4,A+journal+compact,Precursor").windows[0];
+            let compactions = compacting.after.counter("journal.compactions");
+            ensure!(compactions > 0, "the compacting row never compacted");
+            for m in ms.iter().filter(|m| m.label.contains("clients=")) {
+                let shed = m.windows[0].after.gauge("server.reports_dropped_total");
+                ensure!(shed == 0, "{}: {shed} op reports shed", m.label);
+            }
+            let fig9 = ms.iter().filter(|m| m.label.starts_with("fig9,"));
+            for (m, nodes) in fig9.zip([1, 2, 4]) {
+                let fenced = fig9_fenced(nodes, &m.windows[0]);
+                fenced.map_err(|e| format!("{}: {e}", m.label))?;
+            }
+            let catchup = &labelled(ms, "failover,catchup,Precursor").direct;
+            let [.., in_catchup, lag] = catchup[..] else {
+                unreachable!()
+            };
+            ensure!(in_catchup == 0.0, "catch-up never drained");
+            ensure!(lag == 0.0, "{lag} records of replica lag left");
+            Ok(())
+        },
+    }
+}
+
+// Staged-promotion catch-up: 256 committed writes, the primary dies, and the
+// promoted survivor drains its catch-up queue 8 records per pump while
+// already serving. Pumps do not advance virtual time, so ticks stand in for
+// it: records drained per tick, ticks to drain, records, whether it is still
+// catching up, and the replica lag left.
+fn catchup() -> Vec<f64> {
+    use precursor::{GroupCommitPolicy, ReplicaGroup};
+    let cost = CostModel::default();
+    let policy = GroupCommitPolicy::immediate();
+    let mut group = ReplicaGroup::with_replicas(Config::default(), &cost, 3, policy);
+    let seed = TRAJECTORY_SEED;
+    let mut client = PrecursorClient::connect(group.primary_mut(), seed).expect("connect");
+    for i in 0..256u16 {
+        let value = [(i as u8) ^ (seed as u8); 48];
+        let oid = client.put(&i.to_le_bytes(), &value).expect("submit");
+        for _ in 0..400 {
+            group.pump();
+            client.poll_replies();
+            if client.take_completed(oid).is_some() {
+                break;
+            }
+        }
+    }
+    let report = group.fail_primary(8).expect("staged promotion");
+    let pending = report.recovery.catchup_pending as f64;
+    let mut ticks = 0u64;
+    while group.primary().in_catchup() && ticks < 100_000 {
+        group.pump();
+        ticks += 1;
+    }
+    let ticks = ticks.max(1) as f64;
+    let in_catchup = f64::from(u8::from(group.primary().in_catchup()));
+    let lag = group.metrics().gauge("replica.lag_records") as f64;
+    vec![pending / ticks, ticks, pending, in_catchup, lag]
+}
+
+// `throughput_ops` prints as `Debug`, whose shortest round-trip digits keep a
+// `.0` on a whole number.
+fn trajectory_line(m: &Measured) -> String {
+    let Some(w) = m.windows.first() else {
+        let [throughput, ticks, pending, ..] = m.direct[..] else {
+            unreachable!()
+        };
+        // Every percentile is the ticks to drain; stages, total and EPC are 0.
+        let (ticks, pending) = (ticks as u64, pending as u64);
+        let zeros = "0,".repeat(Stage::ALL.len() + 3);
+        let cells = format!("{throughput:?},{ticks},{ticks},{ticks},{zeros}{pending}");
+        return format!("{},{cells}", m.label);
+    };
+    let (r, label) = (&w.run, &m.label);
+    let [p50, p95, p99] = [50.0, 95.0, 99.0].map(|q| r.latency.percentile(q).0);
+    let stages = Stage::ALL.map(|s| r.stages.mean(s).0.to_string()).join(",");
+    let (throughput, total, epc) = (r.throughput_ops, r.stages.mean_total().0, &r.epc);
+    let (pages, faults, ops) = (epc.working_set_pages, epc.epc_faults, r.ops);
+    format!("{label},{throughput:?},{p50},{p95},{p99},{stages},{total},{pages},{faults},{ops}")
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeSet;
@@ -763,7 +898,7 @@ mod tests {
     fn the_table_is_well_formed_and_writes_every_committed_csv() {
         let table = all();
         let ids: BTreeSet<&str> = table.iter().map(|f| f.id).collect();
-        let csvs: BTreeSet<String> = table.iter().map(|f| f.csv.to_string()).collect();
+        let csvs: BTreeSet<String> = table.iter().map(|f| format!("{}.csv", f.csv)).collect();
         assert!(
             ids.len() == table.len() && csvs.len() == table.len(),
             "unique"
@@ -780,10 +915,12 @@ mod tests {
         let names = std::fs::read_dir(results_dir())
             .expect("bench_results/")
             .flatten();
-        let names = names.filter_map(|e| e.file_name().into_string().ok());
         let committed: BTreeSet<String> = names
-            .filter_map(|n| n.strip_suffix(".csv").map(Into::into))
+            .filter_map(|e| e.file_name().into_string().ok())
             .collect();
-        assert_eq!(committed, csvs, "every committed CSV is one figure's");
+        assert_eq!(
+            committed, csvs,
+            "every file in bench_results/ is one figure's CSV"
+        );
     }
 }

@@ -26,7 +26,6 @@ use precursor_ycsb::driver::{BenchSession, RunResult, SessionParams};
 use precursor_ycsb::workload::WorkloadSpec;
 
 pub mod figures;
-pub mod summary;
 
 /// One table or figure of the paper, measured by [`run`].
 pub struct Figure {
@@ -334,7 +333,8 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 
 /// Directory the benches mirror their outputs into.
 pub fn results_dir() -> PathBuf {
-    // workspace root when run via `cargo bench`, else cwd
+    // The workspace root's, fixed at compile time from this crate's manifest
+    // directory, whatever the working directory of the run.
     let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     p.pop();
     p.pop();

@@ -17,7 +17,7 @@
 //!   running FNV-1a digest that survives ring eviction. Zero-cost when
 //!   disabled.
 //! * [`json`] — a tiny deterministic JSON writer (no external
-//!   dependencies) used for metrics snapshots and `BENCH_summary.json`.
+//!   dependencies) used for metrics snapshots and the benchmark's reports.
 //!
 //! # Example
 //!

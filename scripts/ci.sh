@@ -113,11 +113,12 @@ check_knobs
 echo "== benchmark smoke (--quick) =="
 cargo run --release --manifest-path benchmark/Cargo.toml -- --quick
 
-# The paper figures whose shape depends on the poll-scan cost basis carry
-# checks (Fig 4's anchors, Fig 6a's ~55-client peak, Fig 6b's shard
-# speedup): run them so a drifted reproduction fails here, not in a
-# reader's plot.
-echo "== paper-shape figures (fig4, fig6a, fig6b) =="
-cargo bench -p precursor-bench --bench figures -- fig4 fig6a fig6b
+# Every figure but fig6-scale (wall-clock columns) regenerates its committed
+# CSV byte for byte, the trajectory's regression points included, and each
+# fails on a row outside its paper tolerance or a failed shape check.
+echo "== figures regenerate bench_results/ =="
+cargo bench -p precursor-bench --bench figures -- \
+    fig1 fig4 fig5 fig6a fig6b fig7 fig8 fig9 table1 ablation trajectory
+git diff --exit-code -- bench_results/
 
 echo "ci: all green"

@@ -1,6 +1,6 @@
 //! Observability-layer suite: metrics property tests, trace determinism,
-//! the fig8 stage-fraction pin, and the shape of every committed
-//! `BENCH_summary.json` point.
+//! the fig8 stage-fraction pin, and the shape of every point of the
+//! committed `trajectory` figure (`bench_results/trajectory.csv`).
 //!
 //! The layer's contract is twofold. First, the primitives are exact:
 //! histogram buckets classify on inclusive upper bounds, merging is
@@ -210,34 +210,18 @@ fn pipelined_run_stage_sums_equal_the_total_exactly() {
     assert_eq!(m.histogram("stage.total_ns").expect("total").count(), 48);
 }
 
-// One `BENCH_summary.json` point: `fig/label/system`, then every numeric
-// field between `"fig"` and `"ops"` in document order.
-fn summary_points() -> Vec<(String, Vec<(String, u64)>)> {
-    // `render_json` writes one `"key": value` per line and ends each point
-    // with `"ops"`; the workspace has no JSON parser by design.
-    let doc = include_str!("../bench_results/BENCH_summary.json");
-    let mut points = Vec::new();
-    let (mut id, mut fields) = (Vec::new(), Vec::new());
-    for line in doc.lines() {
-        let Some((key, value)) = line.trim().trim_end_matches(',').split_once(": ") else {
-            continue;
-        };
-        let key = key.trim_matches('"');
-        match key {
-            "fig" | "label" | "system" => id.push(value.trim_matches('"').to_string()),
-            _ if id.is_empty() => {} // document header
-            _ => {
-                if let Ok(v) = value.parse() {
-                    fields.push((key.to_string(), v));
-                }
-                if key == "ops" {
-                    points.push((id.join("/"), std::mem::take(&mut fields)));
-                    id.clear();
-                }
-            }
-        }
-    }
-    points
+// One `trajectory.csv` point: `fig/label/system`, then every integer cell
+// under its header name.
+fn trajectory_points() -> Vec<(String, Vec<(&'static str, u64)>)> {
+    let mut lines = include_str!("../bench_results/trajectory.csv").lines();
+    let header: Vec<&str> = lines.next().expect("a header").split(',').collect();
+    let point = |line: &'static str| {
+        let cells: Vec<&str> = line.split(',').collect();
+        let named = header.iter().zip(&cells);
+        let fields = named.filter_map(|(&name, cell)| Some((name, cell.parse().ok()?)));
+        (cells[..3].join("/"), fields.collect())
+    };
+    lines.map(point).collect()
 }
 
 #[test]
@@ -251,7 +235,7 @@ fn every_driver_point_conserves_its_stages_and_has_a_latency_distribution() {
     // distribution falls into one histogram bucket.
     const ONE_BUCKET: [&str; 2] = ["fig6/shards=1/Precursor", "fig9/nodes=1/Precursor"];
 
-    let points = summary_points();
+    let points = trajectory_points();
     assert_eq!(points.len(), 22, "trajectory points");
     assert_eq!(
         points
@@ -262,22 +246,22 @@ fn every_driver_point_conserves_its_stages_and_has_a_latency_distribution() {
     );
     for (id, fields) in &points {
         let get = |name: &str| {
-            let (_, v) = fields.iter().find(|(k, _)| k == name).expect(name);
+            let (_, v) = fields.iter().find(|(k, _)| *k == name).expect(name);
             *v
         };
         let stage_sum: u64 = STAGE_SUMS
             .iter()
-            .map(|s| get(s.trim_start_matches("stage.").trim_end_matches("_ns")))
+            .map(|s| get(s.trim_start_matches("stage.")))
             .sum();
         let (p50, p95, p99) = (get("p50_ns"), get("p95_ns"), get("p99_ns"));
         if id == TICK_BASED {
-            assert_eq!((stage_sum, get("total")), (0, 0), "{id}");
+            assert_eq!((stage_sum, get("total_ns")), (0, 0), "{id}");
             assert!(p50 == p95 && p95 == p99, "{id}");
             continue;
         }
         // Each stage mean is floored separately: the five floors lose less
         // than one nanosecond each against the floored total.
-        let total = get("total");
+        let total = get("total_ns");
         assert!(total > 0, "{id}: all-zero stages");
         assert!(
             stage_sum <= total && total - stage_sum < STAGE_SUMS.len() as u64,
