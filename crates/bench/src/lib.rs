@@ -392,10 +392,10 @@ mod tests {
         let spec = WorkloadSpec::workload_a(32, 500);
         let params = SessionParams::new(SystemKind::Precursor).keys(500, 500);
         let params = params.max_clients(4).seed(9).paper_poller(true);
-        let first = Row::window("first", spec.clone(), 4, 400).on(params, &cost);
+        let first = Row::window("first", spec.clone(), 4, 400).on(params.clone(), &cost);
         let rows = vec![first, Row::window("second", spec.clone(), 4, 400)];
         let ms = measure(&figure(rows, |_| Ok(())));
-        let mut session = BenchSession::new(SystemKind::Precursor, 32, 500, 500, 4, 9, &cost);
+        let mut session = params.build(&cost);
         for m in &ms {
             let r = session.measure(&spec, 4, 400);
             assert_eq!(

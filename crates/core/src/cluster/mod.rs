@@ -57,6 +57,7 @@ use precursor_crypto::keys::Key128;
 use precursor_crypto::Nonce12;
 use precursor_obs::MetricsRegistry;
 use precursor_rdma::faults::{DurableVerdict, FaultInjector, FaultPlan, FaultSite};
+use precursor_rdma::plock;
 use precursor_rdma::replica::ReplicaLink;
 use precursor_sim::rng::SimRng;
 use precursor_sim::CostModel;
@@ -260,11 +261,6 @@ pub struct PrecursorCluster {
     migrations_completed: u64,
     migrations_aborted: u64,
     keys_moved: u64,
-}
-
-// Poison-tolerant lock (mirrors the server's helper).
-fn lock_faults(f: &Arc<Mutex<FaultInjector>>) -> std::sync::MutexGuard<'_, FaultInjector> {
-    f.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn segment_aad(from: u16, to: u16, epoch: u64) -> [u8; 12] {
@@ -567,7 +563,7 @@ impl PrecursorCluster {
             .transfer_key
             .seal(&Nonce12::from_counter(seq), &aad, &plain);
         if let Some(f) = &self.migrate_faults {
-            match lock_faults(f).on_durable_write(FaultSite::MigrateShip, sealed.len()) {
+            match plock(f).on_durable_write(FaultSite::MigrateShip, sealed.len()) {
                 DurableVerdict::Complete => {}
                 DurableVerdict::Torn(_) => return ShipResult::SourceCrashed,
                 DurableVerdict::Corrupt(bit) => {

@@ -15,11 +15,12 @@ use std::ops::Range;
 use precursor_crypto::gcm::GcmKey;
 use precursor_crypto::keys::Nonce12;
 use precursor_rdma::faults::{DurableVerdict, FaultSite};
+use precursor_rdma::plock;
 use precursor_sgx::counters::MonotonicCounter;
 
 use crate::snapshot::{self, Cut, DirtyKeys, PreviousCut, SnapshotBlob, SnapshotHeader};
 
-use super::{lock_faults, PrecursorServer};
+use super::PrecursorServer;
 
 /// Result of [`PrecursorServer::compact_journal`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,7 +125,7 @@ impl PrecursorServer {
             .as_ref()
             .map_or(0, |d| d.journal.durable().len());
         let verdict = match &self.faults {
-            Some(f) => lock_faults(f).on_durable_write(FaultSite::CompactTruncate, durable_len),
+            Some(f) => plock(f).on_durable_write(FaultSite::CompactTruncate, durable_len),
             None => DurableVerdict::Complete,
         };
         let d = self.durability.as_mut().expect("checked above");
@@ -273,7 +274,7 @@ impl PrecursorServer {
             }
             end
         };
-        match lock_faults(f).on_durable_write(FaultSite::SnapshotSeal, total) {
+        match plock(f).on_durable_write(FaultSite::SnapshotSeal, total) {
             DurableVerdict::Complete => {}
             DurableVerdict::Torn(keep) => blob.truncate(locate(keep)),
             DurableVerdict::Corrupt(bit) => {

@@ -33,6 +33,7 @@ use std::collections::VecDeque;
 
 use precursor_journal::{FlushDamage, GroupCommitPolicy, Journal, JournalRecord, JournalStats};
 use precursor_rdma::faults::{DurableVerdict, FaultSite};
+use precursor_rdma::plock;
 use precursor_sgx::counters::MonotonicCounter;
 use precursor_sgx::sealing;
 use precursor_sim::{CostModel, Cycles, Meter, Stage};
@@ -45,7 +46,7 @@ use crate::wire::{Opcode, Status};
 
 use super::exec::ReplyPlan;
 use super::seal::StoreEvidence;
-use super::{lock_faults, PrecursorServer};
+use super::PrecursorServer;
 
 // Journal record kinds.
 const KIND_PUT: u8 = 1;
@@ -384,7 +385,7 @@ impl PrecursorServer {
             _ => return,
         };
         let damage = match &self.faults {
-            Some(f) => match lock_faults(f).on_durable_write(FaultSite::JournalFlush, pending) {
+            Some(f) => match plock(f).on_durable_write(FaultSite::JournalFlush, pending) {
                 DurableVerdict::Complete => FlushDamage::None,
                 DurableVerdict::Torn(keep) => FlushDamage::Torn(keep),
                 DurableVerdict::Corrupt(bit) => FlushDamage::CorruptBit(bit),

@@ -486,12 +486,6 @@ pub(super) fn status_metric(status: Status) -> &'static str {
     }
 }
 
-// Poison-tolerant lock on the shared fault injector (mirrors the rdma
-// crate's internal helper).
-fn lock_faults(f: &Arc<Mutex<FaultInjector>>) -> std::sync::MutexGuard<'_, FaultInjector> {
-    f.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// Derives the AES-128 key used for CMAC from the 256-bit `K_operation`
 /// (the SGX SDK's `sgx_rijndael128_cmac_msg` takes a 128-bit key; the paper
 /// MACs with the operation key, so we use its first half — both sides agree).

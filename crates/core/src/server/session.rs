@@ -11,6 +11,7 @@ use precursor_crypto::gcm::GcmKey;
 use precursor_crypto::keys::Key128;
 use precursor_rdma::adversary::{AdversaryInjector, AdversaryPlan, AttackClass, MountedAttack};
 use precursor_rdma::faults::{FaultInjector, FaultPlan, InjectedFault};
+use precursor_rdma::plock;
 use precursor_sgx::attest::{derive_chain_key, AttestationService};
 use precursor_sgx::enclave::RegionId;
 use precursor_sim::meter::Meter;
@@ -19,7 +20,7 @@ use precursor_storage::robinhood::stable_key_hash;
 use crate::error::StoreError;
 use crate::wire::{chain_context, Status};
 
-use super::{lock_faults, ClientBundle, PrecursorServer};
+use super::{ClientBundle, PrecursorServer};
 
 // Trusted per-client session state (expected oid per Algorithm 2, plus the
 // at-most-once window: the status of the last executed operation, so a
@@ -63,16 +64,14 @@ impl PrecursorServer {
 
     /// Number of faults injected so far (0 without a fault plan).
     pub fn injected_faults(&self) -> usize {
-        self.faults
-            .as_ref()
-            .map_or(0, |f| lock_faults(f).injected())
+        self.faults.as_ref().map_or(0, |f| plock(f).injected())
     }
 
     /// A copy of the injector's audit log (empty without a fault plan).
     pub fn fault_log(&self) -> Vec<InjectedFault> {
         self.faults
             .as_ref()
-            .map_or_else(Vec::new, |f| lock_faults(f).log().to_vec())
+            .map_or_else(Vec::new, |f| plock(f).log().to_vec())
     }
 
     /// Installs a deterministic Byzantine-host plan: the host software now

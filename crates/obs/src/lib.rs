@@ -10,8 +10,10 @@
 //! The crate provides three building blocks:
 //!
 //! * [`metrics`] — a typed registry of saturating [`Counter`]s,
-//!   [`Gauge`]s and fixed-bucket [`FixedHistogram`]s keyed by static
-//!   names, with deterministic snapshots and merging.
+//!   [`Gauge`]s and latency
+//!   [`Histogram`](precursor_sim::histogram::Histogram)s (the simulator's
+//!   one histogram type) keyed by static names, with deterministic
+//!   snapshots and merging.
 //! * [`trace`] — a ring-buffered structured-event [`Tracer`] stamped
 //!   with [`Nanos`](precursor_sim::time::Nanos) virtual timestamps and a
 //!   running FNV-1a digest that survives ring eviction. Zero-cost when
@@ -45,7 +47,6 @@ pub mod trace;
 
 pub use json::JsonWriter;
 pub use metrics::{
-    observe_meter, stage_metric, Counter, FixedHistogram, Gauge, MetricsRegistry,
-    DEFAULT_LATENCY_BOUNDS_NS, STAGE_TOTAL_METRIC,
+    observe_meter, stage_metric, Counter, Gauge, MetricsRegistry, STAGE_TOTAL_METRIC,
 };
 pub use trace::{TraceEvent, Tracer};

@@ -1,5 +1,5 @@
-//! Typed metrics registry: saturating counters, gauges and fixed-bucket
-//! latency histograms.
+//! Typed metrics registry: saturating counters, gauges and latency
+//! [`Histogram`]s.
 //!
 //! All state is plain integers keyed by `&'static str` names in a
 //! [`BTreeMap`] index, so snapshots iterate in a deterministic order and two
@@ -11,6 +11,7 @@
 use std::collections::BTreeMap;
 
 use precursor_sim::meter::{Meter, Stage};
+use precursor_sim::{Histogram, Nanos};
 
 use crate::json::JsonWriter;
 
@@ -86,156 +87,6 @@ impl Gauge {
     /// Current value.
     pub fn get(self) -> u64 {
         self.value
-    }
-}
-
-/// Default latency bucket upper bounds in nanoseconds.
-///
-/// Chosen to bracket the simulated op latencies (hundreds of ns to tens
-/// of µs) with roughly-logarithmic spacing; values above the last bound
-/// land in the overflow bucket.
-pub const DEFAULT_LATENCY_BOUNDS_NS: [u64; 16] = [
-    250, 500, 1_000, 2_000, 4_000, 8_000, 16_000, 32_000, 64_000, 128_000, 256_000, 512_000,
-    1_000_000, 2_000_000, 4_000_000, 8_000_000,
-];
-
-/// A histogram with explicit, fixed bucket upper bounds plus an
-/// overflow bucket.
-///
-/// Unlike the log-bucketed [`precursor_sim::histogram::Histogram`],
-/// bucket boundaries are caller-supplied and inclusive: a sample `v`
-/// lands in the first bucket whose bound satisfies `v <= bound`, or the
-/// overflow bucket when it exceeds every bound. Exact `count`, `sum`,
-/// `min` and `max` are tracked alongside, so merging is lossless for
-/// those and associative for everything.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FixedHistogram {
-    bounds: &'static [u64],
-    buckets: Vec<u64>,
-    overflow: u64,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for FixedHistogram {
-    fn default() -> Self {
-        Self::new(&DEFAULT_LATENCY_BOUNDS_NS)
-    }
-}
-
-impl FixedHistogram {
-    /// Create a histogram over `bounds`, which must be non-empty and
-    /// strictly increasing.
-    pub fn new(bounds: &'static [u64]) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bucket");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        Self {
-            bounds,
-            buckets: vec![0; bounds.len()],
-            overflow: 0,
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    /// Record one sample.
-    pub fn observe(&mut self, v: u64) {
-        match self.bounds.partition_point(|&b| b < v) {
-            i if i < self.bounds.len() => self.buckets[i] += 1,
-            _ => self.overflow += 1,
-        }
-        self.count = self.count.saturating_add(1);
-        self.sum = self.sum.saturating_add(v);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Exact sum of recorded samples (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest recorded sample, or 0 when empty.
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest recorded sample, or 0 when empty.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Exact mean of recorded samples, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Bucket upper bounds this histogram was built over.
-    pub fn bounds(&self) -> &'static [u64] {
-        self.bounds
-    }
-
-    /// Count in the bucket with upper bound `bounds()[i]`.
-    pub fn bucket_count(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
-    /// Count of samples above the last bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Upper bound (inclusive) of the bucket containing the `q`-quantile
-    /// sample, `0.0 <= q <= 1.0`. Samples in the overflow bucket report
-    /// the exact recorded `max`. Returns 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return self.bounds[i];
-            }
-        }
-        self.max
-    }
-
-    /// Merge `other` into `self`. Panics if the bucket bounds differ.
-    pub fn merge(&mut self, other: &FixedHistogram) {
-        assert_eq!(self.bounds, other.bounds, "cannot merge differing bounds");
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.overflow += other.overflow;
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
     }
 }
 
@@ -374,7 +225,7 @@ impl<T> Family<T> {
 pub struct MetricsRegistry {
     counters: Family<Counter>,
     gauges: Family<Gauge>,
-    histograms: Family<FixedHistogram>,
+    histograms: Family<Histogram>,
 }
 
 impl MetricsRegistry {
@@ -398,16 +249,14 @@ impl MetricsRegistry {
         self.gauges.get(name).map_or(0, |g| g.get())
     }
 
-    /// Record `v` into histogram `name`, creating it with
-    /// [`DEFAULT_LATENCY_BOUNDS_NS`] on first touch.
+    /// Record `v` nanoseconds into histogram `name`, creating it empty on
+    /// first touch.
     pub fn observe(&mut self, name: &'static str, v: u64) {
-        self.histograms
-            .slot(name, FixedHistogram::default)
-            .observe(v);
+        self.histograms.slot(name, Histogram::new).record(Nanos(v));
     }
 
     /// Look up histogram `name`.
-    pub fn histogram(&self, name: &str) -> Option<&FixedHistogram> {
+    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
     }
 
@@ -422,12 +271,13 @@ impl MetricsRegistry {
     }
 
     /// Iterate histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &FixedHistogram)> + '_ {
+    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
         self.histograms.iter()
     }
 
     /// Fold another registry into this one: counters add, gauges take
-    /// the other's value when present, histograms merge bucket-wise.
+    /// the other's value when present, histograms merge bucket-wise
+    /// ([`Histogram::merge`]).
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (name, c) in other.counters.iter() {
             self.counters.slot(name, Counter::default).add(c.get());
@@ -471,17 +321,17 @@ impl MetricsRegistry {
             w.key("count");
             w.u64(h.count());
             w.key("sum");
-            w.u64(h.sum());
+            w.u64(u64::try_from(h.sum()).unwrap_or(u64::MAX));
             w.key("min");
-            w.u64(h.min());
+            w.u64(h.min().0);
             w.key("max");
-            w.u64(h.max());
+            w.u64(h.max().0);
             w.key("p50");
-            w.u64(h.quantile(0.50));
+            w.u64(h.percentile(50.0).0);
             w.key("p95");
-            w.u64(h.quantile(0.95));
+            w.u64(h.percentile(95.0).0);
             w.key("p99");
-            w.u64(h.quantile(0.99));
+            w.u64(h.percentile(99.0).0);
             w.end_object();
         }
         w.end_object();
@@ -500,21 +350,6 @@ mod tests {
         c.add(u64::MAX - 1);
         c.add(5);
         assert_eq!(c.get(), u64::MAX);
-    }
-
-    #[test]
-    fn histogram_buckets_are_inclusive() {
-        let mut h = FixedHistogram::new(&[10, 20]);
-        h.observe(10);
-        h.observe(11);
-        h.observe(21);
-        assert_eq!(h.bucket_count(0), 1);
-        assert_eq!(h.bucket_count(1), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.sum(), 42);
-        assert_eq!(h.min(), 10);
-        assert_eq!(h.max(), 21);
     }
 
     #[test]
@@ -541,7 +376,7 @@ mod tests {
         }
         assert_eq!(m.counter("server.polls"), 33);
         assert_eq!(m.counters().count(), 1);
-        assert_eq!(m.histogram("h").map(FixedHistogram::count), Some(6));
+        assert_eq!(m.histogram("h").map(Histogram::count), Some(6));
         let json = m.to_json();
         assert_eq!(json.matches("\"server.polls\"").count(), 1, "{json}");
         assert_eq!(json.matches("\"h\"").count(), 1, "{json}");
@@ -585,19 +420,17 @@ mod tests {
     }
 
     #[test]
-    fn merge_keeps_custom_histogram_bounds() {
+    fn merge_reaches_an_absent_histogram_through_the_cache() {
         let mut other = MetricsRegistry::default();
-        let mut h = FixedHistogram::new(&[10, 20]);
-        h.observe(15);
-        other.histograms.insert("custom", h);
+        other.observe("merged", 15);
         let mut m = MetricsRegistry::default();
         m.observe("other", 1);
         m.merge(&other);
-        let merged = m.histogram("custom").expect("merged in");
-        assert_eq!(merged.bounds(), &[10, 20]);
-        assert_eq!((merged.count(), merged.bucket_count(1)), (1, 1));
+        let merged = m.histogram("merged").expect("merged in");
+        assert_eq!((merged.count(), merged.sum()), (1, 15));
         // A second merge lands on the same histogram, through the cache.
         m.merge(&other);
-        assert_eq!(m.histogram("custom").map(FixedHistogram::count), Some(2));
+        assert_eq!(m.histogram("merged").map(Histogram::count), Some(2));
+        assert_eq!(m.histograms().count(), 2);
     }
 }

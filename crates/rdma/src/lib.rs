@@ -64,6 +64,6 @@ pub use tcp::SimTcp;
 /// Locks a mutex, recovering the guard if a holder panicked (the simulation
 /// is single-threaded in practice; poisoning would only hide the original
 /// panic).
-pub(crate) fn plock<T: ?Sized>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+pub fn plock<T: ?Sized>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }

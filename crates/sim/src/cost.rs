@@ -151,10 +151,6 @@ pub struct CostModel {
     /// enqueue/dequeue plus the cross-core cache-line transfer of the
     /// control data \[arch; only charged with `Config::shards > 1`\].
     pub shard_handoff_cycles: u64,
-    /// Probability multiplier for EPC faults on the critical path when the
-    /// working set exceeds the EPC (SGX paging keeps some residency locality;
-    /// fitted so Fig. 7's paging CDF diverges from ≈p95).
-    pub epc_fault_locality: f64,
 
     // ---- durability (journal + replication; only charged when a journal
     // is attached, so unjournaled trajectories are untouched) ----
@@ -226,7 +222,6 @@ impl Default for CostModel {
             poll_scan_per_client: 260,
             poll_scan_baseline: 50,
             shard_handoff_cycles: 600,
-            epc_fault_locality: 0.12,
             journal_seal_fixed: 350,
             durable_write_fixed: 4_200,
             durable_write_per_byte: 0.35,

@@ -87,6 +87,11 @@ impl Histogram {
         self.total
     }
 
+    /// Exact sum of the recorded samples (not bucketed).
+    pub fn sum(&self) -> u128 {
+        self.sum
+    }
+
     /// Smallest recorded sample, or zero when empty.
     pub fn min(&self) -> Nanos {
         if self.total == 0 {

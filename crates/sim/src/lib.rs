@@ -20,8 +20,9 @@
 //! * [`histogram`] — log-bucketed latency histograms with percentile and CDF
 //!   extraction.
 //! * [`stats`] — running summary statistics.
-//! * [`engine`] — a tiny generic event queue for token-based simulations,
-//!   backed by the [`wheel`] hierarchical timing wheel (O(1) schedule/pop).
+//! * [`engine`] — the virtual-time [`EventQueue`](engine::EventQueue) for
+//!   token-based simulations, a hierarchical timing wheel (O(1)
+//!   schedule/pop).
 //!
 //! # Example
 //!
@@ -50,7 +51,6 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod timer;
-pub mod wheel;
 
 pub use cost::CostModel;
 pub use histogram::Histogram;

@@ -10,7 +10,6 @@ use std::collections::BinaryHeap;
 use precursor_sim::engine::EventQueue;
 use precursor_sim::rng::SimRng;
 use precursor_sim::time::Nanos;
-use precursor_sim::wheel::TimingWheel;
 
 /// The heap-backed reference queue: O(log n) per operation, trivially
 /// correct ordering by `(time, insertion sequence)`. Kept as the oracle the
@@ -86,7 +85,7 @@ impl<T> HeapQueue<T> {
 /// lands in the overflow heap and must cascade back in order.
 const FAR_FUTURE: u64 = 1 << 50;
 
-fn drain_both(wheel: &mut TimingWheel<u64>, heap: &mut HeapQueue<u64>) {
+fn drain_both(wheel: &mut EventQueue<u64>, heap: &mut HeapQueue<u64>) {
     assert_eq!(wheel.len(), heap.len(), "queue lengths diverged");
     let mut last = Nanos(0);
     while let Some(expect) = heap.pop() {
@@ -108,7 +107,7 @@ fn drain_both(wheel: &mut TimingWheel<u64>, heap: &mut HeapQueue<u64>) {
 fn random_schedules_match_heap_reference() {
     let mut rng = SimRng::seed_from(0x57EE1);
     for case in 0..50 {
-        let mut wheel = TimingWheel::new();
+        let mut wheel = EventQueue::new();
         let mut heap = HeapQueue::new();
         let mut token = 0u64;
         let mut now = 0u64;
@@ -146,7 +145,7 @@ fn random_schedules_match_heap_reference() {
 fn equal_time_bursts_preserve_fifo() {
     let mut rng = SimRng::seed_from(0xF1F0);
     for &base in &[0u64, 1_000_000, FAR_FUTURE] {
-        let mut wheel = TimingWheel::new();
+        let mut wheel = EventQueue::new();
         let mut heap = HeapQueue::new();
         let mut token = 0u64;
         for burst in 0..40 {
@@ -169,7 +168,7 @@ fn equal_time_bursts_preserve_fifo() {
 fn closed_loop_reschedule_matches_heap() {
     let mut rng = SimRng::seed_from(0xC105ED);
     for _case in 0..20 {
-        let mut wheel = TimingWheel::new();
+        let mut wheel = EventQueue::new();
         let mut heap = HeapQueue::new();
         let mut seq = 0u64;
         for c in 0..64u64 {
@@ -204,7 +203,7 @@ fn closed_loop_reschedule_matches_heap() {
 fn past_due_pushes_fire_in_heap_order() {
     let mut rng = SimRng::seed_from(0xDEAD);
     for _case in 0..20 {
-        let mut wheel = TimingWheel::new();
+        let mut wheel = EventQueue::new();
         let mut heap = HeapQueue::new();
         let mut token = 0u64;
         for _ in 0..100 {
@@ -229,8 +228,7 @@ fn past_due_pushes_fire_in_heap_order() {
     }
 }
 
-/// The shape the drivers produce — pop one, reschedule it later — through
-/// the [`EventQueue`] adapter they all use.
+/// The shape the drivers produce — pop one, reschedule it later.
 #[test]
 fn heap_reference_matches_wheel_on_a_closed_loop() {
     let mut wheel = EventQueue::new();

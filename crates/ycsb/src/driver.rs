@@ -68,54 +68,6 @@ impl SystemKind {
     }
 }
 
-/// Configuration of one self-contained benchmark run.
-#[derive(Debug, Clone)]
-pub struct RunConfig {
-    /// System under test.
-    pub system: SystemKind,
-    /// Workload specification.
-    pub workload: WorkloadSpec,
-    /// Closed-loop client count.
-    pub clients: usize,
-    /// Records loaded during warmup (the paper loads 600 k).
-    pub warmup_keys: u64,
-    /// Operations measured across all clients.
-    pub measure_ops: u64,
-    /// Seed for all stochastic choices.
-    pub seed: u64,
-}
-
-impl RunConfig {
-    /// Executes the run with the default (paper-testbed) cost model, on
-    /// the [`paper_poller`](SessionParams::paper_poller) scan-cost basis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clients == 0` or `measure_ops == 0`.
-    pub fn run(&self) -> RunResult {
-        self.run_with_cost(&CostModel::default())
-    }
-
-    /// Like [`run`](Self::run) with an explicit cost model (ablations).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clients == 0` or `measure_ops == 0`.
-    pub fn run_with_cost(&self, cost: &CostModel) -> RunResult {
-        assert!(self.clients > 0 && self.measure_ops > 0, "empty run");
-        let mut session = BenchSession::new(
-            self.system,
-            self.workload.value_size,
-            self.workload.key_count,
-            self.warmup_keys,
-            self.clients,
-            self.seed,
-            cost,
-        );
-        session.measure(&self.workload, self.clients, self.measure_ops)
-    }
-}
-
 /// Exact per-stage time sums over the recorded ops, folded straight from
 /// the functional meters at the driver's per-op tap — the figure-8 source
 /// of truth. Unlike the `avg_*` fields of [`RunResult`] (which attribute
@@ -360,7 +312,7 @@ impl SessionParams {
     /// server runs the same sweep either way. The fixed occupancies in
     /// [`CostModel`] were fitted *including* a scan of
     /// `poll_scan_baseline` rings, so the paper-figure reproductions opt
-    /// in; [`BenchSession::new`] and [`RunConfig::run`] carry it.
+    /// in.
     pub fn paper_poller(mut self, on: bool) -> SessionParams {
         self.paper_poller = on;
         self
@@ -524,32 +476,6 @@ pub struct BenchSession {
 }
 
 impl BenchSession {
-    /// Builds the system with `max_clients` connected clients and loads
-    /// `warmup_keys` records of `value_size` bytes — the paper-testbed
-    /// shorthand: the common [`SessionParams`] chain on the
-    /// [`paper_poller`](SessionParams::paper_poller) cost basis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_clients == 0`.
-    pub fn new(
-        system: SystemKind,
-        value_size: usize,
-        key_count: u64,
-        warmup_keys: u64,
-        max_clients: usize,
-        seed: u64,
-        cost: &CostModel,
-    ) -> BenchSession {
-        SessionParams::new(system)
-            .value_size(value_size)
-            .keys(key_count, warmup_keys)
-            .max_clients(max_clients)
-            .seed(seed)
-            .paper_poller(true)
-            .build(cost)
-    }
-
     /// The system this session drives.
     pub fn system(&self) -> SystemKind {
         self.system
@@ -903,16 +829,20 @@ fn pool_size_for(value_size: usize, warmup_keys: u64) -> usize {
 mod tests {
     use super::*;
 
+    // A warmed 500-key store of 32 B values on the paper-testbed basis.
+    fn paper(system: SystemKind, max_clients: usize, seed: u64) -> BenchSession {
+        SessionParams::new(system)
+            .value_size(32)
+            .keys(500, 500)
+            .max_clients(max_clients)
+            .seed(seed)
+            .paper_poller(true)
+            .build(&CostModel::default())
+    }
+
     fn quick(system: SystemKind, read_ratio: f64) -> RunResult {
-        RunConfig {
-            system,
-            workload: WorkloadSpec::with_read_ratio(read_ratio, 32, 500),
-            clients: 4,
-            warmup_keys: 500,
-            measure_ops: 1_500,
-            seed: 42,
-        }
-        .run()
+        let spec = WorkloadSpec::with_read_ratio(read_ratio, 32, 500);
+        paper(system, 4, 42).measure(&spec, 4, 1_500)
     }
 
     #[test]
@@ -960,16 +890,9 @@ mod tests {
 
     #[test]
     fn different_seeds_change_details_not_magnitudes() {
-        let base = RunConfig {
-            system: SystemKind::Precursor,
-            workload: WorkloadSpec::workload_c(32, 500),
-            clients: 4,
-            warmup_keys: 500,
-            measure_ops: 1_500,
-            seed: 1,
-        };
-        let a = base.run();
-        let b = RunConfig { seed: 2, ..base }.run();
+        let spec = WorkloadSpec::workload_c(32, 500);
+        let run = |seed| paper(SystemKind::Precursor, 4, seed).measure(&spec, 4, 1_500);
+        let (a, b) = (run(1), run(2));
         let ratio = a.throughput_ops / b.throughput_ops;
         assert!(ratio > 0.8 && ratio < 1.25, "ratio {ratio}");
     }
@@ -984,8 +907,7 @@ mod tests {
     #[test]
     fn session_reuse_matches_methodology() {
         // One warmup, several measurement points — like the paper's runs.
-        let cost = CostModel::default();
-        let mut session = BenchSession::new(SystemKind::Precursor, 32, 500, 500, 4, 7, &cost);
+        let mut session = paper(SystemKind::Precursor, 4, 7);
         let c = session.measure(&WorkloadSpec::workload_c(32, 500), 4, 1_000);
         let a = session.measure(&WorkloadSpec::workload_a(32, 500), 4, 1_000);
         assert!(c.throughput_ops > a.throughput_ops);
@@ -1055,8 +977,7 @@ mod tests {
 
     #[test]
     fn session_metrics_expose_op_counts() {
-        let cost = CostModel::default();
-        let mut session = BenchSession::new(SystemKind::Precursor, 32, 500, 500, 2, 7, &cost);
+        let mut session = paper(SystemKind::Precursor, 2, 7);
         let spec = WorkloadSpec::workload_c(32, 500);
         let r = session.measure(&spec, 2, 400);
         let m = session.metrics();
@@ -1073,8 +994,7 @@ mod tests {
         // first 16 pops are 16 distinct clients (initial schedule spacing
         // is far below latency + think time), so exactly 16 driver states
         // are ever allocated.
-        let cost = CostModel::default();
-        let mut session = BenchSession::new(SystemKind::Precursor, 32, 500, 500, 64, 5, &cost);
+        let mut session = paper(SystemKind::Precursor, 64, 5);
         let r = session.measure(&WorkloadSpec::workload_c(32, 500), 64, 16);
         assert_eq!(r.clients_connected, 64);
         assert_eq!(r.clients_active, 16, "active {}", r.clients_active);
@@ -1086,10 +1006,9 @@ mod tests {
         // client id), so the same clients issue the same ops regardless of
         // how many other clients exist in the fleet. Magnitudes must agree
         // closely; exact timings differ through resource contention.
-        let cost = CostModel::default();
         let spec = WorkloadSpec::workload_c(32, 500);
-        let mut small = BenchSession::new(SystemKind::Precursor, 32, 500, 500, 4, 5, &cost);
-        let mut big = BenchSession::new(SystemKind::Precursor, 32, 500, 500, 32, 5, &cost);
+        let mut small = paper(SystemKind::Precursor, 4, 5);
+        let mut big = paper(SystemKind::Precursor, 32, 5);
         let rs = small.measure(&spec, 4, 800);
         let rb = big.measure(&spec, 4, 800);
         let ratio = rs.throughput_ops / rb.throughput_ops;
@@ -1238,8 +1157,7 @@ mod tests {
 
     #[test]
     fn load_more_extends_keyspace() {
-        let cost = CostModel::default();
-        let mut session = BenchSession::new(SystemKind::Precursor, 32, 500, 500, 2, 7, &cost);
+        let mut session = paper(SystemKind::Precursor, 2, 7);
         let before = session.sgx_report().working_set_pages;
         session.load_more(500, 5_000);
         assert!(session.sgx_report().working_set_pages > before);

@@ -20,18 +20,18 @@
 //! # Example
 //!
 //! ```
-//! use precursor_ycsb::driver::{RunConfig, SystemKind};
+//! use precursor_sim::CostModel;
+//! use precursor_ycsb::driver::{SessionParams, SystemKind};
 //! use precursor_ycsb::workload::WorkloadSpec;
 //!
-//! let config = RunConfig {
-//!     system: SystemKind::Precursor,
-//!     workload: WorkloadSpec::workload_c(32, 1_000),
-//!     clients: 4,
-//!     warmup_keys: 1_000,
-//!     measure_ops: 2_000,
-//!     seed: 1,
-//! };
-//! let result = config.run();
+//! let mut session = SessionParams::new(SystemKind::Precursor)
+//!     .value_size(32)
+//!     .keys(1_000, 1_000)
+//!     .max_clients(4)
+//!     .seed(1)
+//!     .paper_poller(true)
+//!     .build(&CostModel::default());
+//! let result = session.measure(&WorkloadSpec::workload_c(32, 1_000), 4, 2_000);
 //! assert!(result.throughput_ops > 0.0);
 //! assert!(result.latency.count() > 0);
 //! ```
@@ -43,5 +43,5 @@ pub mod driver;
 pub mod workload;
 pub mod zipfian;
 
-pub use driver::{RunConfig, RunResult, SystemKind};
+pub use driver::{RunResult, SystemKind};
 pub use workload::{OpKind, WorkloadSpec};

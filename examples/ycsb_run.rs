@@ -5,7 +5,8 @@
 //! cargo run --release --example ycsb_run -- [precursor|server-enc|shieldstore] [a|b|c|update] [clients]
 //! ```
 
-use precursor_ycsb::driver::{RunConfig, SystemKind};
+use precursor_sim::CostModel;
+use precursor_ycsb::driver::{SessionParams, SystemKind};
 use precursor_ycsb::workload::WorkloadSpec;
 
 fn main() {
@@ -36,15 +37,14 @@ fn main() {
         keys
     );
 
-    let result = RunConfig {
-        system,
-        workload,
-        clients,
-        warmup_keys: keys,
-        measure_ops: 20_000,
-        seed: 0x9C5B,
-    }
-    .run();
+    let result = SessionParams::new(system)
+        .value_size(workload.value_size)
+        .keys(keys, keys)
+        .max_clients(clients)
+        .seed(0x9C5B)
+        .paper_poller(true)
+        .build(&CostModel::default())
+        .measure(&workload, clients, 20_000);
 
     println!();
     println!("throughput : {:>10.0} ops/s", result.throughput_ops);

@@ -52,12 +52,13 @@ if [ "${1:-}" = filters ]; then
     exit
 fi
 
-# One cluster, one node type, one replay path, one journal attach: the names
-# PR 23 deleted must not grow back.
+# One cluster, one node type, one replay path, one journal attach, one
+# histogram, one event queue, one driver entry point: the deleted names must
+# not grow back.
 echo "== deleted names stay deleted =="
-if grep -rnE "attach_replicated_journal|external_commit|replace_node|recover_staged|recover_with_base|fail_primary_staged" \
+if grep -rnE "attach_replicated_journal|external_commit|replace_node|recover_staged|recover_with_base|fail_primary_staged|FixedHistogram|DEFAULT_LATENCY_BOUNDS_NS|TimingWheel|RunConfig|epc_fault_locality" \
     crates tests examples; then
-    echo "ci: a deleted name reappeared (see CHANGES.md, PR 23)" >&2
+    echo "ci: a deleted name reappeared (see CHANGES.md)" >&2
     exit 1
 fi
 

@@ -158,7 +158,7 @@ fn metrics_are_equivalent_across_backends() {
                 m.counter("status.not_found"),
             ),
         ));
-        let stage_total: u64 = [
+        let stage_total: u128 = [
             "stage.client_cpu_ns",
             "stage.server_critical_ns",
             "stage.server_overhead_ns",

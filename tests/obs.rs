@@ -2,18 +2,19 @@
 //! the fig8 stage-fraction pin, and the shape of every point of the
 //! committed `trajectory` figure (`bench_results/trajectory.csv`).
 //!
-//! The layer's contract is twofold. First, the primitives are exact:
-//! histogram buckets classify on inclusive upper bounds, merging is
-//! associative and lossless for count/sum/min/max, counters saturate
-//! rather than wrap. Second, the taps are *invisible*: with tracing and
-//! metrics enabled, a seeded run replays bit-identically (the tracer
-//! digest and the registry snapshot are pure functions of the seed), and
-//! the golden-digest chaos workload's per-stage sums are pinned here
-//! tolerance-free — any drift means either the cost model changed (update
-//! the pins and say so) or a tap started perturbing the run (fix it).
+//! The layer's contract is twofold. First, the primitives are exact or
+//! bounded: registry merging is associative and lossless, histogram
+//! percentiles track the samples within the bucket error, counters
+//! saturate rather than wrap. Second, the taps are *invisible*: with
+//! tracing and metrics enabled, a seeded run replays bit-identically (the
+//! tracer digest and the registry snapshot are pure functions of the
+//! seed), and the golden-digest chaos workload's per-stage sums are
+//! pinned here tolerance-free — any drift means either the cost model
+//! changed (update the pins and say so) or a tap started perturbing the
+//! run (fix it).
 
 use precursor::{Config, PrecursorClient, PrecursorServer};
-use precursor_obs::{FixedHistogram, MetricsRegistry, DEFAULT_LATENCY_BOUNDS_NS};
+use precursor_obs::MetricsRegistry;
 use precursor_sim::rng::SimRng;
 use precursor_sim::CostModel;
 
@@ -30,53 +31,18 @@ fn golden(seed: u64, trace_cap: usize) -> (PrecursorServer, PrecursorClient) {
 }
 
 #[test]
-fn histogram_buckets_classify_on_inclusive_bounds() {
-    let mut rng = SimRng::seed_from(0x0b5);
-    let mut h = FixedHistogram::new(&DEFAULT_LATENCY_BOUNDS_NS);
-    let mut expected = vec![0u64; DEFAULT_LATENCY_BOUNDS_NS.len()];
-    let mut expected_overflow = 0u64;
-    let mut sum = 0u64;
-    let (mut min, mut max) = (u64::MAX, 0u64);
-    for _ in 0..10_000 {
-        let v = rng.gen_range(16_000_000);
-        h.observe(v);
-        // Independent reference classification: first bound with v <= b.
-        match DEFAULT_LATENCY_BOUNDS_NS.iter().position(|&b| v <= b) {
-            Some(i) => expected[i] += 1,
-            None => expected_overflow += 1,
-        }
-        sum += v;
-        min = min.min(v);
-        max = max.max(v);
-    }
-    for (i, &e) in expected.iter().enumerate() {
-        assert_eq!(h.bucket_count(i), e, "bucket {i}");
-    }
-    assert_eq!(h.overflow(), expected_overflow);
-    assert_eq!(h.count(), 10_000);
-    assert_eq!(h.sum(), sum);
-    assert_eq!(h.min(), min);
-    assert_eq!(h.max(), max);
-    let bucket_total: u64 = (0..DEFAULT_LATENCY_BOUNDS_NS.len())
-        .map(|i| h.bucket_count(i))
-        .sum::<u64>()
-        + h.overflow();
-    assert_eq!(bucket_total, h.count());
-}
-
-#[test]
 fn histogram_merge_is_associative_and_lossless() {
     let mut rng = SimRng::seed_from(0xACC);
-    let mut parts: Vec<FixedHistogram> = Vec::new();
-    let mut all = FixedHistogram::default();
+    let mut parts: Vec<MetricsRegistry> = Vec::new();
+    let mut all = MetricsRegistry::default();
     for _ in 0..3 {
-        let mut h = FixedHistogram::default();
+        let mut m = MetricsRegistry::default();
         for _ in 0..1_000 {
             let v = rng.gen_range(10_000_000);
-            h.observe(v);
-            all.observe(v);
+            m.observe("lat", v);
+            all.observe("lat", v);
         }
-        parts.push(h);
+        parts.push(m);
     }
     let [a, b, c] = parts.try_into().expect("three parts");
 
@@ -93,6 +59,30 @@ fn histogram_merge_is_associative_and_lossless() {
     assert_eq!(left, right, "merge must be associative");
     // Merging part-wise must equal having observed every sample directly.
     assert_eq!(left, all, "merge must be lossless");
+    assert_eq!(left.to_json(), all.to_json());
+}
+
+#[test]
+fn registry_percentiles_track_the_samples() {
+    let mut m = MetricsRegistry::default();
+    for v in 1..=10_000 {
+        m.observe("ramp", v);
+    }
+    let h = m.histogram("ramp").expect("observed");
+    assert_eq!((h.count(), h.sum()), (10_000, 50_005_000));
+    let json = m.to_json();
+    // The `"ramp"` object's integer field `key`, as rendered.
+    let field = |key: &str| -> u64 {
+        let tail = &json[json.find("\"ramp\"").expect("ramp in JSON")..];
+        let at = tail.find(&format!("\"{key}\": ")).expect(key) + key.len() + 4;
+        let digits = tail[at..].split(|c: char| !c.is_ascii_digit()).next();
+        digits.and_then(|d| d.parse().ok()).expect("an integer")
+    };
+    for (p, key, exact) in [(50.0, "p50", 5_000u64), (99.0, "p99", 9_900)] {
+        let (got, rendered) = (h.percentile(p).0, field(key));
+        assert_eq!(got, rendered, "{key}: JSON and histogram disagree");
+        assert!(got.abs_diff(exact) * 16 <= exact, "{key} {got} vs {exact}");
+    }
 }
 
 #[test]
@@ -151,11 +141,15 @@ fn fig8_stage_sums_match_golden_workload_exactly() {
         ("stage.network_ns", GOLDEN_NETWORK_NS),
     ];
     for (name, pin) in pins {
-        assert_eq!(sum(name), pin, "{name} drifted from its golden sum");
+        assert_eq!(
+            sum(name),
+            u128::from(pin),
+            "{name} drifted from its golden sum"
+        );
     }
     // Conservation: the stage sums add up to the total histogram's sum
     // exactly, because Meter::total() is the sum of its stages.
-    let stage_total: u64 = pins.iter().map(|(name, _)| sum(name)).sum();
+    let stage_total: u128 = pins.iter().map(|(name, _)| sum(name)).sum();
     assert_eq!(stage_total, sum("stage.total_ns"));
     // Every processed op contributed one sample to every stage histogram.
     let op_count = m.counter("ops.put") + m.counter("ops.get") + m.counter("ops.delete");
@@ -205,7 +199,7 @@ fn pipelined_run_stage_sums_equal_the_total_exactly() {
     }
     let m = server.metrics();
     let sum = |n: &str| m.histogram(n).expect(n).sum();
-    let stage_total: u64 = STAGE_SUMS.iter().map(|n| sum(n)).sum();
+    let stage_total: u128 = STAGE_SUMS.iter().map(|n| sum(n)).sum();
     assert_eq!(stage_total, sum("stage.total_ns"));
     assert_eq!(m.histogram("stage.total_ns").expect("total").count(), 48);
 }
