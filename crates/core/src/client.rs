@@ -380,11 +380,6 @@ impl PrecursorClient {
         self.pending.len()
     }
 
-    /// The `oid` assigned to the most recently issued operation.
-    pub fn last_oid(&self) -> u64 {
-        self.oid
-    }
-
     /// Replaces the timeout/retry policy (applies to operations issued from
     /// now on).
     pub fn set_retry_policy(&mut self, retry: RetryPolicy) {

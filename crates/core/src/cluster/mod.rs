@@ -50,14 +50,12 @@ pub use client::{ClusterClient, RouteStats, MAX_REDIRECTS};
 pub use ring::PlacementRing;
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
 use precursor_crypto::gcm::GcmKey;
 use precursor_crypto::keys::Key128;
 use precursor_crypto::Nonce12;
 use precursor_obs::MetricsRegistry;
 use precursor_rdma::faults::{DurableVerdict, FaultInjector, FaultPlan, FaultSite};
-use precursor_rdma::plock;
 use precursor_rdma::replica::ReplicaLink;
 use precursor_sim::rng::SimRng;
 use precursor_sim::CostModel;
@@ -257,7 +255,7 @@ pub struct PrecursorCluster {
     // attestation between source and destination).
     transfer_key: GcmKey,
     transfer_seq: u64,
-    migrate_faults: Option<Arc<Mutex<FaultInjector>>>,
+    migrate_faults: Option<FaultInjector>,
     migrations_completed: u64,
     migrations_aborted: u64,
     keys_moved: u64,
@@ -420,7 +418,7 @@ impl PrecursorCluster {
     /// chaos hook modelling a source crash (Drop → torn transfer) or host
     /// tampering (Corrupt) during segment shipping.
     pub fn set_migrate_fault_plan(&mut self, plan: FaultPlan, seed: u64) {
-        self.migrate_faults = Some(FaultInjector::shared(plan, seed));
+        self.migrate_faults = Some(FaultInjector::new(plan, seed));
     }
 
     /// Fenced migrations so far.
@@ -476,10 +474,6 @@ impl PrecursorCluster {
         // right now. Keys created later are picked up by the fence delta;
         // keys deleted later are dropped by the fence list.
         let keys = self.keys_in(from, point);
-        let link = match &self.migrate_faults {
-            Some(f) => ReplicaLink::new_faulty(Arc::clone(f)),
-            None => ReplicaLink::new(),
-        };
         self.migration = Some(Migration {
             from,
             to,
@@ -487,7 +481,7 @@ impl PrecursorCluster {
             keys,
             next: 0,
             staged: BTreeMap::new(),
-            link,
+            link: ReplicaLink::new(),
             segments: 0,
         });
         Ok(true)
@@ -562,8 +556,8 @@ impl PrecursorCluster {
         let mut sealed = self
             .transfer_key
             .seal(&Nonce12::from_counter(seq), &aad, &plain);
-        if let Some(f) = &self.migrate_faults {
-            match plock(f).on_durable_write(FaultSite::MigrateShip, sealed.len()) {
+        if let Some(f) = &mut self.migrate_faults {
+            match f.on_durable_write(FaultSite::MigrateShip, sealed.len()) {
                 DurableVerdict::Complete => {}
                 DurableVerdict::Torn(_) => return ShipResult::SourceCrashed,
                 DurableVerdict::Corrupt(bit) => {

@@ -49,7 +49,8 @@ pub(super) struct ClientPort {
 }
 
 // Ingress-stage state: every untrusted per-client port plus the report
-// buffer and the sweep counters.
+// buffer and the sweep counters (the per-event ones — credit write-backs,
+// shard handoffs, dropped reports — live in the server's registry only).
 #[derive(Debug)]
 pub(super) struct Ingress {
     // `None` marks a revoked slot: ids are stable (they index the trusted
@@ -57,16 +58,9 @@ pub(super) struct Ingress {
     // and MRs are dropped.
     pub(super) ports: Vec<Option<ClientPort>>,
     pub(super) reports: VecDeque<OpReport>,
-    pub(super) reports_dropped: u64,
     // Per-worker round-robin cursors over each worker's due rings.
     pub(super) rr_cursors: Vec<usize>,
     pub(super) polls: u64,
-    // Credit write-backs actually posted (sweeps that consumed nothing
-    // skip the redundant WRITE).
-    pub(super) credit_writes: u64,
-    // Requests popped by a worker whose shard did not own the key, handed
-    // across the shard-crossing queue.
-    pub(super) handoffs: u64,
     // Doorbell board: every request ring is registered with a write-watch
     // that marks the owning client's index here on each *delivered* WRITE.
     // Sweeps drain the board instead of scanning rings, so an idle ring
@@ -159,7 +153,6 @@ impl PrecursorServer {
         let _ = port
             .qp
             .post_write(credit_rkey, 0, &consumed.to_le_bytes(), false);
-        self.ingress.credit_writes += 1;
         self.obs.inc("server.credit_writes", 1);
         self.trace("ingress", "credit_write", idx as u64, consumed);
     }
@@ -289,7 +282,6 @@ impl PrecursorServer {
         );
         if self.ingress.reports.len() >= self.config.max_buffered_reports {
             self.ingress.reports.pop_front();
-            self.ingress.reports_dropped += 1;
             self.obs.inc("server.reports_dropped", 1);
         }
         self.ingress.reports.push_back(report);

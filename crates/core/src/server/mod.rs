@@ -142,8 +142,6 @@ pub struct PrecursorServer {
 
     // trusted execution environment shared by every stage
     enclave: Enclave,
-    // modelled enclave region holding code + static data
-    static_region: RegionId,
 
     // pipeline stage states (one struct per stage module)
     sessions: SessionStage,
@@ -192,6 +190,7 @@ impl PrecursorServer {
         let attestation = AttestationService::new(&mut rng);
         let mut enclave = Enclave::new(cost);
 
+        // Code + static data.
         let static_region = enclave.alloc_region("static", 8 * cost.page_bytes);
         let shards = config.shards.max(1);
         let table = ShardedRobinHoodMap::with_capacity(shards, config.initial_table_slots);
@@ -220,7 +219,6 @@ impl PrecursorServer {
             cost: cost.clone(),
             rng,
             enclave,
-            static_region,
             sessions: SessionStage {
                 list: Vec::new(),
                 saved: Vec::new(),
@@ -245,11 +243,8 @@ impl PrecursorServer {
             ingress: Ingress {
                 ports: Vec::new(),
                 reports: std::collections::VecDeque::new(),
-                reports_dropped: 0,
                 rr_cursors: vec![0; shards],
                 polls: 0,
-                credit_writes: 0,
-                handoffs: 0,
                 dirty_board: precursor_rdma::WriteBoard::new(),
                 scratch: Default::default(),
                 rings_swept: 0,
@@ -298,7 +293,7 @@ impl PrecursorServer {
     /// ([`Config::max_buffered_reports`]) was reached before
     /// [`take_reports`](Self::take_reports) drained them.
     pub fn reports_dropped(&self) -> u64 {
-        self.ingress.reports_dropped
+        self.obs.counter("server.reports_dropped")
     }
 
     /// Untrusted-pool bytes (slot capacities) currently charged to
@@ -364,17 +359,6 @@ impl PrecursorServer {
         self.store.table.get(&key.to_vec()).map(|e| e.client_id)
     }
 
-    /// The modelled enclave heap regions and their sizes in bytes
-    /// (diagnostics for the EPC analysis of §5.4). With sharding there is
-    /// one `hash-table` region per shard.
-    pub fn enclave_regions(&self) -> Vec<(&'static str, u64)> {
-        std::iter::once(self.static_region)
-            .chain(self.store.table_regions.iter().copied())
-            .chain([self.store.misc_region, self.sessions.client_region])
-            .map(|r| (self.enclave.region_name(r), self.enclave.region_bytes(r)))
-            .collect()
-    }
-
     /// Number of trusted polling shards ([`Config::shards`]).
     pub fn shards(&self) -> usize {
         self.config.shards.max(1)
@@ -383,13 +367,13 @@ impl PrecursorServer {
     /// Credit write-backs posted so far. Sweeps that consumed nothing from
     /// a client's ring skip the WRITE (the credit word is unchanged).
     pub fn credit_writes(&self) -> u64 {
-        self.ingress.credit_writes
+        self.obs.counter("server.credit_writes")
     }
 
     /// Requests handed across shards so far: popped by a polling worker
     /// whose shard did not own the key (never with `shards = 1`).
     pub fn handoffs(&self) -> u64 {
-        self.ingress.handoffs
+        self.obs.counter("server.handoffs")
     }
 
     /// Ring visits performed by poll sweeps so far. Sweeps are

@@ -292,7 +292,6 @@ impl PrecursorServer {
                                 // Shard-crossing handoff: the popping
                                 // worker copies the validated control into
                                 // the owning shard's queue.
-                                server.ingress.handoffs += 1;
                                 server.obs.inc("server.handoffs", 1);
                                 let cost = &server.cost;
                                 meter.charge(

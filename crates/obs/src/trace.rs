@@ -82,11 +82,6 @@ impl Tracer {
         }
     }
 
-    /// Whether recording is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Record one event. No-op when disabled.
     pub fn record(&mut self, at: Nanos, stage: &'static str, event: &'static str, a: u64, b: u64) {
         if !self.enabled {
@@ -133,11 +128,6 @@ impl Tracer {
     /// The retained (most recent) events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.ring.iter()
-    }
-
-    /// Drop retained events but keep the digest and totals running.
-    pub fn clear_ring(&mut self) {
-        self.ring.clear();
     }
 }
 

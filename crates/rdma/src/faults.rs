@@ -1,24 +1,24 @@
 //! Deterministic, seeded fault injection for the simulated transports.
 //!
-//! Real RDMA deployments lose frames to link errors, drop completions when
-//! QPs transition to error, and suffer DMA into untrusted memory being
-//! corrupted by a hostile host — exactly the faults Precursor's client-side
-//! integrity checks and the recovery protocol must survive. A [`FaultPlan`]
-//! describes *which* faults to inject (exact scripted rules and/or
-//! probabilistic rates); a [`FaultInjector`] executes the plan against the
-//! event stream of a transport pair, driven by a [`SimRng`] so every chaos
-//! run replays bit-identically from its seed.
+//! Real RDMA deployments lose frames to link errors, see QPs transition to
+//! error, and suffer DMA into untrusted memory being corrupted by a hostile
+//! host — exactly the faults Precursor's client-side integrity checks and
+//! the recovery protocol must survive. A [`FaultPlan`] describes *which*
+//! faults to inject (exact scripted rules and/or probabilistic rates); a
+//! [`FaultInjector`] executes the plan, driven by a [`SimRng`] so every
+//! chaos run replays bit-identically from its seed.
 //!
-//! The injector is shared between the two endpoints of a
-//! [`connect_pair_faulty`](crate::qp::connect_pair_faulty) or
-//! [`SimTcp::pair_faulty`](crate::tcp::SimTcp::pair_faulty) and observes
-//! four event streams ([`FaultSite`]): one-sided WRITEs, two-sided SENDs,
-//! TCP messages, and signaled completions. Each event may trigger at most
-//! one [`FaultAction`]; everything injected is recorded in a log the chaos
-//! harness can audit ("every injected fault ended in recovery or a typed
-//! error").
+//! The model holds only the traffic the store generates ([`FaultSite`]):
+//! the one-sided WRITEs of a
+//! [`connect_pair_faulty`](crate::qp::connect_pair_faulty) pair (the
+//! injector is shared by its two endpoints), and the durable writes and
+//! migration shipments the server and cluster pass through
+//! [`FaultInjector::on_durable_write`]. Each event may trigger at most one
+//! [`FaultAction`] — a drop, a bit flip or a QP error; everything injected
+//! is recorded in a log the chaos harness can audit ("every injected fault
+//! ended in recovery or a typed error").
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use precursor_sim::rng::SimRng;
@@ -28,13 +28,6 @@ use precursor_sim::rng::SimRng;
 pub enum FaultSite {
     /// A one-sided WRITE (ring frames and payloads travel this way).
     Write,
-    /// A two-sided SEND message.
-    Send,
-    /// A message on a [`SimTcp`](crate::tcp::SimTcp) socket (attestation
-    /// handshakes).
-    Tcp,
-    /// A signaled work completion about to be delivered to a CQ.
-    Completion,
     /// A sealed snapshot being written to untrusted durable storage — the
     /// host can kill the process mid-write, leaving a torn blob.
     SnapshotSeal,
@@ -82,17 +75,10 @@ impl FaultDir {
 /// What to do to a matched event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultAction {
-    /// Discard the frame / completion silently.
+    /// Discard the write silently (a durable write tears).
     Drop,
-    /// Deliver the frame twice (messages only; WRITEs are idempotent).
-    Duplicate,
     /// Flip one random bit of the delivered bytes.
     Corrupt,
-    /// Hold the frame and release it in front of the next frame in the same
-    /// direction (messages only). A delayed frame with no successor never
-    /// arrives — indistinguishable from a drop, which the recovery protocol
-    /// must handle anyway.
-    Delay,
     /// Transition the owning queue pair to the error state.
     QpError,
 }
@@ -206,15 +192,14 @@ pub enum DurableVerdict {
     Corrupt(usize),
 }
 
-/// Executes a [`FaultPlan`] against a transport pair's event streams.
+/// Executes a [`FaultPlan`] against the WRITE, durable-write and
+/// migration event streams.
 #[derive(Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
     rng: SimRng,
     totals: HashMap<FaultSite, u64>,
     by_dir: HashMap<(FaultSite, bool), u64>,
-    delayed: HashMap<(FaultSite, bool), VecDeque<Vec<u8>>>,
-    forced_error: bool,
     log: Vec<InjectedFault>,
 }
 
@@ -228,8 +213,6 @@ impl FaultInjector {
             rng: SimRng::seed_from(seed),
             totals: HashMap::new(),
             by_dir: HashMap::new(),
-            delayed: HashMap::new(),
-            forced_error: false,
             log: Vec::new(),
         }
     }
@@ -248,12 +231,6 @@ impl FaultInjector {
     /// Number of faults injected so far.
     pub fn injected(&self) -> usize {
         self.log.len()
-    }
-
-    /// Takes (and clears) the pending forced-QP-error flag. Transports call
-    /// this after passing an event through the injector.
-    pub fn take_forced_error(&mut self) -> bool {
-        std::mem::take(&mut self.forced_error)
     }
 
     fn pick(&mut self, site: FaultSite, from_a: bool) -> Option<FaultAction> {
@@ -315,65 +292,25 @@ impl FaultInjector {
         data[pos] ^= 1 << bit;
     }
 
-    /// Passes a message (SEND or TCP) through the plan. Returns the frames
-    /// to actually enqueue, in order: any previously delayed frame for this
-    /// direction is released first, then the current frame (unless dropped
-    /// or delayed), then any duplicate.
-    pub fn on_message(&mut self, site: FaultSite, from_a: bool, data: &[u8]) -> Vec<Vec<u8>> {
-        let mut out: Vec<Vec<u8>> = self
-            .delayed
-            .remove(&(site, from_a))
-            .map(Vec::from)
-            .unwrap_or_default();
-        match self.pick(site, from_a) {
-            None => out.push(data.to_vec()),
-            Some(FaultAction::Drop) => {}
-            Some(FaultAction::Duplicate) => {
-                out.push(data.to_vec());
-                out.push(data.to_vec());
-            }
-            Some(FaultAction::Corrupt) => {
-                let mut d = data.to_vec();
-                self.flip_bit(&mut d);
-                out.push(d);
-            }
-            Some(FaultAction::Delay) => {
-                self.delayed
-                    .entry((site, from_a))
-                    .or_default()
-                    .push_back(data.to_vec());
-            }
-            Some(FaultAction::QpError) => {
-                self.forced_error = true;
-            }
-        }
-        out
-    }
-
     /// Passes a one-sided WRITE through the plan, possibly corrupting the
-    /// bytes in place. `Duplicate`/`Delay` degrade to `Deliver` here:
-    /// re-writing the same offset is a no-op and ring slots are
-    /// sequence-checked, so neither is observable.
+    /// bytes in place.
     pub fn on_write(&mut self, from_a: bool, data: &mut [u8]) -> WriteVerdict {
         match self.pick(FaultSite::Write, from_a) {
-            None | Some(FaultAction::Duplicate) | Some(FaultAction::Delay) => WriteVerdict::Deliver,
+            None => WriteVerdict::Deliver,
             Some(FaultAction::Drop) => WriteVerdict::Drop,
             Some(FaultAction::Corrupt) => {
                 self.flip_bit(data);
                 WriteVerdict::Deliver
             }
-            Some(FaultAction::QpError) => {
-                self.forced_error = true;
-                WriteVerdict::Error
-            }
+            Some(FaultAction::QpError) => WriteVerdict::Error,
         }
     }
 
     /// Passes a `len`-byte durable write (snapshot seal or journal flush)
     /// through the plan. `Drop` models the host killing the process
     /// mid-write: only a strict prefix of the bytes lands. `Corrupt` lands
-    /// every byte but flips one bit. Other actions degrade to `Complete`
-    /// (a durable write cannot be duplicated or reordered observably).
+    /// every byte but flips one bit. `QpError` kills the writer before the
+    /// first byte: nothing lands.
     ///
     /// Durable-write sites have their own event counters, and the RNG is
     /// only drawn when a rule fires (or a rate targets the site), so adding
@@ -387,9 +324,7 @@ impl FaultInjector {
                 | FaultSite::MigrateShip
         ));
         match self.pick(site, true) {
-            None | Some(FaultAction::Duplicate) | Some(FaultAction::Delay) => {
-                DurableVerdict::Complete
-            }
+            None => DurableVerdict::Complete,
             Some(FaultAction::Drop) => {
                 // Strictly partial: at least the last byte is lost.
                 let keep = if len == 0 {
@@ -407,24 +342,7 @@ impl FaultInjector {
                 };
                 DurableVerdict::Corrupt(bit)
             }
-            Some(FaultAction::QpError) => {
-                self.forced_error = true;
-                DurableVerdict::Torn(0)
-            }
-        }
-    }
-
-    /// Whether a signaled completion should be delivered (`false` = the
-    /// completion is lost). Any matched action drops it; `QpError`
-    /// additionally errors the QP.
-    pub fn on_completion(&mut self, from_a: bool) -> bool {
-        match self.pick(FaultSite::Completion, from_a) {
-            None => true,
-            Some(FaultAction::QpError) => {
-                self.forced_error = true;
-                false
-            }
-            Some(_) => false,
+            Some(FaultAction::QpError) => DurableVerdict::Torn(0),
         }
     }
 }
@@ -437,14 +355,15 @@ mod tests {
     fn empty_plan_never_injects() {
         let mut inj = FaultInjector::new(FaultPlan::none(), 1);
         for i in 0..100u8 {
-            assert_eq!(inj.on_message(FaultSite::Tcp, true, &[i]), vec![vec![i]]);
             let mut d = vec![i];
-            assert_eq!(inj.on_write(true, &mut d), WriteVerdict::Deliver);
+            assert_eq!(inj.on_write(i % 2 == 0, &mut d), WriteVerdict::Deliver);
             assert_eq!(d, vec![i]);
-            assert!(inj.on_completion(false));
+            assert_eq!(
+                inj.on_durable_write(FaultSite::JournalFlush, 64),
+                DurableVerdict::Complete
+            );
         }
         assert_eq!(inj.injected(), 0);
-        assert!(!inj.take_forced_error());
     }
 
     #[test]
@@ -494,46 +413,13 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_and_delay_reorder_messages() {
-        let plan = FaultPlan::none()
-            .rule(FaultSite::Tcp, FaultDir::AtoB, FaultAction::Delay, 1)
-            .rule(FaultSite::Tcp, FaultDir::AtoB, FaultAction::Duplicate, 3);
-        let mut inj = FaultInjector::new(plan, 5);
-        assert_eq!(
-            inj.on_message(FaultSite::Tcp, true, b"1"),
-            Vec::<Vec<u8>>::new()
-        );
-        // Delayed frame released before the next one.
-        assert_eq!(
-            inj.on_message(FaultSite::Tcp, true, b"2"),
-            vec![b"1".to_vec(), b"2".to_vec()]
-        );
-        assert_eq!(
-            inj.on_message(FaultSite::Tcp, true, b"3"),
-            vec![b"3".to_vec(), b"3".to_vec()]
-        );
-    }
-
-    #[test]
-    fn qp_error_action_raises_forced_error() {
+    fn qp_error_action_fails_only_its_write() {
         let plan = FaultPlan::none().rule(FaultSite::Write, FaultDir::Any, FaultAction::QpError, 2);
         let mut inj = FaultInjector::new(plan, 5);
         let mut d = vec![0u8];
         assert_eq!(inj.on_write(true, &mut d), WriteVerdict::Deliver);
-        assert!(!inj.take_forced_error());
         assert_eq!(inj.on_write(true, &mut d), WriteVerdict::Error);
-        assert!(inj.take_forced_error());
-        assert!(!inj.take_forced_error(), "flag is cleared after take");
-    }
-
-    #[test]
-    fn completion_drop() {
-        let plan =
-            FaultPlan::none().rule(FaultSite::Completion, FaultDir::Any, FaultAction::Drop, 2);
-        let mut inj = FaultInjector::new(plan, 5);
-        assert!(inj.on_completion(true));
-        assert!(!inj.on_completion(true));
-        assert!(inj.on_completion(true));
+        assert_eq!(inj.on_write(true, &mut d), WriteVerdict::Deliver);
     }
 
     #[test]

@@ -8,17 +8,19 @@
 //!   one-sided accesses really move bytes between buffers, and a region can
 //!   be *pinned against DMA* to enforce the SGX rule that enclave memory is
 //!   unreachable from the NIC.
-//! * [`qp`] — reliable-connected queue pairs: one-sided `WRITE`/`READ`
-//!   bypassing the remote CPU, two-sided `SEND`/`RECV`, completion queues,
-//!   selective signaling, and inline sends (≤912 B on the paper's NICs).
+//! * [`qp`] — reliable-connected queue pairs: one-sided `WRITE` bypassing
+//!   the remote CPU (the store's data path), two-sided `SEND`/`RECV` (the
+//!   replication and migration links), completion queues, selective
+//!   signaling, and inline sends (≤912 B on the paper's NICs).
 //! * [`nic`] — the RNIC's QP-state cache; with more connections than cache
 //!   entries, per-op misses appear — the contention that bends the paper's
 //!   Figure 6 beyond ~55 clients.
 //! * [`tcp`] — the kernel-TCP baseline transport used by ShieldStore, with
 //!   per-message syscall/interrupt costs charged by the cost model.
-//! * [`faults`] — deterministic, seeded fault injection (dropped/corrupted
-//!   frames, lost completions, forced QP errors) threaded through both
-//!   transports so recovery protocols can be chaos-tested replayably.
+//! * [`faults`] — deterministic, seeded fault injection: dropped or
+//!   bit-flipped WRITEs and QP errors on a faulty pair, torn or corrupted
+//!   durable writes and migration shipments — the traffic the store
+//!   generates — so recovery protocols can be chaos-tested replayably.
 //! * [`adversary`] — deterministic *malicious-host* injection (payload
 //!   tampering, reply replay/reorder/duplication, staged rollback and fork
 //!   attacks) driven by the host software itself, so Byzantine-detection

@@ -113,11 +113,6 @@ impl<S: ByteStore> Memory<S> {
     pub fn with<R>(&self, f: impl FnOnce(&S) -> R) -> R {
         f(&plock(&self.buf))
     }
-
-    /// Whether two handles share storage.
-    pub fn same_as(&self, other: &Memory<S>) -> bool {
-        Arc::ptr_eq(&self.buf, &other.buf)
-    }
 }
 
 impl<S: ByteStore + Send + 'static> Memory<S> {
@@ -139,8 +134,8 @@ pub struct RemoteKey(pub(crate) u64);
 /// table.
 pub(crate) struct Registration {
     pub mem: Region,
-    /// Remote peers may WRITE (and READ). False models registration of
-    /// read-only windows.
+    /// Remote peers may WRITE. False models a window registered without
+    /// remote-write permission.
     pub remote_write: bool,
     /// Optional write-watch: every remote WRITE *delivered* into this
     /// region marks `(board, tag)` — the doorbell feeding the server's poll
@@ -268,8 +263,6 @@ mod tests {
         let b = a.clone();
         b.write(0, &[42]);
         assert_eq!(a.read(0, 1), [42]);
-        assert!(a.same_as(&b));
-        assert!(!a.same_as(&Memory::zeroed(16)));
     }
 
     #[test]

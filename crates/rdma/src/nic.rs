@@ -145,16 +145,6 @@ impl RnicCache {
         self.misses
     }
 
-    /// Miss ratio over all accesses (zero when unused).
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-
     /// Number of QPs currently cached.
     pub fn occupancy(&self) -> usize {
         self.occupancy
@@ -193,7 +183,7 @@ mod tests {
             c.access(i % 8);
         }
         assert_eq!(c.hits(), 0);
-        assert_eq!(c.miss_ratio(), 1.0);
+        assert_eq!(c.misses(), 80);
     }
 
     #[test]

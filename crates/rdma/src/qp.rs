@@ -1,13 +1,13 @@
 //! Reliable-connected queue pairs.
 //!
-//! A [`QueuePair`] models one end of an RC connection. One-sided WRITE/READ
-//! operate directly on the peer's registered memory without involving the
+//! A [`QueuePair`] models one end of an RC connection. A one-sided WRITE
+//! lands directly in the peer's registered memory without involving the
 //! peer's CPU — the property Precursor exploits so payloads land in server
 //! memory with zero server cycles (§2.2, §3.5). Two-sided SEND/RECV queue
-//! messages for the peer to receive. Completions are reported through a
-//! per-QP completion queue with *selective signaling*: only work requests
-//! posted with `signaled = true` generate completions (§4, "RDMA
-//! optimizations").
+//! messages for the peer to receive (the replication and migration links).
+//! Completions are reported through a per-QP completion queue with
+//! *selective signaling*: only work requests posted with `signaled = true`
+//! generate completions (§4, "RDMA optimizations").
 //!
 //! Error semantics follow the verbs model: once a QP is in the error state
 //! (peer revocation via [`set_error`](QueuePair::set_error), or an injected
@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 
 use precursor_storage::sparse::ByteStore;
 
-use crate::faults::{FaultInjector, FaultSite, WriteVerdict};
+use crate::faults::{FaultInjector, WriteVerdict};
 use crate::mr::{Memory, Region, Registration, RemoteKey, WriteBoard};
 use crate::plock;
 
@@ -99,12 +99,8 @@ pub struct QpStats {
     pub posts: u64,
     /// One-sided writes posted.
     pub writes: u64,
-    /// One-sided reads posted.
-    pub reads: u64,
     /// Two-sided sends posted.
     pub sends: u64,
-    /// One-sided atomics posted.
-    pub atomics: u64,
     /// Bytes moved by this endpoint's posts.
     pub bytes: u64,
     /// Posts that qualified for inline transmission.
@@ -134,8 +130,8 @@ struct Endpoint {
 #[derive(Debug, Default)]
 struct Shared {
     // Registered regions of both endpoints, indexed by `rkey - 1` and
-    // tagged with the registering endpoint; `None` once deregistered.
-    regs: Vec<Option<(usize, Registration)>>,
+    // tagged with the registering endpoint.
+    regs: Vec<(usize, Registration)>,
     ends: [Endpoint; 2],
     error: bool,
 }
@@ -148,7 +144,7 @@ impl Shared {
         }
         let slot = key.0.checked_sub(1).and_then(|i| self.regs.get(i as usize));
         match slot {
-            Some(Some((at, reg))) if *at == owner => Ok(reg),
+            Some((at, reg)) if *at == owner => Ok(reg),
             _ => Err(RdmaError::InvalidRkey),
         }
     }
@@ -170,7 +166,7 @@ pub fn connect_pair(inline_max: usize) -> (QueuePair, QueuePair) {
     make_pair(inline_max, None)
 }
 
-/// Creates a connected pair whose traffic flows through a shared
+/// Creates a connected pair whose one-sided WRITEs flow through a shared
 /// [`FaultInjector`]. Endpoint *A* (the first element) originates
 /// `AtoB` events.
 pub fn connect_pair_faulty(
@@ -199,9 +195,9 @@ fn make_pair(
 
 impl QueuePair {
     /// Registers `mem` at this endpoint, permitting remote writes when
-    /// `remote_write` (remote reads are always allowed in the model). The
-    /// returned key is what the peer presents with one-sided ops. The
-    /// region may be dense or sparse: the verbs see only its bytes.
+    /// `remote_write`. The returned key is what the peer presents with
+    /// one-sided ops. The region may be dense or sparse: the verbs see only
+    /// its bytes.
     pub fn register<S: ByteStore + Send + 'static>(
         &self,
         mem: Memory<S>,
@@ -236,22 +232,8 @@ impl QueuePair {
             remote_write,
             watch,
         };
-        s.regs.push(Some((self.me, reg)));
+        s.regs.push((self.me, reg));
         RemoteKey(s.regs.len() as u64)
-    }
-
-    /// Deregisters a region (subsequent accesses fail with `InvalidRkey`).
-    pub fn deregister(&self, key: RemoteKey) {
-        let mut s = plock(&self.shared);
-        let slot = key
-            .0
-            .checked_sub(1)
-            .and_then(|i| s.regs.get_mut(i as usize));
-        if let Some(slot) = slot {
-            if slot.as_ref().is_some_and(|(at, _)| *at == self.me) {
-                *slot = None;
-            }
-        }
     }
 
     /// Transitions the connection to the error state — the paper's client
@@ -336,12 +318,7 @@ impl QueuePair {
                     // Only a fault injector rewrites the bytes in flight, so
                     // only then are they staged.
                     let mut staged = data.to_vec();
-                    let verdict = {
-                        let mut inj = plock(faults);
-                        let v = inj.on_write(self.is_a(), &mut staged);
-                        inj.take_forced_error();
-                        v
-                    };
+                    let verdict = plock(faults).on_write(self.is_a(), &mut staged);
                     if verdict == WriteVerdict::Deliver {
                         mem.write_at(offset, &staged);
                     }
@@ -366,106 +343,6 @@ impl QueuePair {
         Ok(data.len())
     }
 
-    /// Posts a one-sided READ of `len` bytes from the peer region.
-    ///
-    /// # Errors
-    ///
-    /// Same classes as [`post_write`](Self::post_write) (reads are always
-    /// permitted on registered regions in the model).
-    pub fn post_read(
-        &mut self,
-        key: RemoteKey,
-        offset: usize,
-        len: usize,
-        signaled: bool,
-    ) -> Result<Vec<u8>, RdmaError> {
-        let mut guard = plock(&self.shared);
-        let s = &mut *guard;
-        let data = {
-            let mem = plock(&s.region(self.peer(), key)?.mem);
-            check_bounds(mem.len(), offset, len)?;
-            let mut data = Vec::with_capacity(len);
-            mem.extend_into(offset..offset + len, &mut data);
-            data
-        };
-        self.account(s, len, false, signaled, WrKind::Read);
-        Ok(data)
-    }
-
-    /// Posts a one-sided ATOMIC fetch-and-add on an 8-byte remote word,
-    /// returning the value *before* the addition. RDMA atomics execute in
-    /// the RNIC, serialized per remote word (systems like DARE build
-    /// replication on them; Precursor itself needs only WRITEs).
-    ///
-    /// # Errors
-    ///
-    /// Same classes as [`post_write`](Self::post_write); the offset must be
-    /// 8-byte aligned or [`RdmaError::OutOfBounds`] is returned.
-    pub fn post_fetch_add(
-        &mut self,
-        key: RemoteKey,
-        offset: usize,
-        add: u64,
-        signaled: bool,
-    ) -> Result<u64, RdmaError> {
-        self.post_atomic(key, offset, signaled, |old| old.wrapping_add(add))
-    }
-
-    /// Posts a one-sided ATOMIC compare-and-swap on an 8-byte remote word,
-    /// returning the value found (the swap happened iff it equals
-    /// `expected`).
-    ///
-    /// # Errors
-    ///
-    /// Same classes as [`post_fetch_add`](Self::post_fetch_add).
-    pub fn post_compare_swap(
-        &mut self,
-        key: RemoteKey,
-        offset: usize,
-        expected: u64,
-        desired: u64,
-        signaled: bool,
-    ) -> Result<u64, RdmaError> {
-        self.post_atomic(key, offset, signaled, |found| {
-            if found == expected {
-                desired
-            } else {
-                found
-            }
-        })
-    }
-
-    // Replaces the aligned remote word at `offset` with `update(old)` and
-    // returns `old`.
-    fn post_atomic(
-        &mut self,
-        key: RemoteKey,
-        offset: usize,
-        signaled: bool,
-        update: impl FnOnce(u64) -> u64,
-    ) -> Result<u64, RdmaError> {
-        let mut guard = plock(&self.shared);
-        let s = &mut *guard;
-        let reg = s.region(self.peer(), key)?;
-        if !reg.remote_write {
-            return Err(RdmaError::AccessDenied);
-        }
-        if !offset.is_multiple_of(8) {
-            return Err(RdmaError::OutOfBounds);
-        }
-        let old = {
-            let mut mem = plock(&reg.mem);
-            check_bounds(mem.len(), offset, 8)?;
-            let mut word = [0u8; 8];
-            mem.read_at(offset, &mut word);
-            let old = u64::from_le_bytes(word);
-            mem.write_at(offset, &update(old).to_le_bytes());
-            old
-        };
-        self.account(s, 8, false, signaled, WrKind::Atomic);
-        Ok(old)
-    }
-
     /// Posts a RECV buffer (capacity bookkeeping only — the model stores
     /// message bytes directly).
     pub fn post_recv(&mut self) {
@@ -478,18 +355,6 @@ impl QueuePair {
     ///
     /// [`RdmaError::ReceiverNotReady`] or [`RdmaError::QpError`].
     pub fn post_send(&mut self, data: &[u8], signaled: bool) -> Result<(), RdmaError> {
-        let frames = if let Some(f) = &self.faults {
-            let mut inj = plock(f);
-            let frames = inj.on_message(FaultSite::Send, self.is_a(), data);
-            if inj.take_forced_error() {
-                drop(inj);
-                plock(&self.shared).error = true;
-                return Err(RdmaError::QpError);
-            }
-            Some(frames)
-        } else {
-            None
-        };
         let mut guard = plock(&self.shared);
         let s = &mut *guard;
         if s.error {
@@ -499,19 +364,8 @@ impl QueuePair {
         if peer.recvs == 0 {
             return Err(RdmaError::ReceiverNotReady);
         }
-        match frames {
-            None => {
-                peer.recvs -= 1;
-                peer.inbox.push_back(data.to_vec());
-            }
-            Some(frames) => {
-                // Each delivered frame consumes one RECV; extras beyond the
-                // posted buffers are lost (RNR at the receiver).
-                let delivered = frames.len().min(peer.recvs);
-                peer.recvs -= delivered;
-                peer.inbox.extend(frames.into_iter().take(delivered));
-            }
-        }
+        peer.recvs -= 1;
+        peer.inbox.push_back(data.to_vec());
         let inline = data.len() <= self.inline_max;
         self.account(s, data.len(), inline, signaled, WrKind::Send);
         Ok(())
@@ -549,15 +403,9 @@ impl QueuePair {
         plock(&self.shared).ends[self.me].stats
     }
 
-    /// The inline cutoff configured at connection time.
-    pub fn inline_max(&self) -> usize {
-        self.inline_max
-    }
-
     // Counts one successful post at this endpoint; its work-request id is
-    // the new post count. A signaled post completes unless a fault loses
-    // the completion, and a delivered completion retires this WR and every
-    // unsignaled one posted before it.
+    // the new post count. A signaled post completes, retiring this WR and
+    // every unsignaled one posted before it.
     fn account(&self, s: &mut Shared, bytes: usize, inline: bool, signaled: bool, kind: WrKind) {
         let end = &mut s.ends[self.me];
         let st = &mut end.stats;
@@ -565,29 +413,13 @@ impl QueuePair {
         st.bytes += bytes as u64;
         match kind {
             WrKind::Write => st.writes += 1,
-            WrKind::Read => st.reads += 1,
             WrKind::Send => st.sends += 1,
-            WrKind::Atomic => st.atomics += 1,
         }
         if inline {
             st.inline_posts += 1;
         }
         let wr_id = st.posts;
-        if !signaled {
-            return;
-        }
-        let deliver = match &self.faults {
-            None => true,
-            Some(f) => {
-                let mut inj = plock(f);
-                let deliver = inj.on_completion(self.is_a());
-                if inj.take_forced_error() {
-                    s.error = true;
-                }
-                deliver
-            }
-        };
-        if deliver {
+        if signaled {
             end.retired = wr_id;
             end.cq.push_back(WorkCompletion {
                 wr_id,
@@ -602,15 +434,13 @@ impl QueuePair {
 #[derive(Clone, Copy)]
 enum WrKind {
     Write,
-    Read,
     Send,
-    Atomic,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{FaultAction, FaultDir, FaultPlan};
+    use crate::faults::{FaultAction, FaultDir, FaultPlan, FaultSite};
 
     #[test]
     fn one_sided_write_reaches_peer_memory() {
@@ -622,15 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn one_sided_read_fetches_peer_memory() {
-        let (mut a, b) = connect_pair(912);
-        let mem = Memory::zeroed(128);
-        mem.write(0, b"server data");
-        let key = b.register(mem, true);
-        assert_eq!(a.post_read(key, 0, 11, false).unwrap(), b"server data");
-    }
-
-    #[test]
     fn write_to_unwritable_region_denied() {
         let (mut a, b) = connect_pair(912);
         let key = b.register(Memory::zeroed(64), false);
@@ -638,8 +459,6 @@ mod tests {
             a.post_write(key, 0, b"x", false),
             Err(RdmaError::AccessDenied)
         );
-        // but reads still work
-        assert!(a.post_read(key, 0, 4, false).is_ok());
     }
 
     #[test]
@@ -654,10 +473,11 @@ mod tests {
             a.post_write(key, 10, &[0u8; 10], false),
             Err(RdmaError::OutOfBounds)
         );
-        b.deregister(key);
+        let own = a.register(Memory::zeroed(16), true);
         assert_eq!(
-            a.post_write(key, 0, b"x", false),
-            Err(RdmaError::InvalidRkey)
+            a.post_write(own, 0, b"x", false),
+            Err(RdmaError::InvalidRkey),
+            "a key names a region at the peer, not at the poster"
         );
     }
 
@@ -806,49 +626,6 @@ mod tests {
     }
 
     #[test]
-    fn fetch_add_returns_old_value_and_adds() {
-        let (mut a, b) = connect_pair(912);
-        let mem = Memory::zeroed(64);
-        let key = b.register(mem.clone(), true);
-        assert_eq!(a.post_fetch_add(key, 8, 5, false).unwrap(), 0);
-        assert_eq!(a.post_fetch_add(key, 8, 3, false).unwrap(), 5);
-        assert_eq!(u64::from_le_bytes(mem.read(8, 8).try_into().unwrap()), 8);
-        assert_eq!(a.stats().atomics, 2);
-    }
-
-    #[test]
-    fn compare_swap_only_on_match() {
-        let (mut a, b) = connect_pair(912);
-        let mem = Memory::zeroed(64);
-        let key = b.register(mem.clone(), true);
-        // mismatch: no swap, returns found value
-        assert_eq!(a.post_compare_swap(key, 0, 7, 99, false).unwrap(), 0);
-        assert_eq!(mem.read_u64(0), 0);
-        // match: swap happens
-        assert_eq!(a.post_compare_swap(key, 0, 0, 99, false).unwrap(), 0);
-        assert_eq!(mem.read_u64(0), 99);
-    }
-
-    #[test]
-    fn atomics_require_alignment_and_permission() {
-        let (mut a, b) = connect_pair(912);
-        let key = b.register(Memory::zeroed(64), true);
-        assert_eq!(
-            a.post_fetch_add(key, 3, 1, false),
-            Err(RdmaError::OutOfBounds)
-        );
-        assert_eq!(
-            a.post_fetch_add(key, 64, 1, false),
-            Err(RdmaError::OutOfBounds)
-        );
-        let ro = b.register(Memory::zeroed(64), false);
-        assert_eq!(
-            a.post_compare_swap(ro, 0, 0, 1, false),
-            Err(RdmaError::AccessDenied)
-        );
-    }
-
-    #[test]
     fn stats_track_both_endpoints_independently() {
         let (mut a, mut b) = connect_pair(912);
         let key_at_b = b.register(Memory::zeroed(64), true);
@@ -903,17 +680,5 @@ mod tests {
         let comps = a.poll_cq(16);
         assert_eq!(comps.len(), 1, "the first (unretired) WR flushes");
         assert_eq!(comps[0].status, WcStatus::FlushErr);
-    }
-
-    #[test]
-    fn injected_completion_drop_loses_signal() {
-        let plan =
-            FaultPlan::none().rule(FaultSite::Completion, FaultDir::AtoB, FaultAction::Drop, 1);
-        let (mut a, b) = connect_pair_faulty(912, FaultInjector::shared(plan, 4));
-        let key = b.register(Memory::zeroed(64), true);
-        a.post_write(key, 0, b"x", true).unwrap();
-        assert!(a.poll_cq(16).is_empty(), "completion was dropped");
-        a.post_write(key, 0, b"y", true).unwrap();
-        assert_eq!(a.poll_cq(16).len(), 1, "later completions unaffected");
     }
 }

@@ -15,18 +15,16 @@
 //!
 //! Frames that are released still travel through the real
 //! [`post_send`](QueuePair::post_send)/[`recv`](QueuePair::recv) machinery
-//! (RECVs are replenished per frame), so a [`FaultInjector`] installed on
-//! the pair applies its `Send`-site schedule to replication traffic exactly
-//! as it does to any other two-sided stream.
+//! (RECVs are replenished per frame). Faults on the link are its modes; a
+//! migration's shipments are faulted above the link, at the
+//! [`MigrateShip`](crate::faults::FaultSite::MigrateShip) site.
 //!
 //! Everything is deterministic: link modes are explicit state, holds are
 //! measured in pump ticks, and no RNG is drawn by the link itself.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 
-use crate::faults::FaultInjector;
-use crate::qp::{connect_pair, connect_pair_faulty, QueuePair};
+use crate::qp::{connect_pair, QueuePair};
 
 /// Health of a [`ReplicaLink`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,20 +73,9 @@ pub struct ReplicaLink {
 }
 
 impl ReplicaLink {
-    /// Connects a healthy link (no fault injector on the pair).
+    /// Connects a healthy link.
     pub fn new() -> ReplicaLink {
         let (primary, replica) = connect_pair(0);
-        ReplicaLink::wrap(primary, replica)
-    }
-
-    /// Connects a link whose released frames pass through `faults` at the
-    /// `Send` site.
-    pub fn new_faulty(faults: Arc<Mutex<FaultInjector>>) -> ReplicaLink {
-        let (primary, replica) = connect_pair_faulty(0, faults);
-        ReplicaLink::wrap(primary, replica)
-    }
-
-    fn wrap(primary: QueuePair, replica: QueuePair) -> ReplicaLink {
         ReplicaLink {
             primary,
             replica,
@@ -234,7 +221,6 @@ impl Default for ReplicaLink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{FaultAction, FaultDir, FaultPlan, FaultSite};
 
     #[test]
     fn healthy_link_delivers_in_order_same_tick() {
@@ -289,23 +275,6 @@ mod tests {
         assert!(!link.is_alive(), "a crashed replica never heals");
         link.send_to_replica(b"never");
         link.pump();
-        assert!(link.recv_at_replica().is_none());
-    }
-
-    #[test]
-    fn released_frames_pass_through_the_send_fault_site() {
-        let plan = FaultPlan::none().rule(FaultSite::Send, FaultDir::AtoB, FaultAction::Drop, 2);
-        let mut link = ReplicaLink::new_faulty(FaultInjector::shared(plan, 5));
-        link.send_to_replica(b"one");
-        link.send_to_replica(b"two");
-        link.send_to_replica(b"three");
-        link.pump();
-        assert_eq!(link.recv_at_replica().unwrap(), b"one");
-        assert_eq!(
-            link.recv_at_replica().unwrap(),
-            b"three",
-            "frame two dropped by injector"
-        );
         assert!(link.recv_at_replica().is_none());
     }
 }

@@ -7,15 +7,10 @@
 //! stream) while the cost model charges per-message kernel/interrupt
 //! latency, per-byte stack processing, and the log-normal scheduling jitter
 //! that produces ShieldStore's tail outliers in Figure 7.
-//!
-//! A pair created with [`SimTcp::pair_faulty`] routes every message through
-//! a shared [`FaultInjector`], which may drop, duplicate, corrupt or delay
-//! it — the loss model for attestation handshakes in chaos runs.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use crate::faults::{FaultInjector, FaultSite};
 use crate::plock;
 
 /// Transfer statistics of one socket endpoint.
@@ -51,60 +46,33 @@ pub struct SimTcp {
     shared: Arc<Mutex<Shared>>,
     is_a: bool,
     stats: Arc<Mutex<TcpStats>>,
-    faults: Option<Arc<Mutex<FaultInjector>>>,
 }
 
 impl SimTcp {
     /// Creates a connected socket pair.
     pub fn pair() -> (SimTcp, SimTcp) {
-        SimTcp::make_pair(None)
-    }
-
-    /// Creates a connected socket pair whose messages flow through a shared
-    /// [`FaultInjector`]. Endpoint *A* (the first element) originates
-    /// `AtoB` events.
-    pub fn pair_faulty(faults: Arc<Mutex<FaultInjector>>) -> (SimTcp, SimTcp) {
-        SimTcp::make_pair(Some(faults))
-    }
-
-    fn make_pair(faults: Option<Arc<Mutex<FaultInjector>>>) -> (SimTcp, SimTcp) {
         let shared = Arc::new(Mutex::new(Shared::default()));
         let a = SimTcp {
             shared: shared.clone(),
             is_a: true,
             stats: Arc::new(Mutex::new(TcpStats::default())),
-            faults: faults.clone(),
         };
         let b = SimTcp {
             shared,
             is_a: false,
             stats: Arc::new(Mutex::new(TcpStats::default())),
-            faults,
         };
         (a, b)
     }
 
     /// Sends one message. Returns `false` if the peer closed the connection.
-    /// Under fault injection the message may be silently lost, duplicated,
-    /// corrupted or reordered; sending still reports `true`.
     pub fn send(&mut self, data: &[u8]) -> bool {
-        let frames = match &self.faults {
-            None => vec![data.to_vec()],
-            Some(f) => {
-                let mut inj = plock(f);
-                let frames = inj.on_message(FaultSite::Tcp, self.is_a, data);
-                inj.take_forced_error();
-                frames
-            }
-        };
         let mut s = plock(&self.shared);
         if s.closed {
             return false;
         }
         let q = if self.is_a { &mut s.to_b } else { &mut s.to_a };
-        for frame in frames {
-            q.push_back(frame);
-        }
+        q.push_back(data.to_vec());
         let mut st = plock(&self.stats);
         st.msgs_sent += 1;
         st.bytes_sent += data.len() as u64;
@@ -133,11 +101,6 @@ impl SimTcp {
         plock(&self.shared).closed = true;
     }
 
-    /// Whether the connection has been closed.
-    pub fn is_closed(&self) -> bool {
-        plock(&self.shared).closed
-    }
-
     /// This endpoint's send statistics.
     pub fn stats(&self) -> TcpStats {
         *plock(&self.stats)
@@ -147,7 +110,6 @@ impl SimTcp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{FaultAction, FaultDir, FaultPlan};
 
     #[test]
     fn messages_are_fifo() {
@@ -175,7 +137,7 @@ mod tests {
         let (mut a, mut b) = SimTcp::pair();
         b.close();
         assert!(!a.send(b"x"));
-        assert!(a.is_closed());
+        assert!(!b.send(b"y"), "closing one end closes both");
     }
 
     #[test]
@@ -207,43 +169,5 @@ mod tests {
         a.send(b"x");
         a.send(b"y");
         assert_eq!(b.pending(), 2);
-    }
-
-    #[test]
-    fn injected_drop_loses_message() {
-        let plan = FaultPlan::none().rule(FaultSite::Tcp, FaultDir::AtoB, FaultAction::Drop, 2);
-        let (mut a, mut b) = SimTcp::pair_faulty(FaultInjector::shared(plan, 1));
-        assert!(a.send(b"1"));
-        assert!(a.send(b"2"), "send still reports success");
-        assert!(a.send(b"3"));
-        assert_eq!(b.recv().unwrap(), b"1");
-        assert_eq!(b.recv().unwrap(), b"3");
-        assert!(b.recv().is_none());
-    }
-
-    #[test]
-    fn injected_duplicate_delivers_twice() {
-        let plan =
-            FaultPlan::none().rule(FaultSite::Tcp, FaultDir::BtoA, FaultAction::Duplicate, 1);
-        let (mut a, mut b) = SimTcp::pair_faulty(FaultInjector::shared(plan, 1));
-        b.send(b"reply");
-        assert_eq!(a.recv().unwrap(), b"reply");
-        assert_eq!(a.recv().unwrap(), b"reply");
-        assert!(a.recv().is_none());
-    }
-
-    #[test]
-    fn injected_delay_reorders() {
-        let plan = FaultPlan::none().rule(FaultSite::Tcp, FaultDir::AtoB, FaultAction::Delay, 1);
-        let (mut a, mut b) = SimTcp::pair_faulty(FaultInjector::shared(plan, 1));
-        a.send(b"first");
-        assert!(b.recv().is_none(), "held back");
-        a.send(b"second");
-        assert_eq!(
-            b.recv().unwrap(),
-            b"first",
-            "released ahead of the next frame"
-        );
-        assert_eq!(b.recv().unwrap(), b"second");
     }
 }

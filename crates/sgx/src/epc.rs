@@ -196,11 +196,6 @@ impl EpcTracker {
     pub fn capacity_pages(&self) -> u64 {
         self.capacity_pages
     }
-
-    /// Whether the working set exceeds the EPC capacity (paging territory).
-    pub fn is_oversubscribed(&self) -> bool {
-        self.working_set_pages() > self.capacity_pages
-    }
 }
 
 #[cfg(test)]
@@ -349,7 +344,7 @@ mod tests {
             epc.touch_pages(page_id(0, i % 64), 1);
             assert!(epc.resident_pages() <= 16);
         }
-        assert!(epc.is_oversubscribed());
+        assert!(epc.working_set_pages() > epc.capacity_pages());
     }
 
     #[test]

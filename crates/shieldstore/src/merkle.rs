@@ -131,11 +131,6 @@ impl MerkleTree {
         }
         h == self.root()
     }
-
-    /// Bytes occupied by all tree nodes (for EPC modelling).
-    pub fn node_bytes(&self) -> usize {
-        self.levels.iter().map(|l| l.len() * 32).sum()
-    }
 }
 
 #[cfg(test)]
@@ -188,13 +183,6 @@ mod tests {
         // simulate memory corruption of an internal node
         t.levels[1][0][0] ^= 1;
         assert!(!t.verify(0, [5u8; 32]));
-    }
-
-    #[test]
-    fn node_bytes_counts_all_levels() {
-        let t = MerkleTree::new(8);
-        // 8 + 4 + 2 + 1 = 15 nodes
-        assert_eq!(t.node_bytes(), 15 * 32);
     }
 
     #[test]

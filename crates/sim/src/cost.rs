@@ -281,11 +281,6 @@ impl CostModel {
         self.server_freq.cycles_to_nanos(c)
     }
 
-    /// Converts client-side cycles to time.
-    pub fn client_time(&self, c: Cycles) -> Nanos {
-        self.client_freq.cycles_to_nanos(c)
-    }
-
     /// The critical-path share of a fixed per-op occupancy (the rest is
     /// polling/bookkeeping performed outside the request's latency path).
     pub fn critical_part(&self, occupancy: Cycles) -> Cycles {
@@ -373,6 +368,6 @@ mod tests {
     fn time_conversions_use_right_clock() {
         let m = CostModel::default();
         assert!(m.server_time(Cycles(3_700)) == Nanos(1_000));
-        assert!(m.client_time(Cycles(3_400)) == Nanos(1_000));
+        assert!(m.client_freq.cycles_to_nanos(Cycles(3_400)) == Nanos(1_000));
     }
 }

@@ -8,9 +8,8 @@
 //! * [`cost`] — the single, documented [`CostModel`] holding
 //!   every calibrated constant (crypto cycles/byte, SGX transition costs, NIC
 //!   latencies, …).
-//! * [`resource`] — FIFO queueing resources: a single server
-//!   ([`Resource`]), a multi-server pool
-//!   ([`Pool`]) and a network [`Link`].
+//! * [`resource`] — FIFO queueing resources: a pool of `k` servers
+//!   ([`Pool`]; a pool of one is a single server) and a network [`Link`].
 //! * [`meter`] — per-operation stage accounting
 //!   ([`Meter`]/[`Stage`]); functional protocol
 //!   code charges costs here and the closed-loop driver replays them through
@@ -27,16 +26,18 @@
 //! # Example
 //!
 //! ```
-//! use precursor_sim::resource::Resource;
+//! use precursor_sim::resource::Pool;
 //! use precursor_sim::time::Nanos;
 //!
-//! // A single-server FIFO resource: two jobs arriving at t=0 queue up.
-//! let mut cpu = Resource::new("cpu");
+//! // Two server threads: two jobs arriving at t=0 run side by side, and a
+//! // third queues behind the first to finish.
+//! let mut cpu = Pool::new("cpu", 2);
 //! let first = cpu.acquire(Nanos(0), Nanos(100));
 //! let second = cpu.acquire(Nanos(0), Nanos(100));
-//! assert_eq!(first.end, Nanos(100));
-//! assert_eq!(second.start, Nanos(100));
-//! assert_eq!(second.end, Nanos(200));
+//! let third = cpu.acquire(Nanos(0), Nanos(100));
+//! assert_eq!((first.start, second.start), (Nanos(0), Nanos(0)));
+//! assert_eq!(third.start, Nanos(100));
+//! assert_eq!(third.end, Nanos(200));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -55,7 +56,7 @@ pub mod timer;
 pub use cost::CostModel;
 pub use histogram::Histogram;
 pub use meter::{Meter, Stage};
-pub use resource::{Link, Pool, Resource};
+pub use resource::{Link, Pool};
 pub use rng::SimRng;
 pub use time::{Cycles, Freq, Nanos};
 pub use timer::{Backoff, Deadline, VirtualClock};

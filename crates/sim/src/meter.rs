@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use crate::time::{Cycles, Nanos};
+use crate::time::Nanos;
 
 /// The resource class a cost charge belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -159,34 +159,9 @@ impl Meter {
     }
 }
 
-/// A clock-aware view that converts [`Cycles`] to time while charging.
-///
-/// Components that think in cycles (crypto, hash tables) use this to charge a
-/// meter without repeating the frequency conversion everywhere.
-#[derive(Debug)]
-pub struct CycleMeter<'a> {
-    meter: &'a mut Meter,
-    freq: crate::time::Freq,
-    stage: Stage,
-}
-
-impl<'a> CycleMeter<'a> {
-    /// Wraps `meter`, charging `stage` at clock frequency `freq`.
-    pub fn new(meter: &'a mut Meter, freq: crate::time::Freq, stage: Stage) -> CycleMeter<'a> {
-        CycleMeter { meter, freq, stage }
-    }
-
-    /// Charges `c` cycles, converted at the wrapped frequency.
-    pub fn charge_cycles(&mut self, c: Cycles) {
-        let t = self.freq.cycles_to_nanos(c);
-        self.meter.charge(self.stage, t);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::Freq;
 
     #[test]
     fn charges_accumulate_per_stage() {
@@ -223,16 +198,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.get(Stage::Network), Nanos(7));
         assert_eq!(a.counters().epc_faults, 3);
-    }
-
-    #[test]
-    fn cycle_meter_converts() {
-        let mut m = Meter::new();
-        {
-            let mut cm = CycleMeter::new(&mut m, Freq::ghz(2.0), Stage::ServerCritical);
-            cm.charge_cycles(Cycles(2_000));
-        }
-        assert_eq!(m.get(Stage::ServerCritical), Nanos(1_000));
     }
 
     #[test]

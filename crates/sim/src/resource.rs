@@ -28,88 +28,21 @@ impl Grant {
     }
 }
 
-/// A single-server FIFO resource (e.g. one polling thread, one DMA engine).
+/// A pool of `k` identical FIFO servers (e.g. 12 server hyper-threads; a
+/// pool of one is a single FIFO server, such as a link's serializer).
+///
+/// Each job is dispatched to the server that can start it earliest,
+/// which models a shared run queue.
 ///
 /// # Example
 ///
 /// ```
-/// use precursor_sim::resource::Resource;
+/// use precursor_sim::resource::Pool;
 /// use precursor_sim::time::Nanos;
-/// let mut r = Resource::new("link");
-/// let g = r.acquire(Nanos(10), Nanos(5));
+/// let mut cpu = Pool::new("cpu", 1);
+/// let g = cpu.acquire(Nanos(10), Nanos(5));
 /// assert_eq!((g.start, g.end), (Nanos(10), Nanos(15)));
 /// ```
-#[derive(Debug, Clone)]
-pub struct Resource {
-    name: &'static str,
-    free_at: Nanos,
-    busy: Nanos,
-    jobs: u64,
-}
-
-impl Resource {
-    /// Creates an idle resource with a diagnostic name.
-    pub fn new(name: &'static str) -> Resource {
-        Resource {
-            name,
-            free_at: Nanos::ZERO,
-            busy: Nanos::ZERO,
-            jobs: 0,
-        }
-    }
-
-    /// The diagnostic name given at construction.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Grants `duration` of exclusive service starting no earlier than
-    /// `ready`, queueing FIFO behind earlier jobs.
-    pub fn acquire(&mut self, ready: Nanos, duration: Nanos) -> Grant {
-        let start = ready.max(self.free_at);
-        let end = start + duration;
-        self.free_at = end;
-        self.busy += duration;
-        self.jobs += 1;
-        Grant { start, end }
-    }
-
-    /// The instant after which the resource is idle.
-    pub fn free_at(&self) -> Nanos {
-        self.free_at
-    }
-
-    /// Total busy time accumulated so far.
-    pub fn busy_time(&self) -> Nanos {
-        self.busy
-    }
-
-    /// Number of jobs served.
-    pub fn jobs(&self) -> u64 {
-        self.jobs
-    }
-
-    /// Utilization over `[0, horizon)`; clamped to `[0, 1]`.
-    pub fn utilization(&self, horizon: Nanos) -> f64 {
-        if horizon == Nanos::ZERO {
-            0.0
-        } else {
-            (self.busy.0 as f64 / horizon.0 as f64).min(1.0)
-        }
-    }
-
-    /// Resets accounting and availability to time zero.
-    pub fn reset(&mut self) {
-        self.free_at = Nanos::ZERO;
-        self.busy = Nanos::ZERO;
-        self.jobs = 0;
-    }
-}
-
-/// A pool of `k` identical FIFO servers (e.g. 12 server hyper-threads).
-///
-/// Each job is dispatched to the server that can start it earliest,
-/// which models a shared run queue.
 #[derive(Debug, Clone)]
 pub struct Pool {
     name: &'static str,
@@ -252,10 +185,9 @@ impl Pool {
 /// Links are full-duplex: create one `Link` per direction.
 #[derive(Debug, Clone)]
 pub struct Link {
-    pipe: Resource,
+    pipe: Pool,
     latency: Nanos,
     gbits_per_sec: f64,
-    bytes: u64,
 }
 
 impl Link {
@@ -268,10 +200,9 @@ impl Link {
     pub fn new(name: &'static str, latency: Nanos, gbits_per_sec: f64) -> Link {
         assert!(gbits_per_sec > 0.0, "bandwidth must be positive");
         Link {
-            pipe: Resource::new(name),
+            pipe: Pool::new(name, 1),
             latency,
             gbits_per_sec,
-            bytes: 0,
         }
     }
 
@@ -284,32 +215,12 @@ impl Link {
     /// time at the far end.
     pub fn transfer(&mut self, ready: Nanos, bytes: usize) -> Nanos {
         let tx = self.pipe.acquire(ready, self.serialization(bytes));
-        self.bytes += bytes as u64;
         tx.end + self.latency
     }
 
     /// One-way propagation latency.
     pub fn latency(&self) -> Nanos {
         self.latency
-    }
-
-    /// Configured bandwidth in gigabits per second.
-    pub fn bandwidth_gbps(&self) -> f64 {
-        self.gbits_per_sec
-    }
-
-    /// Total bytes carried so far.
-    pub fn bytes_carried(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Achieved goodput in gigabits per second over `[0, horizon)`.
-    pub fn goodput_gbps(&self, horizon: Nanos) -> f64 {
-        if horizon == Nanos::ZERO {
-            0.0
-        } else {
-            self.bytes as f64 * 8.0 / horizon.0 as f64
-        }
     }
 
     /// Utilization of the serialization pipe over `[0, horizon)`.
@@ -320,7 +231,6 @@ impl Link {
     /// Resets accounting and availability to time zero.
     pub fn reset(&mut self) {
         self.pipe.reset();
-        self.bytes = 0;
     }
 }
 
@@ -344,7 +254,7 @@ mod tests {
 
     #[test]
     fn resource_fifo_queues() {
-        let mut r = Resource::new("r");
+        let mut r = Pool::new("r", 1);
         let a = r.acquire(Nanos(0), Nanos(10));
         let b = r.acquire(Nanos(2), Nanos(10));
         let c = r.acquire(Nanos(50), Nanos(10));
@@ -376,7 +286,7 @@ mod tests {
 
     #[test]
     fn grant_queueing_time() {
-        let mut r = Resource::new("r");
+        let mut r = Pool::new("r", 1);
         r.acquire(Nanos(0), Nanos(100));
         let g = r.acquire(Nanos(30), Nanos(10));
         assert_eq!(g.queueing(Nanos(30)), Nanos(70));
@@ -384,7 +294,7 @@ mod tests {
 
     #[test]
     fn resource_utilization() {
-        let mut r = Resource::new("r");
+        let mut r = Pool::new("r", 1);
         r.acquire(Nanos(0), Nanos(25));
         assert!((r.utilization(Nanos(100)) - 0.25).abs() < 1e-12);
         assert_eq!(r.utilization(Nanos::ZERO), 0.0);
@@ -432,33 +342,20 @@ mod tests {
         // second message queues behind first's serialization
         let second = l.transfer(Nanos(0), 500);
         assert_eq!(second, Nanos(2000));
-        assert_eq!(l.bytes_carried(), 1000);
-    }
-
-    #[test]
-    fn link_goodput() {
-        let mut l = Link::new("l", Nanos(0), 8.0);
-        l.transfer(Nanos(0), 1000);
-        // 1000 B in 1000 ns = 8 Gbit/s
-        assert!((l.goodput_gbps(Nanos(1000)) - 8.0).abs() < 1e-9);
     }
 
     #[test]
     fn resets_clear_state() {
-        let mut r = Resource::new("r");
-        r.acquire(Nanos(0), Nanos(10));
-        r.reset();
-        assert_eq!(r.free_at(), Nanos::ZERO);
-        assert_eq!(r.busy_time(), Nanos::ZERO);
-
         let mut p = Pool::new("p", 2);
         p.acquire(Nanos(0), Nanos(10));
         p.reset();
         assert_eq!(p.busy_time(), Nanos::ZERO);
+        assert_eq!(p.acquire(Nanos(0), Nanos(10)).start, Nanos::ZERO);
 
-        let mut l = Link::new("l", Nanos(0), 1.0);
+        let mut l = Link::new("l", Nanos(0), 8.0);
         l.transfer(Nanos(0), 10);
         l.reset();
-        assert_eq!(l.bytes_carried(), 0);
+        assert_eq!(l.utilization(Nanos(100)), 0.0);
+        assert_eq!(l.transfer(Nanos(0), 10), Nanos(10), "the pipe is idle");
     }
 }

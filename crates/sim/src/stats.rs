@@ -1,10 +1,10 @@
 //! Running summary statistics.
 //!
-//! [`Summary`] implements Welford's online algorithm for mean and variance;
-//! it backs the "average of 8 repetitions" reporting used throughout the
+//! [`Summary`] keeps Welford's online running mean plus the extrema; it
+//! backs the "average of 8 repetitions" reporting used throughout the
 //! paper's evaluation (§5.2).
 
-/// Online mean / variance / extrema accumulator.
+/// Online mean / extrema accumulator.
 ///
 /// # Example
 ///
@@ -15,13 +15,13 @@
 ///     s.add(v);
 /// }
 /// assert_eq!(s.mean(), 5.0);
-/// assert_eq!(s.population_stddev(), 2.0);
+/// assert_eq!((s.min(), s.max()), (2.0, 9.0));
+/// assert_eq!(s.relative_spread(), 1.4);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Summary {
     n: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -32,7 +32,6 @@ impl Summary {
         Summary {
             n: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -41,9 +40,7 @@ impl Summary {
     /// Adds one observation.
     pub fn add(&mut self, v: f64) {
         self.n += 1;
-        let delta = v - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (v - self.mean);
+        self.mean += (v - self.mean) / self.n as f64;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -60,34 +57,6 @@ impl Summary {
         } else {
             self.mean
         }
-    }
-
-    /// Population variance (zero when fewer than two observations).
-    pub fn population_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Sample variance with Bessel's correction.
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn population_stddev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
-    /// Sample standard deviation.
-    pub fn sample_stddev(&self) -> f64 {
-        self.sample_variance().sqrt()
     }
 
     /// Smallest observation (zero when empty).
@@ -146,7 +115,6 @@ mod tests {
         let s = Summary::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.population_variance(), 0.0);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
         assert_eq!(s.relative_spread(), 0.0);
@@ -157,7 +125,6 @@ mod tests {
         let mut s = Summary::new();
         s.add(3.5);
         assert_eq!(s.mean(), 3.5);
-        assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.min(), 3.5);
         assert_eq!(s.max(), 3.5);
     }
@@ -170,9 +137,8 @@ mod tests {
             s.add(v);
         }
         let mean = vals.iter().sum::<f64>() / vals.len() as f64;
-        let var = vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / vals.len() as f64;
         assert!((s.mean() - mean).abs() < 1e-12);
-        assert!((s.population_variance() - var).abs() < 1e-12);
+        assert_eq!((s.min(), s.max()), (-3.0, 10.0));
     }
 
     #[test]

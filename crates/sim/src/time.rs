@@ -46,12 +46,6 @@ impl Nanos {
         Nanos(s * 1_000_000_000)
     }
 
-    /// Creates a duration from a floating-point number of seconds, rounding
-    /// to the nearest nanosecond. Negative inputs saturate to zero.
-    pub fn from_secs_f64(s: f64) -> Nanos {
-        Nanos((s * 1e9).max(0.0).round() as u64)
-    }
-
     /// This quantity as floating-point microseconds.
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
@@ -216,11 +210,6 @@ impl Freq {
     pub fn cycles_to_nanos(self, c: Cycles) -> Nanos {
         Nanos((c.0 as f64 / self.hz * 1e9).round() as u64)
     }
-
-    /// Converts a duration back into cycles at this frequency.
-    pub fn nanos_to_cycles(self, n: Nanos) -> Cycles {
-        Cycles((n.0 as f64 * self.hz / 1e9).round() as u64)
-    }
 }
 
 #[cfg(test)]
@@ -232,8 +221,6 @@ mod tests {
         assert_eq!(Nanos::from_micros(3), Nanos(3_000));
         assert_eq!(Nanos::from_millis(3), Nanos(3_000_000));
         assert_eq!(Nanos::from_secs(3), Nanos(3_000_000_000));
-        assert_eq!(Nanos::from_secs_f64(1.5), Nanos(1_500_000_000));
-        assert_eq!(Nanos::from_secs_f64(-1.0), Nanos::ZERO);
     }
 
     #[test]
@@ -270,8 +257,6 @@ mod tests {
         let n = f.cycles_to_nanos(c);
         // 13_100 / 3.7 ≈ 3_540.5 ns
         assert_eq!(n, Nanos(3_541));
-        let back = f.nanos_to_cycles(n);
-        assert!((back.0 as i64 - 13_100).unsigned_abs() < 5);
     }
 
     #[test]

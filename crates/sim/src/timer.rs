@@ -46,12 +46,6 @@ impl VirtualClock {
     pub fn advance(&mut self, delta: Nanos) {
         self.now += delta;
     }
-
-    /// Advances the clock to `instant` if it lies in the future (monotonic:
-    /// never moves backwards).
-    pub fn advance_to(&mut self, instant: Nanos) {
-        self.now = self.now.max(instant);
-    }
 }
 
 /// A point on a [`VirtualClock`] after which an operation has timed out.
@@ -159,9 +153,9 @@ mod tests {
     fn clock_is_monotonic() {
         let mut c = VirtualClock::new();
         c.advance(Nanos(50));
-        c.advance_to(Nanos(20)); // earlier instant: no-op
+        c.advance(Nanos::ZERO);
         assert_eq!(c.now(), Nanos(50));
-        c.advance_to(Nanos(80));
+        c.advance(Nanos(30));
         assert_eq!(c.now(), Nanos(80));
     }
 

@@ -343,7 +343,7 @@ impl SessionParams {
             sut.connect(self.seed ^ ((i as u64) << 8)).expect("connect");
         }
         if self.warmup_keys > 0 {
-            bulk_load(&mut sut, self.value_size, 0, self.warmup_keys);
+            bulk_load(&mut sut, self.value_size, self.warmup_keys);
         }
         sut
     }
@@ -416,7 +416,6 @@ impl SessionParams {
             system: self.system,
             sut,
             cost: cost.clone(),
-            value_size: self.value_size,
             seed: self.seed,
             measurements: 0,
             shards: self.shards,
@@ -426,13 +425,13 @@ impl SessionParams {
     }
 }
 
-// Inserts records `start_id..start_id + extra` through client 0, draining
-// whenever the backend's in-flight window fills.
-fn bulk_load(sut: &mut dyn TrustedKv, size: usize, start_id: u64, extra: u64) {
+// Inserts records `0..count` through client 0, draining whenever the
+// backend's in-flight window fills.
+fn bulk_load(sut: &mut dyn TrustedKv, size: usize, count: u64) {
     let frame = 160 + size + KEY_LEN;
     let batch = sut.warmup_batch(frame);
     let mut pending = 0;
-    for id in start_id..start_id + extra {
+    for id in 0..count {
         sut.submit(0, KvOp::Put, &key_bytes(id), &value_bytes(id, 0, size))
             .expect("warmup put");
         pending += 1;
@@ -460,7 +459,6 @@ pub struct BenchSession {
     system: SystemKind,
     sut: Box<dyn TrustedKv>,
     cost: CostModel,
-    value_size: usize,
     seed: u64,
     measurements: u64,
     // `Some(s)`: the server runs `s` trusted polling shards and the replay
@@ -479,12 +477,6 @@ impl BenchSession {
     /// The system this session drives.
     pub fn system(&self) -> SystemKind {
         self.system
-    }
-
-    /// Inserts `extra` additional records beyond those already loaded (used
-    /// by the EPC-paging experiment, which grows the keyspace to 3 M).
-    pub fn load_more(&mut self, start_id: u64, extra: u64) {
-        bulk_load(self.sut.as_mut(), self.value_size, start_id, extra);
     }
 
     /// The enclave report of the underlying server.
@@ -1153,17 +1145,5 @@ mod tests {
         let speedup = four.throughput_ops / one.throughput_ops;
         assert!(speedup > 1.5, "4-node speedup {speedup:.2}");
         assert!(four.server_utilization < one.server_utilization);
-    }
-
-    #[test]
-    fn load_more_extends_keyspace() {
-        let mut session = paper(SystemKind::Precursor, 2, 7);
-        let before = session.sgx_report().working_set_pages;
-        session.load_more(500, 5_000);
-        assert!(session.sgx_report().working_set_pages > before);
-        // reads over the extended space succeed
-        let spec = WorkloadSpec::workload_c(32, 5_500);
-        let r = session.measure(&spec, 2, 500);
-        assert!(r.throughput_ops > 0.0);
     }
 }

@@ -15,9 +15,6 @@ pub enum Distribution {
     Uniform,
     /// YCSB scrambled Zipfian (θ = 0.99).
     Zipfian,
-    /// YCSB "latest": recently inserted keys are the most popular (Zipfian
-    /// over recency).
-    Latest,
 }
 
 /// One generated operation.
@@ -128,7 +125,6 @@ pub struct OpGenerator {
     spec: WorkloadSpec,
     rng: SimRng,
     zipf: Option<ScrambledZipfian>,
-    latest: Option<crate::zipfian::Zipfian>,
 }
 
 impl OpGenerator {
@@ -137,18 +133,8 @@ impl OpGenerator {
         let zipf = match spec.distribution {
             Distribution::Uniform => None,
             Distribution::Zipfian => Some(ScrambledZipfian::new(spec.key_count)),
-            Distribution::Latest => None,
         };
-        let latest = match spec.distribution {
-            Distribution::Latest => Some(crate::zipfian::Zipfian::ycsb(spec.key_count)),
-            _ => None,
-        };
-        OpGenerator {
-            spec,
-            rng,
-            zipf,
-            latest,
-        }
+        OpGenerator { spec, rng, zipf }
     }
 
     /// The generator [`new`](Self::new) would build from this one's spec on
@@ -159,7 +145,6 @@ impl OpGenerator {
             spec: self.spec.clone(),
             rng,
             zipf: self.zipf.clone(),
-            latest: self.latest.clone(),
         }
     }
 
@@ -177,10 +162,6 @@ impl OpGenerator {
         };
         let key = if let Some(z) = &self.zipf {
             z.next(&mut self.rng)
-        } else if let Some(l) = &self.latest {
-            // "latest": rank 0 = the newest key id (key_count - 1)
-            let rank = l.next(&mut self.rng);
-            self.spec.key_count - 1 - rank.min(self.spec.key_count - 1)
         } else {
             self.rng.gen_range(self.spec.key_count)
         };
@@ -226,7 +207,7 @@ mod tests {
 
     #[test]
     fn with_rng_draws_what_new_draws_on_that_stream() {
-        for distribution in [Distribution::Zipfian, Distribution::Latest] {
+        for distribution in [Distribution::Uniform, Distribution::Zipfian] {
             let spec = WorkloadSpec {
                 distribution,
                 ..WorkloadSpec::workload_a(32, 20_000)
@@ -298,30 +279,6 @@ mod tests {
             let (_, k) = g.next_op();
             assert!(k < 500);
         }
-    }
-
-    #[test]
-    fn latest_distribution_prefers_newest_keys() {
-        let spec = WorkloadSpec {
-            distribution: Distribution::Latest,
-            ..WorkloadSpec::workload_a(32, 1000)
-        };
-        let mut g = OpGenerator::new(spec, SimRng::seed_from(10));
-        let mut newest_hits = 0;
-        let n = 50_000;
-        for _ in 0..n {
-            let (_, k) = g.next_op();
-            assert!(k < 1000);
-            if k >= 990 {
-                newest_hits += 1;
-            }
-        }
-        // under uniform the newest 1% would get ~1%; latest gets far more
-        assert!(
-            newest_hits as f64 / n as f64 > 0.2,
-            "newest-10 share {}",
-            newest_hits as f64 / n as f64
-        );
     }
 
     #[test]

@@ -53,10 +53,13 @@ if [ "${1:-}" = filters ]; then
 fi
 
 # One cluster, one node type, one replay path, one journal attach, one
-# histogram, one event queue, one driver entry point: the deleted names must
-# not grow back.
+# histogram, one event queue, one driver entry point, and a platform model
+# holding only the traffic the store generates (no READ or atomic verbs, no
+# SEND/TCP fault hooks, no single-server resource or cycle meter): the
+# deleted names must not grow back. `\bpair_faulty` spares the surviving
+# `connect_pair_faulty`; `\bResource\b` spares `NodeResources`.
 echo "== deleted names stay deleted =="
-if grep -rnE "attach_replicated_journal|external_commit|replace_node|recover_staged|recover_with_base|fail_primary_staged|FixedHistogram|DEFAULT_LATENCY_BOUNDS_NS|TimingWheel|RunConfig|epc_fault_locality" \
+if grep -rnE "attach_replicated_journal|external_commit|replace_node|recover_staged|recover_with_base|fail_primary_staged|FixedHistogram|DEFAULT_LATENCY_BOUNDS_NS|TimingWheel|RunConfig|epc_fault_locality|post_read|post_fetch_add|post_compare_swap|\bpair_faulty|new_faulty|take_forced_error|CycleMeter|Distribution::Latest|\bResource\b" \
     crates tests examples; then
     echo "ci: a deleted name reappeared (see CHANGES.md)" >&2
     exit 1
