@@ -12,7 +12,7 @@ use std::time::Duration;
 use precursor::{Config, PrecursorClient, PrecursorServer};
 use precursor_shieldstore::{client::ShieldClient, server::ShieldConfig, ShieldServer};
 use precursor_sim::meter::Stage;
-use precursor_sim::{CostModel, Nanos};
+use precursor_sim::{CostModel, Event, Nanos};
 use precursor_ycsb::driver::{RunResult, SessionParams, SystemKind};
 use precursor_ycsb::workload::{key_bytes, value_bytes, Distribution, WorkloadSpec};
 use SystemKind::{Precursor, PrecursorServerEnc, ShieldStore};
@@ -73,7 +73,7 @@ fn fig1() -> Figure {
             // One decrypt + re-encrypt pass per buffer on 12 and 6 threads,
             // from the AES-GCM constants every other figure charges.
             let cost = CostModel::default();
-            let cycles = 2 * cost.aes_gcm(len).0;
+            let cycles = 2 * cost.price(Event::Gcm { len }).0;
             let rate = |threads: f64| threads * cost.client_freq.hz() / cycles as f64;
             let mb_s = |threads| rate(threads) * len as f64 / 1e6;
             let line = cost.server_nic_gbps * 1e9 / 8.0 / 1e6;

@@ -34,11 +34,12 @@ use precursor_crypto::{cmac, salsa20};
 use precursor_obs::{MetricsRegistry, Tracer};
 use precursor_rdma::mr::{Memory, RemoteKey};
 use precursor_rdma::qp::QueuePair;
-use precursor_sim::meter::{Meter, Stage};
+use precursor_sim::meter::Meter;
+use precursor_sim::meter::Stage::ClientCpu;
 use precursor_sim::rng::SimRng;
-use precursor_sim::time::{Cycles, Nanos};
+use precursor_sim::time::Nanos;
 use precursor_sim::timer::{Backoff, Deadline, VirtualClock};
-use precursor_sim::CostModel;
+use precursor_sim::{CostModel, Event};
 use precursor_storage::ring::{RingConsumer, RingProducer, RingStore};
 
 use precursor_sgx::attest::derive_chain_key;
@@ -471,13 +472,14 @@ impl PrecursorClient {
                 // mac ← MAC(K_operation, *v)                  (lines 2-4)
                 let k_op = Key256::generate(&mut self.rng);
                 let payload_nonce = Nonce8::generate(&mut self.rng);
-                self.charge_client(Cycles(self.cost.keygen_cycles));
                 let mut payload = value.to_vec();
                 salsa20::xor_keystream(&k_op, &payload_nonce, 0, &mut payload);
-                self.charge_client(self.cost.salsa20(value.len()));
                 let mac = cmac::mac(&cmac_key_of(&k_op), &payload);
-                self.charge_client(self.cost.cmac(payload.len()));
-                self.meter.counters_mut().crypto_bytes += value.len() as u64;
+                let (meter, cost, len) = (&mut self.meter, &self.cost, value.len());
+                meter.event(ClientCpu, Event::KeyGen, 1, cost);
+                meter.event(ClientCpu, Event::Salsa20 { len }, 1, cost);
+                meter.event(ClientCpu, Event::Cmac { len }, 1, cost);
+                meter.event(ClientCpu, Event::CryptoBytes { len }, 1, cost);
                 (
                     payload,
                     mac,
@@ -495,8 +497,9 @@ impl PrecursorClient {
                 let payload = self
                     .session_key
                     .seal(&payload_request_nonce(oid), &[], value);
-                self.charge_client(self.cost.aes_gcm(value.len()));
-                self.meter.counters_mut().crypto_bytes += value.len() as u64;
+                let (meter, cost, len) = (&mut self.meter, &self.cost, value.len());
+                meter.event(ClientCpu, Event::Gcm { len }, 1, cost);
+                meter.event(ClientCpu, Event::CryptoBytes { len }, 1, cost);
                 (
                     payload,
                     Tag::default(),
@@ -637,8 +640,9 @@ impl PrecursorClient {
         }
         .encode_into(frame);
         let (control_len, frame_len) = (plain.len(), frame.len());
-        self.charge_client(self.cost.aes_gcm(control_len));
-        self.charge_client(self.cost.memcpy(frame_len));
+        let (meter, cost) = (&mut self.meter, &self.cost);
+        meter.event(ClientCpu, Event::Gcm { len: control_len }, 1, cost);
+        meter.event(ClientCpu, Event::Memcpy { len: frame_len }, 1, cost);
 
         // Learn the server's consumed counter (credits it wrote back).
         let credits = self.credit_word.read_u64(0);
@@ -667,7 +671,7 @@ impl PrecursorClient {
         if signaled {
             // Reap the batch's single completion (amortized cost).
             let _ = qp.poll_cq(1);
-            self.charge_client(Cycles(self.cost.rdma_poll_cycles));
+            self.meter.event(ClientCpu, Event::RdmaPoll, 1, &self.cost);
         }
         if let Some(e) = rdma_err {
             return Err(StoreError::Rdma(e));
@@ -675,9 +679,10 @@ impl PrecursorClient {
         if pushed.is_none() {
             return Err(StoreError::RingFull);
         }
-        self.meter.counters_mut().rdma_posts += 1;
-        self.meter.counters_mut().tx_bytes += frame_len as u64;
-        self.charge_client(Cycles(self.cost.rdma_post_cycles));
+        // One post per request frame, even when a wrap splits it in two.
+        let (meter, cost) = (&mut self.meter, &self.cost);
+        meter.event(ClientCpu, Event::RdmaPost, 1, cost);
+        meter.event(ClientCpu, Event::Tx { len: frame_len }, 1, cost);
         self.obs.inc("client.rdma_writes", 1);
         self.trace("rdma", "write", control.oid, frame_len as u64);
         Ok(TransmitLog {
@@ -753,16 +758,18 @@ impl PrecursorClient {
                 // WRITE leaves a hole the consumer waits on): re-issue the
                 // identical WRITEs at the identical offsets — one-sided
                 // WRITEs are idempotent.
-                let mut err = None;
+                let (mut writes, mut err) = (0, None);
                 for (off, bytes) in &p.writes {
-                    self.meter.counters_mut().rdma_posts += 1;
-                    self.meter.counters_mut().tx_bytes += bytes.len() as u64;
+                    writes += 1;
+                    let (meter, len) = (&mut self.meter, bytes.len());
+                    meter.event(ClientCpu, Event::Tx { len }, 1, &self.cost);
                     if let Err(e) = self.qp.post_write(self.request_rkey, *off, bytes, false) {
                         err = Some(e);
                         break;
                     }
                 }
-                self.charge_client(Cycles(self.cost.rdma_post_cycles));
+                let repost = Event::RdmaRepost { writes };
+                self.meter.event(ClientCpu, repost, 1, &self.cost);
                 match err {
                     None => Ok(()),
                     Some(e) => Err(StoreError::Rdma(e)),
@@ -927,7 +934,8 @@ impl PrecursorClient {
     }
 
     fn handle_reply(&mut self, record: &[u8]) {
-        self.charge_client(self.cost.memcpy(record.len()));
+        let copy = Event::Memcpy { len: record.len() };
+        self.meter.event(ClientCpu, copy, 1, &self.cost);
         let Ok(frame) = ReplyRef::parse(record) else {
             // Malformed reply: drop — a real client would tear the session.
             return;
@@ -957,7 +965,8 @@ impl PrecursorClient {
             self.next_reply_seq = seq + 1;
         }
 
-        self.charge_client(self.cost.aes_gcm(frame.sealed_control.len()));
+        let (meter, len) = (&mut self.meter, frame.sealed_control.len());
+        meter.event(ClientCpu, Event::Gcm { len }, 1, &self.cost);
         let Ok(control_bytes) = self
             .session_key
             .open(&reply_nonce(seq), &[], frame.sealed_control)
@@ -1081,15 +1090,17 @@ impl PrecursorClient {
                         (Some(k_op), Some(pn), Some(mac)) => {
                             // Verify integrity: recompute the MAC over the
                             // encrypted value with K_operation (§3.7).
-                            self.charge_client(self.cost.cmac(frame.payload.len()));
+                            let (meter, len) = (&mut self.meter, frame.payload.len());
+                            meter.event(ClientCpu, Event::Cmac { len }, 1, &self.cost);
                             if !cmac::verify(&cmac_key_of(k_op), frame.payload, mac) {
                                 self.obs.inc("client.verify_fail", 1);
                                 completed.error = Some(StoreError::IntegrityViolation);
                             } else {
                                 let mut value = frame.payload.to_vec();
                                 salsa20::xor_keystream(k_op, pn, 0, &mut value);
-                                self.charge_client(self.cost.salsa20(value.len()));
-                                self.meter.counters_mut().crypto_bytes += value.len() as u64;
+                                let (meter, len) = (&mut self.meter, value.len());
+                                meter.event(ClientCpu, Event::Salsa20 { len }, 1, &self.cost);
+                                meter.event(ClientCpu, Event::CryptoBytes { len }, 1, &self.cost);
                                 self.obs.inc("client.verify_ok", 1);
                                 completed.value = Some(value);
                             }
@@ -1098,13 +1109,15 @@ impl PrecursorClient {
                     }
                 }
                 EncryptionMode::ServerSide => {
-                    self.charge_client(self.cost.aes_gcm(frame.payload.len()));
+                    let (meter, len) = (&mut self.meter, frame.payload.len());
+                    meter.event(ClientCpu, Event::Gcm { len }, 1, &self.cost);
                     match self
                         .session_key
                         .open(&payload_reply_nonce(seq), &[], frame.payload)
                     {
                         Ok(value) => {
-                            self.meter.counters_mut().crypto_bytes += value.len() as u64;
+                            let (meter, len) = (&mut self.meter, value.len());
+                            meter.event(ClientCpu, Event::CryptoBytes { len }, 1, &self.cost);
                             self.obs.inc("client.verify_ok", 1);
                             completed.value = Some(value);
                         }
@@ -1227,11 +1240,6 @@ impl PrecursorClient {
     ) -> Result<(), StoreError> {
         let oid = self.delete(key)?;
         self.complete_sync(server, oid)?.ack()
-    }
-
-    fn charge_client(&mut self, c: Cycles) {
-        let t = self.cost.client_freq.cycles_to_nanos(c);
-        self.meter.charge(Stage::ClientCpu, t);
     }
 
     /// Attack hook for security tests: re-sends a frame carrying the *last*

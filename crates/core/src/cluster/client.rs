@@ -103,7 +103,7 @@ impl ClusterClient {
     /// # Errors
     ///
     /// Attestation failures from the underlying connect.
-    pub fn ensure_session(
+    fn ensure_session(
         &mut self,
         cluster: &mut PrecursorCluster,
         node: u16,

@@ -421,16 +421,6 @@ impl PrecursorCluster {
         self.migrate_faults = Some(FaultInjector::new(plan, seed));
     }
 
-    /// Fenced migrations so far.
-    pub fn migrations_completed(&self) -> u64 {
-        self.migrations_completed
-    }
-
-    /// Aborted migrations so far.
-    pub fn migrations_aborted(&self) -> u64 {
-        self.migrations_aborted
-    }
-
     /// Every node's registry merged (the backend-neutral `ops.*` /
     /// `status.*` / `stage.*_ns` namespace sums over nodes), plus the
     /// migration plane's own `cluster.*` counters.

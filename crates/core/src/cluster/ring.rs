@@ -67,7 +67,7 @@ impl PlacementRing {
     /// # Panics
     ///
     /// If the pairs contribute no points at all.
-    pub fn with_weights(weights: &[(u16, u32)]) -> PlacementRing {
+    fn with_weights(weights: &[(u16, u32)]) -> PlacementRing {
         let mut points = Vec::new();
         for &(node, weight) in weights {
             for vnode in 0..weight {

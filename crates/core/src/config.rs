@@ -35,10 +35,6 @@ pub struct Config {
     pub max_key_bytes: usize,
     /// Largest accepted value, in bytes.
     pub max_value_bytes: usize,
-    /// Modelled bytes per enclave hash-table slot, used for EPC accounting
-    /// (key 16 B + K_op 32 B + oid/client 8 B + pointer 12 B + hash & padding
-    /// ≈ 88 B — yields Table 1's ≈11.6 MiB at 100 k keys).
-    pub model_slot_bytes: usize,
     /// Initial enclave hash-table slots ("only a subset of the hash table"
     /// is initialized up front, §5.4).
     pub initial_table_slots: usize,
@@ -87,7 +83,6 @@ impl Default for Config {
             max_clients: 128,
             max_key_bytes: 256,
             max_value_bytes: 256 << 10,
-            model_slot_bytes: 88,
             initial_table_slots: 2048,
             shards: 1,
             inline_value_max: 0,

@@ -36,7 +36,7 @@ use precursor_rdma::faults::{DurableVerdict, FaultSite};
 use precursor_rdma::plock;
 use precursor_sgx::counters::MonotonicCounter;
 use precursor_sgx::sealing;
-use precursor_sim::{CostModel, Cycles, Meter, Stage};
+use precursor_sim::{CostModel, Event, Meter, Stage};
 use precursor_storage::robinhood::stable_key_hash;
 
 use crate::config::Config;
@@ -324,18 +324,15 @@ impl PrecursorServer {
         };
         let cost = &self.cost;
         // header 13 + GCM tag 16 + trailing chain tag 16
-        let record_len = body_len + 45;
-        let seal =
-            cost.aes_gcm(body_len).0 + cost.sha256(body_len + 25).0 + cost.journal_seal_fixed;
-        meter.charge(Stage::Enclave, cost.server_time(Cycles(seal)));
-        let batch = d.journal.policy().max_records.max(1) as u64;
-        let write = cost.durable_write_fixed / batch
-            + (record_len as f64 * cost.durable_write_per_byte).round() as u64;
-        meter.charge(Stage::ServerOverhead, cost.server_time(Cycles(write)));
-        if d.fanout > 0 {
-            let ship =
-                (d.fanout as f64 * record_len as f64 * cost.segment_ship_per_byte).round() as u64;
-            meter.charge(Stage::Network, cost.server_time(Cycles(ship)));
+        let (len, fanout) = (body_len + 45, d.fanout);
+        let batch = d.journal.policy().max_records.max(1);
+        let seal = Event::JournalSeal { len: body_len };
+        meter.event(Stage::Enclave, seal, 1, cost);
+        let write = Event::JournalWrite { len, batch };
+        meter.event(Stage::ServerOverhead, write, 1, cost);
+        if fanout > 0 {
+            let ship = Event::JournalShip { len, fanout };
+            meter.event(Stage::Network, ship, 1, cost);
         }
     }
 

@@ -14,7 +14,7 @@ use precursor_rdma::adversary::AdversaryInjector;
 use precursor_rdma::mr::Memory;
 use precursor_sgx::enclave::{Enclave, RegionId};
 use precursor_sim::meter::{Meter, Stage};
-use precursor_sim::CostModel;
+use precursor_sim::{CostModel, Event};
 use precursor_storage::pool::{PoolRange, SlabPool};
 use precursor_storage::robinhood::{shard_of_hash, stable_key_hash, OpStats, ShardedRobinHoodMap};
 
@@ -26,7 +26,7 @@ use crate::snapshot::{
 use crate::wire::{payload_request_nonce, Opcode, RequestControl, Status};
 
 use super::seal::StoreEvidence;
-use super::{cmac_key_of, PrecursorServer};
+use super::{cmac_key_of, PrecursorServer, MODEL_SLOT_BYTES};
 
 // Where a value's bytes live.
 #[derive(Debug, Clone)]
@@ -110,7 +110,7 @@ pub(super) struct ExecRequest<'a> {
 pub(super) struct StoreExec {
     // The enclave index, partitioned into `Config::shards` Robin Hood
     // shards keyed by a stable hash of the key (one partition per trusted
-    // polling worker, §3.8). One shard = the legacy unsharded table.
+    // polling worker, §3.8). `Config::shards == 1` is one table.
     pub(super) table: ShardedRobinHoodMap<Vec<u8>, EntryMeta>,
     pub(super) storage_key: Key128,
     pub(super) storage_seq: u64,
@@ -274,10 +274,8 @@ impl StoreExec {
                     return Ok((Status::Busy, 0, ReplyPlan::Busy { oid: control.oid }));
                 }
                 ctx.enclave.copy_across_boundary(payload.len(), meter, cost);
-                meter.charge(
-                    Stage::Enclave,
-                    cost.server_time(cost.aes_gcm(payload.len())),
-                );
+                let len = payload.len();
+                meter.event(Stage::Enclave, Event::Gcm { len }, 1, cost);
                 let plain =
                     match session_key.open(&payload_request_nonce(control.oid), &[], payload) {
                         Ok(p) => p,
@@ -295,7 +293,8 @@ impl StoreExec {
                 let value_len = plain.len();
                 self.storage_seq += 1;
                 let seq = self.storage_seq;
-                meter.charge(Stage::Enclave, cost.server_time(cost.aes_gcm(plain.len())));
+                let len = plain.len();
+                meter.event(Stage::Enclave, Event::Gcm { len }, 1, cost);
                 let stored = gcm::seal(
                     &self.storage_key,
                     &precursor_crypto::Nonce12::from_counter(seq),
@@ -360,10 +359,8 @@ impl StoreExec {
                                 ValueStorage::Untrusted(range) => {
                                     let stored =
                                         self.payload_mem.read(range.offset, payload_len + Tag::LEN);
-                                    meter.charge(
-                                        Stage::ServerCritical,
-                                        cost.server_time(cost.memcpy(stored.len())),
-                                    );
+                                    let copy = Event::Memcpy { len: stored.len() };
+                                    meter.event(Stage::ServerCritical, copy, 1, cost);
                                     stored
                                 }
                                 ValueStorage::InEnclave(data) => {
@@ -396,10 +393,8 @@ impl StoreExec {
                             };
                             let stored = self.payload_mem.read(range.offset, payload_len);
                             ctx.enclave.copy_across_boundary(stored.len(), meter, cost);
-                            meter.charge(
-                                Stage::Enclave,
-                                cost.server_time(cost.aes_gcm(stored.len())),
-                            );
+                            let len = stored.len();
+                            meter.event(Stage::Enclave, Event::Gcm { len }, 1, cost);
                             let plain = gcm::open(
                                 &self.storage_key,
                                 &precursor_crypto::Nonce12::from_counter(storage_seq),
@@ -539,7 +534,7 @@ impl StoreExec {
             self.payload_mem
                 .write(range.offset + payload.len(), mac.as_bytes());
         }
-        meter.charge(Stage::ServerCritical, cost.server_time(cost.memcpy(total)));
+        meter.event(Stage::ServerCritical, Event::Memcpy { len: total }, 1, cost);
         Ok(range)
     }
 
@@ -616,8 +611,9 @@ impl StoreExec {
         meter: &mut Meter,
     ) {
         let cost = ctx.cost;
-        meter.charge(Stage::Enclave, cost.server_time(cost.ht_op(stats.probes)));
-        let slot_bytes = ctx.config.model_slot_bytes as u64;
+        let probes = stats.probes;
+        meter.event(Stage::Enclave, Event::TableOp { probes }, 1, cost);
+        let slot_bytes = MODEL_SLOT_BYTES as u64;
         let region = self.table_regions[shard];
         for slot in stats.slots() {
             ctx.enclave
@@ -632,7 +628,7 @@ impl StoreExec {
         if resizes != self.table_resizes_seen[shard] {
             self.table_resizes_seen[shard] = resizes;
             let cost = ctx.cost;
-            let bytes = (self.table.shard(shard).capacity() * ctx.config.model_slot_bytes) as u64;
+            let bytes = (self.table.shard(shard).capacity() * MODEL_SLOT_BYTES) as u64;
             let region = self.table_regions[shard];
             ctx.enclave.resize_region(region, bytes);
             ctx.enclave.touch_all(region, meter, cost);

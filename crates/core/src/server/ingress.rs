@@ -14,7 +14,7 @@ use precursor_crypto::keys::Key128;
 use precursor_rdma::mr::{Memory, RemoteKey, WriteBoard};
 use precursor_rdma::qp::{connect_pair, connect_pair_faulty, QueuePair};
 use precursor_sim::meter::{Meter, Stage};
-use precursor_sim::time::Cycles;
+use precursor_sim::Event;
 use precursor_storage::ring::{framed_payload, RingConsumer, RingProducer, RingStore};
 
 use super::pipeline::SweepScratch;
@@ -204,7 +204,8 @@ impl PrecursorServer {
         // Metered on the honest `writes`, so cost accounting is identical
         // with and without an adversary.
         self.charge_posts(writes.len(), meter);
-        meter.counters_mut().tx_bytes += bytes.len() as u64;
+        let len = bytes.len();
+        meter.event(Stage::ServerCritical, Event::Tx { len }, 1, &self.cost);
         if remember {
             // Remember the *honest* record for retransmissions —
             // retransmits bypass the adversary by design, so a
@@ -225,10 +226,8 @@ impl PrecursorServer {
     // The one post-accounting rule: every reply WRITE handed to the QP is
     // one post (a record that wraps the ring is two).
     fn charge_posts(&self, writes: usize, meter: &mut Meter) {
-        let post = self.cost.server_time(Cycles(self.cost.rdma_post_cycles));
         for _ in 0..writes {
-            meter.counters_mut().rdma_posts += 1;
-            meter.charge(Stage::ServerCritical, post);
+            meter.event(Stage::ServerCritical, Event::RdmaPost, 1, &self.cost);
         }
     }
 
@@ -259,7 +258,8 @@ impl PrecursorServer {
         // fills any hole a dropped reply WRITE left in the client's reply
         // ring, without consuming a new reply sequence number.
         self.charge_posts(writes.len(), meter);
-        meter.counters_mut().tx_bytes += writes.iter().map(|(_, c)| c.len() as u64).sum::<u64>();
+        let len = writes.iter().map(|(_, c)| c.len()).sum();
+        meter.event(Stage::ServerCritical, Event::Tx { len }, 1, &self.cost);
         self.post_or_gate(idx, &writes);
         let port = self.ingress.ports[idx].as_mut().expect("live port");
         port.last_reply = writes;

@@ -74,6 +74,11 @@ use exec::StoreExec;
 use ingress::Ingress;
 use session::SessionStage;
 
+/// Modelled bytes per enclave hash-table slot, used for EPC accounting
+/// (key 16 B + K_op 32 B + oid/client 8 B + pointer 12 B + hash & padding
+/// ≈ 88 B — yields Table 1's ≈11.6 MiB at 100 k keys).
+const MODEL_SLOT_BYTES: usize = 88;
+
 /// Per-operation outcome + cost accounting, consumed by the benchmark
 /// driver.
 #[derive(Debug, Clone)]
@@ -198,7 +203,7 @@ impl PrecursorServer {
             .map(|s| {
                 enclave.alloc_region(
                     "hash-table",
-                    (table.shard(s).capacity() * config.model_slot_bytes) as u64,
+                    (table.shard(s).capacity() * MODEL_SLOT_BYTES) as u64,
                 )
             })
             .collect();
@@ -371,9 +376,10 @@ impl PrecursorServer {
     }
 
     /// Requests handed across shards so far: popped by a polling worker
-    /// whose shard did not own the key (never with `shards = 1`).
+    /// whose shard did not own the key (never with `shards = 1`). The
+    /// reported ops' ledger counts them.
     pub fn handoffs(&self) -> u64 {
-        self.obs.counter("server.handoffs")
+        self.obs.counter("meter.shard_handoffs")
     }
 
     /// Ring visits performed by poll sweeps so far. Sweeps are

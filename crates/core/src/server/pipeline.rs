@@ -8,7 +8,7 @@
 //! ([`Validated`]).
 
 use precursor_sim::meter::{Meter, Stage};
-use precursor_sim::time::Cycles;
+use precursor_sim::{Event, Occupancy};
 use precursor_storage::robinhood::{shard_of_hash, stable_key_hash};
 
 use crate::config::EncryptionMode;
@@ -292,16 +292,10 @@ impl PrecursorServer {
                                 // Shard-crossing handoff: the popping
                                 // worker copies the validated control into
                                 // the owning shard's queue.
-                                server.obs.inc("server.handoffs", 1);
                                 let cost = &server.cost;
-                                meter.charge(
-                                    Stage::Enclave,
-                                    cost.server_time(cost.memcpy(frame.sealed_control.len())),
-                                );
-                                meter.charge(
-                                    Stage::Enclave,
-                                    cost.server_time(Cycles(cost.shard_handoff_cycles)),
-                                );
+                                let len = frame.sealed_control.len();
+                                meter.event(Stage::Enclave, Event::Memcpy { len }, 1, cost);
+                                meter.event(Stage::Enclave, Event::ShardHandoff, 1, cost);
                             }
                             reply_pending = true;
                             exec_queues[target].push(ExecItem {
@@ -490,18 +484,13 @@ impl PrecursorServer {
     // Fixed per-op occupancy (fitted constants; DESIGN.md §4): part of it
     // is on the request's critical path, the rest is polling overhead.
     fn charge_fixed_occupancy(&self, opcode: Opcode, meter: &mut Meter) {
+        let op = Occupancy::Precursor {
+            put: opcode == Opcode::Put,
+            server_enc: self.config.mode == EncryptionMode::ServerSide,
+        };
         let cost = &self.cost;
-        let mut fixed = cost.precursor_get_fixed;
-        if opcode == Opcode::Put {
-            fixed += cost.precursor_put_extra;
-        }
-        if self.config.mode == EncryptionMode::ServerSide {
-            fixed += cost.server_enc_extra;
-        }
-        let critical = cost.critical_part(Cycles(fixed));
-        let overhead = fixed - critical.0;
-        meter.charge(Stage::ServerCritical, cost.server_time(critical));
-        meter.charge(Stage::ServerOverhead, cost.server_time(Cycles(overhead)));
+        meter.event(Stage::ServerCritical, Event::FixedCritical(op), 1, cost);
+        meter.event(Stage::ServerOverhead, Event::FixedOverhead(op), 1, cost);
     }
 
     // Observability wrapper around validation: counts each outcome class
@@ -540,14 +529,9 @@ impl PrecursorServer {
         let cost = &self.cost;
 
         // Untrusted: the record was copied out of the ring by the poller.
-        meter.charge(
-            Stage::ServerCritical,
-            cost.server_time(cost.memcpy(record.len())),
-        );
-        meter.charge(
-            Stage::ServerCritical,
-            cost.server_time(Cycles(cost.rdma_poll_cycles)),
-        );
+        let len = record.len();
+        meter.event(Stage::ServerCritical, Event::Memcpy { len }, 1, cost);
+        meter.event(Stage::ServerCritical, Event::RdmaPoll, 1, cost);
 
         // Structurally invalid records still earn an error reply that at
         // least unblocks the client (chain-linked like any other, so the
@@ -575,10 +559,8 @@ impl PrecursorServer {
         // Trusted: decrypt + authenticate the control data (Algorithm 2,
         // lines 2-3).
         let aad = request_aad(opcode, frame.client_id);
-        meter.charge(
-            Stage::Enclave,
-            cost.server_time(cost.aes_gcm(frame.sealed_control.len())),
-        );
+        let len = frame.sealed_control.len();
+        meter.event(Stage::Enclave, Event::Gcm { len }, 1, cost);
         let session_key = &self.sessions.list[idx].session_key;
         let Ok(control_plain) = session_key.open(&frame.iv, &aad, frame.sealed_control) else {
             return Validated::Reject {

@@ -9,7 +9,7 @@
 
 use precursor_sgx::enclave::Enclave;
 use precursor_sim::meter::{Meter, Stage};
-use precursor_sim::CostModel;
+use precursor_sim::{CostModel, Event};
 
 use crate::wire::{
     chain_input, payload_reply_nonce, reply_nonce, Opcode, ReplyControl, ReplyRef, Status,
@@ -99,10 +99,8 @@ pub(super) fn seal_plan(
             // control reply will consume, so peek it; finish_reply
             // increments it once.
             let seq = session.reply_seq;
-            meter.charge(
-                Stage::Enclave,
-                ctx.cost.server_time(ctx.cost.aes_gcm(plain.len())),
-            );
+            let len = plain.len();
+            meter.event(Stage::Enclave, Event::Gcm { len }, 1, ctx.cost);
             let transport = session
                 .session_key
                 .seal(&payload_reply_nonce(seq), &[], &plain);
@@ -144,10 +142,7 @@ fn finish_reply(
         sealed,
     } = &mut *ctx.buffers;
     control.encode_into(plain);
-    meter.charge(
-        Stage::Enclave,
-        ctx.cost.server_time(ctx.cost.aes_gcm(plain.len())),
-    );
+    meter.event(Stage::Enclave, Event::Gcm { len: plain.len() }, 1, ctx.cost);
     ctx.enclave
         .copy_across_boundary(plain.len(), meter, ctx.cost);
     sealed.clear();

@@ -32,23 +32,19 @@ pub const STAGE_TOTAL_METRIC: &str = "stage.total_ns";
 
 /// Records one finished operation's [`Meter`] into `m` under the shared
 /// namespace: a `stage.*_ns` histogram sample per stage, one
-/// [`STAGE_TOTAL_METRIC`] sample, and the meter's event counters under
-/// `meter.*`. Because [`Meter::total`] is the sum of its stages by
-/// construction, the stage histograms' sums are conserved: they add up
-/// to the total histogram's sum exactly.
+/// [`STAGE_TOTAL_METRIC`] sample, and the meter's whole event ledger as
+/// `meter.*` counters (a slot still at zero adds nothing, so its counter
+/// appears with its first event). Because [`Meter::total`] is the sum of
+/// its stages by construction, the stage histograms' sums are conserved:
+/// they add up to the total histogram's sum exactly.
 pub fn observe_meter(m: &mut MetricsRegistry, meter: &Meter) {
     for s in Stage::ALL {
         m.observe(stage_metric(s), meter.get(s).0);
     }
     m.observe(STAGE_TOTAL_METRIC, meter.total().0);
-    let c = meter.counters();
-    m.inc("meter.transitions", c.transitions);
-    m.inc("meter.epc_faults", c.epc_faults);
-    m.inc("meter.enclave_bytes", c.enclave_bytes);
-    m.inc("meter.crypto_bytes", c.crypto_bytes);
-    m.inc("meter.rdma_posts", c.rdma_posts);
-    m.inc("meter.tcp_msgs", c.tcp_msgs);
-    m.inc("meter.tx_bytes", c.tx_bytes);
+    for (name, n) in meter.counters().slots().filter(|&(_, n)| n > 0) {
+        m.inc(name, n);
+    }
 }
 
 /// A monotonically increasing, saturating event counter.
@@ -350,6 +346,47 @@ mod tests {
         c.add(u64::MAX - 1);
         c.add(5);
         assert_eq!(c.get(), u64::MAX);
+    }
+
+    #[test]
+    fn observe_meter_files_every_ledger_slot() {
+        use precursor_sim::{CostModel, Event, Occupancy};
+        let cost = CostModel::default();
+        let mut meter = Meter::new();
+        for ev in [
+            Event::Gcm { len: 1 },
+            Event::Salsa20 { len: 1 },
+            Event::Cmac { len: 1 },
+            Event::Sha256 { len: 1 },
+            Event::KeyGen,
+            Event::Memcpy { len: 1 },
+            Event::BoundaryCopy { len: 1 },
+            Event::TableOp { probes: 1 },
+            Event::Transition,
+            Event::EpcFault,
+            Event::RdmaPost,
+            Event::RdmaPoll,
+            Event::ShardHandoff,
+            Event::ClientTcpMsg,
+            Event::JournalSeal { len: 1 },
+            Event::JournalWrite { len: 1, batch: 1 },
+            Event::JournalShip { len: 1, fanout: 1 },
+            Event::FixedCritical(Occupancy::ShieldStore { put: false }),
+            Event::Tx { len: 1 },
+            Event::CryptoBytes { len: 1 },
+        ] {
+            meter.event(Stage::Enclave, ev, 1, &cost);
+        }
+        let slots: Vec<_> = meter.counters().slots().collect();
+        assert!(slots.iter().all(|&(_, n)| n > 0), "unmoved slot: {slots:?}");
+        let mut m = MetricsRegistry::default();
+        observe_meter(&mut m, &meter);
+        observe_meter(&mut m, &meter);
+        for &(name, n) in &slots {
+            assert_eq!(m.counter(name), 2 * n, "{name}");
+        }
+        let filed = m.counters().filter(|(name, _)| name.starts_with("meter."));
+        assert_eq!(filed.count(), slots.len());
     }
 
     #[test]

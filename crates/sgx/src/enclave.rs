@@ -10,8 +10,7 @@
 //! payload outside (§1, §2.4).
 
 use precursor_sim::meter::{Meter, Stage};
-use precursor_sim::time::Cycles;
-use precursor_sim::CostModel;
+use precursor_sim::{CostModel, Event};
 
 use crate::epc::EpcTracker;
 use crate::perf::SgxPerfReport;
@@ -74,20 +73,11 @@ impl Enclave {
         self.regions[id.0 as usize].bytes
     }
 
-    /// Name of a region.
-    pub fn region_name(&self, id: RegionId) -> &'static str {
-        self.regions[id.0 as usize].name
-    }
-
     /// Records an enclave transition (ecall or ocall), charging
     /// ≈13,100 cycles (§2.1) to the meter's enclave stage.
     pub fn ecall(&mut self, meter: &mut Meter, cost: &CostModel) {
         self.transitions += 1;
-        meter.counters_mut().transitions += 1;
-        meter.charge(
-            Stage::Enclave,
-            cost.server_time(Cycles(cost.enclave_transition_cycles)),
-        );
+        meter.event(Stage::Enclave, Event::Transition, 1, cost);
     }
 
     /// Records an ocall — same cost as an ecall in the model.
@@ -120,8 +110,7 @@ impl Enclave {
         );
         let faults = self.epc.touch_range(id.0, offset, len);
         if faults > 0 {
-            meter.counters_mut().epc_faults += faults;
-            meter.charge(Stage::Enclave, cost.server_time(cost.epc_faults(faults)));
+            meter.event(Stage::Enclave, Event::EpcFault, faults, cost);
         }
         faults
     }
@@ -137,8 +126,7 @@ impl Enclave {
     /// charging memcpy time and counting the moved bytes. This is the
     /// "control data is copied into the enclave" step (§3.7).
     pub fn copy_across_boundary(&mut self, len: usize, meter: &mut Meter, cost: &CostModel) {
-        meter.counters_mut().enclave_bytes += len as u64;
-        meter.charge(Stage::Enclave, cost.server_time(cost.memcpy(len)));
+        meter.event(Stage::Enclave, Event::BoundaryCopy { len }, 1, cost);
     }
 
     /// Total transitions so far.
@@ -180,7 +168,8 @@ mod tests {
         e.ecall(&mut m, &cost);
         assert_eq!(e.transitions(), 1);
         assert_eq!(m.counters().transitions, 1);
-        assert_eq!(m.get(Stage::Enclave), cost.server_time(Cycles(13_100)));
+        // 13 100 cycles at 3.7 GHz.
+        assert_eq!(m.get(Stage::Enclave), precursor_sim::Nanos(3_541));
     }
 
     #[test]

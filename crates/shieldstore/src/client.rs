@@ -6,8 +6,9 @@ use std::collections::VecDeque;
 use precursor_crypto::gcm;
 use precursor_crypto::keys::{Key128, Nonce12};
 use precursor_rdma::tcp::SimTcp;
-use precursor_sim::meter::{Meter, Stage};
-use precursor_sim::CostModel;
+use precursor_sim::meter::Meter;
+use precursor_sim::meter::Stage::ClientCpu;
+use precursor_sim::{CostModel, Event};
 
 use crate::server::{ShieldClientBundle, ShieldServer};
 use crate::wire::{
@@ -80,21 +81,20 @@ impl ShieldClient {
         let plain = encode_request(op, oid, key, value);
         // Transport encryption of the *entire* request (server-encryption
         // scheme): charged at the client like any TLS-style sender.
-        let t = self
-            .cost
-            .client_freq
-            .cycles_to_nanos(self.cost.aes_gcm(plain.len()));
-        self.meter.charge(Stage::ClientCpu, t);
-        self.meter.counters_mut().crypto_bytes += plain.len() as u64;
+        let len = plain.len();
+        let (meter, cost) = (&mut self.meter, &self.cost);
+        meter.event(ClientCpu, Event::Gcm { len }, 1, cost);
+        meter.event(ClientCpu, Event::CryptoBytes { len }, 1, cost);
         let mut ivb = [0u8; 12];
         ivb[0] = 0x01;
         ivb[4..].copy_from_slice(&oid.to_be_bytes());
         let iv = Nonce12::from_bytes(ivb);
         let sealed = gcm::seal(&self.session_key, &iv, &[], &plain);
         let framed = frame_sealed(&iv, &sealed);
-        self.meter.counters_mut().tx_bytes += framed.len() as u64;
         self.socket.send(&framed);
-        self.meter.counters_mut().tcp_msgs += 1;
+        let (meter, cost, len) = (&mut self.meter, &self.cost, framed.len());
+        meter.event(ClientCpu, Event::Tx { len }, 1, cost);
+        meter.event(ClientCpu, Event::ClientTcpMsg, 1, cost);
         self.pending.push_back((oid, op));
         oid
     }
@@ -121,11 +121,8 @@ impl ShieldClient {
         while let Some(msg) = self.socket.recv() {
             let seq = self.reply_seq;
             self.reply_seq += 1;
-            let t = self
-                .cost
-                .client_freq
-                .cycles_to_nanos(self.cost.aes_gcm(msg.len()));
-            self.meter.charge(Stage::ClientCpu, t);
+            let open = Event::Gcm { len: msg.len() };
+            self.meter.event(ClientCpu, open, 1, &self.cost);
             let Some((oid, op)) = self.pending.pop_front() else {
                 break;
             };
@@ -305,6 +302,6 @@ mod tests {
         client.put_sync(&mut server, b"k", &[0u8; 1024]);
         let m = client.take_meter();
         assert!(m.counters().tcp_msgs >= 1);
-        assert!(m.get(Stage::ClientCpu) > precursor_sim::Nanos::ZERO);
+        assert!(m.get(ClientCpu) > precursor_sim::Nanos::ZERO);
     }
 }

@@ -16,8 +16,7 @@ use precursor_sgx::attest::AttestationService;
 use precursor_sgx::enclave::{Enclave, RegionId};
 use precursor_sim::meter::{Meter, Stage};
 use precursor_sim::rng::SimRng;
-use precursor_sim::time::Cycles;
-use precursor_sim::CostModel;
+use precursor_sim::{CostModel, Event, Occupancy};
 
 use crate::merkle::MerkleTree;
 use crate::wire::{
@@ -280,23 +279,18 @@ impl ShieldServer {
     fn process(&mut self, idx: usize, msg: Vec<u8>) {
         let mut meter = Meter::new();
         let cost = self.cost.clone();
-        meter.counters_mut().tcp_msgs += 1;
         // Kernel/TCP stack CPU cost for receiving the message: consumes
         // server-thread occupancy, but the paper's latency breakdown books
         // kernel time under "networking" (it overlaps the tcp_msg_latency
         // already charged on the network path), so it goes off the
         // request-visible critical path.
-        meter.charge(
-            Stage::ServerOverhead,
-            cost.server_time(Cycles(
-                cost.tcp_msg_cycles + (msg.len() as f64 * cost.tcp_per_byte) as u64,
-            )),
-        );
+        let len = msg.len();
+        meter.event(Stage::ServerOverhead, Event::TcpMsg { len }, 1, &cost);
 
         // Whole request is copied into the enclave and transport-decrypted.
         self.enclave
             .copy_across_boundary(msg.len(), &mut meter, &cost);
-        meter.charge(Stage::Enclave, cost.server_time(cost.aes_gcm(msg.len())));
+        meter.event(Stage::Enclave, Event::Gcm { len }, 1, &cost);
         if !self.conn_touched {
             self.conn_touched = true;
             self.enclave.touch_all(self.conn_region, &mut meter, &cost);
@@ -350,18 +344,11 @@ impl ShieldServer {
         }
 
         // Fixed per-op occupancy (fitted to Fig. 4's ≈120 Kops; DESIGN.md §4).
-        let mut fixed_cycles = self.cost.shieldstore_op_fixed;
-        if op == ShieldOp::Put {
-            fixed_cycles += self.cost.shieldstore_put_extra;
-        }
-        let fixed = Cycles(fixed_cycles);
-        let critical =
-            Cycles((fixed.0 as f64 * self.cost.shieldstore_critical_fraction).round() as u64);
-        meter.charge(Stage::ServerCritical, self.cost.server_time(critical));
-        meter.charge(
-            Stage::ServerOverhead,
-            self.cost.server_time(Cycles(fixed.0 - critical.0)),
-        );
+        let fixed = Occupancy::ShieldStore {
+            put: op == ShieldOp::Put,
+        };
+        meter.event(Stage::ServerCritical, Event::FixedCritical(fixed), 1, &cost);
+        meter.event(Stage::ServerOverhead, Event::FixedOverhead(fixed), 1, &cost);
 
         // Seal + send the reply (transport encryption of status ‖ value).
         let session = &mut self.sessions[idx];
@@ -372,22 +359,14 @@ impl ShieldServer {
         ivb[4..].copy_from_slice(&seq.to_be_bytes());
         let iv = precursor_crypto::Nonce12::from_bytes(ivb);
         let plain = encode_reply(status, &reply_plain);
-        meter.charge(
-            Stage::Enclave,
-            self.cost.server_time(self.cost.aes_gcm(plain.len())),
-        );
-        self.enclave
-            .copy_across_boundary(plain.len(), &mut meter, &self.cost);
+        let len = plain.len();
+        meter.event(Stage::Enclave, Event::Gcm { len }, 1, &cost);
+        self.enclave.copy_across_boundary(len, &mut meter, &cost);
         let sealed = gcm::seal(&session.session_key, &iv, &[], &plain);
         let framed = frame_sealed(&iv, &sealed);
-        meter.counters_mut().tcp_msgs += 1;
-        meter.counters_mut().tx_bytes += framed.len() as u64;
-        meter.charge(
-            Stage::ServerOverhead,
-            self.cost.server_time(Cycles(
-                self.cost.tcp_msg_cycles + (framed.len() as f64 * self.cost.tcp_per_byte) as u64,
-            )),
-        );
+        let len = framed.len();
+        meter.event(Stage::ServerOverhead, Event::TcpMsg { len }, 1, &cost);
+        meter.event(Stage::ServerOverhead, Event::Tx { len }, 1, &cost);
         session.socket.send(&framed);
 
         // Metric tap: every finished op passes here, mirroring the
@@ -431,14 +410,14 @@ impl ShieldServer {
         plain.extend_from_slice(&(key.len() as u16).to_le_bytes());
         plain.extend_from_slice(key);
         plain.extend_from_slice(value);
-        meter.charge(Stage::Enclave, cost.server_time(cost.aes_gcm(plain.len())));
+        meter.event(Stage::Enclave, Event::Gcm { len: plain.len() }, 1, &cost);
         let cipher = gcm::seal(
             &self.storage_key,
             &precursor_crypto::Nonce12::from_counter(seq),
             &[],
             &plain,
         );
-        meter.charge(Stage::Enclave, cost.server_time(cost.cmac(cipher.len())));
+        meter.event(Stage::Enclave, Event::Cmac { len: cipher.len() }, 1, &cost);
         let mac = cmac::mac(&self.mac_key, &cipher);
         // Entry leaves the enclave into the untrusted chain.
         self.enclave
@@ -481,15 +460,12 @@ impl ShieldServer {
         for e in &self.buckets[b] {
             macs.extend_from_slice(e.mac.as_bytes());
         }
-        meter.charge(Stage::Enclave, cost.server_time(cost.cmac(macs.len())));
+        meter.event(Stage::Enclave, Event::Cmac { len: macs.len() }, 1, &cost);
         let bucket_mac = cmac::mac(&self.mac_key, &macs);
-        meter.charge(Stage::Enclave, cost.server_time(cost.sha256(16)));
+        meter.event(Stage::Enclave, Event::Sha256 { len: 16 }, 1, &cost);
         let leaf = sha256::digest(bucket_mac.as_bytes());
-        let hashes = self.tree.update(b, leaf);
-        meter.charge(
-            Stage::Enclave,
-            cost.server_time(Cycles(cost.sha256(64).0 * hashes as u64)),
-        );
+        let hashes = self.tree.update(b, leaf) as u64;
+        meter.event(Stage::Enclave, Event::Sha256 { len: 64 }, hashes, &cost);
         // Touch the bucket's hash slot in the static region.
         self.enclave.touch(
             self.static_region,
@@ -513,10 +489,10 @@ impl ShieldServer {
         for e in &self.buckets[b] {
             macs.extend_from_slice(e.mac.as_bytes());
         }
-        meter.charge(Stage::Enclave, cost.server_time(cost.cmac(macs.len())));
+        meter.event(Stage::Enclave, Event::Cmac { len: macs.len() }, 1, &cost);
         let bucket_mac = cmac::mac(&self.mac_key, &macs);
         let leaf = sha256::digest(bucket_mac.as_bytes());
-        meter.charge(Stage::Enclave, cost.server_time(cost.sha256(16)));
+        meter.event(Stage::Enclave, Event::Sha256 { len: 16 }, 1, &cost);
         self.tree.leaf(b) == leaf
     }
 
@@ -531,10 +507,8 @@ impl ShieldServer {
             if e.key_hint != hint {
                 continue;
             }
-            meter.charge(
-                Stage::Enclave,
-                cost.server_time(cost.aes_gcm(e.cipher.len())),
-            );
+            let len = e.cipher.len();
+            meter.event(Stage::Enclave, Event::Gcm { len }, 1, &cost);
             if let Some((k, _)) = self.open_entry(e) {
                 if k == key {
                     found = Some(i);
@@ -564,11 +538,8 @@ impl ShieldServer {
         // "Decrypt all entries in a bucket, search for the corresponding
         // key": charge a key-portion decryption per chain entry, plus the
         // full value decryption for the match.
-        let chain_len = self.buckets[b].len();
-        meter.charge(
-            Stage::Enclave,
-            cost.server_time(Cycles(cost.aes_gcm(48).0 * chain_len as u64)),
-        );
+        let chain_len = self.buckets[b].len() as u64;
+        meter.event(Stage::Enclave, Event::Gcm { len: 48 }, chain_len, &cost);
         let mut value = None;
         for e in &self.buckets[b] {
             if e.key_hint != hint {
@@ -576,7 +547,7 @@ impl ShieldServer {
             }
             if let Some((k, v)) = self.open_entry(e) {
                 if k == key {
-                    meter.charge(Stage::Enclave, cost.server_time(cost.aes_gcm(v.len())));
+                    meter.event(Stage::Enclave, Event::Gcm { len: v.len() }, 1, &cost);
                     value = Some(v);
                     break;
                 }
@@ -594,10 +565,8 @@ impl ShieldServer {
             if e.key_hint != hint {
                 continue;
             }
-            meter.charge(
-                Stage::Enclave,
-                cost.server_time(cost.aes_gcm(e.cipher.len())),
-            );
+            let len = e.cipher.len();
+            meter.event(Stage::Enclave, Event::Gcm { len }, 1, &cost);
             if let Some((k, _)) = self.open_entry(e) {
                 if k == key {
                     idx = Some(i);

@@ -27,10 +27,10 @@ use crate::time::{Cycles, Freq, Nanos};
 /// # Example
 ///
 /// ```
-/// use precursor_sim::cost::CostModel;
+/// use precursor_sim::cost::{CostModel, Event};
 /// let m = CostModel::default();
 /// // One AES-GCM pass over a 1 KiB buffer costs far more than the fixed part.
-/// assert!(m.aes_gcm(1024).0 > m.aes_gcm(0).0);
+/// assert!(m.price(Event::Gcm { len: 1024 }) > m.price(Event::Gcm { len: 0 }));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
@@ -230,45 +230,190 @@ impl Default for CostModel {
     }
 }
 
+/// One mechanism the cost model prices, with its size.
+///
+/// A [`Meter`](crate::meter::Meter) charges an event through
+/// [`Meter::event`](crate::meter::Meter::event), which counts it in the
+/// meter's ledger and charges `n ×` [`CostModel::price`]. The fitted
+/// per-op occupancies are events too, until counted mechanisms replace
+/// them. An event priced at zero is a count the driver's replay prices
+/// instead (bytes on a link) or a count kept beside another event's price.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Event {
+    /// One AES-128-GCM pass, seal or open, over `len` bytes.
+    Gcm {
+        /// Bytes passed through the cipher.
+        len: usize,
+    },
+    /// One Salsa20 pass over `len` bytes.
+    Salsa20 {
+        /// Bytes passed through the cipher.
+        len: usize,
+    },
+    /// One AES-CMAC over `len` bytes.
+    Cmac {
+        /// Bytes MACed.
+        len: usize,
+    },
+    /// One SHA-256 over `len` bytes.
+    Sha256 {
+        /// Bytes hashed.
+        len: usize,
+    },
+    /// One client key generation.
+    KeyGen,
+    /// A memcpy of `len` bytes that does not cross the enclave boundary.
+    Memcpy {
+        /// Bytes copied.
+        len: usize,
+    },
+    /// A copy of `len` bytes across the enclave boundary (§3.7).
+    BoundaryCopy {
+        /// Bytes copied.
+        len: usize,
+    },
+    /// One hash-table operation that took `probes` probe steps.
+    TableOp {
+        /// Probe steps taken.
+        probes: usize,
+    },
+    /// One enclave transition, ecall or ocall (§2.1).
+    Transition,
+    /// One EPC page fault (§2.1).
+    EpcFault,
+    /// One RDMA work request posted.
+    RdmaPost,
+    /// A retransmission re-posting `writes` WRITEs: counted as `writes`
+    /// posts, priced as one.
+    RdmaRepost {
+        /// WRITEs re-posted.
+        writes: usize,
+    },
+    /// One completion polled.
+    RdmaPoll,
+    /// A validated request handed to the shard owning its key.
+    ShardHandoff,
+    /// The server kernel's TCP stack work for one `len`-byte message.
+    TcpMsg {
+        /// Message bytes.
+        len: usize,
+    },
+    /// A TCP message a client sends. Counted with the server's
+    /// [`Event::TcpMsg`]s; the client's kernel work is not priced.
+    ClientTcpMsg,
+    /// Sealing one journal record over a `len`-byte body: its GCM pass,
+    /// its chain hash and the framing.
+    JournalSeal {
+        /// Record body bytes.
+        len: usize,
+    },
+    /// Making one `len`-byte journal record durable, its write's fixed
+    /// cost amortised over a group commit of `batch` records.
+    JournalWrite {
+        /// Framed record bytes.
+        len: usize,
+        /// Records per group commit.
+        batch: usize,
+    },
+    /// Shipping one `len`-byte journal record to `fanout` replicas.
+    JournalShip {
+        /// Framed record bytes.
+        len: usize,
+        /// Replicas shipped to.
+        fanout: usize,
+    },
+    /// The critical-path share of one op's fitted fixed occupancy.
+    FixedCritical(Occupancy),
+    /// The rest of the same occupancy: polling and bookkeeping off the
+    /// request's critical path.
+    FixedOverhead(Occupancy),
+    /// `len` bytes handed to the network. Priced at zero: the driver's
+    /// links charge the transfer.
+    Tx {
+        /// Bytes transmitted.
+        len: usize,
+    },
+    /// `len` bytes a client put through its payload cipher. Priced at
+    /// zero: the cipher's own event charges the pass.
+    CryptoBytes {
+        /// Bytes enciphered or deciphered.
+        len: usize,
+    },
+}
+
+/// Whose fitted fixed per-op occupancy an event charges \[fitted\].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Occupancy {
+    /// A Precursor op: `put` adds `precursor_put_extra`, `server_enc` adds
+    /// `server_enc_extra`; `critical_fraction` of it is critical.
+    Precursor {
+        /// The op is a put.
+        put: bool,
+        /// The server runs in server-encryption mode.
+        server_enc: bool,
+    },
+    /// A ShieldStore op: `put` adds `shieldstore_put_extra`;
+    /// `shieldstore_critical_fraction` of it is critical.
+    ShieldStore {
+        /// The op is a put.
+        put: bool,
+    },
+}
+
 impl CostModel {
-    /// Cycles for one AES-128-GCM pass (seal *or* open) over `len` bytes.
-    pub fn aes_gcm(&self, len: usize) -> Cycles {
-        Cycles(self.aes_gcm_fixed + (len as f64 * self.aes_gcm_per_byte).round() as u64)
-    }
-
-    /// Cycles for one AES-CMAC over `len` bytes.
-    pub fn cmac(&self, len: usize) -> Cycles {
-        Cycles(self.cmac_fixed + (len as f64 * self.cmac_per_byte).round() as u64)
-    }
-
-    /// Cycles for one Salsa20 pass over `len` bytes.
-    pub fn salsa20(&self, len: usize) -> Cycles {
-        Cycles(self.salsa20_fixed + (len as f64 * self.salsa20_per_byte).round() as u64)
-    }
-
-    /// Cycles for one SHA-256 over `len` bytes.
-    pub fn sha256(&self, len: usize) -> Cycles {
-        Cycles(self.sha256_fixed + (len as f64 * self.sha256_per_byte).round() as u64)
-    }
-
-    /// Cycles for a memcpy of `len` bytes.
-    pub fn memcpy(&self, len: usize) -> Cycles {
-        Cycles(self.memcpy_fixed + (len as f64 * self.memcpy_per_byte).round() as u64)
-    }
-
-    /// Cycles for a hash-table operation that took `probes` probe steps.
-    pub fn ht_op(&self, probes: usize) -> Cycles {
-        Cycles(self.ht_fixed + self.ht_per_probe * probes as u64)
-    }
-
-    /// Cycles for `n` enclave transitions.
-    pub fn transitions(&self, n: u64) -> Cycles {
-        Cycles(self.enclave_transition_cycles * n)
-    }
-
-    /// Cycles for `n` EPC page faults.
-    pub fn epc_faults(&self, n: u64) -> Cycles {
-        Cycles(self.epc_fault_cycles * n)
+    /// The cycles one `ev` costs. Every price in the model is here.
+    #[inline(always)]
+    pub fn price(&self, ev: Event) -> Cycles {
+        let linear =
+            |fixed: u64, per_byte: f64, len: usize| fixed + (len as f64 * per_byte).round() as u64;
+        let fixed_split = |occupancy: Occupancy| {
+            let (fixed, fraction) = match occupancy {
+                Occupancy::Precursor { put, server_enc } => (
+                    self.precursor_get_fixed
+                        + if put { self.precursor_put_extra } else { 0 }
+                        + if server_enc { self.server_enc_extra } else { 0 },
+                    self.critical_fraction,
+                ),
+                Occupancy::ShieldStore { put } => (
+                    self.shieldstore_op_fixed + if put { self.shieldstore_put_extra } else { 0 },
+                    self.shieldstore_critical_fraction,
+                ),
+            };
+            let critical = (fixed as f64 * fraction).round() as u64;
+            (critical, fixed - critical)
+        };
+        Cycles(match ev {
+            Event::Gcm { len } => linear(self.aes_gcm_fixed, self.aes_gcm_per_byte, len),
+            Event::Salsa20 { len } => linear(self.salsa20_fixed, self.salsa20_per_byte, len),
+            Event::Cmac { len } => linear(self.cmac_fixed, self.cmac_per_byte, len),
+            Event::Sha256 { len } => linear(self.sha256_fixed, self.sha256_per_byte, len),
+            Event::KeyGen => self.keygen_cycles,
+            Event::Memcpy { len } | Event::BoundaryCopy { len } => {
+                linear(self.memcpy_fixed, self.memcpy_per_byte, len)
+            }
+            Event::TableOp { probes } => self.ht_fixed + self.ht_per_probe * probes as u64,
+            Event::Transition => self.enclave_transition_cycles,
+            Event::EpcFault => self.epc_fault_cycles,
+            Event::RdmaPost | Event::RdmaRepost { .. } => self.rdma_post_cycles,
+            Event::RdmaPoll => self.rdma_poll_cycles,
+            Event::ShardHandoff => self.shard_handoff_cycles,
+            Event::TcpMsg { len } => self.tcp_msg_cycles + (len as f64 * self.tcp_per_byte) as u64,
+            Event::JournalSeal { len } => {
+                linear(self.aes_gcm_fixed, self.aes_gcm_per_byte, len)
+                    + linear(self.sha256_fixed, self.sha256_per_byte, len + 25)
+                    + self.journal_seal_fixed
+            }
+            Event::JournalWrite { len, batch } => {
+                self.durable_write_fixed / batch as u64
+                    + (len as f64 * self.durable_write_per_byte).round() as u64
+            }
+            Event::JournalShip { len, fanout } => {
+                (fanout as f64 * len as f64 * self.segment_ship_per_byte).round() as u64
+            }
+            Event::FixedCritical(occupancy) => fixed_split(occupancy).0,
+            Event::FixedOverhead(occupancy) => fixed_split(occupancy).1,
+            Event::ClientTcpMsg | Event::Tx { .. } | Event::CryptoBytes { .. } => 0,
+        })
     }
 
     /// Usable EPC size in pages.
@@ -276,15 +421,10 @@ impl CostModel {
         self.epc_usable_bytes / self.page_bytes
     }
 
-    /// Converts server-side cycles to time.
+    /// Converts server-side cycles to time (the driver's replay; a meter
+    /// converts inside [`Meter::event`](crate::meter::Meter::event)).
     pub fn server_time(&self, c: Cycles) -> Nanos {
         self.server_freq.cycles_to_nanos(c)
-    }
-
-    /// The critical-path share of a fixed per-op occupancy (the rest is
-    /// polling/bookkeeping performed outside the request's latency path).
-    pub fn critical_part(&self, occupancy: Cycles) -> Cycles {
-        Cycles((occupancy.0 as f64 * self.critical_fraction).round() as u64)
     }
 }
 
@@ -295,11 +435,16 @@ mod tests {
     #[test]
     fn linear_cost_functions_grow() {
         let m = CostModel::default();
-        assert!(m.aes_gcm(4096) > m.aes_gcm(64));
-        assert!(m.cmac(4096) > m.cmac(64));
-        assert!(m.salsa20(4096) > m.salsa20(64));
-        assert!(m.sha256(4096) > m.sha256(64));
-        assert!(m.memcpy(4096) > m.memcpy(64));
+        let sized = [
+            |len| Event::Gcm { len },
+            |len| Event::Cmac { len },
+            |len| Event::Salsa20 { len },
+            |len| Event::Sha256 { len },
+            |len| Event::Memcpy { len },
+        ];
+        for ev in sized {
+            assert!(m.price(ev(4096)) > m.price(ev(64)));
+        }
     }
 
     #[test]
@@ -327,7 +472,7 @@ mod tests {
         let m = CostModel::default();
         let line_rate_mb_s = 40.0e9 / 8.0 / 1e6; // 5000 MB/s
         let tput = |len: usize| {
-            let cycles_per_op = 2 * m.aes_gcm(len).0; // decrypt then encrypt
+            let cycles_per_op = 2 * m.price(Event::Gcm { len }).0; // decrypt then encrypt
             let ops_per_s = 12.0 * m.client_freq.hz() / cycles_per_op as f64;
             ops_per_s * len as f64 / 1e6 // MB/s
         };
@@ -347,9 +492,9 @@ mod tests {
         let m = CostModel::default();
         let control = 56;
         let per_get = m.precursor_get_fixed
-            + m.aes_gcm(control).0 * 2
-            + m.ht_op(2).0
-            + m.memcpy(control).0 * 2;
+            + m.price(Event::Gcm { len: control }).0 * 2
+            + m.price(Event::TableOp { probes: 2 }).0
+            + m.price(Event::Memcpy { len: control }).0 * 2;
         let ops = m.server_threads as f64 * m.server_freq.hz() / per_get as f64;
         assert!(
             (ops - 1_149_000.0).abs() / 1_149_000.0 < 0.12,
@@ -360,8 +505,17 @@ mod tests {
     #[test]
     fn critical_part_is_fraction() {
         let m = CostModel::default();
-        let c = m.critical_part(Cycles(10_000));
-        assert_eq!(c, Cycles(1_200));
+        let get = Occupancy::Precursor {
+            put: false,
+            server_enc: false,
+        };
+        // 33 000 × 0.12 = 3 960 critical, the rest overhead.
+        assert_eq!(m.price(Event::FixedCritical(get)), Cycles(3_960));
+        assert_eq!(m.price(Event::FixedOverhead(get)), Cycles(29_040));
+        let put = Occupancy::ShieldStore { put: true };
+        // (310 000 + 70 000) × 0.012 = 4 560.
+        assert_eq!(m.price(Event::FixedCritical(put)), Cycles(4_560));
+        assert_eq!(m.price(Event::FixedOverhead(put)), Cycles(375_440));
     }
 
     #[test]

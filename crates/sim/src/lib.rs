@@ -10,10 +10,10 @@
 //!   latencies, …).
 //! * [`resource`] — FIFO queueing resources: a pool of `k` servers
 //!   ([`Pool`]; a pool of one is a single server) and a network [`Link`].
-//! * [`meter`] — per-operation stage accounting
-//!   ([`Meter`]/[`Stage`]); functional protocol
-//!   code charges costs here and the closed-loop driver replays them through
-//!   resources.
+//! * [`meter`] — per-operation stage accounting and the event ledger
+//!   ([`Meter`]/[`Stage`]); functional protocol code reports every priced
+//!   [`Event`] here and the closed-loop driver replays the charged stages
+//!   through resources.
 //! * [`rng`] — a small deterministic RNG family (SplitMix64 / Xoshiro256**)
 //!   with the distribution helpers the workloads need.
 //! * [`histogram`] — log-bucketed latency histograms with percentile and CDF
@@ -53,7 +53,7 @@ pub mod stats;
 pub mod time;
 pub mod timer;
 
-pub use cost::CostModel;
+pub use cost::{CostModel, Event, Occupancy};
 pub use histogram::Histogram;
 pub use meter::{Meter, Stage};
 pub use resource::{Link, Pool};

@@ -138,43 +138,6 @@ impl fmt::Display for Nanos {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycles(pub u64);
 
-impl Cycles {
-    /// The zero amount of work.
-    pub const ZERO: Cycles = Cycles(0);
-}
-
-impl Add for Cycles {
-    type Output = Cycles;
-    fn add(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign for Cycles {
-    fn add_assign(&mut self, rhs: Cycles) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Mul<u64> for Cycles {
-    type Output = Cycles;
-    fn mul(self, rhs: u64) -> Cycles {
-        Cycles(self.0 * rhs)
-    }
-}
-
-impl Sum for Cycles {
-    fn sum<I: Iterator<Item = Cycles>>(iter: I) -> Cycles {
-        iter.fold(Cycles::ZERO, |a, b| a + b)
-    }
-}
-
-impl fmt::Display for Cycles {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}cyc", self.0)
-    }
-}
-
 /// A CPU clock frequency, used to convert [`Cycles`] to [`Nanos`].
 ///
 /// # Example
@@ -263,13 +226,5 @@ mod tests {
     #[should_panic(expected = "frequency must be positive")]
     fn freq_rejects_zero() {
         let _ = Freq::ghz(0.0);
-    }
-
-    #[test]
-    fn cycles_arithmetic() {
-        let total: Cycles = [Cycles(10), Cycles(20)].into_iter().sum();
-        assert_eq!(total, Cycles(30));
-        assert_eq!(Cycles(5) * 4, Cycles(20));
-        assert_eq!(Cycles(5).to_string(), "5cyc");
     }
 }

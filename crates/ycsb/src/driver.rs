@@ -40,7 +40,7 @@ use precursor_rdma::nic::RnicCache;
 use precursor_shieldstore::backend::ShieldBackend;
 use precursor_shieldstore::server::ShieldConfig;
 use precursor_sim::engine::EventQueue;
-use precursor_sim::meter::Stage;
+use precursor_sim::meter::{Meter, Stage};
 use precursor_sim::rng::SimRng;
 use precursor_sim::{CostModel, Histogram, Link, Nanos, Pool};
 
@@ -74,34 +74,29 @@ impl SystemKind {
 /// the *replayed* timeline, so queueing and transport contention land in
 /// "networking"), these are the meters' own charges: the per-stage sums
 /// add up to [`total`](Self::total) exactly, with no residual.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageBreakdown {
-    sums: [Nanos; 5],
+    // The recorded ops' meters merged.
+    meter: Meter,
     /// Operations folded into the sums (post-warmup ops only).
     pub ops: u64,
 }
 
 impl StageBreakdown {
-    // Folds one op's combined meter charges (client pre + post + server).
-    fn record(&mut self, stages: &[Nanos; 5]) {
-        for (slot, add) in self.sums.iter_mut().zip(stages) {
-            *slot += *add;
-        }
+    // Folds one op's combined meter (client pre + post + server).
+    fn record(&mut self, op: &Meter) {
+        self.meter.merge(op);
         self.ops += 1;
     }
 
     /// Total time charged to `stage` across the recorded ops.
     pub fn get(&self, stage: Stage) -> Nanos {
-        let i = Stage::ALL
-            .iter()
-            .position(|&s| s == stage)
-            .expect("known stage");
-        self.sums[i]
+        self.meter.get(stage)
     }
 
     /// Sum over all stages; equals the sum of the per-op meter totals.
     pub fn total(&self) -> Nanos {
-        self.sums.iter().copied().sum()
+        self.meter.total()
     }
 
     /// Mean per-op time charged to `stage`.
@@ -187,9 +182,9 @@ struct OpCosts {
     // Ring visits the op's poll sweep performed (the default scan-cost
     // basis; 0 for backends without a ring poller).
     rings_swept: u64,
-    // Combined (client pre + post + server report) meter charge per stage,
-    // in `Stage::ALL` order — feeds the exact `StageBreakdown`.
-    stages: [Nanos; 5],
+    // Combined (client pre + post + server report) meter — feeds the
+    // exact `StageBreakdown`.
+    meter: Meter,
 }
 
 // Per-client driver state, boxed and allocated on the client's first
@@ -426,7 +421,8 @@ impl SessionParams {
 }
 
 // Inserts records `0..count` through client 0, draining whenever the
-// backend's in-flight window fills.
+// backend's in-flight window fills. The load's op reports are dropped as
+// each batch completes, so they never pile up in the server's buffer.
 fn bulk_load(sut: &mut dyn TrustedKv, size: usize, count: u64) {
     let frame = 160 + size + KEY_LEN;
     let batch = sut.warmup_batch(frame);
@@ -442,6 +438,7 @@ fn bulk_load(sut: &mut dyn TrustedKv, size: usize, count: u64) {
                 sut.poll_replies(0);
             }
             sut.poll_replies(0);
+            sut.take_reports();
             pending = 0;
         }
     }
@@ -462,8 +459,9 @@ pub struct BenchSession {
     seed: u64,
     measurements: u64,
     // `Some(s)`: the server runs `s` trusted polling shards and the replay
-    // pins each op to its shard's dedicated poller core instead of the
-    // legacy any-of-12-threads pool (fig6 shard-scaling mode).
+    // pins each op to its shard's dedicated poller core (fig6
+    // shard-scaling mode). `None`: any of the testbed's 12 worker threads
+    // serves any op — the replay of every unsharded session.
     shards: Option<usize>,
     // Scan occupancy is charged for the paper's scan-all poller (`clients`
     // rings per sweep) instead of the rings each op's sweep actually
@@ -515,8 +513,8 @@ impl BenchSession {
 
         // --- resources ---
         // Every node is the paper's server machine. Sharded mode dedicates
-        // one core per trusted polling shard; the legacy model uses the
-        // paper testbed's 12-thread worker pool.
+        // one core per trusted polling shard; an unsharded session runs on
+        // the paper testbed's 12-thread worker pool.
         let mut servers: Vec<NodeResources> = (0..self.nodes)
             .map(|_| NodeResources {
                 cpu: match self.shards {
@@ -611,7 +609,7 @@ impl BenchSession {
             let mut t_done = t0;
             let mut client_cpu = Nanos::ZERO;
             let mut server_critical = Nanos::ZERO;
-            let mut op_stages = [Nanos::ZERO; 5];
+            let mut op_meter = Meter::new();
             for visit in 1.. {
                 let costs = self.execute_op(workload, c, kind, key_id, version);
                 let server = &mut servers[costs.node];
@@ -699,9 +697,7 @@ impl BenchSession {
 
                 client_cpu += costs.client_pre + costs.client_post;
                 server_critical += costs.server_critical;
-                for (slot, add) in op_stages.iter_mut().zip(costs.stages) {
-                    *slot += add;
-                }
+                op_meter.merge(&costs.meter);
                 if !costs.redirected {
                     break;
                 }
@@ -724,7 +720,7 @@ impl BenchSession {
                 net_sum += net;
                 server_sum += server_part;
                 client_sum += client_cpu;
-                stages.record(&op_stages);
+                stages.record(&op_meter);
             }
             last_completion = last_completion.max(t_done);
             // Closed loop with per-client think/issue time (Fig. 6 rise).
@@ -792,11 +788,7 @@ impl BenchSession {
 
         let server_critical =
             report.meter.get(Stage::ServerCritical) + report.meter.get(Stage::Enclave);
-        let mut stages = [Nanos::ZERO; 5];
-        for (slot, stage) in stages.iter_mut().zip(Stage::ALL) {
-            *slot = pre.get(stage) + post.get(stage) + report.meter.get(stage);
-        }
-        OpCosts {
+        let mut costs = OpCosts {
             node: report.node as usize,
             redirected: report.status == KvStatus::NotMine,
             client_pre: pre.get(Stage::ClientCpu),
@@ -807,8 +799,11 @@ impl BenchSession {
             server_occupancy: server_critical + report.meter.get(Stage::ServerOverhead),
             shard: report.shard as usize,
             rings_swept,
-            stages,
-        }
+            meter: report.meter,
+        };
+        costs.meter.merge(&pre);
+        costs.meter.merge(&post);
+        costs
     }
 }
 
@@ -949,7 +944,7 @@ mod tests {
 
     #[test]
     fn server_overhead_is_fixed_constants_times_counted_ops() {
-        use precursor_sim::time::Cycles;
+        use precursor_sim::{Event, Occupancy};
         let cost = CostModel::default();
         let spec = WorkloadSpec::workload_c(32, 500);
         let mut session = SessionParams::new(SystemKind::Precursor)
@@ -959,11 +954,13 @@ mod tests {
             .seed(9)
             .build(&cost);
         let r = session.measure(&spec, 4, 1_000);
-        let fixed = Cycles(cost.precursor_get_fixed);
-        let overhead = Cycles(fixed.0 - cost.critical_part(fixed).0);
+        let get = Occupancy::Precursor {
+            put: false,
+            server_enc: false,
+        };
         assert_eq!(
             r.stages.mean(Stage::ServerOverhead),
-            cost.server_time(overhead)
+            cost.server_time(cost.price(Event::FixedOverhead(get)))
         );
     }
 

@@ -19,7 +19,6 @@ pub struct Zipfian {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2theta: f64,
 }
 
 fn zeta(n: u64, theta: f64) -> f64 {
@@ -49,7 +48,6 @@ impl Zipfian {
             alpha,
             zetan,
             eta,
-            zeta2theta,
         }
     }
 
@@ -74,11 +72,6 @@ impl Zipfian {
             return 1;
         }
         ((self.n as f64) * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64
-    }
-
-    /// The `zeta(2, θ)` constant (exposed for test cross-checks).
-    pub fn zeta2theta(&self) -> f64 {
-        self.zeta2theta
     }
 }
 

@@ -53,15 +53,25 @@ if [ "${1:-}" = filters ]; then
 fi
 
 # One cluster, one node type, one replay path, one journal attach, one
-# histogram, one event queue, one driver entry point, and a platform model
+# histogram, one event queue, one driver entry point, a platform model
 # holding only the traffic the store generates (no READ or atomic verbs, no
-# SEND/TCP fault hooks, no single-server resource or cycle meter): the
-# deleted names must not grow back. `\bpair_faulty` spares the surviving
-# `connect_pair_faulty`; `\bResource\b` spares `NodeResources`.
+# SEND/TCP fault hooks, no single-server resource or cycle meter), and one
+# way to charge a meter (`Meter::event`): the deleted names must not grow
+# back. `\bpair_faulty` spares the surviving `connect_pair_faulty`;
+# `\bResource\b` spares `NodeResources`.
 echo "== deleted names stay deleted =="
-if grep -rnE "attach_replicated_journal|external_commit|replace_node|recover_staged|recover_with_base|fail_primary_staged|FixedHistogram|DEFAULT_LATENCY_BOUNDS_NS|TimingWheel|RunConfig|epc_fault_locality|post_read|post_fetch_add|post_compare_swap|\bpair_faulty|new_faulty|take_forced_error|CycleMeter|Distribution::Latest|\bResource\b" \
+if grep -rnE "attach_replicated_journal|external_commit|replace_node|recover_staged|recover_with_base|fail_primary_staged|FixedHistogram|DEFAULT_LATENCY_BOUNDS_NS|TimingWheel|RunConfig|epc_fault_locality|post_read|post_fetch_add|post_compare_swap|\bpair_faulty|new_faulty|take_forced_error|CycleMeter|Distribution::Latest|\bResource\b|counters_mut|charge_client" \
     crates tests examples; then
     echo "ci: a deleted name reappeared (see CHANGES.md)" >&2
+    exit 1
+fi
+
+# A meter charge is a priced event: cycles become time inside `precursor-sim`
+# (`Meter::event`), and only the driver's replay converts cycles itself.
+echo "== cycles become time only in sim and the replay =="
+if grep -rnE "server_time\(|cycles_to_nanos\(" crates/*/src \
+    | grep -vE "^crates/sim/src/|^crates/ycsb/src/driver\.rs:"; then
+    echo "ci: a charge converts cycles outside Meter::event (lines above)" >&2
     exit 1
 fi
 

@@ -197,6 +197,38 @@ fn rdma_post_counters_track_messages() {
 }
 
 #[test]
+fn a_get_counts_its_table_probes_gcm_passes_and_client_crypto() {
+    let (mut server, mut client) = setup(EncryptionMode::ClientSide);
+    for i in 0..16u8 {
+        client.put_sync(&mut server, &[b'k', i], b"warm").unwrap();
+    }
+    client.take_meter();
+    server.take_reports();
+    let before = server.metrics().clone();
+    let oid = client.get(&[b'k', 7]).unwrap();
+    server.poll();
+    let report = server.take_reports().pop().unwrap();
+    client.poll_replies();
+    assert_eq!(
+        client.take_completed(oid).and_then(|c| c.value),
+        Some(b"warm".to_vec())
+    );
+
+    let s = report.meter.counters();
+    assert_eq!(s.table_ops, 1);
+    assert!(s.table_probes >= 1, "a hit probes its slot");
+    assert_eq!(s.gcm_passes, 2, "one control open, one reply seal");
+    let c = *client.take_meter().counters();
+    assert_eq!((c.salsa20_passes, c.cmac_passes), (1, 1), "{c:?}");
+    assert_eq!(c.gcm_passes, 2, "one control seal, one reply open");
+
+    let after = server.metrics();
+    for (name, n) in s.slots() {
+        assert_eq!(after.counter(name) - before.counter(name), n, "{name}");
+    }
+}
+
+#[test]
 fn deterministic_runs_produce_identical_reports() {
     let run = || {
         let (mut server, mut client) = setup(EncryptionMode::ClientSide);
