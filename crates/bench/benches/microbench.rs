@@ -2,8 +2,8 @@
 //! (wall-clock, not simulated time): the Robin Hood table the enclave
 //! hosts, the ring buffers on the RDMA path, the verbs model's WRITE post,
 //! the RNIC queue-pair cache, the untrusted payload pool, the metric taps,
-//! the Merkle tree of the baseline, the EPC residency tracker, and the
-//! software crypto. Plain timing loops — no external benchmark harness.
+//! the Merkle tree of the baseline, the EPC residency tracker, the
+//! snapshot chain's cuts, folds and restores, and the software crypto. Plain timing loops — no external benchmark harness.
 //!
 //! ```sh
 //! cargo bench -p precursor-bench --bench microbench [-- <section>…]
@@ -16,18 +16,19 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use precursor::backend::{KvOp, PrecursorBackend, TrustedKv};
-use precursor::{Config, GroupCommitPolicy};
+use precursor::{CompactOutcome, Config, GroupCommitPolicy, PrecursorClient, PrecursorServer};
 use precursor_crypto::aes::Aes128;
 use precursor_crypto::gcm::GcmKey;
 use precursor_crypto::{cmac, gcm, salsa20, sha256, Key128, Key256, Nonce12, Nonce8};
 use precursor_obs::observe_meter;
 use precursor_rdma::{connect_pair, Memory, RnicCache, WriteBoard};
+use precursor_sgx::counters::MonotonicCounter;
 use precursor_sgx::epc::EpcTracker;
 use precursor_shieldstore::merkle::MerkleTree;
 use precursor_storage::pool::SlabPool;
 use precursor_storage::ring::{RingConsumer, RingProducer, RingStore};
 use precursor_storage::robinhood::RobinHoodMap;
-use precursor_ycsb::workload::key_bytes;
+use precursor_ycsb::workload::{key_bytes, value_bytes};
 
 /// Run `f` for `iters` iterations and report mean ns/iter (plus total MB/s
 /// when `bytes_per_iter` is non-zero).
@@ -291,6 +292,118 @@ fn bench_merkle() {
     }
 }
 
+fn bench_snapshot() {
+    println!("-- snapshot --");
+    // `compacting_write`'s store and cut rate: a journaled server of
+    // 10 000 keys of 32 B, and 61 uniformly drawn overwrites between two
+    // compactions. 400 cuts hold several folds, so the amortised row
+    // carries their cost. Every entry keeps its size, so the live bytes are
+    // those of the first, full cut.
+    const KEYS: u64 = 10_000;
+    const WRITES: u64 = 61;
+    const CUTS: u64 = 400;
+    let cost = precursor_sim::CostModel::default();
+    let mut server = PrecursorServer::new(Config::default(), &cost);
+    server.attach_journal(GroupCommitPolicy::immediate(), &mut MonotonicCounter::new());
+    let mut client = PrecursorClient::connect(&mut server, 1).expect("connect");
+    let mut counter = MonotonicCounter::new();
+    let mut cut = |server: &mut PrecursorServer| match server.compact_journal(&mut counter) {
+        CompactOutcome::Compacted { snapshot, .. } => (counter.read(), snapshot.to_vec()),
+        other => panic!("the cut commits: {other:?}"),
+    };
+    for id in 0..KEYS {
+        let value = value_bytes(id, 0, 32);
+        client
+            .put_sync(&mut server, &key_bytes(id), &value)
+            .expect("load");
+    }
+    let live = cut(&mut server).1.len() as f64;
+    let counted = |server: &PrecursorServer, name: &str| server.metrics().counter(name);
+
+    // (ns, bytes sealed) of every cut, split by whether it folded; the
+    // blob with the longest chain (the one before a fold) and the base
+    // right after a fold, with their versions.
+    let (mut appends, mut folds) = (Vec::new(), Vec::new());
+    let (mut blob_bytes, mut widest) = (0.0, 0.0f64);
+    let (mut longest, mut folded) = ((0, Vec::new()), (0, Vec::new()));
+    let mut previous = (0, Vec::new());
+    let mut draw = 0x2545_f491_4f6c_dd1du64;
+    for round in 1..=CUTS {
+        for _ in 0..WRITES {
+            draw = draw.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let id = (draw >> 33) % KEYS;
+            let value = value_bytes(id, round, 32);
+            client
+                .put_sync(&mut server, &key_bytes(id), &value)
+                .expect("put");
+        }
+        let fold = counted(&server, "snapshot.folds");
+        let sealed = counted(&server, "snapshot.bytes_sealed");
+        let start = Instant::now();
+        let outcome = server.compact_journal(&mut counter);
+        let ns = start.elapsed().as_nanos() as f64;
+        let CompactOutcome::Compacted { snapshot, .. } = outcome else {
+            panic!("the cut commits: {outcome:?}");
+        };
+        let (version, blob) = (counter.read(), snapshot.to_vec());
+        let sealed = counted(&server, "snapshot.bytes_sealed") - sealed;
+        if counted(&server, "snapshot.folds") > fold {
+            folds.push((ns, sealed));
+            longest = std::mem::take(&mut previous);
+            folded = (version, blob.clone());
+        } else {
+            appends.push((ns, sealed));
+        }
+        blob_bytes += blob.len() as f64 / live;
+        widest = widest.max(blob.len() as f64 / live);
+        previous = (version, blob);
+    }
+
+    let mean_sealed = |cuts: &[(f64, u64)]| {
+        cuts.iter().map(|c| c.1 as f64).sum::<f64>() / cuts.len().max(1) as f64
+    };
+    let median_ns = |cuts: &mut Vec<(f64, u64)>| {
+        cuts.sort_by(|a, b| a.0.total_cmp(&b.0));
+        cuts.get(cuts.len() / 2).map_or(0.0, |c| c.0)
+    };
+    let total_ns: f64 = appends.iter().chain(&folds).map(|c| c.0).sum();
+    let total_sealed: u64 = appends.iter().chain(&folds).map(|c| c.1).sum();
+    let row = |name: &str, ns: f64, note: String| {
+        println!("{name:<28} {ns:>12.1} ns/iter {note}");
+    };
+    let note = format!(
+        "{:.0} B sealed per cut ({})",
+        mean_sealed(&appends),
+        appends.len()
+    );
+    row("cut_61_of_10k", median_ns(&mut appends), note);
+    let note = format!(
+        "{:.0} B sealed per fold ({})",
+        mean_sealed(&folds),
+        folds.len()
+    );
+    row("fold_10k", median_ns(&mut folds), note);
+    let note = format!(
+        "{:.0} B sealed per cut; blob bytes per live byte {:.3} mean, {widest:.3} max",
+        total_sealed as f64 / CUTS as f64,
+        blob_bytes / CUTS as f64
+    );
+    row("cut_amortised", total_ns / CUTS as f64, note);
+    for (name, (version, blob)) in [
+        ("restore_10k_longest_chain", longest),
+        ("restore_10k_base", folded),
+    ] {
+        let mut at = MonotonicCounter::new();
+        for _ in 0..version {
+            at.increment();
+        }
+        bench(name, 10, blob.len() as u64, || {
+            let restored = PrecursorServer::restore(Config::default(), &cost, &blob, &at);
+            std::hint::black_box(restored.expect("restores"));
+        });
+    }
+}
+
 fn bench_epc() {
     println!("-- epc --");
     // A 1 MiB region that fits the EPC, walked in 88-byte entries (the
@@ -308,7 +421,7 @@ fn bench_epc() {
     }
 }
 
-const SECTIONS: [(&str, fn()); 9] = [
+const SECTIONS: [(&str, fn()); 10] = [
     ("robinhood", bench_robinhood),
     ("crypto", bench_crypto),
     ("ring", bench_ring),
@@ -318,6 +431,7 @@ const SECTIONS: [(&str, fn()); 9] = [
     ("obs", bench_obs),
     ("merkle", bench_merkle),
     ("epc", bench_epc),
+    ("snapshot", bench_snapshot),
 ];
 
 fn main() -> ExitCode {

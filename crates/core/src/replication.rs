@@ -38,7 +38,7 @@
 //! segments alone; the primary ships it the compacted **(snapshot, tail)**
 //! pair instead: a `FRAME_SNAPSHOT` frame carrying the sealed blob, which the
 //! replica validates (`snapshot::open` at the trusted counter version —
-//! the manifest, then every segment against it — and the embedded
+//! the manifest, then the base and every delta against it — and the embedded
 //! watermark) before adopting its `journal_chain` as the
 //! MAC-chain anchor for the tail that follows. A tampered blob is
 //! rejected; the replica then falls back to *full-journal catch-up* from a
@@ -107,9 +107,9 @@ struct Replica {
     // chain for the tail.
     base_seq: u64,
     base_chain: [u8; 16],
-    // The validated sealed snapshot covering `[..base]`, when this copy
-    // starts mid-stream.
-    snapshot: Option<Vec<u8>>,
+    // The validated sealed snapshot covering `[..base]`, and the counter
+    // version it validated at, when this copy starts mid-stream.
+    snapshot: Option<(u64, Vec<u8>)>,
     // Set when a shipped compacted snapshot failed validation: the
     // replica refuses the pair and waits for full-journal catch-up from a
     // peer that still holds the uncompacted stream.
@@ -413,8 +413,8 @@ impl ReplicaGroup {
     }
 
     /// Adversarial hook: lets the host rewrite the *shipped* compacted
-    /// snapshot at will — splice in a segment of an older cut, swap two
-    /// segments, truncate — without touching the primary's own
+    /// snapshot at will — splice in a delta of an older chain, swap two
+    /// deltas, truncate — without touching the primary's own
     /// recovery root. No-op before the first compaction.
     pub fn rewrite_compacted_snapshot(&mut self, rewrite: impl FnOnce(&mut Vec<u8>)) {
         if let Some(ship) = self.compact_ship.as_mut() {
@@ -651,7 +651,7 @@ impl ReplicaGroup {
                             u64::from_le_bytes(frame[9..17].try_into().expect("8 bytes"));
                         let blob = &frame[17..];
                         // Validate before adopting: open at the trusted
-                        // counter version (manifest, then every segment
+                        // counter version (manifest, then every part
                         // against it) and check the embedded watermark
                         // matches the cut the primary claims. The
                         // MAC-chain anchor comes from the *sealed*
@@ -662,7 +662,7 @@ impl ReplicaGroup {
                             .filter(|h| h.journal_epoch == epoch && h.journal_seq == base_seq);
                         match header {
                             Some(header) => {
-                                r.snapshot = Some(blob.to_vec());
+                                r.snapshot = Some((snap_version, blob.to_vec()));
                                 r.journal.clear();
                                 r.base = base_off;
                                 r.base_seq = base_seq;
@@ -860,17 +860,17 @@ impl ReplicaGroup {
             // model checker must catch.
             stale = false;
         }
-        // A replica holding a compacted pair recovers from its own
-        // validated snapshot and cut; a full-epoch copy from the dead
-        // primary's root, salvaged off its host, and the epoch's genesis
-        // chain.
+        // A replica holding a compacted pair recovers from its cut, and
+        // from its own validated snapshot while no later cut has
+        // superseded it; a full-epoch copy from the epoch's genesis chain.
+        // Any other snapshot is the dead primary's root, salvaged off its
+        // host: the counter's version, so its watermark covers the cut.
         let journal = std::mem::take(&mut replica.journal);
-        let (snapshot, cut) = if replica.base > 0 {
-            let cut = (replica.base_seq, replica.base_chain);
-            (replica.snapshot.take(), Some(cut))
-        } else {
-            let salvaged = self.primary.committed_snapshot();
-            (salvaged.map(SnapshotBlob::to_vec), None)
+        let cut = (replica.base > 0).then_some((replica.base_seq, replica.base_chain));
+        let version = self.snap_counter.read();
+        let snapshot = match replica.snapshot.take() {
+            Some((at, own)) if at == version => Some(own),
+            _ => self.primary.committed_snapshot().map(SnapshotBlob::to_vec),
         };
         let (mut server, recovery) = PrecursorServer::recover(
             self.primary.config().clone(),

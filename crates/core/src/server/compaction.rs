@@ -1,14 +1,14 @@
 //! Compaction stage: cutting the store into a sealed snapshot, and the
 //! two-phase commit that lets the cut replace the journal prefix behind it.
 //!
-//! A cut costs what it seals. The last committed cut is kept as a
-//! [`SnapshotBlob`] whose segment buffers are shared: the next cut carries
-//! every clean segment by reference, re-seals each dirty one from the
-//! previous cut's plaintext of it plus the current table entries of the
-//! keys written since, and hands the host a copy that shares every part.
-//! Only the first cut, or one whose previous cut no longer authenticates,
-//! walks the table. DESIGN §14 "Log compaction" has the rule and the
-//! measurements.
+//! A cut costs what was written. The last committed cut is kept as a
+//! [`SnapshotBlob`] — a sealed base and a chain of deltas — whose buffers
+//! are shared: the next cut seals the keys written since as one more delta,
+//! carries the base and the earlier deltas by reference, and hands the host
+//! a copy that shares every part. A cut whose chain would outgrow its share
+//! of the base folds the chain into a new base instead. Only the first cut,
+//! or one whose previous cut no longer authenticates, walks the table.
+//! DESIGN §14 "Log compaction" has the rule and the measurements.
 
 use std::ops::Range;
 
@@ -59,11 +59,12 @@ impl PrecursorServer {
     /// the journal prefix behind the committed watermark. Two-phase:
     ///
     /// 1. **Tentative seal** at `counter.read() + 1` — the counter is NOT
-    ///    advanced yet. Only the segments holding a key written since the
-    ///    last committed snapshot are re-sealed. The host may damage what
-    ///    it persists (`SnapshotSeal` fault); the enclave authenticates
-    ///    exactly the bytes this cut wrote — manifest and re-sealed
-    ///    segments, by tag, without decrypting them — and, on damage,
+    ///    advanced yet. Only the keys written since the last committed
+    ///    snapshot are sealed, as a delta (or, past the fold limit, with
+    ///    the chain folded into a new base). The host may damage what it
+    ///    persists (`SnapshotSeal` fault); the enclave authenticates
+    ///    exactly the bytes this cut wrote — the manifest and the part it
+    ///    sealed, by tag, without decrypting them — and, on damage,
     ///    aborts with the previous snapshot still authoritative, the
     ///    journal whole and the dirty set intact
     ///    ([`CompactOutcome::Aborted`]). Recovery state is unchanged.
@@ -181,40 +182,44 @@ impl PrecursorServer {
     // tentative first phase of journal compaction, which advances the
     // trusted counter only after the persisted bytes validate (so a
     // host-damaged seal aborts with the previous snapshot still
-    // authoritative). The one seal path. With a committed cut to carry
-    // from, only the segments holding a dirty key are re-sealed, from that
-    // cut's plaintext (`StoreExec::reseal_segments`); with none — the
-    // first cut, or a previous cut whose manifest or a dirty segment no
-    // longer authenticates — the table is walked and every segment sealed.
-    // The dirty set is left alone — `commit_snapshot` empties it — so a
-    // cut that is never committed is simply retried.
+    // authoritative). The one seal path, one RNG draw whatever it seals.
+    // With a committed cut to carry from, the cut seals the dirty keys as
+    // a delta (`StoreExec::encode_delta`) and carries that cut's parts, or
+    // — when the delta would take the chain past `FOLD_PERCENT` of the base
+    // — folds the chain and the delta into a new base; with none — the
+    // first cut, or a previous cut whose manifest (or, folding, any part)
+    // no longer authenticates — the table is walked into a new base. The
+    // dirty set is left alone — `commit_snapshot` empties it — so a cut
+    // that is never committed is simply retried.
     pub(crate) fn snapshot_at(&mut self, key: &GcmKey, version: u64) -> Cut {
         let header = self.snapshot_header();
         let drawn = Nonce12::generate(&mut self.rng);
         let mode = self.config.mode;
         // The last committed blob sits in host memory like any sealed
-        // bytes: its manifest, and every segment a re-seal reads, is
+        // bytes: its manifest, and every part a fold reads, is
         // authenticated again before use.
         let previous = self
             .last_snapshot
             .as_ref()
             .and_then(|(at, blob)| PreviousCut::open(key, *at, blob).ok());
-        let incremental = match (&previous, &self.store.dirty) {
-            (Some(previous), Some(dirty)) => {
-                self.store.reseal_segments(mode, key, previous, dirty).ok()
+        let (mut carried, mut fresh) = (None, None);
+        if let (Some(previous), Some(dirty)) = (&previous, &self.store.dirty) {
+            let delta = self.store.encode_delta(mode, dirty);
+            if previous.fits(delta.len()) {
+                carried = Some(previous);
+                fresh = (!delta.is_empty()).then_some(delta);
+            } else if let Ok(base) = previous.fold(key, &delta) {
+                self.obs.inc("snapshot.folds", 1);
+                fresh = Some(base);
             }
-            _ => None,
-        };
-        let fresh = incremental.unwrap_or_else(|| {
-            let plain = self.store.encode_segments(mode);
-            plain.into_iter().map(Some).collect()
-        });
-        let cut = snapshot::seal(key, version, &drawn, &header, &fresh, previous.as_ref());
-        self.obs
-            .inc("snapshot.segments_sealed", cut.segments_sealed());
-        self.obs
-            .inc("snapshot.segments_reused", cut.segments_reused);
+        }
+        if carried.is_none() && fresh.is_none() {
+            self.obs.inc("snapshot.table_walks", 1);
+            fresh = Some(self.store.encode_base(mode));
+        }
+        let cut = snapshot::seal(key, version, &drawn, &header, carried, fresh);
         self.obs.inc("snapshot.bytes_sealed", cut.bytes_sealed);
+        self.obs.inc("snapshot.bytes_carried", cut.bytes_carried);
         cut
     }
 
@@ -294,21 +299,15 @@ mod tests {
     use precursor_journal::GroupCommitPolicy;
     use precursor_rdma::faults::{FaultAction, FaultDir, FaultPlan};
     use precursor_sim::CostModel;
-    use precursor_storage::robinhood::stable_key_hash;
 
     use super::*;
     use crate::client::PrecursorClient;
     use crate::config::Config;
-    use crate::snapshot::segment_of;
 
     const KEYS: u32 = 2_000;
 
     fn key(i: u32) -> Vec<u8> {
         format!("key{i:06}").into_bytes()
-    }
-
-    fn segment(i: u32) -> usize {
-        segment_of(stable_key_hash(&key(i)))
     }
 
     // A journaled server holding `KEYS` keys, its client, and the snapshot
@@ -343,18 +342,35 @@ mod tests {
         a.parts().len() == b.parts().len() && parts.into_iter().all(|(a, b)| Arc::ptr_eq(a, b))
     }
 
+    // Overwrites `keys` with a new value: at 1 100 of the `KEYS`, the next
+    // cut's delta alone outgrows half the base, so it folds.
+    fn write_past_the_fold(
+        server: &mut PrecursorServer,
+        client: &mut PrecursorClient,
+        keys: Range<u32>,
+    ) {
+        for i in keys {
+            client.put_sync(server, &key(i), &[0x5f; 32]).expect("put");
+        }
+    }
+
     #[test]
-    fn consecutive_cuts_share_clean_segments_and_the_host_copy_shares_every_part() {
+    fn consecutive_cuts_carry_the_chain_and_the_host_copy_shares_every_part() {
         let (mut server, mut client, mut counter) = cut_once();
         let first = server.committed_snapshot().expect("committed").clone();
+        assert_eq!(
+            first.parts().len(),
+            2,
+            "a walk seals the manifest and a base"
+        );
         for i in 0..20 {
             client
                 .put_sync(&mut server, &key(i * 97), &[0xee; 32])
                 .expect("put");
         }
-        let (sealed, reused) = (
-            metric(&server, "snapshot.segments_sealed"),
-            metric(&server, "snapshot.segments_reused"),
+        let (sealed, carried) = (
+            metric(&server, "snapshot.bytes_sealed"),
+            metric(&server, "snapshot.bytes_carried"),
         );
         let host = compact(&mut server, &mut counter);
         let second = server.committed_snapshot().expect("committed");
@@ -363,18 +379,19 @@ mod tests {
             "the honest host copy is the sealed parts"
         );
 
-        let sealed = metric(&server, "snapshot.segments_sealed") - sealed;
-        let reused = metric(&server, "snapshot.segments_reused") - reused;
-        let carried = second.parts()[1..]
-            .iter()
-            .filter(|p| first.parts().iter().any(|q| Arc::ptr_eq(p, q)))
-            .count() as u64;
-        assert!((1..=20).contains(&sealed) && reused > 0);
-        assert_eq!(
-            carried, reused,
-            "every clean segment is the first cut's buffer"
+        assert_eq!(second.parts().len(), 3, "the manifest, the base, one delta");
+        assert!(
+            Arc::ptr_eq(&first.parts()[1], &second.parts()[1]),
+            "the base is the first cut's buffer"
         );
-        assert_eq!(carried + sealed, second.parts().len() as u64 - 1);
+        let carried = metric(&server, "snapshot.bytes_carried") - carried;
+        assert_eq!(carried, first.parts()[1].len() as u64);
+        let sealed = metric(&server, "snapshot.bytes_sealed") - sealed;
+        let delta = second.parts()[2].len() as u64;
+        assert!(
+            delta < sealed && sealed < delta + 512,
+            "{sealed} for a {delta}-byte delta"
+        );
         assert_eq!(metric(&server, "snapshot.bytes_copied"), 0);
     }
 
@@ -406,64 +423,92 @@ mod tests {
     }
 
     // The carried-entry rule: a key not written since the last committed cut
-    // is sealed as that cut sealed it, even when its segment is re-sealed
-    // and the host flipped a bit of its stored payload in between.
+    // is sealed as that cut sealed it, even when the host flipped a bit of
+    // its stored payload in between — whether its entry sits in the base,
+    // or in a delta that a fold folds into a new base.
     #[test]
     fn a_cut_seals_a_clean_keys_entry_as_the_previous_cut_sealed_it() {
         let (mut server, mut client, mut counter) = cut_once();
-        let clean = (1..KEYS)
-            .find(|&i| segment(i) == segment(0))
-            .expect("some key shares key 0's segment");
+        let (clean, carried) = (1, 2);
         client
             .put_sync(&mut server, &key(0), &[0xaa; 32])
             .expect("put");
+        client
+            .put_sync(&mut server, &key(carried), &[0xcc; 32])
+            .expect("put");
         assert!(server.corrupt_stored_payload(&key(clean)));
-        let blob = compact(&mut server, &mut counter).to_vec();
+        compact(&mut server, &mut counter);
+        assert_eq!(server.committed_snapshot().expect("cut").parts().len(), 3);
+
+        // `carried` now lives in the first delta; the host damages its
+        // payload, and enough writes follow that the next cut folds.
+        assert!(server.corrupt_stored_payload(&key(carried)));
+        let folds = metric(&server, "snapshot.folds");
+        write_past_the_fold(&mut server, &mut client, KEYS / 2 - 100..KEYS);
+        let blob = compact(&mut server, &mut counter);
+        assert_eq!(metric(&server, "snapshot.folds"), folds + 1);
+        assert_eq!(blob.parts().len(), 2, "a fold leaves a base and no chain");
 
         let cost = CostModel::default();
         let mut restored =
-            PrecursorServer::restore(Config::default(), &cost, &blob, &counter).expect("restores");
-        assert_eq!(restored.audit_key(&key(clean)), Some(true));
+            PrecursorServer::restore(Config::default(), &cost, &blob.to_vec(), &counter)
+                .expect("restores");
         let mut reader = PrecursorClient::connect(&mut restored, 31).expect("reader");
-        let got = reader.get_sync(&mut restored, &key(clean));
-        assert_eq!(got.expect("the sealed value"), [clean as u8; 32]);
-        let got = reader.get_sync(&mut restored, &key(0));
-        assert_eq!(got.expect("the written value"), [0xaa; 32]);
+        for (i, value) in [
+            (clean, [clean as u8; 32]),
+            (carried, [0xcc; 32]),
+            (0, [0xaa; 32]),
+        ] {
+            assert_eq!(restored.audit_key(&key(i)), Some(true), "key {i}");
+            let got = reader.get_sync(&mut restored, &key(i));
+            assert_eq!(got.expect("the sealed value"), value, "key {i}");
+        }
+        let got = reader.get_sync(&mut restored, &key(KEYS - 1));
+        assert_eq!(got.expect("a folded write"), [0x5f; 32]);
+        assert_eq!(restored.len(), KEYS as usize);
         assert_eq!(reader.metrics().counter("client.verify_fail"), 0);
     }
 
-    // A previous cut whose dirty segment no longer authenticates cannot be
-    // carried from: the cut walks the table and seals everything, commits,
-    // and restores.
+    // A previous cut whose manifest no longer authenticates cannot be
+    // carried from, nor one whose delta fails when a fold opens it: either
+    // cut walks the table into a new base, commits, and restores.
     #[test]
-    fn a_previous_segment_that_fails_to_authenticate_makes_the_cut_a_full_seal() {
+    fn a_previous_cut_that_fails_to_authenticate_makes_the_cut_a_table_walk() {
         let (mut server, mut client, mut counter) = cut_once();
-        let full = metric(&server, "snapshot.segments_sealed");
+        let walks = metric(&server, "snapshot.table_walks");
+        let cost = CostModel::default();
+        let restores = |blob: &SnapshotBlob, counter: &MonotonicCounter, value: [u8; 32]| {
+            let blob = blob.to_vec();
+            let mut restored = PrecursorServer::restore(Config::default(), &cost, &blob, counter)
+                .expect("restores");
+            assert_eq!(restored.len(), KEYS as usize);
+            let mut reader = PrecursorClient::connect(&mut restored, 33).expect("reader");
+            let got = reader.get_sync(&mut restored, &key(0));
+            assert_eq!(got.expect("the written value"), value);
+        };
+
         client
             .put_sync(&mut server, &key(0), &[0xbb; 32])
             .expect("put");
-        let sealing = GcmKey::new(&server.sealing_key());
-        let (version, root) = server.last_snapshot.as_mut().expect("committed");
-        let ranges = snapshot::open_manifest(&sealing, *version, &root.to_vec())
-            .expect("opens")
-            .segment_ranges();
-        let (_, range) = ranges
-            .into_iter()
-            .find(|(index, _)| *index == segment(0))
-            .expect("key 0's segment");
-        root[range.start] ^= 1;
+        let (_, root) = server.last_snapshot.as_mut().expect("committed");
+        root[20] ^= 1;
+        let blob = compact(&mut server, &mut counter);
+        assert_eq!(metric(&server, "snapshot.table_walks"), walks + 1);
+        restores(&blob, &counter, [0xbb; 32]);
 
-        let reused = metric(&server, "snapshot.segments_reused");
-        let blob = compact(&mut server, &mut counter).to_vec();
-        assert_eq!(metric(&server, "snapshot.segments_reused"), reused);
-        assert_eq!(metric(&server, "snapshot.segments_sealed"), 2 * full);
-
-        let cost = CostModel::default();
-        let mut restored =
-            PrecursorServer::restore(Config::default(), &cost, &blob, &counter).expect("restores");
-        assert_eq!(restored.len(), KEYS as usize);
-        let mut reader = PrecursorClient::connect(&mut restored, 33).expect("reader");
-        let got = reader.get_sync(&mut restored, &key(0));
-        assert_eq!(got.expect("the written value"), [0xbb; 32]);
+        // A delta on top of that base, damaged at rest; the next cut folds.
+        client
+            .put_sync(&mut server, &key(0), &[0xbc; 32])
+            .expect("put");
+        compact(&mut server, &mut counter);
+        let (_, root) = server.last_snapshot.as_mut().expect("committed");
+        let at = root.len() - 1;
+        root[at] ^= 1;
+        let folds = metric(&server, "snapshot.folds");
+        write_past_the_fold(&mut server, &mut client, KEYS / 2 - 100..KEYS);
+        let blob = compact(&mut server, &mut counter);
+        assert_eq!(metric(&server, "snapshot.folds"), folds);
+        assert_eq!(metric(&server, "snapshot.table_walks"), walks + 2);
+        restores(&blob, &counter, [0xbc; 32]);
     }
 }

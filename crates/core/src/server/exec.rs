@@ -20,9 +20,7 @@ use precursor_storage::robinhood::{shard_of_hash, stable_key_hash, OpStats, Shar
 
 use crate::config::{Config, EncryptionMode};
 use crate::error::StoreError;
-use crate::snapshot::{
-    segment_of, DirtyKeys, EntryRef, PreviousCut, SnapshotBody, SnapshotEntry, SEGMENTS,
-};
+use crate::snapshot::{encode_record, DirtyKeys, EntryRef, SnapshotBody, SnapshotEntry};
 use crate::wire::{payload_request_nonce, Opcode, RequestControl, Status};
 
 use super::seal::StoreEvidence;
@@ -451,44 +449,38 @@ impl StoreExec {
         }
     }
 
-    // A full seal's plaintexts: the entries of every segment, straight
-    // from the table in one walk (`out[i]` is empty for a segment holding
-    // no key).
-    pub(super) fn encode_segments(&self, mode: EncryptionMode) -> Vec<Vec<u8>> {
-        let mut out = vec![Vec::new(); SEGMENTS];
+    // A full seal's base: every table entry, straight from the table in
+    // one walk, into one buffer sized by a first pass over the metadata
+    // (growing it by doubling would leave the process a larger peak).
+    pub(super) fn encode_base(&self, mode: EncryptionMode) -> Vec<u8> {
+        let len = self
+            .table
+            .iter()
+            .map(|(key, meta)| entry_len(mode, key, meta));
+        let mut out = Vec::with_capacity(len.sum());
         self.payload_mem.with(|pool| {
-            for (hash, key, meta) in self.table.iter_hashed() {
-                entry_ref(mode, key, meta, pool).encode_into(&mut out[segment_of(hash)]);
+            for (key, meta) in self.table.iter() {
+                entry_ref(mode, key, meta, pool).encode_into(&mut out);
             }
         });
         out
     }
 
-    // An incremental cut's plaintexts, by the carried-entry rule: each
-    // segment holding a key in `dirty` is the previous cut's plaintext of
-    // it minus those keys, plus their current table entries; every other
-    // segment is `None`, carried over. No key outside `dirty` is read
-    // from the table.
-    pub(super) fn reseal_segments(
-        &self,
-        mode: EncryptionMode,
-        key: &GcmKey,
-        previous: &PreviousCut<'_>,
-        dirty: &DirtyKeys,
-    ) -> Result<Vec<Option<Vec<u8>>>, StoreError> {
-        let mut out = vec![None; SEGMENTS];
+    // An incremental cut's delta, by the carried-entry rule: one record
+    // per key in `dirty`, in key order — its current table entry, or a
+    // tombstone when it is gone. No other key is read from the table.
+    pub(super) fn encode_delta(&self, mode: EncryptionMode, dirty: &DirtyKeys) -> Vec<u8> {
+        let mut out = Vec::new();
         self.payload_mem.with(|pool| {
-            for (segment, keys) in dirty.segments() {
-                let mut plain = previous.carried_entries(key, segment, keys)?;
-                for k in keys {
-                    if let Some(meta) = self.table.get(k) {
-                        entry_ref(mode, k, meta, pool).encode_into(&mut plain);
-                    }
-                }
-                out[segment] = Some(plain);
+            for key in dirty.iter() {
+                let entry = self
+                    .table
+                    .get(key)
+                    .map(|meta| entry_ref(mode, key, meta, pool));
+                encode_record(&mut out, key, entry);
             }
-            Ok(out)
-        })
+        });
+        out
     }
 
     // Charges a freshly allocated slot to the client's quota and registers
@@ -558,7 +550,7 @@ impl StoreExec {
         }
         let shard = shard_of_hash(hash, self.table.shard_count());
         if let Some(dirty) = &mut self.dirty {
-            dirty.insert(hash, &key);
+            dirty.insert(&key);
         }
         let (old, stats) = self.table.insert_hashed(hash, key, meta);
         if let Some(old) = old {
@@ -596,7 +588,7 @@ impl StoreExec {
         }
         self.bump_mutation(Opcode::Delete, key);
         if let Some(dirty) = &mut self.dirty {
-            dirty.insert(hash, key);
+            dirty.insert(key);
         }
         (true, stats)
     }
@@ -636,6 +628,25 @@ impl StoreExec {
     }
 }
 
+// The bytes of `meta`'s value in the untrusted pool: ciphertext ‖ MAC in
+// client mode, the storage GCM blob in server mode.
+fn pool_len(mode: EncryptionMode, meta: &EntryMeta) -> usize {
+    match mode {
+        EncryptionMode::ClientSide => meta.payload_len + Tag::LEN,
+        EncryptionMode::ServerSide => meta.payload_len,
+    }
+}
+
+// The bytes `entry_ref(mode, key, meta, ..)` encodes to, read off the
+// metadata alone.
+fn entry_len(mode: EncryptionMode, key: &[u8], meta: &EntryMeta) -> usize {
+    let stored = match &meta.storage {
+        ValueStorage::Untrusted(_) => pool_len(mode, meta),
+        ValueStorage::InEnclave(data) => data.len(),
+    };
+    EntryRef::FIXED_LEN + key.len() + stored
+}
+
 // One table entry as the snapshot/journal codec sees it, borrowing the
 // stored bytes from the enclave (`InEnclave`) or from `pool`, the untrusted
 // payload memory.
@@ -646,13 +657,7 @@ fn entry_ref<'a>(
     pool: &'a [u8],
 ) -> EntryRef<'a> {
     let stored_bytes = match &meta.storage {
-        ValueStorage::Untrusted(range) => {
-            let len = match mode {
-                EncryptionMode::ClientSide => meta.payload_len + Tag::LEN,
-                EncryptionMode::ServerSide => meta.payload_len,
-            };
-            &pool[range.offset..range.offset + len]
-        }
+        ValueStorage::Untrusted(range) => &pool[range.offset..range.offset + pool_len(mode, meta)],
         ValueStorage::InEnclave(data) => data,
     };
     EntryRef {

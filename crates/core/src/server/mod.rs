@@ -157,9 +157,9 @@ pub struct PrecursorServer {
     // until a journal is attached
     durability: Option<durability::Durability>,
     // The last committed snapshot, `(version, blob as sealed)`: where the
-    // next cut carries its clean segments from. It sits in host memory like
-    // any sealed blob and is trusted no further — every cut re-opens its
-    // manifest, and each segment it re-seals from, before use. None until
+    // next cut carries its base and deltas from. It sits in host memory
+    // like any sealed blob and is trusted no further — every cut re-opens
+    // its manifest, and a fold every part it reads, before use. None until
     // the first snapshot.
     last_snapshot: Option<(u64, SnapshotBlob)>,
     // staged-recovery catch-up queue: Some while a promoted replica still

@@ -19,24 +19,29 @@
 //! without reading it):
 //!
 //! ```text
-//! sealed_len u32 | nonce 12 | GCM(manifest, aad = version) | segment ciphertexts, index order
+//! sealed_len u32 | nonce 12 | GCM(manifest, aad = version) | base | delta₁ … deltaₖ
 //!
 //! manifest = header (every SnapshotHeader field)
-//!          | rows u16 | (index u16, len u32, nonce 12, tag 16) per non-empty segment
+//!          | parts u32 | (len u32, nonce 12, tag 16) for the base, then per delta
+//! base     = entry*                          every key the store held
+//! delta    = (1 | entry  or  0 | key_len u16 | key)*
+//!                                            the keys one cut wrote, in key order:
+//!                                            the current entry, or a tombstone
 //! ```
 //!
-//! The store is cut into `SEGMENTS` segments by key hash
-//! (`segment_of`), each sealed on its own under a nonce derived from the
-//! manifest's and an AAD naming its index; its tag lives in the manifest
-//! row, not beside the ciphertext. Only the manifest is bound to the
-//! counter: a rolled-back manifest fails the version check as a whole blob
-//! used to, and a segment that is stale, swapped or spliced in from
-//! another cut fails against the row that names it. A cut therefore
-//! re-seals only the segments holding a key written since the last one
-//! (`DirtyKeys`) and carries the others over by reference
-//! ([`SnapshotBlob`]) — see DESIGN §14 "Log compaction".
+//! Every part is sealed on its own under a nonce derived from the draw of
+//! the cut that sealed it and an AAD naming its position in the chain (0
+//! is the base); its tag lives in the manifest row, not beside the
+//! ciphertext. Only the manifest is bound to the counter: a rolled-back
+//! manifest fails the version check as a whole blob used to, and a part
+//! that is stale, swapped, dropped or spliced in from another chain fails
+//! against the row that names it. A cut therefore seals only the keys
+//! written since the last one (`DirtyKeys`) as its delta and carries the
+//! base and the earlier deltas by reference ([`SnapshotBlob`]); a cut
+//! whose chain would outgrow [`FOLD_PERCENT`] of the base folds the chain
+//! into a new base instead — see DESIGN §14 "Log compaction".
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::{Index, IndexMut, Range};
 use std::sync::Arc;
@@ -46,56 +51,44 @@ use precursor_crypto::keys::{Key128, Key256, Nonce12, Nonce8};
 use precursor_sgx::counters::MonotonicCounter;
 use precursor_sgx::sealing;
 use precursor_sim::CostModel;
-use precursor_storage::robinhood::shard_of_hash;
+use precursor_storage::robinhood::RobinHoodMap;
 
 use crate::config::{Config, EncryptionMode};
 use crate::error::StoreError;
 use crate::server::PrecursorServer;
 use crate::wire::Status;
 
-/// Number of independently sealed segments of a snapshot. A constant of
-/// the format, not a tunable: DESIGN §14 has the measured table behind it.
-pub(crate) const SEGMENTS: usize = 1024;
-
-// Manifest rows index segments in 16 bits.
-const _: () = assert!(SEGMENTS <= 1 << 16);
-
-/// The segment holding a key with this
-/// [`stable_key_hash`](precursor_storage::robinhood::stable_key_hash) — a
-/// function of the hash alone, so it survives table resizes, shard counts
-/// and restores.
-pub(crate) fn segment_of(hash: u64) -> usize {
-    shard_of_hash(hash, SEGMENTS)
-}
+/// A cut whose chain would grow past this share of the base's bytes, in
+/// percent, folds the chain into a new base instead of appending its
+/// delta. A constant of the format, not a tunable: DESIGN §14 has the
+/// measured table behind it.
+pub(crate) const FOLD_PERCENT: usize = 50;
 
 /// The store's dirty set: every key written (inserted, overwritten or
-/// removed) since the last committed cut, grouped by segment. The next cut
-/// re-seals exactly these segments, and inside each one takes only these
-/// keys from the table. Bounded by the distinct keys written between two
-/// cuts.
+/// removed) since the last committed cut, in key order — the next cut's
+/// delta. Bounded by the distinct keys written between two cuts.
 #[derive(Debug, Default)]
-pub(crate) struct DirtyKeys(BTreeMap<usize, BTreeSet<Vec<u8>>>);
+pub(crate) struct DirtyKeys(BTreeSet<Vec<u8>>);
 
 impl DirtyKeys {
-    pub(crate) fn insert(&mut self, hash: u64, key: &[u8]) {
-        let keys = self.0.entry(segment_of(hash)).or_default();
-        if !keys.contains(key) {
-            keys.insert(key.to_vec());
+    pub(crate) fn insert(&mut self, key: &[u8]) {
+        if !self.0.contains(key) {
+            self.0.insert(key.to_vec());
         }
     }
 
-    /// The dirty segments in index order, each with its written keys.
-    pub(crate) fn segments(&self) -> impl Iterator<Item = (usize, &BTreeSet<Vec<u8>>)> {
-        self.0.iter().map(|(&segment, keys)| (segment, keys))
+    /// The written keys in key order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Vec<u8>> {
+        self.0.iter()
     }
 }
 
 /// A sealed snapshot in the blob format above, held in parts: the framed
-/// manifest (`sealed_len | nonce | GCM(manifest)`), then one buffer per
-/// non-empty segment in index order. Parts are shared: a cut carries every
-/// clean segment of the previous cut by reference, and a clone — the
-/// host's persisted copy, the replica group's shipped pair — shares every
-/// part until a write lands in one, which copies that part alone.
+/// manifest (`sealed_len | nonce | GCM(manifest)`), the base, then one
+/// buffer per delta in chain order. Parts are shared: a cut carries the
+/// previous cut's base and deltas by reference, and a clone — the host's
+/// persisted copy, the replica group's shipped pair — shares every part
+/// until a write lands in one, which copies that part alone.
 /// [`to_vec`](Self::to_vec) builds the flat bytes
 /// [`PrecursorServer::restore`] and [`PrecursorServer::recover`] take.
 #[derive(Clone, PartialEq, Eq)]
@@ -231,7 +224,7 @@ impl fmt::Debug for SnapshotBlob {
     }
 }
 
-// One serialized entry of a snapshot segment. The same framing carries a
+// One serialized entry of a snapshot part. The same framing carries a
 // single entry inside a journal `Put` record, so snapshot restore and
 // journal replay install entries through one codec.
 #[derive(Debug)]
@@ -268,6 +261,9 @@ pub(crate) fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [
 }
 
 impl EntryRef<'_> {
+    /// Encoded bytes besides the key and the stored bytes.
+    pub(crate) const FIXED_LEN: usize = 2 + 32 + 8 + 8 + 4 + 4 + 4;
+
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.key.len() as u16).to_le_bytes());
         out.extend_from_slice(self.key);
@@ -331,7 +327,7 @@ impl SnapshotEntry {
 }
 
 // Steps `pos` over one encoded entry of `buf` and returns its key: all a
-// re-seal needs of an entry it carries over verbatim.
+// fold needs of an entry it keeps verbatim.
 fn skip_entry<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8], StoreError> {
     let key_len = u16::from_le_bytes(take(buf, pos, 2)?.try_into().expect("2")) as usize;
     let key = take(buf, pos, key_len)?;
@@ -342,8 +338,97 @@ fn skip_entry<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8], StoreError
     Ok(key)
 }
 
+// The first byte of a delta record.
+const TOMBSTONE: u8 = 0;
+const LIVE: u8 = 1;
+
+/// Appends one delta record: `key`'s current `entry`, or a tombstone when
+/// the key is no longer stored.
+pub(crate) fn encode_record(out: &mut Vec<u8>, key: &[u8], entry: Option<EntryRef<'_>>) {
+    match entry {
+        Some(entry) => {
+            out.push(LIVE);
+            entry.encode_into(out);
+        }
+        None => {
+            out.push(TOMBSTONE);
+            out.extend_from_slice(&(key.len() as u16).to_le_bytes());
+            out.extend_from_slice(key);
+        }
+    }
+}
+
+// Steps `pos` over one delta record of `buf`: its key, and its encoded
+// entry (`None` for a tombstone).
+fn next_record<'a>(
+    buf: &'a [u8],
+    pos: &mut usize,
+) -> Result<(&'a [u8], Option<&'a [u8]>), StoreError> {
+    match take(buf, pos, 1)?[0] {
+        LIVE => {
+            let start = *pos;
+            let key = skip_entry(buf, pos)?;
+            Ok((key, Some(&buf[start..*pos])))
+        }
+        TOMBSTONE => {
+            let key_len = u16::from_le_bytes(take(buf, pos, 2)?.try_into().expect("2")) as usize;
+            Ok((take(buf, pos, key_len)?, None))
+        }
+        _ => Err(StoreError::MalformedFrame),
+    }
+}
+
+// What a chain of deltas says: the newest record of every key it wrote — a
+// later delta's record shadows an earlier one's.
+struct Chain<'a> {
+    deltas: Vec<&'a [u8]>,
+    // A Robin Hood map, so a base walk looks each key up in O(1).
+    newest: RobinHoodMap<&'a [u8], Option<&'a [u8]>>,
+}
+
+impl<'a> Chain<'a> {
+    fn decode(deltas: impl IntoIterator<Item = &'a [u8]>) -> Result<Chain<'a>, StoreError> {
+        let deltas: Vec<&[u8]> = deltas.into_iter().collect();
+        let mut newest = RobinHoodMap::new();
+        for delta in &deltas {
+            let mut pos = 0usize;
+            while pos < delta.len() {
+                let (key, entry) = next_record(delta, &mut pos)?;
+                newest.insert(key, entry);
+            }
+        }
+        Ok(Chain { deltas, newest })
+    }
+
+    // Whether the chain wrote `key`: a base entry of it is stale.
+    fn shadows(&self, key: &[u8]) -> bool {
+        self.newest.contains_key(&key)
+    }
+
+    // The entry of every key whose newest record is live, in chain order
+    // (within a delta, key order): never in hash order, which would make
+    // inserting them into a table of another size quadratic.
+    fn live(&self) -> impl Iterator<Item = &'a [u8]> + '_ {
+        self.deltas.iter().flat_map(move |&delta| {
+            let mut pos = 0usize;
+            std::iter::from_fn(move || {
+                while pos < delta.len() {
+                    let (key, entry) = next_record(delta, &mut pos).expect("decoded once");
+                    let newest = self.newest.get(&key).copied().flatten();
+                    if let (Some(entry), Some(newest)) = (entry, newest) {
+                        if std::ptr::eq(entry, newest) {
+                            return Some(entry);
+                        }
+                    }
+                }
+                None
+            })
+        })
+    }
+}
+
 /// Everything a snapshot seals besides the entries: the manifest's
-/// payload, re-sealed whole at every cut.
+/// payload, sealed again by every cut.
 pub(crate) struct SnapshotHeader {
     pub mode: EncryptionMode,
     pub storage_key: Key128,
@@ -372,57 +457,61 @@ pub(crate) struct SnapshotHeader {
     pub journal_chain: [u8; 16],
 }
 
-/// An opened snapshot: the header plus the entries of every segment.
+/// An opened snapshot: the header plus every entry the chain leaves live.
 pub(crate) struct SnapshotBody {
     pub header: SnapshotHeader,
     pub entries: Vec<SnapshotEntry>,
 }
 
-// One manifest row: how to find and authenticate one segment. `len == 0`
-// is an empty segment — nothing was sealed for it and nothing is stored.
+// One manifest row: how to find and authenticate one part.
 #[derive(Clone)]
-struct SegmentRow {
+struct PartRow {
     len: usize,
     nonce: Nonce12,
     tag: [u8; gcm::TAG_LEN],
 }
 
-fn empty_row() -> SegmentRow {
-    SegmentRow {
-        len: 0,
-        nonce: Nonce12::from_bytes([0; Nonce12::LEN]),
-        tag: [0; gcm::TAG_LEN],
-    }
-}
-
-/// An authenticated manifest: the header, one row per segment, and where
-/// in its blob the segment ciphertexts start.
+/// An authenticated manifest: the header, one row per part (the base
+/// first), and where in its blob the parts start.
 pub(crate) struct Manifest {
     header: SnapshotHeader,
-    rows: Vec<SegmentRow>,
-    segments_at: usize,
+    rows: Vec<PartRow>,
+    parts_at: usize,
 }
 
 impl Manifest {
-    /// Byte range of every non-empty segment in the manifest's blob.
-    pub(crate) fn segment_ranges(&self) -> Vec<(usize, Range<usize>)> {
-        let mut at = self.segments_at;
-        let mut out = Vec::new();
-        for (index, row) in self.rows.iter().enumerate() {
-            if row.len > 0 {
-                out.push((index, at..at + row.len));
-                at += row.len;
-            }
-        }
-        out
+    /// Byte range of every part in the manifest's blob: the base, then
+    /// each delta in chain order.
+    pub(crate) fn part_ranges(&self) -> Vec<Range<usize>> {
+        let mut at = self.parts_at;
+        let ranges = self.rows.iter().map(|row| {
+            at += row.len;
+            at - row.len..at
+        });
+        ranges.collect()
     }
 
-    // Authenticates segment `index`'s ciphertext against its row and index
-    // AAD, and decrypts it.
-    fn open_segment(&self, key: &GcmKey, index: usize, ct: &[u8]) -> Result<Vec<u8>, StoreError> {
-        let row = &self.rows[index];
-        key.open_detached(&row.nonce, &segment_aad(index), ct, &row.tag)
-            .map_err(|_| StoreError::SnapshotRejected)
+    // Authenticates the ciphertext of the part at chain `position` against
+    // its row and position AAD, and decrypts it onto the end of `plain`:
+    // its range there.
+    fn open_part(
+        &self,
+        key: &GcmKey,
+        position: usize,
+        ct: &[u8],
+        plain: &mut Vec<u8>,
+    ) -> Result<Range<usize>, StoreError> {
+        let row = &self.rows[position];
+        let start = plain.len();
+        plain.extend_from_slice(ct);
+        key.open_in_place_detached(
+            &row.nonce,
+            &part_aad(position),
+            &mut plain[start..],
+            &row.tag,
+        )
+        .map_err(|_| StoreError::SnapshotRejected)?;
+        Ok(start..plain.len())
     }
 }
 
@@ -486,64 +575,49 @@ impl SnapshotHeader {
     }
 }
 
-fn decode_rows(buf: &[u8], pos: &mut usize) -> Result<Vec<SegmentRow>, StoreError> {
-    let count = u16::from_le_bytes(take(buf, pos, 2)?.try_into().expect("2")) as usize;
-    let mut rows = vec![empty_row(); SEGMENTS];
-    let mut next = 0usize;
+fn decode_rows(buf: &[u8], pos: &mut usize) -> Result<Vec<PartRow>, StoreError> {
+    let count = u32::from_le_bytes(take(buf, pos, 4)?.try_into().expect("4")) as usize;
+    // Every manifest names a base.
+    if count == 0 {
+        return Err(StoreError::MalformedFrame);
+    }
+    let mut rows = Vec::with_capacity(count.min(1 << 16));
     for _ in 0..count {
-        let index = u16::from_le_bytes(take(buf, pos, 2)?.try_into().expect("2")) as usize;
         let len = u32::from_le_bytes(take(buf, pos, 4)?.try_into().expect("4")) as usize;
         let nonce =
             Nonce12::try_from(take(buf, pos, 12)?).map_err(|_| StoreError::MalformedFrame)?;
         let tag = take(buf, pos, gcm::TAG_LEN)?.try_into().expect("16");
-        // Rows name non-empty segments in rising index order, each once.
-        if index < next || index >= SEGMENTS || len == 0 {
-            return Err(StoreError::MalformedFrame);
-        }
-        next = index + 1;
-        rows[index] = SegmentRow { len, nonce, tag };
+        rows.push(PartRow { len, nonce, tag });
     }
     Ok(rows)
 }
 
-// A segment's AAD binds its index: a segment moved to another slot of the
-// same blob fails its own tag even before the manifest row is compared.
-fn segment_aad(index: usize) -> [u8; 20] {
-    let mut aad = *b"snapshot-segment\0\0\0\0";
-    aad[16..].copy_from_slice(&(index as u32).to_le_bytes());
+// A part's AAD binds its chain position: a part moved to another position
+// of the same chain fails its own tag even before its row is compared.
+fn part_aad(position: usize) -> [u8; 20] {
+    let mut aad = *b"snapshot-chain\0\0\0\0\0\0";
+    aad[16..].copy_from_slice(&(position as u32).to_le_bytes());
     aad
-}
-
-// One segment a cut sealed: the blob part holding its ciphertext and the
-// manifest row that authenticates it.
-struct SealedSegment {
-    index: usize,
-    part: usize,
-    row: SegmentRow,
 }
 
 /// One sealed cut, as [`seal`] produced it.
 pub(crate) struct Cut {
     pub blob: SnapshotBlob,
     // What the enclave keeps of the bytes this cut wrote — the manifest's
-    // nonce, and one row per re-sealed segment — to authenticate the copy
-    // the host persisted; every other part was carried over.
+    // nonce, and the chain position and row of the one part it sealed, if
+    // any — to authenticate the copy the host persisted; every other part
+    // was carried over.
     drawn: Nonce12,
-    resealed: Vec<SealedSegment>,
-    /// Segments carried over, and plaintext bytes sealed (manifest
-    /// included).
-    pub segments_reused: u64,
+    sealed: Option<(usize, PartRow)>,
+    /// Plaintext bytes sealed (manifest included), and bytes of parts
+    /// carried by reference.
     pub bytes_sealed: u64,
+    pub bytes_carried: u64,
 }
 
 impl Cut {
-    /// Segments this cut sealed.
-    pub(crate) fn segments_sealed(&self) -> u64 {
-        self.resealed.len() as u64
-    }
-
-    /// The byte ranges of the flat blob this cut wrote: the manifest
-    /// first, then each re-sealed segment.
+    /// The byte ranges of the flat blob this cut wrote: the manifest, then
+    /// the part it sealed.
     pub(crate) fn written(&self) -> Vec<Range<usize>> {
         let mut ranges = Vec::with_capacity(self.blob.parts.len());
         let mut at = 0;
@@ -551,14 +625,17 @@ impl Cut {
             ranges.push(at..at + part.len());
             at += part.len();
         }
-        let segments = self.resealed.iter().map(|s| ranges[s.part].clone());
-        std::iter::once(ranges[0].clone()).chain(segments).collect()
+        let part = self
+            .sealed
+            .iter()
+            .map(|(position, _)| ranges[1 + position].clone());
+        std::iter::once(ranges[0].clone()).chain(part).collect()
     }
 
     /// Whether `persisted` — the host's copy of `blob` — still holds, bit
     /// for bit, every byte this cut wrote: every part's length, the
-    /// manifest's framing and its tag at `version`, and each re-sealed
-    /// segment against the row and index AAD it was sealed under.
+    /// manifest's framing and its tag at `version`, and the part this cut
+    /// sealed against the row and position AAD it was sealed under.
     /// Authenticate-only: one GHASH pass per written part, nothing is
     /// decrypted or decoded.
     pub(crate) fn persisted_intact(
@@ -575,28 +652,28 @@ impl Cut {
         frame[..4] == ((frame.len() - 4) as u32).to_le_bytes()
             && frame[4..4 + Nonce12::LEN] == *self.drawn.as_bytes()
             && sealing::verify_keyed(key, version, &frame[4..])
-            && self.resealed.iter().all(|s| {
-                let ct = &host[s.part];
-                key.verify_detached(&s.row.nonce, &segment_aad(s.index), ct, &s.row.tag)
+            && self.sealed.iter().all(|(position, row)| {
+                let ct = &host[1 + position];
+                key.verify_detached(&row.nonce, &part_aad(*position), ct, &row.tag)
             })
     }
 }
 
 /// The last committed cut as the next one reads it: its manifest,
-/// authenticated again, and the part holding each of its segments.
+/// authenticated again, and its parts (the base, then the deltas).
 pub(crate) struct PreviousCut<'a> {
     manifest: Manifest,
-    parts: Vec<Option<&'a Arc<Vec<u8>>>>,
+    parts: &'a [Arc<Vec<u8>>],
 }
 
 impl<'a> PreviousCut<'a> {
-    /// Opens the manifest of `blob` at `version` and files the blob's
-    /// parts by segment index.
+    /// Opens the manifest of `blob` at `version` and matches the blob's
+    /// parts to its rows.
     ///
     /// # Errors
     ///
     /// [`StoreError::SnapshotRejected`] when the manifest does not unseal
-    /// at `version` or a part is not as long as the row naming it;
+    /// at `version` or the parts are not as many and as long as its rows;
     /// [`StoreError::MalformedFrame`] when the authentic manifest does not
     /// parse.
     pub(crate) fn open(
@@ -605,147 +682,143 @@ impl<'a> PreviousCut<'a> {
         blob: &'a SnapshotBlob,
     ) -> Result<PreviousCut<'a>, StoreError> {
         let rejected = StoreError::SnapshotRejected;
-        let (frame, mut segments) = match blob.parts.split_first() {
-            Some((frame, segments)) => (frame, segments.iter()),
-            None => return Err(rejected),
-        };
+        let (frame, parts) = blob.parts.split_first().ok_or(rejected)?;
         let manifest = open_frame(key, version, frame)?;
-        if manifest.segments_at != frame.len() {
-            return Err(rejected);
-        }
-        let mut parts = vec![None; SEGMENTS];
-        for (index, row) in manifest.rows.iter().enumerate() {
-            if row.len > 0 {
-                let part = segments.next().filter(|p| p.len() == row.len);
-                parts[index] = Some(part.ok_or(rejected)?);
-            }
-        }
-        if segments.next().is_some() {
+        let rows = &manifest.rows;
+        if manifest.parts_at != frame.len()
+            || parts.len() != rows.len()
+            || parts
+                .iter()
+                .zip(rows)
+                .any(|(part, row)| part.len() != row.len)
+        {
             return Err(rejected);
         }
         Ok(PreviousCut { manifest, parts })
     }
 
-    // Row and ciphertext of segment `index`, when it holds any key.
-    fn segment(&self, index: usize) -> Option<(&SegmentRow, &'a Arc<Vec<u8>>)> {
-        Some((&self.manifest.rows[index], self.parts[index]?))
+    /// Whether a delta of `len` bytes keeps the chain within
+    /// [`FOLD_PERCENT`] of the base; if not, the cut folds.
+    pub(crate) fn fits(&self, len: usize) -> bool {
+        let (base, deltas) = self
+            .manifest
+            .rows
+            .split_first()
+            .expect("a manifest has a base");
+        let chain = deltas.iter().map(|row| row.len).sum::<usize>() + len;
+        chain * 100 <= base.len * FOLD_PERCENT
     }
 
-    /// The plaintext this cut sealed for segment `index` (empty when it
-    /// held no key) minus the entries of the keys in `written`: the
-    /// carried half of a re-sealed segment, entries kept verbatim. The
-    /// segment is authenticated against its row before a byte of it is
-    /// used.
+    /// The base a fold seals: this cut's base with every entry a delta
+    /// shadows dropped — the rest kept verbatim, in place — followed by the
+    /// newest entry of each key the deltas and then `delta` wrote, in chain
+    /// order (a key whose newest record is a tombstone is gone). Every part
+    /// is authenticated against its row before a byte of it is used.
     ///
     /// # Errors
     ///
-    /// [`StoreError::SnapshotRejected`] when the segment does not
-    /// authenticate; [`StoreError::MalformedFrame`] when it does not parse.
-    pub(crate) fn carried_entries(
-        &self,
-        key: &GcmKey,
-        index: usize,
-        written: &BTreeSet<Vec<u8>>,
-    ) -> Result<Vec<u8>, StoreError> {
-        let Some((_, ct)) = self.segment(index) else {
-            return Ok(Vec::new());
-        };
-        let mut plain = self.manifest.open_segment(key, index, ct)?;
+    /// [`StoreError::SnapshotRejected`] when a part does not authenticate;
+    /// [`StoreError::MalformedFrame`] when one does not parse.
+    pub(crate) fn fold(&self, key: &GcmKey, delta: &[u8]) -> Result<Vec<u8>, StoreError> {
+        let manifest = &self.manifest;
+        let (base_ct, deltas_ct) = self.parts.split_first().expect("a manifest has a base");
+        let mut plain = Vec::with_capacity(deltas_ct.iter().map(|p| p.len()).sum());
+        let mut ranges = Vec::with_capacity(deltas_ct.len());
+        for (position, ct) in deltas_ct.iter().enumerate() {
+            ranges.push(manifest.open_part(key, position + 1, ct, &mut plain)?);
+        }
+        let deltas = ranges.into_iter().map(|r| &plain[r]);
+        let chain = Chain::decode(deltas.chain([delta]))?;
+        let appended = chain.live().map(<[u8]>::len).sum::<usize>();
+
+        let mut base = Vec::with_capacity(base_ct.len() + appended);
+        manifest.open_part(key, 0, base_ct, &mut base)?;
         let (mut pos, mut kept) = (0usize, 0usize);
-        while pos < plain.len() {
+        while pos < base.len() {
             let start = pos;
-            if !written.contains(skip_entry(&plain, &mut pos)?) {
-                plain.copy_within(start..pos, kept);
+            if !chain.shadows(skip_entry(&base, &mut pos)?) {
+                base.copy_within(start..pos, kept);
                 kept += pos - start;
             }
         }
-        plain.truncate(kept);
-        Ok(plain)
+        base.truncate(kept);
+        for entry in chain.live() {
+            base.extend_from_slice(entry);
+        }
+        Ok(base)
     }
 }
 
-/// Seals one cut at `version`. `fresh[index]` is `Some` for every segment
-/// this cut seals — its encoded entries, sealed under a nonce derived from
-/// `drawn` (an empty one leaves no row) — and `None` for a segment carried
-/// over, row and ciphertext part, from `previous`: by reference, never
-/// copied. Without a previous cut a `None` segment is empty.
+/// Seals one cut at `version`: the manifest over the parts of `carried` —
+/// the previous cut's base and deltas, by reference, never copied — and
+/// `fresh`, sealed in place as the next part under a nonce derived from
+/// `drawn`. Without a carried cut `fresh` is the base; with one it is the
+/// cut's delta, or `None` when the cut wrote no key.
 pub(crate) fn seal(
     key: &GcmKey,
     version: u64,
     drawn: &Nonce12,
     header: &SnapshotHeader,
-    fresh: &[Option<Vec<u8>>],
-    previous: Option<&PreviousCut<'_>>,
+    carried: Option<&PreviousCut<'_>>,
+    fresh: Option<Vec<u8>>,
 ) -> Cut {
-    let mut manifest = header.encode();
-    let count_at = manifest.len();
-    manifest.extend_from_slice(&[0, 0]);
-    // Part 0, the manifest, is sealed last: it lists every segment's tag.
+    // Part 0, the manifest, is sealed last: it lists every part's tag.
     let mut parts = vec![Arc::default()];
-    let mut resealed = Vec::new();
-    let (mut rows, mut segments_reused, mut bytes_sealed) = (0u16, 0, 0);
-    for (index, plain) in fresh.iter().enumerate() {
-        let (row, part) = match plain {
-            None => match previous.and_then(|p| p.segment(index)) {
-                Some((row, part)) => {
-                    segments_reused += 1;
-                    (row.clone(), Arc::clone(part))
-                }
-                None => continue,
-            },
-            Some(plain) if plain.is_empty() => continue,
-            Some(plain) => {
-                let nonce = sealing::segment_nonce(drawn, index as u32);
-                let mut ct = Vec::with_capacity(plain.len() + gcm::TAG_LEN);
-                key.seal_into(&mut ct, &nonce, &segment_aad(index), plain);
-                let tag = ct[plain.len()..].try_into().expect("seal appends the tag");
-                ct.truncate(plain.len());
-                bytes_sealed += plain.len() as u64;
-                let row = SegmentRow {
-                    len: plain.len(),
-                    nonce,
-                    tag,
-                };
-                let part = parts.len();
-                resealed.push(SealedSegment {
-                    index,
-                    part,
-                    row: row.clone(),
-                });
-                (row, Arc::new(ct))
-            }
+    let mut rows = Vec::new();
+    let mut bytes_carried = 0;
+    if let Some(previous) = carried {
+        rows.extend_from_slice(&previous.manifest.rows);
+        parts.extend(previous.parts.iter().cloned());
+        bytes_carried = previous.parts.iter().map(|p| p.len() as u64).sum();
+    }
+    let mut sealed = None;
+    let mut bytes_sealed = 0;
+    if let Some(mut plain) = fresh {
+        let position = rows.len();
+        let nonce = sealing::segment_nonce(drawn, position as u32);
+        let tag = key.seal_in_place_detached(&nonce, &part_aad(position), &mut plain);
+        let row = PartRow {
+            len: plain.len(),
+            nonce,
+            tag: *tag.as_bytes(),
         };
-        rows += 1;
-        manifest.extend_from_slice(&(index as u16).to_le_bytes());
+        bytes_sealed += plain.len() as u64;
+        sealed = Some((position, row.clone()));
+        rows.push(row);
+        parts.push(Arc::new(plain));
+    }
+    debug_assert!(!rows.is_empty(), "a cut with nothing to carry seals a base");
+
+    let mut manifest = header.encode();
+    manifest.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    for row in &rows {
         manifest.extend_from_slice(&(row.len as u32).to_le_bytes());
         manifest.extend_from_slice(row.nonce.as_bytes());
         manifest.extend_from_slice(&row.tag);
-        parts.push(part);
     }
-    manifest[count_at..count_at + 2].copy_from_slice(&rows.to_le_bytes());
     bytes_sealed += manifest.len() as u64;
-    let sealed = sealing::seal_at_keyed(key, drawn, version, &manifest);
-    let mut frame = Vec::with_capacity(4 + sealed.len());
-    frame.extend_from_slice(&(sealed.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&sealed);
+    let sealed_manifest = sealing::seal_at_keyed(key, drawn, version, &manifest);
+    let mut frame = Vec::with_capacity(4 + sealed_manifest.len());
+    frame.extend_from_slice(&(sealed_manifest.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&sealed_manifest);
     parts[0] = Arc::new(frame);
     Cut {
         blob: SnapshotBlob { parts },
         drawn: *drawn,
-        resealed,
-        segments_reused,
+        sealed,
         bytes_sealed,
+        bytes_carried,
     }
 }
 
 // Authenticates the manifest framed at the front of `blob` at `version`
-// and parses it; the segments behind it are not looked at.
+// and parses it; the parts behind it are not looked at.
 fn open_frame(key: &GcmKey, version: u64, blob: &[u8]) -> Result<Manifest, StoreError> {
     let rejected = StoreError::SnapshotRejected;
     let sealed_len = blob.get(..4).ok_or(rejected)?;
     let sealed_len = u32::from_le_bytes(sealed_len.try_into().expect("4")) as usize;
-    let segments_at = 4 + sealed_len;
-    let sealed = blob.get(4..segments_at).ok_or(rejected)?;
+    let parts_at = 4 + sealed_len;
+    let sealed = blob.get(4..parts_at).ok_or(rejected)?;
     let plain = sealing::unseal_keyed(key, version, sealed).map_err(|_| rejected)?;
     let mut pos = 0usize;
     let header = SnapshotHeader::decode(&plain, &mut pos)?;
@@ -756,7 +829,7 @@ fn open_frame(key: &GcmKey, version: u64, blob: &[u8]) -> Result<Manifest, Store
     Ok(Manifest {
         header,
         rows,
-        segments_at,
+        parts_at,
     })
 }
 
@@ -776,33 +849,44 @@ pub(crate) fn open_manifest(
 ) -> Result<Manifest, StoreError> {
     let manifest = open_frame(key, version, blob)?;
     let rows = manifest.rows.iter().map(|r| r.len).sum::<usize>();
-    if manifest.segments_at + rows != blob.len() {
+    if manifest.parts_at + rows != blob.len() {
         return Err(StoreError::SnapshotRejected);
     }
     Ok(manifest)
 }
 
 /// The one snapshot opener: authenticates the manifest at `version`, then
-/// every segment against its manifest row and index AAD, and decodes the
-/// entries. Restore, recovery and the replica adoption gate all come
-/// through here.
+/// every part against its manifest row and position AAD, and applies the
+/// base, then the deltas in chain order. Restore, recovery and the replica
+/// adoption gate all come through here.
 ///
 /// # Errors
 ///
-/// [`StoreError::SnapshotRejected`] when the manifest or any segment fails
-/// authentication (rolled back, forked, tampered, torn, spliced, from
-/// another platform); [`StoreError::MalformedFrame`] when authentic bytes
-/// do not parse.
+/// [`StoreError::SnapshotRejected`] when the manifest or any part fails
+/// authentication (rolled back, forked, tampered, torn, spliced, swapped,
+/// dropped, from another platform); [`StoreError::MalformedFrame`] when
+/// authentic bytes do not parse.
 pub(crate) fn open(key: &Key128, version: u64, blob: &[u8]) -> Result<SnapshotBody, StoreError> {
     let key = GcmKey::new(key);
     let manifest = open_manifest(&key, version, blob)?;
+    let mut plain = Vec::with_capacity(blob.len() - manifest.parts_at);
+    let mut ranges = Vec::with_capacity(manifest.rows.len());
+    for (position, range) in manifest.part_ranges().into_iter().enumerate() {
+        ranges.push(manifest.open_part(&key, position, &blob[range], &mut plain)?);
+    }
+    let mut parts = ranges.into_iter().map(|r| &plain[r]);
+    let base = parts.next().expect("a manifest has a base");
+    let chain = Chain::decode(parts)?;
     let mut entries = Vec::new();
-    for (index, range) in manifest.segment_ranges() {
-        let plain = manifest.open_segment(&key, index, &blob[range])?;
-        let mut pos = 0usize;
-        while pos < plain.len() {
-            entries.push(SnapshotEntry::decode_from(&plain, &mut pos)?);
+    let mut pos = 0usize;
+    while pos < base.len() {
+        let entry = SnapshotEntry::decode_from(base, &mut pos)?;
+        if !chain.shadows(&entry.key) {
+            entries.push(entry);
         }
+    }
+    for entry in chain.live() {
+        entries.push(SnapshotEntry::decode_from(entry, &mut 0)?);
     }
     Ok(SnapshotBody {
         header: manifest.header,
@@ -813,9 +897,9 @@ pub(crate) fn open(key: &Key128, version: u64, blob: &[u8]) -> Result<SnapshotBo
 impl PrecursorServer {
     /// Seals the current key-value state into a snapshot blob, incrementing
     /// the trusted monotonic `counter` so the new version supersedes every
-    /// older snapshot. Only the segments holding a key written since this
-    /// server's previous snapshot are re-sealed; the rest are carried over
-    /// from it.
+    /// older snapshot. Only the keys written since this server's previous
+    /// snapshot are sealed, as a delta; the rest of the chain is carried
+    /// over from it (or folded into a new base, see [`FOLD_PERCENT`]).
     ///
     /// When a [`FaultPlan`](precursor_rdma::faults::FaultPlan) with a
     /// `SnapshotSeal` rule is installed, the returned blob models what the
@@ -838,7 +922,7 @@ impl PrecursorServer {
     ///
     /// [`StoreError::SnapshotRejected`] when the blob was sealed at a
     /// different version (a rolled-back or forked snapshot), is tampered
-    /// with — manifest or any segment — or comes from a different
+    /// with — manifest or any part — or comes from a different
     /// platform/enclave; [`StoreError::MalformedFrame`] when the sealed
     /// body does not parse, and also when the snapshot's mode differs from
     /// `config.mode`.
@@ -854,18 +938,14 @@ impl PrecursorServer {
         Ok(server)
     }
 
-    /// Layout diagnostics for tamper tests: the byte range of every sealed
-    /// segment of `blob`, by segment index, or `None` when its manifest
-    /// does not open at `version`. Ranges say where the untrusted bytes
-    /// sit; nothing about their content leaves the enclave.
-    pub fn snapshot_segments(
-        &self,
-        version: u64,
-        blob: &[u8],
-    ) -> Option<Vec<(usize, Range<usize>)>> {
+    /// Layout diagnostics for tamper tests: the byte range of every part
+    /// of `blob` — the base, then each delta in chain order — or `None`
+    /// when its manifest does not open at `version`. Ranges say where the
+    /// untrusted bytes sit; nothing about their content leaves the enclave.
+    pub fn snapshot_parts(&self, version: u64, blob: &[u8]) -> Option<Vec<Range<usize>>> {
         let key = GcmKey::new(&self.sealing_key());
         let manifest = open_manifest(&key, version, blob).ok()?;
-        Some(manifest.segment_ranges())
+        Some(manifest.part_ranges())
     }
 }
 

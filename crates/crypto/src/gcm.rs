@@ -249,13 +249,21 @@ impl GcmKey {
     /// front, a record header around) and would otherwise copy the whole
     /// message to do so.
     pub fn seal_into(&self, out: &mut Vec<u8>, nonce: &Nonce12, aad: &[u8], plaintext: &[u8]) {
-        let j0 = j0(nonce);
         let start = out.len();
         out.reserve(plaintext.len() + TAG_LEN);
         out.extend_from_slice(plaintext);
-        self.cipher.ctr32_xor(&j0, &mut out[start..]);
-        let tag = self.tag(&j0, aad, &out[start..]);
+        let tag = self.seal_in_place_detached(nonce, aad, &mut out[start..]);
         out.extend_from_slice(tag.as_bytes());
+    }
+
+    /// Encrypts `buf` in place and returns the tag over the ciphertext and
+    /// `aad`: [`seal`](Self::seal) for a caller that owns the plaintext
+    /// buffer and keeps the tag apart from it (a manifest row), so the
+    /// message is never copied.
+    pub fn seal_in_place_detached(&self, nonce: &Nonce12, aad: &[u8], buf: &mut [u8]) -> Tag {
+        let j0 = j0(nonce);
+        self.cipher.ctr32_xor(&j0, buf);
+        self.tag(&j0, aad, buf)
     }
 
     /// Decrypts `sealed` (`ciphertext ‖ tag`) and verifies the tag over the
@@ -275,7 +283,7 @@ impl GcmKey {
     }
 
     /// [`open`](Self::open) for a tag stored apart from its ciphertext (a
-    /// manifest that lists the tags of the segments it authenticates).
+    /// manifest that lists the tags of the parts it authenticates).
     ///
     /// # Errors
     ///
@@ -287,13 +295,34 @@ impl GcmKey {
         ct: &[u8],
         tag: &[u8],
     ) -> Result<Vec<u8>, CryptoError> {
-        let j0 = j0(nonce);
-        if !ct_eq(self.tag(&j0, aad, ct).as_bytes(), tag) {
+        if !self.verify_detached(nonce, aad, ct, tag) {
             return Err(CryptoError::InvalidTag);
         }
         let mut pt = ct.to_vec();
-        self.cipher.ctr32_xor(&j0, &mut pt);
+        self.cipher.ctr32_xor(&j0(nonce), &mut pt);
         Ok(pt)
+    }
+
+    /// [`open_detached`](Self::open_detached) of the ciphertext in `buf`,
+    /// decrypted in place: the inverse of
+    /// [`seal_in_place_detached`](Self::seal_in_place_detached). `buf` is
+    /// left as it was when the tag does not authenticate it.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::InvalidTag`] if authentication fails.
+    pub fn open_in_place_detached(
+        &self,
+        nonce: &Nonce12,
+        aad: &[u8],
+        buf: &mut [u8],
+        tag: &[u8],
+    ) -> Result<(), CryptoError> {
+        if !self.verify_detached(nonce, aad, buf, tag) {
+            return Err(CryptoError::InvalidTag);
+        }
+        self.cipher.ctr32_xor(&j0(nonce), buf);
+        Ok(())
     }
 
     /// Whether `tag` authenticates `ct` and `aad` under `nonce` — exactly
@@ -634,6 +663,31 @@ mod tests {
             open_detached(&k, &n, b"a", ct, &[0u8; TAG_LEN]),
             Err(CryptoError::InvalidTag)
         );
+    }
+
+    #[test]
+    fn in_place_seal_and_open_match_the_copying_ones() {
+        let keyed = GcmKey::new(&Key128::from_bytes([9; 16]));
+        let n = Nonce12::from_counter(3);
+        for pt in [
+            &b"a message longer than four GHASH blocks, sealed in place"[..],
+            b"",
+        ] {
+            let sealed = keyed.seal(&n, b"aad", pt);
+            let mut buf = pt.to_vec();
+            let tag = keyed.seal_in_place_detached(&n, b"aad", &mut buf);
+            assert_eq!([&buf[..], tag.as_bytes()].concat(), sealed);
+            let ct = buf.clone();
+            assert_eq!(
+                keyed.open_in_place_detached(&n, b"aae", &mut buf, tag.as_bytes()),
+                Err(CryptoError::InvalidTag)
+            );
+            assert_eq!(buf, ct, "a rejected open leaves the ciphertext");
+            keyed
+                .open_in_place_detached(&n, b"aad", &mut buf, tag.as_bytes())
+                .expect("authentic");
+            assert_eq!(buf, pt);
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! AES-GCM nonce space, and a `(key, nonce)` pair must never cover two
 //! different plaintexts. The rule: one RNG draw per sealed object — the
 //! 96-bit nonce [`seal`] draws — and every further nonce that object needs
-//! (the independently sealed segments of a snapshot) is *derived* from
+//! (the independently sealed parts of a snapshot) is *derived* from
 //! that draw with [`segment_nonce`], which never returns the draw itself
 //! and never returns the same nonce for two indices. A seal that is
 //! retried after the host damaged the first attempt draws again: the
@@ -57,7 +57,7 @@ pub fn seal_at(key: &Key128, nonce: &Nonce12, version: u64, plaintext: &[u8]) ->
 }
 
 /// [`seal_at`] under a sealing key whose [`GcmKey`] the caller already
-/// built — a snapshot cut seals its manifest and every segment under one.
+/// built — a snapshot cut seals its manifest and its part under one.
 pub fn seal_at_keyed(key: &GcmKey, nonce: &Nonce12, version: u64, plaintext: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + plaintext.len() + gcm::TAG_LEN);
     out.extend_from_slice(nonce.as_bytes());

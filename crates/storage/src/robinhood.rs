@@ -406,9 +406,7 @@ impl<K: Hash + Eq, V> RobinHoodMap<K, V> {
         self.iter_hashed().map(|(_, k, v)| (k, v))
     }
 
-    /// [`iter`](Self::iter) with each entry's stored [`stable_key_hash`] —
-    /// for callers that partition entries by hash (snapshot segments)
-    /// without rehashing every key.
+    /// [`iter`](Self::iter) with each entry's stored [`stable_key_hash`].
     pub fn iter_hashed(&self) -> impl Iterator<Item = (u64, &K, &V)> {
         self.slots
             .iter()
@@ -648,11 +646,6 @@ impl<K: Hash + Eq, V> ShardedRobinHoodMap<K, V> {
     /// Iterates over `(key, value)` pairs, shard by shard in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.shards.iter().flat_map(RobinHoodMap::iter)
-    }
-
-    /// [`iter`](Self::iter) with each entry's stored [`stable_key_hash`].
-    pub fn iter_hashed(&self) -> impl Iterator<Item = (u64, &K, &V)> {
-        self.shards.iter().flat_map(RobinHoodMap::iter_hashed)
     }
 
     /// The merged order-independent digest: the wrapping sum of the

@@ -13,17 +13,20 @@
 //!   the counter untouched; a death between seal-commit and truncate
 //!   leaves the committed snapshot plus the whole journal.
 //! * **No stale pairs** — a replica offered a doctored compacted snapshot
-//!   (a flipped bit in the manifest or in a reused segment, a segment of
-//!   an older cut spliced in, two segments swapped, the tail truncated)
-//!   rejects it and falls back to copying the full journal from a peer; it
-//!   never serves from an unverifiable base. Restore and recovery reject
-//!   the same blobs.
-//! * **Incremental ≡ cold** — a snapshot that re-sealed only the segments
-//!   dirtied since the previous cut restores to exactly what a full seal
-//!   of the same state restores to, across puts, overwrites, deletes,
-//!   revocation evictions and torn-seal retries.
-//! * **O(dirty)** — a cut after *k* distinct-key mutations seals at most
-//!   *k* segments, and an aborted seal leaves them dirty for the retry.
+//!   (a delta of an older chain spliced in, two deltas swapped, a delta
+//!   dropped under the kept manifest, the pre-fold base behind the current
+//!   manifest, the last byte truncated, a flipped bit in the manifest or
+//!   in a carried delta) rejects it and falls back to copying the full
+//!   journal from a peer; it never serves from an unverifiable base.
+//!   Restore and recovery reject the same blobs.
+//! * **Incremental ≡ cold** — a snapshot that sealed only a delta of the
+//!   keys written since the previous cut, or folded its chain into a new
+//!   base, restores to exactly what a full seal of the same state restores
+//!   to, across puts, overwrites, deletes, revocation evictions and
+//!   torn-seal retries.
+//! * **O(written)** — a cut after *k* distinct-key mutations seals at most
+//!   *k* entries plus its manifest, the same bytes whatever the store's
+//!   size, and an aborted seal leaves them dirty for the retry.
 //! * **Authentic or aborted** — compaction commits a cut only when the
 //!   bytes the host persisted are, bit for bit, the bytes the enclave
 //!   sealed. It checks that by tag, without decrypting: one damaged byte
@@ -242,67 +245,62 @@ fn lagging_replica_adopts_compacted_pair_and_failover_recovers_from_it() {
     assert_eq!(c.value.as_deref(), Some(&[20u8; 24][..]));
 }
 
-// What a host can do to a segment-sealed blob without the sealing key,
-// given the previous cut's blob: each entry is one doctored copy of `new`.
-// Layouts are `(segment index, byte range)` per sealed segment.
-type Layout = Vec<(usize, Range<usize>)>;
+// What a host can do to a chained blob without the sealing key, given an
+// older blob of the same store from before a fold: each entry is one
+// doctored copy of `new`. A layout is the byte range of every part, the
+// base first (`PrecursorServer::snapshot_parts`); `new` holds two deltas,
+// the first carried from the cut before, and `old` a base and a delta as
+// long as `new`'s, so only the rows can tell them apart.
+type Layout = Vec<Range<usize>>;
 
-fn segment_attacks(
+fn chain_attacks(
     old: &[u8],
     old_layout: &Layout,
     new: &[u8],
     new_layout: &Layout,
 ) -> Vec<(&'static str, Vec<u8>)> {
-    let range_in = |layout: &Layout, index: usize| {
-        let found = layout.iter().find(|(i, _)| *i == index);
-        found.map(|(_, r)| r.clone())
+    let [base, first, second] = &new_layout[..] else {
+        panic!("a base and two deltas: {new_layout:?}");
     };
-    // A segment re-sealed by the new cut (same length, different bytes)
-    // and one carried over from the old cut byte for byte.
-    let mut resealed = None;
-    let mut reused = None;
-    for (index, r) in new_layout {
-        let Some(o) = range_in(old_layout, *index) else {
-            continue;
-        };
-        if old[o.clone()] == new[r.clone()] {
-            reused.get_or_insert((r.clone(), o));
-        } else if o.len() == r.len() {
-            resealed.get_or_insert((r.clone(), o));
-        }
-    }
-    let (resealed, resealed_old) = resealed.expect("an overwritten key re-sealed its segment");
-    let (reused, _) = reused.expect("untouched keys keep their sealed segment");
-
-    let mut splice = new.to_vec();
-    splice[resealed.clone()].copy_from_slice(&old[resealed_old]);
-
-    let (a, b) = (&new_layout[0].1, &new_layout[1].1);
-    let mut swap = new[..a.start].to_vec();
-    swap.extend_from_slice(&new[b.clone()]);
-    swap.extend_from_slice(&new[a.end..b.start]);
-    swap.extend_from_slice(&new[a.clone()]);
-    swap.extend_from_slice(&new[b.end..]);
-    assert_eq!(swap.len(), new.len());
-
+    let (old_base, old_first) = (&old_layout[0], &old_layout[1]);
+    assert_eq!(old_base.len(), base.len(), "same-length bases");
+    assert_eq!(old_first.len(), first.len(), "same-length first deltas");
+    assert_eq!(first.end, second.start);
+    let replaced =
+        |at: &Range<usize>, with: &[u8]| [&new[..at.start], with, &new[at.end..]].concat();
+    let splice = replaced(first, &old[old_first.clone()]);
+    let swap = [
+        &new[..first.start],
+        &new[second.clone()],
+        &new[first.clone()],
+        &new[second.end..],
+    ]
+    .concat();
+    let dropped = [&new[..first.start], &new[first.end..]].concat();
+    let pre_fold_base = replaced(base, &old[old_base.clone()]);
     let mut manifest_bit = new.to_vec();
     manifest_bit[4 + 12 + 5] ^= 0x10;
-    let mut reused_bit = new.to_vec();
-    reused_bit[reused.start] ^= 0x01;
+    let mut carried_bit = new.to_vec();
+    carried_bit[first.start] ^= 0x01;
 
     vec![
-        ("previous cut's segment spliced in", splice),
-        ("two segments swapped", swap),
-        ("last segment truncated", new[..new.len() - 1].to_vec()),
+        ("a delta of an older chain spliced in", splice),
+        ("two deltas swapped", swap),
+        ("a delta dropped, the manifest kept", dropped),
+        (
+            "the pre-fold base behind the current manifest",
+            pre_fold_base,
+        ),
+        ("last byte truncated", new[..new.len() - 1].to_vec()),
         ("bit flipped in the manifest", manifest_bit),
-        ("bit flipped in a reused segment", reused_bit),
+        ("bit flipped in a carried delta", carried_bit),
     ]
 }
 
 #[test]
 fn bit_flipped_compacted_snapshot_is_rejected_and_replica_falls_back_to_full_journal() {
     let cost = CostModel::default();
-    for attack in 0..5 {
+    for attack in 0..7 {
         let mut h = replicated(61);
         for i in 0u8..8 {
             h.put(0, &[i], &[i; 24]).expect("put");
@@ -311,39 +309,52 @@ fn bit_flipped_compacted_snapshot_is_rejected_and_replica_falls_back_to_full_jou
         for i in 8u8..24 {
             h.put(0, &[i], &[i; 24]).expect("put past partition");
         }
-        for _ in 0..8 {
-            h.group_mut().pump();
+        // Six cuts: a walk, two deltas (the old chain), a fold of 16
+        // overwrites, two deltas (the new chain). Every overwrite keeps a
+        // value's length, so the two chains' parts line up byte for byte.
+        let mut blobs = Vec::new();
+        for writes in [
+            &[][..],
+            &[3],
+            &[5],
+            &[8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23],
+            &[3],
+            &[5],
+        ] {
+            for &i in writes {
+                h.put(0, &[i], &[0xe0 ^ i ^ blobs.len() as u8; 24])
+                    .expect("overwrite");
+            }
+            let cluster = h.group_mut();
+            for _ in 0..8 {
+                cluster.pump();
+            }
+            let CompactOutcome::Compacted { snapshot, .. } = cluster.compact() else {
+                panic!("cut {} must compact", blobs.len() + 1);
+            };
+            blobs.push(snapshot.to_vec());
         }
-        let CompactOutcome::Compacted { snapshot: old, .. } = h.group_mut().compact() else {
-            panic!("drained journal must compact");
-        };
-        let old = old.to_vec();
-        // A second cut that re-seals one segment and reuses the others.
-        h.put(0, &[3], &[0xee; 24]).expect("overwrite");
         let cluster = h.group_mut();
-        for _ in 0..8 {
-            cluster.pump();
-        }
-        let CompactOutcome::Compacted { snapshot: new, .. } = cluster.compact() else {
-            panic!("second cut must compact");
+        let folds = cluster.primary().metrics().counter("snapshot.folds");
+        assert_eq!(folds, 1, "the fourth cut folds");
+        let layout = |version: usize, blobs: &[Vec<u8>]| {
+            let parts = cluster
+                .primary()
+                .snapshot_parts(version as u64, &blobs[version - 1]);
+            parts.expect("own snapshot opens")
         };
-        let new = new.to_vec();
-        let layout = |version, blob: &[u8]| {
-            let segments = cluster.primary().snapshot_segments(version, blob);
-            segments.expect("own snapshot opens")
-        };
-        let attacks = segment_attacks(&old, &layout(1, &old), &new, &layout(2, &new));
-        let (what, doctored) = attacks.into_iter().nth(attack).expect("five attacks");
+        let (old, new) = (&blobs[2], &blobs[5]);
+        let attacks = chain_attacks(old, &layout(3, &blobs), new, &layout(6, &blobs));
+        let (what, doctored) = attacks.into_iter().nth(attack).expect("seven attacks");
 
         // Restore and recovery refuse the doctored blob at the current
         // counter value (and accept the honest one).
-        let mut snap_counter = MonotonicCounter::new();
-        snap_counter.increment();
-        snap_counter.increment();
+        let snap_counter = cluster.snapshot_counter();
+        assert_eq!(snap_counter.read(), 6);
         let epoch_counter = MonotonicCounter::new();
-        assert!(PrecursorServer::restore(Config::default(), &cost, &new, &snap_counter).is_ok());
+        assert!(PrecursorServer::restore(Config::default(), &cost, new, snap_counter).is_ok());
         assert_eq!(
-            PrecursorServer::restore(Config::default(), &cost, &doctored, &snap_counter)
+            PrecursorServer::restore(Config::default(), &cost, &doctored, snap_counter)
                 .unwrap_err(),
             StoreError::SnapshotRejected,
             "{what}: restore"
@@ -353,7 +364,7 @@ fn bit_flipped_compacted_snapshot_is_rejected_and_replica_falls_back_to_full_jou
                 Config::default(),
                 &cost,
                 Some(&doctored),
-                &snap_counter,
+                snap_counter,
                 &[],
                 None,
                 &epoch_counter
@@ -407,19 +418,37 @@ fn ten_thousand_op_compacting_run_bounds_journal_to_tail_since_last_cut() {
     let mut rng = SimRng::seed_from(0x7777);
     let mut compactions = 0u64;
     let mut end_at_last_cut = 0u64;
+    // The base bytes of the last cut, and how many cuts carried it or
+    // folded their chain into a new one.
+    let mut base = Vec::new();
+    let (mut carried, mut folded) = (0u64, 0u64);
     for i in 0..10_000u64 {
         let k = [(i % 64) as u8, (i / 64 % 64) as u8];
         let mut v = vec![0u8; 16 + (rng.next_u32() % 48) as usize];
         rng.fill_bytes(&mut v);
         h.put(0, &k, &v).expect("put");
         if (i + 1) % 512 == 0 {
-            match h.group_mut().compact() {
-                CompactOutcome::Compacted { .. } => {
-                    compactions += 1;
-                    end_at_last_cut = h.group().primary().journal_durable_end();
-                }
+            let folds = h.group().primary().metrics().counter("snapshot.folds");
+            let snapshot = match h.group_mut().compact() {
+                CompactOutcome::Compacted { snapshot, .. } => snapshot.to_vec(),
                 other => panic!("op {i}: unexpected {other:?}"),
+            };
+            compactions += 1;
+            let group = h.group();
+            let server = group.primary();
+            end_at_last_cut = server.journal_durable_end();
+            let version = group.snapshot_counter().read();
+            let layout = server.snapshot_parts(version, &snapshot).expect("opens");
+            let this_base = snapshot[layout[0].clone()].to_vec();
+            if server.metrics().counter("snapshot.folds") > folds {
+                folded += 1;
+                assert_eq!(layout.len(), 1, "op {i}: a fold leaves no chain");
+            } else if compactions > 1 {
+                carried += 1;
+                assert_eq!(this_base, base, "op {i}: the base is carried");
+                assert!(layout.len() > 1, "op {i}: the cut appended a delta");
             }
+            base = this_base;
         }
     }
 
@@ -440,10 +469,15 @@ fn ten_thousand_op_compacting_run_bounds_journal_to_tail_since_last_cut() {
     );
     assert_eq!(server.metrics().counter("journal.compactions"), compactions);
     assert!(server.metrics().counter("journal.truncated_records") >= 9_000);
-    // Every cut after the first carried its clean segments by reference,
-    // and the honest host's copy of each shared every part: nothing was
-    // duplicated.
-    assert!(server.metrics().counter("snapshot.segments_reused") > 0);
+    // Only the first cut walked the table: every later one carried the
+    // base by reference or folded the chain into a new one, and the honest
+    // host's copy of each shared every part: nothing was duplicated.
+    assert_eq!(server.metrics().counter("snapshot.table_walks"), 1);
+    assert_eq!(carried + folded, compactions - 1);
+    assert!(
+        carried > 0 && folded > 0,
+        "{carried} carried, {folded} folded"
+    );
     assert_eq!(server.metrics().counter("snapshot.bytes_copied"), 0);
 
     // The bounded journal still recovers the full state.
@@ -598,8 +632,8 @@ fn incremental_vs_cold_run(seed: u64) {
     }
     assert!(cuts >= 5, "{trace} only {cuts} cuts");
     let metrics = h.group().primary().metrics();
-    let reused = metrics.counter("snapshot.segments_reused");
-    assert!(reused > 0, "{trace} no cut ever reused a segment");
+    let carried = metrics.counter("snapshot.bytes_carried");
+    assert!(carried > 0, "{trace} no cut ever carried a part");
 }
 
 #[test]
@@ -629,7 +663,7 @@ fn damaged_cut_run(seed: u64) {
     let mut trace = format!("seed {seed} shards {};", config.shards);
     let mut aborts = 0u64;
     for round in 0..5u32 {
-        // The first cut seals every segment; later ones a handful.
+        // The first cut walks the table; later ones seal a handful of keys.
         for _ in 0..if round == 0 {
             60
         } else {
@@ -725,65 +759,93 @@ fn damaged_persisted_cut_aborts_and_the_clean_retry_carries_every_mutation() {
 }
 
 // Length and FNV-1a digest of the first, full cut of the seeded 10k-key
-// store below, pinned when cuts started carrying segments by reference:
-// the table walk, the seal and the blob format are unchanged by it.
-const FULL_CUT_LEN: usize = 1_254_948;
-const FULL_CUT_FNV: u64 = 0xaaa6_895f_7e57_6f79;
+// store below, pinned when the snapshot became a sealed base plus a chain
+// of deltas: a table walk seals the base as one message.
+const FULL_CUT_LEN: usize = 1_220_166;
+const FULL_CUT_FNV: u64 = 0xfaf9_0070_ae2f_7147;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let fold = |h: u64, b: &u8| (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, fold)
 }
 
-#[test]
-fn cut_after_k_mutations_seals_at_most_k_segments_and_an_abort_keeps_them_dirty() {
+fn user(i: u32) -> Vec<u8> {
+    format!("user{i:08}").into_bytes()
+}
+
+// A journaled server loaded with `keys` keys of 32 B (every entry the same
+// size), its client and its snapshot counter, after the first cut; and
+// that cut's flat blob.
+fn loaded(keys: u32) -> (PrecursorServer, PrecursorClient, MonotonicCounter, Vec<u8>) {
     let cost = CostModel::default();
-    let mut epoch_counter = MonotonicCounter::new();
-    let mut snap_counter = MonotonicCounter::new();
     let mut server = PrecursorServer::new(Config::default(), &cost);
-    server.attach_journal(GroupCommitPolicy::immediate(), &mut epoch_counter);
+    server.attach_journal(GroupCommitPolicy::immediate(), &mut MonotonicCounter::new());
     let mut client = PrecursorClient::connect(&mut server, 71).expect("connect");
-    let key = |i: u32| format!("user{i:08}").into_bytes();
-    for i in 0..10_000u32 {
+    for i in 0..keys {
         client
-            .put_sync(&mut server, &key(i), &[i as u8; 32])
+            .put_sync(&mut server, &user(i), &[i as u8; 32])
             .expect("load");
     }
-    let sealed = |s: &PrecursorServer| s.metrics().counter("snapshot.segments_sealed");
-    let reused = |s: &PrecursorServer| s.metrics().counter("snapshot.segments_reused");
-
-    // The first cut has nothing to reuse: every segment is sealed, by the
-    // table walk, into the same bytes the walk has always produced.
-    let CompactOutcome::Compacted { snapshot: full, .. } =
-        server.compact_journal(&mut snap_counter)
+    let mut snap_counter = MonotonicCounter::new();
+    let CompactOutcome::Compacted { snapshot, .. } = server.compact_journal(&mut snap_counter)
     else {
         panic!("loaded store compacts");
     };
-    let full = full.to_vec();
+    (server, client, snap_counter, snapshot.to_vec())
+}
+
+// k = 61 distinct keys: overwrites, deletes and fresh inserts.
+const K: u64 = 61;
+
+fn write_k(server: &mut PrecursorServer, client: &mut PrecursorClient) {
+    for i in 0..K as u32 {
+        let k = user(i * 163);
+        match i % 3 {
+            0 => client.put_sync(server, &k, &[0xab; 32]).expect("put"),
+            1 => client.delete_sync(server, &k).expect("delete"),
+            _ => client
+                .put_sync(server, &user(20_000 + i), &[0xcd; 32])
+                .expect("put"),
+        };
+    }
+}
+
+// The plaintext bytes of the manifest framed at the front of `blob`, whose
+// parts start at `parts_at`: the frame is its length, the nonce and the
+// tag around it.
+fn manifest_len(parts_at: usize) -> u64 {
+    (parts_at - 4 - 12 - 16) as u64
+}
+
+fn bytes_sealed(server: &PrecursorServer) -> u64 {
+    server.metrics().counter("snapshot.bytes_sealed")
+}
+
+#[test]
+fn cut_after_k_mutations_seals_at_most_k_entries_and_an_abort_keeps_them_dirty() {
+    let cost = CostModel::default();
+    let (mut server, mut client, mut snap_counter, full) = loaded(10_000);
+    let walks = |s: &PrecursorServer| s.metrics().counter("snapshot.table_walks");
+    let carried = |s: &PrecursorServer| s.metrics().counter("snapshot.bytes_carried");
+
+    // The first cut has nothing to carry: the table walk seals every
+    // entry into one base.
     assert_eq!(
         (full.len(), fnv1a(&full)),
         (FULL_CUT_LEN, FULL_CUT_FNV),
         "a full cut's flat blob changed"
     );
-    let all = sealed(&server);
-    assert!(all > 61, "a 10k-key store fills far more than 61 segments");
-    assert_eq!(reused(&server), 0);
-    let bytes_cold = server.metrics().counter("snapshot.bytes_sealed");
+    let layout = server.snapshot_parts(1, &full).expect("opens");
+    assert_eq!(layout.len(), 1, "a walk seals a base and no delta");
+    // Every entry is the same size; a delta record adds its kind byte.
+    let entry = layout[0].len() as u64 / 10_000;
+    assert_eq!(entry * 10_000, layout[0].len() as u64);
+    assert_eq!((walks(&server), carried(&server)), (1, 0));
+    let bytes_cold = bytes_sealed(&server);
 
-    // k = 61 distinct keys: overwrites, deletes and fresh inserts.
-    const K: u64 = 61;
-    for i in 0..K as u32 {
-        let k = key(i * 163);
-        match i % 3 {
-            0 => client.put_sync(&mut server, &k, &[0xab; 32]).expect("put"),
-            1 => client.delete_sync(&mut server, &k).expect("delete"),
-            _ => client
-                .put_sync(&mut server, &key(20_000 + i), &[0xcd; 32])
-                .expect("put"),
-        };
-    }
+    write_k(&mut server, &mut client);
 
-    // Torn seal: the work was done (≤ k segments), nothing committed, and
+    // Torn seal: the work was done (≤ k entries), nothing committed, and
     // the dirty set survives for the retry.
     server.set_fault_plan(
         FaultPlan::none().rule(FaultSite::SnapshotSeal, FaultDir::Any, FaultAction::Drop, 1),
@@ -793,62 +855,114 @@ fn cut_after_k_mutations_seals_at_most_k_segments_and_an_abort_keeps_them_dirty(
         server.compact_journal(&mut snap_counter),
         CompactOutcome::Aborted
     );
-    let torn = sealed(&server) - all;
-    assert!(
-        (1..=K).contains(&torn),
-        "aborted cut sealed {torn} segments"
-    );
+    let torn = bytes_sealed(&server) - bytes_cold;
     server.set_fault_plan(FaultPlan::none(), 71);
 
     let CompactOutcome::Compacted { snapshot, .. } = server.compact_journal(&mut snap_counter)
     else {
         panic!("retry commits");
     };
+    let snapshot = snapshot.to_vec();
+    let retried = server.snapshot_parts(2, &snapshot).expect("opens");
+    let manifest = manifest_len(retried[0].start);
     assert_eq!(
-        sealed(&server) - all - torn,
+        bytes_sealed(&server) - bytes_cold - torn,
         torn,
-        "the retry re-seals the same segments"
+        "the retry re-seals the same keys"
     );
-    assert_eq!(
-        reused(&server),
-        2 * (all - torn),
-        "everything else is carried over"
-    );
-    let bytes_warm = server.metrics().counter("snapshot.bytes_sealed") - bytes_cold;
     assert!(
-        bytes_warm * 5 < bytes_cold,
-        "{bytes_warm} of {bytes_cold} bytes re-sealed"
+        torn <= K * (entry + 1) + manifest,
+        "{torn} bytes sealed for {K} writes of {entry}-byte entries"
+    );
+    assert_eq!(retried.len(), 2, "the base and one delta");
+    assert!(
+        snapshot[retried[0].clone()] == full[layout[0].clone()],
+        "the base is carried"
+    );
+    assert_eq!(torn, retried[1].len() as u64 + manifest);
+    assert_eq!(
+        carried(&server),
+        2 * layout[0].len() as u64,
+        "both attempts carried the base"
+    );
+    assert_eq!(walks(&server), 1);
+    assert!(
+        torn * 50 < bytes_cold,
+        "{torn} of {bytes_cold} bytes sealed"
     );
 
     // The retried blob carries every one of the k mutations.
-    let mut restored =
-        PrecursorServer::restore(Config::default(), &cost, &snapshot.to_vec(), &snap_counter)
-            .expect("retried blob restores");
+    let mut restored = PrecursorServer::restore(Config::default(), &cost, &snapshot, &snap_counter)
+        .expect("retried blob restores");
     assert_eq!(restored.state_digest(), server.state_digest());
     assert_eq!(restored.live_keys(), server.live_keys());
     let mut reader = PrecursorClient::connect(&mut restored, 72).expect("reader");
-    assert_eq!(reader.get_sync(&mut restored, &key(0)).unwrap(), [0xab; 32]);
     assert_eq!(
-        reader.get_sync(&mut restored, &key(163)),
+        reader.get_sync(&mut restored, &user(0)).unwrap(),
+        [0xab; 32]
+    );
+    assert_eq!(
+        reader.get_sync(&mut restored, &user(163)),
         Err(StoreError::NotFound)
     );
     assert_eq!(
-        reader.get_sync(&mut restored, &key(20_002)).unwrap(),
+        reader.get_sync(&mut restored, &user(20_002)).unwrap(),
         [0xcd; 32]
     );
     assert_eq!(
-        reader.get_sync(&mut restored, &key(9_999)).unwrap(),
+        reader.get_sync(&mut restored, &user(9_999)).unwrap(),
         [15; 32]
     );
 
     // A cut with nothing new past the journal watermark is skipped; a lone
-    // write dirties exactly one segment.
+    // write seals one record.
     client
-        .put_sync(&mut server, &key(5), &[1; 32])
+        .put_sync(&mut server, &user(5), &[1; 32])
         .expect("put");
-    let before = sealed(&server);
-    let CompactOutcome::Compacted { .. } = server.compact_journal(&mut snap_counter) else {
+    let before = bytes_sealed(&server);
+    let CompactOutcome::Compacted { snapshot, .. } = server.compact_journal(&mut snap_counter)
+    else {
         panic!("one new record compacts");
     };
-    assert_eq!(sealed(&server) - before, 1);
+    let layout = server.snapshot_parts(3, &snapshot.to_vec()).expect("opens");
+    assert_eq!(layout.len(), 3);
+    assert_eq!(layout[2].len() as u64, entry + 1, "one record");
+    assert_eq!(
+        bytes_sealed(&server) - before,
+        entry + 1 + manifest_len(layout[0].start)
+    );
+}
+
+// What a cut seals is what was written, not what the store holds: the
+// same 61 writes after a committed cut seal the same bytes in a 10k-key
+// store and in one four times its size.
+#[test]
+fn an_incremental_cut_seals_the_same_bytes_whatever_the_store_size() {
+    let mut sealed = Vec::new();
+    for keys in [10_000, 40_000] {
+        let (mut server, mut client, mut snap_counter, full) = loaded(keys);
+        let base = server.snapshot_parts(1, &full).expect("opens")[0].len() as u64;
+        let entry = base / u64::from(keys);
+        let before = bytes_sealed(&server);
+        write_k(&mut server, &mut client);
+        let CompactOutcome::Compacted { snapshot, .. } = server.compact_journal(&mut snap_counter)
+        else {
+            panic!("the incremental cut commits");
+        };
+        let layout = server.snapshot_parts(2, &snapshot.to_vec()).expect("opens");
+        let manifest = manifest_len(layout[0].start);
+        let bytes = bytes_sealed(&server) - before;
+        assert!(
+            bytes <= K * (entry + 1) + manifest,
+            "{keys} keys: {bytes} bytes sealed for {K} writes"
+        );
+        sealed.push((bytes, manifest));
+    }
+    let [(small, small_manifest), (large, large_manifest)] = sealed[..] else {
+        unreachable!()
+    };
+    assert!(
+        small.abs_diff(large) <= small_manifest.abs_diff(large_manifest),
+        "{small} bytes sealed on 10k keys, {large} on 40k"
+    );
 }

@@ -20,8 +20,8 @@
 //! violation and that the honest protocol passes.
 //!
 //! One knob, `PRECURSOR_MC_DEPTH` (default 9, nightly 12), bounds the
-//! schedule length; a schedule holds at most `depth / 4` submits and twice
-//! as many pumps.
+//! schedule length; a schedule holds at most `depth / 4` submits, twice as
+//! many pumps and two compactions.
 
 use std::collections::HashSet;
 
@@ -38,6 +38,9 @@ const KEYS: u8 = 2;
 const STATES: usize = 1_000_000;
 // Failovers per schedule.
 const CRASHES: usize = 1;
+// Compactions per schedule: the second cut follows a committed one, so
+// oracle 5 restores a fold or a carried base.
+const COMPACTS: usize = 2;
 // Catch-up records a staged promotion drains per pump.
 const STAGED: usize = 2;
 
@@ -115,7 +118,7 @@ impl Used {
         }
         let p = h.group().primary();
         let quiescent = p.journal_committed_seq() >= p.journal_last_seq();
-        if self.compacts == 0 && p.journal_last_seq() > p.journal_base_seq() && quiescent {
+        if self.compacts < COMPACTS && p.journal_last_seq() > p.journal_base_seq() && quiescent {
             out.push(Compact {
                 node: 0,
                 crash: None,
