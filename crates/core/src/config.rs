@@ -41,9 +41,8 @@ pub struct Config {
     /// Most request records one [`poll`](crate::PrecursorServer::poll) sweep
     /// consumes from a single client's ring before moving to the next client
     /// (round-robin fairness — a flooder cannot monopolize the trusted
-    /// thread). `0` disables the budget (unbounded, pre-hardening
-    /// behaviour). Unconsumed records simply wait; no reply is generated and
-    /// no `oid` is burned.
+    /// thread). Must be at least 1. Unconsumed records simply wait; no reply
+    /// is generated and no `oid` is burned.
     pub poll_budget_per_client: usize,
     /// Maximum untrusted-pool bytes (counted in slot capacities) one client
     /// may hold across its stored values. Exceeding puts are refused with
@@ -55,8 +54,6 @@ pub struct Config {
     /// never drains them, the oldest are dropped (and counted) instead of
     /// growing memory without bound.
     pub max_buffered_reports: usize,
-    /// Retry hint carried in `Busy` replies, in simulated nanoseconds.
-    pub busy_retry_ns: u64,
     /// Number of trusted polling shards (§3.8: "multiple trusted polling
     /// threads"). Each shard owns the clients whose `client_id % shards`
     /// equals its index plus a partition of the enclave hash table keyed by
@@ -89,7 +86,6 @@ impl Default for Config {
             poll_budget_per_client: 128,
             pool_quota_bytes: 0,
             max_buffered_reports: 1 << 16,
-            busy_retry_ns: 100_000,
         }
     }
 }
@@ -186,7 +182,6 @@ mod tests {
         assert!(c.poll_budget_per_client > 0, "fairness on by default");
         assert_eq!(c.pool_quota_bytes, 0, "quotas opt-in");
         assert!(c.max_buffered_reports >= 1 << 16);
-        assert!(c.busy_retry_ns > 0);
     }
 
     #[test]

@@ -190,7 +190,15 @@ impl PrecursorServer {
     /// Creates a server with the given configuration and cost model. The
     /// enclave is initialized (static data + the initial subset of the hash
     /// table are touched — the paper's 52-page baseline working set, §5.4).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.poll_budget_per_client` is 0.
     pub fn new(config: Config, cost: &CostModel) -> PrecursorServer {
+        assert!(
+            config.poll_budget_per_client > 0,
+            "poll_budget_per_client must be at least 1"
+        );
         let mut rng = SimRng::seed_from(0x9e3779b97f4a7c15);
         let attestation = AttestationService::new(&mut rng);
         let mut enclave = Enclave::new(cost);
@@ -525,6 +533,16 @@ mod tests {
         let a = server.add_client([1; 16]).unwrap();
         let b = server.add_client([2; 16]).unwrap();
         assert_ne!(a.session_key, b.session_key);
+    }
+
+    #[test]
+    #[should_panic(expected = "poll_budget_per_client must be at least 1")]
+    fn a_zero_poll_budget_is_rejected() {
+        let config = Config {
+            poll_budget_per_client: 0,
+            ..Config::default()
+        };
+        let _ = PrecursorServer::new(config, &CostModel::default());
     }
 
     #[test]

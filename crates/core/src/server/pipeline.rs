@@ -193,7 +193,7 @@ impl PrecursorServer {
         port.reply_producer.update_credits(consumed);
         let ring = port.request_ring.clone();
         let mut taken = 0usize;
-        while budget == 0 || taken < budget {
+        while taken < budget {
             let port = self.ingress.ports[idx].as_mut().expect("live port");
             if !ring.with_mut(|buf| port.request_consumer.pop_from(buf, record)) {
                 break;
@@ -201,7 +201,7 @@ impl PrecursorServer {
             each(self, record);
             taken += 1;
         }
-        if budget != 0 && taken >= budget {
+        if taken == budget {
             self.ingress.dirty_board.mark(idx as u64);
         }
         taken
@@ -472,7 +472,6 @@ impl PrecursorServer {
         let mut ctx = SealCtx {
             enclave: &mut self.enclave,
             cost: &self.cost,
-            busy_retry_ns: self.config.busy_retry_ns,
             evidence: self.store.evidence(),
             buffers,
         };

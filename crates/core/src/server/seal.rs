@@ -34,13 +34,15 @@ pub(super) struct SealBuffers {
     sealed: Vec<u8>,
 }
 
+// The retry hint a `Status::Busy` reply carries, in simulated nanoseconds.
+const BUSY_RETRY_NS: u64 = 100_000;
+
 // The narrow slice of server state the seal stage borrows per reply: the
-// enclave the control is sealed in, the cost model, the configured busy
-// retry hint, the store evidence snapshot, and the reused buffers.
+// enclave the control is sealed in, the cost model, the store evidence
+// snapshot, and the reused buffers.
 pub(super) struct SealCtx<'a> {
     pub(super) enclave: &'a mut Enclave,
     pub(super) cost: &'a CostModel,
-    pub(super) busy_retry_ns: u64,
     pub(super) evidence: StoreEvidence,
     pub(super) buffers: &'a mut SealBuffers,
 }
@@ -62,7 +64,7 @@ pub(super) fn seal_plan(
         ReplyPlan::Busy { oid } => (
             Status::Busy,
             ReplyControl {
-                retry_after_ns: ctx.busy_retry_ns,
+                retry_after_ns: BUSY_RETRY_NS,
                 ..ReplyControl::basic(oid)
             },
             Vec::new(),

@@ -1,51 +1,26 @@
-//! The virtual-time event queue: a hierarchical timing wheel with O(1)
-//! schedule and pop.
+//! The virtual-time event queue: a binary heap ordered by
+//! `(time, insertion sequence)`.
 //!
 //! The closed-loop drivers process *tokens* (e.g. "client 7 issues its next
-//! operation") in virtual-time order, one pending token per client. A binary
-//! heap makes every schedule and pop O(log n) in the number of pending
-//! tokens — measurable once runs simulate 100 k clients. [`EventQueue`] is
-//! the classic hierarchical timer wheel instead: `LEVELS` (7) levels of 64
-//! slots each, where a level-*l* slot spans `64^l` ticks (1 tick = 1 ns of
-//! virtual time). Scheduling hashes the deadline into the lowest level whose
-//! aligned window contains it; popping scans a per-level occupancy bitmap
-//! with `trailing_zeros` and lazily cascades higher-level slots down as
-//! virtual time advances.
+//! operation") in virtual-time order, one pending token per client: the
+//! paper's ≈ 100, the benchmark's widest workload 1 000, `fig6-scale` up to
+//! 100 k. At 1 000 tokens a `BinaryHeap` push and pop cost ≈ 35 ns, well
+//! under a percent of a simulated op's host time; a timing wheel only pays
+//! back past ≈ 10 k (DESIGN.md §17).
 //!
 //! # Determinism contract
 //!
-//! The ordering specification is the `BinaryHeap`-backed reference queue in
-//! `tests/wheel_equivalence.rs`: the suite replays random schedules through
-//! both and requires the **exact** same `(time, token)` pop sequence, so
-//! identical seeds always produce identical schedules:
-//!
 //! * ties at equal times break FIFO by global insertion sequence;
-//! * the scheduler draws no randomness and inspects no tokens;
-//! * events beyond the top-level horizon (or scheduled in the past) sit in a
-//!   small `(time, seq)`-ordered overflow heap that is compared against the
-//!   wheel's earliest entry on every pop, so far-future events re-enter the
-//!   total order at exactly the right position.
+//! * the queue draws no randomness and inspects no tokens;
+//! * a token pushed at a time already passed pops before every later one,
+//!   in the same `(time, seq)` order as any other.
 //!
-//! FIFO-at-equal-times holds structurally: level-0 slots are one tick wide,
-//! so every entry in a slot shares one timestamp and the slot's `VecDeque`
-//! preserves insertion order; cascades re-append entries in stored order and
-//! only ever move them to lower levels, and the placement invariant (every
-//! entry sits at the *lowest* level whose aligned window contains it, given
-//! the current virtual time) guarantees a later push of an equal deadline
-//! appends behind — never in front of — an earlier one.
+//! So identical seeds always produce identical schedules.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::time::Nanos;
-
-/// log2 of the slot count per level.
-const SLOT_BITS: u32 = 6;
-/// Slots per level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Hierarchy depth. The horizon is `64^LEVELS` ns ≈ 73 virtual minutes;
-/// deadlines beyond it overflow into the ordered side heap.
-const LEVELS: usize = 7;
 
 #[derive(Debug, Clone)]
 struct Entry<T> {
@@ -54,7 +29,7 @@ struct Entry<T> {
     token: T,
 }
 
-// Ordering for the overflow heap only: (time, seq), token ignored.
+// Heap order: (time, seq), token ignored.
 impl<T> PartialEq for Entry<T> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
@@ -72,11 +47,8 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// A time-ordered queue of tokens of type `T`.
-///
-/// Same pop sequence as the heap-backed reference queue in
-/// `tests/wheel_equivalence.rs`; see the module docs for the determinism
-/// contract.
+/// A time-ordered queue of tokens of type `T`; see the module docs for the
+/// determinism contract.
 ///
 /// # Example
 ///
@@ -93,172 +65,41 @@ impl<T> Ord for Entry<T> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<T> {
-    /// `slots[l][i]` holds entries whose deadline hashes to slot `i` of
-    /// level `l`; level-0 slots are one tick wide, so a slot is one
-    /// timestamp and FIFO order within it is FIFO order at that time.
-    slots: Vec<Vec<VecDeque<Entry<T>>>>,
-    /// One occupancy bit per slot per level (`trailing_zeros` scan).
-    occupied: [u64; LEVELS],
-    /// Current virtual time in ticks; only ever advances.
-    cur: u64,
+    heap: BinaryHeap<Reverse<Entry<T>>>,
     /// Global insertion sequence — the FIFO tie-break.
     seq: u64,
-    len: usize,
-    /// Entries beyond the horizon or scheduled in the past, ordered by
-    /// `(time, seq)` and merged back on every pop.
-    overflow: BinaryHeap<Reverse<Entry<T>>>,
 }
 
 impl<T> EventQueue<T> {
-    /// Creates an empty queue anchored at virtual time zero.
+    /// Creates an empty queue.
     pub fn new() -> EventQueue<T> {
         EventQueue {
-            slots: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| VecDeque::new()).collect())
-                .collect(),
-            occupied: [0; LEVELS],
-            cur: 0,
+            heap: BinaryHeap::new(),
             seq: 0,
-            len: 0,
-            overflow: BinaryHeap::new(),
         }
     }
 
-    /// Schedules `token` at virtual time `at`. O(1).
+    /// Schedules `token` at virtual time `at`. O(log n).
     pub fn push(&mut self, at: Nanos, token: T) {
-        let e = Entry {
-            at,
-            seq: self.seq,
-            token,
-        };
+        let seq = self.seq;
         self.seq += 1;
-        self.len += 1;
-        if at.0 < self.cur {
-            // Scheduled in the past (the heap reference allows it): the
-            // ordered overflow heap serves it before any wheel entry.
-            self.overflow.push(Reverse(e));
-        } else {
-            self.place(e);
-        }
-    }
-
-    // Places an entry (deadline ≥ cur) at the lowest level whose aligned
-    // window contains both the deadline and the current time.
-    fn place(&mut self, e: Entry<T>) {
-        let t = e.at.0;
-        for l in 0..LEVELS {
-            let window_shift = SLOT_BITS * (l as u32 + 1);
-            if t >> window_shift == self.cur >> window_shift {
-                let idx = ((t >> (SLOT_BITS * l as u32)) & (SLOTS as u64 - 1)) as usize;
-                self.slots[l][idx].push_back(e);
-                self.occupied[l] |= 1 << idx;
-                return;
-            }
-        }
-        self.overflow.push(Reverse(e));
+        self.heap.push(Reverse(Entry { at, seq, token }));
     }
 
     /// Removes and returns the earliest token (FIFO among equal times).
-    /// Amortized O(1): each entry cascades down at most `LEVELS` times over
-    /// its lifetime.
+    /// O(log n).
     pub fn pop(&mut self) -> Option<(Nanos, T)> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            // Level 0: slots are single timestamps, so the first occupied
-            // slot at or after `cur` is the wheel's earliest entry.
-            let from0 = (self.cur & (SLOTS as u64 - 1)) as u32;
-            let mask0 = self.occupied[0] & (!0u64 << from0);
-            if mask0 != 0 {
-                let idx = mask0.trailing_zeros() as usize;
-                let at = Nanos((self.cur & !(SLOTS as u64 - 1)) + idx as u64);
-                let seq = self.slots[0][idx].front().expect("occupied slot").seq;
-                if let Some(Reverse(o)) = self.overflow.peek() {
-                    if (o.at, o.seq) < (at, seq) {
-                        return self.pop_overflow();
-                    }
-                }
-                let e = self.slots[0][idx].pop_front().expect("occupied slot");
-                if self.slots[0][idx].is_empty() {
-                    self.occupied[0] &= !(1 << idx);
-                }
-                self.len -= 1;
-                self.cur = e.at.0;
-                return Some((e.at, e.token));
-            }
-            // Level 0 exhausted: cascade the next occupied higher-level
-            // slot down and rescan. Advancing `cur` to the slot base keeps
-            // the placement invariant (module docs) for later pushes.
-            let mut cascaded = false;
-            for l in 1..LEVELS {
-                let shift = SLOT_BITS * l as u32;
-                let from = ((self.cur >> shift) & (SLOTS as u64 - 1)) as u32;
-                let mask = self.occupied[l] & (!0u64 << from);
-                if mask == 0 {
-                    continue;
-                }
-                let idx = mask.trailing_zeros() as usize;
-                let window = 1u64 << (SLOT_BITS * (l as u32 + 1));
-                let base = (self.cur & !(window - 1)) + ((idx as u64) << shift);
-                if base > self.cur {
-                    self.cur = base;
-                }
-                let entries = std::mem::take(&mut self.slots[l][idx]);
-                self.occupied[l] &= !(1 << idx);
-                for e in entries {
-                    self.place(e); // lands strictly below level l
-                }
-                cascaded = true;
-                break;
-            }
-            if !cascaded {
-                // Wheel empty but len > 0: everything pending overflowed.
-                return self.pop_overflow();
-            }
-        }
-    }
-
-    fn pop_overflow(&mut self) -> Option<(Nanos, T)> {
-        let Reverse(e) = self.overflow.pop()?;
-        self.len -= 1;
-        self.cur = self.cur.max(e.at.0);
-        Some((e.at, e.token))
-    }
-
-    /// The time of the earliest token without removing it.
-    pub fn peek_time(&self) -> Option<Nanos> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut best: Option<(Nanos, u64)> = self.overflow.peek().map(|Reverse(e)| (e.at, e.seq));
-        for l in 0..LEVELS {
-            let shift = SLOT_BITS * l as u32;
-            let from = ((self.cur >> shift) & (SLOTS as u64 - 1)) as u32;
-            let mask = self.occupied[l] & (!0u64 << from);
-            if mask == 0 {
-                continue;
-            }
-            // The first occupied slot holds this level's earliest entries
-            // (later slots cover strictly later ranges).
-            let idx = mask.trailing_zeros() as usize;
-            for e in &self.slots[l][idx] {
-                if best.is_none_or(|b| (e.at, e.seq) < b) {
-                    best = Some((e.at, e.seq));
-                }
-            }
-        }
-        best.map(|(at, _)| at)
+        self.heap.pop().map(|Reverse(e)| (e.at, e.token))
     }
 
     /// Number of pending tokens.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether no tokens are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 }
 
@@ -295,29 +136,17 @@ mod tests {
     }
 
     #[test]
-    fn equal_times_are_fifo_across_levels() {
-        // Both land in a level-2 slot, cascade together, and must keep
-        // insertion order through two cascades.
-        let mut w = EventQueue::new();
-        w.push(Nanos(100_000), "first");
-        w.push(Nanos(100_000), "second");
-        w.push(Nanos(10), "now");
-        assert_eq!(w.pop().unwrap().1, "now");
-        // A post-cascade-boundary push at the same deadline must append
-        // behind the earlier ones even though `cur` has advanced.
-        assert_eq!(w.pop().unwrap(), (Nanos(100_000), "first"));
-        assert_eq!(w.pop().unwrap(), (Nanos(100_000), "second"));
-    }
-
-    #[test]
-    fn peek_and_len() {
-        let mut w = EventQueue::new();
+    fn len_and_is_empty_count_pending_tokens() {
+        let mut w = EventQueue::default();
         assert!(w.is_empty());
-        assert_eq!(w.peek_time(), None);
         w.push(Nanos(9), ());
         w.push(Nanos(4), ());
-        assert_eq!(w.peek_time(), Some(Nanos(4)));
         assert_eq!(w.len(), 2);
+        w.pop();
+        assert_eq!((w.len(), w.is_empty()), (1, false));
+        w.pop();
+        assert!(w.is_empty());
+        assert_eq!(w.pop(), None);
     }
 
     #[test]
@@ -332,61 +161,101 @@ mod tests {
     }
 
     #[test]
-    fn far_future_overflows_and_returns() {
-        let horizon = 1u64 << (SLOT_BITS * LEVELS as u32);
-        let mut w = EventQueue::new();
-        w.push(Nanos(horizon * 3), "far");
-        w.push(Nanos(50), "near");
-        assert_eq!(w.peek_time(), Some(Nanos(50)));
-        assert_eq!(w.pop().unwrap().1, "near");
-        assert_eq!(w.pop().unwrap(), (Nanos(horizon * 3), "far"));
-        assert_eq!(w.pop(), None);
-    }
-
-    #[test]
-    fn overflow_ties_respect_insertion_order_vs_wheel() {
-        let horizon = 1u64 << (SLOT_BITS * LEVELS as u32);
-        let t = horizon + 77;
-        let mut w = EventQueue::new();
-        w.push(Nanos(t), "overflowed-first"); // beyond horizon at push time
-        w.push(Nanos(horizon - 1), "stepper");
-        assert_eq!(w.pop().unwrap().1, "stepper");
-        // `cur` advanced; the same deadline now fits the wheel proper.
-        w.push(Nanos(t), "wheeled-second");
-        assert_eq!(w.pop().unwrap().1, "overflowed-first");
-        assert_eq!(w.pop().unwrap().1, "wheeled-second");
-    }
-
-    #[test]
     fn past_deadlines_pop_before_future_ones() {
         let mut w = EventQueue::new();
         w.push(Nanos(1_000), "a");
         assert_eq!(w.pop().unwrap().1, "a");
-        w.push(Nanos(10), "past"); // behind cur = 1000
+        w.push(Nanos(10), "past"); // behind the last pop
         w.push(Nanos(2_000), "future");
         assert_eq!(w.pop().unwrap(), (Nanos(10), "past"));
         assert_eq!(w.pop().unwrap(), (Nanos(2_000), "future"));
     }
 
-    #[test]
-    fn dense_schedule_pops_sorted_and_stable() {
-        // A deterministic pseudo-random schedule; verify output is sorted
-        // by (time, insertion order) against a sort of the input.
+    // A xorshift64 step: the schedules below draw no `SimRng` so the
+    // oracle stays independent of the crate under test.
+    fn next(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    // Replays a schedule through the queue and checks every pop against a
+    // sort of the pushes by `(time, insertion index)`, the FIFO tie-break. `initial` is pushed first; then each of `pops` pops
+    // is followed by the pushes `step(popped_time)` returns; then the
+    // queue drains.
+    fn check_against_sort(initial: &[u64], pops: usize, mut step: impl FnMut(u64) -> Vec<u64>) {
         let mut w = EventQueue::new();
-        let mut expect: Vec<(u64, usize)> = Vec::new();
-        let mut x = 0x9e3779b97f4a7c15u64;
-        for i in 0..5_000usize {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let t = x % 3_000_000; // spans levels 0–3
-            w.push(Nanos(t), i);
-            expect.push((t, i));
+        let mut pending: Vec<(u64, usize)> = Vec::new();
+        let mut next_id = 0usize;
+        let mut push = |w: &mut EventQueue<usize>, pending: &mut Vec<(u64, usize)>, t: u64| {
+            w.push(Nanos(t), next_id);
+            pending.push((t, next_id));
+            next_id += 1;
+        };
+        for &t in initial {
+            push(&mut w, &mut pending, t);
         }
-        expect.sort(); // (time, insertion index) — matches FIFO tie-break
-        for &(t, i) in &expect {
-            assert_eq!(w.pop(), Some((Nanos(t), i)));
+        for _ in 0..pops {
+            pending.sort_unstable(); // ids are unique: a total order
+            let (t, id) = pending.remove(0);
+            assert_eq!(w.pop(), Some((Nanos(t), id)));
+            for at in step(t) {
+                push(&mut w, &mut pending, at);
+            }
+        }
+        pending.sort_unstable();
+        for (t, id) in pending {
+            assert_eq!(w.pop(), Some((Nanos(t), id)));
         }
         assert!(w.is_empty());
+        assert_eq!(w.pop(), None);
+    }
+
+    #[test]
+    fn dense_schedule_pops_sorted_and_stable() {
+        // A dense random schedule pushed up front.
+        let mut x = 0x9e3779b97f4a7c15u64;
+        let dense: Vec<u64> = (0..5_000).map(|_| next(&mut x) % 3_000_000).collect();
+        check_against_sort(&dense, 0, |_| Vec::new());
+
+        // Equal-time bursts: runs of 1–16 pushes at one instant, near zero,
+        // mid-range and far in the future.
+        for base in [0u64, 1_000_000, 1 << 50] {
+            let mut x = 0xF1F0 ^ base;
+            let mut bursts = Vec::new();
+            for burst in 0..40 {
+                let at = base + burst * (1 + next(&mut x) % 100);
+                let len = 1 + next(&mut x) % 16;
+                bursts.extend(std::iter::repeat_n(at, len as usize));
+            }
+            check_against_sort(&bursts, 0, |_| Vec::new());
+        }
+
+        // Closed-loop reschedule, the drivers' shape: every pop pushes its
+        // successor a think time later — a same-instant tie, a network
+        // round trip, or up to a second.
+        let mut x = 0xC105ED;
+        let fleet: Vec<u64> = (0..64).map(|_| next(&mut x) % 10_000).collect();
+        check_against_sort(&fleet, 2_000, |now| {
+            let think = match next(&mut x) % 3 {
+                0 => next(&mut x) % 50,
+                1 => 30_000 + next(&mut x) % 20_000,
+                _ => next(&mut x) % (1 << 30),
+            };
+            vec![now + think]
+        });
+
+        // Past-due and far-future pushes: after each pop, push a time
+        // already passed (it pops before every later token) and one 2^50 ns
+        // out, past any bounded horizon.
+        let mut x = 0xDEAD;
+        let spread: Vec<u64> = (0..100).map(|_| next(&mut x) % (1 << 32)).collect();
+        check_against_sort(&spread, 50, |now| {
+            vec![
+                next(&mut x) % now.max(1),
+                (1 << 50) + next(&mut x) % 1_000_000,
+            ]
+        });
     }
 }

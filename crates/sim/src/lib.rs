@@ -20,8 +20,7 @@
 //!   extraction.
 //! * [`stats`] — running summary statistics.
 //! * [`engine`] — the virtual-time [`EventQueue`](engine::EventQueue) for
-//!   token-based simulations, a hierarchical timing wheel (O(1)
-//!   schedule/pop).
+//!   token-based simulations, a binary heap ordered by time with FIFO ties.
 //!
 //! # Example
 //!

@@ -21,13 +21,6 @@ pub struct Grant {
     pub end: Nanos,
 }
 
-impl Grant {
-    /// Time spent waiting in the queue before service started.
-    pub fn queueing(&self, ready: Nanos) -> Nanos {
-        self.start.saturating_sub(ready)
-    }
-}
-
 /// A pool of `k` identical FIFO servers (e.g. 12 server hyper-threads; a
 /// pool of one is a single FIFO server, such as a link's serializer).
 ///
@@ -48,7 +41,6 @@ pub struct Pool {
     name: &'static str,
     servers: Vec<Nanos>,
     busy: Nanos,
-    jobs: u64,
 }
 
 impl Pool {
@@ -63,18 +55,12 @@ impl Pool {
             name,
             servers: vec![Nanos::ZERO; k],
             busy: Nanos::ZERO,
-            jobs: 0,
         }
     }
 
     /// The diagnostic name given at construction.
     pub fn name(&self) -> &'static str {
         self.name
-    }
-
-    /// Number of servers in the pool.
-    pub fn size(&self) -> usize {
-        self.servers.len()
     }
 
     /// Grants `duration` of service on the earliest-available server.
@@ -86,11 +72,15 @@ impl Pool {
             .min_by_key(|(_, &t)| t)
             .map(|(i, _)| i)
             .expect("pool is nonempty");
+        self.serve(idx, ready, duration)
+    }
+
+    // Runs one job on server `idx`, FIFO behind its earlier jobs.
+    fn serve(&mut self, idx: usize, ready: Nanos, duration: Nanos) -> Grant {
         let start = ready.max(self.servers[idx]);
         let end = start + duration;
         self.servers[idx] = end;
         self.busy += duration;
-        self.jobs += 1;
         Grant { start, end }
     }
 
@@ -113,24 +103,10 @@ impl Pool {
         (g.start + critical, g.end)
     }
 
-    /// Grants `duration` of service on a *specific* server (for pinned
-    /// threads, e.g. a trusted poller owning a subset of client rings).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server` is out of range.
-    pub fn acquire_on(&mut self, server: usize, ready: Nanos, duration: Nanos) -> Grant {
-        let start = ready.max(self.servers[server]);
-        let end = start + duration;
-        self.servers[server] = end;
-        self.busy += duration;
-        self.jobs += 1;
-        Grant { start, end }
-    }
-
-    /// [`acquire_partial`](Self::acquire_partial) on a *specific* server:
-    /// the job departs after its `critical` portion while the pinned server
-    /// stays occupied for the full `occupancy`. Returns
+    /// [`acquire_partial`](Self::acquire_partial) on a *specific* server
+    /// (a pinned thread, e.g. a trusted poller owning a subset of client
+    /// rings): the job departs after its `critical` portion while the
+    /// pinned server stays occupied for the full `occupancy`. Returns
     /// `(departure, end_of_occupancy)`.
     ///
     /// # Panics
@@ -144,18 +120,8 @@ impl Pool {
         occupancy: Nanos,
     ) -> (Nanos, Nanos) {
         assert!(critical <= occupancy, "critical part exceeds occupancy");
-        let g = self.acquire_on(server, ready, occupancy);
+        let g = self.serve(server, ready, occupancy);
         (g.start + critical, g.end)
-    }
-
-    /// Total busy time across all servers.
-    pub fn busy_time(&self) -> Nanos {
-        self.busy
-    }
-
-    /// Number of jobs served.
-    pub fn jobs(&self) -> u64 {
-        self.jobs
     }
 
     /// Mean utilization of the pool over `[0, horizon)`.
@@ -165,15 +131,6 @@ impl Pool {
         } else {
             (self.busy.0 as f64 / (horizon.0 as f64 * self.servers.len() as f64)).min(1.0)
         }
-    }
-
-    /// Resets accounting and availability to time zero.
-    pub fn reset(&mut self) {
-        for s in &mut self.servers {
-            *s = Nanos::ZERO;
-        }
-        self.busy = Nanos::ZERO;
-        self.jobs = 0;
     }
 }
 
@@ -218,19 +175,9 @@ impl Link {
         tx.end + self.latency
     }
 
-    /// One-way propagation latency.
-    pub fn latency(&self) -> Nanos {
-        self.latency
-    }
-
     /// Utilization of the serialization pipe over `[0, horizon)`.
     pub fn utilization(&self, horizon: Nanos) -> f64 {
         self.pipe.utilization(horizon)
-    }
-
-    /// Resets accounting and availability to time zero.
-    pub fn reset(&mut self) {
-        self.pipe.reset();
     }
 }
 
@@ -280,8 +227,10 @@ mod tests {
                 end: Nanos(60)
             }
         );
-        assert_eq!(r.busy_time(), Nanos(30));
-        assert_eq!(r.jobs(), 3);
+        assert!(
+            (r.utilization(Nanos(60)) - 0.5).abs() < 1e-12,
+            "30 of 60 ns busy"
+        );
     }
 
     #[test]
@@ -289,7 +238,9 @@ mod tests {
         let mut r = Pool::new("r", 1);
         r.acquire(Nanos(0), Nanos(100));
         let g = r.acquire(Nanos(30), Nanos(10));
-        assert_eq!(g.queueing(Nanos(30)), Nanos(70));
+        // Ready at 30, served from 100: 70 ns in the queue.
+        assert_eq!(g.start - Nanos(30), Nanos(70));
+        assert_eq!(g.end, Nanos(110));
     }
 
     #[test]
@@ -309,16 +260,19 @@ mod tests {
         assert_eq!(a.start, Nanos(0));
         assert_eq!(b.start, Nanos(0));
         assert_eq!(c.start, Nanos(10)); // third job waits for a server
-        assert_eq!(p.jobs(), 3);
+        assert!(
+            (p.utilization(Nanos(20)) - 0.75).abs() < 1e-12,
+            "30 of 40 server-ns"
+        );
     }
 
     #[test]
     fn pool_pinned_server() {
         let mut p = Pool::new("cpu", 3);
-        let a = p.acquire_on(1, Nanos(0), Nanos(10));
-        let b = p.acquire_on(1, Nanos(0), Nanos(10));
-        assert_eq!(a.start, Nanos(0));
-        assert_eq!(b.start, Nanos(10)); // same server serializes
+        let a = p.acquire_partial_on(1, Nanos(0), Nanos(10), Nanos(10));
+        let b = p.acquire_partial_on(1, Nanos(0), Nanos(10), Nanos(10));
+        assert_eq!(a, (Nanos(10), Nanos(10)));
+        assert_eq!(b, (Nanos(20), Nanos(20))); // same server serializes
     }
 
     #[test]
@@ -342,20 +296,5 @@ mod tests {
         // second message queues behind first's serialization
         let second = l.transfer(Nanos(0), 500);
         assert_eq!(second, Nanos(2000));
-    }
-
-    #[test]
-    fn resets_clear_state() {
-        let mut p = Pool::new("p", 2);
-        p.acquire(Nanos(0), Nanos(10));
-        p.reset();
-        assert_eq!(p.busy_time(), Nanos::ZERO);
-        assert_eq!(p.acquire(Nanos(0), Nanos(10)).start, Nanos::ZERO);
-
-        let mut l = Link::new("l", Nanos(0), 8.0);
-        l.transfer(Nanos(0), 10);
-        l.reset();
-        assert_eq!(l.utilization(Nanos(100)), 0.0);
-        assert_eq!(l.transfer(Nanos(0), 10), Nanos(10), "the pipe is idle");
     }
 }

@@ -574,10 +574,9 @@ impl BenchSession {
             queue.push(Nanos(c as u64 * 120), c);
         }
 
-        // Latency is aggregated per client-machine cohort (six machines,
-        // §5.1) and merged at the end — per-client histograms would make a
-        // 100k-client sweep's memory O(connected).
-        let mut cohort_lat: [Option<Box<Histogram>>; 6] = Default::default();
+        // One distribution for the whole window — per-client histograms
+        // would make a 100k-client sweep's memory O(connected).
+        let mut latency = Histogram::new();
         let mut stages = StageBreakdown::default();
         let mut net_sum = Nanos::ZERO;
         let mut server_sum = Nanos::ZERO;
@@ -707,9 +706,7 @@ impl BenchSession {
             let op_latency = t_done - t0;
             completed += 1;
             if completed > skip {
-                cohort_lat[m]
-                    .get_or_insert_with(|| Box::new(Histogram::new()))
-                    .record(op_latency);
+                latency.record(op_latency);
                 // Figure-8 style attribution: "server" is the request's
                 // processing time proper (what the paper instruments);
                 // queueing and transport fall under "networking".
@@ -729,11 +726,6 @@ impl BenchSession {
 
         let measured = measure_ops - skip;
         let duration = last_completion;
-        // Fold the cohort histograms into the session-wide distribution.
-        let mut latency = Histogram::new();
-        for cohort in cohort_lat.into_iter().flatten() {
-            latency.merge(&cohort);
-        }
         RunResult {
             throughput_ops: precursor_sim::stats::throughput_ops_per_sec(measure_ops, duration),
             latency,

@@ -53,7 +53,8 @@ if [ "${1:-}" = filters ]; then
 fi
 
 # One cluster, one node type, one replay path, one journal attach, one
-# histogram, one event queue, one driver entry point, a platform model
+# histogram, one event queue (a `BinaryHeap`: no timing wheel and no heap
+# reference model beside it), one driver entry point, a platform model
 # holding only the traffic the store generates (no READ or atomic verbs, no
 # SEND/TCP fault hooks, no single-server resource or cycle meter), one way
 # to charge a meter (`Meter::event`), and one snapshot format (a sealed base
@@ -61,7 +62,7 @@ fi
 # grow back. `\bpair_faulty` spares the surviving `connect_pair_faulty`;
 # `\bResource\b` spares `NodeResources`.
 echo "== deleted names stay deleted =="
-if grep -rnE "attach_replicated_journal|external_commit|replace_node|recover_staged|recover_with_base|fail_primary_staged|FixedHistogram|DEFAULT_LATENCY_BOUNDS_NS|TimingWheel|RunConfig|epc_fault_locality|post_read|post_fetch_add|post_compare_swap|\bpair_faulty|new_faulty|take_forced_error|CycleMeter|Distribution::Latest|\bResource\b|counters_mut|charge_client|segment_of|SEGMENTS|snapshot_segments|segments_reused|segments_sealed|reseal_segments|encode_segments" \
+if grep -rnE "attach_replicated_journal|external_commit|replace_node|recover_staged|recover_with_base|fail_primary_staged|FixedHistogram|DEFAULT_LATENCY_BOUNDS_NS|TimingWheel|RunConfig|epc_fault_locality|post_read|post_fetch_add|post_compare_swap|\bpair_faulty|new_faulty|take_forced_error|CycleMeter|Distribution::Latest|\bResource\b|counters_mut|charge_client|segment_of|SEGMENTS|snapshot_segments|segments_reused|segments_sealed|reseal_segments|encode_segments|HeapQueue|wheel_equivalence" \
     crates tests examples; then
     echo "ci: a deleted name reappeared (see CHANGES.md)" >&2
     exit 1
