@@ -18,8 +18,10 @@ use std::time::Instant;
 use precursor::backend::{KvOp, PrecursorBackend, TrustedKv};
 use precursor::{CompactOutcome, Config, GroupCommitPolicy, PrecursorClient, PrecursorServer};
 use precursor_crypto::aes::Aes128;
+use precursor_crypto::chain::MacChain;
 use precursor_crypto::gcm::GcmKey;
 use precursor_crypto::{cmac, gcm, salsa20, sha256, Key128, Key256, Nonce12, Nonce8};
+use precursor_journal::Journal;
 use precursor_obs::observe_meter;
 use precursor_rdma::{connect_pair, Memory, RnicCache, WriteBoard};
 use precursor_sgx::counters::MonotonicCounter;
@@ -125,6 +127,48 @@ fn bench_crypto() {
     let (ct, tag) = sealed.split_at(data.len());
     bench("gcm_verify_4k", 1_000, 4096, || {
         assert!(keyed.verify_detached(&nonce, &[], std::hint::black_box(ct), tag));
+    });
+    // The op path's control crypto on long-lived keys: an 80 B control
+    // segment sealed into a reused frame buffer and opened in place, one
+    // reply MAC-chain step over `wire::chain_input`'s 54 B, and one journal
+    // record of a small put (a group flushed every 32 appends).
+    let aad = [0x5Au8; 5];
+    let control = [0xC3u8; 80];
+    let mut frame = Vec::with_capacity(control.len() + gcm::TAG_LEN);
+    bench("gcm_seal_80_keyed", 500_000, 80, || {
+        ctr += 1;
+        frame.clear();
+        keyed.seal_into(&mut frame, &Nonce12::from_counter(ctr), &aad, &control);
+        std::hint::black_box(&frame);
+    });
+    let mut sealed_control = control;
+    let tag = keyed.seal_in_place_detached(&nonce, &aad, &mut sealed_control);
+    let mut opened = sealed_control;
+    bench("gcm_open_80_keyed", 500_000, 80, || {
+        opened = sealed_control;
+        keyed
+            .open_in_place_detached(&nonce, &aad, &mut opened, tag.as_bytes())
+            .expect("authentic");
+        std::hint::black_box(&opened);
+    });
+    let mut chain = MacChain::new(&Key128::from_bytes([5; 16]), b"session");
+    let link = [0x3Cu8; 54];
+    bench("mac_chain_54", 500_000, 54, || {
+        std::hint::black_box(chain.advance(std::hint::black_box(&link)));
+    });
+    let mut journal = Journal::new(
+        Key128::from_bytes([6; 16]),
+        1,
+        GroupCommitPolicy::batched(32, 0),
+    );
+    let body = [0x33u8; 200];
+    let mut appended = 0u64;
+    bench("journal_append_200", 100_000, 200, || {
+        appended += 1;
+        journal.append(1, std::hint::black_box(&body), appended);
+        if appended.is_multiple_of(32) {
+            std::hint::black_box(journal.flush());
+        }
     });
     for len in [64usize, 1024, 16_384] {
         let data = vec![0xA5u8; len];

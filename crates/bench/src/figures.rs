@@ -802,7 +802,7 @@ fn trajectory() -> Figure {
         csv: "trajectory",
         header: "fig,label,system,throughput_ops,p50_ns,p95_ns,p99_ns,client_cpu_ns,\
                  server_critical_ns,server_overhead_ns,enclave_ns,network_ns,total_ns,\
-                 epc_pages,epc_faults,ops",
+                 epc_pages,epc_faults,ops,allocs_per_op,alloc_bytes_per_op",
         reps: Reps::Mean(1),
         rows,
         lines: |ms| ms.iter().map(trajectory_line).collect(),
@@ -866,8 +866,10 @@ fn catchup() -> Vec<f64> {
     vec![pending / ticks, ticks, pending, in_catchup, lag]
 }
 
-// `throughput_ops` prints as `Debug`, whose shortest round-trip digits keep a
-// `.0` on a whole number.
+// `throughput_ops` and the allocations per op print as `Debug`, whose
+// shortest round-trip digits keep a `.0` on a whole number. Allocation
+// counts are exact, so the gate holds them byte for byte like the virtual
+// times; the catch-up row measures no driver window and counts none.
 fn trajectory_line(m: &Measured) -> String {
     let Some(w) = m.windows.first() else {
         let [throughput, ticks, pending, ..] = m.direct[..] else {
@@ -876,7 +878,7 @@ fn trajectory_line(m: &Measured) -> String {
         // Every percentile is the ticks to drain; stages, total and EPC are 0.
         let (ticks, pending) = (ticks as u64, pending as u64);
         let zeros = "0,".repeat(Stage::ALL.len() + 3);
-        let cells = format!("{throughput:?},{ticks},{ticks},{ticks},{zeros}{pending}");
+        let cells = format!("{throughput:?},{ticks},{ticks},{ticks},{zeros}{pending},-,-");
         return format!("{},{cells}", m.label);
     };
     let (r, label) = (&w.run, &m.label);
@@ -884,7 +886,11 @@ fn trajectory_line(m: &Measured) -> String {
     let stages = Stage::ALL.map(|s| r.stages.mean(s).0.to_string()).join(",");
     let (throughput, total, epc) = (r.throughput_ops, r.stages.mean_total().0, &r.epc);
     let (pages, faults, ops) = (epc.working_set_pages, epc.epc_faults, r.ops);
-    format!("{label},{throughput:?},{p50},{p95},{p99},{stages},{total},{pages},{faults},{ops}")
+    let (allocs, bytes) = w.allocs_per_op();
+    format!(
+        "{label},{throughput:?},{p50},{p95},{p99},{stages},{total},{pages},{faults},{ops},\
+         {allocs:?},{bytes:?}"
+    )
 }
 
 #[cfg(test)]

@@ -17,6 +17,7 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use precursor_obs::MetricsRegistry;
@@ -125,12 +126,34 @@ impl Row {
     }
 }
 
+// Heap allocations (reallocations included) and the bytes they asked for,
+// as the process's counting allocator reports them: zero unless one is
+// installed, as the `figures` bench installs one.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Counts one heap allocation (or reallocation) of `bytes`: the call a
+/// counting global allocator makes on every one, so that each driver window
+/// records the allocations it made. The runner is single-threaded, so a
+/// window's counts are its own.
+pub fn note_allocation(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
+
+fn allocations() -> (u64, u64) {
+    let count = ALLOCATIONS.load(Ordering::Relaxed);
+    (count, ALLOCATED_BYTES.load(Ordering::Relaxed))
+}
+
 /// One measured driver window.
 pub(crate) struct Window {
     /// What the driver measured.
     pub run: RunResult,
     /// Host wall-clock time of the measurement.
     pub wall: Duration,
+    /// Heap allocations the measurement made, and the bytes they asked for.
+    pub allocs: (u64, u64),
     /// The session's metrics just before the window.
     pub before: MetricsRegistry,
     /// The session's metrics just after the window.
@@ -141,16 +164,26 @@ impl Window {
     /// Measures one window of `spec` on `session`.
     pub fn measure(s: &mut BenchSession, spec: &WorkloadSpec, clients: usize, ops: u64) -> Window {
         let before = s.metrics();
+        let (count, bytes) = allocations();
         let start = Instant::now();
         let run = s.measure(spec, clients, ops);
         let wall = start.elapsed();
+        let (count_after, bytes_after) = allocations();
         let after = s.metrics();
         Window {
             run,
             wall,
+            allocs: (count_after - count, bytes_after - bytes),
             before,
             after,
         }
+    }
+
+    /// Heap allocations, and bytes allocated, per operation.
+    pub fn allocs_per_op(&self) -> (f64, f64) {
+        let (count, bytes) = self.allocs;
+        let ops = self.run.ops as f64;
+        (count as f64 / ops, bytes as f64 / ops)
     }
 
     /// How much counter `name` grew over the window.

@@ -140,8 +140,10 @@ pub enum Transport {
 ///   [`poll`](Self::poll) runs one server sweep and returns how many
 ///   requests it processed; [`poll_replies`](Self::poll_replies) drains the
 ///   client's reply ring/socket.
-/// * [`take_reports`](Self::take_reports) yields exactly one
+/// * [`take_reports_into`](Self::take_reports_into) yields exactly one
 ///   [`KvOpReport`] per processed request, in processing order.
+/// * Completions and reports are appended to buffers the caller owns, so a
+///   driver that keeps them allocates nothing per op to collect them.
 /// * Meters are cumulative until taken: the driver brackets each op with
 ///   [`take_client_meter`](Self::take_client_meter) calls.
 pub trait TrustedKv {
@@ -175,15 +177,30 @@ pub trait TrustedKv {
     /// Drains `client`'s pending replies; returns how many arrived.
     fn poll_replies(&mut self, client: usize) -> usize;
 
-    /// Takes `client`'s finished operations accumulated since the last
-    /// call.
-    fn take_completed(&mut self, client: usize) -> Vec<KvCompleted>;
+    /// Moves `client`'s finished operations accumulated since the last
+    /// call to the end of `out`.
+    fn take_completed_into(&mut self, client: usize, out: &mut Vec<KvCompleted>);
+
+    /// [`take_completed_into`](Self::take_completed_into) a new `Vec`.
+    fn take_completed(&mut self, client: usize) -> Vec<KvCompleted> {
+        let mut out = Vec::new();
+        self.take_completed_into(client, &mut out);
+        out
+    }
 
     /// Takes and resets `client`'s accumulated cost meter.
     fn take_client_meter(&mut self, client: usize) -> Meter;
 
-    /// Takes the per-op server reports accumulated since the last call.
-    fn take_reports(&mut self) -> Vec<KvOpReport>;
+    /// Moves the per-op server reports accumulated since the last call to
+    /// the end of `out`.
+    fn take_reports_into(&mut self, out: &mut Vec<KvOpReport>);
+
+    /// [`take_reports_into`](Self::take_reports_into) a new `Vec`.
+    fn take_reports(&mut self) -> Vec<KvOpReport> {
+        let mut out = Vec::new();
+        self.take_reports_into(&mut out);
+        out
+    }
 
     /// Enclave performance report (working set, faults).
     fn sgx_report(&self) -> SgxPerfReport;
@@ -430,37 +447,32 @@ impl TrustedKv for PrecursorBackend {
         self.clients[client].poll_all_replies()
     }
 
-    fn take_completed(&mut self, client: usize) -> Vec<KvCompleted> {
+    fn take_completed_into(&mut self, client: usize, out: &mut Vec<KvCompleted>) {
         let session = &mut self.clients[client];
         let mut hints = Vec::new();
-        let done = session
-            .drain_completed()
-            .map(|(_node, c)| {
-                hints.extend(c.redirect);
-                KvCompleted {
-                    oid: c.oid,
-                    op: c.opcode.into(),
-                    status: c.status.into(),
-                    value: c.value,
-                }
-            })
-            .collect();
+        out.extend(session.drain_completed().map(|(_node, c)| {
+            hints.extend(c.redirect);
+            KvCompleted {
+                oid: c.oid,
+                op: c.opcode.into(),
+                status: c.status.into(),
+                value: c.value,
+            }
+        }));
         // A sealed redirect refreshes the location cache here, so the
         // caller's re-submit routes to the hinted owner.
         for hint in hints {
             session.follow_hint(&self.cluster, hint);
         }
-        done
     }
 
     fn take_client_meter(&mut self, client: usize) -> Meter {
         self.clients[client].take_meter()
     }
 
-    fn take_reports(&mut self) -> Vec<KvOpReport> {
-        let mut reports = Vec::new();
+    fn take_reports_into(&mut self, out: &mut Vec<KvOpReport>) {
         for node in 0..self.cluster.node_count() {
-            reports.extend(
+            out.extend(
                 self.cluster
                     .node_mut(node)
                     .drain_reports()
@@ -475,7 +487,6 @@ impl TrustedKv for PrecursorBackend {
                     }),
             );
         }
-        reports
     }
 
     fn sgx_report(&self) -> SgxPerfReport {

@@ -28,19 +28,19 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use precursor_crypto::chain::MacChain;
-use precursor_crypto::gcm::GcmKey;
+use precursor_crypto::gcm::{GcmKey, TAG_LEN};
 use precursor_crypto::keys::{Key256, Nonce8, Tag};
 use precursor_crypto::{cmac, salsa20};
 use precursor_obs::{MetricsRegistry, Tracer};
 use precursor_rdma::mr::{Memory, RemoteKey};
-use precursor_rdma::qp::QueuePair;
+use precursor_rdma::qp::{QueuePair, WorkCompletion};
 use precursor_sim::meter::Meter;
 use precursor_sim::meter::Stage::ClientCpu;
 use precursor_sim::rng::SimRng;
 use precursor_sim::time::Nanos;
 use precursor_sim::timer::{Backoff, Deadline, VirtualClock};
 use precursor_sim::{CostModel, Event};
-use precursor_storage::ring::{RingConsumer, RingProducer, RingStore};
+use precursor_storage::ring::{RingConsumer, RingProducer, RingStore, RingWrites};
 
 use precursor_sgx::attest::derive_chain_key;
 
@@ -49,7 +49,8 @@ use crate::error::StoreError;
 use crate::server::{cmac_key_of, ClientBundle, PrecursorServer};
 use crate::wire::{
     chain_context, chain_input, payload_reply_nonce, payload_request_nonce, reply_nonce,
-    request_aad, request_nonce, Opcode, ReplyControl, ReplyRef, RequestControl, RequestRef, Status,
+    request_aad, request_nonce, Opcode, ReplyControl, ReplyRef, RequestControl, RequestControlRef,
+    RequestRef, Status,
 };
 
 /// Most reply sequence numbers remembered as "skipped by a gap" and still
@@ -59,6 +60,11 @@ const GAP_TRACK_MAX: usize = 512;
 /// Most `(store_seq, state_digest)` observations kept for cross-client fork
 /// audits ([`fork_audit`]).
 const OBSERVATION_MAX: usize = 256;
+
+/// Most finished operations whose buffers a client keeps for the next ones:
+/// a closed loop's in-flight window reuses them, and a bulk load's burst
+/// is not held on to once it drains.
+const SPARE_MAX: usize = 16;
 
 /// Client-side Byzantine-behaviour counters: everything suspicious the
 /// detection pipeline saw, whether or not it escalated to a quarantine.
@@ -148,29 +154,21 @@ impl CompletedOp {
     }
 }
 
-// What one transmission put on the wire: the exact ring WRITEs issued and
-// the producer position after them. Kept per pending op as the
-// retransmission log.
-#[derive(Debug, Clone)]
-struct TransmitLog {
-    writes: Vec<(usize, Vec<u8>)>,
-    end_written: u64,
-}
-
 // Everything needed to retransmit an un-acknowledged request byte-for-byte:
 // the control data (same oid and, for puts, the same K_operation — the
 // retransmission is indistinguishable from the original), the exact ring
-// WRITEs of the latest transmission, and the retry state.
+// WRITEs of the latest transmission, and the retry state. A finished op's
+// `Pending` is kept and refilled by a later op, buffers and all.
 #[derive(Debug, Clone)]
 struct Pending {
     opcode: Opcode,
     control: RequestControl,
     mac: Tag,
     payload: Vec<u8>,
-    /// `(offset, bytes)` of every one-sided WRITE the latest transmission
-    /// issued (wrap marker included) — re-issued verbatim to fill a hole a
-    /// dropped WRITE left in the remote ring.
-    writes: Vec<(usize, Vec<u8>)>,
+    /// Every one-sided WRITE the latest transmission issued (wrap marker
+    /// included) — re-issued verbatim to fill a hole a dropped WRITE left
+    /// in the remote ring.
+    writes: RingWrites,
     /// Producer position after the latest transmission; once the credit
     /// word reaches it the server provably consumed the request.
     end_written: u64,
@@ -180,14 +178,17 @@ struct Pending {
 }
 
 // The buffers a request is built in — control plaintext, sealed control,
-// framed record — and the reply record popped for verification: kept by
-// the client and reused, so the op path allocates only what it keeps.
+// framed record — the reply record popped for verification and its
+// control opened in place, and the completions a signaled WRITE reaps:
+// kept by the client and reused, so the op path allocates only the value
+// a get hands back.
 #[derive(Debug, Default)]
 struct Buffers {
     control: Vec<u8>,
     sealed: Vec<u8>,
     frame: Vec<u8>,
     record: Vec<u8>,
+    completions: Vec<WorkCompletion>,
 }
 
 /// A connected Precursor client.
@@ -218,6 +219,9 @@ pub struct PrecursorClient {
     retry: RetryPolicy,
     retransmits: u64,
     pending: HashMap<u64, Pending>,
+    // Finished operations' `Pending`s (at most `SPARE_MAX`), refilled by
+    // the next ones.
+    spare: Vec<Pending>,
     // Finished operations not yet taken, in `oid` order.
     completed: Vec<CompletedOp>,
     last_sent: Option<(Opcode, Vec<u8>)>,
@@ -312,6 +316,7 @@ impl PrecursorClient {
             retry: RetryPolicy::default(),
             retransmits: 0,
             pending: HashMap::new(),
+            spare: Vec::new(),
             completed: Vec::new(),
             last_sent: None,
             buffers: Buffers::default(),
@@ -463,59 +468,42 @@ impl PrecursorClient {
     /// [`StoreError::Rdma`] if the connection was revoked.
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<u64, StoreError> {
         self.ensure_healthy()?;
-        self.oid += 1;
-        let oid = self.oid;
-
-        let (payload, mac, control) = match self.mode {
+        let mut p = self.fresh_pending(Opcode::Put, key);
+        let oid = p.control.oid;
+        p.payload.extend_from_slice(value);
+        match self.mode {
             EncryptionMode::ClientSide => {
                 // K_operation ← KeyGen(); *v ← E(K_operation, v);
                 // mac ← MAC(K_operation, *v)                  (lines 2-4)
                 let k_op = Key256::generate(&mut self.rng);
                 let payload_nonce = Nonce8::generate(&mut self.rng);
-                let mut payload = value.to_vec();
-                salsa20::xor_keystream(&k_op, &payload_nonce, 0, &mut payload);
-                let mac = cmac::mac(&cmac_key_of(&k_op), &payload);
+                salsa20::xor_keystream(&k_op, &payload_nonce, 0, &mut p.payload);
+                p.mac = cmac::mac(&cmac_key_of(&k_op), &p.payload);
+                p.control.k_op = Some(k_op);
+                p.control.payload_nonce = Some(payload_nonce);
                 let (meter, cost, len) = (&mut self.meter, &self.cost, value.len());
                 meter.event(ClientCpu, Event::KeyGen, 1, cost);
                 meter.event(ClientCpu, Event::Salsa20 { len }, 1, cost);
                 meter.event(ClientCpu, Event::Cmac { len }, 1, cost);
                 meter.event(ClientCpu, Event::CryptoBytes { len }, 1, cost);
-                (
-                    payload,
-                    mac,
-                    RequestControl {
-                        oid,
-                        key: key.to_vec(),
-                        k_op: Some(k_op),
-                        payload_nonce: Some(payload_nonce),
-                    },
-                )
             }
             EncryptionMode::ServerSide => {
                 // Conventional scheme: the whole value is transport-encrypted
                 // to the enclave; no client-side one-time key.
-                let payload = self
+                let nonce = payload_request_nonce(oid);
+                let tag = self
                     .session_key
-                    .seal(&payload_request_nonce(oid), &[], value);
+                    .seal_in_place_detached(&nonce, &[], &mut p.payload);
+                p.payload.extend_from_slice(tag.as_bytes());
                 let (meter, cost, len) = (&mut self.meter, &self.cost, value.len());
                 meter.event(ClientCpu, Event::Gcm { len }, 1, cost);
                 meter.event(ClientCpu, Event::CryptoBytes { len }, 1, cost);
-                (
-                    payload,
-                    Tag::default(),
-                    RequestControl {
-                        oid,
-                        key: key.to_vec(),
-                        k_op: None,
-                        payload_nonce: None,
-                    },
-                )
             }
-        };
+        }
         self.obs.inc("client.encrypts", 1);
-        self.trace("encrypt", "ops.put", oid, payload.len() as u64);
+        self.trace("encrypt", "ops.put", oid, p.payload.len() as u64);
 
-        self.send_op(Opcode::Put, control, mac, payload)
+        self.send_op(p)
     }
 
     /// Issues a get. Returns the operation's `oid`; the decrypted, verified
@@ -527,15 +515,8 @@ impl PrecursorClient {
     /// Same classes as [`put`](Self::put).
     pub fn get(&mut self, key: &[u8]) -> Result<u64, StoreError> {
         self.ensure_healthy()?;
-        self.oid += 1;
-        let oid = self.oid;
-        let control = RequestControl {
-            oid,
-            key: key.to_vec(),
-            k_op: None,
-            payload_nonce: None,
-        };
-        self.send_op(Opcode::Get, control, Tag::default(), Vec::new())
+        let p = self.fresh_pending(Opcode::Get, key);
+        self.send_op(p)
     }
 
     /// Issues a delete. Returns the operation's `oid`.
@@ -545,31 +526,74 @@ impl PrecursorClient {
     /// Same classes as [`put`](Self::put).
     pub fn delete(&mut self, key: &[u8]) -> Result<u64, StoreError> {
         self.ensure_healthy()?;
+        let p = self.fresh_pending(Opcode::Delete, key);
+        self.send_op(p)
+    }
+
+    // The next operation's `Pending`, in a finished one's buffers when
+    // there is one: the next oid, `key`, no payload, MAC or one-time key,
+    // and the retry state armed from now.
+    fn fresh_pending(&mut self, opcode: Opcode, key: &[u8]) -> Pending {
         self.oid += 1;
-        let oid = self.oid;
-        let control = RequestControl {
-            oid,
-            key: key.to_vec(),
-            k_op: None,
-            payload_nonce: None,
+        let retry = &self.retry;
+        let deadline = Deadline::after(&self.clock, retry.per_try_timeout);
+        let expires = Deadline::after(&self.clock, retry.overall_timeout);
+        let backoff = Backoff::new(
+            retry.backoff_base,
+            retry.backoff_cap,
+            retry.jitter,
+            retry.max_attempts,
+        );
+        let mut p = match self.spare.pop() {
+            Some(mut p) => {
+                (p.deadline, p.expires, p.backoff) = (deadline, expires, backoff);
+                p
+            }
+            None => Pending {
+                opcode,
+                control: RequestControl {
+                    oid: 0,
+                    key: Vec::new(),
+                    k_op: None,
+                    payload_nonce: None,
+                },
+                mac: Tag::default(),
+                payload: Vec::new(),
+                writes: RingWrites::default(),
+                end_written: 0,
+                deadline,
+                expires,
+                backoff,
+            },
         };
-        self.send_op(Opcode::Delete, control, Tag::default(), Vec::new())
+        p.opcode = opcode;
+        p.control.oid = self.oid;
+        p.control.key.clear();
+        p.control.key.extend_from_slice(key);
+        p.control.k_op = None;
+        p.control.payload_nonce = None;
+        p.mac = Tag::default();
+        p.payload.clear();
+        p
+    }
+
+    // Keeps a finished operation's buffers for a later one.
+    fn recycle(&mut self, p: Pending) {
+        if self.spare.len() < SPARE_MAX {
+            if self.spare.capacity() == 0 {
+                // One op in flight is the common window: room for one.
+                self.spare.reserve_exact(1);
+            }
+            self.spare.push(p);
+        }
     }
 
     // First transmission of a new operation: send, then arm the retry state.
-    fn send_op(
-        &mut self,
-        opcode: Opcode,
-        control: RequestControl,
-        mac: Tag,
-        payload: Vec<u8>,
-    ) -> Result<u64, StoreError> {
-        let oid = control.oid;
-        let TransmitLog {
-            writes,
-            end_written,
-        } = match self.transmit(opcode, &control, &mac, &payload) {
-            Ok(t) => t,
+    fn send_op(&mut self, mut p: Pending) -> Result<u64, StoreError> {
+        let oid = p.control.oid;
+        let control = p.control.as_ref();
+        match self.transmit(p.opcode, control, &p.mac, &p.payload, &mut p.writes) {
+            Ok(end_written) => p.end_written = end_written,
             Err(e) => {
                 // Roll the oid back so the caller can retry the same
                 // operation: on RingFull nothing was sent, and on a QP error
@@ -577,53 +601,39 @@ impl PrecursorClient {
                 // this oid. Burning it would desynchronise the expected-oid
                 // window permanently.
                 self.oid -= 1;
+                self.recycle(p);
                 return Err(e);
             }
-        };
+        }
         // The last sent key, for replaying a frame whose op is done: its
         // buffer is reused from op to op.
-        let (last_op, last_key) = self.last_sent.get_or_insert_with(|| (opcode, Vec::new()));
-        *last_op = opcode;
+        let (last_op, last_key) = self.last_sent.get_or_insert_with(|| (p.opcode, Vec::new()));
+        *last_op = p.opcode;
         last_key.clear();
-        last_key.extend_from_slice(&control.key);
-        self.pending.insert(
-            oid,
-            Pending {
-                opcode,
-                control,
-                mac,
-                payload,
-                writes,
-                end_written,
-                deadline: Deadline::after(&self.clock, self.retry.per_try_timeout),
-                expires: Deadline::after(&self.clock, self.retry.overall_timeout),
-                backoff: Backoff::new(
-                    self.retry.backoff_base,
-                    self.retry.backoff_cap,
-                    self.retry.jitter,
-                    self.retry.max_attempts,
-                ),
-            },
-        );
+        last_key.extend_from_slice(&p.control.key);
+        self.pending.insert(oid, p);
         Ok(oid)
     }
 
     // Seals, frames and WRITEs one request into the server-side ring,
-    // returning the [`TransmitLog`] of exactly what went on the wire.
-    // Sealing is deterministic per (session key, oid), so a retransmitted
-    // frame is byte-identical to the original.
+    // refilling `writes` with exactly what went on the wire and returning
+    // the producer position after it. Sealing is deterministic per
+    // (session key, oid), so a retransmitted frame is byte-identical to the
+    // original.
     fn transmit(
         &mut self,
         opcode: Opcode,
-        control: &RequestControl,
+        control: RequestControlRef<'_>,
         mac: &Tag,
         payload: &[u8],
-    ) -> Result<TransmitLog, StoreError> {
+        writes: &mut RingWrites,
+    ) -> Result<u64, StoreError> {
         let iv = request_nonce(control.oid);
         let Buffers {
             control: plain,
             sealed,
             frame,
+            completions,
             ..
         } = &mut self.buffers;
         control.encode_into(plain);
@@ -656,21 +666,17 @@ impl PrecursorClient {
         if signaled {
             self.posts_since_signal = 0;
         }
-        let qp = &mut self.qp;
-        let rkey = self.request_rkey;
+        let pushed = self.request_producer.push_with(frame, writes);
         let mut rdma_err = None;
-        let mut writes = Vec::with_capacity(2);
-        let pushed = self
-            .request_producer
-            .push_with(&self.buffers.frame, |off, chunk| {
-                if let Err(e) = qp.post_write(rkey, off, &chunk, signaled) {
-                    rdma_err = Some(e);
-                }
-                writes.push((off, chunk));
-            });
+        for (off, chunk) in writes.iter() {
+            if let Err(e) = self.qp.post_write(self.request_rkey, off, chunk, signaled) {
+                rdma_err = Some(e);
+            }
+        }
         if signaled {
             // Reap the batch's single completion (amortized cost).
-            let _ = qp.poll_cq(1);
+            completions.clear();
+            self.qp.poll_cq_into(1, completions);
             self.meter.event(ClientCpu, Event::RdmaPoll, 1, &self.cost);
         }
         if let Some(e) = rdma_err {
@@ -685,10 +691,7 @@ impl PrecursorClient {
         meter.event(ClientCpu, Event::Tx { len: frame_len }, 1, cost);
         self.obs.inc("client.rdma_writes", 1);
         self.trace("rdma", "write", control.oid, frame_len as u64);
-        Ok(TransmitLog {
-            writes,
-            end_written: self.request_producer.written(),
-        })
+        Ok(self.request_producer.written())
     }
 
     /// Advances this client's virtual clock and retransmits every operation
@@ -739,12 +742,9 @@ impl PrecursorClient {
                 // Push a fresh copy of the same request: the server's
                 // at-most-once window re-acknowledges it without
                 // re-executing.
-                match self.transmit(p.opcode, &p.control, &p.mac, &p.payload) {
-                    Ok(TransmitLog {
-                        writes,
-                        end_written,
-                    }) => {
-                        p.writes = writes;
+                let control = p.control.as_ref();
+                match self.transmit(p.opcode, control, &p.mac, &p.payload, &mut p.writes) {
+                    Ok(end_written) => {
                         p.end_written = end_written;
                         Ok(())
                     }
@@ -759,11 +759,11 @@ impl PrecursorClient {
                 // identical WRITEs at the identical offsets — one-sided
                 // WRITEs are idempotent.
                 let (mut writes, mut err) = (0, None);
-                for (off, bytes) in &p.writes {
+                for (off, bytes) in p.writes.iter() {
                     writes += 1;
                     let (meter, len) = (&mut self.meter, bytes.len());
                     meter.event(ClientCpu, Event::Tx { len }, 1, &self.cost);
-                    if let Err(e) = self.qp.post_write(self.request_rkey, *off, bytes, false) {
+                    if let Err(e) = self.qp.post_write(self.request_rkey, off, bytes, false) {
                         err = Some(e);
                         break;
                     }
@@ -806,6 +806,7 @@ impl PrecursorClient {
             error: Some(error),
             redirect: None,
         });
+        self.recycle(p);
     }
 
     // Files a finished operation in `oid` order (replies arrive in order,
@@ -879,12 +880,9 @@ impl PrecursorClient {
         let reissued = oids.len();
         for oid in oids {
             let mut p = self.pending.remove(&oid).expect("pending");
-            match self.transmit(p.opcode, &p.control, &p.mac, &p.payload) {
-                Ok(TransmitLog {
-                    writes,
-                    end_written,
-                }) => {
-                    p.writes = writes;
+            let control = p.control.as_ref();
+            match self.transmit(p.opcode, control, &p.mac, &p.payload, &mut p.writes) {
+                Ok(end_written) => {
                     p.end_written = end_written;
                 }
                 Err(StoreError::RingFull) => {
@@ -967,13 +965,22 @@ impl PrecursorClient {
 
         let (meter, len) = (&mut self.meter, frame.sealed_control.len());
         meter.event(ClientCpu, Event::Gcm { len }, 1, &self.cost);
-        let Ok(control_bytes) = self
-            .session_key
-            .open(&reply_nonce(seq), &[], frame.sealed_control)
-        else {
+        // Opened in place in the reused control buffer.
+        let Some(ct_len) = frame.sealed_control.len().checked_sub(TAG_LEN) else {
             return;
         };
-        let Ok(control) = ReplyControl::decode(&control_bytes) else {
+        let (ct, tag) = frame.sealed_control.split_at(ct_len);
+        let plain = &mut self.buffers.control;
+        plain.clear();
+        plain.extend_from_slice(ct);
+        if self
+            .session_key
+            .open_in_place_detached(&reply_nonce(seq), &[], plain, tag)
+            .is_err()
+        {
+            return;
+        }
+        let Ok(control) = ReplyControl::decode(plain) else {
             return;
         };
 
@@ -1132,6 +1139,7 @@ impl PrecursorClient {
 
         self.trace("verify", "complete", oid, completed.status as u64);
         self.complete(completed);
+        self.recycle(pending);
     }
 
     /// Takes the completed result for `oid`, if its reply has arrived.
@@ -1294,13 +1302,13 @@ impl PrecursorClient {
         .encode_into(&mut bytes);
         let credits = self.credit_word.read_u64(0);
         self.request_producer.update_credits(credits);
-        let qp = &mut self.qp;
-        let rkey = self.request_rkey;
+        let mut writes = RingWrites::default();
         self.request_producer
-            .push_with(&bytes, |off, chunk| {
-                let _ = qp.post_write(rkey, off, &chunk, false);
-            })
+            .push_with(&bytes, &mut writes)
             .ok_or(StoreError::RingFull)?;
+        for (off, chunk) in writes.iter() {
+            let _ = self.qp.post_write(self.request_rkey, off, chunk, false);
+        }
         Ok(())
     }
 }

@@ -37,6 +37,7 @@ use precursor_rdma::plock;
 use precursor_sgx::counters::MonotonicCounter;
 use precursor_sgx::sealing;
 use precursor_sim::{CostModel, Event, Meter, Stage};
+use precursor_storage::ring::RingWrites;
 use precursor_storage::robinhood::stable_key_hash;
 
 use crate::config::Config;
@@ -62,7 +63,7 @@ const KIND_INSTALL: u8 = 5;
 struct GatedReply {
     idx: usize,
     seq: u64,
-    writes: Vec<(usize, Vec<u8>)>,
+    writes: RingWrites,
 }
 
 // Durability-stage state: the journal plus the commit/gate bookkeeping.
@@ -75,6 +76,10 @@ pub(super) struct Durability {
     // sequence numbers. Pruned as commits advance; empty with no fan-out.
     flush_marks: VecDeque<(u64, u64)>,
     gated: VecDeque<GatedReply>,
+    // The buffers of released replies, refilled by the next gated ones.
+    spare: Vec<RingWrites>,
+    // The body of the record being appended.
+    body: Vec<u8>,
     // A damaged flush wedged the journal: the modelled process died
     // mid-write. Replies gated at that point are never released (their
     // clients time out), and nothing further is appended — recovery is the
@@ -141,6 +146,8 @@ impl PrecursorServer {
             committed_seq: 0,
             flush_marks: VecDeque::new(),
             gated: VecDeque::new(),
+            spare: Vec::new(),
+            body: Vec::new(),
             failed: false,
             fanout: 0,
         });
@@ -286,28 +293,32 @@ impl PrecursorServer {
         oid: u64,
         meter: &mut Meter,
     ) {
-        if self.durability.is_none() || status != Status::Ok {
+        if status != Status::Ok || opcode == Opcode::Get {
             return;
         }
-        match opcode {
+        let Some(d) = self.durability.as_mut() else {
+            return;
+        };
+        // Encoded into the journal's reused body buffer.
+        let mut body = std::mem::take(&mut d.body);
+        body.clear();
+        let ev = self.store.evidence();
+        let kind = match opcode {
             Opcode::Put => {
-                let entry = self.export_entry(key).expect("applied put leaves an entry");
-                let body = encode_put(
-                    idx as u32,
-                    oid,
-                    self.store.storage_seq,
-                    self.store.evidence(),
-                    &entry,
-                );
-                self.journal_append(KIND_PUT, &body);
-                self.charge_journal_record(body.len(), meter);
+                encode_put_head(&mut body, idx as u32, oid, self.store.storage_seq, ev);
+                self.encode_entry(key, &mut body)
+                    .expect("applied put leaves an entry");
+                KIND_PUT
             }
-            Opcode::Delete => {
-                let body = encode_delete(idx as u32, oid, self.store.evidence(), key);
-                self.journal_append(KIND_DELETE, &body);
-                self.charge_journal_record(body.len(), meter);
+            _ => {
+                encode_delete(&mut body, idx as u32, oid, ev, key);
+                KIND_DELETE
             }
-            Opcode::Get => {}
+        };
+        self.journal_append(kind, &body);
+        self.charge_journal_record(body.len(), meter);
+        if let Some(d) = self.durability.as_mut() {
+            d.body = body;
         }
     }
 
@@ -422,7 +433,7 @@ impl PrecursorServer {
     // gate when the journal has uncommitted records (or earlier replies
     // are already held — per-client WRITE order must be preserved). With
     // no journal attached this is exactly the ungated post loop.
-    pub(super) fn post_or_gate(&mut self, idx: usize, writes: &[(usize, Vec<u8>)]) {
+    pub(super) fn post_or_gate(&mut self, idx: usize, writes: &RingWrites) {
         if writes.is_empty() {
             return;
         }
@@ -433,14 +444,19 @@ impl PrecursorServer {
         if gate {
             let d = self.durability.as_mut().expect("gate implies durability");
             let seq = d.journal.last_seq();
-            let writes = writes.to_vec();
-            d.gated.push_back(GatedReply { idx, seq, writes });
+            let mut held = d.spare.pop().unwrap_or_default();
+            held.clone_from(writes);
+            d.gated.push_back(GatedReply {
+                idx,
+                seq,
+                writes: held,
+            });
             return;
         }
         let port = self.ingress.ports[idx].as_mut().expect("live port");
         let rkey = port.reply_ring_rkey;
-        for (off, chunk) in writes {
-            let _ = port.qp.post_write(rkey, *off, chunk, false);
+        for (off, chunk) in writes.iter() {
+            let _ = port.qp.post_write(rkey, off, chunk, false);
         }
     }
 
@@ -464,9 +480,12 @@ impl PrecursorServer {
             // the WRITEs — the client is gone.
             if let Some(Some(port)) = self.ingress.ports.get_mut(g.idx) {
                 let rkey = port.reply_ring_rkey;
-                for (off, chunk) in &g.writes {
-                    let _ = port.qp.post_write(rkey, *off, chunk, false);
+                for (off, chunk) in g.writes.iter() {
+                    let _ = port.qp.post_write(rkey, off, chunk, false);
                 }
+            }
+            if let Some(d) = self.durability.as_mut() {
+                d.spare.push(g.writes);
             }
         }
     }
@@ -747,20 +766,19 @@ fn decode_evidence(buf: &[u8], pos: &mut usize) -> Result<StoreEvidence, StoreEr
     })
 }
 
-fn encode_put(
+// A `Put` record's body up to its entry, which follows in the snapshot
+// entry codec.
+fn encode_put_head(
+    out: &mut Vec<u8>,
     client_id: u32,
     oid: u64,
     storage_seq: u64,
     ev: StoreEvidence,
-    entry: &SnapshotEntry,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(48 + entry.key.len() + entry.stored_bytes.len() + 64);
+) {
     out.extend_from_slice(&client_id.to_le_bytes());
     out.extend_from_slice(&oid.to_le_bytes());
     out.extend_from_slice(&storage_seq.to_le_bytes());
-    encode_evidence(&mut out, &ev);
-    entry.encode_into(&mut out);
-    out
+    encode_evidence(out, &ev);
 }
 
 type PutRecord = (u32, u64, u64, StoreEvidence, SnapshotEntry);
@@ -778,14 +796,12 @@ fn decode_put(body: &[u8]) -> Result<PutRecord, StoreError> {
     Ok((client_id, oid, storage_seq, ev, entry))
 }
 
-fn encode_delete(client_id: u32, oid: u64, ev: StoreEvidence, key: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(38 + key.len());
+fn encode_delete(out: &mut Vec<u8>, client_id: u32, oid: u64, ev: StoreEvidence, key: &[u8]) {
     out.extend_from_slice(&client_id.to_le_bytes());
     out.extend_from_slice(&oid.to_le_bytes());
-    encode_evidence(&mut out, &ev);
+    encode_evidence(out, &ev);
     out.extend_from_slice(&(key.len() as u16).to_le_bytes());
     out.extend_from_slice(key);
-    out
 }
 
 fn decode_delete(body: &[u8]) -> Result<(u32, u64, StoreEvidence, Vec<u8>), StoreError> {

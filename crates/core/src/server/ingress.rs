@@ -15,7 +15,7 @@ use precursor_rdma::mr::{Memory, RemoteKey, WriteBoard};
 use precursor_rdma::qp::{connect_pair, connect_pair_faulty, QueuePair};
 use precursor_sim::meter::{Meter, Stage};
 use precursor_sim::Event;
-use precursor_storage::ring::{framed_payload, RingConsumer, RingProducer, RingStore};
+use precursor_storage::ring::{framed_payload, RingConsumer, RingProducer, RingStore, RingWrites};
 
 use super::pipeline::SweepScratch;
 use super::{ClientBundle, OpReport, PrecursorServer};
@@ -30,12 +30,12 @@ pub(super) struct ClientPort {
     pub(super) reply_ring_rkey: RemoteKey,
     pub(super) credit_rkey: RemoteKey,
     pub(super) reply_credit: Memory,
-    /// `(offset, bytes)` of the WRITEs that carried the last executed
-    /// operation's reply — the one remembered copy of it: an optional wrap
-    /// marker, then the framed record. Re-issued verbatim when that
-    /// operation is retransmitted, so a reply lost in flight (a hole the
-    /// client's ring consumer is parked on) gets filled idempotently.
-    pub(super) last_reply: Vec<(usize, Vec<u8>)>,
+    /// The WRITEs that carried the last executed operation's reply — the
+    /// one remembered copy of it: an optional wrap marker, then the framed
+    /// record. Re-issued verbatim when that operation is retransmitted, so
+    /// a reply lost in flight (a hole the client's ring consumer is parked
+    /// on) gets filled idempotently.
+    pub(super) last_reply: RingWrites,
     /// The producer's absolute position after the remembered reply was
     /// pushed. When the client has already consumed past that position (a
     /// Byzantine host substituted the record, which the consumer then
@@ -117,7 +117,7 @@ impl PrecursorServer {
             reply_ring_rkey,
             credit_rkey,
             reply_credit,
-            last_reply: Vec::new(),
+            last_reply: RingWrites::default(),
             last_reply_end: 0,
             last_credit: 0,
         };
@@ -171,23 +171,22 @@ impl PrecursorServer {
 
     // Posts a freshly sealed reply's ring WRITEs — the one reply-emit
     // path: every record is posted as it is sealed. `bytes` is the encoded
-    // reply frame.
+    // reply frame; `writes` is the buffer its WRITEs are built in (swapped
+    // with the port's remembered reply when it is kept).
     pub(super) fn emit_fresh(
         &mut self,
         idx: usize,
         bytes: &[u8],
         remember: bool,
         meter: &mut Meter,
+        writes: &mut RingWrites,
     ) {
         // Push into the producer first, collecting the ring WRITEs
         // the honest host would post ...
-        let (writes, end, pushed) = {
+        let (end, pushed) = {
             let port = self.ingress.ports[idx].as_mut().expect("live port");
-            let mut writes = Vec::with_capacity(2);
-            let pushed = port
-                .reply_producer
-                .push_with(bytes, |off, chunk| writes.push((off, chunk)));
-            (writes, port.reply_producer.written(), pushed.is_some())
+            let pushed = port.reply_producer.push_with(bytes, writes);
+            (port.reply_producer.written(), pushed.is_some())
         };
         // ... then let the adversary (when installed) substitute, hold, or
         // duplicate them before they hit the wire. Either way the WRITEs
@@ -196,10 +195,14 @@ impl PrecursorServer {
         // are held until the operation's journal group commits.
         match &mut self.adversary {
             Some(adv) => {
-                let posted = adv.on_reply_record(idx as u32, writes.clone());
+                let honest = writes.iter().map(|(off, b)| (off, b.to_vec())).collect();
+                let mut posted = RingWrites::default();
+                for (off, b) in adv.on_reply_record(idx as u32, honest) {
+                    posted.push(off, &b);
+                }
                 self.post_or_gate(idx, &posted);
             }
-            None => self.post_or_gate(idx, &writes),
+            None => self.post_or_gate(idx, writes),
         }
         // Metered on the honest `writes`, so cost accounting is identical
         // with and without an adversary.
@@ -211,7 +214,7 @@ impl PrecursorServer {
             // retransmits bypass the adversary by design, so a
             // wronged client can always recover the real reply.
             let port = self.ingress.ports[idx].as_mut().expect("live port");
-            port.last_reply = writes;
+            std::mem::swap(&mut port.last_reply, writes);
             port.last_reply_end = end;
         }
         if !pushed {
@@ -245,20 +248,18 @@ impl PrecursorServer {
             // fresh one instead — same `reply_seq`, so the client dedups
             // or late-accepts it.
             port.reply_producer.update_credits(consumed);
-            let (_, framed) = writes.pop().expect("a remembered reply ends in its record");
-            writes.clear();
-            let _ = port
-                .reply_producer
-                .push_with(framed_payload(&framed), |off, chunk| {
-                    writes.push((off, chunk))
-                });
+            let (_, framed) = writes
+                .last()
+                .expect("a remembered reply ends in its record");
+            let record = framed_payload(framed).to_vec();
+            let _ = port.reply_producer.push_with(&record, &mut writes);
             port.last_reply_end = port.reply_producer.written();
         }
         // Otherwise the last reply's WRITEs are re-issued verbatim: that
         // fills any hole a dropped reply WRITE left in the client's reply
         // ring, without consuming a new reply sequence number.
         self.charge_posts(writes.len(), meter);
-        let len = writes.iter().map(|(_, c)| c.len()).sum();
+        let len = writes.byte_len();
         meter.event(Stage::ServerCritical, Event::Tx { len }, 1, &self.cost);
         self.post_or_gate(idx, &writes);
         let port = self.ingress.ports[idx].as_mut().expect("live port");

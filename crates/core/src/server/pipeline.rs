@@ -7,12 +7,16 @@
 //! it is what decides a popped record's path through the later stages
 //! ([`Validated`]).
 
+use std::ops::Range;
+
+use precursor_crypto::gcm::TAG_LEN;
 use precursor_sim::meter::{Meter, Stage};
 use precursor_sim::{Event, Occupancy};
+use precursor_storage::ring::RingWrites;
 use precursor_storage::robinhood::{shard_of_hash, stable_key_hash};
 
 use crate::config::EncryptionMode;
-use crate::wire::{request_aad, Opcode, RequestControl, RequestRef, Status};
+use crate::wire::{request_aad, Opcode, RequestControlRef, RequestRef, Status};
 
 use precursor_crypto::keys::Tag;
 
@@ -37,10 +41,13 @@ enum Validated<'a> {
     /// window at seal time.
     Retransmit { opcode: Opcode, oid: u64 },
     /// In-window (or an idempotently re-executable read): run against the
-    /// table partition owning the key.
+    /// table partition owning the key. `control` is where the decrypted
+    /// control plaintext sits in the sweep's request bytes, `hash` its
+    /// key's stable hash.
     Execute {
         opcode: Opcode,
-        control: RequestControl,
+        control: Range<usize>,
+        hash: u64,
         frame: RequestRef<'a>,
     },
 }
@@ -71,17 +78,17 @@ enum ActionKind {
 
 // A validated request parked in its owning shard's execution queue
 // (phase B), with the position in the sweep's action list its outcome goes
-// to. The record it came from is gone by then, so the payload is copied
-// out (empty, and never allocated, for a get or delete).
+// to. The record it came from is gone by then, so its control plaintext
+// and payload are in the sweep's request bytes, by range.
 struct ExecItem {
     idx: usize,
     pos: usize,
     meter: Meter,
     opcode: Opcode,
-    control: RequestControl,
+    control: Range<usize>,
     hash: u64,
     mac: Tag,
-    payload: Vec<u8>,
+    payload: Range<usize>,
 }
 
 // A sweep's working memory, kept between sweeps only for its allocations:
@@ -104,9 +111,14 @@ pub(super) struct SweepScratch {
     exec_queues: Vec<Vec<ExecItem>>,
     // The record being validated, popped into the same buffer each time.
     record: Vec<u8>,
-    // The reply being emitted, and what it is sealed in.
-    reply: Vec<u8>,
+    // Every executing request's decrypted control and payload, appended in
+    // phase A and read by range in phase B.
+    requests: Vec<u8>,
+    // The stored values phase B's gets read, by range, for phase C to seal.
+    values: Vec<u8>,
+    // The reply being sealed and emitted, and its ring WRITEs.
     seal: SealBuffers,
+    writes: RingWrites,
 }
 
 impl std::fmt::Debug for SweepScratch {
@@ -234,11 +246,15 @@ impl PrecursorServer {
             actions,
             exec_queues,
             record,
-            reply,
+            requests,
+            values,
             seal: seal_buffers,
+            writes,
         } = scratch;
         visits.clear();
         actions.clear();
+        requests.clear();
+        values.clear();
         exec_queues.resize_with(shards, Vec::new);
         let mut processed = 0usize;
 
@@ -262,8 +278,13 @@ impl PrecursorServer {
                 let mut reply_pending = false;
                 processed += self.drain_ring(idx, record, |server, record| {
                     let mut meter = Meter::new();
-                    let kind = match server.validate_record(idx, record, reply_pending, &mut meter)
-                    {
+                    let kind = match server.validate_record(
+                        idx,
+                        record,
+                        reply_pending,
+                        &mut meter,
+                        requests,
+                    ) {
                         Validated::Reject {
                             status,
                             opcode,
@@ -282,11 +303,9 @@ impl PrecursorServer {
                         Validated::Execute {
                             opcode,
                             control,
+                            hash,
                             frame,
                         } => {
-                            // The key's one hash: it routes the request
-                            // here and places it in the shard's table.
-                            let hash = stable_key_hash(&control.key[..]);
                             let target = shard_of_hash(hash, shards);
                             if target != w {
                                 // Shard-crossing handoff: the popping
@@ -298,6 +317,8 @@ impl PrecursorServer {
                                 meter.event(Stage::Enclave, Event::ShardHandoff, 1, cost);
                             }
                             reply_pending = true;
+                            let payload_at = requests.len();
+                            requests.extend_from_slice(frame.payload);
                             exec_queues[target].push(ExecItem {
                                 idx,
                                 pos: actions.len(),
@@ -306,7 +327,7 @@ impl PrecursorServer {
                                 control,
                                 hash,
                                 mac: frame.mac,
-                                payload: frame.payload.to_vec(),
+                                payload: payload_at..requests.len(),
                             });
                             actions.push(None);
                             return;
@@ -331,11 +352,9 @@ impl PrecursorServer {
                     mac,
                     payload,
                 } = item;
-                let journal_tap = self
-                    .durability
-                    .is_some()
-                    .then(|| (control.key.clone(), control.oid));
-                let op_oid = control.oid;
+                let control =
+                    RequestControlRef::parse(&requests[control]).expect("validated in phase A");
+                let (key, op_oid) = (control.key, control.oid);
                 let exec_result = if let Some(busy) = self.catchup_gate(opcode, op_oid) {
                     Ok(busy)
                 } else if let Some(redirect) = self.routing_gate(hash, op_oid) {
@@ -354,19 +373,18 @@ impl PrecursorServer {
                             opcode,
                             control,
                             hash,
-                            payload: &payload,
+                            payload: &requests[payload],
                             mac,
                             session_key: &self.sessions.list[idx].session_key,
                         },
                         &mut meter,
+                        values,
                     )
                 };
                 let kind = match exec_result {
                     Ok((status, value_len, plan)) => {
                         self.trace("exec", super::op_metric(opcode), idx as u64, status as u64);
-                        if let Some((key, oid)) = &journal_tap {
-                            self.journal_mutation(idx, opcode, status, key, *oid, &mut meter);
-                        }
+                        self.journal_mutation(idx, opcode, status, key, op_oid, &mut meter);
                         ActionKind::Seal {
                             status,
                             opcode,
@@ -414,8 +432,9 @@ impl PrecursorServer {
                         if executed {
                             self.sessions.list[idx].last_status = status;
                         }
-                        self.seal_for(idx, opcode, plan, &mut meter, seal_buffers, reply);
-                        self.emit_fresh(idx, reply, executed, &mut meter);
+                        self.seal_for(idx, opcode, plan, values, &mut meter, seal_buffers);
+                        let reply = &seal_buffers.frame;
+                        self.emit_fresh(idx, reply, executed, &mut meter, writes);
                         (status, opcode, value_len, shard)
                     }
                     ActionKind::Retransmit { opcode, oid } => {
@@ -431,8 +450,9 @@ impl PrecursorServer {
                             // must not run twice: acknowledge from the
                             // cached status.
                             let plan = ReplyPlan::Control { status, oid };
-                            self.seal_for(idx, opcode, plan, &mut meter, seal_buffers, reply);
-                            self.emit_fresh(idx, reply, true, &mut meter);
+                            self.seal_for(idx, opcode, plan, values, &mut meter, seal_buffers);
+                            let reply = &seal_buffers.frame;
+                            self.emit_fresh(idx, reply, true, &mut meter, writes);
                         } else {
                             // Same session: re-issue the stored reply WRITEs
                             // verbatim (fills a reply-ring hole; the client
@@ -458,25 +478,27 @@ impl PrecursorServer {
         processed
     }
 
-    // Seals one [`ReplyPlan`] for client `idx` into `frame` by assembling
-    // the narrow [`SealCtx`] out of disjoint borrows of the stage states.
+    // Seals one [`ReplyPlan`], whose value ranges index `values`, for
+    // client `idx` into `buffers.frame` by assembling the narrow
+    // [`SealCtx`] out of disjoint borrows of the stage states.
     fn seal_for(
         &mut self,
         idx: usize,
         opcode: Opcode,
         plan: ReplyPlan,
+        values: &[u8],
         meter: &mut Meter,
         buffers: &mut SealBuffers,
-        frame: &mut Vec<u8>,
     ) {
         let mut ctx = SealCtx {
             enclave: &mut self.enclave,
             cost: &self.cost,
             evidence: self.store.evidence(),
+            values,
             buffers,
         };
         let session = &mut self.sessions.list[idx];
-        let reply_seq = seal::seal_plan(&mut ctx, session, opcode, plan, meter, frame);
+        let reply_seq = seal::seal_plan(&mut ctx, session, opcode, plan, meter);
         self.trace("seal", super::op_metric(opcode), idx as u64, reply_seq);
     }
 
@@ -500,8 +522,9 @@ impl PrecursorServer {
         record: &'r [u8],
         reply_pending: bool,
         meter: &mut Meter,
+        requests: &mut Vec<u8>,
     ) -> Validated<'r> {
-        let v = self.validate_record_inner(idx, record, reply_pending, meter);
+        let v = self.validate_record_inner(idx, record, reply_pending, meter, requests);
         let (counter, event) = match &v {
             Validated::Reject { .. } => ("server.validate.reject", "reject"),
             Validated::Retransmit { .. } => ("server.validate.retransmit", "retransmit"),
@@ -517,13 +540,16 @@ impl PrecursorServer {
     // the key-addressed table access. The result tells the caller whether
     // to reply straight away ([`Validated::Reject`]), re-issue the stored
     // reply ([`Validated::Retransmit`]), or route the request to the shard
-    // owning its key ([`Validated::Execute`]).
+    // owning its key ([`Validated::Execute`]). The control is decrypted in
+    // place at the end of `requests`, and stays there only when it will
+    // execute.
     fn validate_record_inner<'r>(
         &mut self,
         idx: usize,
         record: &'r [u8],
         reply_pending: bool,
         meter: &mut Meter,
+        requests: &mut Vec<u8>,
     ) -> Validated<'r> {
         let cost = &self.cost;
 
@@ -561,14 +587,26 @@ impl PrecursorServer {
         let len = frame.sealed_control.len();
         meter.event(Stage::Enclave, Event::Gcm { len }, 1, cost);
         let session_key = &self.sessions.list[idx].session_key;
-        let Ok(control_plain) = session_key.open(&frame.iv, &aad, frame.sealed_control) else {
-            return Validated::Reject {
-                status: Status::Error,
-                opcode,
-                oid: 0,
-            };
-        };
-        let Ok(control) = RequestControl::decode(&control_plain) else {
+        let at = requests.len();
+        let parsed = frame
+            .sealed_control
+            .len()
+            .checked_sub(TAG_LEN)
+            .and_then(|ct_len| {
+                let (ct, tag) = frame.sealed_control.split_at(ct_len);
+                requests.extend_from_slice(ct);
+                let plain = &mut requests[at..];
+                session_key
+                    .open_in_place_detached(&frame.iv, &aad, plain, tag)
+                    .ok()?;
+                let control = RequestControlRef::parse(&requests[at..]).ok()?;
+                // The key's one hash: it routes the request to its shard
+                // and places it in the shard's table.
+                Some((control.oid, stable_key_hash(control.key)))
+            });
+        let control = at..requests.len();
+        let Some((oid, hash)) = parsed else {
+            requests.truncate(at);
             return Validated::Reject {
                 status: Status::Error,
                 opcode,
@@ -590,12 +628,13 @@ impl PrecursorServer {
             cost,
         );
         let expected = self.sessions.list[idx].expected_oid;
-        let retransmit = control.oid != 0 && control.oid + 1 == expected;
-        if control.oid != expected && !retransmit {
+        let retransmit = oid != 0 && oid + 1 == expected;
+        if oid != expected && !retransmit {
+            requests.truncate(at);
             return Validated::Reject {
                 status: Status::Replay,
                 opcode,
-                oid: control.oid,
+                oid,
             };
         }
         if retransmit {
@@ -615,18 +654,18 @@ impl PrecursorServer {
                 return Validated::Execute {
                     opcode,
                     control,
+                    hash,
                     frame,
                 };
             }
-            return Validated::Retransmit {
-                opcode,
-                oid: control.oid,
-            };
+            requests.truncate(at);
+            return Validated::Retransmit { opcode, oid };
         }
         self.sessions.list[idx].expected_oid += 1;
         Validated::Execute {
             opcode,
             control,
+            hash,
             frame,
         }
     }

@@ -7,6 +7,8 @@
 //! The stage's inputs are deliberately narrow: one [`SealCtx`], one
 //! [`Session`], and the plan to seal.
 
+use std::ops::Range;
+
 use precursor_sgx::enclave::Enclave;
 use precursor_sim::meter::{Meter, Stage};
 use precursor_sim::{CostModel, Event};
@@ -26,12 +28,15 @@ pub(super) struct StoreEvidence {
     pub(super) state_digest: [u8; 16],
 }
 
-// The buffers one reply is built in — the control plaintext and its sealed
-// form — kept by the sweep and reused for every reply.
+// The buffers one reply is built in — the control plaintext, its sealed
+// form, a server-encryption get's transport-sealed value, and the framed
+// reply record — kept by the sweep and reused for every reply.
 #[derive(Debug, Default)]
 pub(super) struct SealBuffers {
     control: Vec<u8>,
     sealed: Vec<u8>,
+    payload: Vec<u8>,
+    pub(super) frame: Vec<u8>,
 }
 
 // The retry hint a `Status::Busy` reply carries, in simulated nanoseconds.
@@ -39,27 +44,28 @@ const BUSY_RETRY_NS: u64 = 100_000;
 
 // The narrow slice of server state the seal stage borrows per reply: the
 // enclave the control is sealed in, the cost model, the store evidence
-// snapshot, and the reused buffers.
+// snapshot, the value bytes a plan's ranges index, and the reused buffers.
 pub(super) struct SealCtx<'a> {
     pub(super) enclave: &'a mut Enclave,
     pub(super) cost: &'a CostModel,
     pub(super) evidence: StoreEvidence,
+    pub(super) values: &'a [u8],
     pub(super) buffers: &'a mut SealBuffers,
 }
 
-// Seals one [`ReplyPlan`] into `frame` (its ring-record bytes), consuming
-// the client's next reply sequence number — which it returns — and
-// advancing its MAC chain. Must be called in the client's pop order.
+// Seals one [`ReplyPlan`] into `ctx.buffers.frame` (its ring-record bytes),
+// consuming the client's next reply sequence number — which it returns —
+// and advancing its MAC chain. Must be called in the client's pop order.
 pub(super) fn seal_plan(
     ctx: &mut SealCtx<'_>,
     session: &mut Session,
     opcode: Opcode,
     plan: ReplyPlan,
     meter: &mut Meter,
-    frame: &mut Vec<u8>,
 ) -> u64 {
-    let (status, control, payload) = match plan {
-        ReplyPlan::Control { status, oid } => (status, ReplyControl::basic(oid), Vec::new()),
+    let mut payload = Payload::None;
+    let (status, control) = match plan {
+        ReplyPlan::Control { status, oid } => (status, ReplyControl::basic(oid)),
         // A Status::Busy backpressure reply carrying the retry hint.
         ReplyPlan::Busy { oid } => (
             Status::Busy,
@@ -67,7 +73,6 @@ pub(super) fn seal_plan(
                 retry_after_ns: BUSY_RETRY_NS,
                 ..ReplyControl::basic(oid)
             },
-            Vec::new(),
         ),
         // A sealed routing redirect: the owner hint rides the
         // `retry_after_ns` field, which `chain_input` already binds into
@@ -78,24 +83,23 @@ pub(super) fn seal_plan(
                 retry_after_ns: hint,
                 ..ReplyControl::basic(oid)
             },
-            Vec::new(),
         ),
         ReplyPlan::GetHit {
             k_op,
             payload_nonce,
-            payload,
+            payload: value,
             mac,
             oid,
-        } => (
-            Status::Ok,
-            ReplyControl {
+        } => {
+            payload = Payload::Value(value);
+            let control = ReplyControl {
                 k_op: Some(k_op),
                 payload_nonce: Some(payload_nonce),
                 mac: Some(mac),
                 ..ReplyControl::basic(oid)
-            },
-            payload,
-        ),
+            };
+            (Status::Ok, control)
+        }
         ReplyPlan::ServerEncGet { plain, oid } => {
             // The payload transport seal uses the same reply_seq the
             // control reply will consume, so peek it; finish_reply
@@ -103,33 +107,41 @@ pub(super) fn seal_plan(
             let seq = session.reply_seq;
             let len = plain.len();
             meter.event(Stage::Enclave, Event::Gcm { len }, 1, ctx.cost);
-            let transport = session
-                .session_key
-                .seal(&payload_reply_nonce(seq), &[], &plain);
+            let transport = &mut ctx.buffers.payload;
+            transport.clear();
+            let nonce = payload_reply_nonce(seq);
+            let plain = &ctx.values[plain];
+            session.session_key.seal_into(transport, &nonce, &[], plain);
             ctx.enclave
                 .copy_across_boundary(transport.len(), meter, ctx.cost);
-            (Status::Ok, ReplyControl::basic(oid), transport)
+            payload = Payload::Sealed;
+            (Status::Ok, ReplyControl::basic(oid))
         }
     };
-    finish_reply(
-        ctx, session, status, opcode, control, &payload, meter, frame,
-    )
+    finish_reply(ctx, session, status, opcode, control, payload, meter)
+}
+
+// Where a reply's payload bytes are: none, a value the plan read out (a
+// range of the sweep's value bytes), or a value sealed for transport into
+// the seal buffers.
+enum Payload {
+    None,
+    Value(Range<usize>),
+    Sealed,
 }
 
 // Finalizes any reply inside the enclave: stamps the Byzantine-evidence
 // fields (epoch, store seq + digest), advances the per-session reply MAC
 // chain over the canonical bytes, seals the control, and consumes one
 // reply sequence number.
-#[allow(clippy::too_many_arguments)]
 fn finish_reply(
     ctx: &mut SealCtx<'_>,
     session: &mut Session,
     status: Status,
     opcode: Opcode,
     mut control: ReplyControl,
-    payload: &[u8],
+    payload: Payload,
     meter: &mut Meter,
-    frame: &mut Vec<u8>,
 ) -> u64 {
     let seq = session.reply_seq;
     session.reply_seq += 1;
@@ -142,7 +154,14 @@ fn finish_reply(
     let SealBuffers {
         control: plain,
         sealed,
+        payload: transport,
+        frame,
     } = &mut *ctx.buffers;
+    let payload = match payload {
+        Payload::None => &[][..],
+        Payload::Value(value) => &ctx.values[value],
+        Payload::Sealed => &transport[..],
+    };
     control.encode_into(plain);
     meter.event(Stage::Enclave, Event::Gcm { len: plain.len() }, 1, ctx.cost);
     ctx.enclave

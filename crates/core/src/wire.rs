@@ -358,21 +358,30 @@ pub struct RequestControl {
     pub payload_nonce: Option<Nonce8>,
 }
 
-impl RequestControl {
-    /// Serializes the control plaintext.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out);
-        out
-    }
+/// A request control plaintext over borrowed bytes — the one control
+/// codec: [`RequestControl`]'s `encode`/`decode` go through it. A client
+/// encodes from the key it was handed and the enclave parses the plaintext
+/// it decrypted in place, neither copying the key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RequestControlRef<'a> {
+    /// Per-client operation sequence number.
+    pub oid: u64,
+    /// The key item.
+    pub key: &'a [u8],
+    /// One-time payload key (put in client-encryption mode only).
+    pub k_op: Option<Key256>,
+    /// Salsa20 nonce for the payload (put in client-encryption mode only).
+    pub payload_nonce: Option<Nonce8>,
+}
 
+impl<'a> RequestControlRef<'a> {
     /// Replaces the contents of `out` with the control plaintext.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.clear();
         out.reserve(11 + self.key.len() + 40);
         out.extend_from_slice(&self.oid.to_le_bytes());
         out.extend_from_slice(&(self.key.len() as u16).to_le_bytes());
-        out.extend_from_slice(&self.key);
+        out.extend_from_slice(self.key);
         match (&self.k_op, &self.payload_nonce) {
             (Some(k), Some(n)) => {
                 out.push(1);
@@ -388,11 +397,11 @@ impl RequestControl {
     /// # Errors
     ///
     /// [`StoreError::MalformedFrame`] on any structural violation.
-    pub fn decode(buf: &[u8]) -> Result<RequestControl, StoreError> {
+    pub fn parse(buf: &'a [u8]) -> Result<RequestControlRef<'a>, StoreError> {
         let mut r = Reader::new(buf);
         let oid = r.u64()?;
         let key_len = r.u16()? as usize;
-        let key = r.bytes(key_len)?.to_vec();
+        let key = r.bytes(key_len)?;
         let (k_op, payload_nonce) = match r.u8()? {
             0 => (None, None),
             1 => {
@@ -405,11 +414,50 @@ impl RequestControl {
         if !r.is_empty() {
             return Err(StoreError::MalformedFrame);
         }
-        Ok(RequestControl {
+        Ok(RequestControlRef {
             oid,
             key,
             k_op,
             payload_nonce,
+        })
+    }
+}
+
+impl RequestControl {
+    /// The control over its own bytes.
+    pub fn as_ref(&self) -> RequestControlRef<'_> {
+        RequestControlRef {
+            oid: self.oid,
+            key: &self.key,
+            k_op: self.k_op.clone(),
+            payload_nonce: self.payload_nonce,
+        }
+    }
+
+    /// Serializes the control plaintext.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Replaces the contents of `out` with the control plaintext.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        self.as_ref().encode_into(out);
+    }
+
+    /// Parses a control plaintext.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::MalformedFrame`] on any structural violation.
+    pub fn decode(buf: &[u8]) -> Result<RequestControl, StoreError> {
+        let control = RequestControlRef::parse(buf)?;
+        Ok(RequestControl {
+            oid: control.oid,
+            key: control.key.to_vec(),
+            k_op: control.k_op,
+            payload_nonce: control.payload_nonce,
         })
     }
 

@@ -195,6 +195,9 @@ pub struct Aes128 {
     /// The key schedule `w[0..44]`; round `r` uses words `4r..4r + 4`, each
     /// a little-endian state column.
     round_keys: [u32; 44],
+    /// `E(0)`, the zero block encrypted: GCM's hash key and the seed of
+    /// CMAC's subkeys, made while the schedule is.
+    zero: [u8; 16],
     /// Present when the schedule was expanded for, and runs on, AES-NI.
     #[cfg(target_arch = "x86_64")]
     aesni: Option<AesNi>,
@@ -213,8 +216,10 @@ impl Aes128 {
     pub fn new(key: &Key128) -> Aes128 {
         #[cfg(target_arch = "x86_64")]
         if let Some(aesni) = AesNi::detect() {
+            let (round_keys, zero) = aesni.expand(key.as_bytes());
             return Aes128 {
-                round_keys: aesni.expand(key.as_bytes()),
+                round_keys,
+                zero,
                 aesni: Some(aesni),
             };
         }
@@ -224,11 +229,18 @@ impl Aes128 {
     /// The portable kernel, whatever the CPU: the only path off x86-64, and
     /// what the hardware kernel is tested against.
     pub(crate) fn portable(key: &Key128) -> Aes128 {
+        let round_keys = expand_key(key.as_bytes());
         Aes128 {
-            round_keys: expand_key(key.as_bytes()),
+            round_keys,
+            zero: encrypt_block(&round_keys, [0; 16]),
             #[cfg(target_arch = "x86_64")]
             aesni: None,
         }
+    }
+
+    /// `E(0)`: the encryption of the zero block, kept from key expansion.
+    pub(crate) fn zero_block(&self) -> [u8; 16] {
+        self.zero
     }
 
     /// Encrypts one 16-byte block.

@@ -44,7 +44,7 @@ pub fn mac(key: &Key128, msg: &[u8]) -> Tag {
 
 /// [`mac`] on an expanded key.
 pub(crate) fn mac_with(cipher: &Aes128, msg: &[u8]) -> Tag {
-    let k1 = dbl(cipher.encrypt_block([0u8; 16]));
+    let k1 = dbl(cipher.zero_block());
     let k2 = dbl(k1);
     // Every block but the last is chained as it is; the last is XORed with
     // K1 when complete, padded and XORed with K2 otherwise.

@@ -7,19 +7,20 @@
 //!
 //! Two GHASH kernels, chosen once per [`GcmKey`] like its AES kernel. Where
 //! the CPU has PCLMULQDQ, the multiplication by the hash key `H` is a
-//! carry-less multiply and a reduction (`crate::x86`; a message longer than
-//! 64 bytes takes four multiplies, by `H⁴` to `H`, per reduction), and the
-//! key holds `H` and nothing else. Elsewhere it uses Shoup's 4-bit tables:
-//! the 16 nibble multiples of `H` and of `H·x⁴` are built from `H` once per
-//! key, and a block is then 16 byte steps of two lookups, a byte shift and
-//! one reduction lookup — instead of 128 conditional shift-and-XOR steps.
+//! carry-less multiply and a reduction (`crate::x86`), and the key holds
+//! the powers `H` to `H⁸`, computed once when it is built: every message,
+//! whatever its length, folds up to eight blocks (by `H⁸` down to `H`) per
+//! reduction. Elsewhere it uses Shoup's 4-bit tables: the 16 nibble
+//! multiples of `H` and of `H·x⁴` are built from `H` once per key, and a
+//! block is then 16 byte steps of two lookups, a byte shift and one
+//! reduction lookup — instead of 128 conditional shift-and-XOR steps.
 //! The table lookups are indexed by secret-dependent bytes, so like the AES
 //! tables they are **not constant-time**; the carry-less path has no such
 //! lookups, and tag comparison is constant-time on both ([`ct_eq`]).
 //!
 //! [`GcmKey`] is the one implementation. A holder of a long-lived key (a
 //! client's `K_session`, a journal, a snapshot cut) builds it once and pays
-//! the AES key schedule, `H = E(0)` and any tables once; the free functions
+//! the AES key schedule, `H = E(0)` and its powers or tables once; the free functions
 //! [`seal`], [`seal_into`], [`open`] and [`open_detached`] run the same
 //! code on a context built for the one call.
 
@@ -59,6 +60,14 @@ static REM8: [u16; 256] = build_rem8();
 /// the GCM spec, so this is a right shift.
 fn mul_x(v: u128) -> u128 {
     (v >> 1) ^ ((v & 1) * (0xE1u128 << 120))
+}
+
+/// Division by `x`, the inverse of [`mul_x`]: a product's top bit is set
+/// exactly when `mul_x` folded the reduction polynomial in.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+pub(crate) fn div_x(v: u128) -> u128 {
+    let folded = v >> 127;
+    ((v ^ (folded * (0xE1u128 << 120))) << 1) | folded
 }
 
 /// Shoup's 4-bit tables for one hash key: `hi[n] = n · H` and
@@ -132,8 +141,9 @@ impl HTable {
 pub(crate) enum Ghash {
     /// Shoup's tables, boxed so that a [`GcmKey`] stays small on both paths.
     Shoup(Box<HTable>),
+    /// The carry-less kernel and the key's powers `H` to `H⁸`.
     #[cfg(target_arch = "x86_64")]
-    Clmul(Clmul, u128),
+    Clmul(Clmul, [[u8; 16]; 8]),
 }
 
 impl Ghash {
@@ -141,7 +151,7 @@ impl Ghash {
     fn new(h: u128) -> Ghash {
         #[cfg(target_arch = "x86_64")]
         if let Some(clmul) = Clmul::detect() {
-            return Ghash::Clmul(clmul, h);
+            return Ghash::Clmul(clmul, clmul.powers(h));
         }
         Ghash::portable(h)
     }
@@ -154,7 +164,7 @@ impl Ghash {
         match self {
             Ghash::Shoup(table) => table.ghash(aad, ct),
             #[cfg(target_arch = "x86_64")]
-            Ghash::Clmul(clmul, h) => clmul.ghash(*h, aad, ct),
+            Ghash::Clmul(clmul, powers) => clmul.ghash(powers, aad, ct),
         }
     }
 }
@@ -175,7 +185,8 @@ fn j0(nonce: &Nonce12) -> [u8; 16] {
 }
 
 /// An AES-128-GCM key with its set-up already paid: the AES round keys and
-/// `H = E(0)` (plus, on the portable path, the GHASH tables of `H`). Build
+/// `H = E(0)` with its powers `H²` to `H⁸` (on the portable path, the GHASH
+/// tables of `H` instead). Build
 /// one per long-lived key and reuse it for every message; the bytes
 /// produced are those of the free functions of this module, which build
 /// one per call.
@@ -207,11 +218,11 @@ impl std::fmt::Debug for GcmKey {
 }
 
 impl GcmKey {
-    /// Expands `key`: the AES key schedule and `H = E(0)`, on AES-NI and
-    /// PCLMULQDQ when the CPU has them.
+    /// Expands `key`: the AES key schedule, `H = E(0)` and its powers, on
+    /// AES-NI and PCLMULQDQ when the CPU has them.
     pub fn new(key: &Key128) -> GcmKey {
         let cipher = Aes128::new(key);
-        let h = u128::from_be_bytes(cipher.encrypt_block([0u8; 16]));
+        let h = u128::from_be_bytes(cipher.zero_block());
         GcmKey {
             cipher,
             hash: Ghash::new(h),
@@ -223,7 +234,7 @@ impl GcmKey {
     #[cfg(test)]
     pub(crate) fn portable(key: &Key128) -> GcmKey {
         let cipher = Aes128::portable(key);
-        let h = u128::from_be_bytes(cipher.encrypt_block([0u8; 16]));
+        let h = u128::from_be_bytes(cipher.zero_block());
         GcmKey {
             cipher,
             hash: Ghash::portable(h),
@@ -231,8 +242,9 @@ impl GcmKey {
     }
 
     fn tag(&self, j0: &[u8; 16], aad: &[u8], ct: &[u8]) -> Tag {
-        let s = self.hash.ghash(aad, ct);
+        // `E(J0)` first: its rounds then run beside GHASH's products.
         let ekj0 = u128::from_be_bytes(self.cipher.encrypt_block(*j0));
+        let s = self.hash.ghash(aad, ct);
         Tag::from_bytes((s ^ ekj0).to_be_bytes())
     }
 
@@ -418,6 +430,19 @@ mod tests {
             sealed
         );
         sealed
+    }
+
+    #[test]
+    fn div_x_undoes_mul_x() {
+        let mut v = 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210u128;
+        for _ in 0..300 {
+            assert_eq!(div_x(mul_x(v)), v);
+            assert_eq!(mul_x(div_x(v)), v);
+            v = v.rotate_left(7) ^ (v >> 3) ^ 0x9e37;
+        }
+        // 1 / x = 1 + x + x⁶ + x¹²⁷: times x, x¹²⁸ + x⁷ + x² + x = 1.
+        let one = 1u128 << 127;
+        assert_eq!(div_x(one), 0xC200_0000_0000_0000_0000_0000_0000_0001);
     }
 
     #[test]

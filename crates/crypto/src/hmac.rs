@@ -4,18 +4,23 @@
 //! nonces and to derive per-client session keys from the attestation shared
 //! secret.
 
-use crate::sha256::{digest, Sha256, BLOCK_LEN, DIGEST_LEN};
+use crate::sha256::{digest, Midstate, Sha256, BLOCK_LEN, DIGEST_LEN};
 
 /// HMAC-SHA-256 under one key, with the two padded-key blocks already
 /// compressed: `inner` has absorbed `key ⊕ ipad`, `outer` `key ⊕ opad`.
 /// A MAC is then a clone of each midstate plus the message and digest
 /// blocks — for a caller that MACs many short messages under one key
 /// ([`MacChain`](crate::chain::MacChain)) that is 3 compressions per
-/// message instead of 5. The midstates are key-equivalent secrets.
+/// message instead of 5. Both midstates run on the kernel probed once, in
+/// [`new`](Self::new): the inner hash holds a short message back as its
+/// tail, so a message of up to 119 bytes is one kernel call for its two
+/// blocks, and the outer hash's one block — the inner digest and its
+/// padding, always at the same positions — is one more. The midstates are
+/// key-equivalent secrets.
 #[derive(Clone, PartialEq, Eq)]
 pub struct HmacSha256 {
-    inner: Sha256,
-    outer: Sha256,
+    inner: Midstate,
+    outer: Midstate,
 }
 
 impl std::fmt::Debug for HmacSha256 {
@@ -27,6 +32,17 @@ impl std::fmt::Debug for HmacSha256 {
 impl HmacSha256 {
     /// Hashes the two pads of `key` (any key length) once.
     pub fn new(key: &[u8]) -> HmacSha256 {
+        HmacSha256::keyed(Sha256::new(), key)
+    }
+
+    /// [`new`](Self::new) on the portable kernel, whatever the CPU.
+    #[cfg(test)]
+    pub(crate) fn portable(key: &[u8]) -> HmacSha256 {
+        HmacSha256::keyed(Sha256::portable(), key)
+    }
+
+    // The midstates of `key`'s pads on `fresh`'s kernel.
+    fn keyed(fresh: Sha256, key: &[u8]) -> HmacSha256 {
         let mut k = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
             k[..DIGEST_LEN].copy_from_slice(&digest(key));
@@ -39,22 +55,19 @@ impl HmacSha256 {
             ipad[i] ^= k[i];
             opad[i] ^= k[i];
         }
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
-        let mut outer = Sha256::new();
-        outer.update(&opad);
-        HmacSha256 { inner, outer }
+        HmacSha256 {
+            inner: fresh.midstate(&ipad),
+            outer: fresh.midstate(&opad),
+        }
     }
 
     /// The MAC of the concatenation of `parts`.
     pub fn mac(&self, parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
-        let mut inner = self.inner.clone();
+        let mut inner = self.inner.resume();
         for part in parts {
             inner.update(part);
         }
-        let mut outer = self.outer.clone();
-        outer.update(&inner.finish());
-        outer.finish()
+        self.outer.finish_digest(&inner.finish())
     }
 }
 

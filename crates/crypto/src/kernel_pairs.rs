@@ -12,11 +12,12 @@ use precursor_sim::rng::SimRng;
 
 use crate::aes::{self, Aes128};
 use crate::cmac;
-use crate::gcm::{GcmKey, Ghash};
+use crate::gcm::{self, GcmKey, Ghash};
+use crate::hmac::HmacSha256;
 use crate::keys::{Key128, Key256, Nonce12, Nonce8};
 use crate::reference;
 use crate::salsa20;
-use crate::sha256::{self, BLOCK_LEN, DIGEST_LEN};
+use crate::sha256::{self, Sha256, BLOCK_LEN, DIGEST_LEN};
 #[cfg(target_arch = "x86_64")]
 use crate::x86::{AesNi, Avx512, Clmul, ShaNi, Sse2};
 
@@ -88,7 +89,16 @@ fn aes_kernels_agree() {
         let Some(aesni) = hardware(AesNi::detect(), "aes") else {
             return;
         };
-        aes_against_reference(|k| aesni.expand(k), |rk, b| aesni.encrypt_block(rk, b));
+        aes_against_reference(|k| aesni.expand(k).0, |rk, b| aesni.encrypt_block(rk, b));
+        // The zero block, encrypted alongside the schedule.
+        let mut rng = SimRng::seed_from(0xb006);
+        for _ in 0..64 {
+            let key: [u8; 16] = rand_array(&mut rng);
+            assert_eq!(
+                aesni.expand(&key).1,
+                reference::encrypt_block(&key, [0; 16])
+            );
+        }
     }
 }
 
@@ -129,7 +139,7 @@ fn gcm_ctr_wraps_inc32_alike() {
         let Some(aesni) = hardware(AesNi::detect(), "aes") else {
             return;
         };
-        ctr_against_reference(|k, j0, d| aesni.ctr32_xor(&aesni.expand(k.as_bytes()), j0, d));
+        ctr_against_reference(|k, j0, d| aesni.ctr32_xor(&aesni.expand(k.as_bytes()).0, j0, d));
     }
 }
 
@@ -178,7 +188,182 @@ fn ghash_kernels_agree() {
         let Some(clmul) = hardware(Clmul::detect(), "pclmulqdq or ssse3") else {
             return;
         };
-        ghash_against_reference(|h, aad, x| clmul.ghash(h, aad, x));
+        ghash_against_reference(|h, aad, x| clmul.ghash(&clmul.powers(h), aad, x));
+    }
+}
+
+/// Lengths of zero to nine blocks, and each partial length in between that
+/// a block boundary can fall short of or overrun: 0, 1, 15, 16, 17, …, 144.
+fn block_lengths() -> impl Iterator<Item = usize> {
+    (0..=9usize)
+        .flat_map(|b| [16 * b, 16 * b + 1, 16 * b + 15])
+        .filter(|&len| len <= 144)
+}
+
+#[test]
+fn ghash_on_key_powers_matches_shoup_and_the_oracle_at_every_block_pair() {
+    // Every (AAD, text) pair of lengths from zero to nine blocks, partial
+    // blocks included: each eight-block fold starts and ends on every
+    // block of either part and of the lengths block. The same key's powers
+    // answer every pair.
+    let mut rng = SimRng::seed_from(0xb007);
+    let h = u128::from_be_bytes(rand_array(&mut rng));
+    let shoup = Ghash::portable(h);
+    let mut data = vec![0u8; 2 * 144];
+    rng.fill_bytes(&mut data);
+    let (aad_bytes, ct_bytes) = data.split_at(144);
+    #[cfg(target_arch = "x86_64")]
+    let clmul = hardware(Clmul::detect(), "pclmulqdq or ssse3").map(|c| (c, c.powers(h)));
+    for aad_len in block_lengths() {
+        for ct_len in block_lengths() {
+            let (aad, ct) = (&aad_bytes[..aad_len], &ct_bytes[..ct_len]);
+            let expected = reference::ghash(h, aad, ct);
+            assert_eq!(shoup.ghash(aad, ct), expected, "shoup {aad_len}/{ct_len}");
+            #[cfg(target_arch = "x86_64")]
+            if let Some((clmul, powers)) = &clmul {
+                assert_eq!(
+                    clmul.ghash(powers, aad, ct),
+                    expected,
+                    "clmul {aad_len}/{ct_len}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn one_shot_seal_and_open_are_the_keyed_path() {
+    // The free functions build a key per call: their bytes are the bytes
+    // of a key built once (and of the portable kernels), for every block
+    // pair of lengths.
+    let mut rng = SimRng::seed_from(0xb008);
+    let k = Key128::from_bytes(rand_array(&mut rng));
+    let (keyed, portable) = (GcmKey::new(&k), GcmKey::portable(&k));
+    let mut data = vec![0u8; 2 * 144];
+    rng.fill_bytes(&mut data);
+    for (i, aad_len) in block_lengths().enumerate() {
+        for ct_len in block_lengths() {
+            let n = Nonce12::from_counter((i * 1000 + ct_len) as u64);
+            let (aad, pt) = (&data[..aad_len], &data[144..144 + ct_len]);
+            let sealed = gcm::seal(&k, &n, aad, pt);
+            assert_eq!(sealed, keyed.seal(&n, aad, pt), "{aad_len}/{ct_len}");
+            assert_eq!(sealed, portable.seal(&n, aad, pt), "{aad_len}/{ct_len}");
+            let mut framed = b"hdr".to_vec();
+            gcm::seal_into(&mut framed, &k, &n, aad, pt);
+            assert_eq!(framed[3..], sealed[..]);
+            assert_eq!(gcm::open(&k, &n, aad, &sealed).unwrap(), pt);
+            assert_eq!(keyed.open(&n, aad, &sealed).unwrap(), pt);
+            let (ct, tag) = sealed.split_at(ct_len);
+            assert_eq!(gcm::open_detached(&k, &n, aad, ct, tag).unwrap(), pt);
+            let mut buf = ct.to_vec();
+            keyed
+                .open_in_place_detached(&n, aad, &mut buf, tag)
+                .unwrap();
+            assert_eq!(buf, pt);
+        }
+    }
+}
+
+/// HMAC-SHA-256 of `msg`, its key pads and message fed to `fresh` hashers
+/// one byte at a time.
+fn hmac_byte_stream(fresh: impl Fn() -> Sha256, key: &[u8], msg: &[u8]) -> [u8; DIGEST_LEN] {
+    let mut k = [0u8; BLOCK_LEN];
+    if key.len() > BLOCK_LEN {
+        k[..DIGEST_LEN].copy_from_slice(&sha256::digest(key));
+    } else {
+        k[..key.len()].copy_from_slice(key);
+    }
+    let stream = |pad: u8, msg: &[u8]| {
+        let mut h = fresh();
+        for b in k.iter().map(|b| b ^ pad).chain(msg.iter().copied()) {
+            h.update(&[b]);
+        }
+        h.finish()
+    };
+    stream(0x5c, &stream(0x36, msg))
+}
+
+/// RFC 4231 test cases 1–4, 6 and 7, then every message length 0..=160
+/// (crossing the 55/56-byte one-block tail, the 64-byte block, the
+/// 119/120-byte two-block tail and the 128-byte held-back tail) in one,
+/// two and three parts, against the byte-at-a-time stream.
+fn hmac_against_vectors_and_stream(
+    keyed: impl Fn(&[u8]) -> HmacSha256,
+    fresh: impl Fn() -> Sha256,
+) {
+    let long_key = [0xaau8; 131];
+    let vectors: [(&[u8], &[u8], &str); 6] = [
+        (
+            &[0x0b; 20],
+            b"Hi There",
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+        ),
+        (
+            b"Jefe",
+            b"what do ya want for nothing?",
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+        ),
+        (
+            &[0xaa; 20],
+            &[0xdd; 50],
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+        ),
+        (
+            &[
+                1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23,
+                24, 25,
+            ],
+            &[0xcd; 50],
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
+        ),
+        (
+            &long_key,
+            b"Test Using Larger Than Block-Size Key - Hash Key First",
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+        ),
+        (
+            &long_key,
+            b"This is a test using a larger than block-size key and a larger than block-size \
+              data. The key needs to be hashed before being used by the HMAC algorithm.",
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
+        ),
+    ];
+    for (key, msg, mac) in vectors {
+        assert_eq!(keyed(key).mac(&[msg]).to_vec(), h2b(mac));
+        assert_eq!(hmac_byte_stream(&fresh, key, msg).to_vec(), h2b(mac));
+    }
+    let mut rng = SimRng::seed_from(0xb009);
+    let key: [u8; 16] = rand_array(&mut rng);
+    let ctx = keyed(&key);
+    let mut msg = vec![0u8; 160];
+    rng.fill_bytes(&mut msg);
+    for len in 0..=160usize {
+        let msg = &msg[..len];
+        let expected = hmac_byte_stream(&fresh, &key, msg);
+        assert_eq!(ctx.mac(&[msg]), expected, "len {len}");
+        for cut in [0, 1, len / 3, len / 2, 55, 56, 64, 119, 120] {
+            let a = cut.min(len);
+            let b = (a + len.saturating_sub(a) / 2 + 7).min(len);
+            assert_eq!(ctx.mac(&[&msg[..a], &msg[a..]]), expected, "{len} at {a}");
+            assert_eq!(
+                ctx.mac(&[&msg[..a], &msg[a..b], &msg[b..]]),
+                expected,
+                "{len} at {a} and {b}"
+            );
+        }
+    }
+}
+
+#[test]
+fn hmac_kernels_agree_with_rfc4231_and_a_byte_stream() {
+    hmac_against_vectors_and_stream(HmacSha256::portable, Sha256::portable);
+    #[cfg(target_arch = "x86_64")]
+    {
+        if hardware(ShaNi::detect(), "sha, ssse3 or sse4.1").is_none() {
+            return;
+        }
+        // With the extensions present, `new` is the hardware kernel.
+        hmac_against_vectors_and_stream(HmacSha256::new, Sha256::new);
     }
 }
 

@@ -27,17 +27,18 @@
 //! | primitive | portable | x86-64 |
 //! |---|---|---|
 //! | AES-128 | T-table round, algebraic S-box | AES-NI, four CTR blocks per pass |
-//! | GHASH | Shoup's 4-bit tables | PCLMULQDQ, four blocks per reduction |
+//! | GHASH | Shoup's 4-bit tables | PCLMULQDQ, up to eight blocks per reduction on the key's `H`…`H⁸` |
 //! | SHA-256 | FIPS 180-4 rounds | SHA extensions |
 //! | Salsa20 | one block per pass | AVX-512F, sixteen blocks per pass; SSE2, four |
 //!
 //! The CPU picks the kernel: an `is_x86_feature_detected!` probe, never a
 //! knob. [`aes::Aes128::new`], [`gcm::GcmKey::new`] and [`cmac::mac`] probe
-//! when the key is expanded and keep the answer with the key;
-//! [`sha256::Sha256`] and [`salsa20::xor_keystream`] hold no key schedule
-//! and probe on each call (the probe is one cached load). The output bytes
-//! are the same either way. The portable kernels are the only path off
-//! x86-64 or without the instructions.
+//! when the key is expanded and keep the answer with the key, and a
+//! [`sha256::Sha256`] (so an [`hmac::HmacSha256`]) when it is created;
+//! [`salsa20::xor_keystream`] holds no state and probes on each call (the
+//! probe is one cached load). The output bytes are the same either way.
+//! The portable kernels are the only path off x86-64 or without the
+//! instructions.
 //!
 //! The hardware kernels need raw intrinsics and unaligned loads, which no
 //! safe API covers. The crate therefore *denies* rather than forbids that

@@ -170,11 +170,11 @@ pub fn genesis_chain(epoch: u64) -> [u8; 16] {
 }
 
 // AAD binds the record to its chain position, kind and sequence number.
-fn record_aad(chain: &[u8; 16], kind: u8, seq: u64) -> Vec<u8> {
-    let mut aad = Vec::with_capacity(16 + 1 + 8);
-    aad.extend_from_slice(chain);
-    aad.push(kind);
-    aad.extend_from_slice(&seq.to_le_bytes());
+fn record_aad(chain: &[u8; 16], kind: u8, seq: u64) -> [u8; 16 + 1 + 8] {
+    let mut aad = [0u8; 16 + 1 + 8];
+    aad[..16].copy_from_slice(chain);
+    aad[16] = kind;
+    aad[17..].copy_from_slice(&seq.to_le_bytes());
     aad
 }
 
@@ -269,11 +269,13 @@ impl Journal {
         // compaction trimmed, so replication acks stay stable across cuts.
         let phys = self.durable.len();
         let offset = self.trimmed_bytes + phys as u64;
-        let group = std::mem::take(&mut self.pending);
+        // The group is copied out and the pending buffer kept: the next
+        // group is sealed into the same allocation.
+        let group = &self.pending;
         self.pending_records = 0;
         let written = match damage {
             FlushDamage::None => {
-                self.durable.extend_from_slice(&group);
+                self.durable.extend_from_slice(group);
                 group.len()
             }
             FlushDamage::Torn(n) => {
@@ -283,7 +285,7 @@ impl Journal {
                 keep
             }
             FlushDamage::CorruptBit(i) => {
-                self.durable.extend_from_slice(&group);
+                self.durable.extend_from_slice(group);
                 let bit = i % (group.len() * 8);
                 let at = phys + bit / 8;
                 self.durable[at] ^= 1 << (bit % 8);
@@ -291,6 +293,7 @@ impl Journal {
                 group.len()
             }
         };
+        self.pending.clear();
         self.stats.flushes += 1;
         self.stats.bytes_sealed += written as u64;
         Some((offset, written))

@@ -380,6 +380,14 @@ impl QueuePair {
     /// in the error state, every unretired work request is first flushed
     /// into the CQ as a [`WcStatus::FlushErr`] completion.
     pub fn poll_cq(&mut self, max: usize) -> Vec<WorkCompletion> {
+        let mut out = Vec::new();
+        self.poll_cq_into(max, &mut out);
+        out
+    }
+
+    /// [`poll_cq`](Self::poll_cq) appending to a buffer the caller keeps
+    /// and reuses; returns how many completions it appended.
+    pub fn poll_cq_into(&mut self, max: usize, out: &mut Vec<WorkCompletion>) -> usize {
         let mut guard = plock(&self.shared);
         let s = &mut *guard;
         let end = &mut s.ends[self.me];
@@ -395,7 +403,8 @@ impl QueuePair {
             end.retired = end.stats.posts;
         }
         let n = max.min(end.cq.len());
-        end.cq.drain(..n).collect()
+        out.extend(end.cq.drain(..n));
+        n
     }
 
     /// Endpoint statistics.

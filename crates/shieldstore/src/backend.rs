@@ -103,37 +103,34 @@ impl TrustedKv for ShieldBackend {
         self.clients[client].poll_replies()
     }
 
-    fn take_completed(&mut self, client: usize) -> Vec<KvCompleted> {
-        self.clients[client]
-            .take_all_completed()
-            .into_iter()
-            .map(|c| KvCompleted {
-                oid: c.oid,
-                op: op_of(c.op),
-                status: status_of(c.status),
-                value: c.value,
-            })
-            .collect()
+    fn take_completed_into(&mut self, client: usize, out: &mut Vec<KvCompleted>) {
+        out.extend(
+            self.clients[client]
+                .take_all_completed()
+                .into_iter()
+                .map(|c| KvCompleted {
+                    oid: c.oid,
+                    op: op_of(c.op),
+                    status: status_of(c.status),
+                    value: c.value,
+                }),
+        );
     }
 
     fn take_client_meter(&mut self, client: usize) -> Meter {
         self.clients[client].take_meter()
     }
 
-    fn take_reports(&mut self) -> Vec<KvOpReport> {
-        self.server
-            .take_reports()
-            .into_iter()
-            .map(|r| KvOpReport {
-                client_id: r.client_id,
-                op: op_of(r.op),
-                status: status_of(r.status),
-                value_len: r.value_len,
-                node: 0,
-                shard: 0,
-                meter: r.meter,
-            })
-            .collect()
+    fn take_reports_into(&mut self, out: &mut Vec<KvOpReport>) {
+        out.extend(self.server.take_reports().into_iter().map(|r| KvOpReport {
+            client_id: r.client_id,
+            op: op_of(r.op),
+            status: status_of(r.status),
+            value_len: r.value_len,
+            node: 0,
+            shard: 0,
+            meter: r.meter,
+        }));
     }
 
     fn sgx_report(&self) -> SgxPerfReport {

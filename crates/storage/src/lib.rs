@@ -33,6 +33,6 @@ pub mod robinhood;
 pub mod sparse;
 
 pub use pool::{PoolRange, SlabPool};
-pub use ring::{RingConsumer, RingProducer, RingStore};
+pub use ring::{RingConsumer, RingProducer, RingStore, RingWrites};
 pub use robinhood::{shard_of_hash, stable_key_hash, RobinHoodMap, ShardedRobinHoodMap};
 pub use sparse::{ByteStore, SparseBytes, PAGE_BYTES};

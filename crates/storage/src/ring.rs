@@ -145,7 +145,7 @@ fn record_span(len: usize) -> usize {
 }
 
 /// The payload of one framed record — header, payload, padding — exactly as
-/// [`RingProducer::push_with`] handed it to its `write` callback: for a
+/// [`RingProducer::push_with`] wrote it into its [`RingWrites`]: for a
 /// producer that kept the WRITE it posted and needs the record back.
 ///
 /// # Panics
@@ -155,6 +155,121 @@ pub fn framed_payload(record: &[u8]) -> &[u8] {
     let len = u32::from_le_bytes(record[..HEADER].try_into().expect("4 bytes")) as usize;
     assert_eq!(record.len(), record_span(len), "not one framed record");
     &record[HEADER..HEADER + len]
+}
+
+/// The one-sided WRITEs of one ring push — an optional wrap marker, then
+/// the framed record — in one byte buffer its owner keeps and refills:
+/// over RDMA each is one post, and a retransmission log or a commit gate
+/// holds the bytes it posted without a buffer per WRITE. Cleared and
+/// refilled, it allocates only to grow past the largest record it has held.
+///
+/// # Example
+///
+/// ```
+/// use precursor_storage::ring::{RingProducer, RingWrites};
+///
+/// let mut tx = RingProducer::new(64);
+/// let mut writes = RingWrites::default();
+/// tx.push_with(b"hello", &mut writes).unwrap();
+/// let (off, record) = writes.last().unwrap();
+/// assert_eq!((off, record.len()), (0, 16));
+/// ```
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct RingWrites {
+    bytes: Vec<u8>,
+    // Per WRITE, in posting order: its ring offset and where its bytes end
+    // in `bytes`.
+    writes: Vec<(usize, usize)>,
+}
+
+impl Clone for RingWrites {
+    fn clone(&self) -> RingWrites {
+        RingWrites {
+            bytes: self.bytes.clone(),
+            writes: self.writes.clone(),
+        }
+    }
+
+    /// Copies `source` into this value's buffers, allocating only to grow
+    /// them.
+    fn clone_from(&mut self, source: &RingWrites) {
+        self.bytes.clone_from(&source.bytes);
+        self.writes.clone_from(&source.writes);
+    }
+}
+
+impl RingWrites {
+    /// Forgets every WRITE, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.writes.clear();
+    }
+
+    /// Appends one WRITE of `bytes` at ring offset `offset`.
+    pub fn push(&mut self, offset: usize, bytes: &[u8]) {
+        self.bytes.extend_from_slice(bytes);
+        self.note(offset);
+    }
+
+    // Appends the framed record of `payload` at `offset`: header, payload,
+    // zero padding to `span` bytes (so stale bytes never masquerade as
+    // headers). The buffer grows to fit the record exactly: a buffer kept
+    // per connection is held at the size of its records.
+    fn push_record(&mut self, offset: usize, payload: &[u8], span: usize) {
+        let start = self.bytes.len();
+        self.bytes.reserve_exact(span);
+        self.bytes
+            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        self.bytes.extend_from_slice(payload);
+        self.bytes.resize(start + span, 0);
+        self.note(offset);
+    }
+
+    // Ends a WRITE at the current end of the bytes; room for a push's two
+    // is made at once.
+    fn note(&mut self, offset: usize) {
+        if self.writes.capacity() == 0 {
+            self.writes.reserve_exact(2);
+        }
+        self.writes.push((offset, self.bytes.len()));
+    }
+
+    /// Number of WRITEs.
+    pub fn len(&self) -> usize {
+        self.writes.len()
+    }
+
+    /// Whether there is no WRITE.
+    pub fn is_empty(&self) -> bool {
+        self.writes.is_empty()
+    }
+
+    /// Bytes across all WRITEs.
+    pub fn byte_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// `(ring offset, bytes)` of each WRITE, in posting order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &[u8])> + '_ {
+        let starts = std::iter::once(0).chain(self.writes.iter().map(|&(_, end)| end));
+        self.writes
+            .iter()
+            .zip(starts)
+            .map(|(&(offset, end), start)| (offset, &self.bytes[start..end]))
+    }
+
+    /// The last WRITE: a push's record.
+    pub fn last(&self) -> Option<(usize, &[u8])> {
+        self.iter().last()
+    }
+}
+
+// Where a push goes: the wrap marker's offset and length when the record
+// restarts at zero, then the record's offset and span.
+struct Placement {
+    wrap: Option<(usize, usize)>,
+    off: usize,
+    span: usize,
 }
 
 /// Producer half: runs on the **client**, computing where in the remote ring
@@ -238,44 +353,52 @@ impl RingProducer {
     /// Panics if `ring.len()` differs from the configured capacity.
     pub fn push<R: ByteStore + ?Sized>(&mut self, ring: &mut R, payload: &[u8]) -> Option<usize> {
         assert_eq!(ring.len(), self.capacity, "ring size mismatch");
-        self.push_with(payload, |off, bytes| ring.write_at(off, &bytes))
+        let Placement { wrap, off, span } = self.place(payload.len())?;
+        if let Some((at, marker)) = wrap {
+            ring.write_at(at, &WRAP.to_le_bytes()[..marker]);
+        }
+        ring.write_at(off, &(payload.len() as u32).to_le_bytes());
+        ring.write_at(off + HEADER, payload);
+        let pad = span - HEADER - payload.len();
+        ring.write_at(off + HEADER + payload.len(), &[0; ALIGN][..pad]);
+        Some(off)
     }
 
-    /// Like [`push`](Self::push), but hands the bytes to `write(offset,
-    /// bytes)` instead of a local slice — over RDMA, each call is one
-    /// one-sided WRITE into the remote ring, and the caller owns the bytes
+    /// Like [`push`](Self::push), but refills `writes` with the bytes
+    /// instead of writing a local slice — over RDMA, each of them is one
+    /// one-sided WRITE into the remote ring, and the caller keeps the bytes
     /// it posted (a retransmission log keeps them without a copy). At most
     /// two writes are issued per record (an optional wrap marker plus the
-    /// record itself).
-    pub fn push_with(
-        &mut self,
-        payload: &[u8],
-        mut write: impl FnMut(usize, Vec<u8>),
-    ) -> Option<usize> {
-        if !self.fits(payload.len()) {
+    /// record itself); `writes` is left empty when the record does not fit.
+    pub fn push_with(&mut self, payload: &[u8], writes: &mut RingWrites) -> Option<usize> {
+        writes.clear();
+        let Placement { wrap, off, span } = self.place(payload.len())?;
+        if let Some((at, marker)) = wrap {
+            writes.push(at, &WRAP.to_le_bytes()[..marker]);
+        }
+        writes.push_record(off, payload, span);
+        Some(off)
+    }
+
+    // Claims ring space for a record of `len` payload bytes. `None` when it
+    // does not fit.
+    fn place(&mut self, len: usize) -> Option<Placement> {
+        if !self.fits(len) {
             return None;
         }
-        let span = record_span(payload.len());
+        let span = record_span(len);
+        let mut wrap = None;
         if self.write + span > self.capacity {
             // Not enough contiguous room: emit a wrap marker and restart.
             let wasted = self.capacity - self.write;
-            write(
-                self.write,
-                WRAP.to_le_bytes()[..HEADER.min(wasted)].to_vec(),
-            );
+            wrap = Some((self.write, HEADER.min(wasted)));
             self.written += wasted as u64;
             self.write = 0;
         }
         let off = self.write;
-        let mut record = Vec::with_capacity(span);
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(payload);
-        // zero padding so stale bytes never masquerade as headers
-        record.resize(span, 0);
-        write(off, record);
         self.write = (off + span) % self.capacity;
         self.written += span as u64;
-        Some(off)
+        Some(Placement { wrap, off, span })
     }
 
     /// Applies a credit update: the consumer has consumed `consumed` total
@@ -534,16 +657,49 @@ mod tests {
     #[test]
     fn framed_payload_is_what_was_pushed() {
         let mut producer = RingProducer::new(64);
+        let mut writes = RingWrites::default();
         for len in [1usize, 3, 4, 5, 12, 20] {
             let payload = vec![len as u8; len];
-            let mut framed = Vec::new();
             producer.update_credits(producer.written());
-            producer
-                .push_with(&payload, |_, bytes| framed = bytes)
-                .expect("fits");
+            producer.push_with(&payload, &mut writes).expect("fits");
             // the last write of a push is the record (a wrap marker precedes it)
-            assert_eq!(framed_payload(&framed), &payload[..], "len {len}");
+            let (_, framed) = writes.last().expect("a record");
+            assert_eq!(framed_payload(framed), &payload[..], "len {len}");
         }
+    }
+
+    #[test]
+    fn push_with_writes_what_push_writes() {
+        // One producer writes its ring in place, the other hands out its
+        // WRITEs, over wraps and every alignment: the bytes agree, and a
+        // reused `RingWrites` holds exactly the last push.
+        let (mut direct, mut posted) = (vec![0u8; 96], vec![0u8; 96]);
+        let (mut a, mut b) = (RingProducer::new(96), RingProducer::new(96));
+        let mut writes = RingWrites::default();
+        for len in (0..40).map(|i| 1 + (i * 7) % 23) {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31 + len) as u8).collect();
+            a.update_credits(a.written());
+            b.update_credits(b.written());
+            assert_eq!(
+                a.push(&mut direct[..], &payload),
+                b.push_with(&payload, &mut writes)
+            );
+            assert!(writes.len() <= 2);
+            let mut bytes = 0;
+            for (off, w) in writes.iter() {
+                posted[off..off + w.len()].copy_from_slice(w);
+                bytes += w.len();
+            }
+            assert_eq!(bytes, writes.byte_len());
+            assert_eq!(direct, posted, "len {len}");
+        }
+        let mut full = RingProducer::new(64);
+        full.push_with(&[1; 40], &mut writes).expect("fits");
+        assert_eq!(full.push_with(&[2; 40], &mut writes), None);
+        assert!(
+            writes.is_empty(),
+            "a push that does not fit leaves no WRITE"
+        );
     }
 
     #[test]

@@ -263,6 +263,34 @@ impl<K: Hash + Eq, V> RobinHoodMap<K, V> {
         }
     }
 
+    /// [`insert_hashed`](Self::insert_hashed) of a key given by reference:
+    /// a key already stored keeps its stored copy and only its value is
+    /// replaced, and `to_owned` makes the copy a new key is stored as. The
+    /// table grows, places the key and reports its probes exactly as
+    /// `insert_hashed` of the owned key would.
+    pub fn insert_hashed_with<Q>(
+        &mut self,
+        hash: u64,
+        key: &Q,
+        value: V,
+        to_owned: impl FnOnce(&Q) -> K,
+    ) -> (Option<V>, OpStats)
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        if (self.len + 1) * 100 > self.slots.len() * MAX_LOAD_PERCENT {
+            self.grow();
+        }
+        // A stored key is found along the very run an insert would probe:
+        // Robin Hood order puts no richer slot before it.
+        if let (Some(idx), stats) = self.probe(hash, key) {
+            let slot = self.slots[idx].as_mut().expect("found index is occupied");
+            return (Some(std::mem::replace(&mut slot.value, value)), stats);
+        }
+        self.insert_hashed(hash, to_owned(key), value)
+    }
+
     /// Looks up a key.
     pub fn get<Q>(&self, key: &Q) -> Option<&V>
     where
@@ -567,6 +595,22 @@ impl<K: Hash + Eq, V> ShardedRobinHoodMap<K, V> {
         self.shards[s].insert_hashed(hash, key, value)
     }
 
+    /// [`RobinHoodMap::insert_hashed_with`] in the shard owning `hash`.
+    pub fn insert_hashed_with<Q>(
+        &mut self,
+        hash: u64,
+        key: &Q,
+        value: V,
+        to_owned: impl FnOnce(&Q) -> K,
+    ) -> (Option<V>, OpStats)
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let s = shard_of_hash(hash, self.shards.len());
+        self.shards[s].insert_hashed_with(hash, key, value, to_owned)
+    }
+
     /// Looks up a key in its owning shard.
     pub fn get<Q>(&self, key: &Q) -> Option<&V>
     where
@@ -679,6 +723,43 @@ mod tests {
         assert_eq!(m.remove(&"a"), Some(10));
         assert_eq!(m.remove(&"a"), None);
         assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn insert_by_reference_is_insert_of_the_owned_key() {
+        // Twin tables, one inserting owned keys, the other by reference,
+        // through growth, overwrites and removals: the same probes, slots,
+        // resizes and contents, and a key copied only when it is new.
+        let mut owned: RobinHoodMap<Vec<u8>, u64> = RobinHoodMap::with_capacity(8);
+        let mut by_ref: RobinHoodMap<Vec<u8>, u64> = RobinHoodMap::with_capacity(8);
+        let mut copies = 0;
+        for i in 0u64..3_000 {
+            let key = format!("k{}", (i * 7_919) % 701).into_bytes();
+            if i % 5 == 4 {
+                let hash = stable_key_hash(&key[..]);
+                assert_eq!(
+                    owned.remove_hashed(hash, &key[..]),
+                    by_ref.remove_hashed(hash, &key[..])
+                );
+                continue;
+            }
+            let hash = stable_key_hash(&key[..]);
+            let fresh = !by_ref.contains_key(&key[..]);
+            let before = copies;
+            let a = owned.insert_hashed(hash, key.clone(), i);
+            let b = by_ref.insert_hashed_with(hash, &key[..], i, |k| {
+                copies += 1;
+                k.to_vec()
+            });
+            assert_eq!(a, b, "op {i}");
+            assert_eq!(copies - before, usize::from(fresh), "op {i}");
+            assert_eq!(
+                (owned.capacity(), owned.resizes()),
+                (by_ref.capacity(), by_ref.resizes())
+            );
+        }
+        assert!(copies < 3_000 * 4 / 5, "overwrites kept their stored keys");
+        assert!(owned.iter().eq(by_ref.iter()));
     }
 
     #[test]

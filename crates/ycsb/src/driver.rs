@@ -32,7 +32,9 @@
 //! then measures several read ratios), so parameter sweeps don't pay the
 //! warmup repeatedly.
 
-use precursor::backend::{KvOp, KvStatus, PrecursorBackend, Transport, TrustedKv};
+use precursor::backend::{
+    KvCompleted, KvOp, KvOpReport, KvStatus, PrecursorBackend, Transport, TrustedKv,
+};
 use precursor::cluster::MAX_REDIRECTS;
 use precursor::{Config, EncryptionMode};
 use precursor_obs::MetricsRegistry;
@@ -44,7 +46,9 @@ use precursor_sim::meter::{Meter, Stage};
 use precursor_sim::rng::SimRng;
 use precursor_sim::{CostModel, Histogram, Link, Nanos, Pool};
 
-use crate::workload::{key_bytes, value_bytes, OpGenerator, OpKind, WorkloadSpec, KEY_LEN};
+use crate::workload::{
+    key_bytes, value_bytes, value_bytes_into, OpGenerator, OpKind, WorkloadSpec, KEY_LEN,
+};
 
 /// Which system a run drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -416,6 +420,9 @@ impl SessionParams {
             shards: self.shards,
             paper_poller: self.paper_poller,
             nodes: self.nodes,
+            value: Vec::new(),
+            reports: Vec::new(),
+            completed: Vec::new(),
         }
     }
 }
@@ -469,6 +476,11 @@ pub struct BenchSession {
     paper_poller: bool,
     // Cluster nodes, each replayed on its own `NodeResources`.
     nodes: usize,
+    // What one op is collected in, reused from op to op: the value a put
+    // writes, the server's reports and the client's completions.
+    value: Vec<u8>,
+    reports: Vec<KvOpReport>,
+    completed: Vec<KvCompleted>,
 }
 
 impl BenchSession {
@@ -765,17 +777,23 @@ impl BenchSession {
         sut.take_client_meter(c);
         match kind {
             OpKind::Read => sut.submit(c, KvOp::Get, &key, &[]),
-            OpKind::Update => sut.submit(c, KvOp::Put, &key, &value_bytes(key_id, version, size)),
+            OpKind::Update => {
+                value_bytes_into(&mut self.value, key_id, version, size);
+                sut.submit(c, KvOp::Put, &key, &self.value)
+            }
         }
         .expect("op send");
         let pre = sut.take_client_meter(c);
         let rings_before = sut.rings_swept();
         sut.poll();
         let rings_swept = sut.rings_swept().saturating_sub(rings_before);
-        let report = sut.take_reports().pop().expect("one op processed");
+        self.reports.clear();
+        sut.take_reports_into(&mut self.reports);
+        let report = self.reports.pop().expect("one op processed");
         debug_assert_ne!(report.status, KvStatus::Replay);
         sut.poll_replies(c);
-        sut.take_completed(c);
+        self.completed.clear();
+        sut.take_completed_into(c, &mut self.completed);
         let post = sut.take_client_meter(c);
 
         let server_critical =

@@ -111,12 +111,19 @@ pub fn key_bytes(id: u64) -> [u8; KEY_LEN] {
 /// byte `i` is the low byte of `(s + i) · 31`, where
 /// `s = id · 0x9E37_79B9_7F4A_7C15 ⊕ version`.
 pub fn value_bytes(id: u64, version: u64, size: usize) -> Vec<u8> {
+    let mut value = Vec::with_capacity(size);
+    value_bytes_into(&mut value, id, version, size);
+    value
+}
+
+/// [`value_bytes`] into a buffer the caller reuses (its contents are
+/// replaced).
+pub fn value_bytes_into(out: &mut Vec<u8>, id: u64, version: u64, size: usize) {
     // The low byte of a sum or product depends only on the operands' low
     // bytes, so the sequence is computed in `u8`.
     let seed = (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ version) as u8;
-    (0..size)
-        .map(|i| seed.wrapping_add(i as u8).wrapping_mul(31))
-        .collect()
+    out.clear();
+    out.extend((0..size).map(|i| seed.wrapping_add(i as u8).wrapping_mul(31)));
 }
 
 /// Generates the operation stream for one client.
