@@ -50,6 +50,7 @@ pub use durability::RecoveryReport;
 
 use std::sync::{Arc, Mutex};
 
+use precursor_crypto::gcm::GcmKey;
 use precursor_crypto::keys::{Key128, Key256};
 use precursor_obs::{MetricsRegistry, Tracer};
 use precursor_rdma::adversary::AdversaryInjector;
@@ -240,6 +241,7 @@ impl PrecursorServer {
             },
             store: StoreExec {
                 table,
+                storage_gcm: GcmKey::new(&storage_key),
                 storage_key,
                 storage_seq: 0,
                 mutation_seq: 0,
