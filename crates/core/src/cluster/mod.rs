@@ -20,21 +20,23 @@
 //!   routing facade; redirect retries use a fresh `oid` on the owner's
 //!   session, so the per-node at-most-once windows are never violated.
 //!
-//! Live migration is push-model: the source streams sealed range segments
-//! (GCM under the attested inter-node transfer key) over a
-//! [`ReplicaLink`] while it keeps serving the range; the destination
-//! stages decoded entries without serving them (its own routing view still
-//! assigns the range to the source). The **fence** is the single commit
-//! point: the source re-ships the delta (keys mutated since their segment
-//! shipped), the authoritative fence key-list drops deletions, the staged
-//! entries install at the destination — each install journaled there and
-//! the journal committed (flushed; with replicas, held by a quorum) — the
-//! reassigned ring (epoch+1) is applied to the metadata service and every
-//! node view in one step, and the source evicts its now-unreachable
-//! copies. A source crash mid-transfer ([`FaultSite::MigrateShip`]) or a
-//! destination whose installs do not commit aborts before the flip: the
-//! destination discards its staging and the source remains the sole owner,
-//! so no key is ever unowned or dual-owned.
+//! Live migration is push-model: while the source keeps serving the range
+//! it ships it over a [`ReplicaLink`] as sealed parts in the snapshot
+//! chain's record format (an entry or a tombstone), one per batch of the
+//! keys the range held at the start, and notes every key of the range
+//! written since (the *moving set*). The **fence** is the single commit
+//! point: the moving set ships as one last part, the destination applies
+//! all parts as one chain (a key's newest record wins) and installs the
+//! live entries in key order over a clean range, journaled and committed
+//! (flushed; with replicas, held by a quorum); then the reassigned ring
+//! (epoch+1) reaches the metadata service and every node view in one step,
+//! and the source evicts its copies. The destination derives each part's
+//! nonce and AAD itself (source, destination, ring epoch, migration
+//! ordinal, position, fence or not), so a dropped, replayed, reordered,
+//! torn, corrupted ([`FaultSite::MigrateShip`]) or foreign part fails to
+//! open. That, a crashed party, or installs that do not commit abort the
+//! migration before the flip: the source stays the sole owner, so no key
+//! is ever unowned or dual-owned.
 //!
 //! A node fails in one of two ways, and the cluster follows either with
 //! the authoritative routing view: [`PrecursorCluster::restart_node`]
@@ -49,8 +51,6 @@ mod ring;
 pub use client::{ClusterClient, RouteStats, MAX_REDIRECTS};
 pub use ring::PlacementRing;
 
-use std::collections::BTreeMap;
-
 use precursor_crypto::gcm::GcmKey;
 use precursor_crypto::keys::Key128;
 use precursor_crypto::Nonce12;
@@ -64,7 +64,7 @@ use crate::config::Config;
 use crate::error::StoreError;
 use crate::replication::{FailoverReport, ReplicaGroup};
 use crate::server::{PrecursorServer, RecoveryReport};
-use crate::snapshot::SnapshotEntry;
+use crate::snapshot::{Chain, DirtyKeys, SnapshotEntry};
 #[allow(unused_imports)] // doc links
 use crate::wire::Status;
 #[allow(unused_imports)] // doc links
@@ -179,7 +179,7 @@ impl LocationCache {
 pub enum MigrationOutcome {
     /// No migration in flight.
     Idle,
-    /// Still streaming segments: `shipped` of `total` keys sent so far.
+    /// Still streaming parts: `shipped` of `total` keys sent so far.
     Shipping {
         /// Keys shipped so far (including this pump).
         shipped: usize,
@@ -188,9 +188,9 @@ pub enum MigrationOutcome {
     },
     /// The fence committed: the destination is now authoritative.
     Fenced(MigrationReport),
-    /// The migration aborted before its ring flip (source crash, tampered
-    /// segment, or installs that did not commit at the destination); the
-    /// source remains the sole owner.
+    /// The migration aborted before its ring flip (a crashed party, a part
+    /// that did not open, or installs that did not commit at the
+    /// destination); the source remains the sole owner.
     Aborted(MigrationReport),
 }
 
@@ -205,40 +205,99 @@ pub struct MigrationReport {
     pub point: usize,
     /// Keys installed at the destination by the fence (0 if aborted).
     pub keys_moved: usize,
-    /// Sealed segments shipped (bulk stream + fence delta).
-    pub segments: u64,
-    /// Keys the fence had to re-ship because they mutated (or appeared)
-    /// after their bulk segment was sent.
-    pub delta_reshipped: usize,
     /// Whether the migration aborted before the fence.
     pub aborted: bool,
 }
 
-// In-flight migration state. `staged` lives at the destination side of the
-// link but is keyed here for determinism (BTreeMap: sorted iteration).
+/// The moving set: the keys of ring segment `point` its source wrote since
+/// a migration of it started — noted by the source's table inserts and
+/// removals — which the fence part carries.
+#[derive(Debug)]
+pub(crate) struct MovingRange {
+    ring: PlacementRing,
+    point: usize,
+    keys: DirtyKeys,
+}
+
+impl MovingRange {
+    /// Notes `key`, whose stable hash is `hash`, if it is in the segment.
+    pub(crate) fn note(&mut self, hash: u64, key: &[u8]) {
+        if self.ring.point_of_hash(hash) == self.point {
+            self.keys.insert(key);
+        }
+    }
+}
+
+// In-flight migration state: the source's stream position, the link, and
+// the parts the destination has opened.
 #[derive(Debug)]
 struct Migration {
     from: u16,
     to: u16,
     point: usize,
-    keys: Vec<Vec<u8>>, // range snapshot at start, sorted
+    // The ring epoch and the cluster's migration count at the start: with
+    // `from` and `to`, they name every part of this migration.
+    epoch: u64,
+    ordinal: u64,
+    keys: Vec<Vec<u8>>, // the range at the start, sorted
     next: usize,
-    staged: BTreeMap<Vec<u8>, SnapshotEntry>,
     link: ReplicaLink,
-    segments: u64,
+    sent: u32, // parts the source sealed: the next one's position
+    // The plaintext of every part the destination opened, in order.
+    parts: Vec<Vec<u8>>,
 }
 
 impl Migration {
-    fn report(&self, aborted: bool) -> MigrationReport {
+    fn report(&self, keys_moved: usize, aborted: bool) -> MigrationReport {
         MigrationReport {
             from: self.from,
             to: self.to,
             point: self.point,
-            keys_moved: if aborted { 0 } else { self.staged.len() },
-            segments: self.segments,
-            delta_reshipped: 0,
+            keys_moved,
             aborted,
         }
+    }
+
+    // The nonce and AAD of the part at `position` (`last`: the fence
+    // part). The nonce is unique under the transfer key — no two
+    // migrations share an ordinal, aborted ones included — and the AAD
+    // binds the rest of the part's name.
+    fn name(&self, position: u32, last: bool) -> (Nonce12, [u8; 25]) {
+        let mut nonce = [0u8; 12];
+        nonce[..8].copy_from_slice(&self.ordinal.to_le_bytes());
+        nonce[8..].copy_from_slice(&position.to_le_bytes());
+        let mut aad = [0u8; 25];
+        aad[..2].copy_from_slice(&self.from.to_le_bytes());
+        aad[2..4].copy_from_slice(&self.to.to_le_bytes());
+        aad[4..12].copy_from_slice(&self.epoch.to_le_bytes());
+        aad[12..24].copy_from_slice(&nonce);
+        aad[24] = u8::from(last);
+        (Nonce12::from_bytes(nonce), aad)
+    }
+
+    // The destination drains the link: every frame must open as the part
+    // at the next position (the fence part when `last`). Returns whether
+    // all of them opened and, when `last`, whether the fence part came.
+    fn receive(&mut self, key: &GcmKey, last: bool) -> bool {
+        let opened = self.parts.len();
+        while let Some(frame) = self.link.recv_at_replica() {
+            let (nonce, aad) = self.name(self.parts.len() as u32, last);
+            match key.open(&nonce, &aad, &frame) {
+                Ok(part) => self.parts.push(part),
+                Err(_) => return false,
+            }
+        }
+        !last || self.parts.len() > opened
+    }
+
+    // The entries the opened parts leave live, applied as one chain, in key
+    // order; `None` when an authentic part does not parse.
+    fn entries(&self) -> Option<Vec<SnapshotEntry>> {
+        let chain = Chain::decode(self.parts.iter().map(Vec::as_slice)).ok()?;
+        let decoded = chain.live().map(|e| SnapshotEntry::decode_from(e, &mut 0));
+        let mut entries = decoded.collect::<Result<Vec<_>, _>>().ok()?;
+        entries.sort_unstable_by(|a, b| a.key.cmp(&b.key));
+        Some(entries)
     }
 }
 
@@ -250,23 +309,16 @@ pub struct PrecursorCluster {
     groups: Vec<ReplicaGroup>,
     meta: MetaService,
     migration: Option<Migration>,
-    // Attested node-to-node session key sealing migration segments
-    // (modelled: in the real system it comes out of mutual enclave
-    // attestation between source and destination).
+    // Attested node-to-node session key sealing migration parts (modelled:
+    // in the real system it comes out of mutual enclave attestation
+    // between source and destination).
     transfer_key: GcmKey,
-    transfer_seq: u64,
+    // Migrations started: the next one's ordinal.
+    migrations_started: u64,
     migrate_faults: Option<FaultInjector>,
     migrations_completed: u64,
     migrations_aborted: u64,
     keys_moved: u64,
-}
-
-fn segment_aad(from: u16, to: u16, epoch: u64) -> [u8; 12] {
-    let mut aad = [0u8; 12];
-    aad[..2].copy_from_slice(&from.to_le_bytes());
-    aad[2..4].copy_from_slice(&to.to_le_bytes());
-    aad[4..].copy_from_slice(&epoch.to_le_bytes());
-    aad
 }
 
 impl PrecursorCluster {
@@ -324,7 +376,7 @@ impl PrecursorCluster {
             meta: MetaService::new(ring),
             migration: None,
             transfer_key: GcmKey::new(&Key128::generate(&mut rng)),
-            transfer_seq: 0,
+            migrations_started: 0,
             migrate_faults: None,
             migrations_completed: 0,
             migrations_aborted: 0,
@@ -415,8 +467,9 @@ impl PrecursorCluster {
     }
 
     /// Installs a fault plan driving [`FaultSite::MigrateShip`] — the
-    /// chaos hook modelling a source crash (Drop → torn transfer) or host
-    /// tampering (Corrupt) during segment shipping.
+    /// chaos hook damaging a shipped part: Drop tears it short (a source
+    /// crash mid-write), Corrupt flips one of its bits (host tampering).
+    /// Either way the part fails to open and the migration aborts.
     pub fn set_migrate_fault_plan(&mut self, plan: FaultPlan, seed: u64) {
         self.migrate_faults = Some(FaultInjector::new(plan, seed));
     }
@@ -460,51 +513,47 @@ impl PrecursorCluster {
         if from == to {
             return Ok(false);
         }
-        // Range snapshot: the segment's keys as they exist at the source
-        // right now. Keys created later are picked up by the fence delta;
-        // keys deleted later are dropped by the fence list.
-        let keys = self.keys_in(from, point);
+        // The segment's keys as the source holds them now; every write to
+        // the segment from here on goes into the moving set.
+        let (ring, keys) = (self.meta.snapshot(), DirtyKeys::default());
+        let moving = MovingRange { ring, point, keys };
+        self.node_mut(from as usize).track_moving(Some(moving));
         self.migration = Some(Migration {
             from,
             to,
             point,
-            keys,
+            epoch: self.meta.ring().epoch(),
+            ordinal: self.migrations_started,
+            keys: self.keys_in(from, point),
             next: 0,
-            staged: BTreeMap::new(),
             link: ReplicaLink::new(),
-            segments: 0,
+            sent: 0,
+            parts: Vec::new(),
         });
+        self.migrations_started += 1;
         Ok(true)
     }
 
-    /// Streams up to `batch` sealed segments; once the bulk stream is
-    /// done, commits the fence (delta re-ship + staged install + ring
-    /// flip on the metadata service and every node view, in one step).
-    /// The source keeps serving the range the whole time; only the fence
-    /// changes ownership.
+    /// Seals the next `batch` keys of the range as one part and ships it;
+    /// once the range is shipped, commits the fence (the moving set's
+    /// part, the chain applied and installed at the destination, and the
+    /// ring flip on the metadata service and every node view, in one
+    /// step). The source keeps serving the range the whole time; only the
+    /// fence changes ownership.
     pub fn pump_migration(&mut self, batch: usize) -> MigrationOutcome {
         let Some(mut m) = self.migration.take() else {
             return MigrationOutcome::Idle;
         };
-        let mut shipped_now = 0usize;
-        while shipped_now < batch && m.next < m.keys.len() {
-            let key = m.keys[m.next].clone();
+        // Keys deleted since the start ship as tombstones and do not count
+        // against the batch.
+        let (mut part, mut stored) = (Vec::new(), 0);
+        let source = self.node(m.from as usize);
+        while stored < batch && m.next < m.keys.len() {
+            stored += source.encode_records([&m.keys[m.next]], &mut part);
             m.next += 1;
-            let Some(entry) = self.node(m.from as usize).export_entry(&key) else {
-                continue; // deleted since the range snapshot
-            };
-            match self.ship_segment(&mut m, &entry) {
-                ShipResult::Delivered => {
-                    shipped_now += 1;
-                }
-                ShipResult::SourceCrashed | ShipResult::Tampered => {
-                    // No fence was written: the source remains the sole
-                    // owner, the destination discards its staging.
-                    let report = m.report(true);
-                    self.migrations_aborted += 1;
-                    return MigrationOutcome::Aborted(report);
-                }
-            }
+        }
+        if !part.is_empty() && !self.ship(&mut m, &part, false) {
+            return MigrationOutcome::Aborted(self.abort(m));
         }
         if m.next < m.keys.len() {
             let out = MigrationOutcome::Shipping {
@@ -514,141 +563,82 @@ impl PrecursorCluster {
             self.migration = Some(m);
             return out;
         }
-        match self.fence(m) {
-            Ok(report) => {
-                self.migrations_completed += 1;
-                self.keys_moved += report.keys_moved as u64;
-                MigrationOutcome::Fenced(report)
-            }
-            Err(report) => {
-                self.migrations_aborted += 1;
-                MigrationOutcome::Aborted(report)
-            }
-        }
+        self.fence(m)
     }
 
-    /// Aborts an in-flight migration (chaos harness hook): the staged
-    /// entries are discarded and the source stays the sole owner.
+    /// Aborts an in-flight migration (chaos harness hook): the parts the
+    /// destination holds are discarded and the source stays the sole
+    /// owner.
     pub fn abort_migration(&mut self) -> Option<MigrationReport> {
         let m = self.migration.take()?;
-        self.migrations_aborted += 1;
-        Some(m.report(true))
+        Some(self.abort(m))
     }
 
-    // Seals one entry and pushes it through the inter-node link, applying
-    // the MigrateShip fault site to the sealed bytes.
-    fn ship_segment(&mut self, m: &mut Migration, entry: &SnapshotEntry) -> ShipResult {
-        let mut plain = Vec::new();
-        entry.encode_into(&mut plain);
-        let seq = self.transfer_seq;
-        self.transfer_seq += 1;
-        let aad = segment_aad(m.from, m.to, self.meta.ring().epoch());
-        let mut sealed = self
-            .transfer_key
-            .seal(&Nonce12::from_counter(seq), &aad, &plain);
+    // Ends `m` before its ring flip: the source stops noting writes.
+    fn abort(&mut self, m: Migration) -> MigrationReport {
+        self.node_mut(m.from as usize).track_moving(None);
+        self.migrations_aborted += 1;
+        m.report(0, true)
+    }
+
+    // Seals `part` at the next position, damages it at the MigrateShip
+    // fault site, pushes it through the link and lets the destination
+    // receive: whether everything it received opened.
+    fn ship(&mut self, m: &mut Migration, part: &[u8], last: bool) -> bool {
+        let (nonce, aad) = m.name(m.sent, last);
+        let mut sealed = self.transfer_key.seal(&nonce, &aad, part);
+        m.sent += 1;
         if let Some(f) = &mut self.migrate_faults {
             match f.on_durable_write(FaultSite::MigrateShip, sealed.len()) {
                 DurableVerdict::Complete => {}
-                DurableVerdict::Torn(_) => return ShipResult::SourceCrashed,
-                DurableVerdict::Corrupt(bit) => {
-                    let byte = bit / 8;
-                    if byte < sealed.len() {
-                        sealed[byte] ^= 1 << (bit % 8);
-                    }
-                }
+                DurableVerdict::Torn(keep) => sealed.truncate(keep),
+                DurableVerdict::Corrupt(bit) => sealed[bit / 8] ^= 1 << (bit % 8),
             }
         }
-        let mut frame = Vec::with_capacity(8 + sealed.len());
-        frame.extend_from_slice(&seq.to_le_bytes());
-        frame.extend_from_slice(&sealed);
-        m.link.send_to_replica(&frame);
+        m.link.send_to_replica(&sealed);
         m.link.pump();
-        m.segments += 1;
-        while let Some(rx) = m.link.recv_at_replica() {
-            if rx.len() < 8 {
-                return ShipResult::Tampered;
-            }
-            let rx_seq = u64::from_le_bytes(rx[..8].try_into().expect("8 bytes"));
-            let opened = self
-                .transfer_key
-                .open(&Nonce12::from_counter(rx_seq), &aad, &rx[8..]);
-            let Ok(bytes) = opened else {
-                // Authentication failure: a tampered segment never
-                // installs; the migration aborts and can be retried.
-                return ShipResult::Tampered;
-            };
-            let mut pos = 0usize;
-            let Ok(decoded) = SnapshotEntry::decode_from(&bytes, &mut pos) else {
-                return ShipResult::Tampered;
-            };
-            m.staged.insert(decoded.key.clone(), decoded);
-        }
-        ShipResult::Delivered
+        m.receive(&self.transfer_key, last)
     }
 
     // The keys of ring segment `point` node `node` holds right now, sorted.
     fn keys_in(&self, node: u16, point: usize) -> Vec<Vec<u8>> {
-        let mut keys = self.node(node as usize).live_keys();
-        keys.retain(|k| self.meta.ring().point_of(k) == point);
-        keys
+        let ring = self.meta.ring();
+        self.node(node as usize)
+            .keys_where(|k| ring.point_of(k) == point)
     }
 
-    // The fence: re-ship the mutation delta, reconcile deletions against
-    // the authoritative fence key-list, install the staged entries at the
-    // destination, commit them there, and flip ownership everywhere in one
-    // step.
-    fn fence(&mut self, mut m: Migration) -> Result<MigrationReport, MigrationReport> {
-        let current = self.keys_in(m.from, m.point);
-        // Delta: keys that mutated (or appeared) after their bulk segment
-        // shipped go through the same sealed-segment path, so the fault
-        // site also covers the fence window.
-        let mut delta = 0usize;
-        for key in &current {
-            let entry = self
-                .node(m.from as usize)
-                .export_entry(key)
-                .expect("live key exports");
-            let changed = match m.staged.get(key) {
-                Some(staged) => {
-                    staged.stored_bytes != entry.stored_bytes
-                        || staged.storage_seq != entry.storage_seq
-                }
-                None => true,
-            };
-            if changed {
-                delta += 1;
-                match self.ship_segment(&mut m, &entry) {
-                    ShipResult::Delivered => {}
-                    ShipResult::SourceCrashed | ShipResult::Tampered => {
-                        return Err(m.report(true));
-                    }
-                }
-            }
-        }
-        // Deletions since the range snapshot: the fence list is
-        // authoritative, staged leftovers are dropped.
-        m.staged.retain(|k, _| current.binary_search(k).is_ok());
+    // The fence: ship the moving set's part, apply the chain at the
+    // destination, install its entries over a clean range, commit them
+    // there, and flip ownership everywhere in one step.
+    fn fence(&mut self, mut m: Migration) -> MigrationOutcome {
+        let source = self.node_mut(m.from as usize);
+        let moving = source.track_moving(None).expect("the source notes writes");
+        let mut part = Vec::new();
+        source.encode_records(moving.keys.iter(), &mut part);
+        let entries = self.ship(&mut m, &part, true).then(|| m.entries());
+        let Some(Some(entries)) = entries else {
+            return MigrationOutcome::Aborted(self.abort(m));
+        };
 
-        // Install at the destination (sorted order: BTreeMap) over a clean
-        // range: whatever it still holds there was left by a fence that
-        // journaled installs and never flipped the ring, or by evictions
-        // that never reached its disk before a restart — keys deleted
-        // since would come back to life under this install.
-        let report = m.report(true);
-        let moved = m.staged.len();
+        // Install at the destination (key order) over a clean range:
+        // whatever it still holds there was left by a fence that journaled
+        // installs and never flipped the ring, or by evictions that never
+        // reached its disk before a restart — keys deleted since would come
+        // back to life under this install.
         for key in self.keys_in(m.to, m.point) {
             self.node_mut(m.to as usize).evict_entry(&key);
         }
-        for (_, entry) in m.staged {
+        let moved: Vec<Vec<u8>> = entries.iter().map(|e| e.key.clone()).collect();
+        for entry in entries {
             self.node_mut(m.to as usize)
                 .install_migrated(entry)
-                .expect("staged entry installs");
+                .expect("an opened entry installs");
         }
         // The installs are journaled; the ring flips only once they are
         // committed, so a destination rebuilt from its journal — all a
         // promoted replica ever holds — has the range it is about to own.
         if !self.groups[m.to as usize].commit_journal() {
-            return Err(report);
+            return MigrationOutcome::Aborted(self.abort(m));
         }
         let mut ring = self.meta.snapshot();
         ring.reassign_point(m.point, m.to);
@@ -656,73 +646,18 @@ impl PrecursorCluster {
         for (i, group) in self.groups.iter_mut().enumerate() {
             group.primary_mut().install_routing(i as u16, ring.clone());
         }
-        // The source's copies are unreachable from here on; left in place
-        // they would come back to life — deleted keys included — the next
-        // time the segment migrates to this node.
-        for key in &current {
+        // The source's copies — exactly the keys the chain leaves live —
+        // are unreachable from here on; left in place they would come back
+        // to life, deleted keys included, the next time the segment
+        // migrates to this node.
+        for key in &moved {
             self.node_mut(m.from as usize).evict_entry(key);
         }
-        Ok(MigrationReport {
-            keys_moved: moved,
-            delta_reshipped: delta,
-            aborted: false,
-            ..report
-        })
+        self.migrations_completed += 1;
+        self.keys_moved += moved.len() as u64;
+        MigrationOutcome::Fenced(m.report(moved.len(), false))
     }
-}
-
-enum ShipResult {
-    Delivered,
-    SourceCrashed,
-    Tampered,
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn owner_hint_roundtrips() {
-        for (epoch, owner) in [(1u64, 0u16), (7, 3), (0xffff_ffff, 65535)] {
-            let hint = encode_owner_hint(epoch, owner);
-            assert_eq!(decode_owner_hint(hint), (epoch, owner));
-        }
-    }
-
-    #[test]
-    fn location_cache_ignores_stale_hints() {
-        let mut cache = LocationCache::new();
-        cache.learn(PlacementRing::new(2, 8)); // epoch 1
-        assert_eq!(cache.epoch(), 1);
-        assert!(!cache.is_stale_for(encode_owner_hint(1, 0)));
-        assert!(cache.is_stale_for(encode_owner_hint(2, 1)));
-        // An older ring never replaces a newer cache entry.
-        let mut newer = PlacementRing::new(2, 8);
-        newer.reassign_point(0, 1); // epoch 2
-        cache.learn(newer);
-        assert_eq!(cache.epoch(), 2);
-        cache.learn(PlacementRing::new(2, 8));
-        assert_eq!(cache.epoch(), 2);
-    }
-
-    #[test]
-    fn fence_leaves_no_copy_behind_to_resurrect() {
-        let mut cluster = PrecursorCluster::new(2, Config::default(), &CostModel::default());
-        let mut client = ClusterClient::connect(&mut cluster, 1).expect("connect");
-        client.put_sync(&mut cluster, b"k", b"v").expect("put");
-        let home = cluster.meta().lookup(b"k").0;
-        let migrate = |cluster: &mut PrecursorCluster, to: u16| {
-            assert!(cluster.start_migration(b"k", to).expect("start"));
-            while !matches!(cluster.pump_migration(8), MigrationOutcome::Fenced(_)) {}
-        };
-        migrate(&mut cluster, 1 - home);
-        assert_eq!(cluster.node(home as usize).len(), 0, "source evicts");
-        client.delete_sync(&mut cluster, b"k").expect("delete");
-        // Back home: the key was deleted at its owner and must stay so.
-        migrate(&mut cluster, home);
-        assert_eq!(
-            client.get_sync(&mut cluster, b"k"),
-            Err(StoreError::NotFound)
-        );
-    }
-}
+mod tests;

@@ -119,7 +119,7 @@ impl PlacementRing {
     }
 
     // `point_of` for a key whose stable hash is `h`.
-    fn point_of_hash(&self, h: u64) -> usize {
+    pub(crate) fn point_of_hash(&self, h: u64) -> usize {
         match self.points.binary_search_by(|p| p.hash.cmp(&h)) {
             Ok(i) => i,
             Err(i) if i == self.points.len() => 0, // wrap

@@ -204,7 +204,8 @@ impl PrecursorServer {
             .and_then(|(at, blob)| PreviousCut::open(key, *at, blob).ok());
         let (mut carried, mut fresh) = (None, None);
         if let (Some(previous), Some(dirty)) = (&previous, &self.store.dirty) {
-            let delta = self.store.encode_delta(mode, dirty);
+            let mut delta = Vec::new();
+            self.encode_records(dirty.iter(), &mut delta);
             if previous.fits(delta.len()) {
                 carried = Some(previous);
                 fresh = (!delta.is_empty()).then_some(delta);

@@ -21,6 +21,7 @@ use precursor_sim::{CostModel, Event};
 use precursor_storage::pool::{PoolRange, SlabPool};
 use precursor_storage::robinhood::{shard_of_hash, stable_key_hash, OpStats, ShardedRobinHoodMap};
 
+use crate::cluster::MovingRange;
 use crate::config::{Config, EncryptionMode};
 use crate::error::StoreError;
 use crate::snapshot::{encode_record, DirtyKeys, EntryRef, SnapshotBody, SnapshotEntry};
@@ -131,6 +132,10 @@ pub(super) struct StoreExec {
     // snapshot commits: with no previous cut to carry from, the next one
     // seals everything anyway.
     pub(super) dirty: Option<DirtyKeys>,
+    // The moving set of a migration this node is the source of, noted
+    // beside `dirty`; `None` unless one is in flight. Boxed: one word in
+    // the struct every op reads.
+    pub(super) moving: Option<Box<MovingRange>>,
 
     // modelled enclave regions (one table region per shard, so each
     // shard's EPC footprint grows independently with its own resizes)
@@ -513,23 +518,6 @@ impl StoreExec {
         out
     }
 
-    // An incremental cut's delta, by the carried-entry rule: one record
-    // per key in `dirty`, in key order — its current table entry, or a
-    // tombstone when it is gone. No other key is read from the table.
-    pub(super) fn encode_delta(&self, mode: EncryptionMode, dirty: &DirtyKeys) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.payload_mem.with(|pool| {
-            for key in dirty.iter() {
-                let entry = self
-                    .table
-                    .get(key)
-                    .map(|meta| entry_ref(mode, key, meta, pool));
-                encode_record(&mut out, key, entry);
-            }
-        });
-        out
-    }
-
     // Charges a freshly allocated slot to the client's quota and registers
     // it with the adversary's tamper surface.
     pub(super) fn charge_range(
@@ -597,9 +585,7 @@ impl StoreExec {
             ctx.enclave.touch_all(self.misc_region, meter, cost);
         }
         let shard = shard_of_hash(hash, self.table.shard_count());
-        if let Some(dirty) = &mut self.dirty {
-            dirty.insert(key);
-        }
+        self.note_written(hash, key);
         let (old, stats) = self
             .table
             .insert_hashed_with(hash, key, meta, <[u8]>::to_vec);
@@ -637,10 +623,19 @@ impl StoreExec {
             self.release_range(adversary, entry.client_id, range);
         }
         self.bump_mutation(Opcode::Delete, key);
+        self.note_written(hash, key);
+        (true, stats)
+    }
+
+    // Marks `key`, whose stable hash is `hash`, written: for the next cut,
+    // and for the fence of a migration moving its ring segment away.
+    fn note_written(&mut self, hash: u64, key: &[u8]) {
         if let Some(dirty) = &mut self.dirty {
             dirty.insert(key);
         }
-        (true, stats)
+        if let Some(moving) = &mut self.moving {
+            moving.note(hash, key);
+        }
     }
 
     // Charges probes + shard-local slot touches of one table operation
@@ -843,23 +838,45 @@ impl PrecursorServer {
         Some(())
     }
 
-    // The current stored state of `key`, owned — what a migration fence
-    // ships.
-    pub(crate) fn export_entry(&self, key: &[u8]) -> Option<SnapshotEntry> {
-        let meta = self.store.table.get(key)?;
-        let mode = self.config.mode;
-        Some(
-            self.store
-                .payload_mem
-                .with(|pool| entry_ref(mode, key, meta, pool).to_entry()),
-        )
+    // The delta records of `keys`, in the order given, onto `out`: each
+    // key's current table entry, or a tombstone when it is gone — an
+    // incremental cut's delta by the carried-entry rule, and a migration
+    // part. No other key is read from the table. Returns how many of the
+    // keys are stored.
+    pub(crate) fn encode_records<'k>(
+        &self,
+        keys: impl IntoIterator<Item = &'k Vec<u8>>,
+        out: &mut Vec<u8>,
+    ) -> usize {
+        let (mode, store) = (self.config.mode, &self.store);
+        store.payload_mem.with(|pool| {
+            let mut stored = 0;
+            for key in keys {
+                let meta = store.table.get(key);
+                let entry = meta.map(|meta| entry_ref(mode, key, meta, pool));
+                stored += usize::from(entry.is_some());
+                encode_record(out, key, entry);
+            }
+            stored
+        })
     }
 
-    /// Every key currently stored, sorted. Used by cluster migration to
-    /// enumerate the keys of a range (and by tests as an oracle); sorting
-    /// keeps the enumeration independent of table iteration order.
+    // Makes this node the source of a migration (or no longer one).
+    pub(crate) fn track_moving(&mut self, moving: Option<MovingRange>) -> Option<MovingRange> {
+        let moving = std::mem::replace(&mut self.store.moving, moving.map(Box::new));
+        moving.map(|moving| *moving)
+    }
+
+    /// Every key currently stored, sorted (tests use it as an oracle);
+    /// sorting keeps the enumeration independent of table iteration order.
     pub fn live_keys(&self) -> Vec<Vec<u8>> {
-        let mut keys: Vec<Vec<u8>> = self.store.table.iter().map(|(k, _)| k.clone()).collect();
+        self.keys_where(|_| true)
+    }
+
+    // The stored keys `keep` accepts, sorted: only those are copied.
+    pub(crate) fn keys_where(&self, keep: impl Fn(&[u8]) -> bool) -> Vec<Vec<u8>> {
+        let keys = self.store.table.iter().map(|(k, _)| k);
+        let mut keys: Vec<Vec<u8>> = keys.filter(|k| keep(k)).cloned().collect();
         keys.sort_unstable();
         keys
     }

@@ -247,6 +247,7 @@ impl PrecursorServer {
                 mutation_seq: 0,
                 state_digest: [0u8; 16],
                 dirty: None,
+                moving: None,
                 table_regions,
                 misc_region,
                 misc_touched: false,

@@ -163,6 +163,10 @@ impl PrecursorServer {
     /// operation that executed right before the failure is therefore
     /// re-acknowledged, never re-applied.
     ///
+    /// A window a restart recovered behind `first_pending`, the oldest oid
+    /// the client has in flight, moves up to it: the journal holds no oid a
+    /// get or a redirect consumed, and every oid below it was answered.
+    ///
     /// After a crash-restart, clients must reconnect in ascending
     /// `client_id` order (ids index the port table).
     ///
@@ -174,9 +178,10 @@ impl PrecursorServer {
         &mut self,
         client_id: u32,
         client_nonce: [u8; 16],
+        first_pending: Option<u64>,
     ) -> Result<ClientBundle, StoreError> {
         let idx = client_id as usize;
-        let resumed = if idx < self.sessions.list.len() {
+        let mut resumed = if idx < self.sessions.list.len() {
             (
                 self.sessions.list[idx].expected_oid,
                 self.sessions.list[idx].last_status,
@@ -187,6 +192,7 @@ impl PrecursorServer {
         } else {
             return Err(StoreError::SessionLost);
         };
+        resumed.0 = resumed.0.max(first_pending.unwrap_or(0));
 
         let mut meter = Meter::new();
         let session_key = self.establish(client_nonce, &mut meter)?;

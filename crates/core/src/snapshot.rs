@@ -38,7 +38,7 @@
 //! against the row that names it. A cut therefore seals only the keys
 //! written since the last one (`DirtyKeys`) as its delta and carries the
 //! base and the earlier deltas by reference ([`SnapshotBlob`]); a cut
-//! whose chain would outgrow [`FOLD_PERCENT`] of the base folds the chain
+//! whose chain would outgrow `FOLD_PERCENT` of the base folds the chain
 //! into a new base instead — see DESIGN §14 "Log compaction".
 
 use std::collections::BTreeSet;
@@ -275,18 +275,6 @@ impl EntryRef<'_> {
         out.extend_from_slice(&(self.stored_bytes.len() as u32).to_le_bytes());
         out.extend_from_slice(self.stored_bytes);
     }
-
-    pub(crate) fn to_entry(&self) -> SnapshotEntry {
-        SnapshotEntry {
-            key: self.key.to_vec(),
-            k_op: self.k_op.clone(),
-            payload_nonce: self.payload_nonce,
-            storage_seq: self.storage_seq,
-            client_id: self.client_id,
-            payload_len: self.payload_len,
-            stored_bytes: self.stored_bytes.to_vec(),
-        }
-    }
 }
 
 impl SnapshotEntry {
@@ -379,15 +367,16 @@ fn next_record<'a>(
 }
 
 // What a chain of deltas says: the newest record of every key it wrote — a
-// later delta's record shadows an earlier one's.
-struct Chain<'a> {
+// later delta's record shadows an earlier one's. A snapshot's deltas and a
+// migration's parts are both such a chain.
+pub(crate) struct Chain<'a> {
     deltas: Vec<&'a [u8]>,
     // A Robin Hood map, so a base walk looks each key up in O(1).
     newest: RobinHoodMap<&'a [u8], Option<&'a [u8]>>,
 }
 
 impl<'a> Chain<'a> {
-    fn decode(deltas: impl IntoIterator<Item = &'a [u8]>) -> Result<Chain<'a>, StoreError> {
+    pub(crate) fn decode(deltas: impl IntoIterator<Item = &'a [u8]>) -> Result<Self, StoreError> {
         let deltas: Vec<&[u8]> = deltas.into_iter().collect();
         let mut newest = RobinHoodMap::new();
         for delta in &deltas {
@@ -408,7 +397,7 @@ impl<'a> Chain<'a> {
     // The entry of every key whose newest record is live, in chain order
     // (within a delta, key order): never in hash order, which would make
     // inserting them into a table of another size quadratic.
-    fn live(&self) -> impl Iterator<Item = &'a [u8]> + '_ {
+    pub(crate) fn live(&self) -> impl Iterator<Item = &'a [u8]> + '_ {
         self.deltas.iter().flat_map(move |&delta| {
             let mut pos = 0usize;
             std::iter::from_fn(move || {
@@ -899,7 +888,8 @@ impl PrecursorServer {
     /// the trusted monotonic `counter` so the new version supersedes every
     /// older snapshot. Only the keys written since this server's previous
     /// snapshot are sealed, as a delta; the rest of the chain is carried
-    /// over from it (or folded into a new base, see [`FOLD_PERCENT`]).
+    /// over from it, or folded into a new base once the chain would
+    /// outgrow `FOLD_PERCENT` of the base.
     ///
     /// When a [`FaultPlan`](precursor_rdma::faults::FaultPlan) with a
     /// `SnapshotSeal` rule is installed, the returned blob models what the

@@ -57,12 +57,13 @@ fi
 # reference model beside it), one driver entry point, a platform model
 # holding only the traffic the store generates (no READ or atomic verbs, no
 # SEND/TCP fault hooks, no single-server resource or cycle meter), one way
-# to charge a meter (`Meter::event`), and one snapshot format (a sealed base
-# plus a chain of deltas, no key-hash segments): the deleted names must not
-# grow back. `\bpair_faulty` spares the surviving `connect_pair_faulty`;
+# to charge a meter (`Meter::event`), one snapshot format (a sealed base
+# plus a chain of deltas, no key-hash segments), and one way to move a range
+# (sealed chain parts, no per-entry migration segments): the deleted names
+# must not grow back. `\bpair_faulty` spares the surviving `connect_pair_faulty`;
 # `\bResource\b` spares `NodeResources`.
 echo "== deleted names stay deleted =="
-if grep -rnE "attach_replicated_journal|external_commit|replace_node|recover_staged|recover_with_base|fail_primary_staged|FixedHistogram|DEFAULT_LATENCY_BOUNDS_NS|TimingWheel|RunConfig|epc_fault_locality|post_read|post_fetch_add|post_compare_swap|\bpair_faulty|new_faulty|take_forced_error|CycleMeter|Distribution::Latest|\bResource\b|counters_mut|charge_client|segment_of|SEGMENTS|snapshot_segments|segments_reused|segments_sealed|reseal_segments|encode_segments|HeapQueue|wheel_equivalence" \
+if grep -rnE "attach_replicated_journal|external_commit|replace_node|recover_staged|recover_with_base|fail_primary_staged|FixedHistogram|DEFAULT_LATENCY_BOUNDS_NS|TimingWheel|RunConfig|epc_fault_locality|post_read|post_fetch_add|post_compare_swap|\bpair_faulty|new_faulty|take_forced_error|CycleMeter|Distribution::Latest|\bResource\b|counters_mut|charge_client|segment_of|SEGMENTS|snapshot_segments|segments_reused|segments_sealed|reseal_segments|encode_segments|HeapQueue|wheel_equivalence|ship_segment|segment_aad|transfer_seq|export_entry|ShipResult|delta_reshipped" \
     crates tests examples; then
     echo "ci: a deleted name reappeared (see CHANGES.md)" >&2
     exit 1
@@ -105,6 +106,9 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy (all targets, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== cargo build --release =="
 cargo build --release --workspace

@@ -352,7 +352,7 @@ fn forked_views_are_detected_by_cross_client_audit() {
     a.reconnect(&mut s1).expect("a lands on replica 1");
     // On replica 2 the host replays a's re-attestation itself so client b's
     // slot lines up (sessions resume in ascending id order).
-    s2.reconnect_client(a.client_id(), [0x44; 16])
+    s2.reconnect_client(a.client_id(), [0x44; 16], None)
         .expect("host fills a's slot on the fork");
     b.reconnect(&mut s2).expect("b lands on replica 2");
 

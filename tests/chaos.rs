@@ -501,7 +501,7 @@ fn crashed_snapshot_seal_is_rejected_and_journal_covers_recovery() {
 // --- migration-crash sweep -----------------------------------------------
 
 // Two or three journaled nodes; after 30 ops the segment of a live key
-// starts moving, with its first shipped segment dropped (a source crash:
+// starts moving, with its first shipped part torn (a source crash:
 // the source then restarts from its journal), corrupted (host tampering,
 // rejected by GCM at the destination) or delivered (control). An aborted
 // migration is retried clean and must fence, still under load.

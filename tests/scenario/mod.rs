@@ -192,14 +192,15 @@ pub enum Event {
         crash: Option<FaultSite>,
     },
     /// Start moving a ring segment to the next node; with `fault` the
-    /// first shipped segment is dropped (a source crash) or corrupted.
+    /// first shipped part is torn (a source crash) or corrupted.
     Migrate {
         key: Pick,
         fault: Option<FaultAction>,
     },
     /// Client 0 puts a value new to key `k` and does not wait.
     Submit(u8),
-    /// One `poll_all` plus a poll of client 0: its submits settle.
+    /// One `poll_all`, one migration step of one key when a migration is
+    /// in flight, and a poll of client 0: its submits settle.
     Pump,
     /// Node 0's replica 0 falls 6 link pumps behind.
     LagReplica,
@@ -354,6 +355,7 @@ impl Scenario {
             dropped: vec![0; self.nodes],
             stale: vec![false; self.nodes],
             submits: Vec::new(),
+            moving: None,
             s: self,
         };
         for n in 0..h.s.nodes {
@@ -643,6 +645,9 @@ pub struct Harness {
     stale: Vec<bool>,
     // Client 0's submits that have not settled.
     submits: Vec<Submit>,
+    // The in-flight migration's injected fault and the keys it has
+    // shipped, as the last pump reported them.
+    moving: Option<(Option<FaultAction>, usize)>,
     initial_ring: PlacementRing,
 }
 
@@ -733,9 +738,11 @@ impl Harness {
 
     /// A hash of everything that constrains the rest of a schedule: each
     /// node's store, journal watermarks, quorum and catch-up state and each
-    /// replica's coverage and flags; every session's rollback watermark and
-    /// quarantine; the model (its open puts are the outstanding submits)
-    /// and the submits' order. The model checker deduplicates states by it.
+    /// replica's coverage and flags; every key's owner; an in-flight
+    /// migration's fault and progress; every session's rollback watermark
+    /// and quarantine; the model (its open puts are the outstanding
+    /// submits) and the submits' order. The model checker deduplicates
+    /// states by it.
     pub fn fingerprint(&mut self) -> u64 {
         let (mut digests, mut words) = (Vec::new(), Vec::new());
         for n in 0..self.s.nodes {
@@ -771,8 +778,10 @@ impl Harness {
                 }
             }
         }
+        words.extend((0..self.s.keys).map(|k| u64::from(self.cluster.meta().lookup(&[k]).0)));
+        let moving = self.cluster.migration_in_flight().then_some(self.moving);
         let submits: Vec<_> = self.submits.iter().map(|s| (s.node, s.key)).collect();
-        stable_key_hash(&(digests, words, &self.model.0, submits))
+        stable_key_hash(&(digests, words, moving, &self.model.0, submits))
     }
 
     // --- the run --------------------------------------------------------
@@ -800,20 +809,20 @@ impl Harness {
             self.check_size()?;
             self.check_nodes()?;
         }
-        self.fire_until(usize::MAX)?;
+        self.fire_until(usize::MAX)
+    }
+
+    /// Ends a played run under a fair schedule: a migration in flight runs
+    /// to its fence or abort, node 0's replica 0 heals, the groups pump
+    /// until every submit has settled, no node is catching up and no
+    /// replica lags (one rolled back always may), and sessions a catch-up
+    /// poisoned re-attest. Then every client reads key 0 — one that saw
+    /// acked state its node no longer holds trips its rollback check — and
+    /// a fresh client reads every key.
+    pub fn close(mut self) -> Result<Run, Violation> {
         while self.cluster.migration_in_flight() {
             self.pump_migration(8)?;
         }
-        Ok(())
-    }
-
-    /// Ends a played run under a fair schedule: node 0's replica 0 heals,
-    /// the groups pump until every submit has settled, no node is catching
-    /// up and no replica lags (one rolled back always may), and sessions a
-    /// catch-up poisoned re-attest. Then every client reads key 0 — one
-    /// that saw acked state its node no longer holds trips its rollback
-    /// check — and a fresh client reads every key.
-    pub fn close(mut self) -> Result<Run, Violation> {
         if self.group().replica_count() > 0 {
             self.group_mut().heal_replica(0);
         }
@@ -1088,6 +1097,12 @@ impl Harness {
 
     fn pump_migration(&mut self, batch: usize) -> Result<(), Violation> {
         match self.cluster.pump_migration(batch) {
+            MigrationOutcome::Shipping { shipped, .. } => {
+                let fault = self.moving.and_then(|(fault, _)| fault);
+                self.moving = Some((fault, shipped));
+                return Ok(());
+            }
+            MigrationOutcome::Idle => return Ok(()),
             MigrationOutcome::Fenced(r) => {
                 self.run.log.push(format!("fenced {r:?}"));
                 self.run.fences.push(r);
@@ -1096,16 +1111,19 @@ impl Harness {
                 self.run.log.push(format!("aborted {r:?}"));
                 self.run.aborts.push(r);
             }
-            MigrationOutcome::Idle | MigrationOutcome::Shipping { .. } => return Ok(()),
         }
         self.check_nodes()
     }
 
-    // One `poll_all` and one poll of client 0. Its submits settle in the
-    // model and the history (a Busy one never executed and stays open); a
+    // One `poll_all`, one key of an in-flight migration and one poll of
+    // client 0. Its submits settle in the model and the history (a Busy
+    // one, or one a fence redirected, never executed and stays open); a
     // session the poll poisons is judged by the catch-up rule.
     fn pump(&mut self) -> Result<(), Violation> {
         self.cluster.poll_all();
+        if self.cluster.migration_in_flight() {
+            self.pump_migration(1)?;
+        }
         let nodes = 0..self.s.nodes as u16;
         let poison = |h: &mut Self, n| h.clients[0].session_mut(n).and_then(|s| s.poisoned());
         let was: Vec<_> = nodes.clone().map(|n| poison(self, n)).collect();
@@ -1123,6 +1141,11 @@ impl Harness {
                 continue;
             };
             let s = self.submits.remove(i);
+            if done.redirect.is_some() {
+                self.clients[0].note_redirect(&self.cluster, &done);
+                self.model.settle(s.key, &s.value, Some(false));
+                continue;
+            }
             let label = Op::Put(s.key, s.value.clone()).label();
             self.run
                 .log
@@ -1162,6 +1185,7 @@ impl Harness {
                 }
             }
             Event::Restart(n) => {
+                self.cut_submits(Some(n));
                 self.retire(n);
                 let report = self.cluster.restart_node(n).map_err(|e| failed(self, e))?;
                 self.run.restarts.push(report);
@@ -1175,15 +1199,7 @@ impl Harness {
                     .collect();
                 let state = |p: &PrecursorServer| (p.mutation_seq(), p.state_digest());
                 let before = state(self.cluster.node(n));
-                // Submits the lost machine held may or may not have applied;
-                // their history entries stay open (free to linearise last).
-                let (cut, kept) = std::mem::take(&mut self.submits)
-                    .into_iter()
-                    .partition::<Vec<_>, _>(|s| s.node as usize == n);
-                self.submits = kept;
-                for s in cut {
-                    self.model.settle(s.key, &s.value, None);
-                }
+                self.cut_submits(Some(n));
                 self.retire(n);
                 let report = self.cluster.fail_node(n, batch);
                 let report = report.map_err(|e| failed(self, e))?;
@@ -1223,6 +1239,7 @@ impl Harness {
                 self.cluster.set_migrate_fault_plan(plan, seed);
                 let started = self.cluster.start_migration(&[key], to);
                 let started = started.map_err(|e| failed(self, e))?;
+                self.moving = Some((fault, 0));
                 let line = format!("migrate {key}: {from} -> {to} {started}");
                 self.run.log.push(line);
             }
@@ -1262,6 +1279,19 @@ impl Harness {
             }
         }
         Ok(())
+    }
+
+    // The submits at `node` (every node: `None`) lost the process or the
+    // client that would settle them: each may or may not have applied, and
+    // its history entry stays open (free to linearise last).
+    fn cut_submits(&mut self, node: Option<usize>) {
+        let (cut, kept) = std::mem::take(&mut self.submits)
+            .into_iter()
+            .partition::<Vec<_>, _>(|s| node.is_none_or(|n| s.node as usize == n));
+        self.submits = kept;
+        for s in cut {
+            self.model.settle(s.key, &s.value, None);
+        }
     }
 
     // Drains the node's commit pipeline (at most 8 pumps, none when it is
@@ -1382,6 +1412,11 @@ impl Harness {
                              client {c}, which saw acks up to store seq {seen}"
                         );
                         return Err(self.violation(what));
+                    }
+                    if c == 0 {
+                        // The replaced client's sessions at other nodes go
+                        // with it.
+                        self.cut_submits(None);
                     }
                     let seed = mix(self.s.seed, AFRESH + c as u64);
                     let fresh = ClusterClient::connect(&mut self.cluster, seed);
