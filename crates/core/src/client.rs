@@ -837,8 +837,7 @@ impl PrecursorClient {
     pub fn reconnect(&mut self, server: &mut PrecursorServer) -> Result<usize, StoreError> {
         let mut nonce = [0u8; 16];
         self.rng.fill_bytes(&mut nonce);
-        let bundle =
-            server.reconnect_client(self.client_id, nonce, self.pending.keys().min().copied())?;
+        let bundle = server.reconnect_client(self.client_id, nonce)?;
         self.obs.inc("client.reconnects", 1);
         self.trace("reconnect", "attest", u64::from(bundle.epoch), 0);
         self.session_key = GcmKey::new(&bundle.session_key);

@@ -133,8 +133,7 @@ pub(super) struct StoreExec {
     // seals everything anyway.
     pub(super) dirty: Option<DirtyKeys>,
     // The moving set of a migration this node is the source of, noted
-    // beside `dirty`; `None` unless one is in flight. Boxed: one word in
-    // the struct every op reads.
+    // beside `dirty`; boxed, so the struct every op reads grows one word.
     pub(super) moving: Option<Box<MovingRange>>,
 
     // modelled enclave regions (one table region per shard, so each
@@ -838,11 +837,10 @@ impl PrecursorServer {
         Some(())
     }
 
-    // The delta records of `keys`, in the order given, onto `out`: each
-    // key's current table entry, or a tombstone when it is gone — an
-    // incremental cut's delta by the carried-entry rule, and a migration
-    // part. No other key is read from the table. Returns how many of the
-    // keys are stored.
+    // The delta records of `keys`, in order, onto `out`: each key's table
+    // entry, or a tombstone when it is gone — a cut's delta by the
+    // carried-entry rule, and a migration part. Reads no other key;
+    // returns how many of the keys are stored.
     pub(crate) fn encode_records<'k>(
         &self,
         keys: impl IntoIterator<Item = &'k Vec<u8>>,
@@ -863,8 +861,7 @@ impl PrecursorServer {
 
     // Makes this node the source of a migration (or no longer one).
     pub(crate) fn track_moving(&mut self, moving: Option<MovingRange>) -> Option<MovingRange> {
-        let moving = std::mem::replace(&mut self.store.moving, moving.map(Box::new));
-        moving.map(|moving| *moving)
+        std::mem::replace(&mut self.store.moving, moving.map(Box::new)).map(|moving| *moving)
     }
 
     /// Every key currently stored, sorted (tests use it as an oracle);

@@ -627,7 +627,12 @@ impl PrecursorServer {
             meter,
             cost,
         );
-        let expected = self.sessions.list[idx].expected_oid;
+        let session = &mut self.sessions.list[idx];
+        if session.resumed_behind {
+            session.resumed_behind = false;
+            session.expected_oid = session.expected_oid.max(oid);
+        }
+        let expected = session.expected_oid;
         let retransmit = oid != 0 && oid + 1 == expected;
         if oid != expected && !retransmit {
             requests.truncate(at);

@@ -39,6 +39,9 @@ pub(super) struct Session {
     /// Reply MAC chain, advanced once per sealed reply in `reply_seq`
     /// order; its tag rides in every reply control.
     pub(super) chain: MacChain,
+    /// Resumed from a recovered window: the first request that opens under
+    /// the session key moves `expected_oid` up to that request's oid.
+    pub(super) resumed_behind: bool,
 }
 
 // Session-stage state: every trusted per-client window plus the platform
@@ -137,6 +140,7 @@ impl PrecursorServer {
             last_status: Status::Ok,
             epoch,
             chain,
+            resumed_behind: false,
         });
         self.ingress.ports.push(Some(port));
         self.store.pool_used.push(0);
@@ -161,11 +165,9 @@ impl PrecursorServer {
     /// last operation's status — is *preserved*, either from the live
     /// session or from the state recovered out of a sealed snapshot. An
     /// operation that executed right before the failure is therefore
-    /// re-acknowledged, never re-applied.
-    ///
-    /// A window a restart recovered behind `first_pending`, the oldest oid
-    /// the client has in flight, moves up to it: the journal holds no oid a
-    /// get or a redirect consumed, and every oid below it was answered.
+    /// re-acknowledged, never re-applied. A recovered window lags the oids
+    /// gets and redirects consumed: the client's first request, which only
+    /// it can seal, moves it up.
     ///
     /// After a crash-restart, clients must reconnect in ascending
     /// `client_id` order (ids index the port table).
@@ -178,21 +180,18 @@ impl PrecursorServer {
         &mut self,
         client_id: u32,
         client_nonce: [u8; 16],
-        first_pending: Option<u64>,
     ) -> Result<ClientBundle, StoreError> {
         let idx = client_id as usize;
-        let mut resumed = if idx < self.sessions.list.len() {
+        let (resumed, resumed_behind) = if let Some(live) = self.sessions.list.get(idx) {
             (
-                self.sessions.list[idx].expected_oid,
-                self.sessions.list[idx].last_status,
-                self.sessions.list[idx].epoch,
+                (live.expected_oid, live.last_status, live.epoch),
+                live.resumed_behind,
             )
         } else if idx == self.sessions.list.len() && idx < self.sessions.saved.len() {
-            self.sessions.saved[idx]
+            (self.sessions.saved[idx], true)
         } else {
             return Err(StoreError::SessionLost);
         };
-        resumed.0 = resumed.0.max(first_pending.unwrap_or(0));
 
         let mut meter = Meter::new();
         let session_key = self.establish(client_nonce, &mut meter)?;
@@ -214,6 +213,7 @@ impl PrecursorServer {
             last_status: resumed.1,
             epoch,
             chain,
+            resumed_behind,
         };
         // A Reorder attack must not hold a record across sessions.
         if let Some(adv) = &mut self.adversary {

@@ -107,7 +107,7 @@ fn wedged_client_is_revoked_reconnects_and_resumes() {
     );
 
     let bundle = server
-        .reconnect_client(wedged_id, [67; 16], None)
+        .reconnect_client(wedged_id, [67; 16])
         .expect("re-attests");
     assert_eq!(bundle.client_id, wedged_id);
     let mut revived = PrecursorClient::from_bundle(

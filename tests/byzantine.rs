@@ -352,7 +352,7 @@ fn forked_views_are_detected_by_cross_client_audit() {
     a.reconnect(&mut s1).expect("a lands on replica 1");
     // On replica 2 the host replays a's re-attestation itself so client b's
     // slot lines up (sessions resume in ascending id order).
-    s2.reconnect_client(a.client_id(), [0x44; 16], None)
+    s2.reconnect_client(a.client_id(), [0x44; 16])
         .expect("host fills a's slot on the fork");
     b.reconnect(&mut s2).expect("b lands on replica 2");
 
@@ -374,6 +374,39 @@ fn forked_views_are_detected_by_cross_client_audit() {
     // re-attest against a host both parties trust.
     a.quarantine(StoreError::ForkDetected);
     assert_eq!(a.put(b"z", b"z"), Err(StoreError::ForkDetected));
+}
+
+#[test]
+fn a_restored_window_moves_only_for_the_clients_own_request() {
+    let cost = CostModel::default();
+    let mut server = PrecursorServer::new(Config::default(), &cost);
+    let mut a = PrecursorClient::connect(&mut server, 9).unwrap();
+    a.put_sync(&mut server, b"k1", b"v1").unwrap();
+    let mut counter = MonotonicCounter::new();
+    let snap = server.snapshot(&mut counter);
+    let seq = server.mutation_seq();
+    // The get consumes an oid no snapshot holds, and the put is still in
+    // the ring when the host goes down: the restored window lags the put.
+    assert_eq!(a.get_sync(&mut server, b"k1").unwrap(), b"v1");
+    let put = a.put(b"k2", b"v2").unwrap();
+
+    let mut restored = PrecursorServer::restore(Config::default(), &cost, &snap, &counter).unwrap();
+    // The host re-attests a's slot itself first: nothing it passes or
+    // holds moves the window, so the session still waits for a's own
+    // first request.
+    restored
+        .reconnect_client(a.client_id(), [0x45; 16])
+        .expect("host re-attests a's slot");
+    assert_eq!(a.reconnect(&mut restored), Ok(1), "the put is re-issued");
+    restored.poll();
+    a.poll_replies();
+    let done = a.take_completed(put).expect("the re-issued put completes");
+    assert_eq!(done.status, Status::Ok);
+    // Acked because it ran, once, here — not re-acknowledged from an
+    // earlier op's cached status.
+    assert_eq!(restored.mutation_seq(), seq + 1);
+    assert_eq!(a.get_sync(&mut restored, b"k2").unwrap(), b"v2");
+    assert!(a.poisoned().is_none());
 }
 
 // --- backpressure and resource containment ------------------------------

@@ -180,7 +180,11 @@ pub enum Event {
     /// Every node seals its state as its recovery root (the only
     /// durability of a node without a journal).
     Checkpoint,
-    /// Process crash at a node; it recovers from its own root.
+    /// Process crash at a node; it recovers from its own root. Client 0's
+    /// submits there stay open: its reconnect re-issues them under their
+    /// oids, and each settles from its reply. One answered `Replay` ran
+    /// before the crash and its reply died with the process: it stays
+    /// open (it may or may not have applied).
     Restart(usize),
     /// A node's machine is lost; a replica is promoted and drains `batch`
     /// catch-up records per pump (`usize::MAX`: all before it serves).
@@ -658,6 +662,8 @@ struct Submit {
     entry: usize,
     key: u8,
     value: Vec<u8>,
+    // Its node restarted while it was in flight.
+    resumed: bool,
 }
 
 impl Harness {
@@ -1150,7 +1156,11 @@ impl Harness {
             self.run
                 .log
                 .push(format!("c0 {label} -> {:?}", done.status));
-            if done.status == Status::Ok {
+            if s.resumed && done.status == Status::Replay {
+                // The restarted node's window is past it: it ran before
+                // the crash, and its reply died with the process.
+                self.model.settle(s.key, &s.value, None);
+            } else if done.status == Status::Ok {
                 self.model.settle(s.key, &s.value, Some(true));
                 self.settle(s.entry, Kind::Put(s.value));
             } else {
@@ -1185,7 +1195,9 @@ impl Harness {
                 }
             }
             Event::Restart(n) => {
-                self.cut_submits(Some(n));
+                for s in &mut self.submits {
+                    s.resumed |= s.node as usize == n;
+                }
                 self.retire(n);
                 let report = self.cluster.restart_node(n).map_err(|e| failed(self, e))?;
                 self.run.restarts.push(report);
@@ -1257,6 +1269,7 @@ impl Harness {
                             entry,
                             key,
                             value,
+                            resumed: false,
                         });
                     }
                     // A poisoned session refuses ops; the poll that
