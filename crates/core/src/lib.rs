@@ -95,6 +95,6 @@ pub use snapshot::SnapshotBlob;
 pub use precursor_rdma::adversary::{AdversaryInjector, AdversaryPlan, AttackClass, MountedAttack};
 pub use precursor_rdma::faults::{FaultAction, FaultDir, FaultPlan, FaultSite};
 
-// Journal vocabulary (group-commit policy + counters), re-exported so
-// durability callers need only this crate.
-pub use precursor_journal::{GroupCommitPolicy, JournalStats};
+// Journal vocabulary (group-commit policy, the journal, its durable log and
+// counters), re-exported so durability callers need only this crate.
+pub use precursor_journal::{DurableLog, GroupCommitPolicy, Journal, JournalStats};

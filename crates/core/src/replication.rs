@@ -5,12 +5,19 @@
 //!
 //! **The root** is the pair the untrusted host holds for the primary: its
 //! last committed snapshot ([`PrecursorServer::committed_snapshot`],
-//! versioned by the *snapshot counter*) and its durable journal suffix
+//! versioned by the *snapshot counter*) and its journal's [`DurableLog`]
 //! (keyed by the *epoch counter*, which every new primary increments). The
 //! group keeps no copy of either: a [`restart`](ReplicaGroup::restart)
 //! (process crash, disk survives) reads them off the dead primary, a
 //! [`fail_primary`](ReplicaGroup::fail_primary) (machine lost) salvages
-//! the snapshot and takes the journal from a replica.
+//! the snapshot and takes the log from a replica.
+//!
+//! **One log type.** The primary's journal, every replica's copy and what
+//! recovery replays are one [`DurableLog`] (bytes, logical start, cut
+//! anchor): a replica appends segments ([`DurableLog::append_at`]), starts
+//! at a shipped cut ([`DurableLog::at_cut`]), is audited
+//! ([`DurableLog::agrees_with`]) and is promoted by handing its log to
+//! [`PrecursorServer::recover`]; no offset arithmetic lives here.
 //!
 //! **Replication (R > 0).** The primary's sealed journal (see
 //! `crate::server`'s durability stage) is shipped record-group by
@@ -36,13 +43,15 @@
 //! the commit watermark are untouched by a cut. A replica whose
 //! acknowledged coverage is behind the cut can no longer be caught up by
 //! segments alone; the primary ships it the compacted **(snapshot, tail)**
-//! pair instead: a `FRAME_SNAPSHOT` frame carrying the sealed blob, which the
-//! replica validates (`snapshot::open` at the trusted counter version —
-//! the manifest, then the base and every delta against it — and the embedded
-//! watermark) before adopting its `journal_chain` as the
-//! MAC-chain anchor for the tail that follows. A tampered blob is
-//! rejected; the replica then falls back to *full-journal catch-up* from a
-//! peer replica that still holds the uncompacted stream.
+//! pair instead: a `FRAME_SNAPSHOT` frame carrying the sealed blob behind
+//! the cut read off the primary's log, which the replica validates
+//! (`snapshot::open` at the trusted counter version — the manifest, then
+//! the base and every delta against it — and the embedded watermark)
+//! before starting an empty log at that cut, anchored at the blob's
+//! `journal_chain`, for the tail that follows. A tampered blob is
+//! rejected; the replica then falls back to *full-journal catch-up*: a
+//! copy of the longest log a peer still holds uncompacted. A healthy
+//! replica's log is never cut — it may be that peer.
 //!
 //! **Failover** ([`ReplicaGroup::fail_primary`]) is deterministic: among
 //! alive, non-quarantined replicas the one holding the longest journal
@@ -81,7 +90,7 @@ use crate::config::Config;
 use crate::error::StoreError;
 use crate::server::{CompactOutcome, PrecursorServer, RecoveryReport};
 use crate::snapshot::{self, SnapshotBlob};
-use precursor_journal::GroupCommitPolicy;
+use precursor_journal::{DurableLog, GroupCommitPolicy, Journal};
 
 // Replication frame tags (primary → replica segments and compacted
 // snapshots, replica → primary acknowledgements).
@@ -91,24 +100,16 @@ const FRAME_SNAPSHOT: u8 = 0x03;
 
 // One replica's state as tracked by the group: the link to it, its
 // journal copy, and the durability it has acknowledged/claimed.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Replica {
     link: ReplicaLink,
-    // The replica's durable journal copy (appended from segment frames).
-    // `journal[0]` is logical stream offset `base`.
-    journal: Vec<u8>,
-    // Logical stream offset of the first byte this replica holds: 0 for a
-    // full-epoch copy, the compaction cut for a shipped (snapshot, tail)
-    // pair.
-    base: u64,
-    // Compaction-cut anchor of this copy: records at or before `base_seq`
-    // are covered by `snapshot`, and `base_chain` (read from the
-    // *validated* snapshot body, never from the wire) resumes the MAC
-    // chain for the tail.
-    base_seq: u64,
-    base_chain: [u8; 16],
-    // The validated sealed snapshot covering `[..base]`, and the counter
-    // version it validated at, when this copy starts mid-stream.
+    // The replica's durable journal copy: appended from segment frames, or
+    // started at the cut of a shipped (snapshot, tail) pair, its anchor
+    // read from the *validated* snapshot body, never from the wire.
+    log: DurableLog,
+    // The validated sealed snapshot covering the log's trimmed prefix, and
+    // the counter version it validated at, when this copy starts
+    // mid-stream.
     snapshot: Option<(u64, Vec<u8>)>,
     // Set when a shipped compacted snapshot failed validation: the
     // replica refuses the pair and waits for full-journal catch-up from a
@@ -118,8 +119,7 @@ struct Replica {
     // primary.
     acked: u64,
     // Highest acknowledgement it ever made — rollback evidence: a replica
-    // whose journal coverage is ever shorter than `claimed` staged a
-    // rollback.
+    // whose log ever ends short of `claimed` staged a rollback.
     claimed: u64,
     // Journal record sequence at the last shipped segment it applied.
     last_seq: u64,
@@ -128,39 +128,14 @@ struct Replica {
     quarantined: bool,
 }
 
-impl Replica {
-    fn fresh(quarantined: bool) -> Replica {
-        Replica {
-            link: ReplicaLink::new(),
-            journal: Vec::new(),
-            base: 0,
-            base_seq: 0,
-            base_chain: [0u8; 16],
-            snapshot: None,
-            needs_full: false,
-            acked: 0,
-            claimed: 0,
-            last_seq: 0,
-            quarantined,
-        }
-    }
-
-    // Logical end offset of this replica's journal coverage.
-    fn coverage(&self) -> u64 {
-        self.base + self.journal.len() as u64
-    }
-}
-
-// The compacted (snapshot, cut) pair the primary ships to replicas whose
-// coverage is behind the truncation point (R > 0 only). It shares the
-// primary's committed blob part for part; a host tampering with the
-// *shipped* bytes (`rewrite_compacted_snapshot`) writes to its own copy
-// and leaves the recovery root alone.
-#[derive(Debug)]
-struct CompactShip {
-    blob: SnapshotBlob,
-    trimmed: u64,
-    base_seq: u64,
+// The `k`-th largest of `values` (1-based, repeats counted), `None` when
+// there are fewer than `k`: quadratic in a group's handful of members, and
+// it allocates nothing.
+fn kth_largest(values: impl Iterator<Item = u64> + Clone, k: usize) -> Option<u64> {
+    values
+        .clone()
+        .filter(|&v| values.clone().filter(|&x| x >= v).count() >= k)
+        .max()
 }
 
 /// A deliberately seeded protocol bug for the model checker's self-test:
@@ -212,9 +187,14 @@ pub struct ReplicaGroup {
     // The journal's group-commit policy once durability is on: a promoted
     // or restarted primary re-attaches under it.
     policy: Option<GroupCommitPolicy>,
-    // The (snapshot, cut) pair shipped to replicas behind the compaction
-    // point, if the journal was ever compacted this epoch.
-    compact_ship: Option<CompactShip>,
+    // The snapshot shipped to replicas behind the compaction cut, if the
+    // journal was ever compacted this epoch. It shares the primary's
+    // committed blob part for part; a host tampering with the *shipped*
+    // bytes (`rewrite_compacted_snapshot`) writes to its own copy and
+    // leaves the recovery root alone. The frame's cut is read off the
+    // primary's log: only a `Compacted` cut moves it, and only that cut
+    // replaces this blob.
+    compact_ship: Option<SnapshotBlob>,
     committed_bytes: u64,
     // Catching-up primary: records per pump to drain from its queue, and
     // whether the new epoch's base snapshot is still owed (sealed once
@@ -259,7 +239,7 @@ impl ReplicaGroup {
         policy: GroupCommitPolicy,
     ) -> ReplicaGroup {
         let mut group = ReplicaGroup::new(config, cost);
-        group.replicas = (0..replicas).map(|_| Replica::fresh(false)).collect();
+        group.replicas = (0..replicas).map(|_| Replica::default()).collect();
         group.enable_durability(policy);
         group
     }
@@ -320,23 +300,11 @@ impl ReplicaGroup {
         self.committed_bytes
     }
 
-    /// Bytes of journal replica `i` currently holds (its physical copy;
-    /// see [`replica_coverage`](Self::replica_coverage) for the logical
-    /// end offset).
-    pub fn replica_journal_len(&self, i: usize) -> usize {
-        self.replicas[i].journal.len()
-    }
-
-    /// Logical end offset of replica `i`'s journal coverage (`base +
-    /// physical length`).
-    pub fn replica_coverage(&self, i: usize) -> u64 {
-        self.replicas[i].coverage()
-    }
-
-    /// Whether replica `i` holds a compacted `(snapshot, tail)` pair
-    /// rather than a full-epoch journal copy.
-    pub fn replica_compacted(&self, i: usize) -> bool {
-        self.replicas[i].base > 0
+    /// Replica `i`'s journal copy: its bytes, the logical offset they
+    /// start at (past 0 once it adopted a compacted `(snapshot, tail)`
+    /// pair, whose cut is its anchor) and its logical end — its coverage.
+    pub fn replica_log(&self, i: usize) -> &DurableLog {
+        &self.replicas[i].log
     }
 
     /// Whether replica `i` rejected a shipped compacted snapshot and is
@@ -355,7 +323,7 @@ impl ReplicaGroup {
     /// scan acts on (exposed so the model checker can assert the scan
     /// actually quarantines every such replica).
     pub fn replica_rolled_back(&self, i: usize) -> bool {
-        self.replicas[i].coverage() < self.replicas[i].claimed
+        self.replicas[i].log.end() < self.replicas[i].claimed
     }
 
     /// Group-level metrics: `failover.count`,
@@ -388,13 +356,13 @@ impl ReplicaGroup {
     }
 
     /// Adversarial hook: replica `i` discards its journal past
-    /// `keep_bytes` (of its physical copy) while standing by its earlier
+    /// `keep_bytes` (of the bytes it holds) while standing by its earlier
     /// acknowledgements — the staged-rollback attack
     /// [`fail_primary`](Self::fail_primary) quarantines.
     pub fn rollback_replica(&mut self, i: usize, keep_bytes: usize) {
         let r = &mut self.replicas[i];
-        r.journal.truncate(keep_bytes);
-        r.acked = r.acked.min(r.base + keep_bytes as u64);
+        r.log.bytes_mut().truncate(keep_bytes);
+        r.acked = r.acked.min(r.log.trimmed() + keep_bytes as u64);
         r.last_seq = 0;
     }
 
@@ -405,7 +373,7 @@ impl ReplicaGroup {
     /// [`fail_primary`](Self::fail_primary) (recovery truncates at the
     /// first inauthentic byte).
     pub fn tamper_replica(&mut self, i: usize, byte: usize) {
-        let j = &mut self.replicas[i].journal;
+        let j = self.replicas[i].log.bytes_mut();
         if !j.is_empty() {
             let b = byte % j.len();
             j[b] ^= 0x40;
@@ -418,9 +386,9 @@ impl ReplicaGroup {
     /// recovery root. No-op before the first compaction.
     pub fn rewrite_compacted_snapshot(&mut self, rewrite: impl FnOnce(&mut Vec<u8>)) {
         if let Some(ship) = self.compact_ship.as_mut() {
-            let mut blob = ship.blob.to_vec();
+            let mut blob = ship.to_vec();
             rewrite(&mut blob);
-            ship.blob = SnapshotBlob::from(blob);
+            *ship = SnapshotBlob::from(blob);
         }
     }
 
@@ -456,15 +424,9 @@ impl ReplicaGroup {
         let outcome = self
             .primary
             .compact_journal_via(&mut self.snap_counter, host_write);
-        if let (CompactOutcome::Compacted { base_seq, .. }, false) =
-            (&outcome, self.replicas.is_empty())
-        {
+        if let (CompactOutcome::Compacted { .. }, false) = (&outcome, self.replicas.is_empty()) {
             let root = self.primary.committed_snapshot();
-            self.compact_ship = Some(CompactShip {
-                blob: root.expect("a cut just committed").clone(),
-                trimmed: self.primary.journal_trimmed_bytes(),
-                base_seq: *base_seq,
-            });
+            self.compact_ship = Some(root.expect("a cut just committed").clone());
         }
         outcome
     }
@@ -480,8 +442,7 @@ impl ReplicaGroup {
             &self.cost,
             root.as_deref(),
             &self.snap_counter,
-            p.journal_durable().unwrap_or(&[]),
-            p.journal_cut(),
+            p.journal().map_or(&DurableLog::default(), Journal::log),
             &self.epoch_counter,
         )?;
         server.catchup_step(usize::MAX)?;
@@ -523,7 +484,8 @@ impl ReplicaGroup {
     // group and flipping the ring. Trivially true without a journal.
     pub(crate) fn commit_journal(&mut self) -> bool {
         let settled = |p: &PrecursorServer| {
-            p.journal_wedged() || p.journal_committed_seq() >= p.journal_last_seq()
+            p.journal_wedged()
+                || p.journal_committed_seq() >= p.journal().map_or(0, Journal::last_seq)
         };
         self.primary.flush_journal();
         for _ in 0..COMMIT_PUMPS {
@@ -540,10 +502,9 @@ impl ReplicaGroup {
     /// checker's ground truth for the acked-implies-quorum-durable
     /// invariant.
     pub fn quorum_durable_bytes(&self) -> u64 {
-        let mut lens: Vec<u64> = self.replicas.iter().map(Replica::coverage).collect();
-        lens.push(self.primary.journal_durable_end());
-        lens.sort_unstable_by(|a, b| b.cmp(a));
-        lens.get(self.quorum() - 1).copied().unwrap_or(0)
+        let primary = self.primary.journal().map_or(0, |j| j.log().end());
+        let ends = self.replicas.iter().map(|r| r.log.end());
+        kth_largest(ends.chain([primary]), self.quorum()).unwrap_or(0)
     }
 
     /// The first catch-up replay error, if a promotion's background drain
@@ -587,32 +548,33 @@ impl ReplicaGroup {
         // replica acknowledged behind the compaction cut gets the
         // (snapshot, tail) pair instead — segments alone can no longer
         // reach it.
-        let durable = self.primary.journal_durable().unwrap_or(&[]);
-        let trimmed = self.primary.journal_trimmed_bytes();
-        let durable_end = trimmed + durable.len() as u64;
-        let last_seq = self.primary.journal_last_seq();
+        let empty = DurableLog::default();
+        let log = self.primary.journal().map_or(&empty, Journal::log);
+        let (trimmed, durable_end) = (log.trimmed(), log.end());
+        let last_seq = self.primary.journal().map_or(0, Journal::last_seq);
+        let epoch = self.primary.journal().map_or(0, Journal::epoch);
         for r in &mut self.replicas {
             if !r.link.is_alive() || r.quarantined || r.needs_full {
                 continue;
             }
             if r.acked < trimmed {
-                if let Some(ship) = &self.compact_ship {
-                    let mut frame = Vec::with_capacity(17 + ship.blob.len());
+                if let Some(blob) = &self.compact_ship {
+                    let mut frame = Vec::with_capacity(17 + blob.len());
                     frame.push(FRAME_SNAPSHOT);
-                    frame.extend_from_slice(&ship.trimmed.to_le_bytes());
-                    frame.extend_from_slice(&ship.base_seq.to_le_bytes());
-                    ship.blob.append_to(&mut frame);
+                    frame.extend_from_slice(&trimmed.to_le_bytes());
+                    frame.extend_from_slice(&log.base_seq().to_le_bytes());
+                    blob.append_to(&mut frame);
                     r.link.send_to_replica(&frame);
                 }
                 continue;
             }
             if r.acked < durable_end {
-                let phys = (r.acked - trimmed) as usize;
-                let mut frame = Vec::with_capacity(17 + durable.len() - phys);
+                let tail = &log.bytes()[(r.acked - trimmed) as usize..];
+                let mut frame = Vec::with_capacity(17 + tail.len());
                 frame.push(FRAME_SEGMENT);
                 frame.extend_from_slice(&r.acked.to_le_bytes());
                 frame.extend_from_slice(&last_seq.to_le_bytes());
-                frame.extend_from_slice(&durable[phys..]);
+                frame.extend_from_slice(tail);
                 r.link.send_to_replica(&frame);
             }
         }
@@ -622,9 +584,7 @@ impl ReplicaGroup {
         // versions every enclave derives are identical (same attestation
         // root), so replicas validate shipped snapshots exactly as their
         // own recovery would.
-        let skey = self.primary.sealing_key();
         let snap_version = self.snap_counter.read();
-        let epoch = self.primary.journal_epoch().unwrap_or(0);
         for r in &mut self.replicas {
             r.link.pump();
             let mut acked_any = false;
@@ -636,11 +596,7 @@ impl ReplicaGroup {
                     FRAME_SEGMENT => {
                         let offset = u64::from_le_bytes(frame[1..9].try_into().expect("8 bytes"));
                         let seq = u64::from_le_bytes(frame[9..17].try_into().expect("8 bytes"));
-                        let chunk = &frame[17..];
-                        let end = r.coverage();
-                        if offset >= r.base && offset <= end && offset + chunk.len() as u64 > end {
-                            let skip = (end - offset) as usize;
-                            r.journal.extend_from_slice(&chunk[skip..]);
+                        if r.log.append_at(offset, &frame[17..]) {
                             r.last_seq = seq;
                         }
                         acked_any = true;
@@ -656,6 +612,7 @@ impl ReplicaGroup {
                         // matches the cut the primary claims. The
                         // MAC-chain anchor comes from the *sealed*
                         // manifest, never from the untrusted frame header.
+                        let skey = self.primary.sealing_key();
                         let header = snapshot::open(&skey, snap_version, blob)
                             .ok()
                             .map(|body| body.header)
@@ -663,10 +620,8 @@ impl ReplicaGroup {
                         match header {
                             Some(header) => {
                                 r.snapshot = Some((snap_version, blob.to_vec()));
-                                r.journal.clear();
-                                r.base = base_off;
-                                r.base_seq = base_seq;
-                                r.base_chain = header.journal_chain;
+                                r.log =
+                                    DurableLog::at_cut(base_off, base_seq, header.journal_chain);
                                 r.last_seq = base_seq;
                                 acked_any = true;
                                 self.metrics.inc("replica.compact_ships", 1);
@@ -683,7 +638,7 @@ impl ReplicaGroup {
             if acked_any {
                 let mut ack = Vec::with_capacity(17);
                 ack.push(FRAME_ACK);
-                ack.extend_from_slice(&r.coverage().to_le_bytes());
+                ack.extend_from_slice(&r.log.end().to_le_bytes());
                 ack.extend_from_slice(&r.last_seq.to_le_bytes());
                 r.link.send_to_primary(&ack);
             }
@@ -702,27 +657,32 @@ impl ReplicaGroup {
         // shipped compacted snapshot copies the uncompacted stream from a
         // peer that still holds it (replica-to-replica repair). Without a
         // donor it stays lagged — never silently adopts the rejected pair.
+        // The donor is chosen by reference and copied only into a replica
+        // that takes it.
         let donor = self
             .replicas
             .iter()
-            .filter(|d| d.link.is_alive() && !d.quarantined && !d.needs_full && d.base == 0)
-            .map(|d| (d.journal.clone(), d.last_seq))
-            .max_by_key(|(j, _)| j.len());
-        if let Some((journal, donor_seq)) = donor {
-            for r in &mut self.replicas {
+            .enumerate()
+            .filter(|(_, d)| {
+                d.link.is_alive() && !d.quarantined && !d.needs_full && d.log.trimmed() == 0
+            })
+            .max_by_key(|(_, d)| d.log.end())
+            .map(|(i, _)| i);
+        if let Some(d) = donor {
+            for i in 0..self.replicas.len() {
+                let (r, donor) = (&self.replicas[i], &self.replicas[d]);
                 if !r.needs_full || !r.link.is_alive() || r.quarantined {
                     continue;
                 }
-                if journal.len() as u64 <= r.coverage() {
+                if donor.log.end() <= r.log.end() {
                     continue;
                 }
-                r.journal = journal.clone();
-                r.base = 0;
-                r.base_seq = 0;
-                r.base_chain = [0u8; 16];
+                let (log, donor_seq) = (donor.log.clone(), donor.last_seq);
+                let r = &mut self.replicas[i];
+                r.log = log;
                 r.snapshot = None;
                 r.last_seq = donor_seq;
-                r.acked = r.acked.max(r.coverage());
+                r.acked = r.acked.max(r.log.end());
                 r.claimed = r.claimed.max(r.acked);
                 r.needs_full = false;
                 self.metrics.inc("replica.full_catchup_fallbacks", 1);
@@ -733,10 +693,9 @@ impl ReplicaGroup {
         // byte is committed once `quorum - 1` replicas acknowledged it.
         // (A primary promoted with no survivor commits at its own flush.)
         if !self.replicas.is_empty() {
-            let mut acks: Vec<u64> = self.replicas.iter().map(|r| r.acked).collect();
-            acks.sort_unstable_by(|a, b| b.cmp(a));
-            let watermark = acks[self.quorum() - 2].min(durable_end);
-            self.committed_bytes = self.committed_bytes.max(watermark);
+            let acks = self.replicas.iter().map(|r| r.acked);
+            let acked = kth_largest(acks, self.quorum() - 1).expect("quorum ≤ members");
+            self.committed_bytes = self.committed_bytes.max(acked.min(durable_end));
             self.primary.commit_journal_bytes(self.committed_bytes);
         }
 
@@ -761,19 +720,12 @@ impl ReplicaGroup {
     ///
     /// [`StoreError::ForkDetected`] on the first divergent pair.
     pub fn audit_replicas(&self) -> Result<(), StoreError> {
-        for a in 0..self.replicas.len() {
-            for b in a + 1..self.replicas.len() {
-                let (ra, rb) = (&self.replicas[a], &self.replicas[b]);
-                let start = ra.base.max(rb.base);
-                let end = ra.coverage().min(rb.coverage());
-                if start >= end {
-                    continue;
-                }
-                let sa = (start - ra.base) as usize..(end - ra.base) as usize;
-                let sb = (start - rb.base) as usize..(end - rb.base) as usize;
-                if ra.journal[sa] != rb.journal[sb] {
-                    return Err(StoreError::ForkDetected);
-                }
+        for (a, ra) in self.replicas.iter().enumerate() {
+            if self.replicas[a + 1..]
+                .iter()
+                .any(|rb| !ra.log.agrees_with(&rb.log))
+            {
+                return Err(StoreError::ForkDetected);
             }
         }
         Ok(())
@@ -811,7 +763,7 @@ impl ReplicaGroup {
         let mut quarantined = Vec::new();
         if self.bug != Some(ProtocolBug::SkipRollbackQuarantine) {
             for (i, r) in self.replicas.iter_mut().enumerate() {
-                if !r.quarantined && r.coverage() < r.claimed {
+                if !r.quarantined && r.log.end() < r.claimed {
                     r.quarantined = true;
                     quarantined.push(i);
                 }
@@ -836,7 +788,7 @@ impl ReplicaGroup {
             }
             let better = match candidate {
                 None => true,
-                Some(c) => r.coverage() > self.replicas[c].coverage(),
+                Some(c) => r.log.end() > self.replicas[c].log.end(),
             };
             // Seeded bug: first alive wins regardless of coverage.
             if better
@@ -854,7 +806,7 @@ impl ReplicaGroup {
         };
 
         let replica = &mut self.replicas[promoted];
-        let mut stale = replica.coverage() < self.committed_bytes;
+        let mut stale = replica.log.end() < self.committed_bytes;
         if self.bug == Some(ProtocolBug::PromoteWithoutQuorum) {
             // The seeded bug also lies about staleness — exactly what the
             // model checker must catch.
@@ -865,8 +817,7 @@ impl ReplicaGroup {
         // superseded it; a full-epoch copy from the epoch's genesis chain.
         // Any other snapshot is the dead primary's root, salvaged off its
         // host: the counter's version, so its watermark covers the cut.
-        let journal = std::mem::take(&mut replica.journal);
-        let cut = (replica.base > 0).then_some((replica.base_seq, replica.base_chain));
+        let log = std::mem::take(&mut replica.log);
         let version = self.snap_counter.read();
         let snapshot = match replica.snapshot.take() {
             Some((at, own)) if at == version => Some(own),
@@ -877,8 +828,7 @@ impl ReplicaGroup {
             &self.cost,
             snapshot.as_deref(),
             &self.snap_counter,
-            &journal,
-            cut,
+            &log,
             &self.epoch_counter,
         )?;
         if batch == usize::MAX {
@@ -907,7 +857,10 @@ impl ReplicaGroup {
             .into_iter()
             .enumerate()
             .filter(|(i, r)| Some(*i) != promoted && r.link.is_alive())
-            .map(|(_, r)| Replica::fresh(r.quarantined))
+            .map(|(_, r)| Replica {
+                quarantined: r.quarantined,
+                ..Replica::default()
+            })
             .collect();
         self.primary = server;
         self.open_epoch();

@@ -14,6 +14,7 @@ use std::ops::Range;
 
 use precursor_crypto::gcm::GcmKey;
 use precursor_crypto::keys::Nonce12;
+use precursor_journal::Journal;
 use precursor_rdma::faults::{DurableVerdict, FaultSite};
 use precursor_rdma::plock;
 use precursor_sgx::counters::MonotonicCounter;
@@ -104,7 +105,7 @@ impl PrecursorServer {
         if d.failed
             || self.in_catchup()
             || d.journal.pending_records() > 0
-            || d.journal.last_seq() == d.journal.base_seq()
+            || d.journal.last_seq() == d.journal.log().base_seq()
             || d.committed_seq < d.journal.last_seq()
         {
             return CompactOutcome::Skipped;
@@ -121,10 +122,7 @@ impl PrecursorServer {
         }
         let _ = counter.increment();
         self.commit_snapshot(version, cut);
-        let durable_len = self
-            .durability
-            .as_ref()
-            .map_or(0, |d| d.journal.durable().len());
+        let durable_len = self.journal().map_or(0, |j| j.durable().len());
         let verdict = match &self.faults {
             Some(f) => plock(f).on_durable_write(FaultSite::CompactTruncate, durable_len),
             None => DurableVerdict::Complete,
@@ -140,7 +138,7 @@ impl PrecursorServer {
             };
         }
         let truncated_records = d.journal.truncate_prefix(upto);
-        let base_seq = d.journal.base_seq();
+        let base_seq = d.journal.log().base_seq();
         self.obs.inc("journal.compactions", 1);
         self.obs.inc("journal.truncated_records", truncated_records);
         self.trace("journal", "compact", upto, truncated_records);
@@ -170,11 +168,11 @@ impl PrecursorServer {
                 .map(|s| (s.expected_oid, s.last_status, s.epoch))
                 .collect(),
             // Journal watermark: recovery replays only records past it.
-            journal_epoch: self.journal_epoch().unwrap_or(0),
-            journal_seq: self.journal_last_seq(),
+            journal_epoch: self.journal().map_or(0, Journal::epoch),
+            journal_seq: self.journal().map_or(0, Journal::last_seq),
             journal_chain: self
-                .journal_chain()
-                .unwrap_or_else(|| precursor_journal::genesis_chain(0)),
+                .journal()
+                .map_or_else(|| precursor_journal::genesis_chain(0), Journal::chain),
         }
     }
 

@@ -28,10 +28,15 @@
 //! ([`PrecursorServer::set_replication_fanout`]) commit is the replica
 //! group's: it calls [`PrecursorServer::commit_journal_bytes`] once a quorum
 //! of replicas acknowledged the flushed byte range (see `crate::replication`).
+//!
+//! **Reading the journal.** [`PrecursorServer::journal`] hands out the
+//! [`Journal`] itself (epoch, head, stats, [`DurableLog`]); this stage keeps
+//! only the commit point, flush marks, reply gate and wedge. Recovery
+//! replays a `DurableLog` — a restart's own, a failover's replica copy.
 
 use std::collections::VecDeque;
 
-use precursor_journal::{FlushDamage, GroupCommitPolicy, Journal, JournalRecord, JournalStats};
+use precursor_journal::{DurableLog, FlushDamage, GroupCommitPolicy, Journal, JournalRecord};
 use precursor_rdma::faults::{DurableVerdict, FaultSite};
 use precursor_rdma::plock;
 use precursor_sgx::counters::MonotonicCounter;
@@ -165,69 +170,16 @@ impl PrecursorServer {
         }
     }
 
-    /// The attached journal's epoch, if any.
-    pub fn journal_epoch(&self) -> Option<u64> {
-        self.durability.as_ref().map(|d| d.journal.epoch())
-    }
-
-    /// Sequence number of the most recently journaled record (0 when no
-    /// journal is attached or nothing was appended).
-    pub fn journal_last_seq(&self) -> u64 {
-        self.durability.as_ref().map_or(0, |d| d.journal.last_seq())
+    /// The attached journal, if any: its epoch, head, statistics and
+    /// [`DurableLog`] (the bytes replication ships and a crash leaves).
+    pub fn journal(&self) -> Option<&Journal> {
+        self.durability.as_ref().map(|d| &d.journal)
     }
 
     /// Highest committed journal sequence number — replies up to it have
     /// been released to clients.
     pub fn journal_committed_seq(&self) -> u64 {
         self.durability.as_ref().map_or(0, |d| d.committed_seq)
-    }
-
-    /// The journal's durable byte stream (what replication ships and what
-    /// survives a crash), when a journal is attached.
-    pub fn journal_durable(&self) -> Option<&[u8]> {
-        self.durability.as_ref().map(|d| d.journal.durable())
-    }
-
-    /// Journal flush/byte counters, when a journal is attached.
-    pub fn journal_stats(&self) -> Option<JournalStats> {
-        self.durability.as_ref().map(|d| d.journal.stats())
-    }
-
-    /// MAC-chain value at the journal head — the anchor a snapshot sealed
-    /// right now would carry for authenticating the tail behind it.
-    pub fn journal_chain(&self) -> Option<[u8; 16]> {
-        self.durability.as_ref().map(|d| d.journal.chain())
-    }
-
-    /// Sequence number of the compaction cut: records at or before it were
-    /// truncated behind a sealed snapshot (0 = never compacted).
-    pub fn journal_base_seq(&self) -> u64 {
-        self.durability.as_ref().map_or(0, |d| d.journal.base_seq())
-    }
-
-    // The compaction cut `(base_seq, base_chain)` as `recover` takes it,
-    // when a journal is attached (`base_chain` is the epoch's genesis chain
-    // while uncompacted).
-    pub(crate) fn journal_cut(&self) -> Option<(u64, [u8; 16])> {
-        let journal = &self.durability.as_ref()?.journal;
-        Some((journal.base_seq(), journal.base_chain()))
-    }
-
-    /// Bytes removed from the durable stream by compaction. Byte offsets
-    /// exchanged with the replication layer stay logical: the surviving
-    /// suffix covers `[trimmed, trimmed + durable.len())` of the epoch's
-    /// whole stream.
-    pub fn journal_trimmed_bytes(&self) -> u64 {
-        self.durability
-            .as_ref()
-            .map_or(0, |d| d.journal.trimmed_bytes())
-    }
-
-    /// Logical end offset of the durable stream (`trimmed + durable len`).
-    pub fn journal_durable_end(&self) -> u64 {
-        self.durability
-            .as_ref()
-            .map_or(0, |d| d.journal.durable_end())
     }
 
     /// Whether a damaged flush wedged the journal (the modelled process
@@ -491,16 +443,16 @@ impl PrecursorServer {
     }
 
     /// Reconstructs a server from a sealed snapshot (optional) plus the
-    /// durable journal byte stream of the epoch `epoch_counter` currently
+    /// durable journal `log` of the epoch `epoch_counter` currently
     /// designates. The snapshot is unsealed at `snap_counter`'s current
     /// value (rollback detection, as in [`restore`](Self::restore)); the
-    /// journal's authentic prefix is established by its MAC chain — a torn
-    /// tail is truncated, never replayed.
+    /// log's authentic prefix is established by its MAC chain from the
+    /// log's own anchor ([`DurableLog::recover`]) — a torn tail is
+    /// truncated, never replayed.
     ///
-    /// `cut` is `None` for a whole-epoch stream and the compaction cut
-    /// `(base_seq, base_chain)` for a mid-stream suffix. With `base_seq >
-    /// 0` the snapshot is mandatory and must cover at least the cut under
-    /// this epoch — otherwise the truncated records are unrecoverable.
+    /// A log that starts at a compaction cut needs the snapshot: it must
+    /// cover at least the cut under this epoch — otherwise the truncated
+    /// records are unrecoverable.
     ///
     /// Replay is staged: session records and at-most-once windows past the
     /// snapshot's watermark are applied here (so retransmissions of
@@ -528,14 +480,12 @@ impl PrecursorServer {
         cost: &CostModel,
         snapshot: Option<&[u8]>,
         snap_counter: &MonotonicCounter,
-        journal_bytes: &[u8],
-        cut: Option<(u64, [u8; 16])>,
+        log: &DurableLog,
         epoch_counter: &MonotonicCounter,
     ) -> Result<(PrecursorServer, RecoveryReport), StoreError> {
         let mut server = PrecursorServer::new(config, cost);
         let epoch = epoch_counter.read();
-        let (base_seq, base_chain) =
-            cut.unwrap_or_else(|| (0, precursor_journal::genesis_chain(epoch)));
+        let base_seq = log.base_seq();
         let mut snapshot_restored = false;
         let mut watermark = 0u64;
         if let Some(sealed) = snapshot {
@@ -555,7 +505,7 @@ impl PrecursorServer {
             return Err(StoreError::SnapshotRejected);
         }
         let jkey = sealing::journal_key(&server.sealing_key(), epoch);
-        let recovered = precursor_journal::recover_from(&jkey, base_seq, base_chain, journal_bytes);
+        let recovered = log.recover(&jkey, epoch);
         let journal_seq = recovered.records.last().map_or(0, |r| r.seq);
         let mut replayed = 0usize;
         let mut skipped = 0usize;

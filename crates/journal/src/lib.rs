@@ -21,6 +21,10 @@
 //!   group-commit release points can be expressed as byte offsets *or*
 //!   record sequence numbers interchangeably.
 //!
+//! What survives is a [`DurableLog`] — a [`Journal`]'s, a replica's copy,
+//! a recovery's input — so the rule that a replay resumes only at the
+//! anchor the log carries lives in this crate alone.
+//!
 //! The journal itself is transport- and policy-agnostic: the server decides
 //! *what* to append (see `precursor::server`), the [`GroupCommitPolicy`]
 //! decides *when* to flush, and the replication layer decides when a
@@ -125,9 +129,133 @@ pub struct Recovered {
     pub truncated: bool,
 }
 
+/// The durable side of one epoch's journal stream: the bytes that survive
+/// a crash, the *logical* offset they start at (offsets address the whole
+/// epoch stream, so a cut moves none), and the cut anchor `(base_seq,
+/// chain)` a replay resumes at — `None` while the log is whole.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DurableLog {
+    bytes: Vec<u8>,
+    trimmed: u64,
+    cut: Option<(u64, [u8; 16])>,
+}
+
+impl DurableLog {
+    /// An empty log whose offset `trimmed` is the first byte of record
+    /// `base_seq + 1`, and `chain` the MAC-chain state after `base_seq`. The
+    /// anchor must come from trusted state — a sealed snapshot's
+    /// `(journal_seq, journal_chain)` — as the walk authenticates relative
+    /// to it.
+    pub fn at_cut(trimmed: u64, base_seq: u64, chain: [u8; 16]) -> DurableLog {
+        DurableLog {
+            bytes: Vec::new(),
+            trimmed,
+            cut: Some((base_seq, chain)),
+        }
+    }
+
+    /// The surviving bytes: the records after the cut, if any.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The surviving bytes as the untrusted host holds them: anything may
+    /// happen to them, and [`recover`](Self::recover)'s walk catches it.
+    pub fn bytes_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.bytes
+    }
+
+    /// Logical offset of the first surviving byte (the bytes cuts removed).
+    pub fn trimmed(&self) -> u64 {
+        self.trimmed
+    }
+
+    /// Logical end offset: trimmed prefix plus the surviving bytes.
+    pub fn end(&self) -> u64 {
+        self.trimmed + self.bytes.len() as u64
+    }
+
+    /// The cut anchor `(base_seq, chain)`, `None` while the log is whole.
+    pub fn cut(&self) -> Option<(u64, [u8; 16])> {
+        self.cut
+    }
+
+    /// The last record truncated (0 while the log is whole).
+    pub fn base_seq(&self) -> u64 {
+        self.cut.map_or(0, |(seq, _)| seq)
+    }
+
+    /// Appends what this log lacks of `chunk`, the logical bytes from
+    /// `offset` on. A chunk that starts before the log, past its end (a
+    /// gap), or ends within it (stale or duplicate) changes nothing.
+    /// Returns whether bytes were appended.
+    pub fn append_at(&mut self, offset: u64, chunk: &[u8]) -> bool {
+        let end = self.end();
+        if offset < self.trimmed || offset > end || offset + chunk.len() as u64 <= end {
+            return false;
+        }
+        self.bytes
+            .extend_from_slice(&chunk[(end - offset) as usize..]);
+        true
+    }
+
+    /// Cuts every whole record with sequence number ≤ `upto_seq`; the new
+    /// anchor is the chain tag of the last one. Returns the records removed
+    /// (0 at or before the current cut). The caller must hold a sealed
+    /// snapshot covering `upto_seq`: the prefix is gone from the log.
+    pub fn truncate_prefix(&mut self, upto_seq: u64) -> u64 {
+        let base_seq = self.base_seq();
+        if upto_seq <= base_seq {
+            return 0;
+        }
+        let mut pos = 0usize;
+        let mut seq = base_seq;
+        let mut chain = [0u8; 16];
+        while pos + HEADER_LEN <= self.bytes.len() {
+            let rest = &self.bytes[pos..];
+            let rec_seq = u64::from_le_bytes(rest[..8].try_into().expect("8 bytes"));
+            let ct_len = u32::from_le_bytes(rest[9..13].try_into().expect("4 bytes")) as usize;
+            let end = pos + HEADER_LEN + ct_len + CHAIN_TAG_LEN;
+            if rec_seq > upto_seq || end > self.bytes.len() {
+                break;
+            }
+            seq = rec_seq;
+            chain.copy_from_slice(&self.bytes[end - CHAIN_TAG_LEN..end]);
+            pos = end;
+        }
+        if pos == 0 {
+            return 0;
+        }
+        self.bytes.drain(..pos);
+        self.trimmed += pos as u64;
+        self.cut = Some((seq, chain));
+        seq - base_seq
+    }
+
+    /// Whether two logs hold the same bytes where their coverage overlaps.
+    /// The stream is MAC-chained, so copies of divergent histories cannot
+    /// agree.
+    pub fn agrees_with(&self, other: &DurableLog) -> bool {
+        let start = self.trimmed.max(other.trimmed);
+        let len = self.end().min(other.end()).saturating_sub(start) as usize;
+        let at = |log: &DurableLog| (start - log.trimmed) as usize;
+        len == 0 || self.bytes[at(self)..][..len] == other.bytes[at(other)..][..len]
+    }
+
+    /// The longest authentic record prefix of the surviving bytes under the
+    /// epoch's journal `key`, walked from the cut's anchor or, uncut, from
+    /// [`genesis_chain`]`(epoch)`. A torn tail, bit-flip, sequence gap or
+    /// cross-epoch splice ends the walk; the rest is truncated, never
+    /// replayed.
+    pub fn recover(&self, key: &Key128, epoch: u64) -> Recovered {
+        let (base_seq, chain) = self.cut.unwrap_or_else(|| (0, genesis_chain(epoch)));
+        walk(key, base_seq, chain, &self.bytes)
+    }
+}
+
 /// A continuous sealed journal of store mutations.
 ///
-/// `durable` models the bytes that survived past crashes (the "file");
+/// `log` models the bytes that survived past crashes (the "file");
 /// `pending` is the in-memory group-commit buffer that a crash loses.
 #[derive(Debug, Clone)]
 pub struct Journal {
@@ -136,23 +264,13 @@ pub struct Journal {
     epoch: u64,
     chain: [u8; 16],
     next_seq: u64,
-    durable: Vec<u8>,
+    log: DurableLog,
     pending: Vec<u8>,
     pending_records: usize,
     pending_since: u64,
     policy: GroupCommitPolicy,
     stats: JournalStats,
     wedged: bool,
-    // Compaction cut: `durable[0]` is the first byte of record
-    // `base_seq + 1`; everything at or before `base_seq` was truncated
-    // behind a sealed snapshot. `base_chain` is the MAC-chain state at the
-    // cut (the trailing chain tag of record `base_seq`), the anchor
-    // [`recover_from`] resumes the walk at. `trimmed_bytes` keeps byte
-    // offsets logical: replication acknowledgements and flush marks refer
-    // to the epoch's whole stream, not the surviving suffix.
-    base_seq: u64,
-    base_chain: [u8; 16],
-    trimmed_bytes: u64,
 }
 
 /// Chain seed for an epoch: journals from different epochs can never be
@@ -201,16 +319,13 @@ impl Journal {
             chain: genesis_chain(epoch),
             epoch,
             next_seq: 1,
-            durable: Vec::new(),
+            log: DurableLog::default(),
             pending: Vec::new(),
             pending_records: 0,
             pending_since: 0,
             policy,
             stats: JournalStats::default(),
             wedged: false,
-            base_seq: 0,
-            base_chain: genesis_chain(epoch),
-            trimmed_bytes: 0,
         }
     }
 
@@ -265,30 +380,30 @@ impl Journal {
         if self.pending.is_empty() {
             return None;
         }
-        // Logical stream offset: physical suffix position plus whatever a
-        // compaction trimmed, so replication acks stay stable across cuts.
-        let phys = self.durable.len();
-        let offset = self.trimmed_bytes + phys as u64;
+        // Logical stream offset, so replication acks stay stable across
+        // cuts.
+        let phys = self.log.bytes.len();
+        let offset = self.log.end();
         // The group is copied out and the pending buffer kept: the next
         // group is sealed into the same allocation.
         let group = &self.pending;
         self.pending_records = 0;
         let written = match damage {
             FlushDamage::None => {
-                self.durable.extend_from_slice(group);
+                self.log.bytes.extend_from_slice(group);
                 group.len()
             }
             FlushDamage::Torn(n) => {
                 let keep = n.min(group.len());
-                self.durable.extend_from_slice(&group[..keep]);
+                self.log.bytes.extend_from_slice(&group[..keep]);
                 self.wedged = true;
                 keep
             }
             FlushDamage::CorruptBit(i) => {
-                self.durable.extend_from_slice(group);
+                self.log.bytes.extend_from_slice(group);
                 let bit = i % (group.len() * 8);
                 let at = phys + bit / 8;
-                self.durable[at] ^= 1 << (bit % 8);
+                self.log.bytes[at] ^= 1 << (bit % 8);
                 self.wedged = true;
                 group.len()
             }
@@ -300,41 +415,15 @@ impl Journal {
     }
 
     /// The durable byte stream that survives a crash: the records after the
-    /// compaction cut (`base_seq`), or the whole epoch stream if no
+    /// compaction cut, or the whole epoch stream if no
     /// [`truncate_prefix`](Self::truncate_prefix) ever ran.
     pub fn durable(&self) -> &[u8] {
-        &self.durable
+        &self.log.bytes
     }
 
-    /// Length of the surviving durable byte suffix (physical bytes of
-    /// [`durable`](Self::durable)).
-    pub fn durable_len(&self) -> u64 {
-        self.durable.len() as u64
-    }
-
-    /// Logical end offset of the durable stream: trimmed prefix plus the
-    /// surviving suffix. Replication acknowledgements compare against this.
-    pub fn durable_end(&self) -> u64 {
-        self.trimmed_bytes + self.durable.len() as u64
-    }
-
-    /// Logical byte offset at which [`durable`](Self::durable) starts —
-    /// the bytes a compaction truncated behind the snapshot cut.
-    pub fn trimmed_bytes(&self) -> u64 {
-        self.trimmed_bytes
-    }
-
-    /// Sequence number of the compaction cut: the last record truncated
-    /// behind a snapshot (0 if the stream is whole from genesis).
-    pub fn base_seq(&self) -> u64 {
-        self.base_seq
-    }
-
-    /// MAC-chain state at the compaction cut — what [`recover_from`] needs
-    /// to authenticate the surviving suffix. Equals the epoch genesis chain
-    /// while `base_seq` is 0.
-    pub fn base_chain(&self) -> [u8; 16] {
-        self.base_chain
+    /// The durable side of the stream.
+    pub fn log(&self) -> &DurableLog {
+        &self.log
     }
 
     /// Current head of the MAC chain (state after the last appended
@@ -344,46 +433,17 @@ impl Journal {
         self.chain
     }
 
-    /// Truncates every durable record with sequence number ≤ `upto_seq`
-    /// behind a compaction cut. Only whole, flushed records are removed;
-    /// the MAC chain, sequence counter and logical byte offsets are
-    /// preserved across the cut, so later appends and replication
-    /// acknowledgements continue unchanged. Returns the number of records
-    /// removed (0 when `upto_seq` is at or before the current cut, or the
-    /// journal is wedged).
-    ///
-    /// The caller must hold a sealed snapshot covering at least `upto_seq`
-    /// before truncating — afterwards the prefix is unrecoverable from the
-    /// journal alone.
+    /// [`DurableLog::truncate_prefix`] of the durable log, counted in the
+    /// stats (0 on a wedged journal); appends carry on past the cut.
     pub fn truncate_prefix(&mut self, upto_seq: u64) -> u64 {
-        if self.wedged || upto_seq <= self.base_seq {
+        if self.wedged {
             return 0;
         }
-        let mut pos = 0usize;
-        let mut seq = self.base_seq;
-        let mut chain = self.base_chain;
-        while pos + HEADER_LEN <= self.durable.len() {
-            let rest = &self.durable[pos..];
-            let rec_seq = u64::from_le_bytes(rest[..8].try_into().expect("8 bytes"));
-            let ct_len = u32::from_le_bytes(rest[9..13].try_into().expect("4 bytes")) as usize;
-            let end = pos + HEADER_LEN + ct_len + CHAIN_TAG_LEN;
-            if rec_seq > upto_seq || end > self.durable.len() {
-                break;
-            }
-            seq = rec_seq;
-            chain.copy_from_slice(&self.durable[end - CHAIN_TAG_LEN..end]);
-            pos = end;
+        let removed = self.log.truncate_prefix(upto_seq);
+        if removed > 0 {
+            self.stats.compactions += 1;
+            self.stats.truncated_records += removed;
         }
-        if pos == 0 {
-            return 0;
-        }
-        let removed = seq - self.base_seq;
-        self.durable.drain(..pos);
-        self.trimmed_bytes += pos as u64;
-        self.base_seq = seq;
-        self.base_chain = chain;
-        self.stats.compactions += 1;
-        self.stats.truncated_records += removed;
         removed
     }
 
@@ -423,22 +483,15 @@ impl Journal {
     }
 }
 
-/// Recovers the longest authentic record prefix from durable journal
-/// bytes. Walks the chain from the epoch genesis: any torn tail, bit-flip,
-/// sequence gap or cross-epoch splice terminates the walk, and everything
-/// from that offset on is reported truncated — never replayed.
+/// Recovers the longest authentic record prefix from a whole epoch's
+/// durable journal bytes — [`DurableLog::recover`] of a log never cut.
 pub fn recover(key: &Key128, epoch: u64, bytes: &[u8]) -> Recovered {
-    recover_from(key, 0, genesis_chain(epoch), bytes)
+    walk(key, 0, genesis_chain(epoch), bytes)
 }
 
-/// Recovers the longest authentic record suffix of a *compacted* journal:
-/// `bytes` starts at the record after `base_seq`, and `base_chain` is the
-/// MAC-chain state at the cut. The anchor must come from a trusted source
-/// — a sealed snapshot's `(journal_seq, journal_chain)` watermark or the
-/// live [`Journal::base_seq`]/[`Journal::base_chain`] — because the chain
-/// walk can only authenticate bytes *relative to* it. `base_seq == 0` with
-/// the epoch genesis chain is exactly [`recover`].
-pub fn recover_from(key: &Key128, base_seq: u64, base_chain: [u8; 16], bytes: &[u8]) -> Recovered {
+// The chain walk from the anchor `(base_seq, chain)` over the bytes that
+// follow it.
+fn walk(key: &Key128, base_seq: u64, base_chain: [u8; 16], bytes: &[u8]) -> Recovered {
     // One key set-up for the whole replay, not one per record.
     let key = GcmKey::new(key);
     let mut records = Vec::new();
@@ -596,18 +649,14 @@ mod tests {
         let full = j.durable().to_vec();
         let removed = j.truncate_prefix(7);
         assert_eq!(removed, 7);
-        assert_eq!(j.base_seq(), 7);
+        assert_eq!(j.log().base_seq(), 7);
         assert_eq!(j.stats().compactions, 1);
         assert_eq!(j.stats().truncated_records, 7);
-        assert_eq!(j.durable_end(), full.len() as u64, "logical end unchanged");
-        assert_eq!(
-            j.trimmed_bytes() + j.durable().len() as u64,
-            full.len() as u64
-        );
+        assert_eq!(j.log().end(), full.len() as u64, "logical end unchanged");
         // The surviving suffix is bit-identical to the uncompacted stream's.
-        assert_eq!(j.durable(), &full[j.trimmed_bytes() as usize..]);
+        assert_eq!(j.durable(), &full[j.log().trimmed() as usize..]);
         // The anchored walk authenticates exactly records 8..=12.
-        let r = recover_from(&key(), j.base_seq(), j.base_chain(), j.durable());
+        let r = j.log().recover(&key(), 3);
         assert!(!r.truncated);
         assert_eq!(r.records.len(), 5);
         for (i, rec) in r.records.iter().enumerate() {
@@ -619,7 +668,7 @@ mod tests {
         j2.append(1, b"after-cut", 99);
         let (off, _) = j2.flush().expect("flushes");
         assert_eq!(off, full.len() as u64, "flush offset is logical");
-        let r = recover_from(&key(), j2.base_seq(), j2.base_chain(), j2.durable());
+        let r = j2.log().recover(&key(), 3);
         assert_eq!(r.records.last().expect("records").body, b"after-cut");
         assert!(!r.truncated);
     }
@@ -633,17 +682,119 @@ mod tests {
         assert_eq!(j.truncate_prefix(4), 0, "cut is idempotent");
         // Truncation past the durable end stops at the last whole record.
         assert_eq!(j.truncate_prefix(u64::MAX), 5);
-        assert_eq!(j.base_seq(), 9);
+        assert_eq!(j.log().base_seq(), 9);
         assert!(j.durable().is_empty());
-        let r = recover_from(&key(), j.base_seq(), j.base_chain(), j.durable());
+        let r = j.log().recover(&key(), 3);
         assert!(r.records.is_empty() && !r.truncated);
         // A tampered anchor refuses to authenticate the suffix.
         let mut k = filled(GroupCommitPolicy::immediate(), 6);
         k.truncate_prefix(3);
-        let mut bad = k.base_chain();
+        let (seq, mut bad) = k.log().cut().expect("cut");
         bad[0] ^= 1;
-        let r = recover_from(&key(), k.base_seq(), bad, k.durable());
+        let mut forged = DurableLog::at_cut(k.log().trimmed(), seq, bad);
+        assert!(forged.append_at(k.log().trimmed(), k.durable()));
+        let r = forged.recover(&key(), 3);
         assert!(r.records.is_empty() && r.truncated);
+    }
+
+    // The whole stream of `filled(immediate, n)` as a log, and the logical
+    // end of each record in it.
+    fn whole_log(n: u64) -> (DurableLog, Vec<u64>) {
+        let j = filled(GroupCommitPolicy::immediate(), n);
+        let mut ends = Vec::new();
+        let mut pos = 0usize;
+        while pos < j.durable().len() {
+            let ct_len = u32::from_le_bytes(j.durable()[pos + 9..pos + 13].try_into().unwrap());
+            pos += HEADER_LEN + ct_len as usize + CHAIN_TAG_LEN;
+            ends.push(pos as u64);
+        }
+        (j.log().clone(), ends)
+    }
+
+    #[test]
+    fn append_at_takes_only_the_missing_suffix() {
+        let (whole, ends) = whole_log(4);
+        let bytes = whole.bytes();
+        let mut log = DurableLog::default();
+        let first = ends[1] as usize;
+        assert!(log.append_at(0, &bytes[..first]));
+        // Stale (ends inside what the log holds) and duplicate chunks.
+        assert!(!log.append_at(0, &bytes[..ends[0] as usize]));
+        assert!(!log.append_at(0, &bytes[..first]));
+        // A gap: the chunk starts past the log's end.
+        assert!(!log.append_at(ends[2], &bytes[ends[2] as usize..]));
+        assert_eq!(log.end(), ends[1]);
+        // An overlapping chunk appends only what is missing.
+        assert!(log.append_at(ends[0], &bytes[ends[0] as usize..]));
+        assert_eq!(log, whole);
+        // A log that starts at a cut refuses a chunk from before its start,
+        // however far it reaches.
+        let mut cut = DurableLog::at_cut(ends[1], 2, [0; 16]);
+        assert!(!cut.append_at(ends[0], &bytes[ends[0] as usize..]));
+        assert!(cut.append_at(ends[1], &bytes[first..]));
+        assert_eq!(cut.bytes(), &bytes[first..]);
+        assert_eq!(cut.end(), whole.end());
+    }
+
+    #[test]
+    fn truncate_prefix_keeps_offsets_and_anchors_at_the_chain_tag() {
+        let (whole, ends) = whole_log(5);
+        let mut log = whole.clone();
+        assert_eq!(log.cut(), None);
+        assert_eq!(log.truncate_prefix(2), 2);
+        let tag_end = ends[1] as usize;
+        let tag: [u8; 16] = whole.bytes()[tag_end - CHAIN_TAG_LEN..tag_end]
+            .try_into()
+            .unwrap();
+        assert_eq!(log.cut(), Some((2, tag)), "anchor is record 2's chain tag");
+        assert_eq!((log.trimmed(), log.end()), (ends[1], whole.end()));
+        assert_eq!(log.bytes(), &whole.bytes()[tag_end..]);
+        // A second cut moves the anchor on; one at or before it is a no-op.
+        assert_eq!(log.truncate_prefix(2), 0);
+        assert_eq!(log.truncate_prefix(4), 2);
+        assert_eq!(log.base_seq(), 4);
+        assert_eq!(log.trimmed(), ends[3]);
+    }
+
+    #[test]
+    fn agrees_with_compares_the_overlap() {
+        let (whole, _) = whole_log(6);
+        let mut compacted = whole.clone();
+        compacted.truncate_prefix(3);
+        let mut short = whole.clone();
+        short.bytes_mut().truncate(whole.bytes().len() / 2);
+        assert!(compacted.agrees_with(&whole) && whole.agrees_with(&compacted));
+        assert!(short.agrees_with(&whole) && short.agrees_with(&compacted));
+        // No overlap at all agrees trivially.
+        let mut tail = whole.clone();
+        tail.truncate_prefix(6);
+        assert!(tail.agrees_with(&short));
+        // One flipped byte inside the overlap disagrees, from either side.
+        let mut flipped = whole.clone();
+        let at = whole.bytes().len() - 1;
+        flipped.bytes_mut()[at] ^= 0x40;
+        assert!(!flipped.agrees_with(&compacted) && !compacted.agrees_with(&flipped));
+        // Outside the overlap it does not matter.
+        assert!(flipped.agrees_with(&short));
+    }
+
+    #[test]
+    fn recover_at_a_cut_resumes_at_its_anchor() {
+        let (whole, ends) = whole_log(7);
+        let full = whole.recover(&key(), 3);
+        assert_eq!(full, recover(&key(), 3, whole.bytes()), "uncut is genesis");
+        let mut compacted = whole.clone();
+        compacted.truncate_prefix(4);
+        let (base_seq, chain) = compacted.cut().expect("cut");
+        let r = compacted.recover(&key(), 3);
+        // The anchored walk over the surviving bytes, from the anchor...
+        assert_eq!(r, walk(&key(), base_seq, chain, compacted.bytes()));
+        // ...which is the whole recovery's tail, byte offsets made relative.
+        assert_eq!(r.records, full.records[4..].to_vec());
+        assert_eq!(r.valid_len as u64, whole.end() - ends[3]);
+        assert!(!r.truncated);
+        // The epoch no longer matters past a cut: the anchor carries it.
+        assert_eq!(compacted.recover(&key(), 99), r);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! plain and journaled, on one shard and on four, the group-commit flush
 //! and the gated reply's release included — and a whole op through
 //! `PrecursorBackend`, counting the driver's own calls, allocates at most
-//! twice.
+//! twice. An idle pump of a healthy replica group allocates nothing.
 //!
 //! Two allocations are named and allowed. The journal's durable stream is
 //! the one buffer a sweep may still grow: it is the modelled file, and it
@@ -23,7 +23,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use precursor::backend::{KvCompleted, KvOp, KvOpReport, KvStatus, PrecursorBackend, TrustedKv};
-use precursor::{Config, GroupCommitPolicy, PrecursorClient, PrecursorServer};
+use precursor::{Config, GroupCommitPolicy, PrecursorClient, PrecursorServer, ReplicaGroup};
 use precursor_rdma::mr::Memory;
 use precursor_sgx::counters::MonotonicCounter;
 use precursor_sim::rng::SimRng;
@@ -195,7 +195,7 @@ impl Rig {
             0
         });
         if allocs > 0 && !warm {
-            let durable = server.journal_durable().map_or(0, <[u8]>::len);
+            let durable = server.journal().map_or(0, |j| j.durable().len());
             let last = sweep.last;
             assert!(
                 allocs == 1 && last >= durable && durable > 0,
@@ -390,4 +390,42 @@ fn a_measured_window_allocates_at_most_twice_per_op() {
     let window = counted(|| session.measure(&spec, 8, ops));
     let allocs = window.allocs + window.pages;
     assert!(allocs <= 2 * ops, "{allocs} allocations for {ops} ops");
+}
+
+#[test]
+fn an_idle_pump_of_a_healthy_replica_group_allocates_nothing() {
+    let cost = CostModel::default();
+    let policy = GroupCommitPolicy::batched(32, 0);
+    let mut group = ReplicaGroup::with_replicas(Config::default(), &cost, 3, policy);
+    let bundle = group.primary_mut().add_client([12; 16]).expect("connect");
+    let mut client = PrecursorClient::from_bundle(bundle, cost, SimRng::seed_from(12));
+    for id in 0..KEYS {
+        let oid = client.put(&key_bytes(id), &value(id, 0)).expect("send");
+        let done = loop {
+            group.pump();
+            client.poll_replies();
+            if let Some(done) = client.take_completed(oid) {
+                break done;
+            }
+        };
+        assert!(done.error.is_none(), "put {id} failed: {done:?}");
+    }
+    // Every put is committed and every replica holds the primary's log.
+    let primary = group.primary();
+    let journal = primary.journal().expect("journal attached");
+    assert_eq!(primary.journal_committed_seq(), journal.last_seq());
+    for i in 0..group.replica_count() {
+        assert_eq!(group.replica_log(i), journal.log(), "replica {i}");
+    }
+    let idle = counted(|| {
+        for _ in 0..64 {
+            assert_eq!(group.pump(), 0);
+        }
+    });
+    assert_eq!(
+        (idle.allocs, idle.pages),
+        (0, 0),
+        "64 idle pumps allocated, the last of {} B",
+        idle.last
+    );
 }

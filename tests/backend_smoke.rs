@@ -281,10 +281,10 @@ fn three_node_backend_journals_and_compacts_every_node_and_reports_node_zero() {
     // the one returned.
     let epoch = kv.enable_durability(precursor::GroupCommitPolicy::immediate());
     assert_eq!(epoch, 1);
-    assert_eq!(kv.server().journal_epoch(), Some(1));
+    assert_eq!(kv.server().journal().map(|j| j.epoch()), Some(1));
     let (_, len) = run_script(&mut kv);
 
-    let records = kv.server().journal_last_seq();
+    let records = kv.server().journal().expect("journal").last_seq();
     let outcome = kv.compact_now();
     let precursor::CompactOutcome::Compacted {
         truncated_records,
@@ -295,7 +295,10 @@ fn three_node_backend_journals_and_compacts_every_node_and_reports_node_zero() {
         panic!("node 0 journaled the connects, so its cut commits: {outcome:?}");
     };
     assert_eq!((truncated_records, base_seq), (records, records));
-    assert_eq!(kv.server().journal_base_seq(), records);
+    assert_eq!(
+        kv.server().journal().expect("journal").log().base_seq(),
+        records
+    );
     // The script's keys spread over the ring: more than one node had
     // something to cut, and every node cut all of it (one flush a record
     // under the immediate policy).

@@ -463,15 +463,14 @@ fn crashed_snapshot_seal_is_rejected_and_journal_covers_recovery() {
     assert!(
         PrecursorServer::restore(config.clone(), &cost, &torn_snapshot, &snap_counter).is_err()
     );
-    let journal = server.journal_durable().unwrap().to_vec();
+    let log = server.journal().unwrap().log().clone();
     assert_eq!(
         PrecursorServer::recover(
             config.clone(),
             &cost,
             Some(&torn_snapshot),
             &snap_counter,
-            &journal,
-            None,
+            &log,
             &epoch_counter,
         )
         .unwrap_err(),
@@ -480,16 +479,9 @@ fn crashed_snapshot_seal_is_rejected_and_journal_covers_recovery() {
 
     // Fallback: full journal replay reconstructs everything the snapshot
     // would have covered, plus the post-snapshot write.
-    let (mut recovered, report) = PrecursorServer::recover(
-        config,
-        &cost,
-        None,
-        &snap_counter,
-        &journal,
-        None,
-        &epoch_counter,
-    )
-    .expect("journal alone recovers");
+    let (mut recovered, report) =
+        PrecursorServer::recover(config, &cost, None, &snap_counter, &log, &epoch_counter)
+            .expect("journal alone recovers");
     recovered.catchup_step(usize::MAX).expect("journal replays");
     assert!(!report.snapshot_restored);
     assert!(!report.truncated);

@@ -45,8 +45,8 @@ use std::fmt::Write as _;
 use std::ops::Range;
 
 use precursor::{
-    CompactOutcome, Config, FaultAction, FaultDir, FaultPlan, FaultSite, GroupCommitPolicy,
-    PrecursorClient, PrecursorServer, StoreError,
+    CompactOutcome, Config, DurableLog, FaultAction, FaultDir, FaultPlan, FaultSite,
+    GroupCommitPolicy, PrecursorClient, PrecursorServer, StoreError,
 };
 use precursor_sgx::counters::MonotonicCounter;
 use precursor_sim::rng::SimRng;
@@ -57,6 +57,16 @@ mod scenario;
 use scenario::{sweep_seeds, Event, Harness, Scenario};
 
 const PUMP_BOUND: usize = 400;
+
+// A journaled server's durable log.
+fn log(server: &PrecursorServer) -> &DurableLog {
+    server.journal().expect("journal attached").log()
+}
+
+// Bytes a compaction cut off a journaled server's log.
+fn trimmed(server: &PrecursorServer) -> u64 {
+    log(server).trimmed()
+}
 
 // A journaled node of three replicas, immediate group commit.
 fn replicated(seed: u64) -> Harness {
@@ -133,7 +143,7 @@ fn torn_seal_aborts_compaction_with_counter_and_recovery_unchanged() {
         0,
         "abort never advances the counter"
     );
-    assert_eq!(server.journal_trimmed_bytes(), 0, "journal untouched");
+    assert_eq!(trimmed(server), 0, "journal untouched");
     assert!(!server.journal_wedged(), "abort is recoverable in place");
     assert_eq!(server.metrics().counter("journal.compaction_aborts"), 1);
     let after = group.probe_recovery().expect("recovery from current root");
@@ -178,7 +188,7 @@ fn crash_between_seal_commit_and_truncate_recovers_to_same_digest() {
         "seal committed before the crash"
     );
     assert!(server.journal_wedged(), "no appends after a torn truncate");
-    assert_eq!(server.journal_trimmed_bytes(), 0, "prefix never cut");
+    assert_eq!(trimmed(server), 0, "prefix never cut");
     assert!(base_seq > 0);
     assert_eq!(server.metrics().counter("journal.compaction_wedges"), 1);
     let live = server.state_digest();
@@ -222,14 +232,14 @@ fn lagging_replica_adopts_compacted_pair_and_failover_recovers_from_it() {
         cluster.pump();
     }
     assert!(
-        cluster.replica_compacted(0),
+        cluster.replica_log(0).cut().is_some(),
         "healed replica adopted the shipped pair"
     );
     assert!(cluster.metrics().counter("replica.compact_ships") >= 1);
     assert_eq!(cluster.metrics().gauge("replica.lag_records"), 0);
     assert_eq!(
-        cluster.replica_coverage(0),
-        cluster.primary().journal_durable_end(),
+        cluster.replica_log(0).end(),
+        log(cluster.primary()).end(),
         "pair + tail covers the full logical stream"
     );
 
@@ -365,8 +375,7 @@ fn bit_flipped_compacted_snapshot_is_rejected_and_replica_falls_back_to_full_jou
                 &cost,
                 Some(&doctored),
                 snap_counter,
-                &[],
-                None,
+                &DurableLog::default(),
                 &epoch_counter
             )
             .unwrap_err(),
@@ -391,15 +400,12 @@ fn bit_flipped_compacted_snapshot_is_rejected_and_replica_falls_back_to_full_jou
             "{what}: peer repair copied the uncompacted stream"
         );
         assert!(
-            !cluster.replica_compacted(0),
+            cluster.replica_log(0).cut().is_none(),
             "{what}: replica never adopted the doctored pair"
         );
         assert!(!cluster.replica_needs_full(0), "{what}: fallback completed");
         assert_eq!(cluster.metrics().gauge("replica.lag_records"), 0);
-        assert_eq!(
-            cluster.replica_coverage(0),
-            cluster.primary().journal_durable_end()
-        );
+        assert_eq!(cluster.replica_log(0).end(), log(cluster.primary()).end());
 
         // The fallen-back replica is a fully valid promotion target.
         let pre_digest = cluster.primary().state_digest();
@@ -436,7 +442,7 @@ fn ten_thousand_op_compacting_run_bounds_journal_to_tail_since_last_cut() {
             compactions += 1;
             let group = h.group();
             let server = group.primary();
-            end_at_last_cut = server.journal_durable_end();
+            end_at_last_cut = log(server).end();
             let version = group.snapshot_counter().read();
             let layout = server.snapshot_parts(version, &snapshot).expect("opens");
             let this_base = snapshot[layout[0].clone()].to_vec();
@@ -454,15 +460,15 @@ fn ten_thousand_op_compacting_run_bounds_journal_to_tail_since_last_cut() {
 
     let group = h.group_mut();
     let server = group.primary();
-    let physical = server.journal_durable().expect("journal").len() as u64;
-    let logical_end = server.journal_durable_end();
+    let physical = log(server).bytes().len() as u64;
+    let logical_end = log(server).end();
     assert_eq!(compactions, 10_000 / 512);
     assert_eq!(
         physical,
         logical_end - end_at_last_cut,
         "journal holds exactly the tail appended since the last cut"
     );
-    assert_eq!(server.journal_trimmed_bytes(), end_at_last_cut);
+    assert_eq!(trimmed(server), end_at_last_cut);
     assert!(
         physical < logical_end / 10,
         "bounded: {physical} physical vs {logical_end} logical bytes"
@@ -609,8 +615,7 @@ fn incremental_vs_cold_run(seed: u64) {
             &cost,
             Some(&cold_blob),
             &cold_counter,
-            &[],
-            None,
+            &DurableLog::default(),
             &MonotonicCounter::new(),
         )
         .unwrap_or_else(|e| panic!("{trace} cold full seal recovers: {e:?}"));
@@ -686,7 +691,7 @@ fn damaged_cut_run(seed: u64) {
 
         let (group, reference) = (a.group_mut(), b.group());
         let version = group.snapshot_counter().read();
-        let trimmed = group.primary().journal_trimmed_bytes();
+        let cut_at = trimmed(group.primary());
         for damage in ["byte", "short", "long"] {
             let pick = rng.next_u64();
             let mask = 1 + rng.gen_range(255) as u8;
@@ -712,11 +717,7 @@ fn damaged_cut_run(seed: u64) {
                 "{trace} counter moved"
             );
             let server = group.primary();
-            assert_eq!(
-                server.journal_trimmed_bytes(),
-                trimmed,
-                "{trace} journal cut"
-            );
+            assert_eq!(trimmed(server), cut_at, "{trace} journal cut");
             assert!(!server.journal_wedged(), "{trace}");
         }
         let aborted = group

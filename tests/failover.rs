@@ -56,14 +56,14 @@ fn quorum_commit_releases_replies_and_replicas_converge() {
     let (group, primary) = (h.group(), h.group().primary());
     assert!(group.committed_bytes() > 0, "groups committed by quorum");
     assert_eq!(primary.gated_replies(), 0, "no replies stuck");
-    let stats = primary.journal_stats().expect("journal attached");
+    let stats = primary.journal().expect("journal attached").stats();
     assert!(stats.flushes > 0 && stats.bytes_sealed > 0);
     let flushes = primary.metrics().counter("journal.group_commit_flushes");
     assert_eq!(flushes, stats.flushes);
     // All healthy replicas converge on the full journal.
-    let full = primary.journal_durable().expect("journal").len();
+    let full = primary.journal().expect("journal").log();
     for i in 0..3 {
-        assert_eq!(group.replica_journal_len(i), full, "replica {i} caught up");
+        assert_eq!(group.replica_log(i), full, "replica {i} caught up");
     }
     group
         .audit_replicas()
@@ -106,7 +106,7 @@ fn lagging_replica_does_not_stall_quorum() {
         h.put(0, &[i], &[i; 32]).expect("put with lagging replica");
     }
     assert!(
-        h.group().replica_journal_len(0) < h.group().replica_journal_len(1),
+        h.group().replica_log(0).end() < h.group().replica_log(1).end(),
         "lagged replica trails"
     );
     assert!(h.group().metrics().gauge("replica.lag_records") > 0);
@@ -166,7 +166,7 @@ fn staged_rollback_replica_is_quarantined_and_never_promoted() {
     }
     // Replica 0 stages a rollback: discards half its journal while its
     // acknowledgements stand.
-    let keep = h.group().replica_journal_len(0) / 2;
+    let keep = h.group().replica_log(0).bytes().len() / 2;
     h.group_mut().rollback_replica(0, keep);
 
     let report = h.group_mut().fail_primary(usize::MAX).expect("failover");

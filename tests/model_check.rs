@@ -157,7 +157,7 @@ impl Used {
             if self.partitioned {
                 out.push(HealReplica);
             }
-            if !self.rolled && h.group().replica_journal_len(0) > 0 {
+            if !self.rolled && !h.group().replica_log(0).bytes().is_empty() {
                 out.push(RollbackReplica);
             }
         }
@@ -200,8 +200,11 @@ impl Used {
     // A compaction of `node`, when it has committed journal to cut.
     fn compact(&self, h: &Harness, node: usize, out: &mut Vec<Event>) {
         let p = h.cluster.node(node);
-        let quiescent = p.journal_committed_seq() >= p.journal_last_seq();
-        if self.compacts < COMPACTS && p.journal_last_seq() > p.journal_base_seq() && quiescent {
+        let Some(journal) = p.journal() else {
+            return;
+        };
+        let quiescent = p.journal_committed_seq() >= journal.last_seq();
+        if self.compacts < COMPACTS && journal.last_seq() > journal.log().base_seq() && quiescent {
             out.push(Compact { node, crash: None });
         }
     }

@@ -58,10 +58,11 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use precursor::wire::Status;
 use precursor::{
-    AdversaryPlan, AttackClass, ClusterClient, CompactOutcome, CompletedOp, Config, FaultAction,
-    FaultDir, FaultPlan, FaultSite, GroupCommitPolicy, MigrationOutcome, MigrationReport,
-    MountedAttack, PlacementRing, PrecursorClient, PrecursorCluster, PrecursorServer, ProtocolBug,
-    RecoveryReport, ReplicaGroup, RetryPolicy, SecurityAudit, StoreError,
+    AdversaryPlan, AttackClass, ClusterClient, CompactOutcome, CompletedOp, Config, DurableLog,
+    FaultAction, FaultDir, FaultPlan, FaultSite, GroupCommitPolicy, MigrationOutcome,
+    MigrationReport, MountedAttack, PlacementRing, PrecursorClient, PrecursorCluster,
+    PrecursorServer, ProtocolBug, RecoveryReport, ReplicaGroup, RetryPolicy, SecurityAudit,
+    StoreError,
 };
 use precursor_rdma::faults::InjectedFault;
 use precursor_sim::rng::SimRng;
@@ -754,11 +755,13 @@ impl Harness {
         for n in 0..self.s.nodes {
             let (g, p) = (self.cluster.group(n), self.cluster.node(n));
             digests.push(p.state_digest());
+            let empty = DurableLog::default();
+            let log = p.journal().map_or(&empty, |j| j.log());
             words.extend([
-                p.journal_durable_end(),
-                p.journal_trimmed_bytes(),
-                p.journal_base_seq(),
-                p.journal_last_seq(),
+                log.end(),
+                log.trimmed(),
+                log.base_seq(),
+                p.journal().map_or(0, |j| j.last_seq()),
                 p.journal_committed_seq(),
                 g.committed_bytes(),
                 g.quorum_durable_bytes(),
@@ -767,11 +770,11 @@ impl Harness {
                 u64::from(self.stale[n]),
             ]);
             for i in 0..g.replica_count() {
-                words.push(g.replica_coverage(i));
+                words.push(g.replica_log(i).end());
                 let flags = [
                     g.replica_quarantined(i),
                     g.replica_rolled_back(i),
-                    g.replica_compacted(i),
+                    g.replica_log(i).cut().is_some(),
                     g.replica_needs_full(i),
                 ];
                 words.extend(flags.map(u64::from));
@@ -1283,7 +1286,7 @@ impl Harness {
             Event::PartitionReplica => self.group_mut().partition_replica(0),
             Event::HealReplica => self.group_mut().heal_replica(0),
             Event::RollbackReplica => {
-                let keep = self.group().replica_journal_len(0) / 3;
+                let keep = self.group().replica_log(0).bytes().len() / 3;
                 self.group_mut().rollback_replica(0, keep);
             }
             Event::StaleRouting(n) => {
@@ -1314,7 +1317,7 @@ impl Harness {
         let group = self.cluster.group_mut(node);
         for _ in 0..8 {
             let p = group.primary();
-            if p.journal_committed_seq() >= p.journal_last_seq() {
+            if p.journal_committed_seq() >= p.journal().map_or(0, |j| j.last_seq()) {
                 break;
             }
             group.pump();
@@ -1333,7 +1336,8 @@ impl Harness {
         }
         let counter = group.snapshot_counter().read();
         let primary = group.primary();
-        let (wedged, trimmed_bytes) = (primary.journal_wedged(), primary.journal_trimmed_bytes());
+        let trimmed_bytes = primary.journal().map_or(0, |j| j.log().trimmed());
+        let wedged = primary.journal_wedged();
         let cuts = primary.metrics().counter("journal.compactions");
         let after = group.probe_recovery();
         if crash.is_some() {
