@@ -156,17 +156,12 @@ impl PrecursorServer {
             storage_seq: self.store.storage_seq,
             mutation_seq: self.store.mutation_seq,
             state_digest: self.store.state_digest,
-            // Per-client at-most-once windows (and connection epochs) ride
-            // along in the sealed blob, so a restarted server
-            // re-acknowledges (rather than re-executes or rejects) requests
-            // that were in flight at the crash, and reconnecting clients
-            // get a strictly increasing epoch.
-            sessions: self
-                .sessions
-                .list
-                .iter()
-                .map(|s| (s.expected_oid, s.last_status, s.epoch))
-                .collect(),
+            // Every at-most-once window and connection epoch rides along —
+            // recovered ones of clients not yet re-attested too, so a second
+            // failover keeps them — so a restarted server re-acknowledges
+            // (never re-executes or rejects) requests in flight at the crash,
+            // and reconnecting clients get a strictly increasing epoch.
+            sessions: self.sessions.windows().copied().collect(),
             // Journal watermark: recovery replays only records past it.
             journal_epoch: self.journal().map_or(0, Journal::epoch),
             journal_seq: self.journal().map_or(0, Journal::last_seq),

@@ -52,7 +52,7 @@ use crate::wire::{Opcode, Status};
 
 use super::exec::ReplyPlan;
 use super::seal::StoreEvidence;
-use super::PrecursorServer;
+use super::{PrecursorServer, Window};
 
 // Journal record kinds.
 const KIND_PUT: u8 = 1;
@@ -300,14 +300,15 @@ impl PrecursorServer {
     }
 
     // Journal tap for session admissions and reconnects: records the
-    // trusted window (expected_oid, last_status, epoch) the session was
-    // established with, so failover reconstructs the at-most-once state.
-    pub(super) fn journal_session(&mut self, client_id: u32) {
+    // trusted window the session was established with, so failover
+    // reconstructs the at-most-once state.
+    pub(super) fn journal_session(&mut self, client_id: u32, window: &Window) {
         if self.durability.is_none() {
             return;
         }
-        let s = &self.sessions.list[client_id as usize];
-        let body = encode_session(client_id, s.expected_oid, s.last_status, s.epoch);
+        let mut body = Vec::with_capacity(17);
+        body.extend_from_slice(&client_id.to_le_bytes());
+        window.encode_into(&mut body);
         self.journal_append(KIND_SESSION, &body);
     }
 
@@ -609,16 +610,18 @@ impl PrecursorServer {
                 let mut pos = 0usize;
                 let client = take(&record.body, &mut pos, 4)?.try_into().expect("4");
                 let oid = take(&record.body, &mut pos, 8)?.try_into().expect("8");
-                self.replay_window(u32::from_le_bytes(client), u64::from_le_bytes(oid));
+                let window = self.sessions.restored(u32::from_le_bytes(client));
+                window.replay(u64::from_le_bytes(oid));
             }
             KIND_EVICT | KIND_INSTALL => {}
             KIND_SESSION => {
-                let (client_id, expected_oid, last_status, epoch) = decode_session(&record.body)?;
-                let idx = client_id as usize;
-                if self.sessions.saved.len() <= idx {
-                    self.sessions.saved.resize(idx + 1, (1, Status::Ok, 1));
+                let mut pos = 0usize;
+                let client = take(&record.body, &mut pos, 4)?.try_into().expect("4");
+                let window = Window::decode_from(&record.body, &mut pos)?;
+                if pos != record.body.len() {
+                    return Err(StoreError::MalformedFrame);
                 }
-                self.sessions.saved[idx] = (expected_oid, last_status, epoch);
+                *self.sessions.restored(u32::from_le_bytes(client)) = window;
                 return Ok(());
             }
             _ => return Err(StoreError::MalformedFrame),
@@ -684,19 +687,6 @@ impl PrecursorServer {
             return Err(StoreError::ForkDetected);
         }
         Ok(())
-    }
-
-    // Replayed mutations re-establish the issuing client's at-most-once
-    // window: the operation executed, so the enclave expects the next oid
-    // and would re-acknowledge (never re-apply) a retransmission.
-    fn replay_window(&mut self, client_id: u32, oid: u64) {
-        let idx = client_id as usize;
-        if self.sessions.saved.len() <= idx {
-            self.sessions.saved.resize(idx + 1, (1, Status::Ok, 1));
-        }
-        let s = &mut self.sessions.saved[idx];
-        s.0 = oid + 1;
-        s.1 = Status::Ok;
     }
 }
 
@@ -801,26 +791,4 @@ fn decode_install(body: &[u8]) -> Result<(StoreEvidence, SnapshotEntry), StoreEr
         return Err(StoreError::MalformedFrame);
     }
     Ok((ev, entry))
-}
-
-fn encode_session(client_id: u32, expected_oid: u64, last_status: Status, epoch: u32) -> Vec<u8> {
-    let mut out = Vec::with_capacity(17);
-    out.extend_from_slice(&client_id.to_le_bytes());
-    out.extend_from_slice(&expected_oid.to_le_bytes());
-    out.push(last_status as u8);
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out
-}
-
-fn decode_session(body: &[u8]) -> Result<(u32, u64, Status, u32), StoreError> {
-    let mut pos = 0usize;
-    let client_id = u32::from_le_bytes(take(body, &mut pos, 4)?.try_into().expect("4"));
-    let expected_oid = u64::from_le_bytes(take(body, &mut pos, 8)?.try_into().expect("8"));
-    let last_status =
-        Status::from_u8(take(body, &mut pos, 1)?[0]).ok_or(StoreError::MalformedFrame)?;
-    let epoch = u32::from_le_bytes(take(body, &mut pos, 4)?.try_into().expect("4"));
-    if pos != body.len() {
-        return Err(StoreError::MalformedFrame);
-    }
-    Ok((client_id, expected_oid, last_status, epoch))
 }

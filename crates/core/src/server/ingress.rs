@@ -8,17 +8,15 @@
 //! replies on retransmission, and the credit write-backs.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-use precursor_crypto::keys::Key128;
 use precursor_rdma::mr::{Memory, RemoteKey, WriteBoard};
-use precursor_rdma::qp::{connect_pair, connect_pair_faulty, QueuePair};
+use precursor_rdma::qp::QueuePair;
 use precursor_sim::meter::{Meter, Stage};
 use precursor_sim::Event;
 use precursor_storage::ring::{framed_payload, RingConsumer, RingProducer, RingStore, RingWrites};
 
 use super::pipeline::SweepScratch;
-use super::{ClientBundle, OpReport, PrecursorServer};
+use super::{OpReport, PrecursorServer};
 
 // Untrusted per-client plumbing.
 #[derive(Debug)]
@@ -75,68 +73,6 @@ pub(super) struct Ingress {
 }
 
 impl PrecursorServer {
-    // The untrusted half of client admission: a fresh QP pair (through the
-    // fault injector when one is installed) plus rings and credit words.
-    pub(super) fn provision_port(
-        &mut self,
-        client_id: u32,
-        session_key: &Key128,
-    ) -> (ClientPort, ClientBundle) {
-        let (client_end, server_end) = match &self.faults {
-            Some(f) => connect_pair_faulty(self.cost.rdma_inline_max, Arc::clone(f)),
-            None => connect_pair(self.cost.rdma_inline_max),
-        };
-
-        // Server-side request ring, remotely writable by the client. The
-        // registration carries a write-watch: every delivered client WRITE
-        // rings the doorbell board, which is how sweeps find work without
-        // touching idle rings. Both rings are page-sparse beyond one page:
-        // they hold what is in flight, not their capacity.
-        let request_ring = Memory::new(RingStore::new(self.config.ring_bytes));
-        let request_ring_rkey = server_end.register_watched(
-            request_ring.clone(),
-            true,
-            self.ingress.dirty_board.clone(),
-            u64::from(client_id),
-        );
-        // Server-side reply-credit word, remotely writable by the client.
-        let reply_credit = Memory::zeroed(8);
-        let reply_credit_rkey = server_end.register(reply_credit.clone(), true);
-        // Client-side reply ring + credit word, remotely writable by the
-        // server.
-        let reply_ring = Memory::new(RingStore::new(self.config.ring_bytes));
-        let reply_ring_rkey = client_end.register(reply_ring.clone(), true);
-        let credit_word = Memory::zeroed(8);
-        let credit_rkey = client_end.register(credit_word.clone(), true);
-
-        let port = ClientPort {
-            qp: server_end,
-            request_ring,
-            request_consumer: RingConsumer::new(self.config.ring_bytes),
-            reply_producer: RingProducer::new(self.config.ring_bytes),
-            reply_ring_rkey,
-            credit_rkey,
-            reply_credit,
-            last_reply: RingWrites::default(),
-            last_reply_end: 0,
-            last_credit: 0,
-        };
-        let bundle = ClientBundle {
-            client_id,
-            session_key: session_key.clone(),
-            qp: client_end,
-            request_ring_rkey,
-            reply_ring,
-            credit_word,
-            reply_credit_rkey,
-            ring_bytes: self.config.ring_bytes,
-            mode: self.config.mode,
-            expected_oid: 1,
-            epoch: 1,
-        };
-        (port, bundle)
-    }
-
     // Credit write-back: one small one-sided WRITE per sweep (§3.8,
     // "periodically, these threads update clients about the newly
     // available buffer slots using one-sided writes") — skipped when the

@@ -19,14 +19,14 @@
 //! private module per stage (DESIGN.md "module map & pipeline stages"):
 //!
 //! * `session` — add/reconnect/revoke, quotas, attack accounting
-//!   (owns `SessionStage`);
+//!   (owns `SessionStage` and the at-most-once `Window`);
 //! * `ingress` — ring polling plumbing, credit and per-record reply
 //!   WRITEs (owns `Ingress`);
 //! * `pipeline` — the one three-phase sweep gluing the stages together
 //!   (`shards = 1` is its N = 1 instance; shard routing + handoff);
 //! * `exec` — per-opcode enclave execution against the Robin Hood
 //!   shards (owns `StoreExec`);
-//! * `seal` — reply_seq / MAC-chain / last_status sealing in
+//! * `seal` — reply_seq / MAC-chain / epoch sealing in
 //!   per-client pop order;
 //! * `durability` — the sealed journal, group commit and the reply gate,
 //!   recovery and catch-up;
@@ -74,6 +74,7 @@ use crate::wire::{Opcode, Status};
 use exec::StoreExec;
 use ingress::Ingress;
 use session::SessionStage;
+pub(crate) use session::Window;
 
 /// Modelled bytes per enclave hash-table slot, used for EPC accounting
 /// (key 16 B + K_op 32 B + oid/client 8 B + pointer 12 B + hash & padding

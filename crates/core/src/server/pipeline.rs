@@ -22,6 +22,7 @@ use precursor_crypto::keys::Tag;
 
 use super::exec::{ExecCtx, ExecRequest, ReplyPlan};
 use super::seal::{self, SealBuffers, SealCtx};
+use super::session::Admit;
 use super::{OpReport, PrecursorServer};
 
 // Outcome of validating one popped record — control decrypt plus the
@@ -67,7 +68,7 @@ enum ActionKind {
         value_len: usize,
         plan: ReplyPlan,
         /// Only *executed* operations refresh the at-most-once window: the
-        /// session's cached `last_status` and the remembered reply WRITEs.
+        /// window's cached status and the remembered reply WRITEs.
         executed: bool,
         shard: u32,
     },
@@ -176,11 +177,7 @@ impl PrecursorServer {
     fn dirty_due(&mut self, due: &mut Vec<u64>) {
         self.ingress.dirty_board.drain(due);
         let ports = &self.ingress.ports;
-        let sessions = &self.sessions.list;
-        due.retain(|&tag| {
-            let idx = tag as usize;
-            ports.get(idx).is_some_and(Option::is_some) && sessions[idx].active
-        });
+        due.retain(|&tag| ports.get(tag as usize).is_some_and(Option::is_some));
         due.sort_unstable();
     }
 
@@ -430,7 +427,7 @@ impl PrecursorServer {
                         shard,
                     } => {
                         if executed {
-                            self.sessions.list[idx].last_status = status;
+                            self.sessions.list[idx].window.executed(status);
                         }
                         self.seal_for(idx, opcode, plan, values, &mut meter, seal_buffers);
                         let reply = &seal_buffers.frame;
@@ -440,7 +437,7 @@ impl PrecursorServer {
                     ActionKind::Retransmit { opcode, oid } => {
                         // Read here, not in phase A: the original may have
                         // been sealed a moment ago, earlier in this sweep.
-                        let status = self.sessions.list[idx].last_status;
+                        let status = self.sessions.list[idx].window.cached_status();
                         let port = self.ingress.ports[idx].as_ref().expect("live port");
                         if port.last_reply.is_empty() {
                             // The session was re-established since the
@@ -627,46 +624,35 @@ impl PrecursorServer {
             meter,
             cost,
         );
-        let session = &mut self.sessions.list[idx];
-        if session.resumed_behind {
-            session.resumed_behind = false;
-            session.expected_oid = session.expected_oid.max(oid);
-        }
-        let expected = session.expected_oid;
-        let retransmit = oid != 0 && oid + 1 == expected;
-        if oid != expected && !retransmit {
-            requests.truncate(at);
-            return Validated::Reject {
-                status: Status::Replay,
-                opcode,
-                oid,
-            };
-        }
-        if retransmit {
-            // A stored reply is re-issued (or, for a mutation whose reply
-            // bytes are gone, re-acknowledged from the cached status) at
-            // seal time. `reply_pending` counts as stored: the original is
-            // an earlier record of this very ring visit, so the duplicate
-            // is answered exactly as if it had arrived one sweep later.
-            // Only a read with nothing stored — the session was
-            // re-established since it ran — is re-executed for a full
-            // reply: reads are idempotent.
-            let nothing_stored = !reply_pending
-                && self.ingress.ports[idx]
-                    .as_ref()
-                    .is_none_or(|p| p.last_reply.is_empty());
-            if opcode == Opcode::Get && nothing_stored {
-                return Validated::Execute {
+        match self.sessions.list[idx].window.admit(oid) {
+            Admit::Fresh => {}
+            Admit::Reject => {
+                requests.truncate(at);
+                return Validated::Reject {
+                    status: Status::Replay,
                     opcode,
-                    control,
-                    hash,
-                    frame,
+                    oid,
                 };
             }
-            requests.truncate(at);
-            return Validated::Retransmit { opcode, oid };
+            Admit::Retransmit => {
+                // A stored reply is re-issued (or, for a mutation whose
+                // reply bytes are gone, re-acknowledged from the cached
+                // status) at seal time. `reply_pending` counts as stored:
+                // the original is an earlier record of this very ring
+                // visit, so the duplicate is answered exactly as if it had
+                // arrived one sweep later. Only a read with nothing stored
+                // — the session was re-established since it ran — is
+                // re-executed for a full reply: reads are idempotent.
+                let nothing_stored = !reply_pending
+                    && self.ingress.ports[idx]
+                        .as_ref()
+                        .is_none_or(|p| p.last_reply.is_empty());
+                if opcode != Opcode::Get || !nothing_stored {
+                    requests.truncate(at);
+                    return Validated::Retransmit { opcode, oid };
+                }
+            }
         }
-        self.sessions.list[idx].expected_oid += 1;
         Validated::Execute {
             opcode,
             control,

@@ -145,7 +145,7 @@ fn finish_reply(
 ) -> u64 {
     let seq = session.reply_seq;
     session.reply_seq += 1;
-    control.epoch = session.epoch;
+    control.epoch = session.window.epoch();
     control.store_seq = ctx.evidence.mutation_seq;
     control.store_digest = ctx.evidence.state_digest;
     control.chain = session

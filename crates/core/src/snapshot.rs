@@ -55,8 +55,7 @@ use precursor_storage::robinhood::RobinHoodMap;
 
 use crate::config::{Config, EncryptionMode};
 use crate::error::StoreError;
-use crate::server::PrecursorServer;
-use crate::wire::Status;
+use crate::server::{PrecursorServer, Window};
 
 /// A cut whose chain would grow past this share of the base's bytes, in
 /// percent, folds the chain into a new base instead of appending its
@@ -427,11 +426,11 @@ pub(crate) struct SnapshotHeader {
     /// a restart can detect a rolled-back or forked host.
     pub mutation_seq: u64,
     pub state_digest: [u8; 16],
-    /// Per-client `(expected_oid, last_status, epoch)` windows, indexed by
+    /// Every per-client at-most-once window the server knows, indexed by
     /// client_id — lets a restarted server resume its at-most-once
     /// semantics (and keep connection epochs strictly increasing) for
     /// clients that reconnect.
-    pub sessions: Vec<(u64, Status, u32)>,
+    pub sessions: Vec<Window>,
     /// Journal epoch the server was writing when the snapshot was sealed
     /// (`0` when no journal is attached).
     pub journal_epoch: u64,
@@ -516,10 +515,8 @@ impl SnapshotHeader {
         out.extend_from_slice(&self.mutation_seq.to_le_bytes());
         out.extend_from_slice(&self.state_digest);
         out.extend_from_slice(&(self.sessions.len() as u32).to_le_bytes());
-        for (expected_oid, last_status, epoch) in &self.sessions {
-            out.extend_from_slice(&expected_oid.to_le_bytes());
-            out.push(*last_status as u8);
-            out.extend_from_slice(&epoch.to_le_bytes());
+        for window in &self.sessions {
+            window.encode_into(&mut out);
         }
         out.extend_from_slice(&self.journal_epoch.to_le_bytes());
         out.extend_from_slice(&self.journal_seq.to_le_bytes());
@@ -541,11 +538,7 @@ impl SnapshotHeader {
         let session_count = u32::from_le_bytes(take(buf, pos, 4)?.try_into().expect("4")) as usize;
         let mut sessions = Vec::with_capacity(session_count.min(1 << 16));
         for _ in 0..session_count {
-            let expected_oid = u64::from_le_bytes(take(buf, pos, 8)?.try_into().expect("8"));
-            let last_status =
-                Status::from_u8(take(buf, pos, 1)?[0]).ok_or(StoreError::MalformedFrame)?;
-            let epoch = u32::from_le_bytes(take(buf, pos, 4)?.try_into().expect("4"));
-            sessions.push((expected_oid, last_status, epoch));
+            sessions.push(Window::decode_from(buf, pos)?);
         }
         let journal_epoch = u64::from_le_bytes(take(buf, pos, 8)?.try_into().expect("8"));
         let journal_seq = u64::from_le_bytes(take(buf, pos, 8)?.try_into().expect("8"));

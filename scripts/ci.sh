@@ -61,13 +61,15 @@ fi
 # plus a chain of deltas, no key-hash segments), one way to move a range
 # (sealed chain parts, no per-entry migration segments), and one durable log
 # type (`DurableLog`: no server forwarders to the journal, no hand-kept
-# replica cut, no separate anchor argument to recovery): the deleted names
+# replica cut, no separate anchor argument to recovery), and one
+# at-most-once window (`server::session::Window`: no second window codec
+# beside its own, no recovery-only window update): the deleted names
 # must not grow back. `\bpair_faulty` spares the surviving `connect_pair_faulty`;
 # `\bResource\b` spares `NodeResources`; the forwarders match only as calls
 # or definitions, so the snapshot header's `journal_epoch`/`journal_chain`
 # fields stay legal.
 echo "== deleted names stay deleted =="
-if grep -rnE "attach_replicated_journal|external_commit|replace_node|recover_staged|recover_with_base|fail_primary_staged|FixedHistogram|DEFAULT_LATENCY_BOUNDS_NS|TimingWheel|RunConfig|epc_fault_locality|post_read|post_fetch_add|post_compare_swap|\bpair_faulty|new_faulty|take_forced_error|CycleMeter|Distribution::Latest|\bResource\b|counters_mut|charge_client|segment_of|SEGMENTS|snapshot_segments|segments_reused|segments_sealed|reseal_segments|encode_segments|HeapQueue|wheel_equivalence|ship_segment|segment_aad|transfer_seq|export_entry|ShipResult|delta_reshipped|\b(journal_epoch|journal_last_seq|journal_durable|journal_stats|journal_chain|journal_base_seq|journal_cut|journal_trimmed_bytes|journal_durable_end)\(|recover_from|replica_journal_len" \
+if grep -rnE "attach_replicated_journal|external_commit|replace_node|recover_staged|recover_with_base|fail_primary_staged|FixedHistogram|DEFAULT_LATENCY_BOUNDS_NS|TimingWheel|RunConfig|epc_fault_locality|post_read|post_fetch_add|post_compare_swap|\bpair_faulty|new_faulty|take_forced_error|CycleMeter|Distribution::Latest|\bResource\b|counters_mut|charge_client|segment_of|SEGMENTS|snapshot_segments|segments_reused|segments_sealed|reseal_segments|encode_segments|HeapQueue|wheel_equivalence|ship_segment|segment_aad|transfer_seq|export_entry|ShipResult|delta_reshipped|\b(journal_epoch|journal_last_seq|journal_durable|journal_stats|journal_chain|journal_base_seq|journal_cut|journal_trimmed_bytes|journal_durable_end)\(|recover_from|replica_journal_len|encode_session|decode_session|replay_window" \
     crates tests examples; then
     echo "ci: a deleted name reappeared (see CHANGES.md)" >&2
     exit 1

@@ -158,6 +158,27 @@ fn failover_preserves_state_at_most_once_and_client_checks_pass() {
     );
 }
 
+// The first promotion restores client 0's window from the journal; its
+// epoch-base snapshot must carry that window even though the client has not
+// re-attested yet, or the second promotion forgets a session that saw an
+// ack and the reconnect is refused.
+#[test]
+fn a_second_failover_keeps_a_session_that_saw_an_ack() {
+    let mut h = group(43, 2, GroupCommitPolicy::batched(4, 2));
+    h.put(0, b"acked", b"before both failovers").expect("put");
+    for _ in 0..8 {
+        h.group_mut().pump();
+    }
+    for round in 0..2 {
+        let report = h.group_mut().fail_primary(usize::MAX).expect("failover");
+        assert!(!report.stale, "failover {round} lost nothing committed");
+    }
+    h.reconnect(0, 0)
+        .expect("the session outlives both promotions");
+    let c = h.get(0, b"acked").expect("get");
+    assert_eq!(c.value.as_deref(), Some(&b"before both failovers"[..]));
+}
+
 #[test]
 fn staged_rollback_replica_is_quarantined_and_never_promoted() {
     let mut h = group(19, 3, GroupCommitPolicy::batched(2, 1));
