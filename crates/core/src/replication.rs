@@ -14,8 +14,8 @@
 //!
 //! **One log type.** The primary's journal, every replica's copy and what
 //! recovery replays are one [`DurableLog`] (bytes, logical start, cut
-//! anchor): a replica appends segments ([`DurableLog::append_at`]), starts
-//! at a shipped cut ([`DurableLog::at_cut`]), is audited
+//! anchor): a replica appends segments ([`DurableLog::append_at`]), is cut
+//! where a shipped cut says ([`DurableLog::at_cut`]), is audited
 //! ([`DurableLog::agrees_with`]) and is promoted by handing its log to
 //! [`PrecursorServer::recover`]; no offset arithmetic lives here.
 //!
@@ -40,18 +40,13 @@
 //! (two-phase, see [`PrecursorServer::compact_journal`]). Byte offsets in
 //! every frame stay *logical* — they address the epoch's whole record
 //! stream, not the surviving suffix — so acknowledgements, flush marks and
-//! the commit watermark are untouched by a cut. A replica whose
-//! acknowledged coverage is behind the cut can no longer be caught up by
-//! segments alone; the primary ships it the compacted **(snapshot, tail)**
-//! pair instead: a `FRAME_SNAPSHOT` frame carrying the sealed blob behind
-//! the cut read off the primary's log, which the replica validates
-//! (`snapshot::open` at the trusted counter version — the manifest, then
-//! the base and every delta against it — and the embedded watermark)
-//! before starting an empty log at that cut, anchored at the blob's
-//! `journal_chain`, for the tail that follows. A tampered blob is
-//! rejected; the replica then falls back to *full-journal catch-up*: a
-//! copy of the longest log a peer still holds uncompacted. A healthy
-//! replica's log is never cut — it may be that peer.
+//! the commit watermark are untouched by a cut. Replicas hold what the
+//! primary holds: each cut reaches every live replica as one
+//! `FRAME_SNAPSHOT` of the manifest and the parts its root lacks; the
+//! replica validates the rebuilt cut (`snapshot::rebuild`, never above the
+//! trusted counter) and cuts its log there, at the sealed `journal_chain`.
+//! One that refuses a cut while behind it gets a peer's root and log tail
+//! as the same frames on its own link: no replica state moves otherwise.
 //!
 //! **Failover** ([`ReplicaGroup::fail_primary`]) is deterministic: among
 //! alive, non-quarantined replicas the one holding the longest journal
@@ -81,6 +76,7 @@
 //! clients' own `max_store_seq` rollback check (PR-2) detects after
 //! reconnecting.
 
+use precursor_crypto::gcm::GcmKey;
 use precursor_obs::MetricsRegistry;
 use precursor_rdma::replica::ReplicaLink;
 use precursor_sgx::counters::MonotonicCounter;
@@ -92,40 +88,103 @@ use crate::server::{CompactOutcome, PrecursorServer, RecoveryReport};
 use crate::snapshot::{self, SnapshotBlob};
 use precursor_journal::{DurableLog, GroupCommitPolicy, Journal};
 
-// Replication frame tags (primary → replica segments and compacted
-// snapshots, replica → primary acknowledgements).
+// Frames are a tag, little-endian words, then a body: `SEGMENT | offset |
+// last seq | journal bytes` and `SNAPSHOT | cut | base seq | version | held
+// | framed manifest ‖ chain parts past the first held` to a replica, and
+// `ACK | log end | last seq | root version | newest cut version taken`.
 const FRAME_SEGMENT: u8 = 0x01;
 const FRAME_ACK: u8 = 0x02;
 const FRAME_SNAPSHOT: u8 = 0x03;
 
+fn frame(tag: u8, words: &[u64], body: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(1 + 8 * words.len() + body.len());
+    frame.push(tag);
+    words.iter().for_each(|w| frame.extend(w.to_le_bytes()));
+    frame.extend_from_slice(body);
+    frame
+}
+
+// A frame's first `N` words, `None` when it is shorter.
+fn words<const N: usize>(frame: &[u8]) -> Option<[u64; N]> {
+    let mut words = [0; N];
+    for (i, word) in words.iter_mut().enumerate() {
+        *word = u64::from_le_bytes(frame.get(1 + 8 * i..9 + 8 * i)?.try_into().ok()?);
+    }
+    Some(words)
+}
+
+// What `log` (through record `last_seq`) ships to a replica acknowledged
+// up to `acked`: its cut when given — root version, root, and the cut the
+// replica holds, whose parts the root carries stay home — then its bytes
+// past both.
+type Cut<'a> = Option<(u64, &'a SnapshotBlob, Option<&'a SnapshotBlob>)>;
+fn frames(log: &DurableLog, last_seq: u64, acked: u64, cut: Cut) -> [Option<Vec<u8>>; 2] {
+    let cut = cut.map(|(version, root, held)| {
+        let held = held.map_or(0, |held| root.carried_from(held));
+        let words = [log.trimmed(), log.base_seq(), version, held as u64];
+        let mut out = frame(FRAME_SNAPSHOT, &words, &[]);
+        root.append_shipped(held, &mut out);
+        out
+    });
+    let from = acked.max(log.trimmed());
+    let tail = log.bytes().get((from - log.trimmed()) as usize..);
+    let tail = tail.filter(|tail| !tail.is_empty());
+    let segment = tail.map(|tail| frame(FRAME_SEGMENT, &[from, last_seq], tail));
+    [cut, segment]
+}
+
 // One replica's state as tracked by the group: the link to it, its
-// journal copy, and the durability it has acknowledged/claimed.
+// journal copy and root, and the durability it has acknowledged/claimed.
 #[derive(Debug, Default)]
 struct Replica {
     link: ReplicaLink,
-    // The replica's durable journal copy: appended from segment frames, or
-    // started at the cut of a shipped (snapshot, tail) pair, its anchor
-    // read from the *validated* snapshot body, never from the wire.
+    // The replica's journal copy: appended from segments and cut where an
+    // adopted cut says, anchored at the *validated* manifest, never the wire.
     log: DurableLog,
-    // The validated sealed snapshot covering the log's trimmed prefix, and
-    // the counter version it validated at, when this copy starts
-    // mid-stream.
-    snapshot: Option<(u64, Vec<u8>)>,
-    // Set when a shipped compacted snapshot failed validation: the
-    // replica refuses the pair and waits for full-journal catch-up from a
-    // peer that still holds the uncompacted stream.
-    needs_full: bool,
-    // Logical bytes this replica has acknowledged, as received at the
-    // primary.
+    // The last cut it adopted, at the counter version it validated at, and
+    // the newest cut version it took a frame of, adopted or refused.
+    root: Option<(u64, SnapshotBlob)>,
+    seen: u64,
+    // At the primary: the logical bytes and newest cut it acknowledged
+    // taking, and the shipped cut it acknowledged holding.
     acked: u64,
+    acked_seen: u64,
+    acked_root: Option<SnapshotBlob>,
     // Highest acknowledgement it ever made — rollback evidence: a replica
     // whose log ever ends short of `claimed` staged a rollback.
     claimed: u64,
     // Journal record sequence at the last shipped segment it applied.
     last_seq: u64,
-    // Quarantined replicas (staged rollback detected) receive no segments
+    // Quarantined replicas (staged rollback detected) receive no frames
     // and are never promoted.
     quarantined: bool,
+}
+
+impl Replica {
+    // Takes a cut frame: validates the cut, rebuilt behind its root's parts,
+    // at the frame's version (never above `counter`) and its sealed epoch
+    // and watermark, then cuts its log there, keeping its own suffix.
+    // Whether it adopted it (not one no newer than its root); `None`: refused.
+    fn take_cut(&mut self, frame: &[u8], key: &GcmKey, counter: u64, epoch: u64) -> Option<bool> {
+        let [cut, base_seq, version, held] = words(frame).filter(|w| w[2] <= counter)?;
+        self.seen = self.seen.max(version);
+        if self.root.as_ref().is_some_and(|(at, _)| *at >= version) {
+            return Some(false);
+        }
+        let own = self.root.as_ref().map(|(_, root)| root);
+        let rebuilt = snapshot::rebuild(key, version, own, held as usize, &frame[33..]).ok();
+        let (header, root) =
+            rebuilt.filter(|(h, _)| h.journal_epoch == epoch && h.journal_seq == base_seq)?;
+        let mut log = DurableLog::at_cut(cut, base_seq, header.journal_chain);
+        let from = self.log.trimmed().max(cut);
+        if let Some(suffix) = self.log.bytes().get((from - self.log.trimmed()) as usize..) {
+            log.append_at(from, suffix);
+        }
+        self.log = log;
+        self.root = Some((version, root));
+        self.last_seq = self.last_seq.max(base_seq);
+        Some(true)
+    }
 }
 
 // The `k`-th largest of `values` (1-based, repeats counted), `None` when
@@ -187,14 +246,11 @@ pub struct ReplicaGroup {
     // The journal's group-commit policy once durability is on: a promoted
     // or restarted primary re-attaches under it.
     policy: Option<GroupCommitPolicy>,
-    // The snapshot shipped to replicas behind the compaction cut, if the
-    // journal was ever compacted this epoch. It shares the primary's
-    // committed blob part for part; a host tampering with the *shipped*
-    // bytes (`rewrite_compacted_snapshot`) writes to its own copy and
-    // leaves the recovery root alone. The frame's cut is read off the
-    // primary's log: only a `Compacted` cut moves it, and only that cut
-    // replaces this blob.
-    compact_ship: Option<SnapshotBlob>,
+    // The epoch's last `Compacted` cut and its version, as the host holds
+    // it to ship: it shares the primary's committed parts, and tampering
+    // with it (`rewrite_compacted_snapshot`) leaves the recovery root
+    // alone. Its offset and watermark are the primary log's cut.
+    ship: Option<(u64, SnapshotBlob)>,
     committed_bytes: u64,
     // Catching-up primary: records per pump to drain from its queue, and
     // whether the new epoch's base snapshot is still owed (sealed once
@@ -217,7 +273,7 @@ impl ReplicaGroup {
             snap_counter: MonotonicCounter::new(),
             epoch_counter: MonotonicCounter::new(),
             policy: None,
-            compact_ship: None,
+            ship: None,
             committed_bytes: 0,
             catchup_batch: 0,
             pending_base_snapshot: false,
@@ -301,16 +357,21 @@ impl ReplicaGroup {
     }
 
     /// Replica `i`'s journal copy: its bytes, the logical offset they
-    /// start at (past 0 once it adopted a compacted `(snapshot, tail)`
-    /// pair, whose cut is its anchor) and its logical end — its coverage.
+    /// start at (past 0 once it adopted a cut, which is its anchor) and its
+    /// logical end — its coverage.
     pub fn replica_log(&self, i: usize) -> &DurableLog {
         &self.replicas[i].log
     }
 
-    /// Whether replica `i` rejected a shipped compacted snapshot and is
-    /// waiting for full-journal catch-up from a peer.
-    pub fn replica_needs_full(&self, i: usize) -> bool {
-        self.replicas[i].needs_full
+    /// Replica `i`'s root: the last cut it adopted, with the counter
+    /// version it validated at.
+    pub fn replica_root(&self, i: usize) -> Option<&(u64, SnapshotBlob)> {
+        self.replicas[i].root.as_ref()
+    }
+
+    /// The link to replica `i`: its mode and delivery counters.
+    pub fn replica_link(&self, i: usize) -> &ReplicaLink {
+        &self.replicas[i].link
     }
 
     /// Whether replica `i` is quarantined (staged rollback detected).
@@ -327,8 +388,9 @@ impl ReplicaGroup {
     }
 
     /// Group-level metrics: `failover.count`,
-    /// `replica.rollback_detected`, `replica.compact_ships`,
-    /// `replica.snapshot_rejected`, `replica.full_catchup_fallbacks`, and
+    /// `replica.rollback_detected`, `replica.compact_ships` and
+    /// `replica.snapshot_rejected` (cuts adopted and refused),
+    /// `replica.repairs` (peer repairs sent), `replica.catchup_errors`, and
     /// the `replica.lag_records` gauge (journal records the slowest live
     /// replica — or a catching-up promoted primary — trails by).
     pub fn metrics(&self) -> &MetricsRegistry {
@@ -385,7 +447,7 @@ impl ReplicaGroup {
     /// deltas, truncate — without touching the primary's own
     /// recovery root. No-op before the first compaction.
     pub fn rewrite_compacted_snapshot(&mut self, rewrite: impl FnOnce(&mut Vec<u8>)) {
-        if let Some(ship) = self.compact_ship.as_mut() {
+        if let Some((_, ship)) = self.ship.as_mut() {
             let mut blob = ship.to_vec();
             rewrite(&mut blob);
             *ship = SnapshotBlob::from(blob);
@@ -408,8 +470,8 @@ impl ReplicaGroup {
     /// [`PrecursorServer::compact_journal`] for the two-phase
     /// seal/commit/truncate and its crash points). A committed cut is the
     /// recovery root from then on — also when the truncate never happened
-    /// ([`CompactOutcome::Wedged`]) — and, with replicas, the pair shipped
-    /// to those behind the cut.
+    /// ([`CompactOutcome::Wedged`]) — and, with replicas, a `Compacted`
+    /// cut is shipped to each of them.
     pub fn compact(&mut self) -> CompactOutcome {
         self.compact_via(|_, _| {})
     }
@@ -426,7 +488,8 @@ impl ReplicaGroup {
             .compact_journal_via(&mut self.snap_counter, host_write);
         if let (CompactOutcome::Compacted { .. }, false) = (&outcome, self.replicas.is_empty()) {
             let root = self.primary.committed_snapshot();
-            self.compact_ship = Some(root.expect("a cut just committed").clone());
+            let version = self.snap_counter.read();
+            self.ship = Some((version, root.expect("a cut just committed").clone()));
         }
         outcome
     }
@@ -541,151 +604,96 @@ impl ReplicaGroup {
 
         let processed = self.primary.poll();
 
-        // Ship every logical byte not yet acknowledged to each live
-        // replica. The window re-ships until acknowledged, which makes
-        // loss under partitions self-repairing: replicas append only the
-        // suffix they are missing and re-acknowledge their coverage. A
-        // replica acknowledged behind the compaction cut gets the
-        // (snapshot, tail) pair instead — segments alone can no longer
-        // reach it.
+        // Ship each live replica the epoch's last cut until it acknowledges
+        // taking it, and every logical byte past the cut it has not
+        // acknowledged — re-shipped until acknowledged, so loss under
+        // partitions self-repairs: a replica appends only what it lacks.
         let empty = DurableLog::default();
         let log = self.primary.journal().map_or(&empty, Journal::log);
         let (trimmed, durable_end) = (log.trimmed(), log.end());
         let last_seq = self.primary.journal().map_or(0, Journal::last_seq);
         let epoch = self.primary.journal().map_or(0, Journal::epoch);
-        for r in &mut self.replicas {
-            if !r.link.is_alive() || r.quarantined || r.needs_full {
-                continue;
-            }
-            if r.acked < trimmed {
-                if let Some(blob) = &self.compact_ship {
-                    let mut frame = Vec::with_capacity(17 + blob.len());
-                    frame.push(FRAME_SNAPSHOT);
-                    frame.extend_from_slice(&trimmed.to_le_bytes());
-                    frame.extend_from_slice(&log.base_seq().to_le_bytes());
-                    blob.append_to(&mut frame);
-                    r.link.send_to_replica(&frame);
+        let live = |r: &Replica| r.link.is_alive() && !r.quarantined;
+        for i in 0..self.replicas.len() {
+            let r = &self.replicas[i];
+            let frames = match &self.ship {
+                _ if !live(r) => continue,
+                // A replica that refused the cut while acknowledged behind
+                // it: the live peer acknowledged furthest that holds a root
+                // repairs it with that root and its log past the cut or the
+                // receiver's coverage.
+                Some((version, _)) if r.acked_seen >= *version && r.acked < trimmed => {
+                    let ahead = |d: &&Replica| live(d) && d.acked > r.acked;
+                    let donors = self.replicas.iter().filter(ahead);
+                    let donors = donors.filter_map(|d| Some((d, d.root.as_ref()?)));
+                    let Some((d, (at, root))) = donors.max_by_key(|(d, _)| d.acked) else {
+                        continue;
+                    };
+                    self.metrics.inc("replica.repairs", 1);
+                    frames(&d.log, d.last_seq, r.acked, Some((*at, root, None)))
                 }
-                continue;
-            }
-            if r.acked < durable_end {
-                let tail = &log.bytes()[(r.acked - trimmed) as usize..];
-                let mut frame = Vec::with_capacity(17 + tail.len());
-                frame.push(FRAME_SEGMENT);
-                frame.extend_from_slice(&r.acked.to_le_bytes());
-                frame.extend_from_slice(&last_seq.to_le_bytes());
-                frame.extend_from_slice(tail);
-                r.link.send_to_replica(&frame);
+                ship => {
+                    let cut = ship.as_ref().filter(|(version, _)| r.acked_seen < *version);
+                    let cut = cut.map(|(version, ship)| (*version, ship, r.acked_root.as_ref()));
+                    frames(log, last_seq, r.acked, cut)
+                }
+            };
+            for frame in frames.iter().flatten() {
+                self.replicas[i].link.send_to_replica(frame);
             }
         }
 
-        // Deliver segments and snapshots, apply them at the replicas,
-        // send and deliver acknowledgements. The sealing key and counter
-        // versions every enclave derives are identical (same attestation
-        // root), so replicas validate shipped snapshots exactly as their
-        // own recovery would.
-        let snap_version = self.snap_counter.read();
+        // Deliver segments and cuts, apply them at the replicas, send and
+        // deliver acknowledgements. The sealing key and counter versions
+        // every enclave derives are identical (same attestation root), so
+        // replicas validate shipped cuts exactly as their own recovery
+        // would.
+        let counter = self.snap_counter.read();
+        let mut key = None;
         for r in &mut self.replicas {
             r.link.pump();
             let mut acked_any = false;
             while let Some(frame) = r.link.recv_at_replica() {
-                if frame.len() < 17 {
-                    continue;
-                }
-                match frame[0] {
-                    FRAME_SEGMENT => {
-                        let offset = u64::from_le_bytes(frame[1..9].try_into().expect("8 bytes"));
-                        let seq = u64::from_le_bytes(frame[9..17].try_into().expect("8 bytes"));
+                match frame.first().copied() {
+                    Some(FRAME_SEGMENT) => {
+                        let Some([offset, seq]) = words(&frame) else {
+                            continue;
+                        };
                         if r.log.append_at(offset, &frame[17..]) {
                             r.last_seq = seq;
                         }
-                        acked_any = true;
                     }
-                    FRAME_SNAPSHOT => {
-                        let base_off = u64::from_le_bytes(frame[1..9].try_into().expect("8 bytes"));
-                        let base_seq =
-                            u64::from_le_bytes(frame[9..17].try_into().expect("8 bytes"));
-                        let blob = &frame[17..];
-                        // Validate before adopting: open at the trusted
-                        // counter version (manifest, then every part
-                        // against it) and check the embedded watermark
-                        // matches the cut the primary claims. The
-                        // MAC-chain anchor comes from the *sealed*
-                        // manifest, never from the untrusted frame header.
-                        let skey = self.primary.sealing_key();
-                        let header = snapshot::open(&skey, snap_version, blob)
-                            .ok()
-                            .map(|body| body.header)
-                            .filter(|h| h.journal_epoch == epoch && h.journal_seq == base_seq);
-                        match header {
-                            Some(header) => {
-                                r.snapshot = Some((snap_version, blob.to_vec()));
-                                r.log =
-                                    DurableLog::at_cut(base_off, base_seq, header.journal_chain);
-                                r.last_seq = base_seq;
-                                acked_any = true;
-                                self.metrics.inc("replica.compact_ships", 1);
-                            }
-                            None => {
-                                r.needs_full = true;
-                                self.metrics.inc("replica.snapshot_rejected", 1);
-                            }
+                    Some(FRAME_SNAPSHOT) => {
+                        let key =
+                            key.get_or_insert_with(|| GcmKey::new(&self.primary.sealing_key()));
+                        match r.take_cut(&frame, key, counter, epoch) {
+                            Some(true) => self.metrics.inc("replica.compact_ships", 1),
+                            Some(false) => {}
+                            None => self.metrics.inc("replica.snapshot_rejected", 1),
                         }
                     }
-                    _ => {}
+                    _ => continue,
                 }
+                acked_any = true;
             }
             if acked_any {
-                let mut ack = Vec::with_capacity(17);
-                ack.push(FRAME_ACK);
-                ack.extend_from_slice(&r.log.end().to_le_bytes());
-                ack.extend_from_slice(&r.last_seq.to_le_bytes());
-                r.link.send_to_primary(&ack);
+                let root = r.root.as_ref().map_or(0, |(version, _)| *version);
+                let words = [r.log.end(), r.last_seq, root, r.seen];
+                r.link.send_to_primary(&frame(FRAME_ACK, &words, &[]));
             }
             r.link.pump();
-            while let Some(frame) = r.link.recv_at_primary() {
-                if frame.len() < 17 || frame[0] != FRAME_ACK {
+            while let Some(ack) = r.link.recv_at_primary() {
+                let (Some(&FRAME_ACK), Some([end, _, root, seen])) = (ack.first(), words(&ack))
+                else {
                     continue;
+                };
+                r.acked = r.acked.max(end);
+                r.claimed = r.claimed.max(end);
+                r.acked_seen = r.acked_seen.max(seen);
+                let ship = self.ship.iter().find(|s| s.0 == root);
+                if let Some((_, ship)) = ship.filter(|s| r.acked_root.as_ref() != Some(&s.1)) {
+                    r.acked_root = Some(ship.clone());
                 }
-                let acked = u64::from_le_bytes(frame[1..9].try_into().expect("8 bytes"));
-                r.acked = r.acked.max(acked);
-                r.claimed = r.claimed.max(acked);
-            }
-        }
-
-        // Full-journal catch-up fallback: a replica that rejected the
-        // shipped compacted snapshot copies the uncompacted stream from a
-        // peer that still holds it (replica-to-replica repair). Without a
-        // donor it stays lagged — never silently adopts the rejected pair.
-        // The donor is chosen by reference and copied only into a replica
-        // that takes it.
-        let donor = self
-            .replicas
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| {
-                d.link.is_alive() && !d.quarantined && !d.needs_full && d.log.trimmed() == 0
-            })
-            .max_by_key(|(_, d)| d.log.end())
-            .map(|(i, _)| i);
-        if let Some(d) = donor {
-            for i in 0..self.replicas.len() {
-                let (r, donor) = (&self.replicas[i], &self.replicas[d]);
-                if !r.needs_full || !r.link.is_alive() || r.quarantined {
-                    continue;
-                }
-                if donor.log.end() <= r.log.end() {
-                    continue;
-                }
-                let (log, donor_seq) = (donor.log.clone(), donor.last_seq);
-                let r = &mut self.replicas[i];
-                r.log = log;
-                r.snapshot = None;
-                r.last_seq = donor_seq;
-                r.acked = r.acked.max(r.log.end());
-                r.claimed = r.claimed.max(r.acked);
-                r.needs_full = false;
-                self.metrics.inc("replica.full_catchup_fallbacks", 1);
             }
         }
 
@@ -812,15 +820,15 @@ impl ReplicaGroup {
             // model checker must catch.
             stale = false;
         }
-        // A replica holding a compacted pair recovers from its cut, and
-        // from its own validated snapshot while no later cut has
-        // superseded it; a full-epoch copy from the epoch's genesis chain.
-        // Any other snapshot is the dead primary's root, salvaged off its
-        // host: the counter's version, so its watermark covers the cut.
+        // A replica's log recovers from its cut, and from its own root
+        // while no later snapshot has superseded it; an uncut log from the
+        // epoch's genesis chain. Any other snapshot is the dead primary's
+        // root, salvaged off its host: the counter's version, so its
+        // watermark covers the cut.
         let log = std::mem::take(&mut replica.log);
         let version = self.snap_counter.read();
-        let snapshot = match replica.snapshot.take() {
-            Some((at, own)) if at == version => Some(own),
+        let snapshot = match replica.root.take() {
+            Some((at, own)) if at == version => Some(own.to_vec()),
             _ => self.primary.committed_snapshot().map(SnapshotBlob::to_vec),
         };
         let (mut server, recovery) = PrecursorServer::recover(
@@ -865,7 +873,7 @@ impl ReplicaGroup {
         self.primary = server;
         self.open_epoch();
         self.committed_bytes = 0;
-        self.compact_ship = None;
+        self.ship = None;
         self.pending_base_snapshot = self.primary.in_catchup();
         if !self.pending_base_snapshot {
             self.checkpoint();

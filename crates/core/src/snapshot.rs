@@ -15,8 +15,8 @@
 //! metadata (`K_operation`s, the storage key) and the snapshot's integrity.
 //!
 //! **Blob layout** (this file owns it; `seal` writes it, `open` is the
-//! only reader, and `Cut::persisted_intact` authenticates a written copy
-//! without reading it):
+//! only reader, and `Cut::persisted_intact` and `rebuild` authenticate a
+//! written and a shipped copy without reading them):
 //!
 //! ```text
 //! sealed_len u32 | nonce 12 | GCM(manifest, aad = version) | base | delta₁ … deltaₖ
@@ -86,8 +86,9 @@ impl DirtyKeys {
 /// manifest (`sealed_len | nonce | GCM(manifest)`), the base, then one
 /// buffer per delta in chain order. Parts are shared: a cut carries the
 /// previous cut's base and deltas by reference, and a clone — the host's
-/// persisted copy, the replica group's shipped pair — shares every part
-/// until a write lands in one, which copies that part alone.
+/// persisted copy, the copy it ships to replicas, a replica's root —
+/// shares every part until a write lands in one, which copies that part
+/// alone.
 /// [`to_vec`](Self::to_vec) builds the flat bytes
 /// [`PrecursorServer::restore`] and [`PrecursorServer::recover`] take.
 #[derive(Clone, PartialEq, Eq)]
@@ -156,6 +157,22 @@ impl SnapshotBlob {
         for part in &self.parts {
             out.extend_from_slice(part);
         }
+    }
+
+    /// Appends the framed manifest and the chain parts past the first
+    /// `held`: the cut as shipped to a receiver holding those ([`rebuild`]).
+    pub(crate) fn append_shipped(&self, held: usize, out: &mut Vec<u8>) {
+        let rest = self.parts.get(1 + held..).unwrap_or_default();
+        for part in self.parts.iter().take(1).chain(rest) {
+            out.extend_from_slice(part);
+        }
+    }
+
+    /// Chain parts `self` carries by reference from `earlier`: the leading
+    /// ones both hold in the same buffer.
+    pub(crate) fn carried_from(&self, earlier: &SnapshotBlob) -> usize {
+        let pairs = self.parts.iter().zip(&earlier.parts).skip(1);
+        pairs.take_while(|(a, b)| Arc::ptr_eq(a, b)).count()
     }
 
     /// Bytes of `self` not held in the buffer `sealed` holds at the same
@@ -839,8 +856,8 @@ pub(crate) fn open_manifest(
 
 /// The one snapshot opener: authenticates the manifest at `version`, then
 /// every part against its manifest row and position AAD, and applies the
-/// base, then the deltas in chain order. Restore, recovery and the replica
-/// adoption gate all come through here.
+/// base, then the deltas in chain order: restore and recovery come through
+/// here, and [`rebuild`] makes the same checks by tag.
 ///
 /// # Errors
 ///
@@ -874,6 +891,46 @@ pub(crate) fn open(key: &Key128, version: u64, blob: &[u8]) -> Result<SnapshotBo
         header: manifest.header,
         entries,
     })
+}
+
+/// The replica adoption gate: a cut shipped as its framed manifest and its
+/// chain parts past the first `held` ([`SnapshotBlob::append_shipped`]),
+/// put back together behind `own`'s first `held` parts (shared) and
+/// authenticated at `version` by tag: the manifest, then every part
+/// against its row.
+///
+/// # Errors
+///
+/// [`StoreError::SnapshotRejected`] when a part is missing, short or
+/// inauthentic; [`StoreError::MalformedFrame`] when the authentic manifest
+/// does not parse.
+pub(crate) fn rebuild(
+    key: &GcmKey,
+    version: u64,
+    own: Option<&SnapshotBlob>,
+    held: usize,
+    shipped: &[u8],
+) -> Result<(SnapshotHeader, SnapshotBlob), StoreError> {
+    let rejected = StoreError::SnapshotRejected;
+    let manifest = open_frame(key, version, shipped)?;
+    let own = own.and_then(|own| own.parts.get(1..)).unwrap_or_default();
+    let (frame, mut rest) = shipped.split_at(manifest.parts_at);
+    let mut parts = vec![Arc::new(frame.to_vec())];
+    parts.extend_from_slice(own.get(..held).ok_or(rejected)?);
+    for row in manifest.rows.get(held..).ok_or(rejected)? {
+        let (part, tail) = rest.split_at_checked(row.len).ok_or(rejected)?;
+        parts.push(Arc::new(part.to_vec()));
+        rest = tail;
+    }
+    let mut rows = manifest.rows.iter().zip(&parts[1..]).enumerate();
+    let intact = rows.all(|(position, (row, part))| {
+        let aad = part_aad(position);
+        part.len() == row.len && key.verify_detached(&row.nonce, &aad, part, &row.tag)
+    });
+    if !intact || !rest.is_empty() {
+        return Err(rejected);
+    }
+    Ok((manifest.header, SnapshotBlob { parts }))
 }
 
 impl PrecursorServer {

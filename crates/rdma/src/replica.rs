@@ -50,6 +50,8 @@ pub struct LinkStats {
     pub dropped: u64,
     /// Frames that were released at least one tick late.
     pub lagged: u64,
+    /// Bytes delivered primary → replica: the posts of the primary's QP.
+    pub bytes_to_replica: u64,
 }
 
 // A frame held above the QP until its release tick.
@@ -93,7 +95,10 @@ impl ReplicaLink {
 
     /// Delivery counters.
     pub fn stats(&self) -> LinkStats {
-        self.stats
+        LinkStats {
+            bytes_to_replica: self.primary.stats().bytes,
+            ..self.stats
+        }
     }
 
     /// Frames currently held above the transport (in-flight backlog).
@@ -236,6 +241,7 @@ mod tests {
         assert_eq!(link.recv_at_primary().unwrap(), b"ack");
         assert_eq!(link.stats().delivered_to_replica, 2);
         assert_eq!(link.stats().delivered_to_primary, 1);
+        assert_eq!(link.stats().bytes_to_replica, 10);
     }
 
     #[test]

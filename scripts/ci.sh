@@ -59,17 +59,21 @@ fi
 # SEND/TCP fault hooks, no single-server resource or cycle meter), one way
 # to charge a meter (`Meter::event`), one snapshot format (a sealed base
 # plus a chain of deltas, no key-hash segments), one way to move a range
-# (sealed chain parts, no per-entry migration segments), and one durable log
+# (sealed chain parts, no per-entry migration segments), one durable log
 # type (`DurableLog`: no server forwarders to the journal, no hand-kept
-# replica cut, no separate anchor argument to recovery), and one
+# replica cut, no separate anchor argument to recovery), one
 # at-most-once window (`server::session::Window`: no second window codec
-# beside its own, no recovery-only window update): the deleted names
-# must not grow back. `\bpair_faulty` spares the surviving `connect_pair_faulty`;
-# `\bResource\b` spares `NodeResources`; the forwarders match only as calls
+# beside its own, no recovery-only window update), and one way a cut
+# reaches a replica (a cut frame of the parts it lacks, from the primary or
+# a repairing peer: no full-journal fallback, no log copied between
+# replicas outside a frame): the deleted names must not grow back.
+# `\bpair_faulty` spares the surviving `connect_pair_faulty`;
+# `\bResource\b` spares `NodeResources`; `\bcompact_ship\b` spares the
+# `replica.compact_ships` counter; the forwarders match only as calls
 # or definitions, so the snapshot header's `journal_epoch`/`journal_chain`
 # fields stay legal.
 echo "== deleted names stay deleted =="
-if grep -rnE "attach_replicated_journal|external_commit|replace_node|recover_staged|recover_with_base|fail_primary_staged|FixedHistogram|DEFAULT_LATENCY_BOUNDS_NS|TimingWheel|RunConfig|epc_fault_locality|post_read|post_fetch_add|post_compare_swap|\bpair_faulty|new_faulty|take_forced_error|CycleMeter|Distribution::Latest|\bResource\b|counters_mut|charge_client|segment_of|SEGMENTS|snapshot_segments|segments_reused|segments_sealed|reseal_segments|encode_segments|HeapQueue|wheel_equivalence|ship_segment|segment_aad|transfer_seq|export_entry|ShipResult|delta_reshipped|\b(journal_epoch|journal_last_seq|journal_durable|journal_stats|journal_chain|journal_base_seq|journal_cut|journal_trimmed_bytes|journal_durable_end)\(|recover_from|replica_journal_len|encode_session|decode_session|replay_window" \
+if grep -rnE "attach_replicated_journal|external_commit|replace_node|recover_staged|recover_with_base|fail_primary_staged|FixedHistogram|DEFAULT_LATENCY_BOUNDS_NS|TimingWheel|RunConfig|epc_fault_locality|post_read|post_fetch_add|post_compare_swap|\bpair_faulty|new_faulty|take_forced_error|CycleMeter|Distribution::Latest|\bResource\b|counters_mut|charge_client|segment_of|SEGMENTS|snapshot_segments|segments_reused|segments_sealed|reseal_segments|encode_segments|HeapQueue|wheel_equivalence|ship_segment|segment_aad|transfer_seq|export_entry|ShipResult|delta_reshipped|\b(journal_epoch|journal_last_seq|journal_durable|journal_stats|journal_chain|journal_base_seq|journal_cut|journal_trimmed_bytes|journal_durable_end)\(|recover_from|replica_journal_len|encode_session|decode_session|replay_window|replica_needs_full|needs_full|full_catchup_fallbacks|falls_back_to_full_journal|\bcompact_ship\b" \
     crates tests examples; then
     echo "ci: a deleted name reappeared (see CHANGES.md)" >&2
     exit 1

@@ -23,7 +23,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use precursor::backend::{KvCompleted, KvOp, KvOpReport, KvStatus, PrecursorBackend, TrustedKv};
-use precursor::{Config, GroupCommitPolicy, PrecursorClient, PrecursorServer, ReplicaGroup};
+use precursor::{
+    CompactOutcome, Config, GroupCommitPolicy, PrecursorClient, PrecursorServer, ReplicaGroup,
+};
 use precursor_rdma::mr::Memory;
 use precursor_sgx::counters::MonotonicCounter;
 use precursor_sim::rng::SimRng;
@@ -394,6 +396,15 @@ fn a_measured_window_allocates_at_most_twice_per_op() {
 
 #[test]
 fn an_idle_pump_of_a_healthy_replica_group_allocates_nothing() {
+    idle_pumps_allocate_nothing(false);
+    idle_pumps_allocate_nothing(true);
+}
+
+// A group of three replicas commits a put per key, with a cut behind them
+// when `compact`, and pumps until every replica holds the primary's log
+// (and took the cut): then 64 idle pumps allocate nothing — no segment, no
+// cut frame is shipped to a replica that holds it.
+fn idle_pumps_allocate_nothing(compact: bool) {
     let cost = CostModel::default();
     let policy = GroupCommitPolicy::batched(32, 0);
     let mut group = ReplicaGroup::with_replicas(Config::default(), &cost, 3, policy);
@@ -410,12 +421,22 @@ fn an_idle_pump_of_a_healthy_replica_group_allocates_nothing() {
         };
         assert!(done.error.is_none(), "put {id} failed: {done:?}");
     }
+    if compact {
+        let outcome = group.compact();
+        assert!(
+            matches!(outcome, CompactOutcome::Compacted { .. }),
+            "{outcome:?}"
+        );
+        group.pump();
+    }
     // Every put is committed and every replica holds the primary's log.
     let primary = group.primary();
     let journal = primary.journal().expect("journal attached");
     assert_eq!(primary.journal_committed_seq(), journal.last_seq());
+    assert_eq!(journal.log().cut().is_some(), compact);
     for i in 0..group.replica_count() {
         assert_eq!(group.replica_log(i), journal.log(), "replica {i}");
+        assert_eq!(group.replica_root(i).is_some(), compact, "replica {i}");
     }
     let idle = counted(|| {
         for _ in 0..64 {
@@ -425,7 +446,7 @@ fn an_idle_pump_of_a_healthy_replica_group_allocates_nothing() {
     assert_eq!(
         (idle.allocs, idle.pages),
         (0, 0),
-        "64 idle pumps allocated, the last of {} B",
+        "compact {compact}: 64 idle pumps allocated, the last of {} B",
         idle.last
     );
 }

@@ -12,13 +12,14 @@
 //!   recovery digest is unchanged: an unreadable seal aborts the cut with
 //!   the counter untouched; a death between seal-commit and truncate
 //!   leaves the committed snapshot plus the whole journal.
-//! * **No stale pairs** — a replica offered a doctored compacted snapshot
-//!   (a delta of an older chain spliced in, two deltas swapped, a delta
-//!   dropped under the kept manifest, the pre-fold base behind the current
-//!   manifest, the last byte truncated, a flipped bit in the manifest or
-//!   in a carried delta) rejects it and falls back to copying the full
-//!   journal from a peer; it never serves from an unverifiable base.
-//!   Restore and recovery reject the same blobs.
+//! * **No stale pairs** — a replica offered a doctored cut (a delta of an
+//!   older chain spliced in, two deltas swapped, a delta dropped under the
+//!   kept manifest, the pre-fold base behind the current manifest, the
+//!   last byte truncated, a flipped bit in the manifest or in a carried
+//!   delta) refuses it and never holds its bytes; one left behind the cut
+//!   is repaired by a peer with that peer's own older root and log tail,
+//!   over its own link, so a partition holds the repair back until it
+//!   heals. Restore and recovery reject the same blobs.
 //! * **Incremental ≡ cold** — a snapshot that sealed only a delta of the
 //!   keys written since the previous cut, or folded its chain into a new
 //!   base, restores to exactly what a full seal of the same state restores
@@ -46,7 +47,7 @@ use std::ops::Range;
 
 use precursor::{
     CompactOutcome, Config, DurableLog, FaultAction, FaultDir, FaultPlan, FaultSite,
-    GroupCommitPolicy, PrecursorClient, PrecursorServer, StoreError,
+    GroupCommitPolicy, PrecursorClient, PrecursorServer, ReplicaGroup, StoreError,
 };
 use precursor_sgx::counters::MonotonicCounter;
 use precursor_sim::rng::SimRng;
@@ -308,7 +309,7 @@ fn chain_attacks(
 }
 
 #[test]
-fn bit_flipped_compacted_snapshot_is_rejected_and_replica_falls_back_to_full_journal() {
+fn bit_flipped_compacted_snapshot_is_refused_and_repaired_from_a_peer() {
     let cost = CostModel::default();
     for attack in 0..7 {
         let mut h = replicated(61);
@@ -383,33 +384,65 @@ fn bit_flipped_compacted_snapshot_is_rejected_and_replica_falls_back_to_full_jou
             "{what}: recover"
         );
 
-        // The untrusted host ships the doctored copy — the sealed blob
-        // held by the enclave is untouched.
-        cluster.rewrite_compacted_snapshot(|blob| *blob = doctored);
+        // The untrusted host doctors the cut it ships before any replica
+        // has taken it: every replica refuses cut 6, so every honest peer
+        // holds cut 5 — the sealed blob held by the enclave is untouched.
+        cluster.rewrite_compacted_snapshot(|blob| *blob = doctored.clone());
+        cluster.heal_replica(0);
+        cluster.pump();
+        assert_eq!(
+            cluster.metrics().counter("replica.snapshot_rejected"),
+            3,
+            "{what}: every replica refused the doctored cut at the adoption gate"
+        );
+        let honest = |cluster: &ReplicaGroup, i: usize| {
+            let root = cluster
+                .replica_root(i)
+                .map(|(at, blob)| (*at, blob.to_vec()));
+            assert_ne!(root.as_ref().map(|(_, b)| b), Some(&doctored), "{what}");
+            root
+        };
+        for i in 1..3 {
+            assert_eq!(honest(cluster, i), Some((5, blobs[4].clone())), "{what}");
+        }
+        assert_eq!(honest(cluster, 0), None, "{what}: nothing adopted");
+
+        // Replica 0 is behind the cut it refused: only a peer's repair
+        // reaches it, and only over its own link.
+        cluster.partition_replica(0);
+        for _ in 0..PUMP_BOUND {
+            cluster.pump();
+        }
+        assert!(cluster.metrics().counter("replica.repairs") > 0, "{what}");
+        assert_eq!(
+            honest(cluster, 0),
+            None,
+            "{what}: no repair through a partition"
+        );
+        assert_eq!(cluster.replica_log(0).cut(), None, "{what}");
         cluster.heal_replica(0);
         for _ in 0..PUMP_BOUND {
             cluster.pump();
         }
-        assert!(
-            cluster.metrics().counter("replica.snapshot_rejected") >= 1,
-            "{what}: doctored pair rejected at the adoption gate"
+        assert_eq!(
+            honest(cluster, 0),
+            Some((5, blobs[4].clone())),
+            "{what}: repaired to the peer's root, cut 5"
         );
-        // Only a replica flagged `needs_full` is repaired from a peer.
-        assert!(
-            cluster.metrics().counter("replica.full_catchup_fallbacks") >= 1,
-            "{what}: peer repair copied the uncompacted stream"
+        let (repaired, donor) = (cluster.replica_log(0), cluster.replica_log(1));
+        assert_eq!(
+            (repaired.trimmed(), repaired.cut()),
+            (donor.trimmed(), donor.cut()),
+            "{what}: the repaired log starts at the peer's cut"
         );
-        assert!(
-            cluster.replica_log(0).cut().is_none(),
-            "{what}: replica never adopted the doctored pair"
-        );
-        assert!(!cluster.replica_needs_full(0), "{what}: fallback completed");
+        assert!(repaired.trimmed() < trimmed(cluster.primary()), "{what}");
         assert_eq!(cluster.metrics().gauge("replica.lag_records"), 0);
         assert_eq!(cluster.replica_log(0).end(), log(cluster.primary()).end());
 
-        // The fallen-back replica is a fully valid promotion target.
+        // The repaired replica is a fully valid promotion target.
         let pre_digest = cluster.primary().state_digest();
         let report = cluster.fail_primary(usize::MAX).expect("failover succeeds");
+        assert_eq!(report.promoted, 0, "{what}: equal coverage, first wins");
         assert!(!report.stale);
         assert_eq!(cluster.primary().state_digest(), pre_digest);
     }
@@ -417,9 +450,35 @@ fn bit_flipped_compacted_snapshot_is_rejected_and_replica_falls_back_to_full_jou
 
 // --- bounded growth ------------------------------------------------------
 
+// Bytes of a cut frame ahead of the manifest: its tag and four words.
+const CUT_HEADER: usize = 33;
+
 #[test]
 fn ten_thousand_op_compacting_run_bounds_journal_to_tail_since_last_cut() {
-    let mut h = Scenario::journaled(67).build();
+    for replicas in [0, 2] {
+        compacting_run(replicas);
+    }
+}
+
+// A 10k-put run on a node of `replicas` replicas, cut every 512 puts. With
+// replicas, each cut is pumped to drain: every replica then holds the
+// primary's log and its committed cut, and its link delivered that cut as
+// the manifest and the one part the cut sealed, never the whole blob.
+fn compacting_run(replicas: usize) {
+    let mut h = Scenario {
+        replicas,
+        ..Scenario::journaled(67)
+    }
+    .build();
+    let delivered = |g: &ReplicaGroup| -> Vec<u64> {
+        let links = (0..replicas).map(|i| g.replica_link(i).stats());
+        links.map(|stats| stats.bytes_to_replica).collect()
+    };
+    // Bytes of every cut's whole blob; of its frame to a replica holding
+    // the cut before (header, manifest, the part it sealed); and of what
+    // each replica's link delivered while a cut drained.
+    let (mut whole, mut new_parts) = (0usize, 0usize);
+    let mut received = vec![0u64; replicas];
 
     let mut rng = SimRng::seed_from(0x7777);
     let mut compactions = 0u64;
@@ -435,17 +494,26 @@ fn ten_thousand_op_compacting_run_bounds_journal_to_tail_since_last_cut() {
         h.put(0, &k, &v).expect("put");
         if (i + 1) % 512 == 0 {
             let folds = h.group().primary().metrics().counter("snapshot.folds");
+            let before = delivered(h.group());
             let snapshot = match h.group_mut().compact() {
                 CompactOutcome::Compacted { snapshot, .. } => snapshot.to_vec(),
                 other => panic!("op {i}: unexpected {other:?}"),
             };
             compactions += 1;
+            if replicas > 0 {
+                drain_cut(h.group_mut(), i);
+                let after = delivered(h.group());
+                for r in 0..replicas {
+                    received[r] += after[r] - before[r];
+                }
+            }
             let group = h.group();
             let server = group.primary();
             end_at_last_cut = log(server).end();
             let version = group.snapshot_counter().read();
             let layout = server.snapshot_parts(version, &snapshot).expect("opens");
             let this_base = snapshot[layout[0].clone()].to_vec();
+            let mut sealed = layout[0].len();
             if server.metrics().counter("snapshot.folds") > folds {
                 folded += 1;
                 assert_eq!(layout.len(), 1, "op {i}: a fold leaves no chain");
@@ -453,8 +521,11 @@ fn ten_thousand_op_compacting_run_bounds_journal_to_tail_since_last_cut() {
                 carried += 1;
                 assert_eq!(this_base, base, "op {i}: the base is carried");
                 assert!(layout.len() > 1, "op {i}: the cut appended a delta");
+                sealed = layout.last().expect("a delta").len();
             }
             base = this_base;
+            whole += snapshot.len();
+            new_parts += CUT_HEADER + layout[0].start + sealed;
         }
     }
 
@@ -485,6 +556,19 @@ fn ten_thousand_op_compacting_run_bounds_journal_to_tail_since_last_cut() {
         "{carried} carried, {folded} folded"
     );
     assert_eq!(server.metrics().counter("snapshot.bytes_copied"), 0);
+    for (r, &bytes) in received.iter().enumerate() {
+        println!(
+            "replica {r}: {bytes} B of cut frames; new parts {new_parts} B, whole blobs {whole} B"
+        );
+        assert!(
+            bytes <= new_parts as u64,
+            "replica {r}: {bytes} B received for the cuts, {new_parts} B of new parts"
+        );
+    }
+    assert!(
+        new_parts < whole / 2,
+        "{new_parts} B of new parts, {whole} B of blobs"
+    );
 
     // The bounded journal still recovers the full state.
     let CompactOutcome::Compacted { .. } = group.compact() else {
@@ -492,6 +576,31 @@ fn ten_thousand_op_compacting_run_bounds_journal_to_tail_since_last_cut() {
     };
     let digest = group.probe_recovery().expect("bounded journal recovers");
     assert_eq!(digest, group.primary().state_digest());
+}
+
+// Pumps `group` until every replica took the cut it just made, then checks
+// that each holds the primary's log (start, anchor and bytes) and its
+// committed cut as its root.
+fn drain_cut(group: &mut ReplicaGroup, op: u64) {
+    let holds = |g: &ReplicaGroup, i: usize| {
+        let primary = g.primary();
+        g.replica_log(i) == log(primary)
+            && g.replica_root(i).map(|(_, root)| root) == primary.committed_snapshot()
+    };
+    for _ in 0..8 {
+        if (0..group.replica_count()).all(|i| holds(group, i)) {
+            return;
+        }
+        group.pump();
+    }
+    for i in 0..group.replica_count() {
+        assert_eq!(
+            group.replica_log(i),
+            log(group.primary()),
+            "op {op}: replica {i}'s log"
+        );
+        assert!(holds(group, i), "op {op}: replica {i}'s root");
+    }
 }
 
 // --- incremental seals -----------------------------------------------------

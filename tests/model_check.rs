@@ -9,7 +9,11 @@
 //! * **failover** — one node of three replicas: replica 0 is partitioned
 //!   and healed or rolled back by its host, the journal compacts, and the
 //!   primary's machine is lost with a plain or a staged promotion
-//!   (`FailNode`);
+//!   (`FailNode`). Of what a second promotion needs to show a lost
+//!   session the row lacks only the crash budget: under its immediate
+//!   commit one `Pump` acks a put, so the oracles see the loss at R = 2
+//!   or 3 alike, while `batched(4, 2)` needs more pumps before the ack.
+//!   The schedule is pinned as a replay test;
 //! * **migration** — two nodes of one replica each: the hot key's ring
 //!   segment moves to the other node clean or with its first shipment torn
 //!   or corrupted (`Migrate`), and either node's process crashes
@@ -32,7 +36,7 @@
 //! One knob, `PRECURSOR_MC_DEPTH` (default 9, nightly 12), bounds the
 //! schedule length; a schedule holds at most `depth / 4` submits, twice as
 //! many pumps, two compactions, one crash and two migrations (at depth 9
-//! the failover row has 4 306 unique states, the migration row 9 836).
+//! the failover row has 5 044 unique states, the migration row 9 836).
 
 use std::collections::HashSet;
 
@@ -46,9 +50,12 @@ use scenario::{dump, Event, Harness, Pick, Scenario, Violation};
 use Event::*;
 
 const KEYS: u8 = 2;
-// Unique states a run may visit; the nightly migration row needs 45 %.
+// Unique states a run may visit; the nightly migration row needs 60 %.
 const STATES: usize = 1_000_000;
-// Failovers and restarts per schedule.
+// Failovers and restarts per schedule. A second one waits for a node that
+// has lost its quorum to answer `Unavailable`; until then
+// `two_failovers_keep_a_session_that_saw_an_ack` replays the two-crash
+// schedule the failover row would reach.
 const CRASHES: usize = 1;
 // Compactions per schedule: the second cut follows a committed one, so
 // oracle 5 restores a fold or a carried base.
@@ -58,8 +65,8 @@ const STAGED: usize = 2;
 // Migrations per schedule: an aborted one can be retried.
 const MIGRATES: usize = 2;
 // The depth without `PRECURSOR_MC_DEPTH`. Beyond it the migration row also
-// compacts either node: at depth 9 that is 45 513 states, slow in a debug
-// build, and at depth 12 443 500.
+// compacts either node: at depth 9 that is 58 007 states, slow in a debug
+// build, and at depth 12 599 915.
 const DEFAULT_DEPTH: usize = 9;
 
 fn depth() -> usize {
@@ -344,4 +351,22 @@ fn a_restarted_node_resumes_a_window_behind_an_in_flight_op() {
     let schedule = vec![Submit(0), moved, moved, Pump, Submit(0), Restart(1)];
     let run = Row::Migration.with(&schedule, None).run();
     run.unwrap_or_else(|v| panic!("{}", v.what));
+}
+
+#[test]
+fn two_failovers_keep_a_session_that_saw_an_ack() {
+    // Client 0's put is acked under the row's immediate commit, then the
+    // primary's machine is lost twice. The first promotion recovers the
+    // client's window from the journal; unless the epoch-base snapshot it
+    // seals carries that window, the second promotion forgets a session
+    // that saw an ack, and the harness flags the refused reconnect as an
+    // unflagged stale promotion.
+    let fail = FailNode {
+        node: 0,
+        batch: usize::MAX,
+    };
+    let schedule = vec![Submit(0), Pump, fail, fail];
+    let run = Row::Failover.with(&schedule, None).run();
+    let run = run.unwrap_or_else(|v| panic!("{}", v.what));
+    assert_eq!(run.failovers.len(), 2);
 }

@@ -745,7 +745,7 @@ impl Harness {
 
     /// A hash of everything that constrains the rest of a schedule: each
     /// node's store, journal watermarks, quorum and catch-up state and each
-    /// replica's coverage and flags; every key's owner; an in-flight
+    /// replica's coverage, cut and flags; every key's owner; an in-flight
     /// migration's fault and progress; every session's rollback watermark
     /// and quarantine; the model (its open puts are the outstanding
     /// submits) and the submits' order. The model checker deduplicates
@@ -770,12 +770,11 @@ impl Harness {
                 u64::from(self.stale[n]),
             ]);
             for i in 0..g.replica_count() {
-                words.push(g.replica_log(i).end());
+                words.extend([g.replica_log(i).end(), g.replica_log(i).trimmed()]);
                 let flags = [
                     g.replica_quarantined(i),
                     g.replica_rolled_back(i),
                     g.replica_log(i).cut().is_some(),
-                    g.replica_needs_full(i),
                 ];
                 words.extend(flags.map(u64::from));
             }
@@ -823,11 +822,13 @@ impl Harness {
 
     /// Ends a played run under a fair schedule: a migration in flight runs
     /// to its fence or abort, node 0's replica 0 heals, the groups pump
-    /// until every submit has settled, no node is catching up and no
-    /// replica lags (one rolled back always may), and sessions a catch-up
-    /// poisoned re-attest. Then every client reads key 0 — one that saw
-    /// acked state its node no longer holds trips its rollback check — and
-    /// a fresh client reads every key.
+    /// until every submit has settled, no node is catching up, no replica
+    /// lags (one rolled back always may) and every replica neither
+    /// quarantined nor rolled back holds its primary's log — start, anchor
+    /// and bytes: replicas hold what the primary holds — and sessions a
+    /// catch-up poisoned re-attest. Then every client reads key 0 — one
+    /// that saw acked state its node no longer holds trips its rollback
+    /// check — and a fresh client reads every key.
     pub fn close(mut self) -> Result<Run, Violation> {
         while self.cluster.migration_in_flight() {
             self.pump_migration(8)?;
@@ -835,10 +836,19 @@ impl Harness {
         if self.group().replica_count() > 0 {
             self.group_mut().heal_replica(0);
         }
+        // The first replica (the harness crashes none) that holds less or
+        // other than its primary's log, quarantined and rolled-back ones
+        // aside.
+        let apart = |g: &ReplicaGroup| {
+            let log = g.primary().journal().map(|j| j.log());
+            let honest = |&i: &usize| !g.replica_quarantined(i) && !g.replica_rolled_back(i);
+            let apart = |&i: &usize| log.is_some_and(|log| g.replica_log(i) != log);
+            (0..g.replica_count()).filter(honest).find(apart)
+        };
         let busy = |g: &ReplicaGroup| {
             let rolled_back = (0..g.replica_count()).any(|i| g.replica_rolled_back(i));
             let lags = g.metrics().gauge("replica.lag_records") > 0 && !rolled_back;
-            g.primary().in_catchup() || lags
+            g.primary().in_catchup() || lags || apart(g).is_some()
         };
         let settled =
             |h: &Self| h.submits.is_empty() && !(0..h.s.nodes).any(|n| busy(h.cluster.group(n)));
@@ -850,6 +860,14 @@ impl Harness {
         }
         if let Some(e) = (0..self.s.nodes).find_map(|n| self.cluster.group(n).catchup_error()) {
             return Err(self.violation(format!("catch-up failed: {e:?}")));
+        }
+        let nodes = 0..self.s.nodes;
+        if let Some((n, i)) = nodes
+            .filter_map(|n| Some((n, apart(self.cluster.group(n))?)))
+            .next()
+        {
+            let what = format!("node {n}'s replica {i} does not hold its primary's log");
+            return Err(self.violation(what));
         }
         if !settled(&self) {
             let what = "submits, catch-up or replica lag never settle";
