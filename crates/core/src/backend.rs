@@ -226,8 +226,8 @@ pub trait TrustedKv {
     /// A snapshot of the backend's metrics registry: the shared
     /// backend-neutral namespace (`ops.*`, `status.*`, `stage.*_ns`,
     /// `meter.*`) merged from the server-side per-stage taps, plus any
-    /// backend-specific namespaces (client state machine, fault/adversary
-    /// layers). Backends without instrumentation return an empty registry.
+    /// backend-specific namespaces (client state machine, untrusted
+    /// host). Backends without instrumentation return an empty registry.
     fn metrics(&self) -> MetricsRegistry {
         MetricsRegistry::default()
     }
@@ -517,12 +517,13 @@ impl TrustedKv for PrecursorBackend {
         }
         m.inc("cluster.redirects", redirects);
         m.inc("cluster.refreshes", refreshes);
-        // Fold the RDMA fault/adversary layers in, so retries, reconnects
-        // and detections are visible next to the op counters they explain.
+        // Fold the host's moves in — faults and attacks apart — so retries,
+        // reconnects and detections are visible next to the op counters
+        // they explain.
         let nodes = self.cluster.nodes();
-        let injected = nodes.clone().map(|n| n.injected_faults() as u64).sum();
-        let mounted = nodes.clone().map(|n| n.mounted_attacks() as u64).sum();
-        m.inc("rdma.faults.injected", injected);
+        let acts: Vec<_> = nodes.clone().flat_map(PrecursorServer::host_log).collect();
+        let mounted = acts.iter().filter(|a| a.mv.is_attack()).count() as u64;
+        m.inc("rdma.faults.injected", acts.len() as u64 - mounted);
         m.inc("rdma.adversary.mounted", mounted);
         m.gauge_set(
             "server.reports_dropped_total",

@@ -33,7 +33,7 @@
 //! and the source evicts its copies. The destination derives each part's
 //! nonce and AAD itself (source, destination, ring epoch, migration
 //! ordinal, position, fence or not), so a dropped, replayed, reordered,
-//! torn, corrupted ([`FaultSite::MigrateShip`]) or foreign part fails to
+//! torn, corrupted ([`HostSite::MigrateShip`]) or foreign part fails to
 //! open. That, a crashed party, or installs that do not commit abort the
 //! migration before the flip: the source stays the sole owner, so no key
 //! is ever unowned or dual-owned.
@@ -55,7 +55,7 @@ use precursor_crypto::gcm::GcmKey;
 use precursor_crypto::keys::Key128;
 use precursor_crypto::Nonce12;
 use precursor_obs::MetricsRegistry;
-use precursor_rdma::faults::{DurableVerdict, FaultInjector, FaultPlan, FaultSite};
+use precursor_rdma::host::{DurableVerdict, HostSite};
 use precursor_rdma::replica::ReplicaLink;
 use precursor_sim::rng::SimRng;
 use precursor_sim::CostModel;
@@ -315,7 +315,6 @@ pub struct PrecursorCluster {
     transfer_key: GcmKey,
     // Migrations started: the next one's ordinal.
     migrations_started: u64,
-    migrate_faults: Option<FaultInjector>,
     migrations_completed: u64,
     migrations_aborted: u64,
     keys_moved: u64,
@@ -377,7 +376,6 @@ impl PrecursorCluster {
             migration: None,
             transfer_key: GcmKey::new(&Key128::generate(&mut rng)),
             migrations_started: 0,
-            migrate_faults: None,
             migrations_completed: 0,
             migrations_aborted: 0,
             keys_moved: 0,
@@ -464,14 +462,6 @@ impl PrecursorCluster {
         if self.migration.as_ref().is_some_and(party) {
             self.abort_migration();
         }
-    }
-
-    /// Installs a fault plan driving [`FaultSite::MigrateShip`] — the
-    /// chaos hook damaging a shipped part: Drop tears it short (a source
-    /// crash mid-write), Corrupt flips one of its bits (host tampering).
-    /// Either way the part fails to open and the migration aborts.
-    pub fn set_migrate_fault_plan(&mut self, plan: FaultPlan, seed: u64) {
-        self.migrate_faults = Some(FaultInjector::new(plan, seed));
     }
 
     /// Every node's registry merged (the backend-neutral `ops.*` /
@@ -581,15 +571,17 @@ impl PrecursorCluster {
         m.report(0, true)
     }
 
-    // Seals `part` at the next position, damages it at the MigrateShip
-    // fault site, pushes it through the link and lets the destination
+    // Seals `part` at the next position, lets the source node's host
+    // damage it at the MigrateShip site (Drop tears it short — a source
+    // crash mid-write; Corrupt flips one of its bits — tampering in
+    // transit), pushes it through the link and lets the destination
     // receive: whether everything it received opened.
     fn ship(&mut self, m: &mut Migration, part: &[u8], last: bool) -> bool {
         let (nonce, aad) = m.name(m.sent, last);
         let mut sealed = self.transfer_key.seal(&nonce, &aad, part);
         m.sent += 1;
-        if let Some(f) = &mut self.migrate_faults {
-            match f.on_durable_write(FaultSite::MigrateShip, sealed.len()) {
+        if let Some(mut host) = self.node(m.from as usize).host() {
+            match host.on_durable_write(HostSite::MigrateShip, sealed.len()) {
                 DurableVerdict::Complete => {}
                 DurableVerdict::Torn(keep) => sealed.truncate(keep),
                 DurableVerdict::Corrupt(bit) => sealed[bit / 8] ^= 1 << (bit % 8),

@@ -38,9 +38,9 @@
 //! Detection quarantines the session ([`StoreError::SessionPoisoned`],
 //! [`StoreError::RollbackDetected`], [`StoreError::ForkDetected`]) until a
 //! fresh attestation; two clients can cross-check their observations with
-//! [`fork_audit`]. The deterministic malicious-host harness lives in
-//! [`precursor_rdma::adversary`] and is scripted through
-//! [`PrecursorServer::set_adversary_plan`].
+//! [`fork_audit`]. The deterministic untrusted host — benign faults and
+//! active attacks in one plan — lives in [`precursor_rdma::host`] and is
+//! attached through [`PrecursorServer::set_host_plan`].
 //!
 //! ## Quickstart
 //!
@@ -90,10 +90,9 @@ pub use replication::{FailoverReport, ProtocolBug, ReplicaGroup};
 pub use server::{CompactOutcome, OpReport, PrecursorServer, RecoveryReport};
 pub use snapshot::SnapshotBlob;
 
-// Fault-injection and adversary vocabulary, re-exported so chaos and
-// byzantine tests and demos need only this crate.
-pub use precursor_rdma::adversary::{AdversaryInjector, AdversaryPlan, AttackClass, MountedAttack};
-pub use precursor_rdma::faults::{FaultAction, FaultDir, FaultPlan, FaultSite};
+// The untrusted host's vocabulary, re-exported so chaos and byzantine tests
+// and demos need only this crate.
+pub use precursor_rdma::host::{Host, HostAct, HostFilter, HostMove, HostPlan, HostSite};
 
 // Journal vocabulary (group-commit policy, the journal, its durable log and
 // counters), re-exported so durability callers need only this crate.

@@ -529,7 +529,7 @@ impl ReplicaGroup {
     /// and takes over under a fresh journal epoch with a freshly sealed
     /// base snapshot. Clients must
     /// [`reconnect`](crate::PrecursorClient::reconnect) (in ascending id
-    /// order); fault and adversary plans are not carried over.
+    /// order); the untrusted host is not carried over.
     ///
     /// # Errors
     ///
@@ -877,6 +877,11 @@ impl ReplicaGroup {
         self.pending_base_snapshot = self.primary.in_catchup();
         if !self.pending_base_snapshot {
             self.checkpoint();
+            // With no replica left, `pump` only polls: no later pump would
+            // clear the lag the lost fan-out reported.
+            if self.replicas.is_empty() {
+                self.metrics.gauge_set("replica.lag_records", 0);
+            }
         }
     }
 }

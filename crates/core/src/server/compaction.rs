@@ -15,7 +15,7 @@ use std::ops::Range;
 use precursor_crypto::gcm::GcmKey;
 use precursor_crypto::keys::Nonce12;
 use precursor_journal::Journal;
-use precursor_rdma::faults::{DurableVerdict, FaultSite};
+use precursor_rdma::host::{DurableVerdict, HostSite};
 use precursor_rdma::plock;
 use precursor_sgx::counters::MonotonicCounter;
 
@@ -71,7 +71,7 @@ impl PrecursorServer {
     ///    ([`CompactOutcome::Aborted`]). Recovery state is unchanged.
     /// 2. **Commit** — `counter.increment()` makes the new blob the only
     ///    unsealable snapshot.
-    /// 3. **Truncate** through the [`FaultSite::CompactTruncate`] crash
+    /// 3. **Truncate** through the [`HostSite::CompactTruncate`] crash
     ///    point. A damage verdict there models the process dying between
     ///    seal and truncate: the journal wedges untruncated
     ///    ([`CompactOutcome::Wedged`]), and recovery from the committed
@@ -123,8 +123,8 @@ impl PrecursorServer {
         let _ = counter.increment();
         self.commit_snapshot(version, cut);
         let durable_len = self.journal().map_or(0, |j| j.durable().len());
-        let verdict = match &self.faults {
-            Some(f) => plock(f).on_durable_write(FaultSite::CompactTruncate, durable_len),
+        let verdict = match &self.host {
+            Some(host) => plock(host).on_durable_write(HostSite::CompactTruncate, durable_len),
             None => DurableVerdict::Complete,
         };
         let d = self.durability.as_mut().expect("checked above");
@@ -252,13 +252,13 @@ impl PrecursorServer {
         self.last_snapshot.as_ref().map(|(_, blob)| blob)
     }
 
-    // Routes a snapshot seal through the fault-injection layer. The durable
+    // Routes a snapshot seal through the host's durable-write site. The durable
     // write is the `written` ranges of `blob` in order (what this cut
     // sealed; the rest was already on disk): a crash mid-write tears the
     // blob at the byte the write had reached, a corrupting host flips one
     // of the written bits.
     fn apply_seal_fault(&self, blob: &mut SnapshotBlob, written: &[Range<usize>]) {
-        let Some(f) = &self.faults else {
+        let Some(host) = &self.host else {
             return;
         };
         let total: usize = written.iter().map(|r| r.len()).sum();
@@ -273,7 +273,7 @@ impl PrecursorServer {
             }
             end
         };
-        match plock(f).on_durable_write(FaultSite::SnapshotSeal, total) {
+        match plock(host).on_durable_write(HostSite::SnapshotSeal, total) {
             DurableVerdict::Complete => {}
             DurableVerdict::Torn(keep) => blob.truncate(locate(keep)),
             DurableVerdict::Corrupt(bit) => {
@@ -291,7 +291,7 @@ mod tests {
     use std::sync::Arc;
 
     use precursor_journal::GroupCommitPolicy;
-    use precursor_rdma::faults::{FaultAction, FaultDir, FaultPlan};
+    use precursor_rdma::host::{HostFilter, HostMove, HostPlan};
     use precursor_sim::CostModel;
 
     use super::*;
@@ -395,13 +395,9 @@ mod tests {
         client
             .put_sync(&mut server, &key(7), &[1; 32])
             .expect("put");
-        let plan = FaultPlan::none().rule(
-            FaultSite::SnapshotSeal,
-            FaultDir::Any,
-            FaultAction::Corrupt,
-            1,
-        );
-        server.set_fault_plan(plan, 29);
+        let seal = HostSite::SnapshotSeal;
+        let plan = HostPlan::none().rule(seal, HostFilter::Any, HostMove::Corrupt, 1);
+        server.set_host_plan(plan, 29);
         let key = GcmKey::new(&server.sealing_key());
         let version = counter.read() + 1;
         let cut = server.snapshot_at(&key, version);

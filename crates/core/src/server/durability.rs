@@ -37,7 +37,7 @@
 use std::collections::VecDeque;
 
 use precursor_journal::{DurableLog, FlushDamage, GroupCommitPolicy, Journal, JournalRecord};
-use precursor_rdma::faults::{DurableVerdict, FaultSite};
+use precursor_rdma::host::{DurableVerdict, HostSite};
 use precursor_rdma::plock;
 use precursor_sgx::counters::MonotonicCounter;
 use precursor_sgx::sealing;
@@ -336,7 +336,7 @@ impl PrecursorServer {
         Ok(())
     }
 
-    // Flushes the pending group through the durable-write fault site. A
+    // Flushes the pending group through the host's durable-write site. A
     // torn or corrupted flush wedges the journal and fails the server's
     // durability (replies gated at that point are never released — the
     // modelled process is dead).
@@ -345,8 +345,8 @@ impl PrecursorServer {
             Some(d) if !d.failed && d.journal.pending_bytes() > 0 => d.journal.pending_bytes(),
             _ => return,
         };
-        let damage = match &self.faults {
-            Some(f) => match plock(f).on_durable_write(FaultSite::JournalFlush, pending) {
+        let damage = match &self.host {
+            Some(host) => match plock(host).on_durable_write(HostSite::JournalFlush, pending) {
                 DurableVerdict::Complete => FlushDamage::None,
                 DurableVerdict::Torn(keep) => FlushDamage::Torn(keep),
                 DurableVerdict::Corrupt(bit) => FlushDamage::CorruptBit(bit),
@@ -672,7 +672,7 @@ impl PrecursorServer {
     fn replay_remove(&mut self, key: &[u8]) -> Result<(), StoreError> {
         if self
             .store
-            .table_remove(&mut self.adversary, stable_key_hash(key), key)
+            .table_remove(self.host.as_deref(), stable_key_hash(key), key)
             .0
         {
             Ok(())

@@ -8,13 +8,15 @@
 //! while reply sequence numbers are still consumed in pop order.
 
 use std::ops::Range;
+use std::sync::Mutex;
 
 use precursor_crypto::gcm::GcmKey;
 use precursor_crypto::keys::{Key128, Key256, Nonce12, Nonce8, Tag};
 use precursor_crypto::sha256::Sha256;
 use precursor_crypto::{cmac, gcm};
-use precursor_rdma::adversary::AdversaryInjector;
+use precursor_rdma::host::Host;
 use precursor_rdma::mr::Memory;
+use precursor_rdma::plock;
 use precursor_sgx::enclave::{Enclave, RegionId};
 use precursor_sim::meter::{Meter, Stage};
 use precursor_sim::{CostModel, Event};
@@ -92,7 +94,7 @@ pub(super) struct ExecCtx<'a> {
     pub(super) enclave: &'a mut Enclave,
     pub(super) config: &'a Config,
     pub(super) cost: &'a CostModel,
-    pub(super) adversary: &'a mut Option<AdversaryInjector>,
+    pub(super) host: Option<&'a Mutex<Host>>,
 }
 
 // One validated, in-window request as the exec stage consumes it: the
@@ -159,18 +161,18 @@ impl StoreExec {
         }
     }
 
-    // Frees a pool slot and keeps the quota + adversary registries in sync.
+    // Frees a pool slot and keeps the quota + host registries in sync.
     pub(super) fn release_range(
         &mut self,
-        adversary: &mut Option<AdversaryInjector>,
+        host: Option<&Mutex<Host>>,
         owner: u32,
         range: PoolRange,
     ) {
         if let Some(used) = self.pool_used.get_mut(owner as usize) {
             *used = used.saturating_sub(range.capacity());
         }
-        if let Some(adv) = adversary {
-            adv.forget_payload(range.offset);
+        if let Some(host) = host {
+            plock(host).forget_payload(range.offset);
         }
         self.pool.free(range);
     }
@@ -249,7 +251,7 @@ impl StoreExec {
                     ValueStorage::InEnclave(data)
                 } else {
                     let range = self.store_payload(ctx, payload, Some(&mac), meter)?;
-                    self.charge_range(ctx.adversary, idx, &range);
+                    self.charge_range(ctx.host, idx, &range);
                     ValueStorage::Untrusted(range)
                 };
                 self.bump_mutation(Opcode::Put, control.key);
@@ -324,7 +326,7 @@ impl StoreExec {
                     self.store_payload(ctx, &values[at..at + value_len], Some(&tag), meter);
                 values.truncate(at);
                 let range = stored?;
-                self.charge_range(ctx.adversary, idx, &range);
+                self.charge_range(ctx.host, idx, &range);
                 self.bump_mutation(Opcode::Put, control.key);
                 self.table_insert(
                     ctx,
@@ -466,7 +468,7 @@ impl StoreExec {
             }
             (Opcode::Delete, _) => {
                 let shard = shard_of_hash(hash, self.table.shard_count());
-                let (removed, stats) = self.table_remove(ctx.adversary, hash, control.key);
+                let (removed, stats) = self.table_remove(ctx.host, hash, control.key);
                 self.charge_table_op(ctx, shard, &stats, meter);
                 let status = if removed {
                     Status::Ok
@@ -518,10 +520,10 @@ impl StoreExec {
     }
 
     // Charges a freshly allocated slot to the client's quota and registers
-    // it with the adversary's tamper surface.
+    // it with the host's tamper surface.
     pub(super) fn charge_range(
         &mut self,
-        adversary: &mut Option<AdversaryInjector>,
+        host: Option<&Mutex<Host>>,
         idx: usize,
         range: &PoolRange,
     ) {
@@ -529,8 +531,8 @@ impl StoreExec {
             self.pool_used.resize(idx + 1, 0);
         }
         self.pool_used[idx] += range.capacity();
-        if let Some(adv) = adversary {
-            adv.note_payload(range.offset, range.len, idx as u32);
+        if let Some(host) = host {
+            plock(host).note_payload(range.offset, range.len, idx as u32);
         }
     }
 
@@ -593,7 +595,7 @@ impl StoreExec {
             // from its owner's quota); the fresh K_operation in the new
             // entry revokes earlier readers (§3.3).
             if let ValueStorage::Untrusted(range) = old.storage {
-                self.release_range(ctx.adversary, old.client_id, range);
+                self.release_range(ctx.host, old.client_id, range);
             }
         }
         // Resize the modelled region before charging slot touches — the
@@ -610,7 +612,7 @@ impl StoreExec {
     // probe statistics for callers that meter the table operation.
     pub(super) fn table_remove(
         &mut self,
-        adversary: &mut Option<AdversaryInjector>,
+        host: Option<&Mutex<Host>>,
         hash: u64,
         key: &[u8],
     ) -> (bool, OpStats) {
@@ -619,7 +621,7 @@ impl StoreExec {
             return (false, stats);
         };
         if let ValueStorage::Untrusted(range) = entry.storage {
-            self.release_range(adversary, entry.client_id, range);
+            self.release_range(host, entry.client_id, range);
         }
         self.bump_mutation(Opcode::Delete, key);
         self.note_written(hash, key);
@@ -783,7 +785,7 @@ impl PrecursorServer {
             enclave: &mut self.enclave,
             config: &self.config,
             cost: &self.cost,
-            adversary: &mut self.adversary,
+            host: self.host.as_deref(),
         };
         let storage = if ctx.config.mode == EncryptionMode::ClientSide
             && e.payload_len <= ctx.config.inline_value_max
@@ -804,7 +806,7 @@ impl PrecursorServer {
             };
             self.store.payload_mem.write(range.offset, &e.stored_bytes);
             self.store
-                .charge_range(ctx.adversary, e.client_id as usize, &range);
+                .charge_range(ctx.host, e.client_id as usize, &range);
             ValueStorage::Untrusted(range)
         };
         self.store.table_insert(

@@ -10,6 +10,7 @@
 use std::collections::VecDeque;
 
 use precursor_rdma::mr::{Memory, RemoteKey, WriteBoard};
+use precursor_rdma::plock;
 use precursor_rdma::qp::QueuePair;
 use precursor_sim::meter::{Meter, Stage};
 use precursor_sim::Event;
@@ -124,16 +125,19 @@ impl PrecursorServer {
             let pushed = port.reply_producer.push_with(bytes, writes);
             (port.reply_producer.written(), pushed.is_some())
         };
-        // ... then let the adversary (when installed) substitute, hold, or
+        // ... then let the host (when attached) substitute, hold, or
         // duplicate them before they hit the wire. Either way the WRITEs
         // go through the group-commit gate: with no journal (or an
         // up-to-date commit point) they post immediately, otherwise they
         // are held until the operation's journal group commits.
-        match &mut self.adversary {
-            Some(adv) => {
+        match &self.host {
+            Some(host) => {
                 let honest = writes.iter().map(|(off, b)| (off, b.to_vec())).collect();
+                // The lock is released before posting: the QP's WRITEs
+                // pass through the same host.
+                let records = plock(host).on_reply_record(idx as u32, honest);
                 let mut posted = RingWrites::default();
-                for (off, b) in adv.on_reply_record(idx as u32, honest) {
+                for (off, b) in records {
                     posted.push(off, &b);
                 }
                 self.post_or_gate(idx, &posted);
@@ -141,13 +145,13 @@ impl PrecursorServer {
             None => self.post_or_gate(idx, writes),
         }
         // Metered on the honest `writes`, so cost accounting is identical
-        // with and without an adversary.
+        // with and without a host.
         self.charge_posts(writes.len(), meter);
         let len = bytes.len();
         meter.event(Stage::ServerCritical, Event::Tx { len }, 1, &self.cost);
         if remember {
             // Remember the *honest* record for retransmissions —
-            // retransmits bypass the adversary by design, so a
+            // retransmits bypass the host's reply moves by design, so a
             // wronged client can always recover the real reply.
             let port = self.ingress.ports[idx].as_mut().expect("live port");
             std::mem::swap(&mut port.last_reply, writes);
@@ -178,7 +182,7 @@ impl PrecursorServer {
         let consumed = port.reply_credit.read_u64(0);
         if consumed >= port.last_reply_end {
             // The client already consumed past the remembered record (it
-            // saw an adversary-substituted record there and zeroed the
+            // saw a host-substituted record there and zeroed the
             // slot): rewriting the old offsets would deposit bytes into
             // consumed ring space. Re-push the remembered record as a
             // fresh one instead — same `reply_seq`, so the client dedups

@@ -53,8 +53,7 @@ use std::sync::{Arc, Mutex};
 use precursor_crypto::gcm::GcmKey;
 use precursor_crypto::keys::{Key128, Key256};
 use precursor_obs::{MetricsRegistry, Tracer};
-use precursor_rdma::adversary::AdversaryInjector;
-use precursor_rdma::faults::FaultInjector;
+use precursor_rdma::host::Host;
 use precursor_rdma::mr::{Memory, RemoteKey};
 use precursor_rdma::qp::QueuePair;
 use precursor_sgx::attest::AttestationService;
@@ -175,10 +174,10 @@ pub struct PrecursorServer {
     // the pre-cluster behaviour
     routing: Option<crate::cluster::NodeRouting>,
 
-    // fault injection (tests/chaos harnesses); None = clean transport
-    faults: Option<Arc<Mutex<FaultInjector>>>,
-    // Byzantine-host injection (tests); None = honest host software
-    adversary: Option<AdversaryInjector>,
+    // the untrusted host's injected moves, shared with every QP this
+    // server connects (chaos and byzantine harnesses); None = an honest
+    // host
+    host: Option<Arc<Mutex<Host>>>,
 
     // observability: the per-stage metric taps feed this registry on
     // every finished op; the tracer is a no-op unless enabled. Neither
@@ -270,8 +269,7 @@ impl PrecursorServer {
             last_snapshot: None,
             catchup: None,
             routing: None,
-            faults: None,
-            adversary: None,
+            host: None,
             obs: MetricsRegistry::default(),
             tracer: Tracer::disabled(),
         }

@@ -10,6 +10,7 @@
 use std::ops::Range;
 
 use precursor_crypto::gcm::TAG_LEN;
+use precursor_rdma::plock;
 use precursor_sim::meter::{Meter, Stage};
 use precursor_sim::{Event, Occupancy};
 use precursor_storage::ring::RingWrites;
@@ -147,8 +148,9 @@ impl PrecursorServer {
         self.ingress.polls += 1;
         // A Byzantine host may flip a bit of a live untrusted payload
         // between sweeps (detected client-side by the payload CMAC).
-        if let Some(adv) = &mut self.adversary {
-            if let Some((offset, bit)) = adv.on_sweep() {
+        if let Some(host) = &self.host {
+            let tamper = plock(host).on_sweep();
+            if let Some((offset, bit)) = tamper {
                 self.store.payload_mem.with_mut(|buf| {
                     if offset < buf.len() {
                         buf[offset] ^= 1 << bit;
@@ -361,7 +363,7 @@ impl PrecursorServer {
                         enclave: &mut self.enclave,
                         config: &self.config,
                         cost: &self.cost,
-                        adversary: &mut self.adversary,
+                        host: self.host.as_deref(),
                     };
                     self.store.execute_plan(
                         &mut ctx,

@@ -1,5 +1,5 @@
 //! Session stage: client admission, reconnection, revocation, and the
-//! fault/adversary installers (attack accounting).
+//! untrusted host's attachment (its plan, live moves and audit log).
 //!
 //! Owns [`SessionStage`] — every trusted per-client session (key, reply MAC
 //! chain, at-most-once [`Window`], which no other module reads or writes),
@@ -7,15 +7,14 @@
 //! attestation service, and the enclave region holding per-client state.
 //! Admission and reconnection differ only in the window they open.
 
-use std::sync::Arc;
+use std::sync::MutexGuard;
 
 use precursor_crypto::chain::MacChain;
 use precursor_crypto::gcm::GcmKey;
-use precursor_rdma::adversary::{AdversaryInjector, AdversaryPlan, AttackClass, MountedAttack};
-use precursor_rdma::faults::{FaultInjector, FaultPlan, InjectedFault};
+use precursor_rdma::host::{Host, HostAct, HostMove, HostPlan};
 use precursor_rdma::mr::Memory;
 use precursor_rdma::plock;
-use precursor_rdma::qp::{connect_pair, connect_pair_faulty};
+use precursor_rdma::qp::connect_pair;
 use precursor_sgx::attest::{derive_chain_key, AttestationService};
 use precursor_sgx::enclave::RegionId;
 use precursor_sim::meter::Meter;
@@ -176,53 +175,43 @@ impl SessionStage {
 }
 
 impl PrecursorServer {
-    /// Installs a deterministic fault plan on the server's transport. Must
-    /// be called **before** clients connect: only queue pairs created
-    /// afterwards flow through the injector.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan, seed: u64) {
-        self.faults = Some(FaultInjector::shared(plan, seed));
+    /// Attaches the untrusted host executing `plan`, seeded from `seed`:
+    /// every queue pair this server has connected or will connect, its
+    /// durable writes, its reply records and its payload memory pass
+    /// through it from here on, and so do a cluster's migration shipments
+    /// out of this node. Every move it makes is recorded in
+    /// [`host_log`](Self::host_log) so tests can assert each one ended in
+    /// recovery, a typed error or a client-side detection. A previously
+    /// attached host is replaced, its log with it.
+    pub fn set_host_plan(&mut self, plan: HostPlan, seed: u64) {
+        let host = Host::shared(plan, seed);
+        for port in self.ingress.ports.iter().flatten() {
+            port.qp.set_host(Some(host.clone()));
+        }
+        self.host = Some(host);
     }
 
-    /// Number of faults injected so far (0 without a fault plan).
-    pub fn injected_faults(&self) -> usize {
-        self.faults.as_ref().map_or(0, |f| plock(f).injected())
+    /// The attached host, locked — to [`arm`](Host::arm) a move on it live
+    /// — or `None` for an honest one.
+    pub fn host(&self) -> Option<MutexGuard<'_, Host>> {
+        self.host.as_deref().map(plock)
     }
 
-    /// A copy of the injector's audit log (empty without a fault plan).
-    pub fn fault_log(&self) -> Vec<InjectedFault> {
-        self.faults
-            .as_ref()
-            .map_or_else(Vec::new, |f| plock(f).log().to_vec())
-    }
-
-    /// Installs a deterministic Byzantine-host plan: the host software now
-    /// tampers with untrusted payload bytes, replays stale reply records,
-    /// reorders and duplicates ring records according to `plan`, seeded from
-    /// `seed`. Every mounted attack is recorded in
-    /// [`adversary_log`](Self::adversary_log) so tests can assert each one
-    /// was *detected* client-side.
-    pub fn set_adversary_plan(&mut self, plan: AdversaryPlan, seed: u64) {
-        self.adversary = Some(AdversaryInjector::new(plan, seed));
-    }
-
-    /// Number of attacks mounted so far (0 without an adversary plan).
-    pub fn mounted_attacks(&self) -> usize {
-        self.adversary.as_ref().map_or(0, |a| a.mounted())
-    }
-
-    /// A copy of the adversary's audit log (empty without a plan).
-    pub fn adversary_log(&self) -> Vec<MountedAttack> {
-        self.adversary
-            .as_ref()
-            .map_or_else(Vec::new, |a| a.log().to_vec())
+    /// A copy of the host's audit log, faults and attacks in the order they
+    /// were made (empty without a host).
+    pub fn host_log(&self) -> Vec<HostAct> {
+        self.host().map_or_else(Vec::new, |h| h.log().to_vec())
     }
 
     /// Records a harness-staged attack (rollback via a stale snapshot, fork
-    /// via a cloned platform) in the adversary audit log, so all attack
-    /// classes flow through one log. No-op without an adversary plan.
-    pub fn note_attack(&mut self, class: AttackClass, client: Option<u32>) {
-        if let Some(adv) = &mut self.adversary {
-            adv.note_attack(class, client);
+    /// via a cloned platform) in the host's audit log, so every move flows
+    /// through one log; attaches an empty host first if none is.
+    pub fn note_attack(&mut self, mv: HostMove, client: Option<u32>) {
+        if self.host.is_none() {
+            self.set_host_plan(HostPlan::none(), 0);
+        }
+        if let Some(mut host) = self.host() {
+            host.note_attack(mv, client);
         }
     }
 
@@ -297,14 +286,14 @@ impl PrecursorServer {
             )
             .map_err(|_| StoreError::AttestationFailed)?;
 
-        // The untrusted half: a QP pair (through the fault injector when
-        // one is installed), then rings and credit words. Every delivered
-        // client WRITE to the request ring marks the doorbell board, so
-        // sweeps skip idle rings; both rings hold only what is in flight.
-        let (client_end, server_end) = match &self.faults {
-            Some(f) => connect_pair_faulty(self.cost.rdma_inline_max, Arc::clone(f)),
-            None => connect_pair(self.cost.rdma_inline_max),
-        };
+        // The untrusted half: a QP pair (through the host when one is
+        // attached), then rings and credit words. Every delivered client
+        // WRITE to the request ring marks the doorbell board, so sweeps
+        // skip idle rings; both rings hold only what is in flight.
+        let (client_end, server_end) = connect_pair(self.cost.rdma_inline_max);
+        if let Some(host) = &self.host {
+            server_end.set_host(Some(host.clone()));
+        }
         let request_ring = Memory::new(RingStore::new(self.config.ring_bytes));
         let request_ring_rkey = server_end.register_watched(
             request_ring.clone(),
@@ -358,8 +347,8 @@ impl PrecursorServer {
             window,
         };
         // A Reorder attack must not hold a record across sessions.
-        if let Some(adv) = &mut self.adversary {
-            adv.release_held(client_id);
+        if let Some(mut host) = self.host() {
+            host.release_held(client_id);
         }
         let idx = client_id as usize;
         if idx < self.sessions.list.len() {
@@ -389,7 +378,7 @@ impl PrecursorServer {
     pub(crate) fn evict_entry(&mut self, key: &[u8]) {
         if self
             .store
-            .table_remove(&mut self.adversary, stable_key_hash(key), key)
+            .table_remove(self.host.as_deref(), stable_key_hash(key), key)
             .0
         {
             self.journal_evict(key);
@@ -419,8 +408,8 @@ impl PrecursorServer {
         for key in keys {
             self.evict_entry(&key);
         }
-        if let Some(adv) = &mut self.adversary {
-            adv.release_held(client_id);
+        if let Some(mut host) = self.host() {
+            host.release_held(client_id);
         }
         // Drop the rings, MRs and QP end (frees the untrusted footprint).
         if let Some(slot) = self.ingress.ports.get_mut(idx) {

@@ -941,8 +941,8 @@ impl PrecursorServer {
     /// over from it, or folded into a new base once the chain would
     /// outgrow `FOLD_PERCENT` of the base.
     ///
-    /// When a [`FaultPlan`](precursor_rdma::faults::FaultPlan) with a
-    /// `SnapshotSeal` rule is installed, the returned blob models what the
+    /// When a [`HostPlan`](precursor_rdma::host::HostPlan) with a
+    /// `SnapshotSeal` move is attached, the returned blob models what the
     /// untrusted host actually persisted: a crash mid-write tears it short,
     /// a corrupting host flips a bit. Either damage makes later unsealing
     /// fail, so recovery falls back to an older snapshot plus the journal.

@@ -17,14 +17,12 @@
 //!   Figure 6 beyond ~55 clients.
 //! * [`tcp`] — the kernel-TCP baseline transport used by ShieldStore, with
 //!   per-message syscall/interrupt costs charged by the cost model.
-//! * [`faults`] — deterministic, seeded fault injection: dropped or
-//!   bit-flipped WRITEs and QP errors on a faulty pair, torn or corrupted
-//!   durable writes and migration shipments — the traffic the store
-//!   generates — so recovery protocols can be chaos-tested replayably.
-//! * [`adversary`] — deterministic *malicious-host* injection (payload
-//!   tampering, reply replay/reorder/duplication, staged rollback and fork
-//!   attacks) driven by the host software itself, so Byzantine-detection
-//!   mechanisms can be exercised end to end.
+//! * [`host`] — the untrusted host, modelled once: one seeded plan of
+//!   benign faults (dropped or bit-flipped WRITEs, QP errors, torn or
+//!   corrupted durable writes and migration shipments) and active attacks
+//!   (payload tampering, reply replay/reorder/duplication, staged rollback
+//!   and fork), executed by one [`Host`] with one audit log, so recovery
+//!   and Byzantine detection can be exercised replayably end to end.
 //!
 //! Timing is charged to a [`Meter`](precursor_sim::Meter) (CPU cost of
 //! posting/polling) while byte counts are exposed so the closed-loop driver
@@ -47,19 +45,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adversary;
-pub mod faults;
+pub mod host;
 pub mod mr;
 pub mod nic;
 pub mod qp;
 pub mod replica;
 pub mod tcp;
 
-pub use adversary::{AdversaryInjector, AdversaryPlan, AttackClass, MountedAttack};
-pub use faults::{DurableVerdict, FaultAction, FaultDir, FaultInjector, FaultPlan, FaultSite};
+pub use host::{DurableVerdict, Host, HostAct, HostFilter, HostMove, HostPlan, HostSite};
 pub use mr::{Memory, RemoteKey, WriteBoard};
 pub use nic::RnicCache;
-pub use qp::{connect_pair, connect_pair_faulty, QueuePair, RdmaError, WcStatus, WorkCompletion};
+pub use qp::{connect_pair, QueuePair, RdmaError, WcStatus, WorkCompletion};
 pub use replica::{LinkMode, LinkStats, ReplicaLink};
 pub use tcp::SimTcp;
 

@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 
 use precursor_storage::sparse::ByteStore;
 
-use crate::faults::{FaultInjector, WriteVerdict};
+use crate::host::{Host, WriteVerdict};
 use crate::mr::{Memory, Region, Registration, RemoteKey, WriteBoard};
 use crate::plock;
 
@@ -108,7 +108,7 @@ pub struct QpStats {
 }
 
 // Index of endpoint *A* in `Shared::ends`; *B* is `1 - A`. *A* originates
-// `AtoB` fault events.
+// `AtoB` host events.
 const A: usize = 0;
 
 // One endpoint's half of the connection state.
@@ -134,6 +134,9 @@ struct Shared {
     regs: Vec<(usize, Registration)>,
     ends: [Endpoint; 2],
     error: bool,
+    // The untrusted host every WRITE of the pair passes through; None = an
+    // honest host.
+    host: Option<Arc<Mutex<Host>>>,
 }
 
 impl Shared {
@@ -157,34 +160,17 @@ pub struct QueuePair {
     // This endpoint's index into `Shared::ends`.
     me: usize,
     inline_max: usize,
-    faults: Option<Arc<Mutex<FaultInjector>>>,
 }
 
 /// Creates a connected pair of queue pairs with the given inline cutoff
-/// (912 B on the paper's ConnectX-3, §4).
+/// (912 B on the paper's ConnectX-3, §4). Its WRITEs reach the peer
+/// untouched until a [`Host`] is attached with
+/// [`set_host`](QueuePair::set_host).
 pub fn connect_pair(inline_max: usize) -> (QueuePair, QueuePair) {
-    make_pair(inline_max, None)
-}
-
-/// Creates a connected pair whose one-sided WRITEs flow through a shared
-/// [`FaultInjector`]. Endpoint *A* (the first element) originates
-/// `AtoB` events.
-pub fn connect_pair_faulty(
-    inline_max: usize,
-    faults: Arc<Mutex<FaultInjector>>,
-) -> (QueuePair, QueuePair) {
-    make_pair(inline_max, Some(faults))
-}
-
-fn make_pair(
-    inline_max: usize,
-    faults: Option<Arc<Mutex<FaultInjector>>>,
-) -> (QueuePair, QueuePair) {
     let a = QueuePair {
         shared: Arc::new(Mutex::new(Shared::default())),
         me: A,
         inline_max,
-        faults,
     };
     let b = QueuePair {
         me: 1 - A,
@@ -242,6 +228,12 @@ impl QueuePair {
     /// at each endpoint's next [`poll_cq`](Self::poll_cq).
     pub fn set_error(&self) {
         plock(&self.shared).error = true;
+    }
+
+    /// Attaches `host` to the connection (both endpoints): every WRITE
+    /// posted from here on passes through it. `None` detaches it.
+    pub fn set_host(&self, host: Option<Arc<Mutex<Host>>>) {
+        plock(&self.shared).host = host;
     }
 
     /// Whether the connection is in the error state.
@@ -309,16 +301,16 @@ impl QueuePair {
         let verdict = {
             let mut mem = plock(&reg.mem);
             check_bounds(mem.len(), offset, data.len())?;
-            match &self.faults {
+            match &s.host {
                 None => {
                     mem.write_at(offset, data);
                     WriteVerdict::Deliver
                 }
-                Some(faults) => {
-                    // Only a fault injector rewrites the bytes in flight, so
-                    // only then are they staged.
+                Some(host) => {
+                    // Only a host rewrites the bytes in flight, so only
+                    // then are they staged.
                     let mut staged = data.to_vec();
-                    let verdict = plock(faults).on_write(self.is_a(), &mut staged);
+                    let verdict = plock(host).on_write(self.is_a(), &mut staged);
                     if verdict == WriteVerdict::Deliver {
                         mem.write_at(offset, &staged);
                     }
@@ -449,7 +441,7 @@ enum WrKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{FaultAction, FaultDir, FaultPlan, FaultSite};
+    use crate::host::{HostFilter, HostMove, HostPlan, HostSite};
 
     #[test]
     fn one_sided_write_reaches_peer_memory() {
@@ -645,11 +637,16 @@ mod tests {
         assert_eq!(b.stats().bytes, 6);
     }
 
+    fn hosted(plan: HostPlan, seed: u64) -> (QueuePair, QueuePair) {
+        let (a, b) = connect_pair(912);
+        b.set_host(Some(Host::shared(plan, seed)));
+        (a, b)
+    }
+
     #[test]
     fn injected_drop_loses_write_silently() {
-        let plan = FaultPlan::none().rule(FaultSite::Write, FaultDir::AtoB, FaultAction::Drop, 1);
-        let inj = FaultInjector::shared(plan, 1);
-        let (mut a, b) = connect_pair_faulty(912, inj.clone());
+        let plan = HostPlan::none().rule(HostSite::Write, HostFilter::AtoB, HostMove::Drop, 1);
+        let (mut a, b) = hosted(plan, 1);
         let mem = Memory::zeroed(64);
         let key = b.register(mem.clone(), true);
         assert_eq!(
@@ -660,13 +657,14 @@ mod tests {
         assert_eq!(mem.read(0, 4), [0u8; 4], "bytes never landed");
         assert_eq!(a.post_write(key, 0, b"sent", false).unwrap(), 4);
         assert_eq!(mem.read(0, 4), b"sent");
-        assert_eq!(plock(&inj).injected(), 1);
+        let host = plock(&a.shared).host.clone().expect("attached");
+        assert_eq!(plock(&host).log().len(), 1);
     }
 
     #[test]
     fn injected_corruption_flips_delivered_bits() {
-        let plan = FaultPlan::none().rule(FaultSite::Write, FaultDir::Any, FaultAction::Corrupt, 1);
-        let (mut a, b) = connect_pair_faulty(912, FaultInjector::shared(plan, 2));
+        let plan = HostPlan::none().rule(HostSite::Write, HostFilter::Any, HostMove::Corrupt, 1);
+        let (mut a, b) = hosted(plan, 2);
         let mem = Memory::zeroed(64);
         let key = b.register(mem.clone(), true);
         a.post_write(key, 0, &[0u8; 32], false).unwrap();
@@ -677,8 +675,8 @@ mod tests {
 
     #[test]
     fn injected_qp_error_fails_post_and_flushes() {
-        let plan = FaultPlan::none().rule(FaultSite::Write, FaultDir::Any, FaultAction::QpError, 2);
-        let (mut a, b) = connect_pair_faulty(912, FaultInjector::shared(plan, 3));
+        let plan = HostPlan::none().rule(HostSite::Write, HostFilter::Any, HostMove::QpError, 2);
+        let (mut a, b) = hosted(plan, 3);
         let key = b.register(Memory::zeroed(64), true);
         a.post_write(key, 0, b"ok", false).unwrap();
         assert_eq!(

@@ -17,7 +17,8 @@
 //! [`post_send`](QueuePair::post_send)/[`recv`](QueuePair::recv) machinery
 //! (RECVs are replenished per frame). Faults on the link are its modes; a
 //! migration's shipments are faulted above the link, at the
-//! [`MigrateShip`](crate::faults::FaultSite::MigrateShip) site.
+//! [`MigrateShip`](crate::host::HostSite::MigrateShip) site of the source
+//! node's [`Host`](crate::host::Host).
 //!
 //! Everything is deterministic: link modes are explicit state, holds are
 //! measured in pump ticks, and no RNG is drawn by the link itself.

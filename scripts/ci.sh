@@ -66,14 +66,16 @@ fi
 # beside its own, no recovery-only window update), and one way a cut
 # reaches a replica (a cut frame of the parts it lacks, from the primary or
 # a repairing peer: no full-journal fallback, no log copied between
-# replicas outside a frame): the deleted names must not grow back.
-# `\bpair_faulty` spares the surviving `connect_pair_faulty`;
+# replicas outside a frame), and one untrusted host (`HostPlan` run by one
+# `Host`, attached by one `set_host_plan`: no fault or adversary plan and
+# injector pair beside it, no faulty-pair constructor, no per-cluster
+# migration injector): the deleted names must not grow back.
 # `\bResource\b` spares `NodeResources`; `\bcompact_ship\b` spares the
 # `replica.compact_ships` counter; the forwarders match only as calls
 # or definitions, so the snapshot header's `journal_epoch`/`journal_chain`
 # fields stay legal.
 echo "== deleted names stay deleted =="
-if grep -rnE "attach_replicated_journal|external_commit|replace_node|recover_staged|recover_with_base|fail_primary_staged|FixedHistogram|DEFAULT_LATENCY_BOUNDS_NS|TimingWheel|RunConfig|epc_fault_locality|post_read|post_fetch_add|post_compare_swap|\bpair_faulty|new_faulty|take_forced_error|CycleMeter|Distribution::Latest|\bResource\b|counters_mut|charge_client|segment_of|SEGMENTS|snapshot_segments|segments_reused|segments_sealed|reseal_segments|encode_segments|HeapQueue|wheel_equivalence|ship_segment|segment_aad|transfer_seq|export_entry|ShipResult|delta_reshipped|\b(journal_epoch|journal_last_seq|journal_durable|journal_stats|journal_chain|journal_base_seq|journal_cut|journal_trimmed_bytes|journal_durable_end)\(|recover_from|replica_journal_len|encode_session|decode_session|replay_window|replica_needs_full|needs_full|full_catchup_fallbacks|falls_back_to_full_journal|\bcompact_ship\b" \
+if grep -rnE "attach_replicated_journal|external_commit|replace_node|recover_staged|recover_with_base|fail_primary_staged|FixedHistogram|DEFAULT_LATENCY_BOUNDS_NS|TimingWheel|RunConfig|epc_fault_locality|post_read|post_fetch_add|post_compare_swap|pair_faulty|new_faulty|take_forced_error|CycleMeter|Distribution::Latest|\bResource\b|counters_mut|charge_client|segment_of|SEGMENTS|snapshot_segments|segments_reused|segments_sealed|reseal_segments|encode_segments|HeapQueue|wheel_equivalence|ship_segment|segment_aad|transfer_seq|export_entry|ShipResult|delta_reshipped|\b(journal_epoch|journal_last_seq|journal_durable|journal_stats|journal_chain|journal_base_seq|journal_cut|journal_trimmed_bytes|journal_durable_end)\(|recover_from|replica_journal_len|encode_session|decode_session|replay_window|replica_needs_full|needs_full|full_catchup_fallbacks|falls_back_to_full_journal|\bcompact_ship\b|\b(FaultPlan|FaultInjector|AdversaryPlan|AdversaryInjector|set_fault_plan|set_adversary_plan|set_migrate_fault_plan|fault_log|adversary_log|swap_faults)\b" \
     crates tests examples; then
     echo "ci: a deleted name reappeared (see CHANGES.md)" >&2
     exit 1

@@ -1,6 +1,6 @@
 //! Byzantine-host test suite: the machine *outside* the enclave is actively
-//! malicious. The scripted scenarios exercise each [`AttackClass`] of the
-//! deterministic adversary harness one at a time and assert the client-side
+//! malicious. The scripted scenarios exercise each attack [`HostMove`] of
+//! the deterministic host one at a time and assert the client-side
 //! detection pipeline (reply epoch, MAC chain, store-mutation sequence,
 //! cross-client fork audit) catches it — the forged and replayed `NotMine`
 //! redirects of DESIGN §18 included. The seeded sweeps are rows of the one
@@ -11,8 +11,8 @@
 use precursor::cluster::MigrationOutcome;
 use precursor::wire::Status;
 use precursor::{
-    fork_audit, AdversaryPlan, AttackClass, Config, PrecursorClient, PrecursorCluster,
-    PrecursorServer, SecurityAudit, StoreError,
+    fork_audit, Config, HostFilter, HostMove, HostPlan, HostSite, PrecursorClient,
+    PrecursorCluster, PrecursorServer, SecurityAudit, StoreError,
 };
 use precursor_sgx::counters::MonotonicCounter;
 use precursor_sim::rng::SimRng;
@@ -24,14 +24,25 @@ use scenario::{sweep, Event, Pick, Scenario};
 
 // --- scripted single-class scenarios ------------------------------------
 
+// A plan mounting `mv` on the `at`-th reply record of client 0.
+fn on_reply(mv: HostMove, at: u64) -> HostPlan {
+    HostPlan::none().rule(HostSite::Reply, HostFilter::Client(0), mv, at)
+}
+
+// The moves `server`'s host made, in order.
+fn moves(server: &PrecursorServer) -> Vec<HostMove> {
+    server.host_log().iter().map(|a| a.mv).collect()
+}
+
 #[test]
 fn tampered_untrusted_payload_is_detected_on_read() {
     let cost = CostModel::default();
     let mut server = PrecursorServer::new(Config::default(), &cost);
     // The Tamper rule counts *poll sweeps*: sweep 1 services the put (and
-    // registers its payload range with the injector); the attack fires at
-    // the start of sweep 2, before the get executes.
-    server.set_adversary_plan(AdversaryPlan::none().rule(AttackClass::Tamper, 2), 7);
+    // registers its payload range with the host); the attack fires at the
+    // start of sweep 2, before the get executes.
+    let tamper = HostPlan::none().rule(HostSite::Sweep, HostFilter::Any, HostMove::Tamper, 2);
+    server.set_host_plan(tamper, 7);
     let mut client = PrecursorClient::connect(&mut server, 1).unwrap();
 
     client
@@ -42,8 +53,7 @@ fn tampered_untrusted_payload_is_detected_on_read() {
         Err(StoreError::IntegrityViolation),
         "MAC under K_operation catches the flipped payload bit"
     );
-    assert_eq!(server.mounted_attacks(), 1);
-    assert_eq!(server.adversary_log()[0].class, AttackClass::Tamper);
+    assert_eq!(moves(&server), [HostMove::Tamper]);
     // The session itself is healthy — payload tampering is detected per
     // read, not a transport-integrity failure.
     assert!(client.poisoned().is_none());
@@ -58,21 +68,17 @@ fn replayed_stale_control_reply_is_dropped_and_the_op_recovers() {
     let mut server = PrecursorServer::new(Config::default(), &cost);
     // Substitute the 3rd reply record written for client 0 with a stale
     // captured one (the 1st — the oldest same-length capture).
-    server.set_adversary_plan(
-        AdversaryPlan::none().rule_for(AttackClass::Replay, 0, 3),
-        11,
-    );
+    server.set_host_plan(on_reply(HostMove::Replay, 3), 11);
     let mut client = PrecursorClient::connect(&mut server, 2).unwrap();
 
     client.put_sync(&mut server, b"a", b"1").unwrap();
     client.put_sync(&mut server, b"b", b"2").unwrap();
     // Reply 3 is substituted: the client drops the stale reply_seq, times
     // out, retransmits, and the server re-acks from its at-most-once window
-    // (the re-push bypasses the adversary) — the op completes untainted.
+    // (the re-push bypasses the host) — the op completes untainted.
     client.put_sync(&mut server, b"c", b"3").unwrap();
 
-    assert_eq!(server.mounted_attacks(), 1);
-    assert_eq!(server.adversary_log()[0].class, AttackClass::Replay);
+    assert_eq!(moves(&server), [HostMove::Replay]);
     assert_eq!(client.security_audit().stale_replies, 1);
     assert!(
         client.retransmits() >= 1,
@@ -86,17 +92,14 @@ fn replayed_stale_control_reply_is_dropped_and_the_op_recovers() {
 fn reordered_replies_are_reconciled_without_poisoning() {
     let cost = CostModel::default();
     let mut server = PrecursorServer::new(Config::default(), &cost);
-    server.set_adversary_plan(
-        AdversaryPlan::none().rule_for(AttackClass::Reorder, 0, 1),
-        13,
-    );
+    server.set_host_plan(on_reply(HostMove::Reorder, 1), 13);
     let mut client = PrecursorClient::connect(&mut server, 3).unwrap();
 
-    // Drive the two puts asynchronously so the injector can hold reply 1
+    // Drive the two puts asynchronously so the host can hold reply 1
     // and swap it with reply 2 (same length — same opcode and key length).
     let o1 = client.put(b"r1", b"x").unwrap();
     server.poll();
-    assert_eq!(client.poll_replies(), 0, "reply 1 is held by the adversary");
+    assert_eq!(client.poll_replies(), 0, "reply 1 is held by the host");
     let o2 = client.put(b"r2", b"y").unwrap();
     server.poll();
     assert_eq!(
@@ -123,10 +126,7 @@ fn reordered_replies_are_reconciled_without_poisoning() {
 fn duplicated_reply_record_completes_the_op_exactly_once() {
     let cost = CostModel::default();
     let mut server = PrecursorServer::new(Config::default(), &cost);
-    server.set_adversary_plan(
-        AdversaryPlan::none().rule_for(AttackClass::Duplicate, 0, 1),
-        17,
-    );
+    server.set_host_plan(on_reply(HostMove::Duplicate, 1), 17);
     let mut client = PrecursorClient::connect(&mut server, 4).unwrap();
 
     let o1 = client.put(b"dup", b"once").unwrap();
@@ -138,7 +138,7 @@ fn duplicated_reply_record_completes_the_op_exactly_once() {
     assert_eq!(done[0].oid, o1);
     assert_eq!(done[0].status, Status::Ok);
     assert!(client.security_audit().stale_replies <= 1);
-    assert_eq!(server.mounted_attacks(), 1);
+    assert_eq!(moves(&server), [HostMove::Duplicate]);
     assert!(client.poisoned().is_none());
     assert_eq!(client.get_sync(&mut server, b"dup").unwrap(), b"once");
 }
@@ -304,18 +304,14 @@ fn rolled_back_host_is_rejected_by_counter_and_detected_by_client() {
     // can catch it, via the store-mutation sequence in every reply.
     let mut rolled =
         PrecursorServer::restore(Config::default(), &cost, &stale, &forked_counter).unwrap();
-    rolled.set_adversary_plan(AdversaryPlan::none(), 1);
-    rolled.note_attack(AttackClass::Rollback, Some(client.client_id()));
+    rolled.note_attack(HostMove::Rollback, Some(client.client_id()));
     client.reconnect(&mut rolled).expect("session resumes");
 
     let err = client.get_sync(&mut rolled, b"k2");
     assert_eq!(err, Err(StoreError::RollbackDetected));
     assert_eq!(client.poisoned(), Some(StoreError::RollbackDetected));
     assert_eq!(client.security_audit().rollback_regressions, 1);
-    assert!(rolled
-        .adversary_log()
-        .iter()
-        .any(|a| a.class == AttackClass::Rollback));
+    assert_eq!(moves(&rolled), [HostMove::Rollback]);
     assert_eq!(client.put(b"x", b"y"), Err(StoreError::RollbackDetected));
 
     // Recovery: the operator restores the *fresh* snapshot under the true
@@ -344,10 +340,8 @@ fn forked_views_are_detected_by_cross_client_audit() {
     let snap = server.snapshot(&mut counter);
     let mut s1 = PrecursorServer::restore(Config::default(), &cost, &snap, &counter).unwrap();
     let mut s2 = PrecursorServer::restore(Config::default(), &cost, &snap, &counter).unwrap();
-    s1.set_adversary_plan(AdversaryPlan::none(), 1);
-    s1.note_attack(AttackClass::Fork, Some(a.client_id()));
-    s2.set_adversary_plan(AdversaryPlan::none(), 1);
-    s2.note_attack(AttackClass::Fork, Some(b.client_id()));
+    s1.note_attack(HostMove::Fork, Some(a.client_id()));
+    s2.note_attack(HostMove::Fork, Some(b.client_id()));
 
     a.reconnect(&mut s1).expect("a lands on replica 1");
     // On replica 2 the host replays a's re-attestation itself so client b's
@@ -366,10 +360,7 @@ fn forked_views_are_detected_by_cross_client_audit() {
     // Epoch-exchange audit: the clients compare (store_seq, digest)
     // observations out of band and catch the divergence.
     assert_eq!(fork_audit(&a, &b), Err(StoreError::ForkDetected));
-    assert!(s1
-        .adversary_log()
-        .iter()
-        .any(|m| m.class == AttackClass::Fork));
+    assert_eq!(moves(&s1), [HostMove::Fork]);
     // A client that learns of the fork quarantines itself until it can
     // re-attest against a host both parties trust.
     a.quarantine(StoreError::ForkDetected);
@@ -591,18 +582,19 @@ fn report_buffer_is_bounded_and_counts_drops() {
 
 // --- seeded adversarial sweeps -----------------------------------------
 
-fn mixed_plan() -> AdversaryPlan {
-    AdversaryPlan::none()
-        .rate(AttackClass::Tamper, 0.04)
-        .rate(AttackClass::Replay, 0.08)
-        .rate(AttackClass::Reorder, 0.05)
-        .rate(AttackClass::Duplicate, 0.05)
+fn mixed_plan() -> HostPlan {
+    use {HostFilter::Any, HostMove::*, HostSite::*};
+    HostPlan::none()
+        .rate(Sweep, Any, Tamper, 0.04)
+        .rate(Reply, Any, Replay, 0.08)
+        .rate(Reply, Any, Reorder, 0.05)
+        .rate(Reply, Any, Duplicate, 0.05)
 }
 
-// The Byzantine row: `adversary` on every node, 64-byte values (equal
+// The Byzantine row: `host` on every node, 64-byte values (equal
 // lengths keep reply records swappable by Reorder) over 12 keys, and on
 // more than one node the hot range migrating at mid-run.
-fn byzantine(seed: u64, nodes: usize, ops: usize, adversary: AdversaryPlan) -> Scenario {
+fn byzantine(seed: u64, nodes: usize, ops: usize, host: HostPlan) -> Scenario {
     let migrate = Event::Migrate {
         key: Pick::Hot,
         fault: None,
@@ -611,7 +603,7 @@ fn byzantine(seed: u64, nodes: usize, ops: usize, adversary: AdversaryPlan) -> S
         nodes,
         keys: 12,
         ops,
-        adversary,
+        host,
         events: (nodes > 1)
             .then_some((ops / 2, migrate))
             .into_iter()
@@ -628,8 +620,8 @@ fn seeded_byzantine_sweep_has_zero_undetected_violations() {
         |_| {},
     );
     assert!(
-        runs.iter().any(|r| !r.mounted.is_empty()),
-        "the adversary never mounted anything"
+        runs.iter().any(|r| !r.host.is_empty()),
+        "the host never mounted anything"
     );
     assert!(
         runs.iter().any(|r| r.detected() > 0),
@@ -649,10 +641,7 @@ fn byzantine_host_on_every_node_of_a_migrating_cluster() {
             |run| assert_eq!((run.fences.len(), run.aborts.len()), (1, 0)),
         );
         let replay_on_redirecting_node = runs.iter().any(|run| {
-            let replays = run
-                .mounted
-                .iter()
-                .filter(|(_, a)| a.class == AttackClass::Replay);
+            let replays = run.host.iter().filter(|(_, a)| a.mv == HostMove::Replay);
             replays.into_iter().any(|(node, _)| run.not_mine(*node) > 0)
         });
         assert!(replay_on_redirecting_node, "nodes={nodes}");
@@ -663,7 +652,7 @@ fn byzantine_host_on_every_node_of_a_migrating_cluster() {
 fn byzantine_runs_are_deterministic() {
     let a = byzantine(0xb1ce, 1, 120, mixed_plan()).run_ok();
     assert_eq!(a, byzantine(0xb1ce, 1, 120, mixed_plan()).run_ok());
-    assert!(!a.mounted.is_empty(), "the mixed plan mounted attacks");
+    assert!(!a.host.is_empty(), "the mixed plan mounted attacks");
     let a = byzantine(0xb1ce, 4, 120, mixed_plan()).run_ok();
     assert_eq!(a, byzantine(0xb1ce, 4, 120, mixed_plan()).run_ok());
 }
@@ -673,9 +662,9 @@ fn adversary_free_run_triggers_no_detections() {
     // With an empty plan the detection machinery must be invisible: no
     // stale replies, no resyncs, no quarantine — every audit stays zeroed
     // (and the harness fails any op that is not served first time).
-    let run = byzantine(0xc1ea, 1, 150, AdversaryPlan::none()).run_ok();
+    let run = byzantine(0xc1ea, 1, 150, HostPlan::none()).run_ok();
     let zeroed = |(_, _, a): &(usize, usize, SecurityAudit)| *a == SecurityAudit::default();
     assert!(run.audits.iter().all(zeroed));
     assert_eq!(run.retransmits, 0);
-    assert!(run.mounted.is_empty());
+    assert!(run.host.is_empty());
 }

@@ -11,10 +11,9 @@ use std::collections::HashMap;
 use precursor::cluster::MigrationOutcome;
 use precursor::wire::Status;
 use precursor::{
-    CompactOutcome, Config, FaultAction, FaultDir, FaultPlan, FaultSite, GroupCommitPolicy,
+    CompactOutcome, Config, GroupCommitPolicy, HostAct, HostFilter, HostMove, HostPlan, HostSite,
     PrecursorClient, PrecursorServer, ReplicaGroup, StoreError,
 };
-use precursor_rdma::faults::InjectedFault;
 use precursor_sgx::counters::MonotonicCounter;
 use precursor_sim::CostModel;
 
@@ -27,38 +26,42 @@ use scenario::{sweep, Event, Harness, Pick, Run, Scenario};
 // injected only on the reply direction: a corrupted *request* payload is
 // by design undetectable until read back (the client MACs it before
 // sending), which would poison the model comparison.
-fn chaos_plan() -> FaultPlan {
-    FaultPlan::none()
-        .rule(FaultSite::Write, FaultDir::AtoB, FaultAction::Drop, 5)
-        .rule(FaultSite::Write, FaultDir::BtoA, FaultAction::Drop, 9)
-        .rule(FaultSite::Write, FaultDir::BtoA, FaultAction::Corrupt, 17)
-        .rule(FaultSite::Write, FaultDir::AtoB, FaultAction::QpError, 23)
-        .rate(FaultSite::Write, FaultDir::AtoB, FaultAction::Drop, 0.002)
-        .rate(FaultSite::Write, FaultDir::BtoA, FaultAction::Drop, 0.002)
-        .rate(
-            FaultSite::Write,
-            FaultDir::BtoA,
-            FaultAction::Corrupt,
-            0.001,
-        )
-        .rate(
-            FaultSite::Write,
-            FaultDir::Any,
-            FaultAction::QpError,
-            0.0002,
-        )
+fn chaos_plan() -> HostPlan {
+    use {HostFilter::*, HostMove::*, HostSite::Write};
+    HostPlan::none()
+        .rule(Write, AtoB, Drop, 5)
+        .rule(Write, BtoA, Drop, 9)
+        .rule(Write, BtoA, Corrupt, 17)
+        .rule(Write, AtoB, QpError, 23)
+        .rate(Write, AtoB, Drop, 0.002)
+        .rate(Write, BtoA, Drop, 0.002)
+        .rate(Write, BtoA, Corrupt, 0.001)
+        .rate(Write, Any, QpError, 0.0002)
 }
 
-// The chaos row: one bare node under `faults`, checkpointed and
+// A plan making `mv` on the `at`-th event at `site` that `filter` counts.
+fn one(site: HostSite, filter: HostFilter, mv: HostMove, at: u64) -> HostPlan {
+    HostPlan::none().rule(site, filter, mv, at)
+}
+
+// A bare server whose host, seeded from `seed`, makes `mv` on the `at`-th
+// event at `site` that `filter` counts.
+fn hosted(site: HostSite, filter: HostFilter, mv: HostMove, at: u64, seed: u64) -> PrecursorServer {
+    let mut server = PrecursorServer::new(Config::default(), &CostModel::default());
+    server.set_host_plan(one(site, filter, mv, at), seed);
+    server
+}
+
+// The chaos row: one bare node under `host`, checkpointed and
 // crash-restarted every `restart_every` ops (0 = never).
-fn chaos(seed: u64, ops: usize, faults: FaultPlan, restart_every: usize) -> Scenario {
+fn chaos(seed: u64, ops: usize, host: HostPlan, restart_every: usize) -> Scenario {
     let restarts = (1..=ops).filter(|i| restart_every != 0 && i.is_multiple_of(restart_every));
     let events = restarts
         .flat_map(|i| [(i, Event::Checkpoint), (i, Event::Restart(0))])
         .collect();
     Scenario {
         ops,
-        faults,
+        host,
         events,
         ..Scenario::new(seed)
     }
@@ -68,20 +71,15 @@ fn chaos(seed: u64, ops: usize, faults: FaultPlan, restart_every: usize) -> Scen
 
 #[test]
 fn dropped_request_is_retransmitted_and_applied() {
-    let cost = CostModel::default();
-    let mut server = PrecursorServer::new(Config::default(), &cost);
     // The very first client request WRITE vanishes silently.
-    server.set_fault_plan(
-        FaultPlan::none().rule(FaultSite::Write, FaultDir::AtoB, FaultAction::Drop, 1),
-        7,
-    );
+    let mut server = hosted(HostSite::Write, HostFilter::AtoB, HostMove::Drop, 1, 7);
     let mut client = PrecursorClient::connect(&mut server, 7).unwrap();
 
     client
         .put_sync(&mut server, b"k", b"survives a lost request")
         .unwrap();
     assert!(client.retransmits() >= 1, "deadline must have fired");
-    assert_eq!(server.injected_faults(), 1);
+    assert_eq!(server.host_log().len(), 1);
     assert_eq!(
         client.get_sync(&mut server, b"k").unwrap(),
         b"survives a lost request"
@@ -89,15 +87,27 @@ fn dropped_request_is_retransmitted_and_applied() {
 }
 
 #[test]
+fn a_move_armed_after_connect_reaches_the_connected_pair() {
+    let mut server = PrecursorServer::new(Config::default(), &CostModel::default());
+    let mut client = PrecursorClient::connect(&mut server, 7).unwrap();
+    server.set_host_plan(HostPlan::none(), 7);
+    client.put_sync(&mut server, b"k", b"before").unwrap();
+    // Attached and armed after connect, the drop hits the next request
+    // WRITE of the connected pair; the retransmission is served.
+    let mut host = server.host().expect("attached");
+    host.arm(HostSite::Write, HostFilter::AtoB, HostMove::Drop);
+    drop(host);
+    client.put_sync(&mut server, b"k", b"after").unwrap();
+    assert_eq!(client.retransmits(), 1);
+    assert_eq!(client.get_sync(&mut server, b"k").unwrap(), b"after");
+    assert_eq!(server.host_log().len(), 1);
+}
+
+#[test]
 fn dropped_reply_put_is_reacked_same_oid_applied_exactly_once() {
-    let cost = CostModel::default();
-    let mut server = PrecursorServer::new(Config::default(), &cost);
     // B→A write #1 is the first put's reply record: the put executes but
     // its acknowledgement never reaches the client.
-    server.set_fault_plan(
-        FaultPlan::none().rule(FaultSite::Write, FaultDir::BtoA, FaultAction::Drop, 1),
-        11,
-    );
+    let mut server = hosted(HostSite::Write, HostFilter::BtoA, HostMove::Drop, 1, 11);
     let mut client = PrecursorClient::connect(&mut server, 11).unwrap();
 
     // The client retransmits the identical frame (same oid, same
@@ -122,13 +132,8 @@ fn dropped_reply_put_is_reacked_same_oid_applied_exactly_once() {
 
 #[test]
 fn dropped_reply_delete_is_acked_from_cache_not_reexecuted() {
-    let cost = CostModel::default();
-    let mut server = PrecursorServer::new(Config::default(), &cost);
     // B→A writes: #1 put reply, #2 credit update, #3 delete reply (dropped).
-    server.set_fault_plan(
-        FaultPlan::none().rule(FaultSite::Write, FaultDir::BtoA, FaultAction::Drop, 3),
-        13,
-    );
+    let mut server = hosted(HostSite::Write, HostFilter::BtoA, HostMove::Drop, 3, 13);
     let mut client = PrecursorClient::connect(&mut server, 13).unwrap();
 
     client.put_sync(&mut server, b"k", b"v").unwrap();
@@ -143,14 +148,9 @@ fn dropped_reply_delete_is_acked_from_cache_not_reexecuted() {
 
 #[test]
 fn corrupted_reply_payload_is_detected_by_mac() {
-    let cost = CostModel::default();
-    let mut server = PrecursorServer::new(Config::default(), &cost);
     // B→A write #3 is the get's reply; with a 4 KiB value the flipped bit
     // lands in the payload, which only the client-side MAC covers.
-    server.set_fault_plan(
-        FaultPlan::none().rule(FaultSite::Write, FaultDir::BtoA, FaultAction::Corrupt, 3),
-        17,
-    );
+    let mut server = hosted(HostSite::Write, HostFilter::BtoA, HostMove::Corrupt, 3, 17);
     let mut client = PrecursorClient::connect(&mut server, 17).unwrap();
 
     let value = vec![0x5au8; 4096];
@@ -166,14 +166,9 @@ fn corrupted_reply_payload_is_detected_by_mac() {
 
 #[test]
 fn qp_error_surfaces_session_lost_and_reconnect_preserves_state() {
-    let cost = CostModel::default();
-    let mut server = PrecursorServer::new(Config::default(), &cost);
     // A→B writes: #1 first put's record, #2 reply-credit update, #3 the
     // second put's record — which errors the QP instead of landing.
-    server.set_fault_plan(
-        FaultPlan::none().rule(FaultSite::Write, FaultDir::AtoB, FaultAction::QpError, 3),
-        19,
-    );
+    let mut server = hosted(HostSite::Write, HostFilter::AtoB, HostMove::QpError, 3, 19);
     let mut client = PrecursorClient::connect(&mut server, 19).unwrap();
 
     client.put_sync(&mut server, b"a", b"1").unwrap();
@@ -232,7 +227,7 @@ fn seeded_chaos_sweep() {
         "chaos",
         |seed| chaos(seed, 160, chaos_plan(), 67),
         |run| {
-            assert!(!run.faults.is_empty(), "the plan injected nothing");
+            assert!(!run.host.is_empty(), "the plan injected nothing");
             assert!(run.restarts.len() >= 2, "expected crashes");
         },
     );
@@ -242,7 +237,7 @@ fn seeded_chaos_sweep() {
 fn chaos_runs_are_deterministic() {
     let a = chaos(0xdecaf, 400, chaos_plan(), 101).run_ok();
     assert_eq!(a, chaos(0xdecaf, 400, chaos_plan(), 101).run_ok());
-    assert!(a.retransmits > 0 && !a.faults.is_empty());
+    assert!(a.retransmits > 0 && !a.host.is_empty());
 }
 
 #[test]
@@ -251,11 +246,11 @@ fn faults_disabled_run_is_unperturbed() {
     // already fails a fault-free op that is retried or re-attested): no
     // retransmissions, and the virtual clock never advances (every op
     // completes on its first service round).
-    let run = chaos(0x0ff, 400, FaultPlan::none(), 0).run_ok();
+    let run = chaos(0x0ff, 400, HostPlan::none(), 0).run_ok();
     assert_eq!(run.retransmits, 0);
     assert!(run.restarts.is_empty());
     assert_eq!(run.clock_ns, 0, "clock advanced in a fault-free run");
-    assert!(run.faults.is_empty());
+    assert!(run.host.is_empty());
 }
 
 #[test]
@@ -264,20 +259,19 @@ fn chaos_acceptance_10k_mixed_workload() {
     // fault schedule with periodic crash-restarts. The oracles hold
     // throughout; here we additionally require every fault class occurred.
     let run = chaos(0xacce97, 10_000, chaos_plan(), 1999).run_ok();
-    let has = |f: &dyn Fn(&InjectedFault) -> bool| run.faults.iter().any(|(_, x)| f(x));
+    let has = |site, origin, mv| {
+        let hit = |a: &HostAct| (a.site, a.origin, a.mv) == (site, origin, mv);
+        run.host.iter().any(|(_, a)| hit(a))
+    };
+    let (write, drop) = (HostSite::Write, HostMove::Drop);
+    assert!(has(write, HostFilter::AtoB, drop), "no dropped request");
+    assert!(has(write, HostFilter::BtoA, drop), "no dropped reply");
     assert!(
-        has(&|f| f.site == FaultSite::Write && f.from_a && f.action == FaultAction::Drop),
-        "no dropped request"
-    );
-    assert!(
-        has(&|f| f.site == FaultSite::Write && !f.from_a && f.action == FaultAction::Drop),
-        "no dropped reply"
-    );
-    assert!(
-        has(&|f| !f.from_a && f.action == FaultAction::Corrupt),
+        has(write, HostFilter::BtoA, HostMove::Corrupt),
         "no corrupted payload"
     );
-    assert!(has(&|f| f.action == FaultAction::QpError), "no QP error");
+    let qp_error = |a: &(usize, HostAct)| a.1.mv == HostMove::QpError;
+    assert!(run.host.iter().any(qp_error), "no QP error");
     assert!(run.restarts.len() >= 5, "no crash-restarts");
     assert!(run.retransmits > 0);
 }
@@ -292,8 +286,8 @@ fn chaos_acceptance_10k_mixed_workload() {
 fn compaction_crash(seed: u64) -> Scenario {
     let crash = [
         None,
-        Some(FaultSite::SnapshotSeal),
-        Some(FaultSite::CompactTruncate),
+        Some(HostSite::SnapshotSeal),
+        Some(HostSite::CompactTruncate),
     ];
     let crash = crash[(seed % 3) as usize];
     Scenario {
@@ -318,14 +312,14 @@ fn check_compaction_crash(run: &Run) {
                 ..
             },
         ) => true,
-        (Some(FaultSite::SnapshotSeal), CompactOutcome::Aborted) => false,
-        (Some(FaultSite::CompactTruncate), CompactOutcome::Wedged { .. }) => true,
+        (Some(HostSite::SnapshotSeal), CompactOutcome::Aborted) => false,
+        (Some(HostSite::CompactTruncate), CompactOutcome::Wedged { .. }) => true,
         other => panic!("crash and outcome disagree: {other:?}"),
     };
     // The counter advances exactly at the commit point; only a torn
     // truncate wedges the journal, and only a clean cut trims its prefix.
     assert_eq!(cut.counter, u64::from(committed));
-    assert_eq!(cut.wedged, cut.crash == Some(FaultSite::CompactTruncate));
+    assert_eq!(cut.wedged, cut.crash == Some(HostSite::CompactTruncate));
     assert_eq!(cut.trimmed_bytes > 0, cut.crash.is_none());
     assert_eq!(run.restarts.len(), 1);
 }
@@ -358,8 +352,8 @@ fn torn_journal_flush_wedges_and_recovery_truncates_the_tail() {
     // JournalFlush events with the immediate policy: #1 the connect's
     // session record, #2/#3 the first two puts, #4 the third put — whose
     // flush the host tears mid-write (the modelled process dies).
-    server.set_fault_plan(
-        FaultPlan::none().rule(FaultSite::JournalFlush, FaultDir::Any, FaultAction::Drop, 4),
+    server.set_host_plan(
+        one(HostSite::JournalFlush, HostFilter::Any, HostMove::Drop, 4),
         29,
     );
     let mut client = PrecursorClient::connect(server, 29).unwrap();
@@ -411,11 +405,11 @@ fn corrupted_journal_flush_is_rejected_at_replay() {
     let server = group.primary_mut();
     // Flush #3 (the second put) lands all its bytes but with one bit
     // flipped — a silent media error rather than a torn write.
-    server.set_fault_plan(
-        FaultPlan::none().rule(
-            FaultSite::JournalFlush,
-            FaultDir::Any,
-            FaultAction::Corrupt,
+    server.set_host_plan(
+        one(
+            HostSite::JournalFlush,
+            HostFilter::Any,
+            HostMove::Corrupt,
             3,
         ),
         31,
@@ -445,8 +439,8 @@ fn crashed_snapshot_seal_is_rejected_and_journal_covers_recovery() {
     let mut epoch_counter = MonotonicCounter::new();
     server.attach_journal(GroupCommitPolicy::immediate(), &mut epoch_counter);
     // The first snapshot seal is torn mid-write.
-    server.set_fault_plan(
-        FaultPlan::none().rule(FaultSite::SnapshotSeal, FaultDir::Any, FaultAction::Drop, 1),
+    server.set_host_plan(
+        one(HostSite::SnapshotSeal, HostFilter::Any, HostMove::Drop, 1),
         37,
     );
     let mut client = PrecursorClient::connect(&mut server, 37).unwrap();
@@ -504,9 +498,9 @@ fn migration_crash(seed: u64) -> Scenario {
         ..Scenario::journaled(seed)
     };
     let key = Pick::Key(s.live_key_at(30));
-    let fault = [Some(FaultAction::Drop), Some(FaultAction::Corrupt), None][(seed % 3) as usize];
+    let fault = [Some(HostMove::Drop), Some(HostMove::Corrupt), None][(seed % 3) as usize];
     s.events.push((30, Event::Migrate { key, fault }));
-    if fault == Some(FaultAction::Drop) {
+    if fault == Some(HostMove::Drop) {
         let Pick::Key(k) = key else { unreachable!() };
         s.events.push((34, Event::Restart(s.owner(k))));
     }
@@ -678,8 +672,8 @@ fn torn_install_flush_aborts_the_fence_and_the_retry_installs_over_a_clean_range
     let epoch = f.h.cluster.meta().ring().epoch();
     // The destination journals one record per install and flushes each:
     // the host tears the second flush (the modelled process dies).
-    f.h.cluster.node_mut(f.to as usize).set_fault_plan(
-        FaultPlan::none().rule(FaultSite::JournalFlush, FaultDir::Any, FaultAction::Drop, 2),
+    f.h.cluster.node_mut(f.to as usize).set_host_plan(
+        one(HostSite::JournalFlush, HostFilter::Any, HostMove::Drop, 2),
         0x7e4,
     );
     let MigrationOutcome::Aborted(report) = f.pump_to_end() else {

@@ -46,8 +46,8 @@ use std::fmt::Write as _;
 use std::ops::Range;
 
 use precursor::{
-    CompactOutcome, Config, DurableLog, FaultAction, FaultDir, FaultPlan, FaultSite,
-    GroupCommitPolicy, PrecursorClient, PrecursorServer, ReplicaGroup, StoreError,
+    CompactOutcome, Config, DurableLog, GroupCommitPolicy, HostFilter, HostMove, HostPlan,
+    HostSite, PrecursorClient, PrecursorServer, ReplicaGroup, StoreError,
 };
 use precursor_sgx::counters::MonotonicCounter;
 use precursor_sim::rng::SimRng;
@@ -128,15 +128,12 @@ fn torn_seal_aborts_compaction_with_counter_and_recovery_unchanged() {
     for i in 0u8..8 {
         h.put(0, &[i], &[i; 32]).expect("put");
     }
-    let group = h.group_mut();
-    let before = group.probe_recovery().expect("recovery from current root");
-
     // The compaction's snapshot seal is torn mid-write: the enclave
     // cannot read back what it wrote and aborts before the commit point.
-    group.primary_mut().set_fault_plan(
-        FaultPlan::none().rule(FaultSite::SnapshotSeal, FaultDir::Any, FaultAction::Drop, 1),
-        47,
-    );
+    h.host(0)
+        .arm(HostSite::SnapshotSeal, HostFilter::Any, HostMove::Drop);
+    let group = h.group_mut();
+    let before = group.probe_recovery().expect("recovery from current root");
     assert!(matches!(group.compact(), CompactOutcome::Aborted));
     let server = group.primary();
     assert_eq!(
@@ -150,8 +147,7 @@ fn torn_seal_aborts_compaction_with_counter_and_recovery_unchanged() {
     let after = group.probe_recovery().expect("recovery from current root");
     assert_eq!(before, after, "aborted compaction changed recovery");
 
-    // With the fault gone the same cut commits cleanly.
-    group.primary_mut().set_fault_plan(FaultPlan::none(), 47);
+    // With the armed tear spent the same cut commits cleanly.
     let CompactOutcome::Compacted { .. } = group.compact() else {
         panic!("clean retry must compact");
     };
@@ -164,21 +160,13 @@ fn crash_between_seal_commit_and_truncate_recovers_to_same_digest() {
     for i in 0u8..8 {
         h.put(0, &[i], &[i ^ 0x11; 32]).expect("put");
     }
-    let group = h.group_mut();
-    let before = group.probe_recovery().expect("recovery from current root");
-
     // The process dies after the counter advanced but before (or while)
     // the prefix cut hit disk: the journal wedges untruncated and the
     // committed snapshot is now the only unsealable one.
-    group.primary_mut().set_fault_plan(
-        FaultPlan::none().rule(
-            FaultSite::CompactTruncate,
-            FaultDir::Any,
-            FaultAction::Drop,
-            1,
-        ),
-        53,
-    );
+    h.host(0)
+        .arm(HostSite::CompactTruncate, HostFilter::Any, HostMove::Drop);
+    let group = h.group_mut();
+    let before = group.probe_recovery().expect("recovery from current root");
     let CompactOutcome::Wedged { base_seq, .. } = group.compact() else {
         panic!("truncate crash must wedge");
     };
@@ -679,19 +667,13 @@ fn incremental_vs_cold_run(seed: u64) {
             _ => {
                 // The host tears the seal; the cut aborts and is retried.
                 let _ = write!(trace, "{step}:torn-retry;");
+                let seal = HostSite::SnapshotSeal;
+                h.host(0).arm(seal, HostFilter::Any, HostMove::Drop);
+                let version = h.group().snapshot_counter().read();
+                let torn = h.group_mut().compact();
+                // A skipped cut leaves nothing armed behind.
+                h.host(0).disarm(seal);
                 let group = h.group_mut();
-                group.primary_mut().set_fault_plan(
-                    FaultPlan::none().rule(
-                        FaultSite::SnapshotSeal,
-                        FaultDir::Any,
-                        FaultAction::Drop,
-                        1,
-                    ),
-                    seed,
-                );
-                let version = group.snapshot_counter().read();
-                let torn = group.compact();
-                group.primary_mut().set_fault_plan(FaultPlan::none(), seed);
                 match torn {
                     CompactOutcome::Aborted => {
                         assert_eq!(group.snapshot_counter().read(), version, "{trace}");
@@ -957,8 +939,9 @@ fn cut_after_k_mutations_seals_at_most_k_entries_and_an_abort_keeps_them_dirty()
 
     // Torn seal: the work was done (≤ k entries), nothing committed, and
     // the dirty set survives for the retry.
-    server.set_fault_plan(
-        FaultPlan::none().rule(FaultSite::SnapshotSeal, FaultDir::Any, FaultAction::Drop, 1),
+    let seal = HostSite::SnapshotSeal;
+    server.set_host_plan(
+        HostPlan::none().rule(seal, HostFilter::Any, HostMove::Drop, 1),
         71,
     );
     assert_eq!(
@@ -966,7 +949,6 @@ fn cut_after_k_mutations_seals_at_most_k_entries_and_an_abort_keeps_them_dirty()
         CompactOutcome::Aborted
     );
     let torn = bytes_sealed(&server) - bytes_cold;
-    server.set_fault_plan(FaultPlan::none(), 71);
 
     let CompactOutcome::Compacted { snapshot, .. } = server.compact_journal(&mut snap_counter)
     else {

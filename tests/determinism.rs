@@ -1,7 +1,7 @@
 //! Determinism regression suite.
 //!
 //! There is one sweep and `Config::shards == 1` is its N = 1 instance: same
-//! seed → bit-identical fault log, adversary log, per-op report stream and
+//! seed → bit-identical host log, per-op report stream and
 //! operation outcomes. The whole observable run is folded into
 //! one FxHash digest (stable across platforms and compiler versions,
 //! unlike `DefaultHasher`), compared between repeated runs, between
@@ -11,8 +11,8 @@
 use std::fmt::Write as _;
 
 use precursor::{
-    ClusterClient, Config, GroupCommitPolicy, OpReport, PrecursorCluster, PrecursorServer,
-    ReplicaGroup,
+    ClusterClient, Config, GroupCommitPolicy, HostFilter, OpReport, PrecursorCluster,
+    PrecursorServer, ReplicaGroup,
 };
 use precursor_sim::CostModel;
 use precursor_storage::stable_key_hash;
@@ -56,11 +56,29 @@ fn run_observed(config: Config, seed: u64, journaled: bool) -> (String, String) 
     (trace, taps(&server))
 }
 
-// Folds what the (first) server saw after the ops: its fault and attack
-// logs, the report stream of every node, its counters.
+// Folds what the (first) server saw after the ops: its host log, the
+// report stream of every node, its counters. The log renders as the two
+// lists `GOLDEN` was pinned on — faults, then attacks, each in order.
 fn fold(trace: &mut String, server: &PrecursorServer, reports: &[OpReport]) {
-    let _ = write!(trace, "faults:{:?};", server.fault_log());
-    let _ = write!(trace, "attacks:{:?};", server.adversary_log());
+    let (mut faults, mut attacks) = (Vec::new(), Vec::new());
+    for a in server.host_log() {
+        let (site, mv, event) = (a.site, a.mv, a.event);
+        let from_a = a.origin == HostFilter::AtoB;
+        let client = match a.origin {
+            HostFilter::Client(c) => Some(c),
+            _ => None,
+        };
+        if mv.is_attack() {
+            let fields = format!("class: {mv:?}, client: {client:?}, event: {event}");
+            attacks.push(format!("MountedAttack {{ {fields} }}"));
+        } else {
+            let fields =
+                format!("site: {site:?}, from_a: {from_a}, action: {mv:?}, event: {event}");
+            faults.push(format!("InjectedFault {{ {fields} }}"));
+        }
+    }
+    let (faults, attacks) = (faults.join(", "), attacks.join(", "));
+    let _ = write!(trace, "faults:[{faults}];attacks:[{attacks}];");
     for r in reports {
         let _ = write!(
             trace,

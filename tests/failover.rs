@@ -177,6 +177,35 @@ fn a_second_failover_keeps_a_session_that_saw_an_ack() {
         .expect("the session outlives both promotions");
     let c = h.get(0, b"acked").expect("get");
     assert_eq!(c.value.as_deref(), Some(&b"before both failovers"[..]));
+    settles(h);
+    // The same two promotions with a put in flight: the lost fan-out lagged.
+    let fail = Event::FailNode {
+        node: 0,
+        batch: usize::MAX,
+    };
+    let mut h = Scenario {
+        replicas: 2,
+        journal: Some(GroupCommitPolicy::batched(4, 2)),
+        ops: 0,
+        events: [Event::Submit(0), Event::Pump, fail, fail]
+            .map(|e| (0, e))
+            .to_vec(),
+        ..Scenario::new(43)
+    }
+    .build();
+    h.play().expect("both promotions");
+    settles(h);
+}
+
+// No replica is left, so `pump` only polls: 10 more pumps find no catch-up
+// and the lag gauge at 0.
+fn settles(mut h: Harness) {
+    for _ in 0..10 {
+        h.group_mut().pump();
+    }
+    let (g, p) = (h.group(), h.group().primary());
+    assert_eq!((g.replica_count(), p.in_catchup()), (0, false));
+    assert_eq!(g.metrics().gauge("replica.lag_records"), 0);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 
 use precursor::wire::Status;
 use precursor::{
-    Config, EncryptionMode, FaultAction, FaultDir, FaultPlan, FaultSite, PrecursorClient,
+    Config, EncryptionMode, HostFilter, HostMove, HostPlan, HostSite, PrecursorClient,
     PrecursorServer, StoreError,
 };
 use precursor_sim::rng::SimRng;
@@ -443,10 +443,8 @@ fn idle_and_unmarked_rings_are_never_visited() {
     on_one_and_four_shards(|config| {
         let mut server = PrecursorServer::new(config, &CostModel::default());
         // The very first client request WRITE vanishes silently.
-        server.set_fault_plan(
-            FaultPlan::none().rule(FaultSite::Write, FaultDir::AtoB, FaultAction::Drop, 1),
-            7,
-        );
+        let drop = HostPlan::none().rule(HostSite::Write, HostFilter::AtoB, HostMove::Drop, 1);
+        server.set_host_plan(drop, 7);
         let mut fleet: Vec<_> = (0..32)
             .map(|i| PrecursorClient::connect(&mut server, i).unwrap())
             .collect();

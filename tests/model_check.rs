@@ -45,7 +45,7 @@ use precursor_storage::stable_key_hash;
 
 #[path = "scenario/mod.rs"]
 mod scenario;
-use precursor::FaultAction;
+use precursor::HostMove;
 use scenario::{dump, Event, Harness, Pick, Scenario, Violation};
 use Event::*;
 
@@ -181,7 +181,7 @@ impl Used {
     // depth either node's compaction.
     fn migration(&self, h: &Harness, depth: usize, out: &mut Vec<Event>) {
         if self.migrates < MIGRATES {
-            for fault in [None, Some(FaultAction::Drop), Some(FaultAction::Corrupt)] {
+            for fault in [None, Some(HostMove::Drop), Some(HostMove::Corrupt)] {
                 out.push(Migrate {
                     key: Pick::Hot,
                     fault,

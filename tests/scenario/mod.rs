@@ -12,10 +12,10 @@
 //!    retransmission would bring back an overwritten value: at-most-once
 //!    per `oid` is observed here. When no key is Maybe, the nodes must
 //!    hold exactly the live keys after every op, and (without an
-//!    adversary) every stored value must pass the enclave's integrity
+//!    attacking host) every stored value must pass the enclave's integrity
 //!    audit at the end.
 //! 2. **Wing–Gong** over the recorded history of every fault-free row
-//!    (neither a fault plan nor an adversary) — the rows whose ops overlap:
+//!    (an empty host plan) — the rows whose ops overlap:
 //!    `clients > 1`, or `Submit` events left puts in flight.
 //! 3. **One owner** — exactly one node's routing gate owns each key after
 //!    every event, every fence or abort, and at the end.
@@ -58,13 +58,11 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use precursor::wire::Status;
 use precursor::{
-    AdversaryPlan, AttackClass, ClusterClient, CompactOutcome, CompletedOp, Config, DurableLog,
-    FaultAction, FaultDir, FaultPlan, FaultSite, GroupCommitPolicy, MigrationOutcome,
-    MigrationReport, MountedAttack, PlacementRing, PrecursorClient, PrecursorCluster,
-    PrecursorServer, ProtocolBug, RecoveryReport, ReplicaGroup, RetryPolicy, SecurityAudit,
-    StoreError,
+    ClusterClient, CompactOutcome, CompletedOp, Config, DurableLog, GroupCommitPolicy, HostAct,
+    HostFilter, HostMove, HostPlan, HostSite, MigrationOutcome, MigrationReport, PlacementRing,
+    PrecursorClient, PrecursorCluster, PrecursorServer, ProtocolBug, RecoveryReport, ReplicaGroup,
+    RetryPolicy, SecurityAudit, StoreError,
 };
-use precursor_rdma::faults::InjectedFault;
 use precursor_sim::rng::SimRng;
 use precursor_sim::CostModel;
 use precursor_storage::stable_key_hash;
@@ -87,8 +85,6 @@ const CLIENT: u64 = 0xc11e_0000;
 const AFRESH: u64 = 0xaf2e_0000;
 const READER: u64 = 0x4ead;
 const PLANS: u64 = 0x91a4_0000_0000;
-const ADVERSARY: u64 = 0xadd5_ec0d;
-const MIGRATE: u64 = 0x319;
 
 /// The one seed-mixing scheme: an independent stream per `(seed, salt)`.
 fn mix(seed: u64, salt: u64) -> u64 {
@@ -194,14 +190,11 @@ pub enum Event {
     /// `CompactTruncate` wedges) the host tears that durable write.
     Compact {
         node: usize,
-        crash: Option<FaultSite>,
+        crash: Option<HostSite>,
     },
     /// Start moving a ring segment to the next node; with `fault` the
     /// first shipped part is torn (a source crash) or corrupted.
-    Migrate {
-        key: Pick,
-        fault: Option<FaultAction>,
-    },
+    Migrate { key: Pick, fault: Option<HostMove> },
     /// Client 0 puts a value new to key `k` and does not wait.
     Submit(u8),
     /// One `poll_all`, one migration step of one key when a migration is
@@ -238,10 +231,9 @@ pub struct Scenario {
     pub keys: u8,
     pub ops: usize,
     pub value_len: Range<usize>,
-    // Installed on every node, and again after a restart. With both
-    // empty, an op must succeed on its first attempt (redirects aside).
-    pub faults: FaultPlan,
-    pub adversary: AdversaryPlan,
+    // Attached as every node's host, afresh after a restart. Empty, an op
+    // must succeed on its first attempt (redirects aside).
+    pub host: HostPlan,
     // `(op index, event)`: fires before that op (rounds: before the first
     // round reaching it; at or past `ops`: before the read-back).
     pub events: Vec<(usize, Event)>,
@@ -266,8 +258,7 @@ impl Scenario {
             keys: 24,
             ops: 100,
             value_len: 64..65,
-            faults: FaultPlan::none(),
-            adversary: AdversaryPlan::none(),
+            host: HostPlan::none(),
             events: Vec::new(),
             bug: None,
         }
@@ -322,7 +313,7 @@ impl Scenario {
     /// [`run`](Self::run) or a scripted test.
     pub fn build(mut self) -> Harness {
         assert!(
-            self.clients == 1 || (self.faults.is_empty() && self.adversary.is_empty()),
+            self.clients == 1 || self.host.is_empty(),
             "pipelined rounds run fault-free"
         );
         let cost = CostModel::default();
@@ -364,7 +355,7 @@ impl Scenario {
             s: self,
         };
         for n in 0..h.s.nodes {
-            h.install_plans(n);
+            h.attach_host(n);
         }
         for c in 0..h.s.clients {
             h.connect(mix(h.s.seed, CLIENT + c as u64))
@@ -375,7 +366,7 @@ impl Scenario {
 }
 
 /// Everything observable about one run; two runs of one scenario are
-/// equal. Faults and attacks are `(node, …)` over every incarnation of
+/// equal. Host moves are `(node, …)` over every incarnation of
 /// every node; audits are `(client, node, …)` per session.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Run {
@@ -386,8 +377,7 @@ pub struct Run {
     // One line per op, event, fence and abort.
     pub log: Vec<String>,
     pub history: Vec<HistOp>,
-    pub faults: Vec<(usize, InjectedFault)>,
-    pub mounted: Vec<(usize, MountedAttack)>,
+    pub host: Vec<(usize, HostAct)>,
     // Host misbehaviour surfaced to an op.
     pub detections: Vec<StoreError>,
     pub audits: Vec<(usize, usize, SecurityAudit)>,
@@ -438,7 +428,7 @@ pub struct Failover {
 /// and `journal.compactions` count after it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Compaction {
-    pub crash: Option<FaultSite>,
+    pub crash: Option<HostSite>,
     pub outcome: CompactOutcome,
     pub counter: u64,
     pub wedged: bool,
@@ -652,7 +642,7 @@ pub struct Harness {
     submits: Vec<Submit>,
     // The in-flight migration's injected fault and the keys it has
     // shipped, as the last pump reported them.
-    moving: Option<(Option<FaultAction>, usize)>,
+    moving: Option<(Option<HostMove>, usize)>,
     initial_ring: PlacementRing,
 }
 
@@ -686,6 +676,12 @@ impl Harness {
     /// Node 0 as a replica group, mutably.
     pub fn group_mut(&mut self) -> &mut ReplicaGroup {
         self.cluster.group_mut(0)
+    }
+
+    /// Node `n`'s host, locked: every harness node has one, so an event
+    /// or a scripted test can arm a move on it.
+    pub fn host(&self, n: usize) -> std::sync::MutexGuard<'_, precursor::Host> {
+        self.cluster.node(n).host().expect("every node has a host")
     }
 
     /// Client `c`'s session at node 0.
@@ -990,7 +986,7 @@ impl Harness {
     }
 
     fn fault_free(&self) -> bool {
-        self.s.faults.is_empty() && self.s.adversary.is_empty()
+        self.s.host.is_empty()
     }
 
     // A fault-free row never leaves the happy path: a detection, a Busy, a
@@ -1222,7 +1218,7 @@ impl Harness {
                 self.retire(n);
                 let report = self.cluster.restart_node(n).map_err(|e| failed(self, e))?;
                 self.run.restarts.push(report);
-                self.install_plans(n);
+                self.attach_host(n);
                 self.rejoin(n)?;
             }
             Event::FailNode { node: n, batch } => {
@@ -1251,7 +1247,7 @@ impl Harness {
                     );
                     return Err(self.violation(what));
                 }
-                self.install_plans(n);
+                self.attach_host(n);
                 self.rejoin(n)?;
             }
             Event::Compact { node, crash } => self.compact(node, crash)?,
@@ -1265,11 +1261,15 @@ impl Harness {
                 };
                 let from = self.cluster.meta().lookup(&[key]).0;
                 let to = ((from as usize + 1) % self.s.nodes) as u16;
-                let plan = fault.map_or_else(FaultPlan::none, |action| {
-                    FaultPlan::none().rule(FaultSite::MigrateShip, FaultDir::Any, action, 1)
-                });
-                let seed = mix(self.s.seed, MIGRATE + self.run.fences.len() as u64);
-                self.cluster.set_migrate_fault_plan(plan, seed);
+                // The source's host damages this migration's first part;
+                // nothing armed for an earlier one outlives it.
+                for n in 0..self.s.nodes {
+                    self.host(n).disarm(HostSite::MigrateShip);
+                }
+                if let Some(mv) = fault {
+                    self.host(from as usize)
+                        .arm(HostSite::MigrateShip, HostFilter::Any, mv);
+                }
                 let started = self.cluster.start_migration(&[key], to);
                 let started = started.map_err(|e| failed(self, e))?;
                 self.moving = Some((fault, 0));
@@ -1331,7 +1331,7 @@ impl Harness {
     // Drains the node's commit pipeline (at most 8 pumps, none when it is
     // already committed), then cuts its journal — the host tearing `crash`
     // — and checks recovery reconstructs what it did.
-    fn compact(&mut self, node: usize, crash: Option<FaultSite>) -> Result<(), Violation> {
+    fn compact(&mut self, node: usize, crash: Option<HostSite>) -> Result<(), Violation> {
         let group = self.cluster.group_mut(node);
         for _ in 0..8 {
             let p = group.primary();
@@ -1342,11 +1342,15 @@ impl Harness {
         }
         let before = group.probe_recovery();
         if let Some(site) = crash {
-            let torn = FaultPlan::none().rule(site, FaultDir::Any, FaultAction::Drop, 1);
-            self.swap_faults(node, torn, self.s.seed);
+            self.host(node).arm(site, HostFilter::Any, HostMove::Drop);
         }
         let group = self.cluster.group_mut(node);
         let mut outcome = group.compact();
+        if let Some(site) = crash {
+            // A cut that skipped the site leaves nothing armed behind.
+            self.host(node).disarm(site);
+        }
+        let group = self.cluster.group(node);
         if let CompactOutcome::Compacted { snapshot, .. }
         | CompactOutcome::Wedged { snapshot, .. } = &mut outcome
         {
@@ -1358,11 +1362,6 @@ impl Harness {
         let wedged = primary.journal_wedged();
         let cuts = primary.metrics().counter("journal.compactions");
         let after = group.probe_recovery();
-        if crash.is_some() {
-            // Only the fault plan was swapped: the adversary keeps its log.
-            let seed = self.plan_seed(node);
-            self.swap_faults(node, self.s.faults.clone(), seed);
-        }
         self.run.log.push(format!("compact {node}: {outcome:?}"));
         self.run.compactions.push(Compaction {
             crash,
@@ -1394,32 +1393,20 @@ impl Harness {
         mix(self.s.seed, salt)
     }
 
-    fn install_plans(&mut self, n: usize) {
+    // Attaches the row's host to node `n`'s current server — an empty
+    // plan too, so an event can arm a move on it.
+    fn attach_host(&mut self, n: usize) {
         let seed = self.plan_seed(n);
-        let node = self.cluster.node_mut(n);
-        if !self.s.faults.is_empty() {
-            node.set_fault_plan(self.s.faults.clone(), seed);
-        }
-        if !self.s.adversary.is_empty() {
-            node.set_adversary_plan(self.s.adversary.clone(), seed ^ ADVERSARY);
-        }
-    }
-
-    // Replaces node `n`'s fault plan, keeping what the old one injected.
-    fn swap_faults(&mut self, n: usize, plan: FaultPlan, seed: u64) {
-        let faults = self.cluster.node(n).fault_log();
-        self.run.faults.extend(faults.into_iter().map(|f| (n, f)));
-        self.cluster.node_mut(n).set_fault_plan(plan, seed);
+        let plan = self.s.host.clone();
+        self.cluster.node_mut(n).set_host_plan(plan, seed);
     }
 
     // Keeps what node `n`'s server saw before it is replaced.
     fn retire(&mut self, n: usize) {
         let node = self.cluster.node(n);
         self.run
-            .faults
-            .extend(node.fault_log().into_iter().map(|f| (n, f)));
-        let mounted = node.adversary_log().into_iter().map(|a| (n, a));
-        self.run.mounted.extend(mounted);
+            .host
+            .extend(node.host_log().into_iter().map(|a| (n, a)));
         self.dropped[n] += node.metrics().counter("server.reports_dropped");
     }
 
@@ -1503,7 +1490,7 @@ impl Harness {
     }
 
     // Every key read back by a fresh client, then the size and (without
-    // an adversary) storage integrity checks.
+    // an attacking host) storage integrity checks.
     fn read_back(&mut self) -> Result<(), Violation> {
         let reader = self.connect(mix(self.s.seed, READER));
         let reader = reader.map_err(|e| self.violation(format!("reader: {e:?}")))?;
@@ -1512,7 +1499,7 @@ impl Harness {
         }
         self.check_size()?;
         // A host that may tamper can do so after a key's read-back.
-        for k in (0..self.s.keys).filter(|_| self.s.adversary.is_empty()) {
+        for k in (0..self.s.keys).filter(|_| !self.s.host.has_attacks()) {
             let s = &self.model.0[k as usize];
             let owner = self.cluster.meta().lookup(&[k]).0 as usize;
             let audit = self.cluster.node(owner).audit_key(&[k]);
@@ -1569,17 +1556,16 @@ pub const GOLDEN_OPS: u64 = 120;
 /// per read, Duplicate deduplicated by `reply_seq`); tracing at
 /// `trace_cap` records.
 pub fn golden_server(server: &mut PrecursorServer, seed: u64, trace_cap: usize) {
-    let faults = FaultPlan::none()
-        .rule(FaultSite::Write, FaultDir::AtoB, FaultAction::Drop, 5)
-        .rule(FaultSite::Write, FaultDir::BtoA, FaultAction::Drop, 11)
-        .rule(FaultSite::Write, FaultDir::BtoA, FaultAction::Corrupt, 23)
-        .rule(FaultSite::Write, FaultDir::AtoB, FaultAction::Drop, 41)
-        .rule(FaultSite::Write, FaultDir::BtoA, FaultAction::Drop, 57);
-    server.set_fault_plan(faults, seed);
-    let attacks = AdversaryPlan::none()
-        .rule(AttackClass::Tamper, 9)
-        .rule(AttackClass::Duplicate, 30);
-    server.set_adversary_plan(attacks, seed ^ 0xad);
+    use {HostFilter::*, HostMove::*, HostSite::*};
+    let plan = HostPlan::none()
+        .rule(Write, AtoB, Drop, 5)
+        .rule(Write, BtoA, Drop, 11)
+        .rule(Write, BtoA, Corrupt, 23)
+        .rule(Write, AtoB, Drop, 41)
+        .rule(Write, BtoA, Drop, 57)
+        .rule(Sweep, Any, Tamper, 9)
+        .rule(Reply, Any, Duplicate, 30);
+    server.set_host_plan(plan, seed);
     server.enable_tracing(trace_cap);
 }
 
