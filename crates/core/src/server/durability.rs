@@ -672,7 +672,12 @@ impl PrecursorServer {
     fn replay_remove(&mut self, key: &[u8]) -> Result<(), StoreError> {
         if self
             .store
-            .table_remove(self.host.as_deref(), stable_key_hash(key), key)
+            .table_remove(
+                self.host.as_deref(),
+                self.config.mode,
+                stable_key_hash(key),
+                key,
+            )
             .0
         {
             Ok(())

@@ -20,6 +20,7 @@ use precursor_rdma::plock;
 use precursor_sgx::enclave::{Enclave, RegionId};
 use precursor_sim::meter::{Meter, Stage};
 use precursor_sim::{CostModel, Event};
+use precursor_storage::key::InlineKey;
 use precursor_storage::pool::{PoolRange, SlabPool};
 use precursor_storage::robinhood::{shard_of_hash, stable_key_hash, OpStats, ShardedRobinHoodMap};
 
@@ -32,27 +33,44 @@ use crate::wire::{payload_request_nonce, Opcode, RequestControlRef, Status};
 use super::seal::StoreEvidence;
 use super::{cmac_key_of, PrecursorServer, MODEL_SLOT_BYTES};
 
-// Where a value's bytes live.
+// Where a value's bytes live (16 bytes: the pool variant fits beside the
+// box's non-null pointer).
 #[derive(Debug, Clone)]
 pub(super) enum ValueStorage {
-    /// In the untrusted payload pool (the paper's evaluated design).
-    Untrusted(PoolRange),
+    /// In the untrusted payload pool (the paper's evaluated design), in
+    /// the slot at `offset`; its length and size class follow from the
+    /// entry's `payload_len` and the mode ([`EntryMeta::pool_range`]).
+    Untrusted { offset: u64 },
     /// Inside the enclave (ciphertext ‖ MAC) — the small-value extension
     /// the paper proposes for values below the control-data size (§5.2).
-    InEnclave(Vec<u8>),
+    InEnclave(Box<[u8]>),
 }
 
 // Trusted per-entry metadata: what the paper keeps in the enclave hash table
 // ("the key item and a value pair composed of the K_operation and an
-// associated pointer ptr", §3.7).
+// associated pointer ptr", §3.7). 72 bytes; with the hash and an
+// `InlineKey`, one table slot is `HOST_SLOT_BYTES`.
 #[derive(Debug, Clone)]
 pub(super) struct EntryMeta {
     pub(super) k_op: Key256,
     pub(super) payload_nonce: Nonce8,
     pub(super) storage_seq: u64, // server-encryption mode: storage GCM nonce counter
     pub(super) client_id: u32,
+    pub(super) payload_len: u32,
     pub(super) storage: ValueStorage,
-    pub(super) payload_len: usize,
+}
+
+impl EntryMeta {
+    // The pool slot holding the value, as the pool handed it out; `None`
+    // for a value inside the enclave.
+    fn pool_range(&self, mode: EncryptionMode) -> Option<PoolRange> {
+        match self.storage {
+            ValueStorage::Untrusted { offset } => {
+                Some(PoolRange::at(offset as usize, pool_len(mode, self)))
+            }
+            ValueStorage::InEnclave(_) => None,
+        }
+    }
 }
 
 // What execution produced, before the reply is sealed. Sealing consumes
@@ -118,7 +136,7 @@ pub(super) struct StoreExec {
     // The enclave index, partitioned into `Config::shards` Robin Hood
     // shards keyed by a stable hash of the key (one partition per trusted
     // polling worker, §3.8). `Config::shards == 1` is one table.
-    pub(super) table: ShardedRobinHoodMap<Vec<u8>, EntryMeta>,
+    pub(super) table: ShardedRobinHoodMap<InlineKey, EntryMeta>,
     pub(super) storage_key: Key128,
     // `storage_key` expanded once, for the server-encryption put and get;
     // rebuilt wherever `storage_key` is replaced.
@@ -248,11 +266,13 @@ impl StoreExec {
                     data.extend_from_slice(payload);
                     data.extend_from_slice(mac.as_bytes());
                     ctx.enclave.copy_across_boundary(data.len(), meter, cost);
-                    ValueStorage::InEnclave(data)
+                    ValueStorage::InEnclave(data.into_boxed_slice())
                 } else {
                     let range = self.store_payload(ctx, payload, Some(&mac), meter)?;
                     self.charge_range(ctx.host, idx, &range);
-                    ValueStorage::Untrusted(range)
+                    ValueStorage::Untrusted {
+                        offset: range.offset as u64,
+                    }
                 };
                 self.bump_mutation(Opcode::Put, control.key);
                 self.table_insert(
@@ -264,8 +284,8 @@ impl StoreExec {
                         payload_nonce: pn,
                         storage_seq: 0,
                         client_id: idx as u32,
+                        payload_len: value_len as u32,
                         storage,
-                        payload_len: value_len,
                     },
                     meter,
                 );
@@ -337,8 +357,10 @@ impl StoreExec {
                         payload_nonce: Nonce8::default(),
                         storage_seq: seq,
                         client_id: idx as u32,
-                        storage: ValueStorage::Untrusted(range),
-                        payload_len: stored_len,
+                        payload_len: stored_len as u32,
+                        storage: ValueStorage::Untrusted {
+                            offset: range.offset as u64,
+                        },
                     },
                     meter,
                 );
@@ -367,15 +389,15 @@ impl StoreExec {
                 }
                 let hit = found.map(|meta| {
                     let at = values.len();
-                    let inline = match &meta.storage {
-                        ValueStorage::Untrusted(range) => {
-                            let len = pool_len(mode, meta);
+                    let inline = match meta.storage {
+                        ValueStorage::Untrusted { offset } => {
+                            let (offset, len) = (offset as usize, pool_len(mode, meta));
                             self.payload_mem.with(|pool| {
-                                values.extend_from_slice(&pool[range.offset..range.offset + len]);
+                                values.extend_from_slice(&pool[offset..offset + len]);
                             });
                             false
                         }
-                        ValueStorage::InEnclave(data) => {
+                        ValueStorage::InEnclave(ref data) => {
                             values.extend_from_slice(data);
                             true
                         }
@@ -384,7 +406,7 @@ impl StoreExec {
                         k_op: meta.k_op.clone(),
                         payload_nonce: meta.payload_nonce,
                         storage_seq: meta.storage_seq,
-                        payload_len: meta.payload_len,
+                        payload_len: meta.payload_len as usize,
                         stored: at..values.len(),
                         inline,
                     }
@@ -468,7 +490,8 @@ impl StoreExec {
             }
             (Opcode::Delete, _) => {
                 let shard = shard_of_hash(hash, self.table.shard_count());
-                let (removed, stats) = self.table_remove(ctx.host, hash, control.key);
+                let (removed, stats) =
+                    self.table_remove(ctx.host, ctx.config.mode, hash, control.key);
                 self.charge_table_op(ctx, shard, &stats, meter);
                 let status = if removed {
                     Status::Ok
@@ -509,7 +532,7 @@ impl StoreExec {
         let len = self
             .table
             .iter()
-            .map(|(key, meta)| entry_len(mode, key, meta));
+            .map(|(key, meta)| entry_len(mode, key.len(), meta));
         let mut out = Vec::with_capacity(len.sum());
         self.payload_mem.with(|pool| {
             for (key, meta) in self.table.iter() {
@@ -568,7 +591,7 @@ impl StoreExec {
 
     // Inserts `key`, whose stable hash is `hash`, routing and placing it by
     // that hash. A key already stored keeps its stored copy: only a new key
-    // is copied into the table.
+    // is copied into the table, inside its slot when it is short.
     pub(super) fn table_insert(
         &mut self,
         ctx: &mut ExecCtx<'_>,
@@ -589,12 +612,12 @@ impl StoreExec {
         self.note_written(hash, key);
         let (old, stats) = self
             .table
-            .insert_hashed_with(hash, key, meta, <[u8]>::to_vec);
+            .insert_hashed_with(hash, key, meta, |key| InlineKey::from(key));
+        // Overwrite: the old payload slot is released (and un-charged from
+        // its owner's quota); the fresh K_operation in the new entry
+        // revokes earlier readers (§3.3).
         if let Some(old) = old {
-            // Overwrite: the old payload slot is released (and un-charged
-            // from its owner's quota); the fresh K_operation in the new
-            // entry revokes earlier readers (§3.3).
-            if let ValueStorage::Untrusted(range) = old.storage {
+            if let Some(range) = old.pool_range(ctx.config.mode) {
                 self.release_range(ctx.host, old.client_id, range);
             }
         }
@@ -613,6 +636,7 @@ impl StoreExec {
     pub(super) fn table_remove(
         &mut self,
         host: Option<&Mutex<Host>>,
+        mode: EncryptionMode,
         hash: u64,
         key: &[u8],
     ) -> (bool, OpStats) {
@@ -620,7 +644,7 @@ impl StoreExec {
         let Some(entry) = removed else {
             return (false, stats);
         };
-        if let ValueStorage::Untrusted(range) = entry.storage {
+        if let Some(range) = entry.pool_range(mode) {
             self.release_range(host, entry.client_id, range);
         }
         self.bump_mutation(Opcode::Delete, key);
@@ -677,20 +701,25 @@ impl StoreExec {
 // The bytes of `meta`'s value in the untrusted pool: ciphertext ‖ MAC in
 // client mode, the storage GCM blob in server mode.
 fn pool_len(mode: EncryptionMode, meta: &EntryMeta) -> usize {
+    stored_len(mode, meta.payload_len as usize)
+}
+
+// The pool bytes of a value whose entry says `payload_len`.
+fn stored_len(mode: EncryptionMode, payload_len: usize) -> usize {
     match mode {
-        EncryptionMode::ClientSide => meta.payload_len + Tag::LEN,
-        EncryptionMode::ServerSide => meta.payload_len,
+        EncryptionMode::ClientSide => payload_len + Tag::LEN,
+        EncryptionMode::ServerSide => payload_len,
     }
 }
 
-// The bytes `entry_ref(mode, key, meta, ..)` encodes to, read off the
-// metadata alone.
-fn entry_len(mode: EncryptionMode, key: &[u8], meta: &EntryMeta) -> usize {
+// The bytes `entry_ref(mode, key, meta, ..)` of a `key_len`-byte key
+// encodes to, read off the metadata alone.
+fn entry_len(mode: EncryptionMode, key_len: usize, meta: &EntryMeta) -> usize {
     let stored = match &meta.storage {
-        ValueStorage::Untrusted(_) => pool_len(mode, meta),
+        ValueStorage::Untrusted { .. } => pool_len(mode, meta),
         ValueStorage::InEnclave(data) => data.len(),
     };
-    EntryRef::FIXED_LEN + key.len() + stored
+    EntryRef::FIXED_LEN + key_len + stored
 }
 
 // One table entry as the snapshot/journal codec sees it, borrowing the
@@ -702,9 +731,12 @@ fn entry_ref<'a>(
     meta: &'a EntryMeta,
     pool: &'a [u8],
 ) -> EntryRef<'a> {
-    let stored_bytes = match &meta.storage {
-        ValueStorage::Untrusted(range) => &pool[range.offset..range.offset + pool_len(mode, meta)],
-        ValueStorage::InEnclave(data) => data,
+    let stored_bytes = match meta.storage {
+        ValueStorage::Untrusted { offset } => {
+            let at = offset as usize;
+            &pool[at..at + pool_len(mode, meta)]
+        }
+        ValueStorage::InEnclave(ref data) => data,
     };
     EntryRef {
         key,
@@ -712,7 +744,7 @@ fn entry_ref<'a>(
         payload_nonce: meta.payload_nonce,
         storage_seq: meta.storage_seq,
         client_id: meta.client_id,
-        payload_len: meta.payload_len,
+        payload_len: meta.payload_len as usize,
         stored_bytes,
     }
 }
@@ -723,25 +755,26 @@ impl PrecursorServer {
     /// of the untrusted bytes under the enclave-held `K_operation`. Used by
     /// tests and the attack-demo example.
     pub fn audit_key(&self, key: &[u8]) -> Option<bool> {
-        let entry = self.store.table.get(&key.to_vec())?;
+        let entry = self.store.table.get(key)?;
+        let payload_len = entry.payload_len as usize;
         match self.config.mode {
             EncryptionMode::ClientSide => {
                 let stored = match &entry.storage {
-                    ValueStorage::Untrusted(range) => self
+                    ValueStorage::Untrusted { offset } => self
                         .store
                         .payload_mem
-                        .read(range.offset, entry.payload_len + Tag::LEN),
-                    ValueStorage::InEnclave(data) => data.clone(),
+                        .read(*offset as usize, payload_len + Tag::LEN),
+                    ValueStorage::InEnclave(data) => data.to_vec(),
                 };
-                let (payload, mac_bytes) = stored.split_at(entry.payload_len);
+                let (payload, mac_bytes) = stored.split_at(payload_len);
                 let mac = Tag::try_from(mac_bytes).expect("16 bytes");
                 Some(cmac::verify(&cmac_key_of(&entry.k_op), payload, &mac))
             }
             EncryptionMode::ServerSide => {
-                let ValueStorage::Untrusted(range) = &entry.storage else {
+                let ValueStorage::Untrusted { offset } = entry.storage else {
                     return Some(false);
                 };
-                let stored = self.store.payload_mem.read(range.offset, entry.payload_len);
+                let stored = self.store.payload_mem.read(offset as usize, payload_len);
                 Some(
                     self.store
                         .storage_gcm
@@ -787,11 +820,17 @@ impl PrecursorServer {
             cost: &self.cost,
             host: self.host.as_deref(),
         };
+        let payload_len = u32::try_from(e.payload_len).map_err(|_| StoreError::MalformedFrame)?;
         let storage = if ctx.config.mode == EncryptionMode::ClientSide
             && e.payload_len <= ctx.config.inline_value_max
         {
-            ValueStorage::InEnclave(e.stored_bytes)
+            ValueStorage::InEnclave(e.stored_bytes.into_boxed_slice())
         } else {
+            // The entry keeps the slot's offset alone, and rebuilds its
+            // range from the payload length when it frees it.
+            if e.stored_bytes.len() != stored_len(ctx.config.mode, e.payload_len) {
+                return Err(StoreError::MalformedFrame);
+            }
             let range = match self.store.pool.alloc(e.stored_bytes.len()) {
                 Some(r) => r,
                 None => {
@@ -807,7 +846,9 @@ impl PrecursorServer {
             self.store.payload_mem.write(range.offset, &e.stored_bytes);
             self.store
                 .charge_range(ctx.host, e.client_id as usize, &range);
-            ValueStorage::Untrusted(range)
+            ValueStorage::Untrusted {
+                offset: range.offset as u64,
+            }
         };
         self.store.table_insert(
             &mut ctx,
@@ -818,8 +859,8 @@ impl PrecursorServer {
                 payload_nonce: e.payload_nonce,
                 storage_seq: e.storage_seq,
                 client_id: e.client_id,
+                payload_len,
                 storage,
-                payload_len: e.payload_len,
             },
             &mut meter,
         );
@@ -852,7 +893,7 @@ impl PrecursorServer {
         store.payload_mem.with(|pool| {
             let mut stored = 0;
             for key in keys {
-                let meta = store.table.get(key);
+                let meta = store.table.get(&key[..]);
                 let entry = meta.map(|meta| entry_ref(mode, key, meta, pool));
                 stored += usize::from(entry.is_some());
                 encode_record(out, key, entry);
@@ -874,8 +915,8 @@ impl PrecursorServer {
 
     // The stored keys `keep` accepts, sorted: only those are copied.
     pub(crate) fn keys_where(&self, keep: impl Fn(&[u8]) -> bool) -> Vec<Vec<u8>> {
-        let keys = self.store.table.iter().map(|(k, _)| k);
-        let mut keys: Vec<Vec<u8>> = keys.filter(|k| keep(k)).cloned().collect();
+        let keys = self.store.table.iter().map(|(k, _)| k.as_bytes());
+        let mut keys: Vec<Vec<u8>> = keys.filter(|&k| keep(k)).map(<[u8]>::to_vec).collect();
         keys.sort_unstable();
         keys
     }
@@ -884,12 +925,12 @@ impl PrecursorServer {
     /// payload of `key`, as a rogue administrator with physical/DMA access
     /// could (§2.3). Returns `false` if the key does not exist.
     pub fn corrupt_stored_payload(&mut self, key: &[u8]) -> bool {
-        let Some(entry) = self.store.table.get(&key.to_vec()) else {
+        let Some(entry) = self.store.table.get(key) else {
             return false;
         };
-        match &entry.storage {
-            ValueStorage::Untrusted(range) => {
-                let offset = range.offset;
+        match entry.storage {
+            ValueStorage::Untrusted { offset } => {
+                let offset = offset as usize;
                 self.store.payload_mem.with_mut(|buf| buf[offset] ^= 0x01);
                 true
             }
@@ -897,5 +938,19 @@ impl PrecursorServer {
             // rogue admin cannot touch EPC memory.
             ValueStorage::InEnclave(_) => false,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::HOST_SLOT_BYTES;
+
+    #[test]
+    fn a_table_slot_is_the_hash_a_key_and_72_bytes_of_metadata() {
+        assert_eq!(std::mem::size_of::<ValueStorage>(), 16);
+        assert_eq!(std::mem::size_of::<EntryMeta>(), 72);
+        assert!(std::mem::size_of::<(InlineKey, EntryMeta)>() <= 96);
+        assert_eq!(HOST_SLOT_BYTES, 8 + 24 + 72);
     }
 }

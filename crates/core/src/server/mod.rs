@@ -62,9 +62,10 @@ use precursor_sim::meter::Meter;
 use precursor_sim::rng::SimRng;
 use precursor_sim::time::Nanos;
 use precursor_sim::CostModel;
+use precursor_storage::key::InlineKey;
 use precursor_storage::pool::SlabPool;
 use precursor_storage::ring::RingStore;
-use precursor_storage::robinhood::ShardedRobinHoodMap;
+use precursor_storage::robinhood::{RobinHoodMap, ShardedRobinHoodMap};
 
 use crate::config::{Config, EncryptionMode};
 use crate::snapshot::SnapshotBlob;
@@ -77,8 +78,16 @@ pub(crate) use session::Window;
 
 /// Modelled bytes per enclave hash-table slot, used for EPC accounting
 /// (key 16 B + K_op 32 B + oid/client 8 B + pointer 12 B + hash & padding
-/// ≈ 88 B — yields Table 1's ≈11.6 MiB at 100 k keys).
+/// ≈ 88 B — yields Table 1's ≈11.6 MiB at 100 k keys). The host's slot is
+/// [`HOST_SLOT_BYTES`]: a key of at most 22 B sits inside it, so a YCSB
+/// key costs no heap chunk beside the slot.
 const MODEL_SLOT_BYTES: usize = 88;
+
+/// Host bytes of one enclave hash-table slot as this process lays it out:
+/// the key's hash, an [`InlineKey`] and the entry's metadata (`K_op`,
+/// payload nonce, storage counter, owner, length, pool offset or in-enclave
+/// value) — 104 B, against the model's 88 B.
+pub const HOST_SLOT_BYTES: usize = RobinHoodMap::<InlineKey, exec::EntryMeta>::SLOT_BYTES;
 
 /// Per-operation outcome + cost accounting, consumed by the benchmark
 /// driver.
@@ -371,7 +380,7 @@ impl PrecursorServer {
     /// The last writer of `key`, if present — the 4-byte client identifier
     /// the paper keeps in the enclave hash table (§4).
     pub fn owner_of(&self, key: &[u8]) -> Option<u32> {
-        self.store.table.get(&key.to_vec()).map(|e| e.client_id)
+        self.store.table.get(key).map(|e| e.client_id)
     }
 
     /// Number of trusted polling shards ([`Config::shards`]).

@@ -378,7 +378,12 @@ impl PrecursorServer {
     pub(crate) fn evict_entry(&mut self, key: &[u8]) {
         if self
             .store
-            .table_remove(self.host.as_deref(), stable_key_hash(key), key)
+            .table_remove(
+                self.host.as_deref(),
+                self.config.mode,
+                stable_key_hash(key),
+                key,
+            )
             .0
         {
             self.journal_evict(key);
@@ -403,7 +408,7 @@ impl PrecursorServer {
             .table
             .iter()
             .filter(|(_, meta)| meta.client_id == client_id)
-            .map(|(key, _)| key.clone())
+            .map(|(key, _)| key.to_vec())
             .collect();
         for key in keys {
             self.evict_entry(&key);

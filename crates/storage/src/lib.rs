@@ -4,6 +4,8 @@
 //!   hosts *inside* the enclave (§4, citing Celis et al.): open addressing
 //!   with backward-shift deletion, no chaining pointers, and explicit probe
 //!   and memory accounting so the SGX model can charge EPC page touches.
+//! * [`key`] — the table's key type, [`InlineKey`]: short keys live inside
+//!   the slot, longer ones on the heap.
 //! * [`pool`] — the pre-allocated *untrusted* payload pool the server hands
 //!   out slots from; growing the pool is the paper's single batched ocall.
 //! * [`ring`] — per-client circular buffers for incoming requests and
@@ -27,11 +29,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod key;
 pub mod pool;
 pub mod ring;
 pub mod robinhood;
 pub mod sparse;
 
+pub use key::InlineKey;
 pub use pool::{PoolRange, SlabPool};
 pub use ring::{RingConsumer, RingProducer, RingStore, RingWrites};
 pub use robinhood::{shard_of_hash, stable_key_hash, RobinHoodMap, ShardedRobinHoodMap};

@@ -30,6 +30,20 @@ pub struct PoolRange {
 }
 
 impl PoolRange {
+    /// The range [`SlabPool::alloc`] handed out for `len` bytes at
+    /// `offset`: the length determines the size class, so an index that
+    /// keeps only a slot's offset and its value's length rebuilds the range
+    /// it frees.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds the largest size class, which no allocation
+    /// has.
+    pub fn at(offset: usize, len: usize) -> PoolRange {
+        let class = class_of(len).expect("a length the pool allocates");
+        PoolRange { offset, len, class }
+    }
+
     /// End offset (exclusive) of the usable range.
     pub fn end(&self) -> usize {
         self.offset + self.len
@@ -232,6 +246,11 @@ mod tests {
         }
         let end = |r: &PoolRange| r.offset + r.capacity();
         for (i, a) in ranges.iter().enumerate() {
+            assert_eq!(
+                PoolRange::at(a.offset, a.len),
+                *a,
+                "rebuilt from offset and length"
+            );
             for b in &ranges[i + 1..] {
                 assert!(
                     end(a) <= b.offset || end(b) <= a.offset,

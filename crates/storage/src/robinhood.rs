@@ -133,6 +133,13 @@ pub struct RobinHoodMap<K, V> {
 const INITIAL_CAPACITY: usize = 2048;
 const MAX_LOAD_PERCENT: usize = 85;
 
+impl<K, V> RobinHoodMap<K, V> {
+    /// Host bytes of one slot — the stored hash, key and value, or nothing
+    /// — as Rust lays it out. [`memory_bytes`](Self::memory_bytes) charges
+    /// a modelled size instead.
+    pub const SLOT_BYTES: usize = std::mem::size_of::<Option<Slot<K, V>>>();
+}
+
 impl<K: Hash + Eq, V> RobinHoodMap<K, V> {
     /// Creates an empty map with the default initial capacity (2048 slots —
     /// the "subset of the hash table" Precursor initializes up front, §5.4).

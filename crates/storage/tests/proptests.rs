@@ -1,5 +1,5 @@
 //! Property-based tests: the Robin Hood map against a `HashMap` model, the
-//! ring buffer's FIFO contract, the page-sparse store against a dense model
+//! inline key against its byte slice, the ring buffer's FIFO contract, the page-sparse store against a dense model
 //! (alone and under a ring), and the pool's non-overlap invariant. Driven
 //! by seeded loops over the in-repo deterministic RNG.
 
@@ -8,9 +8,10 @@ use std::collections::HashSet;
 use std::collections::VecDeque;
 
 use precursor_sim::rng::SimRng;
+use precursor_storage::key::InlineKey;
 use precursor_storage::pool::SlabPool;
 use precursor_storage::ring::{RingConsumer, RingProducer, RingStore, RingWrites};
-use precursor_storage::robinhood::RobinHoodMap;
+use precursor_storage::robinhood::{stable_key_hash, RobinHoodMap};
 use precursor_storage::sparse::{ByteStore, SparseBytes, PAGE_BYTES};
 
 const CASES: usize = 32;
@@ -43,6 +44,35 @@ fn robinhood_matches_hashmap_model() {
             assert_eq!(sut.get(k), Some(v));
         }
         assert_eq!(sut.iter().count(), model.len());
+    }
+}
+
+#[test]
+fn inline_key_is_its_bytes_at_every_length() {
+    // Every length a request's key may have: the key round-trips its
+    // bytes, hashes (so buckets and routes) as its slice does, and
+    // compares as its slice against a key of another length.
+    let mut rng = SimRng::seed_from(0xe00b);
+    for _ in 0..CASES {
+        for len in 0..=256usize {
+            let mut bytes = vec![0u8; len];
+            rng.fill_bytes(&mut bytes);
+            let key = InlineKey::from(&bytes[..]);
+            assert_eq!(key.as_bytes(), &bytes[..], "len {len}");
+            assert_eq!(
+                stable_key_hash(&key),
+                stable_key_hash(&bytes[..]),
+                "len {len}"
+            );
+            assert_eq!(key.clone(), key);
+            let mut other = bytes.clone();
+            other.truncate(rng.gen_range(len as u64 + 1) as usize);
+            if rng.gen_range(2) == 0 {
+                other.push(rng.next_u32() as u8);
+            }
+            let other_key = InlineKey::from(&other[..]);
+            assert_eq!(key == other_key, bytes == other, "len {len}");
+        }
     }
 }
 

@@ -46,9 +46,7 @@ use precursor_sim::meter::{Meter, Stage};
 use precursor_sim::rng::SimRng;
 use precursor_sim::{CostModel, Histogram, Link, Nanos, Pool};
 
-use crate::workload::{
-    key_bytes, value_bytes, value_bytes_into, OpGenerator, OpKind, WorkloadSpec, KEY_LEN,
-};
+use crate::workload::{key_bytes, value_bytes_into, OpGenerator, OpKind, WorkloadSpec, KEY_LEN};
 
 /// Which system a run drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -428,34 +426,40 @@ impl SessionParams {
 }
 
 // Inserts records `0..count` through client 0, draining whenever the
-// backend's in-flight window fills. The load's op reports are dropped as
-// each batch completes, so they never pile up in the server's buffer.
+// backend's in-flight window fills. Each drain empties client 0's
+// completions and the server's op reports into two buffers reused from
+// batch to batch, so neither side holds more than one batch of them and
+// nothing of the load outlives it.
 fn bulk_load(sut: &mut dyn TrustedKv, size: usize, count: u64) {
     let frame = 160 + size + KEY_LEN;
     let batch = sut.warmup_batch(frame);
+    let (mut completed, mut reports) = (Vec::new(), Vec::new());
+    let mut drain = |sut: &mut dyn TrustedKv| {
+        // The fairness budget caps records per client per sweep; a bulk
+        // load must sweep until the ring drains.
+        while sut.poll() > 0 {
+            sut.poll_replies(0);
+        }
+        sut.poll_replies(0);
+        completed.clear();
+        sut.take_completed_into(0, &mut completed);
+        reports.clear();
+        sut.take_reports_into(&mut reports);
+    };
+    let mut value = Vec::new();
     let mut pending = 0;
     for id in 0..count {
-        sut.submit(0, KvOp::Put, &key_bytes(id), &value_bytes(id, 0, size))
+        value_bytes_into(&mut value, id, 0, size);
+        sut.submit(0, KvOp::Put, &key_bytes(id), &value)
             .expect("warmup put");
         pending += 1;
         if pending == batch {
-            // The fairness budget caps records per client per sweep; a
-            // bulk load must sweep until the ring drains.
-            while sut.poll() > 0 {
-                sut.poll_replies(0);
-            }
-            sut.poll_replies(0);
-            sut.take_reports();
+            drain(sut);
             pending = 0;
         }
     }
-    while sut.poll() > 0 {
-        sut.poll_replies(0);
-    }
-    sut.poll_replies(0);
-    sut.take_completed(0);
+    drain(sut);
     sut.take_client_meter(0);
-    sut.take_reports();
 }
 
 /// A warmed-up system instance reusable across measurement points.
@@ -1152,5 +1156,102 @@ mod tests {
         let speedup = four.throughput_ops / one.throughput_ops;
         assert!(speedup > 1.5, "4-node speedup {speedup:.2}");
         assert!(four.server_utilization < one.server_utilization);
+    }
+
+    // A backend that notes, for client 0's completions and for the
+    // server's reports, the most ops submitted between two takes: how many
+    // of them the backend held at once.
+    struct Watched<B> {
+        inner: B,
+        untaken: [u64; 2],
+        most: [u64; 2],
+    }
+
+    impl<B: TrustedKv> TrustedKv for Watched<B> {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn transport(&self) -> Transport {
+            self.inner.transport()
+        }
+        fn connect(&mut self, seed: u64) -> Result<usize, precursor::StoreError> {
+            self.inner.connect(seed)
+        }
+        fn clients(&self) -> usize {
+            self.inner.clients()
+        }
+        fn submit(
+            &mut self,
+            client: usize,
+            op: KvOp,
+            key: &[u8],
+            value: &[u8],
+        ) -> Result<u64, precursor::StoreError> {
+            for (untaken, most) in self.untaken.iter_mut().zip(&mut self.most) {
+                *untaken += 1;
+                *most = (*most).max(*untaken);
+            }
+            self.inner.submit(client, op, key, value)
+        }
+        fn poll(&mut self) -> usize {
+            self.inner.poll()
+        }
+        fn poll_replies(&mut self, client: usize) -> usize {
+            self.inner.poll_replies(client)
+        }
+        fn take_completed_into(&mut self, client: usize, out: &mut Vec<KvCompleted>) {
+            self.untaken[0] = 0;
+            self.inner.take_completed_into(client, out)
+        }
+        fn take_client_meter(&mut self, client: usize) -> Meter {
+            self.inner.take_client_meter(client)
+        }
+        fn take_reports_into(&mut self, out: &mut Vec<KvOpReport>) {
+            self.untaken[1] = 0;
+            self.inner.take_reports_into(out)
+        }
+        fn sgx_report(&self) -> precursor_sgx::SgxPerfReport {
+            self.inner.sgx_report()
+        }
+        fn store_len(&self) -> usize {
+            self.inner.store_len()
+        }
+        fn warmup_batch(&self, frame_bytes: usize) -> usize {
+            self.inner.warmup_batch(frame_bytes)
+        }
+    }
+
+    #[test]
+    fn the_bulk_load_keeps_no_completions_or_reports_past_a_batch() {
+        let cost = CostModel::default();
+        let mut sut = Watched {
+            inner: PrecursorBackend::new(Config::default(), &cost),
+            untaken: [0; 2],
+            most: [0; 2],
+        };
+        sut.connect(1).expect("connect");
+        let batch = sut.warmup_batch(160 + 32 + KEY_LEN) as u64;
+        let keys = 10 * batch + 3;
+        bulk_load(&mut sut, 32, keys);
+        assert_eq!(sut.store_len() as u64, keys);
+        assert_eq!(
+            sut.most, [batch; 2],
+            "ops held at once: completions, reports"
+        );
+        assert_eq!(sut.untaken, [0; 2]);
+        // And a built session starts with nothing of its load left over.
+        for system in [
+            SystemKind::Precursor,
+            SystemKind::PrecursorServerEnc,
+            SystemKind::ShieldStore,
+        ] {
+            let mut session = SessionParams::new(system)
+                .value_size(32)
+                .keys(keys, keys)
+                .max_clients(2)
+                .build(&cost);
+            assert!(session.sut.take_completed(0).is_empty(), "{system:?}");
+            assert!(session.sut.take_reports().is_empty(), "{system:?}");
+        }
     }
 }

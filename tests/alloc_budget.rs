@@ -1,8 +1,9 @@
 //! The op path's allocation budget, counted by this binary's global
 //! allocator: after a warm-up, a sweep of `PrecursorServer::poll` that
-//! serves a get, a put to an existing key or a delete allocates nothing —
-//! plain and journaled, on one shard and on four, the group-commit flush
-//! and the gated reply's release included — and a whole op through
+//! serves a get, a put or a delete allocates nothing — plain and
+//! journaled, on one shard and on four, the group-commit flush and the
+//! gated reply's release included, and a put of a new key of at most 22 B,
+//! which the table stores inside its slot, too — and a whole op through
 //! `PrecursorBackend`, counting the driver's own calls, allocates at most
 //! twice. An idle pump of a healthy replica group allocates nothing.
 //!
@@ -23,6 +24,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use precursor::backend::{KvCompleted, KvOp, KvOpReport, KvStatus, PrecursorBackend, TrustedKv};
+use precursor::server::HOST_SLOT_BYTES;
 use precursor::{
     CompactOutcome, Config, GroupCommitPolicy, PrecursorClient, PrecursorServer, ReplicaGroup,
 };
@@ -218,8 +220,8 @@ fn sweeps_allocate_nothing(shards: usize, journaled: bool) {
     let (mut grown, mut pages) = (0, 0);
     for round in 0..WARMUP_ROUNDS + ROUNDS {
         // A get and an overwrite of one key, a delete of another, and that
-        // key put back: a new key, which the table stores a copy of (its
-        // one allocation) in the pool slot the delete freed.
+        // key put back: a new key, which the table copies into its slot,
+        // its value into the pool slot the delete freed.
         let id = round * 7 % KEYS;
         let gone = (id + KEYS / 2) % KEYS;
         let warm = round < WARMUP_ROUNDS;
@@ -227,7 +229,7 @@ fn sweeps_allocate_nothing(shards: usize, journaled: bool) {
             ((KvOp::Get, id), 0),
             ((KvOp::Put, id), 0),
             ((KvOp::Delete, gone), 0),
-            ((KvOp::Put, gone), 1),
+            ((KvOp::Put, gone), 0),
         ] {
             let (allocs, ring_pages) = rig.swept(op, expected, warm);
             if !warm {
@@ -342,21 +344,54 @@ fn whole_ops_stay_in_budget(journaled: bool) {
                 "round {round}: {counts:?}"
             );
             gets += counts[0].0;
-            puts += counts[1].0;
+            puts += counts[1].0 + counts[3].0;
             deletes += counts[2].0;
-            assert!((1..=2).contains(&counts[3].0), "a new key is one copy");
             pages += counts.iter().map(|&(_, p)| p).sum::<u64>();
         }
     }
     // A get's one allocation is the verified value it hands back; a put
-    // and a delete allocate nothing (a journaled one may grow the durable
-    // stream, a handful of times in a run).
+    // (of a new key too) and a delete allocate nothing (a journaled one may
+    // grow the durable stream, a handful of times in a run).
     assert_eq!(gets, ROUNDS, "one value per get");
     let growths = if journaled { 2 } else { 0 };
     assert!(puts + deletes <= growths, "{puts} + {deletes}");
     // Ring pages a ring had no spare for (the sweep tests match each to
     // the ring's growth): a handful in a run.
     assert!(pages <= ROUNDS / 32, "{pages} ring pages");
+}
+
+#[test]
+fn a_new_key_of_at_most_22_bytes_is_stored_without_allocating() {
+    // A slot is the key's hash, an inline key of up to 22 B and 72 B of
+    // metadata: 104 B, where a `Vec` key took a 128 B slot and a heap
+    // chunk beside it.
+    const { assert!(HOST_SLOT_BYTES <= 104) };
+    let mut rig = Rig::new(1, false);
+    let Rig { server, client, .. } = &mut rig;
+    // New keys of every length up to the longest inline one allocate
+    // nothing; one byte longer, the key is the one allocation, of its own
+    // length. A first pass warms the sweep's buffers up to the longest
+    // frame; the second puts other new keys of the same lengths. The
+    // `KEYS` loaded and these few stay far below the growth point of the
+    // default 2048-slot table.
+    for (pass, first) in [(0, b'a'), (1, b'A')] {
+        for len in (1..=24).chain([256]) {
+            let key: Vec<u8> = (0..len).map(|i| first + (i % 26) as u8).collect();
+            let oid = client.put(&key, &value(len as u64, 0)).expect("send");
+            let sweep = counted(|| server.poll());
+            assert_eq!(sweep.out, 1);
+            client.poll_replies();
+            let done = client.take_completed(oid).expect("completed");
+            assert!(done.error.is_none(), "put of a {len}-byte key: {done:?}");
+            server.drain_reports().for_each(drop);
+            if pass == 0 {
+                continue;
+            }
+            let heap = if len <= 22 { (0, 0) } else { (1, len as usize) };
+            let allocs = (sweep.allocs, sweep.last * usize::from(sweep.allocs > 0));
+            assert_eq!(allocs, heap, "a new {len}-byte key");
+        }
+    }
 }
 
 #[test]

@@ -492,9 +492,15 @@ fn crashed_snapshot_seal_is_rejected_and_journal_covers_recovery() {
 // rejected by GCM at the destination) or delivered (control). An aborted
 // migration is retried clean and must fence, still under load.
 fn migration_crash(seed: u64) -> Scenario {
+    migration_crash_of(seed, 1)
+}
+
+// `migration_crash` over keys of `key_len` bytes.
+fn migration_crash_of(seed: u64, key_len: usize) -> Scenario {
     let mut s = Scenario {
         nodes: 2 + (seed % 2) as usize,
         ops: 60,
+        key_len,
         ..Scenario::journaled(seed)
     };
     let key = Pick::Key(s.live_key_at(30));
@@ -524,6 +530,35 @@ fn check_migration_crash(run: &Run) {
 #[test]
 fn migration_crash_sweep_20_seeds() {
     sweep("migration-crash", migration_crash, check_migration_crash);
+}
+
+// --- long keys -------------------------------------------------------------
+
+// Keys one byte past the longest a table slot holds inline, and as long
+// as a request may carry, take the heap path through generated puts,
+// gets, overwrites and deletes, a cut and a restart from it (or from the
+// journal alone when the seal tears, or from a wedged truncate), and a
+// migration (clean, or after a torn or corrupted first part).
+#[test]
+fn long_keys_survive_cuts_restarts_and_migrations() {
+    for key_len in [23, Config::default().max_key_bytes] {
+        for seed in 0..3 {
+            let mut h = Scenario {
+                key_len,
+                ..compaction_crash(seed)
+            }
+            .build();
+            h.play()
+                .unwrap_or_else(|v| panic!("{key_len} B, seed {seed}: {}", v.what));
+            let live = h.group().primary().live_keys();
+            assert!(!live.is_empty() && live.iter().all(|k| k.len() == key_len));
+            let run = h
+                .close()
+                .unwrap_or_else(|v| panic!("seed {seed}: {}", v.what));
+            check_compaction_crash(&run);
+            check_migration_crash(&migration_crash_of(seed, key_len).run_ok());
+        }
+    }
 }
 
 #[test]

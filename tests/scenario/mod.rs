@@ -227,8 +227,10 @@ pub struct Scenario {
     pub journal: Option<GroupCommitPolicy>,
     // 1 = sequential ops; more = pipelined rounds of 2–3 ops each.
     pub clients: usize,
-    // Keys `0..keys` of one byte; ops before the closing read-back.
+    // Keys `0..keys`, each `key_len` bytes long (`Scenario::key`); ops
+    // before the closing read-back.
     pub keys: u8,
+    pub key_len: usize,
     pub ops: usize,
     pub value_len: Range<usize>,
     // Attached as every node's host, afresh after a restart. Empty, an op
@@ -256,6 +258,7 @@ impl Scenario {
             journal: None,
             clients: 1,
             keys: 24,
+            key_len: 1,
             ops: 100,
             value_len: 64..65,
             host: HostPlan::none(),
@@ -290,10 +293,16 @@ impl Scenario {
         live[(self.seed % live.len() as u64) as usize]
     }
 
+    /// The bytes of key `k`: `k`, then `key_len - 1` letters.
+    pub fn key(&self, k: u8) -> Vec<u8> {
+        let filler = (1..self.key_len).map(|i| b'a' + (i % 26) as u8);
+        std::iter::once(k).chain(filler).collect()
+    }
+
     /// The node owning `key` before any migration.
     pub fn owner(&self, key: u8) -> usize {
         let ring = PlacementRing::new(self.nodes as u16, PrecursorCluster::DEFAULT_VNODES);
-        ring.owner_of(&[key]) as usize
+        ring.owner_of(&self.key(key)) as usize
     }
 
     /// Drives the scenario and checks the oracles.
@@ -782,7 +791,8 @@ impl Harness {
                 }
             }
         }
-        words.extend((0..self.s.keys).map(|k| u64::from(self.cluster.meta().lookup(&[k]).0)));
+        let owner = |k| u64::from(self.cluster.meta().lookup(&self.s.key(k)).0);
+        words.extend((0..self.s.keys).map(owner));
         let moving = self.cluster.migration_in_flight().then_some(self.moving);
         let submits: Vec<_> = self.submits.iter().map(|s| (s.node, s.key)).collect();
         stable_key_hash(&(digests, words, moving, &self.model.0, submits))
@@ -925,16 +935,16 @@ impl Harness {
     // reconnect on a lost session, re-attest after a quarantine, re-issue
     // with a fresh oid after a redirect, a give-up or a vanished op.
     fn run_op(&mut self, c: usize, op: Op) -> Result<(), Violation> {
-        let key = op.key();
+        let key = self.s.key(op.key());
         let entry = self.begin(&op);
         let mut resume = None;
         for attempt in 0..ATTEMPTS {
             let (node, oid) = match resume.take() {
                 Some(sub) => sub,
-                None => match self.issue(c, &op, &[key]) {
+                None => match self.issue(c, &op, &key) {
                     Ok(sub) => sub,
                     Err(e) => {
-                        let home = self.cluster.meta().lookup(&[key]).0;
+                        let home = self.cluster.meta().lookup(&key).0;
                         self.hiccup(c, home, &op.label(), Err(e))?;
                         self.recover(c)?;
                         continue;
@@ -1259,7 +1269,8 @@ impl Harness {
                     Pick::Hot => self.hot(),
                     Pick::Key(k) => k,
                 };
-                let from = self.cluster.meta().lookup(&[key]).0;
+                let bytes = self.s.key(key);
+                let from = self.cluster.meta().lookup(&bytes).0;
                 let to = ((from as usize + 1) % self.s.nodes) as u16;
                 // The source's host damages this migration's first part;
                 // nothing armed for an earlier one outlives it.
@@ -1270,7 +1281,7 @@ impl Harness {
                     self.host(from as usize)
                         .arm(HostSite::MigrateShip, HostFilter::Any, mv);
                 }
-                let started = self.cluster.start_migration(&[key], to);
+                let started = self.cluster.start_migration(&bytes, to);
                 let started = started.map_err(|e| failed(self, e))?;
                 self.moving = Some((fault, 0));
                 let line = format!("migrate {key}: {from} -> {to} {started}");
@@ -1281,7 +1292,7 @@ impl Harness {
                 // key's op count so far.
                 let value = self.heat[key as usize].to_le_bytes().to_vec();
                 let op = Op::Put(key, value.clone());
-                match self.issue(0, &op, &[key]) {
+                match self.issue(0, &op, &self.s.key(key)) {
                     Ok((node, oid)) => {
                         let entry = self.begin(&op);
                         self.submits.push(Submit {
@@ -1457,7 +1468,8 @@ impl Harness {
     // bytes a quorum does not hold and no divergent replica prefixes.
     fn check_nodes(&self) -> Result<(), Violation> {
         for k in 0..self.s.keys {
-            let owners = self.cluster.nodes().filter(|n| n.owns_key(&[k])).count();
+            let key = self.s.key(k);
+            let owners = self.cluster.nodes().filter(|n| n.owns_key(&key)).count();
             if owners != 1 {
                 return Err(self.violation(format!("key {k} has {owners} owners")));
             }
@@ -1501,8 +1513,9 @@ impl Harness {
         // A host that may tamper can do so after a key's read-back.
         for k in (0..self.s.keys).filter(|_| !self.s.host.has_attacks()) {
             let s = &self.model.0[k as usize];
-            let owner = self.cluster.meta().lookup(&[k]).0 as usize;
-            let audit = self.cluster.node(owner).audit_key(&[k]);
+            let key = self.s.key(k);
+            let owner = self.cluster.meta().lookup(&key).0 as usize;
+            let audit = self.cluster.node(owner).audit_key(&key);
             if s.presence == Presence::Yes && !s.tainted && audit != Some(true) {
                 return Err(self.violation(format!("key {k} fails the storage audit")));
             }
