@@ -1,6 +1,7 @@
 //! Routing hints, location caches and the migration fence.
 
 use super::*;
+use precursor_rdma::replica::LinkMode;
 
 #[test]
 fn owner_hint_roundtrips() {
@@ -169,7 +170,7 @@ fn a_part_out_of_its_place_aborts_the_migration() {
     client
         .put_sync(&mut cluster, &range[0], &range[0])
         .expect("put");
-    in_flight(&mut cluster).link.partition();
+    in_flight(&mut cluster).link.set_mode(LinkMode::Partitioned);
     let outcome = cluster.pump_migration(1);
     aborted_then_retried((cluster, client, range, home), outcome);
 }

@@ -90,9 +90,10 @@ pub use replication::{FailoverReport, ProtocolBug, ReplicaGroup};
 pub use server::{CompactOutcome, OpReport, PrecursorServer, RecoveryReport};
 pub use snapshot::SnapshotBlob;
 
-// The untrusted host's vocabulary, re-exported so chaos and byzantine tests
-// and demos need only this crate.
+// The untrusted host's vocabulary (a link's mode is one of its moves),
+// re-exported so chaos and byzantine tests and demos need only this crate.
 pub use precursor_rdma::host::{Host, HostAct, HostFilter, HostMove, HostPlan, HostSite};
+pub use precursor_rdma::replica::LinkMode;
 
 // Journal vocabulary (group-commit policy, the journal, its durable log and
 // counters), re-exported so durability callers need only this crate.

@@ -64,6 +64,11 @@
 //! the background and `replica.lag_records` converges to 0;
 //! `usize::MAX` drains before returning.
 //!
+//! **The host's hold on a replica** (its link and journal copy) is the
+//! primary host's [`HostSite::Replica`], one event per replica per pump
+//! that plan rules reach; [`host_move`](ReplicaGroup::host_move) makes a
+//! move there at once. Every replica fault lands in that host's log.
+//!
 //! **Rollback & fork detection.** Every acknowledgement a replica sends is
 //! remembered as its *claimed* durability. A replica later presenting a
 //! shorter journal than it acknowledged has staged a rollback — it is
@@ -76,8 +81,11 @@
 //! clients' own `max_store_seq` rollback check (PR-2) detects after
 //! reconnecting.
 
+use std::cmp::Reverse;
+
 use precursor_crypto::gcm::GcmKey;
 use precursor_obs::MetricsRegistry;
+use precursor_rdma::host::{HostFilter, HostMove, HostPlan, HostSite};
 use precursor_rdma::replica::ReplicaLink;
 use precursor_sgx::counters::MonotonicCounter;
 use precursor_sim::CostModel;
@@ -397,55 +405,52 @@ impl ReplicaGroup {
         &self.metrics
     }
 
-    /// Delays replica `i`'s frames by `ticks` link pumps.
-    pub fn lag_replica(&mut self, i: usize, ticks: u64) {
-        self.replicas[i].link.lag(ticks);
+    /// The primary's host (an empty one if it has none) makes `mv` at
+    /// replica `i`'s [`HostSite::Replica`], applied and logged before this
+    /// returns: `Link(mode)` sets its link's mode, `Rollback` keeps a third
+    /// of its journal bytes while its acknowledgements stand (the staged
+    /// rollback [`fail_primary`](Self::fail_primary) quarantines), `Tamper`
+    /// flips `0x40` in its log's middle byte (a fork
+    /// [`audit_replicas`](Self::audit_replicas) catches).
+    pub fn host_move(&mut self, i: usize, mv: HostMove) {
+        if self.primary.host().is_none() {
+            self.primary.set_host_plan(HostPlan::none(), 0);
+        }
+        if let Some(mut host) = self.primary.host() {
+            host.arm(HostSite::Replica, HostFilter::Replica(i as u32), mv);
+        }
+        self.host_event(i);
     }
 
-    /// Partitions replica `i` (frames dropped until healed).
-    pub fn partition_replica(&mut self, i: usize) {
-        self.replicas[i].link.partition();
-    }
-
-    /// Crashes replica `i` permanently.
-    pub fn crash_replica(&mut self, i: usize) {
-        self.replicas[i].link.crash();
-    }
-
-    /// Heals a lagging or partitioned replica `i`.
-    pub fn heal_replica(&mut self, i: usize) {
-        self.replicas[i].link.heal();
-    }
-
-    /// Adversarial hook: replica `i` discards its journal past
-    /// `keep_bytes` (of the bytes it holds) while standing by its earlier
-    /// acknowledgements — the staged-rollback attack
-    /// [`fail_primary`](Self::fail_primary) quarantines.
-    pub fn rollback_replica(&mut self, i: usize, keep_bytes: usize) {
+    // Replica `i`'s event at the primary's host: the move the host makes
+    // on that machine, applied.
+    fn host_event(&mut self, i: usize) {
+        let mv = self.primary.host().and_then(|mut h| h.on_replica(i as u32));
         let r = &mut self.replicas[i];
-        r.log.bytes_mut().truncate(keep_bytes);
-        r.acked = r.acked.min(r.log.trimmed() + keep_bytes as u64);
-        r.last_seq = 0;
-    }
-
-    /// Adversarial hook: flips one bit of replica `i`'s stored journal —
-    /// models a forked or tampered copy. The damage is caught by
-    /// [`audit_replicas`](Self::audit_replicas) (prefix divergence against
-    /// honest replicas) and by the journal MAC chain at
-    /// [`fail_primary`](Self::fail_primary) (recovery truncates at the
-    /// first inauthentic byte).
-    pub fn tamper_replica(&mut self, i: usize, byte: usize) {
-        let j = self.replicas[i].log.bytes_mut();
-        if !j.is_empty() {
-            let b = byte % j.len();
-            j[b] ^= 0x40;
+        match mv {
+            Some(HostMove::Link(mode)) => r.link.set_mode(mode),
+            Some(HostMove::Rollback) => {
+                let keep = r.log.bytes().len() / 3;
+                r.log.bytes_mut().truncate(keep);
+                r.acked = r.acked.min(r.log.end());
+                r.last_seq = 0;
+            }
+            Some(HostMove::Tamper) => {
+                let log = r.log.bytes_mut();
+                let mid = log.len() / 2;
+                if let Some(b) = log.get_mut(mid) {
+                    *b ^= 0x40;
+                }
+            }
+            _ => {}
         }
     }
 
     /// Adversarial hook: lets the host rewrite the *shipped* compacted
     /// snapshot at will — splice in a delta of an older chain, swap two
     /// deltas, truncate — without touching the primary's own
-    /// recovery root. No-op before the first compaction.
+    /// recovery root. No-op before the first compaction. A layout-aware
+    /// rewrite of the cut's chain, so not (yet) a [`HostMove`].
     pub fn rewrite_compacted_snapshot(&mut self, rewrite: impl FnOnce(&mut Vec<u8>)) {
         if let Some((_, ship)) = self.ship.as_mut() {
             let mut blob = ship.to_vec();
@@ -478,7 +483,9 @@ impl ReplicaGroup {
 
     /// Adversarial hook: [`compact`](Self::compact) with the untrusted
     /// host's write of the tentative cut in the caller's hands (see
-    /// [`PrecursorServer::compact_journal_via`]).
+    /// [`PrecursorServer::compact_journal_via`]). Like
+    /// [`rewrite_compacted_snapshot`](Self::rewrite_compacted_snapshot), a
+    /// rewrite of the cut's chain, so not (yet) a [`HostMove`].
     pub fn compact_via(
         &mut self,
         host_write: impl FnOnce(&mut SnapshotBlob, &[std::ops::Range<usize>]),
@@ -577,12 +584,12 @@ impl ReplicaGroup {
     }
 
     /// One group tick: a catch-up step (if a promoted primary is still
-    /// draining), a primary sweep, segment/snapshot shipping, link pumps in
-    /// both directions, replica acknowledgement processing, and the quorum
-    /// commit that releases gated replies. Returns the number of requests
-    /// the primary sweep processed. Without replicas and outside catch-up
-    /// it is the primary's [`poll`](PrecursorServer::poll) and nothing
-    /// else.
+    /// draining), a primary sweep, each replica's event at the host,
+    /// segment/snapshot shipping, link pumps in both directions, replica
+    /// acknowledgement processing, and the quorum commit that releases
+    /// gated replies. Returns the number of requests the primary sweep
+    /// processed. Without replicas and outside catch-up it is the primary's
+    /// [`poll`](PrecursorServer::poll) and nothing else.
     pub fn pump(&mut self) -> usize {
         if self.replicas.is_empty() && !self.pending_base_snapshot {
             return self.primary.poll();
@@ -603,6 +610,9 @@ impl ReplicaGroup {
         }
 
         let processed = self.primary.poll();
+        for i in 0..self.replicas.len() {
+            self.host_event(i);
+        }
 
         // Ship each live replica the epoch's last cut until it acknowledges
         // taking it, and every logical byte past the cut it has not
@@ -782,34 +792,19 @@ impl ReplicaGroup {
                 .inc("replica.rollback_detected", quarantined.len() as u64);
         }
 
-        let alive = self
-            .replicas
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.link.is_alive());
-        let mut any_alive = false;
-        let mut candidate: Option<usize> = None;
-        for (i, r) in alive {
-            any_alive = true;
-            if r.quarantined {
-                continue;
-            }
-            let better = match candidate {
-                None => true,
-                Some(c) => r.log.end() > self.replicas[c].log.end(),
-            };
+        // The first of the longest coverage among the alive, unquarantined.
+        let alive = self.replicas.iter().filter(|r| r.link.is_alive());
+        let live = |(_, r): &(usize, &Replica)| r.link.is_alive() && !r.quarantined;
+        let mut candidates = self.replicas.iter().enumerate().filter(live);
+        let candidate = match self.bug {
             // Seeded bug: first alive wins regardless of coverage.
-            if better
-                && !(self.bug == Some(ProtocolBug::PromoteWithoutQuorum) && candidate.is_some())
-            {
-                candidate = Some(i);
-            }
-        }
-        let Some(promoted) = candidate else {
-            return Err(if any_alive {
-                StoreError::RollbackDetected
-            } else {
-                StoreError::SessionLost
+            Some(ProtocolBug::PromoteWithoutQuorum) => candidates.next(),
+            _ => candidates.min_by_key(|(_, r)| Reverse(r.log.end())),
+        };
+        let Some((promoted, _)) = candidate else {
+            return Err(match alive.count() {
+                0 => StoreError::SessionLost,
+                _ => StoreError::RollbackDetected,
             });
         };
 

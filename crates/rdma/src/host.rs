@@ -5,9 +5,10 @@
 //! and corrupts one-sided WRITEs and errors queue pairs, kills the process
 //! mid-way through a durable write (tearing or corrupting what lands), and
 //! actively tampers with payload bytes it stores, replays, reorders and
-//! duplicates reply records, serves a rolled-back snapshot and presents
-//! forked views. A [`HostPlan`] scripts all of it as one list of exact
-//! one-shot rules and one list of probabilistic rates, each a
+//! duplicates reply records, serves a rolled-back snapshot, presents
+//! forked views, and cuts off, rolls back or tampers with a replica. A
+//! [`HostPlan`] scripts all of it as one list of exact one-shot rules and
+//! one list of probabilistic rates, each a
 //! `(site, filter, move, at | prob)`; a [`Host`] executes the plan against
 //! the event streams the store generates ([`HostSite`]) and records every
 //! move it makes in one audit log, so a chaos or byzantine harness can
@@ -15,13 +16,13 @@
 //! detection.
 //!
 //! The host is shared by the server's queue pairs (their WRITEs), its
-//! durable writes, its reply emission and its untrusted payload memory, and
-//! a cluster consults the source node's host for each migration shipment. A
-//! move [`arm`](Host::arm)ed on a live host fires on its site's next
-//! matching event, whichever of these the site is. Rollback and fork
-//! attacks are staged by the harness itself (restoring stale snapshots,
-//! cloning counters) and recorded with [`note_attack`](Host::note_attack),
-//! so the log covers every move.
+//! durable writes, its reply emission, its untrusted payload memory and
+//! its replicas' machines, and a cluster consults the source node's host
+//! for each migration shipment. A move [`arm`](Host::arm)ed on a live host
+//! fires on its site's next matching event, whichever of these the site
+//! is. Rollback and fork attacks on the store itself are staged by the
+//! harness (restoring stale snapshots, cloning counters) and recorded with
+//! [`note_attack`](Host::note_attack), so the log covers every move.
 //!
 //! Two seeded streams keep each site family's schedule independent of the
 //! other's: transport and durable sites draw from the seed, reply and
@@ -31,6 +32,8 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use precursor_sim::rng::SimRng;
+
+use crate::replica::LinkMode;
 
 /// An event stream the host sits on. Each site counts its own events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,6 +64,9 @@ pub enum HostSite {
     /// A server poll sweep: the host's chance to flip a bit of a live
     /// untrusted payload (`Tamper`).
     Sweep,
+    /// A replica's machine (its link and its journal copy), once per
+    /// replica per group pump: `Link`, `Rollback` and `Tamper` apply.
+    Replica,
     /// A move the harness stages itself (`Rollback`, `Fork`); it has no
     /// event stream and is only logged.
     Staged,
@@ -88,6 +94,8 @@ pub enum HostFilter {
     BtoA,
     /// Events of one client; a rule's `at` counts only those.
     Client(u32),
+    /// Events of one replica of a group; a rule's `at` counts only those.
+    Replica(u32),
 }
 
 impl HostFilter {
@@ -106,7 +114,7 @@ pub enum HostMove {
     /// Transition the owning queue pair to the error state (a durable
     /// writer dies before its first byte).
     QpError,
-    /// Flip a bit of a stored payload in untrusted memory.
+    /// Flip a bit of a stored payload (or a replica's journal byte).
     Tamper,
     /// Substitute a stale captured reply record for a fresh one.
     Replay,
@@ -114,18 +122,22 @@ pub enum HostMove {
     Reorder,
     /// Deliver the newest reply record twice.
     Duplicate,
-    /// Restart the store from a stale (rolled-back) snapshot. Staged.
+    /// Restart the store from a stale (rolled-back) snapshot. Staged, or
+    /// at a replica: its journal shrinks while its acknowledgements stand.
     Rollback,
     /// Present diverged state to different clients. Staged.
     Fork,
+    /// Put a replica's link in this mode: lag, partition, crash or heal it.
+    Link(LinkMode),
 }
 
 impl HostMove {
     /// Whether the move is an active attack of a Byzantine host rather
     /// than a benign fault (a lost, flipped or errored WRITE, a torn
-    /// durable write).
+    /// durable write, a lagging, partitioned, crashed or healed link).
     pub fn is_attack(self) -> bool {
-        !matches!(self, HostMove::Drop | HostMove::Corrupt | HostMove::QpError)
+        use HostMove::*;
+        !matches!(self, Drop | Corrupt | QpError | Link(_))
     }
 }
 
@@ -198,8 +210,8 @@ pub struct HostAct {
     pub site: HostSite,
     /// Where the event came from: [`HostFilter::AtoB`] or
     /// [`HostFilter::BtoA`] for transport and durable writes, the client
-    /// for reply records, tampered payloads and staged moves aimed at one,
-    /// [`HostFilter::Any`] when no client is known.
+    /// (or replica) for reply records, tampered payloads, staged moves and
+    /// replica events, [`HostFilter::Any`] when no client is known.
     pub origin: HostFilter,
     /// The move made.
     pub mv: HostMove,
@@ -527,6 +539,11 @@ impl Host {
         out
     }
 
+    /// The move the host makes on replica `replica`'s machine, if any.
+    pub fn on_replica(&mut self, replica: u32) -> Option<HostMove> {
+        self.pick(HostSite::Replica, HostFilter::Replica(replica))
+    }
+
     /// Releases any record still held for `client` (e.g. before the client
     /// reconnects) so a pending Reorder cannot outlive the session.
     pub fn release_held(&mut self, client: u32) -> Option<(usize, Vec<u8>)> {
@@ -842,6 +859,46 @@ mod tests {
             event: 2,
         };
         assert_eq!(h.log()[2], last, "per-move event numbering");
+    }
+
+    #[test]
+    fn replica_origins_are_counted_per_replica() {
+        let partition = Link(LinkMode::Partitioned);
+        let plan = HostPlan::none().rule(Replica, HostFilter::Replica(1), partition, 2);
+        let mut h = host(plan, 1);
+        assert_eq!(h.on_replica(0), None);
+        assert_eq!(h.on_replica(1), None);
+        assert_eq!(h.on_replica(0), None, "replica 0 does not count for 1");
+        assert_eq!(h.on_replica(1), Some(partition));
+        let act = HostAct {
+            site: Replica,
+            origin: HostFilter::Replica(1),
+            mv: partition,
+            event: 4,
+        };
+        assert_eq!(h.log(), [act]);
+    }
+
+    #[test]
+    fn armed_link_move_fires_once() {
+        let mut h = host(HostPlan::none(), 1);
+        h.arm(Replica, HostFilter::Replica(0), Link(LinkMode::Lagging(3)));
+        assert_eq!(h.on_replica(1), None, "filter skips replica 1");
+        assert_eq!(h.on_replica(0), Some(Link(LinkMode::Lagging(3))));
+        assert_eq!(h.on_replica(0), None, "spent");
+        assert_eq!(h.log().len(), 1);
+    }
+
+    #[test]
+    fn link_moves_are_benign_replica_log_moves_attacks() {
+        let modes = [
+            LinkMode::Healthy,
+            LinkMode::Lagging(6),
+            LinkMode::Partitioned,
+            LinkMode::Crashed,
+        ];
+        assert!(modes.iter().all(|&m| !Link(m).is_attack()));
+        assert!(Rollback.is_attack() && Tamper.is_attack());
     }
 
     #[test]

@@ -2,20 +2,24 @@
 //!
 //! A [`ReplicaLink`] wraps one reliable-connected [`QueuePair`] pair (the
 //! primary holds endpoint *A*, the replica endpoint *B*) and layers the
-//! fault geography replication cares about *above* the verbs transport:
+//! fault geography replication cares about *above* the verbs transport, as
+//! its [`LinkMode`]:
 //!
-//! * **lag** — frames are held for a fixed number of pump ticks before
+//! * **lagging** — frames are held for a fixed number of pump ticks before
 //!   being posted, modelling a replica whose acknowledgements trail the
 //!   primary's group commits;
-//! * **partition** — frames in either direction are silently discarded
+//! * **partitioned** — frames in either direction are silently discarded
 //!   until the link heals, modelling a partitioned primary that keeps
 //!   executing but can no longer reach a quorum;
-//! * **crash** — the replica endpoint is gone; frames are discarded and the
-//!   link never heals back by itself.
+//! * **crashed** — the replica endpoint is gone; frames are discarded and
+//!   the link never heals.
 //!
 //! Frames that are released still travel through the real
 //! [`post_send`](QueuePair::post_send)/[`recv`](QueuePair::recv) machinery
-//! (RECVs are replenished per frame). Faults on the link are its modes; a
+//! (RECVs are replenished per frame). The link's one setter,
+//! [`set_mode`](ReplicaLink::set_mode), is the untrusted host's: a replica
+//! group applies a [`HostMove::Link`](crate::host::HostMove::Link) made at
+//! the primary host's [`Replica`](crate::host::HostSite::Replica) site. A
 //! migration's shipments are faulted above the link, at the
 //! [`MigrateShip`](crate::host::HostSite::MigrateShip) site of the source
 //! node's [`Host`](crate::host::Host).
@@ -28,13 +32,13 @@ use std::collections::VecDeque;
 use crate::qp::{connect_pair, QueuePair};
 
 /// Health of a [`ReplicaLink`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkMode {
     /// Frames are released on the pump tick they were sent.
     Healthy,
     /// Frames are held for this many pump ticks before release.
     Lagging(u64),
-    /// Frames are discarded until [`heal`](ReplicaLink::heal).
+    /// Frames are discarded until the link heals.
     Partitioned,
     /// The replica endpoint is dead; frames are discarded forever.
     Crashed,
@@ -107,33 +111,18 @@ impl ReplicaLink {
         self.held.len()
     }
 
-    /// Holds future frames for `ticks` pump ticks (a lagging replica).
-    pub fn lag(&mut self, ticks: u64) {
-        if self.mode != LinkMode::Crashed {
-            self.mode = LinkMode::Lagging(ticks);
+    /// Puts the link in `mode`: future frames are held (`Lagging`),
+    /// discarded (`Partitioned`, `Crashed`) or released on their tick
+    /// (`Healthy`). A crash drops every held frame, and a crashed link
+    /// keeps its mode forever.
+    pub fn set_mode(&mut self, mode: LinkMode) {
+        if self.mode == LinkMode::Crashed {
+            return;
         }
-    }
-
-    /// Discards frames in both directions until [`heal`](Self::heal) — the
-    /// partitioned-primary fault point.
-    pub fn partition(&mut self) {
-        if self.mode != LinkMode::Crashed {
-            self.mode = LinkMode::Partitioned;
+        if mode == LinkMode::Crashed {
+            self.held.clear();
         }
-    }
-
-    /// Kills the replica end of the link permanently.
-    pub fn crash(&mut self) {
-        self.mode = LinkMode::Crashed;
-        self.held.clear();
-    }
-
-    /// Restores a lagging or partitioned link to healthy. A crashed link
-    /// stays crashed.
-    pub fn heal(&mut self) {
-        if self.mode != LinkMode::Crashed {
-            self.mode = LinkMode::Healthy;
-        }
+        self.mode = mode;
     }
 
     /// Whether the replica endpoint is alive.
@@ -142,23 +131,20 @@ impl ReplicaLink {
     }
 
     fn enqueue(&mut self, to_replica: bool, bytes: &[u8]) {
-        match self.mode {
+        let hold = match self.mode {
             LinkMode::Partitioned | LinkMode::Crashed => {
                 self.stats.dropped += 1;
+                return;
             }
-            LinkMode::Healthy => self.held.push_back(Held {
-                release_at: self.tick,
-                sent_at: self.tick,
-                to_replica,
-                bytes: bytes.to_vec(),
-            }),
-            LinkMode::Lagging(l) => self.held.push_back(Held {
-                release_at: self.tick + l,
-                sent_at: self.tick,
-                to_replica,
-                bytes: bytes.to_vec(),
-            }),
-        }
+            LinkMode::Healthy => 0,
+            LinkMode::Lagging(l) => l,
+        };
+        self.held.push_back(Held {
+            release_at: self.tick + hold,
+            sent_at: self.tick,
+            to_replica,
+            bytes: bytes.to_vec(),
+        });
     }
 
     /// Queues a frame from the primary to the replica.
@@ -185,20 +171,16 @@ impl ReplicaLink {
             if h.release_at > h.sent_at {
                 self.stats.lagged += 1;
             }
-            if h.to_replica {
-                self.replica.post_recv();
-                if self.primary.post_send(&h.bytes, false).is_ok() {
-                    self.stats.delivered_to_replica += 1;
-                } else {
-                    self.stats.dropped += 1;
-                }
-            } else {
-                self.primary.post_recv();
-                if self.replica.post_send(&h.bytes, false).is_ok() {
-                    self.stats.delivered_to_primary += 1;
-                } else {
-                    self.stats.dropped += 1;
-                }
+            let (from, to) = match h.to_replica {
+                true => (&mut self.primary, &mut self.replica),
+                false => (&mut self.replica, &mut self.primary),
+            };
+            to.post_recv();
+            let sent = from.post_send(&h.bytes, false).is_ok();
+            match (sent, h.to_replica) {
+                (false, _) => self.stats.dropped += 1,
+                (true, true) => self.stats.delivered_to_replica += 1,
+                (true, false) => self.stats.delivered_to_primary += 1,
             }
             released += 1;
         }
@@ -248,7 +230,7 @@ mod tests {
     #[test]
     fn lagging_link_holds_frames_for_n_ticks() {
         let mut link = ReplicaLink::new();
-        link.lag(2);
+        link.set_mode(LinkMode::Lagging(2));
         link.send_to_replica(b"late");
         assert_eq!(link.pump(), 0);
         assert_eq!(link.pump(), 0);
@@ -256,7 +238,7 @@ mod tests {
         assert_eq!(link.pump(), 1, "released on the tick the hold expires");
         assert_eq!(link.recv_at_replica().unwrap(), b"late");
         assert_eq!(link.stats().lagged, 1);
-        link.heal();
+        link.set_mode(LinkMode::Healthy);
         link.send_to_replica(b"prompt");
         link.pump();
         assert_eq!(link.recv_at_replica().unwrap(), b"prompt");
@@ -265,20 +247,24 @@ mod tests {
     #[test]
     fn partition_drops_until_heal_crash_drops_forever() {
         let mut link = ReplicaLink::new();
-        link.partition();
+        link.set_mode(LinkMode::Partitioned);
         link.send_to_replica(b"lost");
         link.send_to_primary(b"lost-ack");
         link.pump();
         assert!(link.recv_at_replica().is_none());
         assert!(link.recv_at_primary().is_none());
         assert_eq!(link.stats().dropped, 2);
-        link.heal();
+        link.set_mode(LinkMode::Healthy);
         link.send_to_replica(b"back");
         link.pump();
         assert_eq!(link.recv_at_replica().unwrap(), b"back");
-        link.crash();
+        link.set_mode(LinkMode::Lagging(4));
+        link.send_to_replica(b"held");
+        assert_eq!(link.in_flight(), 1);
+        link.set_mode(LinkMode::Crashed);
+        assert_eq!(link.in_flight(), 0, "a crash drops held frames");
         assert!(!link.is_alive());
-        link.heal();
+        link.set_mode(LinkMode::Healthy);
         assert!(!link.is_alive(), "a crashed replica never heals");
         link.send_to_replica(b"never");
         link.pump();

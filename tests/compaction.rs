@@ -45,9 +45,10 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::ops::Range;
 
+use precursor::HostMove::Link;
 use precursor::{
     CompactOutcome, Config, DurableLog, GroupCommitPolicy, HostFilter, HostMove, HostPlan,
-    HostSite, PrecursorClient, PrecursorServer, ReplicaGroup, StoreError,
+    HostSite, LinkMode, PrecursorClient, PrecursorServer, ReplicaGroup, StoreError,
 };
 use precursor_sgx::counters::MonotonicCounter;
 use precursor_sim::rng::SimRng;
@@ -204,7 +205,7 @@ fn lagging_replica_adopts_compacted_pair_and_failover_recovers_from_it() {
         h.put(0, &[i], &[i; 24]).expect("put");
     }
     // Replica 0 partitions; the remaining quorum keeps committing.
-    h.group_mut().partition_replica(0);
+    h.group_mut().host_move(0, Link(LinkMode::Partitioned));
     for i in 8u8..24 {
         h.put(0, &[i], &[i; 24]).expect("put past partition");
     }
@@ -216,7 +217,7 @@ fn lagging_replica_adopts_compacted_pair_and_failover_recovers_from_it() {
         panic!("drained journal must compact");
     };
 
-    cluster.heal_replica(0);
+    cluster.host_move(0, Link(LinkMode::Healthy));
     for _ in 0..PUMP_BOUND {
         cluster.pump();
     }
@@ -304,7 +305,7 @@ fn bit_flipped_compacted_snapshot_is_refused_and_repaired_from_a_peer() {
         for i in 0u8..8 {
             h.put(0, &[i], &[i; 24]).expect("put");
         }
-        h.group_mut().partition_replica(0);
+        h.group_mut().host_move(0, Link(LinkMode::Partitioned));
         for i in 8u8..24 {
             h.put(0, &[i], &[i; 24]).expect("put past partition");
         }
@@ -376,7 +377,7 @@ fn bit_flipped_compacted_snapshot_is_refused_and_repaired_from_a_peer() {
         // has taken it: every replica refuses cut 6, so every honest peer
         // holds cut 5 — the sealed blob held by the enclave is untouched.
         cluster.rewrite_compacted_snapshot(|blob| *blob = doctored.clone());
-        cluster.heal_replica(0);
+        cluster.host_move(0, Link(LinkMode::Healthy));
         cluster.pump();
         assert_eq!(
             cluster.metrics().counter("replica.snapshot_rejected"),
@@ -397,7 +398,7 @@ fn bit_flipped_compacted_snapshot_is_refused_and_repaired_from_a_peer() {
 
         // Replica 0 is behind the cut it refused: only a peer's repair
         // reaches it, and only over its own link.
-        cluster.partition_replica(0);
+        cluster.host_move(0, Link(LinkMode::Partitioned));
         for _ in 0..PUMP_BOUND {
             cluster.pump();
         }
@@ -408,7 +409,7 @@ fn bit_flipped_compacted_snapshot_is_refused_and_repaired_from_a_peer() {
             "{what}: no repair through a partition"
         );
         assert_eq!(cluster.replica_log(0).cut(), None, "{what}");
-        cluster.heal_replica(0);
+        cluster.host_move(0, Link(LinkMode::Healthy));
         for _ in 0..PUMP_BOUND {
             cluster.pump();
         }

@@ -22,7 +22,10 @@
 use std::collections::HashMap;
 
 use precursor::wire::Status;
-use precursor::{CompactOutcome, GroupCommitPolicy, StoreError};
+use precursor::HostMove::{Link, Rollback, Tamper};
+use precursor::{
+    CompactOutcome, GroupCommitPolicy, HostFilter, HostPlan, HostSite, LinkMode, StoreError,
+};
 
 #[path = "scenario/mod.rs"]
 mod scenario;
@@ -78,8 +81,8 @@ fn replies_stay_gated_without_quorum_and_release_on_heal() {
     h.put(0, b"warm", b"up").expect("healthy put");
 
     // Partition every replica: flushed groups can no longer reach quorum.
-    h.group_mut().partition_replica(0);
-    h.group_mut().partition_replica(1);
+    h.group_mut().host_move(0, Link(LinkMode::Partitioned));
+    h.group_mut().host_move(1, Link(LinkMode::Partitioned));
     let oid = h.session(0).put(b"stuck", b"value").expect("submit");
     for _ in 0..40 {
         h.group_mut().pump();
@@ -92,7 +95,7 @@ fn replies_stay_gated_without_quorum_and_release_on_heal() {
     assert!(h.group().primary().gated_replies() > 0);
 
     // Heal one replica: quorum is reachable again and the reply releases.
-    h.group_mut().heal_replica(0);
+    h.group_mut().host_move(0, Link(LinkMode::Healthy));
     let c = h.complete(0, 0, oid).expect("released after heal");
     assert_eq!(c.status, Status::Ok);
     assert_eq!(h.group().primary().gated_replies(), 0);
@@ -101,7 +104,7 @@ fn replies_stay_gated_without_quorum_and_release_on_heal() {
 #[test]
 fn lagging_replica_does_not_stall_quorum() {
     let mut h = group(13, 3, GroupCommitPolicy::batched(2, 1));
-    h.group_mut().lag_replica(0, 50);
+    h.group_mut().host_move(0, Link(LinkMode::Lagging(50)));
     for i in 0u8..10 {
         h.put(0, &[i], &[i; 32]).expect("put with lagging replica");
     }
@@ -110,6 +113,53 @@ fn lagging_replica_does_not_stall_quorum() {
         "lagged replica trails"
     );
     assert!(h.group().metrics().gauge("replica.lag_records") > 0);
+}
+
+// A plan reaches a replica the way it reaches a queue pair: two rules at
+// replica 0's host site partition its link at the group's third pump and
+// heal it at the hundredth, and the host logs exactly those two acts.
+#[test]
+fn a_host_plan_partitions_and_heals_a_replica() {
+    const HEAL: u64 = 100;
+    let mut h = group(47, 3, GroupCommitPolicy::batched(4, 2));
+    let site = (HostSite::Replica, HostFilter::Replica(0));
+    let partitioned = Link(LinkMode::Partitioned);
+    let healed = Link(LinkMode::Healthy);
+    let plan = HostPlan::none()
+        .rule(site.0, site.1, partitioned, 3)
+        .rule(site.0, site.1, healed, HEAL);
+    h.group_mut().primary_mut().set_host_plan(plan, 47);
+    for i in 0u8..6 {
+        h.put(0, &[i], &[i; 32])
+            .expect("puts complete with replica 0 cut off");
+    }
+    let g = h.group();
+    assert_eq!(g.replica_link(0).mode(), LinkMode::Partitioned);
+    assert!(
+        g.replica_log(0).end() < g.replica_log(1).end(),
+        "the partitioned replica trails"
+    );
+    for _ in 0..HEAL {
+        h.group_mut().pump();
+    }
+    h.put(0, b"healed", b"value").expect("put after the heal");
+    for _ in 0..8 {
+        h.group_mut().pump();
+    }
+    let g = h.group();
+    assert_eq!(g.replica_link(0).mode(), LinkMode::Healthy);
+    let full = g.primary().journal().expect("journal").log();
+    assert_eq!(g.replica_log(0), full, "the healed replica caught up");
+    let acts: Vec<_> = g
+        .primary()
+        .host_log()
+        .iter()
+        .map(|a| (a.site, a.origin, a.mv))
+        .collect();
+    assert_eq!(
+        acts,
+        [(site.0, site.1, partitioned), (site.0, site.1, healed)]
+    );
 }
 
 #[test]
@@ -214,10 +264,9 @@ fn staged_rollback_replica_is_quarantined_and_never_promoted() {
     for i in 0u8..12 {
         h.put(0, &[i], &[i; 40]).expect("put");
     }
-    // Replica 0 stages a rollback: discards half its journal while its
-    // acknowledgements stand.
-    let keep = h.group().replica_log(0).bytes().len() / 2;
-    h.group_mut().rollback_replica(0, keep);
+    // Replica 0's host stages a rollback: it keeps a third of its journal
+    // while its acknowledgements stand.
+    h.group_mut().host_move(0, Rollback);
 
     let report = h.group_mut().fail_primary(usize::MAX).expect("failover");
     assert_eq!(report.quarantined, vec![0], "rollback detected");
@@ -232,8 +281,8 @@ fn all_rolled_back_survivors_fail_failover_with_rollback_detected() {
     for i in 0u8..6 {
         h.put(0, &[i], &[i; 16]).expect("put");
     }
-    h.group_mut().rollback_replica(0, 0);
-    h.group_mut().rollback_replica(1, 0);
+    h.group_mut().host_move(0, Rollback);
+    h.group_mut().host_move(1, Rollback);
     assert_eq!(
         h.group_mut().fail_primary(usize::MAX).unwrap_err(),
         StoreError::RollbackDetected
@@ -248,7 +297,7 @@ fn tampered_replica_journal_fails_cross_replica_audit() {
         h.put(0, &[i], &[i; 32]).expect("put");
     }
     h.group().audit_replicas().expect("honest replicas agree");
-    h.group_mut().tamper_replica(1, 37);
+    h.group_mut().host_move(1, Tamper);
     assert_eq!(
         h.group().audit_replicas().unwrap_err(),
         StoreError::ForkDetected,
@@ -264,12 +313,12 @@ fn stale_promotion_after_majority_loss_is_flagged_and_caught_by_client() {
     }
     // Replica 0 falls far behind; replicas 1 and 2 keep the quorum alive
     // for another batch of acked writes, then the majority dies.
-    h.group_mut().lag_replica(0, 10_000);
+    h.group_mut().host_move(0, Link(LinkMode::Lagging(10_000)));
     for i in 6u8..12 {
         h.put(0, &[i], &[i; 24]).expect("put past lagged replica");
     }
-    h.group_mut().crash_replica(1);
-    h.group_mut().crash_replica(2);
+    h.group_mut().host_move(1, Link(LinkMode::Crashed));
+    h.group_mut().host_move(2, Link(LinkMode::Crashed));
 
     let report = h.group_mut().fail_primary(usize::MAX).expect("promotion");
     assert_eq!(report.promoted, 0);

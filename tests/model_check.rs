@@ -35,8 +35,11 @@
 //!
 //! One knob, `PRECURSOR_MC_DEPTH` (default 9, nightly 12), bounds the
 //! schedule length; a schedule holds at most `depth / 4` submits, twice as
-//! many pumps, two compactions, one crash and two migrations (at depth 9
-//! the failover row has 5 044 unique states, the migration row 9 836).
+//! many pumps, two compactions, one crash and two migrations. The unique
+//! states each row reaches at the default depth are
+//! `bench_results/explorer.csv`, and exhausting a row there must visit
+//! exactly that many: a change in reachable protocol state is a change to
+//! that file.
 
 use std::collections::HashSet;
 
@@ -264,6 +267,14 @@ fn exhaust(row: Row) {
         states > 200,
         "{states} states: the bounds or the dedup broke"
     );
+    if depth == DEFAULT_DEPTH {
+        let line = format!("{},{depth},{states}", format!("{row:?}").to_lowercase());
+        let reach = include_str!("../bench_results/explorer.csv");
+        assert!(
+            reach.lines().any(|l| l == line),
+            "{line} is not in bench_results/explorer.csv: the reachable state changed"
+        );
+    }
 }
 
 #[test]

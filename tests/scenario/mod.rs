@@ -26,8 +26,10 @@
 //! 6. **Acked implies quorum-durable** — per node after every op and
 //!    event: `committed_bytes ≤ quorum_durable_bytes`, and the replicas
 //!    agree on every overlapping journal prefix (`audit_replicas`).
-//! 7. **Rolled back implies quarantined** — every replica that presented
-//!    less than it acknowledged before a `FailNode` is quarantined by it.
+//! 7. **Quarantined exactly when rolled back** — every replica that
+//!    presented less than it acknowledged before a `FailNode` is
+//!    quarantined by it, and every replica it quarantines met a `Rollback`
+//!    at its `HostSite::Replica` in the retiring host's log.
 //!
 //! A fault-free row stays on the happy path except as the **catch-up
 //! rule** allows: while a node drains a staged promotion it answers
@@ -59,9 +61,9 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use precursor::wire::Status;
 use precursor::{
     ClusterClient, CompactOutcome, CompletedOp, Config, DurableLog, GroupCommitPolicy, HostAct,
-    HostFilter, HostMove, HostPlan, HostSite, MigrationOutcome, MigrationReport, PlacementRing,
-    PrecursorClient, PrecursorCluster, PrecursorServer, ProtocolBug, RecoveryReport, ReplicaGroup,
-    RetryPolicy, SecurityAudit, StoreError,
+    HostFilter, HostMove, HostPlan, HostSite, LinkMode, MigrationOutcome, MigrationReport,
+    PlacementRing, PrecursorClient, PrecursorCluster, PrecursorServer, ProtocolBug, RecoveryReport,
+    ReplicaGroup, RetryPolicy, SecurityAudit, StoreError,
 };
 use precursor_sim::rng::SimRng;
 use precursor_sim::CostModel;
@@ -200,7 +202,9 @@ pub enum Event {
     /// One `poll_all`, one migration step of one key when a migration is
     /// in flight, and a poll of client 0: its submits settle.
     Pump,
-    /// Node 0's replica 0 falls 6 link pumps behind.
+    /// Node 0's replica 0 falls 6 link pumps behind. This and the next
+    /// three are moves of node 0's host at its replica 0
+    /// (`ReplicaGroup::host_move`).
     LagReplica,
     /// Node 0's replica 0 drops every frame until healed.
     PartitionReplica,
@@ -827,20 +831,22 @@ impl Harness {
     }
 
     /// Ends a played run under a fair schedule: a migration in flight runs
-    /// to its fence or abort, node 0's replica 0 heals, the groups pump
-    /// until every submit has settled, no node is catching up, no replica
-    /// lags (one rolled back always may) and every replica neither
-    /// quarantined nor rolled back holds its primary's log — start, anchor
-    /// and bytes: replicas hold what the primary holds — and sessions a
-    /// catch-up poisoned re-attest. Then every client reads key 0 — one
+    /// to its fence or abort, node 0's replica 0 heals if it lags or is
+    /// partitioned, the groups pump until every submit has settled, no
+    /// node is catching up, no replica lags (one rolled back always may)
+    /// and every replica neither quarantined nor rolled back holds its
+    /// primary's log — start, anchor and bytes: replicas hold what the
+    /// primary holds — and sessions a catch-up poisoned re-attest. Then every client reads key 0 — one
     /// that saw acked state its node no longer holds trips its rollback
     /// check — and a fresh client reads every key.
     pub fn close(mut self) -> Result<Run, Violation> {
         while self.cluster.migration_in_flight() {
             self.pump_migration(8)?;
         }
-        if self.group().replica_count() > 0 {
-            self.group_mut().heal_replica(0);
+        let g = self.group();
+        let mode = (g.replica_count() > 0).then(|| g.replica_link(0).mode());
+        if let Some(LinkMode::Lagging(_) | LinkMode::Partitioned) = mode {
+            self.link(LinkMode::Healthy);
         }
         // The first replica (the harness crashes none) that holds less or
         // other than its primary's log, quarantined and rolled-back ones
@@ -1238,6 +1244,7 @@ impl Harness {
                     .collect();
                 let state = |p: &PrecursorServer| (p.mutation_seq(), p.state_digest());
                 let before = state(self.cluster.node(n));
+                let host = self.cluster.node(n).host_log();
                 self.cut_submits(Some(n));
                 self.retire(n);
                 let report = self.cluster.fail_node(n, batch);
@@ -1255,6 +1262,20 @@ impl Harness {
                         "rolled-back replica not quarantined: node {n}'s replica {i} holds \
                          less than it acknowledged and stays promotable"
                     );
+                    return Err(self.violation(what));
+                }
+                let rolled = |&i: &usize| {
+                    host.iter().any(|a| {
+                        (a.site, a.origin, a.mv)
+                            == (
+                                HostSite::Replica,
+                                HostFilter::Replica(i as u32),
+                                HostMove::Rollback,
+                            )
+                    })
+                };
+                if let Some(i) = report.quarantined.iter().find(|i| !rolled(i)) {
+                    let what = format!("node {n}'s replica {i} quarantined with no rollback");
                     return Err(self.violation(what));
                 }
                 self.attach_host(n);
@@ -1311,19 +1332,21 @@ impl Harness {
                 }
             }
             Event::Pump => self.pump()?,
-            Event::LagReplica => self.group_mut().lag_replica(0, 6),
-            Event::PartitionReplica => self.group_mut().partition_replica(0),
-            Event::HealReplica => self.group_mut().heal_replica(0),
-            Event::RollbackReplica => {
-                let keep = self.group().replica_log(0).bytes().len() / 3;
-                self.group_mut().rollback_replica(0, keep);
-            }
+            Event::LagReplica => self.link(LinkMode::Lagging(6)),
+            Event::PartitionReplica => self.link(LinkMode::Partitioned),
+            Event::HealReplica => self.link(LinkMode::Healthy),
+            Event::RollbackReplica => self.group_mut().host_move(0, HostMove::Rollback),
             Event::StaleRouting(n) => {
                 let ring = self.initial_ring.clone();
                 self.cluster.node_mut(n).install_routing(n as u16, ring);
             }
         }
         Ok(())
+    }
+
+    // Node 0's host sets its replica 0's link to `mode`.
+    fn link(&mut self, mode: LinkMode) {
+        self.group_mut().host_move(0, HostMove::Link(mode));
     }
 
     // The submits at `node` (every node: `None`) lost the process or the
