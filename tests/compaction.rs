@@ -857,6 +857,13 @@ fn damaged_persisted_cut_aborts_and_the_clean_retry_carries_every_mutation() {
 const FULL_CUT_LEN: usize = 1_220_166;
 const FULL_CUT_FNV: u64 = 0xfaf9_0070_ae2f_7147;
 
+// FNV-1a digests of a seeded server-encryption store's journal, as durable
+// before its first cut, and of that cut's flat blob. A server-mode entry
+// keeps the storage-GCM counter its value was sealed under, and both byte
+// streams carry it beside a zero payload nonce.
+const SERVER_JOURNAL_FNV: u64 = 0x4e47_71e7_e1af_9d3c;
+const SERVER_CUT_FNV: u64 = 0xae3c_5d81_cee3_afb1;
+
 fn fnv1a(bytes: &[u8]) -> u64 {
     let fold = |h: u64, b: &u8| (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, fold)
@@ -912,6 +919,44 @@ fn manifest_len(parts_at: usize) -> u64 {
 
 fn bytes_sealed(server: &PrecursorServer) -> u64 {
     server.metrics().counter("snapshot.bytes_sealed")
+}
+
+#[test]
+fn a_server_encryption_journal_and_cut_keep_their_bytes() {
+    let cost = CostModel::default();
+    let mut server = PrecursorServer::new(Config::server_encryption(), &cost);
+    server.attach_journal(GroupCommitPolicy::immediate(), &mut MonotonicCounter::new());
+    let mut client = PrecursorClient::connect(&mut server, 71).expect("connect");
+    // Values of two size classes, then overwrites, deletes and fresh
+    // inserts, so the stored counters run out of key order.
+    for i in 0..2_000u32 {
+        let len = if i % 5 == 0 { 1_024 } else { 32 };
+        client
+            .put_sync(&mut server, &user(i), &vec![i as u8; len])
+            .expect("load");
+    }
+    for i in 0..K as u32 {
+        let k = user(i * 31);
+        match i % 3 {
+            0 => client.put_sync(&mut server, &k, &[0xab; 32]).expect("put"),
+            1 => client.delete_sync(&mut server, &k).expect("delete"),
+            _ => client
+                .put_sync(&mut server, &user(20_000 + i), &[0xcd; 1_024])
+                .expect("put"),
+        };
+    }
+    let journal = server.journal().expect("journal attached").durable();
+    let journal = fnv1a(journal);
+    let CompactOutcome::Compacted { snapshot, .. } =
+        server.compact_journal(&mut MonotonicCounter::new())
+    else {
+        panic!("loaded store compacts");
+    };
+    assert_eq!(
+        (journal, fnv1a(&snapshot.to_vec())),
+        (SERVER_JOURNAL_FNV, SERVER_CUT_FNV),
+        "a server-encryption journal or cut changed"
+    );
 }
 
 #[test]
