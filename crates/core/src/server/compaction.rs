@@ -187,7 +187,6 @@ impl PrecursorServer {
     pub(crate) fn snapshot_at(&mut self, key: &GcmKey, version: u64) -> Cut {
         let header = self.snapshot_header();
         let drawn = Nonce12::generate(&mut self.rng);
-        let mode = self.config.mode;
         // The last committed blob sits in host memory like any sealed
         // bytes: its manifest, and every part a fold reads, is
         // authenticated again before use.
@@ -209,7 +208,7 @@ impl PrecursorServer {
         }
         if carried.is_none() && fresh.is_none() {
             self.obs.inc("snapshot.table_walks", 1);
-            fresh = Some(self.store.encode_base(mode));
+            fresh = Some(self.store.encode_base(&self.config));
         }
         let cut = snapshot::seal(key, version, &drawn, &header, carried, fresh);
         self.obs.inc("snapshot.bytes_sealed", cut.bytes_sealed);

@@ -1,7 +1,7 @@
 //! Exec stage: per-opcode enclave execution against the Robin Hood shards.
 //!
-//! Owns [`StoreExec`] — the sharded enclave hash table, the untrusted
-//! payload pool, the storage key/sequence of the server-encryption mode,
+//! Owns [`StoreExec`] — the sharded enclave hash table, the two value
+//! pools, the storage key/sequence of the server-encryption mode,
 //! and the store-mutation evidence (sequence + digest). Execution turns a
 //! validated request into a [`ReplyPlan`]; sealing the plan is the `seal`
 //! stage's job, so that with several shards execution can run in shard order
@@ -21,7 +21,7 @@ use precursor_sgx::enclave::{Enclave, RegionId};
 use precursor_sim::meter::{Meter, Stage};
 use precursor_sim::{CostModel, Event};
 use precursor_storage::key::InlineKey;
-use precursor_storage::pool::{PoolRange, SlabPool};
+use precursor_storage::pool::{slot_capacity, PoolRange, SlabPool};
 use precursor_storage::robinhood::{shard_of_hash, stable_key_hash, OpStats, ShardedRobinHoodMap};
 
 use crate::cluster::MovingRange;
@@ -31,45 +31,54 @@ use crate::snapshot::{encode_record, DirtyKeys, EntryRef, SnapshotBody, Snapshot
 use crate::wire::{payload_request_nonce, Opcode, RequestControlRef, Status};
 
 use super::seal::StoreEvidence;
-use super::{cmac_key_of, PrecursorServer, MODEL_SLOT_BYTES};
-
-// Where a value's bytes live (16 bytes: the pool variant fits beside the
-// box's non-null pointer).
-#[derive(Debug, Clone)]
-pub(super) enum ValueStorage {
-    /// In the untrusted payload pool (the paper's evaluated design), in
-    /// the slot at `offset`; its length and size class follow from the
-    /// entry's `payload_len` and the mode ([`EntryMeta::pool_range`]).
-    Untrusted { offset: u64 },
-    /// Inside the enclave (ciphertext ‖ MAC) — the small-value extension
-    /// the paper proposes for values below the control-data size (§5.2).
-    InEnclave(Box<[u8]>),
-}
+use super::{cmac_key_of, PrecursorServer, HOST_SLOT_BYTES};
 
 // Trusted per-entry metadata: what the paper keeps in the enclave hash table
 // ("the key item and a value pair composed of the K_operation and an
-// associated pointer ptr", §3.7). 72 bytes; with the hash and an
+// associated pointer ptr", §3.7). 56 bytes; with the hash and an
 // `InlineKey`, one table slot is `HOST_SLOT_BYTES`.
 #[derive(Debug, Clone)]
 pub(super) struct EntryMeta {
     pub(super) k_op: Key256,
-    pub(super) payload_nonce: Nonce8,
-    pub(super) storage_seq: u64, // server-encryption mode: storage GCM nonce counter
+    // The nonce the stored bytes were sealed under: the client's Salsa20
+    // payload nonce (its bytes, little-endian) in client mode, the
+    // storage-GCM counter in server mode.
+    pub(super) nonce: u64,
     pub(super) client_id: u32,
     pub(super) payload_len: u32,
-    pub(super) storage: ValueStorage,
+    // The value's slot in the pool `in_enclave` names.
+    pub(super) offset: u64,
 }
 
-impl EntryMeta {
-    // The pool slot holding the value, as the pool handed it out; `None`
-    // for a value inside the enclave.
-    fn pool_range(&self, mode: EncryptionMode) -> Option<PoolRange> {
-        match self.storage {
-            ValueStorage::Untrusted { offset } => {
-                Some(PoolRange::at(offset as usize, pool_len(mode, self)))
-            }
-            ValueStorage::InEnclave(_) => None,
-        }
+// Whether the value of a `payload_len`-byte put lives inside the enclave:
+// the small-value extension the paper proposes for values below the
+// control-data size (§5.2), a client-mode value of at most
+// `inline_value_max` bytes. Every other value lives in the untrusted pool
+// (the paper's evaluated design). Puts and installs store by this rule, and
+// every read and release finds the value by it.
+fn in_enclave(config: &Config, payload_len: usize) -> bool {
+    config.mode == EncryptionMode::ClientSide && payload_len <= config.inline_value_max
+}
+
+// The bytes of both value pools, borrowed together for reads.
+struct Pools<'a> {
+    config: &'a Config,
+    enclave: &'a [u8],
+    untrusted: &'a [u8],
+}
+
+impl<'a> Pools<'a> {
+    // The stored bytes of `meta`'s value (ciphertext ‖ MAC in client mode,
+    // the storage GCM blob in server mode).
+    fn stored(&self, meta: &EntryMeta) -> &'a [u8] {
+        let payload_len = meta.payload_len as usize;
+        let pool = if in_enclave(self.config, payload_len) {
+            self.enclave
+        } else {
+            self.untrusted
+        };
+        let at = meta.offset as usize;
+        &pool[at..at + stored_len(self.config.mode, payload_len)]
     }
 }
 
@@ -129,8 +138,8 @@ pub(super) struct ExecRequest<'a> {
     pub(super) session_key: &'a GcmKey,
 }
 
-// Exec-stage state: the enclave index, the untrusted payload pool, and
-// the store-mutation evidence.
+// Exec-stage state: the enclave index, the two value pools, and the
+// store-mutation evidence.
 #[derive(Debug)]
 pub(super) struct StoreExec {
     // The enclave index, partitioned into `Config::shards` Robin Hood
@@ -163,6 +172,12 @@ pub(super) struct StoreExec {
     pub(super) misc_touched: bool,
     pub(super) table_resizes_seen: Vec<u64>,
 
+    // In-enclave values, in enclave memory the host cannot reach: never
+    // registered with its tamper surface, never charged to a quota and
+    // never grown by an ocall. Starts empty and doubles as it fills.
+    pub(super) enclave_mem: Vec<u8>,
+    pub(super) enclave_pool: SlabPool,
+
     // untrusted side
     pub(super) payload_mem: Memory,
     pub(super) pool: SlabPool,
@@ -179,14 +194,29 @@ impl StoreExec {
         }
     }
 
-    // Frees a pool slot and keeps the quota + host registries in sync.
-    pub(super) fn release_range(
-        &mut self,
-        host: Option<&Mutex<Host>>,
-        owner: u32,
-        range: PoolRange,
-    ) {
-        if let Some(used) = self.pool_used.get_mut(owner as usize) {
+    // Runs `f` with the bytes of both value pools.
+    fn with_pools<R>(&self, config: &Config, f: impl FnOnce(&Pools<'_>) -> R) -> R {
+        self.payload_mem.with(|untrusted| {
+            f(&Pools {
+                config,
+                enclave: &self.enclave_mem,
+                untrusted,
+            })
+        })
+    }
+
+    // Frees the slot of `meta`'s value, rebuilt as its pool handed it out
+    // (the stored length, and so the size class, follows from the entry's
+    // `payload_len` and the mode); an untrusted one also leaves its
+    // owner's quota and the host's registry.
+    fn release(&mut self, host: Option<&Mutex<Host>>, config: &Config, meta: &EntryMeta) {
+        let payload_len = meta.payload_len as usize;
+        let range = PoolRange::at(meta.offset as usize, stored_len(config.mode, payload_len));
+        if in_enclave(config, payload_len) {
+            self.enclave_pool.free(range);
+            return;
+        }
+        if let Some(used) = self.pool_used.get_mut(meta.client_id as usize) {
             *used = used.saturating_sub(range.capacity());
         }
         if let Some(host) = host {
@@ -254,26 +284,13 @@ impl StoreExec {
                     ));
                 };
                 let value_len = payload.len();
-                let inline = value_len <= ctx.config.inline_value_max;
-                if !inline && self.over_quota(ctx.config, idx, value_len + Tag::LEN) {
+                if !in_enclave(ctx.config, value_len)
+                    && self.over_quota(ctx.config, idx, value_len + Tag::LEN)
+                {
                     return Ok((Status::Busy, 0, ReplyPlan::Busy { oid: control.oid }));
                 }
-                let storage = if inline {
-                    // Small-value extension: the encrypted value (and its
-                    // MAC) stay inside the enclave — no pool slot, no
-                    // untrusted read on get (§5.2).
-                    let mut data = Vec::with_capacity(value_len + Tag::LEN);
-                    data.extend_from_slice(payload);
-                    data.extend_from_slice(mac.as_bytes());
-                    ctx.enclave.copy_across_boundary(data.len(), meter, cost);
-                    ValueStorage::InEnclave(data.into_boxed_slice())
-                } else {
-                    let range = self.store_payload(ctx, payload, Some(&mac), meter)?;
-                    self.charge_range(ctx.host, idx, &range);
-                    ValueStorage::Untrusted {
-                        offset: range.offset as u64,
-                    }
-                };
+                let offset =
+                    self.store_value(ctx, idx, value_len, &[payload, mac.as_bytes()], meter)?;
                 self.bump_mutation(Opcode::Put, control.key);
                 self.table_insert(
                     ctx,
@@ -281,11 +298,10 @@ impl StoreExec {
                     control.key,
                     EntryMeta {
                         k_op,
-                        payload_nonce: pn,
-                        storage_seq: 0,
+                        nonce: u64::from_le_bytes(*pn.as_bytes()),
                         client_id: idx as u32,
                         payload_len: value_len as u32,
-                        storage,
+                        offset,
                     },
                     meter,
                 );
@@ -342,11 +358,10 @@ impl StoreExec {
                 );
                 let stored_len = value_len + gcm::TAG_LEN;
                 ctx.enclave.copy_across_boundary(stored_len, meter, cost);
-                let stored =
-                    self.store_payload(ctx, &values[at..at + value_len], Some(&tag), meter);
+                let parts = [&values[at..at + value_len], tag.as_bytes()];
+                let stored = self.store_value(ctx, idx, stored_len, &parts, meter);
                 values.truncate(at);
-                let range = stored?;
-                self.charge_range(ctx.host, idx, &range);
+                let offset = stored?;
                 self.bump_mutation(Opcode::Put, control.key);
                 self.table_insert(
                     ctx,
@@ -354,13 +369,10 @@ impl StoreExec {
                     control.key,
                     EntryMeta {
                         k_op: Key256::from_bytes([0; 32]),
-                        payload_nonce: Nonce8::default(),
-                        storage_seq: seq,
+                        nonce: seq,
                         client_id: idx as u32,
                         payload_len: stored_len as u32,
-                        storage: ValueStorage::Untrusted {
-                            offset: range.offset as u64,
-                        },
+                        offset,
                     },
                     meter,
                 );
@@ -381,44 +393,28 @@ impl StoreExec {
                 // the order the bytes are reached.
                 struct Hit {
                     k_op: Key256,
-                    payload_nonce: Nonce8,
-                    storage_seq: u64,
+                    nonce: u64,
                     payload_len: usize,
                     stored: Range<usize>,
-                    inline: bool,
                 }
                 let hit = found.map(|meta| {
                     let at = values.len();
-                    let inline = match meta.storage {
-                        ValueStorage::Untrusted { offset } => {
-                            let (offset, len) = (offset as usize, pool_len(mode, meta));
-                            self.payload_mem.with(|pool| {
-                                values.extend_from_slice(&pool[offset..offset + len]);
-                            });
-                            false
-                        }
-                        ValueStorage::InEnclave(ref data) => {
-                            values.extend_from_slice(data);
-                            true
-                        }
-                    };
+                    self.with_pools(ctx.config, |pools| {
+                        values.extend_from_slice(pools.stored(meta));
+                    });
                     Hit {
                         k_op: meta.k_op.clone(),
-                        payload_nonce: meta.payload_nonce,
-                        storage_seq: meta.storage_seq,
+                        nonce: meta.nonce,
                         payload_len: meta.payload_len as usize,
                         stored: at..values.len(),
-                        inline,
                     }
                 });
                 self.charge_table_op(ctx, shard, &stats, meter);
                 let Some(Hit {
                     k_op,
-                    payload_nonce,
-                    storage_seq,
+                    nonce,
                     payload_len,
                     stored,
-                    inline,
                 }) = hit
                 else {
                     return Ok((
@@ -437,7 +433,7 @@ impl StoreExec {
                         // the enclave (§3.7 "Query data"). Inlined small
                         // values come out of the enclave instead.
                         let len = stored.len();
-                        if inline {
+                        if in_enclave(ctx.config, payload_len) {
                             ctx.enclave.copy_across_boundary(len, meter, cost);
                         } else {
                             meter.event(Stage::ServerCritical, Event::Memcpy { len }, 1, cost);
@@ -451,7 +447,7 @@ impl StoreExec {
                             payload_len,
                             ReplyPlan::GetHit {
                                 k_op,
-                                payload_nonce,
+                                payload_nonce: Nonce8::from_bytes(nonce.to_le_bytes()),
                                 payload,
                                 mac,
                                 oid: control.oid,
@@ -469,12 +465,7 @@ impl StoreExec {
                         let plain = stored.start..stored.end - gcm::TAG_LEN;
                         let (ct, tag) = values[stored.clone()].split_at_mut(plain.len());
                         self.storage_gcm
-                            .open_in_place_detached(
-                                &Nonce12::from_counter(storage_seq),
-                                &[],
-                                ct,
-                                tag,
-                            )
+                            .open_in_place_detached(&Nonce12::from_counter(nonce), &[], ct, tag)
                             .expect("storage ciphertext is server-controlled");
                         values.truncate(plain.end);
                         Ok((
@@ -490,8 +481,7 @@ impl StoreExec {
             }
             (Opcode::Delete, _) => {
                 let shard = shard_of_hash(hash, self.table.shard_count());
-                let (removed, stats) =
-                    self.table_remove(ctx.host, ctx.config.mode, hash, control.key);
+                let (removed, stats) = self.table_remove(ctx.host, ctx.config, hash, control.key);
                 self.charge_table_op(ctx, shard, &stats, meter);
                 let status = if removed {
                     Status::Ok
@@ -528,48 +518,56 @@ impl StoreExec {
     // A full seal's base: every table entry, straight from the table in
     // one walk, into one buffer sized by a first pass over the metadata
     // (growing it by doubling would leave the process a larger peak).
-    pub(super) fn encode_base(&self, mode: EncryptionMode) -> Vec<u8> {
+    pub(super) fn encode_base(&self, config: &Config) -> Vec<u8> {
         let len = self
             .table
             .iter()
-            .map(|(key, meta)| entry_len(mode, key.len(), meta));
+            .map(|(key, meta)| entry_len(config.mode, key.len(), meta));
         let mut out = Vec::with_capacity(len.sum());
-        self.payload_mem.with(|pool| {
+        self.with_pools(config, |pools| {
             for (key, meta) in self.table.iter() {
-                entry_ref(mode, key, meta, pool).encode_into(&mut out);
+                entry_ref(pools, key, meta).encode_into(&mut out);
             }
         });
         out
     }
 
-    // Charges a freshly allocated slot to the client's quota and registers
-    // it with the host's tamper surface.
-    pub(super) fn charge_range(
-        &mut self,
-        host: Option<&Mutex<Host>>,
-        idx: usize,
-        range: &PoolRange,
-    ) {
-        if self.pool_used.len() <= idx {
-            self.pool_used.resize(idx + 1, 0);
-        }
-        self.pool_used[idx] += range.capacity();
-        if let Some(host) = host {
-            plock(host).note_payload(range.offset, range.len, idx as u32);
-        }
-    }
-
-    // Stores payload (+ optional MAC) into the untrusted pool, growing it
-    // with a modelled ocall when exhausted (§3.8).
-    pub(super) fn store_payload(
+    // Stores the value of a `payload_len`-byte put by client `owner` —
+    // `parts`, concatenated — in the pool `in_enclave` names, and returns
+    // its slot's offset. The enclave's pool doubles in place when full. The
+    // untrusted one grows by a modelled ocall when exhausted (§3.8), and
+    // its slot is charged to the owner's quota and registered with the
+    // host's tamper surface.
+    pub(super) fn store_value(
         &mut self,
         ctx: &mut ExecCtx<'_>,
-        payload: &[u8],
-        mac: Option<&Tag>,
+        owner: usize,
+        payload_len: usize,
+        parts: &[&[u8]],
         meter: &mut Meter,
-    ) -> Result<PoolRange, StoreError> {
-        let total = payload.len() + mac.map_or(0, |_| Tag::LEN);
+    ) -> Result<u64, StoreError> {
+        let total = parts.iter().map(|part| part.len()).sum();
         let cost = ctx.cost;
+        if in_enclave(ctx.config, payload_len) {
+            let pool = &mut self.enclave_pool;
+            let range = match pool.alloc(total) {
+                Some(r) => r,
+                None => {
+                    let size = slot_capacity(total).ok_or(StoreError::OversizedItem)?;
+                    let extra = size.max(pool.capacity());
+                    self.enclave_mem.resize(pool.capacity() + extra, 0);
+                    pool.grow(extra);
+                    pool.alloc(total).ok_or(StoreError::OversizedItem)?
+                }
+            };
+            let mut at = range.offset;
+            for part in parts {
+                self.enclave_mem[at..at + part.len()].copy_from_slice(part);
+                at += part.len();
+            }
+            ctx.enclave.copy_across_boundary(total, meter, cost);
+            return Ok(range.offset as u64);
+        }
         let range = match self.pool.alloc(total) {
             Some(r) => r,
             None => {
@@ -580,13 +578,20 @@ impl StoreExec {
                 self.pool.alloc(total).ok_or(StoreError::OversizedItem)?
             }
         };
-        self.payload_mem.write(range.offset, payload);
-        if let Some(mac) = mac {
-            self.payload_mem
-                .write(range.offset + payload.len(), mac.as_bytes());
+        let mut at = range.offset;
+        for part in parts {
+            self.payload_mem.write(at, part);
+            at += part.len();
         }
         meter.event(Stage::ServerCritical, Event::Memcpy { len: total }, 1, cost);
-        Ok(range)
+        if self.pool_used.len() <= owner {
+            self.pool_used.resize(owner + 1, 0);
+        }
+        self.pool_used[owner] += range.capacity();
+        if let Some(host) = ctx.host {
+            plock(host).note_payload(range.offset, range.len, owner as u32);
+        }
+        Ok(range.offset as u64)
     }
 
     // Inserts `key`, whose stable hash is `hash`, routing and placing it by
@@ -617,9 +622,7 @@ impl StoreExec {
         // its owner's quota); the fresh K_operation in the new entry
         // revokes earlier readers (§3.3).
         if let Some(old) = old {
-            if let Some(range) = old.pool_range(ctx.config.mode) {
-                self.release_range(ctx.host, old.client_id, range);
-            }
+            self.release(ctx.host, ctx.config, &old);
         }
         // Resize the modelled region before charging slot touches — the
         // insert may have grown the shard's partition, and the touched
@@ -636,7 +639,7 @@ impl StoreExec {
     pub(super) fn table_remove(
         &mut self,
         host: Option<&Mutex<Host>>,
-        mode: EncryptionMode,
+        config: &Config,
         hash: u64,
         key: &[u8],
     ) -> (bool, OpStats) {
@@ -644,9 +647,7 @@ impl StoreExec {
         let Some(entry) = removed else {
             return (false, stats);
         };
-        if let Some(range) = entry.pool_range(mode) {
-            self.release_range(host, entry.client_id, range);
-        }
+        self.release(host, config, &entry);
         self.bump_mutation(Opcode::Delete, key);
         self.note_written(hash, key);
         (true, stats)
@@ -675,7 +676,7 @@ impl StoreExec {
         let cost = ctx.cost;
         let probes = stats.probes;
         meter.event(Stage::Enclave, Event::TableOp { probes }, 1, cost);
-        let slot_bytes = MODEL_SLOT_BYTES as u64;
+        let slot_bytes = HOST_SLOT_BYTES as u64;
         let region = self.table_regions[shard];
         for slot in stats.slots() {
             ctx.enclave
@@ -690,7 +691,7 @@ impl StoreExec {
         if resizes != self.table_resizes_seen[shard] {
             self.table_resizes_seen[shard] = resizes;
             let cost = ctx.cost;
-            let bytes = (self.table.shard(shard).capacity() * MODEL_SLOT_BYTES) as u64;
+            let bytes = (self.table.shard(shard).capacity() * HOST_SLOT_BYTES) as u64;
             let region = self.table_regions[shard];
             ctx.enclave.resize_region(region, bytes);
             ctx.enclave.touch_all(region, meter, cost);
@@ -698,13 +699,8 @@ impl StoreExec {
     }
 }
 
-// The bytes of `meta`'s value in the untrusted pool: ciphertext ‖ MAC in
-// client mode, the storage GCM blob in server mode.
-fn pool_len(mode: EncryptionMode, meta: &EntryMeta) -> usize {
-    stored_len(mode, meta.payload_len as usize)
-}
-
-// The pool bytes of a value whose entry says `payload_len`.
+// The stored bytes of a value whose entry says `payload_len`: ciphertext ‖
+// MAC in client mode, the storage GCM blob in server mode.
 fn stored_len(mode: EncryptionMode, payload_len: usize) -> usize {
     match mode {
         EncryptionMode::ClientSide => payload_len + Tag::LEN,
@@ -712,40 +708,28 @@ fn stored_len(mode: EncryptionMode, payload_len: usize) -> usize {
     }
 }
 
-// The bytes `entry_ref(mode, key, meta, ..)` of a `key_len`-byte key
+// The bytes `entry_ref(.., key, meta)` of a `key_len`-byte key
 // encodes to, read off the metadata alone.
 fn entry_len(mode: EncryptionMode, key_len: usize, meta: &EntryMeta) -> usize {
-    let stored = match &meta.storage {
-        ValueStorage::Untrusted { .. } => pool_len(mode, meta),
-        ValueStorage::InEnclave(data) => data.len(),
-    };
-    EntryRef::FIXED_LEN + key_len + stored
+    EntryRef::FIXED_LEN + key_len + stored_len(mode, meta.payload_len as usize)
 }
 
 // One table entry as the snapshot/journal codec sees it, borrowing the
-// stored bytes from the enclave (`InEnclave`) or from `pool`, the untrusted
-// payload memory.
-fn entry_ref<'a>(
-    mode: EncryptionMode,
-    key: &'a [u8],
-    meta: &'a EntryMeta,
-    pool: &'a [u8],
-) -> EntryRef<'a> {
-    let stored_bytes = match meta.storage {
-        ValueStorage::Untrusted { offset } => {
-            let at = offset as usize;
-            &pool[at..at + pool_len(mode, meta)]
-        }
-        ValueStorage::InEnclave(ref data) => data,
+// stored bytes from `pools`. The codec keeps both nonce fields: the mode's
+// field holds the entry's nonce and the other is zero.
+fn entry_ref<'a>(pools: &Pools<'a>, key: &'a [u8], meta: &'a EntryMeta) -> EntryRef<'a> {
+    let (payload_nonce, storage_seq) = match pools.config.mode {
+        EncryptionMode::ClientSide => (Nonce8::from_bytes(meta.nonce.to_le_bytes()), 0),
+        EncryptionMode::ServerSide => (Nonce8::default(), meta.nonce),
     };
     EntryRef {
         key,
         k_op: &meta.k_op,
-        payload_nonce: meta.payload_nonce,
-        storage_seq: meta.storage_seq,
+        payload_nonce,
+        storage_seq,
         client_id: meta.client_id,
         payload_len: meta.payload_len as usize,
-        stored_bytes,
+        stored_bytes: pools.stored(meta),
     }
 }
 
@@ -756,37 +740,21 @@ impl PrecursorServer {
     /// tests and the attack-demo example.
     pub fn audit_key(&self, key: &[u8]) -> Option<bool> {
         let entry = self.store.table.get(key)?;
-        let payload_len = entry.payload_len as usize;
-        match self.config.mode {
-            EncryptionMode::ClientSide => {
-                let stored = match &entry.storage {
-                    ValueStorage::Untrusted { offset } => self
-                        .store
-                        .payload_mem
-                        .read(*offset as usize, payload_len + Tag::LEN),
-                    ValueStorage::InEnclave(data) => data.to_vec(),
-                };
-                let (payload, mac_bytes) = stored.split_at(payload_len);
-                let mac = Tag::try_from(mac_bytes).expect("16 bytes");
-                Some(cmac::verify(&cmac_key_of(&entry.k_op), payload, &mac))
+        let store = &self.store;
+        Some(store.with_pools(&self.config, |pools| {
+            let stored = pools.stored(entry);
+            match self.config.mode {
+                EncryptionMode::ClientSide => {
+                    let (payload, mac_bytes) = stored.split_at(entry.payload_len as usize);
+                    let mac = Tag::try_from(mac_bytes).expect("16 bytes");
+                    cmac::verify(&cmac_key_of(&entry.k_op), payload, &mac)
+                }
+                EncryptionMode::ServerSide => {
+                    let nonce = Nonce12::from_counter(entry.nonce);
+                    store.storage_gcm.open(&nonce, &[], stored).is_ok()
+                }
             }
-            EncryptionMode::ServerSide => {
-                let ValueStorage::Untrusted { offset } = entry.storage else {
-                    return Some(false);
-                };
-                let stored = self.store.payload_mem.read(offset as usize, payload_len);
-                Some(
-                    self.store
-                        .storage_gcm
-                        .open(
-                            &precursor_crypto::Nonce12::from_counter(entry.storage_seq),
-                            &[],
-                            &stored,
-                        )
-                        .is_ok(),
-                )
-            }
-        }
+        }))
     }
 
     // --- snapshot/restore plumbing (see crate::snapshot) ---
@@ -821,34 +789,19 @@ impl PrecursorServer {
             host: self.host.as_deref(),
         };
         let payload_len = u32::try_from(e.payload_len).map_err(|_| StoreError::MalformedFrame)?;
-        let storage = if ctx.config.mode == EncryptionMode::ClientSide
-            && e.payload_len <= ctx.config.inline_value_max
-        {
-            ValueStorage::InEnclave(e.stored_bytes.into_boxed_slice())
-        } else {
-            // The entry keeps the slot's offset alone, and rebuilds its
-            // range from the payload length when it frees it.
-            if e.stored_bytes.len() != stored_len(ctx.config.mode, e.payload_len) {
-                return Err(StoreError::MalformedFrame);
-            }
-            let range = match self.store.pool.alloc(e.stored_bytes.len()) {
-                Some(r) => r,
-                None => {
-                    ctx.enclave.ocall(&mut meter, ctx.cost);
-                    self.store.payload_mem.grow(ctx.config.pool_bytes);
-                    self.store.pool.grow(ctx.config.pool_bytes);
-                    self.store
-                        .pool
-                        .alloc(e.stored_bytes.len())
-                        .ok_or(StoreError::OversizedItem)?
-                }
-            };
-            self.store.payload_mem.write(range.offset, &e.stored_bytes);
-            self.store
-                .charge_range(ctx.host, e.client_id as usize, &range);
-            ValueStorage::Untrusted {
-                offset: range.offset as u64,
-            }
+        // The entry keeps the slot's offset alone, and rebuilds its range
+        // from the payload length when it reads or frees it.
+        if e.stored_bytes.len() != stored_len(ctx.config.mode, e.payload_len) {
+            return Err(StoreError::MalformedFrame);
+        }
+        let owner = e.client_id as usize;
+        let parts = [&e.stored_bytes[..]];
+        let offset = self
+            .store
+            .store_value(&mut ctx, owner, e.payload_len, &parts, &mut meter)?;
+        let nonce = match ctx.config.mode {
+            EncryptionMode::ClientSide => u64::from_le_bytes(*e.payload_nonce.as_bytes()),
+            EncryptionMode::ServerSide => e.storage_seq,
         };
         self.store.table_insert(
             &mut ctx,
@@ -856,11 +809,10 @@ impl PrecursorServer {
             &e.key,
             EntryMeta {
                 k_op: e.k_op,
-                payload_nonce: e.payload_nonce,
-                storage_seq: e.storage_seq,
+                nonce,
                 client_id: e.client_id,
                 payload_len,
-                storage,
+                offset,
             },
             &mut meter,
         );
@@ -873,10 +825,9 @@ impl PrecursorServer {
     // when the key is not stored.
     pub(crate) fn encode_entry(&self, key: &[u8], out: &mut Vec<u8>) -> Option<()> {
         let meta = self.store.table.get(key)?;
-        let mode = self.config.mode;
-        self.store
-            .payload_mem
-            .with(|pool| entry_ref(mode, key, meta, pool).encode_into(out));
+        self.store.with_pools(&self.config, |pools| {
+            entry_ref(pools, key, meta).encode_into(out);
+        });
         Some(())
     }
 
@@ -889,12 +840,12 @@ impl PrecursorServer {
         keys: impl IntoIterator<Item = &'k Vec<u8>>,
         out: &mut Vec<u8>,
     ) -> usize {
-        let (mode, store) = (self.config.mode, &self.store);
-        store.payload_mem.with(|pool| {
+        let store = &self.store;
+        store.with_pools(&self.config, |pools| {
             let mut stored = 0;
             for key in keys {
                 let meta = store.table.get(&key[..]);
-                let entry = meta.map(|meta| entry_ref(mode, key, meta, pool));
+                let entry = meta.map(|meta| entry_ref(pools, key, meta));
                 stored += usize::from(entry.is_some());
                 encode_record(out, key, entry);
             }
@@ -928,16 +879,14 @@ impl PrecursorServer {
         let Some(entry) = self.store.table.get(key) else {
             return false;
         };
-        match entry.storage {
-            ValueStorage::Untrusted { offset } => {
-                let offset = offset as usize;
-                self.store.payload_mem.with_mut(|buf| buf[offset] ^= 0x01);
-                true
-            }
-            // In-enclave values are outside the attacker's reach — even a
-            // rogue admin cannot touch EPC memory.
-            ValueStorage::InEnclave(_) => false,
+        // In-enclave values are outside the attacker's reach — even a
+        // rogue admin cannot touch EPC memory.
+        if in_enclave(&self.config, entry.payload_len as usize) {
+            return false;
         }
+        let offset = entry.offset as usize;
+        self.store.payload_mem.with_mut(|buf| buf[offset] ^= 0x01);
+        true
     }
 }
 
@@ -947,10 +896,8 @@ mod tests {
     use crate::server::HOST_SLOT_BYTES;
 
     #[test]
-    fn a_table_slot_is_the_hash_a_key_and_72_bytes_of_metadata() {
-        assert_eq!(std::mem::size_of::<ValueStorage>(), 16);
-        assert_eq!(std::mem::size_of::<EntryMeta>(), 72);
-        assert!(std::mem::size_of::<(InlineKey, EntryMeta)>() <= 96);
-        assert_eq!(HOST_SLOT_BYTES, 8 + 24 + 72);
+    fn a_table_slot_is_the_hash_a_key_and_56_bytes_of_metadata() {
+        assert_eq!(std::mem::size_of::<EntryMeta>(), 56);
+        assert_eq!(HOST_SLOT_BYTES, 8 + 24 + 56);
     }
 }

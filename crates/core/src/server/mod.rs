@@ -76,17 +76,12 @@ use ingress::Ingress;
 use session::SessionStage;
 pub(crate) use session::Window;
 
-/// Modelled bytes per enclave hash-table slot, used for EPC accounting
-/// (key 16 B + K_op 32 B + oid/client 8 B + pointer 12 B + hash & padding
-/// ≈ 88 B — yields Table 1's ≈11.6 MiB at 100 k keys). The host's slot is
-/// [`HOST_SLOT_BYTES`]: a key of at most 22 B sits inside it, so a YCSB
-/// key costs no heap chunk beside the slot.
-const MODEL_SLOT_BYTES: usize = 88;
-
-/// Host bytes of one enclave hash-table slot as this process lays it out:
-/// the key's hash, an [`InlineKey`] and the entry's metadata (`K_op`,
-/// payload nonce, storage counter, owner, length, pool offset or in-enclave
-/// value) — 104 B, against the model's 88 B.
+/// Bytes of one enclave hash-table slot as this process lays it out, and
+/// as the EPC model charges it: the key's hash, an [`InlineKey`] (a key of
+/// at most 22 B sits inside it, so a YCSB key costs no heap chunk beside
+/// the slot) and the entry's 56 B of metadata (`K_op`, the nonce its value
+/// was sealed under, owner, length and the value's pool offset) — 88 B,
+/// which yields Table 1's 2 838 pages at 100 k keys (the paper's 2 981).
 pub const HOST_SLOT_BYTES: usize = RobinHoodMap::<InlineKey, exec::EntryMeta>::SLOT_BYTES;
 
 /// Per-operation outcome + cost accounting, consumed by the benchmark
@@ -217,14 +212,21 @@ impl PrecursorServer {
         let static_region = enclave.alloc_region("static", 8 * cost.page_bytes);
         let shards = config.shards.max(1);
         let table = ShardedRobinHoodMap::with_capacity(shards, config.initial_table_slots);
+        // The table regions are the slots the code holds. Each 8 B of slot
+        // moves Table 1 and every `epc_pages` value, so a layout change
+        // fails the build here instead.
+        const { assert!(HOST_SLOT_BYTES == 88) };
         let table_regions: Vec<RegionId> = (0..shards)
             .map(|s| {
                 enclave.alloc_region(
                     "hash-table",
-                    (table.shard(s).capacity() * MODEL_SLOT_BYTES) as u64,
+                    (table.shard(s).capacity() * HOST_SLOT_BYTES) as u64,
                 )
             })
             .collect();
+        // `heap-misc` (touched by the first insert) and 64 B per client are
+        // hand-set, not sized from a structure: they reproduce Table 1's
+        // 0 → 1-key jump, 52 → 66 pages against the paper's 65.
         let misc_region = enclave.alloc_region("heap-misc", 13 * cost.page_bytes);
         let client_region =
             enclave.alloc_region("client-state", (config.max_clients * 64).max(64) as u64);
@@ -261,6 +263,8 @@ impl PrecursorServer {
                 misc_region,
                 misc_touched: false,
                 table_resizes_seen: vec![0; shards],
+                enclave_mem: Vec::new(),
+                enclave_pool: SlabPool::new(0),
                 payload_mem: Memory::zeroed(config.pool_bytes),
                 pool: SlabPool::new(config.pool_bytes),
                 pool_used: Vec::new(),

@@ -380,7 +380,7 @@ impl PrecursorServer {
             .store
             .table_remove(
                 self.host.as_deref(),
-                self.config.mode,
+                &self.config,
                 stable_key_hash(key),
                 key,
             )

@@ -135,8 +135,7 @@ const MAX_LOAD_PERCENT: usize = 85;
 
 impl<K, V> RobinHoodMap<K, V> {
     /// Host bytes of one slot — the stored hash, key and value, or nothing
-    /// — as Rust lays it out. [`memory_bytes`](Self::memory_bytes) charges
-    /// a modelled size instead.
+    /// — as Rust lays it out.
     pub const SLOT_BYTES: usize = std::mem::size_of::<Option<Slot<K, V>>>();
 }
 
@@ -197,11 +196,10 @@ impl<K: Hash + Eq, V> RobinHoodMap<K, V> {
         self.len as f64 / self.slots.len() as f64
     }
 
-    /// Bytes occupied by the slot array, assuming `slot_bytes` per slot —
-    /// callers pass the wire/enclave size of one entry so the SGX model can
-    /// account EPC usage of the *modelled* layout rather than Rust's.
-    pub fn memory_bytes(&self, slot_bytes: usize) -> usize {
-        self.slots.len() * slot_bytes
+    /// Bytes occupied by the slot array: [`SLOT_BYTES`](Self::SLOT_BYTES)
+    /// per slot.
+    pub fn memory_bytes(&self) -> usize {
+        self.slots.len() * Self::SLOT_BYTES
     }
 
     /// Inserts or replaces; returns the previous value if the key existed.
@@ -930,9 +928,10 @@ mod tests {
     }
 
     #[test]
-    fn memory_bytes_uses_given_slot_size() {
+    fn memory_bytes_counts_every_slot_at_its_laid_out_size() {
         let m: RobinHoodMap<u64, u64> = RobinHoodMap::with_capacity(1024);
-        assert_eq!(m.memory_bytes(88), 1024 * 88);
+        assert_eq!(RobinHoodMap::<u64, u64>::SLOT_BYTES, 32);
+        assert_eq!(m.memory_bytes(), 1024 * 32);
     }
 
     #[test]

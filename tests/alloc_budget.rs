@@ -3,7 +3,8 @@
 //! serves a get, a put or a delete allocates nothing — plain and
 //! journaled, on one shard and on four, the group-commit flush and the
 //! gated reply's release included, and a put of a new key of at most 22 B,
-//! which the table stores inside its slot, too — and a whole op through
+//! which the table stores inside its slot, too, with its value in the
+//! enclave's own pool when small values are inlined — and a whole op through
 //! `PrecursorBackend`, counting the driver's own calls, allocates at most
 //! twice. An idle pump of a healthy replica group allocates nothing.
 //!
@@ -138,6 +139,10 @@ impl Rig {
             shards,
             ..Config::default()
         };
+        Rig::with_config(config, journaled)
+    }
+
+    fn with_config(config: Config, journaled: bool) -> Rig {
         let cost = CostModel::default();
         let mut server = PrecursorServer::new(config, &cost);
         if journaled {
@@ -362,10 +367,10 @@ fn whole_ops_stay_in_budget(journaled: bool) {
 
 #[test]
 fn a_new_key_of_at_most_22_bytes_is_stored_without_allocating() {
-    // A slot is the key's hash, an inline key of up to 22 B and 72 B of
-    // metadata: 104 B, where a `Vec` key took a 128 B slot and a heap
-    // chunk beside it.
-    const { assert!(HOST_SLOT_BYTES <= 104) };
+    // A slot is the key's hash, an inline key of up to 22 B and 56 B of
+    // metadata: 88 B, where a `Vec` key took a 128 B slot and a heap chunk
+    // beside it.
+    const { assert!(HOST_SLOT_BYTES == 88) };
     let mut rig = Rig::new(1, false);
     let Rig { server, client, .. } = &mut rig;
     // New keys of every length up to the longest inline one allocate
@@ -390,6 +395,44 @@ fn a_new_key_of_at_most_22_bytes_is_stored_without_allocating() {
             let heap = if len <= 22 { (0, 0) } else { (1, len as usize) };
             let allocs = (sweep.allocs, sweep.last * usize::from(sweep.allocs > 0));
             assert_eq!(allocs, heap, "a new {len}-byte key");
+        }
+    }
+}
+
+#[test]
+fn an_in_enclave_put_of_a_new_key_allocates_nothing() {
+    // With small values inlined, a value of at most 56 B is stored in the
+    // enclave's own pool. A first pass puts new keys of every inline
+    // length, with values of every size class up to 56 B, and deletes
+    // them: it grows that pool, its free lists and the sweep's buffers.
+    // The second pass puts other new keys of the same lengths into the
+    // slots the first freed. The `KEYS` loaded and these few stay far
+    // below the growth point of the default 2048-slot table.
+    let mut rig = Rig::with_config(Config::with_small_value_inlining(), false);
+    let Rig { server, client, .. } = &mut rig;
+    let mut val = Vec::new();
+    for (pass, first) in [(0, b'a'), (1, b'A')] {
+        let keys = (1..=22)
+            .map(|len: usize| -> Vec<u8> { (0..len).map(|i| first + (i % 26) as u8).collect() });
+        for key in keys.clone() {
+            let size = (key.len() * 56).div_ceil(22);
+            value_bytes_into(&mut val, key.len() as u64, 0, size);
+            let oid = client.put(&key, &val).expect("send");
+            let sweep = counted(|| server.poll());
+            assert_eq!(sweep.out, 1);
+            client.poll_replies();
+            let done = client.take_completed(oid).expect("completed");
+            assert!(done.error.is_none(), "put of a {size}-byte value: {done:?}");
+            server.drain_reports().for_each(drop);
+            if pass == 1 {
+                let (allocs, last) = (sweep.allocs, sweep.last);
+                assert_eq!(allocs, 0, "a {size}-byte value, the last of {last} B");
+            }
+        }
+        if pass == 0 {
+            for key in keys {
+                client.delete_sync(server, &key).expect("delete");
+            }
         }
     }
 }
