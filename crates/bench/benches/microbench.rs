@@ -13,7 +13,7 @@
 //! none selects all, and an unknown one exits non-zero listing the names.
 
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use precursor::backend::{KvOp, PrecursorBackend, TrustedKv};
 use precursor::{CompactOutcome, Config, GroupCommitPolicy, PrecursorClient, PrecursorServer};
@@ -95,6 +95,30 @@ fn bench_robinhood() {
         let key = key_bytes(ENTRIES + i % ENTRIES);
         std::hint::black_box(table.get_tracked(&key[..]));
     });
+    // One doubling, in place, of a 65 536-slot table at 85 % load: the
+    // insert that grows it is timed on a fresh clone each time, per entry
+    // the grow moves.
+    const SLOTS: usize = 65_536;
+    const REPS: u32 = 20;
+    let moved = SLOTS * 85 / 100;
+    let mut full: RobinHoodMap<u64, u64> = RobinHoodMap::with_capacity(SLOTS);
+    for i in 0..moved as u64 {
+        full.insert(i, i);
+    }
+    let mut elapsed = Duration::ZERO;
+    for _ in 0..REPS {
+        let mut m = full.clone();
+        let start = Instant::now();
+        m.insert(u64::MAX, 0);
+        elapsed += start.elapsed();
+        assert_eq!(m.capacity(), 2 * SLOTS, "the insert doubles the table");
+        std::hint::black_box(&m);
+    }
+    let ns_per_entry = elapsed.as_nanos() as f64 / (f64::from(REPS) * moved as f64);
+    println!(
+        "{:<28} {ns_per_entry:>12.1} ns/entry",
+        "grow_65536_at_85pct"
+    );
 }
 
 fn bench_crypto() {

@@ -174,9 +174,11 @@ pub(super) struct StoreExec {
 
     // In-enclave values, in enclave memory the host cannot reach: never
     // registered with its tamper surface, never charged to a quota and
-    // never grown by an ocall. Starts empty and doubles as it fills.
+    // never grown by an ocall. Starts empty and doubles as it fills, and
+    // its modelled region with it.
     pub(super) enclave_mem: Vec<u8>,
     pub(super) enclave_pool: SlabPool,
+    pub(super) enclave_pool_region: RegionId,
 
     // untrusted side
     pub(super) payload_mem: Memory,
@@ -557,6 +559,11 @@ impl StoreExec {
                     let extra = size.max(pool.capacity());
                     self.enclave_mem.resize(pool.capacity() + extra, 0);
                     pool.grow(extra);
+                    // Its modelled region grows to the pool's capacity, and
+                    // the doubling's copy touches every page of it.
+                    let region = self.enclave_pool_region;
+                    ctx.enclave.resize_region(region, pool.capacity() as u64);
+                    ctx.enclave.touch_all(region, meter, cost);
                     pool.alloc(total).ok_or(StoreError::OversizedItem)?
                 }
             };

@@ -230,6 +230,9 @@ impl PrecursorServer {
         let misc_region = enclave.alloc_region("heap-misc", 13 * cost.page_bytes);
         let client_region =
             enclave.alloc_region("client-state", (config.max_clients * 64).max(64) as u64);
+        // The in-enclave value pool's bytes: empty until a value is inlined,
+        // then as large as the pool.
+        let enclave_pool_region = enclave.alloc_region("value-pool", 0);
 
         // Enclave initialization: code/data plus the initial table subset.
         let mut init_meter = Meter::new();
@@ -265,6 +268,7 @@ impl PrecursorServer {
                 table_resizes_seen: vec![0; shards],
                 enclave_mem: Vec::new(),
                 enclave_pool: SlabPool::new(0),
+                enclave_pool_region,
                 payload_mem: Memory::zeroed(config.pool_bytes),
                 pool: SlabPool::new(config.pool_bytes),
                 pool_used: Vec::new(),

@@ -111,6 +111,15 @@ struct Slot<K, V> {
 /// highest load factor that keeps mean probe lengths short for Robin Hood
 /// probing. Deletion uses backward shifting, so no tombstones accumulate.
 ///
+/// A table doubles in place, in its one slot array: the array is
+/// reallocated to twice its length and the entries are redistributed
+/// within it, so a grow never holds a second array beside the first. The
+/// layout is the one re-inserting every entry, in slot order, into an empty
+/// table of the new size gives — the same slots, probe runs and iteration
+/// order — because Robin Hood order fixes a layout from each entry's home
+/// and the arrival order of entries sharing one, and the redistribution
+/// keeps that order.
+///
 /// # Example
 ///
 /// ```
@@ -487,12 +496,39 @@ impl<K: Hash + Eq, V> RobinHoodMap<K, V> {
             .fold(0u64, u64::wrapping_add)
     }
 
+    // Doubles the slot array in place, leaving every entry in the slot that
+    // re-inserting them all, in slot order, into an empty table of twice
+    // the size would give it. That layout follows from each entry's new
+    // home and the order in which entries sharing a home arrive, so the
+    // redistribution only has to keep that order.
+    //
+    // A cluster that wraps the table's end is taken out first — the run at
+    // slot 0, then the run that ends the table — into a side `Vec`: its
+    // entries are the only ones whose probes could cross slots not yet
+    // redistributed. The array then doubles (one `realloc`, so a grow's
+    // peak is the new array), and slots `0..C` are re-inserted in order
+    // under the new mask. An entry whose new home is in the lower half
+    // never lands past its old slot, and the upper half starts empty, so
+    // every probe meets redistributed or empty slots only. The side
+    // entries go back last, in the order they were taken out.
     fn grow(&mut self) {
-        let new_cap = self.slots.len() * 2;
-        let old = std::mem::replace(&mut self.slots, (0..new_cap).map(|_| None).collect());
+        let cap = self.slots.len();
+        let mut wrapped = Vec::new();
+        if self.slots[0].is_some() && self.slots[cap - 1].is_some() {
+            let head = self.slots.iter().take_while(|s| s.is_some()).count();
+            let tail = self.slots.iter().rev().take_while(|s| s.is_some()).count();
+            wrapped.extend(self.slots[..head].iter_mut().filter_map(Option::take));
+            wrapped.extend(self.slots[cap - tail..].iter_mut().filter_map(Option::take));
+        }
+        self.slots.resize_with(2 * cap, || None);
         self.len = 0;
         self.resizes += 1;
-        for slot in old.into_iter().flatten() {
+        for i in 0..cap {
+            if let Some(slot) = self.slots[i].take() {
+                self.insert_hashed(slot.hash, slot.key, slot.value);
+            }
+        }
+        for slot in wrapped {
             self.insert_hashed(slot.hash, slot.key, slot.value);
         }
     }
@@ -523,7 +559,8 @@ impl<K: Hash + Eq, V> Extend<(K, V)> for RobinHoodMap<K, V> {
 /// A hash map partitioned into `N` independent [`RobinHoodMap`] shards,
 /// keyed by [`shard_of_hash`] over the stable key hash (§3.8's per-thread
 /// enclave index partitioning). Each shard grows independently, so a hot
-/// shard resizing never stalls or rehashes the others.
+/// shard resizing never stalls or rehashes the others, and each doubles in
+/// place in its own slot array, as a [`RobinHoodMap`] does.
 ///
 /// With one shard this is exactly a [`RobinHoodMap`]: same hash, same
 /// bucket choice, same probe sequences — the degenerate case stays

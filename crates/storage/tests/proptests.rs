@@ -1,7 +1,9 @@
-//! Property-based tests: the Robin Hood map against a `HashMap` model, the
-//! inline key against its byte slice, the ring buffer's FIFO contract, the page-sparse store against a dense model
-//! (alone and under a ring), and the pool's non-overlap invariant. Driven
-//! by seeded loops over the in-repo deterministic RNG.
+//! Property-based tests: the Robin Hood map against a `HashMap` model and
+//! its in-place doubling against a copying one, the inline key against its
+//! byte slice, the ring buffer's FIFO contract, the page-sparse store
+//! against a dense model (alone and under a ring), and the pool's
+//! non-overlap invariant. Driven by seeded loops over the in-repo
+//! deterministic RNG.
 
 use std::collections::HashMap;
 use std::collections::HashSet;
@@ -11,7 +13,9 @@ use precursor_sim::rng::SimRng;
 use precursor_storage::key::InlineKey;
 use precursor_storage::pool::SlabPool;
 use precursor_storage::ring::{RingConsumer, RingProducer, RingStore, RingWrites};
-use precursor_storage::robinhood::{stable_key_hash, RobinHoodMap};
+use precursor_storage::robinhood::{
+    shard_of_hash, stable_key_hash, RobinHoodMap, ShardedRobinHoodMap,
+};
 use precursor_storage::sparse::{ByteStore, SparseBytes, PAGE_BYTES};
 
 const CASES: usize = 32;
@@ -96,6 +100,192 @@ fn robinhood_probe_counts_stay_bounded() {
         for &k in &keys {
             assert!(m.contains_key(&k));
         }
+    }
+}
+
+// The copying grow the table's in-place doubling replaced, kept as its
+// oracle: every entry, in slot order, re-inserted into an empty table of
+// `cap` slots.
+fn grown_by_copying(map: &RobinHoodMap<u64, u32>, cap: usize) -> RobinHoodMap<u64, u32> {
+    let mut grown = RobinHoodMap::with_capacity(cap);
+    for (hash, &key, &value) in map.iter_hashed() {
+        grown.insert_hashed(hash, key, value);
+    }
+    grown
+}
+
+/// A sharded map that grows in place beside one oracle per shard that
+/// grows by copying, checked against each other after every doubling.
+struct GrowTwin {
+    sut: ShardedRobinHoodMap<u64, u32>,
+    // Each shard's oracle and its doublings.
+    oracles: Vec<(RobinHoodMap<u64, u32>, u64)>,
+    // Doublings whose table had a cluster wrapping its end, and the most
+    // keys that shared one home at a doubling.
+    wrapped: u64,
+    shared_home: usize,
+}
+
+impl GrowTwin {
+    fn new(shards: usize, slots: usize) -> GrowTwin {
+        let sut = ShardedRobinHoodMap::with_capacity(shards, slots);
+        let oracles = (0..shards)
+            .map(|s| (RobinHoodMap::with_capacity(sut.shard(s).capacity()), 0))
+            .collect();
+        GrowTwin {
+            sut,
+            oracles,
+            wrapped: 0,
+            shared_home: 0,
+        }
+    }
+
+    fn insert(&mut self, key: u64, value: u32) {
+        let hash = stable_key_hash(&key);
+        let s = shard_of_hash(hash, self.oracles.len());
+        let got = self.sut.insert_hashed(hash, key, value);
+        let cap = self.sut.shard(s).capacity();
+        let (oracle, grows) = &mut self.oracles[s];
+        let grown = cap != oracle.capacity();
+        if grown {
+            assert_eq!(cap, 2 * oracle.capacity(), "a grow doubles");
+            // Coverage of the cases the in-place grow treats apart.
+            let mask = oracle.capacity() - 1;
+            let mut homes: HashMap<usize, usize> = HashMap::new();
+            let mut wraps = false;
+            for (h, k, _) in oracle.iter_hashed() {
+                *homes.entry(h as usize & mask).or_default() += 1;
+                let run = oracle.get_tracked(k).1;
+                wraps |= run.slots().last().is_some_and(|at| at < run.start);
+            }
+            self.wrapped += u64::from(wraps);
+            self.shared_home = self.shared_home.max(homes.into_values().max().unwrap_or(0));
+            *oracle = grown_by_copying(oracle, cap);
+            *grows += 1;
+        }
+        assert_eq!(oracle.insert_hashed(hash, key, value), got);
+        if grown {
+            self.check_shard(s);
+        }
+    }
+
+    fn remove(&mut self, key: u64) {
+        let hash = stable_key_hash(&key);
+        let s = shard_of_hash(hash, self.oracles.len());
+        let got = self.sut.remove_hashed(hash, &key);
+        assert_eq!(self.oracles[s].0.remove_hashed(hash, &key), got);
+    }
+
+    // Shard `s` holds what its oracle does, slot for slot: the same
+    // iteration order, the same probe run for a get of every key, the same
+    // doublings.
+    fn check_shard(&self, s: usize) {
+        let (oracle, grows) = &self.oracles[s];
+        let shard = self.sut.shard(s);
+        assert_eq!(
+            (shard.capacity(), shard.len()),
+            (oracle.capacity(), oracle.len())
+        );
+        assert_eq!(shard.resizes(), *grows, "shard {s}");
+        assert!(
+            shard.iter().eq(oracle.iter()),
+            "shard {s}: slot order differs"
+        );
+        for (key, _) in oracle.iter() {
+            assert_eq!(
+                self.sut.get_tracked(key),
+                oracle.get_tracked(key),
+                "key {key}"
+            );
+        }
+    }
+
+    fn check(&self) {
+        (0..self.oracles.len()).for_each(|s| self.check_shard(s));
+    }
+}
+
+#[test]
+fn a_table_grown_in_place_matches_one_grown_by_copying() {
+    // Random keys, overwrites and removals from 8 slots a shard, across at
+    // least three doublings of every shard, on one shard and on four.
+    let mut rng = SimRng::seed_from(0xe00c);
+    for case in 0..CASES {
+        let shards = [1, 4][case % 2];
+        let mut twin = GrowTwin::new(shards, 8 * shards);
+        let ops = 120 * shards + rng.gen_range(1_200) as usize;
+        let mut keys = Vec::new();
+        for _ in 0..ops {
+            match rng.gen_range(6) {
+                0 if !keys.is_empty() => {
+                    let key = keys.swap_remove(rng.gen_range(keys.len() as u64) as usize);
+                    twin.remove(key);
+                }
+                1 if !keys.is_empty() => {
+                    let key = keys[rng.gen_range(keys.len() as u64) as usize];
+                    twin.insert(key, rng.next_u32());
+                }
+                _ => {
+                    let key = rng.next_u64();
+                    keys.push(key);
+                    twin.insert(key, rng.next_u32());
+                }
+            }
+        }
+        twin.check();
+        for (s, (_, grows)) in twin.oracles.iter().enumerate() {
+            assert!(*grows >= 3, "case {case}: shard {s} grew {grows} times");
+        }
+    }
+}
+
+#[test]
+fn a_table_grown_in_place_matches_one_grown_by_copying_when_clusters_wrap() {
+    // Keys whose homes sit at a table's last slots or at slot 0 in every
+    // size up to 512 slots a shard, so a cluster wraps the end at nearly
+    // every doubling, and keys that all share the last slot as their home,
+    // so one home holds a long run of ties. Both grow from 8 slots a shard
+    // through at least three doublings.
+    let near_end = |k: &u64| {
+        let h = stable_key_hash(k) as usize & 511;
+        h >= 509 || h <= 1
+    };
+    let last_home = |k: &u64| stable_key_hash(k) as usize & 511 == 511;
+    let mut rng = SimRng::seed_from(0xe00d);
+    for case in 0..CASES {
+        let shards = [1, 4][case % 2];
+        let mut twin = GrowTwin::new(shards, 8 * shards);
+        let ties = rng.gen_f64();
+        let start = rng.next_u64() >> 8;
+        let mut near = (start..).filter(near_end);
+        let mut tied = (start..).filter(last_home);
+        let mut inserted = Vec::new();
+        for _ in 0..60 * shards + rng.gen_range(100) as usize {
+            let key = match rng.gen_range(8) {
+                0 => rng.next_u64(),
+                _ if rng.gen_f64() < ties => tied.next().expect("endless"),
+                _ => near.next().expect("endless"),
+            };
+            inserted.push(key);
+            twin.insert(key, key as u32);
+            if rng.gen_range(10) == 0 {
+                let gone = inserted.swap_remove(rng.gen_range(inserted.len() as u64) as usize);
+                twin.remove(gone);
+            }
+        }
+        twin.check();
+        for (s, (_, grows)) in twin.oracles.iter().enumerate() {
+            assert!(*grows >= 3, "case {case}: shard {s} grew {grows} times");
+        }
+        assert!(
+            twin.wrapped > 0,
+            "case {case}: no doubling met a wrapping cluster"
+        );
+        assert!(
+            twin.shared_home >= 4,
+            "case {case}: {} keys at most shared a home",
+            twin.shared_home
+        );
     }
 }
 

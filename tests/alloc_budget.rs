@@ -19,6 +19,12 @@
 //! allocations apart; a sweep's must match its reply ring's growth
 //! exactly, and they are a handful in a run.
 //!
+//! The allocator also keeps each thread's live bytes — allocated less freed
+//! — and their peak. When the enclave table doubles, the sweep that grows
+//! it holds the new slot array but never the old one beside it: its peak
+//! stays within the bytes live before, less the old array, plus the new
+//! one, a wrapping cluster's side `Vec` and the sweep's own bytes.
+//!
 //! Counts are per thread, so the tests of this binary may run side by side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -46,6 +52,9 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static LAST_SIZE: Cell<usize> = const { Cell::new(0) };
     static PAGES: Cell<u64> = const { Cell::new(0) };
+    // Bytes allocated less bytes freed on this thread, and their peak.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 fn note(size: usize) {
@@ -55,11 +64,20 @@ fn note(size: usize) {
     let _ = LAST_SIZE.try_with(|s| s.set(size));
 }
 
+// `delta` bytes more (or fewer) live on this thread.
+fn live(delta: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
 // SAFETY: every call is forwarded unchanged to the system allocator; the
 // counting touches only thread-local cells and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        live(layout.size() as i64);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -73,17 +91,22 @@ unsafe impl GlobalAlloc for Counting {
         } else {
             note(layout.size());
         }
+        live(layout.size() as i64);
         // SAFETY: as `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note(new_size);
+        // Counted as its net change: the system allocator remaps a large
+        // block's pages to resize it rather than holding two copies.
+        live(new_size as i64 - layout.size() as i64);
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -100,16 +123,22 @@ struct Counted<R> {
     last: usize,
     /// Ring pages allocated.
     pages: u64,
+    /// The most bytes live at once, above those live at the call.
+    peak: i64,
     out: R,
 }
 
 fn counted<R>(f: impl FnOnce() -> R) -> Counted<R> {
     let (allocs, pages) = (ALLOCS.with(Cell::get), PAGES.with(Cell::get));
+    let live = LIVE.with(Cell::get);
+    let peak = PEAK.with(|peak| peak.replace(live));
     let out = f();
+    let peak_within = PEAK.with(|within| within.replace(within.get().max(peak)));
     Counted {
         allocs: ALLOCS.with(Cell::get) - allocs,
         last: LAST_SIZE.with(Cell::get),
         pages: PAGES.with(Cell::get) - pages,
+        peak: peak_within - live,
         out,
     }
 }
@@ -397,6 +426,58 @@ fn a_new_key_of_at_most_22_bytes_is_stored_without_allocating() {
             assert_eq!(allocs, heap, "a new {len}-byte key");
         }
     }
+}
+
+#[test]
+fn a_table_doubling_holds_one_slot_array_at_a_time() {
+    // New keys go in one per sweep until the default table's slots pass
+    // 85 % load and double. The sweep that doubles them holds the new
+    // array of 2C slots but not the old one beside it: the bytes it adds
+    // at its peak stay within the C slots the array gains, a side `Vec`
+    // for a cluster that wraps the table's end (here up to 64 slots), and
+    // the sweep's own bytes — what the sweeps before it added at most (a
+    // reply-ring page), and the EPC model's page tables, which may double
+    // as the grown region's pages join them (up to 128 B a page).
+    const SIDE_SLOTS: usize = 64;
+    const PAGE_TABLE_BYTES: u64 = 128;
+    let config = Config::default();
+    let slots = config.initial_table_slots;
+    let mut rig = Rig::with_config(config, false);
+    let Rig { server, client, .. } = &mut rig;
+    server.drain_reports().for_each(drop);
+    // The table doubles when a key would take it above 85 % load.
+    let grows_at = slots * 85 / 100 + 1;
+    let mut own = 0;
+    for id in KEYS..grows_at as u64 {
+        let pages = server.sgx_report().working_set_pages;
+        let oid = client.put(&key_bytes(id), &value(id, 0)).expect("send");
+        let sweep = counted(|| server.poll());
+        assert_eq!(sweep.out, 1);
+        client.poll_replies();
+        let done = client.take_completed(oid).expect("completed");
+        assert!(done.error.is_none(), "put {id}: {done:?}");
+        server.drain_reports().for_each(drop);
+        if server.len() < grows_at {
+            own = own.max(sweep.peak);
+            continue;
+        }
+        // The doubling: the modelled table region grew by the C slots.
+        let gained = (slots * HOST_SLOT_BYTES) as i64;
+        let report = server.sgx_report();
+        let grown = report.working_set_pages - pages;
+        let page = server.cost().page_bytes;
+        assert!(grown * page >= gained as u64, "{grown} pages: no doubling");
+        let page_tables = (report.working_set_pages * PAGE_TABLE_BYTES) as i64;
+        let bound = gained + (SIDE_SLOTS * HOST_SLOT_BYTES) as i64 + own + page_tables;
+        assert!(
+            sweep.peak <= bound,
+            "the doubling sweep's peak rose {} B, beyond the {gained} B the array gains \
+             + a side Vec + {own} B of the sweep's own + {page_tables} B of page tables",
+            sweep.peak
+        );
+        return;
+    }
+    panic!("the table never doubled");
 }
 
 #[test]

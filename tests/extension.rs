@@ -148,3 +148,30 @@ fn disabled_by_default_matches_paper_configuration() {
         "without the extension even tiny values use the pool"
     );
 }
+
+#[test]
+fn inlined_values_are_charged_to_the_epc_working_set() {
+    // The in-enclave pool is an enclave region of its own, resized with the
+    // pool: the same 1 500 puts of 48 B values (64 B stored with their MAC)
+    // take at least their bytes' pages, and at most twice that (the pool
+    // doubles), beyond the working set of a store that keeps them outside.
+    const PUTS: u64 = 1_500;
+    let cost = CostModel::default();
+    let pages = |config: Config| {
+        let mut server = PrecursorServer::new(config, &cost);
+        let mut client = PrecursorClient::connect(&mut server, 5).unwrap();
+        for i in 0..PUTS {
+            client
+                .put_sync(&mut server, format!("key{i}").as_bytes(), &[i as u8; 48])
+                .unwrap();
+        }
+        server.sgx_report().working_set_pages
+    };
+    let outside = pages(Config::default());
+    let inlined = pages(Config::with_small_value_inlining());
+    let stored = (PUTS * 64).div_ceil(cost.page_bytes);
+    assert!(
+        (stored..=2 * stored).contains(&(inlined - outside)),
+        "{inlined} pages inlined, {outside} outside, {stored} of stored values"
+    );
+}
