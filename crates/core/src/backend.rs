@@ -209,9 +209,10 @@ pub trait TrustedKv {
     fn store_len(&self) -> usize;
 
     /// How many requests of `frame_bytes` each a single client may submit
-    /// back-to-back before the driver must drain (bulk-load batching): the
-    /// request-ring capacity for ring-based backends, a fixed socket batch
-    /// for stream-based ones.
+    /// back-to-back before the driver must drain (bulk-load batching): for
+    /// ring-based backends, what one poll sweep serves of a client's ring
+    /// (capped by what the credit protocol lets in flight), a fixed socket
+    /// batch for stream-based ones.
     fn warmup_batch(&self, frame_bytes: usize) -> usize;
 
     /// Cumulative ring visits performed by the backend's poll sweeps, for
@@ -498,9 +499,14 @@ impl TrustedKv for PrecursorBackend {
     }
 
     fn warmup_batch(&self, frame_bytes: usize) -> usize {
-        // Half the request ring: the in-flight window the credit protocol
-        // sustains without a drain.
-        (self.server().config().ring_bytes / (2 * frame_bytes)).max(1)
+        // One sweep's worth: the server serves at most the per-client
+        // budget of a ring per sweep, so a larger window only queues
+        // requests, reports and completions across sweeps. Half the request
+        // ring is what the credit protocol sustains without a drain.
+        let config = self.server().config();
+        (config.ring_bytes / (2 * frame_bytes))
+            .min(config.poll_budget_per_client)
+            .max(1)
     }
 
     fn rings_swept(&self) -> u64 {

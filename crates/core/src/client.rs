@@ -25,7 +25,7 @@
 //! re-attests, re-establishes `K_session`, and re-issues every in-flight
 //! request without losing acknowledged state.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 use precursor_crypto::chain::MacChain;
 use precursor_crypto::gcm::{GcmKey, TAG_LEN};
@@ -62,8 +62,9 @@ const GAP_TRACK_MAX: usize = 512;
 const OBSERVATION_MAX: usize = 256;
 
 /// Most finished operations whose buffers a client keeps for the next ones:
-/// a closed loop's in-flight window reuses them, and a bulk load's burst
-/// is not held on to once it drains.
+/// a closed loop's in-flight window reuses them. A bulk load keeps one
+/// sweep's budget in flight (`TrustedKv::warmup_batch`), and what it holds
+/// past these is freed as each batch drains.
 const SPARE_MAX: usize = 16;
 
 /// Client-side Byzantine-behaviour counters: everything suspicious the
@@ -218,7 +219,10 @@ pub struct PrecursorClient {
     clock: VirtualClock,
     retry: RetryPolicy,
     retransmits: u64,
-    pending: HashMap<u64, Pending>,
+    // In-flight operations in `oid` order: a new op takes an oid above
+    // every pending one, and a reconnect never steps the counter below the
+    // newest pending oid.
+    pending: VecDeque<Pending>,
     // Finished operations' `Pending`s (at most `SPARE_MAX`), refilled by
     // the next ones.
     spare: Vec<Pending>,
@@ -315,7 +319,7 @@ impl PrecursorClient {
             clock: VirtualClock::new(),
             retry: RetryPolicy::default(),
             retransmits: 0,
-            pending: HashMap::new(),
+            pending: VecDeque::new(),
             spare: Vec::new(),
             completed: Vec::new(),
             last_sent: None,
@@ -611,8 +615,16 @@ impl PrecursorClient {
         *last_op = p.opcode;
         last_key.clear();
         last_key.extend_from_slice(&p.control.key);
-        self.pending.insert(oid, p);
+        debug_assert!(self.pending.back().is_none_or(|b| b.control.oid < oid));
+        self.pending.push_back(p);
         Ok(oid)
+    }
+
+    // Where the in-flight op `oid` sits in `pending`.
+    fn pending_index(&self, oid: u64) -> Option<usize> {
+        self.pending
+            .binary_search_by_key(&oid, |p| p.control.oid)
+            .ok()
     }
 
     // Seals, frames and WRITEs one request into the server-side ring,
@@ -718,26 +730,35 @@ impl PrecursorClient {
         if self.qp.is_error() {
             return Err(StoreError::SessionLost);
         }
-        let mut due: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.deadline.expired(&self.clock))
-            .map(|(&oid, _)| oid)
-            .collect();
-        due.sort_unstable();
-        let mut sent = 0;
-        for oid in due {
-            let mut p = self.pending.remove(&oid).expect("due op is pending");
-            if p.expires.expired(&self.clock) {
-                self.fail_op(p, StoreError::Timeout);
+        // Walked oldest first, out of `self` while transmissions borrow it;
+        // an op given up on leaves the deque, the others keep their places.
+        let mut pending = std::mem::take(&mut self.pending);
+        let (mut sent, mut i) = (0, 0);
+        let mut result = Ok(());
+        while i < pending.len() {
+            let p = &mut pending[i];
+            if !p.deadline.expired(&self.clock) {
+                i += 1;
                 continue;
             }
-            let Some(delay) = p.backoff.next_delay(&mut self.rng) else {
-                self.fail_op(p, StoreError::RetriesExhausted);
-                continue;
+            let oid = p.control.oid;
+            let delay = if p.expires.expired(&self.clock) {
+                Err(StoreError::Timeout)
+            } else {
+                p.backoff
+                    .next_delay(&mut self.rng)
+                    .ok_or(StoreError::RetriesExhausted)
+            };
+            let delay = match delay {
+                Ok(delay) => delay,
+                Err(e) => {
+                    let p = pending.remove(i).expect("walked op is pending");
+                    self.fail_op(p, e);
+                    continue;
+                }
             };
             let credits = self.credit_word.read_u64(0);
-            let result = if credits >= p.end_written {
+            let sent_again = if credits >= p.end_written {
                 // The server consumed the request, so the *reply* was lost.
                 // Push a fresh copy of the same request: the server's
                 // at-most-once window re-acknowledges it without
@@ -775,23 +796,20 @@ impl PrecursorClient {
                     Some(e) => Err(StoreError::Rdma(e)),
                 }
             };
-            match result {
-                Ok(()) => {
-                    p.deadline = Deadline::after(&self.clock, self.retry.per_try_timeout + delay);
-                    self.retransmits += 1;
-                    sent += 1;
-                    self.trace("retransmit", "deadline", oid, self.retransmits);
-                    self.pending.insert(oid, p);
-                }
-                Err(_) => {
-                    // A failed post means the QP dropped to the error state;
-                    // keep the op pending for the reconnect to re-issue.
-                    self.pending.insert(oid, p);
-                    return Err(StoreError::SessionLost);
-                }
+            if sent_again.is_err() {
+                // A failed post means the QP dropped to the error state;
+                // keep the op pending for the reconnect to re-issue.
+                result = Err(StoreError::SessionLost);
+                break;
             }
+            p.deadline = Deadline::after(&self.clock, self.retry.per_try_timeout + delay);
+            self.retransmits += 1;
+            sent += 1;
+            self.trace("retransmit", "deadline", oid, self.retransmits);
+            i += 1;
         }
-        Ok(sent)
+        self.pending = pending;
+        result.map(|()| sent)
     }
 
     // Completes an operation locally with a client-side error.
@@ -869,17 +887,15 @@ impl PrecursorClient {
         // executed, which would otherwise leave the next fresh oid outside
         // the at-most-once window forever. Never step below an op still
         // pending retransmission.
-        let pending_max = self.pending.keys().max().copied().unwrap_or(0);
+        let pending_max = self.pending.back().map_or(0, |p| p.control.oid);
         self.oid = bundle.expected_oid.saturating_sub(1).max(pending_max);
 
         // Re-issue in-flight requests oldest-first so the server sees oids
         // in order. The control data (oid, K_operation) is unchanged; only
         // the sealing key differs.
-        let mut oids: Vec<u64> = self.pending.keys().copied().collect();
-        oids.sort_unstable();
-        let reissued = oids.len();
-        for oid in oids {
-            let mut p = self.pending.remove(&oid).expect("pending");
+        let mut pending = std::mem::take(&mut self.pending);
+        let mut result = Ok(pending.len());
+        for p in &mut pending {
             let control = p.control.as_ref();
             match self.transmit(p.opcode, control, &p.mac, &p.payload, &mut p.writes) {
                 Ok(end_written) => {
@@ -892,17 +908,17 @@ impl PrecursorClient {
                     p.end_written = 0;
                 }
                 Err(e) => {
-                    self.pending.insert(oid, p);
-                    return Err(e);
+                    result = Err(e);
+                    break;
                 }
             }
             p.deadline = Deadline::after(&self.clock, self.retry.per_try_timeout);
             p.expires = Deadline::after(&self.clock, self.retry.overall_timeout);
             p.backoff.reset();
             self.retransmits += 1;
-            self.pending.insert(oid, p);
         }
-        Ok(reissued)
+        self.pending = pending;
+        result
     }
 
     /// Drains the reply ring, verifying and decrypting each reply; returns
@@ -1049,19 +1065,19 @@ impl PrecursorClient {
             }
         }
 
-        // Error replies (replay / not-found / malformed) carry oid 0: they
-        // complete the *oldest* pending op, matching the in-order rings.
-        let oid = if control.oid != 0 {
-            control.oid
-        } else {
-            match self.pending.keys().min() {
-                Some(&o) => o,
-                None => return,
-            }
+        // An error reply that names no op (a malformed or oversized record,
+        // a store failure) carries oid 0: it completes the *oldest* pending
+        // op, matching the in-order rings. Otherwise the op is almost
+        // always the oldest too; a reply that overtook a lost one is found
+        // further in.
+        let at = match control.oid {
+            0 => Some(0),
+            oid => self.pending_index(oid),
         };
-        let Some(pending) = self.pending.remove(&oid) else {
+        let Some(pending) = at.and_then(|i| self.pending.remove(i)) else {
             return;
         };
+        let oid = pending.control.oid;
 
         let mut completed = CompletedOp {
             oid,
@@ -1198,7 +1214,7 @@ impl PrecursorClient {
                 }
                 return Ok(c);
             }
-            if !self.pending.contains_key(&oid) {
+            if self.pending_index(oid).is_none() {
                 return Err(StoreError::MalformedFrame);
             }
             // Nothing yet: let simulated time pass toward the deadline.
@@ -1276,7 +1292,7 @@ impl PrecursorClient {
     fn replay_frame(&mut self, oid: u64) -> Result<(), StoreError> {
         // Rebuild a frame for the requested oid: byte-exact for an op still
         // pending; otherwise a control-only frame with the last opcode/key.
-        let (opcode, key) = match self.pending.get(&oid) {
+        let (opcode, key) = match self.pending_index(oid).map(|i| &self.pending[i]) {
             Some(p) => (p.opcode, p.control.key.clone()),
             None => self.last_sent.clone().unwrap_or((Opcode::Get, Vec::new())),
         };
@@ -1335,4 +1351,129 @@ pub fn fork_audit(a: &PrecursorClient, b: &PrecursorClient) -> Result<(), StoreE
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::Config;
+    use crate::{HostFilter, HostMove, HostPlan, HostSite};
+
+    fn connected(plan: HostPlan) -> (PrecursorServer, PrecursorClient) {
+        let mut server = PrecursorServer::new(Config::default(), &CostModel::default());
+        server.set_host_plan(plan, 5);
+        let client = PrecursorClient::connect(&mut server, 5).expect("connect");
+        (server, client)
+    }
+
+    // The oids in flight, in the order the client keeps them.
+    fn in_flight(client: &PrecursorClient) -> Vec<u64> {
+        client.pending.iter().map(|p| p.control.oid).collect()
+    }
+
+    // Issues `n` puts of one-byte keys and values, none of them served.
+    fn puts(client: &mut PrecursorClient, n: u8) -> Vec<u64> {
+        (b'p'..b'p' + n)
+            .map(|k| client.put(&[k], &[k]).expect("put"))
+            .collect()
+    }
+
+    #[test]
+    fn a_reconnect_reissues_the_ops_in_flight_oldest_first() {
+        let (mut server, mut client) = connected(HostPlan::none());
+        client.put_sync(&mut server, b"a", b"1").unwrap();
+        let oids = puts(&mut client, 3);
+        client.enable_tracing(16);
+        assert_eq!(client.reconnect(&mut server), Ok(3));
+        let written: Vec<u64> = client
+            .tracer()
+            .events()
+            .filter(|e| (e.stage, e.event) == ("rdma", "write"))
+            .map(|e| e.a)
+            .collect();
+        assert_eq!(written, oids, "re-issued oldest first");
+        assert_eq!(in_flight(&client), oids);
+        for oid in oids {
+            let done = client.complete_sync(&mut server, oid).unwrap();
+            assert_eq!((done.oid, done.status), (oid, Status::Ok));
+        }
+        assert_eq!(client.in_flight(), 0);
+    }
+
+    #[test]
+    fn an_oid_0_error_reply_completes_the_oldest_op() {
+        let (mut server, mut client) = connected(HostPlan::none());
+        client.put_sync(&mut server, b"a", b"1").unwrap();
+        // A key past `max_key_bytes`: the server refuses the put with an
+        // `Error` reply that names no oid, ahead of the other two.
+        let long = vec![b'k'; Config::default().max_key_bytes + 1];
+        let oids = [
+            client.put(&long, b"x").unwrap(),
+            client.put(b"q", b"q").unwrap(),
+            client.put(b"r", b"r").unwrap(),
+        ];
+        server.poll();
+        assert_eq!(client.poll_replies(), 3);
+        let done = client.take_all_completed();
+        let got: Vec<(u64, Status)> = done.iter().map(|c| (c.oid, c.status)).collect();
+        assert_eq!(
+            got,
+            [
+                (oids[0], Status::Error),
+                (oids[1], Status::Ok),
+                (oids[2], Status::Ok)
+            ]
+        );
+        assert_eq!(client.in_flight(), 0);
+    }
+
+    #[test]
+    fn a_reply_that_overtakes_a_lost_one_completes_its_own_op() {
+        // The host substitutes client 0's third reply record with a stale
+        // captured one, which the client drops: that reply is lost, and the
+        // fourth arrives past the gap.
+        let plan =
+            HostPlan::none().rule(HostSite::Reply, HostFilter::Client(0), HostMove::Replay, 3);
+        let (mut server, mut client) = connected(plan);
+        client.put_sync(&mut server, b"a", b"1").unwrap();
+        client.put_sync(&mut server, b"b", b"2").unwrap();
+        let lost = client.put(b"c", b"3").unwrap();
+        let next = client.put(b"d", b"4").unwrap();
+        server.poll();
+        assert_eq!(client.poll_replies(), 2);
+        assert_eq!(client.security_audit().stale_replies, 1);
+        let done = client.take_completed(next).expect("the newer op completed");
+        assert_eq!((done.oid, done.status), (next, Status::Ok));
+        assert!(client.take_completed(lost).is_none());
+        assert_eq!(in_flight(&client), [lost]);
+        // The lost op is retransmitted and completes in its own name.
+        let done = client.complete_sync(&mut server, lost).unwrap();
+        assert_eq!(done.oid, lost);
+        assert_eq!(client.in_flight(), 0);
+    }
+
+    #[test]
+    fn a_timed_out_op_fails_and_the_others_keep_their_order() {
+        let (mut server, mut client) = connected(HostPlan::none());
+        client.put_sync(&mut server, b"a", b"1").unwrap();
+        let oids = puts(&mut client, 4);
+        // Every op is due; the second one alone is out of time.
+        let due = Deadline::after(&client.clock, Nanos::ZERO);
+        let later = Deadline::after(&client.clock, client.retry.overall_timeout);
+        for (i, p) in client.pending.iter_mut().enumerate() {
+            p.deadline = due;
+            p.expires = if i == 1 { due } else { later };
+        }
+        assert_eq!(client.pump_timeouts(), Ok(3));
+        assert_eq!(in_flight(&client), [oids[0], oids[2], oids[3]]);
+        let failed = client
+            .take_completed(oids[1])
+            .expect("the second op failed");
+        assert_eq!(failed.error, Some(StoreError::Timeout));
+        for oid in [oids[0], oids[2], oids[3]] {
+            let done = client.complete_sync(&mut server, oid).unwrap();
+            assert_eq!((done.oid, done.status), (oid, Status::Ok));
+        }
+        assert_eq!(client.in_flight(), 0);
+    }
 }

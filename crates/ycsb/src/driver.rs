@@ -1231,6 +1231,9 @@ mod tests {
         };
         sut.connect(1).expect("connect");
         let batch = sut.warmup_batch(160 + 32 + KEY_LEN) as u64;
+        // One sweep serves the whole window: a larger one only queues
+        // requests, reports and completions across sweeps.
+        assert!(batch <= Config::default().poll_budget_per_client as u64);
         let keys = 10 * batch + 3;
         bulk_load(&mut sut, 32, keys);
         assert_eq!(sut.store_len() as u64, keys);

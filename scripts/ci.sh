@@ -74,7 +74,9 @@ fi
 # table's own slot: no hand-set model size, and an entry keeps one pool
 # offset, no value enum or boxed in-enclave value), and one slot array per
 # table (a grow doubles it in place: no second array swapped in beside the
-# first): the deleted names must not grow back.
+# first), and a client's in-flight ops in one `oid`-ordered deque (no hash
+# map of them, no scan of its keys for the oldest or the newest): the
+# deleted names must not grow back.
 # `\bResource\b` spares `NodeResources`; `\bcompact_ship\b` spares the
 # `replica.compact_ships` counter; the forwarders match only as calls
 # or definitions, so the snapshot header's `journal_epoch`/`journal_chain`
@@ -82,7 +84,7 @@ fi
 # link setters as link calls or definitions, so `ReplicaLink::set_mode`,
 # the `replica.*` counters and prose about lag or a crash stay legal.
 echo "== deleted names stay deleted =="
-if grep -rnE "attach_replicated_journal|external_commit|replace_node|recover_staged|recover_with_base|fail_primary_staged|FixedHistogram|DEFAULT_LATENCY_BOUNDS_NS|TimingWheel|RunConfig|epc_fault_locality|post_read|post_fetch_add|post_compare_swap|pair_faulty|new_faulty|take_forced_error|CycleMeter|Distribution::Latest|\bResource\b|counters_mut|charge_client|segment_of|SEGMENTS|snapshot_segments|segments_reused|segments_sealed|reseal_segments|encode_segments|HeapQueue|wheel_equivalence|ship_segment|segment_aad|transfer_seq|export_entry|ShipResult|delta_reshipped|\b(journal_epoch|journal_last_seq|journal_durable|journal_stats|journal_chain|journal_base_seq|journal_cut|journal_trimmed_bytes|journal_durable_end)\(|recover_from|replica_journal_len|encode_session|decode_session|replay_window|replica_needs_full|needs_full|full_catchup_fallbacks|falls_back_to_full_journal|\bcompact_ship\b|\b(FaultPlan|FaultInjector|AdversaryPlan|AdversaryInjector|set_fault_plan|set_adversary_plan|set_migrate_fault_plan|fault_log|adversary_log|swap_faults)\b|get\(&key\.to_vec\(\)\)|\b(lag_replica|partition_replica|crash_replica|heal_replica|rollback_replica|tamper_replica)\b|link\.(lag|partition|crash|heal)\(|fn (lag|partition|crash|heal)\(|\b(MODEL_SLOT_BYTES|ValueStorage|InEnclave)\b|mem::replace\(&mut self\.slots" \
+if grep -rnE "attach_replicated_journal|external_commit|replace_node|recover_staged|recover_with_base|fail_primary_staged|FixedHistogram|DEFAULT_LATENCY_BOUNDS_NS|TimingWheel|RunConfig|epc_fault_locality|post_read|post_fetch_add|post_compare_swap|pair_faulty|new_faulty|take_forced_error|CycleMeter|Distribution::Latest|\bResource\b|counters_mut|charge_client|segment_of|SEGMENTS|snapshot_segments|segments_reused|segments_sealed|reseal_segments|encode_segments|HeapQueue|wheel_equivalence|ship_segment|segment_aad|transfer_seq|export_entry|ShipResult|delta_reshipped|\b(journal_epoch|journal_last_seq|journal_durable|journal_stats|journal_chain|journal_base_seq|journal_cut|journal_trimmed_bytes|journal_durable_end)\(|recover_from|replica_journal_len|encode_session|decode_session|replay_window|replica_needs_full|needs_full|full_catchup_fallbacks|falls_back_to_full_journal|\bcompact_ship\b|\b(FaultPlan|FaultInjector|AdversaryPlan|AdversaryInjector|set_fault_plan|set_adversary_plan|set_migrate_fault_plan|fault_log|adversary_log|swap_faults)\b|get\(&key\.to_vec\(\)\)|\b(lag_replica|partition_replica|crash_replica|heal_replica|rollback_replica|tamper_replica)\b|link\.(lag|partition|crash|heal)\(|fn (lag|partition|crash|heal)\(|\b(MODEL_SLOT_BYTES|ValueStorage|InEnclave)\b|mem::replace\(&mut self\.slots|\bHashMap<u64, Pending>|\bpending\.keys\(\)" \
     crates tests examples; then
     echo "ci: a deleted name reappeared (see CHANGES.md)" >&2
     exit 1

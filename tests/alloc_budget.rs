@@ -23,7 +23,9 @@
 //! — and their peak. When the enclave table doubles, the sweep that grows
 //! it holds the new slot array but never the old one beside it: its peak
 //! stays within the bytes live before, less the old array, plus the new
-//! one, a wrapping cluster's side `Vec` and the sweep's own bytes.
+//! one, a wrapping cluster's side `Vec` and the sweep's own bytes. And a
+//! session's bulk load holds about one sweep of puts in flight, so what
+//! the build keeps does not grow with the request ring.
 //!
 //! Counts are per thread, so the tests of this binary may run side by side.
 
@@ -125,6 +127,8 @@ struct Counted<R> {
     pages: u64,
     /// The most bytes live at once, above those live at the call.
     peak: i64,
+    /// The bytes live after the call, above those live at the call.
+    kept: i64,
     out: R,
 }
 
@@ -139,6 +143,7 @@ fn counted<R>(f: impl FnOnce() -> R) -> Counted<R> {
         last: LAST_SIZE.with(Cell::get),
         pages: PAGES.with(Cell::get) - pages,
         peak: peak_within - live,
+        kept: LIVE.with(Cell::get) - live,
         out,
     }
 }
@@ -551,6 +556,49 @@ fn a_measured_window_allocates_at_most_twice_per_op() {
     let window = counted(|| session.measure(&spec, 8, ops));
     let allocs = window.allocs + window.pages;
     assert!(allocs <= 2 * ops, "{allocs} allocations for {ops} ops");
+}
+
+// Heap bytes one bulk-loaded put holds while it is in flight: its client
+// `Pending` (key, payload, ring writes), its slot in client 0's in-flight
+// collection, the server's report with its meter, and its completion.
+// Measured on a 1 MiB ring whose load kept half the ring in flight, 2 520
+// puts of 32 B: 1 344 072 B between the build's peak and what it kept.
+const OP_BYTES: i64 = 533;
+
+/// The bulk load keeps one sweep in flight: `SessionParams::build` of a
+/// 32 B session of 5 000 keys peaks at most two sweeps' worth of in-flight
+/// puts above the bytes it keeps, and a 1 MiB ring's session keeps at most
+/// one sweep's worth more than a 64 KiB ring's. Measured: the peak is
+/// 78 280 B above what the 1 MiB ring's build keeps, and it keeps 5 924 B
+/// more than the 64 KiB one (the larger rings' page index). A window of
+/// half the ring (2 520 puts on 1 MiB) read 1 344 072 B and 1 975 596 B:
+/// client 0's in-flight map, the server's report buffer and the
+/// completions stayed at the burst's size.
+#[test]
+fn the_bulk_load_holds_one_sweep_of_puts_in_flight() {
+    let cost = CostModel::default();
+    let build = |ring| {
+        counted(|| {
+            SessionParams::new(SystemKind::Precursor)
+                .value_size(32)
+                .keys(5_000, 5_000)
+                .max_clients(1)
+                .ring_bytes(ring)
+                .build(&cost)
+        })
+    };
+    let (wide, narrow) = (build(1 << 20), build(1 << 16));
+    let sweep = Config::default().poll_budget_per_client as i64 * OP_BYTES;
+    let in_flight = wide.peak - wide.kept;
+    assert!(
+        in_flight <= 2 * sweep,
+        "the load peaked {in_flight} B above what it kept"
+    );
+    let leftover = wide.kept - narrow.kept;
+    assert!(
+        leftover <= sweep,
+        "a 1 MiB ring's session keeps {leftover} B more than a 64 KiB ring's"
+    );
 }
 
 #[test]

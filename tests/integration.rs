@@ -286,8 +286,9 @@ fn rings_hold_what_is_in_flight_not_their_capacity() {
         .collect();
     let key = |i: u32| format!("key-{i:05}");
 
-    // The bulk load pushes a warm-up batch — half the request ring, the
-    // window the credit protocol sustains — then drains it.
+    // Half the request ring, the largest window the credit protocol
+    // sustains without a drain, pushed then drained: wider than the
+    // driver's bulk load (one sweep's budget), to stress the ring.
     clients[0].put(key(0).as_bytes(), &[0; 32]).unwrap();
     let frame = clients[0].take_meter().counters().tx_bytes as usize;
     let span = (4 + frame).next_multiple_of(8);
