@@ -26,6 +26,7 @@
 //! request without losing acknowledged state.
 
 use std::collections::{HashSet, VecDeque};
+use std::sync::Arc;
 
 use precursor_crypto::chain::MacChain;
 use precursor_crypto::gcm::{GcmKey, TAG_LEN};
@@ -48,9 +49,8 @@ use crate::config::{EncryptionMode, RetryPolicy};
 use crate::error::StoreError;
 use crate::server::{cmac_key_of, ClientBundle, PrecursorServer};
 use crate::wire::{
-    chain_context, chain_input, payload_reply_nonce, payload_request_nonce, reply_nonce,
-    request_aad, request_nonce, Opcode, ReplyControl, ReplyRef, RequestControl, RequestControlRef,
-    RequestRef, Status,
+    chain_context, chain_input, payload_reply_nonce, payload_request_nonce, reply_nonce, Opcode,
+    ReplyControl, ReplyMut, RequestControl, RequestControlRef, RequestToSeal, Status,
 };
 
 /// Most reply sequence numbers remembered as "skipped by a gap" and still
@@ -99,6 +99,21 @@ pub struct SecurityAudit {
     /// Replies carrying a sealed [`Status::NotMine`] routing redirect —
     /// the addressed node does not own the key (stale location cache).
     pub not_mine_replies: u64,
+}
+
+// The op state machine's taps (encrypt, RDMA WRITE, poll, verify, failure,
+// reconnect), rendered by `PrecursorClient::metrics` as the `client.*`
+// counters.
+#[derive(Debug, Clone, Copy, Default)]
+struct OpCounters {
+    encrypts: u64,
+    rdma_writes: u64,
+    polls: u64,
+    replies: u64,
+    verify_ok: u64,
+    verify_fail: u64,
+    op_failures: u64,
+    reconnects: u64,
 }
 
 /// A finished operation, as observed by the client.
@@ -178,16 +193,13 @@ struct Pending {
     backoff: Backoff,
 }
 
-// The buffers a request is built in — control plaintext, sealed control,
-// framed record — the reply record popped for verification and its
-// control opened in place, and the completions a signaled WRITE reaps:
-// kept by the client and reused, so the op path allocates only the value
-// a get hands back.
+// The reply record popped for verification, its control opened where it
+// lies, and the completions a signaled WRITE reaps: kept by the client and
+// reused. A request needs no buffer of its own: it is framed and sealed in
+// the ring WRITE its op keeps. The op path allocates only the value a get
+// hands back.
 #[derive(Debug, Default)]
 struct Buffers {
-    control: Vec<u8>,
-    sealed: Vec<u8>,
-    frame: Vec<u8>,
     record: Vec<u8>,
     completions: Vec<WorkCompletion>,
 }
@@ -202,7 +214,8 @@ pub struct PrecursorClient {
     // enclave state.
     session_key: GcmKey,
     mode: EncryptionMode,
-    cost: CostModel,
+    // The server's cost model, shared by every client it connected.
+    cost: Arc<CostModel>,
 
     qp: QueuePair,
     request_rkey: RemoteKey,
@@ -221,18 +234,18 @@ pub struct PrecursorClient {
     retransmits: u64,
     // In-flight operations in `oid` order: a new op takes an oid above
     // every pending one, and a reconnect never steps the counter below the
-    // newest pending oid.
+    // newest pending oid. Room for one op until more are in flight.
     pending: VecDeque<Pending>,
     // Finished operations' `Pending`s (at most `SPARE_MAX`), refilled by
     // the next ones.
     spare: Vec<Pending>,
-    // Finished operations not yet taken, in `oid` order.
+    // Finished operations not yet taken, in `oid` order; room for one
+    // until more are waiting.
     completed: Vec<CompletedOp>,
     last_sent: Option<(Opcode, Vec<u8>)>,
     posts_since_signal: u32,
     signal_interval: u32,
-    // Reused by every transmission and reply: what a request is framed in,
-    // and the reply record being verified.
+    // Reused by every reply: the record being verified.
     buffers: Buffers,
 
     // --- Byzantine-host detection state -------------------------------
@@ -253,10 +266,10 @@ pub struct PrecursorClient {
     /// [`reconnect`](Self::reconnect).
     poisoned: Option<StoreError>,
 
-    // observability: op-state-machine taps (encrypt, RDMA WRITE, poll,
-    // verify, retransmit) feed this registry; the tracer stamps events
-    // with this client's virtual clock and is a no-op unless enabled.
-    obs: MetricsRegistry,
+    // observability: the op-state-machine taps, and a tracer that stamps
+    // events with this client's virtual clock and is a no-op unless
+    // enabled.
+    counters: OpCounters,
     tracer: Tracer,
 }
 
@@ -273,16 +286,15 @@ impl PrecursorClient {
         let mut nonce = [0u8; 16];
         rng.fill_bytes(&mut nonce);
         let bundle = server.add_client(nonce)?;
-        Ok(PrecursorClient::from_bundle(
-            bundle,
-            server.cost().clone(),
-            rng,
-        ))
+        let cost = Arc::clone(server.cost());
+        Ok(PrecursorClient::from_bundle(bundle, cost, rng))
     }
 
     /// Builds a client from an attestation bundle (for multi-process style
-    /// setups where the bundle is produced elsewhere).
-    pub fn from_bundle(bundle: ClientBundle, cost: CostModel, rng: SimRng) -> PrecursorClient {
+    /// setups where the bundle is produced elsewhere). `cost` is shared,
+    /// not copied: [`connect`](Self::connect) hands every client the
+    /// server's own model ([`PrecursorServer::cost`]).
+    pub fn from_bundle(bundle: ClientBundle, cost: Arc<CostModel>, rng: SimRng) -> PrecursorClient {
         let ClientBundle {
             client_id,
             session_key,
@@ -335,16 +347,31 @@ impl PrecursorClient {
             observations: VecDeque::new(),
             audit: SecurityAudit::default(),
             poisoned: None,
-            obs: MetricsRegistry::default(),
+            counters: OpCounters::default(),
             tracer: Tracer::disabled(),
         }
     }
 
     /// A snapshot of this client's metrics: the op-state-machine taps
-    /// (`client.*` counters) plus the [`SecurityAudit`] folded in under
-    /// `client.audit.*`.
+    /// (`client.*` counters, each filed once its count is above 0) plus the
+    /// [`SecurityAudit`] folded in under `client.audit.*`.
     pub fn metrics(&self) -> MetricsRegistry {
-        let mut m = self.obs.clone();
+        let mut m = MetricsRegistry::default();
+        let c = &self.counters;
+        for (name, n) in [
+            ("client.encrypts", c.encrypts),
+            ("client.rdma_writes", c.rdma_writes),
+            ("client.polls", c.polls),
+            ("client.replies", c.replies),
+            ("client.verify_ok", c.verify_ok),
+            ("client.verify_fail", c.verify_fail),
+            ("client.op_failures", c.op_failures),
+            ("client.reconnects", c.reconnects),
+        ] {
+            if n > 0 {
+                m.inc(name, n);
+            }
+        }
         m.inc("client.audit.stale_replies", self.audit.stale_replies);
         m.inc(
             "client.audit.reorder_suspected",
@@ -504,7 +531,7 @@ impl PrecursorClient {
                 meter.event(ClientCpu, Event::CryptoBytes { len }, 1, cost);
             }
         }
-        self.obs.inc("client.encrypts", 1);
+        self.counters.encrypts += 1;
         self.trace("encrypt", "ops.put", oid, p.payload.len() as u64);
 
         self.send_op(p)
@@ -616,6 +643,10 @@ impl PrecursorClient {
         last_key.clear();
         last_key.extend_from_slice(&p.control.key);
         debug_assert!(self.pending.back().is_none_or(|b| b.control.oid < oid));
+        if self.pending.capacity() == 0 {
+            // One op in flight is a closed loop's window: room for one.
+            self.pending.reserve_exact(1);
+        }
         self.pending.push_back(p);
         Ok(oid)
     }
@@ -625,6 +656,24 @@ impl PrecursorClient {
         self.pending
             .binary_search_by_key(&oid, |p| p.control.oid)
             .ok()
+    }
+
+    // Frames `request` into `writes` as the next record of the server-side
+    // ring, its control sealed in place, once the credits the server wrote
+    // back make room for it. `None` (and `writes` empty) when they do not.
+    fn push_request(
+        &mut self,
+        request: &RequestToSeal<'_>,
+        writes: &mut RingWrites,
+    ) -> Option<usize> {
+        // Learn the server's consumed counter (credits it wrote back).
+        let credits = self.credit_word.read_u64(0);
+        self.request_producer.update_credits(credits);
+        let key = &self.session_key;
+        self.request_producer
+            .push_built(request.frame_len(), writes, |out| {
+                request.append_sealed(key, out)
+            })
     }
 
     // Seals, frames and WRITEs one request into the server-side ring,
@@ -640,35 +689,18 @@ impl PrecursorClient {
         payload: &[u8],
         writes: &mut RingWrites,
     ) -> Result<u64, StoreError> {
-        let iv = request_nonce(control.oid);
-        let Buffers {
-            control: plain,
-            sealed,
-            frame,
-            completions,
-            ..
-        } = &mut self.buffers;
-        control.encode_into(plain);
-        sealed.clear();
-        self.session_key
-            .seal_into(sealed, &iv, &request_aad(opcode, self.client_id), plain);
-        RequestRef {
+        let oid = control.oid;
+        let request = RequestToSeal {
             opcode,
             client_id: self.client_id,
-            iv,
-            sealed_control: sealed,
+            control,
             mac: *mac,
             payload,
-        }
-        .encode_into(frame);
-        let (control_len, frame_len) = (plain.len(), frame.len());
+        };
+        let (control_len, frame_len) = (request.control_len(), request.frame_len());
         let (meter, cost) = (&mut self.meter, &self.cost);
         meter.event(ClientCpu, Event::Gcm { len: control_len }, 1, cost);
         meter.event(ClientCpu, Event::Memcpy { len: frame_len }, 1, cost);
-
-        // Learn the server's consumed counter (credits it wrote back).
-        let credits = self.credit_word.read_u64(0);
-        self.request_producer.update_credits(credits);
 
         // One (or two, on wrap) one-sided WRITEs into the server-side ring.
         // Selective signaling: only every `signal_interval`-th WRITE asks
@@ -678,7 +710,7 @@ impl PrecursorClient {
         if signaled {
             self.posts_since_signal = 0;
         }
-        let pushed = self.request_producer.push_with(frame, writes);
+        let pushed = self.push_request(&request, writes);
         let mut rdma_err = None;
         for (off, chunk) in writes.iter() {
             if let Err(e) = self.qp.post_write(self.request_rkey, off, chunk, signaled) {
@@ -687,6 +719,7 @@ impl PrecursorClient {
         }
         if signaled {
             // Reap the batch's single completion (amortized cost).
+            let completions = &mut self.buffers.completions;
             completions.clear();
             self.qp.poll_cq_into(1, completions);
             self.meter.event(ClientCpu, Event::RdmaPoll, 1, &self.cost);
@@ -701,8 +734,8 @@ impl PrecursorClient {
         let (meter, cost) = (&mut self.meter, &self.cost);
         meter.event(ClientCpu, Event::RdmaPost, 1, cost);
         meter.event(ClientCpu, Event::Tx { len: frame_len }, 1, cost);
-        self.obs.inc("client.rdma_writes", 1);
-        self.trace("rdma", "write", control.oid, frame_len as u64);
+        self.counters.rdma_writes += 1;
+        self.trace("rdma", "write", oid, frame_len as u64);
         Ok(self.request_producer.written())
     }
 
@@ -815,7 +848,7 @@ impl PrecursorClient {
     // Completes an operation locally with a client-side error.
     fn fail_op(&mut self, p: Pending, error: StoreError) {
         let oid = p.control.oid;
-        self.obs.inc("client.op_failures", 1);
+        self.counters.op_failures += 1;
         self.complete(CompletedOp {
             oid,
             opcode: p.opcode,
@@ -832,6 +865,11 @@ impl PrecursorClient {
     // resynchronised below an op abandoned with a timeout — replaces the
     // abandoned op's entry.
     fn complete(&mut self, done: CompletedOp) {
+        if self.completed.capacity() == 0 {
+            // A closed loop takes each op's result before the next: room
+            // for one.
+            self.completed.reserve_exact(1);
+        }
         match self.completed.last() {
             Some(last) if last.oid >= done.oid => {
                 match self.completed.binary_search_by_key(&done.oid, |c| c.oid) {
@@ -856,7 +894,7 @@ impl PrecursorClient {
         let mut nonce = [0u8; 16];
         self.rng.fill_bytes(&mut nonce);
         let bundle = server.reconnect_client(self.client_id, nonce)?;
-        self.obs.inc("client.reconnects", 1);
+        self.counters.reconnects += 1;
         self.trace("reconnect", "attest", u64::from(bundle.epoch), 0);
         self.session_key = GcmKey::new(&bundle.session_key);
         self.mode = bundle.mode;
@@ -929,11 +967,11 @@ impl PrecursorClient {
         let reply_ring = self.reply_ring.clone();
         let mut record = std::mem::take(&mut self.buffers.record);
         while reply_ring.with_mut(|buf| self.reply_consumer.pop_from(buf, &mut record)) {
-            self.handle_reply(&record);
+            self.handle_reply(&mut record);
             n += 1;
         }
         self.buffers.record = record;
-        self.obs.inc("client.polls", 1);
+        self.counters.polls += 1;
         if n > 0 {
             // Report reply-ring consumption back to the server so its
             // producer regains credits.
@@ -941,16 +979,16 @@ impl PrecursorClient {
             let _ = self
                 .qp
                 .post_write(self.reply_credit_rkey, 0, &consumed.to_le_bytes(), false);
-            self.obs.inc("client.replies", n as u64);
+            self.counters.replies += n as u64;
             self.trace("poll", "replies", n as u64, consumed);
         }
         n
     }
 
-    fn handle_reply(&mut self, record: &[u8]) {
+    fn handle_reply(&mut self, record: &mut [u8]) {
         let copy = Event::Memcpy { len: record.len() };
         self.meter.event(ClientCpu, copy, 1, &self.cost);
-        let Ok(frame) = ReplyRef::parse(record) else {
+        let Ok(frame) = ReplyMut::parse(record) else {
             // Malformed reply: drop — a real client would tear the session.
             return;
         };
@@ -981,14 +1019,11 @@ impl PrecursorClient {
 
         let (meter, len) = (&mut self.meter, frame.sealed_control.len());
         meter.event(ClientCpu, Event::Gcm { len }, 1, &self.cost);
-        // Opened in place in the reused control buffer.
+        // Opened in place in the popped record.
         let Some(ct_len) = frame.sealed_control.len().checked_sub(TAG_LEN) else {
             return;
         };
-        let (ct, tag) = frame.sealed_control.split_at(ct_len);
-        let plain = &mut self.buffers.control;
-        plain.clear();
-        plain.extend_from_slice(ct);
+        let (plain, tag) = frame.sealed_control.split_at_mut(ct_len);
         if self
             .session_key
             .open_in_place_detached(&reply_nonce(seq), &[], plain, tag)
@@ -1065,11 +1100,12 @@ impl PrecursorClient {
             }
         }
 
-        // An error reply that names no op (a malformed or oversized record,
-        // a store failure) carries oid 0: it completes the *oldest* pending
-        // op, matching the in-order rings. Otherwise the op is almost
-        // always the oldest too; a reply that overtook a lost one is found
-        // further in.
+        // An error reply to a record whose control did not open (malformed,
+        // forged, or sealed under another key) names no op and carries
+        // oid 0: it completes the *oldest* pending op, matching the
+        // in-order rings. Every other reply names its op, refusals and
+        // store failures included; that op is almost always the oldest too,
+        // and a reply that overtook a lost one is found further in.
         let at = match control.oid {
             0 => Some(0),
             oid => self.pending_index(oid),
@@ -1116,7 +1152,7 @@ impl PrecursorClient {
                             let (meter, len) = (&mut self.meter, frame.payload.len());
                             meter.event(ClientCpu, Event::Cmac { len }, 1, &self.cost);
                             if !cmac::verify(&cmac_key_of(k_op), frame.payload, mac) {
-                                self.obs.inc("client.verify_fail", 1);
+                                self.counters.verify_fail += 1;
                                 completed.error = Some(StoreError::IntegrityViolation);
                             } else {
                                 let mut value = frame.payload.to_vec();
@@ -1124,7 +1160,7 @@ impl PrecursorClient {
                                 let (meter, len) = (&mut self.meter, value.len());
                                 meter.event(ClientCpu, Event::Salsa20 { len }, 1, &self.cost);
                                 meter.event(ClientCpu, Event::CryptoBytes { len }, 1, &self.cost);
-                                self.obs.inc("client.verify_ok", 1);
+                                self.counters.verify_ok += 1;
                                 completed.value = Some(value);
                             }
                         }
@@ -1141,11 +1177,11 @@ impl PrecursorClient {
                         Ok(value) => {
                             let (meter, len) = (&mut self.meter, value.len());
                             meter.event(ClientCpu, Event::CryptoBytes { len }, 1, &self.cost);
-                            self.obs.inc("client.verify_ok", 1);
+                            self.counters.verify_ok += 1;
                             completed.value = Some(value);
                         }
                         Err(_) => {
-                            self.obs.inc("client.verify_fail", 1);
+                            self.counters.verify_fail += 1;
                             completed.error = Some(StoreError::IntegrityViolation);
                         }
                     }
@@ -1296,31 +1332,20 @@ impl PrecursorClient {
             Some(p) => (p.opcode, p.control.key.clone()),
             None => self.last_sent.clone().unwrap_or((Opcode::Get, Vec::new())),
         };
-        let control = RequestControl {
-            oid,
-            key,
-            k_op: None,
-            payload_nonce: None,
-        };
-        let iv = request_nonce(oid);
-        let sealed =
-            self.session_key
-                .seal(&iv, &request_aad(opcode, self.client_id), &control.encode());
-        let mut bytes = Vec::new();
-        RequestRef {
+        let request = RequestToSeal {
             opcode,
             client_id: self.client_id,
-            iv,
-            sealed_control: &sealed,
+            control: RequestControlRef {
+                oid,
+                key: &key,
+                k_op: None,
+                payload_nonce: None,
+            },
             mac: Tag::default(),
             payload: &[],
-        }
-        .encode_into(&mut bytes);
-        let credits = self.credit_word.read_u64(0);
-        self.request_producer.update_credits(credits);
+        };
         let mut writes = RingWrites::default();
-        self.request_producer
-            .push_with(&bytes, &mut writes)
+        self.push_request(&request, &mut writes)
             .ok_or(StoreError::RingFull)?;
         for (off, chunk) in writes.iter() {
             let _ = self.qp.post_write(self.request_rkey, off, chunk, false);
@@ -1401,11 +1426,11 @@ mod tests {
     }
 
     #[test]
-    fn an_oid_0_error_reply_completes_the_oldest_op() {
+    fn a_refused_op_fails_and_the_ops_behind_it_complete() {
         let (mut server, mut client) = connected(HostPlan::none());
         client.put_sync(&mut server, b"a", b"1").unwrap();
         // A key past `max_key_bytes`: the server refuses the put with an
-        // `Error` reply that names no oid, ahead of the other two.
+        // `Error` reply in its name, ahead of the other two.
         let long = vec![b'k'; Config::default().max_key_bytes + 1];
         let oids = [
             client.put(&long, b"x").unwrap(),
@@ -1425,6 +1450,84 @@ mod tests {
             ]
         );
         assert_eq!(client.in_flight(), 0);
+    }
+
+    #[test]
+    fn an_error_reply_past_a_lost_one_completes_the_refused_op() {
+        // The host substitutes client 0's third reply record, put `c`'s,
+        // with a stale captured one, which the client drops. The refusal
+        // of the over-long key behind it names its own op: it is that op,
+        // not `c`, the oldest in flight, that completes with `Error`.
+        let plan =
+            HostPlan::none().rule(HostSite::Reply, HostFilter::Client(0), HostMove::Replay, 3);
+        let (mut server, mut client) = connected(plan);
+        client.put_sync(&mut server, b"a", b"1").unwrap();
+        client.put_sync(&mut server, b"b", b"2").unwrap();
+        let long = vec![b'k'; Config::default().max_key_bytes + 1];
+        let c = client.put(b"c", b"3").unwrap();
+        let refused = client.put(&long, b"x").unwrap();
+        let d = client.put(b"d", b"4").unwrap();
+        server.poll();
+        assert_eq!(client.poll_replies(), 3);
+        assert_eq!(client.security_audit().stale_replies, 1);
+        let done = client.take_all_completed();
+        let got: Vec<(u64, Status)> = done.iter().map(|c| (c.oid, c.status)).collect();
+        assert_eq!(got, [(refused, Status::Error), (d, Status::Ok)]);
+        assert_eq!(in_flight(&client), [c]);
+        // `c` executed; its retransmission is two oids behind the server's
+        // window, which answers `Replay` without executing it again. It is
+        // never reported failed, and its value is stored.
+        let done = client.complete_sync(&mut server, c).unwrap();
+        assert_eq!((done.oid, done.status), (c, Status::Replay));
+        assert_eq!(client.get_sync(&mut server, b"c").unwrap(), b"3");
+        assert_eq!(client.in_flight(), 0);
+    }
+
+    #[test]
+    fn typed_counters_render_the_registry_of_named_taps() {
+        // The host flips a bit of the stored payload at the start of sweep
+        // 2, so the get that sweep serves fails its verification.
+        let plan = HostPlan::none().rule(HostSite::Sweep, HostFilter::Any, HostMove::Tamper, 2);
+        let (mut server, mut client) = connected(plan);
+        client.put_sync(&mut server, b"a", b"1").unwrap();
+        let tampered = client.get_sync(&mut server, b"a");
+        assert_eq!(tampered, Err(StoreError::IntegrityViolation));
+        client.put_sync(&mut server, b"a", b"2").unwrap();
+        assert_eq!(client.get_sync(&mut server, b"a").unwrap(), b"2");
+        assert_eq!(client.reconnect(&mut server), Ok(0));
+        client.put_sync(&mut server, b"b", b"3").unwrap();
+        assert_eq!(client.get_sync(&mut server, b"b").unwrap(), b"3");
+        let metrics = client.metrics();
+        let got: Vec<(&str, u64)> = metrics.counters().collect();
+        // The op counters appear once above 0 (no op failed, so
+        // `client.op_failures` is absent); the audit and retransmit
+        // counters always do.
+        assert_eq!(
+            got,
+            [
+                ("client.audit.busy_replies", 0),
+                ("client.audit.chain_breaks", 0),
+                ("client.audit.chain_resyncs", 0),
+                ("client.audit.epoch_mismatches", 0),
+                ("client.audit.not_mine_replies", 0),
+                ("client.audit.reorder_suspected", 0),
+                ("client.audit.rollback_regressions", 0),
+                ("client.audit.stale_replies", 0),
+                ("client.encrypts", 3),
+                ("client.polls", 6),
+                ("client.rdma_writes", 6),
+                ("client.reconnects", 1),
+                ("client.replies", 6),
+                ("client.retransmits", 0),
+                ("client.verify_fail", 1),
+                ("client.verify_ok", 2),
+            ]
+        );
+        let zero_op_counter = got.iter().any(|&(name, n)| {
+            n == 0 && !name.starts_with("client.audit.") && name != "client.retransmits"
+        });
+        assert!(!zero_op_counter, "{got:?}");
+        assert!(metrics.gauges().next().is_none() && metrics.histograms().next().is_none());
     }
 
     #[test]

@@ -260,30 +260,26 @@ impl StoreExec {
             session_key,
         } = req;
         let cost = ctx.cost;
+        // A refusal answers in the request's own name: its control
+        // authenticated, so the oid is the client's.
+        let refused = (
+            Status::Error,
+            0,
+            ReplyPlan::Control {
+                status: Status::Error,
+                oid: control.oid,
+            },
+        );
         if control.key.len() > ctx.config.max_key_bytes
             || payload.len() > ctx.config.max_value_bytes + gcm::TAG_LEN
         {
-            return Ok((
-                Status::Error,
-                0,
-                ReplyPlan::Control {
-                    status: Status::Error,
-                    oid: 0,
-                },
-            ));
+            return Ok(refused);
         }
 
         match (opcode, ctx.config.mode) {
             (Opcode::Put, EncryptionMode::ClientSide) => {
                 let (Some(k_op), Some(pn)) = (control.k_op.clone(), control.payload_nonce) else {
-                    return Ok((
-                        Status::Error,
-                        0,
-                        ReplyPlan::Control {
-                            status: Status::Error,
-                            oid: 0,
-                        },
-                    ));
+                    return Ok(refused);
                 };
                 let value_len = payload.len();
                 if !in_enclave(ctx.config, value_len)
@@ -339,14 +335,7 @@ impl StoreExec {
                 });
                 if opened.is_none() {
                     values.truncate(at);
-                    return Ok((
-                        Status::Error,
-                        0,
-                        ReplyPlan::Control {
-                            status: Status::Error,
-                            oid: 0,
-                        },
-                    ));
+                    return Ok(refused);
                 }
                 let value_len = payload.len() - gcm::TAG_LEN;
                 self.storage_seq += 1;

@@ -147,7 +147,8 @@ pub struct ClientBundle {
 #[derive(Debug)]
 pub struct PrecursorServer {
     config: Config,
-    cost: CostModel,
+    // One model for the server and every client it connects.
+    cost: Arc<CostModel>,
     rng: SimRng,
 
     // trusted execution environment shared by every stage
@@ -244,7 +245,7 @@ impl PrecursorServer {
         let storage_key = Key128::generate(&mut rng);
         PrecursorServer {
             config: config.clone(),
-            cost: cost.clone(),
+            cost: Arc::new(cost.clone()),
             rng,
             enclave,
             sessions: SessionStage {
@@ -349,8 +350,9 @@ impl PrecursorServer {
         self.store.state_digest
     }
 
-    /// The configured cost model.
-    pub fn cost(&self) -> &CostModel {
+    /// The configured cost model, which every client this server connects
+    /// shares.
+    pub fn cost(&self) -> &Arc<CostModel> {
         &self.cost
     }
 

@@ -393,16 +393,17 @@ impl PrecursorServer {
                             shard: s as u32,
                         }
                     }
-                    // Store-level failure: an error reply that at least
-                    // unblocks the client (chain-linked like any other, so
-                    // the client's verification stream stays contiguous).
+                    // Store-level failure: an error reply in the op's own
+                    // name that at least unblocks the client (chain-linked
+                    // like any other, so the client's verification stream
+                    // stays contiguous).
                     Err(_) => ActionKind::Seal {
                         status: Status::Error,
                         opcode: Opcode::Get,
                         value_len: 0,
                         plan: ReplyPlan::Control {
                             status: Status::Error,
-                            oid: 0,
+                            oid: op_oid,
                         },
                         executed: false,
                         shard: s as u32,

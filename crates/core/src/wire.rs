@@ -10,6 +10,7 @@
 //! client→server, `reply_seq` server→client) with distinct direction tags,
 //! so no (key, nonce) pair ever repeats within a session.
 
+use precursor_crypto::gcm::GcmKey;
 use precursor_crypto::keys::{Key256, Nonce12, Nonce8, Tag};
 
 use crate::error::StoreError;
@@ -140,21 +141,46 @@ pub struct RequestRef<'a> {
     pub payload: &'a [u8],
 }
 
+/// Bytes of a request frame besides its sealed control and its payload:
+/// opcode, the two signs, client id, IV, MAC and the two lengths.
+const REQUEST_FRAME_OVERHEAD: usize = 1 + 2 + 4 + 12 + 2 + 16 + 4 + 2;
+
+// Appends one request frame to `out`, the `sealed_len` bytes of its sealed
+// control appended by `control`: the one writer of the request layout.
+fn append_request(
+    out: &mut Vec<u8>,
+    (opcode, client_id, iv): (Opcode, u32, &Nonce12),
+    sealed_len: usize,
+    control: impl FnOnce(&mut Vec<u8>),
+    mac: &Tag,
+    payload: &[u8],
+) {
+    out.push(opcode as u8);
+    out.extend_from_slice(&START_SIGN.to_le_bytes());
+    out.extend_from_slice(&client_id.to_le_bytes());
+    out.extend_from_slice(iv.as_bytes());
+    out.extend_from_slice(&(sealed_len as u16).to_le_bytes());
+    control(out);
+    out.extend_from_slice(mac.as_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&END_SIGN.to_le_bytes());
+}
+
 impl<'a> RequestRef<'a> {
     /// Replaces the contents of `out` with the frame's ring-record bytes.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.clear();
-        out.reserve(43 + self.sealed_control.len() + self.payload.len());
-        out.push(self.opcode as u8);
-        out.extend_from_slice(&START_SIGN.to_le_bytes());
-        out.extend_from_slice(&self.client_id.to_le_bytes());
-        out.extend_from_slice(self.iv.as_bytes());
-        out.extend_from_slice(&(self.sealed_control.len() as u16).to_le_bytes());
-        out.extend_from_slice(self.sealed_control);
-        out.extend_from_slice(self.mac.as_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(self.payload);
-        out.extend_from_slice(&END_SIGN.to_le_bytes());
+        let sealed_len = self.sealed_control.len();
+        out.reserve(REQUEST_FRAME_OVERHEAD + sealed_len + self.payload.len());
+        append_request(
+            out,
+            (self.opcode, self.client_id, &self.iv),
+            sealed_len,
+            |out| out.extend_from_slice(self.sealed_control),
+            &self.mac,
+            self.payload,
+        );
     }
 
     /// Parses a frame, validating signs, opcode and lengths.
@@ -186,6 +212,55 @@ impl<'a> RequestRef<'a> {
             mac,
             payload,
         })
+    }
+}
+
+/// A request as its sender builds it: the control in plaintext, to be
+/// sealed under `K_session` where it lies in the frame. A client appends
+/// the frame straight into the ring WRITE it keeps for retransmission, so
+/// no control, sealed-control or frame buffer stands beside that one. The
+/// bytes are [`RequestRef::encode_into`]'s for the same control sealed
+/// apart, under the IV [`request_nonce`] derives from its `oid` and the
+/// AAD [`request_aad`] binds.
+#[derive(Debug, Clone)]
+pub struct RequestToSeal<'a> {
+    /// Operation requested.
+    pub opcode: Opcode,
+    /// Issuing client.
+    pub client_id: u32,
+    /// The control plaintext.
+    pub control: RequestControlRef<'a>,
+    /// CMAC over the encrypted payload.
+    pub mac: Tag,
+    /// Encrypted payload.
+    pub payload: &'a [u8],
+}
+
+impl RequestToSeal<'_> {
+    /// Bytes of the control plaintext.
+    pub fn control_len(&self) -> usize {
+        self.control.encoded_len()
+    }
+
+    /// Bytes of the framed request.
+    pub fn frame_len(&self) -> usize {
+        REQUEST_FRAME_OVERHEAD + self.control_len() + Tag::LEN + self.payload.len()
+    }
+
+    /// Appends the frame's [`frame_len`](Self::frame_len) bytes to `out`,
+    /// sealing the control in place under `key`.
+    pub fn append_sealed(&self, key: &GcmKey, out: &mut Vec<u8>) {
+        let iv = request_nonce(self.control.oid);
+        let aad = request_aad(self.opcode, self.client_id);
+        let seal = |out: &mut Vec<u8>| {
+            let at = out.len();
+            self.control.append_to(out);
+            let tag = key.seal_in_place_detached(&iv, &aad, &mut out[at..]);
+            out.extend_from_slice(tag.as_bytes());
+        };
+        let header = (self.opcode, self.client_id, &iv);
+        let sealed_len = self.control_len() + Tag::LEN;
+        append_request(out, header, sealed_len, seal, &self.mac, self.payload);
     }
 }
 
@@ -272,6 +347,10 @@ pub struct ReplyRef<'a> {
     pub payload: &'a [u8],
 }
 
+/// Where a reply's sealed control starts in its record: after the status,
+/// the opcode, `reply_seq` and the control's length.
+const REPLY_CONTROL_AT: usize = 1 + 1 + 8 + 2;
+
 impl<'a> ReplyRef<'a> {
     /// Replaces the contents of `out` with the reply's ring-record bytes.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
@@ -309,6 +388,50 @@ impl<'a> ReplyRef<'a> {
             reply_seq,
             sealed_control,
             payload,
+        })
+    }
+}
+
+/// A reply frame over bytes its receiver owns: [`ReplyRef`]'s fields, with
+/// the sealed control open to change, so the receiver opens it where it
+/// lies in the popped record.
+#[derive(Debug, PartialEq, Eq)]
+pub struct ReplyMut<'a> {
+    /// Outcome of the operation.
+    pub status: Status,
+    /// Echo of the request opcode.
+    pub opcode: Opcode,
+    /// Server→client sequence number.
+    pub reply_seq: u64,
+    /// AES-GCM-sealed control reply.
+    pub sealed_control: &'a mut [u8],
+    /// Stored encrypted payload.
+    pub payload: &'a [u8],
+}
+
+impl<'a> ReplyMut<'a> {
+    /// Parses a reply frame as [`ReplyRef::parse`] does.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::MalformedFrame`] on any structural violation.
+    pub fn parse(buf: &'a mut [u8]) -> Result<ReplyMut<'a>, StoreError> {
+        let ReplyRef {
+            status,
+            opcode,
+            reply_seq,
+            sealed_control,
+            ..
+        } = ReplyRef::parse(buf)?;
+        let control_end = REPLY_CONTROL_AT + sealed_control.len();
+        let (head, tail) = buf.split_at_mut(control_end);
+        Ok(ReplyMut {
+            status,
+            opcode,
+            reply_seq,
+            sealed_control: &mut head[REPLY_CONTROL_AT..],
+            // After the payload's 4-byte length.
+            payload: &tail[4..],
         })
     }
 }
@@ -378,7 +501,18 @@ impl<'a> RequestControlRef<'a> {
     /// Replaces the contents of `out` with the control plaintext.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.clear();
-        out.reserve(11 + self.key.len() + 40);
+        out.reserve(self.encoded_len());
+        self.append_to(out);
+    }
+
+    /// Bytes of the control plaintext.
+    pub fn encoded_len(&self) -> usize {
+        let with_key_material = self.k_op.is_some() && self.payload_nonce.is_some();
+        RequestControl::encoded_len(self.key.len(), with_key_material)
+    }
+
+    /// Appends the control plaintext to `out`.
+    pub fn append_to(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.oid.to_le_bytes());
         out.extend_from_slice(&(self.key.len() as u16).to_le_bytes());
         out.extend_from_slice(self.key);
@@ -771,6 +905,72 @@ mod tests {
             payload: vec![1; 100],
         };
         assert_eq!(ReplyFrame::decode(&f.encode()).unwrap(), f);
+    }
+
+    #[test]
+    fn a_request_sealed_in_place_is_the_frame_sealed_apart() {
+        let key = GcmKey::new(&precursor_crypto::keys::Key128::from_bytes([5; 16]));
+        let with_material = RequestControlRef {
+            oid: 41,
+            key: b"user-key",
+            k_op: Some(Key256::from_bytes([3; 32])),
+            payload_nonce: Some(Nonce8::from_bytes([4; 8])),
+        };
+        let control_only = RequestControlRef {
+            oid: 42,
+            key: b"k",
+            k_op: None,
+            payload_nonce: None,
+        };
+        for (control, payload) in [(with_material, &[0xAA; 37][..]), (control_only, &[][..])] {
+            let request = RequestToSeal {
+                opcode: Opcode::Put,
+                client_id: 7,
+                control: control.clone(),
+                mac: Tag::from_bytes([9; 16]),
+                payload,
+            };
+            let mut plain = Vec::new();
+            control.encode_into(&mut plain);
+            assert_eq!(request.control_len(), plain.len());
+            let iv = request_nonce(control.oid);
+            let sealed = key.seal(&iv, &request_aad(Opcode::Put, 7), &plain);
+            let mut apart = Vec::new();
+            RequestRef {
+                opcode: Opcode::Put,
+                client_id: 7,
+                iv,
+                sealed_control: &sealed,
+                mac: request.mac,
+                payload,
+            }
+            .encode_into(&mut apart);
+            // Appended after bytes already there, as into a ring WRITE.
+            let mut in_place = vec![0xEE; 3];
+            request.append_sealed(&key, &mut in_place);
+            assert_eq!(in_place[3..], apart[..]);
+            assert_eq!(request.frame_len(), apart.len());
+        }
+    }
+
+    #[test]
+    fn a_reply_parsed_in_place_has_the_borrowed_parse_fields() {
+        let f = ReplyFrame {
+            status: Status::NotFound,
+            opcode: Opcode::Get,
+            reply_seq: 99,
+            sealed_control: vec![7; 60],
+            payload: vec![1; 13],
+        };
+        let mut bytes = f.encode();
+        let r = ReplyMut::parse(&mut bytes).unwrap();
+        assert_eq!((r.status, r.opcode, r.reply_seq), (f.status, f.opcode, 99));
+        assert_eq!(
+            (&*r.sealed_control, r.payload),
+            (&f.sealed_control[..], &f.payload[..])
+        );
+        bytes.push(0);
+        assert_eq!(ReplyMut::parse(&mut bytes), Err(StoreError::MalformedFrame));
     }
 
     #[test]

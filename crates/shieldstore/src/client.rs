@@ -2,6 +2,7 @@
 //! them over kernel TCP; the server does all further cryptographic work.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use precursor_crypto::gcm;
 use precursor_crypto::keys::{Key128, Nonce12};
@@ -34,7 +35,7 @@ pub struct ShieldClient {
     client_id: u32,
     session_key: Key128,
     socket: SimTcp,
-    cost: CostModel,
+    cost: Arc<CostModel>,
     oid: u64,
     reply_seq: u64,
     pending: VecDeque<(u64, ShieldOp)>,
@@ -56,7 +57,7 @@ impl ShieldClient {
             client_id,
             session_key,
             socket,
-            cost: server.cost().clone(),
+            cost: Arc::clone(server.cost()),
             oid: 0,
             reply_seq: 1,
             pending: VecDeque::new(),

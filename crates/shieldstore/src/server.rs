@@ -8,6 +8,8 @@
 //! entry en/decryption, MAC and tree maintenance — happens inside the
 //! enclave (the server-encryption scheme).
 
+use std::sync::Arc;
+
 use precursor_crypto::keys::{Key128, Tag};
 use precursor_crypto::{cmac, gcm, sha256};
 use precursor_obs::MetricsRegistry;
@@ -108,7 +110,8 @@ struct Session {
 #[derive(Debug)]
 pub struct ShieldServer {
     config: ShieldConfig,
-    cost: CostModel,
+    // One model for the server and every client it connects.
+    cost: Arc<CostModel>,
     rng: SimRng,
     attestation: AttestationService,
 
@@ -189,7 +192,7 @@ impl ShieldServer {
             storage_seq: 0,
             len: 0,
             config,
-            cost: cost.clone(),
+            cost: Arc::new(cost.clone()),
             rng,
             attestation,
             enclave,
@@ -220,8 +223,9 @@ impl ShieldServer {
         self.len == 0
     }
 
-    /// The cost model in use.
-    pub fn cost(&self) -> &CostModel {
+    /// The cost model in use, which every client this server connects
+    /// shares.
+    pub fn cost(&self) -> &Arc<CostModel> {
         &self.cost
     }
 
@@ -278,7 +282,7 @@ impl ShieldServer {
 
     fn process(&mut self, idx: usize, msg: Vec<u8>) {
         let mut meter = Meter::new();
-        let cost = self.cost.clone();
+        let cost = Arc::clone(&self.cost);
         // Kernel/TCP stack CPU cost for receiving the message: consumes
         // server-thread occupancy, but the paper's latency breakdown books
         // kernel time under "networking" (it overlaps the tcp_msg_latency
@@ -403,7 +407,7 @@ impl ShieldServer {
     }
 
     fn seal_entry(&mut self, key: &[u8], value: &[u8], meter: &mut Meter) -> StoredEntry {
-        let cost = self.cost.clone();
+        let cost = Arc::clone(&self.cost);
         self.storage_seq += 1;
         let seq = self.storage_seq;
         let mut plain = Vec::with_capacity(2 + key.len() + value.len());
@@ -455,7 +459,7 @@ impl ShieldServer {
     // into the leaf, and update the Merkle path — the per-put tree
     // maintenance the paper describes (§5.2).
     fn refresh_bucket(&mut self, b: usize, meter: &mut Meter) {
-        let cost = self.cost.clone();
+        let cost = Arc::clone(&self.cost);
         let mut macs = Vec::with_capacity(self.buckets[b].len() * 16);
         for e in &self.buckets[b] {
             macs.extend_from_slice(e.mac.as_bytes());
@@ -484,7 +488,7 @@ impl ShieldServer {
     // MAC lists, recomputes a hash over it, then compares it with the root
     // tree").
     fn verify_bucket(&mut self, b: usize, meter: &mut Meter) -> bool {
-        let cost = self.cost.clone();
+        let cost = Arc::clone(&self.cost);
         let mut macs = Vec::with_capacity(self.buckets[b].len() * 16);
         for e in &self.buckets[b] {
             macs.extend_from_slice(e.mac.as_bytes());
@@ -497,7 +501,7 @@ impl ShieldServer {
     }
 
     fn do_put(&mut self, key: &[u8], value: &[u8], meter: &mut Meter) -> ShieldStatus {
-        let cost = self.cost.clone();
+        let cost = Arc::clone(&self.cost);
         let b = self.bucket_index(key);
         let hint = fx_hash(key);
         // Scan the chain for an existing key: each candidate entry must be
@@ -529,7 +533,7 @@ impl ShieldServer {
     }
 
     fn do_get(&mut self, key: &[u8], meter: &mut Meter) -> Option<Vec<u8>> {
-        let cost = self.cost.clone();
+        let cost = Arc::clone(&self.cost);
         let b = self.bucket_index(key);
         if !self.verify_bucket(b, meter) {
             return None;
@@ -557,7 +561,7 @@ impl ShieldServer {
     }
 
     fn do_delete(&mut self, key: &[u8], meter: &mut Meter) -> ShieldStatus {
-        let cost = self.cost.clone();
+        let cost = Arc::clone(&self.cost);
         let b = self.bucket_index(key);
         let hint = fx_hash(key);
         let mut idx = None;

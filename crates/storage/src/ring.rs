@@ -211,16 +211,27 @@ impl RingWrites {
         self.note(offset);
     }
 
-    // Appends the framed record of `payload` at `offset`: header, payload,
-    // zero padding to `span` bytes (so stale bytes never masquerade as
-    // headers). The buffer grows to fit the record exactly: a buffer kept
-    // per connection is held at the size of its records.
-    fn push_record(&mut self, offset: usize, payload: &[u8], span: usize) {
+    // Appends the framed record of a `len`-byte payload at `offset`:
+    // header, the payload `build` appends, zero padding to `span` bytes (so
+    // stale bytes never masquerade as headers). The buffer grows to fit the
+    // record exactly: a buffer kept per connection is held at the size of
+    // its records.
+    fn push_record(
+        &mut self,
+        offset: usize,
+        len: usize,
+        span: usize,
+        build: impl FnOnce(&mut Vec<u8>),
+    ) {
         let start = self.bytes.len();
         self.bytes.reserve_exact(span);
-        self.bytes
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.bytes.extend_from_slice(payload);
+        self.bytes.extend_from_slice(&(len as u32).to_le_bytes());
+        build(&mut self.bytes);
+        assert_eq!(
+            self.bytes.len(),
+            start + HEADER + len,
+            "a record's payload is the length it was placed with"
+        );
         self.bytes.resize(start + span, 0);
         self.note(offset);
     }
@@ -371,12 +382,30 @@ impl RingProducer {
     /// two writes are issued per record (an optional wrap marker plus the
     /// record itself); `writes` is left empty when the record does not fit.
     pub fn push_with(&mut self, payload: &[u8], writes: &mut RingWrites) -> Option<usize> {
+        self.push_built(payload.len(), writes, |out| out.extend_from_slice(payload))
+    }
+
+    /// Like [`push_with`](Self::push_with), but the record's `len` payload
+    /// bytes are appended by `build` straight into `writes`' buffer: a
+    /// producer that builds its record (frames it, seals part of it) does
+    /// so in the bytes it posts and keeps, with no buffer and no copy
+    /// beside them. `build` is not called when the record does not fit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `build` appends other than `len` bytes.
+    pub fn push_built(
+        &mut self,
+        len: usize,
+        writes: &mut RingWrites,
+        build: impl FnOnce(&mut Vec<u8>),
+    ) -> Option<usize> {
         writes.clear();
-        let Placement { wrap, off, span } = self.place(payload.len())?;
+        let Placement { wrap, off, span } = self.place(len)?;
         if let Some((at, marker)) = wrap {
             writes.push(at, &WRAP.to_le_bytes()[..marker]);
         }
-        writes.push_record(off, payload, span);
+        writes.push_record(off, len, span, build);
         Some(off)
     }
 
@@ -700,6 +729,36 @@ mod tests {
             writes.is_empty(),
             "a push that does not fit leaves no WRITE"
         );
+    }
+
+    #[test]
+    fn push_built_writes_what_push_with_writes() {
+        // The same records, one handed over as a slice and one appended in
+        // place, over wraps and every alignment: the same WRITEs.
+        let (mut a, mut b) = (RingProducer::new(96), RingProducer::new(96));
+        let (mut sliced, mut built) = (RingWrites::default(), RingWrites::default());
+        for len in (0..40).map(|i| (i * 5) % 29) {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 13 + len) as u8).collect();
+            a.update_credits(a.written());
+            b.update_credits(b.written());
+            assert_eq!(
+                a.push_with(&payload, &mut sliced),
+                b.push_built(len, &mut built, |out| out.extend_from_slice(&payload))
+            );
+            assert_eq!(sliced, built, "len {len}");
+        }
+        let mut full = RingProducer::new(64);
+        full.push_with(&[1; 40], &mut built).expect("fits");
+        let pushed = full.push_built(40, &mut built, |_| panic!("built without room"));
+        assert_eq!(pushed, None);
+        assert!(built.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "the length it was placed with")]
+    fn push_built_rejects_a_payload_of_another_length() {
+        let mut tx = RingProducer::new(64);
+        let _ = tx.push_built(5, &mut RingWrites::default(), |out| out.push(1));
     }
 
     #[test]

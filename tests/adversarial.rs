@@ -112,7 +112,7 @@ fn wedged_client_is_revoked_reconnects_and_resumes() {
     assert_eq!(bundle.client_id, wedged_id);
     let mut revived = PrecursorClient::from_bundle(
         bundle,
-        cost.clone(),
+        std::sync::Arc::clone(server.cost()),
         precursor_sim::rng::SimRng::seed_from(9),
     );
     revived.put_sync(&mut server, b"w", b"back").unwrap();

@@ -31,6 +31,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use precursor::backend::{KvCompleted, KvOp, KvOpReport, KvStatus, PrecursorBackend, TrustedKv};
 use precursor::server::HOST_SLOT_BYTES;
@@ -187,6 +188,7 @@ impl Rig {
         }
         let bundle = server.add_client([11; 16]).expect("connect");
         let reply_ring = bundle.reply_ring.clone();
+        let cost = Arc::clone(server.cost());
         let mut client = PrecursorClient::from_bundle(bundle, cost, SimRng::seed_from(11));
         for id in 0..KEYS {
             client
@@ -616,6 +618,7 @@ fn idle_pumps_allocate_nothing(compact: bool) {
     let policy = GroupCommitPolicy::batched(32, 0);
     let mut group = ReplicaGroup::with_replicas(Config::default(), &cost, 3, policy);
     let bundle = group.primary_mut().add_client([12; 16]).expect("connect");
+    let cost = Arc::clone(group.primary().cost());
     let mut client = PrecursorClient::from_bundle(bundle, cost, SimRng::seed_from(12));
     for id in 0..KEYS {
         let oid = client.put(&key_bytes(id), &value(id, 0)).expect("send");
@@ -655,5 +658,45 @@ fn idle_pumps_allocate_nothing(compact: bool) {
         (0, 0),
         "compact {compact}: 64 idle pumps allocated, the last of {} B",
         idle.last
+    );
+}
+
+/// What one more connected client keeps, server side included: its
+/// session, not copies of what the fleet shares. `FLEET` clients connect to
+/// one server on `wide_fleet`'s 1 KiB rings and four shards, and each
+/// completes a put and a get; then one more does the same, counted. 40
+/// keeps the 41st clear of the server's per-client `Vec`s doubling (the
+/// 33rd client doubles them). It keeps 4 090 B; a client that carried its
+/// own cost model, a string-keyed registry for its op counters, room for
+/// four ops in flight and request buffers beside the ring WRITE it keeps
+/// kept 5 929 B.
+#[test]
+fn a_connected_client_keeps_its_session_not_copies_of_the_fleets() {
+    const FLEET: u64 = 40;
+    const KEPT_BOUND: i64 = 5_000;
+    let config = Config {
+        ring_bytes: 1 << 10,
+        max_clients: FLEET as usize + 1,
+        ..Config::sharded(4)
+    };
+    let mut server = PrecursorServer::new(config, &CostModel::default());
+    let mut clients = Vec::with_capacity(FLEET as usize + 1);
+    let join = |server: &mut PrecursorServer, clients: &mut Vec<PrecursorClient>| {
+        let id = clients.len() as u64;
+        let mut client = PrecursorClient::connect(server, id).expect("connect");
+        let key = key_bytes(id);
+        client.put_sync(server, &key, &value(id, 0)).expect("put");
+        assert_eq!(client.get_sync(server, &key).expect("get"), value(id, 0));
+        server.drain_reports().for_each(drop);
+        clients.push(client);
+    };
+    for _ in 0..FLEET {
+        join(&mut server, &mut clients);
+    }
+    let one_more = counted(|| join(&mut server, &mut clients));
+    assert!(
+        one_more.kept <= KEPT_BOUND,
+        "one more client kept {} B",
+        one_more.kept
     );
 }

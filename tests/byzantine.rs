@@ -8,6 +8,8 @@
 //! node of a 1-, 2- or 4-node cluster, a hot range migrating on the larger
 //! ones, with zero undetected violations and bit-identical replay.
 
+use std::sync::Arc;
+
 use precursor::cluster::MigrationOutcome;
 use precursor::wire::Status;
 use precursor::{
@@ -151,7 +153,8 @@ fn forged_reply_header_breaks_the_mac_chain_and_quarantines() {
     // Keep a handle on the reply ring *before* the client consumes it: the
     // host owns this memory and can write anything into it.
     let spy_ring = bundle.reply_ring.clone();
-    let mut client = PrecursorClient::from_bundle(bundle, cost.clone(), SimRng::seed_from(3));
+    let cost = Arc::clone(server.cost());
+    let mut client = PrecursorClient::from_bundle(bundle, cost, SimRng::seed_from(3));
 
     let oid = client.put(b"k", b"v").unwrap();
     server.poll();
@@ -206,8 +209,8 @@ fn forged_redirect_breaks_the_mac_chain_and_is_never_followed() {
     let bundle = bundle.expect("connects");
     // The reply ring is host memory: keep a handle on it.
     let spy_ring = bundle.reply_ring.clone();
-    let mut client =
-        PrecursorClient::from_bundle(bundle, CostModel::default(), SimRng::seed_from(5));
+    let cost = Arc::new(CostModel::default());
+    let mut client = PrecursorClient::from_bundle(bundle, cost, SimRng::seed_from(5));
 
     let oid = client.put(&key, b"v").unwrap();
     h.cluster.poll_all();

@@ -2,6 +2,8 @@
 //! round trips through the simulated RDMA rings, the enclave model, the
 //! payload pool and both encryption modes.
 
+use std::sync::Arc;
+
 use precursor::wire::Status;
 use precursor::{
     Config, EncryptionMode, HostFilter, HostMove, HostPlan, HostSite, PrecursorClient,
@@ -281,7 +283,8 @@ fn rings_hold_what_is_in_flight_not_their_capacity() {
         .map(|i| {
             let bundle = server.add_client([i as u8 + 1; 16]).expect("connects");
             reply_rings.push(bundle.reply_ring.clone());
-            PrecursorClient::from_bundle(bundle, cost.clone(), SimRng::seed_from(i as u64))
+            let cost = Arc::clone(server.cost());
+            PrecursorClient::from_bundle(bundle, cost, SimRng::seed_from(i as u64))
         })
         .collect();
     let key = |i: u32| format!("key-{i:05}");
